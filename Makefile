@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all tier1 vet fmt bench lint vuln fuzz soak
+.PHONY: all tier1 vet fmt bench loc lint vuln fuzz soak
 
 all: tier1 vet lint
 
@@ -46,13 +46,15 @@ FUZZTIME ?= 30s
 fuzz:
 	FUZZTIME=$(FUZZTIME) ./scripts/fuzz.sh
 
-# bench runs tier-1 plus the perf-trajectory benchmarks (the batched one-hop
-# kernels, the Figure 1 sweep, and the n ∈ {1000, 2000, 5000} recompute
-# trajectory into BENCH_2.json; view dissemination into BENCH_3.json; stable
-# slot extension vs wholesale remap and the sharded full pass into
-# BENCH_4.json).
-bench: tier1
-	./scripts/bench.sh BENCH_2.json BENCH_3.json BENCH_4.json
+# bench runs the performance ledger: four whole-overlay workloads, end-to-end
+# metrics and per-layer rows into benchmark/out/ (see benchmark/README.md).
+bench:
+	$(GO) run ./benchmark
+
+# loc prints the tracked size: non-test Go lines outside benchmark/. It
+# should go down (ROADMAP aim 2).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 # soak runs hours of virtual time of Poisson churn under the lossy-gossip
 # fault plane (5% loss, duplication, jitter) with a hard live-heap ceiling:

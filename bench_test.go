@@ -577,14 +577,14 @@ func benchFullMeshNode(b *testing.B, n int, disableIncremental bool) (*core.Full
 }
 
 // BenchmarkRecomputeTrajectory records the single-node recompute trajectory
-// behind BENCH_2.json at n ∈ {1000, 2000, 5000}. For the quorum it times one
-// routing tick of a rendezvous serving its full ~2√n client set, the
-// from-scratch pass against the steady-state generation-cache path; for the
-// full-mesh baseline, a from-scratch pass over all n destinations against an
-// incremental pass with a bounded dirty set. The tentpole criterion is the
-// n=5000 quorum tick finishing inside the 30 s probing interval; with
-// GOMAXPROCS=1 these numbers are the parallelism-free floor, and the sharded
-// full pass only improves on them.
+// at n ∈ {1000, 2000, 5000}. For the quorum it times one routing tick of a
+// rendezvous serving its full ~2√n client set, the from-scratch pass against
+// the steady-state generation-cache path; for the full-mesh baseline, a
+// from-scratch pass over all n destinations against an incremental pass with
+// a bounded dirty set. The tentpole criterion is the n=5000 quorum tick
+// finishing inside the 30 s probing interval; with GOMAXPROCS=1 these numbers
+// are the parallelism-free floor, and the sharded full pass only improves on
+// them.
 func BenchmarkRecomputeTrajectory(b *testing.B) {
 	for _, n := range []int{1000, 2000, 5000} {
 		b.Run(fmt.Sprintf("quorum/n=%d/full", n), func(b *testing.B) {
@@ -681,37 +681,13 @@ func benchSlottedView(b *testing.B, version uint32, slots int, dead ...int) *mem
 	return v
 }
 
-// BenchmarkViewRemap records the per-membership-change cost behind
-// BENCH_4.json: what one join/leave costs a node whose link-state table is
-// fully populated. "remap" is the legacy dense-view path — sorted-ID slots,
-// so admitting a low ID shifts every member and the whole table, route
-// state, and caches are rebuilt (O(rows·n) at minimum); "stable" is the
-// slot-addressed path, where the same join fills one tombstone and the same
-// leave cuts one slot's column (O(rows + n)). Each iteration performs a
-// join+leave round trip so state returns to its starting shape.
+// BenchmarkViewRemap records what one join/leave costs a node whose
+// link-state table is fully populated (the name is from when a wholesale
+// remap was the alternative): the join fills one tombstone and the leave
+// cuts one slot's column, O(rows + n). Each iteration performs a join+leave
+// round trip so state returns to its starting shape.
 func BenchmarkViewRemap(b *testing.B) {
 	for _, n := range []int{500, 2000, 5000} {
-		// Dense: view A holds IDs 1,3,4,...,n+1 (every slot shifts when ID 2
-		// is admitted); view B = A ∪ {2}. The node is ID 1 at slot 0 in both.
-		denseView := func(version uint32, withTwo bool) *membership.ViewInfo {
-			ids := make([]wire.NodeID, 0, n+1)
-			ids = append(ids, 1)
-			if withTwo {
-				ids = append(ids, 2)
-			}
-			for i := 0; i < n-1; i++ {
-				ids = append(ids, wire.NodeID(3+i))
-			}
-			ms := make([]wire.Member, len(ids))
-			for i, id := range ids {
-				ms[i] = wire.Member{ID: id}
-			}
-			v, err := membership.NewViewInfo(wire.View{Epoch: 1, Version: version, Members: ms})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return v
-		}
 		fillQuorum := func(view *membership.ViewInfo) (*core.Quorum, *transport.SimEnv) {
 			env := benchEnv()
 			env.SetLocalID(1)
@@ -731,23 +707,6 @@ func BenchmarkViewRemap(b *testing.B) {
 			}
 			return q, env
 		}
-		b.Run(fmt.Sprintf("quorum/n=%d/remap", n), func(b *testing.B) {
-			va, vb := denseView(1, false), denseView(2, true)
-			q, _ := fillQuorum(va)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := q.SetView(vb, 0); err != nil {
-					b.Fatal(err)
-				}
-				if err := q.SetView(va, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if st := q.Stats(); st.ViewRemaps != uint64(2*b.N) {
-				b.Fatalf("remap bench took %d remaps, want %d", st.ViewRemaps, 2*b.N)
-			}
-		})
 		b.Run(fmt.Sprintf("quorum/n=%d/stable", n), func(b *testing.B) {
 			// n+1 slots: alternately occupy and tombstone the last one — the
 			// same join+leave, expressed in slot space.
@@ -782,19 +741,6 @@ func BenchmarkViewRemap(b *testing.B) {
 			}
 			return f
 		}
-		b.Run(fmt.Sprintf("fullmesh/n=%d/remap", n), func(b *testing.B) {
-			va, vb := denseView(1, false), denseView(2, true)
-			f := fillMesh(va)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.SetView(vb, 0)
-				f.SetView(va, 0)
-			}
-			b.StopTimer()
-			if _, remaps := f.ViewChangeStats(); remaps != uint64(2*b.N) {
-				b.Fatalf("remap bench took %d remaps, want %d", remaps, 2*b.N)
-			}
-		})
 		b.Run(fmt.Sprintf("fullmesh/n=%d/stable", n), func(b *testing.B) {
 			vLeft := benchSlottedView(b, 1, n+1, n)
 			vJoin := benchSlottedView(b, 2, n+1)

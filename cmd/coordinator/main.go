@@ -30,7 +30,7 @@ func main() {
 	listen := flag.String("listen", ":4400", "UDP listen address")
 	rank := flag.Int("rank", 0, "replica rank in the coordinator set (0 = boot primary)")
 	peers := flag.String("peers", "", "comma-separated replica addresses in rank order (empty = solo)")
-	gossipFanout := flag.Int("gossip-fanout", 0, "view-delta gossip fanout (0 = default, negative = broadcast fan-out)")
+	gossipFanout := flag.Int("gossip-fanout", 0, "view-delta gossip fanout (0 = default)")
 	flag.Parse()
 
 	log.SetPrefix("coordinator: ")

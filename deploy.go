@@ -168,10 +168,8 @@ type CoordinatorOptions struct {
 	Peers []string
 	// Logf, if non-nil, receives admission, expiry, and election events.
 	Logf func(string, ...any)
-	// GossipFanout is the epidemic dissemination fanout for view deltas:
-	// 0 keeps the default, negative restores the broadcast fan-out where
-	// the primary unicasts every delta to every member. Members must be
-	// configured to match.
+	// GossipFanout is the epidemic dissemination fanout for view deltas
+	// (0 keeps the default). Members must be configured to match.
 	GossipFanout int
 }
 

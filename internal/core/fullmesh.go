@@ -63,7 +63,7 @@ type FullMesh struct {
 
 	// Incremental recompute state (see recompute): the previous pass's full
 	// result plus the snapshots that decide which destinations may differ
-	// this pass. Invalidated by SetView (Remap restarts row generations).
+	// this pass. Invalidated by a cold SetView, which replaces the table.
 	lastOut   []lsdb.HopCost // previous pass's kernel output, all destinations
 	prevGen   []uint32       // table row generations at the previous pass
 	prevFresh []bool         // per-slot freshness at the previous pass
@@ -86,7 +86,7 @@ type FullMesh struct {
 		incPasses      uint64 // recomputes served by the incremental path
 		dstsRecomputed uint64 // destinations re-evaluated by incremental passes
 		viewExtends    uint64 // stable-extension view installs (state kept)
-		viewRemaps     uint64 // wholesale-remap view installs
+		viewRemaps     uint64 // re-installs that could not extend and went cold
 	}
 }
 
@@ -98,93 +98,63 @@ func NewFullMesh(env transport.Env, cfg FullMeshConfig, view *membership.ViewInf
 	return f
 }
 
-// SetView installs a new membership view. A slot-stable extension — the
-// only change a slot-addressed coordinator produces — grows the table and
-// route array in place, retires exactly the slots whose occupant departed,
-// and keeps the incremental snapshots valid: unaffected rows keep their
-// bytes and generations, so the next recompute stays incremental and
-// re-evaluates only what the departure or arrival actually touched
-// (RetireSlot's generation bumps surface the retired slots as dirty). A view
-// change that moves surviving members falls back to the wholesale remap:
-// stored link-state rows are remapped to the new slot order and route
-// entries survive when both their destination and hop did, but the remapped
-// table restarts generations, so every snapshot is void and the next
-// recompute runs a full pass.
+// SetView installs a new membership view, with exactly two outcomes. A
+// stable extension (membership.StableExtension — the only kind of change a
+// coordinator reign produces) grows the table and route array in place,
+// retires exactly the slots whose occupant departed, and keeps the
+// incremental snapshots valid: unaffected rows keep their bytes and
+// generations, so the next recompute stays incremental and re-evaluates only
+// what the departure or arrival actually touched (RetireSlot's generation
+// bumps surface the retired slots as dirty). Any other install goes cold, as
+// the first one does: an empty table and route array, every snapshot void, a
+// full pass at the next recompute. The sequence number and cumulative stats
+// survive both.
 func (f *FullMesh) SetView(view *membership.ViewInfo, self int) {
-	oldView := f.view
-	n := view.Slots()
-	stable := oldView != nil && self == f.self && self < oldView.Slots() &&
-		oldView.IDAt(self) == view.IDAt(self) &&
-		membership.StableExtension(oldView, view)
-	f.view = view
-	f.self = self
+	retired, _, stable := membership.StableExtension(f.view, f.self, view, self)
 	switch {
 	case stable:
 		f.stats.viewExtends++
-		f.table.Grow(n)
-		for len(f.routes) < n {
-			f.routes = append(f.routes, RouteEntry{})
-		}
-		var retired []int
-		for s := 0; s < oldView.Slots(); s++ {
-			if oldView.Occupied(s) && view.IDAt(s) != oldView.IDAt(s) {
-				retired = append(retired, s)
-				f.table.RetireSlot(s)
-			}
-		}
-		if len(retired) > 0 {
-			isRetired := func(s int) bool {
-				for _, r := range retired {
-					if r == s {
-						return true
-					}
-				}
-				return false
-			}
-			for dst := range f.routes {
-				e := &f.routes[dst]
-				if e.Source == SourceNone {
-					continue
-				}
-				if isRetired(dst) || (e.Hop >= 0 && isRetired(e.Hop)) {
-					f.routes[dst] = RouteEntry{}
-				}
-			}
-		}
-		// Grow the incremental snapshots in place: a new slot's provable
-		// previous-pass result is "unreachable" (its direct seed and every
-		// intermediate's column toward it read InfCost until announcements
-		// land), so seeding {-1, Inf} keeps lastOut exactly what a full pass
-		// at the old width plus Inf-padding would have produced.
-		for len(f.lastOut) < n {
-			f.lastOut = append(f.lastOut, lsdb.HopCost{Hop: -1, Cost: wire.InfCost})
-		}
-		for len(f.prevGen) < n {
-			f.prevGen = append(f.prevGen, 0)
-		}
-		for len(f.prevFresh) < n {
-			f.prevFresh = append(f.prevFresh, false)
-		}
-		for len(f.prevSelf) < n && len(f.prevSelf) > 0 {
-			f.prevSelf = append(f.prevSelf, wire.InfCost)
-		}
-	case oldView != nil:
+	case f.view != nil:
 		f.stats.viewRemaps++
-		m := membership.SlotMap(oldView, view)
-		f.table = f.table.Remap(m, n)
-		f.routes = remapRoutes(f.routes, m, n, self)
-		// Remap returns a fresh table whose row generations restart, so every
-		// incremental snapshot is void: the next recompute runs a full pass.
-		f.lastValid = false
-	default:
+	}
+	n := view.Slots()
+	f.view = view
+	f.self = self
+	if !stable {
 		f.table = lsdb.NewTable(n)
 		f.routes = make([]RouteEntry, n)
 		f.lastValid = false
+		return
+	}
+	f.table.Grow(n)
+	for len(f.routes) < n {
+		f.routes = append(f.routes, RouteEntry{})
+	}
+	for _, s := range retired {
+		f.table.RetireSlot(s)
+	}
+	retireRoutes(f.routes, retired)
+	// Grow the incremental snapshots in place: a new slot's provable
+	// previous-pass result is "unreachable" (its direct seed and every
+	// intermediate's column toward it read InfCost until announcements
+	// land), so seeding {-1, Inf} keeps lastOut exactly what a full pass
+	// at the old width plus Inf-padding would have produced.
+	for len(f.lastOut) < n {
+		f.lastOut = append(f.lastOut, lsdb.HopCost{Hop: -1, Cost: wire.InfCost})
+	}
+	for len(f.prevGen) < n {
+		f.prevGen = append(f.prevGen, 0)
+	}
+	for len(f.prevFresh) < n {
+		f.prevFresh = append(f.prevFresh, false)
+	}
+	for len(f.prevSelf) < n && len(f.prevSelf) > 0 {
+		f.prevSelf = append(f.prevSelf, wire.InfCost)
 	}
 }
 
-// ViewChangeStats reports how view installs have executed: stable extensions
-// (per-slot state preserved) versus wholesale remaps.
+// ViewChangeStats reports how view re-installs have executed: stable
+// extensions (per-slot state preserved) versus cold installs.
 func (f *FullMesh) ViewChangeStats() (extends, remaps uint64) {
 	return f.stats.viewExtends, f.stats.viewRemaps
 }

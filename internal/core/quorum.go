@@ -110,10 +110,10 @@ type QuorumStats struct {
 	// cache instead. Their ratio is the incremental path's hit rate.
 	PairsComputed uint64
 	PairsCached   uint64
-	// ViewExtends counts view installs taken by the stable-extension fast
-	// path (per-slot state preserved in place); ViewRemaps counts installs
-	// that fell back to the wholesale remap. The initial install counts as
-	// neither.
+	// ViewExtends counts view installs taken as stable extensions (per-slot
+	// state preserved in place); ViewRemaps counts re-installs that could
+	// not be and went cold (the name predates that: it is the ledger's
+	// core.view_remaps row). The initial install counts as neither.
 	ViewExtends uint64
 	ViewRemaps  uint64
 }
@@ -178,8 +178,8 @@ type Quorum struct {
 	// endpoint rows (the kernel reads intermediate costs out of exactly those
 	// rows), so a cached value revalidates by comparing the endpoints' row
 	// generations — lookup-only maps, never iterated. Self pairs additionally
-	// depend on the live self row, revalidated by content compare. SetView
-	// drops everything: a Remap restarts generations. See sendRecommendations.
+	// depend on the live self row, revalidated by content compare. A cold
+	// SetView drops everything with the table. See sendRecommendations.
 	pairCache     map[uint32]pairVal
 	selfPairCache map[int]selfPairVal
 	lastGen       []uint32    // per-slot generation at the previous tick (dirty-fraction gate)
@@ -220,19 +220,17 @@ func NewQuorum(env transport.Env, cfg QuorumConfig, view *membership.ViewInfo, s
 	return q, nil
 }
 
-// SetView installs a new membership view. The grid spans the view's slot
-// space (tombstones masked out), so slot-stable view changes — the only kind
-// a slot-addressed coordinator produces — take the stable-extension fast
-// path: tables grow in place, slots whose occupant departed are retired
-// individually, and everything about unaffected members (stored rows,
-// generation counters, cached pair results, route entries) is left
-// bit-for-bit untouched. A view change that moves surviving members falls
-// back to the wholesale remap: received link-state rows are remapped to the
-// new slot order (lsdb.Table.Remap), route entries whose destination and hop
-// both survived are kept, and remote-rendezvous silence tracking follows the
-// rendezvous to its new slot. Per-view episode state (failover recruitments,
-// pending reliable-mode acks) resets with the grid either way; cumulative
-// stats survive.
+// SetView installs a new membership view, with exactly two outcomes. The
+// grid spans the view's slot space (tombstones masked out), so a stable
+// extension (membership.StableExtension — the only kind of change a
+// coordinator reign produces) is applied in place: tables grow, slots whose
+// occupant departed are retired individually, and everything about
+// unaffected members (stored rows, generation counters, cached pair results,
+// route entries) is left bit-for-bit untouched. Any other install goes cold,
+// as the first one does: empty tables, routes, caches and silence tracking,
+// refilled by the next routing intervals. Per-view episode state (pending
+// reliable-mode acks, the start-of-view clock) resets either way; the
+// sequence number and cumulative stats survive both.
 func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	if q.dense == nil || q.dense.N() != view.Slots() {
 		dense, err := grid.New(view.Slots())
@@ -245,27 +243,18 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	if err != nil {
 		return err
 	}
-	oldView := q.view
-	n := view.Slots()
-	stable := oldView != nil && self == q.self && self < oldView.Slots() &&
-		oldView.IDAt(self) == view.IDAt(self) &&
-		membership.StableExtension(oldView, view)
-	q.view = view
-	q.g = g
-	q.self = self
+	retired, _, stable := membership.StableExtension(q.view, q.self, view, self)
 	switch {
 	case stable:
 		q.stats.ViewExtends++
-		// Retire exactly the slots whose old occupant is gone (departed, or
-		// already replaced by a quarantine-expired reuse).
-		retired := make([]bool, n)
-		anyRetired := false
-		for s := 0; s < oldView.Slots(); s++ {
-			if oldView.Occupied(s) && view.IDAt(s) != oldView.IDAt(s) {
-				retired[s] = true
-				anyRetired = true
-			}
-		}
+	case q.view != nil:
+		q.stats.ViewRemaps++
+	}
+	n := view.Slots()
+	q.view = view
+	q.g = g
+	q.self = self
+	if stable {
 		q.table.Grow(n)
 		if q.cfg.Asymmetric {
 			q.atable.Grow(n)
@@ -276,90 +265,39 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		for len(q.lastGen) < n {
 			q.lastGen = append(q.lastGen, 0)
 		}
-		if anyRetired {
-			for s, gone := range retired {
-				if !gone {
-					continue
-				}
-				q.table.RetireSlot(s)
-				if q.cfg.Asymmetric {
-					q.atable.RetireSlot(s)
-				}
-				delete(q.lastRecAbout, s)
-				delete(q.failovers, s)
-				delete(q.selfPairCache, s)
+		for len(q.prevSelf) < n && len(q.prevSelf) > 0 {
+			q.prevSelf = append(q.prevSelf, wire.InfCost)
+		}
+		// Cached pair values involving retired slots self-invalidate: retiring
+		// bumps those slots' generations, so the next revalidation misses.
+		// Everything else stays warm — the point of stable slots.
+		for _, s := range retired {
+			q.table.RetireSlot(s)
+			if q.cfg.Asymmetric {
+				q.atable.RetireSlot(s)
 			}
-			for dst := range q.routes {
-				e := &q.routes[dst]
-				if e.Source == SourceNone {
-					continue
-				}
-				if retired[dst] || (e.Hop >= 0 && e.Hop < n && retired[e.Hop]) {
-					q.routes[dst] = RouteEntry{}
-					continue
-				}
-				if e.From >= 0 && e.From < n && retired[e.From] {
-					e.From = -1
-				}
-			}
+			delete(q.lastRecAbout, s)
+			delete(q.failovers, s)
+			delete(q.selfPairCache, s)
 			//lint:orderinvariant each failover episode is scrubbed independently of visit order
 			for _, fo := range q.failovers {
-				if fo.server >= 0 && fo.server < n && retired[fo.server] {
+				if fo.server == s {
 					fo.server = -1
 				}
 			}
 		}
+		retireRoutes(q.routes, retired)
 		//lint:orderinvariant each rendezvous's silence array is grown and patched independently of visit order
 		for k, about := range q.lastRecAbout {
 			for len(about) < n {
 				about = append(about, time.Time{})
 			}
-			if anyRetired {
-				for s, gone := range retired {
-					if gone {
-						about[s] = time.Time{}
-					}
-				}
+			for _, s := range retired {
+				about[s] = time.Time{}
 			}
 			q.lastRecAbout[k] = about
 		}
-		// Cached pair values involving retired slots self-invalidate: retiring
-		// bumped those slots' generations, so the next revalidation misses.
-		// Everything else stays warm — the point of stable slots.
-		for len(q.prevSelf) < n && len(q.prevSelf) > 0 {
-			q.prevSelf = append(q.prevSelf, wire.InfCost)
-		}
-	case oldView != nil:
-		q.stats.ViewRemaps++
-		m := membership.SlotMap(oldView, view)
-		q.table = q.table.Remap(m, n)
-		if q.cfg.Asymmetric {
-			q.atable = q.atable.Remap(m, n)
-		}
-		q.routes = remapRoutes(q.routes, m, n, self)
-		lastRec := make(map[int][]time.Time, len(q.lastRecAbout))
-		//lint:orderinvariant map-to-map remap; each key lands in its own slot regardless of visit order
-		for k, about := range q.lastRecAbout {
-			if k < 0 || k >= len(m) || m[k] < 0 {
-				continue
-			}
-			na := make([]time.Time, n)
-			for od, t := range about {
-				if nd := m[od]; nd >= 0 {
-					na[nd] = t
-				}
-			}
-			lastRec[m[k]] = na
-		}
-		q.lastRecAbout = lastRec
-		// Remapped tables restart row generations, so every cached pair value
-		// and generation snapshot is void.
-		q.pairCache = make(map[uint32]pairVal)
-		q.selfPairCache = make(map[int]selfPairVal)
-		q.lastGen = make([]uint32, n)
-		q.prevSelf = q.prevSelf[:0]
-		q.failovers = make(map[int]*failoverState)
-	default:
+	} else {
 		q.table = lsdb.NewTable(n)
 		if q.cfg.Asymmetric {
 			q.atable = lsdb.NewAsymTable(n)
@@ -384,36 +322,28 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	return nil
 }
 
-// remapRoutes permutes a route table into a new view's slot order via the
-// old→new slot map. Entries whose destination departed are dropped; entries
-// whose intermediate hop departed are dropped too (the path no longer
-// exists); a departed recommending rendezvous only clears the provenance.
-func remapRoutes(old []RouteEntry, oldToNew []int, newN, self int) []RouteEntry {
-	routes := make([]RouteEntry, newN)
-	for od, e := range old {
-		if e.Source == SourceNone {
-			continue
-		}
-		nd := oldToNew[od]
-		if nd < 0 || nd == self {
-			continue
-		}
-		if e.Hop >= 0 {
-			if e.Hop >= len(oldToNew) || oldToNew[e.Hop] < 0 {
-				continue
-			}
-			e.Hop = oldToNew[e.Hop]
-		}
-		if e.From >= 0 {
-			if e.From < len(oldToNew) {
-				e.From = oldToNew[e.From]
-			} else {
-				e.From = -1
-			}
-		}
-		routes[nd] = e
+// retireRoutes scrubs a route table of the slots a stable view extension
+// retired: entries toward a retired destination or through a retired hop are
+// dropped (the path no longer exists); a retired recommending rendezvous only
+// clears the provenance.
+func retireRoutes(routes []RouteEntry, retired []int) {
+	if len(retired) == 0 {
+		return
 	}
-	return routes
+	gone := make([]bool, len(routes))
+	for _, s := range retired {
+		gone[s] = true
+	}
+	for dst := range routes {
+		e := &routes[dst]
+		switch {
+		case e.Source == SourceNone:
+		case gone[dst] || (e.Hop >= 0 && e.Hop < len(gone) && gone[e.Hop]):
+			*e = RouteEntry{}
+		case e.From >= 0 && e.From < len(gone) && gone[e.From]:
+			e.From = -1
+		}
+	}
 }
 
 // Interval implements Router.

@@ -604,118 +604,3 @@ func TestRetransmitSurvivesFailoverRecruitment(t *testing.T) {
 		t.Errorf("retransmits = %d, want %d (failover recruitment cancelled them)", got, pending)
 	}
 }
-
-func TestQuorumSetViewCarriesState(t *testing.T) {
-	nw := simnet.New(1, 1)
-	reg := transport.NewRegistry()
-	env := transport.NewSimEnv(nw, reg, 0, 1)
-	env.SetLocalID(0)
-	old := membership.NewStaticView([]wire.NodeID{0, 1, 2, 3})
-	q, err := NewQuorum(env, QuorumConfig{Interval: 15 * time.Second}, old, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.SelfRow = func() []wire.LinkEntry { return nil }
-	q.LinkAlive = func(slot int) bool { return true }
-
-	// A stored client row and live routes: to ID 2 via ID 1, to ID 3 direct.
-	now := env.Now()
-	rowEntries := make([]wire.LinkEntry, 4)
-	for i := range rowEntries {
-		rowEntries[i] = wire.LinkEntry{Latency: uint16(10 * (i + 1)), Status: wire.MakeStatus(true, 0)}
-	}
-	lsdb.SelfRow(1, rowEntries)
-	if !q.table.Put(1, lsdb.Row{Seq: 3, When: now, Entries: rowEntries}) {
-		t.Fatal("row not stored")
-	}
-	q.routes[2] = RouteEntry{Hop: 1, Cost: 30, When: now, From: 1, Source: SourceRendezvous}
-	q.routes[3] = RouteEntry{Hop: 3, Cost: 40, When: now, From: -1, Source: SourceSelf}
-	q.lastRecAbout[1] = make([]time.Time, 4)
-	q.lastRecAbout[1][2] = now
-
-	// ID 1 leaves, ID 9 joins: slots shift to {0, 2→1, 3→2, 9→3}.
-	next := membership.NewStaticView([]wire.NodeID{0, 2, 3, 9})
-	if err := q.SetView(next, 0); err != nil {
-		t.Fatal(err)
-	}
-	// The route via departed hop 1 is dropped; the direct route to 3 (now
-	// slot 2) survives with its hop remapped.
-	if q.routes[1].Source != SourceNone {
-		t.Errorf("route to departed-hop destination survived: %+v", q.routes[1])
-	}
-	e := q.routes[2]
-	if e.Source != SourceSelf || e.Hop != 2 || e.Cost != 40 {
-		t.Errorf("remapped direct route = %+v, want hop 2 cost 40", e)
-	}
-	// The departed client's row is gone; tracking maps were rebuilt.
-	if q.table.Get(1) != nil && q.table.Get(1).Seq == 3 {
-		t.Error("departed member's row survived the remap")
-	}
-	if len(q.lastRecAbout) != 0 {
-		t.Errorf("lastRecAbout carried a departed rendezvous: %v", q.lastRecAbout)
-	}
-}
-
-func TestQuorumSetViewRemapsClientRows(t *testing.T) {
-	nw := simnet.New(1, 1)
-	reg := transport.NewRegistry()
-	env := transport.NewSimEnv(nw, reg, 0, 1)
-	env.SetLocalID(0)
-	old := membership.NewStaticView([]wire.NodeID{0, 1, 2, 3})
-	q, err := NewQuorum(env, QuorumConfig{Interval: 15 * time.Second}, old, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := env.Now()
-	rowEntries := make([]wire.LinkEntry, 4)
-	for i := range rowEntries {
-		rowEntries[i] = wire.LinkEntry{Latency: uint16(10 * (i + 1)), Status: wire.MakeStatus(true, 0)}
-	}
-	lsdb.SelfRow(2, rowEntries)
-	q.table.Put(2, lsdb.Row{Seq: 7, When: now, Entries: rowEntries})
-
-	next := membership.NewStaticView([]wire.NodeID{0, 2, 3, 9})
-	if err := q.SetView(next, 0); err != nil {
-		t.Fatal(err)
-	}
-	r := q.table.Get(1) // ID 2 now occupies slot 1
-	if r == nil || r.Seq != 7 {
-		t.Fatalf("carried row = %+v", r)
-	}
-	// Entry about ID 3 moved from index 3 to index 2; the new member's
-	// index reads dead; the departed ID 1's measurement is gone.
-	if got := r.Entries[2]; got.Latency != 40 || !wire.StatusAlive(got.Status) {
-		t.Errorf("entry about ID 3 = %+v, want latency 40 alive", got)
-	}
-	if wire.StatusAlive(r.Entries[3].Status) {
-		t.Error("entry about the new member reads alive")
-	}
-	if got, want := r.Cost(2), wire.Cost(40); got != want {
-		t.Errorf("cost via matrix = %d, want %d", got, want)
-	}
-}
-
-func TestFullMeshSetViewCarriesState(t *testing.T) {
-	nw := simnet.New(1, 1)
-	reg := transport.NewRegistry()
-	env := transport.NewSimEnv(nw, reg, 0, 1)
-	env.SetLocalID(0)
-	old := membership.NewStaticView([]wire.NodeID{0, 1, 2})
-	f := NewFullMesh(env, FullMeshConfig{}, old, 0)
-	now := env.Now()
-	f.routes[2] = RouteEntry{Hop: 2, Cost: 25, When: now, From: -1, Source: SourceSelf}
-	entries := make([]wire.LinkEntry, 3)
-	for i := range entries {
-		entries[i] = wire.LinkEntry{Latency: 5, Status: wire.MakeStatus(true, 0)}
-	}
-	f.table.Put(2, lsdb.Row{Seq: 2, When: now, Entries: entries})
-
-	next := membership.NewStaticView([]wire.NodeID{0, 2, 7})
-	f.SetView(next, 0)
-	if e := f.routes[1]; e.Source != SourceSelf || e.Hop != 1 || e.Cost != 25 {
-		t.Errorf("remapped route = %+v", e)
-	}
-	if r := f.table.Get(1); r == nil || r.Seq != 2 {
-		t.Errorf("carried row = %+v", r)
-	}
-}

@@ -87,7 +87,7 @@ func New(n int) (*Grid, error) {
 // NewMasked constructs the grid quorum over an n-slot space in which only
 // the slots with occupied[s] == true hold live nodes; the rest are
 // tombstones left behind by departed members. A nil mask (or one with every
-// slot true) yields exactly New(n), so dense views pay nothing.
+// slot true) yields exactly New(n), so fully occupied views pay nothing.
 //
 // The layout (rows, columns, blank compensation) is computed over the full
 // n-slot space — slot positions never move when the mask changes, which is

@@ -146,33 +146,6 @@ func (t *AsymTable) RetireSlot(slot int) {
 	t.inM.clearColumn(slot)
 }
 
-// Remap returns a table for a view of newN slots, carrying rows of surviving
-// members across a membership change — the directional counterpart of
-// Table.Remap, with the same oldToNew slot-mapping contract.
-func (t *AsymTable) Remap(oldToNew []int, newN int) *AsymTable {
-	nt := NewAsymTable(newN)
-	for os := 0; os < t.n && os < len(oldToNew); os++ {
-		ns := oldToNew[os]
-		if ns < 0 || !t.have[os] {
-			continue
-		}
-		old := &t.rows[os]
-		entries := make([]wire.AsymEntry, newN)
-		for i := range entries {
-			entries[i] = wire.AsymEntry{Status: wire.StatusDead}
-		}
-		for oj, nj := range oldToNew {
-			if nj >= 0 && oj < len(old.Entries) {
-				entries[nj] = old.Entries[oj]
-			}
-		}
-		nt.rows[ns] = AsymRow{Seq: old.Seq, When: old.When, Entries: entries}
-		nt.have[ns] = true
-		nt.index(ns, &nt.rows[ns])
-	}
-	return nt
-}
-
 // Get returns the stored row for slot, or nil.
 func (t *AsymTable) Get(slot int) *AsymRow {
 	if slot < 0 || slot >= t.n || !t.have[slot] {

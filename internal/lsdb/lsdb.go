@@ -4,8 +4,9 @@
 // its clients.
 //
 // Rows are indexed by grid slot (the node's position in the membership
-// view), not by node ID; a table is only meaningful for a single membership
-// view and is rebuilt when the view changes.
+// view), not by node ID. Slots are stable for a member's lifetime, so a table
+// follows a chain of stable view extensions in place (Grow, RetireSlot) and
+// is replaced by an empty one only when an install cannot be one.
 package lsdb
 
 import (
@@ -55,8 +56,9 @@ func (t *Table) Matrix() *CostMatrix { return t.mat }
 // the slot's unpacked costs may have changed (first store, a store with
 // different costs, a Drop), and stays put across refresh-only Puts. Consumers
 // snapshot generations to decide which rows an incremental recompute may
-// skip. A Remap returns a new table whose generations restart, so view
-// changes must invalidate every snapshot.
+// skip. Grow and RetireSlot keep the counters running, so snapshots stay
+// valid across stable view extensions; a consumer that replaces the table
+// (a cold view install) must drop every snapshot with it.
 func (t *Table) Gen(slot int) uint32 { return t.mat.gen[slot] }
 
 // Put stores a row for slot if it is not older than what the table already
@@ -117,11 +119,10 @@ func (t *Table) FreshSlots(dst []int, now time.Time, maxAge time.Duration) []int
 	return dst
 }
 
-// Grow extends the table to newN slots in place — the stable-extension
-// counterpart of Remap for view changes that only append slots. Every stored
-// row keeps its bytes, metadata, and generation counter (the whole point:
-// consumers' generation snapshots stay valid), and the new slots read as
-// absent until their occupants announce. Stored raw rows keep their original
+// Grow extends the table to newN slots in place, for stable view extensions
+// that append slots. Every stored row keeps its bytes, metadata, and
+// generation counter (the whole point: consumers' generation snapshots stay
+// valid), and the new slots read as absent until their occupants announce. Stored raw rows keep their original
 // length — Row.Cost reads past-the-end slots as InfCost — and Put continues
 // to reject announcements whose length disagrees with the current view, so
 // members still on the old view are simply dropped until they catch up.
@@ -156,37 +157,6 @@ func (t *Table) RetireSlot(slot int) {
 		}
 	}
 	t.mat.clearColumn(slot)
-}
-
-// Remap returns a table for a view of newN slots, carrying over the rows of
-// members that survived a membership change. oldToNew maps each old slot to
-// its new slot (-1 for departed members, see membership.SlotMap). Carried
-// rows keep their Seq and When — staleness keeps aging them normally — with
-// entries permuted to the new slot order; entries about departed members are
-// dropped and entries about new members read as dead until the origin's next
-// announcement refreshes the whole row. This is what keeps a rendezvous
-// serving routes across a view change instead of going blank.
-func (t *Table) Remap(oldToNew []int, newN int) *Table {
-	nt := NewTable(newN)
-	for os := 0; os < t.n && os < len(oldToNew); os++ {
-		ns := oldToNew[os]
-		if ns < 0 || !t.mat.have[os] {
-			continue
-		}
-		old := &t.rows[os]
-		entries := make([]wire.LinkEntry, newN)
-		for i := range entries {
-			entries[i] = wire.LinkEntry{Status: wire.StatusDead}
-		}
-		for oj, nj := range oldToNew {
-			if nj >= 0 && oj < len(old.Entries) {
-				entries[nj] = old.Entries[oj]
-			}
-		}
-		nt.rows[ns] = Row{Seq: old.Seq, When: old.When, Entries: entries}
-		nt.mat.setRow(ns, entries, old.Seq, old.When)
-	}
-	return nt
 }
 
 // BestOneHop returns the optimal one-hop path from slot a (with link-state

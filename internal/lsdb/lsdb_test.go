@@ -344,78 +344,6 @@ func TestBestOneHopViaSoundQuick(t *testing.T) {
 	}
 }
 
-func TestTableRemapCarriesSurvivors(t *testing.T) {
-	t0 := time.Unix(100, 0)
-	tb := NewTable(3)
-	mk := func(lat ...uint16) []wire.LinkEntry {
-		out := make([]wire.LinkEntry, len(lat))
-		for i, l := range lat {
-			out[i] = wire.LinkEntry{Latency: l, Status: wire.MakeStatus(true, 0)}
-		}
-		return out
-	}
-	tb.Put(0, Row{Seq: 5, When: t0, Entries: mk(0, 10, 20)})
-	tb.Put(1, Row{Seq: 9, When: t0.Add(time.Second), Entries: mk(10, 0, 30)})
-	tb.Put(2, Row{Seq: 2, When: t0, Entries: mk(20, 30, 0)})
-
-	// Old slot 1 departs; old slots 0 and 2 become 1 and 0; a new slot 2.
-	nt := tb.Remap([]int{1, -1, 0}, 3)
-	if nt.Get(2) != nil {
-		t.Error("new slot has a phantom row")
-	}
-	r0 := nt.Get(0) // was slot 2
-	if r0 == nil || r0.Seq != 2 || !r0.When.Equal(t0) {
-		t.Fatalf("remapped row meta = %+v", r0)
-	}
-	// Entry about old slot 0 (now slot 1) carries latency 20; departed and
-	// new slots read dead.
-	if got := r0.Cost(1); got != 20 {
-		t.Errorf("carried cost = %d, want 20", got)
-	}
-	if r0.Cost(2) != wire.InfCost {
-		t.Error("entry about new member not dead")
-	}
-	// The matrix agrees with the rows (Fresh/kernels read it directly).
-	if !nt.Matrix().Have(0) || nt.Matrix().Have(2) {
-		t.Error("matrix have-bits wrong after remap")
-	}
-	// Old slot 0's row landed at slot 1: its entry about old slot 2
-	// (latency 20) moved to index 0, its self-entry to index 1, and its
-	// entry about the departed old slot 1 vanished (index 2 is the
-	// newcomer, dead).
-	row1 := nt.Matrix().Row(1)
-	if row1[0] != 20 || row1[1] != 0 || row1[2] != wire.InfCost {
-		t.Errorf("matrix row = %v, want [20 0 Inf]", row1)
-	}
-	if nt.Matrix().Seq(1) != 5 {
-		t.Errorf("matrix seq = %d, want 5", nt.Matrix().Seq(1))
-	}
-}
-
-func TestAsymTableRemapCarriesSurvivors(t *testing.T) {
-	t0 := time.Unix(50, 0)
-	tb := NewAsymTable(2)
-	entries := []wire.AsymEntry{
-		{Status: wire.MakeStatus(true, 0)},
-		{Out: 7, In: 9, Status: wire.MakeStatus(true, 0)},
-	}
-	tb.Put(0, AsymRow{Seq: 4, When: t0, Entries: entries})
-	nt := tb.Remap([]int{1, 0}, 3) // both survive, swapped; one newcomer
-	r := nt.Get(1)
-	if r == nil || r.Seq != 4 {
-		t.Fatalf("remapped asym row = %+v", r)
-	}
-	if r.OutCost(0) != 7 || r.InCost(0) != 9 {
-		t.Errorf("swapped entry = out %d in %d, want 7/9", r.OutCost(0), r.InCost(0))
-	}
-	if r.OutCost(2) != wire.InfCost {
-		t.Error("entry about new member not dead")
-	}
-	if nt.Get(0) != nil {
-		t.Error("phantom row at remapped slot 0")
-	}
-}
-
 func TestCostMatrixLazyRows(t *testing.T) {
 	m := NewCostMatrix(4)
 	for s := 0; s < 4; s++ {

@@ -32,11 +32,8 @@ type ClientConfig struct {
 	FullViewBackoff time.Duration
 	// GossipFanout is how many peers this member forwards each gossiped
 	// view delta to (the F of the dissemination tree; default
-	// DefaultGossipFanout). Negative disables gossip participation: the
-	// client neither forwards nor pulls, and every version gap falls
-	// straight back to the coordinator full-view request (the pre-gossip
-	// behavior). Must match the coordinator's fanout for the tree positions
-	// to line up.
+	// DefaultGossipFanout). Must match the coordinator's fanout for the tree
+	// positions to line up.
 	GossipFanout int
 	// AntiEntropy is the periodic anti-entropy interval: every round the
 	// client pulls from one deterministic-randomly chosen peer, repairing
@@ -94,7 +91,7 @@ func (c *ClientConfig) fill() {
 	if c.FullViewBackoff <= 0 {
 		c.FullViewBackoff = 250 * time.Millisecond
 	}
-	if c.GossipFanout == 0 {
+	if c.GossipFanout <= 0 {
 		c.GossipFanout = DefaultGossipFanout
 	}
 	if c.AntiEntropy <= 0 {
@@ -113,10 +110,6 @@ func (c *ClientConfig) fill() {
 		c.DeltaLog = 32
 	}
 }
-
-// gossipEnabled reports whether this client participates in epidemic
-// dissemination and peer repair.
-func (c *ClientConfig) gossipEnabled() bool { return c.GossipFanout > 0 }
 
 // Client joins the overlay through the coordinator set and tracks view
 // updates, applying incremental deltas and falling back to a full-view
@@ -406,9 +399,7 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 			if !c.hbStarted {
 				c.hbStarted = true
 				c.hbTimer = c.env.After(c.cfg.Heartbeat, c.heartbeat)
-				if c.cfg.gossipEnabled() {
-					c.aeTimer = c.env.After(c.aeInterval(), c.antiEntropy)
-				}
+				c.aeTimer = c.env.After(c.aeInterval(), c.antiEntropy)
 			}
 		}
 	case wire.THeartbeatAck:
@@ -449,7 +440,7 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		c.handleDelta(d)
 	case wire.TGossipDelta:
 		g, err := wire.ParseGossipDelta(body)
-		if err != nil || !c.cfg.gossipEnabled() {
+		if err != nil {
 			return
 		}
 		c.stats.GossipSeen++
@@ -462,7 +453,7 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		c.forwardGossip(g)
 	case wire.TViewPull:
 		p, err := wire.ParseViewPull(body)
-		if err != nil || !c.cfg.gossipEnabled() || !c.joined || c.view == nil {
+		if err != nil || !c.joined || c.view == nil {
 			return
 		}
 		reply := wire.ViewPullReply{Stamp: c.stamp()}
@@ -478,7 +469,7 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		}
 	case wire.TViewPullReply:
 		r, err := wire.ParseViewPullReply(body)
-		if err != nil || !c.cfg.gossipEnabled() {
+		if err != nil {
 			return
 		}
 		wasBehind := c.behind()
@@ -599,12 +590,12 @@ func (c *Client) handleDelta(d wire.ViewDelta) {
 // schedules the matching repair: a peer pull for same-epoch version gaps
 // (peers hold the missing increments), or the coordinator full-view request
 // for epoch changes (a delta never spans an election, so peers cannot
-// bridge one) and when gossip is disabled.
+// bridge one).
 func (c *Client) noteAhead(s wire.ViewStamp) {
 	if s.After(c.want) {
 		c.want = s
 	}
-	if !c.cfg.gossipEnabled() || c.view == nil || s.Epoch != c.view.epoch {
+	if c.view == nil || s.Epoch != c.view.epoch {
 		c.requestFullView()
 		return
 	}
@@ -749,9 +740,6 @@ func (c *Client) forwardGossip(g wire.GossipDelta) {
 // holds a consecutive run ending at the current version; full-view installs
 // clear it, so consecutiveness is an invariant, not a search.
 func (c *Client) logDelta(d wire.ViewDelta) {
-	if !c.cfg.gossipEnabled() {
-		return
-	}
 	c.deltaLog = append(c.deltaLog, d)
 	if len(c.deltaLog) > c.cfg.DeltaLog {
 		c.deltaLog = c.deltaLog[len(c.deltaLog)-c.cfg.DeltaLog:]

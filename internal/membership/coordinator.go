@@ -62,9 +62,8 @@ type CoordinatorConfig struct {
 	ElectionTimeout time.Duration
 	// GossipFanout is the dissemination tree fanout F: each flushed delta is
 	// seeded to F members, who forward it down the tree instead of the
-	// primary unicasting to all n (default DefaultGossipFanout; negative
-	// disables gossip and restores the broadcast fan-out). Must match the
-	// members' ClientConfig.GossipFanout — the tree shape is computed
+	// primary unicasting to all n (default DefaultGossipFanout). Must match
+	// the members' ClientConfig.GossipFanout — the tree shape is computed
 	// independently on both sides from the view alone.
 	GossipFanout int
 	// GossipHops bounds a gossiped delta's forwarding depth as a safety
@@ -110,16 +109,13 @@ func (c *CoordinatorConfig) fill() {
 	if c.PreVoteWait <= 0 {
 		c.PreVoteWait = 2 * c.BeaconInterval
 	}
-	if c.GossipFanout == 0 {
+	if c.GossipFanout <= 0 {
 		c.GossipFanout = DefaultGossipFanout
 	}
 	if c.GossipHops <= 0 || c.GossipHops > 255 {
 		c.GossipHops = DefaultGossipHops
 	}
 }
-
-// gossipEnabled reports whether flushed deltas ride the dissemination tree.
-func (c *CoordinatorConfig) gossipEnabled() bool { return c.GossipFanout > 0 }
 
 type memberState struct {
 	addr     netip.AddrPort
@@ -201,14 +197,15 @@ type Coordinator struct {
 type CoordinatorStats struct {
 	// Broadcasts counts coalesced view flushes (version bumps).
 	Broadcasts uint64
-	// DeltasSent and FullViewsSent count the per-member messages of those
-	// flushes plus full views served on demand (gap recovery, evicted-node
-	// heartbeats). Replication to standbys is included.
+	// DeltasSent counts raw deltas replicated to standbys; FullViewsSent
+	// counts full views sent by those flushes (to added members, standbys,
+	// or everyone when the delta would not be smaller) plus those served on
+	// demand (gap recovery, evicted-node heartbeats).
 	DeltasSent    uint64
 	FullViewsSent uint64
 	// SeedsSent counts gossip-delta envelopes seeded into the dissemination
-	// tree; with gossip on it replaces the per-member DeltasSent fan-out and
-	// stays O(fanout) per flush regardless of view size.
+	// tree: the primary's whole per-flush delta egress toward members,
+	// O(fanout) regardless of view size.
 	SeedsSent uint64
 	// ViewChunksSent counts the chunk datagrams of full-view snapshots too
 	// large for one piece (each chunked snapshot still counts once in
@@ -430,10 +427,11 @@ func (c *Coordinator) handle(from wire.NodeID, payload []byte) {
 
 // handleBeacon processes a peer replica's beacon in either role.
 func (c *Coordinator) handleBeacon(from wire.NodeID, b wire.CoordBeacon) {
-	// The allocator high-water mark is monotone and never reused, so absorb
-	// it unconditionally: it protects against reissuing IDs assigned by any
-	// reign we have incomplete replication from.
-	if b.NextID > c.nextID {
+	// Absorb the allocator high-water mark unconditionally: it protects
+	// against reissuing IDs assigned by any reign we have incomplete
+	// replication from. The mark wraps with the 16-bit ID space, so "ahead"
+	// is judged on the signed distance, not the raw value.
+	if int16(b.NextID-c.nextID) > 0 {
 		c.nextID = b.NextID
 	}
 	if !b.Primary {
@@ -792,8 +790,11 @@ func (c *Coordinator) handleJoin(j wire.Join) {
 		c.reply(id, j.Nonce)
 		return
 	}
-	id := c.nextID
-	c.nextID++
+	id, ok := c.allocID()
+	if !ok {
+		c.logf("membership: refused %v, no free node ID", j.Addr)
+		return
+	}
 	slot := c.allocSlot(now)
 	c.members[id] = &memberState{addr: j.Addr, lastSeen: now, slot: slot}
 	c.byAddr[j.Addr] = id
@@ -801,6 +802,22 @@ func (c *Coordinator) handleJoin(j wire.Join) {
 	c.logf("membership: admitted %v as node %d (slot %d)", j.Addr, id, slot)
 	c.reply(id, j.Nonce)
 	c.scheduleFlush()
+}
+
+// allocID returns the next node ID that is neither reserved (wire.NilNode, a
+// replica's well-known ID) nor held by a current member, and advances the
+// allocator past it. IDs of departed members are not reused until the 16-bit
+// space wraps — at 5 %/min churn on 10⁴ nodes that is about two hours, far
+// past any Timeout — and ok is false only when every assignable ID is held.
+func (c *Coordinator) allocID() (id wire.NodeID, ok bool) {
+	for range 1 << 16 {
+		id = c.nextID
+		c.nextID++
+		if _, held := c.members[id]; !held && id != wire.NilNode && c.rankOf(id) < 0 {
+			return id, true
+		}
+	}
+	return wire.NilNode, false
 }
 
 // allocSlot returns the lowest quarantine-expired tombstone, or extends the
@@ -877,12 +894,12 @@ func (c *Coordinator) scheduleFlush() {
 // version bump, a delta to the surviving members, and a full view to every
 // member added in the window (they hold no base to apply a delta to). If the
 // delta would not be smaller than the full view, everyone gets the full
-// view. With gossip enabled the delta is not unicast to each survivor:
-// the primary wraps it in a gossip envelope and seeds only the tree roots,
-// keeping its egress O(fanout) per flush while the members epidemic the rest.
-// Standby replicas always receive the raw delta (or full view) directly —
-// replication must not depend on the member epidemic. Sends walk the sorted
-// member list, so the broadcast order is deterministic under the simulator.
+// view. The delta is not unicast to each survivor: the primary wraps it in a
+// gossip envelope and seeds only the tree roots, keeping its egress O(fanout)
+// per flush while the members epidemic the rest. Standby replicas always
+// receive the raw delta (or full view) directly — replication must not depend
+// on the member epidemic. Sends walk the slot array, so the broadcast order
+// is deterministic under the simulator.
 func (c *Coordinator) flush() {
 	c.flushPending = false
 	if c.stopped || c.role != rolePrimary {
@@ -904,42 +921,27 @@ func (c *Coordinator) flush() {
 		Adds:        adds,
 		Removes:     removes,
 	}
-	var delta []byte
+	added := addedSet(adds)
 	if useDelta {
-		delta = wire.AppendViewDelta(nil, c.selfID, d)
-	}
-	added := make(map[wire.NodeID]bool, len(adds))
-	for _, m := range adds {
-		added[m.ID] = true
+		c.seedGossip(cur, d, added)
 	}
 	packets := c.viewPackets(cur)
-	if useDelta && c.cfg.gossipEnabled() {
-		c.seedGossip(cur, d, added)
-		for _, m := range cur {
-			if m.ID != wire.NilNode && added[m.ID] {
-				c.sendPackets(m.ID, packets)
-			}
-		}
-	} else {
-		for _, m := range cur {
-			if m.ID == wire.NilNode {
-				continue
-			}
-			if useDelta && !added[m.ID] {
-				c.env.Send(m.ID, delta)
-				c.stats.DeltasSent++
-			} else {
-				c.sendPackets(m.ID, packets)
-			}
+	for _, m := range cur {
+		if m.ID != wire.NilNode && (!useDelta || added[m.ID]) {
+			c.sendPackets(m.ID, packets)
 		}
 	}
-	replicaFull := c.replicaView(cur)
+	var replica []byte
+	if useDelta {
+		replica = wire.AppendViewDelta(nil, c.selfID, d)
+	} else {
+		replica = c.replicaView(cur)
+	}
 	for _, id := range c.peers() {
+		c.env.Send(id, replica)
 		if useDelta {
-			c.env.Send(id, delta)
 			c.stats.DeltasSent++
 		} else {
-			c.env.Send(id, replicaFull)
 			c.stats.FullViewsSent++
 		}
 	}
@@ -1022,8 +1024,7 @@ func occupiedMembers(slots []wire.Member) []wire.Member {
 }
 
 // slotArray expands a wire view into its slot-indexed member array,
-// tombstones as wire.NilNode. Legacy dense views (Slots == 0) occupy slots
-// in sorted ID order.
+// tombstones as wire.NilNode.
 func slotArray(v wire.View) ([]wire.Member, error) {
 	vi, err := NewViewInfo(v)
 	if err != nil {

@@ -469,3 +469,54 @@ func TestDeterministicFailover(t *testing.T) {
 		t.Errorf("nondeterministic failover: (%+v,%d,%d) vs (%+v,%d,%d)", s1, m1, f1, s2, m2, f2)
 	}
 }
+
+// TestNodeIDAllocatorSkipsReservedAndHeld walks the allocator across the top
+// of the 16-bit ID space, which ~65 k admissions reach: it must step over the
+// replicas' well-known IDs and wire.NilNode, wrap, and step over members
+// still holding low IDs, instead of handing a joiner a replica's identity
+// (whose SetPeer would overwrite the replica's address) or a live member's.
+func TestNodeIDAllocatorSkipsReservedAndHeld(t *testing.T) {
+	rc := newRepCluster(t, 5, 3, churnClientCfg(), fastCoordCfg(t))
+	rc.clients[0].Start()
+	rc.clients[1].Start()
+	rc.nw.RunFor(3 * time.Second)
+	if a, b := rc.envs[0].LocalID(), rc.envs[1].LocalID(); a+b != 1 {
+		t.Fatalf("first two members hold IDs %d and %d, want 0 and 1", a, b)
+	}
+	primary := rc.coords[0]
+	primary.nextID = CoordinatorIDAt(2) - 2 // two assignable IDs below the reserved range
+	for i, want := range []wire.NodeID{0xFFFA, 0xFFFB, 2} {
+		rc.clients[2+i].Start()
+		rc.nw.RunFor(3 * time.Second)
+		if got := rc.envs[2+i].LocalID(); got != want {
+			t.Errorf("joiner %d assigned ID %#x, want %#x", i, got, want)
+		}
+	}
+	// The replica plane is intact: standbys still receive the primary's
+	// stream, and every member converged on its view.
+	rc.nw.RunFor(5 * time.Second)
+	for r, c := range rc.coords {
+		if c.MemberCount() != 5 || c.Stamp() != primary.Stamp() {
+			t.Errorf("rank %d holds %d members at %v, want 5 at %v", r, c.MemberCount(), c.Stamp(), primary.Stamp())
+		}
+	}
+	for i, v := range rc.views {
+		if v == nil || v.Stamp() != primary.Stamp() || v.N() != 5 {
+			t.Errorf("client %d did not converge on the primary's 5-member view", i)
+		}
+	}
+
+	// With every assignable ID held the join is refused, not aliased.
+	for id := 0; id < 1<<16; id++ {
+		if _, held := primary.members[wire.NodeID(id)]; !held {
+			primary.members[wire.NodeID(id)] = &memberState{}
+		}
+	}
+	if id, ok := primary.allocID(); ok {
+		t.Errorf("allocator handed out %#x from a full ID space", id)
+	}
+	delete(primary.members, 777)
+	if id, ok := primary.allocID(); !ok || id != 777 {
+		t.Errorf("allocator returned %#x,%v, want the one free ID 777", id, ok)
+	}
+}

@@ -12,38 +12,28 @@ import (
 
 // BenchmarkViewDissemination measures the cost of propagating one membership
 // change (a leave followed by a rejoin at the same endpoint) across an
-// n-member overlay, comparing the PR-3 broadcast fan-out against the gossip
-// tree with pull repair. Two custom metrics matter more than ns/op:
+// n-member overlay over the gossip tree with pull repair. Three custom
+// metrics matter more than ns/op:
 //
-//	msgs/view   membership packets per view change (primary egress plus
-//	            member forwards and anti-entropy pulls)
-//	convms/view virtual milliseconds until every member's stamp matches
-//	            the coordinator's
-//
-// Broadcast sends O(n) primary unicasts per change; gossip seeds O(fanout)
-// and lets the tree carry the rest, trading a little convergence latency for
-// constant primary egress. scripts/bench.sh records both at n ∈ {500, 2000}
-// in BENCH_3.json.
+//	msgs/view    membership packets per view change (primary egress plus
+//	             member forwards and anti-entropy pulls)
+//	primsgs/view the primary's share of those: O(fanout) seeds, not O(n)
+//	convms/view  virtual milliseconds until every member's stamp matches
+//	             the coordinator's
 func BenchmarkViewDissemination(b *testing.B) {
-	for _, mode := range []string{"broadcast", "gossip"} {
-		for _, n := range []int{500, 2000} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode, n), func(b *testing.B) {
-				benchViewDissemination(b, n, mode == "gossip")
-			})
-		}
+	for _, n := range []int{500, 2000} {
+		b.Run(fmt.Sprintf("gossip/n=%d", n), func(b *testing.B) {
+			benchViewDissemination(b, n)
+		})
 	}
 }
 
-func benchViewDissemination(b *testing.B, n int, gossip bool) {
-	fanout := -1 // broadcast: primary unicasts, members neither forward nor pull
-	if gossip {
-		fanout = 0 // take the defaults
-	}
+func benchViewDissemination(b *testing.B, n int) {
 	// Long heartbeats keep keep-alive traffic out of the measurement window;
 	// the short coalesce keeps the leave and the rejoin as distinct versions.
 	sc := newSimCluster(b, n,
-		ClientConfig{GossipFanout: fanout, Heartbeat: 5 * time.Minute},
-		CoordinatorConfig{GossipFanout: fanout, Coalesce: 200 * time.Millisecond})
+		ClientConfig{Heartbeat: 5 * time.Minute},
+		CoordinatorConfig{Coalesce: 200 * time.Millisecond})
 	for _, cl := range sc.clients {
 		cl.Start()
 	}
@@ -59,9 +49,8 @@ func benchViewDissemination(b *testing.B, n int, gossip bool) {
 	churnEP := n - 1
 	churner := sc.clients[churnEP]
 	// primary counts coordinator egress alone; msgs adds the member-plane
-	// forwards and pulls. A loss-free gossip tree moves the same n−1 total
-	// envelopes as broadcast — the win is the primary term dropping from
-	// O(n) to O(fanout).
+	// forwards and pulls. A loss-free gossip tree moves n−1 envelopes in
+	// total, of which the primary sends O(fanout).
 	primary := func() uint64 {
 		cs := sc.coord.Stats()
 		return cs.SeedsSent + cs.DeltasSent + cs.FullViewsSent
@@ -84,7 +73,7 @@ func benchViewDissemination(b *testing.B, n int, gossip bool) {
 		bound := start + 2*time.Minute
 		for sc.coord.Stamp() == prev || !benchConverged(sc, n) {
 			if sc.nw.Elapsed() > bound {
-				b.Fatalf("view change never converged (mode gossip=%v n=%d)", gossip, n)
+				b.Fatalf("view change never converged (n=%d)", n)
 			}
 			sc.nw.RunFor(20 * time.Millisecond)
 		}
@@ -116,7 +105,7 @@ func benchViewDissemination(b *testing.B, n int, gossip bool) {
 		// The coordinator sits at endpoint n in newSimCluster's layout; the
 		// sim addressing convention carries the endpoint in the port.
 		env.SetPeer(CoordinatorID, netip.AddrPortFrom(netip.AddrFrom4([4]byte{}), uint16(n)))
-		cl := NewClient(env, ClientConfig{GossipFanout: fanout, Heartbeat: 5 * time.Minute},
+		cl := NewClient(env, ClientConfig{Heartbeat: 5 * time.Minute},
 			func(v *ViewInfo) { sc.views[churnEP] = v })
 		env.Bind(func(from wire.NodeID, payload []byte) {
 			h, body, err := wire.ParseHeader(payload)

@@ -250,31 +250,3 @@ func TestStaleJoinReplyNonceRejected(t *testing.T) {
 		t.Fatal("client never joined once the coordinator came back")
 	}
 }
-
-func TestGossipDisabledFallsBackToBroadcast(t *testing.T) {
-	// GossipFanout < 0 restores the PR-3 broadcast fan-out on both sides:
-	// the primary unicasts the delta to every survivor and clients neither
-	// forward nor pull.
-	sc := newSimCluster(t, 3,
-		ClientConfig{GossipFanout: -1},
-		CoordinatorConfig{GossipFanout: -1, Coalesce: 500 * time.Millisecond})
-	sc.clients[0].Start()
-	sc.clients[1].Start()
-	sc.nw.RunFor(5 * time.Second)
-	before := sc.coord.Stats()
-	sc.clients[2].Start()
-	sc.nw.RunFor(5 * time.Second)
-	after := sc.coord.Stats()
-	if got := after.DeltasSent - before.DeltasSent; got != 2 {
-		t.Errorf("unicast deltas for the third join = %d, want 2", got)
-	}
-	if after.SeedsSent != 0 {
-		t.Errorf("gossip seeds sent with gossip disabled: %d", after.SeedsSent)
-	}
-	want := sc.coord.Stamp()
-	for i := 0; i < 3; i++ {
-		if sc.views[i] == nil || sc.views[i].Stamp() != want {
-			t.Errorf("client %d did not converge: %+v", i, sc.views[i])
-		}
-	}
-}

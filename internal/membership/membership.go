@@ -4,10 +4,9 @@
 //
 // The correctness of the quorum routing computation depends only on view
 // consistency: nodes holding the same view version build identical grids,
-// because the grid is populated from the view's slot assignment. Slot-
-// addressed views pin each member to a stable slot for its lifetime and
-// tombstone departures (legacy dense views derive slots from the sorted
-// member ID order), so one join or leave perturbs O(1) grid relationships.
+// because the grid is populated from the view's slot assignment. Views pin
+// each member to a stable slot for its lifetime and tombstone departures, so
+// one join or leave perturbs O(1) grid relationships.
 // Transient failures are handled by the overlay's failover machinery, not by
 // membership churn, so the coordinator uses the paper's long (30-minute)
 // membership timeout.
@@ -15,7 +14,7 @@ package membership
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"allpairs/internal/wire"
@@ -59,64 +58,46 @@ const (
 
 // ViewInfo is the client-side digest of a membership view: the slot-indexed
 // member assignment used to populate the routing grid, plus the occupied
-// member list and the ID → slot map.
-//
-// Two slot disciplines exist. A slot-addressed view (wire.View.Slots > 0)
-// assigns each member the slot it keeps for its lifetime; departed slots are
-// tombstones (ID == wire.NilNode) that stay in place until the coordinator's
-// quarantine reuses them, so one join or leave moves O(1) assignments. A
-// legacy dense view (Slots == 0, static deployments and tests) derives slots
-// from the sorted member ID order — row-major fill from a sorted list, the
-// paper's §5 form.
+// member list and the ID → slot map. Each member holds the slot the
+// coordinator assigned it for its lifetime; departed slots are tombstones
+// (ID == wire.NilNode) that stay in place until the coordinator's quarantine
+// reuses them, so one join or leave moves O(1) assignments.
 type ViewInfo struct {
 	epoch   uint32
 	version uint32
-	slotted bool
 	slots   []wire.Member       // slot-indexed; tombstones hold ID == wire.NilNode
-	members []wire.Member       // occupied members (slot order; == slots when dense)
+	members []wire.Member       // occupied members, slot order
 	slotOf  map[wire.NodeID]int // ID → slot
 }
 
-// NewViewInfo builds a ViewInfo from a raw wire view. A view with a nonzero
-// Slots field is slot-addressed: member slots are taken from the wire and
-// duplicate slots or IDs (or slots out of range) are rejected. Otherwise
-// members are sorted by ID into dense slots; duplicate IDs are rejected.
+// NewViewInfo builds a ViewInfo from a raw wire view. Member slots are taken
+// from the wire; nil or duplicate IDs, duplicate slots, and slots outside the
+// view's Slots-sized space (any member at all when Slots is zero) are
+// rejected.
 func NewViewInfo(v wire.View) (*ViewInfo, error) {
-	if v.Slots > 0 {
-		slots := make([]wire.Member, v.Slots)
-		for i := range slots {
-			slots[i].ID = wire.NilNode
-		}
-		for _, m := range v.Members {
-			if m.ID == wire.NilNode {
-				return nil, fmt.Errorf("membership: nil member ID in view %d", v.Version)
-			}
-			s := int(m.Slot)
-			if s >= len(slots) {
-				return nil, fmt.Errorf("membership: member %d slot %d outside %d-slot view %d", m.ID, s, v.Slots, v.Version)
-			}
-			if slots[s].ID != wire.NilNode {
-				return nil, fmt.Errorf("membership: duplicate slot %d in view %d", s, v.Version)
-			}
-			slots[s] = m
-		}
-		return newSlottedView(v.Epoch, v.Version, slots)
+	slots := make([]wire.Member, v.Slots)
+	for i := range slots {
+		slots[i].ID = wire.NilNode
 	}
-	ms := append([]wire.Member(nil), v.Members...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
-	slotOf := make(map[wire.NodeID]int, len(ms))
-	for i, m := range ms {
-		if _, dup := slotOf[m.ID]; dup {
-			return nil, fmt.Errorf("membership: duplicate ID %d in view %d", m.ID, v.Version)
+	for _, m := range v.Members {
+		if m.ID == wire.NilNode {
+			return nil, fmt.Errorf("membership: nil member ID in view %d", v.Version)
 		}
-		slotOf[m.ID] = i
+		s := int(m.Slot)
+		if s >= len(slots) {
+			return nil, fmt.Errorf("membership: member %d slot %d outside %d-slot view %d", m.ID, s, v.Slots, v.Version)
+		}
+		if slots[s].ID != wire.NilNode {
+			return nil, fmt.Errorf("membership: duplicate slot %d in view %d", s, v.Version)
+		}
+		slots[s] = m
 	}
-	return &ViewInfo{epoch: v.Epoch, version: v.Version, slots: ms, members: ms, slotOf: slotOf}, nil
+	return newViewInfo(v.Epoch, v.Version, slots)
 }
 
-// newSlottedView builds a slot-addressed ViewInfo from a slot-indexed member
-// array (tombstones hold wire.NilNode). Duplicate member IDs are rejected.
-func newSlottedView(epoch, version uint32, slots []wire.Member) (*ViewInfo, error) {
+// newViewInfo builds a ViewInfo from a slot-indexed member array (tombstones
+// hold wire.NilNode). Duplicate member IDs are rejected.
+func newViewInfo(epoch, version uint32, slots []wire.Member) (*ViewInfo, error) {
 	slotOf := make(map[wire.NodeID]int, len(slots))
 	members := make([]wire.Member, 0, len(slots))
 	for s, m := range slots {
@@ -129,17 +110,20 @@ func newSlottedView(epoch, version uint32, slots []wire.Member) (*ViewInfo, erro
 		slotOf[m.ID] = s
 		members = append(members, m)
 	}
-	return &ViewInfo{epoch: epoch, version: version, slotted: true, slots: slots, members: members, slotOf: slotOf}, nil
+	return &ViewInfo{epoch: epoch, version: version, slots: slots, members: members, slotOf: slotOf}, nil
 }
 
-// NewStaticView builds a ViewInfo directly from node IDs, for emulations and
-// tests that skip the join protocol. Version is 1.
+// NewStaticView builds a fully occupied ViewInfo directly from node IDs, for
+// emulations and tests that skip the join protocol: the IDs are sorted and
+// the i-th smallest takes slot i (row-major fill from a sorted list, the
+// paper's §5 form). Version is 1.
 func NewStaticView(ids []wire.NodeID) *ViewInfo {
-	ms := make([]wire.Member, len(ids))
-	for i, id := range ids {
-		ms[i] = wire.Member{ID: id}
+	sorted := slices.Sorted(slices.Values(ids))
+	slots := make([]wire.Member, len(sorted))
+	for i, id := range sorted {
+		slots[i] = wire.Member{ID: id, Slot: uint16(i)}
 	}
-	vi, err := NewViewInfo(wire.View{Epoch: 1, Version: 1, Members: ms})
+	vi, err := newViewInfo(1, 1, slots)
 	if err != nil {
 		panic(err) // duplicate IDs in a static view are a programming error
 	}
@@ -160,17 +144,16 @@ func (v *ViewInfo) Stamp() wire.ViewStamp {
 // N returns the number of members.
 func (v *ViewInfo) N() int { return len(v.members) }
 
-// Slots returns the size of the slot space — the bound every slot-indexed
-// loop and table must use. For a slot-addressed view it counts tombstones;
-// for a dense view it equals N().
+// Slots returns the size of the slot space, tombstones included — the bound
+// every slot-indexed loop and table must use.
 func (v *ViewInfo) Slots() int { return len(v.slots) }
 
 // Occupied reports whether a slot holds a live member (false for
 // tombstones).
 func (v *ViewInfo) Occupied(slot int) bool { return v.slots[slot].ID != wire.NilNode }
 
-// Members returns the occupied members in slot order (sorted by ID for
-// dense views). Callers must not modify the returned slice.
+// Members returns the occupied members in slot order. Callers must not
+// modify the returned slice.
 func (v *ViewInfo) Members() []wire.Member { return v.members }
 
 // IDAt returns the member ID occupying a grid slot, or wire.NilNode for a
@@ -196,97 +179,69 @@ func (v *ViewInfo) OccupiedMask() []bool {
 	return mask
 }
 
-// SlotMap returns, for each slot of old, the slot the same member ID
-// occupies in next, or -1 if the slot was a tombstone or the member has
-// departed. Probing and routing state is keyed by slot but owned by node
-// IDs, so this is the mapping every component uses to carry measurements
-// across a non-stable view change.
-func SlotMap(old, next *ViewInfo) []int {
-	m := make([]int, old.Slots())
-	for s := range m {
-		id := old.slots[s].ID
-		if id == wire.NilNode {
-			m[s] = -1
+// StableExtension is the one decision every consumer of views makes when a
+// node that held slot oldSelf of old installs next, where it holds slot self.
+// The install is a stable extension when the node kept its own slot and ID,
+// the slot space did not shrink, and no member present in both views moved —
+// the only kind of change a coordinator reign produces. Then ok is true,
+// retired lists the slots whose old occupant is gone and started the slots
+// holding an occupant old did not have (a slot reused across the change is in
+// both; appended slots are in started), each ascending, and the consumer
+// grows to next.Slots(), retires and starts exactly those slots, and leaves
+// every other slot's state untouched. Otherwise (first install, a rejoin
+// under a new ID, a jump onto a foreign view log) ok is false and per-slot
+// state means nothing under next: the consumer installs it cold, exactly like
+// a first view.
+func StableExtension(old *ViewInfo, oldSelf int, next *ViewInfo, self int) (retired, started []int, ok bool) {
+	if old == nil || self != oldSelf || self >= old.Slots() ||
+		old.IDAt(self) != next.IDAt(self) || next.Slots() < old.Slots() {
+		return nil, nil, false
+	}
+	for s, m := range old.slots {
+		if m.ID == wire.NilNode || next.slots[s].ID == m.ID {
 			continue
 		}
-		if ns, ok := next.SlotOf(id); ok {
-			m[s] = ns
-		} else {
-			m[s] = -1
+		if _, moved := next.slotOf[m.ID]; moved {
+			return nil, nil, false
+		}
+		retired = append(retired, s)
+	}
+	for s, m := range next.slots {
+		if m.ID != wire.NilNode && (s >= len(old.slots) || old.slots[s].ID != m.ID) {
+			started = append(started, s)
 		}
 	}
-	return m
-}
-
-// StableExtension reports whether next extends old without moving any
-// surviving member: every member present in both views keeps its slot, and
-// the slot space does not shrink. Slot-stable view changes — the only kind a
-// slot-addressed coordinator produces — let routers and probers keep all
-// per-slot state for unaffected members instead of remapping wholesale. A
-// slot whose occupant changed (quarantine-expired reuse) is still stable;
-// the consumer retires just that slot.
-func StableExtension(old, next *ViewInfo) bool {
-	if next.Slots() < old.Slots() {
-		return false
-	}
-	for s := range old.slots {
-		id := old.slots[s].ID
-		if id == wire.NilNode {
-			continue
-		}
-		if ns, ok := next.slotOf[id]; ok && ns != s {
-			return false
-		}
-	}
-	return true
+	return retired, started, true
 }
 
 // ApplyDelta builds the ViewInfo that results from applying a wire delta to
-// v. It fails if the delta's base version does not match v's version (the
-// caller must then request a full view), if a removed ID is unknown, or if
-// an added ID already exists. On a slot-addressed base the delta is applied
-// in place in the slot space: removals tombstone their slot and additions
-// land at the slot the coordinator assigned (an occupied target slot is an
-// error). On a dense base the legacy rebuild-and-sort applies.
+// v, in place in the slot space: removals tombstone their slot and additions
+// land at the slot the coordinator assigned, extending the slot space when it
+// lies past the end. It fails if the delta's base version does not match v's
+// version (the caller must then request a full view), if a removed ID is
+// unknown, or if an addition targets an occupied slot or repeats a held ID.
 func (v *ViewInfo) ApplyDelta(d wire.ViewDelta) (*ViewInfo, error) {
 	if v.epoch != d.Epoch || v.version != d.BaseVersion {
 		return nil, fmt.Errorf("membership: delta base %d/%d does not match view %d/%d",
 			d.Epoch, d.BaseVersion, v.epoch, v.version)
 	}
-	if v.slotted {
-		slots := append([]wire.Member(nil), v.slots...)
-		for _, id := range d.Removes {
-			s, ok := v.slotOf[id]
-			if !ok {
-				return nil, fmt.Errorf("membership: delta removes unknown ID %d", id)
-			}
-			slots[s] = wire.Member{ID: wire.NilNode}
-		}
-		for _, m := range d.Adds {
-			s := int(m.Slot)
-			for len(slots) <= s {
-				slots = append(slots, wire.Member{ID: wire.NilNode})
-			}
-			if slots[s].ID != wire.NilNode {
-				return nil, fmt.Errorf("membership: delta adds %d to occupied slot %d", m.ID, s)
-			}
-			slots[s] = m
-		}
-		return newSlottedView(d.Epoch, d.Version, slots)
-	}
-	removed := make(map[wire.NodeID]bool, len(d.Removes))
+	slots := append([]wire.Member(nil), v.slots...)
 	for _, id := range d.Removes {
-		if _, ok := v.slotOf[id]; !ok {
+		s, ok := v.slotOf[id]
+		if !ok {
 			return nil, fmt.Errorf("membership: delta removes unknown ID %d", id)
 		}
-		removed[id] = true
+		slots[s] = wire.Member{ID: wire.NilNode}
 	}
-	ms := make([]wire.Member, 0, len(v.members)+len(d.Adds)-len(d.Removes))
-	for _, m := range v.members {
-		if !removed[m.ID] {
-			ms = append(ms, m)
+	for _, m := range d.Adds {
+		s := int(m.Slot)
+		for len(slots) <= s {
+			slots = append(slots, wire.Member{ID: wire.NilNode})
 		}
+		if slots[s].ID != wire.NilNode {
+			return nil, fmt.Errorf("membership: delta adds %d to occupied slot %d", m.ID, s)
+		}
+		slots[s] = m
 	}
-	ms = append(ms, d.Adds...)
-	return NewViewInfo(wire.View{Epoch: d.Epoch, Version: d.Version, Members: ms})
+	return newViewInfo(d.Epoch, d.Version, slots)
 }

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,19 +11,21 @@ import (
 	"allpairs/internal/wire"
 )
 
-func TestNewViewInfoSortsAndMaps(t *testing.T) {
-	v := wire.View{Version: 3, Members: []wire.Member{{ID: 9}, {ID: 2}, {ID: 5}}}
+func TestNewViewInfoPlacesAndMaps(t *testing.T) {
+	v := wire.View{Version: 3, Slots: 4, Members: []wire.Member{{ID: 9, Slot: 2}, {ID: 2, Slot: 0}, {ID: 5, Slot: 3}}}
 	vi, err := NewViewInfo(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vi.VersionNum() != 3 || vi.N() != 3 {
-		t.Fatalf("version=%d n=%d", vi.VersionNum(), vi.N())
+	if vi.VersionNum() != 3 || vi.N() != 3 || vi.Slots() != 4 {
+		t.Fatalf("version=%d n=%d slots=%d", vi.VersionNum(), vi.N(), vi.Slots())
 	}
-	wantOrder := []wire.NodeID{2, 5, 9}
-	for i, id := range wantOrder {
-		if vi.IDAt(i) != id {
-			t.Errorf("IDAt(%d) = %d, want %d", i, vi.IDAt(i), id)
+	for i, id := range []wire.NodeID{2, wire.NilNode, 9, 5} {
+		if vi.IDAt(i) != id || vi.Occupied(i) != (id != wire.NilNode) {
+			t.Errorf("IDAt(%d) = %d occupied=%v, want %d", i, vi.IDAt(i), vi.Occupied(i), id)
+		}
+		if id == wire.NilNode {
+			continue
 		}
 		if s, ok := vi.SlotOf(id); !ok || s != i {
 			t.Errorf("SlotOf(%d) = %d,%v", id, s, ok)
@@ -31,19 +34,41 @@ func TestNewViewInfoSortsAndMaps(t *testing.T) {
 	if _, ok := vi.SlotOf(99); ok {
 		t.Error("SlotOf(99) found")
 	}
+	if got := vi.Members(); len(got) != 3 || got[0].ID != 2 || got[1].ID != 9 || got[2].ID != 5 {
+		t.Errorf("Members() = %v, want slot order 2, 9, 5", got)
+	}
 }
 
-func TestNewViewInfoRejectsDuplicates(t *testing.T) {
-	v := wire.View{Members: []wire.Member{{ID: 1}, {ID: 1}}}
-	if _, err := NewViewInfo(v); err == nil {
-		t.Error("want error for duplicate IDs")
+func TestNewViewInfoRejectsMalformed(t *testing.T) {
+	for name, v := range map[string]wire.View{
+		"duplicate ID":              {Slots: 2, Members: []wire.Member{{ID: 1, Slot: 0}, {ID: 1, Slot: 1}}},
+		"duplicate slot":            {Slots: 2, Members: []wire.Member{{ID: 1, Slot: 1}, {ID: 2, Slot: 1}}},
+		"nil ID":                    {Slots: 2, Members: []wire.Member{{ID: wire.NilNode, Slot: 0}}},
+		"slot beyond the space":     {Slots: 2, Members: []wire.Member{{ID: 1, Slot: 0}, {ID: 2, Slot: 2}}},
+		"members in a 0-slot space": {Slots: 0, Members: []wire.Member{{ID: 1}, {ID: 2}}},
+	} {
+		if _, err := NewViewInfo(v); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if vi, err := NewViewInfo(wire.View{Version: 1}); err != nil || vi.N() != 0 || vi.Slots() != 0 {
+		t.Errorf("empty view: %v, %v", vi, err)
 	}
 }
 
 func TestNewStaticView(t *testing.T) {
 	vi := NewStaticView([]wire.NodeID{4, 0, 2})
-	if vi.N() != 3 || vi.IDAt(0) != 0 || vi.IDAt(2) != 4 {
-		t.Errorf("static view wrong: %v", vi.Members())
+	if vi.N() != 3 || vi.Slots() != 3 || vi.OccupiedMask() != nil {
+		t.Fatalf("static view wrong: %v", vi.Members())
+	}
+	// Unsorted IDs land in the sorted layout: the i-th smallest at slot i.
+	for i, id := range []wire.NodeID{0, 2, 4} {
+		if m := vi.Members()[i]; vi.IDAt(i) != id || m.ID != id || int(m.Slot) != i {
+			t.Errorf("slot %d holds %d (member %+v), want %d", i, vi.IDAt(i), m, id)
+		}
+		if s, ok := vi.SlotOf(id); !ok || s != i {
+			t.Errorf("SlotOf(%d) = %d,%v, want %d", id, s, ok, i)
+		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -206,7 +231,7 @@ func TestStaleViewIgnored(t *testing.T) {
 		t.Fatal("no view")
 	}
 	// Deliver a stale view directly.
-	stale := wire.View{Version: 0, Members: []wire.Member{{ID: 0}, {ID: 7}}}
+	stale := wire.View{Version: 0, Slots: 2, Members: []wire.Member{{ID: 0, Slot: 0}, {ID: 7, Slot: 1}}}
 	h := wire.Header{Type: wire.TView, Src: CoordinatorID}
 	_, body, _ := wire.ParseHeader(wire.AppendView(nil, CoordinatorID, stale))
 	sc.clients[0].HandlePacket(h, body)
@@ -260,45 +285,96 @@ func TestJoinAddrConvention(t *testing.T) {
 
 func TestApplyDelta(t *testing.T) {
 	base := NewStaticView([]wire.NodeID{1, 2, 3})
-	vi, err := base.ApplyDelta(wire.ViewDelta{
-		Epoch: 1, BaseVersion: 1, Version: 2,
-		Adds:    []wire.Member{{ID: 9}},
-		Removes: []wire.NodeID{2},
-	})
+	delta := func(adds []wire.Member, removes ...wire.NodeID) wire.ViewDelta {
+		return wire.ViewDelta{Epoch: 1, BaseVersion: 1, Version: 2, Adds: adds, Removes: removes}
+	}
+	// A removal tombstones its slot in place; an addition lands where the
+	// coordinator put it, extending the slot space when that is past the end
+	// (slot 4 here, leaving slot 3 a never-assigned tombstone).
+	vi, err := base.ApplyDelta(delta([]wire.Member{{ID: 9, Slot: 4}}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vi.VersionNum() != 2 || vi.N() != 3 {
 		t.Fatalf("version=%d n=%d", vi.VersionNum(), vi.N())
 	}
-	for i, want := range []wire.NodeID{1, 3, 9} {
-		if vi.IDAt(i) != want {
-			t.Errorf("IDAt(%d) = %d, want %d", i, vi.IDAt(i), want)
+	want := []wire.NodeID{1, wire.NilNode, 3, wire.NilNode, 9}
+	if vi.Slots() != len(want) {
+		t.Fatalf("slots = %d, want %d", vi.Slots(), len(want))
+	}
+	for i, id := range want {
+		if vi.IDAt(i) != id {
+			t.Errorf("IDAt(%d) = %d, want %d", i, vi.IDAt(i), id)
 		}
 	}
-	// Base mismatch, epoch mismatch, unknown remove, duplicate add all fail.
-	if _, err := base.ApplyDelta(wire.ViewDelta{Epoch: 1, BaseVersion: 7, Version: 8}); err == nil {
-		t.Error("base mismatch accepted")
+	if base.Slots() != 3 || base.IDAt(1) != 2 {
+		t.Error("ApplyDelta modified its base")
 	}
-	if _, err := base.ApplyDelta(wire.ViewDelta{Epoch: 2, BaseVersion: 1, Version: 2}); err == nil {
-		t.Error("epoch mismatch accepted")
+	// Removals apply first, so one delta may hand a vacated slot straight on.
+	if vi, err := base.ApplyDelta(delta([]wire.Member{{ID: 9, Slot: 1}}, 2)); err != nil || vi.IDAt(1) != 9 {
+		t.Errorf("remove-then-reuse of slot 1: %v", err)
 	}
-	if _, err := base.ApplyDelta(wire.ViewDelta{Epoch: 1, BaseVersion: 1, Version: 2, Removes: []wire.NodeID{55}}); err == nil {
-		t.Error("unknown removal accepted")
-	}
-	if _, err := base.ApplyDelta(wire.ViewDelta{Epoch: 1, BaseVersion: 1, Version: 2, Adds: []wire.Member{{ID: 1}}}); err == nil {
-		t.Error("duplicate add accepted")
+	for name, d := range map[string]wire.ViewDelta{
+		"base mismatch":         {Epoch: 1, BaseVersion: 7, Version: 8},
+		"epoch mismatch":        {Epoch: 2, BaseVersion: 1, Version: 2},
+		"unknown removal":       delta(nil, 55),
+		"add of a held ID":      delta([]wire.Member{{ID: 1, Slot: 3}}),
+		"add onto a held slot":  delta([]wire.Member{{ID: 9, Slot: 0}}),
+		"two adds to one slot":  delta([]wire.Member{{ID: 8, Slot: 3}, {ID: 9, Slot: 3}}),
+		"add at a default slot": delta([]wire.Member{{ID: 9}}),
+	} {
+		if _, err := base.ApplyDelta(d); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
-func TestSlotMap(t *testing.T) {
-	old := NewStaticView([]wire.NodeID{1, 2, 3})
-	next := NewStaticView([]wire.NodeID{0, 1, 3, 4})
-	m := SlotMap(old, next)
-	want := []int{1, -1, 2} // 1→slot1, 2 departed, 3→slot2
-	for i := range want {
-		if m[i] != want[i] {
-			t.Errorf("SlotMap[%d] = %d, want %d", i, m[i], want[i])
+// TestStableExtension pins the one predicate every view consumer installs
+// by: which old → next changes may be patched in place, and which slots they
+// retire and start.
+func TestStableExtension(t *testing.T) {
+	view := func(version uint32, slots ...wire.NodeID) *ViewInfo {
+		t.Helper()
+		v := wire.View{Epoch: 1, Version: version, Slots: uint16(len(slots))}
+		for s, id := range slots {
+			if id != wire.NilNode {
+				v.Members = append(v.Members, wire.Member{ID: id, Slot: uint16(s)})
+			}
+		}
+		vi, err := NewViewInfo(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vi
+	}
+	const none = wire.NilNode
+	old := view(1, 10, 11, none, 13)
+	for _, tc := range []struct {
+		name             string
+		old              *ViewInfo
+		oldSelf          int
+		next             *ViewInfo
+		self             int
+		retired, started []int
+		ok               bool
+	}{
+		{name: "identical", old: old, next: view(2, 10, 11, none, 13), ok: true},
+		{name: "join appends", old: old, next: view(2, 10, 11, none, 13, 14), started: []int{4}, ok: true},
+		{name: "join fills a tombstone", old: old, next: view(2, 10, 11, 12, 13), started: []int{2}, ok: true},
+		{name: "leave tombstones", old: old, next: view(2, 10, none, none, 13), retired: []int{1}, ok: true},
+		{name: "slot reused across the change", old: old, next: view(2, 10, 21, none, 13, 14),
+			retired: []int{1}, started: []int{1, 4}, ok: true},
+		{name: "first install", old: nil, next: view(2, 10, 11)},
+		{name: "survivor moved", old: old, next: view(2, 10, 13, none, none, 11)},
+		{name: "slot space shrank", old: old, next: view(2, 10, 11, none)},
+		{name: "own slot changed", old: old, oldSelf: 1, next: view(2, 10, 11, none, 13), self: 0},
+		{name: "own ID changed", old: old, next: view(2, 20, 11, none, 13)},
+		{name: "own old slot past the old space", old: view(1, 10), oldSelf: 1, next: view(2, 10, 11), self: 1},
+	} {
+		retired, started, ok := StableExtension(tc.old, tc.oldSelf, tc.next, tc.self)
+		if ok != tc.ok || !slices.Equal(retired, tc.retired) || !slices.Equal(started, tc.started) {
+			t.Errorf("%s: got retired=%v started=%v ok=%v, want %v %v %v",
+				tc.name, retired, started, ok, tc.retired, tc.started, tc.ok)
 		}
 	}
 }

@@ -121,6 +121,16 @@ func New(env transport.Env, cfg Config, view *membership.ViewInfo, self int) *Pr
 	return p
 }
 
+// coldLink returns the probe machine of a never-measured destination.
+func (p *Prober) coldLink() linkState {
+	var ls linkState
+	ls.latency.Alpha = p.cfg.LatencyAlpha
+	ls.outLat.Alpha = p.cfg.LatencyAlpha
+	ls.inLat.Alpha = p.cfg.LatencyAlpha
+	ls.loss.Alpha = p.cfg.LossAlpha
+	return ls
+}
+
 // reset rebuilds per-destination state for a view.
 func (p *Prober) reset(view *membership.ViewInfo, self int) {
 	for i := range p.links {
@@ -136,10 +146,7 @@ func (p *Prober) reset(view *membership.ViewInfo, self int) {
 	p.self = self
 	p.links = make([]linkState, n)
 	for i := range p.links {
-		p.links[i].latency.Alpha = p.cfg.LatencyAlpha
-		p.links[i].outLat.Alpha = p.cfg.LatencyAlpha
-		p.links[i].inLat.Alpha = p.cfg.LatencyAlpha
-		p.links[i].loss.Alpha = p.cfg.LossAlpha
+		p.links[i] = p.coldLink()
 	}
 	p.row = make([]wire.LinkEntry, n)
 	for i := range p.row {
@@ -155,69 +162,34 @@ func (p *Prober) reset(view *membership.ViewInfo, self int) {
 	}
 }
 
-// SetView installs a new membership view. A slot-stable extension — the
-// only change a slot-addressed coordinator produces — touches nothing but
-// the slots the change names: unchanged members keep their link state,
-// running probe timers, and in-flight probes bit-for-bit; departed slots are
-// stopped and reset cold; newly occupied slots get cold state and a
-// staggered first probe. A view change that moves surviving members falls
-// back to the rebuild: link state follows each destination's node ID to its
-// new slot (EWMA latency/loss and liveness survive), departed members are
-// dropped, new members start cold, and in-flight probes are abandoned —
-// their reply timers were view-relative.
+// SetView installs a new membership view, with exactly two outcomes. A
+// stable extension (membership.StableExtension — the only kind of change a
+// coordinator reign produces) touches nothing but the slots the change
+// names: unchanged members keep their link state, running probe timers, and
+// in-flight probes bit-for-bit; retired slots are stopped and reset cold;
+// started slots get a staggered first probe. Any other install goes cold, as
+// a new prober does: every timer is stopped, every link forgotten, and
+// probing restarts from scratch — estimates are owned by node IDs, and
+// nothing ties the old slots to the new ones.
 func (p *Prober) SetView(view *membership.ViewInfo, self int) {
-	old := p.view
-	if old != nil && self == p.self && self < old.Slots() &&
-		old.IDAt(self) == view.IDAt(self) &&
-		membership.StableExtension(old, view) {
-		p.setViewStable(old, view)
+	retired, started, stable := membership.StableExtension(p.view, p.self, view, self)
+	if !stable {
+		p.reset(view, self)
+		p.Start()
 		return
 	}
-	oldLinks := p.links
-	p.reset(view, self)
-	if old != nil {
-		for os, ns := range membership.SlotMap(old, view) {
-			if ns < 0 || ns == self || os >= len(oldLinks) {
-				continue
-			}
-			carried := oldLinks[os]
-			carried.probeTimer, carried.checkTimer = nil, nil
-			carried.awaiting = false
-			p.links[ns] = carried
-			p.updateStatus(ns)
-		}
-	}
-	p.Start()
-}
-
-// setViewStable applies a slot-stable view extension in place.
-func (p *Prober) setViewStable(old, view *membership.ViewInfo) {
 	n := view.Slots()
 	p.view = view
 	for len(p.links) < n {
-		var ls linkState
-		ls.latency.Alpha = p.cfg.LatencyAlpha
-		ls.outLat.Alpha = p.cfg.LatencyAlpha
-		ls.inLat.Alpha = p.cfg.LatencyAlpha
-		ls.loss.Alpha = p.cfg.LossAlpha
-		p.links = append(p.links, ls)
-	}
-	for len(p.row) < n {
+		p.links = append(p.links, p.coldLink())
 		p.row = append(p.row, wire.LinkEntry{Latency: 0, Status: wire.StatusDead})
-	}
-	if p.asymRow != nil {
-		for len(p.asymRow) < n {
+		if p.asymRow != nil {
 			p.asymRow = append(p.asymRow, wire.AsymEntry{Status: wire.StatusDead})
 		}
 	}
-	// Slots whose old occupant is gone: stop probing and go cold. A
-	// quarantine-expired reuse (a new member in the same slot) probes fresh —
-	// the estimates belonged to the departed node, not the slot.
-	var fresh []int
-	for s := 0; s < old.Slots(); s++ {
-		if !old.Occupied(s) || view.IDAt(s) == old.IDAt(s) {
-			continue
-		}
+	// A reused slot (retired and started at once) probes fresh: the estimates
+	// belonged to the departed node, not the slot.
+	for _, s := range retired {
 		ls := &p.links[s]
 		if ls.probeTimer != nil {
 			ls.probeTimer.Stop()
@@ -226,11 +198,7 @@ func (p *Prober) setViewStable(old, view *membership.ViewInfo) {
 			ls.checkTimer.Stop()
 		}
 		wasAlive := ls.alive
-		*ls = linkState{}
-		ls.latency.Alpha = p.cfg.LatencyAlpha
-		ls.outLat.Alpha = p.cfg.LatencyAlpha
-		ls.inLat.Alpha = p.cfg.LatencyAlpha
-		ls.loss.Alpha = p.cfg.LossAlpha
+		*ls = p.coldLink()
 		p.row[s] = wire.LinkEntry{Latency: 0, Status: wire.StatusDead}
 		if p.asymRow != nil {
 			p.asymRow[s] = wire.AsymEntry{Status: wire.StatusDead}
@@ -238,21 +206,8 @@ func (p *Prober) setViewStable(old, view *membership.ViewInfo) {
 		if wasAlive && p.OnLinkChange != nil {
 			p.OnLinkChange(s, false)
 		}
-		if view.Occupied(s) {
-			fresh = append(fresh, s)
-		}
 	}
-	// Newly occupied slots (reused tombstones and appended slots) start cold
-	// with a staggered first probe; everyone else's schedule is untouched.
-	for s := 0; s < n; s++ {
-		if s == p.self || !view.Occupied(s) {
-			continue
-		}
-		if s >= old.Slots() || !old.Occupied(s) {
-			fresh = append(fresh, s)
-		}
-	}
-	for _, s := range fresh {
+	for _, s := range started {
 		slot := s
 		delay := time.Duration(p.env.Rand().Int63n(int64(p.cfg.Interval)))
 		p.links[slot].probeTimer = p.env.After(delay, func() { p.sendProbe(slot) })

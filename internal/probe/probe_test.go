@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -324,6 +325,23 @@ func TestDataWireRoundTrip(t *testing.T) {
 	}
 }
 
+// slotView builds a view whose slot s holds ids[s]; wire.NilNode leaves a
+// tombstone.
+func slotView(t *testing.T, version uint32, ids ...wire.NodeID) *membership.ViewInfo {
+	t.Helper()
+	v := wire.View{Epoch: 1, Version: version, Slots: uint16(len(ids))}
+	for s, id := range ids {
+		if id != wire.NilNode {
+			v.Members = append(v.Members, wire.Member{ID: id, Slot: uint16(s)})
+		}
+	}
+	vi, err := membership.NewViewInfo(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vi
+}
+
 func TestSetViewCarriesMeasurements(t *testing.T) {
 	// Three nodes measure each other, then a fourth joins: surviving links
 	// must keep their EWMA latency and liveness across the view change
@@ -341,7 +359,7 @@ func TestSetViewCarriesMeasurements(t *testing.T) {
 		t.Fatal("link 0->1 not measured before the view change")
 	}
 
-	// Node 3 joins: IDs 1 and 2 shift slots (0,1,2,3 sorted), 0 stays.
+	// Node 3 joins at a new slot; nobody moves.
 	next := membership.NewStaticView([]wire.NodeID{0, 1, 2, 3})
 	p.SetView(next, 0)
 	if !p.Alive(1) || !p.Alive(2) {
@@ -364,28 +382,86 @@ func TestSetViewCarriesMeasurements(t *testing.T) {
 	}
 }
 
-func TestSetViewDropsDepartedAndRemapsSlots(t *testing.T) {
+func TestSetViewRetiresDepartedSlot(t *testing.T) {
 	cfg := Config{Interval: 10 * time.Second, ReplyTimeout: time.Second}
 	f := newFixture(t, 3, cfg, 25*time.Millisecond)
 	f.startAll()
 	f.nw.RunFor(time.Minute)
 	p := f.probers[0]
 	lat2, ok := p.Latency(2)
-	if !ok {
-		t.Fatal("link 0->2 not measured")
+	if !ok || !p.Alive(1) {
+		t.Fatal("links not measured")
 	}
 
-	// Node 1 departs: ID 2 moves from slot 2 to slot 1.
-	next := membership.NewStaticView([]wire.NodeID{0, 2})
-	p.SetView(next, 0)
-	got, ok := p.Latency(1)
-	if !ok || got != lat2 {
-		t.Errorf("remapped latency = %.2f (ok=%v), want %.2f", got, ok, lat2)
+	// Node 1 departs, leaving a tombstone: ID 2 keeps slot 2 and everything
+	// measured about it; slot 1 goes cold and its death is reported.
+	p.SetView(slotView(t, 2, 0, wire.NilNode, 2), 0)
+	got, ok := p.Latency(2)
+	if !ok || got != lat2 || !p.Alive(2) {
+		t.Errorf("survivor's latency = %.2f (ok=%v alive=%v), want %.2f", got, ok, p.Alive(2), lat2)
 	}
-	if !p.Alive(1) {
-		t.Error("remapped link not alive")
+	if _, ok := p.Latency(1); ok || p.Alive(1) || wire.StatusAlive(p.Row()[1].Status) {
+		t.Error("departed slot kept its measurements")
 	}
-	if p.view.N() != 2 {
-		t.Errorf("view size = %d", p.view.N())
+	if alive, reported := f.changes[0][1]; !reported || alive {
+		t.Error("departed slot's death not reported through OnLinkChange")
+	}
+	delivered := f.nw.Delivered()
+	f.nw.RunFor(time.Minute)
+	if f.nw.Delivered() == delivered || !p.Alive(2) || p.Alive(1) {
+		t.Error("probing did not carry on around the tombstone")
+	}
+}
+
+// TestSetViewNonStableGoesCold: an install that cannot be a stable extension
+// leaves the prober exactly as a new one on the same view — no estimate, no
+// liveness, no timer survives, since nothing ties the old slots to the new —
+// and probing restarts from scratch.
+func TestSetViewNonStableGoesCold(t *testing.T) {
+	cfg := Config{Interval: 10 * time.Second, ReplyTimeout: time.Second, Asymmetric: true}
+	for _, tc := range []struct {
+		name string
+		ids  []wire.NodeID
+		self int
+	}{
+		{"survivor moves slot", []wire.NodeID{0, 2, 1, 3}, 0},
+		{"slot space shrinks", []wire.NodeID{0, 1, 2}, 0},
+		{"own slot changes", []wire.NodeID{wire.NilNode, 1, 2, 3, 0}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, 4, cfg, 25*time.Millisecond)
+			f.startAll()
+			f.nw.RunFor(time.Minute)
+			p := f.probers[0]
+			if !p.Alive(1) || !p.Alive(2) || !p.Alive(3) {
+				t.Fatal("links not measured before the view change")
+			}
+			oldLinks := p.links
+			next := slotView(t, 2, tc.ids...)
+			p.SetView(next, tc.self)
+			fresh := New(f.envs[0], cfg, next, tc.self)
+			bare := func(links []linkState) []linkState {
+				out := append([]linkState(nil), links...)
+				for i := range out {
+					out[i].probeTimer, out[i].checkTimer = nil, nil
+				}
+				return out
+			}
+			if !reflect.DeepEqual(bare(p.links), bare(fresh.links)) ||
+				!reflect.DeepEqual(p.Row(), fresh.Row()) || !reflect.DeepEqual(p.AsymRow(), fresh.AsymRow()) ||
+				p.view != next || p.self != tc.self {
+				t.Errorf("state after a non-stable install differs from a fresh prober's:\n got %+v\nwant %+v", p.links, fresh.links)
+			}
+			for s := range oldLinks {
+				if s != 0 && oldLinks[s].probeTimer.Stop() {
+					t.Errorf("old slot %d's probe timer still armed", s)
+				}
+			}
+			for s := 0; s < next.Slots(); s++ {
+				if armed := p.links[s].probeTimer != nil; armed != (s != tc.self && next.Occupied(s)) {
+					t.Errorf("slot %d first probe armed = %v", s, armed)
+				}
+			}
+		})
 	}
 }

@@ -8,9 +8,7 @@ import (
 
 // Member is one entry in a membership view: the node's assigned ID, the grid
 // slot it occupies for its lifetime, and its UDP endpoint. Simulated
-// deployments leave the endpoint zero. Slot is meaningful only inside views
-// whose Slots field is nonzero (slot-addressed views); legacy dense views
-// carry zero and derive slots from the sorted ID order.
+// deployments leave the endpoint zero.
 type Member struct {
 	ID   NodeID
 	Slot uint16
@@ -126,12 +124,11 @@ func (s ViewStamp) After(o ViewStamp) bool {
 
 // View is the coordinator's authoritative membership snapshot. Nodes with
 // the same view version build identical grids (§5, "Membership Service").
-// Slots is the size of the slot-addressed grid space: members occupy the
-// slots named by their Slot field and every other slot is a tombstone
-// (departed, quarantined, or never assigned). A zero Slots marks a legacy
-// dense view whose slots are the sorted-ID indexes — the trailing-tombstone
-// case makes the slot count unrepresentable from the member list alone, so
-// it must travel on the wire.
+// Slots is the size of the grid's slot space: members occupy the slots named
+// by their Slot field (each below Slots, or the receiver rejects the view)
+// and every other slot is a tombstone (departed, quarantined, or never
+// assigned). Trailing tombstones make the slot count unrepresentable from
+// the member list alone, so it must travel on the wire.
 type View struct {
 	Epoch   uint32
 	Version uint32
