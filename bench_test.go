@@ -7,7 +7,10 @@ package allpairs
 // the same data at full paper scale.
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"hash"
 	"testing"
 	"time"
 
@@ -329,24 +332,6 @@ func BenchmarkGridConstruction(b *testing.B) {
 	}
 }
 
-// BenchmarkBestOneHop times the rendezvous inner loop: one optimal-hop scan
-// over 1024-entry rows.
-func BenchmarkBestOneHop(b *testing.B) {
-	n := 1024
-	rowA := make([]wire.LinkEntry, n)
-	rowB := make([]wire.LinkEntry, n)
-	for i := 0; i < n; i++ {
-		rowA[i] = wire.LinkEntry{Latency: uint16(i % 400), Status: 0}
-		rowB[i] = wire.LinkEntry{Latency: uint16((i * 7) % 400), Status: 0}
-	}
-	lsdb.SelfRow(0, rowA)
-	lsdb.SelfRow(1, rowB)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lsdb.BestOneHop(0, rowA, 1, rowB)
-	}
-}
-
 // kernelTable builds a fully-populated link-state table with deterministic
 // pseudo-random latencies and a sprinkling of dead links, the workload of a
 // busy rendezvous server.
@@ -368,12 +353,11 @@ func kernelTable(n int) *lsdb.Table {
 	return tb
 }
 
-// BenchmarkKernelOneHop benchmarks the rendezvous inner kernel both ways at
-// n ∈ {200, 500, 1000}: the scalar per-pair BestOneHop over packed LinkEntry
-// rows (the pre-matrix code path) against the batched cost-matrix kernel
-// evaluating all destinations of one source in a single pass. Each op
-// evaluates n−1 pairs; ns/pair is the recorded trajectory metric, and the
-// batch variant must stay at 0 allocs/op.
+// BenchmarkKernelOneHop benchmarks the rendezvous inner kernel at
+// n ∈ {200, 500, 1000}: the batched cost-matrix kernel evaluating all
+// destinations of one source in a single pass. Each op evaluates n−1 pairs;
+// ns/pair is the recorded trajectory metric (PERF.md keeps the numbers of
+// the scalar per-pair loop it replaced), and it must stay at 0 allocs/op.
 func BenchmarkKernelOneHop(b *testing.B) {
 	for _, n := range []int{200, 500, 1000} {
 		tb := kernelTable(n)
@@ -381,27 +365,11 @@ func BenchmarkKernelOneHop(b *testing.B) {
 		for d := 1; d < n; d++ {
 			dsts = append(dsts, d)
 		}
-		b.Run(fmt.Sprintf("n=%d/scalar", n), func(b *testing.B) {
-			rowA := tb.Get(0).Entries
-			sink := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, d := range dsts {
-					hop, _ := lsdb.BestOneHop(0, rowA, d, tb.Get(d).Entries)
-					sink += hop
-				}
-			}
-			b.StopTimer()
-			if sink == -1 {
-				b.Fatal("impossible")
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(dsts))), "ns/pair")
-		})
 		b.Run(fmt.Sprintf("n=%d/batch", n), func(b *testing.B) {
 			out := make([]lsdb.HopCost, len(dsts))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tb.Matrix().BestOneHopAll(0, dsts, out)
+				tb.BestOneHopAll(0, dsts, out)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(dsts))), "ns/pair")
@@ -410,9 +378,9 @@ func BenchmarkKernelOneHop(b *testing.B) {
 }
 
 // BenchmarkKernelViaAll benchmarks a full route-table recompute (the §4.2
-// fallback over every destination): the scalar per-destination BestOneHopVia
-// loop — which re-checks every intermediate's freshness per destination —
-// against the batched BestOneHopViaAll pass.
+// fallback over every destination) through the batched BestOneHopViaAll
+// pass, which checks every intermediate's freshness once instead of once per
+// destination as the scalar loop it replaced did (numbers in PERF.md).
 func BenchmarkKernelViaAll(b *testing.B) {
 	now := time.Unix(0, 0).Add(time.Second)
 	maxAge := time.Minute
@@ -423,21 +391,6 @@ func BenchmarkKernelViaAll(b *testing.B) {
 			liveRow[j] = wire.LinkEntry{Latency: uint16((j*13 + 5) % 450), Status: 0}
 		}
 		lsdb.SelfRow(0, liveRow)
-		b.Run(fmt.Sprintf("n=%d/scalar", n), func(b *testing.B) {
-			sink := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for dst := 1; dst < n; dst++ {
-					hop, _ := lsdb.BestOneHopVia(liveRow, tb, dst, now, maxAge)
-					sink += hop
-				}
-			}
-			b.StopTimer()
-			if sink == -1 {
-				b.Fatal("impossible")
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(n-1)), "ns/pair")
-		})
 		b.Run(fmt.Sprintf("n=%d/batch", n), func(b *testing.B) {
 			costs := lsdb.UnpackCosts(nil, liveRow)
 			out := make([]lsdb.HopCost, n)
@@ -758,13 +711,63 @@ func BenchmarkViewRemap(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedFullPass times the full-mesh from-scratch recompute at
-// n = 2000 across worker counts, verifying the sharded pass byte-identical to
-// the serial one before timing. On an m-core host the pass should approach
-// m× the serial throughput (the shards write disjoint destination spans, so
-// there is no coordination beyond the fork/join).
+// sendLog is an Env that digests what its router sends instead of
+// delivering it, so two routers' output can be compared byte for byte.
+type sendLog struct {
+	*transport.SimEnv
+	digest hash.Hash
+}
+
+func (e *sendLog) Send(to wire.NodeID, payload []byte) {
+	e.digest.Write([]byte{byte(to >> 8), byte(to)})
+	e.digest.Write(payload)
+}
+
+// BenchmarkShardedFullPass times the from-scratch passes at n = 2000 across
+// worker counts — the full-mesh recompute, and the quorum's round 2 in
+// directional mode (both directions of every client pair) — verifying each
+// sharded pass byte-identical to the serial one before timing. On an m-core
+// host the pass should approach m× the serial throughput (the shards write
+// disjoint spans, so there is no coordination beyond the fork/join).
 func BenchmarkShardedFullPass(b *testing.B) {
 	const n = 2000
+	directional := func(row []wire.LinkEntry) []wire.AsymEntry {
+		out := make([]wire.AsymEntry, len(row))
+		for j, e := range row {
+			out[j] = wire.AsymEntry{Out: e.Latency, In: (e.Latency*7 + uint16(j)) % 500, Status: e.Status}
+		}
+		return out
+	}
+	buildQuorum := func(workers int) (*core.Quorum, *sendLog) {
+		env := &sendLog{SimEnv: benchEnv(), digest: sha256.New()}
+		q, err := core.NewQuorum(env, core.QuorumConfig{Asymmetric: true, DisableIncremental: true, Workers: workers}, benchView(n), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		self := directional(benchRow(n, 0, 0))
+		q.SelfAsymRow = func() []wire.AsymEntry { return self }
+		q.LinkAlive = func(int) bool { return true }
+		for _, c := range q.Grid().Clients(0) {
+			q.Table().PutAsym(c, lsdb.AsymRow{Seq: 1, When: env.Now(), Entries: directional(benchRow(n, c, 0))})
+		}
+		return q, env
+	}
+	serialQ, serialLog := buildQuorum(1)
+	serialQ.Tick()
+	wantSent := serialLog.digest.Sum(nil)
+	for _, w := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("quorum-directional/n=%d/workers=%d", n, w), func(b *testing.B) {
+			q, log := buildQuorum(w)
+			q.Tick()
+			if st := q.Stats(); st.RecommendationsSent == 0 || st.PairsCached != 0 || !bytes.Equal(log.digest.Sum(nil), wantSent) {
+				b.Fatalf("workers=%d: first tick's messages differ from the serial pass's (stats %+v)", w, st)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.Tick()
+			}
+		})
+	}
 	build := func(workers int) *core.FullMesh {
 		env := benchEnv()
 		f := core.NewFullMesh(env, core.FullMeshConfig{DisableIncremental: true, Workers: workers}, benchView(n), 0)

@@ -205,7 +205,14 @@ func TestAsymmetricMessageFormatRejected(t *testing.T) {
 	msg := wire.AppendLinkState(nil, 3, wire.LinkState{ViewVersion: 1, Seq: 1, Entries: make([]wire.LinkEntry, 9)})
 	h, body, _ := wire.ParseHeader(msg)
 	q.HandleLinkState(h, body) // symmetric row into asym router
-	if q.Table().Get(3) != nil {
+	if q.Table().Have(3) {
 		t.Error("symmetric row stored by asymmetric router")
+	}
+	sym := newCluster(t, 9, 9, "quorum", QuorumConfig{}).routers[0].(*Quorum)
+	msg = wire.AppendLinkStateAsym(nil, 3, wire.LinkStateAsym{ViewVersion: 1, Seq: 1, Entries: make([]wire.AsymEntry, 9)})
+	h, body, _ = wire.ParseHeader(msg)
+	sym.HandleLinkState(h, body) // directional row into symmetric router
+	if sym.Table().Have(3) {
+		t.Error("directional row stored by symmetric router")
 	}
 }

@@ -223,7 +223,7 @@ const shardMinDsts = 256
 func (f *FullMesh) recompute() {
 	now := f.env.Now()
 	n := f.view.Slots()
-	f.costsBuf = lsdb.UnpackCosts(f.costsBuf[:0], f.SelfRow())
+	f.selfCosts()
 	f.sizeRecomputeState(n)
 	if f.cfg.DisableIncremental || !f.lastValid || len(f.costsBuf) != n || len(f.prevSelf) != n {
 		f.fullPass(now, n)
@@ -244,6 +244,13 @@ func (f *FullMesh) recompute() {
 			f.OnRouteUpdate(dst, e)
 		}
 	}
+}
+
+// selfCosts unpacks the live self row into costsBuf, the flat form the
+// kernels scan.
+func (f *FullMesh) selfCosts() []wire.Cost {
+	f.costsBuf = lsdb.UnpackCosts(f.costsBuf[:0], f.SelfRow())
+	return f.costsBuf
 }
 
 // sizeRecomputeState (re)sizes the incremental buffers for an n-slot view.
@@ -290,7 +297,7 @@ func (f *FullMesh) fullPass(now time.Time, n int) {
 func (f *FullMesh) snapshot(now time.Time, n int) {
 	for h := 0; h < n; h++ {
 		f.prevGen[h] = f.table.Gen(h)
-		f.prevFresh[h] = f.table.Matrix().FreshAt(h, now, f.cfg.Staleness)
+		f.prevFresh[h] = f.table.FreshAt(h, now, f.cfg.Staleness)
 	}
 	f.prevSelf = append(f.prevSelf[:0], f.costsBuf...)
 	f.lastValid = true
@@ -299,7 +306,6 @@ func (f *FullMesh) snapshot(now time.Time, n int) {
 // incrementalPass updates lastOut in place, re-evaluating only affected
 // destinations. See recompute for the invariant.
 func (f *FullMesh) incrementalPass(now time.Time, n int) {
-	m := f.table.Matrix()
 	stale := f.cfg.Staleness
 	// A slot is dirty when its row contents changed (generation), its
 	// freshness flipped (either direction: a newly fresh row adds candidates,
@@ -309,7 +315,7 @@ func (f *FullMesh) incrementalPass(now time.Time, n int) {
 	dirty := f.dirtyBuf[:0]
 	for h := 0; h < n; h++ {
 		g := f.table.Gen(h)
-		fr := m.FreshAt(h, now, stale)
+		fr := f.table.FreshAt(h, now, stale)
 		if g != f.prevGen[h] || fr != f.prevFresh[h] || f.costsBuf[h] != f.prevSelf[h] {
 			dirty = append(dirty, h)
 			f.dirtySet[h] = true
@@ -344,7 +350,7 @@ func (f *FullMesh) incrementalPass(now time.Time, n int) {
 		if ca >= uint32(wire.InfCost) {
 			continue
 		}
-		row := m.Row(h)
+		row := f.table.OutRow(h)
 		for dst := 0; dst < n; dst++ {
 			if dst == h || f.affSet[dst] {
 				continue
@@ -402,7 +408,7 @@ func (f *FullMesh) BestHop(dst int) (RouteEntry, bool) {
 	if e.Source != SourceNone && e.Hop >= 0 && now.Sub(e.When) <= f.cfg.Staleness {
 		return e, true
 	}
-	hop, cost := lsdb.BestOneHopVia(f.SelfRow(), f.table, dst, now, f.cfg.Staleness)
+	hop, cost := f.table.BestOneHopVia(f.selfCosts(), dst, now, f.cfg.Staleness)
 	if hop >= 0 && cost != wire.InfCost {
 		return RouteEntry{Hop: hop, Cost: cost, When: now, From: -1, Source: SourceFallback}, true
 	}
@@ -427,9 +433,8 @@ func (f *FullMesh) staleHop(dst int, e RouteEntry, now time.Time) (RouteEntry, b
 	if age > f.cfg.Staleness+f.cfg.DegradedHold {
 		return RouteEntry{}, false
 	}
-	row := f.SelfRow()
-	if e.Hop >= len(row) || !wire.StatusAlive(row[e.Hop].Status) {
-		hop, cost := lsdb.BestOneHopVia(row, f.table, dst, now, f.cfg.Staleness+f.cfg.DegradedHold)
+	if row := f.SelfRow(); e.Hop >= len(row) || !wire.StatusAlive(row[e.Hop].Status) {
+		hop, cost := f.table.BestOneHopVia(f.selfCosts(), dst, now, f.cfg.Staleness+f.cfg.DegradedHold)
 		if hop < 0 || cost == wire.InfCost {
 			return RouteEntry{}, false
 		}

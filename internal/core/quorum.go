@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -45,9 +46,10 @@ type QuorumConfig struct {
 	// ablation study.
 	DisableFailover bool
 	// Asymmetric runs the footnote 2 variant: round-1 rows carry both
-	// directed costs (5 bytes per entry) and recommendations are computed
-	// per direction, so a→b and b→a may use different hops. Requires the
-	// host to supply SelfAsymRow.
+	// directed costs (5 bytes per entry), the link-state table keeps an
+	// in-cost matrix beside the out-cost one, and the same round 2 evaluates
+	// each pair once per direction, so a→b and b→a may use different hops.
+	// Requires the host to supply SelfAsymRow.
 	Asymmetric bool
 	// ReliableLinkState enables the §6.2.2 option: rendezvous servers
 	// acknowledge round-1 rows and unacknowledged rows are retransmitted
@@ -141,11 +143,10 @@ type Quorum struct {
 	self  int
 	seq   uint32
 
-	table    *lsdb.Table     // rows received from rendezvous clients
-	atable   *lsdb.AsymTable // directional rows (asymmetric mode)
-	routes   []RouteEntry    // per destination slot
-	servers  []int           // default rendezvous servers (grid row + column)
-	defaults [][]int         // per destination: the common rendezvous set for (self, dst)
+	table    *lsdb.Table  // rows received from rendezvous clients (directional in asymmetric mode)
+	routes   []RouteEntry // per destination slot
+	servers  []int        // default rendezvous servers (grid row + column)
+	defaults [][]int      // per destination: the common rendezvous set for (self, dst)
 
 	// lastRecAbout[k][dst] is when server k last recommended a route to dst;
 	// used for remote rendezvous failure detection. Lazily allocated per
@@ -170,45 +171,41 @@ type Quorum struct {
 	// scratch buffers reused across ticks.
 	clientsBuf []int
 	recsBuf    [][]wire.RecEntry
-	costsBuf   []wire.Cost
+	costsBuf   []wire.Cost // unpacked live self row (out-costs, then in-costs when directional)
 	hopBuf     []lsdb.HopCost
-	sortBuf    []int // sorted-map-iteration scratch (activeServers, retransmit)
+	keyBuf     []uint64 // packed source keys of the serial kernel calls
+	sortBuf    []int    // sorted-map-iteration scratch (activeServers, retransmit)
 
-	// Incremental round-2 state. A pair's best hop depends only on the two
+	// Incremental round-2 state. A route's best hop depends only on the two
 	// endpoint rows (the kernel reads intermediate costs out of exactly those
-	// rows), so a cached value revalidates by comparing the endpoints' row
-	// generations — lookup-only maps, never iterated. Self pairs additionally
-	// depend on the live self row, revalidated by content compare. A cold
-	// SetView drops everything with the table. See sendRecommendations.
-	pairCache     map[uint32]pairVal
-	selfPairCache map[int]selfPairVal
-	lastGen       []uint32    // per-slot generation at the previous tick (dirty-fraction gate)
-	prevSelf      []wire.Cost // unpacked self row at the previous tick
-	missPosBuf    []int
-	missDstBuf    []int
-	missOutBuf    []lsdb.HopCost
-	pairOutBuf    []lsdb.HopCost // sharded full-pass staging, merged in slot order
-	asymInBuf     []wire.Cost
+	// rows), so a value cached under the directed pair (src, dst) revalidates
+	// by comparing the endpoints' row generations — a lookup-only map, never
+	// iterated. The live self row, which no table stores, takes part under a
+	// generation of its own: selfGen advances when its unpacked costs differ
+	// from the previous tick's. On a symmetric table the route b→a is the
+	// route a→b (one row serves both directions), so only src < dst in client
+	// order is ever computed or cached. A cold SetView drops everything with
+	// the table. See sendRecommendations.
+	pairCache  map[uint32]pairVal
+	lastGen    []uint32    // per-slot generation at the previous tick (dirty-fraction gate)
+	prevSelf   []wire.Cost // costsBuf at the previous tick
+	selfGen    uint32
+	missPosBuf []int
+	missDstBuf []int
+	missOutBuf []lsdb.HopCost
+	pairOutBuf []lsdb.HopCost // sharded full-pass staging, merged in slot order
 }
 
-// pairVal is one cached client-pair result with the endpoint row generations
-// it was computed from.
+// pairVal is one cached directed-pair result with the endpoint row
+// generations it was computed from.
 type pairVal struct {
-	hop        int32
-	cost       wire.Cost
-	genA, genB uint32
+	hop            int32
+	cost           wire.Cost
+	genSrc, genDst uint32
 }
 
-// selfPairVal is one cached (self, client) result; valid while the self row
-// is unchanged and the client's generation matches.
-type selfPairVal struct {
-	hop  int32
-	cost wire.Cost
-	gen  uint32
-}
-
-// pairKey packs an ordered slot pair (a < b; slots fit u16 by NodeID width).
-func pairKey(a, b int) uint32 { return uint32(a)<<16 | uint32(b) }
+// pairKey packs a directed slot pair (slots fit u16 by NodeID width).
+func pairKey(src, dst int) uint32 { return uint32(src)<<16 | uint32(dst) }
 
 // NewQuorum creates a quorum router for the node at slot self of view.
 func NewQuorum(env transport.Env, cfg QuorumConfig, view *membership.ViewInfo, self int) (*Quorum, error) {
@@ -256,29 +253,19 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	q.self = self
 	if stable {
 		q.table.Grow(n)
-		if q.cfg.Asymmetric {
-			q.atable.Grow(n)
-		}
 		for len(q.routes) < n {
 			q.routes = append(q.routes, RouteEntry{})
 		}
 		for len(q.lastGen) < n {
 			q.lastGen = append(q.lastGen, 0)
 		}
-		for len(q.prevSelf) < n && len(q.prevSelf) > 0 {
-			q.prevSelf = append(q.prevSelf, wire.InfCost)
-		}
 		// Cached pair values involving retired slots self-invalidate: retiring
 		// bumps those slots' generations, so the next revalidation misses.
 		// Everything else stays warm — the point of stable slots.
 		for _, s := range retired {
 			q.table.RetireSlot(s)
-			if q.cfg.Asymmetric {
-				q.atable.RetireSlot(s)
-			}
 			delete(q.lastRecAbout, s)
 			delete(q.failovers, s)
-			delete(q.selfPairCache, s)
 			//lint:orderinvariant each failover episode is scrubbed independently of visit order
 			for _, fo := range q.failovers {
 				if fo.server == s {
@@ -298,14 +285,14 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 			q.lastRecAbout[k] = about
 		}
 	} else {
-		q.table = lsdb.NewTable(n)
 		if q.cfg.Asymmetric {
-			q.atable = lsdb.NewAsymTable(n)
+			q.table = lsdb.NewDirectionalTable(n)
+		} else {
+			q.table = lsdb.NewTable(n)
 		}
 		q.routes = make([]RouteEntry, n)
 		q.lastRecAbout = make(map[int][]time.Time)
 		q.pairCache = make(map[uint32]pairVal)
-		q.selfPairCache = make(map[int]selfPairVal)
 		q.lastGen = make([]uint32, n)
 		q.prevSelf = q.prevSelf[:0]
 		q.failovers = make(map[int]*failoverState)
@@ -480,6 +467,19 @@ func (q *Quorum) buildLinkState() []byte {
 	})
 }
 
+// selfCosts unpacks the live self row, in the configured row format, into
+// costsBuf: the node's out-costs self→h and its in-costs h→self, which are
+// one slice when rows carry one cost per link.
+func (q *Quorum) selfCosts() (out, in []wire.Cost) {
+	if q.cfg.Asymmetric {
+		row := q.SelfAsymRow()
+		q.costsBuf = lsdb.UnpackInCosts(lsdb.UnpackOutCosts(q.costsBuf[:0], row), row)
+		return q.costsBuf[:len(row):len(row)], q.costsBuf[len(row):]
+	}
+	q.costsBuf = lsdb.UnpackCosts(q.costsBuf[:0], q.SelfRow())
+	return q.costsBuf, q.costsBuf
+}
+
 // shardMinClients is the smallest fresh-client count worth forking the full
 // round-2 pair pass across workers.
 const shardMinClients = 32
@@ -489,6 +489,10 @@ const shardMinClients = 32
 // client one message covering all its pairs. The node also serves itself:
 // routes between it and each client are computed and installed locally.
 //
+// Every pair is evaluated per direction — a→b from a's out-costs and b's
+// in-costs, b→a the other way round — except that on a symmetric table the
+// two are one computation and the reverse result is the forward slice.
+//
 // The steady-state path is incremental: a pair's value depends only on its
 // two endpoint rows, so results cached under the endpoints' row generations
 // stay valid until either row's contents change — and rows re-announced with
@@ -497,12 +501,8 @@ const shardMinClients = 32
 // tick (cold start, churn burst), the pass falls back to the from-scratch
 // pair sweep, sharded across workers by source. Either way the entries
 // appended to each client's message — and their order — are exactly those of
-// the original unconditional sweep.
+// an unconditional sweep.
 func (q *Quorum) sendRecommendations() {
-	if q.cfg.Asymmetric {
-		q.sendRecommendationsAsym()
-		return
-	}
 	now := q.env.Now()
 	clients := q.table.FreshSlots(q.clientsBuf[:0], now, q.cfg.Staleness)
 	q.clientsBuf = clients
@@ -518,10 +518,8 @@ func (q *Quorum) sendRecommendations() {
 	for i := range recs {
 		recs[i] = recs[i][:0]
 	}
-
-	mat := q.table.Matrix()
-	if cap(q.hopBuf) < k {
-		q.hopBuf = make([]lsdb.HopCost, k)
+	if cap(q.hopBuf) < 2*k {
+		q.hopBuf = make([]lsdb.HopCost, 2*k)
 	}
 
 	useCache := false
@@ -534,63 +532,30 @@ func (q *Quorum) sendRecommendations() {
 		}
 		useCache = changed*incrementalMaxDirtyDenom <= k
 	}
-	if useCache {
-		q.pairsCached(mat, clients, recs)
+	if !useCache && k >= shardMinClients && q.cfg.Workers != 1 {
+		q.pairsSharded(clients, recs)
 	} else {
-		q.pairsFull(mat, clients, recs)
+		for i, a := range clients {
+			fwd, rev := q.sweep(a, q.table.OutRow(a), q.table.InRow(a), clients[i+1:], useCache)
+			q.appendPairRecs(i, clients, fwd, rev, recs)
+		}
 	}
 	for _, c := range clients {
 		q.lastGen[c] = q.table.Gen(c)
 	}
 
-	// Pairs (self, client): install locally and tell the client its route to
-	// us. The live self row is unpacked once for the whole batch; when its
-	// costs are unchanged since the last tick, cached results revalidate
-	// against each client's generation.
-	q.costsBuf = lsdb.UnpackCosts(q.costsBuf[:0], q.SelfRow())
-	out := q.hopBuf[:k]
-	if useCache && costsEqual(q.costsBuf, q.prevSelf) {
-		miss := q.missPosBuf[:0]
-		missDsts := q.missDstBuf[:0]
-		for i, c := range clients {
-			if pv, ok := q.selfPairCache[c]; ok && pv.gen == q.table.Gen(c) {
-				out[i] = lsdb.HopCost{Hop: int(pv.hop), Cost: pv.cost}
-				q.stats.PairsCached++
-				continue
-			}
-			miss = append(miss, i)
-			missDsts = append(missDsts, c)
-		}
-		if len(missDsts) > 0 {
-			if cap(q.missOutBuf) < len(missDsts) {
-				q.missOutBuf = make([]lsdb.HopCost, len(missDsts))
-			}
-			mOut := q.missOutBuf[:len(missDsts)]
-			mat.BestOneHopAllRow(q.costsBuf, q.self, missDsts, mOut)
-			q.stats.PairsComputed += uint64(len(missDsts))
-			for z, i := range miss {
-				out[i] = mOut[z]
-				c := missDsts[z]
-				q.selfPairCache[c] = selfPairVal{hop: int32(mOut[z].Hop), cost: mOut[z].Cost, gen: q.table.Gen(c)}
-			}
-		}
-		q.missPosBuf, q.missDstBuf = miss, missDsts
-	} else {
-		mat.BestOneHopAllRow(q.costsBuf, q.self, clients, out)
-		q.stats.PairsComputed += uint64(k)
-		for i, c := range clients {
-			q.selfPairCache[c] = selfPairVal{hop: int32(out[i].Hop), cost: out[i].Cost, gen: q.table.Gen(c)}
-		}
+	// Pairs (self, client): install the route to the client locally and tell
+	// the client its route to us. The live self row is unpacked once for the
+	// whole batch.
+	selfOut, selfIn := q.selfCosts()
+	if !slices.Equal(q.costsBuf, q.prevSelf) {
+		q.selfGen++
+		q.prevSelf = append(q.prevSelf[:0], q.costsBuf...)
 	}
-	q.prevSelf = append(q.prevSelf[:0], q.costsBuf...)
+	fwd, rev := q.sweep(q.self, selfOut, selfIn, clients, useCache)
 	for i, c := range clients {
-		hc := out[i]
-		q.install(c, RouteEntry{Hop: hc.Hop, Cost: hc.Cost, When: now, From: q.self, Source: SourceSelf})
-		hopID := wire.NilNode
-		if hc.Hop >= 0 {
-			hopID = q.view.IDAt(hc.Hop)
-		}
-		recs[i] = append(recs[i], wire.RecEntry{Dst: q.env.LocalID(), Hop: hopID, Cost: hc.Cost})
+		q.install(c, RouteEntry{Hop: fwd[i].Hop, Cost: fwd[i].Cost, When: now, From: q.self, Source: SourceSelf})
+		recs[i] = append(recs[i], wire.RecEntry{Dst: q.env.LocalID(), Hop: q.hopID(rev[i].Hop), Cost: rev[i].Cost})
 	}
 
 	for i, c := range clients {
@@ -603,121 +568,161 @@ func (q *Quorum) sendRecommendations() {
 	}
 }
 
-// appendPairRecs appends one unordered pair sweep's results for source i to
-// both endpoints' pending messages, in exactly the order the original
-// unconditional sweep used (source order outer, destination order inner), so
-// the incremental and full paths emit byte-identical messages.
-func (q *Quorum) appendPairRecs(i int, clients []int, out []lsdb.HopCost, recs [][]wire.RecEntry) {
-	for k, hc := range out {
-		j := i + 1 + k
-		hopID := wire.NilNode
-		if hc.Hop >= 0 {
-			hopID = q.view.IDAt(hc.Hop)
-		}
-		recs[i] = append(recs[i], wire.RecEntry{Dst: q.view.IDAt(clients[j]), Hop: hopID, Cost: hc.Cost})
-		recs[j] = append(recs[j], wire.RecEntry{Dst: q.view.IDAt(clients[i]), Hop: hopID, Cost: hc.Cost})
+// hopID renders a kernel's hop slot as the node ID a recommendation carries.
+func (q *Quorum) hopID(hop int) wire.NodeID {
+	if hop < 0 {
+		return wire.NilNode
+	}
+	return q.view.IDAt(hop)
+}
+
+// appendPairRecs appends source i's sweep over the later clients to both
+// endpoints' pending messages — fwd[z] is the route from clients[i] to
+// clients[i+1+z], rev[z] the route back — in exactly the order an
+// unconditional sweep uses (source order outer, destination order inner), so
+// the incremental, full and sharded paths emit byte-identical messages.
+func (q *Quorum) appendPairRecs(i int, clients []int, fwd, rev []lsdb.HopCost, recs [][]wire.RecEntry) {
+	for z := range fwd {
+		j := i + 1 + z
+		recs[i] = append(recs[i], wire.RecEntry{Dst: q.view.IDAt(clients[j]), Hop: q.hopID(fwd[z].Hop), Cost: fwd[z].Cost})
+		recs[j] = append(recs[j], wire.RecEntry{Dst: q.view.IDAt(clients[i]), Hop: q.hopID(rev[z].Hop), Cost: rev[z].Cost})
 	}
 }
 
-// pairsCached runs the pair sweep through the generation-validated cache:
-// hits are copied out, misses are batched per source through the same kernel
-// the full pass uses and then cached.
-func (q *Quorum) pairsCached(mat *lsdb.CostMatrix, clients []int, recs [][]wire.RecEntry) {
-	for i := 0; i < len(clients); i++ {
-		a := clients[i]
-		genA := q.table.Gen(a)
-		dsts := clients[i+1:]
-		out := q.hopBuf[:len(dsts)]
+// gen is the row generation cached routes are validated against: the table's
+// for a stored client row, selfGen for the live self row.
+func (q *Quorum) gen(slot int) uint32 {
+	if slot == q.self {
+		return q.selfGen
+	}
+	return q.table.Gen(slot)
+}
+
+// remember caches the route src→dst under the endpoints' generations.
+func (q *Quorum) remember(src, dst int, hc lsdb.HopCost) {
+	q.pairCache[pairKey(src, dst)] = pairVal{hop: int32(hc.Hop), cost: hc.Cost, genSrc: q.gen(src), genDst: q.gen(dst)}
+}
+
+// recall returns the cached route src→dst if neither endpoint row has
+// changed since it was computed.
+func (q *Quorum) recall(src, dst int) (lsdb.HopCost, bool) {
+	pv, ok := q.pairCache[pairKey(src, dst)]
+	if !ok || pv.genSrc != q.gen(src) || pv.genDst != q.gen(dst) {
+		return lsdb.HopCost{}, false
+	}
+	return lsdb.HopCost{Hop: int(pv.hop), Cost: pv.cost}, true
+}
+
+// sweep evaluates the routes between slot a — whose unpacked costs are
+// rowOut (a→h) and rowIn (h→a): a stored client's matrix rows or the live
+// self row — and every slot in others: fwd[z] is a→others[z], rev[z] is
+// others[z]→a. On a symmetric table rev is fwd. The results alias hopBuf and
+// are valid until the next sweep.
+func (q *Quorum) sweep(a int, rowOut, rowIn []wire.Cost, others []int, useCache bool) (fwd, rev []lsdb.HopCost) {
+	fwd = q.hopBuf[:len(others)]
+	q.sweepDir(a, rowOut, others, false, useCache, fwd)
+	if !q.table.Directional() {
+		return fwd, fwd
+	}
+	rev = q.hopBuf[len(q.hopBuf)/2:][:len(others)] // sendRecommendations sizes hopBuf for two results per client
+	q.sweepDir(a, rowIn, others, true, useCache, rev)
+	return fwd, rev
+}
+
+// sweepDir is one direction of sweep. With useCache, routes whose endpoint
+// generations still match are copied out of the pair cache and only the
+// misses go through the kernel, batched; without, everything is evaluated in
+// place. Either way every evaluated route refreshes the cache.
+func (q *Quorum) sweepDir(a int, row []wire.Cost, others []int, reverse, useCache bool, out []lsdb.HopCost) {
+	todo, todoOut := others, out
+	if useCache {
 		miss := q.missPosBuf[:0]
-		missDsts := q.missDstBuf[:0]
-		for k, b := range dsts {
-			if pv, ok := q.pairCache[pairKey(a, b)]; ok && pv.genA == genA && pv.genB == q.table.Gen(b) {
-				out[k] = lsdb.HopCost{Hop: int(pv.hop), Cost: pv.cost}
+		todo = q.missDstBuf[:0]
+		for z, b := range others {
+			src, dst := a, b
+			if reverse {
+				src, dst = b, a
+			}
+			if hc, ok := q.recall(src, dst); ok {
+				out[z] = hc
 				q.stats.PairsCached++
 				continue
 			}
-			miss = append(miss, k)
-			missDsts = append(missDsts, b)
+			miss = append(miss, z)
+			todo = append(todo, b)
 		}
-		if len(missDsts) > 0 {
-			if cap(q.missOutBuf) < len(missDsts) {
-				q.missOutBuf = make([]lsdb.HopCost, len(missDsts))
-			}
-			mOut := q.missOutBuf[:len(missDsts)]
-			mat.BestOneHopAll(a, missDsts, mOut)
-			q.stats.PairsComputed += uint64(len(missDsts))
-			for z, k := range miss {
-				hc := mOut[z]
-				out[k] = hc
-				b := missDsts[z]
-				q.pairCache[pairKey(a, b)] = pairVal{hop: int32(hc.Hop), cost: hc.Cost, genA: genA, genB: q.table.Gen(b)}
-			}
+		q.missPosBuf, q.missDstBuf = miss, todo
+		if cap(q.missOutBuf) < len(todo) {
+			q.missOutBuf = make([]lsdb.HopCost, len(todo))
 		}
-		q.missPosBuf, q.missDstBuf = miss, missDsts
-		q.appendPairRecs(i, clients, out, recs)
+		todoOut = q.missOutBuf[:len(todo)]
 	}
-}
-
-// pairsFull runs the from-scratch pair sweep, sharded across workers by
-// source when the client set is large enough. Shards stage into disjoint
-// ranges of one flat buffer and only read the table, so the merge — in
-// source order, on one goroutine — emits the same bytes regardless of the
-// worker count. Results refresh the cache for the next incremental tick.
-func (q *Quorum) pairsFull(mat *lsdb.CostMatrix, clients []int, recs [][]wire.RecEntry) {
-	k := len(clients)
-	q.stats.PairsComputed += uint64(k * (k - 1) / 2)
-	workers := q.cfg.Workers
-	if k >= shardMinClients && workers != 1 {
-		total := k * (k - 1) / 2
-		if cap(q.pairOutBuf) < total {
-			q.pairOutBuf = make([]lsdb.HopCost, total)
-		}
-		stage := q.pairOutBuf[:total]
-		// offset of source i's staged range: pairs contributed by sources < i.
-		off := func(i int) int { return i*(k-1) - i*(i-1)/2 }
-		par.Spans(k-1, workers, func(lo, hi int) {
-			var keyBuf []uint64 // worker-local: the matrix's shared key buffer is single-threaded
-			for i := lo; i < hi; i++ {
-				dsts := clients[i+1:]
-				keyBuf = mat.BestOneHopAllInto(keyBuf, clients[i], dsts, stage[off(i):off(i)+len(dsts)])
-			}
-		})
-		for i := 0; i < k; i++ {
-			a := clients[i]
-			genA := q.table.Gen(a)
-			dsts := clients[i+1:]
-			out := stage[off(i) : off(i)+len(dsts)]
-			for z, b := range dsts {
-				q.pairCache[pairKey(a, b)] = pairVal{hop: int32(out[z].Hop), cost: out[z].Cost, genA: genA, genB: q.table.Gen(b)}
-			}
-			q.appendPairRecs(i, clients, out, recs)
-		}
+	if len(todo) == 0 {
 		return
 	}
-	for i := 0; i < k; i++ {
-		a := clients[i]
-		genA := q.table.Gen(a)
-		dsts := clients[i+1:]
-		out := q.hopBuf[:len(dsts)]
-		mat.BestOneHopAll(a, dsts, out)
-		for z, b := range dsts {
-			q.pairCache[pairKey(a, b)] = pairVal{hop: int32(out[z].Hop), cost: out[z].Cost, genA: genA, genB: q.table.Gen(b)}
+	if reverse {
+		q.keyBuf = q.table.BestOneHopToRow(q.keyBuf, todo, row, todoOut)
+	} else {
+		q.keyBuf = q.table.BestOneHopAllRow(q.keyBuf, row, a, todo, todoOut)
+	}
+	q.stats.PairsComputed += uint64(len(todo))
+	for z, b := range todo {
+		if reverse {
+			q.remember(b, a, todoOut[z])
+		} else {
+			q.remember(a, b, todoOut[z])
 		}
-		q.appendPairRecs(i, clients, out, recs)
+		if useCache {
+			out[q.missPosBuf[z]] = todoOut[z]
+		}
 	}
 }
 
-// costsEqual reports whether two unpacked cost rows are identical.
-func costsEqual(a, b []wire.Cost) bool {
-	if len(a) != len(b) {
-		return false
+// pairsSharded runs the from-scratch client-pair sweep forked across workers
+// by source. Shards stage into disjoint ranges of one flat buffer (the
+// forward triangle, then the reverse one when directional), only read the
+// table, and pack keys into worker-local buffers, so the merge — in source
+// order, on one goroutine — emits the same bytes regardless of the worker
+// count. Results refresh the cache for the next incremental tick.
+func (q *Quorum) pairsSharded(clients []int, recs [][]wire.RecEntry) {
+	k := len(clients)
+	total := k * (k - 1) / 2
+	directional := q.table.Directional()
+	need := total
+	if directional {
+		need = 2 * total
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	if cap(q.pairOutBuf) < need {
+		q.pairOutBuf = make([]lsdb.HopCost, need)
+	}
+	fwdStage := q.pairOutBuf[:total]
+	revStage := q.pairOutBuf[need-total : need] // the forward triangle itself when symmetric
+	// offset of source i's staged range: pairs contributed by sources < i.
+	off := func(i int) int { return i*(k-1) - i*(i-1)/2 }
+	table := q.table
+	par.Spans(k-1, q.cfg.Workers, func(lo, hi int) {
+		var keyBuf []uint64
+		for i := lo; i < hi; i++ {
+			a, others := clients[i], clients[i+1:]
+			keyBuf = table.BestOneHopAllRow(keyBuf, table.OutRow(a), a, others, fwdStage[off(i):off(i)+len(others)])
+			if directional {
+				keyBuf = table.BestOneHopToRow(keyBuf, others, table.InRow(a), revStage[off(i):off(i)+len(others)])
+			}
 		}
+	})
+	q.stats.PairsComputed += uint64(need)
+	for i, a := range clients {
+		others := clients[i+1:]
+		fwd := fwdStage[off(i) : off(i)+len(others)]
+		rev := revStage[off(i) : off(i)+len(others)]
+		for z, b := range others {
+			q.remember(a, b, fwd[z])
+			if directional {
+				q.remember(b, a, rev[z])
+			}
+		}
+		q.appendPairRecs(i, clients, fwd, rev, recs)
 	}
-	return true
 }
 
 // install writes a route table entry and fires the update hook.
@@ -730,33 +735,31 @@ func (q *Quorum) install(dst int, e RouteEntry) {
 
 // HandleLinkState implements Router: stores a client's row (making the
 // sender a rendezvous client of this node, including failover clients who
-// recruited us). Both row formats are accepted; each feeds its own table.
+// recruited us). Only the configured row format is accepted: a symmetric row
+// carries no directional data, and a directional one has no place in a
+// symmetric table.
 func (q *Quorum) HandleLinkState(h wire.Header, body []byte) {
 	slot, ok := q.view.SlotOf(h.Src)
-	if !ok || slot == q.self {
+	if !ok || slot == q.self || (h.Type == wire.TLinkStateAsym) != q.cfg.Asymmetric {
 		return
 	}
-	if h.Type == wire.TLinkStateAsym {
-		if q.atable == nil {
-			return // not in asymmetric mode
-		}
+	var seq uint32
+	if q.cfg.Asymmetric {
 		ls, err := wire.ParseLinkStateAsym(body)
 		if err != nil || ls.ViewVersion != q.view.VersionNum() {
 			return
 		}
-		q.atable.Put(slot, lsdb.AsymRow{Seq: ls.Seq, When: q.env.Now(), Entries: ls.Entries})
-		q.maybeAck(h.Src, ls.Seq)
-		return
+		q.table.PutAsym(slot, lsdb.AsymRow{Seq: ls.Seq, When: q.env.Now(), Entries: ls.Entries})
+		seq = ls.Seq
+	} else {
+		ls, err := wire.ParseLinkState(body)
+		if err != nil || ls.ViewVersion != q.view.VersionNum() {
+			return
+		}
+		q.table.Put(slot, lsdb.Row{Seq: ls.Seq, When: q.env.Now(), Entries: ls.Entries})
+		seq = ls.Seq
 	}
-	if q.cfg.Asymmetric {
-		return // symmetric rows carry no directional data; reject in this mode
-	}
-	ls, err := wire.ParseLinkState(body)
-	if err != nil || ls.ViewVersion != q.view.VersionNum() {
-		return
-	}
-	q.table.Put(slot, lsdb.Row{Seq: ls.Seq, When: q.env.Now(), Entries: ls.Entries})
-	q.maybeAck(h.Src, ls.Seq)
+	q.maybeAck(h.Src, seq)
 }
 
 // maybeAck acknowledges a received row in reliable mode.
@@ -815,13 +818,8 @@ func (q *Quorum) BestHop(dst int) (RouteEntry, bool) {
 	if e.Source != SourceNone && e.Hop >= 0 && now.Sub(e.When) <= q.cfg.RouteTTL {
 		return e, true
 	}
-	var hop int
-	var cost wire.Cost
-	if q.cfg.Asymmetric {
-		hop, cost = lsdb.BestOneHopViaAsym(q.SelfAsymRow(), q.atable, dst, now, q.cfg.Staleness)
-	} else {
-		hop, cost = lsdb.BestOneHopVia(q.SelfRow(), q.table, dst, now, q.cfg.Staleness)
-	}
+	selfOut, _ := q.selfCosts()
+	hop, cost := q.table.BestOneHopVia(selfOut, dst, now, q.cfg.Staleness)
 	if hop >= 0 && cost != wire.InfCost {
 		return RouteEntry{Hop: hop, Cost: cost, When: now, From: -1, Source: SourceFallback}, true
 	}
@@ -853,13 +851,8 @@ func (q *Quorum) staleHop(dst int, e RouteEntry, now time.Time) (RouteEntry, boo
 		return RouteEntry{}, false
 	}
 	if q.LinkAlive != nil && !q.LinkAlive(e.Hop) {
-		var hop int
-		var cost wire.Cost
-		if q.cfg.Asymmetric {
-			hop, cost = lsdb.BestOneHopViaAsym(q.SelfAsymRow(), q.atable, dst, now, q.cfg.Staleness+q.cfg.DegradedHold)
-		} else {
-			hop, cost = lsdb.BestOneHopVia(q.SelfRow(), q.table, dst, now, q.cfg.Staleness+q.cfg.DegradedHold)
-		}
+		selfOut, _ := q.selfCosts()
+		hop, cost := q.table.BestOneHopVia(selfOut, dst, now, q.cfg.Staleness+q.cfg.DegradedHold)
 		if hop < 0 || cost == wire.InfCost || !q.LinkAlive(hop) {
 			return RouteEntry{}, false
 		}
@@ -912,16 +905,7 @@ func (q *Quorum) destinationSeemsAlive(dst int, now time.Time) bool {
 		return true
 	}
 	for s := 0; s < q.view.Slots(); s++ {
-		if s == dst {
-			continue
-		}
-		if q.cfg.Asymmetric {
-			if r := q.atable.Fresh(s, now, q.cfg.Staleness); r != nil && r.OutCost(dst) != wire.InfCost {
-				return true
-			}
-			continue
-		}
-		if r := q.table.Fresh(s, now, q.cfg.Staleness); r != nil && r.Cost(dst) != wire.InfCost {
+		if s != dst && q.table.FreshAt(s, now, q.cfg.Staleness) && q.table.OutRow(s)[dst] != wire.InfCost {
 			return true
 		}
 	}
@@ -1031,73 +1015,4 @@ func (q *Quorum) FailoverServer(dst int) int {
 		return fo.server
 	}
 	return -1
-}
-
-// sendRecommendationsAsym is round 2 in asymmetric mode: best hops are
-// computed per direction, since out- and in-costs differ (footnote 2). The
-// sweep runs on the AsymTable's directional matrix pair — each source's
-// out-row is packed into keys once and streamed across the later clients'
-// contiguous in-rows (and, for the reverse direction, each later client's
-// out-row against the source's in-row) — retiring the per-pair scalar
-// BestOneHopAsym fallback this mode used to take.
-func (q *Quorum) sendRecommendationsAsym() {
-	now := q.env.Now()
-	clients := q.atable.FreshSlots(q.clientsBuf[:0], now, q.cfg.Staleness)
-	q.clientsBuf = clients
-	if len(clients) == 0 {
-		return
-	}
-	k := len(clients)
-	if cap(q.recsBuf) < k {
-		q.recsBuf = make([][]wire.RecEntry, k)
-	}
-	recs := q.recsBuf[:k]
-	for i := range recs {
-		recs[i] = recs[i][:0]
-	}
-	if cap(q.hopBuf) < 2*k {
-		q.hopBuf = make([]lsdb.HopCost, 2*k)
-	}
-
-	hopID := func(hop int) wire.NodeID {
-		if hop < 0 {
-			return wire.NilNode
-		}
-		return q.view.IDAt(hop)
-	}
-
-	for i := 0; i < k; i++ {
-		dsts := clients[i+1:]
-		fwd := q.hopBuf[:len(dsts)]
-		rev := q.hopBuf[k : k+len(dsts)]
-		q.atable.BestOneHopAsymAll(clients[i], dsts, fwd)
-		q.atable.BestOneHopAsymToRow(dsts, q.atable.InRow(clients[i]), rev)
-		for z := range dsts {
-			j := i + 1 + z
-			recs[i] = append(recs[i], wire.RecEntry{Dst: q.view.IDAt(clients[j]), Hop: hopID(fwd[z].Hop), Cost: fwd[z].Cost})
-			recs[j] = append(recs[j], wire.RecEntry{Dst: q.view.IDAt(clients[i]), Hop: hopID(rev[z].Hop), Cost: rev[z].Cost})
-		}
-	}
-
-	// Pairs (self, client), both directions, with the live directional row
-	// unpacked once per direction.
-	selfRow := q.SelfAsymRow()
-	q.costsBuf = lsdb.UnpackOutCosts(q.costsBuf[:0], selfRow)
-	q.asymInBuf = lsdb.UnpackInCosts(q.asymInBuf[:0], selfRow)
-	fwd := q.hopBuf[:k]
-	rev := q.hopBuf[k : 2*k]
-	q.atable.BestOneHopAsymRowAll(q.costsBuf, q.self, clients, fwd)
-	q.atable.BestOneHopAsymToRow(clients, q.asymInBuf, rev)
-	for i, c := range clients {
-		q.install(c, RouteEntry{Hop: fwd[i].Hop, Cost: fwd[i].Cost, When: now, From: q.self, Source: SourceSelf})
-		recs[i] = append(recs[i], wire.RecEntry{Dst: q.env.LocalID(), Hop: hopID(rev[i].Hop), Cost: rev[i].Cost})
-	}
-	for i, c := range clients {
-		msg := wire.AppendRecommendation(nil, q.env.LocalID(), wire.Recommendation{
-			ViewVersion: q.view.VersionNum(),
-			Entries:     recs[i],
-		})
-		q.env.Send(q.view.IDAt(c), msg)
-		q.stats.RecommendationsSent++
-	}
 }

@@ -445,7 +445,7 @@ func TestViewVersionMismatchIgnored(t *testing.T) {
 	msg := wire.AppendLinkState(nil, 5, wire.LinkState{ViewVersion: 999, Seq: 1, Entries: row})
 	h, body, _ := wire.ParseHeader(msg)
 	q.HandleLinkState(h, body)
-	if q.Table().Get(5) != nil {
+	if q.Table().Have(5) {
 		t.Error("row from wrong view stored")
 	}
 	// Same for recommendations.

@@ -44,8 +44,8 @@ var nonStableInstalls = []struct {
 
 func TestQuorumSetViewNonStableGoesCold(t *testing.T) {
 	viewState := func(q *Quorum) []any {
-		return []any{q.view, q.self, q.g, q.table, q.atable, q.routes, q.servers, q.defaults,
-			q.lastRecAbout, q.failovers, q.pendingAcks, q.pairCache, q.selfPairCache,
+		return []any{q.view, q.self, q.g, q.table, q.routes, q.servers, q.defaults,
+			q.lastRecAbout, q.failovers, q.pendingAcks, q.pairCache,
 			q.lastGen, len(q.prevSelf), q.started}
 	}
 	for _, tc := range nonStableInstalls {
@@ -170,7 +170,7 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 	// The departed client's row and silence tracking are gone; the
 	// survivor's row keeps its slot and sequence number, reads the departed
 	// member dead and the newcomer unknown, and everyone else as before.
-	if q.table.Get(1) != nil {
+	if q.table.Have(1) {
 		t.Error("departed member's row survived")
 	}
 	if _, ok := q.lastRecAbout[1]; ok {
@@ -179,12 +179,12 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 	if about := q.lastRecAbout[2]; len(about) != 5 || !about[1].IsZero() || !about[3].Equal(now) {
 		t.Errorf("surviving rendezvous's silence tracking = %v", about)
 	}
-	r := q.table.Get(2)
-	if r == nil || r.Seq != 7 || q.table.Gen(2) == gen2 {
-		t.Fatalf("survivor's row = %+v (gen %d → %d), want seq 7 and a bumped generation", r, gen2, q.table.Gen(2))
+	if !q.table.Have(2) || q.table.Seq(2) != 7 || q.table.Gen(2) == gen2 {
+		t.Fatalf("survivor's row: have %v seq %d (gen %d → %d), want seq 7 and a bumped generation",
+			q.table.Have(2), q.table.Seq(2), gen2, q.table.Gen(2))
 	}
-	if r.Cost(3) != 40 || r.Cost(1) != wire.InfCost || r.Cost(4) != wire.InfCost {
-		t.Errorf("survivor's costs to 3/1/4 = %d/%d/%d, want 40/Inf/Inf", r.Cost(3), r.Cost(1), r.Cost(4))
+	if r := q.table.OutRow(2); r[3] != 40 || r[1] != wire.InfCost || r[4] != wire.InfCost {
+		t.Errorf("survivor's costs to 3/1/4 = %d/%d/%d, want 40/Inf/Inf", r[3], r[1], r[4])
 	}
 	if q.table.N() != 5 || len(q.routes) != 5 || q.defaults[1] != nil || q.defaults[4] == nil {
 		t.Errorf("slot space not extended: table %d routes %d", q.table.N(), len(q.routes))
@@ -209,8 +209,8 @@ func TestFullMeshSetViewStableKeepsState(t *testing.T) {
 	if e := f.routes[2]; e.Source != SourceSelf || e.Hop != 2 || e.Cost != 25 {
 		t.Errorf("unaffected route = %+v", e)
 	}
-	if r := f.table.Get(2); r == nil || r.Seq != 2 || r.Cost(1) != wire.InfCost {
-		t.Errorf("survivor's row = %+v", r)
+	if !f.table.Have(2) || f.table.Seq(2) != 2 || f.table.OutRow(2)[1] != wire.InfCost {
+		t.Errorf("survivor's row: have %v seq %d costs %v", f.table.Have(2), f.table.Seq(2), f.table.OutRow(2))
 	}
 	if f.table.N() != 4 || len(f.routes) != 4 {
 		t.Errorf("slot space not extended: table %d routes %d", f.table.N(), len(f.routes))

@@ -93,14 +93,17 @@ func dynamicRouteHash(f *DynamicFleet) string {
 // route table each recomputation interval across joins, crashes, and
 // graceful departures. Byte-identity here is the correctness contract of the
 // incremental path: the dirty-set bookkeeping may only skip work, never
-// change a decision.
+// change a decision. The directional case runs the quorum in footnote-2 mode,
+// where the pair cache holds a value per direction.
 func TestIncrementalMatchesScratchUnderChurn(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		algo overlay.Algorithm
+		asym bool
 	}{
-		{"quorum", overlay.AlgQuorum},
-		{"fullmesh", overlay.AlgFullMesh},
+		{"quorum", overlay.AlgQuorum, false},
+		{"quorum-directional", overlay.AlgQuorum, true},
+		{"fullmesh", overlay.AlgFullMesh, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func(disable bool) *DynamicFleet {
@@ -109,6 +112,8 @@ func TestIncrementalMatchesScratchUnderChurn(t *testing.T) {
 					Seed:      42,
 					Algorithm: tc.algo,
 				}
+				opt.Probe.Asymmetric = tc.asym
+				opt.Quorum.Asymmetric = tc.asym
 				opt.Quorum.DisableIncremental = disable
 				opt.FullMesh.DisableIncremental = disable
 				return NewDynamicFleet(16, opt)

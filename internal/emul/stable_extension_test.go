@@ -106,7 +106,7 @@ func TestJoinAtScaleIsStableExtension(t *testing.T) {
 	}
 	qGens, fGens := snapshotGens(q.Table()), snapshotGens(fm.Table())
 	rowBefore := append([]wire.LinkEntry(nil), p.Row()...)
-	row100 := append([]wire.LinkEntry(nil), q.Table().Get(100).Entries...)
+	row100 := append([]wire.Cost(nil), q.Table().OutRow(100)...)
 
 	// The join: member 9001 lands in appended slot 2000.
 	v2 := slottedView(t, 2, n+1, nil, wire.Member{
@@ -133,10 +133,13 @@ func TestJoinAtScaleIsStableExtension(t *testing.T) {
 			t.Fatalf("fullmesh gen[%d] = %d after join, want %d", s, got, fGens[s])
 		}
 	}
-	for s, e := range row100 {
-		if q.Table().Get(100).Entries[s] != e {
-			t.Fatalf("stored row bytes changed at entry %d across join", s)
+	for s, c := range row100 {
+		if q.Table().OutRow(100)[s] != c {
+			t.Fatalf("stored row cost changed at entry %d across join", s)
 		}
+	}
+	if got := q.Table().OutRow(100); len(got) != n+1 || got[n] != wire.InfCost {
+		t.Fatalf("stored row not padded unreachable toward the new slot: len %d", len(got))
 	}
 	for s, e := range rowBefore {
 		if p.Row()[s] != e {
@@ -165,10 +168,10 @@ func TestJoinAtScaleIsStableExtension(t *testing.T) {
 	// holding a live cost toward it (origin 100). Origin 200 and 1999 held
 	// no live entry about slot 17 and must be untouched.
 	for _, tab := range []*lsdb.Table{q.Table(), fm.Table()} {
-		if tab.Get(17) != nil {
+		if tab.Have(17) {
 			t.Fatal("retired slot still has a stored row")
 		}
-		if wire.StatusAlive(tab.Get(100).Entries[17].Status) {
+		if !tab.Have(100) || tab.OutRow(100)[17] != wire.InfCost {
 			t.Fatal("surviving row still names the departed member alive")
 		}
 	}

@@ -2,6 +2,7 @@ package lsdb
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,36 +14,35 @@ func aentry(out, in int, alive bool) wire.AsymEntry {
 	return wire.AsymEntry{Out: uint16(out), In: uint16(in), Status: wire.MakeStatus(alive, 0)}
 }
 
-func TestAsymTableBasics(t *testing.T) {
-	tb := NewAsymTable(3)
-	if tb.N() != 3 {
-		t.Fatalf("N = %d", tb.N())
+func TestDirectionalTableBasics(t *testing.T) {
+	tb := NewDirectionalTable(3)
+	if tb.N() != 3 || !tb.Directional() || NewTable(3).Directional() {
+		t.Fatalf("N = %d, directional = %v", tb.N(), tb.Directional())
 	}
 	row := AsymRow{Seq: 2, When: t0, Entries: []wire.AsymEntry{aentry(0, 0, true), aentry(10, 20, true), aentry(5, 5, false)}}
-	if !tb.Put(0, row) {
-		t.Fatal("Put rejected")
+	if !tb.PutAsym(0, row) {
+		t.Fatal("PutAsym rejected")
 	}
-	if tb.Put(0, AsymRow{Seq: 1, When: t0, Entries: row.Entries}) {
+	if tb.PutAsym(0, AsymRow{Seq: 1, When: t0, Entries: row.Entries}) {
 		t.Error("stale seq accepted")
 	}
-	if tb.Put(5, row) || tb.Put(0, AsymRow{Seq: 3, Entries: row.Entries[:1]}) {
+	if tb.PutAsym(5, row) || tb.PutAsym(0, AsymRow{Seq: 3, Entries: row.Entries[:1]}) {
 		t.Error("bad shape accepted")
 	}
-	got := tb.Get(0)
-	if got == nil || got.OutCost(1) != 10 || got.InCost(1) != 20 {
-		t.Errorf("directional costs wrong: %+v", got)
+	// A symmetric row has no in-costs to give.
+	if tb.Put(1, Row{Seq: 1, When: t0, Entries: aliveRow(1, 0, 1)}) || tb.Have(1) {
+		t.Error("directional table accepted a symmetric row")
 	}
-	if got.OutCost(2) != wire.InfCost || got.InCost(2) != wire.InfCost {
+	if !tb.Have(0) || tb.Seq(0) != 2 || tb.OutRow(0)[1] != 10 || tb.InRow(0)[1] != 20 {
+		t.Errorf("directional costs wrong: out %v in %v", tb.OutRow(0), tb.InRow(0))
+	}
+	if tb.OutRow(0)[2] != wire.InfCost || tb.InRow(0)[2] != wire.InfCost {
 		t.Error("dead entry not Inf")
 	}
-	if got.OutCost(-1) != wire.InfCost {
-		t.Error("out of range not Inf")
+	if tb.OutRow(1)[0] != wire.InfCost || tb.InRow(1)[0] != wire.InfCost {
+		t.Error("absent row not Inf")
 	}
-	var nilRow *AsymRow
-	if nilRow.OutCost(0) != wire.InfCost || nilRow.InCost(0) != wire.InfCost {
-		t.Error("nil row not Inf")
-	}
-	if tb.Fresh(0, t0.Add(time.Hour), time.Minute) != nil {
+	if tb.FreshAt(0, t0.Add(time.Hour), time.Minute) {
 		t.Error("stale row reported fresh")
 	}
 	slots := tb.FreshSlots(nil, t0.Add(time.Second), time.Minute)
@@ -58,26 +58,33 @@ func TestBestOneHopAsymDirectionality(t *testing.T) {
 	// Route 2→0: direct 300 loses to via 1 (40+50=90).
 	rowA := SelfAsymRow(0, []wire.AsymEntry{{}, aentry(50, 50, true), aentry(10, 300, true)})
 	rowC := SelfAsymRow(2, []wire.AsymEntry{aentry(300, 10, true), aentry(40, 40, true), {}})
+	tb := NewDirectionalTable(3)
+	tb.PutAsym(0, AsymRow{Seq: 1, When: t0, Entries: rowA})
+	tb.PutAsym(2, AsymRow{Seq: 1, When: t0, Entries: rowC})
+	out := make([]HopCost, 1)
 
-	hop, cost := BestOneHopAsym(0, rowA, 2, rowC)
-	if hop != 2 || cost != 10 {
-		t.Errorf("0→2: hop=%d cost=%d, want direct 2/10", hop, cost)
+	hop, cost := bestOneHopAsym(0, rowA, 2, rowC)
+	tb.BestOneHopAll(0, []int{2}, out)
+	if hop != 2 || cost != 10 || out[0] != (HopCost{2, 10}) {
+		t.Errorf("0→2: oracle %d/%d kernel %+v, want direct 2/10", hop, cost, out[0])
 	}
-	hop, cost = BestOneHopAsym(2, rowC, 0, rowA)
-	if hop != 1 || cost != 90 {
-		t.Errorf("2→0: hop=%d cost=%d, want via 1/90", hop, cost)
+	hop, cost = bestOneHopAsym(2, rowC, 0, rowA)
+	tb.BestOneHopAll(2, []int{0}, out)
+	if hop != 1 || cost != 90 || out[0] != (HopCost{1, 90}) {
+		t.Errorf("2→0: oracle %d/%d kernel %+v, want via 1/90", hop, cost, out[0])
 	}
 }
 
-func TestBestOneHopViaAsym(t *testing.T) {
-	tb := NewAsymTable(3)
-	tb.Put(1, AsymRow{Seq: 1, When: t0, Entries: SelfAsymRow(1, []wire.AsymEntry{aentry(50, 50, true), {}, aentry(40, 40, true)})})
-	rowA := SelfAsymRow(0, []wire.AsymEntry{{}, aentry(50, 50, true), aentry(0, 0, false)})
-	hop, cost := BestOneHopViaAsym(rowA, tb, 2, t0.Add(time.Second), time.Minute)
+func TestBestOneHopViaDirectional(t *testing.T) {
+	tb := NewDirectionalTable(3)
+	tb.PutAsym(1, AsymRow{Seq: 1, When: t0, Entries: SelfAsymRow(1, []wire.AsymEntry{aentry(50, 999, true), {}, aentry(40, 999, true)})})
+	rowA := UnpackOutCosts(nil, SelfAsymRow(0, []wire.AsymEntry{{}, aentry(50, 999, true), aentry(0, 0, false)}))
+	// Both legs are read in the out direction: out_0(1) + out_1(2).
+	hop, cost := tb.BestOneHopVia(rowA, 2, t0.Add(time.Second), time.Minute)
 	if hop != 1 || cost != 90 {
 		t.Errorf("hop=%d cost=%d, want 1/90", hop, cost)
 	}
-	if hop, cost := BestOneHopViaAsym(rowA, tb, 9, t0, time.Minute); hop != -1 || cost != wire.InfCost {
+	if hop, cost := tb.BestOneHopVia(rowA, 9, t0, time.Minute); hop != -1 || cost != wire.InfCost {
 		t.Error("bad dst not rejected")
 	}
 }
@@ -96,7 +103,7 @@ func TestBestOneHopAsymQuick(t *testing.T) {
 		}
 		SelfAsymRow(a, rowA)
 		SelfAsymRow(b, rowB)
-		hop, cost := BestOneHopAsym(a, rowA, b, rowB)
+		hop, cost := bestOneHopAsym(a, rowA, b, rowB)
 		want := wire.InfCost
 		for h := 0; h < n; h++ {
 			if h == a {
@@ -119,42 +126,36 @@ func TestBestOneHopAsymQuick(t *testing.T) {
 	}
 }
 
-// Property: every directional batch kernel matches the scalar one-hop
-// minimum per pair — absent rows (all-Inf via the shared inf row), dead
-// entries, and cost sums saturating at InfCost included. These are the
-// kernels the asymmetric round 2 runs on, so this is the footnote-2
+// Property: every batch kernel on a directional table matches the scalar
+// directed one-hop minimum per pair — absent rows (all-Inf via the shared inf
+// row), dead entries, and cost sums saturating at InfCost included. These are
+// the kernels the asymmetric round 2 runs on, so this is the footnote-2
 // equivalence proof in miniature.
-func TestAsymBatchKernelsMatchScalarQuick(t *testing.T) {
+func TestDirectionalKernelsMatchScalarQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(24)
-		tb := NewAsymTable(n)
-		randRow := func() []wire.AsymEntry {
+		tb := NewDirectionalTable(n)
+		raw := make([][]wire.AsymEntry, n)
+		randRow := func(self int) []wire.AsymEntry {
 			row := make([]wire.AsymEntry, n)
 			for i := range row {
 				// Costs up to 40000 make many sums exceed InfCost, so the
 				// saturation path is exercised, not just possible.
 				row[i] = aentry(rng.Intn(40000), rng.Intn(40000), rng.Intn(6) > 0)
 			}
-			return row
+			return SelfAsymRow(self, row)
+		}
+		dead := make([]wire.AsymEntry, n)
+		for i := range dead {
+			dead[i].Status = wire.StatusDead
 		}
 		for s := 0; s < n; s++ {
-			if rng.Intn(5) == 0 {
-				continue // absent row: the kernels must see all-Inf
+			raw[s] = dead // absent row: the kernels must see all-Inf
+			if rng.Intn(5) != 0 {
+				raw[s] = randRow(s)
+				tb.PutAsym(s, AsymRow{Seq: 1, When: t0, Entries: raw[s]})
 			}
-			tb.Put(s, AsymRow{Seq: 1, When: t0, Entries: SelfAsymRow(s, randRow())})
-		}
-		scalar := func(src func(h int) wire.Cost, dst func(h int) wire.Cost, skip int) (int, wire.Cost) {
-			hop, cost := -1, wire.InfCost
-			for h := 0; h < n; h++ {
-				if h == skip {
-					continue
-				}
-				if c := src(h).Add(dst(h)); c < cost {
-					hop, cost = h, c
-				}
-			}
-			return hop, cost
 		}
 		dsts := make([]int, n)
 		for i := range dsts {
@@ -162,38 +163,25 @@ func TestAsymBatchKernelsMatchScalarQuick(t *testing.T) {
 		}
 		out := make([]HopCost, n)
 		for a := 0; a < n; a++ {
-			a := a
-			tb.BestOneHopAsymAll(a, dsts, out)
+			tb.BestOneHopAll(a, dsts, out)
 			for _, b := range dsts {
-				wh, wc := scalar(
-					func(h int) wire.Cost { return tb.OutRow(a)[h] },
-					func(h int) wire.Cost { return tb.InRow(b)[h] }, a)
-				if out[b].Hop != wh || out[b].Cost != wc {
+				if wh, wc := bestOneHopAsym(a, raw[a], b, raw[b]); out[b] != (HopCost{wh, wc}) {
 					return false
 				}
 			}
 		}
 		// The live-measurement variants feed a row that is not in the table,
-		// the shape the self pairs of the asym round 2 use.
-		live := SelfAsymRow(0, randRow())
-		rowOut := UnpackOutCosts(nil, live)
-		rowIn := UnpackInCosts(nil, live)
-		tb.BestOneHopAsymRowAll(rowOut, 0, dsts, out)
+		// the shape the self pairs of round 2 use.
+		live := randRow(0)
+		tb.BestOneHopAllRow(nil, UnpackOutCosts(nil, live), 0, dsts, out)
 		for _, b := range dsts {
-			wh, wc := scalar(
-				func(h int) wire.Cost { return rowOut[h] },
-				func(h int) wire.Cost { return tb.InRow(b)[h] }, 0)
-			if out[b].Hop != wh || out[b].Cost != wc {
+			if wh, wc := bestOneHopAsym(0, live, b, raw[b]); out[b] != (HopCost{wh, wc}) {
 				return false
 			}
 		}
-		tb.BestOneHopAsymToRow(dsts, rowIn, out)
+		tb.BestOneHopToRow(nil, dsts, UnpackInCosts(nil, live), out)
 		for i, a := range dsts {
-			a := a
-			wh, wc := scalar(
-				func(h int) wire.Cost { return tb.OutRow(a)[h] },
-				func(h int) wire.Cost { return rowIn[h] }, a)
-			if out[i].Hop != wh || out[i].Cost != wc {
+			if wh, wc := bestOneHopAsym(a, raw[a], 0, live); out[i] != (HopCost{wh, wc}) {
 				return false
 			}
 		}
@@ -204,50 +192,196 @@ func TestAsymBatchKernelsMatchScalarQuick(t *testing.T) {
 	}
 }
 
-func TestAsymGenAdvancesOnContentChange(t *testing.T) {
-	tb := NewAsymTable(2)
-	row := func(out int) []wire.AsymEntry {
-		return SelfAsymRow(0, []wire.AsymEntry{{}, aentry(out, 30, true)})
+// Property: the two modes are one algorithm. A directional table fed rows
+// whose every entry has Out == In returns, from every kernel, exactly what a
+// symmetric table fed the equivalent LinkEntry rows returns — and both equal
+// the scalar oracles — across randomized tables with InfCost saturation,
+// stale and absent rows, short and long live rows, and retired slots.
+func TestDirectionalEqualsSymmetricWhenCostsAgreeQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(24)
+		now := time.Unix(1_000_000, 0)
+		sym, dir := NewTable(n), NewDirectionalTable(n)
+		raw := make(rawRows, n)
+		mirror := func(row []wire.LinkEntry) []wire.AsymEntry {
+			m := make([]wire.AsymEntry, len(row))
+			for i, e := range row {
+				m[i] = wire.AsymEntry{Out: e.Latency, In: e.Latency, Status: e.Status}
+			}
+			return m
+		}
+		for s := 0; s < n; s++ {
+			if rng.Intn(5) == 0 {
+				continue
+			}
+			row := Row{Seq: 1, When: now.Add(-time.Duration(rng.Intn(120)) * time.Second), Entries: randRow(rng, s, n)}
+			raw.put(sym, s, row)
+			dir.PutAsym(s, AsymRow{Seq: row.Seq, When: row.When, Entries: mirror(row.Entries)})
+		}
+		// Retire a slot or two: the row goes, and everyone's cost toward it.
+		for r := rng.Intn(3); r > 0; r-- {
+			s := rng.Intn(n)
+			sym.RetireSlot(s)
+			dir.RetireSlot(s)
+			raw[s] = Row{}
+			for h := range raw {
+				if raw[h].Entries != nil {
+					raw[h].Entries[s] = wire.LinkEntry{Status: wire.StatusDead}
+				}
+			}
+		}
+		var stored []int
+		for s := 0; s < n; s++ {
+			if sym.Have(s) != dir.Have(s) || sym.Have(s) != (raw[s].Entries != nil) {
+				return false
+			}
+			if sym.Have(s) {
+				stored = append(stored, s)
+			}
+		}
+		self := rng.Intn(n)
+		liveLen := n
+		switch rng.Intn(4) {
+		case 0:
+			liveLen = rng.Intn(n + 1) // short self row
+		case 1:
+			liveLen = n + rng.Intn(3) // long self row: extra entries ignored
+		}
+		live := randRow(rng, self, liveLen)
+		costs := UnpackCosts(nil, live)
+		if !slices.Equal(costs, UnpackOutCosts(nil, mirror(live))) || !slices.Equal(costs, UnpackInCosts(nil, mirror(live))) {
+			return false
+		}
+
+		same := func(kernel func(tb *Table, out []HopCost), width int, want func(i int) (int, wire.Cost)) bool {
+			a, b := make([]HopCost, width), make([]HopCost, width)
+			kernel(sym, a)
+			kernel(dir, b)
+			for i := range a {
+				wh, wc := want(i)
+				if a[i] != b[i] || a[i] != (HopCost{wh, wc}) {
+					t.Logf("seed %d n=%d i=%d: symmetric %+v directional %+v oracle (%d,%d)", seed, n, i, a[i], b[i], wh, wc)
+					return false
+				}
+			}
+			return true
+		}
+		k := len(stored)
+		for _, a := range stored {
+			if !same(func(tb *Table, out []HopCost) { tb.BestOneHopAll(a, stored, out) }, k,
+				func(i int) (int, wire.Cost) { return bestOneHop(a, raw[a].Entries, stored[i], raw[stored[i]].Entries) }) {
+				return false
+			}
+		}
+		if !same(func(tb *Table, out []HopCost) { tb.BestOneHopAllRow(nil, costs, self, stored, out) }, k,
+			func(i int) (int, wire.Cost) { return bestOneHop(self, live, stored[i], raw[stored[i]].Entries) }) {
+			return false
+		}
+		if !same(func(tb *Table, out []HopCost) { tb.BestOneHopToRow(nil, stored, costs, out) }, k,
+			func(i int) (int, wire.Cost) { return bestOneHop(stored[i], raw[stored[i]].Entries, self, live) }) {
+			return false
+		}
+		maxAge := time.Duration(rng.Intn(150)) * time.Second
+		via := func(dst int) (int, wire.Cost) { return raw.bestOneHopVia(live, dst, now, maxAge) }
+		lo := rng.Intn(n)
+		hi := lo + rng.Intn(n-lo+1)
+		span := func(tb *Table, out []HopCost) {
+			tb.BestOneHopViaSpan(costs, now, maxAge, out, 0, lo)
+			tb.BestOneHopViaSpan(costs, now, maxAge, out, hi, n)
+			tb.BestOneHopViaSpan(costs, now, maxAge, out, lo, hi)
+		}
+		if !same(span, n, via) {
+			return false
+		}
+		some := rng.Perm(n)[:1+rng.Intn(n)]
+		if !same(func(tb *Table, out []HopCost) { tb.BestOneHopViaDsts(costs, now, maxAge, some, out) }, len(some),
+			func(i int) (int, wire.Cost) { return via(some[i]) }) {
+			return false
+		}
+		return same(func(tb *Table, out []HopCost) {
+			for dst := range out {
+				out[dst].Hop, out[dst].Cost = tb.BestOneHopVia(costs, dst, now, maxAge)
+			}
+		}, n+2, via) // the two extra destinations lie outside the view
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDirectionalGenInvariants is TestGenDirtyInvariants for a table with two
+// direction matrices behind the one generation counter: a change in either
+// direction advances it, a refresh identical in both leaves it alone.
+func TestDirectionalGenInvariants(t *testing.T) {
+	tb := NewDirectionalTable(3)
+	row := func(out, in int) []wire.AsymEntry {
+		return SelfAsymRow(0, []wire.AsymEntry{{}, aentry(out, in, true), aentry(7, 7, false)})
+	}
+	seq := uint32(0)
+	put := func(out, in int) uint32 {
+		t.Helper()
+		seq++
+		if !tb.PutAsym(0, AsymRow{Seq: seq, When: t0.Add(time.Duration(seq) * time.Second), Entries: row(out, in)}) {
+			t.Fatal("PutAsym rejected")
+		}
+		return tb.Gen(0)
 	}
 	g0 := tb.Gen(0)
-	if !tb.Put(0, AsymRow{Seq: 1, When: t0, Entries: row(10)}) {
-		t.Fatal("Put rejected")
-	}
-	g1 := tb.Gen(0)
+	g1 := put(10, 30)
 	if g1 == g0 {
 		t.Error("gen did not advance on first store")
 	}
 	// A refresh with identical costs (new When, same contents) must keep the
 	// generation stable: it is what every quiescent probing interval produces.
-	if !tb.Put(0, AsymRow{Seq: 2, When: t0.Add(time.Second), Entries: row(10)}) {
-		t.Fatal("refresh rejected")
-	}
-	if tb.Gen(0) != g1 {
+	if put(10, 30) != g1 {
 		t.Error("gen advanced on identical re-Put")
 	}
-	if !tb.Put(0, AsymRow{Seq: 3, When: t0.Add(2 * time.Second), Entries: row(11)}) {
-		t.Fatal("changed row rejected")
+	g2 := put(11, 30)
+	if g2 == g1 {
+		t.Error("gen did not advance on a changed out-cost")
 	}
-	if tb.Gen(0) == g1 {
-		t.Error("gen did not advance on changed cost")
+	g3 := put(11, 31)
+	if g3 == g2 {
+		t.Error("gen did not advance on a changed in-cost")
+	}
+	// A rejected Put must not advance gen even with different contents.
+	if tb.PutAsym(0, AsymRow{Seq: 1, When: t0.Add(time.Hour), Entries: row(1, 2)}) || tb.Gen(0) != g3 {
+		t.Error("stale seq accepted, or advanced gen")
+	}
+	// Retiring a slot the row holds a finite cost toward rewrites the row;
+	// retiring one it already reads dead, or an empty slot nobody points at,
+	// does not.
+	tb.RetireSlot(2)
+	if tb.Gen(0) != g3 {
+		t.Error("retire of a slot row 0 read dead advanced its gen")
+	}
+	tb.RetireSlot(1)
+	if tb.Gen(0) == g3 || tb.OutRow(0)[1] != wire.InfCost || tb.InRow(0)[1] != wire.InfCost {
+		t.Error("retire of a slot row 0 held live costs toward did not rewrite it and advance gen")
+	}
+	g4 := tb.Gen(0)
+	tb.RetireSlot(0)
+	if tb.Gen(0) == g4 || tb.Have(0) {
+		t.Error("retire of a held row did not drop it and advance gen")
 	}
 }
 
-func TestAsymPutRejectsEqualSeqOlderWhen(t *testing.T) {
+func TestPutAsymRejectsEqualSeqOlderWhen(t *testing.T) {
 	t0 := time.Unix(0, 0)
-	tb := NewAsymTable(2)
-	fresh := AsymRow{Seq: 5, When: t0.Add(time.Minute), Entries: SelfAsymRow(0, make([]wire.AsymEntry, 2))}
-	if !tb.Put(0, fresh) {
-		t.Fatal("Put rejected fresh row")
+	tb := NewDirectionalTable(2)
+	fresh := AsymRow{Seq: 5, When: t0.Add(time.Minute), Entries: SelfAsymRow(0, []wire.AsymEntry{{}, aentry(10, 10, true)})}
+	if !tb.PutAsym(0, fresh) {
+		t.Fatal("PutAsym rejected fresh row")
 	}
-	stale := AsymRow{Seq: 5, When: t0, Entries: SelfAsymRow(0, make([]wire.AsymEntry, 2))}
-	if tb.Put(0, stale) {
-		t.Error("Put accepted equal-seq row with older When")
+	stale := AsymRow{Seq: 5, When: t0, Entries: SelfAsymRow(0, []wire.AsymEntry{{}, aentry(99, 99, true)})}
+	if tb.PutAsym(0, stale) {
+		t.Error("PutAsym accepted equal-seq row with older When")
 	}
-	if got := tb.Get(0); got == nil || !got.When.Equal(t0.Add(time.Minute)) {
+	if !tb.Have(0) || !tb.When(0).Equal(t0.Add(time.Minute)) || tb.OutRow(0)[1] != 10 {
 		t.Error("stored row was rolled back by delayed duplicate")
 	}
-	if !tb.Put(0, fresh) {
-		t.Error("Put rejected identical duplicate")
+	if !tb.PutAsym(0, fresh) {
+		t.Error("PutAsym rejected identical duplicate")
 	}
 }

@@ -3,6 +3,14 @@
 // and the best-one-hop computation a rendezvous server runs over the rows of
 // its clients.
 //
+// There is one table type. A row's costs are unpacked into flat cost rows at
+// ingest and nothing else of the announcement is kept: one matrix serves both
+// directions when rows carry one cost per link (the paper's bidirectional
+// assumption), and a second matrix holds the in-direction when rows carry
+// directed costs (footnote 2). Every kernel reads source costs from the
+// out-direction and destination costs from the in-direction, so the two modes
+// are one algorithm.
+//
 // Rows are indexed by grid slot (the node's position in the membership
 // view), not by node ID. Slots are stable for a member's lifetime, so a table
 // follows a chain of stable view extensions in place (Grow, RetireSlot) and
@@ -15,104 +23,135 @@ import (
 	"allpairs/internal/wire"
 )
 
-// Row is one node's link-state vector: its measured latency and liveness to
-// every slot in the view.
+// Row is one node's announced link-state vector: its measured latency and
+// liveness to every slot in the view.
 type Row struct {
 	Seq     uint32           // sender's sequence number, monotone per view
 	When    time.Time        // local time the row was received/refreshed
 	Entries []wire.LinkEntry // indexed by grid slot
 }
 
-// Cost returns the link cost from the row's origin to slot.
-func (r *Row) Cost(slot int) wire.Cost {
-	if r == nil || slot < 0 || slot >= len(r.Entries) {
-		return wire.InfCost
-	}
-	return r.Entries[slot].Cost()
-}
-
-// Table stores the most recent link-state row received from each slot,
-// alongside the flat CostMatrix the batch kernels scan — every Put unpacks
-// the row's cost bits into the matrix once, so route evaluation never touches
-// LinkEntry again. The zero value is unusable; create tables with NewTable.
+// Table stores the most recent link-state row received from each slot as
+// unpacked cost rows plus (seq, when, generation) per slot. out row s holds
+// the costs s→h announced by slot s and in row s the costs h→s; for a
+// symmetric table (NewTable) they are the same matrix, for a directional one
+// (NewDirectionalTable) two. The zero value is unusable.
 type Table struct {
-	n    int
-	rows []Row
-	mat  *CostMatrix
+	n       int
+	out, in *CostMatrix
+	have    []bool
+	when    []time.Time
+	seq     []uint32
+
+	// gen is the per-slot content generation: it advances exactly when the
+	// slot's unpacked costs (either direction) may have changed — first
+	// store, a store whose costs differ from what was held, a retire that
+	// rewrote the row. Refreshes that re-announce identical costs — the
+	// steady state, where every row is re-Put each interval — leave it
+	// untouched, which is what lets the incremental recompute paths in
+	// internal/core skip clean rows. Every mutator of row storage MUST keep
+	// this in sync (see CONTRIBUTING.md, "Dirty tracking").
+	gen []uint32
 }
 
-// NewTable returns an empty table for an n-slot view.
+// NewTable returns an empty symmetric table for an n-slot view.
 func NewTable(n int) *Table {
-	return &Table{n: n, rows: make([]Row, n), mat: NewCostMatrix(n)}
+	m := newCostMatrix(n)
+	return newTable(n, m, m)
+}
+
+func newTable(n int, out, in *CostMatrix) *Table {
+	return &Table{
+		n:    n,
+		out:  out,
+		in:   in,
+		have: make([]bool, n),
+		when: make([]time.Time, n),
+		seq:  make([]uint32, n),
+		gen:  make([]uint32, n),
+	}
 }
 
 // N returns the number of slots in the view.
 func (t *Table) N() int { return t.n }
 
-// Matrix exposes the flat cost matrix maintained by Put (read-only).
-func (t *Table) Matrix() *CostMatrix { return t.mat }
+// Directional reports whether rows carry a cost per direction.
+func (t *Table) Directional() bool { return t.in != t.out }
 
-// Gen returns the content generation of slot's row: it advances exactly when
-// the slot's unpacked costs may have changed (first store, a store with
-// different costs, a Drop), and stays put across refresh-only Puts. Consumers
-// snapshot generations to decide which rows an incremental recompute may
-// skip. Grow and RetireSlot keep the counters running, so snapshots stay
-// valid across stable view extensions; a consumer that replaces the table
-// (a cold view install) must drop every snapshot with it.
-func (t *Table) Gen(slot int) uint32 { return t.mat.gen[slot] }
+// Matrix exposes the out-direction cost matrix — the whole link state of a
+// symmetric table (read-only).
+func (t *Table) Matrix() *CostMatrix { return t.out }
 
-// Put stores a row for slot if it is not older than what the table already
-// holds: lower sequence numbers are rejected, as are equal-sequence rows
-// whose When is older than the stored one, so a delayed duplicate can never
-// roll back a refreshed timestamp. It reports whether the row was stored.
-func (t *Table) Put(slot int, row Row) bool {
-	if slot < 0 || slot >= t.n || len(row.Entries) != t.n {
+// OutRow returns slot's unpacked costs slot→h (length n, all InfCost if no
+// row is stored). The slice aliases the table and must not be modified.
+func (t *Table) OutRow(slot int) []wire.Cost { return t.out.Row(slot) }
+
+// InRow returns slot's unpacked costs h→slot: the same row as OutRow on a
+// symmetric table.
+func (t *Table) InRow(slot int) []wire.Cost { return t.in.Row(slot) }
+
+// Have reports whether slot has a stored row.
+func (t *Table) Have(slot int) bool { return slot >= 0 && slot < t.n && t.have[slot] }
+
+// Seq returns the sequence number of slot's stored row (0 if none).
+func (t *Table) Seq(slot int) uint32 { return t.seq[slot] }
+
+// When returns the receive time of slot's stored row (zero if none).
+func (t *Table) When(slot int) time.Time { return t.when[slot] }
+
+// FreshAt reports whether slot has a row received within maxAge of now. The
+// paper's rendezvous servers use measurements at most 3 routing intervals old
+// (§6.2.2).
+func (t *Table) FreshAt(slot int, now time.Time, maxAge time.Duration) bool {
+	return t.have[slot] && now.Sub(t.when[slot]) <= maxAge
+}
+
+// Gen returns the content generation of slot's row. Two reads returning the
+// same value bracket a window in which the slot's unpacked costs did not
+// change, so a consumer that snapshots generations after a recompute can skip
+// every slot whose generation still matches on the next pass. Absent and
+// present slots share one monotone counter per slot; Grow and RetireSlot keep
+// the counters running, so snapshots stay valid across stable view
+// extensions. A consumer that replaces the table (a cold view install) must
+// drop every snapshot with it.
+func (t *Table) Gen(slot int) uint32 { return t.gen[slot] }
+
+// accepts reports whether a rowLen-entry announcement (seq, when) for slot
+// may replace what the table holds: lower sequence numbers are rejected, as
+// are equal-sequence rows whose When is older than the stored one, so a
+// delayed duplicate can never roll back a refreshed timestamp.
+func (t *Table) accepts(slot, rowLen int, seq uint32, when time.Time) bool {
+	if slot < 0 || slot >= t.n || rowLen != t.n {
 		return false
 	}
-	if t.mat.have[slot] {
-		// The matrix metadata is the authoritative copy of the stored row's
-		// (seq, when); rows[] only keeps the raw entries.
-		if row.Seq < t.mat.seq[slot] || (row.Seq == t.mat.seq[slot] && row.When.Before(t.mat.when[slot])) {
-			return false
-		}
+	return !t.have[slot] || seq > t.seq[slot] || (seq == t.seq[slot] && !when.Before(t.when[slot]))
+}
+
+// stored records the metadata of the row just unpacked into slot.
+func (t *Table) stored(slot int, seq uint32, when time.Time, changed bool) {
+	if changed {
+		t.gen[slot]++
 	}
-	t.rows[slot] = row
-	t.mat.setRow(slot, row.Entries, row.Seq, row.When)
+	t.have[slot], t.seq[slot], t.when[slot] = true, seq, when
+}
+
+// Put stores a symmetric row for slot if it is not older than what the table
+// already holds (see accepts) and reports whether it was stored. The entries
+// are unpacked and not retained. A directional table rejects it: the row has
+// no in-costs to give.
+func (t *Table) Put(slot int, row Row) bool {
+	if t.Directional() || !t.accepts(slot, len(row.Entries), row.Seq, row.When) {
+		return false
+	}
+	t.stored(slot, row.Seq, row.When, t.out.setRow(slot, row.Entries))
 	return true
-}
-
-// Drop removes the row for slot, if any.
-func (t *Table) Drop(slot int) {
-	if slot >= 0 && slot < t.n {
-		t.rows[slot] = Row{}
-		t.mat.clearRow(slot)
-	}
-}
-
-// Get returns the stored row for slot, or nil if none.
-func (t *Table) Get(slot int) *Row {
-	if slot < 0 || slot >= t.n || !t.mat.have[slot] {
-		return nil
-	}
-	return &t.rows[slot]
-}
-
-// Fresh returns the stored row for slot if it was received within maxAge of
-// now, or nil otherwise. The paper's rendezvous servers use measurements at
-// most 3 routing intervals old (§6.2.2).
-func (t *Table) Fresh(slot int, now time.Time, maxAge time.Duration) *Row {
-	r := t.Get(slot)
-	if r == nil || now.Sub(r.When) > maxAge {
-		return nil
-	}
-	return r
 }
 
 // FreshSlots appends to dst the slots with rows fresher than maxAge and
 // returns the result. Pass a reused buffer to avoid allocation.
 func (t *Table) FreshSlots(dst []int, now time.Time, maxAge time.Duration) []int {
 	for s := 0; s < t.n; s++ {
-		if t.mat.FreshAt(s, now, maxAge) {
+		if t.FreshAt(s, now, maxAge) {
 			dst = append(dst, s)
 		}
 	}
@@ -120,112 +159,52 @@ func (t *Table) FreshSlots(dst []int, now time.Time, maxAge time.Duration) []int
 }
 
 // Grow extends the table to newN slots in place, for stable view extensions
-// that append slots. Every stored row keeps its bytes, metadata, and
+// that append slots. Every stored row keeps its costs, metadata, and
 // generation counter (the whole point: consumers' generation snapshots stay
-// valid), and the new slots read as absent until their occupants announce. Stored raw rows keep their original
-// length — Row.Cost reads past-the-end slots as InfCost — and Put continues
-// to reject announcements whose length disagrees with the current view, so
-// members still on the old view are simply dropped until they catch up.
+// valid), and the new slots read as absent until their occupants announce.
+// Put continues to reject announcements whose length disagrees with the
+// current view, so members still on the old view are simply dropped until
+// they catch up.
 func (t *Table) Grow(newN int) {
 	if newN <= t.n {
 		return
 	}
-	t.rows = append(t.rows, make([]Row, newN-t.n)...)
-	t.mat.grow(newN)
+	pad := newN - t.n
+	t.out.grow(newN)
+	if t.Directional() {
+		t.in.grow(newN)
+	}
+	t.have = append(t.have, make([]bool, pad)...)
+	t.when = append(t.when, make([]time.Time, pad)...)
+	t.seq = append(t.seq, make([]uint32, pad)...)
+	t.gen = append(t.gen, make([]uint32, pad)...)
 	t.n = newN
 }
 
 // RetireSlot erases a departed member from the table without disturbing
 // anyone else: the slot's stored row is dropped and every other stored row's
-// entry about it is forced dead (raw and matrix both). Generations advance
-// for exactly the rows whose scannable contents change — the retired slot
-// and rows that held a live cost toward it — so snapshots of unaffected rows
-// stay valid. The slot itself becomes an ordinary empty slot, ready for a
-// quarantine-expired reuse to announce into.
+// cost toward it is forced to InfCost. Generations advance for exactly the
+// rows whose scannable contents change — the retired slot, if it held a row,
+// and rows that held a finite cost toward it — so snapshots of unaffected
+// rows stay valid. The slot itself becomes an ordinary empty slot, ready for
+// a quarantine-expired reuse to announce into.
 func (t *Table) RetireSlot(slot int) {
 	if slot < 0 || slot >= t.n {
 		return
 	}
-	t.rows[slot] = Row{}
-	t.mat.clearRow(slot)
-	for h := range t.rows {
-		if h == slot || !t.mat.have[h] {
-			continue
-		}
-		if e := t.rows[h].Entries; slot < len(e) {
-			e[slot] = wire.LinkEntry{Status: wire.StatusDead}
-		}
+	if t.have[slot] {
+		t.gen[slot]++
 	}
-	t.mat.clearColumn(slot)
-}
-
-// BestOneHop returns the optimal one-hop path from slot a (with link-state
-// rowA) to slot b (with rowB): the hop h minimizing cost(a→h) + cost(h→b),
-// where cost(h→b) is read from b's row under the paper's bidirectional-link
-// assumption (§3). Taking h = b yields the direct path (a row's self-entry
-// must be zero), so the result always considers the direct route; hop == b
-// in the result means "go direct". A hop of -1 means no usable path exists.
-func BestOneHop(a int, rowA []wire.LinkEntry, b int, rowB []wire.LinkEntry) (hop int, cost wire.Cost) {
-	hop, cost = -1, wire.InfCost
-	n := len(rowA)
-	if len(rowB) < n {
-		n = len(rowB)
+	t.have[slot], t.seq[slot], t.when[slot] = false, 0, time.Time{}
+	t.out.retire(slot, t.gen)
+	if t.Directional() {
+		t.in.retire(slot, t.gen)
 	}
-	for h := 0; h < n; h++ {
-		if h == a {
-			continue // "via self" is the direct path, surfaced as h == b
-		}
-		c := rowA[h].Cost().Add(rowB[h].Cost())
-		if c < cost {
-			cost = c
-			hop = h
-		}
-	}
-	return hop, cost
-}
-
-// BestOneHopVia computes the best one-hop path from the holder of rowA to
-// dst using only intermediates whose rows are present and fresh in table —
-// the redundant link-state fallback of §4.2, where a node whose rendezvous
-// servers have failed evaluates routes through its 2√n−2 known neighbors.
-// The direct path is considered via rowA itself. A hop of -1 means no usable
-// path was found.
-func BestOneHopVia(rowA []wire.LinkEntry, table *Table, dst int, now time.Time, maxAge time.Duration) (hop int, cost wire.Cost) {
-	hop, cost = -1, wire.InfCost
-	if dst < 0 || dst >= len(rowA) {
-		return
-	}
-	if c := rowA[dst].Cost(); c < cost {
-		hop, cost = dst, c
-	}
-	if dst >= table.n {
-		// The destination is outside the table's view: no stored row has an
-		// entry for it, so every intermediate leg is InfCost and only the
-		// direct path can be usable (the pre-matrix code read these missing
-		// entries as InfCost).
-		return hop, cost
-	}
-	m := table.mat
-	best := uint32(cost)
-	for h := 0; h < table.n && h < len(rowA); h++ {
-		if h == dst || !m.FreshAt(h, now, maxAge) {
-			continue
-		}
-		// Intermediate costs come from the matrix (unpacked at ingest); only
-		// the caller's own live row still needs per-entry unpacking.
-		if s := uint32(rowA[h].Cost()) + uint32(m.rows[h][dst]); s < best {
-			best, hop = s, h
-		}
-	}
-	if hop < 0 {
-		return -1, wire.InfCost
-	}
-	return hop, wire.Cost(best)
 }
 
 // SelfRow builds the canonical self-measurement row for slot self with the
 // given entries, forcing the self-entry to zero latency and alive, the
-// invariant BestOneHop relies on to surface direct paths.
+// invariant the one-hop kernels rely on to surface direct paths.
 func SelfRow(self int, entries []wire.LinkEntry) []wire.LinkEntry {
 	if self >= 0 && self < len(entries) {
 		entries[self] = wire.LinkEntry{Latency: 0, Status: wire.MakeStatus(true, 0)}

@@ -23,21 +23,20 @@ func aliveRow(lats ...int) []wire.LinkEntry {
 
 var t0 = time.Unix(1000, 0)
 
-func TestTablePutGet(t *testing.T) {
+func TestTablePut(t *testing.T) {
 	tb := NewTable(3)
 	if tb.N() != 3 {
 		t.Fatalf("N = %d", tb.N())
 	}
-	if tb.Get(0) != nil {
-		t.Error("empty table returned a row")
+	if tb.Have(0) || tb.Have(-1) || tb.Have(3) {
+		t.Error("empty table reports a row")
 	}
 	row := Row{Seq: 1, When: t0, Entries: aliveRow(0, 10, 20)}
 	if !tb.Put(0, row) {
 		t.Fatal("Put rejected valid row")
 	}
-	got := tb.Get(0)
-	if got == nil || got.Seq != 1 {
-		t.Fatalf("Get = %+v", got)
+	if !tb.Have(0) || tb.Seq(0) != 1 || tb.OutRow(0)[2] != 20 {
+		t.Fatalf("stored row: have=%v seq=%d costs=%v", tb.Have(0), tb.Seq(0), tb.OutRow(0))
 	}
 	// Stale sequence rejected.
 	if tb.Put(0, Row{Seq: 0, When: t0.Add(time.Minute), Entries: aliveRow(0, 1, 2)}) {
@@ -47,8 +46,12 @@ func TestTablePutGet(t *testing.T) {
 	if !tb.Put(0, Row{Seq: 1, When: t0.Add(time.Minute), Entries: aliveRow(0, 1, 2)}) {
 		t.Error("Put rejected refresh at same seq")
 	}
-	if tb.Get(0).When != t0.Add(time.Minute) {
-		t.Error("refresh did not update timestamp")
+	if !tb.When(0).Equal(t0.Add(time.Minute)) || tb.OutRow(0)[2] != 2 {
+		t.Error("refresh did not update timestamp and costs")
+	}
+	// A directional row has no place in a symmetric table.
+	if tb.PutAsym(1, AsymRow{Seq: 1, When: t0, Entries: make([]wire.AsymEntry, 3)}) {
+		t.Error("symmetric table accepted a directional row")
 	}
 }
 
@@ -65,17 +68,6 @@ func TestTablePutRejectsBadShape(t *testing.T) {
 	}
 }
 
-func TestTableDrop(t *testing.T) {
-	tb := NewTable(2)
-	tb.Put(1, Row{Seq: 5, When: t0, Entries: aliveRow(7, 0)})
-	tb.Drop(1)
-	if tb.Get(1) != nil {
-		t.Error("Drop did not remove row")
-	}
-	tb.Drop(-1) // must not panic
-	tb.Drop(9)
-}
-
 // TestGenDirtyInvariants pins the dirty-tracking contract the incremental
 // recompute paths in internal/core depend on: Gen(slot) advances exactly
 // when the slot's unpacked costs may differ from what a previous reader saw,
@@ -85,10 +77,13 @@ func TestGenDirtyInvariants(t *testing.T) {
 	tb := NewTable(3)
 	g0 := tb.Gen(1)
 
-	// Dropping a slot that holds nothing is not a change.
-	tb.Drop(1)
+	// Retiring a slot that holds nothing, and that nobody holds a cost
+	// toward, is not a change.
+	tb.RetireSlot(1)
+	tb.RetireSlot(-1) // out of range must not panic
+	tb.RetireSlot(9)
 	if tb.Gen(1) != g0 {
-		t.Error("Drop of an empty slot advanced gen")
+		t.Error("RetireSlot of an empty slot advanced gen")
 	}
 
 	if !tb.Put(1, Row{Seq: 1, When: t0, Entries: aliveRow(5, 0, 9)}) {
@@ -127,18 +122,18 @@ func TestGenDirtyInvariants(t *testing.T) {
 		t.Error("status flip did not advance gen")
 	}
 
-	// Dropping a held row is a change; the restored row is one too (its
+	// Retiring a held row is a change; the restored row is one too (its
 	// costs reappear out of the shared inf row).
-	tb.Drop(1)
+	tb.RetireSlot(1)
 	g4 := tb.Gen(1)
-	if g4 == g3 {
-		t.Error("Drop of a held row did not advance gen")
+	if g4 == g3 || tb.Have(1) {
+		t.Error("RetireSlot of a held row did not drop it and advance gen")
 	}
 	if !tb.Put(1, Row{Seq: 5, When: t0.Add(4 * time.Second), Entries: row}) {
 		t.Fatal("re-store rejected")
 	}
 	if tb.Gen(1) == g4 {
-		t.Error("re-store after Drop did not advance gen")
+		t.Error("re-store after RetireSlot did not advance gen")
 	}
 
 	// A rejected Put (stale seq) must not advance gen even with different
@@ -155,11 +150,11 @@ func TestGenDirtyInvariants(t *testing.T) {
 func TestFreshness(t *testing.T) {
 	tb := NewTable(2)
 	tb.Put(0, Row{Seq: 1, When: t0, Entries: aliveRow(0, 5)})
-	if tb.Fresh(0, t0.Add(30*time.Second), 45*time.Second) == nil {
+	if !tb.FreshAt(0, t0.Add(30*time.Second), 45*time.Second) {
 		t.Error("row within maxAge reported stale")
 	}
-	if tb.Fresh(0, t0.Add(46*time.Second), 45*time.Second) != nil {
-		t.Error("stale row reported fresh")
+	if tb.FreshAt(0, t0.Add(46*time.Second), 45*time.Second) || tb.FreshAt(1, t0, time.Hour) {
+		t.Error("stale or absent row reported fresh")
 	}
 	slots := tb.FreshSlots(nil, t0.Add(time.Second), 45*time.Second)
 	if len(slots) != 1 || slots[0] != 0 {
@@ -167,28 +162,11 @@ func TestFreshness(t *testing.T) {
 	}
 }
 
-func TestRowCost(t *testing.T) {
-	r := &Row{Entries: []wire.LinkEntry{entry(10, true), entry(20, false)}}
-	if r.Cost(0) != 10 {
-		t.Errorf("Cost(0) = %d", r.Cost(0))
-	}
-	if r.Cost(1) != wire.InfCost {
-		t.Errorf("dead Cost(1) = %d", r.Cost(1))
-	}
-	if r.Cost(-1) != wire.InfCost || r.Cost(2) != wire.InfCost {
-		t.Error("out-of-range cost not Inf")
-	}
-	var nilRow *Row
-	if nilRow.Cost(0) != wire.InfCost {
-		t.Error("nil row cost not Inf")
-	}
-}
-
 func TestBestOneHopPrefersDetour(t *testing.T) {
 	// 4 nodes: a=0, b=3. Direct a-b = 500; via h=1: 100+50=150; via h=2: dead.
 	rowA := SelfRow(0, []wire.LinkEntry{{}, entry(100, true), entry(30, false), entry(500, true)})
 	rowB := SelfRow(3, []wire.LinkEntry{entry(500, true), entry(50, true), entry(90, true), {}})
-	hop, cost := BestOneHop(0, rowA, 3, rowB)
+	hop, cost := bestOneHop(0, rowA, 3, rowB)
 	if hop != 1 || cost != 150 {
 		t.Errorf("hop=%d cost=%d, want 1/150", hop, cost)
 	}
@@ -197,7 +175,7 @@ func TestBestOneHopPrefersDetour(t *testing.T) {
 func TestBestOneHopPrefersDirect(t *testing.T) {
 	rowA := SelfRow(0, []wire.LinkEntry{{}, entry(100, true), entry(40, true)})
 	rowB := SelfRow(2, []wire.LinkEntry{entry(40, true), entry(100, true), {}})
-	hop, cost := BestOneHop(0, rowA, 2, rowB)
+	hop, cost := bestOneHop(0, rowA, 2, rowB)
 	if hop != 2 || cost != 40 {
 		t.Errorf("hop=%d cost=%d, want direct 2/40", hop, cost)
 	}
@@ -208,14 +186,14 @@ func TestBestOneHopAllDead(t *testing.T) {
 	rowB := []wire.LinkEntry{entry(10, false), entry(0, true)}
 	// a's self-entry is alive but b's entry to a is dead, and vice versa.
 	rowA[0] = entry(0, true)
-	hop, cost := BestOneHop(0, rowA, 1, rowB)
+	hop, cost := bestOneHop(0, rowA, 1, rowB)
 	if cost != wire.InfCost || hop != -1 {
 		t.Errorf("hop=%d cost=%d, want -1/Inf", hop, cost)
 	}
 }
 
 func TestBestOneHopMismatchedLengths(t *testing.T) {
-	hop, cost := BestOneHop(1, aliveRow(5, 0), 0, aliveRow(0))
+	hop, cost := bestOneHop(1, aliveRow(5, 0), 0, aliveRow(0))
 	// Only h=0 considered: cost = 5 + 0.
 	if hop != 0 || cost != 5 {
 		t.Errorf("hop=%d cost=%d", hop, cost)
@@ -230,26 +208,29 @@ func TestBestOneHopVia(t *testing.T) {
 	tb.Put(2, Row{Seq: 1, When: t0.Add(-10 * time.Minute), Entries: SelfRow(2, []wire.LinkEntry{entry(5, true), entry(5, true), {}, entry(5, true)})})
 	rowA := SelfRow(0, []wire.LinkEntry{{}, entry(20, true), entry(5, true), entry(100, false)})
 
-	hop, cost := BestOneHopVia(rowA, tb, 3, t0.Add(time.Second), 45*time.Second)
+	costs := UnpackCosts(nil, rowA)
+
+	hop, cost := tb.BestOneHopVia(costs, 3, t0.Add(time.Second), 45*time.Second)
 	if hop != 1 || cost != 50 {
 		t.Errorf("hop=%d cost=%d, want 1/50", hop, cost)
 	}
 	// With a wider staleness window node 2's cheaper path appears.
-	hop, cost = BestOneHopVia(rowA, tb, 3, t0.Add(time.Second), time.Hour)
+	hop, cost = tb.BestOneHopVia(costs, 3, t0.Add(time.Second), time.Hour)
 	if hop != 2 || cost != 10 {
 		t.Errorf("hop=%d cost=%d, want 2/10", hop, cost)
 	}
-	// Out-of-range destination.
-	hop, cost = BestOneHopVia(rowA, tb, 9, t0, time.Hour)
-	if hop != -1 || cost != wire.InfCost {
-		t.Errorf("hop=%d cost=%d for bad dst", hop, cost)
+	// Out-of-range destinations.
+	for _, dst := range []int{9, -1} {
+		if hop, cost = tb.BestOneHopVia(costs, dst, t0, time.Hour); hop != -1 || cost != wire.InfCost {
+			t.Errorf("hop=%d cost=%d for bad dst %d", hop, cost, dst)
+		}
 	}
 }
 
 func TestBestOneHopViaDirectOnly(t *testing.T) {
 	tb := NewTable(2)
 	rowA := SelfRow(0, []wire.LinkEntry{{}, entry(80, true)})
-	hop, cost := BestOneHopVia(rowA, tb, 1, t0, time.Minute)
+	hop, cost := tb.BestOneHopVia(UnpackCosts(nil, rowA), 1, t0, time.Minute)
 	if hop != 1 || cost != 80 {
 		t.Errorf("hop=%d cost=%d, want direct 1/80", hop, cost)
 	}
@@ -279,7 +260,7 @@ func TestBestOneHopMatchesExhaustiveQuick(t *testing.T) {
 		}
 		SelfRow(a, rowA)
 		SelfRow(b, rowB)
-		hop, cost := BestOneHop(a, rowA, b, rowB)
+		hop, cost := bestOneHop(a, rowA, b, rowB)
 		want := wire.InfCost
 		for h := 0; h < n; h++ {
 			if h == a {
@@ -326,7 +307,7 @@ func TestBestOneHopViaSoundQuick(t *testing.T) {
 		}
 		SelfRow(0, rowA)
 		dst := 1 + rng.Intn(n-1)
-		hop, cost := BestOneHopVia(rowA, tb, dst, t0, time.Minute)
+		hop, cost := tb.BestOneHopVia(UnpackCosts(nil, rowA), dst, t0, time.Minute)
 		if direct := rowA[dst].Cost(); cost > direct {
 			return false // must be at least as good as direct
 		}
@@ -336,8 +317,7 @@ func TestBestOneHopViaSoundQuick(t *testing.T) {
 		if hop == dst {
 			return cost == rowA[dst].Cost()
 		}
-		r := tb.Get(hop)
-		return r != nil && rowA[hop].Cost().Add(r.Cost(dst)) == cost
+		return tb.Have(hop) && rowA[hop].Cost().Add(tb.OutRow(hop)[dst]) == cost
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -345,7 +325,7 @@ func TestBestOneHopViaSoundQuick(t *testing.T) {
 }
 
 func TestCostMatrixLazyRows(t *testing.T) {
-	m := NewCostMatrix(4)
+	m := newCostMatrix(4)
 	for s := 0; s < 4; s++ {
 		row := m.Row(s)
 		for i, c := range row {
@@ -366,9 +346,9 @@ func TestCostMatrixLazyRows(t *testing.T) {
 	if got := tb.Matrix().Row(1)[3]; got != wire.InfCost {
 		t.Errorf("absent row reads %d, want InfCost", got)
 	}
-	tb.Drop(2)
+	tb.RetireSlot(2)
 	if got := tb.Matrix().Row(2)[3]; got != wire.InfCost {
-		t.Errorf("dropped row reads %d, want InfCost", got)
+		t.Errorf("retired row reads %d, want InfCost", got)
 	}
 }
 
@@ -399,7 +379,7 @@ func TestTableGrowPreservesRowsAndGenerations(t *testing.T) {
 		if got[i] != wire.InfCost {
 			t.Errorf("Row(0)[%d] = %d, want InfCost", i, got[i])
 		}
-		if tb.Get(i) != nil || tb.Matrix().Have(i) {
+		if tb.Have(i) {
 			t.Errorf("new slot %d not empty", i)
 		}
 	}
@@ -428,7 +408,7 @@ func TestTableRetireSlotTouchesOnlyAffectedRows(t *testing.T) {
 	g0, g1, g3 := tb.Gen(0), tb.Gen(1), tb.Gen(3)
 
 	tb.RetireSlot(2)
-	if tb.Get(2) != nil || tb.Matrix().Have(2) {
+	if tb.Have(2) || tb.Seq(2) != 0 || !tb.When(2).IsZero() {
 		t.Error("retired slot still has a row")
 	}
 	if tb.Gen(0) != g0+1 {
@@ -437,8 +417,8 @@ func TestTableRetireSlotTouchesOnlyAffectedRows(t *testing.T) {
 	if c := tb.Matrix().Row(0)[2]; c != wire.InfCost {
 		t.Errorf("Row(0)[2] = %d after retire", c)
 	}
-	if c := tb.Get(0).Cost(2); c != wire.InfCost {
-		t.Errorf("raw row 0 still reads cost %d to retired slot", c)
+	if tb.Seq(0) != 1 || tb.OutRow(0)[1] != 10 || tb.OutRow(0)[3] != 30 {
+		t.Errorf("row 0 disturbed beyond the retired column: seq %d costs %v", tb.Seq(0), tb.OutRow(0))
 	}
 	if tb.Gen(1) != g1 {
 		t.Errorf("row 1 already read slot 2 dead, gen moved %d -> %d", g1, tb.Gen(1))
@@ -453,29 +433,37 @@ func TestTableRetireSlotTouchesOnlyAffectedRows(t *testing.T) {
 	}
 }
 
-func TestAsymTableGrowAndRetire(t *testing.T) {
-	tb := NewAsymTable(3)
-	tb.Put(0, AsymRow{Seq: 1, When: t0, Entries: asymAliveRow([][2]int{{0, 0}, {10, 12}, {20, 22}})})
-	tb.Put(1, AsymRow{Seq: 1, When: t0, Entries: asymAliveRow([][2]int{{10, 12}, {0, 0}, {5, 6}})})
-	g0, g1 := tb.Gen(0), tb.Gen(1)
+func TestDirectionalTableGrowAndRetire(t *testing.T) {
+	tb := NewDirectionalTable(4)
+	tb.PutAsym(0, AsymRow{Seq: 1, When: t0, Entries: asymAliveRow([][2]int{{0, 0}, {10, 12}, {20, 22}, {7, 7}})})
+	tb.PutAsym(1, AsymRow{Seq: 1, When: t0, Entries: asymAliveRow([][2]int{{10, 12}, {0, 0}, {5, 6}, {7, 7}})})
+	// Row 2 already reads slot 1 dead in both directions: retiring 1 must
+	// not touch it.
+	ents := asymAliveRow([][2]int{{20, 22}, {0, 0}, {0, 0}, {7, 7}})
+	ents[1] = wire.AsymEntry{Status: wire.StatusDead}
+	tb.PutAsym(2, AsymRow{Seq: 1, When: t0, Entries: ents})
+	g0, g1, g2 := tb.Gen(0), tb.Gen(1), tb.Gen(2)
 
-	tb.Grow(4)
-	if tb.N() != 4 {
+	tb.Grow(5)
+	if tb.N() != 5 {
 		t.Fatalf("N = %d", tb.N())
 	}
-	if tb.Gen(0) != g0 || tb.Gen(1) != g1 {
+	if tb.Gen(0) != g0 || tb.Gen(1) != g1 || tb.Gen(2) != g2 {
 		t.Error("Grow advanced generations")
 	}
-	if c := tb.OutRow(0)[3]; c != wire.InfCost {
-		t.Errorf("OutRow(0)[3] = %d", c)
+	if out, in := tb.OutRow(0)[4], tb.InRow(0)[4]; out != wire.InfCost || in != wire.InfCost {
+		t.Errorf("row 0 toward the new slot reads %d/%d", out, in)
 	}
 
 	tb.RetireSlot(1)
-	if tb.Get(1) != nil {
-		t.Error("retired slot still has a row")
+	if tb.Have(1) || tb.Gen(1) == g1 {
+		t.Error("retired slot still has a row, or kept its generation")
 	}
 	if tb.Gen(0) == g0 {
 		t.Error("row 0 held live costs to slot 1, gen must advance")
+	}
+	if tb.Gen(2) != g2 {
+		t.Error("row 2 already read slot 1 dead, gen must not move")
 	}
 	if c := tb.OutRow(0)[1]; c != wire.InfCost {
 		t.Errorf("OutRow(0)[1] = %d after retire", c)

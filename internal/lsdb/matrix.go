@@ -7,65 +7,45 @@ import (
 )
 
 // HopCost is one result of a batched one-hop kernel: the chosen intermediate
-// (with the scalar BestOneHop conventions — hop == dst means direct, -1 means
-// no usable path) and the total path cost.
+// (hop == dst means direct, -1 means no usable path) and the total path cost.
 type HopCost struct {
 	Hop  int
 	Cost wire.Cost
 }
 
-// CostMatrix is the unpacked view of a link-state table: one contiguous
-// n-entry []wire.Cost per stored row (row s holds the costs announced by
-// slot s) plus per-slot freshness and sequence metadata. Table.Put maintains
-// it incrementally, so LinkEntry cost bits are unpacked exactly once at
-// ingest; the batch kernels below then scan plain uint16 rows with no
-// per-element status branches, which is what lets rendezvous recommendation
-// passes and full-table recomputes run cache-friendly at n ≥ 500.
+// CostMatrix is one direction of a Table's unpacked link state: one
+// contiguous n-entry []wire.Cost per stored row (row s holds the costs
+// announced by slot s). Table.Put maintains it incrementally, so wire cost
+// bits are unpacked exactly once at ingest; the batch kernels then scan plain
+// uint16 rows with no per-element status branches, which is what lets
+// rendezvous recommendation passes and full-table recomputes run
+// cache-friendly at n ≥ 500. Freshness, sequence and generation metadata
+// belong to the row, not to a direction, and live on the Table.
 //
 // Row storage is allocated lazily on first store: a quorum node's table only
 // ever holds ~2√n of the n possible rows, so lazy rows cut per-node table
 // memory from O(n²) to O(n√n) — the difference between a 1000-node churn
 // fleet fitting in memory or not. Slots with no stored announcement read as
 // a shared all-InfCost row, so they can never win a minimization; freshness
-// must still be checked via FreshAt for staleness-sensitive consumers.
+// must still be checked via Table.FreshAt by staleness-sensitive consumers.
 type CostMatrix struct {
 	n    int
 	rows [][]wire.Cost // per-slot unpacked rows; nil until first stored
 	inf  []wire.Cost   // shared all-InfCost row for absent slots (never written)
-	have []bool
-	when []time.Time
-	seq  []uint32
 
-	// gen is the per-slot content generation: it advances exactly when the
-	// slot's unpacked cost contents may have changed (first store, a store
-	// whose costs differ from what was held, or a clear). Refreshes that
-	// re-announce identical costs — the steady state, where every row is
-	// re-Put each interval — leave it untouched, which is what lets the
-	// incremental recompute paths in internal/core skip clean rows. Every
-	// mutator of row storage MUST keep this in sync (see CONTRIBUTING.md,
-	// "Dirty tracking").
-	gen []uint32
-
-	// keyBuf holds the packed source-row keys a batch pass shares across all
-	// its destinations (see sourceKeys). NewCostMatrix sizes it for n-entry
-	// rows up front so the batch kernels stay allocation-free in the steady
-	// state; sourceKeys only grows it on the defensive over-length-row path.
-	// Kernels that use it are not safe for concurrent calls on the same
-	// matrix; every consumer (one router per node, one fleet per sweep
-	// worker) is single-threaded per table.
+	// keyBuf holds the packed source-row keys of the kernels that take no
+	// caller buffer (BestOneHopPairs, Table.BestOneHopAll). newCostMatrix
+	// sizes it for n-entry rows up front so they stay allocation-free in the
+	// steady state. Those kernels are not safe for concurrent calls on the
+	// same matrix; sharded passes hand each worker its own buffer instead.
 	keyBuf []uint64
 }
 
-// NewCostMatrix returns an empty matrix for an n-slot view.
-func NewCostMatrix(n int) *CostMatrix {
+func newCostMatrix(n int) *CostMatrix {
 	m := &CostMatrix{
 		n:      n,
 		rows:   make([][]wire.Cost, n),
 		inf:    make([]wire.Cost, n),
-		have:   make([]bool, n),
-		when:   make([]time.Time, n),
-		seq:    make([]uint32, n),
-		gen:    make([]uint32, n),
 		keyBuf: make([]uint64, n),
 	}
 	for i := range m.inf {
@@ -87,88 +67,37 @@ func (m *CostMatrix) Row(slot int) []wire.Cost {
 	return m.inf
 }
 
-// Have reports whether slot has a stored row.
-func (m *CostMatrix) Have(slot int) bool {
-	return slot >= 0 && slot < m.n && m.have[slot]
-}
-
-// Seq returns the sequence number of slot's stored row (0 if none).
-func (m *CostMatrix) Seq(slot int) uint32 { return m.seq[slot] }
-
-// When returns the receive time of slot's stored row (zero if none).
-func (m *CostMatrix) When(slot int) time.Time { return m.when[slot] }
-
-// FreshAt reports whether slot has a row received within maxAge of now.
-func (m *CostMatrix) FreshAt(slot int, now time.Time, maxAge time.Duration) bool {
-	return m.have[slot] && now.Sub(m.when[slot]) <= maxAge
-}
-
-// Gen returns slot's content generation. Two reads returning the same value
-// bracket a window in which the slot's unpacked costs did not change; a
-// consumer that snapshots generations after a recompute can therefore skip
-// every slot whose generation still matches on the next pass. Generations
-// survive clearRow (a clear is itself a content change), so absent and
-// present slots share one monotone counter per slot.
-func (m *CostMatrix) Gen(slot int) uint32 { return m.gen[slot] }
-
-// setRow unpacks entries into slot's row and records its metadata, advancing
-// the slot's generation only if the unpacked costs actually changed. The
-// compare rides the unpack loop, so refresh-only Puts (identical costs, newer
-// seq/when) cost nothing extra and stay generation-stable.
-func (m *CostMatrix) setRow(slot int, entries []wire.LinkEntry, seq uint32, when time.Time) {
-	row := m.rows[slot]
-	changed := !m.have[slot]
-	if row == nil {
+// rowFor returns slot's writable row, allocating it on first store; fresh
+// reports that allocation, which is a content change in itself (the slot read
+// as all-InfCost until now).
+func (m *CostMatrix) rowFor(slot int) (row []wire.Cost, fresh bool) {
+	if row = m.rows[slot]; row == nil {
 		row = make([]wire.Cost, m.n)
 		m.rows[slot] = row
-		changed = true
+		fresh = true
 	}
+	return row, fresh
+}
+
+// setRow unpacks entries into slot's row and reports whether the unpacked
+// costs changed. The compare rides the unpack loop, so refresh-only Puts
+// (identical costs, newer seq/when) cost nothing extra.
+func (m *CostMatrix) setRow(slot int, entries []wire.LinkEntry) bool {
+	row, changed := m.rowFor(slot)
 	for i, e := range entries {
 		if c := e.Cost(); row[i] != c {
 			row[i] = c
 			changed = true
 		}
 	}
-	if changed {
-		m.gen[slot]++
-	}
-	m.have[slot] = true
-	m.seq[slot] = seq
-	m.when[slot] = when
-}
-
-// setCosts is setRow for an already-unpacked cost row (the directional
-// AsymTable matrices ingest these). Same generation contract.
-func (m *CostMatrix) setCosts(slot int, costs []wire.Cost, seq uint32, when time.Time) {
-	row := m.rows[slot]
-	changed := !m.have[slot]
-	if row == nil {
-		row = make([]wire.Cost, m.n)
-		m.rows[slot] = row
-		changed = true
-	}
-	for i, c := range costs {
-		if row[i] != c {
-			row[i] = c
-			changed = true
-		}
-	}
-	if changed {
-		m.gen[slot]++
-	}
-	m.have[slot] = true
-	m.seq[slot] = seq
-	m.when[slot] = when
+	return changed
 }
 
 // grow extends the matrix to newN slots in place. Held rows are padded with
-// InfCost — exactly what the absent tail already reads as — so no slot's
-// generation advances: every pre-existing slot's scannable contents are
-// bit-identical to what they were before the grow. New slots start empty.
+// InfCost — exactly what the absent tail already reads as — so every
+// pre-existing slot's scannable contents are bit-identical to what they were
+// before the grow. New slots start empty.
 func (m *CostMatrix) grow(newN int) {
-	if newN <= m.n {
-		return
-	}
 	pad := newN - m.n
 	for s, row := range m.rows {
 		if row == nil {
@@ -184,44 +113,24 @@ func (m *CostMatrix) grow(newN int) {
 	for i := range m.inf {
 		m.inf[i] = wire.InfCost
 	}
-	m.have = append(m.have, make([]bool, pad)...)
-	m.when = append(m.when, make([]time.Time, pad)...)
-	m.seq = append(m.seq, make([]uint32, pad)...)
-	m.gen = append(m.gen, make([]uint32, pad)...)
 	if cap(m.keyBuf) < newN {
 		m.keyBuf = make([]uint64, newN)
 	}
 	m.n = newN
 }
 
-// clearColumn marks a departed slot unreachable in every held row: column
-// slot reads InfCost everywhere. The generation advances for exactly the
-// rows whose contents change, so rows that already held InfCost there — and
-// every row untouched by the departure — keep their snapshots valid.
-func (m *CostMatrix) clearColumn(slot int) {
-	for h, row := range m.rows {
-		if row == nil || h == slot {
-			continue
-		}
-		if slot < len(row) && row[slot] != wire.InfCost {
-			row[slot] = wire.InfCost
-			m.gen[h]++
-		}
-	}
-}
-
-// clearRow drops slot's row storage and metadata; the slot reads as
-// all-InfCost again. The generation advances — a drop changes the contents a
-// kernel would scan — but only for slots that actually held a row, so
-// repeated clears of an absent slot stay generation-stable.
-func (m *CostMatrix) clearRow(slot int) {
-	if m.have[slot] {
-		m.gen[slot]++
-	}
+// retire drops slot's row storage and marks the slot unreachable in every
+// other held row (column slot reads InfCost everywhere), advancing gen[h] for
+// exactly the rows h whose contents change: rows that already held InfCost
+// there — and every row untouched by the departure — keep their generation.
+func (m *CostMatrix) retire(slot int, gen []uint32) {
 	m.rows[slot] = nil
-	m.have[slot] = false
-	m.seq[slot] = 0
-	m.when[slot] = time.Time{}
+	for h, row := range m.rows {
+		if row != nil && row[slot] != wire.InfCost {
+			row[slot] = wire.InfCost
+			gen[h]++
+		}
+	}
 }
 
 // UnpackCosts appends the unpacked costs of row to dst and returns the
@@ -237,9 +146,8 @@ func UnpackCosts(dst []wire.Cost, row []wire.LinkEntry) []wire.Cost {
 
 // BestOneHopRows is the scalar kernel over unpacked rows: the hop h (with
 // h != skip) minimizing rowA[h] + rowB[h] with saturation at InfCost, ties
-// broken toward the smallest h exactly like BestOneHop. Pass skip = -1 to
-// consider every index (the multi-hop midpoint search). The scan length is
-// min(len(rowA), len(rowB)).
+// broken toward the smallest h. Pass skip = -1 to consider every index (the
+// multi-hop midpoint search). The scan length is min(len(rowA), len(rowB)).
 //
 //lint:allocfree
 func BestOneHopRows(skip int, rowA, rowB []wire.Cost) (hop int, cost wire.Cost) {
@@ -281,25 +189,13 @@ func BestOneHopRows(skip int, rowA, rowB []wire.Cost) (hop int, cost wire.Cost) 
 // compares below it and no saturated total ever does.
 const infKey = uint64(wire.InfCost) << 16
 
-// sourceKeys packs rowA into the shared per-batch key representation:
-// keyBuf[h] = rowA[h]<<16 | h. A minimization over keys then yields the
+// sourceKeysInto packs rowA into the per-batch key representation:
+// keys[h] = rowA[h]<<16 | h. A minimization over keys then yields the
 // smallest total cost with ties broken toward the smallest h — exactly the
 // scalar kernel's first-strict-minimum order — without tracking an index in
-// the hot loop. The skip slot is forced to InfCost so it can never win.
-//
-//lint:allocfree
-func (m *CostMatrix) sourceKeys(rowA []wire.Cost, skip int) []uint64 {
-	if cap(m.keyBuf) < len(rowA) {
-		//lint:allowalloc grow-once for rows longer than the view NewCostMatrix sized keyBuf for
-		m.keyBuf = make([]uint64, len(rowA))
-	}
-	return sourceKeysInto(m.keyBuf, rowA, skip)
-}
-
-// sourceKeysInto is sourceKeys with a caller-provided buffer, for passes that
-// shard one matrix across workers: the shared keyBuf is single-threaded, so
-// each worker packs into its own buffer instead. buf is grown if too small
-// and the packed keys are returned (aliasing buf when it was large enough).
+// the hot loop. The skip slot is forced to InfCost so it can never win. buf
+// is grown if too small and the packed keys are returned (aliasing buf when
+// it was large enough), so callers keep the result as their next buffer.
 //
 //lint:allocfree
 func sourceKeysInto(buf []uint64, rowA []wire.Cost, skip int) []uint64 {
@@ -398,114 +294,101 @@ func bestOneHopKeys(keys []uint64, rowB []wire.Cost) (hop int, cost wire.Cost) {
 	return int(b0 & 0xFFFF), wire.Cost(b0 >> 16)
 }
 
-// BestOneHopAll batch-evaluates the best one-hop route from slot a to every
-// slot in dsts, using the matrix rows of a and of each destination. It is
-// equivalent to calling BestOneHop(a, rowA, b, rowB) per destination, but a's
-// row is packed once and stays cache-resident across the whole pass. out
-// must have len(dsts) entries; the kernel performs no steady-state
-// allocation (the shared key buffer is grown once per view size).
+// scan evaluates every destination row in dsts against packed source keys.
 //
 //lint:allocfree
-func (m *CostMatrix) BestOneHopAll(a int, dsts []int, out []HopCost) {
-	m.BestOneHopAllRow(m.Row(a), a, dsts, out)
-}
-
-// BestOneHopAllInto is BestOneHopAll with a caller-provided key buffer,
-// making it safe to run concurrently with other readers of the same matrix
-// (the shared keyBuf is the only mutable state a read-only batch pass
-// touches). Sharded passes give each worker its own buffer. The packed keys
-// are returned so the caller can keep the grown buffer for reuse.
-//
-//lint:allocfree
-func (m *CostMatrix) BestOneHopAllInto(keyBuf []uint64, a int, dsts []int, out []HopCost) []uint64 {
-	keys := sourceKeysInto(keyBuf, m.Row(a), a)
-	for i, b := range dsts {
-		hop, cost := bestOneHopKeys(keys, m.Row(b))
-		out[i] = HopCost{Hop: hop, Cost: cost}
-	}
-	return keys
-}
-
-// BestOneHopAllRow is BestOneHopAll with the source row supplied unpacked —
-// used when the source is the node's own live measurement row, which is not
-// stored in its table. skip (the source's slot, excluded as an intermediate)
-// is passed separately because the row does not identify it.
-//
-//lint:allocfree
-func (m *CostMatrix) BestOneHopAllRow(rowA []wire.Cost, skip int, dsts []int, out []HopCost) {
-	keys := m.sourceKeys(rowA, skip)
+func (m *CostMatrix) scan(keys []uint64, dsts []int, out []HopCost) {
 	for i, b := range dsts {
 		hop, cost := bestOneHopKeys(keys, m.Row(b))
 		out[i] = HopCost{Hop: hop, Cost: cost}
 	}
 }
 
-// BestOneHopPairs batch-evaluates arbitrary (src, dst) slot pairs against the
-// matrix. out must have len(pairs) entries. Consecutive pairs sharing a
-// source reuse its packed keys, so grouping pairs by source gets the same
-// amortization as BestOneHopAll.
+// BestOneHopPairs batch-evaluates arbitrary (src, dst) slot pairs against
+// this one matrix — round 2 over a symmetric table, where a row serves as
+// both directions. out must have len(pairs) entries. Consecutive pairs
+// sharing a source reuse its packed keys, so grouping pairs by source gets
+// the same amortization as Table.BestOneHopAll.
 //
 //lint:allocfree
 func (m *CostMatrix) BestOneHopPairs(pairs [][2]int, out []HopCost) {
 	lastSrc := -1
-	var keys []uint64
 	for i, p := range pairs {
 		if p[0] != lastSrc {
-			keys = m.sourceKeys(m.Row(p[0]), p[0])
+			m.keyBuf = sourceKeysInto(m.keyBuf, m.Row(p[0]), p[0])
 			lastSrc = p[0]
 		}
-		hop, cost := bestOneHopKeys(keys, m.Row(p[1]))
+		hop, cost := bestOneHopKeys(m.keyBuf, m.Row(p[1]))
 		out[i] = HopCost{Hop: hop, Cost: cost}
 	}
 }
 
-// BestOneHopViaAll batch-evaluates the §4.2 fallback for every destination
-// slot at once: out[dst] is what BestOneHopVia would return for dst given the
-// same unpacked source row. The freshness of each intermediate is evaluated
-// once (not once per destination as the scalar loop does), and each fresh
-// intermediate's matrix row is then streamed across all destinations, so the
-// whole table recompute is one cache-friendly O(fresh·n) pass. out must have
-// t.N() entries.
+// BestOneHopAll batch-evaluates the best one-hop route from stored slot a to
+// every slot in dsts: per destination b, the hop h ≠ a minimizing
+// out_a(h) + in_b(h) with InfCost saturation and ties broken toward the
+// smallest h. Taking h = b yields the direct path (a row's self-entry is
+// zero), so hop == b means "go direct". On a symmetric table in_b is b's own
+// row — the paper's bidirectional-link assumption (§3). out must have
+// len(dsts) entries.
 //
 //lint:allocfree
-func (t *Table) BestOneHopViaAll(rowA []wire.Cost, now time.Time, maxAge time.Duration, out []HopCost) {
-	n := t.n
-	m := t.mat
-	// Seed with the direct path, exactly as the scalar fallback does: a
-	// destination outside the row (or with a dead direct link and no fresh
-	// intermediates) reports hop -1.
-	for dst := 0; dst < n; dst++ {
-		if dst < len(rowA) && rowA[dst] != wire.InfCost {
-			out[dst] = HopCost{Hop: dst, Cost: rowA[dst]}
-		} else {
-			out[dst] = HopCost{Hop: -1, Cost: wire.InfCost}
-		}
+func (t *Table) BestOneHopAll(a int, dsts []int, out []HopCost) {
+	t.out.keyBuf = t.BestOneHopAllRow(t.out.keyBuf, t.out.Row(a), a, dsts, out)
+}
+
+// BestOneHopAllRow is BestOneHopAll with the source's out-costs supplied
+// unpacked — a stored row, or the node's own live measurement row, which is
+// not in its table — and skip naming the source's slot. rowOut is packed into
+// keyBuf once and stays cache-resident across the whole pass; the grown
+// buffer is returned for reuse. With a buffer of its own a call only reads
+// the table, so sharded passes run it concurrently, one buffer per worker.
+//
+//lint:allocfree
+func (t *Table) BestOneHopAllRow(keyBuf []uint64, rowOut []wire.Cost, skip int, dsts []int, out []HopCost) []uint64 {
+	keyBuf = sourceKeysInto(keyBuf, rowOut, skip)
+	t.in.scan(keyBuf, dsts, out)
+	return keyBuf
+}
+
+// BestOneHopToRow evaluates the opposite direction of BestOneHopAllRow: the
+// best one-hop route from each stored slot in srcs to the holder of rowIn
+// (its costs h→holder, unpacked). The skip slot differs per source, so each
+// source's out-row is packed in turn and scanned against the one shared
+// in-row. Only a directional table needs it — on a symmetric one the answer
+// is the forward result.
+//
+//lint:allocfree
+func (t *Table) BestOneHopToRow(keyBuf []uint64, srcs []int, rowIn []wire.Cost, out []HopCost) []uint64 {
+	for i, a := range srcs {
+		keyBuf = sourceKeysInto(keyBuf, t.out.Row(a), a)
+		hop, cost := bestOneHopKeys(keyBuf, rowIn)
+		out[i] = HopCost{Hop: hop, Cost: cost}
 	}
-	lim := n
-	if len(rowA) < lim {
-		lim = len(rowA)
+	return keyBuf
+}
+
+// seedDirect starts a §4.2 evaluation from the direct path: a destination
+// outside rowOut, or with a dead direct link, reports hop -1 until some
+// intermediate improves on it.
+func seedDirect(rowOut []wire.Cost, dst int) HopCost {
+	if dst < len(rowOut) && rowOut[dst] != wire.InfCost {
+		return HopCost{Hop: dst, Cost: rowOut[dst]}
 	}
-	// Destinations beyond len(rowA) keep their -1 seed — the scalar fallback
-	// rejects them outright — so intermediates only stream over row[:lim].
-	out = out[:n]
-	for h := 0; h < lim; h++ {
-		if !m.FreshAt(h, now, maxAge) {
-			continue
-		}
-		ca := uint32(rowA[h])
-		if ca >= uint32(wire.InfCost) {
-			continue // dead first leg can never improve any destination
-		}
-		row := m.Row(h)
-		for dst, cb := range row[:lim] {
-			if dst == h {
-				continue
-			}
-			if s := ca + uint32(cb); s < uint32(out[dst].Cost) {
-				out[dst] = HopCost{Hop: h, Cost: wire.Cost(s)}
-			}
-		}
-	}
+	return HopCost{Hop: -1, Cost: wire.InfCost}
+}
+
+// BestOneHopViaAll batch-evaluates the §4.2 fallback — the redundant
+// link-state route a node whose rendezvous servers have failed computes
+// through the neighbors whose rows it holds — for every destination slot at
+// once: out[dst] is the best of the direct path rowOut[dst] and
+// rowOut[h] + out_h(dst) over intermediates h with a row fresher than maxAge.
+// Each intermediate's freshness is evaluated once and its row then streamed
+// across all destinations, so the whole table recompute is one
+// cache-friendly O(fresh·n) pass. out must have t.N() entries.
+//
+//lint:allocfree
+func (t *Table) BestOneHopViaAll(rowOut []wire.Cost, now time.Time, maxAge time.Duration, out []HopCost) {
+	t.BestOneHopViaSpan(rowOut, now, maxAge, out, 0, t.n)
 }
 
 // BestOneHopViaSpan is BestOneHopViaAll restricted to destinations in
@@ -517,41 +400,32 @@ func (t *Table) BestOneHopViaAll(rowA []wire.Cost, now time.Time, maxAge time.Du
 // shard unit: spans write disjoint out ranges and only read the table.
 //
 //lint:allocfree
-func (t *Table) BestOneHopViaSpan(rowA []wire.Cost, now time.Time, maxAge time.Duration, out []HopCost, lo, hi int) {
-	m := t.mat
+func (t *Table) BestOneHopViaSpan(rowOut []wire.Cost, now time.Time, maxAge time.Duration, out []HopCost, lo, hi int) {
 	for dst := lo; dst < hi; dst++ {
-		if dst < len(rowA) && rowA[dst] != wire.InfCost {
-			out[dst] = HopCost{Hop: dst, Cost: rowA[dst]}
-		} else {
-			out[dst] = HopCost{Hop: -1, Cost: wire.InfCost}
-		}
+		out[dst] = seedDirect(rowOut, dst)
 	}
-	lim := t.n
-	if len(rowA) < lim {
-		lim = len(rowA)
-	}
-	dhi := hi
-	if dhi > lim {
-		dhi = lim // destinations ≥ lim keep their -1 seed, as in the full pass
-	}
-	if lo >= dhi {
+	lim := min(t.n, len(rowOut))
+	// Destinations ≥ lim keep their -1 seed — the row has no first leg toward
+	// them — so intermediates only stream over [lo, min(hi, lim)).
+	hi = min(hi, lim)
+	if lo >= hi {
 		return
 	}
+	span := out[lo:hi]
 	for h := 0; h < lim; h++ {
-		if !m.FreshAt(h, now, maxAge) {
+		if !t.FreshAt(h, now, maxAge) {
 			continue
 		}
-		ca := uint32(rowA[h])
+		ca := uint32(rowOut[h])
 		if ca >= uint32(wire.InfCost) {
-			continue
+			continue // dead first leg can never improve any destination
 		}
-		row := m.Row(h)
-		for dst := lo; dst < dhi; dst++ {
-			if dst == h {
+		for i, cb := range t.out.Row(h)[lo:hi] {
+			if i == h-lo {
 				continue
 			}
-			if s := ca + uint32(row[dst]); s < uint32(out[dst].Cost) {
-				out[dst] = HopCost{Hop: h, Cost: wire.Cost(s)}
+			if s := ca + uint32(cb); s < uint32(span[i].Cost) {
+				span[i] = HopCost{Hop: h, Cost: wire.Cost(s)}
 			}
 		}
 	}
@@ -565,29 +439,21 @@ func (t *Table) BestOneHopViaSpan(rowA []wire.Cost, now time.Time, maxAge time.D
 // bit-identical to a from-scratch recompute.
 //
 //lint:allocfree
-func (t *Table) BestOneHopViaDsts(rowA []wire.Cost, now time.Time, maxAge time.Duration, dsts []int, out []HopCost) {
-	m := t.mat
+func (t *Table) BestOneHopViaDsts(rowOut []wire.Cost, now time.Time, maxAge time.Duration, dsts []int, out []HopCost) {
 	for i, dst := range dsts {
-		if dst < len(rowA) && rowA[dst] != wire.InfCost {
-			out[i] = HopCost{Hop: dst, Cost: rowA[dst]}
-		} else {
-			out[i] = HopCost{Hop: -1, Cost: wire.InfCost}
-		}
+		out[i] = seedDirect(rowOut, dst)
 	}
-	lim := t.n
-	if len(rowA) < lim {
-		lim = len(rowA)
-	}
+	lim := min(t.n, len(rowOut))
 	out = out[:len(dsts)]
 	for h := 0; h < lim; h++ {
-		if !m.FreshAt(h, now, maxAge) {
+		if !t.FreshAt(h, now, maxAge) {
 			continue
 		}
-		ca := uint32(rowA[h])
+		ca := uint32(rowOut[h])
 		if ca >= uint32(wire.InfCost) {
 			continue
 		}
-		row := m.Row(h)
+		row := t.out.Row(h)
 		for i, dst := range dsts {
 			if dst == h || dst >= lim {
 				continue
@@ -597,4 +463,18 @@ func (t *Table) BestOneHopViaDsts(rowA []wire.Cost, now time.Time, maxAge time.D
 			}
 		}
 	}
+}
+
+// BestOneHopVia is the §4.2 fallback for one destination — what BestHop
+// serves when no fresh recommendation exists. A hop of -1 means no usable
+// path was found (including a dst outside rowOut).
+//
+//lint:allocfree
+func (t *Table) BestOneHopVia(rowOut []wire.Cost, dst int, now time.Time, maxAge time.Duration) (hop int, cost wire.Cost) {
+	if dst < 0 {
+		return -1, wire.InfCost
+	}
+	dsts, out := [1]int{dst}, [1]HopCost{}
+	t.BestOneHopViaDsts(rowOut, now, maxAge, dsts[:], out[:])
+	return out[0].Hop, out[0].Cost
 }

@@ -38,34 +38,34 @@ func randRow(rng *rand.Rand, self, n int) []wire.LinkEntry {
 
 // buildRandomTable fills a table with rows for a random subset of slots at
 // staggered receive times, so freshness filtering has both fresh and stale
-// rows to distinguish.
-func buildRandomTable(rng *rand.Rand, n int, t0 time.Time) *Table {
-	tb := NewTable(n)
+// rows to distinguish. The announced rows are returned beside it for the
+// scalar oracles.
+func buildRandomTable(rng *rand.Rand, n int, t0 time.Time) (*Table, rawRows) {
+	tb, raw := NewTable(n), make(rawRows, n)
 	for s := 0; s < n; s++ {
 		if rng.Intn(5) == 0 {
 			continue // missing row
 		}
 		when := t0.Add(-time.Duration(rng.Intn(120)) * time.Second)
-		tb.Put(s, Row{Seq: uint32(rng.Intn(100)), When: when, Entries: randRow(rng, s, n)})
+		raw.put(tb, s, Row{Seq: uint32(rng.Intn(100)), When: when, Entries: randRow(rng, s, n)})
 	}
-	return tb
+	return tb, raw
 }
 
 // TestBatchKernelsMatchScalar is the property test for the tentpole: across
 // randomized tables, the batched matrix kernels must return exactly the
-// (hop, cost) pairs the scalar BestOneHop computes from the raw rows,
+// (hop, cost) pairs the scalar bestOneHop computes from the raw rows,
 // including InfCost saturation and first-index tie-breaking.
 func TestBatchKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	t0 := time.Unix(1_000_000, 0)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(24)
-		tb := buildRandomTable(rng, n, t0)
-		mat := tb.Matrix()
+		tb, raw := buildRandomTable(rng, n, t0)
 
 		var stored []int
 		for s := 0; s < n; s++ {
-			if tb.Get(s) != nil {
+			if tb.Have(s) {
 				stored = append(stored, s)
 			}
 		}
@@ -76,9 +76,9 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 		// BestOneHopAll vs scalar, every stored source against all stored dsts.
 		out := make([]HopCost, len(stored))
 		for _, a := range stored {
-			mat.BestOneHopAll(a, stored, out)
+			tb.BestOneHopAll(a, stored, out)
 			for i, b := range stored {
-				wantHop, wantCost := BestOneHop(a, tb.Get(a).Entries, b, tb.Get(b).Entries)
+				wantHop, wantCost := bestOneHop(a, raw[a].Entries, b, raw[b].Entries)
 				if out[i].Hop != wantHop || out[i].Cost != wantCost {
 					t.Fatalf("trial %d n=%d: BestOneHopAll(%d→%d) = (%d,%d), scalar (%d,%d)",
 						trial, n, a, b, out[i].Hop, out[i].Cost, wantHop, wantCost)
@@ -92,9 +92,9 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 			pairs[i] = [2]int{stored[rng.Intn(len(stored))], stored[rng.Intn(len(stored))]}
 		}
 		pout := make([]HopCost, len(pairs))
-		mat.BestOneHopPairs(pairs, pout)
+		tb.Matrix().BestOneHopPairs(pairs, pout)
 		for i, p := range pairs {
-			wantHop, wantCost := BestOneHop(p[0], tb.Get(p[0]).Entries, p[1], tb.Get(p[1]).Entries)
+			wantHop, wantCost := bestOneHop(p[0], raw[p[0]].Entries, p[1], raw[p[1]].Entries)
 			if pout[i].Hop != wantHop || pout[i].Cost != wantCost {
 				t.Fatalf("trial %d: BestOneHopPairs(%v) = (%d,%d), scalar (%d,%d)",
 					trial, p, pout[i].Hop, pout[i].Cost, wantHop, wantCost)
@@ -110,9 +110,9 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 		}
 		liveRow := randRow(rng, self, rowLen)
 		liveCosts := UnpackCosts(nil, liveRow)
-		mat.BestOneHopAllRow(liveCosts, self, stored, out)
+		tb.BestOneHopAllRow(nil, liveCosts, self, stored, out)
 		for i, b := range stored {
-			wantHop, wantCost := BestOneHop(self, liveRow, b, tb.Get(b).Entries)
+			wantHop, wantCost := bestOneHop(self, liveRow, b, raw[b].Entries)
 			if out[i].Hop != wantHop || out[i].Cost != wantCost {
 				t.Fatalf("trial %d n=%d rowLen=%d: BestOneHopAllRow(→%d) = (%d,%d), scalar (%d,%d)",
 					trial, n, rowLen, b, out[i].Hop, out[i].Cost, wantHop, wantCost)
@@ -129,7 +129,7 @@ func TestViaAllMatchesScalarVia(t *testing.T) {
 	t0 := time.Unix(2_000_000, 0)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(24)
-		tb := buildRandomTable(rng, n, t0)
+		tb, raw := buildRandomTable(rng, n, t0)
 		maxAge := time.Duration(rng.Intn(150)) * time.Second
 		rowLen := n
 		switch rng.Intn(4) {
@@ -145,7 +145,7 @@ func TestViaAllMatchesScalarVia(t *testing.T) {
 		out := make([]HopCost, n)
 		tb.BestOneHopViaAll(liveCosts, t0, maxAge, out)
 		for dst := 0; dst < n; dst++ {
-			wantHop, wantCost := BestOneHopVia(liveRow, tb, dst, t0, maxAge)
+			wantHop, wantCost := raw.bestOneHopVia(liveRow, dst, t0, maxAge)
 			if out[dst].Hop != wantHop || out[dst].Cost != wantCost {
 				t.Fatalf("trial %d n=%d rowLen=%d maxAge=%v: ViaAll(dst=%d) = (%d,%d), scalar (%d,%d)",
 					trial, n, rowLen, maxAge, dst, out[dst].Hop, out[dst].Cost, wantHop, wantCost)
@@ -179,9 +179,10 @@ func TestBestOneHopRowsNoSkip(t *testing.T) {
 	}
 }
 
-// TestMatrixTracksPutDrop verifies the flat matrix mirrors Put/Drop exactly:
-// stored rows appear unpacked, dropped and missing rows are all-InfCost.
-func TestMatrixTracksPutDrop(t *testing.T) {
+// TestMatrixTracksPutRetire verifies the flat matrix mirrors Put/RetireSlot
+// exactly: stored rows appear unpacked, retired and missing rows are
+// all-InfCost.
+func TestMatrixTracksPutRetire(t *testing.T) {
 	t0 := time.Unix(0, 0)
 	tb := NewTable(3)
 	m := tb.Matrix()
@@ -202,16 +203,16 @@ func TestMatrixTracksPutDrop(t *testing.T) {
 			t.Errorf("matrix row[1][%d] = %d, want %d", i, c, want[i])
 		}
 	}
-	if !m.Have(1) || m.Seq(1) != 3 || !m.When(1).Equal(t0) {
-		t.Error("matrix metadata not tracking Put")
+	if !tb.Have(1) || tb.Seq(1) != 3 || !tb.When(1).Equal(t0) {
+		t.Error("table metadata not tracking Put")
 	}
-	tb.Drop(1)
-	if m.Have(1) {
-		t.Error("matrix metadata survives Drop")
+	tb.RetireSlot(1)
+	if tb.Have(1) {
+		t.Error("table metadata survives RetireSlot")
 	}
 	for _, c := range m.Row(1) {
 		if c != wire.InfCost {
-			t.Error("dropped row not reset to InfCost")
+			t.Error("retired row not reset to InfCost")
 		}
 	}
 }
@@ -230,7 +231,7 @@ func TestPutRejectsEqualSeqOlderWhen(t *testing.T) {
 	if tb.Put(0, stale) {
 		t.Error("Put accepted equal-seq row with older When")
 	}
-	if got := tb.Get(0); got == nil || !got.When.Equal(t0.Add(time.Minute)) || got.Entries[1].Latency != 10 {
+	if !tb.Have(0) || !tb.When(0).Equal(t0.Add(time.Minute)) || tb.OutRow(0)[1] != 10 {
 		t.Error("stored row was rolled back by delayed duplicate")
 	}
 	// Same seq, same When (a true duplicate) still refreshes harmlessly.
@@ -258,12 +259,12 @@ func TestViaLongRowOutOfViewDst(t *testing.T) {
 		rowA[j] = wire.LinkEntry{Latency: uint16(10 + j), Status: 0}
 	}
 	SelfRow(0, rowA)
-	hop, cost := BestOneHopVia(rowA, tb, 5, t0, time.Minute)
+	hop, cost := tb.BestOneHopVia(UnpackCosts(nil, rowA), 5, t0, time.Minute)
 	if hop != 5 || cost != 15 {
 		t.Errorf("dst outside view: got (%d,%d), want direct (5,15)", hop, cost)
 	}
 	rowA[5].Status = wire.StatusDead
-	hop, cost = BestOneHopVia(rowA, tb, 5, t0, time.Minute)
+	hop, cost = tb.BestOneHopVia(UnpackCosts(nil, rowA), 5, t0, time.Minute)
 	if hop != -1 || cost != wire.InfCost {
 		t.Errorf("dead direct outside view: got (%d,%d), want (-1,InfCost)", hop, cost)
 	}
