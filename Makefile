@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all tier1 vet fmt bench loc lint vuln fuzz soak
+.PHONY: all tier1 vet fmt bench digest loc lint vuln fuzz soak
 
 all: tier1 vet lint
 
@@ -50,6 +50,13 @@ fuzz:
 # metrics and per-layer rows into benchmark/out/ (see benchmark/README.md).
 bench:
 	$(GO) run ./benchmark
+
+# digest prints `workload seed sim_digest` for the four ledger workloads at
+# each seed in SEEDS: the behaviour-identity check. Two commits that print the
+# same lines simulated the same events in the same order.
+SEEDS ?= 1
+digest:
+	@SEEDS="$(SEEDS)" ./scripts/digest.sh
 
 # loc prints the tracked size: non-test Go lines outside benchmark/. It
 # should go down (ROADMAP aim 2).

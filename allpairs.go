@@ -22,7 +22,7 @@
 //     coordinator (StartCoordinator), as cmd/overlayd and cmd/coordinator do.
 //
 // The paper's evaluation — every figure and table — can be regenerated with
-// cmd/experiments; see DESIGN.md for the experiment index.
+// cmd/experiments; see README.md for the experiment index.
 package allpairs
 
 import (

@@ -1,16 +1,13 @@
 package allpairs
 
 // One benchmark per table and figure of the paper's evaluation, plus the
-// ablations called out in DESIGN.md. Benchmarks report the experiment's
+// ablations indexed in README.md. Benchmarks report the experiment's
 // headline quantity via b.ReportMetric so `go test -bench . -benchmem`
 // regenerates the numbers EXPERIMENTS.md records. cmd/experiments produces
 // the same data at full paper scale.
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"fmt"
-	"hash"
 	"testing"
 	"time"
 
@@ -250,7 +247,7 @@ func BenchmarkDiamondCounting(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §4).
+// Ablations (README.md, last row of the experiment index).
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationInterval compares quorum routing bandwidth at the paper's
@@ -367,9 +364,10 @@ func BenchmarkKernelOneHop(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d/batch", n), func(b *testing.B) {
 			out := make([]lsdb.HopCost, len(dsts))
+			keys := make([]uint64, 0, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tb.BestOneHopAll(0, dsts, out)
+				keys = tb.BestOneHopAllRow(keys, tb.OutRow(0), 0, dsts, out)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(dsts))), "ns/pair")
@@ -494,10 +492,10 @@ func benchRow(n, s, salt int) []wire.LinkEntry {
 // benchQuorumNode builds a standalone rendezvous in an n-slot view with every
 // grid client's row stored fresh: the busiest single-server workload the
 // paper's deployment sizes imply.
-func benchQuorumNode(b *testing.B, n int, disableIncremental bool) (*core.Quorum, []int, *transport.SimEnv) {
+func benchQuorumNode(b *testing.B, n int) (*core.Quorum, []int) {
 	b.Helper()
 	env := benchEnv()
-	q, err := core.NewQuorum(env, core.QuorumConfig{DisableIncremental: disableIncremental}, benchView(n), 0)
+	q, err := core.NewQuorum(env, core.QuorumConfig{}, benchView(n), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -512,7 +510,7 @@ func benchQuorumNode(b *testing.B, n int, disableIncremental bool) (*core.Quorum
 	for _, c := range clients {
 		q.Table().Put(c, lsdb.Row{Seq: 1, When: env.Now(), Entries: benchRow(n, c, 0)})
 	}
-	return q, clients, env
+	return q, clients
 }
 
 // benchFullMeshNode builds a standalone full-mesh node holding all n−1 peer
@@ -531,17 +529,16 @@ func benchFullMeshNode(b *testing.B, n int, disableIncremental bool) (*core.Full
 
 // BenchmarkRecomputeTrajectory records the single-node recompute trajectory
 // at n ∈ {1000, 2000, 5000}. For the quorum it times one routing tick of a
-// rendezvous serving its full ~2√n client set, the from-scratch pass against
-// the steady-state generation-cache path; for the full-mesh baseline, a
-// from-scratch pass over all n destinations against an incremental pass with
-// a bounded dirty set. The tentpole criterion is the n=5000 quorum tick
-// finishing inside the 30 s probing interval; with GOMAXPROCS=1 these numbers
-// are the parallelism-free floor, and the sharded full pass only improves on
-// them.
+// rendezvous serving its full ~2√n client set (round 2 evaluates every pair
+// every interval); for the full-mesh baseline, a from-scratch pass over all n
+// destinations against an incremental pass with a bounded dirty set. The
+// criterion is the n=5000 quorum tick finishing inside the 30 s probing
+// interval; with GOMAXPROCS=1 these numbers are the parallelism-free floor,
+// and the sharded full pass only improves on them.
 func BenchmarkRecomputeTrajectory(b *testing.B) {
 	for _, n := range []int{1000, 2000, 5000} {
 		b.Run(fmt.Sprintf("quorum/n=%d/full", n), func(b *testing.B) {
-			q, clients, _ := benchQuorumNode(b, n, true)
+			q, clients := benchQuorumNode(b, n)
 			q.Tick()
 			base := q.Stats()
 			b.ResetTimer()
@@ -552,22 +549,6 @@ func BenchmarkRecomputeTrajectory(b *testing.B) {
 			st := q.Stats()
 			b.ReportMetric(float64(len(clients)), "clients")
 			b.ReportMetric(float64(st.PairsComputed-base.PairsComputed)/float64(b.N), "pairs_computed/op")
-		})
-		b.Run(fmt.Sprintf("quorum/n=%d/steady", n), func(b *testing.B) {
-			q, clients, _ := benchQuorumNode(b, n, false)
-			q.Tick() // cold tick populates the pair cache
-			base := q.Stats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Tick()
-			}
-			b.StopTimer()
-			st := q.Stats()
-			if st.PairsComputed != base.PairsComputed {
-				b.Fatalf("steady ticks recomputed %d pairs", st.PairsComputed-base.PairsComputed)
-			}
-			b.ReportMetric(float64(len(clients)), "clients")
-			b.ReportMetric(float64(st.PairsCached-base.PairsCached)/float64(b.N), "pairs_cached/op")
 		})
 	}
 	for _, n := range []int{1000, 2000, 5000} {
@@ -711,23 +692,12 @@ func BenchmarkViewRemap(b *testing.B) {
 	}
 }
 
-// sendLog is an Env that digests what its router sends instead of
-// delivering it, so two routers' output can be compared byte for byte.
-type sendLog struct {
-	*transport.SimEnv
-	digest hash.Hash
-}
-
-func (e *sendLog) Send(to wire.NodeID, payload []byte) {
-	e.digest.Write([]byte{byte(to >> 8), byte(to)})
-	e.digest.Write(payload)
-}
-
 // BenchmarkShardedFullPass times the from-scratch passes at n = 2000 across
-// worker counts — the full-mesh recompute, and the quorum's round 2 in
-// directional mode (both directions of every client pair) — verifying each
-// sharded pass byte-identical to the serial one before timing. On an m-core
-// host the pass should approach m× the serial throughput (the shards write
+// worker counts: the quorum's round 2 in directional mode (both directions
+// of every client pair; byte-identity across worker counts is
+// core.TestQuorumRound2WorkersByteIdentical), and the full-mesh recompute,
+// verified byte-identical to the serial one before timing. On an m-core host
+// the pass should approach m× the serial throughput (the shards write
 // disjoint spans, so there is no coordination beyond the fork/join).
 func BenchmarkShardedFullPass(b *testing.B) {
 	const n = 2000
@@ -738,9 +708,9 @@ func BenchmarkShardedFullPass(b *testing.B) {
 		}
 		return out
 	}
-	buildQuorum := func(workers int) (*core.Quorum, *sendLog) {
-		env := &sendLog{SimEnv: benchEnv(), digest: sha256.New()}
-		q, err := core.NewQuorum(env, core.QuorumConfig{Asymmetric: true, DisableIncremental: true, Workers: workers}, benchView(n), 0)
+	buildQuorum := func(workers int) *core.Quorum {
+		env := benchEnv()
+		q, err := core.NewQuorum(env, core.QuorumConfig{Asymmetric: true, Workers: workers}, benchView(n), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -750,18 +720,12 @@ func BenchmarkShardedFullPass(b *testing.B) {
 		for _, c := range q.Grid().Clients(0) {
 			q.Table().PutAsym(c, lsdb.AsymRow{Seq: 1, When: env.Now(), Entries: directional(benchRow(n, c, 0))})
 		}
-		return q, env
+		return q
 	}
-	serialQ, serialLog := buildQuorum(1)
-	serialQ.Tick()
-	wantSent := serialLog.digest.Sum(nil)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("quorum-directional/n=%d/workers=%d", n, w), func(b *testing.B) {
-			q, log := buildQuorum(w)
-			q.Tick()
-			if st := q.Stats(); st.RecommendationsSent == 0 || st.PairsCached != 0 || !bytes.Equal(log.digest.Sum(nil), wantSent) {
-				b.Fatalf("workers=%d: first tick's messages differ from the serial pass's (stats %+v)", w, st)
-			}
+			q := buildQuorum(w)
+			q.Tick() // sizes the message buffers
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q.Tick()

@@ -1,5 +1,5 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md for the experiment index). Each subcommand
+// evaluation (see README.md for the experiment index). Each subcommand
 // prints whitespace-separated data columns with a commented header, suitable
 // for gnuplot or eyeballing.
 //

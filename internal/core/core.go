@@ -73,6 +73,40 @@ type RouteEntry struct {
 	Source RouteSource
 }
 
+// staleHop is degraded-mode damping, shared by both routers' BestHop: an
+// entry that expired at most hold ago (ttl is the router's normal lifetime
+// for it) is served, while alive still vouches for its first hop, with its
+// cost inflated in proportion to how far past ttl it is. The inflation keeps
+// genuinely fresh information preferred everywhere a choice exists, so
+// degraded entries only ever win when the alternative is no route at all.
+//
+// If the first hop itself died during the outage, the fallback goes
+// second-order instead of blanking: via re-evaluates the aged link-state rows
+// under the router's degraded age bound (its staleness bound plus hold), and
+// the best surviving alternative is served with the same damping. The dead
+// hop self-excludes because the live self row reports its first leg
+// unreachable. A hold ≤ 0 disables degraded mode.
+func staleHop(e RouteEntry, now time.Time, ttl, hold time.Duration, alive func(slot int) bool, via func() (hop int, cost wire.Cost)) (RouteEntry, bool) {
+	if hold <= 0 || e.Source == SourceNone || e.Hop < 0 || e.Cost == wire.InfCost {
+		return RouteEntry{}, false
+	}
+	age := now.Sub(e.When)
+	if age > ttl+hold {
+		return RouteEntry{}, false
+	}
+	if !alive(e.Hop) {
+		hop, cost := via()
+		if hop < 0 || cost == wire.InfCost || !alive(hop) {
+			return RouteEntry{}, false
+		}
+		e.Hop, e.Cost = hop, cost
+	}
+	over := max(age-ttl, 0)
+	e.Cost = e.Cost.Add(wire.Cost(uint64(e.Cost) * uint64(over) / uint64(hold)))
+	e.Source = SourceStale
+	return e, true
+}
+
 // Router is the interface shared by the quorum router and the full-mesh
 // baseline, as consumed by the overlay node.
 type Router interface {

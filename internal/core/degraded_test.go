@@ -195,7 +195,7 @@ func TestStaleCostPenaltySaturates(t *testing.T) {
 	q.LinkAlive = func(int) bool { return true }
 	base := time.Unix(0, 0)
 	e := RouteEntry{Hop: 1, Cost: wire.InfCost - 1, When: base, Source: SourceRendezvous}
-	got, ok := q.staleHop(1, e, base.Add(q.cfg.RouteTTL+q.cfg.DegradedHold))
+	got, ok := staleHop(e, base.Add(q.cfg.RouteTTL+q.cfg.DegradedHold), q.cfg.RouteTTL, q.cfg.DegradedHold, q.LinkAlive, nil)
 	if !ok {
 		t.Fatal("edge-of-window entry not served")
 	}

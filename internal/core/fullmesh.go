@@ -408,46 +408,24 @@ func (f *FullMesh) BestHop(dst int) (RouteEntry, bool) {
 	if e.Source != SourceNone && e.Hop >= 0 && now.Sub(e.When) <= f.cfg.Staleness {
 		return e, true
 	}
-	hop, cost := f.table.BestOneHopVia(f.selfCosts(), dst, now, f.cfg.Staleness)
+	costs := f.selfCosts()
+	hop, cost := f.table.BestOneHopVia(costs, dst, now, f.cfg.Staleness)
 	if hop >= 0 && cost != wire.InfCost {
 		return RouteEntry{Hop: hop, Cost: cost, When: now, From: -1, Source: SourceFallback}, true
 	}
-	if se, ok := f.staleHop(dst, e, now); ok {
+	// The baseline has no prober callback; its liveness belief is the status
+	// byte of the live self row.
+	alive := func(slot int) bool {
+		row := f.SelfRow()
+		return slot < len(row) && wire.StatusAlive(row[slot].Status)
+	}
+	via := func() (int, wire.Cost) {
+		return f.table.BestOneHopVia(costs, dst, now, f.cfg.Staleness+f.cfg.DegradedHold)
+	}
+	if se, ok := staleHop(e, now, f.cfg.Staleness, f.cfg.DegradedHold, alive, via); ok {
 		return se, true
 	}
 	return RouteEntry{Hop: -1, Cost: wire.InfCost}, false
-}
-
-// staleHop is the baseline's degraded-mode damping, mirroring
-// Quorum.staleHop: serve the expired entry with an age-inflated cost while
-// the self row still reports the first hop alive. If the first hop itself
-// died during the outage, fall back second-order: re-evaluate the aged rows
-// under the degraded age bound (Staleness+DegradedHold) and serve the best
-// surviving alternative with the same damping — the dead hop self-excludes
-// because the live self row reports it unreachable.
-func (f *FullMesh) staleHop(dst int, e RouteEntry, now time.Time) (RouteEntry, bool) {
-	if f.cfg.DegradedHold <= 0 || e.Source == SourceNone || e.Hop < 0 || e.Cost == wire.InfCost {
-		return RouteEntry{}, false
-	}
-	age := now.Sub(e.When)
-	if age > f.cfg.Staleness+f.cfg.DegradedHold {
-		return RouteEntry{}, false
-	}
-	if row := f.SelfRow(); e.Hop >= len(row) || !wire.StatusAlive(row[e.Hop].Status) {
-		hop, cost := f.table.BestOneHopVia(f.selfCosts(), dst, now, f.cfg.Staleness+f.cfg.DegradedHold)
-		if hop < 0 || cost == wire.InfCost {
-			return RouteEntry{}, false
-		}
-		e.Hop, e.Cost = hop, cost
-	}
-	over := age - f.cfg.Staleness
-	if over < 0 {
-		over = 0
-	}
-	penalty := wire.Cost(uint64(e.Cost) * uint64(over) / uint64(f.cfg.DegradedHold))
-	e.Cost = e.Cost.Add(penalty)
-	e.Source = SourceStale
-	return e, true
 }
 
 // Routes implements Router.

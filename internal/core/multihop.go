@@ -194,40 +194,6 @@ func (res *MultiHopResult) Path(i, j int) []int {
 	return path
 }
 
-// BoundedHopDP computes, by direct dynamic programming (min-plus matrix
-// squaring), the optimal cost between all pairs using at most maxHops hops,
-// where maxHops is rounded up to a power of two. It is the oracle the
-// multi-hop engine is verified against, and also the communication-free
-// upper bound a centralized implementation would compute.
-func BoundedHopDP(costs [][]wire.Cost, maxHops int) [][]wire.Cost {
-	n := len(costs)
-	d := make([][]wire.Cost, n)
-	for i := range d {
-		d[i] = append([]wire.Cost(nil), costs[i]...)
-	}
-	iters := 0
-	for l := 1; l < maxHops; l *= 2 {
-		iters++
-	}
-	for t := 0; t < iters; t++ {
-		nd := make([][]wire.Cost, n)
-		for i := 0; i < n; i++ {
-			nd[i] = make([]wire.Cost, n)
-			for j := 0; j < n; j++ {
-				best := d[i][j]
-				for m := 0; m < n; m++ {
-					if c := d[i][m].Add(d[m][j]); c < best {
-						best = c
-					}
-				}
-				nd[i][j] = best
-			}
-		}
-		d = nd
-	}
-	return d
-}
-
 // TheoreticalMultiHopBytes returns the Θ(n√n log n) closed-form per-node
 // communication of the multi-hop algorithm for an n-node overlay and hop
 // bound l, used to check measured scaling: per iteration each node exchanges

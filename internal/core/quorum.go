@@ -59,12 +59,7 @@ type QuorumConfig struct {
 	// RetransmitTimeout is the ack wait before the single retransmission
 	// (default 2 s).
 	RetransmitTimeout time.Duration
-	// DisableIncremental forces from-scratch round-2 computation every tick
-	// instead of the generation-validated pair cache. Both produce
-	// byte-identical messages (pinned by the golden churn test); the switch
-	// exists for that test and for debugging.
-	DisableIncremental bool
-	// Workers caps the fork/join fan-out of full round-2 passes
+	// Workers caps the fork/join fan-out of the round-2 pair pass
 	// (0 = GOMAXPROCS, 1 = serial). Shards stage results per source and are
 	// merged in slot order, so the worker count never changes the bytes sent.
 	Workers int
@@ -107,9 +102,10 @@ type QuorumStats struct {
 	LinkStatesSent uint64
 	// Retransmits counts reliable-mode row retransmissions.
 	Retransmits uint64
-	// PairsComputed counts client pairs evaluated by the one-hop kernel in
-	// round 2; PairsCached counts pairs served from the generation-validated
-	// cache instead. Their ratio is the incremental path's hit rate.
+	// PairsComputed counts directed client pairs evaluated by the one-hop
+	// kernel in round 2. PairsCached is always zero: round 2 evaluates every
+	// pair every interval (§3), and the field remains only because
+	// benchmark/ reads it (the ledger's core.quorum.pairs_cached_share row).
 	PairsComputed uint64
 	PairsCached   uint64
 	// ViewExtends counts view installs taken as stable extensions (per-slot
@@ -173,39 +169,9 @@ type Quorum struct {
 	recsBuf    [][]wire.RecEntry
 	costsBuf   []wire.Cost // unpacked live self row (out-costs, then in-costs when directional)
 	hopBuf     []lsdb.HopCost
-	keyBuf     []uint64 // packed source keys of the serial kernel calls
+	keyBuf     []uint64 // packed source keys of the self-row kernel calls
 	sortBuf    []int    // sorted-map-iteration scratch (activeServers, retransmit)
-
-	// Incremental round-2 state. A route's best hop depends only on the two
-	// endpoint rows (the kernel reads intermediate costs out of exactly those
-	// rows), so a value cached under the directed pair (src, dst) revalidates
-	// by comparing the endpoints' row generations — a lookup-only map, never
-	// iterated. The live self row, which no table stores, takes part under a
-	// generation of its own: selfGen advances when its unpacked costs differ
-	// from the previous tick's. On a symmetric table the route b→a is the
-	// route a→b (one row serves both directions), so only src < dst in client
-	// order is ever computed or cached. A cold SetView drops everything with
-	// the table. See sendRecommendations.
-	pairCache  map[uint32]pairVal
-	lastGen    []uint32    // per-slot generation at the previous tick (dirty-fraction gate)
-	prevSelf   []wire.Cost // costsBuf at the previous tick
-	selfGen    uint32
-	missPosBuf []int
-	missDstBuf []int
-	missOutBuf []lsdb.HopCost
-	pairOutBuf []lsdb.HopCost // sharded full-pass staging, merged in slot order
 }
-
-// pairVal is one cached directed-pair result with the endpoint row
-// generations it was computed from.
-type pairVal struct {
-	hop            int32
-	cost           wire.Cost
-	genSrc, genDst uint32
-}
-
-// pairKey packs a directed slot pair (slots fit u16 by NodeID width).
-func pairKey(src, dst int) uint32 { return uint32(src)<<16 | uint32(dst) }
 
 // NewQuorum creates a quorum router for the node at slot self of view.
 func NewQuorum(env transport.Env, cfg QuorumConfig, view *membership.ViewInfo, self int) (*Quorum, error) {
@@ -222,10 +188,10 @@ func NewQuorum(env transport.Env, cfg QuorumConfig, view *membership.ViewInfo, s
 // extension (membership.StableExtension — the only kind of change a
 // coordinator reign produces) is applied in place: tables grow, slots whose
 // occupant departed are retired individually, and everything about
-// unaffected members (stored rows, generation counters, cached pair results,
-// route entries) is left bit-for-bit untouched. Any other install goes cold,
-// as the first one does: empty tables, routes, caches and silence tracking,
-// refilled by the next routing intervals. Per-view episode state (pending
+// unaffected members (stored rows, route entries, silence tracking) is left
+// bit-for-bit untouched. Any other install goes cold, as the first one does:
+// empty tables, routes and silence tracking, refilled by the next routing
+// intervals. Per-view episode state (pending
 // reliable-mode acks, the start-of-view clock) resets either way; the
 // sequence number and cumulative stats survive both.
 func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
@@ -256,12 +222,6 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		for len(q.routes) < n {
 			q.routes = append(q.routes, RouteEntry{})
 		}
-		for len(q.lastGen) < n {
-			q.lastGen = append(q.lastGen, 0)
-		}
-		// Cached pair values involving retired slots self-invalidate: retiring
-		// bumps those slots' generations, so the next revalidation misses.
-		// Everything else stays warm — the point of stable slots.
 		for _, s := range retired {
 			q.table.RetireSlot(s)
 			delete(q.lastRecAbout, s)
@@ -292,9 +252,6 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		}
 		q.routes = make([]RouteEntry, n)
 		q.lastRecAbout = make(map[int][]time.Time)
-		q.pairCache = make(map[uint32]pairVal)
-		q.lastGen = make([]uint32, n)
-		q.prevSelf = q.prevSelf[:0]
 		q.failovers = make(map[int]*failoverState)
 	}
 	q.servers = g.Servers(self)
@@ -480,8 +437,8 @@ func (q *Quorum) selfCosts() (out, in []wire.Cost) {
 	return q.costsBuf, q.costsBuf
 }
 
-// shardMinClients is the smallest fresh-client count worth forking the full
-// round-2 pair pass across workers.
+// shardMinClients is the smallest fresh-client count worth forking the
+// round-2 pair pass across workers; below it the fork/join overhead dominates.
 const shardMinClients = 32
 
 // sendRecommendations is round 2: acting as a rendezvous server, compute the
@@ -489,19 +446,10 @@ const shardMinClients = 32
 // client one message covering all its pairs. The node also serves itself:
 // routes between it and each client are computed and installed locally.
 //
-// Every pair is evaluated per direction — a→b from a's out-costs and b's
-// in-costs, b→a the other way round — except that on a symmetric table the
-// two are one computation and the reverse result is the forward slice.
-//
-// The steady-state path is incremental: a pair's value depends only on its
-// two endpoint rows, so results cached under the endpoints' row generations
-// stay valid until either row's contents change — and rows re-announced with
-// identical costs every interval do not change. When more than
-// 1/incrementalMaxDirtyDenom of the fresh clients went dirty since the last
-// tick (cold start, churn burst), the pass falls back to the from-scratch
-// pair sweep, sharded across workers by source. Either way the entries
-// appended to each client's message — and their order — are exactly those of
-// an unconditional sweep.
+// Every pair is evaluated every interval (§3), per direction — a→b from a's
+// out-costs and b's in-costs, b→a the other way round — except that on a
+// symmetric table the two are one computation and the reverse result is the
+// forward slice.
 func (q *Quorum) sendRecommendations() {
 	now := q.env.Now()
 	clients := q.table.FreshSlots(q.clientsBuf[:0], now, q.cfg.Staleness)
@@ -516,46 +464,16 @@ func (q *Quorum) sendRecommendations() {
 	}
 	recs := q.recsBuf[:k]
 	for i := range recs {
-		recs[i] = recs[i][:0]
+		recs[i] = slices.Grow(recs[i][:0], k)[:k] // one entry per other client, then this node
 	}
-	if cap(q.hopBuf) < 2*k {
-		q.hopBuf = make([]lsdb.HopCost, 2*k)
-	}
-
-	useCache := false
-	if !q.cfg.DisableIncremental {
-		changed := 0
-		for _, c := range clients {
-			if q.table.Gen(c) != q.lastGen[c] {
-				changed++
-			}
-		}
-		useCache = changed*incrementalMaxDirtyDenom <= k
-	}
-	if !useCache && k >= shardMinClients && q.cfg.Workers != 1 {
-		q.pairsSharded(clients, recs)
-	} else {
-		for i, a := range clients {
-			fwd, rev := q.sweep(a, q.table.OutRow(a), q.table.InRow(a), clients[i+1:], useCache)
-			q.appendPairRecs(i, clients, fwd, rev, recs)
-		}
-	}
-	for _, c := range clients {
-		q.lastGen[c] = q.table.Gen(c)
-	}
+	q.clientPairs(clients, recs)
 
 	// Pairs (self, client): install the route to the client locally and tell
-	// the client its route to us. The live self row is unpacked once for the
-	// whole batch.
-	selfOut, selfIn := q.selfCosts()
-	if !slices.Equal(q.costsBuf, q.prevSelf) {
-		q.selfGen++
-		q.prevSelf = append(q.prevSelf[:0], q.costsBuf...)
-	}
-	fwd, rev := q.sweep(q.self, selfOut, selfIn, clients, useCache)
+	// the client its route to us.
+	fwd, rev := q.sweep(clients)
 	for i, c := range clients {
 		q.install(c, RouteEntry{Hop: fwd[i].Hop, Cost: fwd[i].Cost, When: now, From: q.self, Source: SourceSelf})
-		recs[i] = append(recs[i], wire.RecEntry{Dst: q.env.LocalID(), Hop: q.hopID(rev[i].Hop), Cost: rev[i].Cost})
+		recs[i][k-1] = wire.RecEntry{Dst: q.env.LocalID(), Hop: q.hopID(rev[i].Hop), Cost: rev[i].Cost}
 	}
 
 	for i, c := range clients {
@@ -576,153 +494,67 @@ func (q *Quorum) hopID(hop int) wire.NodeID {
 	return q.view.IDAt(hop)
 }
 
-// appendPairRecs appends source i's sweep over the later clients to both
-// endpoints' pending messages — fwd[z] is the route from clients[i] to
-// clients[i+1+z], rev[z] the route back — in exactly the order an
-// unconditional sweep uses (source order outer, destination order inner), so
-// the incremental, full and sharded paths emit byte-identical messages.
-func (q *Quorum) appendPairRecs(i int, clients []int, fwd, rev []lsdb.HopCost, recs [][]wire.RecEntry) {
-	for z := range fwd {
-		j := i + 1 + z
-		recs[i] = append(recs[i], wire.RecEntry{Dst: q.view.IDAt(clients[j]), Hop: q.hopID(fwd[z].Hop), Cost: fwd[z].Cost})
-		recs[j] = append(recs[j], wire.RecEntry{Dst: q.view.IDAt(clients[i]), Hop: q.hopID(rev[z].Hop), Cost: rev[z].Cost})
-	}
-}
-
-// gen is the row generation cached routes are validated against: the table's
-// for a stored client row, selfGen for the live self row.
-func (q *Quorum) gen(slot int) uint32 {
-	if slot == q.self {
-		return q.selfGen
-	}
-	return q.table.Gen(slot)
-}
-
-// remember caches the route src→dst under the endpoints' generations.
-func (q *Quorum) remember(src, dst int, hc lsdb.HopCost) {
-	q.pairCache[pairKey(src, dst)] = pairVal{hop: int32(hc.Hop), cost: hc.Cost, genSrc: q.gen(src), genDst: q.gen(dst)}
-}
-
-// recall returns the cached route src→dst if neither endpoint row has
-// changed since it was computed.
-func (q *Quorum) recall(src, dst int) (lsdb.HopCost, bool) {
-	pv, ok := q.pairCache[pairKey(src, dst)]
-	if !ok || pv.genSrc != q.gen(src) || pv.genDst != q.gen(dst) {
-		return lsdb.HopCost{}, false
-	}
-	return lsdb.HopCost{Hop: int(pv.hop), Cost: pv.cost}, true
-}
-
-// sweep evaluates the routes between slot a — whose unpacked costs are
-// rowOut (a→h) and rowIn (h→a): a stored client's matrix rows or the live
-// self row — and every slot in others: fwd[z] is a→others[z], rev[z] is
-// others[z]→a. On a symmetric table rev is fwd. The results alias hopBuf and
-// are valid until the next sweep.
-func (q *Quorum) sweep(a int, rowOut, rowIn []wire.Cost, others []int, useCache bool) (fwd, rev []lsdb.HopCost) {
-	fwd = q.hopBuf[:len(others)]
-	q.sweepDir(a, rowOut, others, false, useCache, fwd)
-	if !q.table.Directional() {
-		return fwd, fwd
-	}
-	rev = q.hopBuf[len(q.hopBuf)/2:][:len(others)] // sendRecommendations sizes hopBuf for two results per client
-	q.sweepDir(a, rowIn, others, true, useCache, rev)
-	return fwd, rev
-}
-
-// sweepDir is one direction of sweep. With useCache, routes whose endpoint
-// generations still match are copied out of the pair cache and only the
-// misses go through the kernel, batched; without, everything is evaluated in
-// place. Either way every evaluated route refreshes the cache.
-func (q *Quorum) sweepDir(a int, row []wire.Cost, others []int, reverse, useCache bool, out []lsdb.HopCost) {
-	todo, todoOut := others, out
-	if useCache {
-		miss := q.missPosBuf[:0]
-		todo = q.missDstBuf[:0]
-		for z, b := range others {
-			src, dst := a, b
-			if reverse {
-				src, dst = b, a
-			}
-			if hc, ok := q.recall(src, dst); ok {
-				out[z] = hc
-				q.stats.PairsCached++
-				continue
-			}
-			miss = append(miss, z)
-			todo = append(todo, b)
-		}
-		q.missPosBuf, q.missDstBuf = miss, todo
-		if cap(q.missOutBuf) < len(todo) {
-			q.missOutBuf = make([]lsdb.HopCost, len(todo))
-		}
-		todoOut = q.missOutBuf[:len(todo)]
-	}
-	if len(todo) == 0 {
-		return
-	}
-	if reverse {
-		q.keyBuf = q.table.BestOneHopToRow(q.keyBuf, todo, row, todoOut)
-	} else {
-		q.keyBuf = q.table.BestOneHopAllRow(q.keyBuf, row, a, todo, todoOut)
-	}
-	q.stats.PairsComputed += uint64(len(todo))
-	for z, b := range todo {
-		if reverse {
-			q.remember(b, a, todoOut[z])
-		} else {
-			q.remember(a, b, todoOut[z])
-		}
-		if useCache {
-			out[q.missPosBuf[z]] = todoOut[z]
-		}
-	}
-}
-
-// pairsSharded runs the from-scratch client-pair sweep forked across workers
-// by source. Shards stage into disjoint ranges of one flat buffer (the
-// forward triangle, then the reverse one when directional), only read the
-// table, and pack keys into worker-local buffers, so the merge — in source
-// order, on one goroutine — emits the same bytes regardless of the worker
-// count. Results refresh the cache for the next incremental tick.
-func (q *Quorum) pairsSharded(clients []int, recs [][]wire.RecEntry) {
+// clientPairs evaluates every pair of clients and writes the results into both
+// endpoints' pending messages: recs[j] lists j's routes in client order, so
+// the route to clients[m] sits at index m, or m-1 past j itself. Sources are
+// split into spans that only read the table, stage kernel output in
+// span-local buffers and write disjoint entries of recs, so the bytes sent do
+// not depend on the worker count.
+func (q *Quorum) clientPairs(clients []int, recs [][]wire.RecEntry) {
 	k := len(clients)
-	total := k * (k - 1) / 2
-	directional := q.table.Directional()
-	need := total
-	if directional {
-		need = 2 * total
+	workers := q.cfg.Workers
+	if k < shardMinClients {
+		workers = 1
 	}
-	if cap(q.pairOutBuf) < need {
-		q.pairOutBuf = make([]lsdb.HopCost, need)
-	}
-	fwdStage := q.pairOutBuf[:total]
-	revStage := q.pairOutBuf[need-total : need] // the forward triangle itself when symmetric
-	// offset of source i's staged range: pairs contributed by sources < i.
-	off := func(i int) int { return i*(k-1) - i*(i-1)/2 }
-	table := q.table
-	par.Spans(k-1, q.cfg.Workers, func(lo, hi int) {
+	table, directional := q.table, q.table.Directional()
+	par.Spans(k-1, workers, func(lo, hi int) {
 		var keyBuf []uint64
+		longest := k - 1 - lo // the span's first source has the most later clients
+		fwd := make([]lsdb.HopCost, longest)
+		rev := fwd
+		if directional {
+			rev = make([]lsdb.HopCost, longest)
+		}
 		for i := lo; i < hi; i++ {
 			a, others := clients[i], clients[i+1:]
-			keyBuf = table.BestOneHopAllRow(keyBuf, table.OutRow(a), a, others, fwdStage[off(i):off(i)+len(others)])
+			fwd, rev := fwd[:len(others)], rev[:len(others)]
+			keyBuf = table.BestOneHopAllRow(keyBuf, table.OutRow(a), a, others, fwd)
 			if directional {
-				keyBuf = table.BestOneHopToRow(keyBuf, others, table.InRow(a), revStage[off(i):off(i)+len(others)])
+				keyBuf = table.BestOneHopToRow(keyBuf, others, table.InRow(a), rev)
+			}
+			for z, b := range others {
+				j := i + 1 + z
+				recs[i][j-1] = wire.RecEntry{Dst: q.view.IDAt(b), Hop: q.hopID(fwd[z].Hop), Cost: fwd[z].Cost}
+				recs[j][i] = wire.RecEntry{Dst: q.view.IDAt(a), Hop: q.hopID(rev[z].Hop), Cost: rev[z].Cost}
 			}
 		}
 	})
-	q.stats.PairsComputed += uint64(need)
-	for i, a := range clients {
-		others := clients[i+1:]
-		fwd := fwdStage[off(i) : off(i)+len(others)]
-		rev := revStage[off(i) : off(i)+len(others)]
-		for z, b := range others {
-			q.remember(a, b, fwd[z])
-			if directional {
-				q.remember(b, a, rev[z])
-			}
-		}
-		q.appendPairRecs(i, clients, fwd, rev, recs)
+	pairs := k * (k - 1)
+	if !directional {
+		pairs /= 2
 	}
+	q.stats.PairsComputed += uint64(pairs)
+}
+
+// sweep evaluates the routes between this node — whose live row no table
+// stores; it is unpacked once for the whole batch — and every client: fwd[i]
+// is self→clients[i], rev[i] is clients[i]→self. On a symmetric table rev is
+// fwd. The results alias hopBuf and are valid until the next sweep.
+func (q *Quorum) sweep(clients []int) (fwd, rev []lsdb.HopCost) {
+	rowOut, rowIn := q.selfCosts()
+	k := len(clients)
+	if cap(q.hopBuf) < 2*k {
+		q.hopBuf = make([]lsdb.HopCost, 2*k)
+	}
+	fwd, rev = q.hopBuf[:k], q.hopBuf[k:2*k]
+	q.keyBuf = q.table.BestOneHopAllRow(q.keyBuf, rowOut, q.self, clients, fwd)
+	q.stats.PairsComputed += uint64(k)
+	if !q.table.Directional() {
+		return fwd, fwd
+	}
+	q.keyBuf = q.table.BestOneHopToRow(q.keyBuf, clients, rowIn, rev)
+	q.stats.PairsComputed += uint64(k)
+	return fwd, rev
 }
 
 // install writes a route table entry and fires the update hook.
@@ -823,49 +655,13 @@ func (q *Quorum) BestHop(dst int) (RouteEntry, bool) {
 	if hop >= 0 && cost != wire.InfCost {
 		return RouteEntry{Hop: hop, Cost: cost, When: now, From: -1, Source: SourceFallback}, true
 	}
-	if se, ok := q.staleHop(dst, e, now); ok {
+	via := func() (int, wire.Cost) {
+		return q.table.BestOneHopVia(selfOut, dst, now, q.cfg.Staleness+q.cfg.DegradedHold)
+	}
+	if se, ok := staleHop(e, now, q.cfg.RouteTTL, q.cfg.DegradedHold, q.LinkAlive, via); ok {
 		return se, true
 	}
 	return RouteEntry{Hop: -1, Cost: wire.InfCost}, false
-}
-
-// staleHop serves an expired entry under degraded-mode damping: within
-// DegradedHold past the TTL, and only while the prober still believes the
-// first hop alive, the last-known-good route is returned with its cost
-// inflated proportionally to its age. The inflation keeps genuinely fresh
-// information preferred everywhere a choice exists, so degraded entries only
-// ever win when the alternative is no route at all.
-//
-// If the prober has lost the last-known-good first hop itself during the
-// outage, the fallback goes second-order instead of blanking: the aged client
-// rows are re-evaluated under the degraded age bound
-// (Staleness+DegradedHold), and the best surviving alternative is served with
-// the same damping. The dead hop self-excludes because the live self row
-// reports its first leg unreachable.
-func (q *Quorum) staleHop(dst int, e RouteEntry, now time.Time) (RouteEntry, bool) {
-	if q.cfg.DegradedHold <= 0 || e.Source == SourceNone || e.Hop < 0 || e.Cost == wire.InfCost {
-		return RouteEntry{}, false
-	}
-	age := now.Sub(e.When)
-	if age > q.cfg.RouteTTL+q.cfg.DegradedHold {
-		return RouteEntry{}, false
-	}
-	if q.LinkAlive != nil && !q.LinkAlive(e.Hop) {
-		selfOut, _ := q.selfCosts()
-		hop, cost := q.table.BestOneHopVia(selfOut, dst, now, q.cfg.Staleness+q.cfg.DegradedHold)
-		if hop < 0 || cost == wire.InfCost || !q.LinkAlive(hop) {
-			return RouteEntry{}, false
-		}
-		e.Hop, e.Cost = hop, cost
-	}
-	over := age - q.cfg.RouteTTL
-	if over < 0 {
-		over = 0
-	}
-	penalty := wire.Cost(uint64(e.Cost) * uint64(over) / uint64(q.cfg.DegradedHold))
-	e.Cost = e.Cost.Add(penalty)
-	e.Source = SourceStale
-	return e, true
 }
 
 // Routes implements Router.

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"hash"
 	"math/rand"
 	"testing"
 	"time"
@@ -602,5 +605,85 @@ func TestRetransmitSurvivesFailoverRecruitment(t *testing.T) {
 	nw.RunFor(3 * time.Second)
 	if got := q.Stats().Retransmits; got != uint64(pending) {
 		t.Errorf("retransmits = %d, want %d (failover recruitment cancelled them)", got, pending)
+	}
+}
+
+// recordingEnv digests what its router sends instead of delivering it, so
+// two routers' output can be compared byte for byte.
+type recordingEnv struct {
+	*transport.SimEnv
+	sent hash.Hash
+}
+
+func (e *recordingEnv) Send(to wire.NodeID, payload []byte) {
+	e.sent.Write([]byte{byte(to >> 8), byte(to)})
+	e.sent.Write(payload)
+}
+
+// TestQuorumRound2WorkersByteIdentical pins the worker count out of the
+// protocol: a rendezvous with enough fresh clients to fork its round-2 pair
+// pass must send the same messages, in the same order, at every Workers
+// setting, on a symmetric and on a directional table.
+func TestQuorumRound2WorkersByteIdentical(t *testing.T) {
+	const n = 625 // 25×25 grid: 48 rendezvous clients
+	ids := make([]wire.NodeID, n)
+	for i := range ids {
+		ids[i] = wire.NodeID(i)
+	}
+	view := membership.NewStaticView(ids)
+	rng := rand.New(rand.NewSource(7))
+	rows := make([][]wire.AsymEntry, n) // symmetric mode announces the Out half
+	for s := range rows {
+		rows[s] = make([]wire.AsymEntry, n)
+		for j := range rows[s] {
+			st := wire.MakeStatus(true, 0)
+			if rng.Intn(20) == 0 {
+				st = wire.StatusDead
+			}
+			rows[s][j] = wire.AsymEntry{Out: uint16(5 + rng.Intn(400)), In: uint16(5 + rng.Intn(400)), Status: st}
+		}
+		lsdb.SelfAsymRow(s, rows[s])
+	}
+	symmetric := func(s int) []wire.LinkEntry {
+		row := make([]wire.LinkEntry, n)
+		for j, e := range rows[s] {
+			row[j] = wire.LinkEntry{Latency: e.Out, Status: e.Status}
+		}
+		return row
+	}
+	for _, directional := range []bool{false, true} {
+		sent := func(workers int) []byte {
+			env := &recordingEnv{SimEnv: transport.NewSimEnv(simnet.New(1, 1), transport.NewRegistry(), 0, 1), sent: sha256.New()}
+			env.SetLocalID(0)
+			q, err := NewQuorum(env, QuorumConfig{Asymmetric: directional, Workers: workers}, view, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.SelfRow = func() []wire.LinkEntry { return symmetric(0) }
+			q.SelfAsymRow = func() []wire.AsymEntry { return rows[0] }
+			q.LinkAlive = func(int) bool { return true }
+			clients := q.Grid().Clients(0)
+			if len(clients) < shardMinClients {
+				t.Fatalf("%d clients never fork the pair pass (shardMinClients = %d)", len(clients), shardMinClients)
+			}
+			for _, c := range clients {
+				if directional {
+					q.Table().PutAsym(c, lsdb.AsymRow{Seq: 1, When: env.Now(), Entries: rows[c]})
+				} else {
+					q.Table().Put(c, lsdb.Row{Seq: 1, When: env.Now(), Entries: symmetric(c)})
+				}
+			}
+			q.Tick()
+			if st := q.Stats(); st.RecommendationsSent != uint64(len(clients)) {
+				t.Fatalf("workers=%d: %d recommendations for %d clients", workers, st.RecommendationsSent, len(clients))
+			}
+			return env.sent.Sum(nil)
+		}
+		want := sent(1)
+		for _, w := range []int{2, 4, 8} {
+			if got := sent(w); !bytes.Equal(got, want) {
+				t.Errorf("directional=%v workers=%d: messages differ from the serial pass's", directional, w)
+			}
+		}
 	}
 }

@@ -45,8 +45,7 @@ var nonStableInstalls = []struct {
 func TestQuorumSetViewNonStableGoesCold(t *testing.T) {
 	viewState := func(q *Quorum) []any {
 		return []any{q.view, q.self, q.g, q.table, q.routes, q.servers, q.defaults,
-			q.lastRecAbout, q.failovers, q.pendingAcks, q.pairCache,
-			q.lastGen, len(q.prevSelf), q.started}
+			q.lastRecAbout, q.failovers, q.pendingAcks, q.started}
 	}
 	for _, tc := range nonStableInstalls {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,7 +53,7 @@ func TestQuorumSetViewNonStableGoesCold(t *testing.T) {
 			c.nw.RunFor(2 * time.Minute)
 			q := c.routers[0].(*Quorum)
 			before, seq := q.Stats(), q.seq
-			if before.LinkStatesSent == 0 || before.PairsComputed == 0 || len(q.pairCache) == 0 {
+			if before.LinkStatesSent == 0 || before.PairsComputed == 0 {
 				t.Fatalf("router holds no state to lose: %+v", before)
 			}
 			next := slotView(t, 2, tc.ids...)

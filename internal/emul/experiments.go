@@ -493,7 +493,7 @@ func routeUsable(f *Fleet, src, dst int, e core.RouteEntry) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation: rendezvous redundancy (DESIGN.md `ablation-redundancy`).
+// Ablation: rendezvous redundancy (BenchmarkAblationRedundancy).
 // ---------------------------------------------------------------------------
 
 // StalenessAblation runs a lossy quorum fleet with the given row-staleness

@@ -1,7 +1,7 @@
 // Package emul is the experiment harness: it runs fleets of unmodified
 // overlay nodes on the deterministic simulator and produces the data behind
 // every table and figure of the paper's evaluation (§6). The experiment
-// index in DESIGN.md maps each figure to the functions in this package.
+// index in README.md maps each figure to the functions in this package.
 package emul
 
 import (

@@ -87,15 +87,84 @@ func dynamicRouteHash(f *DynamicFleet) string {
 	return fmt.Sprintf("%x", h.Sum(nil))[:16]
 }
 
-// TestIncrementalMatchesScratchUnderChurn runs two identically-seeded churn
-// fleets — one on the default incremental dirty-set recompute, one forced to
-// recompute every destination from scratch — and diffs every node's full
-// route table each recomputation interval across joins, crashes, and
-// graceful departures. Byte-identity here is the correctness contract of the
-// incremental path: the dirty-set bookkeeping may only skip work, never
-// change a decision. The directional case runs the quorum in footnote-2 mode,
-// where the pair cache holds a value per direction.
+// churnFleet builds the 16-member dynamic fleet the churn tests drive;
+// scratch forces the full-mesh router to recompute every destination from
+// scratch each interval.
+func churnFleet(algo overlay.Algorithm, asym, scratch bool) *DynamicFleet {
+	opt := DynamicFleetOptions{MaxN: 20, Seed: 42, Algorithm: algo}
+	opt.Probe.Asymmetric = asym
+	opt.Quorum.Asymmetric = asym
+	opt.FullMesh.DisableIncremental = scratch
+	return NewDynamicFleet(16, opt)
+}
+
+// driveChurn runs the fleets in lockstep through convergence, a crash, a
+// graceful departure and a join, with four routing intervals after each
+// event; check runs after convergence and after every interval.
+func driveChurn(fleets []*DynamicFleet, check func(when string)) {
+	step := func(d time.Duration, when string) {
+		for _, f := range fleets {
+			f.Run(d)
+		}
+		check(when)
+	}
+	step(90*time.Second, "after convergence")
+	for _, ev := range []struct {
+		name string
+		do   func(f *DynamicFleet)
+	}{
+		{"crash", func(f *DynamicFleet) { f.Depart(f.ActiveEndpoints()[2], false) }},
+		{"leave", func(f *DynamicFleet) { f.Depart(f.ActiveEndpoints()[5], true) }},
+		{"join", func(f *DynamicFleet) { f.Spawn() }},
+	} {
+		for _, f := range fleets {
+			ev.do(f)
+		}
+		for k := 0; k < 4; k++ {
+			step(15*time.Second, fmt.Sprintf("%s, tick %d", ev.name, k))
+		}
+	}
+}
+
+// TestIncrementalMatchesScratchUnderChurn runs two identically-seeded
+// full-mesh churn fleets — one on the default incremental dirty-set
+// recompute, one forced to recompute every destination from scratch — and
+// diffs every node's full route table each recomputation interval across
+// joins, crashes, and graceful departures. Byte-identity here is the
+// correctness contract of the incremental path: the dirty-set bookkeeping may
+// only skip work, never change a decision. (The quorum router has no
+// incremental path: round 2 evaluates every pair every interval.)
 func TestIncrementalMatchesScratchUnderChurn(t *testing.T) {
+	inc := churnFleet(overlay.AlgFullMesh, false, false)
+	scr := churnFleet(overlay.AlgFullMesh, false, true)
+	driveChurn([]*DynamicFleet{inc, scr}, func(when string) {
+		if hi, hs := dynamicRouteHash(inc), dynamicRouteHash(scr); hi != hs {
+			t.Fatalf("%s: incremental tables %s diverged from scratch tables %s", when, hi, hs)
+		}
+	})
+
+	// The equality above is only meaningful if the incremental fleet
+	// actually took the fast path and the scratch fleet never did.
+	count := func(f *DynamicFleet) (n uint64) {
+		for _, ep := range f.ActiveEndpoints() {
+			_, incr, _ := f.Node(ep).Router().(*core.FullMesh).RecomputeStats()
+			n += incr
+		}
+		return n
+	}
+	if count(inc) == 0 {
+		t.Error("incremental fleet never exercised the incremental path")
+	}
+	if count(scr) != 0 {
+		t.Error("DisableIncremental fleet took the incremental path")
+	}
+}
+
+// TestChurnInstallsAreStableExtensions pins slot-addressed views for every
+// router mode: each join, crash, and leave must reach survivors as a stable
+// extension — zero cold re-installs anywhere in the fleet, with at least one
+// node actually exercising the in-place path.
+func TestChurnInstallsAreStableExtensions(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		algo overlay.Algorithm
@@ -106,81 +175,11 @@ func TestIncrementalMatchesScratchUnderChurn(t *testing.T) {
 		{"fullmesh", overlay.AlgFullMesh, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func(disable bool) *DynamicFleet {
-				opt := DynamicFleetOptions{
-					MaxN:      20,
-					Seed:      42,
-					Algorithm: tc.algo,
-				}
-				opt.Probe.Asymmetric = tc.asym
-				opt.Quorum.Asymmetric = tc.asym
-				opt.Quorum.DisableIncremental = disable
-				opt.FullMesh.DisableIncremental = disable
-				return NewDynamicFleet(16, opt)
-			}
-			inc, scr := build(false), build(true)
-			step := func(d time.Duration) {
-				inc.Run(d)
-				scr.Run(d)
-			}
-			compare := func(when string) {
-				t.Helper()
-				if hi, hs := dynamicRouteHash(inc), dynamicRouteHash(scr); hi != hs {
-					t.Fatalf("%s: incremental tables %s diverged from scratch tables %s", when, hi, hs)
-				}
-			}
-
-			step(90 * time.Second) // join and converge
-			compare("after convergence")
-
-			events := []struct {
-				name string
-				do   func(f *DynamicFleet)
-			}{
-				{"crash", func(f *DynamicFleet) { f.Depart(f.ActiveEndpoints()[2], false) }},
-				{"leave", func(f *DynamicFleet) { f.Depart(f.ActiveEndpoints()[5], true) }},
-				{"join", func(f *DynamicFleet) { f.Spawn() }},
-			}
-			for _, ev := range events {
-				ev.do(inc)
-				ev.do(scr)
-				for k := 0; k < 4; k++ {
-					step(15 * time.Second)
-					compare(fmt.Sprintf("%s, tick %d", ev.name, k))
-				}
-			}
-
-			// The equality above is only meaningful if the incremental fleet
-			// actually took the fast path and the scratch fleet never did.
-			took, scratchTook := false, false
-			count := func(f *DynamicFleet) (n uint64) {
-				for _, ep := range f.ActiveEndpoints() {
-					switch r := f.Node(ep).Router().(type) {
-					case *core.Quorum:
-						n += r.Stats().PairsCached
-					case *core.FullMesh:
-						_, incr, _ := r.RecomputeStats()
-						n += incr
-					}
-				}
-				return n
-			}
-			took = count(inc) > 0
-			scratchTook = count(scr) > 0
-			if !took {
-				t.Error("incremental fleet never exercised the incremental path")
-			}
-			if scratchTook {
-				t.Error("DisableIncremental fleet took the incremental path")
-			}
-
-			// Slot-addressed views: every join, crash, and leave above must
-			// have reached survivors as a stable extension — zero wholesale
-			// remaps anywhere in the fleet, with at least one node actually
-			// exercising the in-place path.
+			f := churnFleet(tc.algo, tc.asym, false)
+			driveChurn([]*DynamicFleet{f}, func(string) {})
 			var extends, remaps uint64
-			for _, ep := range inc.ActiveEndpoints() {
-				switch r := inc.Node(ep).Router().(type) {
+			for _, ep := range f.ActiveEndpoints() {
+				switch r := f.Node(ep).Router().(type) {
 				case *core.Quorum:
 					st := r.Stats()
 					extends += st.ViewExtends
@@ -192,7 +191,7 @@ func TestIncrementalMatchesScratchUnderChurn(t *testing.T) {
 				}
 			}
 			if remaps != 0 {
-				t.Errorf("churn triggered %d wholesale view remaps, want 0 (stable slots)", remaps)
+				t.Errorf("churn triggered %d cold view re-installs, want 0 (stable slots)", remaps)
 			}
 			if extends == 0 {
 				t.Error("no node took the stable-extension view path across join/crash/leave")

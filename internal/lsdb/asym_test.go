@@ -64,12 +64,12 @@ func TestBestOneHopAsymDirectionality(t *testing.T) {
 	out := make([]HopCost, 1)
 
 	hop, cost := bestOneHopAsym(0, rowA, 2, rowC)
-	tb.BestOneHopAll(0, []int{2}, out)
+	tb.BestOneHopAllRow(nil, tb.OutRow(0), 0, []int{2}, out)
 	if hop != 2 || cost != 10 || out[0] != (HopCost{2, 10}) {
 		t.Errorf("0→2: oracle %d/%d kernel %+v, want direct 2/10", hop, cost, out[0])
 	}
 	hop, cost = bestOneHopAsym(2, rowC, 0, rowA)
-	tb.BestOneHopAll(2, []int{0}, out)
+	tb.BestOneHopAllRow(nil, tb.OutRow(2), 2, []int{0}, out)
 	if hop != 1 || cost != 90 || out[0] != (HopCost{1, 90}) {
 		t.Errorf("2→0: oracle %d/%d kernel %+v, want via 1/90", hop, cost, out[0])
 	}
@@ -163,7 +163,7 @@ func TestDirectionalKernelsMatchScalarQuick(t *testing.T) {
 		}
 		out := make([]HopCost, n)
 		for a := 0; a < n; a++ {
-			tb.BestOneHopAll(a, dsts, out)
+			tb.BestOneHopAllRow(nil, tb.OutRow(a), a, dsts, out)
 			for _, b := range dsts {
 				if wh, wc := bestOneHopAsym(a, raw[a], b, raw[b]); out[b] != (HopCost{wh, wc}) {
 					return false
@@ -269,7 +269,7 @@ func TestDirectionalEqualsSymmetricWhenCostsAgreeQuick(t *testing.T) {
 		}
 		k := len(stored)
 		for _, a := range stored {
-			if !same(func(tb *Table, out []HopCost) { tb.BestOneHopAll(a, stored, out) }, k,
+			if !same(func(tb *Table, out []HopCost) { tb.BestOneHopAllRow(nil, tb.OutRow(a), a, stored, out) }, k,
 				func(i int) (int, wire.Cost) { return bestOneHop(a, raw[a].Entries, stored[i], raw[stored[i]].Entries) }) {
 				return false
 			}

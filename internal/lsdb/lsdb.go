@@ -48,8 +48,8 @@ type Table struct {
 	// store, a store whose costs differ from what was held, a retire that
 	// rewrote the row. Refreshes that re-announce identical costs — the
 	// steady state, where every row is re-Put each interval — leave it
-	// untouched, which is what lets the incremental recompute paths in
-	// internal/core skip clean rows. Every mutator of row storage MUST keep
+	// untouched, which is what lets core.FullMesh's incremental recompute
+	// skip clean rows. Every mutator of row storage MUST keep
 	// this in sync (see CONTRIBUTING.md, "Dirty tracking").
 	gen []uint32
 }

@@ -68,8 +68,8 @@ func TestTablePutRejectsBadShape(t *testing.T) {
 	}
 }
 
-// TestGenDirtyInvariants pins the dirty-tracking contract the incremental
-// recompute paths in internal/core depend on: Gen(slot) advances exactly
+// TestGenDirtyInvariants pins the dirty-tracking contract core.FullMesh's
+// incremental recompute depends on: Gen(slot) advances exactly
 // when the slot's unpacked costs may differ from what a previous reader saw,
 // and stays put when a re-Put carries identical contents (the quiescent
 // steady state, where rows are re-announced unchanged every interval).

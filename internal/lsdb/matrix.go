@@ -33,11 +33,11 @@ type CostMatrix struct {
 	rows [][]wire.Cost // per-slot unpacked rows; nil until first stored
 	inf  []wire.Cost   // shared all-InfCost row for absent slots (never written)
 
-	// keyBuf holds the packed source-row keys of the kernels that take no
-	// caller buffer (BestOneHopPairs, Table.BestOneHopAll). newCostMatrix
-	// sizes it for n-entry rows up front so they stay allocation-free in the
-	// steady state. Those kernels are not safe for concurrent calls on the
-	// same matrix; sharded passes hand each worker its own buffer instead.
+	// keyBuf holds the packed source-row keys of the kernel that takes no
+	// caller buffer (BestOneHopPairs). newCostMatrix sizes it for n-entry
+	// rows up front so it stays allocation-free in the steady state. That
+	// kernel is not safe for concurrent calls on the same matrix; sharded
+	// passes hand each worker its own buffer instead.
 	keyBuf []uint64
 }
 
@@ -308,7 +308,7 @@ func (m *CostMatrix) scan(keys []uint64, dsts []int, out []HopCost) {
 // this one matrix — round 2 over a symmetric table, where a row serves as
 // both directions. out must have len(pairs) entries. Consecutive pairs
 // sharing a source reuse its packed keys, so grouping pairs by source gets
-// the same amortization as Table.BestOneHopAll.
+// the same amortization as Table.BestOneHopAllRow.
 //
 //lint:allocfree
 func (m *CostMatrix) BestOneHopPairs(pairs [][2]int, out []HopCost) {
@@ -323,25 +323,18 @@ func (m *CostMatrix) BestOneHopPairs(pairs [][2]int, out []HopCost) {
 	}
 }
 
-// BestOneHopAll batch-evaluates the best one-hop route from stored slot a to
-// every slot in dsts: per destination b, the hop h ≠ a minimizing
-// out_a(h) + in_b(h) with InfCost saturation and ties broken toward the
+// BestOneHopAllRow batch-evaluates the best one-hop route from one source to
+// every slot in dsts: per destination b, the hop h ≠ skip minimizing
+// rowOut(h) + in_b(h) with InfCost saturation and ties broken toward the
 // smallest h. Taking h = b yields the direct path (a row's self-entry is
 // zero), so hop == b means "go direct". On a symmetric table in_b is b's own
-// row — the paper's bidirectional-link assumption (§3). out must have
-// len(dsts) entries.
-//
-//lint:allocfree
-func (t *Table) BestOneHopAll(a int, dsts []int, out []HopCost) {
-	t.out.keyBuf = t.BestOneHopAllRow(t.out.keyBuf, t.out.Row(a), a, dsts, out)
-}
-
-// BestOneHopAllRow is BestOneHopAll with the source's out-costs supplied
-// unpacked — a stored row, or the node's own live measurement row, which is
-// not in its table — and skip naming the source's slot. rowOut is packed into
-// keyBuf once and stays cache-resident across the whole pass; the grown
-// buffer is returned for reuse. With a buffer of its own a call only reads
-// the table, so sharded passes run it concurrently, one buffer per worker.
+// row — the paper's bidirectional-link assumption (§3). rowOut holds the
+// source's out-costs unpacked — a stored row (OutRow), or the node's own live
+// measurement row, which is not in its table — and skip names the source's
+// slot. out must have len(dsts) entries. rowOut is packed into keyBuf once
+// and stays cache-resident across the whole pass; the grown buffer is
+// returned for reuse. With a buffer of its own a call only reads the table,
+// so sharded passes run it concurrently, one buffer per worker.
 //
 //lint:allocfree
 func (t *Table) BestOneHopAllRow(keyBuf []uint64, rowOut []wire.Cost, skip int, dsts []int, out []HopCost) []uint64 {

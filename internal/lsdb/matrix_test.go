@@ -73,14 +73,14 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 			continue
 		}
 
-		// BestOneHopAll vs scalar, every stored source against all stored dsts.
+		// BestOneHopAllRow vs scalar, every stored source against all stored dsts.
 		out := make([]HopCost, len(stored))
 		for _, a := range stored {
-			tb.BestOneHopAll(a, stored, out)
+			tb.BestOneHopAllRow(nil, tb.OutRow(a), a, stored, out)
 			for i, b := range stored {
 				wantHop, wantCost := bestOneHop(a, raw[a].Entries, b, raw[b].Entries)
 				if out[i].Hop != wantHop || out[i].Cost != wantCost {
-					t.Fatalf("trial %d n=%d: BestOneHopAll(%d→%d) = (%d,%d), scalar (%d,%d)",
+					t.Fatalf("trial %d n=%d: BestOneHopAllRow(%d→%d) = (%d,%d), scalar (%d,%d)",
 						trial, n, a, b, out[i].Hop, out[i].Cost, wantHop, wantCost)
 				}
 			}

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"math"
 	"net/netip"
 	"sort"
 	"time"
@@ -795,7 +796,12 @@ func (c *Coordinator) handleJoin(j wire.Join) {
 		c.logf("membership: refused %v, no free node ID", j.Addr)
 		return
 	}
-	slot := c.allocSlot(now)
+	slot, ok := c.allocSlot(now)
+	if !ok {
+		c.nextID = id // not consumed: a retrying joiner must not walk the ID space
+		c.logf("membership: refused %v, no free slot", j.Addr)
+		return
+	}
 	c.members[id] = &memberState{addr: j.Addr, lastSeen: now, slot: slot}
 	c.byAddr[j.Addr] = id
 	c.env.SetPeer(id, j.Addr)
@@ -822,17 +828,22 @@ func (c *Coordinator) allocID() (id wire.NodeID, ok bool) {
 
 // allocSlot returns the lowest quarantine-expired tombstone, or extends the
 // slot space when none is reusable yet. Only the primary calls this — slot
-// assignment is a lease decision exactly like ID assignment.
-func (c *Coordinator) allocSlot(now time.Time) int {
+// assignment is a lease decision exactly like ID assignment. The wire carries
+// the slot count in 16 bits (View.Slots, ViewChunk.TotalSlots), so ok is false
+// when no tombstone is reusable and the space already holds math.MaxUint16
+// slots: one more would encode as a 0-slot view that every client rejects.
+func (c *Coordinator) allocSlot(now time.Time) (slot int, ok bool) {
 	for i, f := range c.freeSlots {
 		if now.Sub(f.freedAt) >= c.cfg.Timeout {
 			c.freeSlots = append(c.freeSlots[:i], c.freeSlots[i+1:]...)
-			return f.slot
+			return f.slot, true
 		}
 	}
-	s := c.slotCount
+	if c.slotCount == math.MaxUint16 {
+		return 0, false
+	}
 	c.slotCount++
-	return s
+	return c.slotCount - 1, true
 }
 
 // freeSlot quarantines a departed member's slot, keeping the freelist sorted

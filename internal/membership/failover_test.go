@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -518,5 +519,52 @@ func TestNodeIDAllocatorSkipsReservedAndHeld(t *testing.T) {
 	delete(primary.members, 777)
 	if id, ok := primary.allocID(); !ok || id != 777 {
 		t.Errorf("allocator returned %#x,%v, want the one free ID 777", id, ok)
+	}
+}
+
+// TestSlotAllocatorRefusesPastWireCeiling fills the slot space to the wire's
+// 16-bit ceiling (View.Slots is a uint16): the join that would need slot
+// 65 535 must be refused like an ID-exhausted one — no reply, no version bump
+// — instead of broadcasting a view whose slot count encodes as 0, and the
+// same joiner must get in once a tombstone's quarantine has expired.
+func TestSlotAllocatorRefusesPastWireCeiling(t *testing.T) {
+	ccfg := fastCoordCfg(t)
+	ccfg.Timeout = 10 * time.Second
+	rc := newRepCluster(t, 3, 1, churnClientCfg(), ccfg)
+	primary := rc.coords[0]
+	primary.slotCount = math.MaxUint16 - 2 // room for exactly two joins
+	rc.clients[0].Start()
+	rc.clients[1].Start()
+	rc.nw.RunFor(3 * time.Second)
+	if primary.MemberCount() != 2 || primary.slotCount != math.MaxUint16 {
+		t.Fatalf("setup: %d members over %d slots, want 2 over %d", primary.MemberCount(), primary.slotCount, math.MaxUint16)
+	}
+	full := primary.Stamp()
+
+	rc.clients[2].Start()
+	rc.nw.RunFor(3 * time.Second)
+	if rc.clients[2].Joined() || primary.MemberCount() != 2 || primary.slotCount != math.MaxUint16 || primary.Stamp() != full {
+		t.Fatalf("join past the ceiling: joined=%v, %d members over %d slots at %v (was %v)",
+			rc.clients[2].Joined(), primary.MemberCount(), primary.slotCount, primary.Stamp(), full)
+	}
+
+	// Client 0 leaves. Its slot stays quarantined for a full Timeout, then
+	// one of client 2's join retries reuses it.
+	freed := primary.members[rc.envs[0].LocalID()].slot
+	rc.clients[0].Leave()
+	rc.clients[0].Stop()
+	rc.nw.RunFor(ccfg.Timeout / 2)
+	if rc.clients[2].Joined() {
+		t.Fatal("joiner admitted into a slot still in quarantine")
+	}
+	rc.nw.RunFor(ccfg.Timeout)
+	m := primary.members[rc.envs[2].LocalID()]
+	if !rc.clients[2].Joined() || m == nil || m.slot != freed || primary.slotCount != math.MaxUint16 {
+		t.Fatalf("after quarantine: joined=%v member=%+v, want slot %d of %d", rc.clients[2].Joined(), m, freed, math.MaxUint16)
+	}
+	for _, i := range []int{1, 2} {
+		if v := rc.views[i]; v == nil || v.Stamp() != primary.Stamp() || v.N() != 2 || v.Slots() != math.MaxUint16 {
+			t.Errorf("client %d did not converge on the primary's 2-member, %d-slot view", i, math.MaxUint16)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package par provides the deterministic fork/join worker pool shared by the
-// experiment suite and the incremental route-recompute shards in
-// internal/core. It is intentionally tiny: one primitive, no state.
+// experiment suite and the route-computation shards in internal/core. It is
+// intentionally tiny: one primitive, no state.
 //
 // Determinism contract: For itself guarantees only that every index runs
 // exactly once before it returns. Callers keep byte-identical output by

@@ -1,7 +1,7 @@
 // Package traces generates the synthetic PlanetLab-like network environments
 // that substitute for the paper's measurement data (the 2005 all-pairs-ping
 // dataset behind Figure 1 and the 2008 140-node deployment behind Figures
-// 8–14). See DESIGN.md §3 for the substitution rationale.
+// 8–14). The rest of this comment is the substitution rationale.
 //
 // The latency model is geographic: sites are clustered around a handful of
 // world regions, base RTT grows with distance, and a heavy tail of inflated
