@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all tier1 vet fmt bench digest loc lint vuln fuzz soak
+.PHONY: all tier1 vet fmt bench digest digest-check loc lint vuln fuzz soak
 
 all: tier1 vet lint
 
@@ -57,6 +57,14 @@ bench:
 SEEDS ?= 1
 digest:
 	@SEEDS="$(SEEDS)" ./scripts/digest.sh
+
+# digest-check is "behaviour identical" as a red/green gate: the digests at
+# seeds 1 and 7 must equal scripts/digest.golden (~4 min). A change that means
+# to alter simulated behaviour re-captures the file in the same PR, in the
+# open: make digest SEEDS="1 7" > scripts/digest.golden
+digest-check:
+	@SEEDS="1 7" ./scripts/digest.sh | diff scripts/digest.golden - \
+		&& echo "digest-check: all eight digests match scripts/digest.golden"
 
 # loc prints the tracked size: non-test Go lines outside benchmark/. It
 # should go down (ROADMAP aim 2).

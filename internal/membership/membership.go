@@ -58,16 +58,20 @@ const (
 
 // ViewInfo is the client-side digest of a membership view: the slot-indexed
 // member assignment used to populate the routing grid, plus the occupied
-// member list and the ID → slot map. Each member holds the slot the
+// member list and the ID → slot index. Each member holds the slot the
 // coordinator assigned it for its lifetime; departed slots are tombstones
 // (ID == wire.NilNode) that stay in place until the coordinator's quarantine
 // reuses them, so one join or leave moves O(1) assignments.
 type ViewInfo struct {
 	epoch   uint32
 	version uint32
-	slots   []wire.Member       // slot-indexed; tombstones hold ID == wire.NilNode
-	members []wire.Member       // occupied members, slot order
-	slotOf  map[wire.NodeID]int // ID → slot
+	slots   []wire.Member // slot-indexed; tombstones hold ID == wire.NilNode
+	members []wire.Member // occupied members, slot order
+	// slotOf is the dense ID → slot index: slotOf[id] is the member's slot
+	// plus one, zero for an ID the view does not hold. It is sized to the
+	// largest held ID + 1 (at most 4 bytes × 65 535), so every received
+	// message resolves its sender with one bounds check and one load.
+	slotOf []int32
 }
 
 // NewViewInfo builds a ViewInfo from a raw wire view. Member slots are taken
@@ -98,16 +102,22 @@ func NewViewInfo(v wire.View) (*ViewInfo, error) {
 // newViewInfo builds a ViewInfo from a slot-indexed member array (tombstones
 // hold wire.NilNode). Duplicate member IDs are rejected.
 func newViewInfo(epoch, version uint32, slots []wire.Member) (*ViewInfo, error) {
-	slotOf := make(map[wire.NodeID]int, len(slots))
+	maxID := -1
+	for _, m := range slots {
+		if m.ID != wire.NilNode {
+			maxID = max(maxID, int(m.ID))
+		}
+	}
+	slotOf := make([]int32, maxID+1)
 	members := make([]wire.Member, 0, len(slots))
 	for s, m := range slots {
 		if m.ID == wire.NilNode {
 			continue
 		}
-		if _, dup := slotOf[m.ID]; dup {
+		if slotOf[m.ID] != 0 {
 			return nil, fmt.Errorf("membership: duplicate ID %d in view %d", m.ID, version)
 		}
-		slotOf[m.ID] = s
+		slotOf[m.ID] = int32(s) + 1
 		members = append(members, m)
 	}
 	return &ViewInfo{epoch: epoch, version: version, slots: slots, members: members, slotOf: slotOf}, nil
@@ -160,10 +170,16 @@ func (v *ViewInfo) Members() []wire.Member { return v.members }
 // tombstone.
 func (v *ViewInfo) IDAt(slot int) wire.NodeID { return v.slots[slot].ID }
 
-// SlotOf returns the grid slot of a member ID.
-func (v *ViewInfo) SlotOf(id wire.NodeID) (int, bool) {
-	s, ok := v.slotOf[id]
-	return s, ok
+// SlotOf returns the grid slot of a member ID; ok is false for an ID the view
+// does not hold (wire.NilNode included: it lies past every index).
+//
+//lint:allocfree
+func (v *ViewInfo) SlotOf(id wire.NodeID) (slot int, ok bool) {
+	if int(id) >= len(v.slotOf) {
+		return 0, false
+	}
+	s := v.slotOf[id]
+	return int(s) - 1, s != 0
 }
 
 // OccupiedMask returns the per-slot occupancy of the view, or nil when every
@@ -201,7 +217,7 @@ func StableExtension(old *ViewInfo, oldSelf int, next *ViewInfo, self int) (reti
 		if m.ID == wire.NilNode || next.slots[s].ID == m.ID {
 			continue
 		}
-		if _, moved := next.slotOf[m.ID]; moved {
+		if _, moved := next.SlotOf(m.ID); moved {
 			return nil, nil, false
 		}
 		retired = append(retired, s)
@@ -227,7 +243,7 @@ func (v *ViewInfo) ApplyDelta(d wire.ViewDelta) (*ViewInfo, error) {
 	}
 	slots := append([]wire.Member(nil), v.slots...)
 	for _, id := range d.Removes {
-		s, ok := v.slotOf[id]
+		s, ok := v.SlotOf(id)
 		if !ok {
 			return nil, fmt.Errorf("membership: delta removes unknown ID %d", id)
 		}

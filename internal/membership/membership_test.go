@@ -78,6 +78,84 @@ func TestNewStaticView(t *testing.T) {
 	NewStaticView([]wire.NodeID{1, 1})
 }
 
+// TestSlotIndexDense holds SlotOf, over every 16-bit ID, to a scan of the
+// slot array it indexes — for views whose IDs sit at the edges of the dense
+// index: ID 0, gaps below the largest held ID, IDs above it, wire.NilNode, the
+// coordinator range, and a member just under it (the largest index the type
+// allows).
+func TestSlotIndexDense(t *testing.T) {
+	check := func(name string, vi *ViewInfo) {
+		t.Helper()
+		want := map[wire.NodeID]int{}
+		for s := 0; s < vi.Slots(); s++ {
+			if id := vi.IDAt(s); id != wire.NilNode {
+				want[id] = s
+			}
+		}
+		for id := 0; id <= 0xFFFF; id++ {
+			s, ok := vi.SlotOf(wire.NodeID(id))
+			ws, wok := want[wire.NodeID(id)]
+			if ok != wok || (ok && s != ws) {
+				t.Fatalf("%s: SlotOf(%d) = %d,%v, want %d,%v", name, id, s, ok, ws, wok)
+			}
+		}
+		if size := 4 * len(vi.slotOf); size > 256<<10 {
+			t.Errorf("%s: index holds %d bytes, over the 256 KB bound", name, size)
+		}
+	}
+	low, err := NewViewInfo(wire.View{Epoch: 1, Version: 1, Slots: 5,
+		Members: []wire.Member{{ID: 7, Slot: 0}, {ID: 0, Slot: 3}, {ID: 300, Slot: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ID 0 and gaps", low)
+	for _, id := range []wire.NodeID{1, 299, 301, wire.NilNode, CoordinatorID, CoordinatorIDAt(1), CoordinatorIDAt(2)} {
+		if s, ok := low.SlotOf(id); ok {
+			t.Errorf("SlotOf(%d) = %d on a view that does not hold it", id, s)
+		}
+	}
+	if len(low.slotOf) != 301 {
+		t.Errorf("index sized %d, want largest held ID + 1 = 301", len(low.slotOf))
+	}
+	check("empty", NewStaticView(nil))
+	check("static", NewStaticView([]wire.NodeID{4, 0, 2}))
+
+	// The largest ID a member can hold next to a three-replica coordinator
+	// set still indexes correctly, and a delta keeps the index in step.
+	high, err := low.ApplyDelta(wire.ViewDelta{Epoch: 1, BaseVersion: 1, Version: 2,
+		Adds: []wire.Member{{ID: 0xFFFD, Slot: 1}, {ID: 8, Slot: 6}}, Removes: []wire.NodeID{300, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("0xFFFD after a delta", high)
+	check("delta left its base alone", low)
+	back, err := high.ApplyDelta(wire.ViewDelta{Epoch: 1, BaseVersion: 2, Version: 3, Removes: []wire.NodeID{0xFFFD}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("index shrinks with the largest ID", back)
+	if len(back.slotOf) != 9 {
+		t.Errorf("index sized %d after the high ID left, want 9", len(back.slotOf))
+	}
+	// StableExtension consults the index for "did a survivor move": 7 holds
+	// slot 0 throughout, 300 and 0 left, 0xFFFD and 8 started.
+	retired, started, ok := StableExtension(low, 0, high, 0)
+	if !ok || !slices.Equal(retired, []int{3, 4}) || !slices.Equal(started, []int{1, 6}) {
+		t.Errorf("StableExtension = %v %v %v, want [3 4] [1 6] true", retired, started, ok)
+	}
+
+	if _, err := newViewInfo(1, 1, []wire.Member{{ID: 0, Slot: 0}, {ID: 5, Slot: 1}, {ID: 0, Slot: 2}}); err == nil {
+		t.Error("newViewInfo accepted ID 0 twice")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		low.SlotOf(0)
+		low.SlotOf(300)
+		low.SlotOf(wire.NilNode)
+	}); n != 0 {
+		t.Errorf("SlotOf allocates %v times", n)
+	}
+}
+
 // simCluster wires a coordinator plus k clients over a simulated network.
 type simCluster struct {
 	nw      *simnet.Network

@@ -91,6 +91,7 @@ type linkState struct {
 	outLat     stats.EWMA // one-way toward the destination (asymmetric mode)
 	inLat      stats.EWMA // one-way back (asymmetric mode)
 	loss       stats.EWMA
+	probeFn    func()          // sends the next probe; built once when the link starts
 	probeTimer transport.Timer // next scheduled send
 	checkTimer transport.Timer // pending reply timeout
 }
@@ -208,10 +209,16 @@ func (p *Prober) SetView(view *membership.ViewInfo, self int) {
 		}
 	}
 	for _, s := range started {
-		slot := s
-		delay := time.Duration(p.env.Rand().Int63n(int64(p.cfg.Interval)))
-		p.links[slot].probeTimer = p.env.After(delay, func() { p.sendProbe(slot) })
+		p.startLink(s, time.Duration(p.env.Rand().Int63n(int64(p.cfg.Interval))))
 	}
+}
+
+// startLink schedules slot's first probe after delay. The callback built here
+// is the one every later re-arm of the link reuses.
+func (p *Prober) startLink(slot int, delay time.Duration) {
+	ls := &p.links[slot]
+	ls.probeFn = func() { p.sendProbe(slot) }
+	ls.probeTimer = p.env.After(delay, ls.probeFn)
 }
 
 // Start begins probing all destinations, staggering initial probes uniformly
@@ -226,13 +233,11 @@ func (p *Prober) Start() {
 		if slot == p.self || !p.view.Occupied(slot) {
 			continue
 		}
-		slot := slot
 		window := p.cfg.Interval
 		if ramp != nil && ramp[slot] {
 			window = time.Duration(p.cfg.RampIntervals) * p.cfg.Interval
 		}
-		delay := time.Duration(p.env.Rand().Int63n(int64(window)))
-		p.links[slot].probeTimer = p.env.After(delay, func() { p.sendProbe(slot) })
+		p.startLink(slot, time.Duration(p.env.Rand().Int63n(int64(window))))
 	}
 }
 
@@ -375,7 +380,7 @@ func (p *Prober) onTimeout(slot int, seq uint32) {
 			next -= p.cfg.ReplyTimeout
 		}
 	}
-	ls.probeTimer = p.env.After(next, func() { p.sendProbe(slot) })
+	ls.probeTimer = p.env.After(next, ls.probeFn)
 }
 
 // HandleProbe answers an incoming probe. The overlay dispatches TProbe here.
@@ -441,7 +446,7 @@ func (p *Prober) HandleReply(h wire.Header, body []byte) {
 	if p.OnMeasure != nil {
 		p.OnMeasure(slot, rtt)
 	}
-	ls.probeTimer = p.env.After(p.cfg.Interval, func() { p.sendProbe(slot) })
+	ls.probeTimer = p.env.After(p.cfg.Interval, ls.probeFn)
 }
 
 // updateStatus refreshes the row entry for slot from the link estimators.

@@ -443,7 +443,7 @@ func TestSetViewNonStableGoesCold(t *testing.T) {
 			bare := func(links []linkState) []linkState {
 				out := append([]linkState(nil), links...)
 				for i := range out {
-					out[i].probeTimer, out[i].checkTimer = nil, nil
+					out[i].probeFn, out[i].probeTimer, out[i].checkTimer = nil, nil, nil
 				}
 				return out
 			}

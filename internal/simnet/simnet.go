@@ -3,12 +3,19 @@
 // the same spirit as the paper's own in-system emulation (§6.1, "the
 // emulation uses the same implementation as the one deployed").
 //
-// A Network owns a set of endpoints and a priority queue of timed events.
-// Packets sent between endpoints are delivered after the configured one-way
-// link latency, subject to per-link loss probability, link failures, and
-// node failures. Timers and packet deliveries interleave in strict timestamp
-// order (ties broken by scheduling order), so a simulation is a pure
-// function of its inputs and seed.
+// A Network owns a set of endpoints and one queue of timed events: a 4-ary
+// implicit heap of value keys (at, seq, record), compared without following
+// a pointer. Packets sent between endpoints are delivered after the
+// configured one-way link latency, subject to per-link loss probability, link
+// failures, and node failures. Timers and packet deliveries interleave in
+// strict (at, seq) order — timestamp, ties broken by scheduling order — so a
+// simulation is a pure function of its inputs and seed.
+//
+// An event is one record. The *Timer that After returns is the record the
+// queue holds, and it is never reused: a handle stays valid for as long as
+// its owner keeps it. A packet in flight is a packet record that no handle
+// can reach, taken from and returned to a free list, so a steady stream of
+// sends allocates nothing.
 //
 // The event loop is single-threaded by design: protocol handlers run
 // synchronously inside Run, which keeps node logic free of locks and makes
@@ -16,7 +23,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -44,47 +50,45 @@ type burstWindow struct {
 	from, to time.Duration
 }
 
-// event is a scheduled callback. A cancelled timer keeps its heap slot with
-// fn set to nil.
-type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
-// Timer is a cancellable scheduled callback.
+// Timer is a cancellable scheduled callback. It is also the record the queue
+// holds for the callback: fn is nil once the timer has fired or been stopped.
 type Timer struct {
-	ev *event
+	fn func()
 }
 
-// Stop cancels the timer if it has not fired. It reports whether the timer
-// was still pending.
+// Stop cancels the timer if it has not fired. It reports whether the callback
+// was prevented from running: false for a timer that already fired or was
+// already stopped.
 func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.fn == nil {
+	if t == nil || t.fn == nil {
 		return false
 	}
-	t.ev.fn = nil
+	t.fn = nil
 	return true
+}
+
+// packet is the record of one packet copy in flight. No handle to it leaves
+// the package, so it is recycled through Network.free once delivered.
+type packet struct {
+	from, to int32
+	payload  []byte
+}
+
+// entry is one queued event: the (at, seq) key inline, so ordering never
+// follows a pointer, plus the record to run — a timer or a packet, never both.
+// A stopped timer keeps its entry until it is popped.
+type entry struct {
+	at  time.Duration
+	seq uint64
+	t   *Timer
+	pkt *packet
+}
+
+// before reports whether e runs before o: earlier timestamp, then earlier
+// scheduling order. seq is unique, so this is a strict total order and the
+// heap's shape never shows in the order events run.
+func (e *entry) before(o *entry) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
 // Network is a simulated datagram network. Create one with New; methods are
@@ -94,7 +98,8 @@ type Network struct {
 	now      time.Duration
 	seq      uint64
 	rng      *rand.Rand
-	events   eventHeap
+	queue    []entry   // 4-ary min-heap on (at, seq): children of i are 4i+1..4i+4
+	free     []*packet // delivered packet records awaiting reuse
 	links    [][]link
 	nodeDown []bool
 	handlers []Handler
@@ -175,7 +180,7 @@ func (nw *Network) Reordered() uint64 { return nw.reordered }
 
 // Pending returns the number of scheduled events (including cancelled
 // timers not yet reaped).
-func (nw *Network) Pending() int { return len(nw.events) }
+func (nw *Network) Pending() int { return len(nw.queue) }
 
 // SetHandler installs the packet handler for endpoint i.
 func (nw *Network) SetHandler(i int, h Handler) {
@@ -327,16 +332,77 @@ func (nw *Network) Reachable(a, b int) bool {
 	return !nw.nodeDown[a] && !nw.nodeDown[b] && !nw.links[a][b].down && !nw.Partitioned(a, b)
 }
 
-// After schedules fn to run d from now. A non-positive d runs at the current
-// time, after already-queued events. The returned timer can cancel it.
-func (nw *Network) After(d time.Duration, fn func()) *Timer {
+// push queues e.
+//
+//lint:allocfree
+func (nw *Network) push(e entry) {
+	//lint:allowalloc amortized growth of the queue's backing array
+	q := append(nw.queue, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+	nw.queue = q
+}
+
+// pop removes and returns the earliest entry. The queue must not be empty.
+//
+//lint:allocfree
+func (nw *Network) pop() entry {
+	q := nw.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = entry{} // drop the record references for the collector
+	q = q[:n]
+	nw.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 4*i + 1
+		if child >= n {
+			break
+		}
+		least := child
+		for c := child + 1; c < min(child+4, n); c++ {
+			if q[c].before(&q[least]) {
+				least = c
+			}
+		}
+		if !q[least].before(&last) {
+			break
+		}
+		q[i] = q[least]
+		i = least
+	}
+	q[i] = last
+	return top
+}
+
+// schedule queues a record to run d from now (a non-positive d means now,
+// after already-queued events).
+func (nw *Network) schedule(d time.Duration, t *Timer, pkt *packet) {
 	if d < 0 {
 		d = 0
 	}
 	nw.seq++
-	ev := &event{at: nw.now + d, seq: nw.seq, fn: fn}
-	heap.Push(&nw.events, ev)
-	return &Timer{ev: ev}
+	nw.push(entry{at: nw.now + d, seq: nw.seq, t: t, pkt: pkt})
+}
+
+// After schedules fn to run d from now. A non-positive d runs at the current
+// time, after already-queued events. The returned timer can cancel it.
+func (nw *Network) After(d time.Duration, fn func()) *Timer {
+	t := &Timer{fn: fn}
+	nw.schedule(d, t, nil)
+	return t
 }
 
 // Send transmits payload from endpoint `from` to endpoint `to`. Delivery
@@ -381,35 +447,73 @@ func (nw *Network) Send(from, to int, payload []byte) {
 				}
 			}
 		}
-		nw.After(d, func() {
-			if nw.nodeDown[to] { // receiver died while the packet was in flight
-				nw.dropped++
-				if nw.OnDrop != nil {
-					nw.OnDrop(from, to, payload)
-				}
-				return
-			}
-			nw.delivered++
-			if nw.OnDeliver != nil {
-				nw.OnDeliver(from, to, payload)
-			}
-			if h := nw.handlers[to]; h != nil {
-				h(from, payload)
-			}
-		})
+		pkt := nw.newPacket()
+		*pkt = packet{from: int32(from), to: int32(to), payload: payload}
+		nw.schedule(d, nil, pkt)
 	}
+}
+
+// newPacket returns a packet record: a recycled one when the free list has
+// any, so the steady state allocates nothing.
+func (nw *Network) newPacket() *packet {
+	if n := len(nw.free); n > 0 {
+		pkt := nw.free[n-1]
+		nw.free = nw.free[:n-1]
+		return pkt
+	}
+	return new(packet)
+}
+
+// deliver completes one packet copy's flight. The record goes back to the
+// free list first — nothing else can reach it — so a handler that sends
+// reuses it at once.
+func (nw *Network) deliver(pkt *packet) {
+	from, to, payload := int(pkt.from), int(pkt.to), pkt.payload
+	pkt.payload = nil
+	nw.free = append(nw.free, pkt)
+	if nw.nodeDown[to] { // receiver died while the packet was in flight
+		nw.dropped++
+		if nw.OnDrop != nil {
+			nw.OnDrop(from, to, payload)
+		}
+		return
+	}
+	nw.delivered++
+	if nw.OnDeliver != nil {
+		nw.OnDeliver(from, to, payload)
+	}
+	if h := nw.handlers[to]; h != nil {
+		h(from, payload)
+	}
+}
+
+// run pops the earliest entry and executes it at its timestamp, reporting
+// false for the entry of a stopped timer. Firing retires a timer's record
+// (fn dropped) before the callback runs, so Stop on a fired timer reports
+// false and the handle no longer pins the closure.
+func (nw *Network) run() bool {
+	e := nw.pop()
+	if e.pkt != nil {
+		nw.now = e.at
+		nw.deliver(e.pkt)
+		return true
+	}
+	fn := e.t.fn
+	if fn == nil {
+		return false // stopped timer
+	}
+	e.t.fn = nil
+	nw.now = e.at
+	fn()
+	return true
 }
 
 // Step executes the earliest pending event and reports whether one ran.
 func (nw *Network) Step() bool {
-	for len(nw.events) > 0 {
-		ev := heap.Pop(&nw.events).(*event)
-		if ev.fn == nil {
-			continue // cancelled timer
+	for len(nw.queue) > 0 {
+		if nw.run() {
+			return true
 		}
-		nw.now = ev.at
-		ev.fn()
-		return true
 	}
 	return false
 }
@@ -423,17 +527,8 @@ func (nw *Network) RunFor(d time.Duration) {
 // RunUntil executes all events scheduled at or before the elapsed-time mark
 // t and sets the clock to t.
 func (nw *Network) RunUntil(t time.Duration) {
-	for len(nw.events) > 0 {
-		ev := nw.events[0]
-		if ev.at > t {
-			break
-		}
-		heap.Pop(&nw.events)
-		if ev.fn == nil {
-			continue
-		}
-		nw.now = ev.at
-		ev.fn()
+	for len(nw.queue) > 0 && nw.queue[0].at <= t {
+		nw.run()
 	}
 	if t > nw.now {
 		nw.now = t

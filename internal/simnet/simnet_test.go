@@ -67,6 +67,50 @@ func TestTimerStop(t *testing.T) {
 	if nilTimer.Stop() {
 		t.Error("nil timer Stop returned true")
 	}
+	// A fired timer was not prevented from running: Stop reports false, from
+	// inside its own callback and afterwards, like time.Timer.Stop.
+	var self *Timer
+	self = nw.After(10*time.Millisecond, func() {
+		fired = true
+		if self.Stop() {
+			t.Error("Stop inside the timer's own callback returned true")
+		}
+	})
+	nw.RunFor(time.Second)
+	if !fired {
+		t.Fatal("timer did not fire")
+	}
+	if self.Stop() {
+		t.Error("Stop on a fired timer returned true")
+	}
+}
+
+// TestAllocationPins: a packet in flight is a recycled record, and a timer is
+// the one record its handle points at.
+func TestAllocationPins(t *testing.T) {
+	nw := New(2, 1)
+	nw.SetLatency(0, 1, time.Millisecond)
+	nw.SetHandler(1, func(int, []byte) {})
+	payload := []byte{1}
+	for i := 0; i < 64; i++ { // fill the free list and grow the queue
+		nw.Send(0, 1, payload)
+	}
+	nw.RunFor(time.Second)
+	if n := testing.AllocsPerRun(200, func() {
+		nw.Send(0, 1, payload)
+		nw.Send(0, 1, payload)
+		nw.Step()
+		nw.Step()
+	}); n != 0 {
+		t.Errorf("Send + delivery allocates %v times at steady state, want 0", n)
+	}
+	fn := func() {}
+	if n := testing.AllocsPerRun(200, func() {
+		nw.After(time.Millisecond, fn)
+		nw.Step()
+	}); n > 1 {
+		t.Errorf("After + Step allocates %v times, want at most 1 (the Timer)", n)
+	}
 }
 
 func TestNestedScheduling(t *testing.T) {

@@ -14,23 +14,36 @@ import (
 // coordinator) before traffic flows; unknown destinations are dropped like
 // misaddressed UDP datagrams.
 type Registry struct {
-	byID map[wire.NodeID]int
+	// byID is the dense ID → endpoint index every Send resolves through:
+	// byID[id] is the endpoint plus one, zero for an unregistered ID. It is
+	// sized to the largest registered ID + 1.
+	byID []int32
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byID: make(map[wire.NodeID]int)}
+	return &Registry{}
 }
 
-// Register binds an overlay ID to a simulator endpoint.
+// Register binds an overlay ID to a simulator endpoint. wire.NilNode names no
+// node and is never bound.
 func (r *Registry) Register(id wire.NodeID, endpoint int) {
-	r.byID[id] = endpoint
+	if id == wire.NilNode {
+		return
+	}
+	if int(id) >= len(r.byID) {
+		r.byID = append(r.byID, make([]int32, int(id)+1-len(r.byID))...)
+	}
+	r.byID[id] = int32(endpoint) + 1
 }
 
 // Lookup resolves an overlay ID to its endpoint.
 func (r *Registry) Lookup(id wire.NodeID) (endpoint int, ok bool) {
-	ep, ok := r.byID[id]
-	return ep, ok
+	if int(id) >= len(r.byID) {
+		return 0, false
+	}
+	ep := r.byID[id]
+	return int(ep) - 1, ep != 0
 }
 
 // SimEnv adapts one simnet endpoint to the Env interface. The simulation is
@@ -86,9 +99,6 @@ func (e *SimEnv) LocalAddr() netip.AddrPort {
 // SetPeer implements Env by registering the ID against the endpoint index
 // encoded in the address port (see LocalAddr).
 func (e *SimEnv) SetPeer(id wire.NodeID, addr netip.AddrPort) {
-	if id == wire.NilNode {
-		return
-	}
 	e.reg.Register(id, int(addr.Port()))
 }
 
@@ -99,9 +109,7 @@ func (e *SimEnv) LocalID() wire.NodeID { return e.id }
 // simulated nodes can address this one.
 func (e *SimEnv) SetLocalID(id wire.NodeID) {
 	e.id = id
-	if id != wire.NilNode {
-		e.reg.Register(id, e.endpoint)
-	}
+	e.reg.Register(id, e.endpoint)
 }
 
 // Now implements Env.

@@ -84,6 +84,48 @@ func TestSimEnvAddressingConvention(t *testing.T) {
 	}
 }
 
+// TestRegistryDenseIndex: the registry resolves IDs through an array sized to
+// the largest registered ID + 1; every ID it was not given — below, above,
+// wire.NilNode — reports false, and ID 0 and endpoint 0 are ordinary values.
+func TestRegistryDenseIndex(t *testing.T) {
+	reg := NewRegistry()
+	if _, ok := reg.Lookup(0); ok {
+		t.Error("empty registry resolved ID 0")
+	}
+	const coord, replica = wire.NodeID(0xFFFE), wire.NodeID(0xFFFD)
+	reg.Register(0, 3)
+	reg.Register(9, 0)
+	for _, id := range []wire.NodeID{1, 8, 10, replica, coord, wire.NilNode} {
+		if ep, ok := reg.Lookup(id); ok {
+			t.Errorf("Lookup(%d) = %d on a registry that never saw it", id, ep)
+		}
+	}
+	if len(reg.byID) != 10 {
+		t.Errorf("index sized %d, want largest registered ID + 1 = 10", len(reg.byID))
+	}
+	reg.Register(coord, 7)
+	reg.Register(replica, 8)
+	reg.Register(9, 5) // a re-registration moves the binding
+	reg.Register(wire.NilNode, 1)
+	for id, want := range map[wire.NodeID]int{0: 3, 9: 5, coord: 7, replica: 8} {
+		if ep, ok := reg.Lookup(id); !ok || ep != want {
+			t.Errorf("Lookup(%d) = %d,%v, want %d", id, ep, ok, want)
+		}
+	}
+	for _, id := range []wire.NodeID{1, 10, 0xFFFC, wire.NilNode} {
+		if _, ok := reg.Lookup(id); ok {
+			t.Errorf("Lookup(%d) found", id)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		reg.Lookup(0)
+		reg.Lookup(coord)
+		reg.Lookup(wire.NilNode)
+	}); n != 0 {
+		t.Errorf("Lookup allocates %v times", n)
+	}
+}
+
 func TestSimEnvTimerAndNow(t *testing.T) {
 	nw := simnet.New(1, 1)
 	reg := NewRegistry()
