@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all tier1 vet fmt bench digest digest-check loc lint vuln fuzz soak
+.PHONY: all tier1 vet fmt bench digest digest-check loc loc-check lint vuln fuzz soak
 
 all: tier1 vet lint
 
@@ -70,6 +70,16 @@ digest-check:
 # should go down (ROADMAP aim 2).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+
+# loc-check makes that number a ratchet: it fails when `make loc` exceeds
+# scripts/loc.ceiling. A PR that shrinks the tree lowers the ceiling to its
+# own result; one that must grow the tree raises it in the open.
+loc-check:
+	@loc=$$($(MAKE) -s loc); ceiling=$$(cat scripts/loc.ceiling); \
+	if [ "$$loc" -gt "$$ceiling" ]; then \
+		echo "loc-check: $$loc non-test lines exceed scripts/loc.ceiling ($$ceiling)"; exit 1; \
+	fi; \
+	echo "loc-check: $$loc non-test lines, ceiling $$ceiling"
 
 # soak runs hours of virtual time of Poisson churn under the lossy-gossip
 # fault plane (5% loss, duplication, jitter) with a hard live-heap ceiling:

@@ -515,26 +515,25 @@ func benchQuorumNode(b *testing.B, n int) (*core.Quorum, []int) {
 
 // benchFullMeshNode builds a standalone full-mesh node holding all n−1 peer
 // rows, the RON baseline's per-node recompute workload.
-func benchFullMeshNode(b *testing.B, n int, disableIncremental bool) (*core.FullMesh, *transport.SimEnv) {
+func benchFullMeshNode(b *testing.B, n int) *core.FullMesh {
 	b.Helper()
 	env := benchEnv()
-	f := core.NewFullMesh(env, core.FullMeshConfig{DisableIncremental: disableIncremental}, benchView(n), 0)
+	f := core.NewFullMesh(env, core.FullMeshConfig{}, benchView(n), 0)
 	self := benchRow(n, 0, 0)
 	f.SelfRow = func() []wire.LinkEntry { return self }
 	for s := 1; s < n; s++ {
 		f.Table().Put(s, lsdb.Row{Seq: 1, When: env.Now(), Entries: benchRow(n, s, 0)})
 	}
-	return f, env
+	return f
 }
 
 // BenchmarkRecomputeTrajectory records the single-node recompute trajectory
 // at n ∈ {1000, 2000, 5000}. For the quorum it times one routing tick of a
 // rendezvous serving its full ~2√n client set (round 2 evaluates every pair
-// every interval); for the full-mesh baseline, a from-scratch pass over all n
-// destinations against an incremental pass with a bounded dirty set. The
-// criterion is the n=5000 quorum tick finishing inside the 30 s probing
-// interval; with GOMAXPROCS=1 these numbers are the parallelism-free floor,
-// and the sharded full pass only improves on them.
+// every interval); for the full-mesh baseline, one tick's pass over all n
+// destinations. The criterion is the n=5000 quorum tick finishing inside the
+// 30 s probing interval; with GOMAXPROCS=1 these numbers are the
+// parallelism-free floor, and the sharded pass only improves on them.
 func BenchmarkRecomputeTrajectory(b *testing.B) {
 	for _, n := range []int{1000, 2000, 5000} {
 		b.Run(fmt.Sprintf("quorum/n=%d/full", n), func(b *testing.B) {
@@ -553,42 +552,14 @@ func BenchmarkRecomputeTrajectory(b *testing.B) {
 	}
 	for _, n := range []int{1000, 2000, 5000} {
 		b.Run(fmt.Sprintf("fullmesh/n=%d/full", n), func(b *testing.B) {
-			f, _ := benchFullMeshNode(b, n, true)
+			f := benchFullMeshNode(b, n)
 			f.Tick()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f.Tick()
 			}
 			b.StopTimer()
-			_, incr, _ := f.RecomputeStats()
-			if incr != 0 {
-				b.Fatalf("DisableIncremental node ran %d incremental passes", incr)
-			}
 			b.ReportMetric(float64(n), "dsts/op")
-		})
-		b.Run(fmt.Sprintf("fullmesh/n=%d/incremental", n), func(b *testing.B) {
-			f, env := benchFullMeshNode(b, n, false)
-			f.Tick() // first pass is full and takes the snapshot
-			_, _, baseDsts := f.RecomputeStats()
-			const dirty = 8
-			seq := uint32(1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				seq++
-				for d := 0; d < dirty; d++ {
-					s := 1 + (i*dirty+d)%(n-1)
-					f.Table().Put(s, lsdb.Row{Seq: seq, When: env.Now(), Entries: benchRow(n, s, i+1)})
-				}
-				b.StartTimer()
-				f.Tick()
-			}
-			b.StopTimer()
-			full, incr, dsts := f.RecomputeStats()
-			if incr != uint64(b.N) {
-				b.Fatalf("expected %d incremental passes, got %d (full=%d)", b.N, incr, full)
-			}
-			b.ReportMetric(float64(dsts-baseDsts)/float64(b.N), "dsts/op")
 		})
 	}
 }
@@ -734,7 +705,7 @@ func BenchmarkShardedFullPass(b *testing.B) {
 	}
 	build := func(workers int) *core.FullMesh {
 		env := benchEnv()
-		f := core.NewFullMesh(env, core.FullMeshConfig{DisableIncremental: true, Workers: workers}, benchView(n), 0)
+		f := core.NewFullMesh(env, core.FullMeshConfig{Workers: workers}, benchView(n), 0)
 		self := benchRow(n, 0, 0)
 		f.SelfRow = func() []wire.LinkEntry { return self }
 		for s := 1; s < n; s++ {

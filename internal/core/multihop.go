@@ -91,12 +91,18 @@ func RunMultiHop(costs [][]wire.Cost, maxHops int) (*MultiHopResult, error) {
 		}
 	}
 
-	rowBytes := int64(wire.MHLinkStateSize(n) + wire.PerPacketOverhead)
+	rowBytes := int64(mhRowBytes(n))
 	for t := 0; t < iters; t++ {
 		res.iterate(g, rowBytes)
 	}
 	return res, nil
 }
+
+// mhRowBytes is what one modified link-state row over n nodes is accounted
+// at on the wire: the header, a view version, iteration and entry count, then
+// a 2-byte cost and a 2-byte Sec pointer per destination. The engine runs the
+// rounds in memory, so this is bookkeeping, not an encoding.
+func mhRowBytes(n int) int { return wire.HeaderLen + 7 + 4*n + wire.PerPacketOverhead }
 
 // iterate runs one round: every node ships its (Dist, Sec) vectors to its
 // rendezvous servers; every rendezvous answers every client pair with the
@@ -203,6 +209,6 @@ func TheoreticalMultiHopBytes(n, maxHops int) float64 {
 	if iters < 1 {
 		iters = 0
 	}
-	perIter := 4 * math.Sqrt(float64(n)) * float64(wire.MHLinkStateSize(n)+wire.PerPacketOverhead)
+	perIter := 4 * math.Sqrt(float64(n)) * float64(mhRowBytes(n))
 	return iters * perIter
 }

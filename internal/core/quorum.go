@@ -34,14 +34,6 @@ type QuorumConfig struct {
 	// Zero (the default) disables degraded mode; negative values also
 	// disable it (the explicit off-switch for callers that fill defaults).
 	DegradedHold time.Duration
-	// RemoteSilence is how long a rendezvous may go without recommending a
-	// route to a destination before the node declares a remote rendezvous
-	// failure for that destination (default 2.5r; the paper bounds detection
-	// by one routing interval plus propagation).
-	RemoteSilence time.Duration
-	// DeadRecheck is how long a destination declared dead is left alone
-	// before failover may be attempted again (default 2r).
-	DeadRecheck time.Duration
 	// DisableFailover turns off §4.1's rapid rendezvous failover, for the
 	// ablation study.
 	DisableFailover bool
@@ -75,16 +67,20 @@ func (c *QuorumConfig) fill() {
 	if c.RouteTTL <= 0 {
 		c.RouteTTL = c.Staleness
 	}
-	if c.RemoteSilence <= 0 {
-		c.RemoteSilence = c.Interval*5/2 + time.Second
-	}
-	if c.DeadRecheck <= 0 {
-		c.DeadRecheck = 2 * c.Interval
-	}
 	if c.RetransmitTimeout <= 0 {
 		c.RetransmitTimeout = 2 * time.Second
 	}
 }
+
+// remoteSilence is how long a rendezvous may go without recommending a route
+// to a destination before the node declares a remote rendezvous failure for
+// that destination: 2.5r plus a second (the paper bounds detection by one
+// routing interval plus propagation).
+func (c *QuorumConfig) remoteSilence() time.Duration { return c.Interval*5/2 + time.Second }
+
+// deadRecheck is how long a destination declared dead is left alone before
+// failover may be attempted again: 2r.
+func (c *QuorumConfig) deadRecheck() time.Duration { return 2 * c.Interval }
 
 // QuorumStats exposes the router's failure-handling counters.
 type QuorumStats struct {
@@ -690,7 +686,7 @@ func (q *Quorum) defaultRendezvousLive(k, dst int, now time.Time) bool {
 	if last.IsZero() {
 		last = q.started // startup grace
 	}
-	return now.Sub(last) <= q.cfg.RemoteSilence // else remote rendezvous failure
+	return now.Sub(last) <= q.cfg.remoteSilence() // else remote rendezvous failure
 }
 
 // destinationSeemsAlive scans the client rows for evidence that dst is up —
@@ -752,14 +748,14 @@ func (q *Quorum) detectFailures() {
 		// recruited server gets a grace period to produce its first
 		// recommendation before silence counts against it.
 		if fo.server >= 0 && q.LinkAlive(fo.server) {
-			if now.Sub(fo.recruited) <= q.cfg.RemoteSilence || q.defaultRendezvousLive(fo.server, dst, now) {
+			if now.Sub(fo.recruited) <= q.cfg.remoteSilence() || q.defaultRendezvousLive(fo.server, dst, now) {
 				continue
 			}
 		}
 		// Dead-destination check after the initial failover attempt.
 		if len(fo.tried) > 0 && !q.destinationSeemsAlive(dst, now) {
 			fo.server = -1
-			fo.suspendedUntil = now.Add(q.cfg.DeadRecheck)
+			fo.suspendedUntil = now.Add(q.cfg.deadRecheck())
 			dead++
 			continue
 		}

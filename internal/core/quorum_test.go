@@ -340,7 +340,7 @@ func TestScenario2ProximalRendezvousFailover(t *testing.T) {
 func TestScenario3RemoteRendezvousFailure(t *testing.T) {
 	// §4.1 scenario 3: one proximal failure (Src–R1), one remote failure
 	// (R2–Dst), plus the direct link. Detection of the remote failure takes
-	// up to RemoteSilence; total recovery ≤ ~3-4 intervals.
+	// up to the remote-silence bound; total recovery ≤ ~3-4 intervals.
 	n := 25
 	r := 15 * time.Second
 	c := newCluster(t, n, 17, "quorum", QuorumConfig{Interval: r})

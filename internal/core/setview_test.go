@@ -76,10 +76,9 @@ func TestQuorumSetViewNonStableGoesCold(t *testing.T) {
 }
 
 func TestFullMeshSetViewNonStableGoesCold(t *testing.T) {
-	type counters struct{ sent, full, inc, dsts, extends, remaps, seq uint64 }
+	type counters struct{ sent, recomputes, extends, remaps, seq uint64 }
 	read := func(f *FullMesh) (c counters) {
-		c.sent, c.seq = f.LinkStatesSent(), uint64(f.seq)
-		c.full, c.inc, c.dsts = f.RecomputeStats()
+		c.sent, c.seq, c.recomputes = f.LinkStatesSent(), uint64(f.seq), f.stats.recomputes
 		c.extends, c.remaps = f.ViewChangeStats()
 		return c
 	}
@@ -89,7 +88,7 @@ func TestFullMeshSetViewNonStableGoesCold(t *testing.T) {
 			c.nw.RunFor(3 * time.Minute)
 			f := c.routers[0].(*FullMesh)
 			before := read(f)
-			if before.sent == 0 || before.full == 0 || !f.lastValid {
+			if before.sent == 0 || before.recomputes == 0 || !f.table.Have(1) {
 				t.Fatalf("router holds no state to lose: %+v", before)
 			}
 			next := slotView(t, 2, tc.ids...)
@@ -98,20 +97,19 @@ func TestFullMeshSetViewNonStableGoesCold(t *testing.T) {
 			for _, r := range []*FullMesh{f, fresh} {
 				r.SelfRow = func() []wire.LinkEntry { return make([]wire.LinkEntry, next.Slots()) }
 			}
-			if !reflect.DeepEqual(f.table, fresh.table) || !reflect.DeepEqual(f.routes, fresh.routes) || f.lastValid {
+			if !reflect.DeepEqual(f.table, fresh.table) || !reflect.DeepEqual(f.routes, fresh.routes) {
 				t.Error("state after a non-stable install differs from a fresh router's")
 			}
 			before.remaps++
 			if after := read(f); after != before {
 				t.Errorf("counters = %+v, want %+v", after, before)
 			}
-			// The stale incremental snapshots are dead weight, not state: the
-			// next recompute is a full pass with a fresh router's result.
+			// The scratch buffers are dead weight, not state: the next
+			// recompute has a fresh router's result.
 			f.recompute()
 			fresh.recompute()
-			if full, _, _ := f.RecomputeStats(); full != before.full+1 || !reflect.DeepEqual(f.routes, fresh.routes) {
-				t.Errorf("first recompute after a cold install: %d full passes (want %d), routes equal %v",
-					full, before.full+1, reflect.DeepEqual(f.routes, fresh.routes))
+			if !reflect.DeepEqual(f.routes, fresh.routes) {
+				t.Errorf("first recompute after a cold install differs from a fresh router's:\n got %+v\nwant %+v", f.routes, fresh.routes)
 			}
 		})
 	}
@@ -145,7 +143,6 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 		!q.table.Put(2, lsdb.Row{Seq: 7, When: now, Entries: aliveRow(4, 2)}) {
 		t.Fatal("rows not stored")
 	}
-	gen2 := q.table.Gen(2)
 	q.routes[2] = RouteEntry{Hop: 1, Cost: 30, When: now, From: 1, Source: SourceRendezvous}
 	q.routes[3] = RouteEntry{Hop: 3, Cost: 40, When: now, From: 1, Source: SourceRendezvous}
 	q.lastRecAbout[1] = make([]time.Time, 4)
@@ -178,9 +175,9 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 	if about := q.lastRecAbout[2]; len(about) != 5 || !about[1].IsZero() || !about[3].Equal(now) {
 		t.Errorf("surviving rendezvous's silence tracking = %v", about)
 	}
-	if !q.table.Have(2) || q.table.Seq(2) != 7 || q.table.Gen(2) == gen2 {
-		t.Fatalf("survivor's row: have %v seq %d (gen %d → %d), want seq 7 and a bumped generation",
-			q.table.Have(2), q.table.Seq(2), gen2, q.table.Gen(2))
+	if !q.table.Have(2) || q.table.Seq(2) != 7 || !q.table.When(2).Equal(now) {
+		t.Fatalf("survivor's row: have %v seq %d when %v, want seq 7 received at %v",
+			q.table.Have(2), q.table.Seq(2), q.table.When(2), now)
 	}
 	if r := q.table.OutRow(2); r[3] != 40 || r[1] != wire.InfCost || r[4] != wire.InfCost {
 		t.Errorf("survivor's costs to 3/1/4 = %d/%d/%d, want 40/Inf/Inf", r[3], r[1], r[4])

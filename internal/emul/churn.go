@@ -31,13 +31,6 @@ type DynamicFleetOptions struct {
 	// Replica rank r listens at endpoint MaxN+r under the well-known ID
 	// membership.CoordinatorIDAt(r); rank 0 boots as primary.
 	Coordinators int
-	// ReuseAfter is the endpoint quarantine: a departed endpoint becomes
-	// eligible for a fresh joiner once it has been dark this long. The
-	// default (membership timeout plus two sweep periods) guarantees the
-	// coordinator expired the old member first, so the recycled address
-	// cannot resurrect a stale ID through the idempotent-join path. A
-	// negative value disables reuse (every joiner burns a fresh endpoint).
-	ReuseAfter time.Duration
 	// Algorithm selects quorum or full-mesh routing.
 	Algorithm overlay.Algorithm
 	// Env supplies pairwise latencies, sized ≥ MaxN. Nil means a homogeneous
@@ -83,11 +76,16 @@ type DynamicFleet struct {
 	next      int
 	start     time.Time
 
-	// freeEps is a FIFO of departed endpoints awaiting the ReuseAfter
-	// quarantine; spawnSalt makes every spawn's transport RNG distinct even
-	// when an endpoint is recycled.
-	freeEps   []reusableEP
-	spawnSalt int64
+	// freeEps is a FIFO of departed endpoints awaiting the reuseAfter
+	// quarantine: a departed endpoint becomes eligible for a fresh joiner
+	// once it has been dark for the membership timeout plus two sweep
+	// periods, which guarantees the coordinator expired the old member
+	// first, so the recycled address cannot resurrect a stale ID through the
+	// idempotent-join path. spawnSalt makes every spawn's transport RNG
+	// distinct even when an endpoint is recycled.
+	freeEps    []reusableEP
+	reuseAfter time.Duration
+	spawnSalt  int64
 
 	// Joins, Leaves, and Crashes count lifecycle events injected so far.
 	// SpawnsDropped counts joins that could not happen because the endpoint
@@ -112,16 +110,13 @@ func NewDynamicFleet(n int, opt DynamicFleetOptions) *DynamicFleet {
 	if opt.Coordinators < 1 {
 		opt.Coordinators = 1
 	}
-	if opt.ReuseAfter == 0 {
-		to := opt.Coordinator.Timeout
-		if to <= 0 {
-			to = membership.DefaultTimeout
-		}
-		sw := opt.Coordinator.Sweep
-		if sw <= 0 {
-			sw = membership.DefaultSweep
-		}
-		opt.ReuseAfter = to + 2*sw
+	to := opt.Coordinator.Timeout
+	if to <= 0 {
+		to = membership.DefaultTimeout
+	}
+	sw := opt.Coordinator.Sweep
+	if sw <= 0 {
+		sw = membership.DefaultSweep
 	}
 	nc := opt.Coordinators
 	nw := simnet.New(opt.MaxN+nc, opt.Seed)
@@ -170,6 +165,7 @@ func NewDynamicFleet(n int, opt DynamicFleetOptions) *DynamicFleet {
 		spawnedAt:  make([]time.Time, opt.MaxN),
 		active:     make([]bool, opt.MaxN),
 		start:      nw.Now(),
+		reuseAfter: to + 2*sw,
 	}
 	nw.OnSend = func(from, to int, payload []byte) {
 		f.Col.Record(from, metrics.Out, wire.CategoryOf(wire.PeekType(payload)), len(payload), nw.Now())
@@ -297,8 +293,7 @@ func (f *DynamicFleet) CrashRegion(eps []int) {
 // untouched tail; -1 is returned when capacity is exhausted.
 func (f *DynamicFleet) Spawn() int {
 	ep := -1
-	if f.Opt.ReuseAfter >= 0 && len(f.freeEps) > 0 &&
-		f.Net.Now().Sub(f.freeEps[0].at) >= f.Opt.ReuseAfter {
+	if len(f.freeEps) > 0 && f.Net.Now().Sub(f.freeEps[0].at) >= f.reuseAfter {
 		ep = f.freeEps[0].ep
 		f.freeEps = f.freeEps[1:]
 		f.Net.SetNodeDown(ep, false)
@@ -503,18 +498,6 @@ type ChurnOptions struct {
 	// value for all-graceful departures (0 cannot double as both "unset"
 	// and "never crash").
 	CrashFrac float64
-	// SampleEvery is the metric sampling period (default 30 s).
-	SampleEvery time.Duration
-	// SettleAge is how long a node must have been a member before its pairs
-	// count toward availability (default probe interval + 2 routing
-	// intervals: the convergence bound for a fresh joiner).
-	SettleAge time.Duration
-	// MaxPairs caps the ordered pairs checked per availability sample
-	// (default 4000); pairs are chosen by a deterministic stride.
-	MaxPairs int
-	// StretchPairs caps the pairs evaluated against the one-hop oracle for
-	// the stretch metric (default 200; the oracle costs O(n) per pair).
-	StretchPairs int
 	// Coordinators is the coordinator replica count (default 1; the
 	// coordinator fault scenarios default to 3).
 	Coordinators int
@@ -531,11 +514,6 @@ type ChurnOptions struct {
 	// scenario runs clean. Negative values force a knob off.
 	Loss, Dup float64
 	Jitter    time.Duration
-	// StarveFor is how long ChurnStraggler's burst-loss windows isolate
-	// their victims (default 45 s); Stragglers is how many nodes are
-	// starved (default 3).
-	StarveFor  time.Duration
-	Stragglers int
 	// Algorithm selects the router (default quorum).
 	Algorithm overlay.Algorithm
 	// Env supplies latencies sized ≥ the computed endpoint capacity; nil
@@ -549,7 +527,28 @@ type ChurnOptions struct {
 	FullMesh    core.FullMeshConfig
 	Membership  membership.ClientConfig
 	Coordinator membership.CoordinatorConfig
+
+	// settleAge is how long a node must have been a member before its pairs
+	// count toward availability: the probe ramp plus 2 routing intervals,
+	// the convergence bound for a fresh joiner. fill derives it.
+	settleAge time.Duration
 }
+
+// Fixed measurement and fault parameters of a churn run.
+const (
+	// churnSampleEvery is the metric sampling period.
+	churnSampleEvery = 30 * time.Second
+	// churnMaxPairs caps the ordered pairs checked per availability sample;
+	// pairs are chosen by a deterministic stride.
+	churnMaxPairs = 4000
+	// churnStretchPairs caps the pairs evaluated against the one-hop oracle
+	// for the stretch metric (the oracle costs O(n) per pair).
+	churnStretchPairs = 200
+	// churnStarveFor is how long ChurnStraggler's burst-loss windows isolate
+	// their victims, and churnStragglers how many nodes are starved.
+	churnStarveFor  = 45 * time.Second
+	churnStragglers = 3
+)
 
 func (o *ChurnOptions) fill() {
 	if o.Warmup <= 0 {
@@ -578,9 +577,6 @@ func (o *ChurnOptions) fill() {
 	case o.CrashFrac > 1:
 		o.CrashFrac = 1
 	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 30 * time.Second
-	}
 	probeInterval := o.Probe.Interval
 	if probeInterval <= 0 {
 		probeInterval = 30 * time.Second
@@ -608,19 +604,7 @@ func (o *ChurnOptions) fill() {
 	if o.FullMesh.DegradedHold == 0 {
 		o.FullMesh.DegradedHold = 10 * routing
 	}
-	if o.SettleAge <= 0 {
-		ramp := o.Probe.RampIntervals
-		if ramp < 1 {
-			ramp = 1
-		}
-		o.SettleAge = time.Duration(ramp)*probeInterval + 2*routing
-	}
-	if o.MaxPairs <= 0 {
-		o.MaxPairs = 4000
-	}
-	if o.StretchPairs <= 0 {
-		o.StretchPairs = 200
-	}
+	o.settleAge = time.Duration(max(o.Probe.RampIntervals, 1))*probeInterval + 2*routing
 	if o.Coordinators <= 0 {
 		if o.Scenario == ChurnCoordCrash || o.Scenario == ChurnPartition || o.Scenario == ChurnGossipCrash {
 			o.Coordinators = 3
@@ -648,12 +632,6 @@ func (o *ChurnOptions) fill() {
 	}
 	if o.Jitter < 0 {
 		o.Jitter = 0
-	}
-	if o.StarveFor <= 0 {
-		o.StarveFor = 45 * time.Second
-	}
-	if o.Stragglers <= 0 {
-		o.Stragglers = 3
 	}
 	if o.CoordRestartAfter <= 0 {
 		o.CoordRestartAfter = 2 * time.Minute
@@ -800,7 +778,7 @@ func RunChurn(opt ChurnOptions) *ChurnResult {
 
 	end := f.Elapsed() + opt.Duration
 	nextChurn := f.Elapsed() + opt.Interval
-	nextSample := f.Elapsed() + opt.SampleEvery
+	nextSample := f.Elapsed() + churnSampleEvery
 	burstDone := false
 
 	// Fault schedule: the fault lands one Interval into the churn phase;
@@ -839,8 +817,8 @@ func RunChurn(opt ChurnOptions) *ChurnResult {
 		// sample first: the measurement observes the state the overlay
 		// converged to, and the event is what the *next* sample sees.
 		if f.Elapsed() >= nextSample {
-			res.Samples = append(res.Samples, sampleChurn(f, env, opt))
-			nextSample += opt.SampleEvery
+			res.Samples = append(res.Samples, sampleChurn(f, env, opt.settleAge))
+			nextSample += churnSampleEvery
 		}
 		if faultAt > 0 && f.Elapsed() >= faultAt {
 			faultAt = 0
@@ -869,8 +847,8 @@ func RunChurn(opt ChurnOptions) *ChurnResult {
 				churnMassDeparture(f, churnRng, opt.Burst, 0)
 				crashAt = f.Elapsed() + opt.Coordinator.Coalesce + 200*time.Millisecond
 			case ChurnStraggler:
-				churnStarve(f, opt)
-				windowEndAt = f.Elapsed() + opt.StarveFor
+				churnStarve(f)
+				windowEndAt = f.Elapsed() + churnStarveFor
 			}
 		}
 		if restartAt > 0 && f.Elapsed() >= restartAt {
@@ -1052,21 +1030,17 @@ func churnRegionEndpoints(f *DynamicFleet, n int) []int {
 }
 
 // churnStarve opens burst-loss windows that black out the first
-// opt.Stragglers live endpoints for opt.StarveFor: every link they have —
+// churnStragglers live endpoints for churnStarveFor: every link they have —
 // peers and coordinators alike — drops everything, so the victims miss
 // whole delta generations and must repair by pulling once the window
-// closes. Heartbeats are lost too, but StarveFor sits well inside the
+// closes. Heartbeats are lost too, but churnStarveFor sits well inside the
 // membership timeout, so no victim is evicted.
-func churnStarve(f *DynamicFleet, opt ChurnOptions) {
+func churnStarve(f *DynamicFleet) {
 	eps := f.ActiveEndpoints()
-	k := opt.Stragglers
-	if k > len(eps) {
-		k = len(eps)
-	}
-	for _, v := range eps[:k] {
+	for _, v := range eps[:min(churnStragglers, len(eps))] {
 		for other := 0; other < f.Net.Size(); other++ {
 			if other != v {
-				f.Net.AddBurstLoss(v, other, 0, opt.StarveFor)
+				f.Net.AddBurstLoss(v, other, 0, churnStarveFor)
 			}
 		}
 	}
@@ -1086,7 +1060,7 @@ func churnMassDeparture(f *DynamicFleet, rng *rand.Rand, k int, crashFrac float6
 
 // sampleChurn measures route availability and stretch over the settled
 // population against simulator ground truth.
-func sampleChurn(f *DynamicFleet, env *traces.Env, opt ChurnOptions) ChurnSample {
+func sampleChurn(f *DynamicFleet, env *traces.Env, settleAge time.Duration) ChurnSample {
 	now := f.Net.Now()
 	s := ChurnSample{
 		T:         f.Elapsed(),
@@ -1097,7 +1071,7 @@ func sampleChurn(f *DynamicFleet, env *traces.Env, opt ChurnOptions) ChurnSample
 		s.Members = prim.MemberCount()
 		s.Primary = prim.Rank()
 	}
-	eps := f.SettledEndpoints(now.Add(-opt.SettleAge))
+	eps := f.SettledEndpoints(now.Add(-settleAge))
 	s.Settled = len(eps)
 	stamps := make(map[wire.ViewStamp]struct{})
 	for _, ep := range eps {
@@ -1118,10 +1092,7 @@ func sampleChurn(f *DynamicFleet, env *traces.Env, opt ChurnOptions) ChurnSample
 		}
 	}
 	total := len(eps) * (len(eps) - 1)
-	check := total
-	if check > opt.MaxPairs {
-		check = opt.MaxPairs
-	}
+	check := min(total, churnMaxPairs)
 	var stretchSum float64
 	for k := 0; k < check; k++ {
 		idx := k
@@ -1147,7 +1118,7 @@ func sampleChurn(f *DynamicFleet, env *traces.Env, opt ChurnOptions) ChurnSample
 			continue
 		}
 		s.Routed++
-		if s.StretchPairs < opt.StretchPairs {
+		if s.StretchPairs < churnStretchPairs {
 			if oracle := churnOracleOneHop(f, env, actives, a, b); oracle > 0 {
 				s.StretchPairs++
 				stretchSum += float64(r.Cost) / float64(oracle)

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"allpairs/internal/core"
+	"allpairs/internal/lsdb"
 	"allpairs/internal/overlay"
 	"allpairs/internal/traces"
+	"allpairs/internal/wire"
 )
 
 // routeTableHash runs a deterministic fleet and digests every node's full
@@ -63,100 +65,97 @@ func TestRouteTablesMatchScalarGolden(t *testing.T) {
 	}
 }
 
-// dynamicRouteHash digests every active node's full route table, walking
-// endpoints in ascending order (Routes returns a dense slice, so the digest
-// is deterministic).
-func dynamicRouteHash(f *DynamicFleet) string {
-	h := sha256.New()
-	var buf [8]byte
-	for _, ep := range f.ActiveEndpoints() {
-		binary.BigEndian.PutUint32(buf[:4], uint32(ep))
-		binary.BigEndian.PutUint32(buf[4:], 0xffffffff)
-		h.Write(buf[:])
-		for dst, e := range f.Node(ep).Router().Routes() {
-			binary.BigEndian.PutUint32(buf[:4], uint32(dst))
-			binary.BigEndian.PutUint32(buf[4:], uint32(e.Hop))
-			h.Write(buf[:])
-			binary.BigEndian.PutUint16(buf[:2], uint16(e.Cost))
-			binary.BigEndian.PutUint32(buf[2:6], uint32(e.From))
-			buf[6] = byte(e.Source)
-			buf[7] = 0
-			h.Write(buf[:])
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))[:16]
-}
-
-// churnFleet builds the 16-member dynamic fleet the churn tests drive;
-// scratch forces the full-mesh router to recompute every destination from
-// scratch each interval.
-func churnFleet(algo overlay.Algorithm, asym, scratch bool) *DynamicFleet {
+// churnFleet builds the 16-member dynamic fleet the churn tests drive.
+func churnFleet(algo overlay.Algorithm, asym bool) *DynamicFleet {
 	opt := DynamicFleetOptions{MaxN: 20, Seed: 42, Algorithm: algo}
 	opt.Probe.Asymmetric = asym
 	opt.Quorum.Asymmetric = asym
-	opt.FullMesh.DisableIncremental = scratch
 	return NewDynamicFleet(16, opt)
 }
 
-// driveChurn runs the fleets in lockstep through convergence, a crash, a
-// graceful departure and a join, with four routing intervals after each
-// event; check runs after convergence and after every interval.
-func driveChurn(fleets []*DynamicFleet, check func(when string)) {
+// driveChurn runs the fleet through convergence, a crash, a graceful
+// departure and a join, with four routing intervals after each event; check
+// runs after convergence and after every interval.
+func driveChurn(f *DynamicFleet, check func(when string)) {
 	step := func(d time.Duration, when string) {
-		for _, f := range fleets {
-			f.Run(d)
-		}
+		f.Run(d)
 		check(when)
 	}
 	step(90*time.Second, "after convergence")
 	for _, ev := range []struct {
 		name string
-		do   func(f *DynamicFleet)
+		do   func()
 	}{
-		{"crash", func(f *DynamicFleet) { f.Depart(f.ActiveEndpoints()[2], false) }},
-		{"leave", func(f *DynamicFleet) { f.Depart(f.ActiveEndpoints()[5], true) }},
-		{"join", func(f *DynamicFleet) { f.Spawn() }},
+		{"crash", func() { f.Depart(f.ActiveEndpoints()[2], false) }},
+		{"leave", func() { f.Depart(f.ActiveEndpoints()[5], true) }},
+		{"join", func() { f.Spawn() }},
 	} {
-		for _, f := range fleets {
-			ev.do(f)
-		}
+		ev.do()
 		for k := 0; k < 4; k++ {
 			step(15*time.Second, fmt.Sprintf("%s, tick %d", ev.name, k))
 		}
 	}
 }
 
-// TestIncrementalMatchesScratchUnderChurn runs two identically-seeded
-// full-mesh churn fleets — one on the default incremental dirty-set
-// recompute, one forced to recompute every destination from scratch — and
-// diffs every node's full route table each recomputation interval across
-// joins, crashes, and graceful departures. Byte-identity here is the
-// correctness contract of the incremental path: the dirty-set bookkeeping may
-// only skip work, never change a decision. (The quorum router has no
-// incremental path: round 2 evaluates every pair every interval.)
-func TestIncrementalMatchesScratchUnderChurn(t *testing.T) {
-	inc := churnFleet(overlay.AlgFullMesh, false, false)
-	scr := churnFleet(overlay.AlgFullMesh, false, true)
-	driveChurn([]*DynamicFleet{inc, scr}, func(when string) {
-		if hi, hs := dynamicRouteHash(inc), dynamicRouteHash(scr); hi != hs {
-			t.Fatalf("%s: incremental tables %s diverged from scratch tables %s", when, hi, hs)
+// oracleVia is §4.2 written out longhand for one destination: the direct
+// path, then every intermediate whose row is fresher than maxAge in slot
+// order, the first strict minimum winning.
+func oracleVia(tab *lsdb.Table, self []wire.LinkEntry, dst int, now time.Time, maxAge time.Duration) (hop int, cost wire.Cost) {
+	hop, cost = -1, wire.InfCost
+	if c := self[dst].Cost(); c != wire.InfCost {
+		hop, cost = dst, c
+	}
+	for h := range self {
+		if h == dst || !tab.FreshAt(h, now, maxAge) {
+			continue
+		}
+		if c := self[h].Cost().Add(tab.OutRow(h)[dst]); c < cost {
+			hop, cost = h, c
+		}
+	}
+	return hop, cost
+}
+
+// TestFullMeshRoutesMatchOracleUnderChurn drives a full-mesh fleet through a
+// crash, a graceful departure and a join and, after every interval, ticks
+// each node and holds the route table that tick installed to oracleVia over
+// the node's own table and prober row: every destination with a usable hop
+// reads the oracle's (hop, cost) stamped now, every other keeps the entry it
+// had. The tables have by then been grown, retired into and aged, so this is
+// the recompute against an independent scalar loop on churned state, not on
+// a fresh fixture.
+func TestFullMeshRoutesMatchOracleUnderChurn(t *testing.T) {
+	f := churnFleet(overlay.AlgFullMesh, false)
+	installed, kept := 0, 0
+	driveChurn(f, func(when string) {
+		for _, ep := range f.ActiveEndpoints() {
+			node := f.Node(ep)
+			if !node.Ready() {
+				continue
+			}
+			r := node.Router().(*core.FullMesh)
+			before := r.Routes()
+			r.Tick()
+			now, self := node.Env().Now(), node.Prober().Row()
+			for dst, got := range r.Routes() {
+				want := before[dst]
+				if hop, cost := oracleVia(r.Table(), self, dst, now, 3*r.Interval()); hop >= 0 && dst != node.Slot() {
+					want = core.RouteEntry{Hop: hop, Cost: cost, When: now, From: -1, Source: core.SourceSelf}
+					installed++
+				} else {
+					kept++
+				}
+				if got != want {
+					t.Fatalf("%s: endpoint %d route to slot %d = %+v, oracle says %+v", when, ep, dst, got, want)
+				}
+			}
 		}
 	})
-
-	// The equality above is only meaningful if the incremental fleet
-	// actually took the fast path and the scratch fleet never did.
-	count := func(f *DynamicFleet) (n uint64) {
-		for _, ep := range f.ActiveEndpoints() {
-			_, incr, _ := f.Node(ep).Router().(*core.FullMesh).RecomputeStats()
-			n += incr
-		}
-		return n
-	}
-	if count(inc) == 0 {
-		t.Error("incremental fleet never exercised the incremental path")
-	}
-	if count(scr) != 0 {
-		t.Error("DisableIncremental fleet took the incremental path")
+	// The comparison means something only if both arms ran: routes the
+	// oracle chose, and entries a recompute had to leave alone (self,
+	// tombstones, members that stopped answering).
+	if installed == 0 || kept == 0 {
+		t.Errorf("oracle installed %d routes and kept %d: one arm never ran", installed, kept)
 	}
 }
 
@@ -175,8 +174,8 @@ func TestChurnInstallsAreStableExtensions(t *testing.T) {
 		{"fullmesh", overlay.AlgFullMesh, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := churnFleet(tc.algo, tc.asym, false)
-			driveChurn([]*DynamicFleet{f}, func(string) {})
+			f := churnFleet(tc.algo, tc.asym)
+			driveChurn(f, func(string) {})
 			var extends, remaps uint64
 			for _, ep := range f.ActiveEndpoints() {
 				switch r := f.Node(ep).Router().(type) {

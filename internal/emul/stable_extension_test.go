@@ -2,7 +2,9 @@ package emul
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
+	"time"
 
 	"allpairs/internal/core"
 	"allpairs/internal/grid"
@@ -53,11 +55,11 @@ func slottedView(t *testing.T, version uint32, slots int, dead []int, extras ...
 
 // TestJoinAtScaleIsStableExtension is the tentpole acceptance check at
 // n = 2000: a single join extends the slot space by one and must leave every
-// unaffected member's state bit-for-bit untouched — stored lsdb rows, their
-// generation counters, the route table, and the probe row — with both
+// unaffected member's state bit-for-bit untouched — stored lsdb rows with
+// their sequence numbers and receive times, and the probe row — with both
 // routers taking the stable-extension fast path (zero remaps). A follow-up
-// leave tombstones one slot and must disturb generations only for the rows
-// that actually held a live cost toward the departed member.
+// leave tombstones one slot and must rewrite only the rows that actually
+// held a live cost toward the departed member, and only in that column.
 func TestJoinAtScaleIsStableExtension(t *testing.T) {
 	const n = 2000
 	const self = 0
@@ -74,10 +76,10 @@ func TestJoinAtScaleIsStableExtension(t *testing.T) {
 	fm := core.NewFullMesh(env, core.FullMeshConfig{}, v1, self)
 	p := probe.New(env, probe.Config{}, v1, self)
 
-	// Seed stored rows for a spread of origins so generation preservation is
-	// checked against real content, not just zeros. Origin 100's row holds a
-	// live cost toward slot 17 (the later leave must bump its generation);
-	// origin 200's entry about 17 is dead (its generation must hold).
+	// Seed stored rows for a spread of origins so preservation is checked
+	// against real content, not just zeros. Origin 100's row holds a live
+	// cost toward slot 17 (the later leave must rewrite that column);
+	// origin 200's entry about 17 is dead (its row must hold).
 	seedRow := func(tab *lsdb.Table, origin int, live ...int) {
 		entries := make([]wire.LinkEntry, n)
 		for i := range entries {
@@ -97,16 +99,49 @@ func TestJoinAtScaleIsStableExtension(t *testing.T) {
 		seedRow(tab, 1999, 3)
 	}
 
-	snapshotGens := func(tab *lsdb.Table) []uint32 {
-		g := make([]uint32, n)
-		for s := 0; s < n; s++ {
-			g[s] = tab.Gen(s)
-		}
-		return g
+	// rowState is everything a table holds for one slot, copied out.
+	type rowState struct {
+		have bool
+		seq  uint32
+		when time.Time
+		out  []wire.Cost
 	}
-	qGens, fGens := snapshotGens(q.Table()), snapshotGens(fm.Table())
+	snapshot := func(tab *lsdb.Table) []rowState {
+		rows := make([]rowState, n)
+		for s := range rows {
+			rows[s] = rowState{have: tab.Have(s), seq: tab.Seq(s), when: tab.When(s)}
+			if rows[s].have {
+				rows[s].out = append([]wire.Cost(nil), tab.OutRow(s)...)
+			}
+		}
+		return rows
+	}
+	// sameRows holds tab to a snapshot in every slot: the stored rows equal
+	// want's, extended by padded unreachable entries, and no slot gained or
+	// lost a row.
+	sameRows := func(when, name string, tab *lsdb.Table, want []rowState, padded int) {
+		t.Helper()
+		for s, w := range want {
+			if tab.Have(s) != w.have || tab.Seq(s) != w.seq || !tab.When(s).Equal(w.when) {
+				t.Fatalf("%s %s: slot %d metadata = (%v, %d, %v), want (%v, %d, %v)",
+					name, when, s, tab.Have(s), tab.Seq(s), tab.When(s), w.have, w.seq, w.when)
+			}
+			if !w.have {
+				continue
+			}
+			got := tab.OutRow(s)
+			if len(got) != len(w.out)+padded || !slices.Equal(got[:len(w.out)], w.out) {
+				t.Fatalf("%s %s: stored row %d changed (len %d, want %d)", name, when, s, len(got), len(w.out)+padded)
+			}
+			for _, c := range got[len(w.out):] {
+				if c != wire.InfCost {
+					t.Fatalf("%s %s: stored row %d not padded unreachable toward the new slot", name, when, s)
+				}
+			}
+		}
+	}
+	qRows, fRows := snapshot(q.Table()), snapshot(fm.Table())
 	rowBefore := append([]wire.LinkEntry(nil), p.Row()...)
-	row100 := append([]wire.Cost(nil), q.Table().OutRow(100)...)
 
 	// The join: member 9001 lands in appended slot 2000.
 	v2 := slottedView(t, 2, n+1, nil, wire.Member{
@@ -125,22 +160,8 @@ func TestJoinAtScaleIsStableExtension(t *testing.T) {
 	if ext, rem := fm.ViewChangeStats(); ext != 1 || rem != 0 {
 		t.Fatalf("fullmesh join: extends=%d remaps=%d, want 1/0", ext, rem)
 	}
-	for s := 0; s < n; s++ {
-		if got := q.Table().Gen(s); got != qGens[s] {
-			t.Fatalf("quorum gen[%d] = %d after join, want %d (unaffected member disturbed)", s, got, qGens[s])
-		}
-		if got := fm.Table().Gen(s); got != fGens[s] {
-			t.Fatalf("fullmesh gen[%d] = %d after join, want %d", s, got, fGens[s])
-		}
-	}
-	for s, c := range row100 {
-		if q.Table().OutRow(100)[s] != c {
-			t.Fatalf("stored row cost changed at entry %d across join", s)
-		}
-	}
-	if got := q.Table().OutRow(100); len(got) != n+1 || got[n] != wire.InfCost {
-		t.Fatalf("stored row not padded unreachable toward the new slot: len %d", len(got))
-	}
+	sameRows("after join", "quorum", q.Table(), qRows, 1)
+	sameRows("after join", "fullmesh", fm.Table(), fRows, 1)
 	for s, e := range rowBefore {
 		if p.Row()[s] != e {
 			t.Fatalf("probe row entry %d changed across join", s)
@@ -164,25 +185,18 @@ func TestJoinAtScaleIsStableExtension(t *testing.T) {
 	if st := q.Stats(); st.ViewExtends != 2 || st.ViewRemaps != 0 {
 		t.Fatalf("quorum leave: extends=%d remaps=%d, want 2/0", st.ViewExtends, st.ViewRemaps)
 	}
-	// Generations move for exactly: the retired slot (row dropped) and rows
-	// holding a live cost toward it (origin 100). Origin 200 and 1999 held
-	// no live entry about slot 17 and must be untouched.
-	for _, tab := range []*lsdb.Table{q.Table(), fm.Table()} {
-		if tab.Have(17) {
-			t.Fatal("retired slot still has a stored row")
+	// Exactly one stored cost moves: origin 100's live cost toward the
+	// retired slot (which held no row of its own). Origins 200 and 1999 held
+	// no live entry about slot 17 and must be untouched, as must every slot
+	// that never had a row.
+	for _, w := range [][]rowState{qRows, fRows} {
+		if w[100].out[17] == wire.InfCost {
+			t.Fatal("origin 100 held no live cost toward slot 17 before the leave")
 		}
-		if !tab.Have(100) || tab.OutRow(100)[17] != wire.InfCost {
-			t.Fatal("surviving row still names the departed member alive")
-		}
+		w[100].out[17] = wire.InfCost
 	}
-	for _, s := range []int{200, 1999, 44, 999, 1500} {
-		if got := q.Table().Gen(s); got != qGens[s] {
-			t.Fatalf("quorum gen[%d] = %d after leave, want %d (row without live cost to 17 disturbed)", s, got, qGens[s])
-		}
-	}
-	if got := q.Table().Gen(100); got == qGens[100] {
-		t.Fatal("quorum gen[100] did not advance although its row lost a live entry")
-	}
+	sameRows("after leave", "quorum", q.Table(), qRows, 1)
+	sameRows("after leave", "fullmesh", fm.Table(), fRows, 1)
 	if p.Alive(17) {
 		t.Fatal("probe still believes the tombstoned slot alive")
 	}

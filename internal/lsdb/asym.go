@@ -29,19 +29,11 @@ func (t *Table) PutAsym(slot int, row AsymRow) bool {
 	if !t.Directional() || !t.accepts(slot, len(row.Entries), row.Seq, row.When) {
 		return false
 	}
-	out, changed := t.out.rowFor(slot)
-	in, _ := t.in.rowFor(slot) // allocated together with out
+	out, in := t.out.rowFor(slot), t.in.rowFor(slot)
 	for i, e := range row.Entries {
-		if c := e.OutCost(); out[i] != c {
-			out[i] = c
-			changed = true
-		}
-		if c := e.InCost(); in[i] != c {
-			in[i] = c
-			changed = true
-		}
+		out[i], in[i] = e.OutCost(), e.InCost()
 	}
-	t.stored(slot, row.Seq, row.When, changed)
+	t.stored(slot, row.Seq, row.When)
 	return true
 }
 

@@ -32,7 +32,7 @@ type Row struct {
 }
 
 // Table stores the most recent link-state row received from each slot as
-// unpacked cost rows plus (seq, when, generation) per slot. out row s holds
+// unpacked cost rows plus (seq, when) per slot. out row s holds
 // the costs s→h announced by slot s and in row s the costs h→s; for a
 // symmetric table (NewTable) they are the same matrix, for a directional one
 // (NewDirectionalTable) two. The zero value is unusable.
@@ -42,16 +42,6 @@ type Table struct {
 	have    []bool
 	when    []time.Time
 	seq     []uint32
-
-	// gen is the per-slot content generation: it advances exactly when the
-	// slot's unpacked costs (either direction) may have changed — first
-	// store, a store whose costs differ from what was held, a retire that
-	// rewrote the row. Refreshes that re-announce identical costs — the
-	// steady state, where every row is re-Put each interval — leave it
-	// untouched, which is what lets core.FullMesh's incremental recompute
-	// skip clean rows. Every mutator of row storage MUST keep
-	// this in sync (see CONTRIBUTING.md, "Dirty tracking").
-	gen []uint32
 }
 
 // NewTable returns an empty symmetric table for an n-slot view.
@@ -68,7 +58,6 @@ func newTable(n int, out, in *CostMatrix) *Table {
 		have: make([]bool, n),
 		when: make([]time.Time, n),
 		seq:  make([]uint32, n),
-		gen:  make([]uint32, n),
 	}
 }
 
@@ -106,16 +95,6 @@ func (t *Table) FreshAt(slot int, now time.Time, maxAge time.Duration) bool {
 	return t.have[slot] && now.Sub(t.when[slot]) <= maxAge
 }
 
-// Gen returns the content generation of slot's row. Two reads returning the
-// same value bracket a window in which the slot's unpacked costs did not
-// change, so a consumer that snapshots generations after a recompute can skip
-// every slot whose generation still matches on the next pass. Absent and
-// present slots share one monotone counter per slot; Grow and RetireSlot keep
-// the counters running, so snapshots stay valid across stable view
-// extensions. A consumer that replaces the table (a cold view install) must
-// drop every snapshot with it.
-func (t *Table) Gen(slot int) uint32 { return t.gen[slot] }
-
 // accepts reports whether a rowLen-entry announcement (seq, when) for slot
 // may replace what the table holds: lower sequence numbers are rejected, as
 // are equal-sequence rows whose When is older than the stored one, so a
@@ -128,10 +107,7 @@ func (t *Table) accepts(slot, rowLen int, seq uint32, when time.Time) bool {
 }
 
 // stored records the metadata of the row just unpacked into slot.
-func (t *Table) stored(slot int, seq uint32, when time.Time, changed bool) {
-	if changed {
-		t.gen[slot]++
-	}
+func (t *Table) stored(slot int, seq uint32, when time.Time) {
 	t.have[slot], t.seq[slot], t.when[slot] = true, seq, when
 }
 
@@ -143,7 +119,8 @@ func (t *Table) Put(slot int, row Row) bool {
 	if t.Directional() || !t.accepts(slot, len(row.Entries), row.Seq, row.When) {
 		return false
 	}
-	t.stored(slot, row.Seq, row.When, t.out.setRow(slot, row.Entries))
+	t.out.setRow(slot, row.Entries)
+	t.stored(slot, row.Seq, row.When)
 	return true
 }
 
@@ -159,9 +136,8 @@ func (t *Table) FreshSlots(dst []int, now time.Time, maxAge time.Duration) []int
 }
 
 // Grow extends the table to newN slots in place, for stable view extensions
-// that append slots. Every stored row keeps its costs, metadata, and
-// generation counter (the whole point: consumers' generation snapshots stay
-// valid), and the new slots read as absent until their occupants announce.
+// that append slots. Every stored row keeps its costs and metadata, and the
+// new slots read as absent until their occupants announce.
 // Put continues to reject announcements whose length disagrees with the
 // current view, so members still on the old view are simply dropped until
 // they catch up.
@@ -177,28 +153,21 @@ func (t *Table) Grow(newN int) {
 	t.have = append(t.have, make([]bool, pad)...)
 	t.when = append(t.when, make([]time.Time, pad)...)
 	t.seq = append(t.seq, make([]uint32, pad)...)
-	t.gen = append(t.gen, make([]uint32, pad)...)
 	t.n = newN
 }
 
 // RetireSlot erases a departed member from the table without disturbing
 // anyone else: the slot's stored row is dropped and every other stored row's
-// cost toward it is forced to InfCost. Generations advance for exactly the
-// rows whose scannable contents change — the retired slot, if it held a row,
-// and rows that held a finite cost toward it — so snapshots of unaffected
-// rows stay valid. The slot itself becomes an ordinary empty slot, ready for
-// a quarantine-expired reuse to announce into.
+// cost toward it is forced to InfCost. The slot itself becomes an ordinary
+// empty slot, ready for a quarantine-expired reuse to announce into.
 func (t *Table) RetireSlot(slot int) {
 	if slot < 0 || slot >= t.n {
 		return
 	}
-	if t.have[slot] {
-		t.gen[slot]++
-	}
 	t.have[slot], t.seq[slot], t.when[slot] = false, 0, time.Time{}
-	t.out.retire(slot, t.gen)
+	t.out.retire(slot)
 	if t.Directional() {
-		t.in.retire(slot, t.gen)
+		t.in.retire(slot)
 	}
 }
 

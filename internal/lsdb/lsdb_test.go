@@ -2,6 +2,7 @@ package lsdb
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -65,85 +66,6 @@ func TestTablePutRejectsBadShape(t *testing.T) {
 	}
 	if tb.Put(0, Row{Entries: aliveRow(0, 0)}) {
 		t.Error("accepted wrong-length row")
-	}
-}
-
-// TestGenDirtyInvariants pins the dirty-tracking contract core.FullMesh's
-// incremental recompute depends on: Gen(slot) advances exactly
-// when the slot's unpacked costs may differ from what a previous reader saw,
-// and stays put when a re-Put carries identical contents (the quiescent
-// steady state, where rows are re-announced unchanged every interval).
-func TestGenDirtyInvariants(t *testing.T) {
-	tb := NewTable(3)
-	g0 := tb.Gen(1)
-
-	// Retiring a slot that holds nothing, and that nobody holds a cost
-	// toward, is not a change.
-	tb.RetireSlot(1)
-	tb.RetireSlot(-1) // out of range must not panic
-	tb.RetireSlot(9)
-	if tb.Gen(1) != g0 {
-		t.Error("RetireSlot of an empty slot advanced gen")
-	}
-
-	if !tb.Put(1, Row{Seq: 1, When: t0, Entries: aliveRow(5, 0, 9)}) {
-		t.Fatal("Put rejected")
-	}
-	g1 := tb.Gen(1)
-	if g1 == g0 {
-		t.Error("first store did not advance gen")
-	}
-
-	// Identical contents, fresher stamp: the common no-op refresh.
-	if !tb.Put(1, Row{Seq: 2, When: t0.Add(time.Second), Entries: aliveRow(5, 0, 9)}) {
-		t.Fatal("refresh rejected")
-	}
-	if tb.Gen(1) != g1 {
-		t.Error("identical re-Put advanced gen")
-	}
-
-	// A latency change is a content change.
-	if !tb.Put(1, Row{Seq: 3, When: t0.Add(2 * time.Second), Entries: aliveRow(5, 0, 12)}) {
-		t.Fatal("changed row rejected")
-	}
-	g2 := tb.Gen(1)
-	if g2 == g1 {
-		t.Error("cost change did not advance gen")
-	}
-
-	// A status flip with the same latency changes the unpacked cost (Inf).
-	row := aliveRow(5, 0, 12)
-	row[0] = entry(5, false)
-	if !tb.Put(1, Row{Seq: 4, When: t0.Add(3 * time.Second), Entries: row}) {
-		t.Fatal("status-flip row rejected")
-	}
-	g3 := tb.Gen(1)
-	if g3 == g2 {
-		t.Error("status flip did not advance gen")
-	}
-
-	// Retiring a held row is a change; the restored row is one too (its
-	// costs reappear out of the shared inf row).
-	tb.RetireSlot(1)
-	g4 := tb.Gen(1)
-	if g4 == g3 || tb.Have(1) {
-		t.Error("RetireSlot of a held row did not drop it and advance gen")
-	}
-	if !tb.Put(1, Row{Seq: 5, When: t0.Add(4 * time.Second), Entries: row}) {
-		t.Fatal("re-store rejected")
-	}
-	if tb.Gen(1) == g4 {
-		t.Error("re-store after RetireSlot did not advance gen")
-	}
-
-	// A rejected Put (stale seq) must not advance gen even with different
-	// contents — nothing was stored.
-	gBefore := tb.Gen(1)
-	if tb.Put(1, Row{Seq: 1, When: t0.Add(5 * time.Second), Entries: aliveRow(1, 2, 3)}) {
-		t.Fatal("stale seq accepted")
-	}
-	if tb.Gen(1) != gBefore {
-		t.Error("rejected Put advanced gen")
 	}
 }
 
@@ -355,30 +277,24 @@ func TestCostMatrixLazyRows(t *testing.T) {
 func TestTableGrowPreservesRowsAndGenerations(t *testing.T) {
 	tb := NewTable(3)
 	tb.Put(0, Row{Seq: 1, When: t0, Entries: aliveRow(0, 10, 20)})
-	tb.Put(2, Row{Seq: 4, When: t0, Entries: aliveRow(7, 8, 0)})
-	gens := []uint32{tb.Gen(0), tb.Gen(1), tb.Gen(2)}
-	rowBefore := append([]wire.Cost(nil), tb.Matrix().Row(0)...)
+	tb.Put(2, Row{Seq: 4, When: t0.Add(time.Second), Entries: aliveRow(7, 8, 0)})
+	before := snapshotTable(tb)
 
 	tb.Grow(5)
 	if tb.N() != 5 || tb.Matrix().N() != 5 {
 		t.Fatalf("N = %d / %d, want 5", tb.N(), tb.Matrix().N())
 	}
-	for s, g := range gens {
-		if tb.Gen(s) != g {
-			t.Errorf("Grow advanced gen of slot %d: %d -> %d", s, g, tb.Gen(s))
-		}
-	}
-	// Old contents byte-identical, tail reads InfCost.
-	got := tb.Matrix().Row(0)
-	for i, c := range rowBefore {
-		if got[i] != c {
-			t.Errorf("Row(0)[%d] = %d, want %d", i, got[i], c)
+	// Old contents and metadata byte-identical, tail reads InfCost, new
+	// slots empty.
+	for s, want := range before {
+		got := snapshotSlot(tb, s)
+		pad := []wire.Cost{wire.InfCost, wire.InfCost}
+		want.out, want.in = append(want.out, pad...), append(want.in, pad...)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Grow disturbed slot %d: %+v -> %+v", s, want, got)
 		}
 	}
 	for i := 3; i < 5; i++ {
-		if got[i] != wire.InfCost {
-			t.Errorf("Row(0)[%d] = %d, want InfCost", i, got[i])
-		}
 		if tb.Have(i) {
 			t.Errorf("new slot %d not empty", i)
 		}
@@ -397,6 +313,31 @@ func TestTableGrowPreservesRowsAndGenerations(t *testing.T) {
 	}
 }
 
+// slotState is everything a Table holds for one slot, copied out so a test
+// can hold a mutation to exactly the slots and columns it should touch.
+type slotState struct {
+	have    bool
+	seq     uint32
+	when    time.Time
+	out, in []wire.Cost
+}
+
+func snapshotSlot(tb *Table, s int) slotState {
+	return slotState{
+		have: tb.Have(s), seq: tb.Seq(s), when: tb.When(s),
+		out: append([]wire.Cost(nil), tb.OutRow(s)...),
+		in:  append([]wire.Cost(nil), tb.InRow(s)...),
+	}
+}
+
+func snapshotTable(tb *Table) []slotState {
+	all := make([]slotState, tb.N())
+	for s := range all {
+		all[s] = snapshotSlot(tb, s)
+	}
+	return all
+}
+
 func TestTableRetireSlotTouchesOnlyAffectedRows(t *testing.T) {
 	tb := NewTable(4)
 	tb.Put(0, Row{Seq: 1, When: t0, Entries: aliveRow(0, 10, 20, 30)})
@@ -405,26 +346,29 @@ func TestTableRetireSlotTouchesOnlyAffectedRows(t *testing.T) {
 	ents[2] = wire.LinkEntry{Status: wire.StatusDead}
 	tb.Put(1, Row{Seq: 1, When: t0, Entries: ents})
 	tb.Put(2, Row{Seq: 3, When: t0, Entries: aliveRow(20, 1, 0, 2)})
-	g0, g1, g3 := tb.Gen(0), tb.Gen(1), tb.Gen(3)
+	before := snapshotTable(tb)
+
+	tb.RetireSlot(-1) // out of range must not panic
+	tb.RetireSlot(9)
+	if got := snapshotTable(tb); !reflect.DeepEqual(got, before) {
+		t.Errorf("out-of-range retires changed the table: %+v -> %+v", before, got)
+	}
 
 	tb.RetireSlot(2)
 	if tb.Have(2) || tb.Seq(2) != 0 || !tb.When(2).IsZero() {
 		t.Error("retired slot still has a row")
 	}
-	if tb.Gen(0) != g0+1 {
-		t.Errorf("row 0 held a live cost to 2, gen %d -> %d, want +1", g0, tb.Gen(0))
+	// Row 0 held a finite cost toward 2: exactly that column is rewritten.
+	want0 := before[0]
+	want0.out = []wire.Cost{0, 10, wire.InfCost, 30}
+	want0.in = want0.out
+	if got := snapshotSlot(tb, 0); !reflect.DeepEqual(got, want0) {
+		t.Errorf("row 0 after retire: %+v, want %+v", got, want0)
 	}
-	if c := tb.Matrix().Row(0)[2]; c != wire.InfCost {
-		t.Errorf("Row(0)[2] = %d after retire", c)
-	}
-	if tb.Seq(0) != 1 || tb.OutRow(0)[1] != 10 || tb.OutRow(0)[3] != 30 {
-		t.Errorf("row 0 disturbed beyond the retired column: seq %d costs %v", tb.Seq(0), tb.OutRow(0))
-	}
-	if tb.Gen(1) != g1 {
-		t.Errorf("row 1 already read slot 2 dead, gen moved %d -> %d", g1, tb.Gen(1))
-	}
-	if tb.Gen(3) != g3 {
-		t.Errorf("absent row 3 gen moved %d -> %d", g3, tb.Gen(3))
+	for _, s := range []int{1, 3} {
+		if got := snapshotSlot(tb, s); !reflect.DeepEqual(got, before[s]) {
+			t.Errorf("slot %d never held a finite cost toward 2 but changed: %+v -> %+v", s, before[s], got)
+		}
 	}
 	// The slot is reusable: a fresh occupant's announcement lands normally,
 	// unimpeded by the departed member's higher sequence number.
@@ -442,34 +386,32 @@ func TestDirectionalTableGrowAndRetire(t *testing.T) {
 	ents := asymAliveRow([][2]int{{20, 22}, {0, 0}, {0, 0}, {7, 7}})
 	ents[1] = wire.AsymEntry{Status: wire.StatusDead}
 	tb.PutAsym(2, AsymRow{Seq: 1, When: t0, Entries: ents})
-	g0, g1, g2 := tb.Gen(0), tb.Gen(1), tb.Gen(2)
+	before := snapshotTable(tb)
 
 	tb.Grow(5)
 	if tb.N() != 5 {
 		t.Fatalf("N = %d", tb.N())
 	}
-	if tb.Gen(0) != g0 || tb.Gen(1) != g1 || tb.Gen(2) != g2 {
-		t.Error("Grow advanced generations")
-	}
-	if out, in := tb.OutRow(0)[4], tb.InRow(0)[4]; out != wire.InfCost || in != wire.InfCost {
-		t.Errorf("row 0 toward the new slot reads %d/%d", out, in)
+	for s := range before {
+		before[s].out = append(before[s].out, wire.InfCost)
+		before[s].in = append(before[s].in, wire.InfCost)
+		if got := snapshotSlot(tb, s); !reflect.DeepEqual(got, before[s]) {
+			t.Errorf("Grow disturbed slot %d: %+v -> %+v", s, before[s], got)
+		}
 	}
 
 	tb.RetireSlot(1)
-	if tb.Have(1) || tb.Gen(1) == g1 {
-		t.Error("retired slot still has a row, or kept its generation")
+	if tb.Have(1) {
+		t.Error("retired slot still has a row")
 	}
-	if tb.Gen(0) == g0 {
-		t.Error("row 0 held live costs to slot 1, gen must advance")
+	want0 := before[0]
+	want0.out = []wire.Cost{0, wire.InfCost, 20, 7, wire.InfCost}
+	want0.in = []wire.Cost{0, wire.InfCost, 22, 7, wire.InfCost}
+	if got := snapshotSlot(tb, 0); !reflect.DeepEqual(got, want0) {
+		t.Errorf("row 0 after retire: %+v, want %+v", got, want0)
 	}
-	if tb.Gen(2) != g2 {
-		t.Error("row 2 already read slot 1 dead, gen must not move")
-	}
-	if c := tb.OutRow(0)[1]; c != wire.InfCost {
-		t.Errorf("OutRow(0)[1] = %d after retire", c)
-	}
-	if c := tb.InRow(0)[1]; c != wire.InfCost {
-		t.Errorf("InRow(0)[1] = %d after retire", c)
+	if got := snapshotSlot(tb, 2); !reflect.DeepEqual(got, before[2]) {
+		t.Errorf("row 2 already read slot 1 dead but changed: %+v -> %+v", before[2], got)
 	}
 }
 

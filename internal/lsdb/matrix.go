@@ -19,8 +19,8 @@ type HopCost struct {
 // bits are unpacked exactly once at ingest; the batch kernels then scan plain
 // uint16 rows with no per-element status branches, which is what lets
 // rendezvous recommendation passes and full-table recomputes run
-// cache-friendly at n ≥ 500. Freshness, sequence and generation metadata
-// belong to the row, not to a direction, and live on the Table.
+// cache-friendly at n ≥ 500. Freshness and sequence metadata belong to the
+// row, not to a direction, and live on the Table.
 //
 // Row storage is allocated lazily on first store: a quorum node's table only
 // ever holds ~2√n of the n possible rows, so lazy rows cut per-node table
@@ -67,30 +67,22 @@ func (m *CostMatrix) Row(slot int) []wire.Cost {
 	return m.inf
 }
 
-// rowFor returns slot's writable row, allocating it on first store; fresh
-// reports that allocation, which is a content change in itself (the slot read
-// as all-InfCost until now).
-func (m *CostMatrix) rowFor(slot int) (row []wire.Cost, fresh bool) {
-	if row = m.rows[slot]; row == nil {
+// rowFor returns slot's writable row, allocating it on first store.
+func (m *CostMatrix) rowFor(slot int) []wire.Cost {
+	row := m.rows[slot]
+	if row == nil {
 		row = make([]wire.Cost, m.n)
 		m.rows[slot] = row
-		fresh = true
 	}
-	return row, fresh
+	return row
 }
 
-// setRow unpacks entries into slot's row and reports whether the unpacked
-// costs changed. The compare rides the unpack loop, so refresh-only Puts
-// (identical costs, newer seq/when) cost nothing extra.
-func (m *CostMatrix) setRow(slot int, entries []wire.LinkEntry) bool {
-	row, changed := m.rowFor(slot)
+// setRow unpacks entries into slot's row.
+func (m *CostMatrix) setRow(slot int, entries []wire.LinkEntry) {
+	row := m.rowFor(slot)
 	for i, e := range entries {
-		if c := e.Cost(); row[i] != c {
-			row[i] = c
-			changed = true
-		}
+		row[i] = e.Cost()
 	}
-	return changed
 }
 
 // grow extends the matrix to newN slots in place. Held rows are padded with
@@ -120,15 +112,12 @@ func (m *CostMatrix) grow(newN int) {
 }
 
 // retire drops slot's row storage and marks the slot unreachable in every
-// other held row (column slot reads InfCost everywhere), advancing gen[h] for
-// exactly the rows h whose contents change: rows that already held InfCost
-// there — and every row untouched by the departure — keep their generation.
-func (m *CostMatrix) retire(slot int, gen []uint32) {
+// other held row (column slot reads InfCost everywhere).
+func (m *CostMatrix) retire(slot int) {
 	m.rows[slot] = nil
-	for h, row := range m.rows {
-		if row != nil && row[slot] != wire.InfCost {
+	for _, row := range m.rows {
+		if row != nil {
 			row[slot] = wire.InfCost
-			gen[h]++
 		}
 	}
 }
@@ -424,50 +413,32 @@ func (t *Table) BestOneHopViaSpan(rowOut []wire.Cost, now time.Time, maxAge time
 	}
 }
 
-// BestOneHopViaDsts is BestOneHopViaAll restricted to an arbitrary
-// destination subset: out[i] is what the full pass would put at dsts[i]. The
-// incremental recompute path uses it to re-evaluate only the destinations
-// whose best hop could have changed; because the intermediate loop order and
-// the strict-< rule match the full pass, the per-destination results are
-// bit-identical to a from-scratch recompute.
-//
-//lint:allocfree
-func (t *Table) BestOneHopViaDsts(rowOut []wire.Cost, now time.Time, maxAge time.Duration, dsts []int, out []HopCost) {
-	for i, dst := range dsts {
-		out[i] = seedDirect(rowOut, dst)
-	}
-	lim := min(t.n, len(rowOut))
-	out = out[:len(dsts)]
-	for h := 0; h < lim; h++ {
-		if !t.FreshAt(h, now, maxAge) {
-			continue
-		}
-		ca := uint32(rowOut[h])
-		if ca >= uint32(wire.InfCost) {
-			continue
-		}
-		row := t.out.Row(h)
-		for i, dst := range dsts {
-			if dst == h || dst >= lim {
-				continue
-			}
-			if s := ca + uint32(row[dst]); s < uint32(out[i].Cost) {
-				out[i] = HopCost{Hop: h, Cost: wire.Cost(s)}
-			}
-		}
-	}
-}
-
 // BestOneHopVia is the §4.2 fallback for one destination — what BestHop
-// serves when no fresh recommendation exists. A hop of -1 means no usable
-// path was found (including a dst outside rowOut).
+// serves when no fresh recommendation exists, and what BestOneHopViaAll puts
+// at out[dst]: the same intermediate order and strict-< improvement rule. A
+// hop of -1 means no usable path was found (including a dst outside rowOut).
 //
 //lint:allocfree
 func (t *Table) BestOneHopVia(rowOut []wire.Cost, dst int, now time.Time, maxAge time.Duration) (hop int, cost wire.Cost) {
 	if dst < 0 {
 		return -1, wire.InfCost
 	}
-	dsts, out := [1]int{dst}, [1]HopCost{}
-	t.BestOneHopViaDsts(rowOut, now, maxAge, dsts[:], out[:])
-	return out[0].Hop, out[0].Cost
+	best := seedDirect(rowOut, dst)
+	lim := min(t.n, len(rowOut))
+	if dst >= lim {
+		return best.Hop, best.Cost // no intermediate has a column toward dst
+	}
+	for h := 0; h < lim; h++ {
+		if h == dst || !t.FreshAt(h, now, maxAge) {
+			continue
+		}
+		ca := uint32(rowOut[h])
+		if ca >= uint32(wire.InfCost) {
+			continue // dead first leg can never improve the destination
+		}
+		if s := ca + uint32(t.out.Row(h)[dst]); s < uint32(best.Cost) {
+			best = HopCost{Hop: h, Cost: wire.Cost(s)}
+		}
+	}
+	return best.Hop, best.Cost
 }

@@ -21,15 +21,6 @@ type ClientConfig struct {
 	// declaring it unreachable and rotating to the next coordinator
 	// (default 3 s; must be well under Heartbeat).
 	AckTimeout time.Duration
-	// FailoverBackoff is the base delay before re-heartbeating after an ack
-	// deadline expires; it doubles per consecutive failure (with jitter) up
-	// to Heartbeat (default 1 s).
-	FailoverBackoff time.Duration
-	// FullViewBackoff is the base of the jittered delay before a full-view
-	// request; doubling per consecutive unanswered request keeps a lossy
-	// burst from turning every version gap into a synchronized full-view
-	// thundering herd (default 250 ms).
-	FullViewBackoff time.Duration
 	// GossipFanout is how many peers this member forwards each gossiped
 	// view delta to (the F of the dissemination tree; default
 	// DefaultGossipFanout). Must match the coordinator's fanout for the tree
@@ -39,21 +30,32 @@ type ClientConfig struct {
 	// client pulls from one deterministic-randomly chosen peer, repairing
 	// gaps that no later traffic would ever reveal (default 30 s).
 	AntiEntropy time.Duration
-	// PullBackoff is the base of the jittered exponential backoff between
-	// anti-entropy pull attempts after a detected version gap (default
-	// 200 ms). Attempt i waits in [w/2, w) with w = PullBackoff << i.
-	PullBackoff time.Duration
-	// MaxPullTries is how many peer pulls may fail to bridge a gap before
-	// the client falls back to the coordinator full-view request
-	// (default 3).
-	MaxPullTries int
-	// DedupCache bounds the per-ViewStamp duplicate-suppression cache
-	// (default 128 stamps, FIFO eviction).
-	DedupCache int
-	// DeltaLog bounds the log of applied deltas served to pulling peers
-	// (default 32 deltas).
-	DeltaLog int
 }
+
+// Fixed client parameters.
+const (
+	// failoverBackoff is the base delay before re-heartbeating after an ack
+	// deadline expires; it doubles per consecutive failure (with jitter) up
+	// to Heartbeat.
+	failoverBackoff = time.Second
+	// fullViewBackoff is the base of the jittered delay before a full-view
+	// request; doubling per consecutive unanswered request keeps a lossy
+	// burst from turning every version gap into a synchronized full-view
+	// thundering herd.
+	fullViewBackoff = 250 * time.Millisecond
+	// pullBackoff is the base of the jittered exponential backoff between
+	// anti-entropy pull attempts after a detected version gap. Attempt i
+	// waits in [w/2, w] with w = pullBackoff << min(i, 6).
+	pullBackoff = 200 * time.Millisecond
+	// maxPullTries is how many peer pulls may fail to bridge a gap before
+	// the client falls back to the coordinator full-view request.
+	maxPullTries = 3
+	// dedupCache bounds the per-ViewStamp duplicate-suppression cache (FIFO
+	// eviction).
+	dedupCache = 128
+	// deltaLogLen bounds the log of applied deltas served to pulling peers.
+	deltaLogLen = 32
+)
 
 // Gossip defaults.
 const (
@@ -61,10 +63,10 @@ const (
 	// keeps the primary's per-flush egress constant while reaching n
 	// members in ~log₃(n) hops.
 	DefaultGossipFanout = 3
-	// DefaultGossipHops bounds forwarding depth; the dedup cache, not the
-	// hop budget, is what terminates the epidemic, so this is a pure
-	// safety bound sized far past log₃(2¹⁶).
-	DefaultGossipHops = 16
+	// gossipHops bounds a gossiped delta's forwarding depth; the dedup
+	// cache, not the hop budget, is what terminates the epidemic, so this is
+	// a pure safety bound sized far past log₃(2¹⁶).
+	gossipHops = 16
 	// DefaultAntiEntropy is the periodic pull interval.
 	DefaultAntiEntropy = 30 * time.Second
 )
@@ -85,29 +87,11 @@ func (c *ClientConfig) fill() {
 	if c.AckTimeout >= c.Heartbeat {
 		c.AckTimeout = c.Heartbeat / 2
 	}
-	if c.FailoverBackoff <= 0 {
-		c.FailoverBackoff = time.Second
-	}
-	if c.FullViewBackoff <= 0 {
-		c.FullViewBackoff = 250 * time.Millisecond
-	}
 	if c.GossipFanout <= 0 {
 		c.GossipFanout = DefaultGossipFanout
 	}
 	if c.AntiEntropy <= 0 {
 		c.AntiEntropy = DefaultAntiEntropy
-	}
-	if c.PullBackoff <= 0 {
-		c.PullBackoff = 200 * time.Millisecond
-	}
-	if c.MaxPullTries <= 0 {
-		c.MaxPullTries = 3
-	}
-	if c.DedupCache <= 0 {
-		c.DedupCache = 128
-	}
-	if c.DeltaLog <= 0 {
-		c.DeltaLog = 32
 	}
 }
 
@@ -158,7 +142,7 @@ type Client struct {
 	want     wire.ViewStamp
 
 	// pullPending caps gap-repair pulls at one scheduled per client;
-	// pullTries counts attempts against MaxPullTries before the
+	// pullTries counts attempts against maxPullTries before the
 	// coordinator fallback.
 	pullPending bool
 	pullTries   int
@@ -202,7 +186,7 @@ type ClientStats struct {
 	// one is a coordinator full-view request that did not happen.
 	GapsBridged uint64
 	// FullViewFallbacks counts gaps the peers could not bridge within
-	// MaxPullTries, falling back to the coordinator.
+	// maxPullTries, falling back to the coordinator.
 	FullViewFallbacks uint64
 	// FullViewRequests counts full-view requests actually sent to the
 	// coordinator — the "herd" the gossip plane exists to suppress.
@@ -327,7 +311,7 @@ func (c *Client) ackDeadline(gen uint64) {
 	}
 	c.hbFails++
 	c.rotate()
-	d := c.cfg.FailoverBackoff << shift
+	d := failoverBackoff << shift
 	if d > c.cfg.Heartbeat {
 		d = c.cfg.Heartbeat
 	}
@@ -349,7 +333,7 @@ func (c *Client) requestFullView() {
 	if shift > 6 {
 		shift = 6
 	}
-	window := c.cfg.FullViewBackoff << shift
+	window := fullViewBackoff << shift
 	delay := time.Duration(c.env.Rand().Int63n(int64(window)))
 	c.fvTimer = c.env.After(delay, c.sendViewRequest)
 }
@@ -377,8 +361,9 @@ func (c *Client) stamp() wire.ViewStamp {
 }
 
 // HandlePacket processes one membership-plane message. The overlay node
-// routes TJoinReply, TView, TViewDelta, and THeartbeatAck here; other types
-// are ignored.
+// routes the eight types a member receives here — TJoinReply, THeartbeatAck,
+// TView, TViewChunk, TViewDelta, TGossipDelta, TViewPull and TViewPullReply;
+// other types are ignored.
 func (c *Client) HandlePacket(h wire.Header, body []byte) {
 	switch h.Type {
 	case wire.TJoinReply:
@@ -610,7 +595,7 @@ func (c *Client) behind() bool {
 
 // schedulePull arms a gap-repair pull under jittered exponential backoff,
 // capped at one outstanding per client. Attempt i fires within
-// [w/2, w], w = PullBackoff·2^min(i,6), so a loss burst that opens the same
+// [w/2, w], w = pullBackoff·2^min(i,6), so a loss burst that opens the same
 // gap across a whole fleet spreads the repair traffic over the window.
 func (c *Client) schedulePull() {
 	if c.pullPending || c.stopped || !c.behind() {
@@ -621,12 +606,12 @@ func (c *Client) schedulePull() {
 	if shift > 6 {
 		shift = 6
 	}
-	window := c.cfg.PullBackoff << shift
+	window := pullBackoff << shift
 	delay := window/2 + time.Duration(c.env.Rand().Int63n(int64(window/2)+1))
 	c.pullTimer = c.env.After(delay, c.pullFire)
 }
 
-// pullFire issues one repair pull, or — once MaxPullTries peers have failed
+// pullFire issues one repair pull, or — once maxPullTries peers have failed
 // to bridge the gap — falls back to the coordinator full-view request. The
 // re-armed backoff doubles as the reply deadline: a reply that closes the
 // gap makes the next firing a no-op.
@@ -636,7 +621,7 @@ func (c *Client) pullFire() {
 		c.pullTries = 0
 		return
 	}
-	if c.pullTries >= c.cfg.MaxPullTries {
+	if c.pullTries >= maxPullTries {
 		c.pullTries = 0
 		c.stats.FullViewFallbacks++
 		c.requestFullView()
@@ -686,17 +671,17 @@ func (c *Client) pickPeer() wire.NodeID {
 // the epidemic: the F-ary tree, link duplication, and re-forwarded copies
 // may all deliver the same stamp, and only the first sighting is applied
 // and forwarded. Eviction is FIFO, so the cache always covers the most
-// recent DedupCache versions — far more than can be in flight.
+// recent dedupCache versions — far more than can be in flight.
 func (c *Client) seenGossip(s wire.ViewStamp) bool {
 	if c.dedup == nil {
-		c.dedup = make(map[wire.ViewStamp]struct{}, c.cfg.DedupCache)
+		c.dedup = make(map[wire.ViewStamp]struct{}, dedupCache)
 	}
 	if _, ok := c.dedup[s]; ok {
 		return true
 	}
 	c.dedup[s] = struct{}{}
 	c.dedupQ = append(c.dedupQ, s)
-	if len(c.dedupQ) > c.cfg.DedupCache {
+	if len(c.dedupQ) > dedupCache {
 		delete(c.dedup, c.dedupQ[0])
 		c.dedupQ = c.dedupQ[1:]
 	}
@@ -741,8 +726,8 @@ func (c *Client) forwardGossip(g wire.GossipDelta) {
 // clear it, so consecutiveness is an invariant, not a search.
 func (c *Client) logDelta(d wire.ViewDelta) {
 	c.deltaLog = append(c.deltaLog, d)
-	if len(c.deltaLog) > c.cfg.DeltaLog {
-		c.deltaLog = c.deltaLog[len(c.deltaLog)-c.cfg.DeltaLog:]
+	if len(c.deltaLog) > deltaLogLen {
+		c.deltaLog = c.deltaLog[len(c.deltaLog)-deltaLogLen:]
 	}
 }
 

@@ -56,31 +56,12 @@ type CoordinatorConfig struct {
 	// BeaconInterval is how often the primary beacons its liveness, epoch,
 	// and allocator high-water mark to the standbys (default 2 s).
 	BeaconInterval time.Duration
-	// ElectionTimeout is the beacon silence after which a standby promotes
-	// itself; each rank waits an extra BeaconInterval per rank so elections
-	// resolve deterministically to the lowest live rank (default
-	// 3·BeaconInterval + Rank·BeaconInterval).
-	ElectionTimeout time.Duration
 	// GossipFanout is the dissemination tree fanout F: each flushed delta is
 	// seeded to F members, who forward it down the tree instead of the
 	// primary unicasting to all n (default DefaultGossipFanout). Must match
 	// the members' ClientConfig.GossipFanout — the tree shape is computed
 	// independently on both sides from the view alone.
 	GossipFanout int
-	// GossipHops bounds a gossiped delta's forwarding depth as a safety
-	// backstop; the dedup cache is what actually terminates the epidemic
-	// (default DefaultGossipHops).
-	GossipHops int
-	// PreVoteWait is how long a standby whose election timeout expired
-	// solicits peer confirmation of the primary's silence before promoting
-	// (default 2·BeaconInterval). Beacon loss on one path — a stalled link,
-	// an asymmetric partition — is indistinguishable from a dead primary to
-	// the starved standby alone; any peer still observing the primary vetoes
-	// the promotion and the standby re-arms instead of splitting the epoch.
-	// If no peer answers within the wait (all dead, or the asker really is
-	// partitioned), the standby falls back to its local evidence and
-	// promotes, preserving liveness.
-	PreVoteWait time.Duration
 	// Logf, if non-nil, receives membership events.
 	Logf func(format string, args ...any)
 }
@@ -104,19 +85,27 @@ func (c *CoordinatorConfig) fill() {
 	if c.BeaconInterval <= 0 {
 		c.BeaconInterval = 2 * time.Second
 	}
-	if c.ElectionTimeout <= 0 {
-		c.ElectionTimeout = 3*c.BeaconInterval + time.Duration(c.Rank)*c.BeaconInterval
-	}
-	if c.PreVoteWait <= 0 {
-		c.PreVoteWait = 2 * c.BeaconInterval
-	}
 	if c.GossipFanout <= 0 {
 		c.GossipFanout = DefaultGossipFanout
 	}
-	if c.GossipHops <= 0 || c.GossipHops > 255 {
-		c.GossipHops = DefaultGossipHops
-	}
 }
+
+// electionTimeout is the beacon silence after which a standby promotes
+// itself: three beacon intervals plus one more per rank, so elections resolve
+// deterministically to the lowest live rank.
+func (c *CoordinatorConfig) electionTimeout() time.Duration {
+	return time.Duration(3+c.Rank) * c.BeaconInterval
+}
+
+// preVoteWait is how long a standby whose election timeout expired solicits
+// peer confirmation of the primary's silence before promoting. Beacon loss on
+// one path — a stalled link, an asymmetric partition — is indistinguishable
+// from a dead primary to the starved standby alone; any peer still observing
+// the primary vetoes the promotion and the standby re-arms instead of
+// splitting the epoch. If no peer answers within the wait (all dead, or the
+// asker really is partitioned), the standby falls back to its local evidence
+// and promotes, preserving liveness.
+func (c *CoordinatorConfig) preVoteWait() time.Duration { return 2 * c.BeaconInterval }
 
 type memberState struct {
 	addr     netip.AddrPort
@@ -163,12 +152,13 @@ type Coordinator struct {
 	slotCount int
 	freeSlots []freeSlot
 
-	// lastView is the membership as of the last broadcast, indexed by slot
-	// (tombstoned slots hold wire.NilNode) at stamp (epoch, version); deltas
-	// are computed against it. On a standby it is the replica of the
-	// primary's broadcasts, and the member table a promotion rebuilds.
+	// lastView is the membership as of the last broadcast (empty before the
+	// first); deltas are computed against it. On a standby it is the replica
+	// of the primary's broadcasts, and the member table a promotion rebuilds.
+	// Its own stamp is the one it was first broadcast under: a promotion or
+	// an absorbed rival re-broadcasts the same members under (epoch, version).
 	// flushPending marks a scheduled coalesce flush.
-	lastView     []wire.Member
+	lastView     *ViewInfo
 	flushPending bool
 
 	// Election state (replicated mode only). lastPrimaryBeat records actual
@@ -226,11 +216,12 @@ type CoordinatorStats struct {
 func NewCoordinator(env transport.Env, cfg CoordinatorConfig) *Coordinator {
 	cfg.fill()
 	return &Coordinator{
-		env:     env,
-		cfg:     cfg,
-		selfID:  cfg.Coordinators[cfg.Rank],
-		members: make(map[wire.NodeID]*memberState),
-		byAddr:  make(map[netip.AddrPort]wire.NodeID),
+		env:      env,
+		cfg:      cfg,
+		selfID:   cfg.Coordinators[cfg.Rank],
+		members:  make(map[wire.NodeID]*memberState),
+		byAddr:   make(map[netip.AddrPort]wire.NodeID),
+		lastView: &ViewInfo{},
 	}
 }
 
@@ -301,13 +292,7 @@ func (c *Coordinator) MemberCount() int {
 	if c.role == rolePrimary {
 		return len(c.members)
 	}
-	n := 0
-	for _, m := range c.lastView {
-		if m.ID != wire.NilNode {
-			n++
-		}
-	}
-	return n
+	return c.lastView.N()
 }
 
 // Version returns the current view version. Call from within env.Do.
@@ -326,7 +311,7 @@ func (c *Coordinator) IsPrimary() bool { return c.role == rolePrimary && !c.stop
 // of each entry is its view slot, and tombstoned slots hold wire.NilNode.
 // Call from within env.Do.
 func (c *Coordinator) Members() []wire.Member {
-	return append([]wire.Member(nil), c.lastView...)
+	return append([]wire.Member(nil), c.lastView.slots...)
 }
 
 // Rank returns the replica's configured rank.
@@ -481,17 +466,15 @@ func (c *Coordinator) adoptReplica(v wire.View) {
 	if !v.Stamp().After(c.Stamp()) {
 		return
 	}
-	slots, err := slotArray(v)
+	vi, err := NewViewInfo(v)
 	if err != nil {
 		return
 	}
 	c.epoch = v.Epoch
 	c.version = v.Version
-	c.lastView = slots
-	for _, m := range c.lastView {
-		if m.ID != wire.NilNode {
-			c.env.SetPeer(m.ID, m.Addr)
-		}
+	c.lastView = vi
+	for _, m := range vi.Members() {
+		c.env.SetPeer(m.ID, m.Addr)
 	}
 }
 
@@ -505,7 +488,7 @@ func (c *Coordinator) applyReplicaDelta(from wire.NodeID, d wire.ViewDelta) {
 		c.env.Send(from, wire.AppendViewRequest(nil, c.selfID, c.Stamp()))
 		return
 	}
-	next, err := applySlotsDelta(c.lastView, d)
+	next, err := c.lastView.ApplyDelta(d)
 	if err != nil {
 		c.env.Send(from, wire.AppendViewRequest(nil, c.selfID, c.Stamp()))
 		return
@@ -522,7 +505,7 @@ func (c *Coordinator) armElection() {
 	if c.electionTimer != nil {
 		c.electionTimer.Stop()
 	}
-	c.electionTimer = c.env.After(c.cfg.ElectionTimeout, c.electionCheck)
+	c.electionTimer = c.env.After(c.cfg.electionTimeout(), c.electionCheck)
 }
 
 // electionCheck opens a pre-vote if the primary has been silent for the
@@ -533,8 +516,8 @@ func (c *Coordinator) electionCheck() {
 		return
 	}
 	silence := c.env.Now().Sub(c.lastEvidence())
-	if silence < c.cfg.ElectionTimeout {
-		c.electionTimer = c.env.After(c.cfg.ElectionTimeout-silence, c.electionCheck)
+	if timeout := c.cfg.electionTimeout(); silence < timeout {
+		c.electionTimer = c.env.After(timeout-silence, c.electionCheck)
 		return
 	}
 	c.startPreVote()
@@ -556,7 +539,7 @@ func (c *Coordinator) startPreVote() {
 	for _, id := range c.peers() {
 		c.env.Send(id, wire.AppendPreVote(nil, c.selfID, wire.PreVote{Stamp: c.Stamp()}))
 	}
-	c.preVoteTimer = c.env.After(c.cfg.PreVoteWait, c.preVoteDecide)
+	c.preVoteTimer = c.env.After(c.cfg.preVoteWait(), c.preVoteDecide)
 }
 
 // cancelPreVote abandons an open pre-vote without deciding it.
@@ -576,7 +559,7 @@ func (c *Coordinator) preVoteDecide() {
 		return
 	}
 	c.preVoting = false
-	if c.env.Now().Sub(c.lastEvidence()) < c.cfg.ElectionTimeout {
+	if c.env.Now().Sub(c.lastEvidence()) < c.cfg.electionTimeout() {
 		c.armElection()
 		return
 	}
@@ -633,11 +616,11 @@ func (c *Coordinator) promote() {
 	c.epoch++
 	c.version += versionSkip * uint32(c.cfg.Rank+1)
 	c.nextID += idSkip
-	c.members = make(map[wire.NodeID]*memberState, len(c.lastView))
-	c.byAddr = make(map[netip.AddrPort]wire.NodeID, len(c.lastView))
-	c.slotCount = len(c.lastView)
+	c.members = make(map[wire.NodeID]*memberState, c.lastView.N())
+	c.byAddr = make(map[netip.AddrPort]wire.NodeID, c.lastView.N())
+	c.slotCount = c.lastView.Slots()
 	c.freeSlots = c.freeSlots[:0]
-	for s, m := range c.lastView {
+	for s, m := range c.lastView.slots {
 		if m.ID == wire.NilNode {
 			// The replica log does not say when this tombstone was freed, so
 			// its quarantine restarts from the promotion: better to strand a
@@ -652,7 +635,7 @@ func (c *Coordinator) promote() {
 	c.stats.Promotions++
 	c.stats.Broadcasts++
 	c.logf("membership: rank %d promoted to primary (epoch %d, view %d, %d members)",
-		c.cfg.Rank, c.epoch, c.version, len(c.lastView))
+		c.cfg.Rank, c.epoch, c.version, c.lastView.N())
 	c.broadcastFullView()
 	c.sendBeacons()
 }
@@ -707,10 +690,7 @@ func (c *Coordinator) sendBeacons() {
 // replicas always get the single-datagram replication form.
 func (c *Coordinator) broadcastFullView() {
 	packets := c.viewPackets(c.lastView)
-	for _, m := range c.lastView {
-		if m.ID == wire.NilNode {
-			continue
-		}
+	for _, m := range c.lastView.Members() {
 		c.sendPackets(m.ID, packets)
 	}
 	full := c.replicaView(c.lastView)
@@ -720,29 +700,29 @@ func (c *Coordinator) broadcastFullView() {
 	}
 }
 
-// wireView assembles the wire form of a slot array at the current stamp.
-func (c *Coordinator) wireView(slots []wire.Member) wire.View {
+// wireView assembles the wire form of v's members at the current stamp.
+func (c *Coordinator) wireView(v *ViewInfo) wire.View {
 	return wire.View{
 		Epoch:   c.epoch,
 		Version: c.version,
-		Slots:   uint16(len(slots)),
-		Members: occupiedMembers(slots),
+		Slots:   uint16(v.Slots()),
+		Members: v.Members(),
 	}
 }
 
 // replicaView encodes the single-datagram TView used on the replication
 // plane (standbys are few and never behind a joiner's constrained path, so
 // chunking would only complicate the replica log).
-func (c *Coordinator) replicaView(slots []wire.Member) []byte {
-	return wire.AppendView(nil, c.selfID, c.wireView(slots))
+func (c *Coordinator) replicaView(v *ViewInfo) []byte {
+	return wire.AppendView(nil, c.selfID, c.wireView(v))
 }
 
 // viewPackets encodes a full-view snapshot for a member: one TView when it
 // fits ViewChunkMembers, else a TViewChunk sequence of bounded pieces — the
 // MaxPullDeltas discipline applied to snapshots, so a mass-admission storm
 // costs the primary bounded datagrams instead of O(n)-sized bursts.
-func (c *Coordinator) viewPackets(slots []wire.Member) [][]byte {
-	v := c.wireView(slots)
+func (c *Coordinator) viewPackets(vi *ViewInfo) [][]byte {
+	v := c.wireView(vi)
 	if len(v.Members) <= wire.ViewChunkMembers {
 		return [][]byte{wire.AppendView(nil, c.selfID, v)}
 	}
@@ -916,15 +896,19 @@ func (c *Coordinator) flush() {
 	if c.stopped || c.role != rolePrimary {
 		return
 	}
-	cur := c.view()
-	adds, removes := diffSlots(c.lastView, cur)
+	slots := c.view()
+	adds, removes := diffSlots(c.lastView.slots, slots)
 	if len(adds) == 0 && len(removes) == 0 {
 		return // churn cancelled out within the window; no new version
 	}
 	base := c.version
 	c.version++
 	c.stats.Broadcasts++
-	useDelta := wire.ViewDeltaSize(len(adds), len(removes)) < wire.ViewSize(countOccupied(cur))
+	cur, err := newViewInfo(c.epoch, c.version, slots)
+	if err != nil {
+		panic(err) // members is keyed by ID: a duplicate is a programming error
+	}
+	useDelta := wire.ViewDeltaSize(len(adds), len(removes)) < wire.ViewSize(cur.N())
 	d := wire.ViewDelta{
 		Epoch:       c.epoch,
 		BaseVersion: base,
@@ -937,8 +921,8 @@ func (c *Coordinator) flush() {
 		c.seedGossip(cur, d, added)
 	}
 	packets := c.viewPackets(cur)
-	for _, m := range cur {
-		if m.ID != wire.NilNode && (!useDelta || added[m.ID]) {
+	for _, m := range cur.Members() {
+		if !useDelta || added[m.ID] {
 			c.sendPackets(m.ID, packets)
 		}
 	}
@@ -958,28 +942,27 @@ func (c *Coordinator) flush() {
 	}
 	c.lastView = cur
 	c.logf("membership: view %d/%d (%d members in %d slots, +%d −%d)",
-		c.epoch, c.version, countOccupied(cur), len(cur), len(adds), len(removes))
+		c.epoch, c.version, cur.N(), cur.Slots(), len(adds), len(removes))
 }
 
 // seedGossip injects a flushed delta into the dissemination tree: the
 // primary sends one gossip envelope to each root position, skipping over
 // tombstoned slots and slots held by just-added members (the added are
 // getting the full view and have no delta to forward; tombstones hold
-// nobody). cur is the post-delta slot array, so tree position q maps
-// straight into it.
-func (c *Coordinator) seedGossip(cur []wire.Member, d wire.ViewDelta, added map[wire.NodeID]bool) {
-	n := len(cur)
+// nobody). cur is the post-delta view, so tree position q is its slot q.
+func (c *Coordinator) seedGossip(cur *ViewInfo, d wire.ViewDelta, added map[wire.NodeID]bool) {
+	n := cur.Slots()
 	f := c.cfg.GossipFanout
 	r := gossipRotation(d.Version, f, n)
 	targets := gossipTargets(n, -1, f, r, func(slot int) bool {
-		return cur[slot].ID == wire.NilNode || added[cur[slot].ID]
+		return !cur.Occupied(slot) || added[cur.IDAt(slot)]
 	})
 	env := wire.AppendGossipDelta(nil, c.selfID, wire.GossipDelta{
-		Hops:  uint8(c.cfg.GossipHops),
+		Hops:  gossipHops,
 		Delta: d,
 	})
 	for _, slot := range targets {
-		c.env.Send(cur[slot].ID, env)
+		c.env.Send(cur.IDAt(slot), env)
 		c.stats.SeedsSent++
 	}
 }
@@ -1010,79 +993,6 @@ func diffSlots(prev, cur []wire.Member) (adds []wire.Member, removes []wire.Node
 		}
 	}
 	return adds, removes
-}
-
-// countOccupied counts the non-tombstone slots of a slot array.
-func countOccupied(slots []wire.Member) int {
-	n := 0
-	for _, m := range slots {
-		if m.ID != wire.NilNode {
-			n++
-		}
-	}
-	return n
-}
-
-// occupiedMembers filters a slot array down to its occupants (slot order).
-func occupiedMembers(slots []wire.Member) []wire.Member {
-	out := make([]wire.Member, 0, len(slots))
-	for _, m := range slots {
-		if m.ID != wire.NilNode {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// slotArray expands a wire view into its slot-indexed member array,
-// tombstones as wire.NilNode.
-func slotArray(v wire.View) ([]wire.Member, error) {
-	vi, err := NewViewInfo(v)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]wire.Member, vi.Slots())
-	for s := range out {
-		out[s] = vi.slots[s]
-		out[s].Slot = uint16(s)
-	}
-	return out, nil
-}
-
-// applySlotsDelta applies a wire delta to a slot-indexed member array,
-// returning a new array. It fails on a removal of an unknown ID or an
-// addition to an occupied slot, which signals a replication gap.
-func applySlotsDelta(slots []wire.Member, d wire.ViewDelta) ([]wire.Member, error) {
-	out := append([]wire.Member(nil), slots...)
-	at := make(map[wire.NodeID]int, len(out))
-	for s, m := range out {
-		if m.ID != wire.NilNode {
-			at[m.ID] = s
-		}
-	}
-	for _, id := range d.Removes {
-		s, ok := at[id]
-		if !ok {
-			return nil, wire.ErrBadLen
-		}
-		delete(at, id)
-		out[s] = wire.Member{ID: wire.NilNode, Slot: uint16(s)}
-	}
-	for _, m := range d.Adds {
-		if _, dup := at[m.ID]; dup {
-			return nil, wire.ErrBadLen
-		}
-		s := int(m.Slot)
-		for len(out) <= s {
-			out = append(out, wire.Member{ID: wire.NilNode, Slot: uint16(len(out))})
-		}
-		if out[s].ID != wire.NilNode {
-			return nil, wire.ErrBadLen
-		}
-		at[m.ID] = s
-		out[s] = m
-	}
-	return out, nil
 }
 
 func (c *Coordinator) sweep() {

@@ -413,7 +413,7 @@ func TestStaleVouchDoesNotStallPromotion(t *testing.T) {
 	rc.coords[0].Stop() // crash: rank 2 is left holding a fresh-but-stale beacon
 
 	// Rank 1's election fires ≤ 4 s after its last direct beacon (≤ 1.5 s
-	// before the crash), and the pre-vote verdict lands within PreVoteWait
+	// before the crash), and the pre-vote verdict lands within the pre-vote wait
 	// (2 s). 7 s is enough for exactly one election + pre-vote round; the
 	// stale-vouch veto cycle needed a second ~6 s round.
 	rc.nw.RunFor(7 * time.Second)

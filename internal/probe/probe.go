@@ -34,10 +34,6 @@ type Config struct {
 	// RapidFactor divides Interval for the accelerated probing that follows
 	// a first loss (default 5, so 5 rapid probes fit in one interval).
 	RapidFactor int
-	// LatencyAlpha is the EWMA smoothing factor for latency (default 0.5).
-	LatencyAlpha float64
-	// LossAlpha is the EWMA smoothing factor for the loss rate (default 0.1).
-	LossAlpha float64
 	// Asymmetric additionally estimates one-way latencies from the probe
 	// reply's receive timestamp (footnote 2's "both costs"). Requires
 	// synchronized clocks across the overlay: exact under the simulator,
@@ -70,13 +66,13 @@ func (c *Config) fill() {
 	if c.RapidFactor <= 0 {
 		c.RapidFactor = 5
 	}
-	if c.LatencyAlpha <= 0 || c.LatencyAlpha > 1 {
-		c.LatencyAlpha = 0.5
-	}
-	if c.LossAlpha <= 0 || c.LossAlpha > 1 {
-		c.LossAlpha = 0.1
-	}
 }
+
+// EWMA smoothing factors for a link's latency and loss-rate estimates.
+const (
+	latencyAlpha = 0.5
+	lossAlpha    = 0.1
+)
 
 // linkState is the per-destination probe machine.
 type linkState struct {
@@ -123,12 +119,12 @@ func New(env transport.Env, cfg Config, view *membership.ViewInfo, self int) *Pr
 }
 
 // coldLink returns the probe machine of a never-measured destination.
-func (p *Prober) coldLink() linkState {
+func coldLink() linkState {
 	var ls linkState
-	ls.latency.Alpha = p.cfg.LatencyAlpha
-	ls.outLat.Alpha = p.cfg.LatencyAlpha
-	ls.inLat.Alpha = p.cfg.LatencyAlpha
-	ls.loss.Alpha = p.cfg.LossAlpha
+	ls.latency.Alpha = latencyAlpha
+	ls.outLat.Alpha = latencyAlpha
+	ls.inLat.Alpha = latencyAlpha
+	ls.loss.Alpha = lossAlpha
 	return ls
 }
 
@@ -147,7 +143,7 @@ func (p *Prober) reset(view *membership.ViewInfo, self int) {
 	p.self = self
 	p.links = make([]linkState, n)
 	for i := range p.links {
-		p.links[i] = p.coldLink()
+		p.links[i] = coldLink()
 	}
 	p.row = make([]wire.LinkEntry, n)
 	for i := range p.row {
@@ -182,7 +178,7 @@ func (p *Prober) SetView(view *membership.ViewInfo, self int) {
 	n := view.Slots()
 	p.view = view
 	for len(p.links) < n {
-		p.links = append(p.links, p.coldLink())
+		p.links = append(p.links, coldLink())
 		p.row = append(p.row, wire.LinkEntry{Latency: 0, Status: wire.StatusDead})
 		if p.asymRow != nil {
 			p.asymRow = append(p.asymRow, wire.AsymEntry{Status: wire.StatusDead})
@@ -199,7 +195,7 @@ func (p *Prober) SetView(view *membership.ViewInfo, self int) {
 			ls.checkTimer.Stop()
 		}
 		wasAlive := ls.alive
-		*ls = p.coldLink()
+		*ls = coldLink()
 		p.row[s] = wire.LinkEntry{Latency: 0, Status: wire.StatusDead}
 		if p.asymRow != nil {
 			p.asymRow[s] = wire.AsymEntry{Status: wire.StatusDead}

@@ -94,16 +94,6 @@ func FuzzLinkStateRoundTrip(f *testing.F) {
 	})
 }
 
-func FuzzLinkStateMHRoundTrip(f *testing.F) {
-	f.Add(uint16(4), body(wire.AppendLinkStateMH(nil, 4, wire.LinkStateMH{
-		ViewVersion: 1, Iter: 2,
-		Entries: []wire.MHEntry{{Cost: 55, Sec: 3}, {Cost: wire.InfCost, Sec: wire.NilNode}},
-	})))
-	f.Fuzz(func(t *testing.T, src uint16, b []byte) {
-		roundTrip(t, src, b, wire.ParseLinkStateMH, wire.AppendLinkStateMH)
-	})
-}
-
 func FuzzLinkStateAsymRoundTrip(f *testing.F) {
 	f.Add(uint16(5), body(wire.AppendLinkStateAsym(nil, 5, wire.LinkStateAsym{
 		ViewVersion: 3, Seq: 1,

@@ -228,69 +228,6 @@ func ParseRecommendation(body []byte) (Recommendation, error) {
 // message with k entries, excluding per-packet overhead.
 func RecommendationSize(k int) int { return HeaderLen + 6 + recEntryLen*k }
 
-// MHEntry is one destination's entry in a multi-hop modified link state
-// (§3, "Multi-hop routes"): the cost of the best path of length ≤ 2^(t-1)
-// found so far, plus the identity of the second node along it (the Sec
-// pointer used to recover forwarding state).
-type MHEntry struct {
-	Cost Cost
-	Sec  NodeID
-}
-
-// mhEntryLen is the encoded size of an MHEntry.
-const mhEntryLen = 4
-
-// LinkStateMH is the modified link state exchanged in iteration Iter of the
-// multi-hop algorithm.
-type LinkStateMH struct {
-	ViewVersion uint32
-	Iter        uint8
-	Entries     []MHEntry
-}
-
-// AppendLinkStateMH encodes ls with its header.
-func AppendLinkStateMH(b []byte, src NodeID, ls LinkStateMH) []byte {
-	b = AppendHeader(b, TLinkStateMH, src)
-	b = binary.BigEndian.AppendUint32(b, ls.ViewVersion)
-	b = append(b, ls.Iter)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(ls.Entries)))
-	for _, e := range ls.Entries {
-		b = binary.BigEndian.AppendUint16(b, uint16(e.Cost))
-		b = binary.BigEndian.AppendUint16(b, uint16(e.Sec))
-	}
-	return b
-}
-
-// ParseLinkStateMH decodes a LinkStateMH body.
-func ParseLinkStateMH(body []byte) (LinkStateMH, error) {
-	const fixed = 4 + 1 + 2
-	if len(body) < fixed {
-		return LinkStateMH{}, ErrShort
-	}
-	ls := LinkStateMH{
-		ViewVersion: binary.BigEndian.Uint32(body),
-		Iter:        body[4],
-	}
-	n := int(binary.BigEndian.Uint16(body[5:]))
-	body = body[fixed:]
-	if len(body) != n*mhEntryLen {
-		return LinkStateMH{}, fmt.Errorf("%w: want %d entry bytes, have %d", ErrBadLen, n*mhEntryLen, len(body))
-	}
-	ls.Entries = make([]MHEntry, n)
-	for i := 0; i < n; i++ {
-		off := i * mhEntryLen
-		ls.Entries[i] = MHEntry{
-			Cost: Cost(binary.BigEndian.Uint16(body[off:])),
-			Sec:  NodeID(binary.BigEndian.Uint16(body[off+2:])),
-		}
-	}
-	return ls, nil
-}
-
-// MHLinkStateSize returns the encoded payload size of a multi-hop link-state
-// row over n nodes, excluding per-packet overhead.
-func MHLinkStateSize(n int) int { return HeaderLen + 7 + mhEntryLen*n }
-
 // AsymEntry is one destination's entry in an asymmetric link-state row
 // (footnote 2: "the link state transmitted in round one would include both
 // costs"): the one-way cost toward the destination (Out), the one-way cost

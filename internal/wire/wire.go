@@ -61,7 +61,7 @@ const (
 	// Routing plane.
 	TLinkState      // round-1 link-state row (also the full-mesh broadcast)
 	TRecommendation // round-2 best-hop recommendations
-	TLinkStateMH    // multi-hop modified link state (cost + Sec pointer)
+	TLinkStateMH    // reserved: no codec, nothing sends it; renumbering the rest would be a wire change
 	TLinkStateAsym  // round-1 row with both directed costs (footnote 2)
 	TLinkStateAck   // acknowledgment for reliable row delivery (§6.2.2 option)
 

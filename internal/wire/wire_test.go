@@ -280,35 +280,6 @@ func TestRecommendationParseErrors(t *testing.T) {
 	}
 }
 
-func TestLinkStateMHRoundTrip(t *testing.T) {
-	ls := LinkStateMH{
-		ViewVersion: 2,
-		Iter:        3,
-		Entries: []MHEntry{
-			{Cost: 10, Sec: 4},
-			{Cost: InfCost, Sec: NilNode},
-		},
-	}
-	b := AppendLinkStateMH(nil, 6, ls)
-	if len(b) != MHLinkStateSize(len(ls.Entries)) {
-		t.Errorf("encoded size %d, MHLinkStateSize says %d", len(b), MHLinkStateSize(len(ls.Entries)))
-	}
-	h, body, err := ParseHeader(b)
-	if err != nil || h.Type != TLinkStateMH {
-		t.Fatalf("header %+v err %v", h, err)
-	}
-	got, err := ParseLinkStateMH(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ls) {
-		t.Errorf("got %+v want %+v", got, ls)
-	}
-	if _, err := ParseLinkStateMH(body[:3]); err == nil {
-		t.Error("want error for short body")
-	}
-}
-
 func TestJoinRoundTrip(t *testing.T) {
 	j := Join{Addr: netip.MustParseAddrPort("10.1.2.3:9000"), Nonce: 0xDEADBEEF}
 	b := AppendJoin(nil, j)
@@ -459,8 +430,6 @@ func TestParsersNeverPanic(t *testing.T) {
 			ParseLinkState(body)
 		case TRecommendation:
 			ParseRecommendation(body)
-		case TLinkStateMH:
-			ParseLinkStateMH(body)
 		case TJoin:
 			ParseJoin(body)
 		case TJoinReply:
