@@ -511,3 +511,57 @@ func TestDynamicFleetJoinStormIsLinear(t *testing.T) {
 		t.Errorf("join storm cost %d coordinator messages (n=%d k=%d), want O(n+k)", sent, n, k)
 	}
 }
+
+func TestRestartedStandbyResyncsPastChunkThreshold(t *testing.T) {
+	// A restarted standby holds nothing and asks the primary for the view.
+	// Past wire.ViewChunkMembers a member's copy of the answer is chunked,
+	// and the replica plane reads only the single-datagram form: the standby
+	// must be sent that one, or it stays empty while the primary re-sends
+	// chunks at every beacon — and promoting it would evict the whole overlay.
+	const n = wire.ViewChunkMembers + 36
+	const beacon = 2 * time.Second
+	f := NewDynamicFleet(n, DynamicFleetOptions{
+		Seed:         5,
+		Coordinators: 2,
+		Membership:   membership.ClientConfig{Heartbeat: 10 * time.Second, JoinRetry: 2 * time.Second},
+		Coordinator:  membership.CoordinatorConfig{BeaconInterval: beacon},
+	})
+	f.Run(time.Minute)
+	prim := f.Coordinator(0)
+	if !prim.IsPrimary() || prim.MemberCount() != n || !f.ViewsConverged() {
+		t.Fatalf("warm-up: primary=%v members=%d converged=%v", prim.IsPrimary(), prim.MemberCount(), f.ViewsConverged())
+	}
+	ids := make([]wire.NodeID, n)
+	for ep := range ids {
+		ids[ep] = f.envs[ep].LocalID()
+	}
+
+	f.CrashCoordinator(1)
+	f.Run(10 * time.Second)
+	sent := prim.Stats().FullViewsSent
+	f.RestartCoordinator(1)
+	f.Run(3 * beacon)
+	standby := f.Coordinator(1)
+	if standby.Stamp() != prim.Stamp() || standby.MemberCount() != n {
+		t.Fatalf("restarted standby holds stamp %v and %d members after %d full views, primary has %v and %d",
+			standby.Stamp(), standby.MemberCount(), prim.Stats().FullViewsSent-sent, prim.Stamp(), n)
+	}
+	if got := prim.Stats().FullViewsSent - sent; got != 1 {
+		t.Errorf("resync took %d full views, want 1", got)
+	}
+
+	// The resynced standby now inherits the overlay intact.
+	f.CrashCoordinator(0)
+	f.Run(time.Minute)
+	if !standby.IsPrimary() || standby.MemberCount() != n {
+		t.Fatalf("after the primary's crash: standby primary=%v with %d members, want %d", standby.IsPrimary(), standby.MemberCount(), n)
+	}
+	for ep, id := range ids {
+		if got := f.envs[ep].LocalID(); got != id {
+			t.Fatalf("endpoint %d was evicted by the promotion: ID %d, now %d", ep, id, got)
+		}
+	}
+	if f.Joins != n || !f.ViewsConverged() {
+		t.Errorf("joins=%d (want %d) converged=%v under the promoted standby", f.Joins, n, f.ViewsConverged())
+	}
+}

@@ -867,8 +867,14 @@ func (c *Coordinator) view() []wire.Member {
 
 // sendFullView serves the last broadcast view to one node (gap recovery and
 // evicted-node heartbeats). Pending coalesced changes are not leaked early:
-// the receiver sees exactly the stamp everyone else holds.
+// the receiver sees exactly the stamp everyone else holds. A replica
+// resyncing after a restart, demotion or replication gap gets the
+// single-datagram form — the only one the replica plane reads.
 func (c *Coordinator) sendFullView(id wire.NodeID) {
+	if c.rankOf(id) >= 0 {
+		c.sendPackets(id, [][]byte{c.replicaView(c.lastView)})
+		return
+	}
 	c.sendPackets(id, c.viewPackets(c.lastView))
 }
 
