@@ -30,7 +30,6 @@ func main() {
 	listen := flag.String("listen", ":4400", "UDP listen address")
 	rank := flag.Int("rank", 0, "replica rank in the coordinator set (0 = boot primary)")
 	peers := flag.String("peers", "", "comma-separated replica addresses in rank order (empty = solo)")
-	gossipFanout := flag.Int("gossip-fanout", 0, "view-delta gossip fanout (0 = default)")
 	flag.Parse()
 
 	log.SetPrefix("coordinator: ")
@@ -39,11 +38,10 @@ func main() {
 		peerList = strings.Split(*peers, ",")
 	}
 	c, err := allpairs.StartCoordinatorReplica(allpairs.CoordinatorOptions{
-		Listen:       *listen,
-		Rank:         *rank,
-		Peers:        peerList,
-		Logf:         log.Printf,
-		GossipFanout: *gossipFanout,
+		Listen: *listen,
+		Rank:   *rank,
+		Peers:  peerList,
+		Logf:   log.Printf,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -168,9 +168,6 @@ type CoordinatorOptions struct {
 	Peers []string
 	// Logf, if non-nil, receives admission, expiry, and election events.
 	Logf func(string, ...any)
-	// GossipFanout is the epidemic dissemination fanout for view deltas
-	// (0 keeps the default). Members must be configured to match.
-	GossipFanout int
 }
 
 // StartCoordinator opens a UDP socket and serves membership as a solo
@@ -210,7 +207,6 @@ func StartCoordinatorReplica(opt CoordinatorOptions) (*Coordinator, error) {
 		Coordinators: ids,
 		Rank:         opt.Rank,
 		Logf:         opt.Logf,
-		GossipFanout: opt.GossipFanout,
 	})
 	env.Do(c.Start)
 	return &Coordinator{env: env, coord: c}, nil

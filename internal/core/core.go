@@ -14,6 +14,7 @@ package core
 import (
 	"time"
 
+	"allpairs/internal/membership"
 	"allpairs/internal/wire"
 )
 
@@ -124,4 +125,7 @@ type Router interface {
 	Routes() []RouteEntry
 	// Interval returns the router's routing interval r.
 	Interval() time.Duration
+	// SetView installs a new membership view, in which the node holds slot
+	// self: in place when it stably extends the current one, cold otherwise.
+	SetView(view *membership.ViewInfo, self int) error
 }

@@ -78,7 +78,7 @@ type FullMesh struct {
 func NewFullMesh(env transport.Env, cfg FullMeshConfig, view *membership.ViewInfo, self int) *FullMesh {
 	cfg.fill()
 	f := &FullMesh{env: env, cfg: cfg}
-	f.SetView(view, self)
+	_ = f.SetView(view, self) // always nil
 	return f
 }
 
@@ -88,8 +88,8 @@ func NewFullMesh(env transport.Env, cfg FullMeshConfig, view *membership.ViewInf
 // retires exactly the slots whose occupant departed, so every other row and
 // route survives the change. Any other install goes cold, as the first one
 // does: an empty table and route array. The sequence number and cumulative
-// stats survive both.
-func (f *FullMesh) SetView(view *membership.ViewInfo, self int) {
+// stats survive both. The error is always nil (it is the Router signature).
+func (f *FullMesh) SetView(view *membership.ViewInfo, self int) error {
 	retired, _, stable := membership.StableExtension(f.view, f.self, view, self)
 	switch {
 	case stable:
@@ -103,7 +103,7 @@ func (f *FullMesh) SetView(view *membership.ViewInfo, self int) {
 	if !stable {
 		f.table = lsdb.NewTable(n)
 		f.routes = make([]RouteEntry, n)
-		return
+		return nil
 	}
 	f.table.Grow(n)
 	for len(f.routes) < n {
@@ -113,6 +113,7 @@ func (f *FullMesh) SetView(view *membership.ViewInfo, self int) {
 		f.table.RetireSlot(s)
 	}
 	retireRoutes(f.routes, retired)
+	return nil
 }
 
 // ViewChangeStats reports how view re-installs have executed: stable

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"allpairs/internal/grid"
@@ -112,10 +111,20 @@ type QuorumStats struct {
 	ViewRemaps  uint64
 }
 
+// rendezvous is one (destination, rendezvous) pairing of §4.1's silence
+// tracking, pointer-free so that the table is one flat slice the collector
+// never scans. heard is when (Unix ns) the rendezvous last recommended a route
+// to the destination, or when the pairing began: the view install that made
+// it a default, or its recruitment as a failover.
+type rendezvous struct {
+	slot  int32
+	heard int64
+}
+
 // failoverState tracks §4.1 recovery for one destination.
 type failoverState struct {
 	server         int          // recruited failover rendezvous (-1 when none)
-	recruited      time.Time    // when the current server was recruited
+	heard          int64        // as rendezvous.heard, for server
 	tried          map[int]bool // candidates used this episode
 	suspendedUntil time.Time    // dead-destination backoff
 }
@@ -135,19 +144,17 @@ type Quorum struct {
 	self  int
 	seq   uint32
 
-	table    *lsdb.Table  // rows received from rendezvous clients (directional in asymmetric mode)
-	routes   []RouteEntry // per destination slot
-	servers  []int        // default rendezvous servers (grid row + column)
-	defaults [][]int      // per destination: the common rendezvous set for (self, dst)
+	table  *lsdb.Table  // rows received from rendezvous clients (directional in asymmetric mode)
+	routes []RouteEntry // per destination slot
 
-	// lastRecAbout[k][dst] is when server k last recommended a route to dst;
-	// used for remote rendezvous failure detection. Lazily allocated per
-	// server.
-	lastRecAbout map[int][]time.Time
-	failovers    map[int]*failoverState
-	pendingAcks  map[int]uint32 // server slot → row seq awaiting ack (reliable mode)
-	started      time.Time
-	stats        QuorumStats
+	// rv[rvOff[dst]:rvOff[dst+1]] are dst's default rendezvous: the common set
+	// for (self, dst) less this node, which always holds its own row. §4.1's
+	// state is indexed by destination; only a view install can resize it.
+	rv          []rendezvous
+	rvOff       []int32
+	failovers   []*failoverState // per destination slot; nil outside a failover episode
+	pendingAcks []uint32         // per server slot: the row seq awaiting its ack, 0 when none (reliable mode)
+	stats       QuorumStats
 
 	// SelfRow returns the node's current measured link-state row (owned by
 	// the prober; read synchronously). Required.
@@ -166,7 +173,6 @@ type Quorum struct {
 	costsBuf   []wire.Cost // unpacked live self row (out-costs, then in-costs when directional)
 	hopBuf     []lsdb.HopCost
 	keyBuf     []uint64 // packed source keys of the self-row kernel calls
-	sortBuf    []int    // sorted-map-iteration scratch (activeServers, retransmit)
 }
 
 // NewQuorum creates a quorum router for the node at slot self of view.
@@ -184,11 +190,10 @@ func NewQuorum(env transport.Env, cfg QuorumConfig, view *membership.ViewInfo, s
 // extension (membership.StableExtension — the only kind of change a
 // coordinator reign produces) is applied in place: tables grow, slots whose
 // occupant departed are retired individually, and everything about
-// unaffected members (stored rows, route entries, silence tracking) is left
-// bit-for-bit untouched. Any other install goes cold, as the first one does:
-// empty tables, routes and silence tracking, refilled by the next routing
-// intervals. Per-view episode state (pending
-// reliable-mode acks, the start-of-view clock) resets either way; the
+// unaffected members (stored rows, route entries, silence clocks, failover
+// episodes) is left bit-for-bit untouched. Any other install goes cold, as
+// the first one does: empty tables and routes, no failover episode, every
+// silence clock started now. Pending reliable-mode acks reset either way; the
 // sequence number and cumulative stats survive both.
 func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	if q.dense == nil || q.dense.N() != view.Slots() {
@@ -210,36 +215,29 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		q.stats.ViewRemaps++
 	}
 	n := view.Slots()
-	q.view = view
-	q.g = g
-	q.self = self
+	q.view, q.g, q.self = view, g, self
 	if stable {
 		q.table.Grow(n)
-		for len(q.routes) < n {
-			q.routes = append(q.routes, RouteEntry{})
-		}
+		q.routes = append(q.routes, make([]RouteEntry, n-len(q.routes))...)
+		q.failovers = append(q.failovers, make([]*failoverState, n-len(q.failovers))...)
 		for _, s := range retired {
 			q.table.RetireSlot(s)
-			delete(q.lastRecAbout, s)
-			delete(q.failovers, s)
-			//lint:orderinvariant each failover episode is scrubbed independently of visit order
-			for _, fo := range q.failovers {
+			q.failovers[s] = nil
+		}
+		// A retired slot is no episode's server and no longer "tried": whoever
+		// is admitted into it is a candidate like any other.
+		for _, fo := range q.failovers {
+			if fo == nil {
+				continue
+			}
+			for _, s := range retired {
 				if fo.server == s {
 					fo.server = -1
 				}
+				delete(fo.tried, s)
 			}
 		}
 		retireRoutes(q.routes, retired)
-		//lint:orderinvariant each rendezvous's silence array is grown and patched independently of visit order
-		for k, about := range q.lastRecAbout {
-			for len(about) < n {
-				about = append(about, time.Time{})
-			}
-			for _, s := range retired {
-				about[s] = time.Time{}
-			}
-			q.lastRecAbout[k] = about
-		}
 	} else {
 		if q.cfg.Asymmetric {
 			q.table = lsdb.NewDirectionalTable(n)
@@ -247,18 +245,54 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 			q.table = lsdb.NewTable(n)
 		}
 		q.routes = make([]RouteEntry, n)
-		q.lastRecAbout = make(map[int][]time.Time)
-		q.failovers = make(map[int]*failoverState)
+		q.failovers = make([]*failoverState, n)
+		q.rv, q.rvOff = nil, nil
 	}
-	q.servers = g.Servers(self)
-	q.defaults = make([][]int, n)
+	q.pairRendezvous(retired)
+	q.pendingAcks = make([]uint32, n)
+	return nil
+}
+
+// pairRendezvous rebuilds the silence table for the view just installed. A
+// pairing the previous table held keeps its clock unless the install retired
+// either end of it; every other — a new or reused slot, a newly appointed
+// deputy, everything after a cold install — starts now: grace runs from when
+// a duty began, never from the last view change.
+func (q *Quorum) pairRendezvous(retired []int) {
+	n := q.view.Slots()
+	now := q.env.Now().UnixNano()
+	rv := make([]rendezvous, 0, len(q.rv))
+	off := make([]int32, n+1)
 	for dst := 0; dst < n; dst++ {
-		if dst != self && view.Occupied(dst) {
-			q.defaults[dst] = g.Common(self, dst)
+		off[dst] = int32(len(rv))
+		if dst == q.self || !q.view.Occupied(dst) {
+			continue
+		}
+		for _, k := range q.g.Common(q.self, dst) {
+			if k == q.self {
+				continue
+			}
+			heard := now
+			if p := q.pairing(dst, k); p != nil && !slices.Contains(retired, dst) && !slices.Contains(retired, k) {
+				heard = p.heard
+			}
+			rv = append(rv, rendezvous{slot: int32(k), heard: heard})
 		}
 	}
-	q.pendingAcks = make(map[int]uint32)
-	q.started = q.env.Now()
+	off[n] = int32(len(rv))
+	q.rv, q.rvOff = rv, off
+}
+
+// pairing returns dst's silence-table entry for rendezvous k, or nil.
+func (q *Quorum) pairing(dst, k int) *rendezvous {
+	if dst+1 < len(q.rvOff) {
+		pair := q.rv[q.rvOff[dst]:q.rvOff[dst+1]]
+		for i := range pair {
+			if int(pair[i].slot) == k {
+				return &pair[i]
+			}
+		}
+	}
 	return nil
 }
 
@@ -308,37 +342,16 @@ func (q *Quorum) Tick() {
 }
 
 // activeServers appends the default servers with live links plus any
-// recruited failover servers. Failover states live in a map, so they are
-// visited in sorted destination order: map iteration here would make the
-// round-1 send order — and with it the whole simulated packet schedule —
-// differ between identically-seeded runs the moment a failover activates.
+// recruited failover servers, in destination order.
 func (q *Quorum) activeServers(dst []int) []int {
-	for _, s := range q.servers {
+	for _, s := range q.g.Servers(q.self) {
 		if q.LinkAlive(s) {
 			dst = append(dst, s)
 		}
 	}
-	if len(q.failovers) > 0 {
-		q.sortBuf = q.sortBuf[:0]
-		for d := range q.failovers {
-			q.sortBuf = append(q.sortBuf, d)
-		}
-		sort.Ints(q.sortBuf)
-		for _, d := range q.sortBuf {
-			fo := q.failovers[d]
-			if fo.server < 0 || !q.LinkAlive(fo.server) {
-				continue
-			}
-			found := false
-			for _, s := range dst {
-				if s == fo.server {
-					found = true
-					break
-				}
-			}
-			if !found {
-				dst = append(dst, fo.server)
-			}
+	for _, fo := range q.failovers {
+		if fo != nil && fo.server >= 0 && q.LinkAlive(fo.server) && !slices.Contains(dst, fo.server) {
+			dst = append(dst, fo.server)
 		}
 	}
 	return dst
@@ -358,7 +371,7 @@ func (q *Quorum) sendLinkState() {
 			q.pendingAcks[s] = q.seq
 		}
 	}
-	if q.cfg.ReliableLinkState && len(q.pendingAcks) > 0 {
+	if q.cfg.ReliableLinkState && len(q.clientsBuf) > 0 {
 		seq := q.seq
 		view := q.view
 		q.env.After(q.cfg.RetransmitTimeout, func() { q.retransmit(seq, view.VersionNum(), msg) })
@@ -366,20 +379,16 @@ func (q *Quorum) sendLinkState() {
 }
 
 // retransmit resends the round-1 row to servers that never acknowledged it,
-// in sorted slot order for a deterministic packet schedule.
+// in slot order.
 func (q *Quorum) retransmit(seq uint32, viewVersion uint32, msg []byte) {
 	if q.view.VersionNum() != viewVersion || seq != q.seq {
 		return // view changed or a newer row has superseded this one
 	}
-	q.sortBuf = q.sortBuf[:0]
 	for s, pending := range q.pendingAcks {
-		if pending == seq {
-			q.sortBuf = append(q.sortBuf, s)
+		if pending != seq {
+			continue
 		}
-	}
-	sort.Ints(q.sortBuf)
-	for _, s := range q.sortBuf {
-		delete(q.pendingAcks, s) // single retransmission
+		q.pendingAcks[s] = 0 // single retransmission
 		if q.LinkAlive(s) {
 			q.env.Send(q.view.IDAt(s), msg)
 			q.stats.LinkStatesSent++
@@ -399,7 +408,7 @@ func (q *Quorum) HandleLinkStateAck(h wire.Header, body []byte) {
 		return
 	}
 	if q.pendingAcks[slot] == seq {
-		delete(q.pendingAcks, slot)
+		q.pendingAcks[slot] = 0
 	}
 }
 
@@ -469,7 +478,8 @@ func (q *Quorum) sendRecommendations() {
 	fwd, rev := q.sweep(clients)
 	for i, c := range clients {
 		q.install(c, RouteEntry{Hop: fwd[i].Hop, Cost: fwd[i].Cost, When: now, From: q.self, Source: SourceSelf})
-		recs[i][k-1] = wire.RecEntry{Dst: q.env.LocalID(), Hop: q.hopID(rev[i].Hop), Cost: rev[i].Cost}
+		back := turned(rev[i], q.self, c)
+		recs[i][k-1] = wire.RecEntry{Dst: q.env.LocalID(), Hop: q.hopID(back.Hop), Cost: back.Cost}
 	}
 
 	for i, c := range clients {
@@ -520,8 +530,9 @@ func (q *Quorum) clientPairs(clients []int, recs [][]wire.RecEntry) {
 			}
 			for z, b := range others {
 				j := i + 1 + z
+				back := turned(rev[z], a, b)
 				recs[i][j-1] = wire.RecEntry{Dst: q.view.IDAt(b), Hop: q.hopID(fwd[z].Hop), Cost: fwd[z].Cost}
-				recs[j][i] = wire.RecEntry{Dst: q.view.IDAt(a), Hop: q.hopID(rev[z].Hop), Cost: rev[z].Cost}
+				recs[j][i] = wire.RecEntry{Dst: q.view.IDAt(a), Hop: q.hopID(back.Hop), Cost: back.Cost}
 			}
 		}
 	})
@@ -530,6 +541,17 @@ func (q *Quorum) clientPairs(clients []int, recs [][]wire.RecEntry) {
 		pairs /= 2
 	}
 	q.stats.PairsComputed += uint64(pairs)
+}
+
+// turned reads a symmetric table's a→b result from b's end: the same cost
+// and intermediary, except that the kernel names the direct path by its
+// destination, which from b is a. A directional b→a result never names its
+// own source b, so turning one changes nothing.
+func turned(hc lsdb.HopCost, a, b int) lsdb.HopCost {
+	if hc.Hop == b {
+		hc.Hop = a
+	}
+	return hc
 }
 
 // sweep evaluates the routes between this node — whose live row no table
@@ -599,7 +621,7 @@ func (q *Quorum) maybeAck(src wire.NodeID, seq uint32) {
 
 // HandleRecommendation implements Router: installs round-2 best-hop
 // recommendations. The latest recommendation for a destination wins, per the
-// paper's footnote 11.
+// paper's footnote 11, whoever sent it.
 func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 	rec, err := wire.ParseRecommendation(body)
 	if err != nil || rec.ViewVersion != q.view.VersionNum() {
@@ -610,25 +632,29 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 		return
 	}
 	now := q.env.Now()
-	about := q.lastRecAbout[from]
-	if about == nil {
-		about = make([]time.Time, q.view.Slots())
-		q.lastRecAbout[from] = about
-	}
+	heard := now.UnixNano()
 	for _, e := range rec.Entries {
 		dst, ok := q.view.SlotOf(e.Dst)
 		if !ok || dst == q.self {
 			continue
 		}
-		about[dst] = now
+		// Only a rendezvous this node relies on for dst — a default, the
+		// recruited failover, or (a silent default recruited again) both —
+		// was heard from; anyone else's word moves no clock.
+		if p := q.pairing(dst, from); p != nil {
+			p.heard = heard
+		}
+		if fo := q.failovers[dst]; fo != nil && fo.server == from {
+			fo.heard = heard
+		}
 		hop := -1
 		if e.Hop != wire.NilNode {
 			if hs, ok := q.view.SlotOf(e.Hop); ok {
 				hop = hs
 			}
 		}
-		if hop < 0 && e.Cost != wire.InfCost {
-			continue // malformed entry: usable cost but no hop
+		if hop == q.self || (hop < 0 && e.Cost != wire.InfCost) {
+			continue // malformed entry: a route through its own source, or a usable cost but no hop
 		}
 		q.install(dst, RouteEntry{Hop: hop, Cost: e.Cost, When: now, From: from, Source: SourceRendezvous})
 	}
@@ -667,26 +693,14 @@ func (q *Quorum) Routes() []RouteEntry {
 	return out
 }
 
-// defaultRendezvousLive reports whether rendezvous k is currently usable for
-// reaching information about destination dst: the link to k is alive and k
-// has recommended a route to dst recently enough. k == dst means the
-// destination itself serves as the rendezvous (same row or column), in which
-// case link liveness alone decides.
-func (q *Quorum) defaultRendezvousLive(k, dst int, now time.Time) bool {
-	if !q.LinkAlive(k) {
-		return false // proximal rendezvous failure
-	}
-	if k == dst {
-		return true
-	}
-	var last time.Time
-	if about := q.lastRecAbout[k]; about != nil {
-		last = about[dst]
-	}
-	if last.IsZero() {
-		last = q.started // startup grace
-	}
-	return now.Sub(last) <= q.cfg.remoteSilence() // else remote rendezvous failure
+// rendezvousLive reports whether rendezvous k, last heard about dst at heard,
+// is currently usable for reaching information about dst: the link to k is
+// alive (else a proximal rendezvous failure) and k has recommended a route to
+// dst recently enough (else a remote one). k == dst means the destination
+// itself serves as the rendezvous (same row or column), in which case link
+// liveness alone decides.
+func (q *Quorum) rendezvousLive(k, dst int, heard, now int64) bool {
+	return q.LinkAlive(k) && (k == dst || time.Duration(now-heard) <= q.cfg.remoteSilence())
 }
 
 // destinationSeemsAlive scans the client rows for evidence that dst is up —
@@ -710,25 +724,22 @@ func (q *Quorum) destinationSeemsAlive(dst int, now time.Time) bool {
 // appear dead; revert when a default recovers.
 func (q *Quorum) detectFailures() {
 	now := q.env.Now()
+	nowNs := now.UnixNano()
 	doubles := 0
 	dead := 0
 	for dst := 0; dst < q.view.Slots(); dst++ {
 		if dst == q.self || !q.view.Occupied(dst) {
 			continue
 		}
-		defaults := q.defaults[dst]
 		anyLive := false
-		for _, k := range defaults {
-			if k == q.self {
-				continue // we always hold our own row; it carries no info about dst's links beyond the direct one
-			}
-			if q.defaultRendezvousLive(k, dst, now) {
+		for _, rv := range q.rv[q.rvOff[dst]:q.rvOff[dst+1]] {
+			if q.rendezvousLive(int(rv.slot), dst, rv.heard, nowNs) {
 				anyLive = true
 				break
 			}
 		}
 		if anyLive {
-			delete(q.failovers, dst) // revert to the default rendezvous
+			q.failovers[dst] = nil // revert to the default rendezvous
 			continue
 		}
 		doubles++
@@ -744,13 +755,11 @@ func (q *Quorum) detectFailures() {
 			dead++
 			continue
 		}
-		// Keep the current failover while it remains usable. A freshly
-		// recruited server gets a grace period to produce its first
-		// recommendation before silence counts against it.
-		if fo.server >= 0 && q.LinkAlive(fo.server) {
-			if now.Sub(fo.recruited) <= q.cfg.remoteSilence() || q.defaultRendezvousLive(fo.server, dst, now) {
-				continue
-			}
+		// Keep the current failover while it remains usable: its clock started
+		// at recruitment, so a fresh recruit has one remoteSilence to produce
+		// its first recommendation.
+		if fo.server >= 0 && q.rendezvousLive(fo.server, dst, fo.heard, nowNs) {
+			continue
 		}
 		// Dead-destination check after the initial failover attempt.
 		if len(fo.tried) > 0 && !q.destinationSeemsAlive(dst, now) {
@@ -785,8 +794,7 @@ func (q *Quorum) recruitFailover(dst int, fo *failoverState) {
 		return
 	}
 	f := usable[q.env.Rand().Intn(len(usable))]
-	fo.server = f
-	fo.recruited = q.env.Now()
+	fo.server, fo.heard = f, q.env.Now().UnixNano()
 	fo.tried[f] = true
 	q.stats.FailoverAttempts++
 
@@ -803,8 +811,8 @@ func (q *Quorum) recruitFailover(dst int, fo *failoverState) {
 
 // FailoverServer returns the active failover rendezvous for dst, or -1.
 func (q *Quorum) FailoverServer(dst int) int {
-	if fo := q.failovers[dst]; fo != nil {
-		return fo.server
+	if dst >= 0 && dst < len(q.failovers) && q.failovers[dst] != nil {
+		return q.failovers[dst].server
 	}
 	return -1
 }

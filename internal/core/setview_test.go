@@ -44,8 +44,8 @@ var nonStableInstalls = []struct {
 
 func TestQuorumSetViewNonStableGoesCold(t *testing.T) {
 	viewState := func(q *Quorum) []any {
-		return []any{q.view, q.self, q.g, q.table, q.routes, q.servers, q.defaults,
-			q.lastRecAbout, q.failovers, q.pendingAcks, q.started}
+		return []any{q.view, q.self, q.g, q.table, q.routes,
+			q.rv, q.rvOff, q.failovers, q.pendingAcks}
 	}
 	for _, tc := range nonStableInstalls {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,6 +56,7 @@ func TestQuorumSetViewNonStableGoesCold(t *testing.T) {
 			if before.LinkStatesSent == 0 || before.PairsComputed == 0 {
 				t.Fatalf("router holds no state to lose: %+v", before)
 			}
+			q.failovers[4] = &failoverState{server: 7, tried: map[int]bool{7: true}}
 			next := slotView(t, 2, tc.ids...)
 			if err := q.SetView(next, tc.self); err != nil {
 				t.Fatal(err)
@@ -115,11 +116,13 @@ func TestFullMeshSetViewNonStableGoesCold(t *testing.T) {
 	}
 }
 
-// soloEnv returns an Env for node 0 of a network nobody else is on.
-func soloEnv() *transport.SimEnv {
-	env := transport.NewSimEnv(simnet.New(1, 1), transport.NewRegistry(), 0, 1)
+// soloEnv returns an Env for node 0 of a network nobody else is on, and the
+// network, whose RunFor moves the Env's clock.
+func soloEnv() (*transport.SimEnv, *simnet.Network) {
+	nw := simnet.New(1, 1)
+	env := transport.NewSimEnv(nw, transport.NewRegistry(), 0, 1)
 	env.SetLocalID(0)
-	return env
+	return env, nw
 }
 
 // aliveRow returns an n-entry row of self's, entry i alive at 10·(i+1) ms.
@@ -132,24 +135,36 @@ func aliveRow(n, self int) []wire.LinkEntry {
 }
 
 func TestQuorumSetViewStableKeepsState(t *testing.T) {
-	env := soloEnv()
-	q, err := NewQuorum(env, QuorumConfig{Interval: 15 * time.Second}, slotView(t, 1, 0, 1, 2, 3), 0)
+	env, nw := soloEnv()
+	// A 3×3 grid seen from its corner: rows {0 1 2} {3 4 5} {6 7 8}.
+	q, err := NewQuorum(env, QuorumConfig{Interval: 15 * time.Second}, slotView(t, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stored client rows and live routes: to ID 2 via ID 1, to ID 3 direct.
-	now := env.Now()
-	if !q.table.Put(1, lsdb.Row{Seq: 3, When: now, Entries: aliveRow(4, 1)}) ||
-		!q.table.Put(2, lsdb.Row{Seq: 7, When: now, Entries: aliveRow(4, 2)}) {
+	// Stored client rows and live routes: to ID 2 via ID 3, to ID 6 direct.
+	began := env.Now()
+	if !q.table.Put(3, lsdb.Row{Seq: 3, When: began, Entries: aliveRow(9, 3)}) ||
+		!q.table.Put(6, lsdb.Row{Seq: 7, When: began, Entries: aliveRow(9, 6)}) {
 		t.Fatal("rows not stored")
 	}
-	q.routes[2] = RouteEntry{Hop: 1, Cost: 30, When: now, From: 1, Source: SourceRendezvous}
-	q.routes[3] = RouteEntry{Hop: 3, Cost: 40, When: now, From: 1, Source: SourceRendezvous}
-	q.lastRecAbout[1] = make([]time.Time, 4)
-	q.lastRecAbout[2] = []time.Time{{}, now, {}, now}
+	q.routes[2] = RouteEntry{Hop: 3, Cost: 30, When: began, From: 3, Source: SourceRendezvous}
+	q.routes[6] = RouteEntry{Hop: 6, Cost: 40, When: began, From: 3, Source: SourceRendezvous}
+	// Every pairing has been heard from since the view began, each at its own
+	// moment, and an episode toward slot 8 has tried slots 2 and 5.
+	nw.RunFor(10 * time.Second)
+	for i := range q.rv {
+		q.rv[i].heard = env.Now().UnixNano() + int64(i)
+	}
+	was, hadDeputy := append([]rendezvous(nil), q.rv...), q.pairing(4, 5) != nil
+	wasOff := append([]int32(nil), q.rvOff...)
+	q.failovers[8] = &failoverState{server: 5, heard: 77, tried: map[int]bool{2: true, 5: true}}
+	q.failovers[3] = &failoverState{server: 4, tried: map[int]bool{4: true}}
 
-	// ID 1 leaves behind a tombstone, ID 9 joins at a new slot: nobody moves.
-	if err := q.SetView(slotView(t, 2, 0, wire.NilNode, 2, 3, 9), 0); err != nil {
+	// ID 2 leaves behind a tombstone, ID 3 is replaced in its slot by ID 20,
+	// ID 9 joins at a new slot: nobody moves.
+	nw.RunFor(10 * time.Second)
+	installed := env.Now().UnixNano()
+	if err := q.SetView(slotView(t, 2, 0, 1, wire.NilNode, 20, 4, 5, 6, 7, 8, 9), 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := q.Stats(); st.ViewExtends != 1 || st.ViewRemaps != 0 {
@@ -160,35 +175,98 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 	if q.routes[2].Source != SourceNone {
 		t.Errorf("route through the departed hop survived: %+v", q.routes[2])
 	}
-	if e := q.routes[3]; e.Source != SourceRendezvous || e.Hop != 3 || e.Cost != 40 || e.From != -1 {
-		t.Errorf("unaffected route = %+v, want hop 3 cost 40 from -1", e)
+	if e := q.routes[6]; e.Source != SourceRendezvous || e.Hop != 6 || e.Cost != 40 || e.From != -1 {
+		t.Errorf("unaffected route = %+v, want hop 6 cost 40 from -1", e)
 	}
-	// The departed client's row and silence tracking are gone; the
-	// survivor's row keeps its slot and sequence number, reads the departed
-	// member dead and the newcomer unknown, and everyone else as before.
-	if q.table.Have(1) {
+	// The departed client's row is gone; the survivor's keeps its slot and
+	// sequence number, reads the departed member dead and the newcomer
+	// unknown, and everyone else as before.
+	if q.table.Have(3) {
 		t.Error("departed member's row survived")
 	}
-	if _, ok := q.lastRecAbout[1]; ok {
-		t.Error("lastRecAbout kept the departed rendezvous")
-	}
-	if about := q.lastRecAbout[2]; len(about) != 5 || !about[1].IsZero() || !about[3].Equal(now) {
-		t.Errorf("surviving rendezvous's silence tracking = %v", about)
-	}
-	if !q.table.Have(2) || q.table.Seq(2) != 7 || !q.table.When(2).Equal(now) {
+	if !q.table.Have(6) || q.table.Seq(6) != 7 || !q.table.When(6).Equal(began) {
 		t.Fatalf("survivor's row: have %v seq %d when %v, want seq 7 received at %v",
-			q.table.Have(2), q.table.Seq(2), q.table.When(2), now)
+			q.table.Have(6), q.table.Seq(6), q.table.When(6), began)
 	}
-	if r := q.table.OutRow(2); r[3] != 40 || r[1] != wire.InfCost || r[4] != wire.InfCost {
-		t.Errorf("survivor's costs to 3/1/4 = %d/%d/%d, want 40/Inf/Inf", r[3], r[1], r[4])
+	if r := q.table.OutRow(6); r[4] != 50 || r[3] != wire.InfCost || r[9] != wire.InfCost {
+		t.Errorf("survivor's costs to 4/3/9 = %d/%d/%d, want 50/Inf/Inf", r[4], r[3], r[9])
 	}
-	if q.table.N() != 5 || len(q.routes) != 5 || q.defaults[1] != nil || q.defaults[4] == nil {
-		t.Errorf("slot space not extended: table %d routes %d", q.table.N(), len(q.routes))
+	if q.table.N() != 10 || len(q.routes) != 10 || len(q.failovers) != 10 || len(q.rvOff) != 11 {
+		t.Errorf("slot space not extended: table %d routes %d failovers %d offsets %d",
+			q.table.N(), len(q.routes), len(q.failovers), len(q.rvOff))
+	}
+
+	// The silence table is the new grid's common sets less this node. A
+	// pairing both views hold, neither end retired, keeps its clock; every
+	// other — toward or through the reused slot 3, toward the newcomer 9, a
+	// deputy standing in for the tombstone — starts at the install.
+	retired := map[int]bool{2: true, 3: true}
+	kept, fresh := 0, 0
+	for dst := 0; dst < 10; dst++ {
+		var want []rendezvous
+		for _, k := range q.g.Common(0, dst) {
+			if k == 0 || dst == 2 {
+				continue
+			}
+			heard := installed
+			if dst < 9 && !retired[dst] && !retired[k] {
+				for i := wasOff[dst]; i < wasOff[dst+1]; i++ {
+					if int(was[i].slot) == k {
+						heard = was[i].heard
+					}
+				}
+			}
+			if heard == installed {
+				fresh++
+			} else {
+				kept++
+			}
+			want = append(want, rendezvous{slot: int32(k), heard: heard})
+		}
+		if got := q.rv[q.rvOff[dst]:q.rvOff[dst+1]]; !reflect.DeepEqual(append([]rendezvous(nil), got...), want) {
+			t.Errorf("pairings toward slot %d = %v, want %v", dst, got, want)
+		}
+	}
+	if kept == 0 || fresh == 0 {
+		t.Fatalf("%d clocks kept, %d started: one arm never ran", kept, fresh)
+	}
+	for _, tc := range []struct {
+		dst, k int
+		keeps  bool
+		why    string
+	}{
+		{4, 1, true, "survives the install"},
+		{7, 6, true, "survives the install"},
+		{4, 3, false, "the rendezvous's slot was reused"},
+		{3, 6, false, "the destination's slot was reused"},
+		{9, 1, false, "the destination is new"},
+	} {
+		p := q.pairing(tc.dst, tc.k)
+		if p == nil {
+			t.Fatalf("no pairing (%d, %d)", tc.dst, tc.k)
+		}
+		if (p.heard != installed) != tc.keeps {
+			t.Errorf("pairing (%d, %d) heard %d, install at %d: %s", tc.dst, tc.k, p.heard, installed, tc.why)
+		}
+	}
+	// Slot 5 stands in for the tombstone as column 2's deputy: a pairing the
+	// old view did not have.
+	if p := q.pairing(4, 5); hadDeputy || p == nil || p.heard != installed {
+		t.Errorf("deputy pairing (4, 5) = %+v (held before: %v), want a new one started at the install", p, hadDeputy)
+	}
+
+	// Failover episodes: the one toward the reused slot is gone, the other
+	// keeps its server and clock and forgets only the retired slot it tried.
+	if q.failovers[3] != nil || q.failovers[2] != nil {
+		t.Error("an episode toward a retired slot survived")
+	}
+	if fo := q.failovers[8]; fo == nil || fo.server != 5 || fo.heard != 77 || !reflect.DeepEqual(fo.tried, map[int]bool{5: true}) {
+		t.Errorf("surviving episode = %+v, want server 5 heard 77 tried {5}", fo)
 	}
 }
 
 func TestFullMeshSetViewStableKeepsState(t *testing.T) {
-	env := soloEnv()
+	env, _ := soloEnv()
 	f := NewFullMesh(env, FullMeshConfig{}, slotView(t, 1, 0, 1, 2), 0)
 	now := env.Now()
 	f.routes[1] = RouteEntry{Hop: 1, Cost: 10, When: now, From: -1, Source: SourceSelf}

@@ -17,7 +17,12 @@ import (
 // routeTableHash runs a deterministic fleet and digests every node's full
 // route table (hop, cost, from, source per destination). The golden values
 // below were captured from the scalar BestOneHop implementation; the batched
-// cost-matrix kernels must reproduce them bit for bit.
+// cost-matrix kernels must reproduce them bit for bit. The two quorum values
+// were re-captured once, in PR 18, for the hop column alone: a symmetric
+// round 2 used to tell the second endpoint of a pair whose best path is
+// direct "hop = yourself" and now names the far end (costs, provenance and
+// every other hop are as captured; with that one relabelling reverted the
+// old values reproduce).
 func routeTableHash(algo overlay.Algorithm, n int, seed int64, env *traces.Env, d time.Duration) string {
 	f := NewFleet(FleetOptions{N: n, Algorithm: algo, Seed: seed, Env: env})
 	f.Run(d)
@@ -51,9 +56,9 @@ func TestRouteTablesMatchScalarGolden(t *testing.T) {
 		want string
 	}{
 		{"fullmesh/homogeneous", overlay.AlgFullMesh, 16, 1, nil, "701d961db4d1b605"},
-		{"quorum/homogeneous", overlay.AlgQuorum, 16, 1, nil, "97828e4d43c695ff"},
+		{"quorum/homogeneous", overlay.AlgQuorum, 16, 1, nil, "a911cbebd0621ede"},
 		{"fullmesh/planetlab", overlay.AlgFullMesh, 25, 77, traces.PlanetLab(25, 77), "23a7b9dcf6c06547"},
-		{"quorum/planetlab", overlay.AlgQuorum, 25, 77, traces.PlanetLab(25, 77), "c36507c126ea3110"},
+		{"quorum/planetlab", overlay.AlgQuorum, 25, 77, traces.PlanetLab(25, 77), "80fe2263f7aee208"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

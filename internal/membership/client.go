@@ -21,11 +21,6 @@ type ClientConfig struct {
 	// declaring it unreachable and rotating to the next coordinator
 	// (default 3 s; must be well under Heartbeat).
 	AckTimeout time.Duration
-	// GossipFanout is how many peers this member forwards each gossiped
-	// view delta to (the F of the dissemination tree; default
-	// DefaultGossipFanout). Must match the coordinator's fanout for the tree
-	// positions to line up.
-	GossipFanout int
 	// AntiEntropy is the periodic anti-entropy interval: every round the
 	// client pulls from one deterministic-randomly chosen peer, repairing
 	// gaps that no later traffic would ever reveal (default 30 s).
@@ -60,8 +55,9 @@ const (
 // Gossip defaults.
 const (
 	// DefaultGossipFanout is the dissemination tree's branching factor. 3
-	// keeps the primary's per-flush egress constant while reaching n
-	// members in ~log₃(n) hops.
+	// keeps the primary's per-flush egress constant while reaching n members
+	// in ~log₃(n) hops. A constant, not a knob: the coordinator and every
+	// member derive the same tree from it independently.
 	DefaultGossipFanout = 3
 	// gossipHops bounds a gossiped delta's forwarding depth; the dedup
 	// cache, not the hop budget, is what terminates the epidemic, so this is
@@ -86,9 +82,6 @@ func (c *ClientConfig) fill() {
 	}
 	if c.AckTimeout >= c.Heartbeat {
 		c.AckTimeout = c.Heartbeat / 2
-	}
-	if c.GossipFanout <= 0 {
-		c.GossipFanout = DefaultGossipFanout
 	}
 	if c.AntiEntropy <= 0 {
 		c.AntiEntropy = DefaultAntiEntropy
@@ -702,11 +695,10 @@ func (c *Client) forwardGossip(g wire.GossipDelta) {
 		return
 	}
 	n := c.view.Slots()
-	f := c.cfg.GossipFanout
-	r := gossipRotation(g.Delta.Version, f, n)
+	r := gossipRotation(g.Delta.Version, DefaultGossipFanout, n)
 	p := ((self-r)%n + n) % n
 	added := addedSet(g.Delta.Adds)
-	targets := gossipTargets(n, p, f, r, func(slot int) bool {
+	targets := gossipTargets(n, p, DefaultGossipFanout, r, func(slot int) bool {
 		return !c.view.Occupied(slot) || added[c.view.IDAt(slot)]
 	})
 	if len(targets) == 0 {

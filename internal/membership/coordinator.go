@@ -56,12 +56,6 @@ type CoordinatorConfig struct {
 	// BeaconInterval is how often the primary beacons its liveness, epoch,
 	// and allocator high-water mark to the standbys (default 2 s).
 	BeaconInterval time.Duration
-	// GossipFanout is the dissemination tree fanout F: each flushed delta is
-	// seeded to F members, who forward it down the tree instead of the
-	// primary unicasting to all n (default DefaultGossipFanout). Must match
-	// the members' ClientConfig.GossipFanout — the tree shape is computed
-	// independently on both sides from the view alone.
-	GossipFanout int
 	// Logf, if non-nil, receives membership events.
 	Logf func(format string, args ...any)
 }
@@ -84,9 +78,6 @@ func (c *CoordinatorConfig) fill() {
 	}
 	if c.BeaconInterval <= 0 {
 		c.BeaconInterval = 2 * time.Second
-	}
-	if c.GossipFanout <= 0 {
-		c.GossipFanout = DefaultGossipFanout
 	}
 }
 
@@ -958,9 +949,8 @@ func (c *Coordinator) flush() {
 // nobody). cur is the post-delta view, so tree position q is its slot q.
 func (c *Coordinator) seedGossip(cur *ViewInfo, d wire.ViewDelta, added map[wire.NodeID]bool) {
 	n := cur.Slots()
-	f := c.cfg.GossipFanout
-	r := gossipRotation(d.Version, f, n)
-	targets := gossipTargets(n, -1, f, r, func(slot int) bool {
+	r := gossipRotation(d.Version, DefaultGossipFanout, n)
+	targets := gossipTargets(n, -1, DefaultGossipFanout, r, func(slot int) bool {
 		return !cur.Occupied(slot) || added[cur.IDAt(slot)]
 	})
 	env := wire.AppendGossipDelta(nil, c.selfID, wire.GossipDelta{

@@ -111,10 +111,7 @@ func (n *Node) Env() transport.Env { return n.env }
 func (n *Node) Start() error {
 	if n.cfg.StaticView != nil {
 		n.env.SetLocalID(n.cfg.StaticID)
-		if err := n.installView(n.cfg.StaticView); err != nil {
-			return err
-		}
-		return nil
+		return n.installView(n.cfg.StaticView)
 	}
 	n.mc = membership.NewClient(n.env, n.cfg.Membership, func(v *membership.ViewInfo) {
 		// A view that does not include us yet (join race) is ignored.
@@ -142,37 +139,28 @@ func (n *Node) installView(v *membership.ViewInfo) error {
 		n.prober.SetView(v, self)
 	}
 
-	switch n.cfg.Algorithm {
-	case AlgFullMesh:
-		var fm *core.FullMesh
-		if existing, ok := n.router.(*core.FullMesh); ok {
-			existing.SetView(v, self)
-			fm = existing
-		} else {
-			fm = core.NewFullMesh(n.env, n.cfg.FullMesh, v, self)
-			n.router = fm
+	// The router is created once, wired to the prober and the route-update
+	// hook; every later view goes through SetView.
+	switch {
+	case n.router != nil:
+		if err := n.router.SetView(v, self); err != nil {
+			return err
 		}
+	case n.cfg.Algorithm == AlgFullMesh:
+		fm := core.NewFullMesh(n.env, n.cfg.FullMesh, v, self)
 		fm.SelfRow = n.prober.Row
 		fm.OnRouteUpdate = n.routeUpdated
+		n.router = fm
 	default:
-		var q *core.Quorum
-		if existing, ok := n.router.(*core.Quorum); ok {
-			if err := existing.SetView(v, self); err != nil {
-				return err
-			}
-			q = existing
-		} else {
-			nq, err := core.NewQuorum(n.env, n.cfg.Quorum, v, self)
-			if err != nil {
-				return err
-			}
-			q = nq
-			n.router = q
+		q, err := core.NewQuorum(n.env, n.cfg.Quorum, v, self)
+		if err != nil {
+			return err
 		}
 		q.SelfRow = n.prober.Row
 		q.SelfAsymRow = n.prober.AsymRow
 		q.LinkAlive = n.prober.Alive
 		q.OnRouteUpdate = n.routeUpdated
+		n.router = q
 	}
 
 	n.scheduleTicks()

@@ -65,6 +65,11 @@ func TestStaticFleetConvergesQuorum(t *testing.T) {
 			if r.Cost == wire.InfCost {
 				t.Errorf("node %d route to %d unreachable", i, r.Dst)
 			}
+			// No route names its own source as the hop: the direct path is
+			// Hop == Dst at both ends of a pair.
+			if r.Hop == wire.NodeID(i) {
+				t.Errorf("node %d routes to %d through itself", i, r.Dst)
+			}
 		}
 	}
 	// Routes should reflect measured RTTs: direct cost for a pair must be
