@@ -5,9 +5,10 @@
 // temporarily increases (the paper's rapid failure detection), so failures
 // are detected within about one probing interval.
 //
-// The prober is passive with respect to scheduling ownership: it drives its
-// own per-destination timers through the node's transport.Env, and exposes
-// the measured link-state row that the routing layer announces.
+// The prober is passive with respect to scheduling ownership: it runs one
+// scheduler per node — each link keeps a single deadline (schedule.go) and one
+// timer through the node's transport.Env wakes the prober for the earliest —
+// and exposes the measured link-state row that the routing layer announces.
 package probe
 
 import (
@@ -31,9 +32,6 @@ type Config struct {
 	// FailThreshold is the number of consecutive losses that mark a link
 	// dead (default 5, as in RON).
 	FailThreshold int
-	// RapidFactor divides Interval for the accelerated probing that follows
-	// a first loss (default 5, so 5 rapid probes fit in one interval).
-	RapidFactor int
 	// Asymmetric additionally estimates one-way latencies from the probe
 	// reply's receive timestamp (footnote 2's "both costs"). Requires
 	// synchronized clocks across the overlay: exact under the simulator,
@@ -63,33 +61,30 @@ func (c *Config) fill() {
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 5
 	}
-	if c.RapidFactor <= 0 {
-		c.RapidFactor = 5
-	}
 }
 
-// EWMA smoothing factors for a link's latency and loss-rate estimates.
+// EWMA smoothing factors for a link's latency and loss-rate estimates, and
+// the divisor of Interval for the accelerated probing that follows a first
+// loss (five rapid probes fit in one interval).
 const (
 	latencyAlpha = 0.5
 	lossAlpha    = 0.1
+	rapidFactor  = 5
 )
 
-// linkState is the per-destination probe machine.
+// linkState is the per-destination probe machine. Its deadline — the reply
+// deadline while a probe is awaited, the next send otherwise — lives in the
+// prober's schedule.
 type linkState struct {
-	seq        uint32
-	awaiting   bool
-	awaitSeq   uint32
-	sentAt     time.Time
-	consec     int // consecutive losses
-	alive      bool
-	everAlive  bool
-	latency    stats.EWMA
-	outLat     stats.EWMA // one-way toward the destination (asymmetric mode)
-	inLat      stats.EWMA // one-way back (asymmetric mode)
-	loss       stats.EWMA
-	probeFn    func()          // sends the next probe; built once when the link starts
-	probeTimer transport.Timer // next scheduled send
-	checkTimer transport.Timer // pending reply timeout
+	seq       uint32 // of the last probe sent: the awaited one while awaiting
+	awaiting  bool
+	consec    int // consecutive losses
+	alive     bool
+	everAlive bool
+	latency   stats.EWMA
+	outLat    stats.EWMA // one-way toward the destination (asymmetric mode)
+	inLat     stats.EWMA // one-way back (asymmetric mode)
+	loss      stats.EWMA
 }
 
 // Prober monitors the links from one node to every other node in the view.
@@ -103,6 +98,15 @@ type Prober struct {
 	row     []wire.LinkEntry
 	asymRow []wire.AsymEntry // maintained only in asymmetric mode
 
+	// One scheduler for every link: sched holds their deadlines and the one
+	// timer is armed for the earliest. A reply only moves a deadline later, so
+	// it never arms: a wake that comes early finds nothing due and re-arms.
+	sched  schedule
+	epoch  time.Time       // deadlines count from here
+	timer  transport.Timer // fires wake
+	armed  time.Duration   // when timer fires; never while none is pending
+	wakeFn func()          // p.wake, bound once
+
 	// OnLinkChange, if non-nil, is invoked when a link transitions between
 	// alive and dead. slot is the destination's grid slot.
 	OnLinkChange func(slot int, alive bool)
@@ -113,7 +117,8 @@ type Prober struct {
 // New creates a prober for the node occupying slot self in view.
 func New(env transport.Env, cfg Config, view *membership.ViewInfo, self int) *Prober {
 	cfg.fill()
-	p := &Prober{env: env, cfg: cfg, view: view, self: self}
+	p := &Prober{env: env, cfg: cfg, view: view, self: self, epoch: env.Now()}
+	p.wakeFn = p.wake
 	p.reset(view, self)
 	return p
 }
@@ -130,15 +135,10 @@ func coldLink() linkState {
 
 // reset rebuilds per-destination state for a view.
 func (p *Prober) reset(view *membership.ViewInfo, self int) {
-	for i := range p.links {
-		if t := p.links[i].probeTimer; t != nil {
-			t.Stop()
-		}
-		if t := p.links[i].checkTimer; t != nil {
-			t.Stop()
-		}
-	}
+	p.disarm()
 	n := view.Slots()
+	p.sched = schedule{}
+	p.sched.grow(n)
 	p.view = view
 	p.self = self
 	p.links = make([]linkState, n)
@@ -162,12 +162,12 @@ func (p *Prober) reset(view *membership.ViewInfo, self int) {
 // SetView installs a new membership view, with exactly two outcomes. A
 // stable extension (membership.StableExtension — the only kind of change a
 // coordinator reign produces) touches nothing but the slots the change
-// names: unchanged members keep their link state, running probe timers, and
-// in-flight probes bit-for-bit; retired slots are stopped and reset cold;
+// names: unchanged members keep their link state, deadlines, and in-flight
+// probes bit-for-bit; retired slots lose their deadline and reset cold;
 // started slots get a staggered first probe. Any other install goes cold, as
-// a new prober does: every timer is stopped, every link forgotten, and
-// probing restarts from scratch — estimates are owned by node IDs, and
-// nothing ties the old slots to the new ones.
+// a new prober does: the timer is stopped, every link forgotten, and probing
+// restarts from scratch — estimates are owned by node IDs, and nothing ties
+// the old slots to the new ones.
 func (p *Prober) SetView(view *membership.ViewInfo, self int) {
 	retired, started, stable := membership.StableExtension(p.view, p.self, view, self)
 	if !stable {
@@ -184,18 +184,14 @@ func (p *Prober) SetView(view *membership.ViewInfo, self int) {
 			p.asymRow = append(p.asymRow, wire.AsymEntry{Status: wire.StatusDead})
 		}
 	}
+	p.sched.grow(n)
 	// A reused slot (retired and started at once) probes fresh: the estimates
 	// belonged to the departed node, not the slot.
 	for _, s := range retired {
 		ls := &p.links[s]
-		if ls.probeTimer != nil {
-			ls.probeTimer.Stop()
-		}
-		if ls.checkTimer != nil {
-			ls.checkTimer.Stop()
-		}
 		wasAlive := ls.alive
 		*ls = coldLink()
+		p.sched.set(s, never)
 		p.row[s] = wire.LinkEntry{Latency: 0, Status: wire.StatusDead}
 		if p.asymRow != nil {
 			p.asymRow[s] = wire.AsymEntry{Status: wire.StatusDead}
@@ -204,17 +200,48 @@ func (p *Prober) SetView(view *membership.ViewInfo, self int) {
 			p.OnLinkChange(s, false)
 		}
 	}
+	now := p.now()
 	for _, s := range started {
-		p.startLink(s, time.Duration(p.env.Rand().Int63n(int64(p.cfg.Interval))))
+		p.sched.set(s, now+time.Duration(p.env.Rand().Int63n(int64(p.cfg.Interval))))
+	}
+	p.arm(now)
+}
+
+// now is the env's clock on the schedule's scale.
+func (p *Prober) now() time.Duration { return p.env.Now().Sub(p.epoch) }
+
+// arm makes the one timer fire no later than the earliest deadline. It never
+// moves a pending timer later.
+func (p *Prober) arm(now time.Duration) {
+	if next := p.sched.due[p.sched.first()]; next < p.armed {
+		p.disarm()
+		p.armed = next
+		p.timer = p.env.After(next-now, p.wakeFn)
 	}
 }
 
-// startLink schedules slot's first probe after delay. The callback built here
-// is the one every later re-arm of the link reuses.
-func (p *Prober) startLink(slot int, delay time.Duration) {
-	ls := &p.links[slot]
-	ls.probeFn = func() { p.sendProbe(slot) }
-	ls.probeTimer = p.env.After(delay, ls.probeFn)
+// disarm stops the timer.
+func (p *Prober) disarm() {
+	if p.timer != nil {
+		p.timer.Stop()
+	}
+	p.armed = never
+}
+
+// wake serves, in (deadline, slot) order, every link whose deadline has
+// passed — a probe still awaited is counted lost, otherwise the next one is
+// sent, and either moves that link's deadline later — then re-arms the timer.
+func (p *Prober) wake() {
+	p.armed = never // the timer has fired
+	now := p.now()
+	for slot := p.sched.first(); p.sched.due[slot] <= now; slot = p.sched.first() {
+		if p.links[slot].awaiting {
+			p.onTimeout(slot, now)
+		} else {
+			p.sendProbe(slot, now)
+		}
+	}
+	p.arm(now)
 }
 
 // Start begins probing all destinations, staggering initial probes uniformly
@@ -224,6 +251,7 @@ func (p *Prober) startLink(slot int, delay time.Duration) {
 // (they are what the quorum algorithm routes through), and the long tail of
 // the mesh fills in over the next few intervals.
 func (p *Prober) Start() {
+	now := p.now()
 	ramp := p.rampSlots()
 	for slot := 0; slot < p.view.Slots(); slot++ {
 		if slot == p.self || !p.view.Occupied(slot) {
@@ -233,8 +261,9 @@ func (p *Prober) Start() {
 		if ramp != nil && ramp[slot] {
 			window = time.Duration(p.cfg.RampIntervals) * p.cfg.Interval
 		}
-		p.startLink(slot, time.Duration(p.env.Rand().Int63n(int64(window))))
+		p.sched.set(slot, now+time.Duration(p.env.Rand().Int63n(int64(window))))
 	}
+	p.arm(now)
 }
 
 // rampSlots returns the set of slots eligible for ramped (delayed) initial
@@ -267,15 +296,14 @@ func (p *Prober) rampSlots() []bool {
 	return ramp
 }
 
-// Stop cancels all timers.
+// Stop ends probing: the timer is stopped and every link gives up its deadline
+// and its probe in flight, so a reply that lands later starts nothing and
+// Start sends first where it would have counted a loss.
 func (p *Prober) Stop() {
-	for i := range p.links {
-		if t := p.links[i].probeTimer; t != nil {
-			t.Stop()
-		}
-		if t := p.links[i].checkTimer; t != nil {
-			t.Stop()
-		}
+	p.disarm()
+	for slot := range p.links {
+		p.links[slot].awaiting = false
+		p.sched.set(slot, never)
 	}
 }
 
@@ -334,28 +362,22 @@ func (p *Prober) ConcurrentFailures() int {
 	return c
 }
 
-// sendProbe transmits the next probe to slot and arms the reply timeout.
-func (p *Prober) sendProbe(slot int) {
+// sendProbe transmits the next probe to slot; its deadline becomes the end of
+// the reply window.
+func (p *Prober) sendProbe(slot int, now time.Duration) {
 	ls := &p.links[slot]
 	ls.seq++
 	ls.awaiting = true
-	ls.awaitSeq = ls.seq
-	ls.sentAt = p.env.Now()
-	dst := p.view.IDAt(slot)
-	p.env.Send(dst, wire.AppendProbe(nil, p.env.LocalID(), wire.Probe{
+	p.env.Send(p.view.IDAt(slot), wire.AppendProbe(nil, p.env.LocalID(), wire.Probe{
 		Seq:  ls.seq,
-		Echo: ls.sentAt.UnixNano(),
+		Echo: p.env.Now().UnixNano(),
 	}))
-	seq := ls.seq // capture: awaitSeq may advance before the timeout fires
-	ls.checkTimer = p.env.After(p.cfg.ReplyTimeout, func() { p.onTimeout(slot, seq) })
+	p.sched.set(slot, now+p.cfg.ReplyTimeout)
 }
 
-// onTimeout fires when a probe's reply window closes.
-func (p *Prober) onTimeout(slot int, seq uint32) {
+// onTimeout counts the awaited probe lost: slot's reply window has closed.
+func (p *Prober) onTimeout(slot int, now time.Duration) {
 	ls := &p.links[slot]
-	if !ls.awaiting || ls.awaitSeq != seq {
-		return // answered in the meantime
-	}
 	ls.awaiting = false
 	ls.consec++
 	ls.loss.Update(1)
@@ -371,12 +393,12 @@ func (p *Prober) onTimeout(slot int, seq uint32) {
 	// afterwards so recovery is still noticed.
 	next := p.cfg.Interval
 	if ls.consec > 0 && ls.consec < p.cfg.FailThreshold {
-		next = p.cfg.Interval / time.Duration(p.cfg.RapidFactor)
+		next = p.cfg.Interval / rapidFactor
 		if next > p.cfg.ReplyTimeout {
 			next -= p.cfg.ReplyTimeout
 		}
 	}
-	ls.probeTimer = p.env.After(next, ls.probeFn)
+	p.sched.set(slot, now+next)
 }
 
 // HandleProbe answers an incoming probe. The overlay dispatches TProbe here.
@@ -404,13 +426,10 @@ func (p *Prober) HandleReply(h wire.Header, body []byte) {
 		return
 	}
 	ls := &p.links[slot]
-	if !ls.awaiting || r.Seq != ls.awaitSeq {
+	if !ls.awaiting || r.Seq != ls.seq {
 		return // duplicate or late reply
 	}
 	ls.awaiting = false
-	if ls.checkTimer != nil {
-		ls.checkTimer.Stop()
-	}
 	now := p.env.Now()
 	rtt := now.Sub(time.Unix(0, r.Echo))
 	if rtt < 0 {
@@ -442,7 +461,7 @@ func (p *Prober) HandleReply(h wire.Header, body []byte) {
 	if p.OnMeasure != nil {
 		p.OnMeasure(slot, rtt)
 	}
-	ls.probeTimer = p.env.After(p.cfg.Interval, ls.probeFn)
+	p.sched.set(slot, now.Sub(p.epoch)+p.cfg.Interval)
 }
 
 // updateStatus refreshes the row entry for slot from the link estimators.

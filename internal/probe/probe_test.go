@@ -115,7 +115,7 @@ func TestSelfAlwaysAlive(t *testing.T) {
 func TestDetectsFailureWithinOnePeriod(t *testing.T) {
 	// Paper: rapid probing after a first loss detects failure within ~1
 	// probing interval of the first lost probe.
-	cfg := Config{Interval: 30 * time.Second, ReplyTimeout: 3 * time.Second, FailThreshold: 5, RapidFactor: 5}
+	cfg := Config{Interval: 30 * time.Second, ReplyTimeout: 3 * time.Second, FailThreshold: 5}
 	f := newFixture(t, 2, cfg, 10*time.Millisecond)
 	f.startAll()
 	f.nw.RunFor(2 * time.Minute) // settle: both links alive
@@ -358,10 +358,24 @@ func TestSetViewCarriesMeasurements(t *testing.T) {
 	if !ok || !p.Alive(1) {
 		t.Fatal("link 0->1 not measured before the view change")
 	}
+	for !p.links[1].awaiting { // change the view with a probe in flight
+		f.nw.Step()
+	}
+	links := [2]linkState{p.links[1], p.links[2]}
+	due := [2]time.Duration{p.sched.due[1], p.sched.due[2]}
 
 	// Node 3 joins at a new slot; nobody moves.
 	next := membership.NewStaticView([]wire.NodeID{0, 1, 2, 3})
 	p.SetView(next, 0)
+	if links != [2]linkState{p.links[1], p.links[2]} || due != [2]time.Duration{p.sched.due[1], p.sched.due[2]} {
+		t.Error("surviving links' state, in-flight probe or deadline changed across SetView")
+	}
+	if d := p.sched.due[3] - p.now(); d < 0 || d >= cfg.Interval {
+		t.Errorf("newcomer's first probe due in %v, want inside one interval", d)
+	}
+	if p.armed != p.sched.due[p.sched.first()] {
+		t.Errorf("timer armed for %v, earliest deadline %v", p.armed, p.sched.due[p.sched.first()])
+	}
 	if !p.Alive(1) || !p.Alive(2) {
 		t.Error("surviving links lost liveness across SetView")
 	}
@@ -380,6 +394,12 @@ func TestSetViewCarriesMeasurements(t *testing.T) {
 	if !wire.StatusAlive(row[0].Status) || row[0].Latency != 0 {
 		t.Errorf("self entry = %+v", row[0])
 	}
+	// The probe in flight at the change is answered and folded in.
+	seq := p.links[1].seq
+	f.nw.RunFor(cfg.ReplyTimeout)
+	if ls := p.links[1]; ls.awaiting || ls.seq != seq || ls.consec != 0 {
+		t.Errorf("in-flight probe not folded in after SetView: %+v", ls)
+	}
 }
 
 func TestSetViewRetiresDepartedSlot(t *testing.T) {
@@ -395,13 +415,18 @@ func TestSetViewRetiresDepartedSlot(t *testing.T) {
 
 	// Node 1 departs, leaving a tombstone: ID 2 keeps slot 2 and everything
 	// measured about it; slot 1 goes cold and its death is reported.
+	due2 := p.sched.due[2]
 	p.SetView(slotView(t, 2, 0, wire.NilNode, 2), 0)
 	got, ok := p.Latency(2)
-	if !ok || got != lat2 || !p.Alive(2) {
-		t.Errorf("survivor's latency = %.2f (ok=%v alive=%v), want %.2f", got, ok, p.Alive(2), lat2)
+	if !ok || got != lat2 || !p.Alive(2) || p.sched.due[2] != due2 {
+		t.Errorf("survivor's latency = %.2f (ok=%v alive=%v), want %.2f; deadline %v, want %v",
+			got, ok, p.Alive(2), lat2, p.sched.due[2], due2)
 	}
 	if _, ok := p.Latency(1); ok || p.Alive(1) || wire.StatusAlive(p.Row()[1].Status) {
 		t.Error("departed slot kept its measurements")
+	}
+	if p.links[1] != coldLink() || p.sched.due[1] != never {
+		t.Errorf("departed slot not cold: %+v, deadline %v", p.links[1], p.sched.due[1])
 	}
 	if alive, reported := f.changes[0][1]; !reported || alive {
 		t.Error("departed slot's death not reported through OnLinkChange")
@@ -415,7 +440,7 @@ func TestSetViewRetiresDepartedSlot(t *testing.T) {
 
 // TestSetViewNonStableGoesCold: an install that cannot be a stable extension
 // leaves the prober exactly as a new one on the same view — no estimate, no
-// liveness, no timer survives, since nothing ties the old slots to the new —
+// liveness, no deadline survives, since nothing ties the old slots to the new —
 // and probing restarts from scratch.
 func TestSetViewNonStableGoesCold(t *testing.T) {
 	cfg := Config{Interval: 10 * time.Second, ReplyTimeout: time.Second, Asymmetric: true}
@@ -436,30 +461,31 @@ func TestSetViewNonStableGoesCold(t *testing.T) {
 			if !p.Alive(1) || !p.Alive(2) || !p.Alive(3) {
 				t.Fatal("links not measured before the view change")
 			}
-			oldLinks := p.links
+			oldTimer := p.timer
 			next := slotView(t, 2, tc.ids...)
 			p.SetView(next, tc.self)
 			fresh := New(f.envs[0], cfg, next, tc.self)
-			bare := func(links []linkState) []linkState {
-				out := append([]linkState(nil), links...)
-				for i := range out {
-					out[i].probeFn, out[i].probeTimer, out[i].checkTimer = nil, nil, nil
-				}
-				return out
-			}
-			if !reflect.DeepEqual(bare(p.links), bare(fresh.links)) ||
+			if !reflect.DeepEqual(p.links, fresh.links) ||
 				!reflect.DeepEqual(p.Row(), fresh.Row()) || !reflect.DeepEqual(p.AsymRow(), fresh.AsymRow()) ||
 				p.view != next || p.self != tc.self {
 				t.Errorf("state after a non-stable install differs from a fresh prober's:\n got %+v\nwant %+v", p.links, fresh.links)
 			}
-			for s := range oldLinks {
-				if s != 0 && oldLinks[s].probeTimer.Stop() {
-					t.Errorf("old slot %d's probe timer still armed", s)
-				}
+			if oldTimer.Stop() {
+				t.Error("the old view's timer still armed")
 			}
-			for s := 0; s < next.Slots(); s++ {
-				if armed := p.links[s].probeTimer != nil; armed != (s != tc.self && next.Occupied(s)) {
-					t.Errorf("slot %d first probe armed = %v", s, armed)
+			// Its schedule is a fresh prober's after Start: a first probe
+			// inside one interval for every other member, nothing else.
+			if len(p.sched.due) != next.Slots() || p.armed != p.sched.due[p.sched.first()] {
+				t.Errorf("%d deadlines for %d slots, timer armed for %v, earliest %v",
+					len(p.sched.due), next.Slots(), p.armed, p.sched.due[p.sched.first()])
+			}
+			for s, due := range p.sched.due {
+				if s == tc.self || !next.Occupied(s) {
+					if due != never {
+						t.Errorf("slot %d has a deadline", s)
+					}
+				} else if d := due - p.now(); d < 0 || d >= cfg.Interval {
+					t.Errorf("slot %d first probe due in %v, want inside one interval", s, d)
 				}
 			}
 		})

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // StatusDead is the liveness/loss byte marking a dead link (5 consecutive
@@ -59,9 +60,9 @@ type Probe struct {
 // probeBodyLen is the encoded body size of Probe and ProbeReply.
 const probeBodyLen = 12
 
-// AppendProbe encodes p with its header.
+// AppendProbe encodes p with its header, growing b at most once.
 func AppendProbe(b []byte, src NodeID, p Probe) []byte {
-	b = AppendHeader(b, TProbe, src)
+	b = AppendHeader(slices.Grow(b, HeaderLen+probeBodyLen), TProbe, src)
 	b = binary.BigEndian.AppendUint32(b, p.Seq)
 	return binary.BigEndian.AppendUint64(b, uint64(p.Echo))
 }
@@ -80,9 +81,9 @@ type ProbeReply struct {
 // probeReplyBodyLen is the encoded body size of ProbeReply.
 const probeReplyBodyLen = 20
 
-// AppendProbeReply encodes r with its header.
+// AppendProbeReply encodes r with its header, growing b at most once.
 func AppendProbeReply(b []byte, src NodeID, r ProbeReply) []byte {
-	b = AppendHeader(b, TProbeReply, src)
+	b = AppendHeader(slices.Grow(b, HeaderLen+probeReplyBodyLen), TProbeReply, src)
 	b = binary.BigEndian.AppendUint32(b, r.Seq)
 	b = binary.BigEndian.AppendUint64(b, uint64(r.Echo))
 	return binary.BigEndian.AppendUint64(b, uint64(r.RecvAt))
