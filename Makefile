@@ -59,9 +59,9 @@ digest:
 	@SEEDS="$(SEEDS)" ./scripts/digest.sh
 
 # digest-check is "behaviour identical" as a red/green gate: the digests at
-# seeds 1 and 7 must equal scripts/digest.golden (~4 min). A change that means
-# to alter simulated behaviour re-captures the file in the same PR, in the
-# open: make digest SEEDS="1 7" > scripts/digest.golden
+# seeds 1 and 7 must equal scripts/digest.golden (≈ 1 min on 2 vCPU). A change
+# that means to alter simulated behaviour re-captures the file in the same PR,
+# in the open: make digest SEEDS="1 7" > scripts/digest.golden
 digest-check:
 	@SEEDS="1 7" ./scripts/digest.sh | diff scripts/digest.golden - \
 		&& echo "digest-check: all eight digests match scripts/digest.golden"

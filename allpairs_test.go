@@ -2,8 +2,11 @@ package allpairs
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"allpairs/internal/wire"
 )
 
 func TestNewSimulationValidation(t *testing.T) {
@@ -15,6 +18,18 @@ func TestNewSimulationValidation(t *testing.T) {
 	}
 	if _, err := NewSimulation(SimOptions{N: 4, LatencyMS: [][]float64{{0}}}); err == nil {
 		t.Error("mis-sized latency matrix accepted")
+	}
+}
+
+// TestNewSimulationRefusesPastWireCeiling: static IDs 0…N−1 and the view's
+// 16-bit slot count stop at wire.MaxSlots, the ceiling the coordinator's slot
+// allocator refuses at too (membership.TestSlotAllocatorRefusesPastWireCeiling).
+// The refusal comes before anything of size N² is built, or this test would
+// not return.
+func TestNewSimulationRefusesPastWireCeiling(t *testing.T) {
+	_, err := NewSimulation(SimOptions{N: wire.MaxSlots + 1})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(wire.MaxSlots)) {
+		t.Errorf("N=%d: err = %v, want a refusal naming the ceiling %d", wire.MaxSlots+1, err, wire.MaxSlots)
 	}
 }
 

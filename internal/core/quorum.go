@@ -136,13 +136,10 @@ type Quorum struct {
 	cfg  QuorumConfig
 	view *membership.ViewInfo
 	g    *grid.Grid
-	// dense caches the unmasked grid for the current slot count; successive
-	// views over the same slot space Remask it instead of rebuilding, so a
-	// stable extension's grid cost is proportional to the tombstone blast
-	// radius, not to n·√n.
-	dense *grid.Grid
-	self  int
-	seq   uint32
+	self int
+	seq  uint32
+
+	servers []int // g.Servers(self): the grid derives a set per call, round 1 reads this one every tick
 
 	table  *lsdb.Table  // rows received from rendezvous clients (directional in asymmetric mode)
 	routes []RouteEntry // per destination slot
@@ -196,14 +193,7 @@ func NewQuorum(env transport.Env, cfg QuorumConfig, view *membership.ViewInfo, s
 // silence clock started now. Pending reliable-mode acks reset either way; the
 // sequence number and cumulative stats survive both.
 func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
-	if q.dense == nil || q.dense.N() != view.Slots() {
-		dense, err := grid.New(view.Slots())
-		if err != nil {
-			return err
-		}
-		q.dense = dense
-	}
-	g, err := q.dense.Remask(view.OccupiedMask())
+	g, err := grid.NewMasked(view.Slots(), view.OccupiedMask())
 	if err != nil {
 		return err
 	}
@@ -215,7 +205,7 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		q.stats.ViewRemaps++
 	}
 	n := view.Slots()
-	q.view, q.g, q.self = view, g, self
+	q.view, q.g, q.self, q.servers = view, g, self, g.Servers(self)
 	if stable {
 		q.table.Grow(n)
 		q.routes = append(q.routes, make([]RouteEntry, n-len(q.routes))...)
@@ -258,29 +248,45 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 // either end of it; every other — a new or reused slot, a newly appointed
 // deputy, everything after a cold install — starts now: grace runs from when
 // a duty began, never from the last view change.
+//
+// k is a rendezvous of (self, dst) exactly when k is one of this node's servers
+// and holds dst's row — dst is k or one of k's clients (the relation is
+// symmetric) — so the table is filled by walking the 2√n servers, ≈ 4n steps,
+// not by intersecting two server sets per destination. Servers ascend, so each
+// destination's pairings come out in slot order.
 func (q *Quorum) pairRendezvous(retired []int) {
 	n := q.view.Slots()
 	now := q.env.Now().UnixNano()
-	rv := make([]rendezvous, 0, len(q.rv))
-	off := make([]int32, n+1)
-	for dst := 0; dst < n; dst++ {
-		off[dst] = int32(len(rv))
-		if dst == q.self || !q.view.Occupied(dst) {
-			continue
+	// Pairings are counted one entry late: after the running sum off[dst+1] is
+	// where dst's begin, and filling advances it to where they end, which is
+	// where dst+1's begin — leaving off[:n+1] the offsets.
+	off := make([]int32, n+2)
+	held := make([][]int, len(q.servers)) // per server, whose rows it holds
+	for i, k := range q.servers {
+		held[i] = append(q.g.Clients(k), k)
+		for _, dst := range held[i] {
+			off[dst+2]++
 		}
-		for _, k := range q.g.Common(q.self, dst) {
-			if k == q.self {
+	}
+	off[q.self+2] = 0
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	rv := make([]rendezvous, off[n+1])
+	for i, k := range q.servers {
+		for _, dst := range held[i] {
+			if dst == q.self {
 				continue
 			}
 			heard := now
 			if p := q.pairing(dst, k); p != nil && !slices.Contains(retired, dst) && !slices.Contains(retired, k) {
 				heard = p.heard
 			}
-			rv = append(rv, rendezvous{slot: int32(k), heard: heard})
+			rv[off[dst+1]] = rendezvous{slot: int32(k), heard: heard}
+			off[dst+1]++
 		}
 	}
-	off[n] = int32(len(rv))
-	q.rv, q.rvOff = rv, off
+	q.rv, q.rvOff = rv, off[:n+1]
 }
 
 // pairing returns dst's silence-table entry for rendezvous k, or nil.
@@ -304,17 +310,13 @@ func retireRoutes(routes []RouteEntry, retired []int) {
 	if len(retired) == 0 {
 		return
 	}
-	gone := make([]bool, len(routes))
-	for _, s := range retired {
-		gone[s] = true
-	}
 	for dst := range routes {
 		e := &routes[dst]
 		switch {
 		case e.Source == SourceNone:
-		case gone[dst] || (e.Hop >= 0 && e.Hop < len(gone) && gone[e.Hop]):
+		case slices.Contains(retired, dst) || slices.Contains(retired, e.Hop):
 			*e = RouteEntry{}
-		case e.From >= 0 && e.From < len(gone) && gone[e.From]:
+		case slices.Contains(retired, e.From):
 			e.From = -1
 		}
 	}
@@ -344,7 +346,7 @@ func (q *Quorum) Tick() {
 // activeServers appends the default servers with live links plus any
 // recruited failover servers, in destination order.
 func (q *Quorum) activeServers(dst []int) []int {
-	for _, s := range q.g.Servers(q.self) {
+	for _, s := range q.servers {
 		if q.LinkAlive(s) {
 			dst = append(dst, s)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -272,5 +273,121 @@ func TestSilenceStateBound(t *testing.T) {
 			t.Logf("n=%d dead=%d%%: worst node holds %d pairings (%.2f of the dense bound %d)",
 				n, deadPct, worst, float64(worst)/float64(dense), dense)
 		}
+	}
+}
+
+// checkSilenceSlots holds the silence table to the grid: toward every
+// destination, the pairings' slots are grid.Common(self, dst) less self, in
+// order. pairRendezvous fills the table by walking this node's servers and
+// their clients instead, which is right only while the relation is symmetric.
+func checkSilenceSlots(t *testing.T, q *Quorum) {
+	t.Helper()
+	for dst := 0; dst < q.view.Slots(); dst++ {
+		var want []int32
+		if q.view.Occupied(dst) {
+			for _, k := range q.g.Common(q.self, dst) {
+				if k != q.self {
+					want = append(want, int32(k))
+				}
+			}
+		}
+		var got []int32
+		for _, p := range q.rv[q.rvOff[dst]:q.rvOff[dst+1]] {
+			got = append(got, p.slot)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d self=%d: pairings toward slot %d are %v, Common less self is %v",
+				q.view.Slots(), q.self, dst, got, want)
+		}
+	}
+}
+
+// TestSilenceTableMatchesCommon: after a cold install, and after a stable one
+// that retires a member, reuses a tombstone and appends a slot, on dense and
+// 5–30 %-tombstoned views.
+func TestSilenceTableMatchesCommon(t *testing.T) {
+	for _, n := range []int{9, 60, 200, 324} {
+		for _, deadPct := range []int{0, 5, 15, 30} {
+			ids := make([]wire.NodeID, n)
+			rng := rand.New(rand.NewSource(int64(n + deadPct)))
+			for s := range ids {
+				ids[s] = wire.NodeID(s)
+				if s > 0 && rng.Intn(100) < deadPct {
+					ids[s] = wire.NilNode
+				}
+			}
+			// The stable successor: the last member leaves, the first tombstone
+			// (if any) is filled, one slot is appended.
+			next := append(append([]wire.NodeID(nil), ids...), wire.NodeID(n))
+			for s := n - 1; s > 0; s-- {
+				if next[s] != wire.NilNode {
+					next[s] = wire.NilNode
+					break
+				}
+			}
+			for s, id := range ids {
+				if id == wire.NilNode {
+					next[s] = wire.NodeID(n + 1)
+					break
+				}
+			}
+			view, nextView := slotView(t, 1, ids...), slotView(t, 2, next...)
+			env, _ := soloEnv()
+			for self := 0; self < n; self += max(1, n/24) {
+				if ids[self] == wire.NilNode || next[self] == wire.NilNode {
+					continue
+				}
+				q, err := NewQuorum(env, QuorumConfig{}, view, self)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSilenceSlots(t, q)
+				if err := q.SetView(nextView, self); err != nil {
+					t.Fatal(err)
+				}
+				if q.Stats().ViewExtends != 1 {
+					t.Fatalf("n=%d dead=%d%% self=%d: second install was not a stable extension", n, deadPct, self)
+				}
+				checkSilenceSlots(t, q)
+			}
+		}
+	}
+}
+
+// TestQuorumStableInstallAllocs: a stable install allocates the tables it
+// installs and one server set per rendezvous server, not a grid's worth of
+// them. The measured op is BenchmarkViewRemap's: the last slot's member joins,
+// then leaves.
+func TestQuorumStableInstallAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's instrumentation allocates on its own")
+			}
+		}
+	}
+	const n = 500
+	ids := make([]wire.NodeID, n+1)
+	for s := range ids {
+		ids[s] = wire.NodeID(s)
+	}
+	joined := slotView(t, 2, ids...)
+	ids[n] = wire.NilNode
+	left := slotView(t, 1, ids...)
+	env, _ := soloEnv()
+	q, err := NewQuorum(env, QuorumConfig{}, left, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if q.SetView(joined, 0) != nil || q.SetView(left, 0) != nil {
+			t.Fatal("install failed")
+		}
+	})
+	if st := q.Stats(); st.ViewRemaps != 0 {
+		t.Fatalf("%d installs went cold", st.ViewRemaps)
+	}
+	if allocs > 300 {
+		t.Errorf("%.0f allocations per join+leave at n=%d, want at most 300", allocs, n)
 	}
 }

@@ -3,6 +3,7 @@ package emul
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"allpairs/internal/core"
@@ -583,16 +584,22 @@ func RedundancyAblation(env *traces.Env) (double, single float64) {
 	if err != nil {
 		return 0, 0
 	}
+	// The grid derives a server set per call and the sweep reads each 2n
+	// times: derive them once.
+	servers := make([][]int, n)
+	for i := range servers {
+		servers[i] = g.Servers(i)
+	}
 	pairs := 0
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			if a == b {
 				continue
 			}
-			common := g.Common(a, b)
 			var probs []float64
-			for _, k := range common {
-				if k == a {
+			for _, k := range servers[a] {
+				// a's rendezvous for b: b itself, or a server the two share.
+				if _, shared := slices.BinarySearch(servers[b], k); k != b && !shared {
 					continue
 				}
 				var pFail float64

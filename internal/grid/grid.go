@@ -15,6 +15,12 @@
 // vice versa), restoring the two-server intersection property without
 // doubling any node's load.
 //
+// A Grid stores no rendezvous sets. It is its shape, an occupancy mask and the
+// deputy of every row and column — O(n) to build, n bytes and O(√n) words to
+// keep — and Servers derives one slot's set per call, by one rule for dense
+// and tombstoned grids alike. A node needs its own set and, at a view change,
+// those of its 2√n servers; nobody needs all n.
+//
 // The package works on grid slots (integers 0..n-1). Mapping slots to node
 // IDs — by filling the grid from the sorted member list — is the membership
 // layer's job, which keeps this package a pure, exhaustively testable
@@ -24,7 +30,7 @@ package grid
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Grid is an immutable quorum layout for n nodes. All methods are safe for
@@ -35,17 +41,35 @@ type Grid struct {
 	cols    int
 	lastRow int // number of occupied slots in the final row
 
-	// occupied is the per-slot liveness mask of a masked grid (NewMasked),
-	// or nil for the dense construction where every slot holds a node.
+	// occupied is the per-slot liveness mask, or nil when every slot holds a
+	// node.
 	occupied []bool
 
-	// servers[i] is the sorted rendezvous server set of slot i (its row and
-	// column, plus blank-compensation extras; never includes i itself).
-	servers [][]int
+	// rowDep[r] and colDep[c] are the deputies: the first occupied slot of each
+	// row and column, or -1 when a whole line is tombstoned (then the §4.2
+	// link-state fallback carries any residual pair at runtime).
+	rowDep, colDep []int
 }
 
 // New constructs the grid quorum for n ≥ 1 nodes.
-func New(n int) (*Grid, error) {
+func New(n int) (*Grid, error) { return NewMasked(n, nil) }
+
+// NewMasked constructs the grid quorum over an n-slot space in which only
+// the slots with occupied[s] == true hold live nodes; the rest are
+// tombstones left behind by departed members. A nil mask (or one with every
+// slot true) yields exactly New(n).
+//
+// The layout (rows, columns, blank compensation) is computed over the full
+// n-slot space — slot positions never move when the mask changes, which is
+// what makes one join or leave an O(1) perturbation. Tombstoned rendezvous
+// servers are patched by deputy substitution: a dead server that a node
+// relied on to reach a column is replaced by that column's first occupied
+// slot, and one relied on to reach a row by that row's first occupied slot.
+// The substitute lands inside the column (row) that the other endpoint of
+// every affected pair already serves, so any occupied pair whose corner died
+// still shares at least one rendezvous. The relation is symmetrized, so
+// R_i = C_i continues to hold. Tombstoned slots have empty server sets.
+func NewMasked(n int, occupied []bool) (*Grid, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("grid: need at least 1 node, got %d", n)
 	}
@@ -59,7 +83,7 @@ func New(n int) (*Grid, error) {
 		ceil = floor + 1
 	}
 
-	g := &Grid{n: n}
+	g := Grid{n: n}
 	if root-float64(floor) < 0.5 {
 		g.rows, g.cols = ceil, floor
 	} else {
@@ -76,265 +100,29 @@ func New(n int) (*Grid, error) {
 	if g.lastRow <= 0 {
 		return nil, fmt.Errorf("grid: internal error, empty last row for n=%d", n)
 	}
-
-	g.servers = make([][]int, n)
-	for i := 0; i < n; i++ {
-		g.servers[i] = g.buildServers(i)
-	}
-	return g, nil
-}
-
-// NewMasked constructs the grid quorum over an n-slot space in which only
-// the slots with occupied[s] == true hold live nodes; the rest are
-// tombstones left behind by departed members. A nil mask (or one with every
-// slot true) yields exactly New(n), so fully occupied views pay nothing.
-//
-// The layout (rows, columns, blank compensation) is computed over the full
-// n-slot space — slot positions never move when the mask changes, which is
-// what makes one join or leave an O(1) perturbation. Tombstoned rendezvous
-// servers are patched by deputy substitution: a dead server that a node
-// relied on to reach a column is replaced by that column's first occupied
-// slot, and one relied on to reach a row by that row's first occupied slot.
-// The substitute lands inside the column (row) that the other endpoint of
-// every affected pair already serves, so any occupied pair whose corner died
-// still shares at least one rendezvous. The relation is symmetrized, so
-// R_i = C_i continues to hold. Tombstoned slots have empty server sets.
-func NewMasked(n int, occupied []bool) (*Grid, error) {
-	g, err := New(n)
-	if err != nil {
-		return nil, err
-	}
 	return g.Remask(occupied)
 }
 
-// Remask derives a masked grid from a dense one without rebuilding it: only
-// the slots a tombstone can have perturbed — the dead slot's row, column,
-// blank-compensation partners, and line deputies — get fresh server sets;
-// every other slot shares the dense grid's slice. With d tombstones the cost
-// is O(d·n) instead of the dense construction's O(n·√n), which is what keeps
-// a single join or leave O(1) per member at the grid layer too. The receiver
-// must be dense (Remask of a Remask would compound substitutions); a nil or
-// all-true mask returns the receiver unchanged.
+// Remask returns a grid of the receiver's shape over another occupancy mask
+// (nil: every slot occupied), whatever mask the receiver had: one O(n) pass
+// finds the deputies, and nothing else about a grid depends on the mask.
 func (g *Grid) Remask(occupied []bool) (*Grid, error) {
-	if g.occupied != nil {
-		return nil, fmt.Errorf("grid: Remask requires a dense grid")
-	}
-	if occupied == nil {
-		return g, nil
-	}
-	if len(occupied) != g.n {
+	if occupied != nil && len(occupied) != g.n {
 		return nil, fmt.Errorf("grid: mask length %d != %d slots", len(occupied), g.n)
 	}
-	var dead []int
-	for s, o := range occupied {
-		if !o {
-			dead = append(dead, s)
+	m := *g
+	m.occupied = slices.Clone(occupied)
+	dep := make([]int, g.rows+g.cols)
+	for i := range dep {
+		dep[i] = -1
+	}
+	m.rowDep, m.colDep = dep[:g.rows:g.rows], dep[g.rows:]
+	for s := g.n - 1; s >= 0; s-- { // descending, so the first occupied slot of a line is written last
+		if m.live(s) {
+			m.rowDep[s/g.cols], m.colDep[s%g.cols] = s, s
 		}
 	}
-	if len(dead) == 0 {
-		return g, nil
-	}
-	// Deputies: the first occupied slot of each column and row, or -1 when a
-	// whole line is tombstoned (then the §4.2 link-state fallback carries any
-	// residual pair at runtime).
-	colDep := make([]int, g.cols)
-	for c := range colDep {
-		colDep[c] = -1
-		for r := 0; r < g.rows; r++ {
-			if s, ok := g.SlotAt(r, c); ok && occupied[s] {
-				colDep[c] = s
-				break
-			}
-		}
-	}
-	rowDep := make([]int, g.rows)
-	for r := range rowDep {
-		rowDep[r] = -1
-		for c := 0; c < g.cols; c++ {
-			if s, ok := g.SlotAt(r, c); ok && occupied[s] {
-				rowDep[r] = s
-				break
-			}
-		}
-	}
-	// Touched slots: the only ones whose server sets can differ from the
-	// dense grid's. Every substitution an occupied slot performs targets the
-	// deputy of a dead slot's line, and every slot performing one sits in a
-	// dead slot's row/column or is its compensation partner — so rebuilding
-	// exactly these (with the symmetrizing pass below restricted to them)
-	// reproduces the full construction.
-	touched := make([]bool, g.n)
-	mark := func(s int) {
-		if s >= 0 {
-			touched[s] = true
-		}
-	}
-	for _, d := range dead {
-		r, c := g.Position(d)
-		mark(d)
-		for cc := 0; cc < g.cols; cc++ {
-			if s, ok := g.SlotAt(r, cc); ok {
-				mark(s)
-			}
-		}
-		for rr := 0; rr < g.rows; rr++ {
-			if s, ok := g.SlotAt(rr, c); ok {
-				mark(s)
-			}
-		}
-		mark(colDep[c])
-		mark(rowDep[r])
-		if k := g.lastRow; k < g.cols {
-			if r == g.rows-1 {
-				for j := k; j < g.cols; j++ {
-					if s, ok := g.SlotAt(c, j); ok {
-						mark(s)
-					}
-				}
-			}
-			if c >= k && r < k {
-				if s, ok := g.SlotAt(g.rows-1, r); ok {
-					mark(s)
-				}
-			}
-		}
-	}
-	sets := make([][]int, g.n)
-	add := func(a, b int) {
-		if b < 0 || a == b || !occupied[b] {
-			return
-		}
-		if touched[a] {
-			sets[a] = append(sets[a], b)
-		}
-		if touched[b] {
-			sets[b] = append(sets[b], a)
-		}
-	}
-	for x := 0; x < g.n; x++ {
-		if !touched[x] || !occupied[x] {
-			continue
-		}
-		r, c := g.Position(x)
-		// Row mates reach their column: a dead mate is replaced by that
-		// column's deputy.
-		for cc := 0; cc < g.cols; cc++ {
-			if s, ok := g.SlotAt(r, cc); ok && s != x {
-				if occupied[s] {
-					add(x, s)
-				} else {
-					add(x, colDep[cc])
-				}
-			}
-		}
-		// Column mates reach their row: a dead mate is replaced by that
-		// row's deputy.
-		for rr := 0; rr < g.rows; rr++ {
-			if s, ok := g.SlotAt(rr, c); ok && s != x {
-				if occupied[s] {
-					add(x, s)
-				} else {
-					add(x, rowDep[rr])
-				}
-			}
-		}
-		// Blank compensation, with the same substitution rules: the tail
-		// extras reach their column, the bottom-row extra reaches its row.
-		if k := g.lastRow; k < g.cols {
-			if r == g.rows-1 {
-				for j := k; j < g.cols; j++ {
-					if s, ok := g.SlotAt(c, j); ok {
-						if occupied[s] {
-							add(x, s)
-						} else {
-							add(x, colDep[j])
-						}
-					}
-				}
-			}
-			if c >= k && r < k {
-				if s, ok := g.SlotAt(g.rows-1, r); ok {
-					if occupied[s] {
-						add(x, s)
-					} else {
-						add(x, rowDep[g.rows-1])
-					}
-				}
-			}
-		}
-	}
-	servers := make([][]int, g.n)
-	for s := 0; s < g.n; s++ {
-		switch {
-		case !occupied[s]:
-			// tombstone: empty server set
-		case touched[s]:
-			list := sets[s]
-			sort.Ints(list)
-			out := list[:0]
-			prev := -1
-			for _, v := range list {
-				if v != prev {
-					out = append(out, v)
-					prev = v
-				}
-			}
-			servers[s] = out
-		default:
-			servers[s] = g.servers[s]
-		}
-	}
-	return &Grid{
-		n:        g.n,
-		rows:     g.rows,
-		cols:     g.cols,
-		lastRow:  g.lastRow,
-		occupied: append([]bool(nil), occupied...),
-		servers:  servers,
-	}, nil
-}
-
-// buildServers computes the rendezvous server set for one slot.
-func (g *Grid) buildServers(slot int) []int {
-	r, c := g.Position(slot)
-	set := make(map[int]struct{}, 2*g.rows)
-	// Row.
-	for cc := 0; cc < g.cols; cc++ {
-		if s, ok := g.SlotAt(r, cc); ok && s != slot {
-			set[s] = struct{}{}
-		}
-	}
-	// Column.
-	for rr := 0; rr < g.rows; rr++ {
-		if s, ok := g.SlotAt(rr, c); ok && s != slot {
-			set[s] = struct{}{}
-		}
-	}
-	// Blank compensation (§3, "Non perfect-square grids"), 0-indexed: with k
-	// occupied slots in the last row, the bottom-row node in column c0 < k is
-	// paired with the nodes (c0, j) for k ≤ j < cols, symmetrically.
-	if k := g.lastRow; k < g.cols {
-		if r == g.rows-1 {
-			// Bottom-row node at column c: extras are row c's tail.
-			for j := k; j < g.cols; j++ {
-				if s, ok := g.SlotAt(c, j); ok {
-					set[s] = struct{}{}
-				}
-			}
-		}
-		if c >= k && r < k {
-			// Tail-column node in row r < k: extra is bottom-row node (rows-1, r).
-			if s, ok := g.SlotAt(g.rows-1, r); ok {
-				set[s] = struct{}{}
-			}
-		}
-	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
+	return &m, nil
 }
 
 // N returns the number of nodes.
@@ -358,8 +146,10 @@ func (g *Grid) OccupiedSlot(slot int) bool {
 	if slot < 0 || slot >= g.n {
 		panic(fmt.Sprintf("grid: slot %d out of range [0,%d)", slot, g.n))
 	}
-	return g.occupied == nil || g.occupied[slot]
+	return g.live(slot)
 }
+
+func (g *Grid) live(slot int) bool { return g.occupied == nil || g.occupied[slot] }
 
 // Position returns the (row, col) of a slot. It panics if slot is out of
 // range, which always indicates a programming error in the caller.
@@ -383,14 +173,93 @@ func (g *Grid) SlotAt(row, col int) (slot int, ok bool) {
 	return s, true
 }
 
-// Servers returns slot's rendezvous server set: every other node in its row
-// and column, plus blank-compensation extras. The returned slice is owned by
-// the Grid and must not be modified.
+// rowEnd returns one past the last slot of row r (the final row may be short).
+func (g *Grid) rowEnd(r int) int { return min((r+1)*g.cols, g.n) }
+
+// Servers returns slot's sorted rendezvous server set, never including slot
+// itself and empty for a tombstone. It is computed on every call — O(√n), or
+// O(√n) per tombstone in a line slot is the deputy of — and the caller owns
+// the returned slice.
+//
+// Forward, slot relies on its row mates to reach their columns, on its column
+// mates to reach their rows, and on its blank-compensation partners (§3, "Non
+// perfect-square grids", 0-indexed: with k slots in the last row, the
+// bottom-row node in column c < k is paired with the nodes (c, j) for
+// k ≤ j < cols, symmetrically); a tombstone among them is replaced by the
+// deputy of the line it was relied on to reach. Inverse, because the relation
+// is symmetric, the deputy of a line inherits whoever relied on a tombstone
+// d to reach that line: d's row mates and, in a tail column, d's bottom-row
+// partner for a column deputy; d's column mates and, in the bottom row, d's
+// tail extras for a row deputy.
 func (g *Grid) Servers(slot int) []int {
-	if slot < 0 || slot >= g.n {
-		panic(fmt.Sprintf("grid: slot %d out of range [0,%d)", slot, g.n))
+	r, c := g.Position(slot)
+	if !g.live(slot) {
+		return nil
 	}
-	return g.servers[slot]
+	k, bottom := g.lastRow, g.rows-1
+	out := make([]int, 0, g.rows+2*g.cols)
+	for s := r * g.cols; s < g.rowEnd(r); s++ {
+		out = g.relyOn(out, s, g.colDep[s%g.cols])
+	}
+	for s := c; s < g.n; s += g.cols {
+		out = g.relyOn(out, s, g.rowDep[s/g.cols])
+	}
+	if r == bottom {
+		for j := k; j < g.cols; j++ {
+			out = g.relyOn(out, c*g.cols+j, g.colDep[j])
+		}
+	}
+	if c >= k && r < k {
+		out = g.relyOn(out, bottom*g.cols+r, g.rowDep[bottom])
+	}
+	if g.colDep[c] == slot { // inverse, as column deputy
+		for d := c; d < g.n; d += g.cols {
+			if g.live(d) {
+				continue
+			}
+			dr := d / g.cols
+			for y := dr * g.cols; y < g.rowEnd(dr); y++ {
+				out = g.relyOn(out, y, -1)
+			}
+			if c >= k && dr < k {
+				out = g.relyOn(out, bottom*g.cols+dr, -1)
+			}
+		}
+	}
+	if g.rowDep[r] == slot { // inverse, as row deputy
+		for d := r * g.cols; d < g.rowEnd(r); d++ {
+			if g.live(d) {
+				continue
+			}
+			dc := d % g.cols
+			for y := dc; y < g.n; y += g.cols {
+				out = g.relyOn(out, y, -1)
+			}
+			if r == bottom {
+				for j := k; j < g.cols; j++ {
+					out = g.relyOn(out, dc*g.cols+j, -1)
+				}
+			}
+		}
+	}
+	slices.Sort(out)
+	out = slices.Compact(out)
+	if i, found := slices.BinarySearch(out, slot); found {
+		out = slices.Delete(out, i, i+1)
+	}
+	return out
+}
+
+// relyOn appends s, or when s is a tombstone its stand-in deputy — nobody when
+// that is -1.
+func (g *Grid) relyOn(out []int, s, deputy int) []int {
+	if !g.live(s) {
+		s = deputy
+	}
+	if s < 0 {
+		return out
+	}
+	return append(out, s)
 }
 
 // Clients returns the slots for which slot acts as a rendezvous server. For
@@ -401,9 +270,8 @@ func (g *Grid) Clients(slot int) []int { return g.Servers(slot) }
 
 // IsServerOf reports whether server ∈ Servers(client).
 func (g *Grid) IsServerOf(server, client int) bool {
-	ss := g.Servers(client)
-	i := sort.SearchInts(ss, server)
-	return i < len(ss) && ss[i] == server
+	_, found := slices.BinarySearch(g.Servers(client), server)
+	return found
 }
 
 // Common returns the sorted set of nodes that can act as rendezvous for the
@@ -416,7 +284,11 @@ func (g *Grid) Common(a, b int) []int {
 	if a == b {
 		return nil
 	}
-	sa, sb := g.Servers(a), g.Servers(b)
+	return common(a, b, g.Servers(a), g.Servers(b))
+}
+
+// common is Common over a's and b's server sets.
+func common(a, b int, sa, sb []int) []int {
 	var out []int
 	i, j := 0, 0
 	for i < len(sa) && j < len(sb) {
@@ -432,28 +304,25 @@ func (g *Grid) Common(a, b int) []int {
 		}
 	}
 	// Endpoints acting as their own rendezvous.
-	if g.IsServerOf(b, a) {
+	if _, found := slices.BinarySearch(sa, b); found {
 		out = append(out, a, b)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
 // FailoverCandidates returns the slots a node may recruit as failover
 // rendezvous servers for destination dst: all other nodes in dst's row and
-// column (§4.1's 2√n candidate set). The caller filters by reachability. The
-// returned slice is owned by the Grid and must not be modified (it is dst's
-// server set, which by construction is exactly dst's row-column set).
+// column (§4.1's 2√n candidate set). The caller filters by reachability. It is
+// dst's server set, which by construction is exactly dst's row-column set.
 func (g *Grid) FailoverCandidates(dst int) []int { return g.Servers(dst) }
 
 // MaxLoad returns the maximum rendezvous set size over all slots. The paper
 // shows this is at most 2√n even with blank compensation.
 func (g *Grid) MaxLoad() int {
 	m := 0
-	for _, s := range g.servers {
-		if len(s) > m {
-			m = len(s)
-		}
+	for s := 0; s < g.n; s++ {
+		m = max(m, len(g.Servers(s)))
 	}
 	return m
 }
@@ -468,25 +337,29 @@ func (g *Grid) MaxLoad() int {
 // promise two); the load bound is relaxed in proportion to the tombstone
 // count, since a deputy inherits the pairs of the slots it stands in for.
 func (g *Grid) VerifyInvariants() error {
-	dead := 0
-	for i := 0; i < g.n; i++ {
-		if !g.OccupiedSlot(i) {
+	// Every check below reads every set many times over: derive each once.
+	sets := make([][]int, g.n)
+	dead, load := 0, 0
+	for i := range sets {
+		sets[i] = g.Servers(i)
+		load = max(load, len(sets[i]))
+		if !g.live(i) {
 			dead++
 		}
 	}
 	// Symmetry: j ∈ Servers(i) ⟺ i ∈ Servers(j); tombstones serve no one.
-	for i := 0; i < g.n; i++ {
-		if !g.OccupiedSlot(i) {
-			if len(g.servers[i]) != 0 {
-				return fmt.Errorf("grid: tombstoned slot %d has %d servers", i, len(g.servers[i]))
+	for i, set := range sets {
+		if !g.live(i) {
+			if len(set) != 0 {
+				return fmt.Errorf("grid: tombstoned slot %d has %d servers", i, len(set))
 			}
 			continue
 		}
-		for _, j := range g.servers[i] {
-			if !g.OccupiedSlot(j) {
+		for _, j := range set {
+			if !g.live(j) {
 				return fmt.Errorf("grid: slot %d names tombstoned server %d", i, j)
 			}
-			if !g.IsServerOf(i, j) {
+			if _, found := slices.BinarySearch(sets[j], i); !found {
 				return fmt.Errorf("grid: asymmetric rendezvous relation %d->%d", i, j)
 			}
 		}
@@ -494,14 +367,14 @@ func (g *Grid) VerifyInvariants() error {
 	// Pair coverage: every occupied pair shares a rendezvous; a dense grid
 	// with n ≥ 4 shares two.
 	for i := 0; i < g.n; i++ {
-		if !g.OccupiedSlot(i) {
+		if !g.live(i) {
 			continue
 		}
 		for j := i + 1; j < g.n; j++ {
-			if !g.OccupiedSlot(j) {
+			if !g.live(j) {
 				continue
 			}
-			c := g.Common(i, j)
+			c := common(i, j, sets[i], sets[j])
 			if len(c) == 0 {
 				return fmt.Errorf("grid: pair (%d,%d) has no common rendezvous", i, j)
 			}
@@ -514,8 +387,8 @@ func (g *Grid) VerifyInvariants() error {
 	// Each tombstone can push its row's and column's pairs onto a deputy, so
 	// the masked bound grows by one line per tombstone.
 	bound := (2 + dead) * int(math.Ceil(math.Sqrt(float64(g.n))))
-	if m := g.MaxLoad(); m > bound {
-		return fmt.Errorf("grid: max rendezvous load %d exceeds (2+dead)·⌈√n⌉ = %d", m, bound)
+	if load > bound {
+		return fmt.Errorf("grid: max rendezvous load %d exceeds (2+dead)·⌈√n⌉ = %d", load, bound)
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package grid
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -368,10 +370,11 @@ func TestNewMaskedSingleDeathPerturbsOneLine(t *testing.T) {
 	}
 }
 
-// referenceMasked is a naive oracle for the masked construction: it rebuilds
-// every occupied slot's server set from scratch with map-based symmetrized
-// insertion, exactly the rules Remask applies only to touched slots. Any slot
-// Remask wrongly leaves on its dense fast path shows up as a mismatch here.
+// referenceMasked is the reference implementation of the masked construction:
+// it builds every occupied slot's server set at once, forward rules only, with
+// map-based symmetrized insertion. Servers derives one set at a time and so
+// needs the inverse rules as well; any slot they miss shows up as a mismatch
+// here.
 func referenceMasked(t *testing.T, n int, occupied []bool) [][]int {
 	t.Helper()
 	g, err := New(n)
@@ -472,11 +475,42 @@ func referenceMasked(t *testing.T, n int, occupied []bool) [][]int {
 	return servers
 }
 
+// checkAgainstReference holds every slot's on-demand server set to the
+// reference construction over the same mask.
+func checkAgainstReference(t *testing.T, n int, occupied []bool) {
+	t.Helper()
+	g, err := NewMasked(n, occupied)
+	if err != nil {
+		t.Fatalf("n=%d mask=%v: %v", n, occupied, err)
+	}
+	want := referenceMasked(t, n, occupied)
+	for s := 0; s < n; s++ {
+		if !equalInts(g.Servers(s), want[s]) {
+			t.Fatalf("n=%d mask=%v slot %d: on demand %v != reference %v",
+				n, occupied, s, g.Servers(s), want[s])
+		}
+	}
+}
+
+// maskWithout returns an n-slot mask with the given slots tombstoned.
+func maskWithout(n int, dead ...int) []bool {
+	occupied := make([]bool, n)
+	for i := range occupied {
+		occupied[i] = true
+	}
+	for _, s := range dead {
+		if s < n {
+			occupied[s] = false
+		}
+	}
+	return occupied
+}
+
 func TestRemaskMatchesFullRebuild(t *testing.T) {
-	// Remask only recomputes slots in the blast radius of a tombstone and
-	// aliases the dense set everywhere else; this must be indistinguishable
-	// from rebuilding every slot. Masks cover single holes, dense clusters,
-	// whole leading lines, alternating stripes, and near-total death.
+	// Servers derives one slot's set from shape, mask and deputies; this must
+	// be indistinguishable from building every set together. Masks cover
+	// single holes, dense clusters, whole leading lines, alternating stripes,
+	// and near-total death.
 	for _, n := range []int{2, 3, 5, 7, 12, 17, 20, 30, 50, 101, 144} {
 		masks := [][]int{
 			{0},
@@ -494,43 +528,110 @@ func TestRemaskMatchesFullRebuild(t *testing.T) {
 		}
 		masks = append(masks, stripe, most)
 		for _, deadSlots := range masks {
+			checkAgainstReference(t, n, maskWithout(n, deadSlots...))
+		}
+	}
+	// Seeded random masks over every shape up to 150 slots — every
+	// blank-compensated one among them — and the two ledger sizes.
+	rng := rand.New(rand.NewSource(1))
+	sizes := []int{200, 324}
+	for n := 1; n <= 150; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		for _, share := range []float64{0.02, 0.10, 0.30, 0.60, 0.90} {
 			occupied := make([]bool, n)
-			for i := range occupied {
-				occupied[i] = true
+			for s := range occupied {
+				occupied[s] = rng.Float64() >= share
 			}
-			for _, s := range deadSlots {
-				if s < n {
-					occupied[s] = false
-				}
-			}
-			g, err := NewMasked(n, occupied)
-			if err != nil {
-				t.Fatalf("n=%d dead=%v: %v", n, deadSlots, err)
-			}
-			want := referenceMasked(t, n, occupied)
-			for s := 0; s < n; s++ {
-				if !equalInts(g.Servers(s), want[s]) {
-					t.Fatalf("n=%d dead=%v slot %d: incremental %v != full rebuild %v",
-						n, deadSlots, s, g.Servers(s), want[s])
-				}
-			}
+			checkAgainstReference(t, n, occupied)
 		}
 	}
 }
 
-func TestRemaskRequiresDenseReceiver(t *testing.T) {
-	occupied := make([]bool, 20)
-	for i := range occupied {
-		occupied[i] = true
-	}
-	occupied[3] = false
-	g, err := NewMasked(20, occupied)
+func TestDeputyInheritsCompensationPartners(t *testing.T) {
+	// n=18 is 5×4 with k=2 slots (16, 17) in the bottom row; columns 2 and 3
+	// are the tail. The two cases only the inverse rule reaches:
+	//
+	// Slot 2 at (0,2) dies. Bottom-row 16 relied on it, as a tail extra, to
+	// reach column 2, so column 2's deputy 6 must name 16 although the two
+	// share no line and are not partners themselves.
+	g, err := NewMasked(18, maskWithout(18, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Remask(occupied); err == nil {
-		t.Fatal("Remask of a masked grid succeeded; substitutions would compound")
+	if !g.IsServerOf(16, 6) || !g.IsServerOf(6, 16) {
+		t.Errorf("tail column's deputy 6 should inherit bottom-row partner 16: Servers(6)=%v Servers(16)=%v",
+			g.Servers(6), g.Servers(16))
 	}
+	// Slot 16 at (4,0) dies. Its tail extras 2 and 3 relied on it to reach the
+	// bottom row, so the bottom row's deputy 17 must name both.
+	g, err = NewMasked(18, maskWithout(18, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range []int{2, 3} {
+		if !g.IsServerOf(extra, 17) || !g.IsServerOf(17, extra) {
+			t.Errorf("bottom row's deputy 17 should inherit tail extra %d: Servers(17)=%v Servers(%d)=%v",
+				extra, g.Servers(17), extra, g.Servers(extra))
+		}
+	}
+	checkAgainstReference(t, 18, maskWithout(18, 2))
+	checkAgainstReference(t, 18, maskWithout(18, 16))
+}
+
+func TestRemaskOfMaskedGrid(t *testing.T) {
+	// A grid is its shape plus a mask, so remasking a masked grid is the same
+	// as building the new mask from scratch: nothing of the old one survives.
+	for _, n := range []int{3, 18, 20, 101} {
+		masked, err := NewMasked(n, maskWithout(n, 1, n/2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, _ := New(n)
+		for _, mask := range [][]bool{maskWithout(n, 0, n-1), maskWithout(n), nil} {
+			got, err := masked.Remask(mask)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			want := dense
+			if mask != nil {
+				want, _ = NewMasked(n, mask)
+			}
+			for s := 0; s < n; s++ {
+				if !equalInts(got.Servers(s), want.Servers(s)) {
+					t.Fatalf("n=%d mask=%v slot %d: remasked %v != rebuilt %v",
+						n, mask, s, got.Servers(s), want.Servers(s))
+				}
+			}
+		}
+		if _, err := masked.Remask(make([]bool, n+1)); err == nil {
+			t.Errorf("n=%d: Remask accepted a mask of the wrong length", n)
+		}
+	}
+}
+
+func TestGridFootprintLinear(t *testing.T) {
+	// A grid is shape, mask and deputies: building one over 10 000 slots is a
+	// handful of allocations of O(n) bytes, not n server sets.
+	const n = 10000
+	rng := rand.New(rand.NewSource(1))
+	mask := make([]bool, n)
+	for s := range mask {
+		mask[s] = rng.Float64() >= 0.10
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := NewMasked(n, mask)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	if allocs > 8 || bytes > 16*n {
+		t.Errorf("NewMasked(%d): %d allocations, %d bytes; want ≤ 8 and ≤ %d", n, allocs, bytes, 16*n)
+	}
+	runtime.KeepAlive(g)
 }
 
 func equalInts(a, b []int) bool {

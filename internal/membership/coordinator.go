@@ -1,7 +1,6 @@
 package membership
 
 import (
-	"math"
 	"net/netip"
 	"sort"
 	"time"
@@ -799,10 +798,9 @@ func (c *Coordinator) allocID() (id wire.NodeID, ok bool) {
 
 // allocSlot returns the lowest quarantine-expired tombstone, or extends the
 // slot space when none is reusable yet. Only the primary calls this — slot
-// assignment is a lease decision exactly like ID assignment. The wire carries
-// the slot count in 16 bits (View.Slots, ViewChunk.TotalSlots), so ok is false
-// when no tombstone is reusable and the space already holds math.MaxUint16
-// slots: one more would encode as a 0-slot view that every client rejects.
+// assignment is a lease decision exactly like ID assignment. ok is false when
+// no tombstone is reusable and the space already holds wire.MaxSlots slots:
+// one more would encode as a 0-slot view that every client rejects.
 func (c *Coordinator) allocSlot(now time.Time) (slot int, ok bool) {
 	for i, f := range c.freeSlots {
 		if now.Sub(f.freedAt) >= c.cfg.Timeout {
@@ -810,7 +808,7 @@ func (c *Coordinator) allocSlot(now time.Time) (slot int, ok bool) {
 			return f.slot, true
 		}
 	}
-	if c.slotCount == math.MaxUint16 {
+	if c.slotCount == wire.MaxSlots {
 		return 0, false
 	}
 	c.slotCount++

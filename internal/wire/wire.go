@@ -27,6 +27,11 @@ type NodeID uint16
 // member; recommendation entries use it to mark unreachable destinations.
 const NilNode NodeID = 0xFFFF
 
+// MaxSlots is the most slots — and so the most members — a view can have:
+// View.Slots and ViewChunk.TotalSlots are 16 bits wide, and a static fleet's
+// IDs 0…N−1 must stay below NilNode.
+const MaxSlots = 0xFFFF
+
 // Cost is a path cost in milliseconds of round-trip latency. The value
 // InfCost means "unreachable".
 type Cost uint16

@@ -54,8 +54,8 @@ func NewSimulation(opt SimOptions) (*Simulation, error) {
 	if opt.N < 2 {
 		return nil, fmt.Errorf("allpairs: need at least 2 nodes, got %d", opt.N)
 	}
-	if opt.N > 1<<15 {
-		return nil, fmt.Errorf("allpairs: %d nodes exceeds the 2-byte ID space headroom", opt.N)
+	if opt.N > wire.MaxSlots {
+		return nil, fmt.Errorf("allpairs: %d nodes exceed the wire's ceiling of %d", opt.N, wire.MaxSlots)
 	}
 	if opt.Seed == 0 {
 		opt.Seed = 1
