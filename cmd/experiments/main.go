@@ -171,28 +171,9 @@ func fig9(maxN int, seed int64) {
 }
 
 func churn(n int, seed int64, scenario string, rate float64, burst, coords int, partitionFor, restartAfter, dur time.Duration, loss, dup float64, jitter time.Duration) {
-	var sc emul.ChurnScenario
-	switch scenario {
-	case "poisson":
-		sc = emul.ChurnPoisson
-	case "flash":
-		sc = emul.ChurnFlashCrowd
-	case "mass":
-		sc = emul.ChurnMassDeparture
-	case "coord-crash":
-		sc = emul.ChurnCoordCrash
-	case "partition":
-		sc = emul.ChurnPartition
-	case "regional":
-		sc = emul.ChurnRegional
-	case "lossy-gossip":
-		sc = emul.ChurnLossyGossip
-	case "gossip-crash":
-		sc = emul.ChurnGossipCrash
-	case "straggler":
-		sc = emul.ChurnStraggler
-	default:
-		fmt.Fprintf(os.Stderr, "unknown churn scenario %q\n", scenario)
+	sc, err := emul.ParseChurnScenario(scenario)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	fmt.Fprintf(os.Stderr, "running %d-node %s churn for %v (virtual)...\n", n, sc, dur)
@@ -254,18 +235,7 @@ func soak(n int, seed int64, dur time.Duration, maxHeapMB int) {
 	for f.Elapsed()-start < dur {
 		f.Run(time.Minute)
 		// 5% Poisson churn per virtual minute, half crashes.
-		var leavers []int
-		for _, ep := range f.ActiveEndpoints() {
-			if rng.Float64() < 0.05 {
-				leavers = append(leavers, ep)
-			}
-		}
-		for _, ep := range leavers {
-			f.Depart(ep, rng.Float64() >= 0.5)
-		}
-		for range leavers {
-			f.Spawn()
-		}
+		f.Apply(emul.Step{Op: emul.OpReplace, P: 0.05, Crash: 0.5}, rng)
 		if f.Elapsed() >= nextReport {
 			report()
 			nextReport += 10 * time.Minute

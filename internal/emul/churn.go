@@ -1,6 +1,7 @@
 package emul
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -8,7 +9,6 @@ import (
 	"time"
 
 	"allpairs/internal/core"
-	"allpairs/internal/grid"
 	"allpairs/internal/membership"
 	"allpairs/internal/metrics"
 	"allpairs/internal/overlay"
@@ -91,9 +91,10 @@ type DynamicFleet struct {
 	// SpawnsDropped counts joins that could not happen because the endpoint
 	// capacity (MaxN) was exhausted — nonzero means the run measured a
 	// smaller overlay than configured. CoordCrashes and CoordRestarts count
-	// coordinator-replica faults.
-	Joins, Leaves, Crashes, SpawnsDropped int
-	CoordCrashes, CoordRestarts           int
+	// coordinator-replica faults, PartitionSize the endpoints the last
+	// OpPartition cut off.
+	Joins, Leaves, Crashes, SpawnsDropped      int
+	CoordCrashes, CoordRestarts, PartitionSize int
 }
 
 type reusableEP struct {
@@ -203,9 +204,6 @@ func NewDynamicFleet(n int, opt DynamicFleetOptions) *DynamicFleet {
 	return f
 }
 
-// CoordEndpoint returns the rank-0 coordinator's simulator endpoint.
-func (f *DynamicFleet) CoordEndpoint() int { return f.Opt.MaxN }
-
 // CoordEndpointAt returns the simulator endpoint of the rank-r replica.
 func (f *DynamicFleet) CoordEndpointAt(rank int) int { return f.Opt.MaxN + rank }
 
@@ -269,23 +267,6 @@ func (f *DynamicFleet) ViewsConverged() bool {
 		}
 	}
 	return true
-}
-
-// CrashRegion crashes a set of nodes simultaneously and takes their
-// endpoints down as one group — a correlated regional failure.
-func (f *DynamicFleet) CrashRegion(eps []int) {
-	var hit []int
-	for _, ep := range eps {
-		if ep < 0 || ep >= len(f.active) || !f.active[ep] {
-			continue
-		}
-		f.nodes[ep].Halt()
-		f.active[ep] = false
-		f.Crashes++
-		f.freeEps = append(f.freeEps, reusableEP{ep: ep, at: f.Net.Now()})
-		hit = append(hit, ep)
-	}
-	f.Net.SetGroupDown(hit, true)
 }
 
 // Spawn starts a fresh node and begins its join. The endpoint is recycled
@@ -354,6 +335,17 @@ func (f *DynamicFleet) Node(ep int) *overlay.Node { return f.nodes[ep] }
 // Active reports whether the endpoint hosts a live (not departed) node.
 func (f *DynamicFleet) Active(ep int) bool {
 	return ep >= 0 && ep < len(f.active) && f.active[ep]
+}
+
+// endpointsByID maps the node ID of every live, admitted node to its endpoint.
+func (f *DynamicFleet) endpointsByID() map[wire.NodeID]int {
+	byID := make(map[wire.NodeID]int)
+	for _, ep := range f.ActiveEndpoints() {
+		if id := f.envs[ep].LocalID(); id != wire.NilNode {
+			byID[id] = ep
+		}
+	}
+	return byID
 }
 
 // ActiveEndpoints returns the live endpoints in ascending order.
@@ -450,30 +442,6 @@ const (
 	ChurnStraggler
 )
 
-// String names the scenario.
-func (s ChurnScenario) String() string {
-	switch s {
-	case ChurnFlashCrowd:
-		return "flash-crowd"
-	case ChurnMassDeparture:
-		return "mass-departure"
-	case ChurnCoordCrash:
-		return "coord-crash"
-	case ChurnPartition:
-		return "partition"
-	case ChurnRegional:
-		return "regional"
-	case ChurnLossyGossip:
-		return "lossy-gossip"
-	case ChurnGossipCrash:
-		return "gossip-crash"
-	case ChurnStraggler:
-		return "straggler"
-	default:
-		return "poisson"
-	}
-}
-
 // ChurnOptions configures a churn experiment run.
 type ChurnOptions struct {
 	// N is the initial overlay size.
@@ -544,13 +512,14 @@ const (
 	// churnStretchPairs caps the pairs evaluated against the one-hop oracle
 	// for the stretch metric (the oracle costs O(n) per pair).
 	churnStretchPairs = 200
-	// churnStarveFor is how long ChurnStraggler's burst-loss windows isolate
+	// churnBlackout is how long ChurnStraggler's burst-loss windows isolate
 	// their victims, and churnStragglers how many nodes are starved.
-	churnStarveFor  = 45 * time.Second
+	churnBlackout   = 45 * time.Second
 	churnStragglers = 3
 )
 
-func (o *ChurnOptions) fill() {
+// fill applies the defaults and returns the scenario's schedule under them.
+func (o *ChurnOptions) fill() []Step {
 	if o.Warmup <= 0 {
 		o.Warmup = 3 * time.Minute
 	}
@@ -605,34 +574,11 @@ func (o *ChurnOptions) fill() {
 		o.FullMesh.DegradedHold = 10 * routing
 	}
 	o.settleAge = time.Duration(max(o.Probe.RampIntervals, 1))*probeInterval + 2*routing
-	if o.Coordinators <= 0 {
-		if o.Scenario == ChurnCoordCrash || o.Scenario == ChurnPartition || o.Scenario == ChurnGossipCrash {
-			o.Coordinators = 3
-		} else {
-			o.Coordinators = 1
-		}
+	row := &churnScenarios[o.Scenario.row()]
+	if row.lossy { // zero takes the adversarial default; negative forces a knob off
+		o.Loss, o.Dup, o.Jitter = cmp.Or(o.Loss, 0.05), cmp.Or(o.Dup, 0.02), cmp.Or(o.Jitter, 20*time.Millisecond)
 	}
-	switch o.Scenario {
-	case ChurnLossyGossip, ChurnGossipCrash, ChurnStraggler:
-		if o.Loss == 0 {
-			o.Loss = 0.05
-		}
-		if o.Dup == 0 {
-			o.Dup = 0.02
-		}
-		if o.Jitter == 0 {
-			o.Jitter = 20 * time.Millisecond
-		}
-	}
-	if o.Loss < 0 {
-		o.Loss = 0
-	}
-	if o.Dup < 0 {
-		o.Dup = 0
-	}
-	if o.Jitter < 0 {
-		o.Jitter = 0
-	}
+	o.Loss, o.Dup, o.Jitter = max(o.Loss, 0), max(o.Dup, 0), max(o.Jitter, 0)
 	if o.CoordRestartAfter <= 0 {
 		o.CoordRestartAfter = 2 * time.Minute
 	}
@@ -654,21 +600,37 @@ func (o *ChurnOptions) fill() {
 	if o.Coordinator.Coalesce <= 0 {
 		o.Coordinator.Coalesce = time.Second
 	}
+	// Last, with every field a constructor reads in place: the schedule, and
+	// the one default that depends on it — a schedule that crashes a
+	// coordinator needs standbys to fail over to.
+	steps := row.steps(o)
+	if o.Coordinators <= 0 {
+		o.Coordinators = 1
+		if has(steps, OpCrashCoord) {
+			o.Coordinators = 3
+		}
+	}
+	return steps
 }
 
-// capacity computes the endpoint head-room a scenario needs: every joiner
-// ever spawned occupies its own endpoint.
-func (o *ChurnOptions) capacity() int {
-	switch o.Scenario {
-	case ChurnFlashCrowd, ChurnLossyGossip:
-		return o.N + o.Burst
-	case ChurnMassDeparture, ChurnCoordCrash, ChurnPartition, ChurnRegional, ChurnGossipCrash:
-		return o.N
-	default: // poisson and straggler keep replacing departures
+// capacity computes the endpoint head-room the schedule needs: every joiner
+// ever spawned occupies its own endpoint. A schedule that keeps replacing
+// departures gets the Poisson allowance — a closed form, not a count of its
+// OpReplace steps: the default environment is generated at this size, so the
+// whole run is a function of the number.
+func (o *ChurnOptions) capacity(steps []Step) int {
+	maxN := o.N
+	for _, s := range steps {
+		if s.Op == OpJoin {
+			maxN += s.N
+		}
+	}
+	if has(steps, OpReplace) {
 		intervals := int(o.Duration/o.Interval) + 1
 		expected := int(o.Rate * float64(o.N) * float64(intervals))
-		return o.N + 2*expected + 16
+		maxN += 2*expected + 16
 	}
+	return maxN
 }
 
 // ChurnSample is one sampling instant of a churn run.
@@ -701,19 +663,22 @@ type ChurnSample struct {
 
 // ChurnResult aggregates a churn run.
 type ChurnResult struct {
-	Opt     ChurnOptions
-	Samples []ChurnSample
+	Opt ChurnOptions
+	// Schedule is the fault schedule the run played: the scenario's steps
+	// under Opt, in time since the churn phase began.
+	Schedule []Step
+	Samples  []ChurnSample
 
 	// Lifecycle totals. A nonzero SpawnsDropped means endpoint capacity ran
 	// out and the run measured fewer joins than the scenario demanded.
 	Joins, Leaves, Crashes, SpawnsDropped int
 	FinalMembers                          int
 
-	// Fault-injection summary (coordinator fault scenarios only).
-	// ConvergedAfter is how long after the fault cleared (crash for
-	// ChurnCoordCrash, heal for ChurnPartition) every surviving client held
-	// one primary's view stamp; ConvergeBound is the acceptance bound
-	// (3 heartbeat intervals).
+	// Fault-injection summary. ConvergedAfter is how long after the
+	// schedule's OpWatch (the crash for ChurnCoordCrash, the heal for
+	// ChurnPartition) every surviving client held one primary's view stamp;
+	// ConvergeBound is that watch's For, the acceptance bound (3 heartbeat
+	// intervals for the coordinator faults, 90 s for the gossip ones).
 	CoordCrashes, CoordRestarts int
 	PartitionSize               int
 	Converged                   bool
@@ -744,8 +709,8 @@ type ChurnResult struct {
 // pure function of ChurnOptions: identical options give byte-identical
 // Format output, which the determinism regression test asserts.
 func RunChurn(opt ChurnOptions) *ChurnResult {
-	opt.fill()
-	maxN := opt.capacity()
+	steps := opt.fill()
+	maxN := opt.capacity(steps)
 	env := opt.Env
 	if env == nil {
 		env = traces.Generate(maxN, opt.Seed, traces.Config{BadNodeFrac: 0.0001})
@@ -771,157 +736,35 @@ func RunChurn(opt ChurnOptions) *ChurnResult {
 		Membership:   opt.Membership,
 		Coordinator:  opt.Coordinator,
 	})
-	res := &ChurnResult{Opt: opt}
-	churnRng := rand.New(rand.NewSource(opt.Seed*31 + 7))
+	res := &ChurnResult{Opt: opt, Schedule: steps}
+	for _, s := range steps {
+		if s.Op == OpWatch {
+			res.ConvergeBound = s.For
+		}
+	}
 
 	f.Run(opt.Warmup)
-
-	end := f.Elapsed() + opt.Duration
-	nextChurn := f.Elapsed() + opt.Interval
-	nextSample := f.Elapsed() + churnSampleEvery
-	burstDone := false
-
-	// Fault schedule: the fault lands one Interval into the churn phase;
-	// convergence is polled every second from the moment the fault clears
-	// (crashAt is the gossip-crash second stage, windowEndAt the straggler
-	// blackout's close).
-	var faultAt, restartAt, healAt, crashAt, windowEndAt, convPoll time.Duration // 0 = disabled
-	var convFrom time.Duration
-	switch opt.Scenario {
-	case ChurnCoordCrash:
-		faultAt = f.Elapsed() + opt.Interval
-		restartAt = faultAt + opt.CoordRestartAfter
-		res.ConvergeBound = 3 * opt.Membership.Heartbeat
-	case ChurnPartition:
-		faultAt = f.Elapsed() + opt.Interval
-		healAt = faultAt + opt.PartitionFor
-		res.ConvergeBound = 3 * opt.Membership.Heartbeat
-	case ChurnRegional:
-		faultAt = f.Elapsed() + opt.Interval
-	case ChurnLossyGossip, ChurnGossipCrash, ChurnStraggler:
-		faultAt = f.Elapsed() + opt.Interval
-		// The gossip acceptance bound: every survivor converges within 90 s
-		// of the fault clearing, through the epidemic + pull planes alone.
-		res.ConvergeBound = 90 * time.Second
-	}
-
-	for f.Elapsed() < end {
-		next := end
-		for _, t := range []time.Duration{nextChurn, nextSample, faultAt, restartAt, healAt, crashAt, windowEndAt, convPoll} {
-			if t > 0 && t < next {
-				next = t
-			}
-		}
-		f.Net.RunUntil(next)
-		// When a sample and an injected event land on the same instant,
-		// sample first: the measurement observes the state the overlay
-		// converged to, and the event is what the *next* sample sees.
-		if f.Elapsed() >= nextSample {
+	res.Converged, res.ConvergedAfter = f.Play(steps, opt.Duration,
+		rand.New(rand.NewSource(opt.Seed*31+7)), churnSampleEvery, func() {
 			res.Samples = append(res.Samples, sampleChurn(f, env, opt.settleAge))
-			nextSample += churnSampleEvery
-		}
-		if faultAt > 0 && f.Elapsed() >= faultAt {
-			faultAt = 0
-			switch opt.Scenario {
-			case ChurnCoordCrash:
-				f.CrashCoordinator(0)
-				convFrom = f.Elapsed()
-				convPoll = f.Elapsed() + time.Second
-			case ChurnPartition:
-				minority := churnPartitionGroup(f)
-				res.PartitionSize = len(minority)
-				f.CrashCoordinator(0)
-				f.Net.SetPartition(minority)
-			case ChurnRegional:
-				f.CrashRegion(churnRegionEndpoints(f, opt.N))
-			case ChurnLossyGossip:
-				for i := 0; i < opt.Burst; i++ {
-					f.Spawn()
-				}
-				convFrom = f.Elapsed()
-				convPoll = f.Elapsed() + time.Second
-			case ChurnGossipCrash:
-				// A burst of graceful departures produces one coalesced
-				// delta; the primary dies one coalesce interval later, with
-				// that delta's gossip envelopes still hopping the tree.
-				churnMassDeparture(f, churnRng, opt.Burst, 0)
-				crashAt = f.Elapsed() + opt.Coordinator.Coalesce + 200*time.Millisecond
-			case ChurnStraggler:
-				churnStarve(f)
-				windowEndAt = f.Elapsed() + churnStarveFor
-			}
-		}
-		if restartAt > 0 && f.Elapsed() >= restartAt {
-			restartAt = 0
-			f.RestartCoordinator(0)
-		}
-		if crashAt > 0 && f.Elapsed() >= crashAt {
-			crashAt = 0
-			f.CrashCoordinator(0)
-			convFrom = f.Elapsed()
-			convPoll = f.Elapsed() + time.Second
-		}
-		if windowEndAt > 0 && f.Elapsed() >= windowEndAt {
-			windowEndAt = 0
-			convFrom = f.Elapsed()
-			convPoll = f.Elapsed() + time.Second
-		}
-		if healAt > 0 && f.Elapsed() >= healAt {
-			healAt = 0
-			f.Net.Heal()
-			convFrom = f.Elapsed()
-			convPoll = f.Elapsed() + time.Second
-		}
-		if convPoll > 0 && f.Elapsed() >= convPoll {
-			if f.ViewsConverged() {
-				res.Converged = true
-				res.ConvergedAfter = f.Elapsed() - convFrom
-				convPoll = 0
-			} else {
-				convPoll = f.Elapsed() + time.Second
-			}
-		}
-		if f.Elapsed() >= nextChurn {
-			switch opt.Scenario {
-			case ChurnPoisson, ChurnStraggler:
-				churnStepPoisson(f, churnRng, opt.Rate, opt.CrashFrac)
-			case ChurnFlashCrowd:
-				if !burstDone {
-					for i := 0; i < opt.Burst; i++ {
-						f.Spawn()
-					}
-					burstDone = true
-				}
-			case ChurnMassDeparture:
-				if !burstDone {
-					churnMassDeparture(f, churnRng, opt.Burst, opt.CrashFrac)
-					burstDone = true
-				}
-			}
-			nextChurn += opt.Interval
-		}
-	}
+		})
 
 	res.Joins, res.Leaves, res.Crashes, res.SpawnsDropped = f.Joins, f.Leaves, f.Crashes, f.SpawnsDropped
-	res.CoordCrashes, res.CoordRestarts = f.CoordCrashes, f.CoordRestarts
+	res.CoordCrashes, res.CoordRestarts, res.PartitionSize = f.CoordCrashes, f.CoordRestarts, f.PartitionSize
 	final := f.Primary()
 	if final == nil {
 		final = f.Coord
 	}
 	res.FinalMembers = final.MemberCount()
 	res.CoordMsgs = f.CoordMembershipPackets()
-	var cs membership.CoordinatorStats
 	for r := 0; r < opt.Coordinators; r++ {
 		s := f.Coordinator(r).Stats()
-		cs.Broadcasts += s.Broadcasts
-		cs.DeltasSent += s.DeltasSent
-		cs.FullViewsSent += s.FullViewsSent
-		cs.SeedsSent += s.SeedsSent
-		cs.ViewChunksSent += s.ViewChunksSent
+		res.Broadcasts += s.Broadcasts
+		res.Deltas += s.DeltasSent
+		res.FullViews += s.FullViewsSent
+		res.Seeds += s.SeedsSent
+		res.ViewChunks += s.ViewChunksSent
 	}
-	res.Broadcasts, res.Deltas, res.FullViews = cs.Broadcasts, cs.DeltasSent, cs.FullViewsSent
-	res.Seeds = cs.SeedsSent
-	res.ViewChunks = cs.ViewChunksSent
 	for ep := 0; ep < f.next; ep++ {
 		if f.nodes[ep] != nil {
 			res.Gossip.Add(f.nodes[ep].MembershipStats())
@@ -953,111 +796,6 @@ func RunChurn(opt ChurnOptions) *ChurnResult {
 	return res
 }
 
-// churnStepPoisson departs each live node with probability rate and spawns
-// one replacement per departure. Endpoints are visited in ascending order
-// and all randomness comes from rng, so the schedule is deterministic.
-func churnStepPoisson(f *DynamicFleet, rng *rand.Rand, rate, crashFrac float64) {
-	var leavers []int
-	for _, ep := range f.ActiveEndpoints() {
-		if rng.Float64() < rate {
-			leavers = append(leavers, ep)
-		}
-	}
-	for _, ep := range leavers {
-		f.Depart(ep, rng.Float64() >= crashFrac)
-	}
-	for range leavers {
-		f.Spawn()
-	}
-}
-
-// churnPartitionGroup computes the minority side of the acceptance
-// partition: the member endpoints of one grid row of the current view, plus
-// the rank-1 standby coordinator — enough for the minority to elect its own
-// primary and split the brain.
-func churnPartitionGroup(f *DynamicFleet) []int {
-	prim := f.Primary()
-	if prim == nil {
-		prim = f.Coord
-	}
-	members := prim.Members()
-	occupied := make([]bool, len(members))
-	for s := range members {
-		occupied[s] = members[s].ID != wire.NilNode
-	}
-	g, err := grid.NewMasked(len(members), occupied)
-	if err != nil {
-		return nil
-	}
-	idToEp := make(map[wire.NodeID]int)
-	for _, ep := range f.ActiveEndpoints() {
-		if id := f.envs[ep].LocalID(); id != wire.NilNode {
-			idToEp[id] = ep
-		}
-	}
-	row := 1 % g.Rows()
-	var eps []int
-	for col := 0; col < g.Cols(); col++ {
-		slot, ok := g.SlotAt(row, col)
-		if !ok || slot >= len(members) || members[slot].ID == wire.NilNode {
-			continue
-		}
-		if ep, found := idToEp[members[slot].ID]; found {
-			eps = append(eps, ep)
-		}
-	}
-	if f.Opt.Coordinators > 1 {
-		eps = append(eps, f.CoordEndpointAt(1))
-	}
-	return eps
-}
-
-// churnRegionEndpoints picks the contiguous n/5 endpoint block starting at
-// n/3 — the "region" the regional-failure scenario takes out.
-func churnRegionEndpoints(f *DynamicFleet, n int) []int {
-	size := n / 5
-	if size < 1 {
-		size = 1
-	}
-	start := n / 3
-	var eps []int
-	for ep := start; ep < start+size && ep < f.Opt.MaxN; ep++ {
-		if f.Active(ep) {
-			eps = append(eps, ep)
-		}
-	}
-	return eps
-}
-
-// churnStarve opens burst-loss windows that black out the first
-// churnStragglers live endpoints for churnStarveFor: every link they have —
-// peers and coordinators alike — drops everything, so the victims miss
-// whole delta generations and must repair by pulling once the window
-// closes. Heartbeats are lost too, but churnStarveFor sits well inside the
-// membership timeout, so no victim is evicted.
-func churnStarve(f *DynamicFleet) {
-	eps := f.ActiveEndpoints()
-	for _, v := range eps[:min(churnStragglers, len(eps))] {
-		for other := 0; other < f.Net.Size(); other++ {
-			if other != v {
-				f.Net.AddBurstLoss(v, other, 0, churnStarveFor)
-			}
-		}
-	}
-}
-
-// churnMassDeparture removes k random live nodes at once.
-func churnMassDeparture(f *DynamicFleet, rng *rand.Rand, k int, crashFrac float64) {
-	eps := f.ActiveEndpoints()
-	if k > len(eps) {
-		k = len(eps)
-	}
-	perm := rng.Perm(len(eps))
-	for i := 0; i < k; i++ {
-		f.Depart(eps[perm[i]], rng.Float64() >= crashFrac)
-	}
-}
-
 // sampleChurn measures route availability and stretch over the settled
 // population against simulator ground truth.
 func sampleChurn(f *DynamicFleet, env *traces.Env, settleAge time.Duration) ChurnSample {
@@ -1084,13 +822,7 @@ func sampleChurn(f *DynamicFleet, env *traces.Env, settleAge time.Duration) Chur
 	}
 	// Hops may be nodes too young to count as "settled"; resolve them over
 	// the full active population.
-	actives := f.ActiveEndpoints()
-	idToEp := make(map[wire.NodeID]int)
-	for _, ep := range actives {
-		if id := f.envs[ep].LocalID(); id != wire.NilNode {
-			idToEp[id] = ep
-		}
-	}
+	actives, idToEp := f.ActiveEndpoints(), f.endpointsByID()
 	total := len(eps) * (len(eps) - 1)
 	check := min(total, churnMaxPairs)
 	var stretchSum float64
@@ -1211,8 +943,7 @@ func (r *ChurnResult) Format() string {
 		r.Gossip.GossipSeen, r.Gossip.GossipDups, r.Gossip.GossipForwards,
 		r.Gossip.PullsSent, r.Gossip.PullsServed, r.Gossip.GapsBridged,
 		r.Gossip.FullViewFallbacks, r.Gossip.FullViewRequests)
-	switch r.Opt.Scenario {
-	case ChurnCoordCrash, ChurnPartition, ChurnRegional, ChurnGossipCrash:
+	if has(r.Schedule, OpCrashCoord, OpCrashRegion) {
 		fmt.Fprintf(&b, "# faults coord_crashes=%d coord_restarts=%d partition_size=%d partition_for=%s\n",
 			r.CoordCrashes, r.CoordRestarts, r.PartitionSize, r.Opt.PartitionFor)
 	}

@@ -2,6 +2,11 @@
 // overlay nodes on the deterministic simulator and produces the data behind
 // every table and figure of the paper's evaluation (§6). The experiment
 // index in README.md maps each figure to the functions in this package.
+//
+// Beyond the paper, a DynamicFleet takes its faults as data: a fault schedule
+// is a []Step over ten primitives (Op), Apply interprets one step, Play runs a
+// schedule under a sampler, and the nine churn scenarios are the rows of one
+// table of []Step constructors (schedule.go) that RunChurn plays.
 package emul
 
 import (

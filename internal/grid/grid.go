@@ -140,15 +140,6 @@ func (g *Grid) LastRowLen() int { return g.lastRow }
 // IsComplete reports whether the grid has no blank slots.
 func (g *Grid) IsComplete() bool { return g.lastRow == g.cols }
 
-// OccupiedSlot reports whether a slot holds a live node. For a dense grid
-// (New, or NewMasked with a nil/full mask) every slot is occupied.
-func (g *Grid) OccupiedSlot(slot int) bool {
-	if slot < 0 || slot >= g.n {
-		panic(fmt.Sprintf("grid: slot %d out of range [0,%d)", slot, g.n))
-	}
-	return g.live(slot)
-}
-
 func (g *Grid) live(slot int) bool { return g.occupied == nil || g.occupied[slot] }
 
 // Position returns the (row, col) of a slot. It panics if slot is out of

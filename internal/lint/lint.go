@@ -133,16 +133,6 @@ func (p *Pass) directiveFor(f *ast.File, node ast.Node, verb string) (directive,
 	return directive{}, false
 }
 
-// fileOf returns the *ast.File containing pos.
-func (p *Pass) fileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
 // pkgScoped reports whether the pass's package is in scope, matching the
 // package path exactly against each entry.
 func pkgScoped(pkgPath string, scope []string) bool {

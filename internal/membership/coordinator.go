@@ -160,7 +160,6 @@ type Coordinator struct {
 	// timeout expiring and the pre-vote verdict.
 	lastPrimaryBeat time.Time
 	lastIndirect    time.Time
-	lastPrimaryID   wire.NodeID
 	preVoting       bool
 
 	flushTimer    transport.Timer
@@ -432,11 +431,18 @@ func (c *Coordinator) handleBeacon(from wire.NodeID, b wire.CoordBeacon) {
 		}
 		return
 	}
-	// Standby: note the leader and keep the election timer fed. A beacon
-	// arriving mid-pre-vote is direct evidence the silence was transient:
-	// abandon the election and fall back to the normal silence watch.
+	// Standby. A primary whose stamp is behind our own replica has lost its
+	// state — rank 0 restarted inside the election timeout and "assumed
+	// primacy at boot" over an empty table. It is not a leader: let its
+	// beacons starve the election clock so a replica that still holds the
+	// view promotes, and the higher epoch demotes and resyncs it.
+	if c.Stamp().After(b.Stamp) {
+		return
+	}
+	// Note the leader and keep the election timer fed. A beacon arriving
+	// mid-pre-vote is direct evidence the silence was transient: abandon the
+	// election and fall back to the normal silence watch.
 	c.lastPrimaryBeat = c.env.Now()
-	c.lastPrimaryID = from
 	if c.preVoting {
 		c.cancelPreVote()
 		c.armElection()
@@ -580,12 +586,13 @@ func (c *Coordinator) handlePreVote(from wire.NodeID) {
 // the indirect one, so the veto is never recycled as this replica's own
 // evidence when peers ask it in turn. A reply from a reign ahead of ours
 // additionally triggers a view resync, the same recovery as a beacon version
-// gap.
+// gap; an alive vote from a stamp behind ours is the amnesiac primary of
+// handleBeacon vouching for itself, and counts for nothing.
 func (c *Coordinator) handlePreVoteReply(from wire.NodeID, pr wire.PreVoteReply) {
 	if pr.Stamp.After(c.Stamp()) {
 		c.env.Send(from, wire.AppendViewRequest(nil, c.selfID, c.Stamp()))
 	}
-	if !c.preVoting || !pr.PrimaryAlive {
+	if !c.preVoting || !pr.PrimaryAlive || c.Stamp().After(pr.Stamp) {
 		return
 	}
 	c.cancelPreVote()
@@ -645,7 +652,6 @@ func (c *Coordinator) demote(winner wire.NodeID, b wire.CoordBeacon) {
 		c.flushTimer.Stop()
 	}
 	c.lastPrimaryBeat = c.env.Now()
-	c.lastPrimaryID = winner
 	c.stats.Demotions++
 	c.logf("membership: rank %d demoted by rank %d (epoch %d)", c.cfg.Rank, c.rankOf(winner), b.Stamp.Epoch)
 	c.env.Send(winner, wire.AppendViewRequest(nil, c.selfID, c.Stamp()))

@@ -238,6 +238,56 @@ func TestRestartedPrimaryStepsDown(t *testing.T) {
 	}
 }
 
+func TestAmnesiacPrimaryIsDeposed(t *testing.T) {
+	// Rank 0 crashes and a supervisor restarts it one second later — inside
+	// every standby's election timeout, so nobody missed it. It boots
+	// "primary" over an empty table at stamp {1, 0} and beacons at once. The
+	// standbys' replicas are ahead of that stamp: they must not follow it,
+	// and its vouching for itself must not veto the election.
+	rc := newRepCluster(t, 3, 3, churnClientCfg(), fastCoordCfg(t))
+	for _, cl := range rc.clients {
+		cl.Start()
+	}
+	rc.nw.RunFor(10 * time.Second)
+	held := rc.coords[1].Stamp()
+	if rc.coords[1].MemberCount() != 3 || !held.After(wire.ViewStamp{Epoch: 1}) {
+		t.Fatalf("standby replica not ahead of a cold boot: %d members at %+v", rc.coords[1].MemberCount(), held)
+	}
+	rc.coords[0].Stop()
+	rc.nw.RunFor(time.Second)
+	amnesiac := rc.restartCoordinator(0, fastCoordCfg(t))
+
+	// Rank 1 last heard a real beacon at most one interval before the crash:
+	// election timeout (4 s) plus pre-vote wait (2 s) from there, and one
+	// more beacon for the new epoch to reach rank 0.
+	ccfg := CoordinatorConfig{BeaconInterval: time.Second, Rank: 1}
+	rc.nw.RunFor(ccfg.electionTimeout() + ccfg.preVoteWait() + ccfg.BeaconInterval)
+	if !rc.coords[1].IsPrimary() {
+		t.Fatal("rank 1 kept following a primary behind its own replica")
+	}
+	if amnesiac.IsPrimary() || amnesiac.Stats().Demotions != 1 {
+		t.Errorf("restarted rank 0: primary=%v demotions=%d, want a demoted standby",
+			amnesiac.IsPrimary(), amnesiac.Stats().Demotions)
+	}
+	if rc.coords[2].IsPrimary() {
+		t.Error("rank 2 promoted as well")
+	}
+	st := rc.coords[1].Stamp()
+	if st.Epoch != held.Epoch+1 || rc.coords[1].MemberCount() != 3 {
+		t.Errorf("new reign %+v holds %d members, want epoch %d and all 3", st, rc.coords[1].MemberCount(), held.Epoch+1)
+	}
+	if amnesiac.Stamp() != st || amnesiac.MemberCount() != 3 {
+		t.Errorf("ex-primary replica at %+v with %d members, want resynced to %+v with 3",
+			amnesiac.Stamp(), amnesiac.MemberCount(), st)
+	}
+	rc.nw.RunFor(3 * churnClientCfg().Heartbeat)
+	for i, cl := range rc.clients {
+		if !cl.Joined() || cl.View().Stamp() != rc.coords[1].Stamp() {
+			t.Errorf("client %d joined=%v at %+v, want the new reign's %+v", i, cl.Joined(), cl.View().Stamp(), rc.coords[1].Stamp())
+		}
+	}
+}
+
 func TestSplitBrainHealsToOneReign(t *testing.T) {
 	// Three replicas, rank 0 crashed. A partition separates {client0, rank1}
 	// from {client1, rank2}: both standbys promote under epoch 2 with

@@ -86,9 +86,6 @@ func NewSimEnv(net *simnet.Network, reg *Registry, endpoint int, seed int64) *Si
 	return e
 }
 
-// Endpoint returns the simulator endpoint index.
-func (e *SimEnv) Endpoint() int { return e.endpoint }
-
 // LocalAddr implements Env using the simulator addressing convention: the
 // endpoint index is carried in the port of an all-zero IPv4 address. This
 // lets the membership protocol run unchanged over the simulator.
