@@ -66,10 +66,11 @@ digest-check:
 	@SEEDS="1 7" ./scripts/digest.sh | diff scripts/digest.golden - \
 		&& echo "digest-check: all eight digests match scripts/digest.golden"
 
-# loc prints the tracked size: non-test Go lines outside benchmark/. It
-# should go down (ROADMAP aim 2).
+# loc prints the tracked size: non-test Go lines outside benchmark/ and
+# testdata/ (lint fixtures are not product code). It should go down (ROADMAP
+# aim 2).
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 # loc-check makes that number a ratchet: it fails when `make loc` exceeds
 # scripts/loc.ceiling. A PR that shrinks the tree lowers the ceiling to its
