@@ -19,7 +19,7 @@ import (
 )
 
 // RouteSource records how a route table entry was learned.
-type RouteSource int
+type RouteSource uint8
 
 // Route sources.
 const (
@@ -65,13 +65,61 @@ type RouteEntry struct {
 	Hop int
 	// Cost is the total path cost in milliseconds.
 	Cost wire.Cost
-	// When is when the route was learned.
+	// When is when the route was learned, in wall-clock UTC like §4.1's silence
+	// clocks (routers keep it as Unix nanoseconds); zero in an empty entry.
 	When time.Time
 	// From is the slot of the rendezvous that recommended the route
 	// (-1 for self-computed or fallback entries).
 	From int
 	// Source records the provenance of the entry.
 	Source RouteSource
+}
+
+// route is the stored form of a RouteEntry: 24 pointer-free bytes, so a table
+// is one flat span the collector never scans. RouteEntry is the view built where
+// a route leaves the router: BestHop's answer, Routes, the update hook.
+type route struct {
+	when      int64 // Unix ns
+	hop, from int32
+	cost      wire.Cost
+	source    RouteSource
+}
+
+// entry is the exported view of r. An empty record is the zero RouteEntry
+// whatever its clock says: a simulation starts at Unix 0, where a learned
+// route's When is not the zero Time and an empty entry's must be.
+func (r route) entry() RouteEntry {
+	if r.source == SourceNone {
+		return RouteEntry{}
+	}
+	return RouteEntry{Hop: int(r.hop), Cost: r.cost, When: time.Unix(0, r.when).UTC(), From: int(r.from), Source: r.source}
+}
+
+// routeTable is both routers' route table and update hook.
+type routeTable struct {
+	routes []route // per destination slot
+	// OnRouteUpdate, if non-nil, observes every route table write (used for
+	// freshness accounting).
+	OnRouteUpdate func(dst int, e RouteEntry)
+}
+
+// install writes a route table entry and fires the update hook.
+//
+//lint:allocfree
+func (t *routeTable) install(dst int, r route) {
+	t.routes[dst] = r
+	if t.OnRouteUpdate != nil {
+		t.OnRouteUpdate(dst, r.entry())
+	}
+}
+
+// Routes implements Router.
+func (t *routeTable) Routes() []RouteEntry {
+	out := make([]RouteEntry, len(t.routes))
+	for dst, r := range t.routes {
+		out[dst] = r.entry()
+	}
+	return out
 }
 
 // staleHop is degraded-mode damping, shared by both routers' BestHop: an

@@ -54,8 +54,8 @@ type FullMesh struct {
 	self int
 	seq  uint32
 
-	table  *lsdb.Table
-	routes []RouteEntry
+	table *lsdb.Table
+	routeTable
 
 	// scratch buffers reused across recomputes.
 	costsBuf []wire.Cost    // the self row, unpacked
@@ -63,8 +63,6 @@ type FullMesh struct {
 
 	// SelfRow returns the node's current measured link-state row. Required.
 	SelfRow func() []wire.LinkEntry
-	// OnRouteUpdate, if non-nil, observes route table writes.
-	OnRouteUpdate func(dst int, e RouteEntry)
 
 	stats struct {
 		linkStatesSent uint64
@@ -102,13 +100,11 @@ func (f *FullMesh) SetView(view *membership.ViewInfo, self int) error {
 	f.self = self
 	if !stable {
 		f.table = lsdb.NewTable(n)
-		f.routes = make([]RouteEntry, n)
+		f.routes = make([]route, n)
 		return nil
 	}
 	f.table.Grow(n)
-	for len(f.routes) < n {
-		f.routes = append(f.routes, RouteEntry{})
-	}
+	f.routes = append(f.routes, make([]route, n-len(f.routes))...)
 	for _, s := range retired {
 		f.table.RetireSlot(s)
 	}
@@ -141,6 +137,7 @@ func (f *FullMesh) Table() *lsdb.Table { return f.table }
 // Tick implements Router: broadcast the row to all n−1 nodes (the Θ(n²)
 // behaviour the paper improves on), then recompute the full route table.
 func (f *FullMesh) Tick() {
+	f.table.Expire(f.env.Now(), f.cfg.Staleness+max(f.cfg.DegradedHold, 0))
 	f.seq++
 	msg := wire.AppendLinkState(nil, f.env.LocalID(), wire.LinkState{
 		ViewVersion: f.view.VersionNum(),
@@ -168,6 +165,7 @@ const shardMinDsts = 256
 func (f *FullMesh) recompute() {
 	f.stats.recomputes++
 	now := f.env.Now()
+	nowNs := now.UnixNano()
 	n := f.view.Slots()
 	costs := f.selfCosts()
 	if cap(f.hopsBuf) < n {
@@ -186,11 +184,7 @@ func (f *FullMesh) recompute() {
 		if dst == f.self || hc.Hop < 0 {
 			continue // no usable hop: keep the stale entry; BestHop ages it out
 		}
-		e := RouteEntry{Hop: hc.Hop, Cost: hc.Cost, When: now, From: -1, Source: SourceSelf}
-		f.routes[dst] = e
-		if f.OnRouteUpdate != nil {
-			f.OnRouteUpdate(dst, e)
-		}
+		f.install(dst, route{when: nowNs, hop: int32(hc.Hop), from: -1, cost: hc.Cost, source: SourceSelf})
 	}
 }
 
@@ -224,9 +218,9 @@ func (f *FullMesh) BestHop(dst int) (RouteEntry, bool) {
 		return RouteEntry{Hop: -1, Cost: wire.InfCost}, false
 	}
 	now := f.env.Now()
-	e := f.routes[dst]
-	if e.Source != SourceNone && e.Hop >= 0 && now.Sub(e.When) <= f.cfg.Staleness {
-		return e, true
+	r := f.routes[dst]
+	if r.source != SourceNone && r.hop >= 0 && time.Duration(now.UnixNano()-r.when) <= f.cfg.Staleness {
+		return r.entry(), true
 	}
 	costs := f.selfCosts()
 	hop, cost := f.table.BestOneHopVia(costs, dst, now, f.cfg.Staleness)
@@ -242,15 +236,8 @@ func (f *FullMesh) BestHop(dst int) (RouteEntry, bool) {
 	via := func() (int, wire.Cost) {
 		return f.table.BestOneHopVia(costs, dst, now, f.cfg.Staleness+f.cfg.DegradedHold)
 	}
-	if se, ok := staleHop(e, now, f.cfg.Staleness, f.cfg.DegradedHold, alive, via); ok {
+	if se, ok := staleHop(r.entry(), now, f.cfg.Staleness, f.cfg.DegradedHold, alive, via); ok {
 		return se, true
 	}
 	return RouteEntry{Hop: -1, Cost: wire.InfCost}, false
-}
-
-// Routes implements Router.
-func (f *FullMesh) Routes() []RouteEntry {
-	out := make([]RouteEntry, len(f.routes))
-	copy(out, f.routes)
-	return out
 }

@@ -141,8 +141,8 @@ type Quorum struct {
 
 	servers []int // g.Servers(self): the grid derives a set per call, round 1 reads this one every tick
 
-	table  *lsdb.Table  // rows received from rendezvous clients (directional in asymmetric mode)
-	routes []RouteEntry // per destination slot
+	table *lsdb.Table // rows received from rendezvous clients (directional in asymmetric mode)
+	routeTable
 
 	// rv[rvOff[dst]:rvOff[dst+1]] are dst's default rendezvous: the common set
 	// for (self, dst) less this node, which always holds its own row. §4.1's
@@ -160,13 +160,9 @@ type Quorum struct {
 	SelfAsymRow func() []wire.AsymEntry
 	// LinkAlive reports the prober's liveness belief for a slot. Required.
 	LinkAlive func(slot int) bool
-	// OnRouteUpdate, if non-nil, observes every route table write (used for
-	// freshness accounting).
-	OnRouteUpdate func(dst int, e RouteEntry)
 
 	// scratch buffers reused across ticks.
 	clientsBuf []int
-	recsBuf    [][]wire.RecEntry
 	costsBuf   []wire.Cost // unpacked live self row (out-costs, then in-costs when directional)
 	hopBuf     []lsdb.HopCost
 	keyBuf     []uint64 // packed source keys of the self-row kernel calls
@@ -208,7 +204,7 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	q.view, q.g, q.self, q.servers = view, g, self, g.Servers(self)
 	if stable {
 		q.table.Grow(n)
-		q.routes = append(q.routes, make([]RouteEntry, n-len(q.routes))...)
+		q.routes = append(q.routes, make([]route, n-len(q.routes))...)
 		q.failovers = append(q.failovers, make([]*failoverState, n-len(q.failovers))...)
 		for _, s := range retired {
 			q.table.RetireSlot(s)
@@ -234,7 +230,7 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		} else {
 			q.table = lsdb.NewTable(n)
 		}
-		q.routes = make([]RouteEntry, n)
+		q.routes = make([]route, n)
 		q.failovers = make([]*failoverState, n)
 		q.rv, q.rvOff = nil, nil
 	}
@@ -306,18 +302,18 @@ func (q *Quorum) pairing(dst, k int) *rendezvous {
 // retired: entries toward a retired destination or through a retired hop are
 // dropped (the path no longer exists); a retired recommending rendezvous only
 // clears the provenance.
-func retireRoutes(routes []RouteEntry, retired []int) {
+func retireRoutes(routes []route, retired []int) {
 	if len(retired) == 0 {
 		return
 	}
 	for dst := range routes {
-		e := &routes[dst]
+		r := &routes[dst]
 		switch {
-		case e.Source == SourceNone:
-		case slices.Contains(retired, dst) || slices.Contains(retired, e.Hop):
-			*e = RouteEntry{}
-		case slices.Contains(retired, e.From):
-			e.From = -1
+		case r.source == SourceNone:
+		case slices.Contains(retired, dst) || slices.Contains(retired, int(r.hop)):
+			*r = route{}
+		case slices.Contains(retired, int(r.from)):
+			r.from = -1
 		}
 	}
 }
@@ -338,6 +334,7 @@ func (q *Quorum) Table() *lsdb.Table { return q.table }
 // Tick implements Router: one routing interval of the two-round protocol
 // plus the failure-detection pass.
 func (q *Quorum) Tick() {
+	q.table.Expire(q.env.Now(), q.cfg.Staleness+max(q.cfg.DegradedHold, 0))
 	q.sendLinkState()
 	q.sendRecommendations()
 	q.detectFailures()
@@ -466,30 +463,24 @@ func (q *Quorum) sendRecommendations() {
 	}
 	k := len(clients)
 
-	if cap(q.recsBuf) < k {
-		q.recsBuf = make([][]wire.RecEntry, k)
+	// One message per client, written in place: an entry per other client, then
+	// this node. The network keeps a payload until delivery: none is reused.
+	src, version := q.env.LocalID(), q.view.VersionNum()
+	msgs := make([][]byte, k)
+	for i := range msgs {
+		msgs[i] = wire.NewRecommendation(src, version, k)
 	}
-	recs := q.recsBuf[:k]
-	for i := range recs {
-		recs[i] = slices.Grow(recs[i][:0], k)[:k] // one entry per other client, then this node
-	}
-	q.clientPairs(clients, recs)
+	q.clientPairs(clients, msgs)
 
 	// Pairs (self, client): install the route to the client locally and tell
-	// the client its route to us.
+	// the client its route to us, which completes its message.
 	fwd, rev := q.sweep(clients)
+	nowNs := now.UnixNano()
 	for i, c := range clients {
-		q.install(c, RouteEntry{Hop: fwd[i].Hop, Cost: fwd[i].Cost, When: now, From: q.self, Source: SourceSelf})
+		q.install(c, route{when: nowNs, hop: int32(fwd[i].Hop), from: int32(q.self), cost: fwd[i].Cost, source: SourceSelf})
 		back := turned(rev[i], q.self, c)
-		recs[i][k-1] = wire.RecEntry{Dst: q.env.LocalID(), Hop: q.hopID(back.Hop), Cost: back.Cost}
-	}
-
-	for i, c := range clients {
-		msg := wire.AppendRecommendation(nil, q.env.LocalID(), wire.Recommendation{
-			ViewVersion: q.view.VersionNum(),
-			Entries:     recs[i],
-		})
-		q.env.Send(q.view.IDAt(c), msg)
+		wire.PutRecEntry(msgs[i], k-1, wire.RecEntry{Dst: src, Hop: q.hopID(back.Hop), Cost: back.Cost})
+		q.env.Send(q.view.IDAt(c), msgs[i])
 		q.stats.RecommendationsSent++
 	}
 }
@@ -503,12 +494,12 @@ func (q *Quorum) hopID(hop int) wire.NodeID {
 }
 
 // clientPairs evaluates every pair of clients and writes the results into both
-// endpoints' pending messages: recs[j] lists j's routes in client order, so
-// the route to clients[m] sits at index m, or m-1 past j itself. Sources are
+// endpoints' pending messages: msgs[j] lists j's routes in client order, so
+// the route to clients[m] is entry m, or m-1 past j itself. Sources are
 // split into spans that only read the table, stage kernel output in
-// span-local buffers and write disjoint entries of recs, so the bytes sent do
+// span-local buffers and write disjoint entries of msgs, so the bytes sent do
 // not depend on the worker count.
-func (q *Quorum) clientPairs(clients []int, recs [][]wire.RecEntry) {
+func (q *Quorum) clientPairs(clients []int, msgs [][]byte) {
 	k := len(clients)
 	workers := q.cfg.Workers
 	if k < shardMinClients {
@@ -533,8 +524,8 @@ func (q *Quorum) clientPairs(clients []int, recs [][]wire.RecEntry) {
 			for z, b := range others {
 				j := i + 1 + z
 				back := turned(rev[z], a, b)
-				recs[i][j-1] = wire.RecEntry{Dst: q.view.IDAt(b), Hop: q.hopID(fwd[z].Hop), Cost: fwd[z].Cost}
-				recs[j][i] = wire.RecEntry{Dst: q.view.IDAt(a), Hop: q.hopID(back.Hop), Cost: back.Cost}
+				wire.PutRecEntry(msgs[i], j-1, wire.RecEntry{Dst: q.view.IDAt(b), Hop: q.hopID(fwd[z].Hop), Cost: fwd[z].Cost})
+				wire.PutRecEntry(msgs[j], i, wire.RecEntry{Dst: q.view.IDAt(a), Hop: q.hopID(back.Hop), Cost: back.Cost})
 			}
 		}
 	})
@@ -577,14 +568,6 @@ func (q *Quorum) sweep(clients []int) (fwd, rev []lsdb.HopCost) {
 	return fwd, rev
 }
 
-// install writes a route table entry and fires the update hook.
-func (q *Quorum) install(dst int, e RouteEntry) {
-	q.routes[dst] = e
-	if q.OnRouteUpdate != nil {
-		q.OnRouteUpdate(dst, e)
-	}
-}
-
 // HandleLinkState implements Router: stores a client's row (making the
 // sender a rendezvous client of this node, including failover clients who
 // recruited us). Only the configured row format is accepted: a symmetric row
@@ -623,19 +606,21 @@ func (q *Quorum) maybeAck(src wire.NodeID, seq uint32) {
 
 // HandleRecommendation implements Router: installs round-2 best-hop
 // recommendations. The latest recommendation for a destination wins, per the
-// paper's footnote 11, whoever sent it.
+// paper's footnote 11, whoever sent it. The body is walked in place.
+//
+//lint:allocfree
 func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
-	rec, err := wire.ParseRecommendation(body)
-	if err != nil || rec.ViewVersion != q.view.VersionNum() {
+	version, k, err := wire.RecommendationHeader(body)
+	if err != nil || version != q.view.VersionNum() {
 		return
 	}
 	from, ok := q.view.SlotOf(h.Src)
 	if !ok || from == q.self {
 		return
 	}
-	now := q.env.Now()
-	heard := now.UnixNano()
-	for _, e := range rec.Entries {
+	now := q.env.Now().UnixNano()
+	for i := 0; i < k; i++ {
+		e := wire.RecommendationEntry(body, i)
 		dst, ok := q.view.SlotOf(e.Dst)
 		if !ok || dst == q.self {
 			continue
@@ -644,21 +629,19 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 		// recruited failover, or (a silent default recruited again) both —
 		// was heard from; anyone else's word moves no clock.
 		if p := q.pairing(dst, from); p != nil {
-			p.heard = heard
+			p.heard = now
 		}
 		if fo := q.failovers[dst]; fo != nil && fo.server == from {
-			fo.heard = heard
+			fo.heard = now
 		}
-		hop := -1
-		if e.Hop != wire.NilNode {
-			if hs, ok := q.view.SlotOf(e.Hop); ok {
-				hop = hs
-			}
+		hop, ok := q.view.SlotOf(e.Hop)
+		if !ok { // wire.NilNode, "no usable path", is nobody's ID either
+			hop = -1
 		}
 		if hop == q.self || (hop < 0 && e.Cost != wire.InfCost) {
 			continue // malformed entry: a route through its own source, or a usable cost but no hop
 		}
-		q.install(dst, RouteEntry{Hop: hop, Cost: e.Cost, When: now, From: from, Source: SourceRendezvous})
+		q.install(dst, route{when: now, hop: int32(hop), from: int32(from), cost: e.Cost, source: SourceRendezvous})
 	}
 }
 
@@ -670,9 +653,9 @@ func (q *Quorum) BestHop(dst int) (RouteEntry, bool) {
 		return RouteEntry{Hop: -1, Cost: wire.InfCost}, false
 	}
 	now := q.env.Now()
-	e := q.routes[dst]
-	if e.Source != SourceNone && e.Hop >= 0 && now.Sub(e.When) <= q.cfg.RouteTTL {
-		return e, true
+	r := q.routes[dst]
+	if r.source != SourceNone && r.hop >= 0 && time.Duration(now.UnixNano()-r.when) <= q.cfg.RouteTTL {
+		return r.entry(), true
 	}
 	selfOut, _ := q.selfCosts()
 	hop, cost := q.table.BestOneHopVia(selfOut, dst, now, q.cfg.Staleness)
@@ -682,17 +665,10 @@ func (q *Quorum) BestHop(dst int) (RouteEntry, bool) {
 	via := func() (int, wire.Cost) {
 		return q.table.BestOneHopVia(selfOut, dst, now, q.cfg.Staleness+q.cfg.DegradedHold)
 	}
-	if se, ok := staleHop(e, now, q.cfg.RouteTTL, q.cfg.DegradedHold, q.LinkAlive, via); ok {
+	if se, ok := staleHop(r.entry(), now, q.cfg.RouteTTL, q.cfg.DegradedHold, q.LinkAlive, via); ok {
 		return se, true
 	}
 	return RouteEntry{Hop: -1, Cost: wire.InfCost}, false
-}
-
-// Routes implements Router.
-func (q *Quorum) Routes() []RouteEntry {
-	out := make([]RouteEntry, len(q.routes))
-	copy(out, q.routes)
-	return out
 }
 
 // rendezvousLive reports whether rendezvous k, last heard about dst at heard,

@@ -147,8 +147,8 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 		!q.table.Put(6, lsdb.Row{Seq: 7, When: began, Entries: aliveRow(9, 6)}) {
 		t.Fatal("rows not stored")
 	}
-	q.routes[2] = RouteEntry{Hop: 3, Cost: 30, When: began, From: 3, Source: SourceRendezvous}
-	q.routes[6] = RouteEntry{Hop: 6, Cost: 40, When: began, From: 3, Source: SourceRendezvous}
+	q.routes[2] = route{hop: 3, cost: 30, when: began.UnixNano(), from: 3, source: SourceRendezvous}
+	q.routes[6] = route{hop: 6, cost: 40, when: began.UnixNano(), from: 3, source: SourceRendezvous}
 	// Every pairing has been heard from since the view began, each at its own
 	// moment, and an episode toward slot 8 has tried slots 2 and 5.
 	nw.RunFor(10 * time.Second)
@@ -172,10 +172,10 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 	}
 	// The route via the departed hop is dropped; the one it merely
 	// recommended survives in place with its provenance cleared.
-	if q.routes[2].Source != SourceNone {
-		t.Errorf("route through the departed hop survived: %+v", q.routes[2])
+	if q.routes[2].entry().Source != SourceNone {
+		t.Errorf("route through the departed hop survived: %+v", q.routes[2].entry())
 	}
-	if e := q.routes[6]; e.Source != SourceRendezvous || e.Hop != 6 || e.Cost != 40 || e.From != -1 {
+	if e := q.routes[6].entry(); e.Source != SourceRendezvous || e.Hop != 6 || e.Cost != 40 || e.From != -1 {
 		t.Errorf("unaffected route = %+v, want hop 6 cost 40 from -1", e)
 	}
 	// The departed client's row is gone; the survivor's keeps its slot and
@@ -269,18 +269,18 @@ func TestFullMeshSetViewStableKeepsState(t *testing.T) {
 	env, _ := soloEnv()
 	f := NewFullMesh(env, FullMeshConfig{}, slotView(t, 1, 0, 1, 2), 0)
 	now := env.Now()
-	f.routes[1] = RouteEntry{Hop: 1, Cost: 10, When: now, From: -1, Source: SourceSelf}
-	f.routes[2] = RouteEntry{Hop: 2, Cost: 25, When: now, From: -1, Source: SourceSelf}
+	f.routes[1] = route{hop: 1, cost: 10, when: now.UnixNano(), from: -1, source: SourceSelf}
+	f.routes[2] = route{hop: 2, cost: 25, when: now.UnixNano(), from: -1, source: SourceSelf}
 	f.table.Put(2, lsdb.Row{Seq: 2, When: now, Entries: aliveRow(3, 2)})
 
 	f.SetView(slotView(t, 2, 0, wire.NilNode, 2, 7), 0)
 	if extends, remaps := f.ViewChangeStats(); extends != 1 || remaps != 0 {
 		t.Fatalf("extends=%d remaps=%d, want 1/0", extends, remaps)
 	}
-	if f.routes[1].Source != SourceNone {
-		t.Errorf("route to the departed member survived: %+v", f.routes[1])
+	if f.routes[1].entry().Source != SourceNone {
+		t.Errorf("route to the departed member survived: %+v", f.routes[1].entry())
 	}
-	if e := f.routes[2]; e.Source != SourceSelf || e.Hop != 2 || e.Cost != 25 {
+	if e := f.routes[2].entry(); e.Source != SourceSelf || e.Hop != 2 || e.Cost != 25 {
 		t.Errorf("unaffected route = %+v", e)
 	}
 	if !f.table.Have(2) || f.table.Seq(2) != 2 || f.table.OutRow(2)[1] != wire.InfCost {

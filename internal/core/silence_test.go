@@ -89,7 +89,7 @@ func TestStrangerRecommendationMovesNoClock(t *testing.T) {
 	before := append([]rendezvous(nil), q.rv...)
 
 	recommend(q, 8, 4, 5) // slot 8 serves neither slot 0 nor the pair (0, 4)
-	if e := q.routes[4]; e.Source != SourceRendezvous || e.From != 8 || e.Hop != 5 {
+	if e := q.routes[4].entry(); e.Source != SourceRendezvous || e.From != 8 || e.Hop != 5 {
 		t.Errorf("stranger's route not installed: %+v", e)
 	}
 	if !reflect.DeepEqual(q.rv, before) {
@@ -107,6 +107,21 @@ func TestStrangerRecommendationMovesNoClock(t *testing.T) {
 	parse := testing.AllocsPerRun(100, func() { _, _ = wire.ParseRecommendation(body) })
 	if handle := testing.AllocsPerRun(100, func() { q.HandleRecommendation(h, body) }); handle > parse {
 		t.Errorf("handling a stranger's recommendation allocates %.0f times, parsing it %.0f", handle, parse)
+	}
+
+	// Nor does a full-size message — 36 entries, what a rendezvous of an 18×18
+	// grid sends — from anybody: the body is walked in place, and with no
+	// update hook set no RouteEntry is built.
+	full := wire.NewRecommendation(8, 1, 36)
+	for i := 0; i < 36; i++ {
+		wire.PutRecEntry(full, i, wire.RecEntry{Dst: wire.NodeID(1 + i%7), Hop: wire.NodeID(1 + (i+3)%7), Cost: wire.Cost(10 + i)})
+	}
+	h, body, _ = wire.ParseHeader(full)
+	if allocs := testing.AllocsPerRun(100, func() { q.HandleRecommendation(h, body) }); allocs != 0 {
+		t.Errorf("handling a 36-entry recommendation allocates %.0f times, want 0", allocs)
+	}
+	if e := q.routes[7].entry(); e.Source != SourceRendezvous || e.From != 8 || e.Cost != 44 {
+		t.Errorf("the 36-entry message's last word on slot 7 not installed: %+v", e)
 	}
 
 	// The same words from a default rendezvous move that pairing's clock only.
@@ -129,7 +144,7 @@ func TestSelfHopRecommendationDropped(t *testing.T) {
 	q, run := cornerQuorum(t, QuorumConfig{}, nil)
 	run(10 * time.Second)
 	recommend(q, 1, 4, 0)
-	if e := q.routes[4]; e.Source != SourceNone {
+	if e := q.routes[4].entry(); e.Source != SourceNone {
 		t.Errorf("route through the receiver installed: %+v", e)
 	}
 	if p := q.pairing(4, 1); p.heard != q.env.Now().UnixNano() {

@@ -15,6 +15,9 @@
 // view), not by node ID. Slots are stable for a member's lifetime, so a table
 // follows a chain of stable view extensions in place (Grow, RetireSlot) and
 // is replaced by an empty one only when an install cannot be one.
+//
+// Rows are held while readable: every reader bounds a row's age, so the owner
+// calls Expire with the largest bound once per routing interval.
 package lsdb
 
 import (
@@ -79,7 +82,7 @@ func (t *Table) OutRow(slot int) []wire.Cost { return t.out.Row(slot) }
 // symmetric table.
 func (t *Table) InRow(slot int) []wire.Cost { return t.in.Row(slot) }
 
-// Have reports whether slot has a stored row.
+// Have reports whether slot has announced a row (Expire may have dropped its costs).
 func (t *Table) Have(slot int) bool { return slot >= 0 && slot < t.n && t.have[slot] }
 
 // Seq returns the sequence number of slot's stored row (0 if none).
@@ -133,6 +136,32 @@ func (t *Table) FreshSlots(dst []int, now time.Time, maxAge time.Duration) []int
 		}
 	}
 	return dst
+}
+
+// Expire releases the cost storage of every row older than maxAge, which must
+// be at least the largest age any reader passes to FreshAt or a kernel: such a
+// row reads as absent and is fresh for nobody, so nothing can tell. Its have,
+// seq and when stay — they refuse a delayed lower-sequence duplicate, which
+// would otherwise be stored as new and stamped fresh. Everyone who ever
+// recruited a node as a failover rendezvous (§4.1) sent it a row; without this
+// rule it holds them for good and §3's 2√n rows per node drift toward n.
+func (t *Table) Expire(now time.Time, maxAge time.Duration) {
+	for s, held := range t.out.rows {
+		if held != nil && now.Sub(t.when[s]) > maxAge {
+			t.out.rows[s], t.in.rows[s] = nil, nil
+		}
+	}
+}
+
+// Stored returns the number of rows holding cost storage.
+func (t *Table) Stored() int {
+	c := 0
+	for _, held := range t.out.rows {
+		if held != nil {
+			c++
+		}
+	}
+	return c
 }
 
 // Grow extends the table to newN slots in place, for stable view extensions

@@ -422,3 +422,69 @@ func asymAliveRow(costs [][2]int) []wire.AsymEntry {
 	}
 	return r
 }
+
+// TestExpireKeepsSequenceGuard: releasing a row nobody can read any more gives
+// back its cost storage and nothing else. The slot still remembers what it
+// last accepted — if it forgot, a delayed lower-sequence duplicate would be
+// stored as new and stamped fresh — and the next real announcement lands in
+// storage of its own, in both directions of a directional table.
+func TestExpireKeepsSequenceGuard(t *testing.T) {
+	const maxAge = 45 * time.Second
+	for _, directional := range []bool{false, true} {
+		tb := NewTable(3)
+		put := func(slot int, seq uint32, when time.Time, lat int) bool {
+			return tb.Put(slot, Row{Seq: seq, When: when, Entries: aliveRow(0, lat, lat)})
+		}
+		if directional {
+			tb = NewDirectionalTable(3)
+			put = func(slot int, seq uint32, when time.Time, lat int) bool {
+				e := aentry(lat, lat+1, true)
+				return tb.PutAsym(slot, AsymRow{Seq: seq, When: when, Entries: []wire.AsymEntry{{}, e, e}})
+			}
+		}
+		put(0, 7, t0, 10)
+		put(1, 3, t0.Add(30*time.Second), 20)
+
+		tb.Expire(t0.Add(maxAge), maxAge) // exactly maxAge old: FreshAt still says yes
+		if tb.Stored() != 2 {
+			t.Fatalf("directional=%v: a row FreshAt(maxAge) still accepts was released", directional)
+		}
+		now := t0.Add(maxAge + time.Nanosecond)
+		tb.Expire(now, maxAge)
+		if tb.Stored() != 1 || tb.OutRow(1)[1] != 20 {
+			t.Fatalf("directional=%v: %d rows stored after expiring one of two", directional, tb.Stored())
+		}
+		if !tb.Have(0) || tb.Seq(0) != 7 || !tb.When(0).Equal(t0) || tb.FreshAt(0, now, maxAge) {
+			t.Errorf("directional=%v: released slot: have=%v seq=%d when=%v", directional, tb.Have(0), tb.Seq(0), tb.When(0))
+		}
+		for _, row := range [][]wire.Cost{tb.OutRow(0), tb.InRow(0)} {
+			for h, c := range row {
+				if c != wire.InfCost {
+					t.Errorf("directional=%v: released row still reads cost %d toward %d", directional, c, h)
+				}
+			}
+		}
+		if put(0, 6, now, 99) {
+			t.Error("a lower-sequence duplicate was accepted after the release")
+		}
+		if put(0, 7, t0.Add(-time.Second), 99) {
+			t.Error("an equal-sequence, older duplicate was accepted after the release")
+		}
+		if tb.Stored() != 1 {
+			t.Error("a refused duplicate allocated storage")
+		}
+		if !put(0, 8, now, 40) || tb.Stored() != 2 || tb.OutRow(0)[1] != 40 || !tb.FreshAt(0, now, maxAge) {
+			t.Errorf("directional=%v: newer row after the release: stored=%d costs=%v", directional, tb.Stored(), tb.OutRow(0))
+		}
+		if directional && tb.InRow(0)[1] != 41 {
+			t.Errorf("in-direction not re-allocated: %v", tb.InRow(0))
+		}
+		// A released row is skipped by Grow and needs nothing of RetireSlot.
+		tb.Expire(now.Add(time.Hour), maxAge)
+		tb.Grow(5)
+		tb.RetireSlot(1)
+		if tb.Stored() != 0 || len(tb.OutRow(0)) != 5 || tb.Have(1) || !tb.Have(0) {
+			t.Errorf("directional=%v: grow/retire over released rows: stored=%d", directional, tb.Stored())
+		}
+	}
+}

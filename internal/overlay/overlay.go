@@ -139,8 +139,8 @@ func (n *Node) installView(v *membership.ViewInfo) error {
 		n.prober.SetView(v, self)
 	}
 
-	// The router is created once, wired to the prober and the route-update
-	// hook; every later view goes through SetView.
+	// The router is created once, wired to the prober and, if anyone listens,
+	// the route-update hook; every later view goes through SetView.
 	switch {
 	case n.router != nil:
 		if err := n.router.SetView(v, self); err != nil {
@@ -149,7 +149,9 @@ func (n *Node) installView(v *membership.ViewInfo) error {
 	case n.cfg.Algorithm == AlgFullMesh:
 		fm := core.NewFullMesh(n.env, n.cfg.FullMesh, v, self)
 		fm.SelfRow = n.prober.Row
-		fm.OnRouteUpdate = n.routeUpdated
+		if n.OnRouteUpdate != nil {
+			fm.OnRouteUpdate = n.routeUpdated
+		}
 		n.router = fm
 	default:
 		q, err := core.NewQuorum(n.env, n.cfg.Quorum, v, self)
@@ -159,7 +161,9 @@ func (n *Node) installView(v *membership.ViewInfo) error {
 		q.SelfRow = n.prober.Row
 		q.SelfAsymRow = n.prober.AsymRow
 		q.LinkAlive = n.prober.Alive
-		q.OnRouteUpdate = n.routeUpdated
+		if n.OnRouteUpdate != nil {
+			q.OnRouteUpdate = n.routeUpdated
+		}
 		n.router = q
 	}
 

@@ -9,6 +9,10 @@
 // scheduler per node — each link keeps a single deadline (schedule.go) and one
 // timer through the node's transport.Env wakes the prober for the earliest —
 // and exposes the measured link-state row that the routing layer announces.
+//
+// A link is its estimates: 32 pointer-free bytes per destination. The one-way
+// estimates exist only in asymmetric mode, and the two smoothing factors are
+// constants, not per-link state.
 package probe
 
 import (
@@ -77,15 +81,17 @@ const (
 // prober's schedule.
 type linkState struct {
 	seq       uint32 // of the last probe sent: the awaited one while awaiting
+	consec    uint32 // consecutive losses
 	awaiting  bool
-	consec    int // consecutive losses
 	alive     bool
-	everAlive bool
-	latency   stats.EWMA
-	outLat    stats.EWMA // one-way toward the destination (asymmetric mode)
-	inLat     stats.EWMA // one-way back (asymmetric mode)
-	loss      stats.EWMA
+	everAlive bool    // a reply has been folded in, so latency (and the link's oneWay) is seeded
+	lossSeen  bool    // a probe has been resolved either way, so loss is seeded
+	latency   float64 // EWMA round trip, ms
+	loss      float64 // EWMA loss rate
 }
+
+// oneWay is a link's one-way latency estimates (EWMA, ms), seeded with latency.
+type oneWay struct{ out, in float64 }
 
 // Prober monitors the links from one node to every other node in the view.
 type Prober struct {
@@ -96,7 +102,8 @@ type Prober struct {
 
 	links   []linkState
 	row     []wire.LinkEntry
-	asymRow []wire.AsymEntry // maintained only in asymmetric mode
+	oneWays []oneWay         // per link; maintained only in asymmetric mode
+	asymRow []wire.AsymEntry // likewise
 
 	// One scheduler for every link: sched holds their deadlines and the one
 	// timer is armed for the earliest. A reply only moves a deadline later, so
@@ -123,16 +130,6 @@ func New(env transport.Env, cfg Config, view *membership.ViewInfo, self int) *Pr
 	return p
 }
 
-// coldLink returns the probe machine of a never-measured destination.
-func coldLink() linkState {
-	var ls linkState
-	ls.latency.Alpha = latencyAlpha
-	ls.outLat.Alpha = latencyAlpha
-	ls.inLat.Alpha = latencyAlpha
-	ls.loss.Alpha = lossAlpha
-	return ls
-}
-
 // reset rebuilds per-destination state for a view.
 func (p *Prober) reset(view *membership.ViewInfo, self int) {
 	p.disarm()
@@ -141,16 +138,14 @@ func (p *Prober) reset(view *membership.ViewInfo, self int) {
 	p.sched.grow(n)
 	p.view = view
 	p.self = self
-	p.links = make([]linkState, n)
-	for i := range p.links {
-		p.links[i] = coldLink()
-	}
+	p.links = make([]linkState, n) // the zero linkState is a never-measured destination
 	p.row = make([]wire.LinkEntry, n)
 	for i := range p.row {
 		p.row[i] = wire.LinkEntry{Latency: 0, Status: wire.StatusDead}
 	}
 	lsdb.SelfRow(self, p.row)
 	if p.cfg.Asymmetric {
+		p.oneWays = make([]oneWay, n)
 		p.asymRow = make([]wire.AsymEntry, n)
 		for i := range p.asymRow {
 			p.asymRow[i] = wire.AsymEntry{Status: wire.StatusDead}
@@ -178,9 +173,10 @@ func (p *Prober) SetView(view *membership.ViewInfo, self int) {
 	n := view.Slots()
 	p.view = view
 	for len(p.links) < n {
-		p.links = append(p.links, coldLink())
+		p.links = append(p.links, linkState{})
 		p.row = append(p.row, wire.LinkEntry{Latency: 0, Status: wire.StatusDead})
 		if p.asymRow != nil {
+			p.oneWays = append(p.oneWays, oneWay{})
 			p.asymRow = append(p.asymRow, wire.AsymEntry{Status: wire.StatusDead})
 		}
 	}
@@ -190,10 +186,11 @@ func (p *Prober) SetView(view *membership.ViewInfo, self int) {
 	for _, s := range retired {
 		ls := &p.links[s]
 		wasAlive := ls.alive
-		*ls = coldLink()
+		*ls = linkState{}
 		p.sched.set(s, never)
 		p.row[s] = wire.LinkEntry{Latency: 0, Status: wire.StatusDead}
 		if p.asymRow != nil {
+			p.oneWays[s] = oneWay{}
 			p.asymRow[s] = wire.AsymEntry{Status: wire.StatusDead}
 		}
 		if wasAlive && p.OnLinkChange != nil {
@@ -319,10 +316,10 @@ func (p *Prober) AsymRow() []wire.AsymEntry { return p.asymRow }
 // OneWay returns the current one-way latency estimates to and from a slot in
 // milliseconds (asymmetric mode only).
 func (p *Prober) OneWay(slot int) (out, in float64, ok bool) {
-	if !p.cfg.Asymmetric || slot < 0 || slot >= len(p.links) || !p.links[slot].outLat.Seeded() {
+	if !p.cfg.Asymmetric || slot < 0 || slot >= len(p.links) || !p.links[slot].everAlive {
 		return 0, 0, false
 	}
-	return p.links[slot].outLat.Value(), p.links[slot].inLat.Value(), true
+	return p.oneWays[slot].out, p.oneWays[slot].in, true
 }
 
 // Alive reports the prober's liveness belief for a slot. The self slot is
@@ -340,10 +337,10 @@ func (p *Prober) Alive(slot int) bool {
 // Latency returns the current EWMA latency estimate for a slot in
 // milliseconds, or ok=false if the link has never been measured.
 func (p *Prober) Latency(slot int) (ms float64, ok bool) {
-	if slot < 0 || slot >= len(p.links) || !p.links[slot].latency.Seeded() {
+	if slot < 0 || slot >= len(p.links) || !p.links[slot].everAlive {
 		return 0, false
 	}
-	return p.links[slot].latency.Value(), true
+	return p.links[slot].latency, true
 }
 
 // ConcurrentFailures returns the number of destinations currently marked
@@ -380,8 +377,8 @@ func (p *Prober) onTimeout(slot int, now time.Duration) {
 	ls := &p.links[slot]
 	ls.awaiting = false
 	ls.consec++
-	ls.loss.Update(1)
-	if ls.alive && ls.consec >= p.cfg.FailThreshold {
+	ls.resolved(1)
+	if ls.alive && int(ls.consec) >= p.cfg.FailThreshold {
 		ls.alive = false
 		p.row[slot].Status = wire.StatusDead
 		if p.OnLinkChange != nil {
@@ -392,7 +389,7 @@ func (p *Prober) onTimeout(slot int, now time.Duration) {
 	// Rapid re-probing until the link is declared dead; normal cadence
 	// afterwards so recovery is still noticed.
 	next := p.cfg.Interval
-	if ls.consec > 0 && ls.consec < p.cfg.FailThreshold {
+	if ls.consec > 0 && int(ls.consec) < p.cfg.FailThreshold {
 		next = p.cfg.Interval / rapidFactor
 		if next > p.cfg.ReplyTimeout {
 			next -= p.cfg.ReplyTimeout
@@ -436,8 +433,9 @@ func (p *Prober) HandleReply(h wire.Header, body []byte) {
 		rtt = 0
 	}
 	ls.consec = 0
-	ls.loss.Update(0)
-	ls.latency.Update(float64(rtt) / float64(time.Millisecond))
+	ls.resolved(0)
+	// everAlive, set below, still says whether this is the link's first reply.
+	ls.latency = stats.EWMA(ls.latency, float64(rtt)/float64(time.Millisecond), latencyAlpha, ls.everAlive)
 	if p.cfg.Asymmetric {
 		fwd := time.Duration(r.RecvAt - r.Echo)
 		rev := now.Sub(time.Unix(0, r.RecvAt))
@@ -447,12 +445,13 @@ func (p *Prober) HandleReply(h wire.Header, body []byte) {
 		if rev < 0 {
 			rev = 0
 		}
-		ls.outLat.Update(float64(fwd) / float64(time.Millisecond))
-		ls.inLat.Update(float64(rev) / float64(time.Millisecond))
+		ow := &p.oneWays[slot]
+		ow.out = stats.EWMA(ow.out, float64(fwd)/float64(time.Millisecond), latencyAlpha, ls.everAlive)
+		ow.in = stats.EWMA(ow.in, float64(rev)/float64(time.Millisecond), latencyAlpha, ls.everAlive)
 	}
+	ls.everAlive = true
 	if !ls.alive {
 		ls.alive = true
-		ls.everAlive = true
 		if p.OnLinkChange != nil {
 			p.OnLinkChange(slot, true)
 		}
@@ -462,6 +461,13 @@ func (p *Prober) HandleReply(h wire.Header, body []byte) {
 		p.OnMeasure(slot, rtt)
 	}
 	p.sched.set(slot, now.Sub(p.epoch)+p.cfg.Interval)
+}
+
+// resolved folds the outcome of one probe — 1 lost, 0 answered — into the
+// link's loss rate.
+func (ls *linkState) resolved(lost float64) {
+	ls.loss = stats.EWMA(ls.loss, lost, lossAlpha, ls.lossSeen)
+	ls.lossSeen = true
 }
 
 // updateStatus refreshes the row entry for slot from the link estimators.
@@ -474,13 +480,13 @@ func (p *Prober) updateStatus(slot int) {
 		}
 		return
 	}
-	status := wire.MakeStatus(true, int(ls.loss.Value()*100+0.5))
-	p.row[slot].Latency = clampMS(ls.latency.Value())
+	status := wire.MakeStatus(true, int(ls.loss*100+0.5))
+	p.row[slot].Latency = clampMS(ls.latency)
 	p.row[slot].Status = status
 	if p.asymRow != nil {
 		p.asymRow[slot] = wire.AsymEntry{
-			Out:    clampMS(ls.outLat.Value()),
-			In:     clampMS(ls.inLat.Value()),
+			Out:    clampMS(p.oneWays[slot].out),
+			In:     clampMS(p.oneWays[slot].in),
 			Status: status,
 		}
 	}

@@ -425,7 +425,7 @@ func TestSetViewRetiresDepartedSlot(t *testing.T) {
 	if _, ok := p.Latency(1); ok || p.Alive(1) || wire.StatusAlive(p.Row()[1].Status) {
 		t.Error("departed slot kept its measurements")
 	}
-	if p.links[1] != coldLink() || p.sched.due[1] != never {
+	if p.links[1] != (linkState{}) || p.sched.due[1] != never {
 		t.Errorf("departed slot not cold: %+v, deadline %v", p.links[1], p.sched.due[1])
 	}
 	if alive, reported := f.changes[0][1]; !reported || alive {

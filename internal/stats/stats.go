@@ -217,31 +217,13 @@ func (s Summary) String() string {
 	return fmt.Sprintf("median=%.2f mean=%.2f p97=%.2f max=%.2f", s.Median, s.Mean, s.P97, s.Max)
 }
 
-// EWMA is an exponentially weighted moving average with smoothing factor
-// alpha: after Update(x), Value = alpha*x + (1-alpha)*old. The first update
-// seeds the average directly, as in RON's latency estimator.
-type EWMA struct {
-	Alpha  float64
-	value  float64
-	seeded bool
-}
-
-// Update folds a new observation in and returns the new average.
-func (e *EWMA) Update(x float64) float64 {
-	if !e.seeded {
-		e.value = x
-		e.seeded = true
+// EWMA folds observation x into the exponentially weighted moving average avg
+// with smoothing factor alpha and returns alpha*x + (1-alpha)*avg. The first
+// sample (seeded false) seeds the average directly, as in RON's latency
+// estimator. The caller keeps the average and the flag: eight bytes and a bit.
+func EWMA(avg, x, alpha float64, seeded bool) float64 {
+	if !seeded {
 		return x
 	}
-	e.value = e.Alpha*x + (1-e.Alpha)*e.value
-	return e.value
+	return alpha*x + (1-alpha)*avg
 }
-
-// Value returns the current average (0 before any update).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Seeded reports whether the average has received at least one sample.
-func (e *EWMA) Seeded() bool { return e.seeded }
-
-// Reset clears the average to its unseeded state.
-func (e *EWMA) Reset() { e.value, e.seeded = 0, false }

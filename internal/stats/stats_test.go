@@ -117,22 +117,16 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestEWMA(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	if e.Seeded() {
-		t.Error("new EWMA seeded")
+	avg := EWMA(0, 100, 0.5, false)
+	if avg != 100 {
+		t.Errorf("first sample = %v, want it to seed the average", avg)
 	}
-	if got := e.Update(100); got != 100 {
-		t.Errorf("first update = %v", got)
+	if avg = EWMA(avg, 50, 0.5, true); avg != 75 {
+		t.Errorf("second sample = %v", avg)
 	}
-	if got := e.Update(50); got != 75 {
-		t.Errorf("second update = %v", got)
-	}
-	if e.Value() != 75 {
-		t.Errorf("value = %v", e.Value())
-	}
-	e.Reset()
-	if e.Seeded() || e.Value() != 0 {
-		t.Error("reset failed")
+	// An unseeded average is whatever its holder left there: it is ignored.
+	if got := EWMA(12345, 7, 0.5, false); got != 7 {
+		t.Errorf("unseeded average leaked into the first sample: %v", got)
 	}
 }
 
@@ -190,13 +184,14 @@ func TestFractionLEQuick(t *testing.T) {
 func TestEWMABoundedQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		e := EWMA{Alpha: 0.1 + 0.8*r.Float64()}
+		alpha := 0.1 + 0.8*r.Float64()
 		lo, hi := math.Inf(1), math.Inf(-1)
+		var v float64
 		for i := 0; i < 100; i++ {
 			x := r.Float64() * 1000
 			lo = math.Min(lo, x)
 			hi = math.Max(hi, x)
-			v := e.Update(x)
+			v = EWMA(v, x, alpha, i > 0)
 			if v < lo-1e-9 || v > hi+1e-9 {
 				return false
 			}

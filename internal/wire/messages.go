@@ -188,46 +188,87 @@ type Recommendation struct {
 	Entries     []RecEntry
 }
 
+const recFixed = 4 + 2 // encoded size of a Recommendation's view version and count
+
+// appendRecommendation appends a k-entry recommendation, its entries still zero.
+func appendRecommendation(b []byte, src NodeID, viewVersion uint32, k int) []byte {
+	b = AppendHeader(b, TRecommendation, src)
+	b = binary.BigEndian.AppendUint32(b, viewVersion)
+	b = binary.BigEndian.AppendUint16(b, uint16(k))
+	return append(b, make([]byte, recEntryLen*k)...)
+}
+
+// NewRecommendation returns a whole k-entry recommendation message from src,
+// allocated once at its final size, for PutRecEntry to fill in place: a
+// rendezvous knows every entry's position, so round 2 never stages entries.
+func NewRecommendation(src NodeID, viewVersion uint32, k int) []byte {
+	return appendRecommendation(make([]byte, 0, RecommendationSize(k)), src, viewVersion, k)
+}
+
+// PutRecEntry encodes e as entry i of msg, a whole recommendation message. It
+// is the one entry encoder; different entries may be written concurrently.
+//
+//lint:allocfree
+func PutRecEntry(msg []byte, i int, e RecEntry) {
+	b := msg[HeaderLen+recFixed+i*recEntryLen:][:recEntryLen]
+	binary.BigEndian.PutUint16(b, uint16(e.Dst))
+	binary.BigEndian.PutUint16(b[2:], uint16(e.Hop))
+	binary.BigEndian.PutUint16(b[4:], uint16(e.Cost))
+}
+
 // AppendRecommendation encodes r with its header.
 func AppendRecommendation(b []byte, src NodeID, r Recommendation) []byte {
-	b = AppendHeader(b, TRecommendation, src)
-	b = binary.BigEndian.AppendUint32(b, r.ViewVersion)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Entries)))
-	for _, e := range r.Entries {
-		b = binary.BigEndian.AppendUint16(b, uint16(e.Dst))
-		b = binary.BigEndian.AppendUint16(b, uint16(e.Hop))
-		b = binary.BigEndian.AppendUint16(b, uint16(e.Cost))
+	at := len(b)
+	b = appendRecommendation(b, src, r.ViewVersion, len(r.Entries))
+	msg := b[at:]
+	for i, e := range r.Entries {
+		PutRecEntry(msg, i, e)
 	}
 	return b
 }
 
-// ParseRecommendation decodes a Recommendation body.
+// RecommendationHeader validates a Recommendation body and returns its view
+// version and entry count, for RecommendationEntry to read entries in place.
+func RecommendationHeader(body []byte) (viewVersion uint32, k int, err error) {
+	if len(body) < recFixed {
+		return 0, 0, ErrShort
+	}
+	k = int(binary.BigEndian.Uint16(body[4:]))
+	if have := len(body) - recFixed; have != k*recEntryLen {
+		return 0, 0, fmt.Errorf("%w: want %d entry bytes, have %d", ErrBadLen, k*recEntryLen, have)
+	}
+	return binary.BigEndian.Uint32(body), k, nil
+}
+
+// RecommendationEntry decodes entry i of a body RecommendationHeader accepted:
+// the one entry decoder, and it allocates nothing.
+//
+//lint:allocfree
+func RecommendationEntry(body []byte, i int) RecEntry {
+	b := body[recFixed+i*recEntryLen:][:recEntryLen]
+	return RecEntry{
+		Dst:  NodeID(binary.BigEndian.Uint16(b)),
+		Hop:  NodeID(binary.BigEndian.Uint16(b[2:])),
+		Cost: Cost(binary.BigEndian.Uint16(b[4:])),
+	}
+}
+
+// ParseRecommendation decodes a Recommendation body into a message of its own.
 func ParseRecommendation(body []byte) (Recommendation, error) {
-	const fixed = 4 + 2
-	if len(body) < fixed {
-		return Recommendation{}, ErrShort
+	viewVersion, k, err := RecommendationHeader(body)
+	if err != nil {
+		return Recommendation{}, err
 	}
-	r := Recommendation{ViewVersion: binary.BigEndian.Uint32(body)}
-	n := int(binary.BigEndian.Uint16(body[4:]))
-	body = body[fixed:]
-	if len(body) != n*recEntryLen {
-		return Recommendation{}, fmt.Errorf("%w: want %d entry bytes, have %d", ErrBadLen, n*recEntryLen, len(body))
-	}
-	r.Entries = make([]RecEntry, n)
-	for i := 0; i < n; i++ {
-		off := i * recEntryLen
-		r.Entries[i] = RecEntry{
-			Dst:  NodeID(binary.BigEndian.Uint16(body[off:])),
-			Hop:  NodeID(binary.BigEndian.Uint16(body[off+2:])),
-			Cost: Cost(binary.BigEndian.Uint16(body[off+4:])),
-		}
+	r := Recommendation{ViewVersion: viewVersion, Entries: make([]RecEntry, k)}
+	for i := range r.Entries {
+		r.Entries[i] = RecommendationEntry(body, i)
 	}
 	return r, nil
 }
 
 // RecommendationSize returns the encoded payload size of a recommendation
 // message with k entries, excluding per-packet overhead.
-func RecommendationSize(k int) int { return HeaderLen + 6 + recEntryLen*k }
+func RecommendationSize(k int) int { return HeaderLen + recFixed + recEntryLen*k }
 
 // AsymEntry is one destination's entry in an asymmetric link-state row
 // (footnote 2: "the link state transmitted in round one would include both
