@@ -364,7 +364,7 @@ func BenchmarkKernelOneHop(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d/batch", n), func(b *testing.B) {
 			out := make([]lsdb.HopCost, len(dsts))
-			keys := make([]uint64, 0, n)
+			keys := make([]wire.Cost, 0, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				keys = tb.BestOneHopAllRow(keys, tb.OutRow(0), 0, dsts, out)

@@ -195,17 +195,21 @@ func (f *FullMesh) selfCosts() []wire.Cost {
 	return f.costsBuf
 }
 
-// HandleLinkState implements Router.
+// HandleLinkState implements Router: a member's symmetric row built against
+// this view is unpacked from the wire straight into the table. Nothing of the
+// body is read before the sender is known to be another member.
+//
+//lint:allocfree
 func (f *FullMesh) HandleLinkState(h wire.Header, body []byte) {
-	ls, err := wire.ParseLinkState(body)
-	if err != nil || ls.ViewVersion != f.view.VersionNum() {
-		return
-	}
 	slot, ok := f.view.SlotOf(h.Src)
-	if !ok || slot == f.self {
+	if !ok || slot == f.self || h.Type != wire.TLinkState {
 		return
 	}
-	f.table.Put(slot, lsdb.Row{Seq: ls.Seq, When: f.env.Now(), Entries: ls.Entries})
+	version, seq, entries, err := wire.LinkStateBody(h.Type, body)
+	if err != nil || version != f.view.VersionNum() {
+		return
+	}
+	f.table.PutWire(slot, seq, f.env.Now(), entries)
 }
 
 // HandleRecommendation implements Router. The baseline never receives

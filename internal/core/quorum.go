@@ -165,7 +165,7 @@ type Quorum struct {
 	clientsBuf []int
 	costsBuf   []wire.Cost // unpacked live self row (out-costs, then in-costs when directional)
 	hopBuf     []lsdb.HopCost
-	keyBuf     []uint64 // packed source keys of the self-row kernel calls
+	srcBuf     []wire.Cost // masked source row of the self-row kernel calls
 }
 
 // NewQuorum creates a quorum router for the node at slot self of view.
@@ -507,7 +507,7 @@ func (q *Quorum) clientPairs(clients []int, msgs [][]byte) {
 	}
 	table, directional := q.table, q.table.Directional()
 	par.Spans(k-1, workers, func(lo, hi int) {
-		var keyBuf []uint64
+		var srcBuf []wire.Cost
 		longest := k - 1 - lo // the span's first source has the most later clients
 		fwd := make([]lsdb.HopCost, longest)
 		rev := fwd
@@ -517,9 +517,9 @@ func (q *Quorum) clientPairs(clients []int, msgs [][]byte) {
 		for i := lo; i < hi; i++ {
 			a, others := clients[i], clients[i+1:]
 			fwd, rev := fwd[:len(others)], rev[:len(others)]
-			keyBuf = table.BestOneHopAllRow(keyBuf, table.OutRow(a), a, others, fwd)
+			srcBuf = table.BestOneHopAllRow(srcBuf, table.OutRow(a), a, others, fwd)
 			if directional {
-				keyBuf = table.BestOneHopToRow(keyBuf, others, table.InRow(a), rev)
+				srcBuf = table.BestOneHopToRow(srcBuf, others, table.InRow(a), rev)
 			}
 			for z, b := range others {
 				j := i + 1 + z
@@ -558,42 +558,34 @@ func (q *Quorum) sweep(clients []int) (fwd, rev []lsdb.HopCost) {
 		q.hopBuf = make([]lsdb.HopCost, 2*k)
 	}
 	fwd, rev = q.hopBuf[:k], q.hopBuf[k:2*k]
-	q.keyBuf = q.table.BestOneHopAllRow(q.keyBuf, rowOut, q.self, clients, fwd)
+	q.srcBuf = q.table.BestOneHopAllRow(q.srcBuf, rowOut, q.self, clients, fwd)
 	q.stats.PairsComputed += uint64(k)
 	if !q.table.Directional() {
 		return fwd, fwd
 	}
-	q.keyBuf = q.table.BestOneHopToRow(q.keyBuf, clients, rowIn, rev)
+	q.srcBuf = q.table.BestOneHopToRow(q.srcBuf, clients, rowIn, rev)
 	q.stats.PairsComputed += uint64(k)
 	return fwd, rev
 }
 
 // HandleLinkState implements Router: stores a client's row (making the
 // sender a rendezvous client of this node, including failover clients who
-// recruited us). Only the configured row format is accepted: a symmetric row
-// carries no directional data, and a directional one has no place in a
-// symmetric table.
+// recruited us), unpacked from the wire straight into the table. Only the
+// configured row format is accepted: a symmetric row carries no directional
+// data, and a directional one has no place in a symmetric table. Nothing of
+// the body is read before the sender is known to be another member.
+//
+//lint:allocfree
 func (q *Quorum) HandleLinkState(h wire.Header, body []byte) {
 	slot, ok := q.view.SlotOf(h.Src)
 	if !ok || slot == q.self || (h.Type == wire.TLinkStateAsym) != q.cfg.Asymmetric {
 		return
 	}
-	var seq uint32
-	if q.cfg.Asymmetric {
-		ls, err := wire.ParseLinkStateAsym(body)
-		if err != nil || ls.ViewVersion != q.view.VersionNum() {
-			return
-		}
-		q.table.PutAsym(slot, lsdb.AsymRow{Seq: ls.Seq, When: q.env.Now(), Entries: ls.Entries})
-		seq = ls.Seq
-	} else {
-		ls, err := wire.ParseLinkState(body)
-		if err != nil || ls.ViewVersion != q.view.VersionNum() {
-			return
-		}
-		q.table.Put(slot, lsdb.Row{Seq: ls.Seq, When: q.env.Now(), Entries: ls.Entries})
-		seq = ls.Seq
+	version, seq, entries, err := wire.LinkStateBody(h.Type, body)
+	if err != nil || version != q.view.VersionNum() || len(entries) != q.table.RowBytes() {
+		return
 	}
+	q.table.PutWire(slot, seq, q.env.Now(), entries)
 	q.maybeAck(h.Src, seq)
 }
 

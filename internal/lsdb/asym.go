@@ -17,8 +17,8 @@ type AsymRow struct {
 // NewDirectionalTable returns an empty table for an n-slot view whose rows
 // carry a cost per direction. Splitting the two directions into their own
 // contiguous matrices is what lets the footnote-2 mode run the same
-// packed-key kernels as the symmetric path: out-rows feed the source keys,
-// in-rows feed the destination scans.
+// kernels as the symmetric path: out-rows are the sources, in-rows the
+// destinations scanned against them.
 func NewDirectionalTable(n int) *Table {
 	return newTable(n, newCostMatrix(n), newCostMatrix(n))
 }
@@ -26,14 +26,13 @@ func NewDirectionalTable(n int) *Table {
 // PutAsym is Put for a directional row, under the same acceptance rule; each
 // direction is unpacked into its own matrix. A symmetric table rejects it.
 func (t *Table) PutAsym(slot int, row AsymRow) bool {
-	if !t.Directional() || !t.accepts(slot, len(row.Entries), row.Seq, row.When) {
+	if !t.Directional() || !t.accept(slot, len(row.Entries), row.Seq, row.When) {
 		return false
 	}
 	out, in := t.out.rowFor(slot), t.in.rowFor(slot)
 	for i, e := range row.Entries {
 		out[i], in[i] = e.OutCost(), e.InCost()
 	}
-	t.stored(slot, row.Seq, row.When)
 	return true
 }
 

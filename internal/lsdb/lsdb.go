@@ -35,16 +35,29 @@ type Row struct {
 }
 
 // Table stores the most recent link-state row received from each slot as
-// unpacked cost rows plus (seq, when) per slot. out row s holds
+// unpacked cost rows plus a slotMeta per slot. out row s holds
 // the costs s→h announced by slot s and in row s the costs h→s; for a
 // symmetric table (NewTable) they are the same matrix, for a directional one
 // (NewDirectionalTable) two. The zero value is unusable.
 type Table struct {
 	n       int
 	out, in *CostMatrix
-	have    []bool
-	when    []time.Time
-	seq     []uint32
+	meta    []slotMeta
+
+	// best and hop are BestOneHopViaSpan's running minimum and intermediary per
+	// destination. A span writes only its own [lo, hi) of them, so disjoint
+	// spans may run concurrently.
+	best []wire.Cost
+	hop  []uint16
+}
+
+// slotMeta is what the table remembers of the row a slot last announced: 16
+// pointer-free bytes, so accepting a message touches one cache line of the
+// table and the collector scans none of it.
+type slotMeta struct {
+	when int64 // Unix ns the row was received or refreshed
+	seq  uint32
+	have bool
 }
 
 // NewTable returns an empty symmetric table for an n-slot view.
@@ -58,9 +71,9 @@ func newTable(n int, out, in *CostMatrix) *Table {
 		n:    n,
 		out:  out,
 		in:   in,
-		have: make([]bool, n),
-		when: make([]time.Time, n),
-		seq:  make([]uint32, n),
+		meta: make([]slotMeta, n),
+		best: make([]wire.Cost, n),
+		hop:  make([]uint16, n),
 	}
 }
 
@@ -83,47 +96,90 @@ func (t *Table) OutRow(slot int) []wire.Cost { return t.out.Row(slot) }
 func (t *Table) InRow(slot int) []wire.Cost { return t.in.Row(slot) }
 
 // Have reports whether slot has announced a row (Expire may have dropped its costs).
-func (t *Table) Have(slot int) bool { return slot >= 0 && slot < t.n && t.have[slot] }
+func (t *Table) Have(slot int) bool { return slot >= 0 && slot < t.n && t.meta[slot].have }
 
 // Seq returns the sequence number of slot's stored row (0 if none).
-func (t *Table) Seq(slot int) uint32 { return t.seq[slot] }
+func (t *Table) Seq(slot int) uint32 { return t.meta[slot].seq }
 
 // When returns the receive time of slot's stored row (zero if none).
-func (t *Table) When(slot int) time.Time { return t.when[slot] }
+func (t *Table) When(slot int) time.Time {
+	if m := t.meta[slot]; m.have {
+		return time.Unix(0, m.when).UTC()
+	}
+	return time.Time{}
+}
 
 // FreshAt reports whether slot has a row received within maxAge of now. The
 // paper's rendezvous servers use measurements at most 3 routing intervals old
 // (§6.2.2).
 func (t *Table) FreshAt(slot int, now time.Time, maxAge time.Duration) bool {
-	return t.have[slot] && now.Sub(t.when[slot]) <= maxAge
+	return t.freshAt(slot, now.UnixNano(), maxAge)
 }
 
-// accepts reports whether a rowLen-entry announcement (seq, when) for slot
-// may replace what the table holds: lower sequence numbers are rejected, as
+// freshAt is FreshAt for a caller that reads the clock once for many slots.
+func (t *Table) freshAt(slot int, now int64, maxAge time.Duration) bool {
+	m := &t.meta[slot]
+	return m.have && time.Duration(now-m.when) <= maxAge
+}
+
+// accept decides whether a rowLen-entry announcement (seq, when) for slot may
+// replace what the table holds, and if so records it as the slot's stored row,
+// for the caller to unpack the costs: lower sequence numbers are rejected, as
 // are equal-sequence rows whose When is older than the stored one, so a
 // delayed duplicate can never roll back a refreshed timestamp.
-func (t *Table) accepts(slot, rowLen int, seq uint32, when time.Time) bool {
+//
+//lint:allocfree
+func (t *Table) accept(slot, rowLen int, seq uint32, when time.Time) bool {
 	if slot < 0 || slot >= t.n || rowLen != t.n {
 		return false
 	}
-	return !t.have[slot] || seq > t.seq[slot] || (seq == t.seq[slot] && !when.Before(t.when[slot]))
-}
-
-// stored records the metadata of the row just unpacked into slot.
-func (t *Table) stored(slot int, seq uint32, when time.Time) {
-	t.have[slot], t.seq[slot], t.when[slot] = true, seq, when
+	m, ns := &t.meta[slot], when.UnixNano()
+	if m.have && (seq < m.seq || (seq == m.seq && ns < m.when)) {
+		return false
+	}
+	*m = slotMeta{when: ns, seq: seq, have: true}
+	return true
 }
 
 // Put stores a symmetric row for slot if it is not older than what the table
-// already holds (see accepts) and reports whether it was stored. The entries
+// already holds (see accept) and reports whether it was stored. The entries
 // are unpacked and not retained. A directional table rejects it: the row has
 // no in-costs to give.
 func (t *Table) Put(slot int, row Row) bool {
-	if t.Directional() || !t.accepts(slot, len(row.Entries), row.Seq, row.When) {
+	if t.Directional() || !t.accept(slot, len(row.Entries), row.Seq, row.When) {
 		return false
 	}
-	t.out.setRow(slot, row.Entries)
-	t.stored(slot, row.Seq, row.When)
+	out := t.out.rowFor(slot)
+	for i, e := range row.Entries {
+		out[i] = e.Cost()
+	}
+	return true
+}
+
+// RowBytes returns the size of a row's entries on the wire, in the table's row
+// format.
+func (t *Table) RowBytes() int {
+	if t.Directional() {
+		return t.n * wire.AsymEntryLen
+	}
+	return t.n * wire.LinkEntryLen
+}
+
+// PutWire is Put — PutAsym on a directional table — for a row still in wire
+// form: entries are the entry bytes wire.LinkStateBody returned, RowBytes of
+// them, and are unpacked straight into the stored row, so refreshing a row
+// allocates nothing.
+//
+//lint:allocfree
+func (t *Table) PutWire(slot int, seq uint32, when time.Time, entries []byte) bool {
+	if len(entries) != t.RowBytes() || !t.accept(slot, t.n, seq, when) {
+		return false
+	}
+	if t.Directional() {
+		wire.AsymLinkCosts(t.out.rowFor(slot), t.in.rowFor(slot), entries)
+	} else {
+		wire.LinkCosts(t.out.rowFor(slot), entries)
+	}
 	return true
 }
 
@@ -146,8 +202,9 @@ func (t *Table) FreshSlots(dst []int, now time.Time, maxAge time.Duration) []int
 // recruited a node as a failover rendezvous (§4.1) sent it a row; without this
 // rule it holds them for good and §3's 2√n rows per node drift toward n.
 func (t *Table) Expire(now time.Time, maxAge time.Duration) {
+	ns := now.UnixNano()
 	for s, held := range t.out.rows {
-		if held != nil && now.Sub(t.when[s]) > maxAge {
+		if held != nil && time.Duration(ns-t.meta[s].when) > maxAge {
 			t.out.rows[s], t.in.rows[s] = nil, nil
 		}
 	}
@@ -179,9 +236,9 @@ func (t *Table) Grow(newN int) {
 	if t.Directional() {
 		t.in.grow(newN)
 	}
-	t.have = append(t.have, make([]bool, pad)...)
-	t.when = append(t.when, make([]time.Time, pad)...)
-	t.seq = append(t.seq, make([]uint32, pad)...)
+	t.meta = append(t.meta, make([]slotMeta, pad)...)
+	t.best = append(t.best, make([]wire.Cost, pad)...)
+	t.hop = append(t.hop, make([]uint16, pad)...)
 	t.n = newN
 }
 
@@ -193,7 +250,7 @@ func (t *Table) RetireSlot(slot int) {
 	if slot < 0 || slot >= t.n {
 		return
 	}
-	t.have[slot], t.seq[slot], t.when[slot] = false, 0, time.Time{}
+	t.meta[slot] = slotMeta{}
 	t.out.retire(slot)
 	if t.Directional() {
 		t.in.retire(slot)

@@ -33,12 +33,12 @@ type CostMatrix struct {
 	rows [][]wire.Cost // per-slot unpacked rows; nil until first stored
 	inf  []wire.Cost   // shared all-InfCost row for absent slots (never written)
 
-	// keyBuf holds the packed source-row keys of the kernel that takes no
-	// caller buffer (BestOneHopPairs). newCostMatrix sizes it for n-entry
-	// rows up front so it stays allocation-free in the steady state. That
-	// kernel is not safe for concurrent calls on the same matrix; sharded
-	// passes hand each worker its own buffer instead.
-	keyBuf []uint64
+	// srcBuf holds the masked source row of the kernel that takes no caller
+	// buffer (BestOneHopPairs). newCostMatrix sizes it for n-entry rows up
+	// front so it stays allocation-free in the steady state. That kernel is
+	// not safe for concurrent calls on the same matrix; sharded passes hand
+	// each worker its own buffer instead.
+	srcBuf []wire.Cost
 }
 
 func newCostMatrix(n int) *CostMatrix {
@@ -46,7 +46,7 @@ func newCostMatrix(n int) *CostMatrix {
 		n:      n,
 		rows:   make([][]wire.Cost, n),
 		inf:    make([]wire.Cost, n),
-		keyBuf: make([]uint64, n),
+		srcBuf: make([]wire.Cost, n),
 	}
 	for i := range m.inf {
 		m.inf[i] = wire.InfCost
@@ -77,14 +77,6 @@ func (m *CostMatrix) rowFor(slot int) []wire.Cost {
 	return row
 }
 
-// setRow unpacks entries into slot's row.
-func (m *CostMatrix) setRow(slot int, entries []wire.LinkEntry) {
-	row := m.rowFor(slot)
-	for i, e := range entries {
-		row[i] = e.Cost()
-	}
-}
-
 // grow extends the matrix to newN slots in place. Held rows are padded with
 // InfCost — exactly what the absent tail already reads as — so every
 // pre-existing slot's scannable contents are bit-identical to what they were
@@ -105,8 +97,8 @@ func (m *CostMatrix) grow(newN int) {
 	for i := range m.inf {
 		m.inf[i] = wire.InfCost
 	}
-	if cap(m.keyBuf) < newN {
-		m.keyBuf = make([]uint64, newN)
+	if cap(m.srcBuf) < newN {
+		m.srcBuf = make([]wire.Cost, newN)
 	}
 	m.n = newN
 }
@@ -173,130 +165,44 @@ func BestOneHopRows(skip int, rowA, rowB []wire.Cost) (hop int, cost wire.Cost) 
 	return hop, wire.Cost(best)
 }
 
-// infKey is the packed-key rendering of "no usable hop": cost InfCost in the
-// high bits, hop bits zero, so any candidate with a finite (< InfCost) total
-// compares below it and no saturated total ever does.
-const infKey = uint64(wire.InfCost) << 16
+// noHop is the result for a destination no path reaches.
+var noHop = HopCost{Hop: -1, Cost: wire.InfCost}
 
-// sourceKeysInto packs rowA into the per-batch key representation:
-// keys[h] = rowA[h]<<16 | h. A minimization over keys then yields the
-// smallest total cost with ties broken toward the smallest h — exactly the
-// scalar kernel's first-strict-minimum order — without tracking an index in
-// the hot loop. The skip slot is forced to InfCost so it can never win. buf
-// is grown if too small and the packed keys are returned (aliasing buf when
-// it was large enough), so callers keep the result as their next buffer.
+// maskedSource copies rowA into buf with the skip slot forced to InfCost, so
+// that it can win no minimisation: the form in which a source row is scanned
+// against every destination of its batch. The copy is returned (aliasing buf
+// when it was large enough), so callers keep the result as their next buffer.
 //
 //lint:allocfree
-func sourceKeysInto(buf []uint64, rowA []wire.Cost, skip int) []uint64 {
-	if cap(buf) < len(rowA) {
-		//lint:allowalloc grow-once when the caller's buffer is smaller than the row
-		buf = make([]uint64, len(rowA))
+func maskedSource(buf []wire.Cost, rowA []wire.Cost, skip int) []wire.Cost {
+	//lint:allowalloc grows once, when the caller's buffer is smaller than the row
+	src := append(buf[:0], rowA...)
+	if skip >= 0 && skip < len(src) {
+		src[skip] = wire.InfCost
 	}
-	keys := buf[:len(rowA)]
-	for h, c := range rowA {
-		keys[h] = uint64(c)<<16 | uint64(h)
-	}
-	if skip >= 0 && skip < len(keys) {
-		keys[skip] = infKey | uint64(skip)
-	}
-	return keys
+	return src
 }
 
-// bestOneHopKeys scans one destination row against precomputed source keys.
-// Adding rowB[h]<<16 leaves the low 16 index bits intact (and cannot carry
-// out of a uint64), so the running minimum needs no branch-carried index.
-// Four independent lanes break the compare dependency chain; the final lane
-// merge preserves the smallest-index tie-break because the index is part of
-// the key.
+// scanOneHop scans one destination row against a masked source row: the
+// smallest saturated sum, then the first hop that attains it — the scalar
+// kernel's first-strict-minimum order.
 //
 //lint:allocfree
-func bestOneHopKeys(keys []uint64, rowB []wire.Cost) (hop int, cost wire.Cost) {
-	n := len(keys)
-	if len(rowB) < n {
-		n = len(rowB)
+func scanOneHop(src, rowB []wire.Cost) HopCost {
+	if len(rowB) < len(src) {
+		src = src[:len(rowB)]
 	}
-	keys = keys[:n]
-	rowB = rowB[:n:n]
-	b0, b1, b2, b3 := infKey, infKey, infKey, infKey
-	// The candidate index travels inside the key, so the loop can advance
-	// both slices instead of tracking h — which also lets the compiler prove
-	// every access in the unrolled body in-bounds (no checks, only CMOVs).
-	for len(keys) >= 8 && len(rowB) >= 8 {
-		if k := keys[0] + uint64(rowB[0])<<16; k < b0 {
-			b0 = k
-		}
-		if k := keys[1] + uint64(rowB[1])<<16; k < b1 {
-			b1 = k
-		}
-		if k := keys[2] + uint64(rowB[2])<<16; k < b2 {
-			b2 = k
-		}
-		if k := keys[3] + uint64(rowB[3])<<16; k < b3 {
-			b3 = k
-		}
-		if k := keys[4] + uint64(rowB[4])<<16; k < b0 {
-			b0 = k
-		}
-		if k := keys[5] + uint64(rowB[5])<<16; k < b1 {
-			b1 = k
-		}
-		if k := keys[6] + uint64(rowB[6])<<16; k < b2 {
-			b2 = k
-		}
-		if k := keys[7] + uint64(rowB[7])<<16; k < b3 {
-			b3 = k
-		}
-		keys, rowB = keys[8:], rowB[8:]
+	m := minSum(src, rowB)
+	if m == wire.InfCost {
+		return noHop
 	}
-	for len(keys) >= 4 && len(rowB) >= 4 {
-		if k := keys[0] + uint64(rowB[0])<<16; k < b0 {
-			b0 = k
-		}
-		if k := keys[1] + uint64(rowB[1])<<16; k < b1 {
-			b1 = k
-		}
-		if k := keys[2] + uint64(rowB[2])<<16; k < b2 {
-			b2 = k
-		}
-		if k := keys[3] + uint64(rowB[3])<<16; k < b3 {
-			b3 = k
-		}
-		keys, rowB = keys[4:], rowB[4:]
-	}
-	for i, kk := range keys {
-		if k := kk + uint64(rowB[i])<<16; k < b0 {
-			b0 = k
-		}
-	}
-	if b1 < b0 {
-		b0 = b1
-	}
-	if b2 < b0 {
-		b0 = b2
-	}
-	if b3 < b0 {
-		b0 = b3
-	}
-	if b0 >= infKey {
-		return -1, wire.InfCost
-	}
-	return int(b0 & 0xFFFF), wire.Cost(b0 >> 16)
-}
-
-// scan evaluates every destination row in dsts against packed source keys.
-//
-//lint:allocfree
-func (m *CostMatrix) scan(keys []uint64, dsts []int, out []HopCost) {
-	for i, b := range dsts {
-		hop, cost := bestOneHopKeys(keys, m.Row(b))
-		out[i] = HopCost{Hop: hop, Cost: cost}
-	}
+	return HopCost{Hop: firstSumEq(src, rowB, m), Cost: m}
 }
 
 // BestOneHopPairs batch-evaluates arbitrary (src, dst) slot pairs against
 // this one matrix — round 2 over a symmetric table, where a row serves as
 // both directions. out must have len(pairs) entries. Consecutive pairs
-// sharing a source reuse its packed keys, so grouping pairs by source gets
+// sharing a source reuse its masked copy, so grouping pairs by source gets
 // the same amortization as Table.BestOneHopAllRow.
 //
 //lint:allocfree
@@ -304,11 +210,10 @@ func (m *CostMatrix) BestOneHopPairs(pairs [][2]int, out []HopCost) {
 	lastSrc := -1
 	for i, p := range pairs {
 		if p[0] != lastSrc {
-			m.keyBuf = sourceKeysInto(m.keyBuf, m.Row(p[0]), p[0])
+			m.srcBuf = maskedSource(m.srcBuf, m.Row(p[0]), p[0])
 			lastSrc = p[0]
 		}
-		hop, cost := bestOneHopKeys(m.keyBuf, m.Row(p[1]))
-		out[i] = HopCost{Hop: hop, Cost: cost}
+		out[i] = scanOneHop(m.srcBuf, m.Row(p[1]))
 	}
 }
 
@@ -320,43 +225,34 @@ func (m *CostMatrix) BestOneHopPairs(pairs [][2]int, out []HopCost) {
 // row — the paper's bidirectional-link assumption (§3). rowOut holds the
 // source's out-costs unpacked — a stored row (OutRow), or the node's own live
 // measurement row, which is not in its table — and skip names the source's
-// slot. out must have len(dsts) entries. rowOut is packed into keyBuf once
-// and stays cache-resident across the whole pass; the grown buffer is
+// slot. out must have len(dsts) entries. rowOut is copied into srcBuf once,
+// masked, and stays cache-resident across the whole pass; the grown buffer is
 // returned for reuse. With a buffer of its own a call only reads the table,
 // so sharded passes run it concurrently, one buffer per worker.
 //
 //lint:allocfree
-func (t *Table) BestOneHopAllRow(keyBuf []uint64, rowOut []wire.Cost, skip int, dsts []int, out []HopCost) []uint64 {
-	keyBuf = sourceKeysInto(keyBuf, rowOut, skip)
-	t.in.scan(keyBuf, dsts, out)
-	return keyBuf
+func (t *Table) BestOneHopAllRow(srcBuf []wire.Cost, rowOut []wire.Cost, skip int, dsts []int, out []HopCost) []wire.Cost {
+	srcBuf = maskedSource(srcBuf, rowOut, skip)
+	for i, b := range dsts {
+		out[i] = scanOneHop(srcBuf, t.in.Row(b))
+	}
+	return srcBuf
 }
 
 // BestOneHopToRow evaluates the opposite direction of BestOneHopAllRow: the
 // best one-hop route from each stored slot in srcs to the holder of rowIn
 // (its costs h→holder, unpacked). The skip slot differs per source, so each
-// source's out-row is packed in turn and scanned against the one shared
+// source's out-row is masked in turn and scanned against the one shared
 // in-row. Only a directional table needs it — on a symmetric one the answer
 // is the forward result.
 //
 //lint:allocfree
-func (t *Table) BestOneHopToRow(keyBuf []uint64, srcs []int, rowIn []wire.Cost, out []HopCost) []uint64 {
+func (t *Table) BestOneHopToRow(srcBuf []wire.Cost, srcs []int, rowIn []wire.Cost, out []HopCost) []wire.Cost {
 	for i, a := range srcs {
-		keyBuf = sourceKeysInto(keyBuf, t.out.Row(a), a)
-		hop, cost := bestOneHopKeys(keyBuf, rowIn)
-		out[i] = HopCost{Hop: hop, Cost: cost}
+		srcBuf = maskedSource(srcBuf, t.out.Row(a), a)
+		out[i] = scanOneHop(srcBuf, rowIn)
 	}
-	return keyBuf
-}
-
-// seedDirect starts a §4.2 evaluation from the direct path: a destination
-// outside rowOut, or with a dead direct link, reports hop -1 until some
-// intermediate improves on it.
-func seedDirect(rowOut []wire.Cost, dst int) HopCost {
-	if dst < len(rowOut) && rowOut[dst] != wire.InfCost {
-		return HopCost{Hop: dst, Cost: rowOut[dst]}
-	}
-	return HopCost{Hop: -1, Cost: wire.InfCost}
+	return srcBuf
 }
 
 // BestOneHopViaAll batch-evaluates the §4.2 fallback — the redundant
@@ -379,36 +275,49 @@ func (t *Table) BestOneHopViaAll(rowOut []wire.Cost, now time.Time, maxAge time.
 // order with the same strict-< improvement rule, so covering [0, n) with
 // disjoint spans — in any order, including concurrently across workers —
 // produces bit-identical results to one full pass. This is the multicore
-// shard unit: spans write disjoint out ranges and only read the table.
+// shard unit: a span writes only its own range of out and of the table's
+// scratch, and otherwise reads the table.
 //
 //lint:allocfree
 func (t *Table) BestOneHopViaSpan(rowOut []wire.Cost, now time.Time, maxAge time.Duration, out []HopCost, lo, hi int) {
-	for dst := lo; dst < hi; dst++ {
-		out[dst] = seedDirect(rowOut, dst)
-	}
 	lim := min(t.n, len(rowOut))
-	// Destinations ≥ lim keep their -1 seed — the row has no first leg toward
-	// them — so intermediates only stream over [lo, min(hi, lim)).
-	hi = min(hi, lim)
-	if lo >= hi {
+	// Destinations ≥ lim have no path — the row has no first leg toward them
+	// — so intermediates only stream over [lo, end).
+	end := min(hi, lim)
+	for dst := max(lo, end); dst < hi; dst++ {
+		out[dst] = noHop
+	}
+	if lo >= end {
 		return
 	}
-	span := out[lo:hi]
+	// Every destination starts from its direct path, a dead one at InfCost,
+	// where the hop is not read.
+	best, hop := t.best[lo:end], t.hop[lo:end]
+	copy(best, rowOut[lo:end])
+	for i := range hop {
+		hop[i] = uint16(lo + i)
+	}
+	ns := now.UnixNano()
 	for h := 0; h < lim; h++ {
-		if !t.FreshAt(h, now, maxAge) {
+		ca := rowOut[h]
+		if ca == wire.InfCost || !t.freshAt(h, ns, maxAge) {
+			continue // a dead first leg can never improve any destination
+		}
+		row := t.out.Row(h)[lo:end]
+		if h < lo || h >= end {
+			relax(ca, row, best, hop, uint16(h))
 			continue
 		}
-		ca := uint32(rowOut[h])
-		if ca >= uint32(wire.InfCost) {
-			continue // dead first leg can never improve any destination
-		}
-		for i, cb := range t.out.Row(h)[lo:hi] {
-			if i == h-lo {
-				continue
-			}
-			if s := ca + uint32(cb); s < uint32(span[i].Cost) {
-				span[i] = HopCost{Hop: h, Cost: wire.Cost(s)}
-			}
+		// h is no intermediary on the way to itself: put its own lane back.
+		keepBest, keepHop := best[h-lo], hop[h-lo]
+		relax(ca, row, best, hop, uint16(h))
+		best[h-lo], hop[h-lo] = keepBest, keepHop
+	}
+	for i, c := range best {
+		if c == wire.InfCost {
+			out[lo+i] = noHop
+		} else {
+			out[lo+i] = HopCost{Hop: int(hop[i]), Cost: c}
 		}
 	}
 }
@@ -423,13 +332,17 @@ func (t *Table) BestOneHopVia(rowOut []wire.Cost, dst int, now time.Time, maxAge
 	if dst < 0 {
 		return -1, wire.InfCost
 	}
-	best := seedDirect(rowOut, dst)
+	best := noHop
+	if dst < len(rowOut) && rowOut[dst] != wire.InfCost {
+		best = HopCost{Hop: dst, Cost: rowOut[dst]}
+	}
 	lim := min(t.n, len(rowOut))
 	if dst >= lim {
 		return best.Hop, best.Cost // no intermediate has a column toward dst
 	}
+	ns := now.UnixNano()
 	for h := 0; h < lim; h++ {
-		if h == dst || !t.FreshAt(h, now, maxAge) {
+		if h == dst || !t.freshAt(h, ns, maxAge) {
 			continue
 		}
 		ca := uint32(rowOut[h])

@@ -46,8 +46,8 @@ func (e LinkEntry) Cost() Cost {
 	return Cost(e.Latency)
 }
 
-// linkEntryLen is the encoded size of a LinkEntry.
-const linkEntryLen = 3
+// LinkEntryLen is the encoded size of a LinkEntry.
+const LinkEntryLen = 3
 
 // Probe is a liveness/latency probe. Echo carries the sender's clock (in
 // nanoseconds of its own epoch) and is reflected verbatim by the reply so
@@ -136,27 +136,58 @@ func AppendLinkState(b []byte, src NodeID, ls LinkState) []byte {
 	return b
 }
 
-// ParseLinkState decodes a LinkState body.
+// linkStateFixed is the encoded size of a link-state row's view version,
+// sequence number and entry count, in either row format.
+const linkStateFixed = 4 + 4 + 2
+
+// LinkStateBody validates the body of a link-state row of type t — TLinkState,
+// 3 bytes an entry, or TLinkStateAsym, 5 — and returns its view version,
+// sequence number and entry bytes, for LinkCosts or AsymLinkCosts to unpack in
+// place. It is the one framing check of both row formats, and its errors are
+// bare so that a rejection allocates nothing.
+//
+//lint:allocfree
+func LinkStateBody(t MsgType, body []byte) (viewVersion, seq uint32, entries []byte, err error) {
+	entryLen := LinkEntryLen
+	if t == TLinkStateAsym {
+		entryLen = AsymEntryLen
+	}
+	if len(body) < linkStateFixed {
+		return 0, 0, nil, ErrShort
+	}
+	entries = body[linkStateFixed:]
+	if len(entries) != int(binary.BigEndian.Uint16(body[8:]))*entryLen {
+		return 0, 0, nil, ErrBadLen
+	}
+	return binary.BigEndian.Uint32(body), binary.BigEndian.Uint32(body[4:]), entries, nil
+}
+
+// linkEntryAt decodes entry i of a TLinkState row's entry bytes: the one
+// decoder of the 3-byte form.
+func linkEntryAt(entries []byte, i int) LinkEntry {
+	b := entries[i*LinkEntryLen:][:LinkEntryLen]
+	return LinkEntry{Latency: binary.BigEndian.Uint16(b), Status: b[2]}
+}
+
+// LinkCosts unpacks the entry bytes LinkStateBody returned into row, one cost
+// per entry; len(entries) must be 3·len(row).
+//
+//lint:allocfree
+func LinkCosts(row []Cost, entries []byte) {
+	for i := range row {
+		row[i] = linkEntryAt(entries, i).Cost()
+	}
+}
+
+// ParseLinkState decodes a LinkState body into a message of its own.
 func ParseLinkState(body []byte) (LinkState, error) {
-	const fixed = 4 + 4 + 2
-	if len(body) < fixed {
-		return LinkState{}, ErrShort
+	viewVersion, seq, entries, err := LinkStateBody(TLinkState, body)
+	if err != nil {
+		return LinkState{}, err
 	}
-	ls := LinkState{
-		ViewVersion: binary.BigEndian.Uint32(body),
-		Seq:         binary.BigEndian.Uint32(body[4:]),
-	}
-	n := int(binary.BigEndian.Uint16(body[8:]))
-	body = body[fixed:]
-	if len(body) != n*linkEntryLen {
-		return LinkState{}, fmt.Errorf("%w: want %d entry bytes, have %d", ErrBadLen, n*linkEntryLen, len(body))
-	}
-	ls.Entries = make([]LinkEntry, n)
-	for i := 0; i < n; i++ {
-		ls.Entries[i] = LinkEntry{
-			Latency: binary.BigEndian.Uint16(body[i*linkEntryLen:]),
-			Status:  body[i*linkEntryLen+2],
-		}
+	ls := LinkState{ViewVersion: viewVersion, Seq: seq, Entries: make([]LinkEntry, len(entries)/LinkEntryLen)}
+	for i := range ls.Entries {
+		ls.Entries[i] = linkEntryAt(entries, i)
 	}
 	return ls, nil
 }
@@ -164,7 +195,7 @@ func ParseLinkState(body []byte) (LinkState, error) {
 // LinkStateSize returns the encoded datagram payload size of a link-state
 // row over n nodes, excluding per-packet overhead. Used by the bandwidth
 // model and tested against the codec.
-func LinkStateSize(n int) int { return HeaderLen + 10 + linkEntryLen*n }
+func LinkStateSize(n int) int { return HeaderLen + linkStateFixed + LinkEntryLen*n }
 
 // RecEntry is one best-hop recommendation: for destination Dst, forward via
 // Hop at total path cost Cost. Hop == Dst means the direct path is best;
@@ -280,8 +311,8 @@ type AsymEntry struct {
 	Status byte
 }
 
-// asymEntryLen is the encoded size of an AsymEntry.
-const asymEntryLen = 5
+// AsymEntryLen is the encoded size of an AsymEntry.
+const AsymEntryLen = 5
 
 // OutCost returns the directed cost origin→destination.
 func (e AsymEntry) OutCost() Cost {
@@ -320,36 +351,41 @@ func AppendLinkStateAsym(b []byte, src NodeID, ls LinkStateAsym) []byte {
 	return b
 }
 
-// ParseLinkStateAsym decodes a LinkStateAsym body.
+// asymEntryAt decodes entry i of a TLinkStateAsym row's entry bytes: the one
+// decoder of the 5-byte form.
+func asymEntryAt(entries []byte, i int) AsymEntry {
+	b := entries[i*AsymEntryLen:][:AsymEntryLen]
+	return AsymEntry{Out: binary.BigEndian.Uint16(b), In: binary.BigEndian.Uint16(b[2:]), Status: b[4]}
+}
+
+// AsymLinkCosts unpacks the entry bytes LinkStateBody returned into the
+// two directions' rows; len(entries) must be 5·len(out) and len(in) == len(out).
+//
+//lint:allocfree
+func AsymLinkCosts(out, in []Cost, entries []byte) {
+	in = in[:len(out)]
+	for i := range out {
+		e := asymEntryAt(entries, i)
+		out[i], in[i] = e.OutCost(), e.InCost()
+	}
+}
+
+// ParseLinkStateAsym decodes a LinkStateAsym body into a message of its own.
 func ParseLinkStateAsym(body []byte) (LinkStateAsym, error) {
-	const fixed = 4 + 4 + 2
-	if len(body) < fixed {
-		return LinkStateAsym{}, ErrShort
+	viewVersion, seq, entries, err := LinkStateBody(TLinkStateAsym, body)
+	if err != nil {
+		return LinkStateAsym{}, err
 	}
-	ls := LinkStateAsym{
-		ViewVersion: binary.BigEndian.Uint32(body),
-		Seq:         binary.BigEndian.Uint32(body[4:]),
-	}
-	n := int(binary.BigEndian.Uint16(body[8:]))
-	body = body[fixed:]
-	if len(body) != n*asymEntryLen {
-		return LinkStateAsym{}, fmt.Errorf("%w: want %d entry bytes, have %d", ErrBadLen, n*asymEntryLen, len(body))
-	}
-	ls.Entries = make([]AsymEntry, n)
-	for i := 0; i < n; i++ {
-		off := i * asymEntryLen
-		ls.Entries[i] = AsymEntry{
-			Out:    binary.BigEndian.Uint16(body[off:]),
-			In:     binary.BigEndian.Uint16(body[off+2:]),
-			Status: body[off+4],
-		}
+	ls := LinkStateAsym{ViewVersion: viewVersion, Seq: seq, Entries: make([]AsymEntry, len(entries)/AsymEntryLen)}
+	for i := range ls.Entries {
+		ls.Entries[i] = asymEntryAt(entries, i)
 	}
 	return ls, nil
 }
 
 // AsymLinkStateSize returns the encoded payload size of an asymmetric row
 // over n nodes, excluding per-packet overhead.
-func AsymLinkStateSize(n int) int { return HeaderLen + 10 + asymEntryLen*n }
+func AsymLinkStateSize(n int) int { return HeaderLen + linkStateFixed + AsymEntryLen*n }
 
 // AppendLinkStateAck encodes an acknowledgment of the link-state row with
 // the given sequence number (the §6.2.2 reliability option: "making

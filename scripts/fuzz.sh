@@ -1,20 +1,21 @@
 #!/bin/sh
-# Smoke-run every wire-codec fuzz target for FUZZTIME (default 30s) each.
+# Smoke-run every fuzz target — the wire codecs' round trips and the one-hop
+# kernels against their scalar twins — for FUZZTIME (default 30s) each.
 # `go test -fuzz` accepts only one target per invocation, so the targets are
 # enumerated with -list and looped. Any crasher fails the run and leaves its
-# reproducer under internal/wire/testdata/fuzz/ for `go test` to replay.
+# reproducer under the package's testdata/fuzz/ for `go test` to replay.
 set -eu
 
 FUZZTIME="${FUZZTIME:-30s}"
-PKG=./internal/wire
 
-targets=$(go test "$PKG" -list '^Fuzz' | grep '^Fuzz' || true)
-if [ -z "$targets" ]; then
-    echo "fuzz.sh: no fuzz targets found in $PKG" >&2
-    exit 1
-fi
-
-for t in $targets; do
-    echo "==> $t ($FUZZTIME)"
-    go test "$PKG" -run '^$' -fuzz "^${t}\$" -fuzztime "$FUZZTIME"
+for pkg in ./internal/wire ./internal/lsdb; do
+    targets=$(go test "$pkg" -list '^Fuzz' | grep '^Fuzz' || true)
+    if [ -z "$targets" ]; then
+        echo "fuzz.sh: no fuzz targets found in $pkg" >&2
+        exit 1
+    fi
+    for t in $targets; do
+        echo "==> $pkg $t ($FUZZTIME)"
+        go test "$pkg" -run '^$' -fuzz "^${t}\$" -fuzztime "$FUZZTIME"
+    done
 done
