@@ -13,7 +13,7 @@
 //	                  [-rate 0.05] [-minutes 10] [-coords C] [-partition-secs 60]
 //	                  [-restart-secs 120] [-loss 0.05] [-dup 0.02] [-jitter-ms 20] [-seed S]
 //	experiments soak [-n 120] [-minutes 120] [-max-heap-mb 512] [-seed S]
-//	experiments failover [-seed S]
+//	experiments failover [-seed S]   (exits 1 when a scenario never recovers)
 //	experiments multihop [-n 64] [-hops 4]
 //	experiments table-config
 //	experiments table-theory
@@ -108,7 +108,9 @@ func main() {
 		}
 		soak(*n, *seed, time.Duration(*minutes)*time.Minute, *maxHeapMB)
 	case "failover":
-		failover(*seed)
+		if !failover(*seed) {
+			os.Exit(1)
+		}
 	case "multihop":
 		if *n == 140 {
 			*n = 64
@@ -377,19 +379,24 @@ func avg(v []float64) (mean, max float64) {
 	return
 }
 
-func failover(seed int64) {
+// failover prints the three §4.1 scenarios and reports whether every one of
+// them recovered.
+func failover(seed int64) bool {
 	fmt.Println("# §4.1 failure scenarios: measured recovery vs paper bound")
 	fmt.Println("# scenario  recovered_s  bound_s  within  failovers_used")
+	ok := true
 	for s := 1; s <= 3; s++ {
 		res, err := emul.RunFailoverScenario(s, seed)
 		if err != nil {
 			fmt.Printf("%9d  error: %v\n", s, err)
+			ok = false
 			continue
 		}
 		fmt.Printf("%9d  %11.1f  %7.1f  %6v  %14d\n",
 			s, res.Recovered.Seconds(), res.Bound.Seconds(), res.WithinBound, res.FailoversUsed)
 	}
 	fmt.Println("# paper bounds: ≤p+2r, ≤p+2r, ≤p+3r (p=30s probing detection, r=15s)")
+	return ok
 }
 
 func multihop(n, hops int, seed int64) {

@@ -51,8 +51,9 @@ type QuorumConfig struct {
 	// (default 2 s).
 	RetransmitTimeout time.Duration
 	// Workers caps the fork/join fan-out of the round-2 pair pass
-	// (0 = GOMAXPROCS, 1 = serial). Shards stage results per source and are
-	// merged in slot order, so the worker count never changes the bytes sent.
+	// (0 = GOMAXPROCS, 1 = serial). Each shard writes its pairs' entries at
+	// fixed positions of the clients' messages, so the worker count never
+	// changes the bytes sent.
 	Workers int
 }
 
@@ -160,6 +161,11 @@ type Quorum struct {
 	SelfAsymRow func() []wire.AsymEntry
 	// LinkAlive reports the prober's liveness belief for a slot. Required.
 	LinkAlive func(slot int) bool
+	// LinkResolved, if non-nil, reports whether any probe on the link to a slot
+	// has resolved. A default rendezvous behind an unresolved link is unknown,
+	// not dead: it still gets round 1's row and is no proximal failure (§4.1
+	// acts on detected failures). Nil counts every link as resolved.
+	LinkResolved func(slot int) bool
 
 	// scratch buffers reused across ticks.
 	clientsBuf []int
@@ -340,11 +346,18 @@ func (q *Quorum) Tick() {
 	q.detectFailures()
 }
 
-// activeServers appends the default servers with live links plus any
-// recruited failover servers, in destination order.
+// usable reports whether the link to rendezvous k may be relied on: alive, or
+// not yet resolved by any probe. Only a default server's link can be
+// unresolved here — a failover is recruited over a live link.
+func (q *Quorum) usable(k int) bool {
+	return q.LinkAlive(k) || (q.LinkResolved != nil && !q.LinkResolved(k))
+}
+
+// activeServers appends the default servers with usable links plus any
+// recruited failover servers with live ones, in destination order.
 func (q *Quorum) activeServers(dst []int) []int {
 	for _, s := range q.servers {
-		if q.LinkAlive(s) {
+		if q.usable(s) {
 			dst = append(dst, s)
 		}
 	}
@@ -665,12 +678,12 @@ func (q *Quorum) BestHop(dst int) (RouteEntry, bool) {
 
 // rendezvousLive reports whether rendezvous k, last heard about dst at heard,
 // is currently usable for reaching information about dst: the link to k is
-// alive (else a proximal rendezvous failure) and k has recommended a route to
+// usable (else a proximal rendezvous failure) and k has recommended a route to
 // dst recently enough (else a remote one). k == dst means the destination
-// itself serves as the rendezvous (same row or column), in which case link
-// liveness alone decides.
+// itself serves as the rendezvous (same row or column), in which case the link
+// alone decides.
 func (q *Quorum) rendezvousLive(k, dst int, heard, now int64) bool {
-	return q.LinkAlive(k) && (k == dst || time.Duration(now-heard) <= q.cfg.remoteSilence())
+	return q.usable(k) && (k == dst || time.Duration(now-heard) <= q.cfg.remoteSilence())
 }
 
 // destinationSeemsAlive scans the client rows for evidence that dst is up —

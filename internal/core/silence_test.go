@@ -229,6 +229,40 @@ func TestFailoverGraceOneClock(t *testing.T) {
 	}
 }
 
+// TestUnresolvedLinkIsUnknownNotDead: slot 4's default rendezvous, slots 1 and
+// 3, are not alive. While no probe on those links has resolved, they still get
+// round 1's row and are no proximal failure; once resolved dead, slot 4 is a
+// double failure and a failover is recruited — as it is, from the first tick,
+// when the router has no LinkResolved hook.
+func TestUnresolvedLinkIsUnknownNotDead(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		resolved func(slot int) bool
+		rows     uint64 // round-1 rows sent to servers {1, 2, 3, 6}
+		doubles  int
+	}{
+		{"unresolved", func(slot int) bool { return slot != 1 && slot != 3 }, 4, 0},
+		{"resolved", func(int) bool { return true }, 2, 1},
+		{"nil hook", nil, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, _ := cornerQuorum(t, QuorumConfig{}, func(slot int) bool { return slot != 1 && slot != 3 })
+			q.LinkResolved = tc.resolved
+			q.sendLinkState()
+			if rows := q.Stats().LinkStatesSent; rows != tc.rows {
+				t.Errorf("round 1 sent %d rows, want %d", rows, tc.rows)
+			}
+			q.detectFailures()
+			if doubles := q.Stats().DoubleFailures; doubles != tc.doubles {
+				t.Errorf("%d double failures, want %d", doubles, tc.doubles)
+			}
+			if recruited := q.FailoverServer(4) >= 0; recruited != (tc.doubles > 0) {
+				t.Errorf("failover toward slot 4 recruited: %v, want %v", recruited, tc.doubles > 0)
+			}
+		})
+	}
+}
+
 // CheckSilenceState holds a router's §4.1 state to the bound no run can
 // exceed: the silence table is the common sets the grid defines — at most
 // Slots()·(len(Servers(self))+2) pairings — and failover episodes exist, one

@@ -310,7 +310,7 @@ type ScenarioResult struct {
 	Recovered     time.Duration // from failure injection to optimal route installed
 	Bound         time.Duration // the paper's bound: probe detection + k routing intervals
 	WithinBound   bool
-	FailoversUsed uint64
+	FailoversUsed uint64 // src's failover recruits from injection to recovery
 }
 
 // RunFailoverScenario reproduces §4.1's scenarios on a 25-node quorum fleet
@@ -410,6 +410,7 @@ func RunFailoverScenario(scenario int, seed int64) (*ScenarioResult, error) {
 
 	injected := f.Elapsed()
 	injectedAt := f.Net.Now()
+	recruited := f.QuorumStats(src).FailoverAttempts
 	deadline := injected + 20*time.Minute
 	for f.Elapsed() < deadline {
 		f.Run(time.Second)
@@ -425,7 +426,7 @@ func RunFailoverScenario(scenario int, seed int64) (*ScenarioResult, error) {
 		if fresh && want != wire.InfCost && withinMeasurementNoise(e.Cost, want) && routeUsable(f, src, dst, e) {
 			res.Recovered = f.Elapsed() - injected
 			res.WithinBound = res.Recovered <= res.Bound
-			res.FailoversUsed = f.QuorumStats(src).FailoverAttempts
+			res.FailoversUsed = f.QuorumStats(src).FailoverAttempts - recruited
 			return res, nil
 		}
 	}

@@ -161,6 +161,7 @@ func (n *Node) installView(v *membership.ViewInfo) error {
 		q.SelfRow = n.prober.Row
 		q.SelfAsymRow = n.prober.AsymRow
 		q.LinkAlive = n.prober.Alive
+		q.LinkResolved = n.prober.Resolved
 		if n.OnRouteUpdate != nil {
 			q.OnRouteUpdate = n.routeUpdated
 		}

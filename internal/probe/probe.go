@@ -334,6 +334,13 @@ func (p *Prober) Alive(slot int) bool {
 	return p.links[slot].alive
 }
 
+// Resolved reports whether any probe on the link to slot has resolved, answered
+// or lost. Until one has, Alive's false means "not yet measured", not "dead".
+// The self slot, and a slot outside the view, read resolved.
+func (p *Prober) Resolved(slot int) bool {
+	return slot == p.self || slot < 0 || slot >= len(p.links) || p.links[slot].lossSeen
+}
+
 // Latency returns the current EWMA latency estimate for a slot in
 // milliseconds, or ok=false if the link has never been measured.
 func (p *Prober) Latency(slot int) (ms float64, ok bool) {

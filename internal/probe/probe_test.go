@@ -112,6 +112,25 @@ func TestSelfAlwaysAlive(t *testing.T) {
 	}
 }
 
+// TestResolvedWithinFirstProbe: a link reads unresolved until its first probe
+// is answered or lost, which takes at most Interval + ReplyTimeout after
+// Start — for a link dead from the start as for a live one.
+func TestResolvedWithinFirstProbe(t *testing.T) {
+	cfg := Config{Interval: 30 * time.Second, ReplyTimeout: 3 * time.Second}
+	f := newFixture(t, 3, cfg, 10*time.Millisecond)
+	f.nw.SetLinkDown(0, 2, true)
+	p := f.probers[0]
+	if !p.Resolved(0) || p.Resolved(1) || p.Resolved(2) {
+		t.Fatalf("before any probe: resolved = %v %v %v, want true false false", p.Resolved(0), p.Resolved(1), p.Resolved(2))
+	}
+	f.startAll()
+	f.nw.RunFor(cfg.Interval + cfg.ReplyTimeout)
+	if !p.Resolved(1) || !p.Alive(1) || !p.Resolved(2) || p.Alive(2) {
+		t.Errorf("after one probe each: link 1 resolved=%v alive=%v, link 2 resolved=%v alive=%v; want alive and dead, both resolved",
+			p.Resolved(1), p.Alive(1), p.Resolved(2), p.Alive(2))
+	}
+}
+
 func TestDetectsFailureWithinOnePeriod(t *testing.T) {
 	// Paper: rapid probing after a first loss detects failure within ~1
 	// probing interval of the first lost probe.
