@@ -22,7 +22,11 @@ import (
 // round 2 used to tell the second endpoint of a pair whose best path is
 // direct "hop = yourself" and now names the far end (costs, provenance and
 // every other hop are as captured; with that one relabelling reverted the
-// old values reproduce).
+// old values reproduce). They were re-captured a second time when an unprobed
+// link stopped counting as a dead rendezvous: every entry's hop and cost are
+// unchanged, and only which rendezvous spoke last (from, source) moved,
+// because cold nodes no longer recruit failovers (68 and 240 of them in these
+// fixtures' first minute).
 func routeTableHash(algo overlay.Algorithm, n int, seed int64, env *traces.Env, d time.Duration) string {
 	f := NewFleet(FleetOptions{N: n, Algorithm: algo, Seed: seed, Env: env})
 	f.Run(d)
@@ -56,9 +60,9 @@ func TestRouteTablesMatchScalarGolden(t *testing.T) {
 		want string
 	}{
 		{"fullmesh/homogeneous", overlay.AlgFullMesh, 16, 1, nil, "701d961db4d1b605"},
-		{"quorum/homogeneous", overlay.AlgQuorum, 16, 1, nil, "a911cbebd0621ede"},
+		{"quorum/homogeneous", overlay.AlgQuorum, 16, 1, nil, "2af5477473282f71"},
 		{"fullmesh/planetlab", overlay.AlgFullMesh, 25, 77, traces.PlanetLab(25, 77), "23a7b9dcf6c06547"},
-		{"quorum/planetlab", overlay.AlgQuorum, 25, 77, traces.PlanetLab(25, 77), "80fe2263f7aee208"},
+		{"quorum/planetlab", overlay.AlgQuorum, 25, 77, traces.PlanetLab(25, 77), "fae6357db5f67bad"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
