@@ -41,7 +41,8 @@ vuln:
 		echo "vuln: govulncheck not installed; skipping (CI runs $(GOVULNCHECK_VERSION))"; \
 	fi
 
-# fuzz smoke-runs every fuzz target (wire codecs, lsdb kernels) for FUZZTIME each.
+# fuzz smoke-runs every fuzz target (wire codecs, snapshot assembly, lsdb
+# kernels) for FUZZTIME each.
 FUZZTIME ?= 30s
 fuzz:
 	FUZZTIME=$(FUZZTIME) ./scripts/fuzz.sh

@@ -3,6 +3,7 @@ package emul
 import (
 	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -512,12 +513,44 @@ func TestDynamicFleetJoinStormIsLinear(t *testing.T) {
 	}
 }
 
+// TestNoNodeSendsRetiredViewForms: full views travel only as chunks and
+// deltas only as gossip envelopes, to members and replicas alike — through a
+// primary crash and restart, and through a split brain and its heal, no node
+// sends a TView or a TViewDelta.
+func TestNoNodeSendsRetiredViewForms(t *testing.T) {
+	for _, sc := range []ChurnScenario{ChurnCoordCrash, ChurnPartition} {
+		o := ChurnOptions{N: 40, Seed: 3, Scenario: sc, Coordinators: 3, Duration: 5 * time.Minute}
+		steps := o.fill()
+		f := NewDynamicFleet(o.N, DynamicFleetOptions{Seed: o.Seed, Coordinators: o.Coordinators,
+			Membership: o.Membership, Coordinator: o.Coordinator})
+		retired, replicaChunks := 0, 0
+		account := f.Net.OnSend
+		f.Net.OnSend = func(from, to int, p []byte) {
+			account(from, to, p)
+			switch wire.PeekType(p) {
+			case wire.TView, wire.TViewDelta:
+				retired++
+			case wire.TViewChunk:
+				if to >= f.CoordEndpointAt(0) {
+					replicaChunks++
+				}
+			}
+		}
+		f.Run(o.Warmup)
+		converged, _ := f.Play(steps, o.Duration, rand.New(rand.NewSource(o.Seed)), 0, nil)
+		if retired != 0 || replicaChunks == 0 || !converged {
+			t.Errorf("%v: %d retired-form datagrams, %d snapshot chunks to replicas, converged=%v; want 0, some, true",
+				sc, retired, replicaChunks, converged)
+		}
+	}
+}
+
 func TestRestartedStandbyResyncsPastChunkThreshold(t *testing.T) {
 	// A restarted standby holds nothing and asks the primary for the view.
-	// Past wire.ViewChunkMembers a member's copy of the answer is chunked,
-	// and the replica plane reads only the single-datagram form: the standby
-	// must be sent that one, or it stays empty while the primary re-sends
-	// chunks at every beacon — and promoting it would evict the whole overlay.
+	// Past wire.ViewChunkMembers the answer is several chunks, which the
+	// standby must reassemble as a member does: a standby that cannot stays
+	// empty while the primary re-sends them at every beacon — and promoting
+	// it would evict the whole overlay.
 	const n = wire.ViewChunkMembers + 36
 	const beacon = 2 * time.Second
 	f := NewDynamicFleet(n, DynamicFleetOptions{

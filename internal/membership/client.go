@@ -140,16 +140,10 @@ type Client struct {
 	pullPending bool
 	pullTries   int
 
-	// Chunked full-view reassembly: one snapshot at a time, keyed by stamp.
-	// A chunk from a newer stamp discards the partial set; a lost chunk is
-	// repaired by the existing full-view retry (the request fires again and
-	// the coordinator re-serves the then-current snapshot).
-	chunkStamp wire.ViewStamp
-	chunkParts [][]wire.Member
-	chunkHave  []bool
-	chunkGot   int
-	chunkSlots uint16
-	chunkTotal uint16
+	// snap reassembles full-view snapshots; a lost chunk is repaired by the
+	// full-view retry (the request fires again and the coordinator re-serves
+	// the then-current snapshot).
+	snap snapshot
 
 	hbTimer   transport.Timer
 	joinTimer transport.Timer
@@ -354,9 +348,9 @@ func (c *Client) stamp() wire.ViewStamp {
 }
 
 // HandlePacket processes one membership-plane message. The overlay node
-// routes the eight types a member receives here — TJoinReply, THeartbeatAck,
-// TView, TViewChunk, TViewDelta, TGossipDelta, TViewPull and TViewPullReply;
-// other types are ignored.
+// routes the six types a member receives here — TJoinReply, THeartbeatAck,
+// TViewChunk, TGossipDelta, TViewPull and TViewPullReply; other types are
+// ignored.
 func (c *Client) HandlePacket(h wire.Header, body []byte) {
 	switch h.Type {
 	case wire.TJoinReply:
@@ -398,24 +392,24 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		if a.Stamp.After(c.stamp()) {
 			c.noteAhead(a.Stamp)
 		}
-	case wire.TView:
-		v, err := wire.ParseView(body)
-		if err != nil {
-			return
-		}
-		c.handleFullView(h.Src, v)
 	case wire.TViewChunk:
 		vc, err := wire.ParseViewChunk(body)
+		if err != nil || (c.view != nil && !vc.Stamp.After(c.stamp())) {
+			return // malformed, or a piece of a snapshot no newer than ours
+		}
+		v, ok := c.snap.add(vc)
+		if !ok {
+			return
+		}
+		vi, err := NewViewInfo(v)
 		if err != nil {
 			return
 		}
-		c.handleViewChunk(h.Src, vc)
-	case wire.TViewDelta:
-		d, err := wire.ParseViewDelta(body)
-		if err != nil {
-			return
-		}
-		c.handleDelta(d)
+		c.noteCoordinator(h.Src)
+		// The delta log serves consecutive runs only; a full view breaks
+		// the chain.
+		c.deltaLog = c.deltaLog[:0]
+		c.install(vi)
 	case wire.TGossipDelta:
 		g, err := wire.ParseGossipDelta(body)
 		if err != nil {
@@ -475,72 +469,6 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 			c.noteAhead(r.Stamp)
 		}
 	}
-}
-
-// handleFullView installs a complete view snapshot (a plain TView, or the
-// product of chunk reassembly).
-func (c *Client) handleFullView(src wire.NodeID, v wire.View) {
-	if !v.Stamp().After(c.stamp()) && c.view != nil {
-		return // stale or duplicate view
-	}
-	vi, err := NewViewInfo(v)
-	if err != nil {
-		return
-	}
-	c.noteCoordinator(src)
-	// The delta log serves consecutive runs only; a full view breaks
-	// the chain.
-	c.deltaLog = c.deltaLog[:0]
-	c.install(vi)
-}
-
-// handleViewChunk folds one snapshot piece into the reassembly buffer,
-// installing the view when the last piece lands. Only one snapshot is
-// assembled at a time: a chunk bearing a different stamp (or inconsistent
-// framing) restarts assembly, so a newer snapshot always wins over a
-// half-received older one.
-func (c *Client) handleViewChunk(src wire.NodeID, vc wire.ViewChunk) {
-	if c.view != nil && !vc.Stamp.After(c.stamp()) {
-		return // stale snapshot
-	}
-	if vc.Stamp != c.chunkStamp || int(vc.Count) != len(c.chunkParts) ||
-		vc.TotalSlots != c.chunkSlots || vc.TotalMembers != c.chunkTotal {
-		c.chunkStamp = vc.Stamp
-		c.chunkParts = make([][]wire.Member, vc.Count)
-		c.chunkHave = make([]bool, vc.Count)
-		c.chunkGot = 0
-		c.chunkSlots = vc.TotalSlots
-		c.chunkTotal = vc.TotalMembers
-	}
-	if c.chunkHave[vc.Index] {
-		return // duplicate piece
-	}
-	c.chunkHave[vc.Index] = true
-	c.chunkParts[vc.Index] = vc.Members
-	c.chunkGot++
-	if c.chunkGot < len(c.chunkParts) {
-		return
-	}
-	total := 0
-	for _, p := range c.chunkParts {
-		total += len(p)
-	}
-	members := make([]wire.Member, 0, total)
-	for _, p := range c.chunkParts {
-		members = append(members, p...)
-	}
-	stamp, slots, want := c.chunkStamp, c.chunkSlots, int(c.chunkTotal)
-	c.chunkStamp = wire.ViewStamp{}
-	c.chunkParts, c.chunkHave, c.chunkGot = nil, nil, 0
-	if total != want {
-		return // inconsistent snapshot; the retry path re-requests
-	}
-	c.handleFullView(src, wire.View{
-		Epoch:   stamp.Epoch,
-		Version: stamp.Version,
-		Slots:   slots,
-		Members: members,
-	})
 }
 
 // handleDelta folds one delta into the view: a no-op for stale stamps

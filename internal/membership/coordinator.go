@@ -115,8 +115,8 @@ type freeSlot struct {
 // Coordinator is one replica of the membership service. A replica set is a
 // primary plus standbys at well-known IDs: the primary admits nodes, assigns
 // IDs, and broadcasts versioned views exactly like the paper's single
-// coordinator, while replicating every view (full or delta, the same wire
-// machinery the members consume) to the standbys and beaconing its liveness.
+// coordinator, while sending the standbys the very datagrams members get
+// (chunked snapshots and gossip envelopes) and beaconing its liveness.
 // On beacon silence the lowest-rank live standby promotes itself under a new
 // epoch; clients discover the new primary through heartbeat-ack failover.
 // Bind it to an Env with Start; all state transitions then happen inside the
@@ -150,6 +150,8 @@ type Coordinator struct {
 	// flushPending marks a scheduled coalesce flush.
 	lastView     *ViewInfo
 	flushPending bool
+	// snap reassembles the primary's snapshots on a standby.
+	snap snapshot
 
 	// Election state (replicated mode only). lastPrimaryBeat records actual
 	// beacons only — it is what this replica vouches with when peers
@@ -177,19 +179,19 @@ type Coordinator struct {
 type CoordinatorStats struct {
 	// Broadcasts counts coalesced view flushes (version bumps).
 	Broadcasts uint64
-	// DeltasSent counts raw deltas replicated to standbys; FullViewsSent
-	// counts full views sent by those flushes (to added members, standbys,
-	// or everyone when the delta would not be smaller) plus those served on
-	// demand (gap recovery, evicted-node heartbeats).
+	// DeltasSent counts gossip envelopes sent straight to standbys (each
+	// flush's seeded envelope, one per peer replica); FullViewsSent counts
+	// snapshots sent by flushes (to added members, standbys, or everyone
+	// when the delta would not be smaller) plus those served on demand (gap
+	// recovery, evicted-node heartbeats, replica resyncs).
 	DeltasSent    uint64
 	FullViewsSent uint64
 	// SeedsSent counts gossip-delta envelopes seeded into the dissemination
 	// tree: the primary's whole per-flush delta egress toward members,
 	// O(fanout) regardless of view size.
 	SeedsSent uint64
-	// ViewChunksSent counts the chunk datagrams of full-view snapshots too
-	// large for one piece (each chunked snapshot still counts once in
-	// FullViewsSent).
+	// ViewChunksSent counts the chunk datagrams of snapshots too large for
+	// one chunk (each snapshot still counts once in FullViewsSent).
 	ViewChunksSent uint64
 	// HeartbeatAcks counts heartbeats acknowledged as primary.
 	HeartbeatAcks uint64
@@ -330,16 +332,21 @@ func (c *Coordinator) handle(from wire.NodeID, payload []byte) {
 			c.handleBeacon(h.Src, b)
 		}
 		return
-	case wire.TView:
-		// Replication stream from the primary (or the full view answering a
-		// resync request after demotion).
-		if v, err := wire.ParseView(body); err == nil && c.rankOf(h.Src) >= 0 && c.role == roleStandby {
-			c.adoptReplica(v)
+	case wire.TViewChunk:
+		// The primary's snapshots, the same pieces members get: a flush's
+		// full view, a promotion, or the answer to a resync request.
+		vc, err := wire.ParseViewChunk(body)
+		if err == nil && c.rankOf(h.Src) >= 0 && c.role == roleStandby && vc.Stamp.After(c.Stamp()) {
+			if v, ok := c.snap.add(vc); ok {
+				c.adoptReplica(v)
+			}
 		}
 		return
-	case wire.TViewDelta:
-		if d, err := wire.ParseViewDelta(body); err == nil && c.rankOf(h.Src) >= 0 && c.role == roleStandby {
-			c.applyReplicaDelta(h.Src, d)
+	case wire.TGossipDelta:
+		// The envelope the primary seeds into the member tree. A replica only
+		// applies it: it sits in no tree, so Hops means nothing here.
+		if g, err := wire.ParseGossipDelta(body); err == nil && c.rankOf(h.Src) >= 0 && c.role == roleStandby {
+			c.applyReplicaDelta(h.Src, g.Delta)
 		}
 		return
 	case wire.TPreVote:
@@ -457,11 +464,9 @@ func (c *Coordinator) handleBeacon(from wire.NodeID, b wire.CoordBeacon) {
 	}
 }
 
-// adoptReplica installs a replicated full view on a standby.
+// adoptReplica installs a reassembled snapshot, newer than the replica, on a
+// standby.
 func (c *Coordinator) adoptReplica(v wire.View) {
-	if !v.Stamp().After(c.Stamp()) {
-		return
-	}
 	vi, err := NewViewInfo(v)
 	if err != nil {
 		return
@@ -682,68 +687,40 @@ func (c *Coordinator) sendBeacons() {
 
 // broadcastFullView pushes the current view to every member and replica —
 // the promotion/absorption path, where waiting out delta coalescing would
-// cost convergence time. Member copies are chunked past ViewChunkMembers;
-// replicas always get the single-datagram replication form.
+// cost convergence time. Everyone gets the same chunks.
 func (c *Coordinator) broadcastFullView() {
 	packets := c.viewPackets(c.lastView)
 	for _, m := range c.lastView.Members() {
 		c.sendPackets(m.ID, packets)
 	}
-	full := c.replicaView(c.lastView)
 	for _, id := range c.peers() {
-		c.env.Send(id, full)
-		c.stats.FullViewsSent++
+		c.sendPackets(id, packets)
 	}
 }
 
-// wireView assembles the wire form of v's members at the current stamp.
-func (c *Coordinator) wireView(v *ViewInfo) wire.View {
-	return wire.View{
-		Epoch:   c.epoch,
-		Version: c.version,
-		Slots:   uint16(v.Slots()),
-		Members: v.Members(),
-	}
-}
-
-// replicaView encodes the single-datagram TView used on the replication
-// plane (standbys are few and never behind a joiner's constrained path, so
-// chunking would only complicate the replica log).
-func (c *Coordinator) replicaView(v *ViewInfo) []byte {
-	return wire.AppendView(nil, c.selfID, c.wireView(v))
-}
-
-// viewPackets encodes a full-view snapshot for a member: one TView when it
-// fits ViewChunkMembers, else a TViewChunk sequence of bounded pieces — the
-// MaxPullDeltas discipline applied to snapshots, so a mass-admission storm
-// costs the primary bounded datagrams instead of O(n)-sized bursts.
+// viewPackets encodes vi's members at the current stamp as a snapshot of
+// wire.ViewChunkCount bounded pieces — the MaxPullDeltas discipline applied
+// to full views, so no snapshot outgrows a datagram and a mass-admission
+// storm costs the primary bounded datagrams instead of O(n)-sized bursts.
 func (c *Coordinator) viewPackets(vi *ViewInfo) [][]byte {
-	v := c.wireView(vi)
-	if len(v.Members) <= wire.ViewChunkMembers {
-		return [][]byte{wire.AppendView(nil, c.selfID, v)}
-	}
-	count := (len(v.Members) + wire.ViewChunkMembers - 1) / wire.ViewChunkMembers
-	out := make([][]byte, 0, count)
-	for i := 0; i < count; i++ {
+	members := vi.Members()
+	out := make([][]byte, wire.ViewChunkCount(len(members)))
+	for i := range out {
 		lo := i * wire.ViewChunkMembers
-		hi := lo + wire.ViewChunkMembers
-		if hi > len(v.Members) {
-			hi = len(v.Members)
-		}
-		out = append(out, wire.AppendViewChunk(nil, c.selfID, wire.ViewChunk{
-			Stamp:        v.Stamp(),
-			TotalSlots:   v.Slots,
-			TotalMembers: uint16(len(v.Members)),
+		out[i] = wire.AppendViewChunk(nil, c.selfID, wire.ViewChunk{
+			Stamp:        c.Stamp(),
+			TotalSlots:   uint16(vi.Slots()),
+			TotalMembers: uint16(len(members)),
 			Index:        uint16(i),
-			Count:        uint16(count),
-			Members:      v.Members[lo:hi],
-		}))
+			Count:        uint16(len(out)),
+			Members:      members[lo:min(lo+wire.ViewChunkMembers, len(members))],
+		})
 	}
 	return out
 }
 
-// sendPackets delivers one full-view snapshot (plain or chunked) to a node,
-// keeping the snapshot/chunk accounting in one place.
+// sendPackets delivers one snapshot to a node, keeping the snapshot/chunk
+// accounting in one place.
 func (c *Coordinator) sendPackets(id wire.NodeID, packets [][]byte) {
 	for _, p := range packets {
 		c.env.Send(id, p)
@@ -860,16 +837,11 @@ func (c *Coordinator) view() []wire.Member {
 	return slots
 }
 
-// sendFullView serves the last broadcast view to one node (gap recovery and
-// evicted-node heartbeats). Pending coalesced changes are not leaked early:
-// the receiver sees exactly the stamp everyone else holds. A replica
-// resyncing after a restart, demotion or replication gap gets the
-// single-datagram form — the only one the replica plane reads.
+// sendFullView serves the last broadcast view to one node (gap recovery,
+// evicted-node heartbeats, and a replica resyncing after a restart, demotion
+// or replication gap). Pending coalesced changes are not leaked early: the
+// receiver sees exactly the stamp everyone else holds.
 func (c *Coordinator) sendFullView(id wire.NodeID) {
-	if c.rankOf(id) >= 0 {
-		c.sendPackets(id, [][]byte{c.replicaView(c.lastView)})
-		return
-	}
 	c.sendPackets(id, c.viewPackets(c.lastView))
 }
 
@@ -888,10 +860,10 @@ func (c *Coordinator) scheduleFlush() {
 // delta would not be smaller than the full view, everyone gets the full
 // view. The delta is not unicast to each survivor: the primary wraps it in a
 // gossip envelope and seeds only the tree roots, keeping its egress O(fanout)
-// per flush while the members epidemic the rest. Standby replicas always
-// receive the raw delta (or full view) directly — replication must not depend
-// on the member epidemic. Sends walk the slot array, so the broadcast order
-// is deterministic under the simulator.
+// per flush while the members epidemic the rest. Standby replicas get that
+// same envelope (or the same snapshot) directly — replication must not
+// depend on the member epidemic. Sends walk the slot array, so the broadcast
+// order is deterministic under the simulator.
 func (c *Coordinator) flush() {
 	c.flushPending = false
 	if c.stopped || c.role != rolePrimary {
@@ -918,8 +890,9 @@ func (c *Coordinator) flush() {
 		Removes:     removes,
 	}
 	added := addedSet(adds)
+	var seed []byte
 	if useDelta {
-		c.seedGossip(cur, d, added)
+		seed = c.seedGossip(cur, d, added)
 	}
 	packets := c.viewPackets(cur)
 	for _, m := range cur.Members() {
@@ -927,18 +900,12 @@ func (c *Coordinator) flush() {
 			c.sendPackets(m.ID, packets)
 		}
 	}
-	var replica []byte
-	if useDelta {
-		replica = wire.AppendViewDelta(nil, c.selfID, d)
-	} else {
-		replica = c.replicaView(cur)
-	}
 	for _, id := range c.peers() {
-		c.env.Send(id, replica)
 		if useDelta {
+			c.env.Send(id, seed)
 			c.stats.DeltasSent++
 		} else {
-			c.stats.FullViewsSent++
+			c.sendPackets(id, packets)
 		}
 	}
 	c.lastView = cur
@@ -950,8 +917,9 @@ func (c *Coordinator) flush() {
 // primary sends one gossip envelope to each root position, skipping over
 // tombstoned slots and slots held by just-added members (the added are
 // getting the full view and have no delta to forward; tombstones hold
-// nobody). cur is the post-delta view, so tree position q is its slot q.
-func (c *Coordinator) seedGossip(cur *ViewInfo, d wire.ViewDelta, added map[wire.NodeID]bool) {
+// nobody). cur is the post-delta view, so tree position q is its slot q. It
+// returns the envelope, which the standbys get too.
+func (c *Coordinator) seedGossip(cur *ViewInfo, d wire.ViewDelta, added map[wire.NodeID]bool) []byte {
 	n := cur.Slots()
 	r := gossipRotation(d.Version, DefaultGossipFanout, n)
 	targets := gossipTargets(n, -1, DefaultGossipFanout, r, func(slot int) bool {
@@ -965,6 +933,7 @@ func (c *Coordinator) seedGossip(cur *ViewInfo, d wire.ViewDelta, added map[wire
 		c.env.Send(cur.IDAt(slot), env)
 		c.stats.SeedsSent++
 	}
+	return env
 }
 
 // diffSlots returns the members occupying slots of cur that prev did not

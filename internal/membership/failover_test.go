@@ -2,6 +2,7 @@ package membership
 
 import (
 	"math"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -366,7 +367,7 @@ func TestFullViewRequestHerdSuppression(t *testing.T) {
 	// Two gap deltas in quick succession schedule exactly one (jittered)
 	// full-view request.
 	deliver := func(d wire.ViewDelta) {
-		b := wire.AppendViewDelta(nil, CoordinatorIDAt(0), d)
+		b := wire.AppendGossipDelta(nil, CoordinatorIDAt(0), wire.GossipDelta{Delta: d})
 		h, body, _ := wire.ParseHeader(b)
 		rc.clients[0].HandlePacket(h, body)
 	}
@@ -388,6 +389,113 @@ func TestFullViewRequestHerdSuppression(t *testing.T) {
 	// the next request.
 	if rc.clients[0].fvFails != 1 {
 		t.Errorf("fvFails = %d, want 1 (unanswered request keeps backoff)", rc.clients[0].fvFails)
+	}
+}
+
+// TestStandbyCompletesSnapshotAfterLostChunk: a restarted standby resyncs
+// through the same chunked snapshot members get. When one piece of it is
+// lost, the standby stays behind, the next beacon's resync re-serves the
+// snapshot, and the replica completes.
+func TestStandbyCompletesSnapshotAfterLostChunk(t *testing.T) {
+	const k = wire.ViewChunkMembers + 6 // a two-chunk snapshot
+	rc := newRepCluster(t, k, 2, churnClientCfg(), fastCoordCfg(t))
+	for _, cl := range rc.clients {
+		cl.Start()
+	}
+	rc.nw.RunFor(5 * time.Second)
+	prim := rc.coords[0]
+	if prim.MemberCount() != k || rc.coords[1].Stamp() != prim.Stamp() {
+		t.Fatalf("warm-up: primary holds %d members, standby at %v, primary at %v", prim.MemberCount(), rc.coords[1].Stamp(), prim.Stamp())
+	}
+	standby := rc.restartCoordinator(1, fastCoordCfg(t))
+	dropped := 0
+	rc.cenvs[1].Bind(func(from wire.NodeID, p []byte) {
+		if h, body, err := wire.ParseHeader(p); err == nil && h.Type == wire.TViewChunk && dropped == 0 {
+			if vc, err := wire.ParseViewChunk(body); err == nil && vc.Index == 1 {
+				dropped++
+				return
+			}
+		}
+		standby.handle(from, p)
+	})
+	served := prim.Stats().FullViewsSent
+	rc.nw.RunFor(5 * time.Second)
+	if dropped != 1 || standby.Stamp() != prim.Stamp() || standby.MemberCount() != k {
+		t.Fatalf("after %d lost chunk(s) the standby holds %d members at %v, want %d at %v",
+			dropped, standby.MemberCount(), standby.Stamp(), k, prim.Stamp())
+	}
+	if got := prim.Stats().FullViewsSent - served; got != 2 {
+		t.Errorf("resync took %d snapshots, want 2 (the one that lost a chunk, the one that completed it)", got)
+	}
+}
+
+// ceilingEnv is a coordinator's Env that records the largest datagram its
+// coordinator sends and carries only those addressed to a replica: a view's
+// members here are addresses, not endpoints.
+type ceilingEnv struct {
+	*transport.SimEnv
+	largest *int
+}
+
+func (e ceilingEnv) Send(to wire.NodeID, p []byte) {
+	*e.largest = max(*e.largest, len(p))
+	if to >= CoordinatorIDAt(1) {
+		e.SimEnv.Send(to, p)
+	}
+}
+
+// TestReplicaPlaneFitsADatagram: at 7 000 members — past the 6 550 where a
+// single-datagram full view would exceed wire.MaxDatagram — every datagram a
+// full-view flush, a delta flush, a replica resync and a promotion send fits
+// one, and the standby follows the whole way.
+func TestReplicaPlaneFitsADatagram(t *testing.T) {
+	const n = 7000
+	nw := simnet.New(3, 1) // ranks 0 and 1; endpoint 2 is where the joins come from
+	nw.SetLatency(0, 1, 10*time.Millisecond)
+	reg := transport.NewRegistry()
+	ids := CoordinatorIDs(2)
+	largest := 0
+	envs := make([]ceilingEnv, 2)
+	for r := range envs {
+		envs[r] = ceilingEnv{transport.NewSimEnv(nw, reg, r, int64(r+1)), &largest}
+	}
+	envs[0].SetPeer(ids[1], envs[1].LocalAddr())
+	envs[1].SetPeer(ids[0], envs[0].LocalAddr())
+	boot := func(r int) *Coordinator {
+		c := NewCoordinator(envs[r], CoordinatorConfig{Coordinators: ids, Rank: r, Coalesce: 200 * time.Millisecond, BeaconInterval: time.Second})
+		c.Start()
+		return c
+	}
+	prim, standby := boot(0), boot(1)
+	join := func(i int) {
+		addr := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}), 2)
+		nw.Send(2, 0, wire.AppendJoin(nil, wire.Join{Addr: addr}))
+	}
+	check := func(stage string, want int) {
+		t.Helper()
+		if standby.MemberCount() != want || standby.Stamp() != prim.Stamp() {
+			t.Fatalf("%s: standby holds %d members at %v, want %d at %v", stage, standby.MemberCount(), standby.Stamp(), want, prim.Stamp())
+		}
+	}
+	for i := 0; i < n-1; i++ {
+		join(i)
+	}
+	nw.RunFor(time.Second)
+	check("full-view flush", n-1)
+	join(n - 1)
+	nw.RunFor(time.Second)
+	check("delta flush", n)
+	standby.Stop()
+	standby = boot(1)
+	nw.RunFor(3 * time.Second)
+	check("resync of a restarted standby", n)
+	prim.Stop()
+	nw.RunFor(10 * time.Second)
+	if !standby.IsPrimary() || standby.MemberCount() != n {
+		t.Fatalf("promotion: primary=%v with %d members, want %d", standby.IsPrimary(), standby.MemberCount(), n)
+	}
+	if largest > wire.MaxDatagram {
+		t.Errorf("largest datagram %d bytes, over wire.MaxDatagram (%d)", largest, wire.MaxDatagram)
 	}
 }
 

@@ -127,13 +127,6 @@ func TestGossipDuplicateDeltaSuppressed(t *testing.T) {
 	if sc.views[0].VersionNum() != d.Version {
 		t.Errorf("duplicate reapplied: version %d", sc.views[0].VersionNum())
 	}
-	// A replay of the same increment as a raw delta is equally idempotent.
-	raw := wire.AppendViewDelta(nil, CoordinatorID, d)
-	hr, bodyr, _ := wire.ParseHeader(raw)
-	cl.HandlePacket(hr, bodyr)
-	if sc.views[0].VersionNum() != d.Version {
-		t.Errorf("stale raw delta mutated the view: version %d", sc.views[0].VersionNum())
-	}
 }
 
 func TestReorderedGossipBridgesThroughPull(t *testing.T) {

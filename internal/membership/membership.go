@@ -99,6 +99,38 @@ func NewViewInfo(v wire.View) (*ViewInfo, error) {
 	return newViewInfo(v.Epoch, v.Version, slots)
 }
 
+// snapshot reassembles one chunked full-view snapshot at a time, for a client
+// and for a standby coordinator alike. A chunk whose stamp or framing differs
+// from the pieces held restarts assembly, so the last snapshot started wins
+// over a half-received one; a lost piece is filled by the next time the same
+// snapshot is served. ParseViewChunk has checked the framing, so the pieces
+// of one snapshot always add up to its TotalMembers, and only an empty
+// view's single piece carries no members.
+type snapshot struct {
+	stamp        wire.ViewStamp
+	slots, total uint16
+	parts        [][]wire.Member // by chunk index; nil until that piece arrives
+	got          int
+}
+
+// add folds one parsed chunk in and returns the whole view once vc was its
+// last missing piece.
+func (s *snapshot) add(vc wire.ViewChunk) (wire.View, bool) {
+	if vc.Stamp != s.stamp || vc.TotalSlots != s.slots || vc.TotalMembers != s.total || int(vc.Count) != len(s.parts) {
+		*s = snapshot{stamp: vc.Stamp, slots: vc.TotalSlots, total: vc.TotalMembers, parts: make([][]wire.Member, vc.Count)}
+	}
+	if s.parts[vc.Index] != nil {
+		return wire.View{}, false // duplicate piece
+	}
+	s.parts[vc.Index] = vc.Members
+	if s.got++; s.got < len(s.parts) {
+		return wire.View{}, false
+	}
+	v := wire.View{Epoch: s.stamp.Epoch, Version: s.stamp.Version, Slots: s.slots, Members: slices.Concat(s.parts...)}
+	*s = snapshot{}
+	return v, true
+}
+
 // newViewInfo builds a ViewInfo from a slot-indexed member array (tombstones
 // hold wire.NilNode). Duplicate member IDs are rejected.
 func newViewInfo(epoch, version uint32, slots []wire.Member) (*ViewInfo, error) {

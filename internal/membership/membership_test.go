@@ -308,13 +308,13 @@ func TestStaleViewIgnored(t *testing.T) {
 	if v == nil {
 		t.Fatal("no view")
 	}
-	// Deliver a stale view directly.
-	stale := wire.View{Version: 0, Slots: 2, Members: []wire.Member{{ID: 0, Slot: 0}, {ID: 7, Slot: 1}}}
-	h := wire.Header{Type: wire.TView, Src: CoordinatorID}
-	_, body, _ := wire.ParseHeader(wire.AppendView(nil, CoordinatorID, stale))
+	// Deliver a stale one-chunk snapshot directly.
+	stale := wire.ViewChunk{Stamp: wire.ViewStamp{Epoch: 1}, TotalSlots: 2, TotalMembers: 2, Count: 1,
+		Members: []wire.Member{{ID: 0, Slot: 0}, {ID: 7, Slot: 1}}}
+	h, body, _ := wire.ParseHeader(wire.AppendViewChunk(nil, CoordinatorID, stale))
 	sc.clients[0].HandlePacket(h, body)
-	if sc.views[0].VersionNum() != v.VersionNum() {
-		t.Error("stale view replaced a newer one")
+	if sc.views[0] != v {
+		t.Errorf("stale snapshot replaced the view at %v", v.Stamp())
 	}
 }
 
@@ -505,7 +505,7 @@ func TestVersionGapTriggersFullView(t *testing.T) {
 	// the redundant send and the client's view stays intact.
 	full := sc.coord.Stats().FullViewsSent
 	deliverDelta := func(d wire.ViewDelta) {
-		b := wire.AppendViewDelta(nil, CoordinatorID, d)
+		b := wire.AppendGossipDelta(nil, CoordinatorID, wire.GossipDelta{Delta: d})
 		h, body, _ := wire.ParseHeader(b)
 		sc.clients[0].HandlePacket(h, body)
 	}

@@ -252,9 +252,8 @@ func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 		if q, ok := n.router.(*core.Quorum); ok {
 			q.HandleLinkStateAck(h, body)
 		}
-	case wire.TJoinReply, wire.TView, wire.TViewChunk, wire.TViewDelta,
-		wire.THeartbeatAck, wire.TGossipDelta, wire.TViewPull,
-		wire.TViewPullReply:
+	case wire.TJoinReply, wire.THeartbeatAck, wire.TViewChunk,
+		wire.TGossipDelta, wire.TViewPull, wire.TViewPullReply:
 		if n.mc != nil {
 			n.mc.HandlePacket(h, body)
 		}

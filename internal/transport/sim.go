@@ -56,6 +56,7 @@ type SimEnv struct {
 	id       wire.NodeID
 	rng      *rand.Rand
 	handler  Handler
+	sendErr  uint64 // payloads refused for exceeding wire.MaxDatagram
 }
 
 var _ Env = (*SimEnv)(nil)
@@ -113,13 +114,23 @@ func (e *SimEnv) SetLocalID(id wire.NodeID) {
 func (e *SimEnv) Now() time.Time { return e.net.Now() }
 
 // Send implements Env. Destinations not present in the registry are dropped.
+// A payload over wire.MaxDatagram, which a UDP socket would refuse, never
+// reaches the network (so it draws nothing from its random stream) and is
+// counted in SendErrors.
 func (e *SimEnv) Send(to wire.NodeID, payload []byte) {
 	ep, ok := e.reg.Lookup(to)
 	if !ok {
 		return
 	}
+	if len(payload) > wire.MaxDatagram {
+		e.sendErr++
+		return
+	}
 	e.net.Send(e.endpoint, ep, payload)
 }
+
+// SendErrors returns how many payloads Send refused as oversize.
+func (e *SimEnv) SendErrors() uint64 { return e.sendErr }
 
 // After implements Env.
 func (e *SimEnv) After(d time.Duration, fn func()) Timer {

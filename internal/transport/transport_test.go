@@ -57,6 +57,37 @@ func TestSimEnvMalformedPacketIgnored(t *testing.T) {
 	}
 }
 
+// datagram returns a heartbeat padded to size bytes: a parseable header, so a
+// delivered copy reaches the handler.
+func datagram(src wire.NodeID, size int) []byte {
+	b := wire.AppendHeartbeat(nil, src)
+	return append(b, make([]byte, size-len(b))...)
+}
+
+// TestSimEnvRefusesOversizeDatagram: the simulator carries a payload of
+// exactly wire.MaxDatagram and refuses one byte more, as a UDP socket does —
+// counted, and never handed to the network, so it cannot draw from the
+// network's random stream.
+func TestSimEnvRefusesOversizeDatagram(t *testing.T) {
+	nw := simnet.New(2, 1)
+	reg := NewRegistry()
+	a := NewSimEnv(nw, reg, 0, 1)
+	b := NewSimEnv(nw, reg, 1, 2)
+	a.SetLocalID(1)
+	b.SetLocalID(2)
+	var got []int
+	b.Bind(func(_ wire.NodeID, p []byte) { got = append(got, len(p)) })
+	sent := 0
+	nw.OnSend = func(int, int, []byte) { sent++ }
+	a.Send(2, datagram(1, wire.MaxDatagram+1))
+	a.Send(2, datagram(1, wire.MaxDatagram))
+	nw.RunFor(time.Second)
+	if a.SendErrors() != 1 || sent != 1 || len(got) != 1 || got[0] != wire.MaxDatagram {
+		t.Errorf("SendErrors=%d, network saw %d sends, delivered sizes %v; want 1, 1, [%d]",
+			a.SendErrors(), sent, got, wire.MaxDatagram)
+	}
+}
+
 func TestSimEnvAddressingConvention(t *testing.T) {
 	nw := simnet.New(3, 1)
 	reg := NewRegistry()
@@ -199,6 +230,43 @@ func TestUDPEnvRoundTrip(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 1 || got[0] != 1 {
 		t.Errorf("got %v", got)
+	}
+}
+
+// TestUDPEnvDatagramCeiling: over loopback a payload of exactly
+// wire.MaxDatagram arrives whole through the receive buffer sized to it, and
+// one byte more is refused by the socket and counted instead of discarded.
+func TestUDPEnvDatagramCeiling(t *testing.T) {
+	a, err := NewUDPEnv("127.0.0.1:0", netip.AddrPort{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewUDPEnv("127.0.0.1:0", netip.AddrPort{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a.SetLocalID(1)
+	a.SetPeer(2, b.LocalAddr())
+	sizes := make(chan int, 2)
+	b.Bind(func(_ wire.NodeID, p []byte) { sizes <- len(p) })
+
+	a.Send(2, datagram(1, wire.MaxDatagram+1))
+	if got := a.SendErrors(); got != 1 {
+		t.Errorf("SendErrors = %d after an oversize send, want 1", got)
+	}
+	a.Send(2, datagram(1, wire.MaxDatagram))
+	select {
+	case n := <-sizes:
+		if n != wire.MaxDatagram {
+			t.Errorf("received %d bytes, want %d", n, wire.MaxDatagram)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("MaxDatagram payload never arrived")
+	}
+	if got := a.SendErrors(); got != 1 {
+		t.Errorf("SendErrors = %d after a MaxDatagram send, want still 1", got)
 	}
 }
 

@@ -34,13 +34,10 @@ type UDPEnv struct {
 	closed  atomic.Bool
 	done    chan struct{}
 	wg      sync.WaitGroup
+	sendErr atomic.Uint64 // datagrams the socket refused to send
 }
 
 var _ Env = (*UDPEnv)(nil)
-
-// maxDatagram bounds receive buffers; a link-state row for 5000 nodes fits
-// comfortably.
-const maxDatagram = 64 * 1024
 
 // NewUDPEnv opens a UDP socket on listen (e.g. ":4400" or "10.0.0.1:4400")
 // and starts its read loop. advertise, if valid, is the externally reachable
@@ -76,7 +73,7 @@ func NewUDPEnv(listen string, advertise netip.AddrPort, seed int64) (*UDPEnv, er
 
 func (e *UDPEnv) readLoop() {
 	defer e.wg.Done()
-	buf := make([]byte, maxDatagram)
+	buf := make([]byte, wire.MaxDatagram)
 	for {
 		n, raddr, err := e.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -160,10 +157,17 @@ func (e *UDPEnv) Send(to wire.NodeID, payload []byte) {
 }
 
 // SendTo transmits a datagram to an explicit address, used by the
-// coordinator to answer Join messages from nodes that have no ID yet.
+// coordinator to answer Join messages from nodes that have no ID yet. A write
+// the socket refuses (a payload over wire.MaxDatagram among them) is counted
+// in SendErrors.
 func (e *UDPEnv) SendTo(addr netip.AddrPort, payload []byte) {
-	_, _ = e.conn.WriteToUDPAddrPort(payload, addr)
+	if _, err := e.conn.WriteToUDPAddrPort(payload, addr); err != nil {
+		e.sendErr.Add(1)
+	}
 }
+
+// SendErrors returns how many datagrams the socket refused to send.
+func (e *UDPEnv) SendErrors() uint64 { return e.sendErr.Load() }
 
 // udpTimer wraps time.Timer to satisfy the Timer interface.
 type udpTimer struct{ t *time.Timer }

@@ -174,21 +174,24 @@ func FuzzViewRoundTrip(f *testing.F) {
 }
 
 func FuzzViewChunkRoundTrip(f *testing.F) {
+	// The last of three pieces of a 129-member snapshot carries the one
+	// member left over from two full chunks.
 	f.Add(uint16(1), body(wire.AppendViewChunk(nil, 1, wire.ViewChunk{
 		Stamp:        wire.ViewStamp{Epoch: 2, Version: 40},
 		TotalSlots:   130,
 		TotalMembers: 129,
-		Index:        1,
+		Index:        2,
 		Count:        3,
 		Members: []wire.Member{
-			{ID: 64, Slot: 64, Addr: netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 0, 64}), 4400)},
-			{ID: 66, Slot: 65},
+			{ID: 128, Slot: 129, Addr: netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 0, 64}), 4400)},
 		},
 	})))
-	// Empty tail chunk (a snapshot whose last piece carries no members).
+	// An empty view is one chunk carrying no members.
 	f.Add(uint16(1), body(wire.AppendViewChunk(nil, 1, wire.ViewChunk{
-		Stamp: wire.ViewStamp{Epoch: 1, Version: 1}, Count: 1,
+		Stamp: wire.ViewStamp{Epoch: 1, Version: 1}, TotalSlots: 3, Count: 1,
 	})))
+	// Rejected: an empty chunk claiming 65 535 pieces.
+	f.Add(uint16(1), []byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, src uint16, b []byte) {
 		roundTrip(t, src, b, wire.ParseViewChunk, wire.AppendViewChunk)
 	})

@@ -82,8 +82,7 @@ func ParseJoin(body []byte) (Join, error) {
 }
 
 // JoinReply tells a joiner its assigned node ID, echoing the join's nonce.
-// The full view follows in a separate View message (also broadcast to
-// existing members).
+// The full view follows as a separate snapshot (ViewChunk pieces).
 type JoinReply struct {
 	Assigned NodeID
 	Nonce    uint32
@@ -128,7 +127,8 @@ func (s ViewStamp) After(o ViewStamp) bool {
 // by their Slot field (each below Slots, or the receiver rejects the view)
 // and every other slot is a tombstone (departed, quarantined, or never
 // assigned). Trailing tombstones make the slot count unrepresentable from
-// the member list alone, so it must travel on the wire.
+// the member list alone, so it must travel on the wire. A View travels as
+// ViewChunk pieces; it is also what NewViewInfo builds from.
 type View struct {
 	Epoch   uint32
 	Version uint32
@@ -139,7 +139,8 @@ type View struct {
 // Stamp returns the view's (epoch, version) stamp.
 func (v View) Stamp() ViewStamp { return ViewStamp{Epoch: v.Epoch, Version: v.Version} }
 
-// AppendView encodes v with its header.
+// AppendView encodes v with its header as one TView datagram. No node sends
+// that form; AppendView and ParseView stay because benchmark/ times them.
 func AppendView(b []byte, src NodeID, v View) []byte {
 	b = AppendHeader(b, TView, src)
 	b = binary.BigEndian.AppendUint32(b, v.Epoch)
@@ -193,8 +194,8 @@ type ViewDelta struct {
 }
 
 // appendViewDeltaBody encodes d's body without a header. Shared between the
-// primary's TViewDelta broadcast, the gossip forwarding envelope, and the
-// anti-entropy pull reply so every carrier of a delta is byte-identical.
+// gossip envelope and the anti-entropy pull reply so every carrier of a delta
+// is byte-identical.
 func appendViewDeltaBody(b []byte, d ViewDelta) []byte {
 	b = binary.BigEndian.AppendUint32(b, d.Epoch)
 	b = binary.BigEndian.AppendUint32(b, d.BaseVersion)
@@ -240,7 +241,9 @@ func parseViewDeltaBody(body []byte) (ViewDelta, error) {
 	return d, nil
 }
 
-// AppendViewDelta encodes d with its header.
+// AppendViewDelta encodes d with its header as one TViewDelta datagram. No
+// node sends that form (a delta travels as a GossipDelta); AppendViewDelta and
+// ParseViewDelta stay because benchmark/ times them.
 func AppendViewDelta(b []byte, src NodeID, d ViewDelta) []byte {
 	b = AppendHeader(b, TViewDelta, src)
 	return appendViewDeltaBody(b, d)
@@ -268,12 +271,15 @@ func ViewSize(n int) int { return HeaderLen + 12 + n*memberLen }
 // mass-admission storm no longer multiplies that burst by the joiner count.
 const ViewChunkMembers = 64
 
-// ViewChunk is one piece of a chunked full-view snapshot. The receiver
-// reassembles chunks sharing a stamp; Index/Count frame the sequence and
-// TotalSlots/TotalMembers let it validate completeness and build the final
-// View without trusting any single chunk. Loss of any chunk is repaired by
-// the client's existing full-view retry (the stamp changes or the request
-// fires again and the partial set is discarded).
+// ViewChunkCount is how many chunks carry a snapshot of n members:
+// ⌈n/ViewChunkMembers⌉, and one for an empty view.
+func ViewChunkCount(n int) int { return max(1, (n+ViewChunkMembers-1)/ViewChunkMembers) }
+
+// ViewChunk is one piece of a full-view snapshot, the only form a full view
+// travels in. The receiver reassembles chunks sharing a stamp; Index/Count
+// frame the sequence and TotalSlots/TotalMembers say what the pieces add up
+// to. Loss of any chunk is repaired by the receiver's next full-view request
+// (the re-served pieces fill the gap, or a newer stamp replaces the set).
 type ViewChunk struct {
 	Stamp        ViewStamp
 	TotalSlots   uint16
@@ -298,8 +304,11 @@ func AppendViewChunk(b []byte, src NodeID, vc ViewChunk) []byte {
 	return b
 }
 
-// ParseViewChunk decodes a ViewChunk body. Count must be nonzero and Index
-// within it; the member list is exactly the remaining bytes.
+// ParseViewChunk decodes a ViewChunk body, accepting only the framing the
+// coordinator produces: TotalMembers ≤ TotalSlots, Count =
+// ViewChunkCount(TotalMembers), Index < Count, and ViewChunkMembers members in
+// every chunk but the last, which carries the remainder. A hostile chunk can
+// therefore claim no more pieces than a real snapshot of its size has.
 func ParseViewChunk(body []byte) (ViewChunk, error) {
 	const fixed = 4 + 4 + 2 + 2 + 2 + 2
 	if len(body) < fixed {
@@ -315,14 +324,18 @@ func ParseViewChunk(body []byte) (ViewChunk, error) {
 		Index:        binary.BigEndian.Uint16(body[12:]),
 		Count:        binary.BigEndian.Uint16(body[14:]),
 	}
-	if vc.Count == 0 || vc.Index >= vc.Count {
-		return ViewChunk{}, fmt.Errorf("%w: chunk %d of %d", ErrBadLen, vc.Index, vc.Count)
+	if vc.TotalMembers > vc.TotalSlots || int(vc.Count) != ViewChunkCount(int(vc.TotalMembers)) || vc.Index >= vc.Count {
+		return ViewChunk{}, fmt.Errorf("%w: chunk %d of %d for %d members in %d slots",
+			ErrBadLen, vc.Index, vc.Count, vc.TotalMembers, vc.TotalSlots)
+	}
+	n := ViewChunkMembers
+	if vc.Index == vc.Count-1 {
+		n = int(vc.TotalMembers) - int(vc.Index)*ViewChunkMembers
 	}
 	body = body[fixed:]
-	if len(body)%memberLen != 0 {
-		return ViewChunk{}, fmt.Errorf("%w: %d trailing member bytes", ErrBadLen, len(body)%memberLen)
+	if len(body) != n*memberLen {
+		return ViewChunk{}, fmt.Errorf("%w: want %d member bytes, have %d", ErrBadLen, n*memberLen, len(body))
 	}
-	n := len(body) / memberLen
 	if n > 0 {
 		vc.Members = make([]Member, n)
 		for i := 0; i < n; i++ {

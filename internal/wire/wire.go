@@ -75,8 +75,8 @@ const (
 	TJoinReply
 	TLeave
 	THeartbeat
-	TView
-	TViewDelta   // incremental view update against a base version
+	TView        // reserved: no node sends it; full views travel as TViewChunk
+	TViewDelta   // reserved: no node sends it; deltas travel as TGossipDelta
 	TViewRequest // client asks for a full view after a version gap
 
 	// Data plane.
@@ -211,6 +211,11 @@ const PerPacketOverhead = 46
 // HeaderLen is the length of the common message header: type (1 byte) plus
 // source node ID (2 bytes).
 const HeaderLen = 3
+
+// MaxDatagram is the largest payload one IPv4 UDP datagram carries: 65 535
+// bytes less the 20-byte IP and 8-byte UDP headers. Both transports refuse a
+// larger one, the simulator included.
+const MaxDatagram = 65507
 
 // Common errors returned by the codecs.
 var (

@@ -341,6 +341,62 @@ func TestViewRoundTrip(t *testing.T) {
 	}
 }
 
+// TestViewChunkFraming: ParseViewChunk accepts exactly the framing a
+// coordinator produces — ViewChunkCount(TotalMembers) pieces of
+// ViewChunkMembers, the last carrying the remainder — and nothing a hostile
+// sender could use to make a receiver buffer more pieces than its snapshot
+// has, such as a 19-byte chunk claiming 65 535 of them.
+func TestViewChunkFraming(t *testing.T) {
+	members := func(n int) []Member {
+		ms := make([]Member, n)
+		for i := range ms {
+			ms[i] = Member{ID: NodeID(i), Slot: uint16(i)}
+		}
+		return ms
+	}
+	chunk := func(total, slots, index, count, carried int) []byte {
+		b := AppendViewChunk(nil, 1, ViewChunk{
+			Stamp: ViewStamp{Epoch: 1, Version: 2}, TotalSlots: uint16(slots), TotalMembers: uint16(total),
+			Index: uint16(index), Count: uint16(count), Members: members(carried),
+		})
+		return b[HeaderLen:]
+	}
+	for _, tc := range []struct {
+		name                                string
+		total, slots, index, count, carried int
+		ok                                  bool
+	}{
+		{"empty view", 0, 0, 0, 1, 0, true},
+		{"empty view in tombstones", 0, 5, 0, 1, 0, true},
+		{"one full chunk", 64, 64, 0, 1, 64, true},
+		{"first of two", 65, 70, 0, 2, 64, true},
+		{"remainder", 65, 70, 1, 2, 1, true},
+		{"largest view's last chunk", MaxSlots, MaxSlots, 1023, 1024, MaxSlots - 1023*64, true},
+		{"hostile count", 0, 0, 0, 65535, 0, false},
+		{"count one short", 129, 129, 0, 2, 64, false},
+		{"count one over", 128, 128, 2, 3, 0, false},
+		{"zero count", 0, 0, 0, 0, 0, false},
+		{"index past count", 65, 70, 2, 2, 1, false},
+		{"more members than slots", 3, 2, 0, 1, 3, false},
+		{"short middle chunk", 129, 129, 1, 3, 63, false},
+		{"long last chunk", 65, 70, 1, 2, 2, false},
+		{"empty last chunk", 64, 64, 0, 1, 0, false},
+	} {
+		body := chunk(tc.total, tc.slots, tc.index, tc.count, tc.carried)
+		vc, err := ParseViewChunk(body)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if tc.ok && (len(vc.Members) != tc.carried || int(vc.Index) != tc.index || int(vc.Count) != tc.count) {
+			t.Errorf("%s: decoded %d members, chunk %d of %d", tc.name, len(vc.Members), vc.Index, vc.Count)
+		}
+	}
+	if got := len(chunk(0, 0, 0, 65535, 0)) + HeaderLen; got != 19 {
+		t.Errorf("hostile chunk is %d bytes, want the 19 of the finding", got)
+	}
+}
+
 func TestLeaveHeartbeatRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		b    []byte
@@ -436,6 +492,8 @@ func TestParsersNeverPanic(t *testing.T) {
 			ParseJoinReply(body)
 		case TView:
 			ParseView(body)
+		case TViewChunk:
+			ParseViewChunk(body)
 		case TGossipDelta:
 			ParseGossipDelta(body)
 		case TViewPull:

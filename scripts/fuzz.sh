@@ -1,6 +1,7 @@
 #!/bin/sh
-# Smoke-run every fuzz target — the wire codecs' round trips and the one-hop
-# kernels against their scalar twins — for FUZZTIME (default 30s) each.
+# Smoke-run every fuzz target — the wire codecs' round trips, snapshot
+# reassembly over parser-accepted chunks, and the one-hop kernels against
+# their scalar twins — for FUZZTIME (default 30s) each.
 # `go test -fuzz` accepts only one target per invocation, so the targets are
 # enumerated with -list and looped. Any crasher fails the run and leaves its
 # reproducer under the package's testdata/fuzz/ for `go test` to replay.
@@ -8,7 +9,7 @@ set -eu
 
 FUZZTIME="${FUZZTIME:-30s}"
 
-for pkg in ./internal/wire ./internal/lsdb; do
+for pkg in ./internal/wire ./internal/membership ./internal/lsdb; do
     targets=$(go test "$pkg" -list '^Fuzz' | grep '^Fuzz' || true)
     if [ -z "$targets" ]; then
         echo "fuzz.sh: no fuzz targets found in $pkg" >&2
