@@ -12,6 +12,7 @@
 //	                  lossy-gossip|gossip-crash|straggler]
 //	                  [-rate 0.05] [-minutes 10] [-coords C] [-partition-secs 60]
 //	                  [-restart-secs 120] [-loss 0.05] [-dup 0.02] [-jitter-ms 20] [-seed S]
+//	                  (exits 1 when a watched scenario does not converge within its bound)
 //	experiments soak [-n 120] [-minutes 120] [-max-heap-mb 512] [-seed S]
 //	experiments failover [-seed S]   (exits 1 when a scenario never recovers)
 //	experiments multihop [-n 64] [-hops 4]
@@ -95,10 +96,12 @@ func main() {
 		if !explicit["minutes"] {
 			*minutes = 10
 		}
-		churn(*n, *seed, *scenario, *rate, *burst, *coords,
+		if !churn(*n, *seed, *scenario, *rate, *burst, *coords,
 			time.Duration(*partitionSecs)*time.Second, time.Duration(*restartSecs)*time.Second,
 			time.Duration(*minutes)*time.Minute,
-			*loss, *dup, time.Duration(*jitterMS)*time.Millisecond)
+			*loss, *dup, time.Duration(*jitterMS)*time.Millisecond) {
+			os.Exit(1)
+		}
 	case "soak":
 		if !explicit["n"] {
 			*n = 120
@@ -172,7 +175,9 @@ func fig9(maxN int, seed int64) {
 	fmt.Println("# paper @140: RON 34.8 Kbps, quorum 15.3 Kbps")
 }
 
-func churn(n int, seed int64, scenario string, rate float64, burst, coords int, partitionFor, restartAfter, dur time.Duration, loss, dup float64, jitter time.Duration) {
+// churn prints one churn scenario and reports whether it held its
+// convergence bound (true for a scenario that sets none).
+func churn(n int, seed int64, scenario string, rate float64, burst, coords int, partitionFor, restartAfter, dur time.Duration, loss, dup float64, jitter time.Duration) bool {
 	sc, err := emul.ParseChurnScenario(scenario)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -185,6 +190,11 @@ func churn(n int, seed int64, scenario string, rate float64, burst, coords int, 
 		Loss: loss, Dup: dup, Jitter: jitter,
 	})
 	fmt.Print(res.Format())
+	if res.ConvergeBound > 0 && (!res.Converged || res.ConvergedAfter > res.ConvergeBound) {
+		fmt.Fprintf(os.Stderr, "churn FAILED: views did not converge within %s\n", res.ConvergeBound)
+		return false
+	}
+	return true
 }
 
 // soak drives a lossy-gossip Poisson churn fleet for hours of virtual time
@@ -257,10 +267,9 @@ func soak(n int, seed int64, dur time.Duration, maxHeapMB int) {
 	for _, ep := range f.ActiveEndpoints() {
 		agg.Add(f.Node(ep).MembershipStats())
 	}
-	fmt.Printf("# gossip seen=%d dups=%d forwards=%d pulls=%d/%d bridged=%d fallbacks=%d full_view_reqs=%d\n",
+	fmt.Printf("# gossip seen=%d dups=%d forwards=%d pulls=%d/%d bridged=%d full_view_reqs=%d\n",
 		agg.GossipSeen, agg.GossipDups, agg.GossipForwards,
-		agg.PullsSent, agg.PullsServed, agg.GapsBridged,
-		agg.FullViewFallbacks, agg.FullViewRequests)
+		agg.PullsSent, agg.PullsServed, agg.GapsBridged, agg.FullViewRequests)
 	fmt.Printf("# peak_heap=%.1f MiB ceiling=%d MiB converged=%v conv_wait=%s spawns_dropped=%d\n",
 		float64(peak)/(1<<20), maxHeapMB, f.ViewsConverged(), convWait, f.SpawnsDropped)
 	if !ok {

@@ -427,7 +427,7 @@ const (
 	// adversarial fault plane (5% loss, duplication, jitter by default): the
 	// gossip tree must disseminate the admission deltas and the pull plane
 	// must bridge the drops, converging every member within ConvergeBound
-	// with no full-view request herd.
+	// with no herd of coordinator pulls.
 	ChurnLossyGossip
 	// ChurnGossipCrash departs a burst of members and fail-stops the primary
 	// coordinator one coalesce interval later — while the resulting delta's
@@ -438,7 +438,7 @@ const (
 	// ChurnStraggler blacks out a few members with burst-loss windows while
 	// Poisson churn keeps producing deltas they cannot hear. When the
 	// windows close the stragglers are generations behind and must repair
-	// through peer pulls, not coordinator full views.
+	// through peer pulls, not coordinator snapshots.
 	ChurnStraggler
 )
 
@@ -696,8 +696,9 @@ type ChurnResult struct {
 	// Seeds is the gossip envelopes the primaries injected into the
 	// dissemination tree (with gossip on these replace the per-member
 	// Deltas unicasts), and Gossip aggregates every spawned node's
-	// client-side gossip/repair counters — Gossip.FullViewRequests is the
-	// herd the zero-herd acceptance asserts on. ViewChunks counts the chunk
+	// client-side gossip/repair counters — Gossip.FullViewRequests, the
+	// pulls sent to a coordinator, is the herd the zero-herd acceptance
+	// asserts on. ViewChunks counts the chunk
 	// datagrams of snapshots too large for one packet (> ViewChunkMembers
 	// members); it stays zero in small fleets.
 	Seeds      uint64
@@ -939,10 +940,9 @@ func (r *ChurnResult) Format() string {
 		r.MinAvailability, r.MeanAvailability, r.MeanStretch)
 	fmt.Fprintf(&b, "# coordinator msgs=%d broadcasts=%d deltas=%d full_views=%d seeds=%d view_chunks=%d\n",
 		r.CoordMsgs, r.Broadcasts, r.Deltas, r.FullViews, r.Seeds, r.ViewChunks)
-	fmt.Fprintf(&b, "# gossip seen=%d dups=%d forwards=%d pulls_sent=%d pulls_served=%d gaps_bridged=%d fallbacks=%d full_view_reqs=%d\n",
+	fmt.Fprintf(&b, "# gossip seen=%d dups=%d forwards=%d pulls_sent=%d pulls_served=%d gaps_bridged=%d full_view_reqs=%d\n",
 		r.Gossip.GossipSeen, r.Gossip.GossipDups, r.Gossip.GossipForwards,
-		r.Gossip.PullsSent, r.Gossip.PullsServed, r.Gossip.GapsBridged,
-		r.Gossip.FullViewFallbacks, r.Gossip.FullViewRequests)
+		r.Gossip.PullsSent, r.Gossip.PullsServed, r.Gossip.GapsBridged, r.Gossip.FullViewRequests)
 	if has(r.Schedule, OpCrashCoord, OpCrashRegion) {
 		fmt.Fprintf(&b, "# faults coord_crashes=%d coord_restarts=%d partition_size=%d partition_for=%s\n",
 			r.CoordCrashes, r.CoordRestarts, r.PartitionSize, r.Opt.PartitionFor)

@@ -513,10 +513,11 @@ func TestDynamicFleetJoinStormIsLinear(t *testing.T) {
 	}
 }
 
-// TestNoNodeSendsRetiredViewForms: full views travel only as chunks and
-// deltas only as gossip envelopes, to members and replicas alike — through a
-// primary crash and restart, and through a split brain and its heal, no node
-// sends a TView or a TViewDelta.
+// TestNoNodeSendsRetiredViewForms: full views travel only as chunks, deltas
+// only as gossip envelopes or pull replies, and every request for missed
+// views is a TViewPull, for members and replicas alike — through a primary
+// crash and restart, and through a split brain and its heal, no node sends a
+// TView, a TViewDelta or a TViewRequest.
 func TestNoNodeSendsRetiredViewForms(t *testing.T) {
 	for _, sc := range []ChurnScenario{ChurnCoordCrash, ChurnPartition} {
 		o := ChurnOptions{N: 40, Seed: 3, Scenario: sc, Coordinators: 3, Duration: 5 * time.Minute}
@@ -528,7 +529,7 @@ func TestNoNodeSendsRetiredViewForms(t *testing.T) {
 		f.Net.OnSend = func(from, to int, p []byte) {
 			account(from, to, p)
 			switch wire.PeekType(p) {
-			case wire.TView, wire.TViewDelta:
+			case wire.TView, wire.TViewDelta, wire.TViewRequest:
 				retired++
 			case wire.TViewChunk:
 				if to >= f.CoordEndpointAt(0) {

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"slices"
 	"time"
 
 	"allpairs/internal/transport"
@@ -33,17 +34,13 @@ const (
 	// deadline expires; it doubles per consecutive failure (with jitter) up
 	// to Heartbeat.
 	failoverBackoff = time.Second
-	// fullViewBackoff is the base of the jittered delay before a full-view
-	// request; doubling per consecutive unanswered request keeps a lossy
-	// burst from turning every version gap into a synchronized full-view
-	// thundering herd.
-	fullViewBackoff = 250 * time.Millisecond
 	// pullBackoff is the base of the jittered exponential backoff between
-	// anti-entropy pull attempts after a detected version gap. Attempt i
-	// waits in [w/2, w] with w = pullBackoff << min(i, 6).
+	// the repair ladder's rungs after a detected gap. Rung i waits in
+	// [w/2, w] with w = pullBackoff << min(i, 6), so a loss burst that opens
+	// the same gap across a whole fleet spreads the pulls over the window.
 	pullBackoff = 200 * time.Millisecond
-	// maxPullTries is how many peer pulls may fail to bridge a gap before
-	// the client falls back to the coordinator full-view request.
+	// maxPullTries is how many peers the ladder asks before it asks the
+	// coordinator.
 	maxPullTries = 3
 	// dedupCache bounds the per-ViewStamp duplicate-suppression cache (FIFO
 	// eviction).
@@ -89,14 +86,15 @@ func (c *ClientConfig) fill() {
 }
 
 // Client joins the overlay through the coordinator set and tracks view
-// updates, applying incremental deltas and falling back to a full-view
-// request when a version gap shows it missed one. Heartbeats expect an ack
-// from the primary within AckTimeout; silence rotates the client to the next
-// replica with exponential backoff, so a coordinator crash costs about one
-// heartbeat interval rather than stranding the node. It does not own the
-// Env's packet handler — the overlay node dispatches membership messages to
-// HandlePacket — so it composes with the routing and probing components on
-// one socket.
+// updates, applying incremental deltas and pulling what it missed — from
+// peers first, then the coordinator — when a gap shows it missed one, and
+// answering its peers' pulls by the rule the coordinator answers by.
+// Heartbeats expect an ack from the primary within AckTimeout; silence
+// rotates the client to the next replica with exponential backoff, so a
+// coordinator crash costs about one heartbeat interval rather than stranding
+// the node. It does not own the Env's packet handler — the overlay node
+// dispatches membership messages to HandlePacket — so it composes with the
+// routing and probing components on one socket.
 type Client struct {
 	env    transport.Env
 	cfg    ClientConfig
@@ -113,11 +111,6 @@ type Client struct {
 	hbFails   int // consecutive ack deadline expiries, for backoff
 	hbStarted bool
 
-	// fvPending caps full-view requests at one scheduled per client;
-	// fvFails widens the jitter window while requests go unanswered.
-	fvPending bool
-	fvFails   int
-
 	// joinNonce identifies the outstanding join attempt; only a JoinReply
 	// echoing it is accepted, so a duplicated or delayed reply to an
 	// earlier join can never hand a re-joining client an obsolete ID.
@@ -126,28 +119,25 @@ type Client struct {
 	// Gossip dissemination state. dedup/dedupQ are the bounded FIFO of
 	// delta stamps already seen (duplicate suppression); deltaLog holds the
 	// consecutive run of applied deltas ending at the current version,
-	// served to pulling peers; want is the newest same-epoch stamp heard of
-	// (gossip, heartbeat acks, pull traffic) — while it is ahead of the
-	// installed view, a repair pull is owed.
+	// served to pulling peers; want is the newest stamp heard of (gossip,
+	// heartbeat acks, pull traffic) — while it is ahead of the installed
+	// view, a repair pull is owed.
 	dedup    map[wire.ViewStamp]struct{}
 	dedupQ   []wire.ViewStamp
 	deltaLog []wire.ViewDelta
 	want     wire.ViewStamp
 
-	// pullPending caps gap-repair pulls at one scheduled per client;
-	// pullTries counts attempts against maxPullTries before the
-	// coordinator fallback.
+	// pullPending caps the repair ladder at one scheduled rung per client;
+	// pullTries is the rung it is on.
 	pullPending bool
 	pullTries   int
 
 	// snap reassembles full-view snapshots; a lost chunk is repaired by the
-	// full-view retry (the request fires again and the coordinator re-serves
-	// the then-current snapshot).
+	// next pull (its responder re-serves the then-current snapshot).
 	snap snapshot
 
 	hbTimer   transport.Timer
 	joinTimer transport.Timer
-	fvTimer   transport.Timer
 	pullTimer transport.Timer
 	aeTimer   transport.Timer
 	stopped   bool
@@ -166,17 +156,15 @@ type ClientStats struct {
 	// duplicates suppressed by the dedup cache; GossipForwards counts
 	// copies forwarded to peers.
 	GossipSeen, GossipDups, GossipForwards uint64
-	// PullsSent counts anti-entropy pulls issued (reactive gap repair and
-	// periodic rounds); PullsServed counts replies sent to peers.
+	// PullsSent counts pulls sent to peers (repair rungs and periodic
+	// anti-entropy rounds); PullsServed counts peers' pulls answered with
+	// deltas or a snapshot.
 	PullsSent, PullsServed uint64
-	// GapsBridged counts version gaps closed by peer-served deltas — each
-	// one is a coordinator full-view request that did not happen.
+	// GapsBridged counts gaps a peer's answer closed, with deltas or a
+	// snapshot — each one a coordinator pull that did not happen.
 	GapsBridged uint64
-	// FullViewFallbacks counts gaps the peers could not bridge within
-	// maxPullTries, falling back to the coordinator.
-	FullViewFallbacks uint64
-	// FullViewRequests counts full-view requests actually sent to the
-	// coordinator — the "herd" the gossip plane exists to suppress.
+	// FullViewRequests counts pulls sent to the coordinator, which answers
+	// with a snapshot — the "herd" the gossip plane exists to suppress.
 	FullViewRequests uint64
 }
 
@@ -192,7 +180,6 @@ func (s *ClientStats) Add(o ClientStats) {
 	s.PullsSent += o.PullsSent
 	s.PullsServed += o.PullsServed
 	s.GapsBridged += o.GapsBridged
-	s.FullViewFallbacks += o.FullViewFallbacks
 	s.FullViewRequests += o.FullViewRequests
 }
 
@@ -215,7 +202,7 @@ func (c *Client) Start() {
 // Leave for a graceful exit.
 func (c *Client) Stop() {
 	c.stopped = true
-	for _, t := range []transport.Timer{c.hbTimer, c.joinTimer, c.fvTimer, c.pullTimer, c.aeTimer} {
+	for _, t := range []transport.Timer{c.hbTimer, c.joinTimer, c.pullTimer, c.aeTimer} {
 		if t != nil {
 			t.Stop()
 		}
@@ -306,39 +293,6 @@ func (c *Client) ackDeadline(gen uint64) {
 	c.hbTimer = c.env.After(d, c.heartbeat)
 }
 
-// requestFullView schedules a full-view request after a version gap (a
-// missed delta, or a delta against a base we never held). The request is
-// deferred by a jittered backoff and capped at one outstanding per client:
-// when loss makes a whole fleet miss the same delta, the requests spread
-// over the window instead of arriving as one burst.
-func (c *Client) requestFullView() {
-	if c.fvPending || c.stopped {
-		return
-	}
-	c.fvPending = true
-	shift := c.fvFails
-	if shift > 6 {
-		shift = 6
-	}
-	window := fullViewBackoff << shift
-	delay := time.Duration(c.env.Rand().Int63n(int64(window)))
-	c.fvTimer = c.env.After(delay, c.sendViewRequest)
-}
-
-func (c *Client) sendViewRequest() {
-	if c.stopped {
-		return
-	}
-	c.fvPending = false
-	c.fvFails++ // reset when a view installs; widens the window until then
-	c.stats.FullViewRequests++
-	have := wire.ViewStamp{}
-	if c.view != nil {
-		have = c.view.Stamp()
-	}
-	c.env.Send(c.coordinator(), wire.AppendViewRequest(nil, c.env.LocalID(), have))
-}
-
 // stamp returns the current view's stamp, or the zero stamp before any view.
 func (c *Client) stamp() wire.ViewStamp {
 	if c.view == nil {
@@ -409,7 +363,9 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		// The delta log serves consecutive runs only; a full view breaks
 		// the chain.
 		c.deltaLog = c.deltaLog[:0]
+		wasBehind := c.behind()
 		c.install(vi)
+		c.bridged(h.Src, wasBehind)
 	case wire.TGossipDelta:
 		g, err := wire.ParseGossipDelta(body)
 		if err != nil {
@@ -428,12 +384,15 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		if err != nil || !c.joined || c.view == nil {
 			return
 		}
-		reply := wire.ViewPullReply{Stamp: c.stamp()}
-		if p.Have.Epoch == c.view.epoch && p.Have.Version < c.view.version {
-			reply.Deltas = c.deltasAfter(p.Have.Epoch, p.Have.Version)
+		if _, member := c.view.SlotOf(h.Src); !member {
+			return // a stranger gets nothing
 		}
-		c.stats.PullsServed++
-		c.env.Send(h.Src, wire.AppendViewPullReply(nil, c.env.LocalID(), reply))
+		if packets := answerPull(c.env.LocalID(), c.stamp(), c.view, c.deltaLog, p.Have); packets != nil {
+			c.stats.PullsServed++
+			for _, b := range packets {
+				c.env.Send(h.Src, b)
+			}
+		}
 		// Push-pull symmetry: a requester ahead of us is itself evidence of
 		// a gap on our own side.
 		if p.Have.After(c.stamp()) {
@@ -446,23 +405,9 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		}
 		wasBehind := c.behind()
 		for _, d := range r.Deltas {
-			if c.view == nil {
-				break
-			}
-			if d.Epoch != c.view.epoch || d.BaseVersion != c.view.version {
-				continue // stale entry (duplicated reply); idempotent skip
-			}
-			vi, err := c.view.ApplyDelta(d)
-			if err != nil {
-				break
-			}
-			c.logDelta(d)
-			c.install(vi)
+			c.handleDelta(d)
 		}
-		if wasBehind && !c.behind() {
-			c.pullTries = 0
-			c.stats.GapsBridged++
-		}
+		c.bridged(h.Src, wasBehind)
 		if r.Stamp.After(c.stamp()) {
 			// The run was capped, lost a member mid-apply, or the responder
 			// advanced meanwhile: keep pulling.
@@ -471,94 +416,82 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 	}
 }
 
-// handleDelta folds one delta into the view: a no-op for stale stamps
-// (idempotent under duplication), an install when it extends the current
-// version, and a repair trigger on a gap.
+// handleDelta folds one delta, gossiped or pulled, into the view: a no-op for
+// stale stamps (idempotent under duplication), an install when it extends the
+// current version, and a repair trigger on a gap or a delta that does not
+// apply.
 func (c *Client) handleDelta(d wire.ViewDelta) {
 	stamp := wire.ViewStamp{Epoch: d.Epoch, Version: d.Version}
 	if c.view != nil && !stamp.After(c.stamp()) {
 		return // stale or duplicate delta
 	}
-	if c.view == nil || c.view.epoch != d.Epoch || c.view.version != d.BaseVersion {
-		c.noteAhead(stamp) // gap: missed an update or an election
-		return
+	if c.view != nil && c.view.epoch == d.Epoch && c.view.version == d.BaseVersion {
+		if vi, err := c.view.ApplyDelta(d); err == nil {
+			c.logDelta(d)
+			c.install(vi)
+			return
+		}
 	}
-	vi, err := c.view.ApplyDelta(d)
-	if err != nil {
-		c.noteAhead(stamp)
-		return
-	}
-	c.logDelta(d)
-	c.install(vi)
+	c.noteAhead(stamp) // gap: missed an update or an election
 }
 
-// noteAhead records evidence that a view newer than ours exists and
-// schedules the matching repair: a peer pull for same-epoch version gaps
-// (peers hold the missing increments), or the coordinator full-view request
-// for epoch changes (a delta never spans an election, so peers cannot
-// bridge one).
+// noteAhead records evidence that a view newer than ours exists and (re)arms
+// the repair ladder, whatever the gap: same-epoch or not, a peer that holds
+// the newer view answers with deltas or its snapshot.
 func (c *Client) noteAhead(s wire.ViewStamp) {
 	if s.After(c.want) {
 		c.want = s
 	}
-	if c.view == nil || s.Epoch != c.view.epoch {
-		c.requestFullView()
-		return
-	}
 	c.schedulePull()
 }
 
-// behind reports whether a newer same-epoch stamp than the installed view
-// is known to exist — the state a repair pull is meant to clear.
-func (c *Client) behind() bool {
-	return c.view != nil && c.want.Epoch == c.view.epoch && c.want.Version > c.view.version
-}
+// behind reports whether a view newer than the installed one is known to
+// exist — the state the repair ladder is meant to clear.
+func (c *Client) behind() bool { return c.want.After(c.stamp()) }
 
-// schedulePull arms a gap-repair pull under jittered exponential backoff,
-// capped at one outstanding per client. Attempt i fires within
-// [w/2, w], w = pullBackoff·2^min(i,6), so a loss burst that opens the same
-// gap across a whole fleet spreads the repair traffic over the window.
+// schedulePull arms the ladder's next rung under jittered exponential
+// backoff, capped at one outstanding per client: rung i fires within [w/2, w],
+// w = pullBackoff·2^min(i,6).
 func (c *Client) schedulePull() {
 	if c.pullPending || c.stopped || !c.behind() {
 		return
 	}
 	c.pullPending = true
-	shift := c.pullTries
-	if shift > 6 {
-		shift = 6
-	}
-	window := pullBackoff << shift
+	window := pullBackoff << min(c.pullTries, 6)
 	delay := window/2 + time.Duration(c.env.Rand().Int63n(int64(window/2)+1))
 	c.pullTimer = c.env.After(delay, c.pullFire)
 }
 
-// pullFire issues one repair pull, or — once maxPullTries peers have failed
-// to bridge the gap — falls back to the coordinator full-view request. The
-// re-armed backoff doubles as the reply deadline: a reply that closes the
-// gap makes the next firing a no-op.
+// pullFire climbs one rung of the repair ladder. The first maxPullTries
+// rungs ask random peers, re-arming the backoff as the reply deadline, so an
+// answer that closes the gap makes the next firing a no-op. The next rung —
+// or the first, when there is no peer to ask — asks the coordinator, and then
+// the ladder stops until new evidence re-arms it.
 func (c *Client) pullFire() {
 	c.pullPending = false
 	if c.stopped || !c.behind() {
 		c.pullTries = 0
 		return
 	}
-	if c.pullTries >= maxPullTries {
+	peer := wire.NilNode
+	if c.pullTries < maxPullTries {
+		peer = c.pickPeer()
+	}
+	if peer == wire.NilNode {
 		c.pullTries = 0
-		c.stats.FullViewFallbacks++
-		c.requestFullView()
+		c.stats.FullViewRequests++
+		c.pull(c.coordinator())
 		return
 	}
 	c.pullTries++
-	peer := c.pickPeer()
-	if peer == wire.NilNode {
-		c.pullTries = 0
-		c.stats.FullViewFallbacks++
-		c.requestFullView()
-		return
-	}
 	c.stats.PullsSent++
-	c.env.Send(peer, wire.AppendViewPull(nil, c.env.LocalID(), wire.ViewPull{Have: c.stamp()}))
+	c.pull(peer)
 	c.schedulePull()
+}
+
+// pull asks one node for what this client misses.
+func (c *Client) pull(to wire.NodeID) {
+	c.env.Send(to, wire.AppendViewPull(nil, c.env.LocalID(), wire.ViewPull{Have: c.stamp()}))
 }
 
 // pickPeer returns a uniformly drawn member of the current view other than
@@ -651,23 +584,6 @@ func (c *Client) logDelta(d wire.ViewDelta) {
 	}
 }
 
-// deltasAfter returns the logged consecutive run starting at base version v,
-// capped at wire.MaxPullDeltas, or nil when the log no longer reaches back
-// that far (the requester retries elsewhere or falls back to the
-// coordinator).
-func (c *Client) deltasAfter(epoch, v uint32) []wire.ViewDelta {
-	for i, d := range c.deltaLog {
-		if d.Epoch == epoch && d.BaseVersion == v {
-			run := c.deltaLog[i:]
-			if len(run) > wire.MaxPullDeltas {
-				run = run[:wire.MaxPullDeltas]
-			}
-			return run
-		}
-	}
-	return nil
-}
-
 // aeInterval returns one jittered anti-entropy period in [¾T, 1¼T]: a
 // cohort of members admitted in the same view change must not pull in
 // phase forever.
@@ -693,17 +609,21 @@ func (c *Client) antiEntropy() {
 		return
 	}
 	c.stats.PullsSent++
-	c.env.Send(peer, wire.AppendViewPull(nil, c.env.LocalID(), wire.ViewPull{Have: c.stamp()}))
+	c.pull(peer)
 }
 
 // noteCoordinator points the client at the replica that just proved itself
 // primary (it answered, and standbys never do).
 func (c *Client) noteCoordinator(id wire.NodeID) {
-	for i, cid := range c.cfg.Coordinators {
-		if cid == id {
-			c.cur = i
-			return
-		}
+	if i := slices.Index(c.cfg.Coordinators, id); i >= 0 {
+		c.cur = i
+	}
+}
+
+// bridged credits a gap that an answer from src closed, when src is a peer.
+func (c *Client) bridged(src wire.NodeID, wasBehind bool) {
+	if wasBehind && !c.behind() && !slices.Contains(c.cfg.Coordinators, src) {
+		c.stats.GapsBridged++
 	}
 }
 
@@ -714,16 +634,8 @@ func (c *Client) noteCoordinator(id wire.NodeID) {
 // forever with an ID nobody routes to.
 func (c *Client) install(vi *ViewInfo) {
 	c.view = vi
-	c.fvFails = 0
 	if !c.behind() {
 		c.pullTries = 0 // caught up; future gaps restart the backoff ladder
-	}
-	if c.fvPending {
-		// The gap this request chased is closed; release the slot.
-		c.fvPending = false
-		if c.fvTimer != nil {
-			c.fvTimer.Stop()
-		}
 	}
 	if id := c.env.LocalID(); c.joined && id != wire.NilNode {
 		if _, ok := vi.SlotOf(id); !ok {

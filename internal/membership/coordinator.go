@@ -182,8 +182,8 @@ type CoordinatorStats struct {
 	// DeltasSent counts gossip envelopes sent straight to standbys (each
 	// flush's seeded envelope, one per peer replica); FullViewsSent counts
 	// snapshots sent by flushes (to added members, standbys, or everyone
-	// when the delta would not be smaller) plus those served on demand (gap
-	// recovery, evicted-node heartbeats, replica resyncs).
+	// when the delta would not do) plus those served on demand (pulls from
+	// members and standbys, evicted-node heartbeats).
 	DeltasSent    uint64
 	FullViewsSent uint64
 	// SeedsSent counts gossip-delta envelopes seeded into the dissemination
@@ -334,7 +334,7 @@ func (c *Coordinator) handle(from wire.NodeID, payload []byte) {
 		return
 	case wire.TViewChunk:
 		// The primary's snapshots, the same pieces members get: a flush's
-		// full view, a promotion, or the answer to a resync request.
+		// full view, a promotion, or the answer to a resync pull.
 		vc, err := wire.ParseViewChunk(body)
 		if err == nil && c.rankOf(h.Src) >= 0 && c.role == roleStandby && vc.Stamp.After(c.Stamp()) {
 			if v, ok := c.snap.add(vc); ok {
@@ -382,18 +382,18 @@ func (c *Coordinator) handle(from wire.NodeID, payload []byte) {
 			// An expired member still heartbeating does not know it was
 			// evicted: answer with the current view, whose absence of its ID
 			// tells the client to rejoin.
-			c.sendFullView(h.Src)
+			c.sendPackets(h.Src, snapshotPackets(c.selfID, c.Stamp(), c.lastView))
 		}
-	case wire.TViewRequest:
-		have, err := wire.ParseViewRequest(body)
-		if err != nil {
+	case wire.TViewPull:
+		// Asked by a member or a standby replica; a stranger gets nothing.
+		p, err := wire.ParseViewPull(body)
+		if _, member := c.members[h.Src]; err != nil || (!member && c.rankOf(h.Src) < 0) {
 			return
 		}
-		// A requester already holding the current stamp needs nothing — a
-		// delta built on a version it never saw (e.g. forged or reordered)
-		// does not invalidate its up-to-date view.
-		if have != c.Stamp() {
-			c.sendFullView(h.Src)
+		// Pending coalesced changes are not leaked early: the asker gets the
+		// last broadcast view, the stamp everyone else holds.
+		if packets := answerPull(c.selfID, c.Stamp(), c.lastView, nil, p.Have); packets != nil {
+			c.sendPackets(h.Src, packets)
 		}
 	case wire.TLeave:
 		if _, ok := c.members[h.Src]; ok {
@@ -458,10 +458,16 @@ func (c *Coordinator) handleBeacon(from wire.NodeID, b wire.CoordBeacon) {
 		c.epoch = b.Stamp.Epoch
 	}
 	// A version ahead of our replica means we missed replication (e.g. we
-	// just restarted): resync with a full-view request.
+	// just restarted): resync.
 	if b.Stamp.Version > c.version {
-		c.env.Send(from, wire.AppendViewRequest(nil, c.selfID, c.Stamp()))
+		c.pull(from)
 	}
+}
+
+// pull asks a replica for what this standby's replica misses — the TViewPull
+// members send, answered by the same rule.
+func (c *Coordinator) pull(to wire.NodeID) {
+	c.env.Send(to, wire.AppendViewPull(nil, c.selfID, wire.ViewPull{Have: c.Stamp()}))
 }
 
 // adoptReplica installs a reassembled snapshot, newer than the replica, on a
@@ -480,18 +486,18 @@ func (c *Coordinator) adoptReplica(v wire.View) {
 }
 
 // applyReplicaDelta folds a replicated delta into a standby's view replica,
-// resyncing with a full-view request on any gap.
+// resyncing with a pull on any gap.
 func (c *Coordinator) applyReplicaDelta(from wire.NodeID, d wire.ViewDelta) {
 	if d.Epoch == c.epoch && d.Version <= c.version {
 		return // duplicate
 	}
 	if d.Epoch != c.epoch || d.BaseVersion != c.version {
-		c.env.Send(from, wire.AppendViewRequest(nil, c.selfID, c.Stamp()))
+		c.pull(from)
 		return
 	}
 	next, err := c.lastView.ApplyDelta(d)
 	if err != nil {
-		c.env.Send(from, wire.AppendViewRequest(nil, c.selfID, c.Stamp()))
+		c.pull(from)
 		return
 	}
 	c.version = d.Version
@@ -595,7 +601,7 @@ func (c *Coordinator) handlePreVote(from wire.NodeID) {
 // handleBeacon vouching for itself, and counts for nothing.
 func (c *Coordinator) handlePreVoteReply(from wire.NodeID, pr wire.PreVoteReply) {
 	if pr.Stamp.After(c.Stamp()) {
-		c.env.Send(from, wire.AppendViewRequest(nil, c.selfID, c.Stamp()))
+		c.pull(from)
 	}
 	if !c.preVoting || !pr.PrimaryAlive || c.Stamp().After(pr.Stamp) {
 		return
@@ -659,7 +665,7 @@ func (c *Coordinator) demote(winner wire.NodeID, b wire.CoordBeacon) {
 	c.lastPrimaryBeat = c.env.Now()
 	c.stats.Demotions++
 	c.logf("membership: rank %d demoted by rank %d (epoch %d)", c.cfg.Rank, c.rankOf(winner), b.Stamp.Epoch)
-	c.env.Send(winner, wire.AppendViewRequest(nil, c.selfID, c.Stamp()))
+	c.pull(winner)
 	c.armElection()
 }
 
@@ -689,34 +695,13 @@ func (c *Coordinator) sendBeacons() {
 // the promotion/absorption path, where waiting out delta coalescing would
 // cost convergence time. Everyone gets the same chunks.
 func (c *Coordinator) broadcastFullView() {
-	packets := c.viewPackets(c.lastView)
+	packets := snapshotPackets(c.selfID, c.Stamp(), c.lastView)
 	for _, m := range c.lastView.Members() {
 		c.sendPackets(m.ID, packets)
 	}
 	for _, id := range c.peers() {
 		c.sendPackets(id, packets)
 	}
-}
-
-// viewPackets encodes vi's members at the current stamp as a snapshot of
-// wire.ViewChunkCount bounded pieces — the MaxPullDeltas discipline applied
-// to full views, so no snapshot outgrows a datagram and a mass-admission
-// storm costs the primary bounded datagrams instead of O(n)-sized bursts.
-func (c *Coordinator) viewPackets(vi *ViewInfo) [][]byte {
-	members := vi.Members()
-	out := make([][]byte, wire.ViewChunkCount(len(members)))
-	for i := range out {
-		lo := i * wire.ViewChunkMembers
-		out[i] = wire.AppendViewChunk(nil, c.selfID, wire.ViewChunk{
-			Stamp:        c.Stamp(),
-			TotalSlots:   uint16(vi.Slots()),
-			TotalMembers: uint16(len(members)),
-			Index:        uint16(i),
-			Count:        uint16(len(out)),
-			Members:      members[lo:min(lo+wire.ViewChunkMembers, len(members))],
-		})
-	}
-	return out
 }
 
 // sendPackets delivers one snapshot to a node, keeping the snapshot/chunk
@@ -837,14 +822,6 @@ func (c *Coordinator) view() []wire.Member {
 	return slots
 }
 
-// sendFullView serves the last broadcast view to one node (gap recovery,
-// evicted-node heartbeats, and a replica resyncing after a restart, demotion
-// or replication gap). Pending coalesced changes are not leaked early: the
-// receiver sees exactly the stamp everyone else holds.
-func (c *Coordinator) sendFullView(id wire.NodeID) {
-	c.sendPackets(id, c.viewPackets(c.lastView))
-}
-
 // scheduleFlush arms the coalesce timer unless one is already pending.
 func (c *Coordinator) scheduleFlush() {
 	if c.flushPending {
@@ -857,13 +834,14 @@ func (c *Coordinator) scheduleFlush() {
 // flush broadcasts the changes accumulated during the coalesce window: one
 // version bump, a delta to the surviving members, and a full view to every
 // member added in the window (they hold no base to apply a delta to). If the
-// delta would not be smaller than the full view, everyone gets the full
-// view. The delta is not unicast to each survivor: the primary wraps it in a
-// gossip envelope and seeds only the tree roots, keeping its egress O(fanout)
-// per flush while the members epidemic the rest. Standby replicas get that
-// same envelope (or the same snapshot) directly — replication must not
-// depend on the member epidemic. Sends walk the slot array, so the broadcast
-// order is deterministic under the simulator.
+// delta would not be smaller than the full view, or its envelope would not
+// fit one datagram, everyone gets the full view. The delta is not unicast to
+// each survivor: the primary wraps it in a gossip envelope and seeds only the
+// tree roots, keeping its egress O(fanout) per flush while the members
+// epidemic the rest. Standby replicas get that same envelope (or the same
+// snapshot) directly — replication must not depend on the member epidemic.
+// Sends walk the slot array, so the broadcast order is deterministic under
+// the simulator.
 func (c *Coordinator) flush() {
 	c.flushPending = false
 	if c.stopped || c.role != rolePrimary {
@@ -881,7 +859,8 @@ func (c *Coordinator) flush() {
 	if err != nil {
 		panic(err) // members is keyed by ID: a duplicate is a programming error
 	}
-	useDelta := wire.ViewDeltaSize(len(adds), len(removes)) < wire.ViewSize(cur.N())
+	useDelta := wire.ViewDeltaSize(len(adds), len(removes)) < wire.ViewSize(cur.N()) &&
+		wire.GossipDeltaSize(len(adds), len(removes)) <= wire.MaxDatagram
 	d := wire.ViewDelta{
 		Epoch:       c.epoch,
 		BaseVersion: base,
@@ -894,7 +873,7 @@ func (c *Coordinator) flush() {
 	if useDelta {
 		seed = c.seedGossip(cur, d, added)
 	}
-	packets := c.viewPackets(cur)
+	packets := snapshotPackets(c.selfID, c.Stamp(), cur)
 	for _, m := range cur.Members() {
 		if !useDelta || added[m.ID] {
 			c.sendPackets(m.ID, packets)

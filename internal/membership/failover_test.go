@@ -358,14 +358,15 @@ func TestFullViewRequestHerdSuppression(t *testing.T) {
 	if v == nil {
 		t.Fatal("no initial view")
 	}
-	requests := 0
+	pulls := 0
 	rc.nw.OnSend = func(from, to int, payload []byte) {
-		if from == 0 && wire.PeekType(payload) == wire.TViewRequest {
-			requests++
+		if from == 0 && wire.PeekType(payload) == wire.TViewPull {
+			pulls++
 		}
 	}
-	// Two gap deltas in quick succession schedule exactly one (jittered)
-	// full-view request.
+	// Two gap deltas in quick succession arm the repair ladder once. The
+	// client is the only member, so there is no peer to ask: the first rung
+	// asks the coordinator.
 	deliver := func(d wire.ViewDelta) {
 		b := wire.AppendGossipDelta(nil, CoordinatorIDAt(0), wire.GossipDelta{Delta: d})
 		h, body, _ := wire.ParseHeader(b)
@@ -380,15 +381,28 @@ func TestFullViewRequestHerdSuppression(t *testing.T) {
 	deliver(gap)
 	gap.Version++
 	deliver(gap)
+	served := rc.coords[0].Stats().FullViewsSent
 	rc.nw.RunFor(3 * time.Second)
-	if requests != 1 {
-		t.Errorf("view requests sent = %d, want 1 (in-flight cap)", requests)
+	st := rc.clients[0].Stats()
+	if pulls != 1 || st.FullViewRequests != 1 || st.PullsSent != 0 {
+		t.Errorf("pulls sent = %d (%d to the coordinator, %d to peers), want exactly one coordinator pull", pulls, st.FullViewRequests, st.PullsSent)
 	}
-	// The client was already current, so the coordinator suppressed the
-	// reply, no install happened, and the backoff window stays widened for
-	// the next request.
-	if rc.clients[0].fvFails != 1 {
-		t.Errorf("fvFails = %d, want 1 (unanswered request keeps backoff)", rc.clients[0].fvFails)
+	// The client was already current, so the coordinator answered nothing
+	// and the view stands. The ladder has stopped: heartbeat acks carrying
+	// the client's own stamp are no new evidence, so no further pull goes out.
+	if got := rc.coords[0].Stats().FullViewsSent; got != served || rc.views[0] != v {
+		t.Errorf("coordinator served %d snapshots to a current client; view %v, was %v", got-served, rc.views[0].Stamp(), v.Stamp())
+	}
+	rc.nw.RunFor(4 * churnClientCfg().Heartbeat)
+	if pulls != 1 {
+		t.Errorf("pulls sent = %d after the ladder stopped, want still 1", pulls)
+	}
+	// New evidence re-arms it.
+	gap.Version++
+	deliver(gap)
+	rc.nw.RunFor(3 * time.Second)
+	if pulls != 2 {
+		t.Errorf("pulls sent = %d after new evidence, want 2", pulls)
 	}
 }
 
@@ -430,17 +444,62 @@ func TestStandbyCompletesSnapshotAfterLostChunk(t *testing.T) {
 }
 
 // ceilingEnv is a coordinator's Env that records the largest datagram its
-// coordinator sends and carries only those addressed to a replica: a view's
-// members here are addresses, not endpoints.
+// coordinator sends and carries only those addressed to a replica or to
+// member: most of a view's members here are addresses, not endpoints.
 type ceilingEnv struct {
 	*transport.SimEnv
 	largest *int
+	member  wire.NodeID
 }
 
 func (e ceilingEnv) Send(to wire.NodeID, p []byte) {
 	*e.largest = max(*e.largest, len(p))
-	if to >= CoordinatorIDAt(1) {
+	if to >= CoordinatorIDAt(1) || to == e.member {
 		e.SimEnv.Send(to, p)
+	}
+}
+
+// TestGossipDeltaFitsADatagram: 6 600 joins in one coalesce window into a
+// one-member overlay make a delta smaller than the full view but an envelope
+// (66 020 bytes) past wire.MaxDatagram. The flush must send the full view
+// instead, so every datagram fits and the incumbent reaches the new stamp.
+func TestGossipDeltaFitsADatagram(t *testing.T) {
+	const joins = 6600
+	nw := simnet.New(3, 1) // coordinator, the incumbent, and where the joins come from
+	nw.SetLatency(0, 1, 10*time.Millisecond)
+	nw.SetLatency(1, 0, 10*time.Millisecond)
+	reg := transport.NewRegistry()
+	largest := 0
+	cenv := ceilingEnv{transport.NewSimEnv(nw, reg, 0, 1), &largest, 0}
+	coord := NewCoordinator(cenv, CoordinatorConfig{Coalesce: 200 * time.Millisecond})
+	coord.Start()
+	env := transport.NewSimEnv(nw, reg, 1, 2)
+	env.SetPeer(CoordinatorID, cenv.LocalAddr())
+	var view *ViewInfo
+	cl := NewClient(env, ClientConfig{}, func(v *ViewInfo) { view = v })
+	env.Bind(func(_ wire.NodeID, p []byte) {
+		if h, body, err := wire.ParseHeader(p); err == nil {
+			cl.HandlePacket(h, body)
+		}
+	})
+	cl.Start()
+	nw.RunFor(time.Second)
+	if view == nil || view.N() != 1 || env.LocalID() != 0 {
+		t.Fatalf("incumbent not admitted as member 0: id %d, view %v", env.LocalID(), view)
+	}
+	if size := wire.GossipDeltaSize(joins, 0); size <= wire.MaxDatagram || wire.ViewDeltaSize(joins, 0) >= wire.ViewSize(joins+1) {
+		t.Fatalf("shape no longer tests the ceiling: envelope %d bytes", size)
+	}
+	for i := 0; i < joins; i++ {
+		addr := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}), 2)
+		nw.Send(2, 0, wire.AppendJoin(nil, wire.Join{Addr: addr}))
+	}
+	nw.RunFor(time.Second)
+	if coord.MemberCount() != joins+1 || view.Stamp() != coord.Stamp() || view.N() != joins+1 {
+		t.Errorf("incumbent at %v with %d members, primary at %v with %d", view.Stamp(), view.N(), coord.Stamp(), coord.MemberCount())
+	}
+	if largest > wire.MaxDatagram || env.SendErrors() != 0 {
+		t.Errorf("largest datagram %d bytes (ceiling %d), %d refused by the incumbent", largest, wire.MaxDatagram, env.SendErrors())
 	}
 }
 
@@ -457,7 +516,7 @@ func TestReplicaPlaneFitsADatagram(t *testing.T) {
 	largest := 0
 	envs := make([]ceilingEnv, 2)
 	for r := range envs {
-		envs[r] = ceilingEnv{transport.NewSimEnv(nw, reg, r, int64(r+1)), &largest}
+		envs[r] = ceilingEnv{transport.NewSimEnv(nw, reg, r, int64(r+1)), &largest, wire.NilNode}
 	}
 	envs[0].SetPeer(ids[1], envs[1].LocalAddr())
 	envs[1].SetPeer(ids[0], envs[0].LocalAddr())

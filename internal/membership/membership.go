@@ -131,6 +131,54 @@ func (s *snapshot) add(vc wire.ViewChunk) (wire.View, bool) {
 	return v, true
 }
 
+// snapshotPackets encodes vi's members under stamp as a snapshot of
+// wire.ViewChunkCount bounded pieces, so no snapshot outgrows a datagram and
+// a mass-admission storm costs bounded datagrams instead of O(n)-sized
+// bursts. The stamp is an argument because a primary serves its last view
+// under its own stamp, which a promotion or an absorbed rival moves past the
+// one the view carries.
+func snapshotPackets(src wire.NodeID, stamp wire.ViewStamp, vi *ViewInfo) [][]byte {
+	members := vi.Members()
+	out := make([][]byte, wire.ViewChunkCount(len(members)))
+	for i := range out {
+		lo := i * wire.ViewChunkMembers
+		out[i] = wire.AppendViewChunk(nil, src, wire.ViewChunk{
+			Stamp:        stamp,
+			TotalSlots:   uint16(vi.Slots()),
+			TotalMembers: uint16(len(members)),
+			Index:        uint16(i),
+			Count:        uint16(len(out)),
+			Members:      members[lo:min(lo+wire.ViewChunkMembers, len(members))],
+		})
+	}
+	return out
+}
+
+// answerPull is the one rule for answering a TViewPull, for a member and a
+// coordinator alike: src answers from its view vi at stamp and its log of
+// applied deltas (a consecutive run ending at stamp; none for a coordinator)
+// a requester that holds have. A responder with nothing newer sends nothing —
+// the requester would discard it. One whose log holds the run starting at
+// have sends as much of it as fits one datagram; any other, or one whose
+// first delta alone would not fit, sends its snapshot.
+func answerPull(src wire.NodeID, stamp wire.ViewStamp, vi *ViewInfo, log []wire.ViewDelta, have wire.ViewStamp) [][]byte {
+	if !stamp.After(have) {
+		return nil
+	}
+	i := slices.IndexFunc(log, func(d wire.ViewDelta) bool { return d.Epoch == have.Epoch && d.BaseVersion == have.Version })
+	if i >= 0 {
+		run := log[i:min(len(log), i+wire.MaxPullDeltas)]
+		n := 0
+		for n < len(run) && wire.ViewPullReplySize(run[:n+1]) <= wire.MaxDatagram {
+			n++
+		}
+		if n > 0 {
+			return [][]byte{wire.AppendViewPullReply(nil, src, wire.ViewPullReply{Stamp: stamp, Deltas: run[:n]})}
+		}
+	}
+	return snapshotPackets(src, stamp, vi)
+}
+
 // newViewInfo builds a ViewInfo from a slot-indexed member array (tombstones
 // hold wire.NilNode). Duplicate member IDs are rejected.
 func newViewInfo(epoch, version uint32, slots []wire.Member) (*ViewInfo, error) {

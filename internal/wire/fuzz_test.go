@@ -208,16 +208,6 @@ func FuzzViewDeltaRoundTrip(f *testing.F) {
 	})
 }
 
-func FuzzViewRequestRoundTrip(f *testing.F) {
-	f.Add(uint16(3), body(wire.AppendViewRequest(nil, 3, wire.ViewStamp{Epoch: 2, Version: 17})))
-	f.Fuzz(func(t *testing.T, src uint16, b []byte) {
-		roundTrip(t, src, b, wire.ParseViewRequest,
-			func(b []byte, src wire.NodeID, s wire.ViewStamp) []byte {
-				return wire.AppendViewRequest(b, src, s)
-			})
-	})
-}
-
 func FuzzHeartbeatAckRoundTrip(f *testing.F) {
 	f.Add(uint16(4), body(wire.AppendHeartbeatAck(nil, 4, wire.HeartbeatAck{Stamp: wire.ViewStamp{Epoch: 1, Version: 8}})))
 	f.Fuzz(func(t *testing.T, src uint16, b []byte) {

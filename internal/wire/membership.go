@@ -179,7 +179,7 @@ func ParseView(body []byte) (View, error) {
 // ViewDelta is an incremental membership update: the members added and the
 // IDs removed between BaseVersion and Version. A client holding exactly
 // BaseVersion applies the delta locally; any other client has missed an
-// update and must fall back to requesting a full view (ViewRequest). Deltas
+// update and asks for what it missed with a ViewPull. Deltas
 // keep per-change broadcast cost proportional to the churn, not to the
 // overlay size, which is what collapses a k-node join storm from O(n·k) to
 // O(n + k) coordinator messages.
@@ -278,8 +278,8 @@ func ViewChunkCount(n int) int { return max(1, (n+ViewChunkMembers-1)/ViewChunkM
 // ViewChunk is one piece of a full-view snapshot, the only form a full view
 // travels in. The receiver reassembles chunks sharing a stamp; Index/Count
 // frame the sequence and TotalSlots/TotalMembers say what the pieces add up
-// to. Loss of any chunk is repaired by the receiver's next full-view request
-// (the re-served pieces fill the gap, or a newer stamp replaces the set).
+// to. Loss of any chunk is repaired by the receiver's next ViewPull (the
+// re-served pieces fill the gap, or a newer stamp replaces the set).
 type ViewChunk struct {
 	Stamp        ViewStamp
 	TotalSlots   uint16
@@ -345,26 +345,6 @@ func ParseViewChunk(body []byte) (ViewChunk, error) {
 	return vc, nil
 }
 
-// AppendViewRequest encodes a full-view request carrying the requester's
-// current view stamp (the zero stamp if it holds none).
-func AppendViewRequest(b []byte, src NodeID, have ViewStamp) []byte {
-	b = AppendHeader(b, TViewRequest, src)
-	b = binary.BigEndian.AppendUint32(b, have.Epoch)
-	return binary.BigEndian.AppendUint32(b, have.Version)
-}
-
-// ParseViewRequest decodes a ViewRequest body, returning the requester's
-// current view stamp.
-func ParseViewRequest(body []byte) (ViewStamp, error) {
-	if len(body) != 8 {
-		return ViewStamp{}, ErrBadLen
-	}
-	return ViewStamp{
-		Epoch:   binary.BigEndian.Uint32(body),
-		Version: binary.BigEndian.Uint32(body[4:]),
-	}, nil
-}
-
 // AppendLeave encodes a Leave notification (no body).
 func AppendLeave(b []byte, src NodeID) []byte {
 	return AppendHeader(b, TLeave, src)
@@ -380,7 +360,7 @@ func AppendHeartbeat(b []byte, src NodeID) []byte {
 // HeartbeatAck is the primary coordinator's answer to a member heartbeat. It
 // carries the primary's current view stamp: a client holding a different
 // stamp learns it missed an update (or is talking across a healed partition)
-// and requests a full view, while the arrival itself proves the coordinator
+// and pulls what it missed, while the arrival itself proves the coordinator
 // is alive and clears the client's failover deadline.
 type HeartbeatAck struct {
 	Stamp ViewStamp
@@ -550,11 +530,15 @@ func ParseGossipDelta(body []byte) (GossipDelta, error) {
 // the given change counts, excluding per-packet overhead.
 func GossipDeltaSize(adds, removes int) int { return ViewDeltaSize(adds, removes) + 1 }
 
-// ViewPull is the anti-entropy request: a member that detected a version gap
-// (or whose periodic anti-entropy round fired) asks a peer for the deltas
-// after its current stamp. The peer answers with a ViewPullReply; a peer
-// holding an older stamp than Have learns it is itself behind and schedules
-// its own pull — the push-pull symmetry that makes anti-entropy converge.
+// ViewPull is the one way to ask for missed views: a member that detected a
+// gap (or whose periodic anti-entropy round fired) sends it to a peer or to
+// the coordinator, and a standby coordinator sends it to the primary. Have is
+// the asker's current stamp (zero if it holds no view). A responder whose
+// stamp is not after Have answers nothing; one whose delta log holds the run
+// starting at Have answers with a ViewPullReply; any other answers with its
+// view as ViewChunk pieces. A member asked by a member holding a newer stamp
+// learns it is itself behind and pulls in turn — the push-pull symmetry that
+// makes anti-entropy converge.
 type ViewPull struct {
 	Have ViewStamp
 }
@@ -577,17 +561,15 @@ func ParseViewPull(body []byte) (ViewPull, error) {
 	}}, nil
 }
 
-// MaxPullDeltas caps the deltas one ViewPullReply carries; a requester
-// further behind than this converges over successive pulls (or falls back to
-// a full view once its retry budget runs out).
+// MaxPullDeltas caps the deltas one ViewPullReply carries; a responder also
+// stops short of MaxDatagram. A requester further behind than one reply
+// converges over successive pulls.
 const MaxPullDeltas = 16
 
-// ViewPullReply answers a ViewPull. Stamp is the responder's own view stamp;
-// Deltas holds the consecutive increments starting right after the
-// requester's stamp, oldest first. An empty Deltas means the responder could
-// not bridge the gap (its delta log no longer reaches back that far, or the
-// requester is on another epoch) — the requester retries elsewhere and
-// eventually falls back to the coordinator full-view request.
+// ViewPullReply answers a ViewPull with deltas. Stamp is the responder's own
+// view stamp; Deltas holds the consecutive increments starting right after
+// the requester's stamp, oldest first. No responder sends an empty one: one
+// whose log cannot bridge the gap sends its snapshot instead.
 type ViewPullReply struct {
 	Stamp  ViewStamp
 	Deltas []ViewDelta
@@ -611,6 +593,16 @@ func AppendViewPullReply(b []byte, src NodeID, r ViewPullReply) []byte {
 		binary.BigEndian.PutUint16(b[start:], uint16(len(b)-start-2))
 	}
 	return b
+}
+
+// ViewPullReplySize returns the encoded size of a ViewPullReply carrying
+// deltas, header included.
+func ViewPullReplySize(deltas []ViewDelta) int {
+	n := HeaderLen + 4 + 4 + 1
+	for _, d := range deltas {
+		n += 2 + ViewDeltaSize(len(d.Adds), len(d.Removes)) - HeaderLen
+	}
+	return n
 }
 
 // ParseViewPullReply decodes a ViewPullReply body.

@@ -77,7 +77,7 @@ const (
 	THeartbeat
 	TView        // reserved: no node sends it; full views travel as TViewChunk
 	TViewDelta   // reserved: no node sends it; deltas travel as TGossipDelta
-	TViewRequest // client asks for a full view after a version gap
+	TViewRequest // reserved: nobody sends it; every request for missed views is a TViewPull
 
 	// Data plane.
 	TData
@@ -90,8 +90,8 @@ const (
 
 	// Membership plane, gossip dissemination extension.
 	TGossipDelta   // epidemically forwarded ViewDelta carrying a hop budget
-	TViewPull      // anti-entropy: member asks a peer for the deltas it missed
-	TViewPullReply // the peer's answer: consecutive deltas, or empty if it can't bridge
+	TViewPull      // any node asks a peer or a coordinator for what it missed
+	TViewPullReply // an answer that bridges the gap with consecutive deltas
 
 	// Membership plane, slot-addressed views extension.
 	TViewChunk // one bounded piece of a chunked full-view snapshot

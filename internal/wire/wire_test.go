@@ -562,21 +562,6 @@ func TestViewDeltaParseErrors(t *testing.T) {
 	}
 }
 
-func TestViewRequestRoundTrip(t *testing.T) {
-	b := AppendViewRequest(nil, 12, ViewStamp{Epoch: 4, Version: 77})
-	h, body, err := ParseHeader(b)
-	if err != nil || h.Type != TViewRequest || h.Src != 12 {
-		t.Fatalf("header = %+v err=%v", h, err)
-	}
-	have, err := ParseViewRequest(body)
-	if err != nil || have != (ViewStamp{Epoch: 4, Version: 77}) {
-		t.Errorf("have = %+v err=%v", have, err)
-	}
-	if _, err := ParseViewRequest(body[:2]); err == nil {
-		t.Error("short body accepted")
-	}
-}
-
 func TestHeartbeatAckRoundTrip(t *testing.T) {
 	a := HeartbeatAck{Stamp: ViewStamp{Epoch: 5, Version: 991}}
 	b := AppendHeartbeatAck(nil, 0xFFFE, a)
@@ -703,9 +688,15 @@ func TestViewPullReplyRoundTrip(t *testing.T) {
 	if out := AppendViewPullReply(nil, 6, got); string(out) != string(b) {
 		t.Errorf("re-encode mismatch:\n in:  %x\n out: %x", b, out)
 	}
-	// An empty reply (responder can't bridge) is valid.
+	if got := ViewPullReplySize(r.Deltas); got != len(b) {
+		t.Errorf("ViewPullReplySize = %d, encoded %d bytes", got, len(b))
+	}
+	// An empty reply decodes, though no responder sends one.
 	empty := ViewPullReply{Stamp: ViewStamp{Epoch: 1, Version: 4}}
 	eb := AppendViewPullReply(nil, 6, empty)
+	if got := ViewPullReplySize(nil); got != len(eb) {
+		t.Errorf("ViewPullReplySize(nil) = %d, encoded %d bytes", got, len(eb))
+	}
 	_, ebody, _ := ParseHeader(eb)
 	gotEmpty, err := ParseViewPullReply(ebody)
 	if err != nil || gotEmpty.Stamp != empty.Stamp || len(gotEmpty.Deltas) != 0 {
