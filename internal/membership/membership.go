@@ -154,13 +154,13 @@ func snapshotPackets(src wire.NodeID, stamp wire.ViewStamp, vi *ViewInfo) [][]by
 	return out
 }
 
-// answerPull is the one rule for answering a TViewPull, for a member and a
-// coordinator alike: src answers from its view vi at stamp and its log of
-// applied deltas (a consecutive run ending at stamp; none for a coordinator)
-// a requester that holds have. A responder with nothing newer sends nothing —
-// the requester would discard it. One whose log holds the run starting at
-// have sends as much of it as fits one datagram; any other, or one whose
-// first delta alone would not fit, sends its snapshot.
+// answerPull is the one rule for answering a TViewPull, used by members and
+// coordinators alike. The responder src holds view vi at stamp and log, its
+// applied deltas (a consecutive run ending at stamp; a coordinator keeps
+// none); the asker holds have. A responder with nothing newer sends nothing —
+// the asker would discard it. One whose log holds the run starting at have
+// sends as much of it as fits one datagram; any other, or one whose first
+// delta alone would not fit, sends its snapshot.
 func answerPull(src wire.NodeID, stamp wire.ViewStamp, vi *ViewInfo, log []wire.ViewDelta, have wire.ViewStamp) [][]byte {
 	if !stamp.After(have) {
 		return nil
