@@ -303,8 +303,10 @@ func TestChurnGossipCrashMidDissemination(t *testing.T) {
 func TestChurnStragglerPullRepair(t *testing.T) {
 	// Burst-loss windows black out a few members while Poisson churn keeps
 	// versioning the view past them. Once the windows close the stragglers
-	// are generations behind; the anti-entropy pull plane must bridge them
-	// back without leaning on coordinator full views.
+	// are generations behind; the first message that reveals it — a peer's
+	// routing row, a gossiped delta, a heartbeat ack — arms the pull ladder,
+	// which must bridge them back through peers without leaning on
+	// coordinator full views.
 	opt := shortChurnOpts(ChurnStraggler)
 	opt.Duration = 6 * time.Minute
 	res := RunChurn(opt)
@@ -315,7 +317,7 @@ func TestChurnStragglerPullRepair(t *testing.T) {
 		t.Errorf("converged after %s, bound %s\n%s", res.ConvergedAfter, res.ConvergeBound, res.Format())
 	}
 	if res.Gossip.PullsSent == 0 || res.Gossip.PullsServed == 0 {
-		t.Errorf("no anti-entropy pulls happened (sent=%d served=%d)\n%s",
+		t.Errorf("no repair pulls happened (sent=%d served=%d)\n%s",
 			res.Gossip.PullsSent, res.Gossip.PullsServed, res.Format())
 	}
 	if res.Gossip.GapsBridged == 0 {

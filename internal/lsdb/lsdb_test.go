@@ -313,6 +313,32 @@ func TestTableGrowPreservesRowsAndGenerations(t *testing.T) {
 	}
 }
 
+// TestTableGrowLeavesNoSpareCapacity: a held row lives until its slot
+// expires, so a grow sizes it at exactly the new slot count, in both
+// directions — appending to it would leave about 2.3× its length allocated
+// (a 196-entry row grown by one slot ends at capacity 448).
+func TestTableGrowLeavesNoSpareCapacity(t *testing.T) {
+	for _, tb := range []*Table{NewTable(196), NewDirectionalTable(196)} {
+		for _, s := range []int{0, 7, 195} {
+			if tb.Directional() {
+				tb.PutAsym(s, AsymRow{Seq: 1, When: t0, Entries: make([]wire.AsymEntry, 196)})
+			} else {
+				tb.Put(s, Row{Seq: 1, When: t0, Entries: make([]wire.LinkEntry, 196)})
+			}
+		}
+		for _, n := range []int{197, 198, 250} {
+			tb.Grow(n)
+			for s := 0; s < n; s++ {
+				for _, m := range []*CostMatrix{tb.out, tb.in} {
+					if row := m.rows[s]; row != nil && (len(row) != n || cap(row) != n) {
+						t.Errorf("directional=%v: after Grow(%d) row %d has len %d, cap %d", tb.Directional(), n, s, len(row), cap(row))
+					}
+				}
+			}
+		}
+	}
+}
+
 // slotState is everything a Table holds for one slot, copied out so a test
 // can hold a mutation to exactly the slots and columns it should touch.
 type slotState struct {

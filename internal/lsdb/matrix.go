@@ -1,6 +1,7 @@
 package lsdb
 
 import (
+	"slices"
 	"time"
 
 	"allpairs/internal/wire"
@@ -42,16 +43,12 @@ type CostMatrix struct {
 }
 
 func newCostMatrix(n int) *CostMatrix {
-	m := &CostMatrix{
+	return &CostMatrix{
 		n:      n,
 		rows:   make([][]wire.Cost, n),
-		inf:    make([]wire.Cost, n),
+		inf:    slices.Repeat([]wire.Cost{wire.InfCost}, n),
 		srcBuf: make([]wire.Cost, n),
 	}
-	for i := range m.inf {
-		m.inf[i] = wire.InfCost
-	}
-	return m
 }
 
 // N returns the number of slots in the view.
@@ -77,26 +74,23 @@ func (m *CostMatrix) rowFor(slot int) []wire.Cost {
 	return row
 }
 
-// grow extends the matrix to newN slots in place. Held rows are padded with
-// InfCost — exactly what the absent tail already reads as — so every
-// pre-existing slot's scannable contents are bit-identical to what they were
-// before the grow. New slots start empty.
+// grow extends the matrix to newN slots. Held rows are padded with InfCost —
+// exactly what the absent tail already reads as — so every pre-existing
+// slot's scannable contents are bit-identical to what they were before the
+// grow; each grown row is allocated at exactly newN, as rowFor allocates one,
+// since a held row lives until its slot expires. New slots start empty.
 func (m *CostMatrix) grow(newN int) {
-	pad := newN - m.n
+	inf := slices.Repeat([]wire.Cost{wire.InfCost}, newN)
 	for s, row := range m.rows {
-		if row == nil {
-			continue
+		if row != nil {
+			grown := make([]wire.Cost, newN)
+			copy(grown, row)
+			copy(grown[m.n:], inf[m.n:])
+			m.rows[s] = grown
 		}
-		for i := 0; i < pad; i++ {
-			row = append(row, wire.InfCost)
-		}
-		m.rows[s] = row
 	}
-	m.rows = append(m.rows, make([][]wire.Cost, pad)...)
-	m.inf = make([]wire.Cost, newN)
-	for i := range m.inf {
-		m.inf[i] = wire.InfCost
-	}
+	m.rows = append(m.rows, make([][]wire.Cost, newN-m.n)...)
+	m.inf = inf
 	if cap(m.srcBuf) < newN {
 		m.srcBuf = make([]wire.Cost, newN)
 	}

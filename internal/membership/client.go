@@ -22,10 +22,6 @@ type ClientConfig struct {
 	// declaring it unreachable and rotating to the next coordinator
 	// (default 3 s; must be well under Heartbeat).
 	AckTimeout time.Duration
-	// AntiEntropy is the periodic anti-entropy interval: every round the
-	// client pulls from one deterministic-randomly chosen peer, repairing
-	// gaps that no later traffic would ever reveal (default 30 s).
-	AntiEntropy time.Duration
 }
 
 // Fixed client parameters.
@@ -60,8 +56,6 @@ const (
 	// cache, not the hop budget, is what terminates the epidemic, so this is
 	// a pure safety bound sized far past log₃(2¹⁶).
 	gossipHops = 16
-	// DefaultAntiEntropy is the periodic pull interval.
-	DefaultAntiEntropy = 30 * time.Second
 )
 
 func (c *ClientConfig) fill() {
@@ -80,15 +74,12 @@ func (c *ClientConfig) fill() {
 	if c.AckTimeout >= c.Heartbeat {
 		c.AckTimeout = c.Heartbeat / 2
 	}
-	if c.AntiEntropy <= 0 {
-		c.AntiEntropy = DefaultAntiEntropy
-	}
 }
 
 // Client joins the overlay through the coordinator set and tracks view
 // updates, applying incremental deltas and pulling what it missed — from
-// peers first, then the coordinator — when a gap shows it missed one, and
-// answering its peers' pulls by the rule the coordinator answers by.
+// peers first, then the coordinator — only when some message shows it missed
+// one, and answering its peers' pulls by the rule the coordinator answers by.
 // Heartbeats expect an ack from the primary within AckTimeout; silence
 // rotates the client to the next replica with exponential backoff, so a
 // coordinator crash costs about one heartbeat interval rather than stranding
@@ -120,26 +111,29 @@ type Client struct {
 	// delta stamps already seen (duplicate suppression); deltaLog holds the
 	// consecutive run of applied deltas ending at the current version,
 	// served to pulling peers; want is the newest stamp heard of (gossip,
-	// heartbeat acks, pull traffic) — while it is ahead of the installed
-	// view, a repair pull is owed.
+	// heartbeat acks, snapshot pieces, pull and routing traffic) — while it
+	// is ahead of the installed view, a repair pull is owed.
 	dedup    map[wire.ViewStamp]struct{}
 	dedupQ   []wire.ViewStamp
 	deltaLog []wire.ViewDelta
 	want     wire.ViewStamp
 
 	// pullPending caps the repair ladder at one scheduled rung per client;
-	// pullTries is the rung it is on.
+	// pullTries is the rung it is on; lead is the member whose message last
+	// proved it holds a newer view (NilNode when none did), asked by the next
+	// peer rung instead of a random peer.
 	pullPending bool
 	pullTries   int
+	lead        wire.NodeID
 
 	// snap reassembles full-view snapshots; a lost chunk is repaired by the
-	// next pull (its responder re-serves the then-current snapshot).
+	// pull its sibling pieces arm (the responder re-serves the then-current
+	// snapshot).
 	snap snapshot
 
 	hbTimer   transport.Timer
 	joinTimer transport.Timer
 	pullTimer transport.Timer
-	aeTimer   transport.Timer
 	stopped   bool
 
 	stats ClientStats
@@ -156,9 +150,9 @@ type ClientStats struct {
 	// duplicates suppressed by the dedup cache; GossipForwards counts
 	// copies forwarded to peers.
 	GossipSeen, GossipDups, GossipForwards uint64
-	// PullsSent counts pulls sent to peers (repair rungs and periodic
-	// anti-entropy rounds); PullsServed counts peers' pulls answered with
-	// deltas or a snapshot.
+	// PullsSent counts the repair ladder's pulls to peers, each sent on
+	// evidence of a newer view; PullsServed counts peers' pulls answered
+	// with deltas or a snapshot.
 	PullsSent, PullsServed uint64
 	// GapsBridged counts gaps a peer's answer closed, with deltas or a
 	// snapshot — each one a coordinator pull that did not happen.
@@ -189,7 +183,7 @@ func (s *ClientStats) Add(o ClientStats) {
 // via env.SetPeer before Start.
 func NewClient(env transport.Env, cfg ClientConfig, onView func(*ViewInfo)) *Client {
 	cfg.fill()
-	return &Client{env: env, cfg: cfg, onView: onView}
+	return &Client{env: env, cfg: cfg, onView: onView, lead: wire.NilNode}
 }
 
 // Start begins the join loop.
@@ -202,7 +196,7 @@ func (c *Client) Start() {
 // Leave for a graceful exit.
 func (c *Client) Stop() {
 	c.stopped = true
-	for _, t := range []transport.Timer{c.hbTimer, c.joinTimer, c.pullTimer, c.aeTimer} {
+	for _, t := range []transport.Timer{c.hbTimer, c.joinTimer, c.pullTimer} {
 		if t != nil {
 			t.Stop()
 		}
@@ -219,11 +213,7 @@ func (c *Client) View() *ViewInfo { return c.view }
 func (c *Client) coordinator() wire.NodeID { return c.cfg.Coordinators[c.cur] }
 
 // rotate advances to the next coordinator replica (a no-op on a solo set).
-func (c *Client) rotate() {
-	if len(c.cfg.Coordinators) > 1 {
-		c.cur = (c.cur + 1) % len(c.cfg.Coordinators)
-	}
-}
+func (c *Client) rotate() { c.cur = (c.cur + 1) % len(c.cfg.Coordinators) }
 
 // Leave announces departure to the coordinator.
 func (c *Client) Leave() {
@@ -266,28 +256,25 @@ func (c *Client) heartbeat() {
 		return
 	}
 	c.env.Send(c.coordinator(), wire.AppendHeartbeat(nil, id))
-	gen := c.hbGen
-	c.hbTimer = c.env.After(c.cfg.AckTimeout, func() { c.ackDeadline(gen) })
+	gen, to := c.hbGen, c.cur
+	c.hbTimer = c.env.After(c.cfg.AckTimeout, func() { c.ackDeadline(gen, to) })
 }
 
-// ackDeadline fires when a heartbeat went unacknowledged: the coordinator we
-// picked is dead, partitioned away, or a standby. Rotate and retry under
-// exponential backoff so a replica set that is entirely unreachable is not
-// hammered at AckTimeout frequency.
-func (c *Client) ackDeadline(gen uint64) {
+// ackDeadline fires when a heartbeat to replica index to went unacknowledged:
+// that coordinator is dead, partitioned away, or a standby. Rotate and retry
+// under exponential backoff so a replica set that is entirely unreachable is
+// not hammered at AckTimeout frequency. Rotate only off the replica that
+// stayed silent: if a newly promoted primary's message moved cur meanwhile,
+// leaving it would send the client to a silent standby or the dead primary.
+func (c *Client) ackDeadline(gen uint64, to int) {
 	if c.stopped || gen != c.hbGen {
 		return // an ack (or newer cycle) superseded this deadline
 	}
 	c.hbGen++
-	shift := c.hbFails
-	if shift > 6 {
-		shift = 6
-	}
+	d := min(failoverBackoff<<min(c.hbFails, 6), c.cfg.Heartbeat)
 	c.hbFails++
-	c.rotate()
-	d := failoverBackoff << shift
-	if d > c.cfg.Heartbeat {
-		d = c.cfg.Heartbeat
+	if c.cur == to {
+		c.rotate()
 	}
 	d += time.Duration(c.env.Rand().Int63n(int64(d/2 + 1)))
 	c.hbTimer = c.env.After(d, c.heartbeat)
@@ -321,11 +308,10 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 			c.env.SetLocalID(r.Assigned)
 			// The heartbeat loop perpetuates itself; arm it only on the
 			// first admission so an eviction/rejoin cycle cannot stack a
-			// second loop. The anti-entropy loop likewise.
+			// second loop.
 			if !c.hbStarted {
 				c.hbStarted = true
 				c.hbTimer = c.env.After(c.cfg.Heartbeat, c.heartbeat)
-				c.aeTimer = c.env.After(c.aeInterval(), c.antiEntropy)
 			}
 		}
 	case wire.THeartbeatAck:
@@ -344,7 +330,7 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		}
 		c.hbTimer = c.env.After(c.cfg.Heartbeat, c.heartbeat)
 		if a.Stamp.After(c.stamp()) {
-			c.noteAhead(a.Stamp)
+			c.noteAhead(a.Stamp, wire.NilNode)
 		}
 	case wire.TViewChunk:
 		vc, err := wire.ParseViewChunk(body)
@@ -353,6 +339,9 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		}
 		v, ok := c.snap.add(vc)
 		if !ok {
+			// A piece of a newer snapshot is evidence of it: should a
+			// sibling piece be lost, the ladder fetches the view.
+			c.noteAhead(vc.Stamp, h.Src)
 			return
 		}
 		vi, err := NewViewInfo(v)
@@ -396,7 +385,7 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		// Push-pull symmetry: a requester ahead of us is itself evidence of
 		// a gap on our own side.
 		if p.Have.After(c.stamp()) {
-			c.noteAhead(p.Have)
+			c.noteAhead(p.Have, h.Src)
 		}
 	case wire.TViewPullReply:
 		r, err := wire.ParseViewPullReply(body)
@@ -411,8 +400,23 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		if r.Stamp.After(c.stamp()) {
 			// The run was capped, lost a member mid-apply, or the responder
 			// advanced meanwhile: keep pulling.
-			c.noteAhead(r.Stamp)
+			c.noteAhead(r.Stamp, h.Src)
 		}
+	}
+}
+
+// HeardVersion takes the view version a routing message from src carried;
+// the overlay node, which holds both planes, calls it for every link-state
+// row and recommendation. Versions are unique across coordinator reigns, so a
+// view member stamping a version past ours proves a newer view exists and
+// that it holds it: the ladder's next peer rung asks src. A stranger's
+// version is no evidence.
+func (c *Client) HeardVersion(src wire.NodeID, version uint32) {
+	if c.view == nil || version <= c.view.version {
+		return
+	}
+	if _, member := c.view.SlotOf(src); member {
+		c.noteAhead(wire.ViewStamp{Epoch: c.view.epoch, Version: version}, src)
 	}
 }
 
@@ -432,15 +436,21 @@ func (c *Client) handleDelta(d wire.ViewDelta) {
 			return
 		}
 	}
-	c.noteAhead(stamp) // gap: missed an update or an election
+	c.noteAhead(stamp, wire.NilNode) // gap: missed an update or an election
 }
 
 // noteAhead records evidence that a view newer than ours exists and (re)arms
 // the repair ladder, whatever the gap: same-epoch or not, a peer that holds
-// the newer view answers with deltas or its snapshot.
-func (c *Client) noteAhead(s wire.ViewStamp) {
+// the newer view answers with deltas or its snapshot. It is the ladder's only
+// trigger: a client pulls because it learned it is behind, never on a timer.
+// holder is the node whose message proved it holds s, or NilNode when the
+// evidence names no holder (a heartbeat ack, a gossiped gap).
+func (c *Client) noteAhead(s wire.ViewStamp, holder wire.NodeID) {
 	if s.After(c.want) {
 		c.want = s
+	}
+	if holder != wire.NilNode {
+		c.lead = holder
 	}
 	c.schedulePull()
 }
@@ -463,7 +473,8 @@ func (c *Client) schedulePull() {
 }
 
 // pullFire climbs one rung of the repair ladder. The first maxPullTries
-// rungs ask random peers, re-arming the backoff as the reply deadline, so an
+// rungs ask peers — the lead, if a member proved it holds the newer view,
+// else a random one — re-arming the backoff as the reply deadline, so an
 // answer that closes the gap makes the next firing a no-op. The next rung —
 // or the first, when there is no peer to ask — asks the coordinator, and then
 // the ladder stops until new evidence re-arms it.
@@ -494,17 +505,22 @@ func (c *Client) pull(to wire.NodeID) {
 	c.env.Send(to, wire.AppendViewPull(nil, c.env.LocalID(), wire.ViewPull{Have: c.stamp()}))
 }
 
-// pickPeer returns a uniformly drawn member of the current view other than
-// this node, or NilNode when none exists. The draw ranges over the occupied
-// member list, never tombstoned slots, and comes from the Env's seeded
-// stream, so identically seeded runs pull identical peers.
+// pickPeer returns the peer the next rung asks: the lead, once, while it is a
+// member of the current view other than this node; else a uniformly drawn
+// such member, or NilNode when none exists. The draw ranges over the
+// occupied member list, never tombstoned slots, and comes from the Env's
+// seeded stream, so identically seeded runs pull identical peers.
 func (c *Client) pickPeer() wire.NodeID {
 	if c.view == nil || c.view.N() == 0 {
 		return wire.NilNode
 	}
+	id, lead := c.env.LocalID(), c.lead
+	c.lead = wire.NilNode
+	if _, member := c.view.SlotOf(lead); member && lead != id {
+		return lead
+	}
 	ms := c.view.Members()
 	n := len(ms)
-	id := c.env.LocalID()
 	if _, ok := c.view.SlotOf(id); !ok {
 		return ms[c.env.Rand().Intn(n)].ID
 	}
@@ -584,34 +600,6 @@ func (c *Client) logDelta(d wire.ViewDelta) {
 	}
 }
 
-// aeInterval returns one jittered anti-entropy period in [¾T, 1¼T]: a
-// cohort of members admitted in the same view change must not pull in
-// phase forever.
-func (c *Client) aeInterval() time.Duration {
-	d := c.cfg.AntiEntropy
-	return d*3/4 + time.Duration(c.env.Rand().Int63n(int64(d/2)+1))
-}
-
-// antiEntropy is the periodic repair round: pull from one random peer even
-// without gap evidence, catching losses no later traffic would reveal —
-// the delta before a quiet period, or a whole starved subtree after the
-// primary crashed mid-dissemination.
-func (c *Client) antiEntropy() {
-	if c.stopped {
-		return
-	}
-	c.aeTimer = c.env.After(c.aeInterval(), c.antiEntropy)
-	if !c.joined || c.view == nil {
-		return
-	}
-	peer := c.pickPeer()
-	if peer == wire.NilNode {
-		return
-	}
-	c.stats.PullsSent++
-	c.pull(peer)
-}
-
 // noteCoordinator points the client at the replica that just proved itself
 // primary (it answered, and standbys never do).
 func (c *Client) noteCoordinator(id wire.NodeID) {
@@ -635,7 +623,9 @@ func (c *Client) bridged(src wire.NodeID, wasBehind bool) {
 func (c *Client) install(vi *ViewInfo) {
 	c.view = vi
 	if !c.behind() {
-		c.pullTries = 0 // caught up; future gaps restart the backoff ladder
+		// Caught up; future gaps restart the backoff ladder from evidence
+		// of their own.
+		c.pullTries, c.lead = 0, wire.NilNode
 	}
 	if id := c.env.LocalID(); c.joined && id != wire.NilNode {
 		if _, ok := vi.SlotOf(id); !ok {

@@ -199,6 +199,46 @@ func TestFailoverOnPrimaryCrash(t *testing.T) {
 	_ = env
 }
 
+// TestStaleAckDeadlineKeepsTheNewPrimary: a client whose heartbeat went
+// unanswered has an ack deadline pending when the newly promoted primary's
+// snapshot points it at that primary. The deadline must not then rotate it
+// off the replica that just proved itself, onto a silent standby or the dead
+// ex-primary: once a client has installed the new reign from rank 1, it stays
+// on rank 1.
+func TestStaleAckDeadlineKeepsTheNewPrimary(t *testing.T) {
+	const k = 16
+	rc := newRepCluster(t, k, 3, churnClientCfg(), fastCoordCfg(t))
+	for _, cl := range rc.clients {
+		cl.Start()
+	}
+	rc.nw.RunFor(10 * time.Second)
+	epoch := rc.coords[0].Stamp().Epoch
+	rc.coords[0].Stop()
+	attached := make([]time.Duration, k) // when each client first sat on the new reign at rank 1
+	for step := 0; step < 400; step++ {
+		rc.nw.RunFor(50 * time.Millisecond)
+		now := rc.nw.Elapsed()
+		for i, cl := range rc.clients {
+			onReign := cl.View().Stamp().Epoch > epoch && cl.cur == 1
+			switch {
+			case attached[i] == 0 && onReign:
+				attached[i] = now
+			case attached[i] > 0 && !onReign:
+				t.Errorf("client %d left rank 1 for replica %d at %v, %v after it installed the new reign", i, cl.cur, now, now-attached[i])
+				attached[i] = -1
+			}
+		}
+	}
+	if !rc.coords[1].IsPrimary() {
+		t.Fatal("rank 1 did not promote")
+	}
+	for i, at := range attached {
+		if at == 0 {
+			t.Errorf("client %d never attached to the new reign", i)
+		}
+	}
+}
+
 func TestRestartedPrimaryStepsDown(t *testing.T) {
 	rc := newRepCluster(t, 2, 2, churnClientCfg(), fastCoordCfg(t))
 	for _, cl := range rc.clients {

@@ -29,9 +29,9 @@ func gossipRotation(version uint32, fanout, n int) int {
 // Positions holding members added by this very delta (isAdded) are skipped
 // over and their children inherited: an added member receives the full
 // view, not the gossip envelope, so routing the tree through it would
-// silently starve its subtree until anti-entropy noticed. The skip-over
-// expansion is capped at 4·fanout slots per sender to keep egress O(fanout)
-// even mid flash crowd.
+// starve its subtree until some later message revealed the gap. The
+// skip-over expansion is capped at 4·fanout slots per sender to keep egress
+// O(fanout) even mid flash crowd.
 func gossipTargets(n, p, fanout, r int, isAdded func(slot int) bool) []int {
 	if n <= 0 || fanout <= 0 {
 		return nil

@@ -16,7 +16,7 @@ import (
 // metrics matter more than ns/op:
 //
 //	msgs/view    membership packets per view change (primary egress plus
-//	             member forwards and anti-entropy pulls)
+//	             member forwards and repair pulls)
 //	primsgs/view the primary's share of those: O(fanout) seeds, not O(n)
 //	convms/view  virtual milliseconds until every member's stamp matches
 //	             the coordinator's

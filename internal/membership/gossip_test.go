@@ -189,7 +189,7 @@ func TestGossipDisseminationUnderLossConverges(t *testing.T) {
 	// through the tree plus pull repair, inside the 90 s acceptance bound.
 	k := 12
 	sc := newSimCluster(t, k,
-		ClientConfig{Heartbeat: 15 * time.Second, AntiEntropy: 20 * time.Second},
+		ClientConfig{Heartbeat: 15 * time.Second},
 		CoordinatorConfig{Coalesce: 500 * time.Millisecond})
 	for a := 0; a <= k; a++ {
 		for b := a + 1; b <= k; b++ {

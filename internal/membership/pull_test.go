@@ -76,11 +76,7 @@ func TestPullReplyFitsADatagram(t *testing.T) {
 // from a peer's snapshot, without a pull to the coordinator.
 func TestGapsCloseFromPeerSnapshots(t *testing.T) {
 	t.Run("across an epoch", func(t *testing.T) {
-		// Anti-entropy is pushed past the horizon so that the gap is found,
-		// and repaired, by the ladder: a heartbeat ack from the new primary
-		// tells client 0 it is behind.
 		cfg := churnClientCfg()
-		cfg.AntiEntropy = time.Hour
 		rc := newRepCluster(t, 3, 2, cfg, fastCoordCfg(t))
 		for _, cl := range rc.clients {
 			cl.Start()
@@ -139,10 +135,105 @@ func TestGapsCloseFromPeerSnapshots(t *testing.T) {
 	})
 }
 
+// TestQuietMemberSendsOnlyHeartbeats: once the view stops changing, a member
+// learns of nothing newer, so for ten heartbeat intervals the only datagram
+// any member sends is its heartbeat — no pull goes out on a timer.
+func TestQuietMemberSendsOnlyHeartbeats(t *testing.T) {
+	const k = 4
+	cfg := churnClientCfg()
+	sc := newSimCluster(t, k, cfg, CoordinatorConfig{})
+	for _, cl := range sc.clients {
+		cl.Start()
+	}
+	sc.nw.RunFor(5 * time.Second)
+	sent := map[wire.MsgType]int{}
+	sc.nw.OnSend = func(from, to int, p []byte) {
+		if from < k {
+			sent[wire.PeekType(p)]++
+		}
+	}
+	sc.nw.RunFor(10 * cfg.Heartbeat)
+	for i, v := range sc.views {
+		if v == nil || v.Stamp() != sc.coord.Stamp() || v.N() != k {
+			t.Fatalf("client %d did not converge on the coordinator's %d-member view", i, k)
+		}
+	}
+	if len(sent) != 1 || sent[wire.THeartbeat] < k*9 {
+		t.Errorf("members sent %v over ten heartbeat intervals, want only heartbeats (≥ %d)", sent, k*9)
+	}
+}
+
+// TestLostSnapshotPieceRepairsAtOnce: a member handed one piece of a newer
+// two-piece snapshot — its sibling lost — knows a newer view exists. It pulls
+// from the peer that sent the piece and converges within a second, long
+// before the next heartbeat (5 minutes) could have told it.
+func TestLostSnapshotPieceRepairsAtOnce(t *testing.T) {
+	const k = wire.ViewChunkMembers + 2 // a two-piece snapshot
+	sc := newSimCluster(t, k, ClientConfig{}, CoordinatorConfig{})
+	for _, cl := range sc.clients {
+		cl.Start()
+	}
+	sc.nw.RunFor(5 * time.Second)
+	v := sc.views[1]
+	if v == nil || v.N() != k || sc.views[0].Stamp() != v.Stamp() {
+		t.Fatalf("warm-up: client 1 holds %v", v)
+	}
+	// Client 1 moves one version ahead; client 0 gets only the first piece of
+	// client 1's snapshot of it.
+	gossipTo(sc.clients[1], wire.ViewDelta{Epoch: v.Stamp().Epoch, BaseVersion: v.VersionNum(), Version: v.VersionNum() + 1,
+		Adds: []wire.Member{{ID: 500, Slot: k, Addr: sc.envs[1].LocalAddr()}}})
+	holder := sc.envs[1].LocalID()
+	pieces := snapshotPackets(holder, sc.views[1].Stamp(), sc.views[1])
+	if len(pieces) != 2 {
+		t.Fatalf("snapshot of %d members in %d pieces, want 2", k+1, len(pieces))
+	}
+	pulledFrom := -1
+	sc.nw.OnSend = func(from, to int, p []byte) {
+		if from == 0 && wire.PeekType(p) == wire.TViewPull && pulledFrom < 0 {
+			pulledFrom = to
+		}
+	}
+	h, body, _ := wire.ParseHeader(pieces[0])
+	sc.clients[0].HandlePacket(h, body)
+	sc.nw.RunFor(time.Second)
+	st := sc.clients[0].Stats()
+	if got := sc.views[0].Stamp(); got != sc.views[1].Stamp() || pulledFrom != 1 || st.FullViewRequests != 0 {
+		t.Errorf("client 0 at %v (want %v) a second after the piece; first pull to endpoint %d (want 1), %d coordinator pulls",
+			got, sc.views[1].Stamp(), pulledFrom, st.FullViewRequests)
+	}
+}
+
+// TestFirstRungAsksTheEvidence: a routing message stamped with a newer view
+// version proves its sender holds that view, so the ladder's first rung asks
+// that member — not a random one, who would most likely be as far behind.
+func TestFirstRungAsksTheEvidence(t *testing.T) {
+	const k, holder = 8, 5
+	sc := newSimCluster(t, k, ClientConfig{}, CoordinatorConfig{})
+	for _, cl := range sc.clients {
+		cl.Start()
+	}
+	sc.nw.RunFor(5 * time.Second)
+	v := sc.views[holder]
+	gossipTo(sc.clients[holder], wire.ViewDelta{Epoch: v.Stamp().Epoch, BaseVersion: v.VersionNum(), Version: v.VersionNum() + 1,
+		Adds: []wire.Member{{ID: 500, Slot: k, Addr: sc.envs[holder].LocalAddr()}}})
+	var pulled []int
+	sc.nw.OnSend = func(from, to int, p []byte) {
+		if from == 0 && wire.PeekType(p) == wire.TViewPull {
+			pulled = append(pulled, to)
+		}
+	}
+	sc.clients[0].HeardVersion(sc.envs[holder].LocalID(), v.VersionNum()+1)
+	sc.nw.RunFor(time.Second)
+	if len(pulled) != 1 || pulled[0] != holder || sc.views[0].Stamp() != sc.views[holder].Stamp() {
+		t.Errorf("client 0 pulled endpoints %v and holds %v; want one pull, to %d, and %v", pulled, sc.views[0].Stamp(), holder, sc.views[holder].Stamp())
+	}
+}
+
 // TestHostilePullsAdvanceNothing drives a member and a primary with
-// well-formed but hostile membership traffic: pulls from strangers, pulls
-// claiming a future epoch, pull replies whose runs have gaps, replay an older
-// epoch or do not apply, and snapshots no newer than the receiver's view.
+// well-formed but hostile membership traffic: pulls from strangers, routing
+// versions far in the future, pulls claiming a future epoch, pull replies
+// whose runs have gaps, replay an older epoch or do not apply, and snapshots
+// no newer than the receiver's view.
 // Nothing panics, the member's view only ever advances along a valid chain,
 // no datagram passes the ceiling, and a stranger gets nothing at all — not a
 // reply, not a snapshot, not even for the retired 11-byte TViewRequest.
@@ -160,6 +251,7 @@ func TestHostilePullsAdvanceNothing(t *testing.T) {
 	sc.reg.Register(stranger, hostile)
 	member := sc.envs[1].LocalID()
 	toStranger, answered, largest := 0, 0, 0
+	var pulled []int
 	sc.nw.OnSend = func(from, to int, p []byte) {
 		largest = max(largest, len(p))
 		if to == hostile {
@@ -167,6 +259,9 @@ func TestHostilePullsAdvanceNothing(t *testing.T) {
 		}
 		if t := wire.PeekType(p); from != hostile && (t == wire.TViewChunk || t == wire.TViewPullReply) {
 			answered++
+		}
+		if from == 0 && wire.PeekType(p) == wire.TViewPull {
+			pulled = append(pulled, to)
 		}
 	}
 	send := func(to int, p []byte) {
@@ -191,6 +286,23 @@ func TestHostilePullsAdvanceNothing(t *testing.T) {
 	if toStranger != 0 || answered != 0 {
 		t.Errorf("strangers drew %d datagrams (%d answers)", toStranger, answered)
 	}
+
+	// Routing traffic stamped with a far-future view version. A stranger's
+	// moves no want, arms no pull and allocates nothing; a member's — twice —
+	// arms exactly one rung, and that rung asks the member.
+	cl, far := sc.clients[0], v.VersionNum()+1<<20
+	want := cl.want
+	if allocs := testing.AllocsPerRun(10, func() { cl.HeardVersion(stranger, far) }); allocs != 0 || cl.want != want || cl.pullPending {
+		t.Errorf("a stranger's version moved want %v → %v, armed a pull: %v, allocated %.0f", want, cl.want, cl.pullPending, allocs)
+	}
+	cl.HeardVersion(member, far)
+	cl.HeardVersion(member, far+1)
+	sc.nw.RunFor(pullBackoff * 5 / 4) // past the first rung's window, short of the second's earliest firing
+	if len(pulled) != 1 || pulled[0] != 1 {
+		t.Errorf("a member's version drew pulls to endpoints %v, want one, to endpoint 1", pulled)
+	}
+	sc.nw.RunFor(5 * time.Second)
+	expect("far-future routing versions", v.Stamp(), 2)
 
 	// A member claiming a future epoch is owed nothing, by member or
 	// primary; the claim only sends the asker's peer pulling (and nobody

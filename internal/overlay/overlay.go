@@ -225,7 +225,10 @@ func (n *Node) Halt() {
 	}
 }
 
-// handlePacket dispatches an incoming datagram to the owning component.
+// handlePacket dispatches an incoming datagram to the owning component. It is
+// the one place that sees both planes, so it also hands the membership client
+// the view version every routing message is stamped with: how a member that
+// missed a view change learns it before its next heartbeat.
 func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 	h, body, err := wire.ParseHeader(payload)
 	if err != nil {
@@ -244,9 +247,19 @@ func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 		if n.router != nil {
 			n.router.HandleLinkState(h, body)
 		}
+		if n.mc != nil {
+			if version, _, _, err := wire.LinkStateBody(h.Type, body); err == nil {
+				n.mc.HeardVersion(h.Src, version)
+			}
+		}
 	case wire.TRecommendation:
 		if n.router != nil {
 			n.router.HandleRecommendation(h, body)
+		}
+		if n.mc != nil {
+			if version, _, err := wire.RecommendationHeader(body); err == nil {
+				n.mc.HeardVersion(h.Src, version)
+			}
 		}
 	case wire.TLinkStateAck:
 		if q, ok := n.router.(*core.Quorum); ok {

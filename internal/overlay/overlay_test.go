@@ -173,6 +173,89 @@ func TestDynamicJoinThroughCoordinator(t *testing.T) {
 	}
 }
 
+// TestMissedDeltaClosesFromRoutingVersion: with the 5-minute default
+// heartbeat, a member that loses the gossip delta of a departure hears of it
+// from the version stamped on its peers' link-state rows and recommendations,
+// and converges within one routing interval plus the repair ladder. A
+// stranger's routing messages, stamped far in the future, move nothing and
+// allocate nothing on the way in.
+func TestMissedDeltaClosesFromRoutingVersion(t *testing.T) {
+	const n = 9
+	nw := simnet.New(n+1, 7)
+	reg := transport.NewRegistry()
+	for a := 0; a <= n; a++ {
+		for b := 0; b <= n; b++ {
+			if a != b {
+				nw.SetLatency(a, b, 10*time.Millisecond)
+			}
+		}
+	}
+	cenv := transport.NewSimEnv(nw, reg, n, 99)
+	coord := membership.NewCoordinator(cenv, membership.CoordinatorConfig{})
+	coord.Start()
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		env := transport.NewSimEnv(nw, reg, i, int64(i+1))
+		env.SetPeer(membership.CoordinatorID, cenv.LocalAddr())
+		nodes[i] = New(env, Config{Membership: membership.ClientConfig{JoinRetry: 2 * time.Second}})
+		if err := nodes[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw.RunFor(3*time.Minute + 10*time.Second)
+	if coord.MemberCount() != n || nodes[0].View().Stamp() != coord.Stamp() {
+		t.Fatalf("warm-up: %d members, node 0 at %v, coordinator at %v", coord.MemberCount(), nodes[0].View().Stamp(), coord.Stamp())
+	}
+
+	// Node 0 loses the next gossip delta.
+	lost := 0
+	nodes[0].Env().Bind(func(from wire.NodeID, p []byte) {
+		if wire.PeekType(p) == wire.TGossipDelta && lost == 0 {
+			lost++
+			return
+		}
+		nodes[0].handlePacket(from, p)
+	})
+	pulls := 0
+	nw.OnSend = func(from, to int, p []byte) {
+		if from == 0 && wire.PeekType(p) == wire.TViewPull {
+			pulls++
+		}
+	}
+
+	// A stranger's far-future routing messages come first.
+	const stranger wire.NodeID = 500
+	far := coord.Stamp().Version + 1<<20
+	ls := wire.AppendLinkState(nil, stranger, wire.LinkState{ViewVersion: far, Seq: 1, Entries: make([]wire.LinkEntry, nodes[0].View().Slots())})
+	rec := wire.AppendRecommendation(nil, stranger, wire.Recommendation{ViewVersion: far, Entries: []wire.RecEntry{{Dst: 1, Hop: 2, Cost: 3}}})
+	if allocs := testing.AllocsPerRun(10, func() {
+		nodes[0].handlePacket(stranger, ls)
+		nodes[0].handlePacket(stranger, rec)
+	}); allocs != 0 {
+		t.Errorf("a stranger's routing messages allocated %.0f times", allocs)
+	}
+	nw.RunFor(time.Second)
+	if pulls != 0 {
+		t.Fatalf("a stranger's far-future version drew %d pulls", pulls)
+	}
+
+	nodes[n-1].Stop()
+	nw.RunFor(2 * time.Second) // the coalesced departure is flushed
+	want := coord.Stamp()
+	if lost != 1 || nodes[0].View().Stamp() == want {
+		t.Fatalf("node 0 at %v did not miss the delta to %v (%d lost)", nodes[0].View().Stamp(), want, lost)
+	}
+	nw.RunFor(nodes[0].Router().Interval() + time.Second)
+	for i, node := range nodes[:n-1] {
+		if got := node.View().Stamp(); got != want {
+			t.Errorf("node %d at %v one routing interval after the departure, want %v", i, got, want)
+		}
+	}
+	if pulls == 0 {
+		t.Error("node 0 sent no pull")
+	}
+}
+
 func TestBestHopUnknownDestination(t *testing.T) {
 	nw, nodes := staticFleet(t, 4, AlgQuorum, 5)
 	nw.RunFor(time.Minute)

@@ -194,8 +194,8 @@ type ViewDelta struct {
 }
 
 // appendViewDeltaBody encodes d's body without a header. Shared between the
-// gossip envelope and the anti-entropy pull reply so every carrier of a delta
-// is byte-identical.
+// gossip envelope and the pull reply so every carrier of a delta is
+// byte-identical.
 func appendViewDeltaBody(b []byte, d ViewDelta) []byte {
 	b = binary.BigEndian.AppendUint32(b, d.Epoch)
 	b = binary.BigEndian.AppendUint32(b, d.BaseVersion)
@@ -530,15 +530,14 @@ func ParseGossipDelta(body []byte) (GossipDelta, error) {
 // the given change counts, excluding per-packet overhead.
 func GossipDeltaSize(adds, removes int) int { return ViewDeltaSize(adds, removes) + 1 }
 
-// ViewPull is the one way to ask for missed views: a member that detected a
-// gap (or whose periodic anti-entropy round fired) sends it to a peer or to
-// the coordinator, and a standby coordinator sends it to the primary. Have is
-// the asker's current stamp (zero if it holds no view). A responder whose
-// stamp is not after Have answers nothing; one whose delta log holds the run
-// starting at Have answers with a ViewPullReply; any other answers with its
-// view as ViewChunk pieces. A member asked by a member holding a newer stamp
-// learns it is itself behind and pulls in turn — the push-pull symmetry that
-// makes anti-entropy converge.
+// ViewPull is the one way to ask for missed views: a member that learned a
+// newer view exists sends it to a peer or to the coordinator, and a standby
+// coordinator sends it to the primary. Have is the asker's current stamp
+// (zero if it holds no view). A responder whose stamp is not after Have
+// answers nothing; one whose delta log holds the run starting at Have answers
+// with a ViewPullReply; any other answers with its view as ViewChunk pieces.
+// A member asked by a member holding a newer stamp learns it is itself behind
+// and pulls in turn — the push-pull symmetry that spreads a repair.
 type ViewPull struct {
 	Have ViewStamp
 }
