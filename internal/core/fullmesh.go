@@ -98,17 +98,18 @@ func (f *FullMesh) SetView(view *membership.ViewInfo, self int) error {
 	n := view.Slots()
 	f.view = view
 	f.self = self
-	if !stable {
+	if stable {
+		f.table.Grow(n)
+		f.routes = append(f.routes, make([]route, n-len(f.routes))...)
+		for _, s := range retired {
+			f.table.RetireSlot(s)
+		}
+		retireRoutes(f.routes, retired)
+	} else {
 		f.table = lsdb.NewTable(n)
 		f.routes = make([]route, n)
-		return nil
 	}
-	f.table.Grow(n)
-	f.routes = append(f.routes, make([]route, n-len(f.routes))...)
-	for _, s := range retired {
-		f.table.RetireSlot(s)
-	}
-	retireRoutes(f.routes, retired)
+	f.table.SetTombstones(view.Tombstones())
 	return nil
 }
 
@@ -139,17 +140,16 @@ func (f *FullMesh) Table() *lsdb.Table { return f.table }
 func (f *FullMesh) Tick() {
 	f.table.Expire(f.env.Now(), f.cfg.Staleness+max(f.cfg.DegradedHold, 0))
 	f.seq++
-	msg := wire.AppendLinkState(nil, f.env.LocalID(), wire.LinkState{
+	msg := wire.PackLinkState(wire.AppendLinkState(nil, f.env.LocalID(), wire.LinkState{
 		ViewVersion: f.view.VersionNum(),
 		Seq:         f.seq,
 		Entries:     f.SelfRow(),
-	})
-	for s := 0; s < f.view.Slots(); s++ {
-		if s == f.self || !f.view.Occupied(s) {
-			continue
+	}), f.view.Tombstones())
+	for _, m := range f.view.Members() {
+		if int(m.Slot) != f.self {
+			f.env.Send(m.ID, msg)
+			f.stats.linkStatesSent++
 		}
-		f.env.Send(f.view.IDAt(s), msg)
-		f.stats.linkStatesSent++
 	}
 	f.recompute()
 }
@@ -196,7 +196,7 @@ func (f *FullMesh) selfCosts() []wire.Cost {
 }
 
 // HandleLinkState implements Router: a member's symmetric row built against
-// this view is unpacked from the wire straight into the table. Nothing of the
+// this view is scattered from the wire straight into the table. Nothing of the
 // body is read before the sender is known to be another member.
 //
 //lint:allocfree

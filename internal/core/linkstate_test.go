@@ -37,12 +37,14 @@ func rowMessage(asym bool, src wire.NodeID, version, seq uint32, k int, cost uin
 
 // TestStrangerLinkStateTouchesNothing: a link-state row that is not a current
 // member's, in this router's row format, built against this view, with one
-// entry per slot, leaves both routers exactly as it found them — no table
+// entry per member, leaves both routers exactly as it found them — no table
 // field or row byte, no ack, no allocation — and the sender is judged before
-// anything of the body is. A well-formed refresh of a row the table holds
-// allocates nothing either.
+// anything of the body is. The view holds a tombstone, so a row with an entry
+// per slot is malformed, and a row of another view with as many members is
+// told apart by its version alone. A well-formed refresh of a row the table
+// holds allocates nothing either.
 func TestStrangerLinkStateTouchesNothing(t *testing.T) {
-	const n, version = 9, 5
+	const n, m, version = 9, 8, 5 // slots, members
 	for _, tc := range []struct {
 		name           string
 		asym, reliable bool
@@ -55,7 +57,7 @@ func TestStrangerLinkStateTouchesNothing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sim, nw := soloEnv()
 			env := &countingEnv{SimEnv: sim}
-			view := slotView(t, version, 0, 1, 2, 3, 4, 5, 6, 7, 8)
+			view := slotView(t, version, 0, 1, 2, 3, wire.NilNode, 5, 6, 7, 8)
 			var router Router
 			var table *lsdb.Table
 			if tc.fullMesh {
@@ -103,9 +105,9 @@ func TestStrangerLinkStateTouchesNothing(t *testing.T) {
 
 			// Slot 3's row is held, so there are bytes to leave alone.
 			nw.RunFor(10 * time.Second)
-			deliver(rowMessage(tc.asym, 3, version, 2, n, 40))
-			if !table.Have(3) || table.Seq(3) != 2 || table.OutRow(3)[1] != 40 {
-				t.Fatal("a member's well-formed row was not stored")
+			deliver(rowMessage(tc.asym, 3, version, 2, m, 40))
+			if !table.Have(3) || table.Seq(3) != 2 || table.OutRow(3)[1] != 40 || table.OutRow(3)[5] != 40 || table.OutRow(3)[4] != wire.InfCost {
+				t.Fatalf("a member's well-formed row was not stored slot by slot: %v", table.OutRow(3))
 			}
 			if acks := env.sent; (acks == 1) != tc.reliable {
 				t.Fatalf("%d acks for an accepted row, reliable=%v", acks, tc.reliable)
@@ -116,20 +118,22 @@ func TestStrangerLinkStateTouchesNothing(t *testing.T) {
 			// Each carries a higher sequence number than the table holds and
 			// costs it does not: only the named defect stands between it and
 			// the table.
-			good := rowMessage(tc.asym, 3, version, 9, n, 77)
+			good := rowMessage(tc.asym, 3, version, 9, m, 77)
 			for _, hostile := range []struct {
 				defect string
 				msg    []byte
 			}{
-				{"unknown sender", rowMessage(tc.asym, 77, version, 9, n, 77)},
-				{"self as sender", rowMessage(tc.asym, 0, version, 9, n, 77)},
-				{"stale view version", rowMessage(tc.asym, 3, version-1, 9, n, 77)},
-				{"future view version", rowMessage(tc.asym, 3, version+1, 9, n, 77)},
-				{"one entry short", rowMessage(tc.asym, 3, version, 9, n-1, 77)},
-				{"one entry long", rowMessage(tc.asym, 3, version, 9, n+1, 77)},
+				{"unknown sender", rowMessage(tc.asym, 77, version, 9, m, 77)},
+				{"self as sender", rowMessage(tc.asym, 0, version, 9, m, 77)},
+				{"stale view version", rowMessage(tc.asym, 3, version-1, 9, m, 77)},
+				{"future view version", rowMessage(tc.asym, 3, version+1, 9, m, 77)},
+				{"another view with as many members", rowMessage(tc.asym, 3, version+7, 9, m, 77)},
+				{"one entry per slot", rowMessage(tc.asym, 3, version, 9, n, 77)},
+				{"one entry short", rowMessage(tc.asym, 3, version, 9, m-1, 77)},
+				{"one entry long", rowMessage(tc.asym, 3, version, 9, m+1, 77)},
 				{"truncated entries", good[:len(good)-1]},
 				{"truncated header", good[:wire.HeaderLen+7]},
-				{"wrong row format", rowMessage(!tc.asym, 3, version, 9, n, 77)},
+				{"wrong row format", rowMessage(!tc.asym, 3, version, 9, m, 77)},
 			} {
 				h, body, err := wire.ParseHeader(hostile.msg)
 				if err != nil {

@@ -240,6 +240,7 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		q.failovers = make([]*failoverState, n)
 		q.rv, q.rvOff = nil, nil
 	}
+	q.table.SetTombstones(view.Tombstones())
 	q.pairRendezvous(retired)
 	q.pendingAcks = make([]uint32, n)
 	return nil
@@ -425,20 +426,20 @@ func (q *Quorum) HandleLinkStateAck(h wire.Header, body []byte) {
 }
 
 // buildLinkState encodes the current measurements at the current sequence
-// number, in the configured row format.
+// number, in the configured row format, packed by the view's occupancy.
 func (q *Quorum) buildLinkState() []byte {
 	if q.cfg.Asymmetric {
-		return wire.AppendLinkStateAsym(nil, q.env.LocalID(), wire.LinkStateAsym{
+		return wire.PackLinkState(wire.AppendLinkStateAsym(nil, q.env.LocalID(), wire.LinkStateAsym{
 			ViewVersion: q.view.VersionNum(),
 			Seq:         q.seq,
 			Entries:     q.SelfAsymRow(),
-		})
+		}), q.view.Tombstones())
 	}
-	return wire.AppendLinkState(nil, q.env.LocalID(), wire.LinkState{
+	return wire.PackLinkState(wire.AppendLinkState(nil, q.env.LocalID(), wire.LinkState{
 		ViewVersion: q.view.VersionNum(),
 		Seq:         q.seq,
 		Entries:     q.SelfRow(),
-	})
+	}), q.view.Tombstones())
 }
 
 // selfCosts unpacks the live self row, in the configured row format, into
@@ -583,7 +584,7 @@ func (q *Quorum) sweep(clients []int) (fwd, rev []lsdb.HopCost) {
 
 // HandleLinkState implements Router: stores a client's row (making the
 // sender a rendezvous client of this node, including failover clients who
-// recruited us), unpacked from the wire straight into the table. Only the
+// recruited us), scattered from the wire straight into the table. Only the
 // configured row format is accepted: a symmetric row carries no directional
 // data, and a directional one has no place in a symmetric table. Nothing of
 // the body is read before the sender is known to be another member.

@@ -134,7 +134,7 @@ func TestRecommendationsWrittenInPlaceMatchStagedEncoding(t *testing.T) {
 				}
 				rows[s][j] = wire.AsymEntry{Out: uint16(5 + rng.Intn(400)), In: uint16(5 + rng.Intn(400)), Status: st}
 			}
-			lsdb.SelfAsymRow(s, rows[s])
+			rows[s][s] = wire.AsymEntry{Status: wire.MakeStatus(true, 0)}
 		}
 		symmetric := func(s int) []wire.LinkEntry {
 			row := make([]wire.LinkEntry, n)

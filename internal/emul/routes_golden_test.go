@@ -168,6 +168,54 @@ func TestFullMeshRoutesMatchOracleUnderChurn(t *testing.T) {
 	}
 }
 
+// TestLinkStateRowsCarryMembers watches every link-state datagram a churning
+// fleet sends, for each router and row format: a row carries one entry per
+// member of its sender's view, never one per slot, so the tombstones a crash
+// and a departure leave cost nothing on the wire.
+func TestLinkStateRowsCarryMembers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		algo overlay.Algorithm
+		asym bool
+	}{
+		{"quorum", overlay.AlgQuorum, false},
+		{"quorum-directional", overlay.AlgQuorum, true},
+		{"fullmesh", overlay.AlgFullMesh, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := churnFleet(tc.algo, tc.asym)
+			rows, tombstoned, wrong := 0, 0, 0
+			account := f.Net.OnSend
+			f.Net.OnSend = func(from, to int, p []byte) {
+				account(from, to, p)
+				typ := wire.PeekType(p)
+				if typ != wire.TLinkState && typ != wire.TLinkStateAsym {
+					return
+				}
+				view := f.Node(from).View()
+				want := wire.LinkStateSize(view.N())
+				if typ == wire.TLinkStateAsym {
+					want = wire.AsymLinkStateSize(view.N())
+				}
+				if rows++; view.N() < view.Slots() {
+					tombstoned++
+				}
+				if len(p) != want {
+					if wrong == 0 {
+						t.Errorf("endpoint %d sent a %d-byte row on a view of %d members in %d slots, want %d",
+							from, len(p), view.N(), view.Slots(), want)
+					}
+					wrong++
+				}
+			}
+			driveChurn(f, func(string) {})
+			if wrong != 0 || tombstoned == 0 {
+				t.Errorf("%d of %d rows mis-sized; %d sent on a view holding tombstones, want some", wrong, rows, tombstoned)
+			}
+		})
+	}
+}
+
 // TestChurnInstallsAreStableExtensions pins slot-addressed views for every
 // router mode: each join, crash, and leave must reach survivors as a stable
 // extension — zero cold re-installs anywhere in the fleet, with at least one

@@ -36,14 +36,6 @@ func (t *Table) PutAsym(slot int, row AsymRow) bool {
 	return true
 }
 
-// SelfAsymRow forces the self-entry of a directional row to zero/alive.
-func SelfAsymRow(self int, entries []wire.AsymEntry) []wire.AsymEntry {
-	if self >= 0 && self < len(entries) {
-		entries[self] = wire.AsymEntry{Status: wire.MakeStatus(true, 0)}
-	}
-	return entries
-}
-
 // UnpackOutCosts appends the out-direction costs of row to dst and returns
 // the result — the directional counterpart of UnpackCosts, used to bring a
 // live measured row into the flat form the kernels scan.

@@ -14,6 +14,12 @@ func aentry(out, in int, alive bool) wire.AsymEntry {
 	return wire.AsymEntry{Out: uint16(out), In: uint16(in), Status: wire.MakeStatus(alive, 0)}
 }
 
+// selfAsymRow forces the self-entry of a directional row to zero/alive.
+func selfAsymRow(self int, entries []wire.AsymEntry) []wire.AsymEntry {
+	entries[self] = wire.AsymEntry{Status: wire.MakeStatus(true, 0)}
+	return entries
+}
+
 func TestDirectionalTableBasics(t *testing.T) {
 	tb := NewDirectionalTable(3)
 	if tb.N() != 3 || !tb.Directional() || NewTable(3).Directional() {
@@ -56,8 +62,8 @@ func TestBestOneHopAsymDirectionality(t *testing.T) {
 	// Link 0-1: 50/50. Link 1-2: 40/40.
 	// Route 0→2: direct 10 beats via 1 (50+40=90).
 	// Route 2→0: direct 300 loses to via 1 (40+50=90).
-	rowA := SelfAsymRow(0, []wire.AsymEntry{{}, aentry(50, 50, true), aentry(10, 300, true)})
-	rowC := SelfAsymRow(2, []wire.AsymEntry{aentry(300, 10, true), aentry(40, 40, true), {}})
+	rowA := selfAsymRow(0, []wire.AsymEntry{{}, aentry(50, 50, true), aentry(10, 300, true)})
+	rowC := selfAsymRow(2, []wire.AsymEntry{aentry(300, 10, true), aentry(40, 40, true), {}})
 	tb := NewDirectionalTable(3)
 	tb.PutAsym(0, AsymRow{Seq: 1, When: t0, Entries: rowA})
 	tb.PutAsym(2, AsymRow{Seq: 1, When: t0, Entries: rowC})
@@ -77,8 +83,8 @@ func TestBestOneHopAsymDirectionality(t *testing.T) {
 
 func TestBestOneHopViaDirectional(t *testing.T) {
 	tb := NewDirectionalTable(3)
-	tb.PutAsym(1, AsymRow{Seq: 1, When: t0, Entries: SelfAsymRow(1, []wire.AsymEntry{aentry(50, 999, true), {}, aentry(40, 999, true)})})
-	rowA := UnpackOutCosts(nil, SelfAsymRow(0, []wire.AsymEntry{{}, aentry(50, 999, true), aentry(0, 0, false)}))
+	tb.PutAsym(1, AsymRow{Seq: 1, When: t0, Entries: selfAsymRow(1, []wire.AsymEntry{aentry(50, 999, true), {}, aentry(40, 999, true)})})
+	rowA := UnpackOutCosts(nil, selfAsymRow(0, []wire.AsymEntry{{}, aentry(50, 999, true), aentry(0, 0, false)}))
 	// Both legs are read in the out direction: out_0(1) + out_1(2).
 	hop, cost := tb.BestOneHopVia(rowA, 2, t0.Add(time.Second), time.Minute)
 	if hop != 1 || cost != 90 {
@@ -101,8 +107,8 @@ func TestBestOneHopAsymQuick(t *testing.T) {
 			rowA[i] = aentry(rng.Intn(500), rng.Intn(500), rng.Intn(8) > 0)
 			rowB[i] = aentry(rng.Intn(500), rng.Intn(500), rng.Intn(8) > 0)
 		}
-		SelfAsymRow(a, rowA)
-		SelfAsymRow(b, rowB)
+		selfAsymRow(a, rowA)
+		selfAsymRow(b, rowB)
 		hop, cost := bestOneHopAsym(a, rowA, b, rowB)
 		want := wire.InfCost
 		for h := 0; h < n; h++ {
@@ -144,7 +150,7 @@ func TestDirectionalKernelsMatchScalarQuick(t *testing.T) {
 				// saturation path is exercised, not just possible.
 				row[i] = aentry(rng.Intn(40000), rng.Intn(40000), rng.Intn(6) > 0)
 			}
-			return SelfAsymRow(self, row)
+			return selfAsymRow(self, row)
 		}
 		dead := make([]wire.AsymEntry, n)
 		for i := range dead {
@@ -308,11 +314,11 @@ func TestDirectionalEqualsSymmetricWhenCostsAgreeQuick(t *testing.T) {
 func TestPutAsymRejectsEqualSeqOlderWhen(t *testing.T) {
 	t0 := time.Unix(0, 0)
 	tb := NewDirectionalTable(2)
-	fresh := AsymRow{Seq: 5, When: t0.Add(time.Minute), Entries: SelfAsymRow(0, []wire.AsymEntry{{}, aentry(10, 10, true)})}
+	fresh := AsymRow{Seq: 5, When: t0.Add(time.Minute), Entries: selfAsymRow(0, []wire.AsymEntry{{}, aentry(10, 10, true)})}
 	if !tb.PutAsym(0, fresh) {
 		t.Fatal("PutAsym rejected fresh row")
 	}
-	stale := AsymRow{Seq: 5, When: t0, Entries: SelfAsymRow(0, []wire.AsymEntry{{}, aentry(99, 99, true)})}
+	stale := AsymRow{Seq: 5, When: t0, Entries: selfAsymRow(0, []wire.AsymEntry{{}, aentry(99, 99, true)})}
 	if tb.PutAsym(0, stale) {
 		t.Error("PutAsym accepted equal-seq row with older When")
 	}

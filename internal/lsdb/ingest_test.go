@@ -1,6 +1,7 @@
 package lsdb
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,93 +10,161 @@ import (
 	"allpairs/internal/wire"
 )
 
-// TestPutWireMatchesPut: unpacking a row from its wire bytes straight into the
-// table must leave exactly what parsing it and calling Put (PutAsym) leaves,
-// and take or refuse it on the same grounds. One table of each pair ingests
+// tombstoneSets are the views TestPutWireMatchesPut packs rows against: no
+// tombstone, one at the head, the tail or the middle, and 30 % of the slots.
+func tombstoneSets(rng *rand.Rand, n int) []struct {
+	name  string
+	tombs []int
+} {
+	return []struct {
+		name  string
+		tombs []int
+	}{
+		{"none", nil},
+		{"head", []int{0}},
+		{"tail", []int{n - 1}},
+		{"middle", []int{n / 2}},
+		{"30%", slices.Sorted(slices.Values(rng.Perm(n)[:3*n/10]))},
+	}
+}
+
+// TestPutWireMatchesPut: scattering a member-packed row from its wire bytes
+// straight into the table must leave exactly what Put (PutAsym) leaves from
+// the same row indexed by slot, its tombstones dead, and take or refuse it on
+// the same grounds. For every set of tombstones, one table of each pair ingests
 // 1 000 announcements each way: dead-status entries, latency 0xFFFF under an
 // alive status, sequence numbers that go backwards, equal-sequence duplicates
 // with an older receive time, rows one entry short or long, and now and then an
-// Expire, after which a row lands in storage of its own again.
+// Expire, after which a row lands in storage of its own again. Packing must
+// equal encoding the members' entries alone, and on a tombstoned table a row
+// with an entry per slot is refused.
 func TestPutWireMatchesPut(t *testing.T) {
 	const n = 21
 	t0 := time.Unix(4_000_000, 0)
-	for _, directional := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(25))
-		parsed, inPlace, msgType := NewTable(n), NewTable(n), wire.TLinkState
+	for _, set := range tombstoneSets(rand.New(rand.NewSource(32)), n) {
+		for _, directional := range []bool{false, true} {
+			checkPutWire(t, fmt.Sprintf("tombstones=%s directional=%v", set.name, directional), n, set.tombs, directional, t0)
+		}
+	}
+}
+
+func checkPutWire(t *testing.T, name string, n int, tombs []int, directional bool, t0 time.Time) {
+	rng := rand.New(rand.NewSource(25))
+	parsed, inPlace := NewTable(n), NewTable(n)
+	if directional {
+		parsed, inPlace = NewDirectionalTable(n), NewDirectionalTable(n)
+	}
+	inPlace.SetTombstones(tombs)
+	latency := func() uint16 {
+		if rng.Intn(6) == 0 {
+			return 0xFFFF
+		}
+		return uint16(rng.Intn(2000))
+	}
+	status := func(slot int) byte {
+		if slices.Contains(tombs, slot) || rng.Intn(4) == 0 {
+			return wire.StatusDead
+		}
+		return byte(rng.Intn(101))
+	}
+	accepted := 0
+	for i := 0; i < 1000; i++ {
+		// Around what the slot last took: one below, the same again, the next.
+		slot := rng.Intn(n)
+		seq := max(parsed.Seq(slot), 1) + uint32(rng.Intn(3)) - 1
+		when := t0.Add(time.Duration(rng.Intn(7)-3) * time.Second)
+		skew := 0 // entries past the right count, in both forms
+		if rng.Intn(10) == 0 {
+			skew = 2*rng.Intn(2) - 1
+		}
+		var bySlot, packed, wantPacked []byte
+		var viaPut func() bool
 		if directional {
-			parsed, inPlace, msgType = NewDirectionalTable(n), NewDirectionalTable(n), wire.TLinkStateAsym
+			entries := make([]wire.AsymEntry, n)
+			for j := range entries {
+				entries[j] = wire.AsymEntry{Out: latency(), In: latency(), Status: status(j)}
+			}
+			kept := keepMembers(tombs, entries)
+			bySlot = wire.AppendLinkStateAsym(nil, 1, wire.LinkStateAsym{Seq: seq + 1, Entries: entries})
+			packed = wire.PackLinkState(wire.AppendLinkStateAsym(nil, 1, wire.LinkStateAsym{Seq: seq, Entries: entries}), tombs)
+			wantPacked = wire.AppendLinkStateAsym(nil, 1, wire.LinkStateAsym{Seq: seq, Entries: kept})
+			if skew != 0 {
+				packed = wire.AppendLinkStateAsym(nil, 1, wire.LinkStateAsym{Seq: seq, Entries: append(kept, kept[0])[:len(kept)+skew]})
+				wantPacked = packed
+			}
+			viaPut = func() bool {
+				return parsed.PutAsym(slot, AsymRow{Seq: seq, When: when, Entries: append(entries, entries[0])[:n+skew]})
+			}
+		} else {
+			entries := make([]wire.LinkEntry, n)
+			for j := range entries {
+				entries[j] = wire.LinkEntry{Latency: latency(), Status: status(j)}
+			}
+			kept := keepMembers(tombs, entries)
+			bySlot = wire.AppendLinkState(nil, 1, wire.LinkState{Seq: seq + 1, Entries: entries})
+			packed = wire.PackLinkState(wire.AppendLinkState(nil, 1, wire.LinkState{Seq: seq, Entries: entries}), tombs)
+			wantPacked = wire.AppendLinkState(nil, 1, wire.LinkState{Seq: seq, Entries: kept})
+			if skew != 0 {
+				packed = wire.AppendLinkState(nil, 1, wire.LinkState{Seq: seq, Entries: append(kept, kept[0])[:len(kept)+skew]})
+				wantPacked = packed
+			}
+			viaPut = func() bool {
+				return parsed.Put(slot, Row{Seq: seq, When: when, Entries: append(entries, entries[0])[:n+skew]})
+			}
 		}
-		latency := func() uint16 {
-			if rng.Intn(6) == 0 {
-				return 0xFFFF
-			}
-			return uint16(rng.Intn(2000))
+		if !slices.Equal(packed, wantPacked) {
+			t.Fatalf("%s announcement %d: PackLinkState = %x, the members' entries encode to %x", name, i, packed, wantPacked)
 		}
-		status := func() byte {
-			if rng.Intn(4) == 0 {
-				return wire.StatusDead
-			}
-			return byte(rng.Intn(101))
-		}
-		accepted := 0
-		for i := 0; i < 1000; i++ {
-			// Around what the slot last took: one below, the same again, the next.
-			slot := rng.Intn(n)
-			seq := max(parsed.Seq(slot), 1) + uint32(rng.Intn(3)) - 1
-			when := t0.Add(time.Duration(rng.Intn(7)-3) * time.Second)
-			rowLen := n
-			if rng.Intn(10) == 0 {
-				rowLen = n - 1 + 2*rng.Intn(2)
-			}
-			var msg []byte
-			var viaPut func() bool
-			if directional {
-				entries := make([]wire.AsymEntry, rowLen)
-				for j := range entries {
-					entries[j] = wire.AsymEntry{Out: latency(), In: latency(), Status: status()}
-				}
-				msg = wire.AppendLinkStateAsym(nil, 1, wire.LinkStateAsym{Seq: seq, Entries: entries})
-				viaPut = func() bool {
-					ls, err := wire.ParseLinkStateAsym(msg[wire.HeaderLen:])
-					return err == nil && parsed.PutAsym(slot, AsymRow{Seq: ls.Seq, When: when, Entries: ls.Entries})
-				}
-			} else {
-				entries := make([]wire.LinkEntry, rowLen)
-				for j := range entries {
-					entries[j] = wire.LinkEntry{Latency: latency(), Status: status()}
-				}
-				msg = wire.AppendLinkState(nil, 1, wire.LinkState{Seq: seq, Entries: entries})
-				viaPut = func() bool {
-					ls, err := wire.ParseLinkState(msg[wire.HeaderLen:])
-					return err == nil && parsed.Put(slot, Row{Seq: ls.Seq, When: when, Entries: ls.Entries})
-				}
-			}
-			_, wireSeq, entries, err := wire.LinkStateBody(msgType, msg[wire.HeaderLen:])
+		entriesOf := func(msg []byte) []byte {
+			_, _, entries, err := wire.LinkStateBody(wire.PeekType(msg), msg[wire.HeaderLen:])
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, got := viaPut(), inPlace.PutWire(slot, wireSeq, when, entries)
-			if got != want {
-				t.Fatalf("directional=%v announcement %d (slot %d seq %d, %d entries): PutWire = %v, parse-then-Put = %v",
-					directional, i, slot, seq, rowLen, got, want)
-			}
-			if got {
-				accepted++
-			}
-			if rng.Intn(50) == 0 {
-				parsed.Expire(t0.Add(2*time.Second), 3*time.Second)
-				inPlace.Expire(t0.Add(2*time.Second), 3*time.Second)
-			}
-			a, b := snapshotSlot(parsed, slot), snapshotSlot(inPlace, slot)
-			if a.have != b.have || a.seq != b.seq || !a.when.Equal(b.when) || !slices.Equal(a.out, b.out) || !slices.Equal(a.in, b.in) {
-				t.Fatalf("directional=%v announcement %d: slot %d holds\n%+v in place,\n%+v parsed", directional, i, slot, b, a)
-			}
+			return entries
 		}
-		if parsed.Stored() != inPlace.Stored() {
-			t.Errorf("directional=%v: %d rows stored in place, %d parsed", directional, inPlace.Stored(), parsed.Stored())
+		before := snapshotSlot(inPlace, slot)
+		if tombs != nil && inPlace.PutWire(slot, seq+1, when, entriesOf(bySlot)) {
+			t.Fatalf("%s announcement %d: a row with an entry per slot was taken on a tombstoned table", name, i)
 		}
-		if accepted < 300 || accepted > 900 {
-			t.Errorf("directional=%v: %d of 1000 announcements accepted — the mix no longer tests both outcomes", directional, accepted)
+		if after := snapshotSlot(inPlace, slot); !sameSlot(before, after) {
+			t.Fatalf("%s announcement %d: a refused row changed slot %d", name, i, slot)
+		}
+		want, got := viaPut(), inPlace.PutWire(slot, seq, when, entriesOf(packed))
+		if got != want {
+			t.Fatalf("%s announcement %d (slot %d seq %d, skew %d): PutWire = %v, Put = %v", name, i, slot, seq, skew, got, want)
+		}
+		if got {
+			accepted++
+		}
+		if rng.Intn(50) == 0 {
+			parsed.Expire(t0.Add(2*time.Second), 3*time.Second)
+			inPlace.Expire(t0.Add(2*time.Second), 3*time.Second)
+		}
+		if a, b := snapshotSlot(parsed, slot), snapshotSlot(inPlace, slot); !sameSlot(a, b) {
+			t.Fatalf("%s announcement %d: slot %d holds\n%+v in place,\n%+v via Put", name, i, slot, b, a)
 		}
 	}
+	if parsed.Stored() != inPlace.Stored() {
+		t.Errorf("%s: %d rows stored in place, %d via Put", name, inPlace.Stored(), parsed.Stored())
+	}
+	if accepted < 300 || accepted > 900 {
+		t.Errorf("%s: %d of 1000 announcements accepted — the mix no longer tests both outcomes", name, accepted)
+	}
+}
+
+// keepMembers returns the entries of a slot-indexed row but for the
+// tombstones', in slot order.
+func keepMembers[E any](tombs []int, row []E) []E {
+	var kept []E
+	for s, e := range row {
+		if !slices.Contains(tombs, s) {
+			kept = append(kept, e)
+		}
+	}
+	return kept
+}
+
+// sameSlot reports whether two snapshots of a slot agree in every field.
+func sameSlot(a, b slotState) bool {
+	return a.have == b.have && a.seq == b.seq && a.when.Equal(b.when) && slices.Equal(a.out, b.out) && slices.Equal(a.in, b.in)
 }

@@ -199,12 +199,13 @@ func TestKernelsMatchOracleAtLedgerSizes(t *testing.T) {
 
 // FuzzKernelsMatchScalar is checkPrimitives over rows the fuzzer writes: two
 // big-endian uint16 rows cut from one input, at an element offset it also
-// picks.
+// picks, with the columns a tombstone mask marks forced to InfCost in both, as
+// PutWire leaves a row packed against a view holding tombstones.
 func FuzzKernelsMatchScalar(f *testing.F) {
-	f.Add([]byte{}, uint16(0), uint16(0), uint8(0))
-	f.Add(slices.Repeat([]byte{0xFF, 0xFF, 0, 0, 0x7F, 0xFF, 0x80, 0x00}, 9), uint16(3), uint16(65535), uint8(1))
-	f.Add(slices.Repeat([]byte{0, 100, 0, 200}, 40), uint16(100), uint16(8), uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, ca, h uint16, off uint8) {
+	f.Add([]byte{}, uint16(0), uint16(0), uint8(0), uint64(0))
+	f.Add(slices.Repeat([]byte{0xFF, 0xFF, 0, 0, 0x7F, 0xFF, 0x80, 0x00}, 9), uint16(3), uint16(65535), uint8(1), uint64(0))
+	f.Add(slices.Repeat([]byte{0, 100, 0, 200}, 40), uint16(100), uint16(8), uint8(3), uint64(0x8000_0000_0000_0421))
+	f.Fuzz(func(t *testing.T, data []byte, ca, h uint16, off uint8, tombstones uint64) {
 		words := make([]wire.Cost, len(data)/2)
 		for i := range words {
 			words[i] = wire.Cost(binary.BigEndian.Uint16(data[2*i:]))
@@ -212,6 +213,11 @@ func FuzzKernelsMatchScalar(f *testing.F) {
 		words = words[min(int(off%4), len(words)):]
 		n := len(words) / 3
 		a, b, best := words[:n], words[n:2*n], slices.Clone(words[2*n:])
+		for i := range a {
+			if tombstones>>(i%64)&1 != 0 {
+				a[i], b[i] = wire.InfCost, wire.InfCost
+			}
+		}
 		checkPrimitives(t, a, b, wire.Cost(ca), h, best)
 	})
 }

@@ -14,7 +14,8 @@
 // Rows are indexed by grid slot (the node's position in the membership
 // view), not by node ID. Slots are stable for a member's lifetime, so a table
 // follows a chain of stable view extensions in place (Grow, RetireSlot) and
-// is replaced by an empty one only when an install cannot be one.
+// is replaced by an empty one only when an install cannot be one. A row is
+// bound to one view version: Put takes it slot-indexed, PutWire member-packed.
 //
 // Rows are held while readable: every reader bounds a row's age, so the owner
 // calls Expire with the largest bound once per routing interval.
@@ -43,6 +44,8 @@ type Table struct {
 	n       int
 	out, in *CostMatrix
 	meta    []slotMeta
+
+	tombstones []int // the view's unoccupied slots, ascending, which PutWire's rows skip
 
 	// best and hop are BestOneHopViaSpan's running minimum and intermediary per
 	// destination. A span writes only its own [lo, hi) of them, so disjoint
@@ -156,19 +159,23 @@ func (t *Table) Put(slot int, row Row) bool {
 	return true
 }
 
-// RowBytes returns the size of a row's entries on the wire, in the table's row
-// format.
+// SetTombstones installs the unoccupied slots, ascending, of the view the owner
+// just installed, after any Grow. The table keeps the slice and never writes it.
+func (t *Table) SetTombstones(tombstones []int) { t.tombstones = tombstones }
+
+// RowBytes returns the size of a row's entries on the wire, one per member, in
+// the table's row format.
 func (t *Table) RowBytes() int {
 	if t.Directional() {
-		return t.n * wire.AsymEntryLen
+		return (t.n - len(t.tombstones)) * wire.AsymEntryLen
 	}
-	return t.n * wire.LinkEntryLen
+	return (t.n - len(t.tombstones)) * wire.LinkEntryLen
 }
 
-// PutWire is Put — PutAsym on a directional table — for a row still in wire
-// form: entries are the entry bytes wire.LinkStateBody returned, RowBytes of
-// them, and are unpacked straight into the stored row, so refreshing a row
-// allocates nothing.
+// PutWire is Put — PutAsym on a directional table — for a member-packed row
+// still in wire form: entries are the entry bytes wire.LinkStateBody returned,
+// RowBytes of them, and are scattered straight into the slot-indexed stored
+// row, tombstones reading InfCost, so refreshing a row allocates nothing.
 //
 //lint:allocfree
 func (t *Table) PutWire(slot int, seq uint32, when time.Time, entries []byte) bool {
@@ -176,9 +183,9 @@ func (t *Table) PutWire(slot int, seq uint32, when time.Time, entries []byte) bo
 		return false
 	}
 	if t.Directional() {
-		wire.AsymLinkCosts(t.out.rowFor(slot), t.in.rowFor(slot), entries)
+		wire.AsymLinkCosts(t.out.rowFor(slot), t.in.rowFor(slot), entries, t.tombstones)
 	} else {
-		wire.LinkCosts(t.out.rowFor(slot), entries)
+		wire.LinkCosts(t.out.rowFor(slot), entries, t.tombstones)
 	}
 	return true
 }
@@ -223,10 +230,9 @@ func (t *Table) Stored() int {
 
 // Grow extends the table to newN slots in place, for stable view extensions
 // that append slots. Every stored row keeps its costs and metadata, and the
-// new slots read as absent until their occupants announce.
-// Put continues to reject announcements whose length disagrees with the
-// current view, so members still on the old view are simply dropped until
-// they catch up.
+// new slots read as absent until their occupants announce. SetTombstones must
+// follow. A row from a member still on the old view is refused by its view
+// version, which the owner checks before PutWire, not by its length.
 func (t *Table) Grow(newN int) {
 	if newN <= t.n {
 		return

@@ -67,6 +67,7 @@ type ViewInfo struct {
 	version uint32
 	slots   []wire.Member // slot-indexed; tombstones hold ID == wire.NilNode
 	members []wire.Member // occupied members, slot order
+	tombs   []int         // unoccupied slots, ascending
 	// slotOf is the dense ID → slot index: slotOf[id] is the member's slot
 	// plus one, zero for an ID the view does not hold. It is sized to the
 	// largest held ID + 1 (at most 4 bytes × 65 535), so every received
@@ -190,8 +191,10 @@ func newViewInfo(epoch, version uint32, slots []wire.Member) (*ViewInfo, error) 
 	}
 	slotOf := make([]int32, maxID+1)
 	members := make([]wire.Member, 0, len(slots))
+	var tombs []int
 	for s, m := range slots {
 		if m.ID == wire.NilNode {
+			tombs = append(tombs, s)
 			continue
 		}
 		if slotOf[m.ID] != 0 {
@@ -200,7 +203,7 @@ func newViewInfo(epoch, version uint32, slots []wire.Member) (*ViewInfo, error) 
 		slotOf[m.ID] = int32(s) + 1
 		members = append(members, m)
 	}
-	return &ViewInfo{epoch: epoch, version: version, slots: slots, members: members, slotOf: slotOf}, nil
+	return &ViewInfo{epoch: epoch, version: version, slots: slots, members: members, tombs: tombs, slotOf: slotOf}, nil
 }
 
 // NewStaticView builds a fully occupied ViewInfo directly from node IDs, for
@@ -245,6 +248,10 @@ func (v *ViewInfo) Occupied(slot int) bool { return v.slots[slot].ID != wire.Nil
 // Members returns the occupied members in slot order. Callers must not
 // modify the returned slice.
 func (v *ViewInfo) Members() []wire.Member { return v.members }
+
+// Tombstones returns the unoccupied slots in ascending order, nil when there
+// are none. Callers must not modify the returned slice.
+func (v *ViewInfo) Tombstones() []int { return v.tombs }
 
 // IDAt returns the member ID occupying a grid slot, or wire.NilNode for a
 // tombstone.

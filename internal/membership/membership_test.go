@@ -37,6 +37,9 @@ func TestNewViewInfoPlacesAndMaps(t *testing.T) {
 	if got := vi.Members(); len(got) != 3 || got[0].ID != 2 || got[1].ID != 9 || got[2].ID != 5 {
 		t.Errorf("Members() = %v, want slot order 2, 9, 5", got)
 	}
+	if got := vi.Tombstones(); !slices.Equal(got, []int{1}) {
+		t.Errorf("Tombstones() = %v, want [1]", got)
+	}
 }
 
 func TestNewViewInfoRejectsMalformed(t *testing.T) {
@@ -58,7 +61,7 @@ func TestNewViewInfoRejectsMalformed(t *testing.T) {
 
 func TestNewStaticView(t *testing.T) {
 	vi := NewStaticView([]wire.NodeID{4, 0, 2})
-	if vi.N() != 3 || vi.Slots() != 3 || vi.OccupiedMask() != nil {
+	if vi.N() != 3 || vi.Slots() != 3 || vi.OccupiedMask() != nil || vi.Tombstones() != nil {
 		t.Fatalf("static view wrong: %v", vi.Members())
 	}
 	// Unsorted IDs land in the sorted layout: the i-th smallest at slot i.

@@ -113,9 +113,9 @@ func ParseProbeReply(body []byte) (ProbeReply, error) {
 }
 
 // LinkState is a round-1 link-state row: the sender's measurements to every
-// node in the current membership view, indexed by grid slot. It is also the
-// message broadcast by the full-mesh (RON) baseline. ViewVersion lets
-// receivers discard rows built against a different membership view.
+// member of the view named by ViewVersion, entry i for its i-th occupied slot
+// (PackLinkState), so a receiver holding another view discards it. It is also
+// the message broadcast by the full-mesh (RON) baseline.
 type LinkState struct {
 	ViewVersion uint32
 	Seq         uint32
@@ -169,14 +169,45 @@ func linkEntryAt(entries []byte, i int) LinkEntry {
 	return LinkEntry{Latency: binary.BigEndian.Uint16(b), Status: b[2]}
 }
 
-// LinkCosts unpacks the entry bytes LinkStateBody returned into row, one cost
-// per entry; len(entries) must be 3·len(row).
+// LinkCosts unpacks the entry bytes LinkStateBody returned into row, one entry
+// per slot in order but for the tombstones (ascending slots), which read InfCost.
 //
 //lint:allocfree
-func LinkCosts(row []Cost, entries []byte) {
-	for i := range row {
-		row[i] = linkEntryAt(entries, i).Cost()
+func LinkCosts(row []Cost, entries []byte, tombstones []int) {
+	members := row[:len(row)-len(tombstones)]
+	for i := range members {
+		members[i] = linkEntryAt(entries, i).Cost()
 	}
+	openTombstones(row, tombstones)
+}
+
+// openTombstones moves the members' costs, unpacked to the front of row in
+// slot order, out to their slots, and sets each tombstone's to InfCost.
+//
+//lint:allocfree
+func openTombstones(row []Cost, tombstones []int) {
+	end := len(row)
+	for k := len(tombstones) - 1; k >= 0; k-- {
+		t := tombstones[k]
+		copy(row[t+1:end], row[t-k:end-k-1])
+		row[t], end = InfCost, t
+	}
+}
+
+// PackLinkState drops in place from msg, a link-state message of either format
+// with an entry per slot, the entries of the tombstones (ascending slots).
+//
+//lint:allocfree
+func PackLinkState(msg []byte, tombstones []int) []byte {
+	entries, n := msg[HeaderLen+linkStateFixed:], int(binary.BigEndian.Uint16(msg[HeaderLen+8:]))
+	size, lo := len(entries)/max(n, 1), 0
+	for k, t := range tombstones {
+		copy(entries[(lo-k)*size:], entries[lo*size:t*size])
+		lo = t + 1
+	}
+	copy(entries[(lo-len(tombstones))*size:], entries[lo*size:])
+	binary.BigEndian.PutUint16(msg[HeaderLen+8:], uint16(n-len(tombstones)))
+	return msg[:len(msg)-len(tombstones)*size]
 }
 
 // ParseLinkState decodes a LinkState body into a message of its own.
@@ -358,16 +389,18 @@ func asymEntryAt(entries []byte, i int) AsymEntry {
 	return AsymEntry{Out: binary.BigEndian.Uint16(b), In: binary.BigEndian.Uint16(b[2:]), Status: b[4]}
 }
 
-// AsymLinkCosts unpacks the entry bytes LinkStateBody returned into the
-// two directions' rows; len(entries) must be 5·len(out) and len(in) == len(out).
+// AsymLinkCosts is LinkCosts for TLinkStateAsym entries, unpacked into the two
+// directions' rows; len(in) == len(out).
 //
 //lint:allocfree
-func AsymLinkCosts(out, in []Cost, entries []byte) {
-	in = in[:len(out)]
-	for i := range out {
+func AsymLinkCosts(out, in []Cost, entries []byte, tombstones []int) {
+	in, members := in[:len(out)], out[:len(out)-len(tombstones)]
+	for i := range members {
 		e := asymEntryAt(entries, i)
-		out[i], in[i] = e.OutCost(), e.InCost()
+		members[i], in[i] = e.OutCost(), e.InCost()
 	}
+	openTombstones(out, tombstones)
+	openTombstones(in, tombstones)
 }
 
 // ParseLinkStateAsym decodes a LinkStateAsym body into a message of its own.

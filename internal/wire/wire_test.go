@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -180,6 +181,68 @@ func TestLinkStateRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, ls) {
 		t.Errorf("got %+v want %+v", got, ls)
+	}
+}
+
+// TestPackThenUnpackLinkState: a row packed by a set of tombstones carries the
+// other slots' entries in slot order, a member count and nothing else, and
+// LinkCosts / AsymLinkCosts put every entry back at its slot with InfCost at
+// the tombstones — for no tombstone, every slot but one, and random sets.
+func TestPackThenUnpackLinkState(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		var tombs []int
+		switch {
+		case trial == 1:
+			tombs = []int{}
+		case trial%7 == 2:
+			for s := range n - 1 {
+				tombs = append(tombs, s+trial%2)
+			}
+		case trial > 2:
+			for s := range n {
+				if rng.Intn(4) == 0 {
+					tombs = append(tombs, s)
+				}
+			}
+		}
+		sym, asym := make([]LinkEntry, n), make([]AsymEntry, n)
+		var kept []LinkEntry
+		var keptAsym []AsymEntry
+		for s := range n {
+			sym[s] = LinkEntry{Latency: uint16(rng.Intn(3000)), Status: byte(rng.Intn(101))}
+			asym[s] = AsymEntry{Out: uint16(rng.Intn(3000)), In: uint16(rng.Intn(3000)), Status: byte(rng.Intn(101))}
+			if !slices.Contains(tombs, s) {
+				kept, keptAsym = append(kept, sym[s]), append(keptAsym, asym[s])
+			}
+		}
+		msg := PackLinkState(AppendLinkState(nil, 3, LinkState{ViewVersion: 9, Seq: 4, Entries: sym}), tombs)
+		if want := AppendLinkState(nil, 3, LinkState{ViewVersion: 9, Seq: 4, Entries: kept}); !slices.Equal(msg, want) {
+			t.Fatalf("n=%d tombstones %v: packed %x, want %x", n, tombs, msg, want)
+		}
+		msgAsym := PackLinkState(AppendLinkStateAsym(nil, 3, LinkStateAsym{ViewVersion: 9, Seq: 4, Entries: asym}), tombs)
+		if want := AppendLinkStateAsym(nil, 3, LinkStateAsym{ViewVersion: 9, Seq: 4, Entries: keptAsym}); !slices.Equal(msgAsym, want) {
+			t.Fatalf("n=%d tombstones %v: packed %x, want %x", n, tombs, msgAsym, want)
+		}
+		_, _, entries, err := LinkStateBody(TLinkState, msg[HeaderLen:])
+		_, _, entriesAsym, errAsym := LinkStateBody(TLinkStateAsym, msgAsym[HeaderLen:])
+		if err != nil || errAsym != nil {
+			t.Fatal(err, errAsym)
+		}
+		row, out, in := make([]Cost, n), make([]Cost, n), make([]Cost, n)
+		LinkCosts(row, entries, tombs)
+		AsymLinkCosts(out, in, entriesAsym, tombs)
+		for s := range n {
+			want, wantOut, wantIn := sym[s].Cost(), asym[s].OutCost(), asym[s].InCost()
+			if slices.Contains(tombs, s) {
+				want, wantOut, wantIn = InfCost, InfCost, InfCost
+			}
+			if row[s] != want || out[s] != wantOut || in[s] != wantIn {
+				t.Fatalf("n=%d tombstones %v slot %d: unpacked %d / %d,%d, want %d / %d,%d",
+					n, tombs, s, row[s], out[s], in[s], want, wantOut, wantIn)
+			}
+		}
 	}
 }
 
