@@ -2,6 +2,7 @@ package allpairs
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -229,6 +230,119 @@ func TestUDPDeploymentEndToEnd(t *testing.T) {
 	}
 
 	fmt.Println("UDP end-to-end: all-pairs routes established")
+}
+
+// TestUDPReplicaFailover runs the replicated coordinator plane over real
+// sockets: three replicas and four nodes converge on loopback, rank 0 closes,
+// and rank 1 must take over while every node keeps its ID and a full route
+// table. Beacons, pre-votes and snapshot chunks all cross a socket here.
+func TestUDPReplicaFailover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	// Every replica needs its peers' addresses before any of them listens:
+	// hold three loopback ports open at once so they differ, then free them.
+	addrs := make([]string, 3)
+	var held []*net.UDPConn
+	for r := range addrs {
+		c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, c)
+		addrs[r] = c.LocalAddr().String()
+	}
+	for _, c := range held {
+		c.Close()
+	}
+	coords := make([]*Coordinator, len(addrs))
+	for r, a := range addrs {
+		c, err := StartCoordinatorReplica(CoordinatorOptions{Listen: a, Rank: r, Peers: addrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		coords[r] = c
+	}
+
+	const n = 4
+	nodes := make([]*Node, 0, n)
+	defer func() {
+		for _, nd := range nodes {
+			nd.Close()
+		}
+	}()
+	for i := 0; i < n; i++ {
+		nd, err := StartNode(NodeOptions{
+			Listen:          "127.0.0.1:0",
+			Coordinator:     strings.Join(addrs, ","),
+			RoutingInterval: 500 * time.Millisecond,
+			ProbeInterval:   time.Second,
+			Seed:            int64(i + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, nd)
+	}
+	fullTables := func() bool {
+		for _, nd := range nodes {
+			if len(nd.RouteTable()) != n-1 {
+				return false
+			}
+		}
+		return true
+	}
+	logState := func() {
+		for r, c := range coords[1:] {
+			t.Logf("rank %d: primary=%v members=%d", r+1, c.IsPrimary(), c.MemberCount())
+		}
+		for i, nd := range nodes {
+			t.Logf("node %d: id=%d members=%d routes=%d", i, nd.ID(), len(nd.Members()), len(nd.RouteTable()))
+		}
+	}
+
+	// Converged: the primary admitted everyone, the standbys hold the same
+	// view, and every node routes to every other.
+	deadline := time.Now().Add(30 * time.Second)
+	for !(coords[0].MemberCount() == n && coords[1].MemberCount() == n &&
+		coords[2].MemberCount() == n && fullTables()) {
+		if time.Now().After(deadline) {
+			logState()
+			t.Fatal("replicated UDP overlay did not converge in 30 s")
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+	ids := make([]NodeID, n)
+	for i, nd := range nodes {
+		ids[i] = nd.ID()
+	}
+
+	// Rank 1 promotes at most its election timeout, (3+1) beacon intervals,
+	// plus the pre-vote wait of two more after rank 0's last beacon: 12 s at
+	// the 2 s default, given two more seconds of scheduling slack here.
+	coords[0].Close()
+	closed := time.Now()
+	deadline = closed.Add(14 * time.Second)
+	for !coords[1].IsPrimary() {
+		if time.Now().After(deadline) {
+			logState()
+			t.Fatal("rank 1 did not promote within its election timeout plus pre-vote wait")
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+	t.Logf("rank 1 promoted %v after rank 0 closed", time.Since(closed).Round(100*time.Millisecond))
+	if got := coords[1].MemberCount(); got != n {
+		t.Errorf("new primary admits %d members, want %d", got, n)
+	}
+	for i, nd := range nodes {
+		if id := nd.ID(); id != ids[i] {
+			t.Errorf("node %d: ID %d after failover, was %d", i, id, ids[i])
+		}
+		if got := len(nd.RouteTable()); got != n-1 {
+			t.Errorf("node %d: %d routes after failover, want %d", i, got, n-1)
+		}
+	}
 }
 
 func TestAsymmetricSimulationRoutesPerDirection(t *testing.T) {

@@ -308,7 +308,9 @@ func BenchmarkAblationStaleness(b *testing.B) {
 		b.Run(fmt.Sprintf("staleness=%dr", mult), func(b *testing.B) {
 			var mean, p97 float64
 			for i := 0; i < b.N; i++ {
-				mean, p97 = emul.StalenessAblation(mult, 0.30, 6)
+				const r = 15 * time.Second
+				qc := core.QuorumConfig{Interval: r, Staleness: time.Duration(mult) * r}
+				mean, p97, _ = emul.LossyAblation(qc, 0.30, 6)
 			}
 			b.ReportMetric(mean, "mean_worst_age_s")
 			b.ReportMetric(p97, "p97_worst_age_s")
@@ -812,7 +814,8 @@ func BenchmarkAblationReliability(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var mean, p97, kbps float64
 			for i := 0; i < b.N; i++ {
-				mean, p97, kbps = emul.ReliabilityAblation(reliable, 0.25, 8)
+				qc := core.QuorumConfig{Interval: 15 * time.Second, ReliableLinkState: reliable}
+				mean, p97, kbps = emul.LossyAblation(qc, 0.25, 8)
 			}
 			b.ReportMetric(mean, "mean_worst_age_s")
 			b.ReportMetric(p97, "p97_worst_age_s")

@@ -1,7 +1,7 @@
 // Command lint is the repo's determinism and concurrency multichecker. It
-// runs the custom passes from internal/lint (mapiter, wallclock, lockguard,
-// allocfree) over the packages named on the command line (default ./...)
-// and exits nonzero on any finding. `make lint` and the CI lint job gate
+// runs the custom passes from internal/lint (mapiter, wallclock, allocfree)
+// over the packages named on the command line (default ./...) and exits
+// nonzero on any finding. `make lint` and the CI lint job gate
 // every change on a clean run.
 package main
 

@@ -11,6 +11,7 @@ import (
 	"allpairs/internal/overlay"
 	"allpairs/internal/probe"
 	"allpairs/internal/transport"
+	"allpairs/internal/wire"
 )
 
 // NodeOptions configures a real UDP overlay node.
@@ -77,24 +78,26 @@ func StartNode(opt NodeOptions) (*Node, error) {
 		return nil, err
 	}
 	coordIDs := membership.CoordinatorIDs(len(coords))
-	for r, ap := range coords {
-		env.SetPeer(coordIDs[r], ap)
-	}
-
 	pc := probeConfig(opt.ProbeInterval)
 	pc.Asymmetric = opt.Asymmetric
 	qc := quorumConfig(opt.RoutingInterval)
 	qc.Asymmetric = opt.Asymmetric
 	qc.ReliableLinkState = opt.ReliableLinkState
-	node := overlay.New(env, overlay.Config{
-		Algorithm:  opt.Algorithm,
-		Probe:      pc,
-		Quorum:     qc,
-		FullMesh:   fullMeshConfig(opt.RoutingInterval),
-		Membership: membership.ClientConfig{Coordinators: coordIDs},
-	})
+	var node *overlay.Node
 	var startErr error
-	env.Do(func() { startErr = node.Start() })
+	env.Do(func() {
+		for r, ap := range coords {
+			env.SetPeer(coordIDs[r], ap)
+		}
+		node = overlay.New(env, overlay.Config{
+			Algorithm:  opt.Algorithm,
+			Probe:      pc,
+			Quorum:     qc,
+			FullMesh:   fullMeshConfig(opt.RoutingInterval),
+			Membership: membership.ClientConfig{Coordinators: coordIDs},
+		})
+		startErr = node.Start()
+	})
 	if startErr != nil {
 		env.Close()
 		return nil, startErr
@@ -103,7 +106,11 @@ func StartNode(opt NodeOptions) (*Node, error) {
 }
 
 // ID returns the node's assigned overlay ID (NilNode until joined).
-func (n *Node) ID() NodeID { return n.env.LocalID() }
+func (n *Node) ID() NodeID {
+	id := wire.NilNode
+	n.env.Do(func() { id = n.env.LocalID() })
+	return id
+}
 
 // Ready reports whether the node has joined and holds a membership view.
 func (n *Node) Ready() bool {
@@ -187,28 +194,38 @@ func StartCoordinatorReplica(opt CoordinatorOptions) (*Coordinator, error) {
 	if opt.Rank < 0 || opt.Rank >= n {
 		return nil, fmt.Errorf("allpairs: coordinator rank %d outside replica set of %d", opt.Rank, n)
 	}
+	// peers[r] is replica r's address; the zero AddrPort for this process
+	// and for ranks left empty.
+	peers := make([]netip.AddrPort, len(opt.Peers))
+	for r, a := range opt.Peers {
+		a = strings.TrimSpace(a)
+		if r == opt.Rank || a == "" {
+			continue
+		}
+		ap, err := netip.ParseAddrPort(a)
+		if err != nil {
+			return nil, fmt.Errorf("allpairs: coordinator peer %q: %w", a, err)
+		}
+		peers[r] = ap
+	}
 	env, err := transport.NewUDPEnv(opt.Listen, netip.AddrPort{}, time.Now().UnixNano())
 	if err != nil {
 		return nil, err
 	}
 	ids := membership.CoordinatorIDs(n)
-	for r, a := range opt.Peers {
-		if r == opt.Rank || strings.TrimSpace(a) == "" {
-			continue
-		}
-		ap, perr := netip.ParseAddrPort(strings.TrimSpace(a))
-		if perr != nil {
-			env.Close()
-			return nil, fmt.Errorf("allpairs: coordinator peer %q: %w", a, perr)
-		}
-		env.SetPeer(ids[r], ap)
-	}
 	c := membership.NewCoordinator(env, membership.CoordinatorConfig{
 		Coordinators: ids,
 		Rank:         opt.Rank,
 		Logf:         opt.Logf,
 	})
-	env.Do(c.Start)
+	env.Do(func() {
+		for r, ap := range peers {
+			if ap.IsValid() {
+				env.SetPeer(ids[r], ap)
+			}
+		}
+		c.Start()
+	})
 	return &Coordinator{env: env, coord: c}, nil
 }
 

@@ -36,9 +36,9 @@ func TestQuorumStaleHopDamping(t *testing.T) {
 	// Control-plane outage: node 0 stops hearing recommendations and rows.
 	c.nw.SetPartition([]int{0})
 
-	// Past RouteTTL (45 s) and past the rendezvous-row staleness window the
-	// fallback needs, the only thing left is the damped last-known-good
-	// entry.
+	// Past Staleness (45 s), which bounds both a recommendation's life and
+	// the rendezvous rows the fallback needs, the only thing left is the
+	// damped last-known-good entry.
 	c.nw.RunFor(60 * time.Second)
 	e1, ok := c.routers[0].BestHop(dst)
 	if !ok {
@@ -61,7 +61,7 @@ func TestQuorumStaleHopDamping(t *testing.T) {
 		t.Errorf("penalty not increasing: %d then %d", e1.Cost, e2.Cost)
 	}
 
-	// Past RouteTTL + DegradedHold the entry is finally dropped.
+	// Past Staleness + DegradedHold the entry is finally dropped.
 	c.nw.RunFor(60 * time.Second)
 	if e3, ok := c.routers[0].BestHop(dst); ok {
 		t.Errorf("entry served past the degraded hold: %+v", e3)
@@ -190,12 +190,12 @@ func TestDegradedHoldOffByDefault(t *testing.T) {
 func TestStaleCostPenaltySaturates(t *testing.T) {
 	// The damping arithmetic must saturate, not wrap, for near-infinite
 	// costs.
-	q := &Quorum{cfg: QuorumConfig{RouteTTL: time.Second, DegradedHold: time.Second}}
+	q := &Quorum{cfg: QuorumConfig{Staleness: time.Second, DegradedHold: time.Second}}
 	q.cfg.fill()
 	q.LinkAlive = func(int) bool { return true }
 	base := time.Unix(0, 0)
 	e := RouteEntry{Hop: 1, Cost: wire.InfCost - 1, When: base, Source: SourceRendezvous}
-	got, ok := staleHop(e, base.Add(q.cfg.RouteTTL+q.cfg.DegradedHold), q.cfg.RouteTTL, q.cfg.DegradedHold, q.LinkAlive, nil)
+	got, ok := staleHop(e, base.Add(q.cfg.Staleness+q.cfg.DegradedHold), q.cfg.Staleness, q.cfg.DegradedHold, q.LinkAlive, nil)
 	if !ok {
 		t.Fatal("edge-of-window entry not served")
 	}

@@ -19,12 +19,11 @@ type QuorumConfig struct {
 	// interval, compensating for the algorithm's extra round, §5).
 	Interval time.Duration
 	// Staleness is the maximum age of client rows a rendezvous uses when
-	// computing recommendations (default 3r, §6.2.2).
+	// computing recommendations (default 3r, §6.2.2), and how long a received
+	// recommendation stays authoritative before BestHop falls back to
+	// neighbor link-state.
 	Staleness time.Duration
-	// RouteTTL is how long a received recommendation stays authoritative
-	// before BestHop falls back to neighbor link-state (default Staleness).
-	RouteTTL time.Duration
-	// DegradedHold is how long past RouteTTL an expired entry may still be
+	// DegradedHold is how long past Staleness an expired entry may still be
 	// served as a last resort when no fallback exists, with a cost penalty
 	// growing linearly with age (stale-row damping). This is the graceful
 	// degradation used while the membership view is stale — a coordinator
@@ -47,9 +46,6 @@ type QuorumConfig struct {
 	// once, trading a little bandwidth for loss tolerance. The option must
 	// be enabled overlay-wide.
 	ReliableLinkState bool
-	// RetransmitTimeout is the ack wait before the single retransmission
-	// (default 2 s).
-	RetransmitTimeout time.Duration
 	// Workers caps the fork/join fan-out of the round-2 pair pass
 	// (0 = GOMAXPROCS, 1 = serial). Each shard writes its pairs' entries at
 	// fixed positions of the clients' messages, so the worker count never
@@ -64,13 +60,11 @@ func (c *QuorumConfig) fill() {
 	if c.Staleness <= 0 {
 		c.Staleness = 3 * c.Interval
 	}
-	if c.RouteTTL <= 0 {
-		c.RouteTTL = c.Staleness
-	}
-	if c.RetransmitTimeout <= 0 {
-		c.RetransmitTimeout = 2 * time.Second
-	}
 }
+
+// retransmitTimeout is the reliable mode's ack wait before the single
+// retransmission of a round-1 row.
+const retransmitTimeout = 2 * time.Second
 
 // remoteSilence is how long a rendezvous may go without recommending a route
 // to a destination before the node declares a remote rendezvous failure for
@@ -372,7 +366,7 @@ func (q *Quorum) activeServers(dst []int) []int {
 
 // sendLinkState is round 1: the node's measured row goes to every active
 // rendezvous server. In reliable mode each server owes an ack; rows still
-// unacknowledged after RetransmitTimeout are resent once.
+// unacknowledged after retransmitTimeout are resent once.
 func (q *Quorum) sendLinkState() {
 	q.seq++
 	msg := q.buildLinkState()
@@ -387,7 +381,7 @@ func (q *Quorum) sendLinkState() {
 	if q.cfg.ReliableLinkState && len(q.clientsBuf) > 0 {
 		seq := q.seq
 		view := q.view
-		q.env.After(q.cfg.RetransmitTimeout, func() { q.retransmit(seq, view.VersionNum(), msg) })
+		q.env.After(retransmitTimeout, func() { q.retransmit(seq, view.VersionNum(), msg) })
 	}
 }
 
@@ -660,7 +654,7 @@ func (q *Quorum) BestHop(dst int) (RouteEntry, bool) {
 	}
 	now := q.env.Now()
 	r := q.routes[dst]
-	if r.source != SourceNone && r.hop >= 0 && time.Duration(now.UnixNano()-r.when) <= q.cfg.RouteTTL {
+	if r.source != SourceNone && r.hop >= 0 && time.Duration(now.UnixNano()-r.when) <= q.cfg.Staleness {
 		return r.entry(), true
 	}
 	selfOut, _ := q.selfCosts()
@@ -671,7 +665,7 @@ func (q *Quorum) BestHop(dst int) (RouteEntry, bool) {
 	via := func() (int, wire.Cost) {
 		return q.table.BestOneHopVia(selfOut, dst, now, q.cfg.Staleness+q.cfg.DegradedHold)
 	}
-	if se, ok := staleHop(r.entry(), now, q.cfg.RouteTTL, q.cfg.DegradedHold, q.LinkAlive, via); ok {
+	if se, ok := staleHop(r.entry(), now, q.cfg.Staleness, q.cfg.DegradedHold, q.LinkAlive, via); ok {
 		return se, true
 	}
 	return RouteEntry{Hop: -1, Cost: wire.InfCost}, false

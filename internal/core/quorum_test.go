@@ -574,7 +574,6 @@ func TestRetransmitSurvivesFailoverRecruitment(t *testing.T) {
 	q, err := NewQuorum(env, QuorumConfig{
 		Interval:          15 * time.Second,
 		ReliableLinkState: true,
-		RetransmitTimeout: 2 * time.Second,
 	}, view, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -498,14 +498,17 @@ func routeUsable(f *Fleet, src, dst int, e core.RouteEntry) bool {
 // Ablation: rendezvous redundancy (BenchmarkAblationRedundancy).
 // ---------------------------------------------------------------------------
 
-// StalenessAblation runs a lossy quorum fleet with the given row-staleness
-// window and returns the mean route age (seconds since the last
-// recommendation) over all pairs at the end of the run — the
-// `ablation-staleness` experiment: the paper's 3r window keeps
-// recommendations flowing when round-1 rows are lost, a 1r window does not.
-func StalenessAblation(stalenessIntervals int, loss float64, seed int64) (meanAge, p97Age float64) {
+// LossyAblation runs a 25-node quorum fleet for ten minutes on clean links
+// that drop the given share of packets, with the given router configuration,
+// and returns the mean and 97th-percentile per-pair worst route age (seconds
+// since the last recommendation) plus the measured routing bandwidth in Kbps.
+// It backs two ablations: a 3r row-staleness window keeps recommendations
+// flowing when round-1 rows are lost and a 1r window does not (§6.2.2), and
+// reliable link-state announcements improve route age "at the cost of ...
+// some bandwidth".
+func LossyAblation(qc core.QuorumConfig, loss float64, seed int64) (meanAge, p97Age, kbps float64) {
 	const n = 25
-	r := 15 * time.Second
+	const dur = 10 * time.Minute
 	env := traces.Generate(n, seed, traces.Config{BadNodeFrac: 0.0001})
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
@@ -517,54 +520,19 @@ func StalenessAblation(stalenessIntervals int, loss float64, seed int64) (meanAg
 	}
 	f := NewFleet(FleetOptions{
 		N: n, Algorithm: overlay.AlgQuorum, Seed: seed, Env: env,
-		Quorum:         core.QuorumConfig{Interval: r, Staleness: time.Duration(stalenessIntervals) * r},
-		TrackFreshness: true,
-	})
-	// Sample pair ages every 30 s, then summarize the per-pair worst case.
-	end := f.Elapsed() + 10*time.Minute
-	for f.Elapsed() < end {
-		f.Run(30 * time.Second)
-		f.Fresh.Sample(f.Net.Now(), f.Start())
-	}
-	ages := make([]float64, 0, n*(n-1))
-	for _, p := range f.Fresh.AllPairStats() {
-		ages = append(ages, p.Max)
-	}
-	st := stats.Summarize(ages)
-	return st.Mean, st.P97
-}
-
-// ReliabilityAblation runs a lossy quorum fleet with or without §6.2.2's
-// reliable link-state announcements and returns the mean and 97th-percentile
-// per-pair worst route age, plus the measured routing bandwidth in Kbps —
-// quantifying the paper's "at the cost of ... some bandwidth".
-func ReliabilityAblation(reliable bool, loss float64, seed int64) (meanAge, p97Age, kbps float64) {
-	const n = 25
-	r := 15 * time.Second
-	env := traces.Generate(n, seed, traces.Config{BadNodeFrac: 0.0001})
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a != b {
-				env.Loss[a][b] = loss
-			}
-			env.DownFrac[a][b] = 0
-		}
-	}
-	f := NewFleet(FleetOptions{
-		N: n, Algorithm: overlay.AlgQuorum, Seed: seed, Env: env,
-		Quorum:         core.QuorumConfig{Interval: r, ReliableLinkState: reliable},
+		Quorum:         qc,
 		TrackFreshness: true,
 	})
 	before := f.Col.Snapshot(wire.CatRouting)
-	end := f.Elapsed() + 10*time.Minute
+	// Sample pair ages every 30 s, then summarize the per-pair worst case.
+	end := f.Elapsed() + dur
 	for f.Elapsed() < end {
 		f.Run(30 * time.Second)
 		f.Fresh.Sample(f.Net.Now(), f.Start())
 	}
 	after := f.Col.Snapshot(wire.CatRouting)
-	per := RoutingKbpsPerNode(before, after, 10*time.Minute)
 	var sum float64
-	for _, v := range per {
+	for _, v := range RoutingKbpsPerNode(before, after, dur) {
 		sum += v
 	}
 	ages := make([]float64, 0, n*(n-1))

@@ -1,16 +1,15 @@
 // Package lint implements the repo's determinism and concurrency lint suite:
-// a small go/analysis-style framework plus four custom passes, compiled into
+// a small go/analysis-style framework plus three custom passes, compiled into
 // the cmd/lint multichecker that gates every PR.
 //
 // The load-bearing invariant of this codebase is byte-identical routes and
 // scenario output across identical seeds — that is what lets the golden-hash
 // tests pin the paper's Figure 1 and availability numbers. The passes turn
-// that contract (and the alloc-free kernel and mutex-discipline contracts
-// from PERF.md) from tribal knowledge into a build failure:
+// that contract (and the alloc-free kernel contract from PERF.md) from tribal
+// knowledge into a build failure:
 //
 //   - mapiter: no unsorted map iteration in deterministic packages
 //   - wallclock: no wall-clock time or global math/rand in node logic
-//   - lockguard: fields annotated "guarded by mu" are accessed under mu
 //   - allocfree: no heap allocation inside //lint:allocfree hot paths
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
@@ -26,7 +25,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"strings"
 )
 
@@ -75,8 +73,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 //	//lint:allocfree                on a function declaration
 //	//lint:allowalloc <reason>      on (or just above) a line inside an
 //	                                allocfree function
-//
-// plus the struct-field comment "guarded by <mutex>" consumed by lockguard.
 // ---------------------------------------------------------------------------
 
 // directive is one parsed //lint: comment.
@@ -143,9 +139,6 @@ func pkgScoped(pkgPath string, scope []string) bool {
 	}
 	return false
 }
-
-// guardedByRe extracts the mutex name from a "guarded by <mu>" field comment.
-var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
 
 // isPkgSelector reports whether sel selects name out of the package with the
 // given import path (e.g. time.Now), resolving through the type info.

@@ -185,7 +185,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
 
 // DefaultAnalyzers is the pass set cmd/lint runs.
 func DefaultAnalyzers() []*Analyzer {
-	return []*Analyzer{Mapiter, Wallclock, Lockguard, Allocfree}
+	return []*Analyzer{Mapiter, Wallclock, Allocfree}
 }
 
 // Main is the cmd/lint entry point: load patterns (default ./...), run the

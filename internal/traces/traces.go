@@ -42,9 +42,6 @@ type Env struct {
 	Badness []float64
 	// Site[i] is the node's site index (nodes at one site are co-located).
 	Site []int
-	// MeanDown is the mean failure-episode duration used by
-	// FailureSchedule, from the generator configuration.
-	MeanDown time.Duration
 }
 
 // LinkEvent is one scheduled link transition in a failure schedule.
@@ -58,61 +55,44 @@ type LinkEvent struct {
 type Config struct {
 	// Sites is the number of distinct sites (default max(n/2, 1)).
 	Sites int
-	// RemoteFrac is the fraction of nodes with chronically circuitous
-	// routing (default 0.07): all their paths carry a large absolute detour
-	// penalty except through a handful of nearby gateway nodes. This
-	// concentration of good detours in few intermediaries is the property
-	// behind Figure 1's "excluding top n%" curves.
-	RemoteFrac float64
-	// GatewayMin and GatewayMax bound how many gateway nodes a remote node
-	// has (default 2–18; whether a pair's detours survive a top-3% exclusion
-	// depends on this count).
-	GatewayMin, GatewayMax int
 	// InflateFrac is the fraction of otherwise-healthy pairs with a
 	// circuitous route (default 0.01).
 	InflateFrac float64
-	// InflateMin and InflateMax bound the inflation factor (default 4–10).
-	InflateMin, InflateMax float64
 	// BadNodeFrac is the fraction of nodes with very poor connectivity
 	// (default 0.05).
 	BadNodeFrac float64
-	// MeanDown is the mean duration of a link failure episode in the
-	// generated schedules (default 90 s).
-	MeanDown time.Duration
-	// BaseLoss is the background per-packet loss probability (default 0.002).
-	BaseLoss float64
 }
+
+// The generator's fixed PlanetLab-like parameters.
+const (
+	// remoteFrac is the fraction of nodes with chronically circuitous
+	// routing: all their paths carry a large absolute detour penalty except
+	// through a handful of nearby gateway nodes. This concentration of good
+	// detours in few intermediaries is the property behind Figure 1's
+	// "excluding top n%" curves.
+	remoteFrac = 0.07
+	// gatewayMin and gatewayMax bound how many gateway nodes a remote node
+	// has (whether a pair's detours survive a top-3% exclusion depends on
+	// this count).
+	gatewayMin, gatewayMax = 2, 18
+	// inflateMin and inflateMax bound a circuitous route's inflation factor.
+	inflateMin, inflateMax = 4.0, 10.0
+	// meanDown is the mean duration of a link failure episode in
+	// FailureSchedule.
+	meanDown = 90 * time.Second
+	// baseLoss is the background per-packet loss probability.
+	baseLoss = 0.002
+)
 
 func (c *Config) fill(n int) {
 	if c.Sites <= 0 {
 		c.Sites = n/2 + 1
 	}
-	if c.RemoteFrac <= 0 {
-		c.RemoteFrac = 0.07
-	}
-	if c.GatewayMin <= 0 {
-		c.GatewayMin = 2
-	}
-	if c.GatewayMax < c.GatewayMin {
-		c.GatewayMax = 18
-	}
 	if c.InflateFrac <= 0 {
 		c.InflateFrac = 0.01
 	}
-	if c.InflateMin <= 0 {
-		c.InflateMin = 4
-	}
-	if c.InflateMax <= c.InflateMin {
-		c.InflateMax = 10
-	}
 	if c.BadNodeFrac <= 0 {
 		c.BadNodeFrac = 0.05
-	}
-	if c.MeanDown <= 0 {
-		c.MeanDown = 90 * time.Second
-	}
-	if c.BaseLoss <= 0 {
-		c.BaseLoss = 0.002
 	}
 }
 
@@ -146,7 +126,6 @@ func Generate(n int, seed int64, cfg Config) *Env {
 
 	e := &Env{
 		N:         n,
-		MeanDown:  cfg.MeanDown,
 		LatencyMS: newMatrix(n),
 		Loss:      newMatrix(n),
 		DownFrac:  newMatrix(n),
@@ -168,7 +147,7 @@ func Generate(n int, seed int64, cfg Config) *Env {
 	for i := 0; i < n; i++ {
 		e.Site[i] = rng.Intn(cfg.Sites)
 		access[i] = 1 + rng.ExpFloat64()*6
-		if rng.Float64() < cfg.RemoteFrac {
+		if rng.Float64() < remoteFrac {
 			// Absolute detour penalty (ms): a chronically circuitous route
 			// adds path length, it does not scale with the destination.
 			remote[i] = 250 + 650*rng.Float64()
@@ -203,7 +182,7 @@ func Generate(n int, seed int64, cfg Config) *Env {
 	// Remote nodes escape their bad routing only through a few nearby,
 	// normally-routed gateway nodes (think: the one well-peered host in the
 	// region). Gateways are drawn from the nearest third of healthy nodes.
-	gateways := pickGateways(rng, cfg, n, remote, e.Site, sx, sy)
+	gateways := pickGateways(rng, n, remote, e.Site, sx, sy)
 
 	// Pairwise latencies: distance + access + jitter, with a heavy tail of
 	// inflated (circuitously routed) paths.
@@ -218,7 +197,7 @@ func Generate(n int, seed int64, cfg Config) *Env {
 				dist := math.Hypot(dx, dy)
 				rtt = 1.55*dist + access[i] + access[j] + rng.Float64()*8
 				if rng.Float64() < cfg.InflateFrac {
-					rtt *= cfg.InflateMin + rng.Float64()*(cfg.InflateMax-cfg.InflateMin)
+					rtt *= inflateMin + rng.Float64()*(inflateMax-inflateMin)
 				}
 				// Remote endpoints pay their detour penalty except through
 				// their gateways; penalties stack when both ends are remote.
@@ -234,7 +213,7 @@ func Generate(n int, seed int64, cfg Config) *Env {
 			}
 			e.LatencyMS[i][j], e.LatencyMS[j][i] = rtt, rtt
 
-			loss := cfg.BaseLoss * (1 + rng.ExpFloat64())
+			loss := baseLoss * (1 + rng.ExpFloat64())
 			if rng.Float64() < 0.05 {
 				loss += 0.02 + 0.08*rng.Float64() // chronically lossy path
 			}
@@ -255,7 +234,7 @@ func Generate(n int, seed int64, cfg Config) *Env {
 
 // pickGateways selects, for each remote node, its gateway set: nearby
 // non-remote nodes whose paths to the node are normally routed.
-func pickGateways(rng *rand.Rand, cfg Config, n int, remote []float64, site []int, sx, sy []float64) []map[int]bool {
+func pickGateways(rng *rand.Rand, n int, remote []float64, site []int, sx, sy []float64) []map[int]bool {
 	gw := make([]map[int]bool, n)
 	type cand struct {
 		node int
@@ -279,10 +258,10 @@ func pickGateways(rng *rand.Rand, cfg Config, n int, remote []float64, site []in
 		}
 		sort.Slice(cands, func(a, b int) bool { return cands[a].dist < cands[b].dist })
 		pool := len(cands) / 3
-		if pool < cfg.GatewayMax {
-			pool = min(len(cands), cfg.GatewayMax)
+		if pool < gatewayMax {
+			pool = min(len(cands), gatewayMax)
 		}
-		k := cfg.GatewayMin + rng.Intn(cfg.GatewayMax-cfg.GatewayMin+1)
+		k := gatewayMin + rng.Intn(gatewayMax-gatewayMin+1)
 		if k > pool {
 			k = pool
 		}
@@ -316,13 +295,9 @@ func pickRegion(rng *rand.Rand) int {
 // FailureSchedule draws a deterministic sequence of link up/down transitions
 // over the given duration from the environment's per-link down fractions,
 // using a two-state continuous-time process with mean failure episode
-// cfg.MeanDown (90 s by default). Events are returned in time order.
+// meanDown. Events are returned in time order.
 func (e *Env) FailureSchedule(duration time.Duration, seed int64) []LinkEvent {
 	rng := rand.New(rand.NewSource(seed))
-	meanDown := e.MeanDown
-	if meanDown <= 0 {
-		meanDown = 90 * time.Second
-	}
 	var events []LinkEvent
 	for a := 0; a < e.N; a++ {
 		for b := a + 1; b < e.N; b++ {

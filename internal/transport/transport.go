@@ -32,9 +32,12 @@ type Handler func(from wire.NodeID, payload []byte)
 // Env is the execution environment of a single overlay node.
 //
 // Concurrency contract: the Env serializes all callbacks (packet handlers
-// and timer functions) with each other and with Do. Node code therefore
-// needs no internal locking, and external goroutines inspect node state only
-// through Do.
+// and timer functions) with each other and with Do. Every method except Do
+// may be called only inside a handler, a timer function or a Do body; setup
+// code and external goroutines reach the Env and the node state behind it
+// through Do. Node code therefore needs no internal locking, and an Env needs
+// no lock beyond the one that serializes callbacks. (UDPEnv's LocalAddr,
+// SendErrors and Close are also safe anywhere.)
 type Env interface {
 	// LocalID returns this node's overlay ID, or wire.NilNode before one has
 	// been assigned by the membership service.

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"net/netip"
-	"sync"
 	"testing"
 	"time"
 
@@ -191,46 +190,47 @@ func TestUDPEnvRoundTrip(t *testing.T) {
 	}
 	defer b.Close()
 
-	a.SetLocalID(1)
-	b.SetLocalID(2)
-	a.SetPeer(2, b.LocalAddr())
-
-	var mu sync.Mutex
+	// Outside a callback the Env is reached through Do, as deploy.go does.
 	var got []wire.NodeID
 	done := make(chan struct{}, 4)
-	b.Bind(func(from wire.NodeID, payload []byte) {
-		mu.Lock()
-		got = append(got, from)
-		mu.Unlock()
-		done <- struct{}{}
+	b.Do(func() {
+		b.SetLocalID(2)
+		b.Bind(func(from wire.NodeID, payload []byte) {
+			got = append(got, from)
+			done <- struct{}{}
+		})
 	})
-	// b learns a's address from the incoming packet, so it can reply without
-	// an explicit SetPeer.
-	a.Send(2, wire.AppendHeartbeat(nil, 1))
+	replied := make(chan struct{}, 1)
+	a.Do(func() {
+		a.SetLocalID(1)
+		a.SetPeer(2, b.LocalAddr())
+		a.Bind(func(from wire.NodeID, payload []byte) {
+			if from == 2 {
+				replied <- struct{}{}
+			}
+		})
+		a.Send(2, wire.AppendHeartbeat(nil, 1))
+	})
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("timeout waiting for packet")
 	}
 
-	replied := make(chan struct{}, 1)
-	a.Bind(func(from wire.NodeID, payload []byte) {
-		if from == 2 {
-			replied <- struct{}{}
-		}
-	})
-	b.Send(1, wire.AppendHeartbeat(nil, 2))
+	// b learned a's address from the incoming packet, so it can reply without
+	// an explicit SetPeer.
+	b.Do(func() { b.Send(1, wire.AppendHeartbeat(nil, 2)) })
 	select {
 	case <-replied:
 	case <-time.After(5 * time.Second):
 		t.Fatal("timeout waiting for opportunistic reply path")
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("got %v", got)
-	}
+	b.Do(func() {
+		if len(got) != 1 || got[0] != 1 {
+			t.Errorf("got %v", got)
+		}
+	})
 }
 
 // TestUDPEnvDatagramCeiling: over loopback a payload of exactly
@@ -247,16 +247,17 @@ func TestUDPEnvDatagramCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	a.SetLocalID(1)
-	a.SetPeer(2, b.LocalAddr())
 	sizes := make(chan int, 2)
-	b.Bind(func(_ wire.NodeID, p []byte) { sizes <- len(p) })
-
-	a.Send(2, datagram(1, wire.MaxDatagram+1))
+	b.Do(func() { b.Bind(func(_ wire.NodeID, p []byte) { sizes <- len(p) }) })
+	a.Do(func() {
+		a.SetLocalID(1)
+		a.SetPeer(2, b.LocalAddr())
+		a.Send(2, datagram(1, wire.MaxDatagram+1))
+	})
 	if got := a.SendErrors(); got != 1 {
 		t.Errorf("SendErrors = %d after an oversize send, want 1", got)
 	}
-	a.Send(2, datagram(1, wire.MaxDatagram))
+	a.Do(func() { a.Send(2, datagram(1, wire.MaxDatagram)) })
 	select {
 	case n := <-sizes:
 		if n != wire.MaxDatagram {
@@ -294,10 +295,12 @@ func TestUDPEnvCloseIdempotentAndQuiescent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetLocalID(5)
-	if e.LocalID() != 5 {
-		t.Errorf("LocalID = %d", e.LocalID())
-	}
+	e.Do(func() {
+		e.SetLocalID(5)
+		if e.LocalID() != 5 {
+			t.Errorf("LocalID = %d", e.LocalID())
+		}
+	})
 	if err := e.Close(); err != nil {
 		t.Errorf("close: %v", err)
 	}

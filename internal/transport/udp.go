@@ -14,23 +14,23 @@ import (
 )
 
 // UDPEnv implements Env over a real UDP socket for Internet deployments
-// (cmd/overlayd, cmd/coordinator). A single read loop drains the socket; the
-// callback mutex serializes packet handlers, timer callbacks, and Do, giving
-// node code the same single-threaded discipline it enjoys under simulation.
+// (cmd/overlayd, cmd/coordinator). A single read loop drains the socket; one
+// mutex serializes packet handlers, timer callbacks, and Do, giving node code
+// the same single-threaded discipline it enjoys under simulation.
 //
-// Locking: cbMu is the callback lock — held while any handler, timer
-// function, or Do body runs. stateMu protects the peer table and local ID.
-// Send only touches stateMu, so node code may call Send freely from inside
-// callbacks without deadlocking.
+// Locking: mu is held while any handler, timer function, or Do body runs, and
+// the read loop learns a sender's address under it too. Every other Env method
+// runs only inside one of those callbacks, so none takes a lock of its own;
+// setup code outside a callback calls them through Do. LocalAddr, SendTo,
+// SendErrors and Close are safe from any goroutine.
 type UDPEnv struct {
-	cbMu    sync.Mutex // serializes handler/timer/Do callbacks
-	stateMu sync.RWMutex
+	mu      sync.Mutex // serializes handler/timer/Do callbacks
 	conn    *net.UDPConn
 	local   netip.AddrPort
-	id      wire.NodeID // guarded by stateMu
+	id      wire.NodeID
 	rng     *rand.Rand
-	handler Handler                        // guarded by stateMu
-	peers   map[wire.NodeID]netip.AddrPort // guarded by stateMu
+	handler Handler
+	peers   map[wire.NodeID]netip.AddrPort
 	closed  atomic.Bool
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -93,37 +93,26 @@ func (e *UDPEnv) readLoop() {
 		if err != nil {
 			continue
 		}
-		// Learn/refresh the sender's address opportunistically so replies
-		// work even before a full view arrives.
-		if h.Src != wire.NilNode {
-			e.stateMu.Lock()
-			e.peers[h.Src] = raddr
-			e.stateMu.Unlock()
+		e.mu.Lock()
+		if !e.closed.Load() {
+			// Learn/refresh the sender's address opportunistically so replies
+			// work even before a full view arrives.
+			if h.Src != wire.NilNode {
+				e.peers[h.Src] = raddr
+			}
+			if e.handler != nil {
+				e.handler(h.Src, payload)
+			}
 		}
-		e.stateMu.RLock()
-		handler := e.handler
-		e.stateMu.RUnlock()
-		e.cbMu.Lock()
-		if !e.closed.Load() && handler != nil {
-			handler(h.Src, payload)
-		}
-		e.cbMu.Unlock()
+		e.mu.Unlock()
 	}
 }
 
 // LocalID implements Env.
-func (e *UDPEnv) LocalID() wire.NodeID {
-	e.stateMu.RLock()
-	defer e.stateMu.RUnlock()
-	return e.id
-}
+func (e *UDPEnv) LocalID() wire.NodeID { return e.id }
 
 // SetLocalID implements Env.
-func (e *UDPEnv) SetLocalID(id wire.NodeID) {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	e.id = id
-}
+func (e *UDPEnv) SetLocalID(id wire.NodeID) { e.id = id }
 
 // LocalAddr implements Env.
 func (e *UDPEnv) LocalAddr() netip.AddrPort { return e.local }
@@ -133,8 +122,6 @@ func (e *UDPEnv) SetPeer(id wire.NodeID, addr netip.AddrPort) {
 	if id == wire.NilNode {
 		return
 	}
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
 	e.peers[id] = addr
 }
 
@@ -142,14 +129,12 @@ func (e *UDPEnv) SetPeer(id wire.NodeID, addr netip.AddrPort) {
 func (e *UDPEnv) Now() time.Time { return time.Now() }
 
 // Send implements Env. Unknown destinations are dropped silently, like any
-// misaddressed datagram. Safe to call from within callbacks.
+// misaddressed datagram.
 func (e *UDPEnv) Send(to wire.NodeID, payload []byte) {
 	if e.closed.Load() {
 		return
 	}
-	e.stateMu.RLock()
 	addr, ok := e.peers[to]
-	e.stateMu.RUnlock()
 	if !ok {
 		return
 	}
@@ -178,8 +163,8 @@ func (t udpTimer) Stop() bool { return t.t.Stop() }
 // skipped if the environment has been closed.
 func (e *UDPEnv) After(d time.Duration, fn func()) Timer {
 	t := time.AfterFunc(d, func() {
-		e.cbMu.Lock()
-		defer e.cbMu.Unlock()
+		e.mu.Lock()
+		defer e.mu.Unlock()
 		if !e.closed.Load() {
 			fn()
 		}
@@ -187,22 +172,16 @@ func (e *UDPEnv) After(d time.Duration, fn func()) Timer {
 	return udpTimer{t: t}
 }
 
-// Rand implements Env. Must only be used from within handler/timer/Do
-// callbacks, which the Env serializes.
+// Rand implements Env.
 func (e *UDPEnv) Rand() *rand.Rand { return e.rng }
 
-// Bind implements Env. Safe to call from within callbacks (it takes only
-// the state lock, never the callback lock).
-func (e *UDPEnv) Bind(h Handler) {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	e.handler = h
-}
+// Bind implements Env.
+func (e *UDPEnv) Bind(h Handler) { e.handler = h }
 
 // Do implements Env.
 func (e *UDPEnv) Do(fn func()) {
-	e.cbMu.Lock()
-	defer e.cbMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if !e.closed.Load() {
 		fn()
 	}
