@@ -461,11 +461,6 @@ type ChurnOptions struct {
 	Rate float64
 	// Burst is the flash-crowd/mass-departure size (default N/5).
 	Burst int
-	// CrashFrac is the fraction of departures that crash instead of leaving
-	// gracefully. The zero value takes the default 0.5; pass a negative
-	// value for all-graceful departures (0 cannot double as both "unset"
-	// and "never crash").
-	CrashFrac float64
 	// Coordinators is the coordinator replica count (default 1; the
 	// coordinator fault scenarios default to 3).
 	Coordinators int
@@ -512,6 +507,9 @@ const (
 	// churnStretchPairs caps the pairs evaluated against the one-hop oracle
 	// for the stretch metric (the oracle costs O(n) per pair).
 	churnStretchPairs = 200
+	// churnCrashFrac is the fraction of churn departures that crash instead
+	// of leaving gracefully.
+	churnCrashFrac = 0.5
 	// churnBlackout is how long ChurnStraggler's burst-loss windows isolate
 	// their victims, and churnStragglers how many nodes are starved.
 	churnBlackout   = 45 * time.Second
@@ -537,14 +535,6 @@ func (o *ChurnOptions) fill() []Step {
 		if o.Burst < 1 {
 			o.Burst = 1
 		}
-	}
-	switch {
-	case o.CrashFrac == 0:
-		o.CrashFrac = 0.5
-	case o.CrashFrac < 0:
-		o.CrashFrac = 0
-	case o.CrashFrac > 1:
-		o.CrashFrac = 1
 	}
 	probeInterval := o.Probe.Interval
 	if probeInterval <= 0 {

@@ -213,7 +213,7 @@ var churnScenarios = [...]struct {
 		return []Step{{At: o.Interval, Op: OpJoin, N: o.Burst}}
 	}},
 	ChurnMassDeparture: {"mass-departure", "mass", false, func(o *ChurnOptions) []Step {
-		return []Step{{At: o.Interval, Op: OpDepart, N: o.Burst, Crash: o.CrashFrac}}
+		return []Step{{At: o.Interval, Op: OpDepart, N: o.Burst, Crash: churnCrashFrac}}
 	}},
 	ChurnCoordCrash: {"coord-crash", "", false, func(o *ChurnOptions) []Step {
 		return []Step{
@@ -266,7 +266,7 @@ var churnScenarios = [...]struct {
 // drop it, and every pinned Poisson output with it.
 func (o *ChurnOptions) replacing(steps ...Step) []Step {
 	for at := o.Interval; at <= o.Duration; at += o.Interval {
-		steps = append(steps, Step{At: at, Op: OpReplace, P: o.Rate, Crash: o.CrashFrac})
+		steps = append(steps, Step{At: at, Op: OpReplace, P: o.Rate, Crash: churnCrashFrac})
 	}
 	slices.SortStableFunc(steps, func(a, b Step) int { return cmp.Compare(a.At, b.At) })
 	return steps

@@ -8,7 +8,7 @@
 // that contract (and the alloc-free kernel contract from PERF.md) from tribal
 // knowledge into a build failure:
 //
-//   - mapiter: no unsorted map iteration in deterministic packages
+//   - mapiter: no map iteration in deterministic packages
 //   - wallclock: no wall-clock time or global math/rand in node logic
 //   - allocfree: no heap allocation inside //lint:allocfree hot paths
 //
@@ -66,18 +66,17 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // ---------------------------------------------------------------------------
 // Lint directives.
 //
-// The suite understands three comment annotations, documented in
+// The suite understands two comment annotations, documented in
 // CONTRIBUTING.md:
 //
-//	//lint:orderinvariant <reason>  on (or just above) a map-range statement
-//	//lint:allocfree                on a function declaration
-//	//lint:allowalloc <reason>      on (or just above) a line inside an
-//	                                allocfree function
+//	//lint:allocfree            on a function declaration
+//	//lint:allowalloc <reason>  on (or just above) a line inside an
+//	                            allocfree function
 // ---------------------------------------------------------------------------
 
 // directive is one parsed //lint: comment.
 type directive struct {
-	verb   string // e.g. "orderinvariant"
+	verb   string // e.g. "allowalloc"
 	reason string // trailing free text; some verbs require it
 	pos    token.Pos
 }

@@ -8,10 +8,8 @@ import (
 // DeterministicPackages are the packages whose output feeds the
 // identical-seed golden hashes: every packet send order, route table, and
 // scenario sample in them must be reproducible run to run. Map iteration
-// order is randomized by the runtime, so ranging over a map in these
-// packages is flagged unless the analyzer can prove the collected result is
-// sorted before use, or the loop carries a //lint:orderinvariant directive
-// with a reason.
+// order is randomized by the runtime, so no code in these packages ranges
+// over a map.
 var DeterministicPackages = []string{
 	"allpairs/internal/core",
 	"allpairs/internal/lsdb",
@@ -24,21 +22,16 @@ var DeterministicPackages = []string{
 	"allpairs/internal/par",
 }
 
-// Mapiter flags `range` over a map in deterministic packages. This is the
-// analyzer form of the PR 2 bug class: broadcasting (or otherwise emitting)
-// while iterating a map made the simulated packet schedule differ between
-// identically-seeded runs. Two escapes exist:
-//
-//   - collect-then-sort: a loop whose only effect is appending to slices
-//     that are all passed to a sort.* / slices.* sort call later in the same
-//     function is accepted automatically;
-//   - annotation: a loop marked `//lint:orderinvariant <reason>` (on the
-//     range line or the line above) is accepted, with the reason required.
+// Mapiter flags every `range` over a map in deterministic packages, with no
+// escape hatch. This is the analyzer form of a bug the coordinator once had:
+// broadcasting (or otherwise emitting) while iterating a map made the
+// simulated packet schedule differ between identically-seeded runs. Code that
+// must walk a map ranges over slices.Sorted(maps.Keys(m)) instead, or keeps
+// its table in a slice.
 var Mapiter = &Analyzer{
 	Name: "mapiter",
-	Doc: "flag range over a map in deterministic packages unless the result " +
-		"is sorted before use or the loop is annotated //lint:orderinvariant",
-	Run: runMapiter,
+	Doc:  "flag range over a map in deterministic packages",
+	Run:  runMapiter,
 }
 
 func runMapiter(pass *Pass) error {
@@ -46,45 +39,18 @@ func runMapiter(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		file := f
-		// checkFn inspects one function body with fn as the innermost
-		// enclosing function; nested literals recurse so each range
-		// statement is paired with the function whose later statements could
-		// sort its result.
-		var checkFn func(fn ast.Node, body *ast.BlockStmt)
-		checkFn = func(fn ast.Node, body *ast.BlockStmt) {
-			ast.Inspect(body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncLit:
-					checkFn(n, n.Body)
-					return false
-				case *ast.RangeStmt:
-					tv, ok := pass.TypesInfo.Types[n.X]
-					if !ok {
-						return true
-					}
-					if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-						return true
-					}
-					if d, ok := pass.directiveFor(file, n, "orderinvariant"); ok {
-						if d.reason == "" {
-							pass.Reportf(n.Pos(), "//lint:orderinvariant requires a reason")
-						}
-						return true
-					}
-					if mapiterCollectThenSort(pass, n, fn) {
-						return true
-					}
-					pass.Reportf(n.Pos(), "range over map %s in deterministic package: iteration order is randomized; sort the result before use or annotate //lint:orderinvariant <reason>", typeLabel(n.X))
-				}
+		ast.Inspect(f, func(n ast.Node) bool {
+			r, ok := n.(*ast.RangeStmt)
+			if !ok {
 				return true
-			})
-		}
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkFn(fd, fd.Body)
 			}
-		}
+			if tv, ok := pass.TypesInfo.Types[r.X]; ok {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					pass.Reportf(r.Pos(), "range over map %s in deterministic package: iteration order is randomized; range over slices.Sorted(maps.Keys(m)) or keep the table in a slice", typeLabel(r.X))
+				}
+			}
+			return true
+		})
 	}
 	return nil
 }
@@ -101,162 +67,4 @@ func typeLabel(e ast.Expr) string {
 	default:
 		return "expression"
 	}
-}
-
-// sinkKey identifies an append target: either a plain variable or a
-// single-level field selection (x.f), compared by type object identity.
-type sinkKey struct {
-	base  types.Object // the variable (or selector base)
-	field types.Object // nil for plain variables
-}
-
-// sinkOf resolves an append target expression to a sinkKey.
-func sinkOf(info *types.Info, e ast.Expr) (sinkKey, bool) {
-	switch e := e.(type) {
-	case *ast.Ident:
-		if obj := info.ObjectOf(e); obj != nil {
-			return sinkKey{base: obj}, true
-		}
-	case *ast.SelectorExpr:
-		base, ok := e.X.(*ast.Ident)
-		if !ok {
-			return sinkKey{}, false
-		}
-		bobj := info.ObjectOf(base)
-		sel, ok := info.Selections[e]
-		if !ok || bobj == nil {
-			return sinkKey{}, false
-		}
-		return sinkKey{base: bobj, field: sel.Obj()}, true
-	}
-	return sinkKey{}, false
-}
-
-// mapiterCollectThenSort reports whether the map-range loop is the accepted
-// collect-then-sort shape: every statement in the body is (possibly nested
-// under if/blocks) an append of loop-derived data into one or more sink
-// slices, and every such sink is an argument of a recognized sort call after
-// the loop inside the same enclosing function. Any other effect — a
-// statement-level call (a send!), a write to outside state, a return —
-// disqualifies the loop.
-func mapiterCollectThenSort(pass *Pass, loop *ast.RangeStmt, enclosing ast.Node) bool {
-	sinks := make(map[sinkKey]bool)
-	if !collectOnlyAppends(pass.TypesInfo, loop.Body, sinks) || len(sinks) == 0 {
-		return false
-	}
-	var body *ast.BlockStmt
-	switch fn := enclosing.(type) {
-	case *ast.FuncDecl:
-		body = fn.Body
-	case *ast.FuncLit:
-		body = fn.Body
-	default:
-		return false
-	}
-	// Every sink must reach a sort call after the loop ends.
-	sorted := make(map[sinkKey]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < loop.End() {
-			return true
-		}
-		if !isSortCall(pass.TypesInfo, call) {
-			return true
-		}
-		for _, arg := range call.Args {
-			if k, ok := sinkOf(pass.TypesInfo, arg); ok && sinks[k] {
-				sorted[k] = true
-			}
-		}
-		return true
-	})
-	for k := range sinks {
-		if !sorted[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// collectOnlyAppends walks a loop body and records append sinks, returning
-// false on the first statement that could have an order-dependent effect.
-func collectOnlyAppends(info *types.Info, stmt ast.Stmt, sinks map[sinkKey]bool) bool {
-	switch s := stmt.(type) {
-	case *ast.BlockStmt:
-		for _, st := range s.List {
-			if !collectOnlyAppends(info, st, sinks) {
-				return false
-			}
-		}
-		return true
-	case *ast.IfStmt:
-		if s.Init != nil && !collectOnlyAppends(info, s.Init, sinks) {
-			return false
-		}
-		if !collectOnlyAppends(info, s.Body, sinks) {
-			return false
-		}
-		if s.Else != nil {
-			return collectOnlyAppends(info, s.Else, sinks)
-		}
-		return true
-	case *ast.AssignStmt:
-		// Accept `x = append(x, ...)` (or x.f = append(x.f, ...)).
-		if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
-			return false
-		}
-		call, ok := s.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		fn, ok := call.Fun.(*ast.Ident)
-		if !ok || fn.Name != "append" {
-			return false
-		}
-		if _, isBuiltin := info.Uses[fn].(*types.Builtin); !isBuiltin {
-			return false
-		}
-		lk, ok := sinkOf(info, s.Lhs[0])
-		if !ok || len(call.Args) == 0 {
-			return false
-		}
-		ak, ok := sinkOf(info, call.Args[0])
-		if !ok || ak != lk {
-			return false
-		}
-		sinks[lk] = true
-		return true
-	case *ast.BranchStmt:
-		// continue/break cannot reorder anything.
-		return true
-	case *ast.DeclStmt, *ast.EmptyStmt:
-		return true
-	default:
-		// Statement-level calls, sends, returns, nested loops, writes to
-		// outside state: not provably order-invariant.
-		return false
-	}
-}
-
-// sortFuncs are the recognized sort entry points in packages sort and
-// slices.
-var sortFuncs = map[string]bool{
-	"Ints": true, "Strings": true, "Float64s": true,
-	"Slice": true, "SliceStable": true, "Sort": true, "Stable": true,
-	"SortFunc": true, "SortStableFunc": true,
-}
-
-// isSortCall reports whether call invokes a recognized sorting function from
-// package sort or slices.
-func isSortCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	for _, pkg := range [2]string{"sort", "slices"} {
-		if name, ok := isPkgSelector(info, sel, pkg); ok {
-			return sortFuncs[name]
-		}
-	}
-	return false
 }

@@ -5,8 +5,7 @@ package fixture
 import "sort"
 
 type coord struct {
-	members  map[uint64]int
-	lastView map[uint64]bool
+	members map[uint64]int
 }
 
 func (c *coord) send(id uint64, payload []byte) {}
@@ -20,10 +19,11 @@ func (c *coord) broadcast(payload []byte) {
 	}
 }
 
-// view is the accepted collect-then-sort shape.
+// view collects then sorts. No escape hatch accepts even this shape: the
+// lint does not prove order-invariance, it bans the map walk.
 func (c *coord) view() []uint64 {
 	ids := make([]uint64, 0, len(c.members))
-	for id := range c.members {
+	for id := range c.members { // want `range over map c\.members`
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -42,7 +42,7 @@ func (c *coord) collectNoSort() []uint64 {
 // guardedCollect keeps the collect-then-sort shape under an if guard.
 func (c *coord) guardedCollect() []uint64 {
 	var ids []uint64
-	for id, n := range c.members {
+	for id, n := range c.members { // want `range over map c\.members`
 		if n > 0 {
 			ids = append(ids, id)
 		}
@@ -51,24 +51,13 @@ func (c *coord) guardedCollect() []uint64 {
 	return ids
 }
 
-// size is order-invariant and annotated with a reason.
+// size is order-invariant (summation commutes), and still flagged.
 func (c *coord) size() int {
 	total := 0
-	//lint:orderinvariant summation over values is commutative
-	for _, v := range c.members {
+	for _, v := range c.members { // want `range over map c\.members`
 		total += v
 	}
 	return total
-}
-
-// missingReason carries the directive but no reason.
-func (c *coord) missingReason() int {
-	n := 0
-	//lint:orderinvariant
-	for range c.lastView { // want `//lint:orderinvariant requires a reason`
-		n++
-	}
-	return n
 }
 
 // dedupEvict reproduces the gossip dedup-cache eviction shape: ranging a

@@ -2,7 +2,6 @@ package membership
 
 import (
 	"net/netip"
-	"sort"
 	"time"
 
 	"allpairs/internal/transport"
@@ -97,19 +96,14 @@ func (c *CoordinatorConfig) electionTimeout() time.Duration {
 // and promotes, preserving liveness.
 func (c *CoordinatorConfig) preVoteWait() time.Duration { return 2 * c.BeaconInterval }
 
-type memberState struct {
-	addr     netip.AddrPort
-	lastSeen time.Time
-	slot     int
-}
-
-// freeSlot is one quarantined tombstone in the primary's slot allocator: the
-// slot index and when its last occupant was removed. A tombstone becomes
+// seat is one slot of the primary's lease table. A member's seat holds its
+// view entry and at, when it was last heard from. A tombstone's seat holds
+// wire.NilNode and at, when its last occupant was removed: it becomes
 // reusable only after a full membership Timeout, so no stale row, probe, or
 // recommendation referring to the old occupant can outlive the quarantine.
-type freeSlot struct {
-	slot    int
-	freedAt time.Time
+type seat struct {
+	wire.Member
+	at time.Time
 }
 
 // Coordinator is one replica of the membership service. A replica set is a
@@ -121,6 +115,15 @@ type freeSlot struct {
 // epoch; clients discover the new primary through heartbeat-ack failover.
 // Bind it to an Env with Start; all state transitions then happen inside the
 // Env's serialized callbacks.
+//
+// The primary's lease table is seats, indexed by view slot exactly like the
+// view it broadcasts: a flush copies it out, a sweep walks it in slot order,
+// and a join takes the lowest tombstone past quarantine or extends it (the
+// slot space never shrinks within a reign). slotOf and byAddr map a member's
+// ID and address to its seat; they are lookups only, never walked. A
+// promotion rebuilds the table from the view replica with every lease and
+// every quarantine restarted (the new primary cannot know how long ago a
+// tombstone was freed, so it assumes the worst); a demotion clears it.
 type Coordinator struct {
 	env     transport.Env
 	cfg     CoordinatorConfig
@@ -129,18 +132,9 @@ type Coordinator struct {
 	epoch   uint32
 	version uint32
 	nextID  wire.NodeID
-	members map[wire.NodeID]*memberState
-	byAddr  map[netip.AddrPort]wire.NodeID
-
-	// Slot allocator (primary only). slotCount is the size of the slot
-	// space — it never shrinks within a reign. freeSlots holds the
-	// quarantined tombstones sorted by slot; a join reuses the lowest
-	// tombstone past quarantine, else extends the slot space. Only the
-	// primary allocates; a promotion rebuilds the freelist from the view
-	// replica with the quarantine restarted (the new primary cannot know how
-	// long ago a tombstone was freed, so it assumes the worst).
-	slotCount int
-	freeSlots []freeSlot
+	seats   []seat
+	slotOf  map[wire.NodeID]int
+	byAddr  map[netip.AddrPort]int
 
 	// lastView is the membership as of the last broadcast (empty before the
 	// first); deltas are computed against it. On a standby it is the replica
@@ -210,8 +204,8 @@ func NewCoordinator(env transport.Env, cfg CoordinatorConfig) *Coordinator {
 		env:      env,
 		cfg:      cfg,
 		selfID:   cfg.Coordinators[cfg.Rank],
-		members:  make(map[wire.NodeID]*memberState),
-		byAddr:   make(map[netip.AddrPort]wire.NodeID),
+		slotOf:   make(map[wire.NodeID]int),
+		byAddr:   make(map[netip.AddrPort]int),
 		lastView: &ViewInfo{},
 	}
 }
@@ -281,7 +275,7 @@ func (c *Coordinator) rankOf(id wire.NodeID) int {
 // last known view size when standing by). Call from within env.Do.
 func (c *Coordinator) MemberCount() int {
 	if c.role == rolePrimary {
-		return len(c.members)
+		return len(c.slotOf)
 	}
 	return c.lastView.N()
 }
@@ -374,8 +368,8 @@ func (c *Coordinator) handle(from wire.NodeID, payload []byte) {
 		}
 		c.handleJoin(j)
 	case wire.THeartbeat:
-		if m, ok := c.members[h.Src]; ok {
-			m.lastSeen = c.env.Now()
+		if s, ok := c.slotOf[h.Src]; ok {
+			c.seats[s].at = c.env.Now()
 			c.env.Send(h.Src, wire.AppendHeartbeatAck(nil, c.selfID, wire.HeartbeatAck{Stamp: c.Stamp()}))
 			c.stats.HeartbeatAcks++
 		} else {
@@ -387,7 +381,7 @@ func (c *Coordinator) handle(from wire.NodeID, payload []byte) {
 	case wire.TViewPull:
 		// Asked by a member or a standby replica; a stranger gets nothing.
 		p, err := wire.ParseViewPull(body)
-		if _, member := c.members[h.Src]; err != nil || (!member && c.rankOf(h.Src) < 0) {
+		if _, member := c.slotOf[h.Src]; err != nil || (!member && c.rankOf(h.Src) < 0) {
 			return
 		}
 		// Pending coalesced changes are not leaked early: the asker gets the
@@ -396,7 +390,7 @@ func (c *Coordinator) handle(from wire.NodeID, payload []byte) {
 			c.sendPackets(h.Src, packets)
 		}
 	case wire.TLeave:
-		if _, ok := c.members[h.Src]; ok {
+		if _, ok := c.slotOf[h.Src]; ok {
 			c.remove(h.Src, "leave")
 			c.scheduleFlush()
 		}
@@ -615,30 +609,25 @@ func (c *Coordinator) handlePreVoteReply(from wire.NodeID, pr wire.PreVoteReply)
 
 // promote turns a standby into the primary: a new epoch, a version far past
 // anything the dead reign can have broadcast, an allocator bumped past its
-// replicated high-water mark, and the member table rebuilt from the view
-// replica with fresh leases (the members are not to blame for the election,
-// so none may expire before getting a full timeout to re-heartbeat).
+// replicated high-water mark, and the lease table rebuilt from the view
+// replica with every seat stamped now. A member gets a fresh lease (it is not
+// to blame for the election, so it may not expire before getting a full
+// timeout to re-heartbeat); a tombstone's quarantine restarts, because the
+// replica log does not say when it was freed and stranding a slot for one
+// extra timeout beats reusing it early.
 func (c *Coordinator) promote() {
 	now := c.env.Now()
 	c.role = rolePrimary
 	c.epoch++
 	c.version += versionSkip * uint32(c.cfg.Rank+1)
 	c.nextID += idSkip
-	c.members = make(map[wire.NodeID]*memberState, c.lastView.N())
-	c.byAddr = make(map[netip.AddrPort]wire.NodeID, c.lastView.N())
-	c.slotCount = c.lastView.Slots()
-	c.freeSlots = c.freeSlots[:0]
+	c.seats = make([]seat, c.lastView.Slots())
 	for s, m := range c.lastView.slots {
 		if m.ID == wire.NilNode {
-			// The replica log does not say when this tombstone was freed, so
-			// its quarantine restarts from the promotion: better to strand a
-			// slot for one extra timeout than to reuse it early.
-			c.freeSlots = append(c.freeSlots, freeSlot{slot: s, freedAt: now})
+			c.seats[s] = seat{Member: m, at: now}
 			continue
 		}
-		c.members[m.ID] = &memberState{addr: m.Addr, lastSeen: now, slot: s}
-		c.byAddr[m.Addr] = m.ID
-		c.env.SetPeer(m.ID, m.Addr)
+		c.occupy(m, now)
 	}
 	c.stats.Promotions++
 	c.stats.Broadcasts++
@@ -655,9 +644,9 @@ func (c *Coordinator) demote(winner wire.NodeID, b wire.CoordBeacon) {
 	if b.Stamp.Epoch > c.epoch {
 		c.epoch = b.Stamp.Epoch
 	}
-	c.members = make(map[wire.NodeID]*memberState)
-	c.byAddr = make(map[netip.AddrPort]wire.NodeID)
-	c.freeSlots = nil
+	c.seats = nil
+	clear(c.slotOf)
+	clear(c.byAddr)
 	c.flushPending = false
 	if c.flushTimer != nil {
 		c.flushTimer.Stop()
@@ -724,9 +713,9 @@ func (c *Coordinator) handleJoin(j wire.Join) {
 	now := c.env.Now()
 	// Idempotent re-join: the same address keeps its ID, and no new view is
 	// produced. This makes client join retries harmless.
-	if id, ok := c.byAddr[j.Addr]; ok {
-		c.members[id].lastSeen = now
-		c.reply(id, j.Nonce)
+	if s, ok := c.byAddr[j.Addr]; ok {
+		c.seats[s].at = now
+		c.reply(c.seats[s].ID, j.Nonce)
 		return
 	}
 	id, ok := c.allocID()
@@ -740,9 +729,7 @@ func (c *Coordinator) handleJoin(j wire.Join) {
 		c.logf("membership: refused %v, no free slot", j.Addr)
 		return
 	}
-	c.members[id] = &memberState{addr: j.Addr, lastSeen: now, slot: slot}
-	c.byAddr[j.Addr] = id
-	c.env.SetPeer(id, j.Addr)
+	c.occupy(wire.Member{ID: id, Slot: uint16(slot), Addr: j.Addr}, now)
 	c.logf("membership: admitted %v as node %d (slot %d)", j.Addr, id, slot)
 	c.reply(id, j.Nonce)
 	c.scheduleFlush()
@@ -757,7 +744,7 @@ func (c *Coordinator) allocID() (id wire.NodeID, ok bool) {
 	for range 1 << 16 {
 		id = c.nextID
 		c.nextID++
-		if _, held := c.members[id]; !held && id != wire.NilNode && c.rankOf(id) < 0 {
+		if _, held := c.slotOf[id]; !held && id != wire.NilNode && c.rankOf(id) < 0 {
 			return id, true
 		}
 	}
@@ -770,26 +757,25 @@ func (c *Coordinator) allocID() (id wire.NodeID, ok bool) {
 // no tombstone is reusable and the space already holds wire.MaxSlots slots:
 // one more would encode as a 0-slot view that every client rejects.
 func (c *Coordinator) allocSlot(now time.Time) (slot int, ok bool) {
-	for i, f := range c.freeSlots {
-		if now.Sub(f.freedAt) >= c.cfg.Timeout {
-			c.freeSlots = append(c.freeSlots[:i], c.freeSlots[i+1:]...)
-			return f.slot, true
+	for s, st := range c.seats {
+		if st.ID == wire.NilNode && now.Sub(st.at) >= c.cfg.Timeout {
+			return s, true
 		}
 	}
-	if c.slotCount == wire.MaxSlots {
+	if len(c.seats) == wire.MaxSlots {
 		return 0, false
 	}
-	c.slotCount++
-	return c.slotCount - 1, true
+	c.seats = append(c.seats, seat{})
+	return len(c.seats) - 1, true
 }
 
-// freeSlot quarantines a departed member's slot, keeping the freelist sorted
-// by slot so reuse is deterministic (lowest eligible slot first).
-func (c *Coordinator) freeSlot(s int) {
-	at := sort.Search(len(c.freeSlots), func(i int) bool { return c.freeSlots[i].slot >= s })
-	c.freeSlots = append(c.freeSlots, freeSlot{})
-	copy(c.freeSlots[at+1:], c.freeSlots[at:])
-	c.freeSlots[at] = freeSlot{slot: s, freedAt: c.env.Now()}
+// occupy seats m at its slot, which allocSlot or a promotion chose, with a
+// lease starting now.
+func (c *Coordinator) occupy(m wire.Member, now time.Time) {
+	c.seats[m.Slot] = seat{Member: m, at: now}
+	c.slotOf[m.ID] = int(m.Slot)
+	c.byAddr[m.Addr] = int(m.Slot)
+	c.env.SetPeer(m.ID, m.Addr)
 }
 
 // reply answers a join, echoing the request nonce so the client can discard
@@ -799,25 +785,21 @@ func (c *Coordinator) reply(id wire.NodeID, nonce uint32) {
 	c.env.Send(id, wire.AppendJoinReply(nil, c.selfID, wire.JoinReply{Assigned: id, Nonce: nonce}))
 }
 
+// remove tombstones a member's seat, starting its quarantine now.
 func (c *Coordinator) remove(id wire.NodeID, why string) {
-	m := c.members[id]
-	delete(c.members, id)
-	delete(c.byAddr, m.addr)
-	c.freeSlot(m.slot)
-	c.logf("membership: removed node %d (%s), slot %d quarantined", id, why, m.slot)
+	s := c.slotOf[id]
+	delete(c.slotOf, id)
+	delete(c.byAddr, c.seats[s].Addr)
+	c.seats[s] = seat{Member: wire.Member{ID: wire.NilNode}, at: c.env.Now()}
+	c.logf("membership: removed node %d (%s), slot %d quarantined", id, why, s)
 }
 
-// view returns the current membership as a slot-indexed array (tombstoned
-// slots hold wire.NilNode). Each member writes only its own distinct slot,
-// so the map iteration order cannot affect the result.
+// view returns the lease table's view entries, slot-indexed (tombstones hold
+// wire.NilNode).
 func (c *Coordinator) view() []wire.Member {
-	slots := make([]wire.Member, c.slotCount)
-	for i := range slots {
-		slots[i].ID = wire.NilNode
-	}
-	//lint:orderinvariant each member writes only its own distinct slot index
-	for id, m := range c.members {
-		slots[m.slot] = wire.Member{ID: id, Slot: uint16(m.slot), Addr: m.addr}
+	slots := make([]wire.Member, len(c.seats))
+	for s, st := range c.seats {
+		slots[s] = st.Member
 	}
 	return slots
 }
@@ -857,7 +839,7 @@ func (c *Coordinator) flush() {
 	c.stats.Broadcasts++
 	cur, err := newViewInfo(c.epoch, c.version, slots)
 	if err != nil {
-		panic(err) // members is keyed by ID: a duplicate is a programming error
+		panic(err) // slotOf is keyed by ID: a duplicate is a programming error
 	}
 	useDelta := wire.ViewDeltaSize(len(adds), len(removes)) < wire.ViewSize(cur.N()) &&
 		wire.GossipDeltaSize(len(adds), len(removes)) <= wire.MaxDatagram
@@ -952,21 +934,14 @@ func (c *Coordinator) sweep() {
 		return
 	}
 	now := c.env.Now()
-	// Collect expiries in sorted ID order so removal (and the resulting
-	// delta) is deterministic run to run — the collect-then-sort shape the
-	// mapiter lint pass accepts; removing inside the range would be the PR 2
-	// broadcast-order bug all over again.
-	var expired []wire.NodeID
-	for id, m := range c.members {
-		if now.Sub(m.lastSeen) > c.cfg.Timeout {
-			expired = append(expired, id)
+	expired := false
+	for _, st := range c.seats {
+		if st.ID != wire.NilNode && now.Sub(st.at) > c.cfg.Timeout {
+			c.remove(st.ID, "timeout")
+			expired = true
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-	for _, id := range expired {
-		c.remove(id, "timeout")
-	}
-	if len(expired) > 0 {
+	if expired {
 		c.scheduleFlush()
 	}
 }

@@ -3,6 +3,7 @@ package membership
 import (
 	"math"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -764,16 +765,18 @@ func TestNodeIDAllocatorSkipsReservedAndHeld(t *testing.T) {
 		}
 	}
 
-	// With every assignable ID held the join is refused, not aliased.
-	for id := 0; id < 1<<16; id++ {
-		if _, held := primary.members[wire.NodeID(id)]; !held {
-			primary.members[wire.NodeID(id)] = &memberState{}
+	// With every assignable ID seated the join is refused, not aliased.
+	for id := range wire.NodeID(CoordinatorIDAt(2)) {
+		if _, held := primary.slotOf[id]; !held {
+			addr := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, byte(id >> 8), byte(id)}), 1)
+			primary.seats = append(primary.seats, seat{})
+			primary.occupy(wire.Member{ID: id, Slot: uint16(len(primary.seats) - 1), Addr: addr}, rc.nw.Now())
 		}
 	}
 	if id, ok := primary.allocID(); ok {
 		t.Errorf("allocator handed out %#x from a full ID space", id)
 	}
-	delete(primary.members, 777)
+	primary.remove(777, "test")
 	if id, ok := primary.allocID(); !ok || id != 777 {
 		t.Errorf("allocator returned %#x,%v, want the one free ID 777", id, ok)
 	}
@@ -789,25 +792,30 @@ func TestSlotAllocatorRefusesPastWireCeiling(t *testing.T) {
 	ccfg.Timeout = 10 * time.Second
 	rc := newRepCluster(t, 3, 1, churnClientCfg(), ccfg)
 	primary := rc.coords[0]
-	primary.slotCount = math.MaxUint16 - 2 // room for exactly two joins
+	// Room for exactly two joins: every other slot is a tombstone whose
+	// quarantine never expires.
+	never := seat{Member: wire.Member{ID: wire.NilNode}, at: time.Unix(1<<40, 0)}
+	for range math.MaxUint16 - 2 {
+		primary.seats = append(primary.seats, never)
+	}
 	rc.clients[0].Start()
 	rc.clients[1].Start()
 	rc.nw.RunFor(3 * time.Second)
-	if primary.MemberCount() != 2 || primary.slotCount != math.MaxUint16 {
-		t.Fatalf("setup: %d members over %d slots, want 2 over %d", primary.MemberCount(), primary.slotCount, math.MaxUint16)
+	if primary.MemberCount() != 2 || len(primary.seats) != math.MaxUint16 {
+		t.Fatalf("setup: %d members over %d slots, want 2 over %d", primary.MemberCount(), len(primary.seats), math.MaxUint16)
 	}
 	full := primary.Stamp()
 
 	rc.clients[2].Start()
 	rc.nw.RunFor(3 * time.Second)
-	if rc.clients[2].Joined() || primary.MemberCount() != 2 || primary.slotCount != math.MaxUint16 || primary.Stamp() != full {
+	if rc.clients[2].Joined() || primary.MemberCount() != 2 || len(primary.seats) != math.MaxUint16 || primary.Stamp() != full {
 		t.Fatalf("join past the ceiling: joined=%v, %d members over %d slots at %v (was %v)",
-			rc.clients[2].Joined(), primary.MemberCount(), primary.slotCount, primary.Stamp(), full)
+			rc.clients[2].Joined(), primary.MemberCount(), len(primary.seats), primary.Stamp(), full)
 	}
 
 	// Client 0 leaves. Its slot stays quarantined for a full Timeout, then
 	// one of client 2's join retries reuses it.
-	freed := primary.members[rc.envs[0].LocalID()].slot
+	freed := primary.slotOf[rc.envs[0].LocalID()]
 	rc.clients[0].Leave()
 	rc.clients[0].Stop()
 	rc.nw.RunFor(ccfg.Timeout / 2)
@@ -815,13 +823,122 @@ func TestSlotAllocatorRefusesPastWireCeiling(t *testing.T) {
 		t.Fatal("joiner admitted into a slot still in quarantine")
 	}
 	rc.nw.RunFor(ccfg.Timeout)
-	m := primary.members[rc.envs[2].LocalID()]
-	if !rc.clients[2].Joined() || m == nil || m.slot != freed || primary.slotCount != math.MaxUint16 {
-		t.Fatalf("after quarantine: joined=%v member=%+v, want slot %d of %d", rc.clients[2].Joined(), m, freed, math.MaxUint16)
+	slot, ok := primary.slotOf[rc.envs[2].LocalID()]
+	if !rc.clients[2].Joined() || !ok || slot != freed || len(primary.seats) != math.MaxUint16 {
+		t.Fatalf("after quarantine: joined=%v slot=%d,%v, want slot %d of %d", rc.clients[2].Joined(), slot, ok, freed, math.MaxUint16)
 	}
 	for _, i := range []int{1, 2} {
 		if v := rc.views[i]; v == nil || v.Stamp() != primary.Stamp() || v.N() != 2 || v.Slots() != math.MaxUint16 {
 			t.Errorf("client %d did not converge on the primary's 2-member, %d-slot view", i, math.MaxUint16)
 		}
+	}
+}
+
+// TestLeaseTableInvariants drives a 3-replica set through joins, leaves,
+// lease expiries (two at once) and a primary crash, and every 100 ms of
+// virtual time checks the current primary's lease table: no ID or address
+// holds two seats, the ID and address lookups agree with the seats, the table
+// equals the last broadcast view whenever no flush is pending, and no slot is
+// re-occupied within Timeout of being freed, in either reign.
+func TestLeaseTableInvariants(t *testing.T) {
+	const every = 100 * time.Millisecond
+	ccfg := fastCoordCfg(t)
+	ccfg.Timeout = 10 * time.Second
+	ccfg.Sweep = time.Second
+	rc := newRepCluster(t, 11, 3, churnClientCfg(), ccfg)
+	leave := func(i int) {
+		rc.clients[i].Leave()
+		rc.clients[i].Stop()
+	}
+	events := []struct {
+		at time.Duration
+		do func()
+	}{
+		{0, func() {
+			for i := range 6 {
+				rc.clients[i].Start()
+			}
+		}},
+		{3 * time.Second, func() { leave(0) }},
+		{4 * time.Second, func() { rc.clients[1].Stop() }},  // expires at 11 s
+		{9 * time.Second, func() { rc.clients[6].Start() }}, // slot 0 is quarantined until 13 s
+		{14 * time.Second, func() { rc.clients[7].Start() }},
+		{16 * time.Second, func() { rc.clients[2].Stop(); rc.clients[3].Stop() }}, // both expire at 26 s
+		{22 * time.Second, func() { rc.clients[8].Start() }},
+		{27 * time.Second, func() { rc.coords[0].Stop() }},
+		{34 * time.Second, func() { rc.clients[9].Start() }}, // slots 2 and 3 freed 8 s ago
+		{40 * time.Second, func() { leave(6) }},
+		{48 * time.Second, func() { rc.clients[10].Start() }},
+	}
+
+	// hist follows each slot across reigns as the checks see it: its last
+	// occupant, and when a check first saw it freed. A check sees a change at
+	// most one period late, so a slot re-occupied a full Timeout after it was
+	// freed is seen more than Timeout − every after it was seen freed.
+	type slotHist struct {
+		id    wire.NodeID
+		freed bool
+		at    time.Duration
+	}
+	var hist []slotHist
+	lastRank, reused := -1, make([]int, len(rc.coords))
+	for step := time.Duration(0); step <= 60*time.Second; step += every {
+		for len(events) > 0 && events[0].at <= step {
+			events[0].do()
+			events = events[1:]
+		}
+		rc.nw.RunFor(every)
+		now := rc.nw.Elapsed()
+		for r, p := range rc.coords {
+			if !p.IsPrimary() {
+				continue
+			}
+			lastRank = r
+			members := 0
+			for s, st := range p.seats {
+				if st.ID != wire.NilNode {
+					members++
+					if int(st.Slot) != s || p.slotOf[st.ID] != s || p.byAddr[st.Addr] != s {
+						t.Fatalf("%v rank %d: seat %d holds %+v, lookups say slot %d / %d",
+							now, r, s, st.Member, p.slotOf[st.ID], p.byAddr[st.Addr])
+					}
+				}
+				if s == len(hist) {
+					hist = append(hist, slotHist{id: st.ID, freed: st.ID == wire.NilNode, at: now})
+					continue
+				}
+				h := &hist[s]
+				switch {
+				case st.ID == wire.NilNode:
+					if !h.freed {
+						h.freed, h.at = true, now
+					}
+					continue
+				case !h.freed && st.ID != h.id:
+					t.Fatalf("%v rank %d: slot %d went from node %d to %d between two checks", now, r, s, h.id, st.ID)
+				case h.freed && st.ID != h.id:
+					// (The same ID back is a promotion that restored a member
+					// whose removal never reached the new primary's replica.)
+					if gap := now - h.at; gap <= ccfg.Timeout-every {
+						t.Fatalf("%v rank %d: slot %d re-occupied %v after it was freed", now, r, s, gap)
+					}
+					reused[r]++
+				}
+				h.id, h.freed = st.ID, false
+			}
+			if len(p.slotOf) != members || len(p.byAddr) != members {
+				t.Fatalf("%v rank %d: %d seated members, %d IDs and %d addresses looked up",
+					now, r, members, len(p.slotOf), len(p.byAddr))
+			}
+			if !p.flushPending && !slices.Equal(p.view(), p.lastView.slots) {
+				t.Fatalf("%v rank %d: table differs from the last broadcast view with no flush pending", now, r)
+			}
+		}
+	}
+	if rc.coords[1].Stats().Promotions != 1 || lastRank != 1 {
+		t.Fatalf("rank 1 promotions = %d, last primary rank %d; want 1 and 1", rc.coords[1].Stats().Promotions, lastRank)
+	}
+	if reused[0] != 2 || reused[1] == 0 {
+		t.Errorf("quarantined slots reused %v times per rank, want 2 before the crash and some after", reused)
 	}
 }

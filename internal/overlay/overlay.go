@@ -85,9 +85,6 @@ type Node struct {
 	// OnRouteUpdate, if non-nil, observes every route table write with the
 	// node's slot, for freshness accounting. Set before Start.
 	OnRouteUpdate func(selfSlot, dstSlot int, e core.RouteEntry)
-	// OnViewChange, if non-nil, fires after the node reconfigures for a new
-	// view.
-	OnViewChange func(v *membership.ViewInfo, selfSlot int)
 	// OnData, if non-nil, receives application datagrams addressed to this
 	// node (see SendData). origin is the overlay node that first sent the
 	// packet; the payload must be copied if retained.
@@ -169,9 +166,6 @@ func (n *Node) installView(v *membership.ViewInfo) error {
 	}
 
 	n.scheduleTicks()
-	if n.OnViewChange != nil {
-		n.OnViewChange(v, self)
-	}
 	return nil
 }
 

@@ -106,29 +106,6 @@ func TestPartitionComposesWithFailures(t *testing.T) {
 	}
 }
 
-func TestSetGroupDown(t *testing.T) {
-	nw, got := countNet(t, 1)
-	region := []int{1, 2}
-	nw.SetGroupDown(region, true)
-	for _, ep := range region {
-		if !nw.NodeDown(ep) {
-			t.Errorf("endpoint %d not down", ep)
-		}
-	}
-	nw.Send(0, 1, []byte{1})
-	nw.Send(0, 3, []byte{1})
-	nw.RunFor(time.Second)
-	if len(got[1]) != 0 || len(got[3]) != 1 {
-		t.Errorf("deliveries: got[1]=%v got[3]=%v", got[1], got[3])
-	}
-	nw.SetGroupDown(region, false)
-	nw.Send(0, 1, []byte{1})
-	nw.RunFor(time.Second)
-	if len(got[1]) != 1 {
-		t.Error("revived region not reachable")
-	}
-}
-
 func TestPartitionPanicsOutOfRange(t *testing.T) {
 	nw := New(2, 1)
 	defer func() {
@@ -210,11 +187,11 @@ func TestPartitionDeterminism(t *testing.T) {
 		nw.SetPartition([]int{0, 1, 2})
 		tick()
 		nw.RunFor(time.Second)
-		nw.SetGroupDown([]int{4}, true)
+		nw.SetNodeDown(4, true)
 		tick()
 		nw.RunFor(time.Second)
 		nw.Heal()
-		nw.SetGroupDown([]int{4}, false)
+		nw.SetNodeDown(4, false)
 		tick()
 		nw.RunFor(time.Second)
 		return nw.Delivered(), nw.Dropped()

@@ -7,8 +7,6 @@ import (
 
 func TestDuplicationDeliversTwice(t *testing.T) {
 	nw, got := countNet(t, 7)
-	dups := 0
-	nw.OnDup = func(from, to int, payload []byte) { dups++ }
 	nw.SetDuplication(0, 1, 1.0)
 	nw.Send(0, 1, []byte{9})
 	nw.RunFor(time.Second)
@@ -18,9 +16,6 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 	}
 	if nw.Duplicated() != 1 {
 		t.Errorf("Duplicated() = %d, want 1", nw.Duplicated())
-	}
-	if dups != 1 {
-		t.Errorf("OnDup fired %d times, want 1", dups)
 	}
 	// Symmetric: the reverse direction duplicates too.
 	nw.Send(1, 0, []byte{9})
@@ -56,13 +51,6 @@ func TestJitterReordersPackets(t *testing.T) {
 	nw := New(2, 3)
 	var order []byte
 	nw.SetHandler(1, func(from int, payload []byte) { order = append(order, payload[0]) })
-	reorders := 0
-	nw.OnReorder = func(from, to int, payload []byte, extra time.Duration) {
-		if extra <= 0 {
-			t.Errorf("OnReorder extra = %v, want > 0", extra)
-		}
-		reorders++
-	}
 	nw.SetLatency(0, 1, time.Millisecond)
 	nw.SetJitter(0, 1, 100*time.Millisecond)
 	const n = 32
@@ -84,9 +72,8 @@ func TestJitterReordersPackets(t *testing.T) {
 	if inOrder {
 		t.Error("jittered burst arrived in send order; want reordering")
 	}
-	if nw.Reordered() == 0 || int(nw.Reordered()) != reorders {
-		t.Errorf("Reordered() = %d, OnReorder fired %d times; want equal and > 0",
-			nw.Reordered(), reorders)
+	if nw.Reordered() == 0 || nw.Reordered() > n {
+		t.Errorf("Reordered() = %d, want in (0, %d]", nw.Reordered(), n)
 	}
 }
 

@@ -123,12 +123,6 @@ type Network struct {
 	// OnDrop, if non-nil, observes packets lost to link loss, link failure,
 	// burst-loss windows, or node failure.
 	OnDrop func(from, to int, payload []byte)
-	// OnDup, if non-nil, observes the extra copy created by link duplication
-	// at send time (the original is reported through OnSend as usual).
-	OnDup func(from, to int, payload []byte)
-	// OnReorder, if non-nil, observes packets that drew nonzero jitter —
-	// the deliveries that can overtake or be overtaken by their neighbors.
-	OnReorder func(from, to int, payload []byte, extra time.Duration)
 
 	delivered  uint64
 	dropped    uint64
@@ -317,14 +311,6 @@ func (nw *Network) Partitioned(a, b int) bool {
 	return nw.group != nil && nw.group[a] != nw.group[b]
 }
 
-// SetGroupDown fails (or revives) a set of endpoints in one call — the
-// correlated regional-failure primitive.
-func (nw *Network) SetGroupDown(eps []int, down bool) {
-	for _, ep := range eps {
-		nw.nodeDown[ep] = down
-	}
-}
-
 // Reachable reports whether a packet sent now from a to b would be
 // delivered, ignoring probabilistic loss. This is the ground-truth
 // reachability used by the experiment harness.
@@ -432,9 +418,6 @@ func (nw *Network) Send(from, to int, payload []byte) {
 	if l.dup > 0 && nw.rng.Float64() < l.dup {
 		copies = 2
 		nw.duplicated++
-		if nw.OnDup != nil {
-			nw.OnDup(from, to, payload)
-		}
 	}
 	for c := 0; c < copies; c++ {
 		d := l.latency
@@ -442,9 +425,6 @@ func (nw *Network) Send(from, to int, payload []byte) {
 			if extra := time.Duration(nw.rng.Int63n(int64(l.jitter))); extra > 0 {
 				d += extra
 				nw.reordered++
-				if nw.OnReorder != nil {
-					nw.OnReorder(from, to, payload, extra)
-				}
 			}
 		}
 		pkt := nw.newPacket()
