@@ -765,8 +765,9 @@ func TestNodeIDAllocatorSkipsReservedAndHeld(t *testing.T) {
 		}
 	}
 
-	// With every assignable ID seated the join is refused, not aliased.
-	for id := range wire.NodeID(CoordinatorIDAt(2)) {
+	// With every assignable ID (all below the replicas' range) seated the
+	// join is refused, not aliased.
+	for id := range CoordinatorIDAt(2) {
 		if _, held := primary.slotOf[id]; !held {
 			addr := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, byte(id >> 8), byte(id)}), 1)
 			primary.seats = append(primary.seats, seat{})
