@@ -18,7 +18,6 @@ import (
 	"allpairs/internal/lowerbound"
 	"allpairs/internal/lsdb"
 	"allpairs/internal/membership"
-	"allpairs/internal/metrics"
 	"allpairs/internal/overlay"
 	"allpairs/internal/simnet"
 	"allpairs/internal/traces"
@@ -768,7 +767,7 @@ func meanOf(vals []float64) float64 {
 	return s / float64(len(vals))
 }
 
-func medianFresh(ps []metrics.PairStats) float64 {
+func medianFresh(ps []emul.PairStats) float64 {
 	vals := make([]float64, 0, len(ps))
 	for _, p := range ps {
 		vals = append(vals, p.Median)

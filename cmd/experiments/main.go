@@ -37,7 +37,6 @@ import (
 	"allpairs/internal/emul"
 	"allpairs/internal/lowerbound"
 	"allpairs/internal/membership"
-	"allpairs/internal/metrics"
 	"allpairs/internal/overlay"
 	"allpairs/internal/stats"
 	"allpairs/internal/traces"
@@ -96,10 +95,18 @@ func main() {
 		if !explicit["minutes"] {
 			*minutes = 10
 		}
-		if !churn(*n, *seed, *scenario, *rate, *burst, *coords,
-			time.Duration(*partitionSecs)*time.Second, time.Duration(*restartSecs)*time.Second,
-			time.Duration(*minutes)*time.Minute,
-			*loss, *dup, time.Duration(*jitterMS)*time.Millisecond) {
+		sc, err := emul.ParseChurnScenario(*scenario)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		if !churn(emul.ChurnOptions{
+			N: *n, Seed: *seed, Scenario: sc, Duration: time.Duration(*minutes) * time.Minute,
+			Rate: *rate, Burst: *burst, Coordinators: *coords,
+			PartitionFor:      time.Duration(*partitionSecs) * time.Second,
+			CoordRestartAfter: time.Duration(*restartSecs) * time.Second,
+			Loss:              *loss, Dup: *dup, Jitter: time.Duration(*jitterMS) * time.Millisecond,
+		}) {
 			os.Exit(1)
 		}
 	case "soak":
@@ -177,18 +184,9 @@ func fig9(maxN int, seed int64) {
 
 // churn prints one churn scenario and reports whether it held its
 // convergence bound (true for a scenario that sets none).
-func churn(n int, seed int64, scenario string, rate float64, burst, coords int, partitionFor, restartAfter, dur time.Duration, loss, dup float64, jitter time.Duration) bool {
-	sc, err := emul.ParseChurnScenario(scenario)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "running %d-node %s churn for %v (virtual)...\n", n, sc, dur)
-	res := emul.RunChurn(emul.ChurnOptions{
-		N: n, Seed: seed, Scenario: sc, Duration: dur, Rate: rate, Burst: burst,
-		Coordinators: coords, PartitionFor: partitionFor, CoordRestartAfter: restartAfter,
-		Loss: loss, Dup: dup, Jitter: jitter,
-	})
+func churn(opt emul.ChurnOptions) bool {
+	fmt.Fprintf(os.Stderr, "running %d-node %s churn for %v (virtual)...\n", opt.N, opt.Scenario, opt.Duration)
+	res := emul.RunChurn(opt)
 	fmt.Print(res.Format())
 	if res.ConvergeBound > 0 && (!res.Converged || res.ConvergedAfter > res.ConvergeBound) {
 		fmt.Fprintf(os.Stderr, "churn FAILED: views did not converge within %s\n", res.ConvergeBound)
@@ -311,15 +309,15 @@ func printDeploymentFigure(cmd string, dep *emul.DeploymentResult) {
 		printCountCDFs(dep.MeanDouble, dep.MaxDouble)
 	case "fig12":
 		fmt.Println("# Figure 12: route freshness over all (src,dst) pairs, seconds (sampled every 30 s)")
-		printFreshness(dep.Pairs)
+		printRouteAges(dep.Pairs)
 	case "fig13":
 		fmt.Printf("# Figure 13: route freshness from the well-connected node %d (mean concurrent failures %.1f)\n",
 			dep.WellNode, dep.WellMeanFailures)
-		printFreshness(dep.WellStats)
+		printRouteAges(dep.WellStats)
 	case "fig14":
 		fmt.Printf("# Figure 14: route freshness from the poorly-connected node %d (mean concurrent failures %.1f)\n",
 			dep.PoorNode, dep.PoorMeanFailures)
-		printFreshness(dep.PoorStats)
+		printRouteAges(dep.PoorStats)
 	}
 }
 
@@ -332,7 +330,8 @@ func printCountCDFs(mean, max []float64) {
 	}
 }
 
-func printFreshness(pairs []metrics.PairStats) {
+// printRouteAges prints the CDFs of the per-pair route-age summaries.
+func printRouteAges(pairs []emul.PairStats) {
 	fmt.Println("# seconds  count_median_le  count_mean_le  count_p97_le  count_max_le")
 	med := &stats.CDF{}
 	mean := &stats.CDF{}
@@ -494,12 +493,15 @@ func runAll(seed int64) {
 		printDeploymentFigure(f, dep)
 		fmt.Println()
 	}
-	churn(64, seed, "poisson", 0.05, 0, 0, time.Minute, 2*time.Minute, 6*time.Minute, 0, 0, 0)
-	fmt.Println()
-	churn(64, seed, "partition", 0.05, 0, 0, time.Minute, 2*time.Minute, 6*time.Minute, 0, 0, 0)
-	fmt.Println()
-	churn(24, seed, "lossy-gossip", 0.05, 12, 0, time.Minute, 2*time.Minute, 5*time.Minute, 0, 0, 0)
-	fmt.Println()
+	for _, opt := range []emul.ChurnOptions{
+		{N: 64, Scenario: emul.ChurnPoisson, Duration: 6 * time.Minute},
+		{N: 64, Scenario: emul.ChurnPartition, Duration: 6 * time.Minute},
+		{N: 24, Scenario: emul.ChurnLossyGossip, Duration: 5 * time.Minute, Burst: 12},
+	} {
+		opt.Seed, opt.Rate, opt.PartitionFor, opt.CoordRestartAfter = seed, 0.05, time.Minute, 2*time.Minute
+		churn(opt)
+		fmt.Println()
+	}
 	failover(seed)
 	fmt.Println()
 	multihop(49, 4, seed)

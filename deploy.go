@@ -78,11 +78,6 @@ func StartNode(opt NodeOptions) (*Node, error) {
 		return nil, err
 	}
 	coordIDs := membership.CoordinatorIDs(len(coords))
-	pc := probeConfig(opt.ProbeInterval)
-	pc.Asymmetric = opt.Asymmetric
-	qc := quorumConfig(opt.RoutingInterval)
-	qc.Asymmetric = opt.Asymmetric
-	qc.ReliableLinkState = opt.ReliableLinkState
 	var node *overlay.Node
 	var startErr error
 	env.Do(func() {
@@ -90,10 +85,14 @@ func StartNode(opt NodeOptions) (*Node, error) {
 			env.SetPeer(coordIDs[r], ap)
 		}
 		node = overlay.New(env, overlay.Config{
-			Algorithm:  opt.Algorithm,
-			Probe:      pc,
-			Quorum:     qc,
-			FullMesh:   fullMeshConfig(opt.RoutingInterval),
+			Algorithm: opt.Algorithm,
+			Probe:     probe.Config{Interval: opt.ProbeInterval, Asymmetric: opt.Asymmetric},
+			Quorum: core.QuorumConfig{
+				Interval:          opt.RoutingInterval,
+				Asymmetric:        opt.Asymmetric,
+				ReliableLinkState: opt.ReliableLinkState,
+			},
+			FullMesh:   core.FullMeshConfig{Interval: opt.RoutingInterval},
 			Membership: membership.ClientConfig{Coordinators: coordIDs},
 		})
 		startErr = node.Start()
@@ -248,17 +247,3 @@ func (c *Coordinator) MemberCount() int {
 
 // Close shuts the coordinator down.
 func (c *Coordinator) Close() error { return c.env.Close() }
-
-// probeConfig, quorumConfig, and fullMeshConfig expand interval overrides
-// into component configurations (zero values keep the paper's defaults).
-func probeConfig(p time.Duration) probe.Config {
-	return probe.Config{Interval: p}
-}
-
-func quorumConfig(r time.Duration) core.QuorumConfig {
-	return core.QuorumConfig{Interval: r}
-}
-
-func fullMeshConfig(r time.Duration) core.FullMeshConfig {
-	return core.FullMeshConfig{Interval: r}
-}

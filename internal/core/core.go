@@ -95,22 +95,16 @@ func (r route) entry() RouteEntry {
 	return RouteEntry{Hop: int(r.hop), Cost: r.cost, When: time.Unix(0, r.when).UTC(), From: int(r.from), Source: r.source}
 }
 
-// routeTable is both routers' route table and update hook.
+// routeTable is both routers' route table.
 type routeTable struct {
 	routes []route // per destination slot
-	// OnRouteUpdate, if non-nil, observes every route table write (used for
-	// freshness accounting).
-	OnRouteUpdate func(dst int, e RouteEntry)
 }
 
-// install writes a route table entry and fires the update hook.
+// install writes a route table entry.
 //
 //lint:allocfree
 func (t *routeTable) install(dst int, r route) {
 	t.routes[dst] = r
-	if t.OnRouteUpdate != nil {
-		t.OnRouteUpdate(dst, r.entry())
-	}
 }
 
 // Routes implements Router.

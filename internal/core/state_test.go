@@ -69,17 +69,12 @@ func TestRouteEntryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.LinkAlive = func(int) bool { return true }
-	var hooked RouteEntry
-	q.OnRouteUpdate = func(_ int, e RouteEntry) { hooked = e }
 	for _, at := range []time.Duration{0, 90 * time.Second} {
 		nw.RunFor(at - nw.Elapsed())
 		want := RouteEntry{Hop: 3, Cost: 512, When: env.Now(), From: 1, Source: SourceRendezvous}
 		q.install(2, route{when: env.Now().UnixNano(), hop: 3, from: 1, cost: 512, source: SourceRendezvous})
 		if got := q.Routes()[2]; got != want || got.When.IsZero() {
 			t.Errorf("installed at %v: Routes reads %+v, want %+v", at, got, want)
-		}
-		if hooked != want {
-			t.Errorf("installed at %v: the hook saw %+v, want %+v", at, hooked, want)
 		}
 		if got, ok := q.BestHop(2); !ok || got != want {
 			t.Errorf("installed at %v: BestHop reads %+v (%v), want %+v", at, got, ok, want)

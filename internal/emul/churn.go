@@ -704,13 +704,8 @@ func RunChurn(opt ChurnOptions) *ChurnResult {
 	maxN := opt.capacity(steps)
 	env := opt.Env
 	if env == nil {
+		// A dynamic fleet reads only the latencies; loss comes from opt.
 		env = traces.Generate(maxN, opt.Seed, traces.Config{BadNodeFrac: 0.0001})
-		for a := 0; a < maxN; a++ {
-			for b := 0; b < maxN; b++ {
-				env.Loss[a][b] = 0
-				env.DownFrac[a][b] = 0
-			}
-		}
 	}
 	f := NewDynamicFleet(opt.N, DynamicFleetOptions{
 		MaxN:         maxN,
@@ -828,8 +823,9 @@ func sampleChurn(f *DynamicFleet, env *traces.Env, settleAge time.Duration) Chur
 		}
 		a, b := eps[i], eps[j]
 		r, ok := f.nodes[a].BestHop(f.envs[b].LocalID())
-		usable := ok && churnRouteUsable(f, idToEp, a, b, r)
-		if !usable && churnOracleOneHop(f, env, actives, a, b) == 0 {
+		hop, known := idToEp[r.Hop]
+		usable := ok && known && routeUsable(f.Net, a, hop, b)
+		if !usable && oracleOneHop(f.Net, env, actives, a, b) == wire.InfCost {
 			// No physical path exists (the pair straddles a partition):
 			// unroutable by any algorithm, so it is excluded rather than
 			// charged against availability.
@@ -842,7 +838,7 @@ func sampleChurn(f *DynamicFleet, env *traces.Env, settleAge time.Duration) Chur
 		}
 		s.Routed++
 		if s.StretchPairs < churnStretchPairs {
-			if oracle := churnOracleOneHop(f, env, actives, a, b); oracle > 0 {
+			if oracle := oracleOneHop(f.Net, env, actives, a, b); oracle > 0 {
 				s.StretchPairs++
 				stretchSum += float64(r.Cost) / float64(oracle)
 			}
@@ -857,53 +853,6 @@ func sampleChurn(f *DynamicFleet, env *traces.Env, settleAge time.Duration) Chur
 		s.MeanStretch = stretchSum / float64(s.StretchPairs)
 	}
 	return s
-}
-
-// churnRouteUsable verifies a route against ground truth: every link on it
-// is up and the intermediate (if any) is a live node.
-func churnRouteUsable(f *DynamicFleet, idToEp map[wire.NodeID]int, a, b int, r overlay.Route) bool {
-	if r.Hop == r.Dst {
-		return f.Net.Reachable(a, b)
-	}
-	hopEp, ok := idToEp[r.Hop]
-	if !ok || !f.active[hopEp] {
-		return false
-	}
-	return f.Net.Reachable(a, hopEp) && f.Net.Reachable(hopEp, b)
-}
-
-// churnOracleOneHop computes the true optimal one-hop RTT between endpoints
-// a and b, allowing any live endpoint as the intermediate (exactly the hops
-// the overlay could recommend). Legs truncate to whole milliseconds the way
-// the prober's clampMS quantizes its measurements, so a converged optimal
-// route scores a stretch of exactly 1.0 instead of drifting below it on
-// rounding mismatches.
-func churnOracleOneHop(f *DynamicFleet, env *traces.Env, eps []int, a, b int) wire.Cost {
-	rtt := func(x, y int) wire.Cost {
-		if x == y {
-			return 0
-		}
-		if !f.Net.Reachable(x, y) {
-			return wire.InfCost
-		}
-		if env != nil {
-			return wire.Cost(env.LatencyMS[x][y])
-		}
-		return 40
-	}
-	best := rtt(a, b)
-	for _, h := range eps {
-		if h == a || h == b {
-			continue
-		}
-		if v := rtt(a, h).Add(rtt(h, b)); v < best {
-			best = v
-		}
-	}
-	if best == wire.InfCost {
-		return 0
-	}
-	return best
 }
 
 // Format renders the run as the churn experiment's canonical text output:

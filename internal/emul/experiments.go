@@ -8,10 +8,10 @@ import (
 
 	"allpairs/internal/core"
 	"allpairs/internal/grid"
-	"allpairs/internal/metrics"
 	"allpairs/internal/overlay"
 	"allpairs/internal/par"
 	"allpairs/internal/probe"
+	"allpairs/internal/simnet"
 	"allpairs/internal/stats"
 	"allpairs/internal/traces"
 	"allpairs/internal/wire"
@@ -189,10 +189,10 @@ type DeploymentResult struct {
 	// mean and max over 1-min samples.
 	MeanDouble, MaxDouble []float64
 	// Per-pair freshness statistics (Figure 12).
-	Pairs []metrics.PairStats
+	Pairs []PairStats
 	// Figure 13/14 subjects and their per-destination freshness.
 	WellNode, PoorNode   int
-	WellStats, PoorStats []metrics.PairStats
+	WellStats, PoorStats []PairStats
 	// Mean observed concurrent failures of the two subject nodes, reported
 	// in the figure captions.
 	WellMeanFailures, PoorMeanFailures float64
@@ -210,13 +210,7 @@ func RunDeployment(opt DeploymentOptions) *DeploymentResult {
 	if env == nil {
 		env = traces.PlanetLab(opt.N, opt.Seed)
 	}
-	f := NewFleet(FleetOptions{
-		N:              opt.N,
-		Algorithm:      overlay.AlgQuorum,
-		Seed:           opt.Seed,
-		Env:            env,
-		TrackFreshness: true,
-	})
+	f := NewFleet(FleetOptions{N: opt.N, Algorithm: overlay.AlgQuorum, Seed: opt.Seed, Env: env})
 	res := &DeploymentResult{
 		Opt: opt, Env: env,
 		MeanFailures: make([]float64, opt.N), MaxFailures: make([]float64, opt.N),
@@ -231,6 +225,7 @@ func RunDeployment(opt DeploymentOptions) *DeploymentResult {
 	startWindow := int(opt.Warmup / time.Minute)
 	bwBefore := f.Col.Snapshot(wire.CatRouting)
 
+	ages := newRouteAges(opt.N)
 	failSamples := make([][]float64, opt.N)
 	doubleSamples := make([][]float64, opt.N)
 	sampleMin := func() {
@@ -252,9 +247,7 @@ func RunDeployment(opt DeploymentOptions) *DeploymentResult {
 		}
 		f.Net.RunUntil(next)
 		if f.Elapsed() >= next30 {
-			if f.Fresh != nil {
-				f.Fresh.Sample(f.Net.Now(), f.Start().Add(opt.Warmup))
-			}
+			ages.sample(f, f.Start().Add(opt.Warmup))
 			next30 += 30 * time.Second
 		}
 		if f.Elapsed() >= nextMin {
@@ -272,15 +265,11 @@ func RunDeployment(opt DeploymentOptions) *DeploymentResult {
 		res.MeanFailures[i], res.MaxFailures[i] = meanMax(failSamples[i])
 		res.MeanDouble[i], res.MaxDouble[i] = meanMax(doubleSamples[i])
 	}
-	if f.Fresh != nil {
-		res.Pairs = f.Fresh.AllPairStats()
-	}
+	res.Pairs = ages.stats()
 	res.WellNode = env.WellConnected()
 	res.PoorNode = env.PoorlyConnected()
-	if f.Fresh != nil {
-		res.WellStats = f.Fresh.NodeStats(res.WellNode)
-		res.PoorStats = f.Fresh.NodeStats(res.PoorNode)
-	}
+	res.WellStats = pairsFrom(res.Pairs, res.WellNode)
+	res.PoorStats = pairsFrom(res.Pairs, res.PoorNode)
 	res.WellMeanFailures, _ = meanMax(failSamples[res.WellNode])
 	res.PoorMeanFailures, _ = meanMax(failSamples[res.PoorNode])
 	return res
@@ -297,6 +286,83 @@ func meanMax(vals []float64) (mean, max float64) {
 		}
 	}
 	return mean / float64(len(vals)), max
+}
+
+// PairStats describes one ordered pair's route age across all samples, in
+// seconds.
+type PairStats struct {
+	Src, Dst               int
+	Median, Mean, P97, Max float64
+}
+
+// routeAges collects, at the evaluation's 30-second sampling points, how long
+// ago each node learned its route to each destination. The route table
+// stamps every install, so a sample reads each node's Routes once.
+type routeAges struct {
+	n       int
+	samples [][]float64 // [src*n + dst] age samples in seconds
+}
+
+func newRouteAges(n int) *routeAges {
+	return &routeAges{n: n, samples: make([][]float64, n*n)}
+}
+
+// sample records one age for every ordered pair (src ≠ dst). A route never
+// learned is recorded at the age since start, so dead pairs surface as
+// worst-case staleness rather than disappearing.
+func (a *routeAges) sample(f *Fleet, start time.Time) {
+	now := f.Net.Now()
+	for s, node := range f.Nodes {
+		for d, e := range node.Router().Routes() {
+			if d == s {
+				continue
+			}
+			ref := e.When
+			if ref.IsZero() {
+				ref = start
+			}
+			a.samples[s*a.n+d] = append(a.samples[s*a.n+d], now.Sub(ref).Seconds())
+		}
+	}
+}
+
+// stats summarizes every ordered pair with at least one sample, in (src, dst)
+// order.
+func (a *routeAges) stats() []PairStats {
+	out := make([]PairStats, 0, a.n*(a.n-1))
+	for i, sm := range a.samples {
+		if len(sm) > 0 {
+			out = append(out, summarize(i/a.n, i%a.n, sm))
+		}
+	}
+	return out
+}
+
+// pairsFrom returns the pairs originating at src, the per-node view of
+// Figures 13 and 14.
+func pairsFrom(pairs []PairStats, src int) []PairStats {
+	return slices.DeleteFunc(slices.Clone(pairs), func(p PairStats) bool { return p.Src != src })
+}
+
+// summarize computes a pair's median, mean, nearest-rank 97th percentile and
+// maximum.
+func summarize(src, dst int, vals []float64) PairStats {
+	cp := slices.Clone(vals)
+	slices.Sort(cp)
+	n := len(cp)
+	var mean float64
+	for _, v := range cp {
+		mean += v
+	}
+	mean /= float64(n)
+	median := cp[n/2]
+	if n%2 == 0 {
+		median = (cp[n/2-1] + cp[n/2]) / 2
+	}
+	// Nearest-rank 97th percentile: the smallest sample with at least 97 % of
+	// the distribution at or below it.
+	rank := max((97*n+99)/100, 1) // ceil(0.97*n)
+	return PairStats{Src: src, Dst: dst, Median: median, Mean: mean, P97: cp[rank-1], Max: cp[n-1]}
 }
 
 // ---------------------------------------------------------------------------
@@ -412,9 +478,13 @@ func RunFailoverScenario(scenario int, seed int64) (*ScenarioResult, error) {
 	injectedAt := f.Net.Now()
 	recruited := f.QuorumStats(src).FailoverAttempts
 	deadline := injected + 20*time.Minute
+	everyone := make([]int, n)
+	for i := range everyone {
+		everyone[i] = i
+	}
 	for f.Elapsed() < deadline {
 		f.Run(time.Second)
-		want := oracleOneHop(f, env, src, dst)
+		want := oracleOneHop(f.Net, env, everyone, src, dst)
 		e, ok := f.Nodes[src].Router().BestHop(dst)
 		// Recovery means the routing plane re-derived the route after the
 		// failures: a fresh (post-injection) rendezvous or self-computed
@@ -423,7 +493,7 @@ func RunFailoverScenario(scenario int, seed int64) (*ScenarioResult, error) {
 		// paper's scenario clocks measure rendezvous recovery.
 		fresh := ok && e.When.After(injectedAt) &&
 			(e.Source == core.SourceRendezvous || e.Source == core.SourceSelf)
-		if fresh && want != wire.InfCost && withinMeasurementNoise(e.Cost, want) && routeUsable(f, src, dst, e) {
+		if fresh && want != wire.InfCost && withinMeasurementNoise(e.Cost, want) && routeUsable(f.Net, src, e.Hop, dst) {
 			res.Recovered = f.Elapsed() - injected
 			res.WithinBound = res.Recovered <= res.Bound
 			res.FailoversUsed = f.QuorumStats(src).FailoverAttempts - recruited
@@ -448,25 +518,30 @@ func pickThirdParty(g *grid.Grid, src, dst int) int {
 	return dst
 }
 
-// oracleOneHop computes the true optimal one-hop cost under current ground
-// truth (environment RTTs, simulator link states).
-func oracleOneHop(f *Fleet, env *traces.Env, a, b int) wire.Cost {
-	cost := func(x, y int) wire.Cost {
+// oracleOneHop computes the true optimal one-hop RTT between endpoints a and
+// b under current ground truth (environment RTTs, simulator link states),
+// allowing any of hops as the intermediate: exactly the hops the overlay
+// could recommend. Legs truncate to whole milliseconds the way the prober's
+// clampMS quantizes its measurements, so a converged optimal route scores a
+// stretch of exactly 1.0. A nil env is the homogeneous 40 ms network; no path
+// at all reads wire.InfCost.
+func oracleOneHop(nw *simnet.Network, env *traces.Env, hops []int, a, b int) wire.Cost {
+	rtt := func(x, y int) wire.Cost {
 		if x == y {
 			return 0
 		}
-		if !f.Net.Reachable(x, y) {
+		if !nw.Reachable(x, y) {
 			return wire.InfCost
 		}
-		return wire.Cost(env.LatencyMS[x][y] + 0.5)
-	}
-	best := wire.InfCost
-	for h := 0; h < env.N; h++ {
-		if h == a {
-			continue
+		if env != nil {
+			return wire.Cost(env.LatencyMS[x][y])
 		}
-		if v := cost(a, h).Add(cost(h, b)); v < best {
-			best = v
+		return 40
+	}
+	best := rtt(a, b)
+	for _, h := range hops {
+		if h != a && h != b {
+			best = min(best, rtt(a, h).Add(rtt(h, b)))
 		}
 	}
 	return best
@@ -482,16 +557,13 @@ func withinMeasurementNoise(got, want wire.Cost) bool {
 	return d <= 5 || float64(d) <= 0.1*float64(want)
 }
 
-// routeUsable verifies a route against simulator ground truth: all its links
-// are currently up.
-func routeUsable(f *Fleet, src, dst int, e core.RouteEntry) bool {
-	if e.Hop < 0 {
-		return false
+// routeUsable verifies a route from endpoint a to b through hop (b itself
+// for the direct path) against ground truth: every link on it is up.
+func routeUsable(nw *simnet.Network, a, hop, b int) bool {
+	if hop == b {
+		return nw.Reachable(a, b)
 	}
-	if e.Hop == dst {
-		return f.Net.Reachable(src, dst)
-	}
-	return f.Net.Reachable(src, e.Hop) && f.Net.Reachable(e.Hop, dst)
+	return hop >= 0 && nw.Reachable(a, hop) && nw.Reachable(hop, b)
 }
 
 // ---------------------------------------------------------------------------
@@ -518,28 +590,25 @@ func LossyAblation(qc core.QuorumConfig, loss float64, seed int64) (meanAge, p97
 			env.DownFrac[a][b] = 0
 		}
 	}
-	f := NewFleet(FleetOptions{
-		N: n, Algorithm: overlay.AlgQuorum, Seed: seed, Env: env,
-		Quorum:         qc,
-		TrackFreshness: true,
-	})
+	f := NewFleet(FleetOptions{N: n, Algorithm: overlay.AlgQuorum, Seed: seed, Env: env, Quorum: qc})
 	before := f.Col.Snapshot(wire.CatRouting)
 	// Sample pair ages every 30 s, then summarize the per-pair worst case.
+	ages := newRouteAges(n)
 	end := f.Elapsed() + dur
 	for f.Elapsed() < end {
 		f.Run(30 * time.Second)
-		f.Fresh.Sample(f.Net.Now(), f.Start())
+		ages.sample(f, f.Start())
 	}
 	after := f.Col.Snapshot(wire.CatRouting)
 	var sum float64
 	for _, v := range RoutingKbpsPerNode(before, after, dur) {
 		sum += v
 	}
-	ages := make([]float64, 0, n*(n-1))
-	for _, p := range f.Fresh.AllPairStats() {
-		ages = append(ages, p.Max)
+	worst := make([]float64, 0, n*(n-1))
+	for _, p := range ages.stats() {
+		worst = append(worst, p.Max)
 	}
-	st := stats.Summarize(ages)
+	st := stats.Summarize(worst)
 	return st.Mean, st.P97, sum / n
 }
 

@@ -39,9 +39,6 @@ type FleetOptions struct {
 	Probe    probe.Config
 	Quorum   core.QuorumConfig
 	FullMesh core.FullMeshConfig
-	// TrackFreshness enables per-pair route freshness accounting (needed by
-	// Figures 12–14; costs O(n²) memory per sample).
-	TrackFreshness bool
 }
 
 // Fleet is a running emulation: n overlay nodes, the simulated network, and
@@ -51,7 +48,6 @@ type Fleet struct {
 	Net   *simnet.Network
 	Nodes []*overlay.Node
 	Col   *metrics.Collector
-	Fresh *metrics.Freshness
 
 	start time.Time
 }
@@ -87,10 +83,6 @@ func NewFleet(opt FleetOptions) *Fleet {
 		f.Col.Record(to, metrics.In, wire.CategoryOf(wire.PeekType(payload)), len(payload), nw.Now())
 	}
 
-	if opt.TrackFreshness {
-		f.Fresh = metrics.NewFreshness(opt.N)
-	}
-
 	ids := make([]wire.NodeID, opt.N)
 	for i := range ids {
 		ids[i] = wire.NodeID(i)
@@ -110,11 +102,6 @@ func NewFleet(opt FleetOptions) *Fleet {
 			StaticView: view,
 			StaticID:   wire.NodeID(i),
 		})
-		if f.Fresh != nil {
-			node.OnRouteUpdate = func(self, dst int, e core.RouteEntry) {
-				f.Fresh.Touch(self, dst, nw.Now())
-			}
-		}
 		if err := node.Start(); err != nil {
 			panic(err) // static views with valid IDs cannot fail
 		}

@@ -20,8 +20,8 @@ type HopCost struct {
 // bits are unpacked exactly once at ingest; the batch kernels then scan plain
 // uint16 rows with no per-element status branches, which is what lets
 // rendezvous recommendation passes and full-table recomputes run
-// cache-friendly at n ≥ 500. Freshness and sequence metadata belong to the
-// row, not to a direction, and live on the Table.
+// cache-friendly at n ≥ 500. A row's arrival time and sequence number belong
+// to the row, not to a direction, and live on the Table.
 //
 // Row storage is allocated lazily on first store: a quorum node's table only
 // ever holds ~2√n of the n possible rows, so lazy rows cut per-node table

@@ -137,10 +137,6 @@ type Client struct {
 	stopped   bool
 
 	stats ClientStats
-
-	// OnEvicted, if non-nil, fires when the client discovers the coordinator
-	// expired it (a newer view omits its ID) and begins rejoining.
-	OnEvicted func()
 }
 
 // ClientStats counts the client's gossip and repair traffic, the quantities
@@ -630,9 +626,6 @@ func (c *Client) install(vi *ViewInfo) {
 	if id := c.env.LocalID(); c.joined && id != wire.NilNode {
 		if _, ok := vi.SlotOf(id); !ok {
 			c.joined = false
-			if c.OnEvicted != nil {
-				c.OnEvicted()
-			}
 			if !c.stopped {
 				c.sendJoin()
 				c.joinTimer = c.env.After(c.cfg.JoinRetry, c.joinRetry)

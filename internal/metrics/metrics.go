@@ -1,7 +1,6 @@
-// Package metrics implements the measurement machinery behind the paper's
-// evaluation: per-node bandwidth accounting by traffic category with
-// 1-minute windows (Figures 9 and 10) and route-freshness tracking
-// (Figures 12–14).
+// Package metrics implements the bandwidth accounting behind the paper's
+// evaluation: per-node byte and packet counts by traffic category with
+// 1-minute windows (Figures 9 and 10).
 //
 // Byte counts charge wire.PerPacketOverhead per packet on top of the
 // payload, matching how the paper's published traffic coefficients account
@@ -147,131 +146,3 @@ func (c *Collector) MaxWindowKbps(node int, cat wire.Category, fromWindow, toWin
 
 // WindowCount returns the number of windows a node has touched.
 func (c *Collector) WindowCount(node int) int { return len(c.nodes[node].windows) }
-
-// Freshness tracks, for every (src, dst) pair, when src last received a
-// routing recommendation (or equivalent route knowledge) for dst, and
-// collects age samples at the evaluation's 30-second sampling points.
-type Freshness struct {
-	n       int
-	last    []time.Time // [src*n + dst]
-	samples [][]float64 // [src*n + dst] age samples in seconds
-}
-
-// NewFreshness creates a tracker for n nodes.
-func NewFreshness(n int) *Freshness {
-	return &Freshness{
-		n:       n,
-		last:    make([]time.Time, n*n),
-		samples: make([][]float64, n*n),
-	}
-}
-
-// Touch records that src learned a fresh route for dst at time now.
-func (f *Freshness) Touch(src, dst int, now time.Time) {
-	if src < 0 || src >= f.n || dst < 0 || dst >= f.n {
-		return
-	}
-	i := src*f.n + dst
-	if now.After(f.last[i]) {
-		f.last[i] = now
-	}
-}
-
-// Last returns when src last learned a route for dst (zero time if never).
-func (f *Freshness) Last(src, dst int) time.Time { return f.last[src*f.n+dst] }
-
-// Sample records one age observation for every ordered pair (src ≠ dst)
-// that has received at least one update. Pairs never updated are recorded
-// at the age since start, so dead pairs surface as worst-case staleness
-// rather than disappearing.
-func (f *Freshness) Sample(now, start time.Time) {
-	for s := 0; s < f.n; s++ {
-		for d := 0; d < f.n; d++ {
-			if s == d {
-				continue
-			}
-			i := s*f.n + d
-			ref := f.last[i]
-			if ref.IsZero() {
-				ref = start
-			}
-			f.samples[i] = append(f.samples[i], now.Sub(ref).Seconds())
-		}
-	}
-}
-
-// PairSamples returns the recorded age samples for (src, dst).
-func (f *Freshness) PairSamples(src, dst int) []float64 { return f.samples[src*f.n+dst] }
-
-// PairStats describes one pair's freshness across all samples.
-type PairStats struct {
-	Src, Dst               int
-	Median, Mean, P97, Max float64
-}
-
-// AllPairStats summarizes every ordered pair with at least one sample.
-func (f *Freshness) AllPairStats() []PairStats {
-	out := make([]PairStats, 0, f.n*(f.n-1))
-	for s := 0; s < f.n; s++ {
-		for d := 0; d < f.n; d++ {
-			if s == d {
-				continue
-			}
-			sm := f.samples[s*f.n+d]
-			if len(sm) == 0 {
-				continue
-			}
-			st := summarize(sm)
-			out = append(out, PairStats{Src: s, Dst: d, Median: st[0], Mean: st[1], P97: st[2], Max: st[3]})
-		}
-	}
-	return out
-}
-
-// NodeStats summarizes the pairs originating at src (one entry per
-// destination), the per-node view of Figures 13 and 14.
-func (f *Freshness) NodeStats(src int) []PairStats {
-	out := make([]PairStats, 0, f.n-1)
-	for d := 0; d < f.n; d++ {
-		if d == src {
-			continue
-		}
-		sm := f.samples[src*f.n+d]
-		if len(sm) == 0 {
-			continue
-		}
-		st := summarize(sm)
-		out = append(out, PairStats{Src: src, Dst: d, Median: st[0], Mean: st[1], P97: st[2], Max: st[3]})
-	}
-	return out
-}
-
-// summarize computes [median, mean, p97, max] with a local sort to avoid an
-// import cycle with internal/stats (metrics must stay dependency-light).
-func summarize(vals []float64) [4]float64 {
-	cp := append([]float64(nil), vals...)
-	// insertion sort: sample counts per pair are small (hundreds).
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	n := len(cp)
-	var mean float64
-	for _, v := range cp {
-		mean += v
-	}
-	mean /= float64(n)
-	median := cp[n/2]
-	if n%2 == 0 {
-		median = (cp[n/2-1] + cp[n/2]) / 2
-	}
-	// Nearest-rank 97th percentile: the smallest sample with at least 97 % of
-	// the distribution at or below it.
-	rank := (97*n + 99) / 100 // ceil(0.97*n)
-	if rank < 1 {
-		rank = 1
-	}
-	p97 := cp[rank-1]
-	return [4]float64{median, mean, p97, cp[n-1]}
-}

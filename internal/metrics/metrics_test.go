@@ -105,69 +105,3 @@ func TestDefaultWindow(t *testing.T) {
 		t.Errorf("default window = %v", c.Window())
 	}
 }
-
-func TestFreshnessTouchAndSample(t *testing.T) {
-	f := NewFreshness(3)
-	f.Touch(0, 1, start.Add(10*time.Second))
-	f.Touch(0, 2, start.Add(20*time.Second))
-	f.Touch(0, 1, start.Add(5*time.Second)) // older than existing: ignored
-	if got := f.Last(0, 1); !got.Equal(start.Add(10 * time.Second)) {
-		t.Errorf("Last(0,1) = %v", got)
-	}
-	f.Touch(-1, 0, start) // out of range: ignored
-	f.Touch(0, 9, start)
-
-	f.Sample(start.Add(30*time.Second), start)
-	// Pair (0,1): age 20s. Pair (0,2): age 10s. Pair (1,0): never → 30s.
-	if got := f.PairSamples(0, 1); len(got) != 1 || got[0] != 20 {
-		t.Errorf("samples(0,1) = %v", got)
-	}
-	if got := f.PairSamples(1, 0); len(got) != 1 || got[0] != 30 {
-		t.Errorf("samples(1,0) = %v", got)
-	}
-}
-
-func TestFreshnessStats(t *testing.T) {
-	f := NewFreshness(2)
-	// Four samples for pair (0,1): 1, 2, 3, 100.
-	for _, age := range []float64{1, 2, 3, 100} {
-		f.Touch(0, 1, start)
-		f.samples[0*2+1] = append(f.samples[0*2+1], age)
-	}
-	all := f.AllPairStats()
-	if len(all) != 1 {
-		t.Fatalf("AllPairStats len = %d", len(all))
-	}
-	st := all[0]
-	if st.Src != 0 || st.Dst != 1 {
-		t.Errorf("pair = (%d,%d)", st.Src, st.Dst)
-	}
-	if st.Median != 2.5 || st.Max != 100 || math.Abs(st.Mean-26.5) > 1e-9 {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.P97 != 100 {
-		t.Errorf("p97 = %v", st.P97)
-	}
-	node := f.NodeStats(0)
-	if len(node) != 1 || node[0].Max != 100 {
-		t.Errorf("NodeStats = %+v", node)
-	}
-	if got := f.NodeStats(1); len(got) != 0 {
-		t.Errorf("NodeStats(1) = %+v", got)
-	}
-}
-
-func TestSummarizeOddEven(t *testing.T) {
-	got := summarize([]float64{5})
-	if got != [4]float64{5, 5, 5, 5} {
-		t.Errorf("single sample: %v", got)
-	}
-	got = summarize([]float64{4, 1, 3, 2})
-	if got[0] != 2.5 || got[1] != 2.5 || got[3] != 4 {
-		t.Errorf("even: %v", got)
-	}
-	got = summarize([]float64{3, 1, 2})
-	if got[0] != 2 || got[3] != 3 {
-		t.Errorf("odd: %v", got)
-	}
-}

@@ -82,9 +82,6 @@ type Node struct {
 	self   int
 	ticker transport.Timer
 
-	// OnRouteUpdate, if non-nil, observes every route table write with the
-	// node's slot, for freshness accounting. Set before Start.
-	OnRouteUpdate func(selfSlot, dstSlot int, e core.RouteEntry)
 	// OnData, if non-nil, receives application datagrams addressed to this
 	// node (see SendData). origin is the overlay node that first sent the
 	// packet; the payload must be copied if retained.
@@ -136,8 +133,8 @@ func (n *Node) installView(v *membership.ViewInfo) error {
 		n.prober.SetView(v, self)
 	}
 
-	// The router is created once, wired to the prober and, if anyone listens,
-	// the route-update hook; every later view goes through SetView.
+	// The router is created once and wired to the prober; every later view
+	// goes through SetView.
 	switch {
 	case n.router != nil:
 		if err := n.router.SetView(v, self); err != nil {
@@ -146,9 +143,6 @@ func (n *Node) installView(v *membership.ViewInfo) error {
 	case n.cfg.Algorithm == AlgFullMesh:
 		fm := core.NewFullMesh(n.env, n.cfg.FullMesh, v, self)
 		fm.SelfRow = n.prober.Row
-		if n.OnRouteUpdate != nil {
-			fm.OnRouteUpdate = n.routeUpdated
-		}
 		n.router = fm
 	default:
 		q, err := core.NewQuorum(n.env, n.cfg.Quorum, v, self)
@@ -159,20 +153,11 @@ func (n *Node) installView(v *membership.ViewInfo) error {
 		q.SelfAsymRow = n.prober.AsymRow
 		q.LinkAlive = n.prober.Alive
 		q.LinkResolved = n.prober.Resolved
-		if n.OnRouteUpdate != nil {
-			q.OnRouteUpdate = n.routeUpdated
-		}
 		n.router = q
 	}
 
 	n.scheduleTicks()
 	return nil
-}
-
-func (n *Node) routeUpdated(dst int, e core.RouteEntry) {
-	if n.OnRouteUpdate != nil {
-		n.OnRouteUpdate(n.self, dst, e)
-	}
 }
 
 // scheduleTicks (re)starts the routing interval timer with a random initial

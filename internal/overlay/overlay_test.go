@@ -267,12 +267,14 @@ func TestBestHopUnknownDestination(t *testing.T) {
 	}
 }
 
-func TestOnRouteUpdateFires(t *testing.T) {
+// TestRoutesStampLearnTime checks that a running node's route table records
+// when each route was last learned: every destination is routed after a
+// minute, and no route is older than a few routing intervals.
+func TestRoutesStampLearnTime(t *testing.T) {
 	nw := simnet.New(4, 9)
 	reg := transport.NewRegistry()
 	ids := []wire.NodeID{0, 1, 2, 3}
 	view := membership.NewStaticView(ids)
-	updates := 0
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			if i != j {
@@ -293,20 +295,19 @@ func TestOnRouteUpdateFires(t *testing.T) {
 		})
 		if i == 0 {
 			first = node
-			node.OnRouteUpdate = func(self, dst int, e core.RouteEntry) {
-				if self != 0 {
-					t.Errorf("self slot = %d", self)
-				}
-				updates++
-			}
 		}
 		if err := node.Start(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	nw.RunFor(time.Minute)
-	if updates == 0 {
-		t.Error("no route updates observed")
+	for dst, e := range first.Router().Routes() {
+		if dst == 0 {
+			continue
+		}
+		if age := nw.Now().Sub(e.When); e.When.IsZero() || age > 3*5*time.Second {
+			t.Errorf("route to %d learned at %v, %v ago", dst, e.When, age)
+		}
 	}
 	if first.Slot() != 0 {
 		t.Errorf("slot = %d", first.Slot())

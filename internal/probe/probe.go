@@ -114,9 +114,6 @@ type Prober struct {
 	armed  time.Duration   // when timer fires; never while none is pending
 	wakeFn func()          // p.wake, bound once
 
-	// OnLinkChange, if non-nil, is invoked when a link transitions between
-	// alive and dead. slot is the destination's grid slot.
-	OnLinkChange func(slot int, alive bool)
 	// OnMeasure, if non-nil, is invoked on every successful RTT measurement.
 	OnMeasure func(slot int, rtt time.Duration)
 }
@@ -184,17 +181,12 @@ func (p *Prober) SetView(view *membership.ViewInfo, self int) {
 	// A reused slot (retired and started at once) probes fresh: the estimates
 	// belonged to the departed node, not the slot.
 	for _, s := range retired {
-		ls := &p.links[s]
-		wasAlive := ls.alive
-		*ls = linkState{}
+		p.links[s] = linkState{}
 		p.sched.set(s, never)
 		p.row[s] = wire.LinkEntry{Latency: 0, Status: wire.StatusDead}
 		if p.asymRow != nil {
 			p.oneWays[s] = oneWay{}
 			p.asymRow[s] = wire.AsymEntry{Status: wire.StatusDead}
-		}
-		if wasAlive && p.OnLinkChange != nil {
-			p.OnLinkChange(s, false)
 		}
 	}
 	now := p.now()
@@ -388,9 +380,6 @@ func (p *Prober) onTimeout(slot int, now time.Duration) {
 	if ls.alive && int(ls.consec) >= p.cfg.FailThreshold {
 		ls.alive = false
 		p.row[slot].Status = wire.StatusDead
-		if p.OnLinkChange != nil {
-			p.OnLinkChange(slot, false)
-		}
 	}
 	p.updateStatus(slot)
 	// Rapid re-probing until the link is declared dead; normal cadence
@@ -457,12 +446,7 @@ func (p *Prober) HandleReply(h wire.Header, body []byte) {
 		ow.in = stats.EWMA(ow.in, float64(rev)/float64(time.Millisecond), latencyAlpha, ls.everAlive)
 	}
 	ls.everAlive = true
-	if !ls.alive {
-		ls.alive = true
-		if p.OnLinkChange != nil {
-			p.OnLinkChange(slot, true)
-		}
-	}
+	ls.alive = true
 	p.updateStatus(slot)
 	if p.OnMeasure != nil {
 		p.OnMeasure(slot, rtt)

@@ -20,8 +20,6 @@ func countNet(t *testing.T, seed int64) (*Network, *[4][]int) {
 
 func TestPartitionDropsCrossTraffic(t *testing.T) {
 	nw, got := countNet(t, 1)
-	drops := 0
-	nw.OnDrop = func(from, to int, payload []byte) { drops++ }
 	nw.SetPartition([]int{2, 3}) // {2,3} vs implicit {0,1}
 
 	for a := 0; a < 4; a++ {
@@ -40,8 +38,8 @@ func TestPartitionDropsCrossTraffic(t *testing.T) {
 	if len(got[2]) != 1 || got[2][0] != 3 {
 		t.Errorf("endpoint 2 got %v, want [3]", got[2])
 	}
-	if drops != 8 {
-		t.Errorf("drops = %d, want 8", drops)
+	if nw.Dropped() != 8 {
+		t.Errorf("dropped = %d, want 8", nw.Dropped())
 	}
 	if nw.Reachable(0, 2) || !nw.Reachable(0, 1) || !nw.Reachable(2, 3) {
 		t.Error("Reachable disagrees with the partition")
@@ -117,12 +115,11 @@ func TestPartitionPanicsOutOfRange(t *testing.T) {
 }
 
 func TestOnDropDistinguishesFailureModes(t *testing.T) {
-	// OnDrop fires for loss, link-down, node-down (send side), partition,
-	// and death-in-flight alike; OnSend sees every attempt.
+	// Dropped counts loss, link-down, node-down (send side), partition and
+	// death-in-flight alike; OnSend sees every attempt.
 	nw := New(3, 42)
-	sends, drops := 0, 0
+	sends := 0
 	nw.OnSend = func(from, to int, payload []byte) { sends++ }
-	nw.OnDrop = func(from, to int, payload []byte) { drops++ }
 	nw.SetHandler(1, func(int, []byte) {})
 
 	nw.SetLoss(0, 1, 1.0)
@@ -149,8 +146,8 @@ func TestOnDropDistinguishesFailureModes(t *testing.T) {
 	if sends != 5 {
 		t.Errorf("OnSend saw %d attempts, want 5", sends)
 	}
-	if drops != 5 {
-		t.Errorf("OnDrop saw %d drops, want 5", drops)
+	if nw.Dropped() != 5 {
+		t.Errorf("dropped = %d, want 5", nw.Dropped())
 	}
 	if nw.Delivered() != 0 {
 		t.Errorf("delivered = %d, want 0", nw.Delivered())

@@ -29,8 +29,6 @@ func TestDuplicatedCopyDiesInFlightToo(t *testing.T) {
 	// Both copies of a duplicated packet are subject to receiver death:
 	// killing the receiver while the packet is in flight drops both.
 	nw, got := countNet(t, 7)
-	drops := 0
-	nw.OnDrop = func(from, to int, payload []byte) { drops++ }
 	nw.SetDuplication(0, 1, 1.0)
 	nw.SetLatency(0, 1, 10*time.Millisecond)
 	nw.Send(0, 1, []byte{9})
@@ -40,8 +38,8 @@ func TestDuplicatedCopyDiesInFlightToo(t *testing.T) {
 	if len(got[1]) != 0 {
 		t.Errorf("deliveries = %d, want 0", len(got[1]))
 	}
-	if drops != 2 {
-		t.Errorf("drops = %d, want 2 (original + duplicate)", drops)
+	if nw.Dropped() != 2 {
+		t.Errorf("dropped = %d, want 2 (original + duplicate)", nw.Dropped())
 	}
 }
 
@@ -100,8 +98,6 @@ func TestJitterBoundsDeliveryTime(t *testing.T) {
 
 func TestBurstLossWindow(t *testing.T) {
 	nw, got := countNet(t, 5)
-	drops := 0
-	nw.OnDrop = func(from, to int, payload []byte) { drops++ }
 	// Window covers [1s, 2s) from now.
 	nw.AddBurstLoss(0, 1, time.Second, time.Second)
 
@@ -120,8 +116,8 @@ func TestBurstLossWindow(t *testing.T) {
 	if len(got[0]) != 1 {
 		t.Errorf("endpoint 0 deliveries = %d, want 1", len(got[0]))
 	}
-	if drops != 2 {
-		t.Errorf("drops = %d, want 2", drops)
+	if nw.Dropped() != 2 {
+		t.Errorf("dropped = %d, want 2", nw.Dropped())
 	}
 	// Expired windows are pruned lazily on the send path.
 	if len(nw.bursts) != 0 {

@@ -120,9 +120,6 @@ type Network struct {
 	// OnDeliver, if non-nil, observes every successful delivery just before
 	// the receiving handler runs; used for incoming bandwidth accounting.
 	OnDeliver func(from, to int, payload []byte)
-	// OnDrop, if non-nil, observes packets lost to link loss, link failure,
-	// burst-loss windows, or node failure.
-	OnDrop func(from, to int, payload []byte)
 
 	delivered  uint64
 	dropped    uint64
@@ -409,9 +406,6 @@ func (nw *Network) Send(from, to int, payload []byte) {
 		nw.inBurst(from, to) ||
 		(l.loss > 0 && nw.rng.Float64() < l.loss) {
 		nw.dropped++
-		if nw.OnDrop != nil {
-			nw.OnDrop(from, to, payload)
-		}
 		return
 	}
 	copies := 1
@@ -453,9 +447,6 @@ func (nw *Network) deliver(pkt *packet) {
 	nw.free = append(nw.free, pkt)
 	if nw.nodeDown[to] { // receiver died while the packet was in flight
 		nw.dropped++
-		if nw.OnDrop != nil {
-			nw.OnDrop(from, to, payload)
-		}
 		return
 	}
 	nw.delivered++

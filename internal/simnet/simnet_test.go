@@ -217,16 +217,15 @@ func TestDeathInFlight(t *testing.T) {
 func TestHooks(t *testing.T) {
 	nw := New(2, 7)
 	nw.SetLoss(0, 1, 1.0)
-	var sent, droppedPkts, deliveredPkts int
+	var sent, deliveredPkts int
 	nw.OnSend = func(from, to int, p []byte) { sent++ }
-	nw.OnDrop = func(from, to int, p []byte) { droppedPkts++ }
 	nw.OnDeliver = func(from, to int, p []byte) { deliveredPkts++ }
 	nw.Send(0, 1, []byte{1})
 	nw.SetLoss(0, 1, 0)
 	nw.Send(0, 1, []byte{2})
 	nw.RunFor(time.Second)
-	if sent != 2 || droppedPkts != 1 || deliveredPkts != 1 {
-		t.Errorf("sent=%d dropped=%d delivered=%d", sent, droppedPkts, deliveredPkts)
+	if sent != 2 || nw.Dropped() != 1 || deliveredPkts != 1 {
+		t.Errorf("sent=%d dropped=%d delivered=%d", sent, nw.Dropped(), deliveredPkts)
 	}
 }
 
