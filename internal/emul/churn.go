@@ -823,7 +823,10 @@ func sampleChurn(f *DynamicFleet, env *traces.Env, settleAge time.Duration) Chur
 		}
 		a, b := eps[i], eps[j]
 		r, ok := f.nodes[a].BestHop(f.envs[b].LocalID())
-		hop, known := idToEp[r.Hop]
+		hop, known := b, true
+		if r.Hop != r.Dst {
+			hop, known = idToEp[r.Hop]
+		}
 		usable := ok && known && routeUsable(f.Net, a, hop, b)
 		if !usable && oracleOneHop(f.Net, env, actives, a, b) == wire.InfCost {
 			// No physical path exists (the pair straddles a partition):

@@ -13,7 +13,8 @@ import (
 // deployment run: every pair's freshness summary and the two subject nodes'
 // per-destination summaries, bit for bit. A change to how route ages are
 // sampled or summarized must leave this hash alone unless it means to move
-// the figures.
+// the figures. The value was captured while a route-update hook fed a
+// separate n×n clock; reading the route table's own stamps reproduces it.
 func TestDeploymentFreshnessGolden(t *testing.T) {
 	res := RunDeployment(DeploymentOptions{N: 36, Seed: 1, Duration: 10 * time.Minute})
 	h := sha256.New()

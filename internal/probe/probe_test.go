@@ -426,7 +426,7 @@ func TestSetViewRetiresDepartedSlot(t *testing.T) {
 	}
 
 	// Node 1 departs, leaving a tombstone: ID 2 keeps slot 2 and everything
-	// measured about it; slot 1 goes cold and its death is reported.
+	// measured about it; slot 1 goes cold and reads dead.
 	due2 := p.sched.due[2]
 	p.SetView(slotView(t, 2, 0, wire.NilNode, 2), 0)
 	got, ok := p.Latency(2)
