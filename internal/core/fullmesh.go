@@ -100,7 +100,7 @@ func (f *FullMesh) SetView(view *membership.ViewInfo, self int) error {
 	f.self = self
 	if stable {
 		f.table.Grow(n)
-		f.routes = append(f.routes, make([]route, n-len(f.routes))...)
+		f.routes = extend(f.routes, n)
 		for _, s := range retired {
 			f.table.RetireSlot(s)
 		}

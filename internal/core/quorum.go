@@ -106,20 +106,38 @@ type QuorumStats struct {
 	ViewRemaps  uint64
 }
 
-// rendezvous is one (destination, rendezvous) pairing of §4.1's silence
-// tracking, pointer-free so that the table is one flat slice the collector
-// never scans. heard is when (Unix ns) the rendezvous last recommended a route
-// to the destination, or when the pairing began: the view install that made
-// it a default, or its recruitment as a failover.
-type rendezvous struct {
-	slot  int32
-	heard int64
+// silence holds §4.1's clocks by rendezvous and position: for the i-th server
+// k of this node, slot[run[i]:run[i+1]] are the destinations whose rows k
+// holds — k's clients less this node, and k itself — ascending, which is the
+// order k's recommendations list them in, and heard[run[i]:run[i+1]] is, per
+// destination, when (Unix ns) k last recommended a route to it, or when the
+// pairing began: the view install that made k a default rendezvous of the
+// destination. Every array is pointer-free, ten bytes a pairing.
+type silence struct {
+	servers []int // this node's servers, ascending
+	run     []int32
+	slot    []uint16
+	heard   []int64
+}
+
+// clock returns rendezvous k's clock for dst, or nil when k is no server of
+// this node or holds no row of dst.
+func (t *silence) clock(k, dst int) *int64 {
+	i, ok := slices.BinarySearch(t.servers, k)
+	if !ok {
+		return nil
+	}
+	lo := int(t.run[i])
+	if j, ok := slices.BinarySearch(t.slot[lo:t.run[i+1]], uint16(dst)); ok {
+		return &t.heard[lo+j]
+	}
+	return nil
 }
 
 // failoverState tracks §4.1 recovery for one destination.
 type failoverState struct {
 	server         int          // recruited failover rendezvous (-1 when none)
-	heard          int64        // as rendezvous.heard, for server
+	heard          int64        // as silence's clocks, for server
 	tried          map[int]bool // candidates used this episode
 	suspendedUntil time.Time    // dead-destination backoff
 }
@@ -139,13 +157,12 @@ type Quorum struct {
 	table *lsdb.Table // rows received from rendezvous clients (directional in asymmetric mode)
 	routeTable
 
-	// rv[rvOff[dst]:rvOff[dst+1]] are dst's default rendezvous: the common set
-	// for (self, dst) less this node, which always holds its own row. §4.1's
-	// state is indexed by destination; only a view install can resize it.
-	rv          []rendezvous
-	rvOff       []int32
+	// rv's clocks pair dst with its default rendezvous: the common set for
+	// (self, dst) less this node, which always holds its own row. Only a view
+	// install can reshape them.
+	rv          silence
 	failovers   []*failoverState // per destination slot; nil outside a failover episode
-	pendingAcks []uint32         // per server slot: the row seq awaiting its ack, 0 when none (reliable mode)
+	pendingAcks []uint32         // per server slot: the row seq awaiting its ack, 0 when none; nil unless reliable
 	stats       QuorumStats
 
 	// SelfRow returns the node's current measured link-state row (owned by
@@ -162,6 +179,7 @@ type Quorum struct {
 	LinkResolved func(slot int) bool
 
 	// scratch buffers reused across ticks.
+	live       []bool // per destination: some default rendezvous is live
 	clientsBuf []int
 	costsBuf   []wire.Cost // unpacked live self row (out-costs, then in-costs when directional)
 	hopBuf     []lsdb.HopCost
@@ -204,8 +222,8 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	q.view, q.g, q.self, q.servers = view, g, self, g.Servers(self)
 	if stable {
 		q.table.Grow(n)
-		q.routes = append(q.routes, make([]route, n-len(q.routes))...)
-		q.failovers = append(q.failovers, make([]*failoverState, n-len(q.failovers))...)
+		q.routes = extend(q.routes, n)
+		q.failovers = extend(q.failovers, n)
 		for _, s := range retired {
 			q.table.RetireSlot(s)
 			q.failovers[s] = nil
@@ -232,15 +250,28 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		}
 		q.routes = make([]route, n)
 		q.failovers = make([]*failoverState, n)
-		q.rv, q.rvOff = nil, nil
+		q.rv = silence{}
 	}
 	q.table.SetTombstones(view.Tombstones())
 	q.pairRendezvous(retired)
-	q.pendingAcks = make([]uint32, n)
+	q.live = make([]bool, n)
+	if q.cfg.ReliableLinkState {
+		q.pendingAcks = make([]uint32, n)
+	}
 	return nil
 }
 
-// pairRendezvous rebuilds the silence table for the view just installed. A
+// extend returns s lengthened to n entries, the new ones zero. A per-slot
+// table lives as long as the view, so the storage is exactly n long: append
+// would leave spare capacity behind every stable extension.
+func extend[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(make([]T, 0, n), s...)[:n]
+}
+
+// pairRendezvous rebuilds the silence clocks for the view just installed. A
 // pairing the previous table held keeps its clock unless the install retired
 // either end of it; every other — a new or reused slot, a newly appointed
 // deputy, everything after a cold install — starts now: grace runs from when
@@ -248,55 +279,29 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 //
 // k is a rendezvous of (self, dst) exactly when k is one of this node's servers
 // and holds dst's row — dst is k or one of k's clients (the relation is
-// symmetric) — so the table is filled by walking the 2√n servers, ≈ 4n steps,
-// not by intersecting two server sets per destination. Servers ascend, so each
-// destination's pairings come out in slot order.
+// symmetric) — so the clocks are laid out by walking the 2√n servers, ≈ 4n
+// steps, not by intersecting two server sets per destination.
 func (q *Quorum) pairRendezvous(retired []int) {
-	n := q.view.Slots()
 	now := q.env.Now().UnixNano()
-	// Pairings are counted one entry late: after the running sum off[dst+1] is
-	// where dst's begin, and filling advances it to where they end, which is
-	// where dst+1's begin — leaving off[:n+1] the offsets.
-	off := make([]int32, n+2)
+	next := silence{servers: q.servers, run: make([]int32, len(q.servers)+1)}
 	held := make([][]int, len(q.servers)) // per server, whose rows it holds
 	for i, k := range q.servers {
-		held[i] = append(q.g.Clients(k), k)
-		for _, dst := range held[i] {
-			off[dst+2]++
-		}
+		held[i] = slices.DeleteFunc(append(q.g.Clients(k), k), func(dst int) bool { return dst == q.self })
+		slices.Sort(held[i])
+		next.run[i+1] = next.run[i] + int32(len(held[i]))
 	}
-	off[q.self+2] = 0
-	for i := 2; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	rv := make([]rendezvous, off[n+1])
+	next.slot = make([]uint16, next.run[len(held)])
+	next.heard = make([]int64, len(next.slot))
 	for i, k := range q.servers {
-		for _, dst := range held[i] {
-			if dst == q.self {
-				continue
-			}
-			heard := now
-			if p := q.pairing(dst, k); p != nil && !slices.Contains(retired, dst) && !slices.Contains(retired, k) {
-				heard = p.heard
-			}
-			rv[off[dst+1]] = rendezvous{slot: int32(k), heard: heard}
-			off[dst+1]++
-		}
-	}
-	q.rv, q.rvOff = rv, off[:n+1]
-}
-
-// pairing returns dst's silence-table entry for rendezvous k, or nil.
-func (q *Quorum) pairing(dst, k int) *rendezvous {
-	if dst+1 < len(q.rvOff) {
-		pair := q.rv[q.rvOff[dst]:q.rvOff[dst+1]]
-		for i := range pair {
-			if int(pair[i].slot) == k {
-				return &pair[i]
+		for j, dst := range held[i] {
+			p := int(next.run[i]) + j
+			next.slot[p], next.heard[p] = uint16(dst), now
+			if c := q.rv.clock(k, dst); c != nil && !slices.Contains(retired, dst) && !slices.Contains(retired, k) {
+				next.heard[p] = *c
 			}
 		}
 	}
-	return nil
+	q.rv = next
 }
 
 // retireRoutes scrubs a route table of the slots a stable view extension
@@ -404,8 +409,14 @@ func (q *Quorum) retransmit(seq uint32, viewVersion uint32, msg []byte) {
 	}
 }
 
-// HandleLinkStateAck clears a pending reliable-delivery ack.
+// HandleLinkStateAck clears a pending reliable-delivery ack. Outside reliable
+// mode nothing is pending and the ack is dropped unread.
+//
+//lint:allocfree
 func (q *Quorum) HandleLinkStateAck(h wire.Header, body []byte) {
+	if !q.cfg.ReliableLinkState {
+		return
+	}
 	seq, err := wire.ParseLinkStateAck(body)
 	if err != nil {
 		return
@@ -619,6 +630,16 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 		return
 	}
 	now := q.env.Now().UnixNano()
+	// A default rendezvous's entries list its clients in slot order, then
+	// itself: they are walked against the run of clocks it shares with this
+	// node, one merge pass, seeking afresh only where the order turns back.
+	var slots []uint16
+	var heard []int64
+	if r, isServer := slices.BinarySearch(q.servers, from); isServer {
+		lo, hi := q.rv.run[r], q.rv.run[r+1]
+		slots, heard = q.rv.slot[lo:hi], q.rv.heard[lo:hi]
+	}
+	at := 0
 	for i := 0; i < k; i++ {
 		e := wire.RecommendationEntry(body, i)
 		dst, ok := q.view.SlotOf(e.Dst)
@@ -628,8 +649,15 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 		// Only a rendezvous this node relies on for dst — a default, the
 		// recruited failover, or (a silent default recruited again) both —
 		// was heard from; anyone else's word moves no clock.
-		if p := q.pairing(dst, from); p != nil {
-			p.heard = now
+		if at > 0 && int(slots[at-1]) >= dst {
+			at, _ = slices.BinarySearch(slots, uint16(dst))
+		}
+		for at < len(slots) && int(slots[at]) < dst {
+			at++
+		}
+		if at < len(slots) && int(slots[at]) == dst {
+			heard[at] = now
+			at++
 		}
 		if fo := q.failovers[dst]; fo != nil && fo.server == from {
 			fo.heard = now
@@ -703,20 +731,27 @@ func (q *Quorum) destinationSeemsAlive(dst int, now time.Time) bool {
 func (q *Quorum) detectFailures() {
 	now := q.env.Now()
 	nowNs := now.UnixNano()
+	// A destination is covered when any of its default rendezvous is live:
+	// OR each usable server's verdicts over the run of clocks it holds.
+	clear(q.live)
+	for i, k := range q.servers {
+		if !q.usable(k) {
+			continue
+		}
+		lo := q.rv.run[i]
+		for j, dst := range q.rv.slot[lo:q.rv.run[i+1]] {
+			if int(dst) == k || time.Duration(nowNs-q.rv.heard[int(lo)+j]) <= q.cfg.remoteSilence() {
+				q.live[dst] = true
+			}
+		}
+	}
 	doubles := 0
 	dead := 0
 	for dst := 0; dst < q.view.Slots(); dst++ {
 		if dst == q.self || !q.view.Occupied(dst) {
 			continue
 		}
-		anyLive := false
-		for _, rv := range q.rv[q.rvOff[dst]:q.rvOff[dst+1]] {
-			if q.rendezvousLive(int(rv.slot), dst, rv.heard, nowNs) {
-				anyLive = true
-				break
-			}
-		}
-		if anyLive {
+		if q.live[dst] {
 			q.failovers[dst] = nil // revert to the default rendezvous
 			continue
 		}

@@ -45,7 +45,7 @@ var nonStableInstalls = []struct {
 func TestQuorumSetViewNonStableGoesCold(t *testing.T) {
 	viewState := func(q *Quorum) []any {
 		return []any{q.view, q.self, q.g, q.table, q.routes,
-			q.rv, q.rvOff, q.failovers, q.pendingAcks}
+			q.rv, q.failovers, q.pendingAcks, q.live}
 	}
 	for _, tc := range nonStableInstalls {
 		t.Run(tc.name, func(t *testing.T) {
@@ -152,11 +152,10 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 	// Every pairing has been heard from since the view began, each at its own
 	// moment, and an episode toward slot 8 has tried slots 2 and 5.
 	nw.RunFor(10 * time.Second)
-	for i := range q.rv {
-		q.rv[i].heard = env.Now().UnixNano() + int64(i)
+	for i := range q.rv.heard {
+		q.rv.heard[i] = env.Now().UnixNano() + int64(i)
 	}
-	was, hadDeputy := append([]rendezvous(nil), q.rv...), q.pairing(4, 5) != nil
-	wasOff := append([]int32(nil), q.rvOff...)
+	was, hadDeputy := clocks(q), q.rv.clock(5, 4) != nil
 	q.failovers[8] = &failoverState{server: 5, heard: 77, tried: map[int]bool{2: true, 5: true}}
 	q.failovers[3] = &failoverState{server: 4, tried: map[int]bool{4: true}}
 
@@ -191,9 +190,9 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 	if r := q.table.OutRow(6); r[4] != 50 || r[3] != wire.InfCost || r[9] != wire.InfCost {
 		t.Errorf("survivor's costs to 4/3/9 = %d/%d/%d, want 50/Inf/Inf", r[4], r[3], r[9])
 	}
-	if q.table.N() != 10 || len(q.routes) != 10 || len(q.failovers) != 10 || len(q.rvOff) != 11 {
-		t.Errorf("slot space not extended: table %d routes %d failovers %d offsets %d",
-			q.table.N(), len(q.routes), len(q.failovers), len(q.rvOff))
+	if q.table.N() != 10 || cap(q.routes) != 10 || cap(q.failovers) != 10 || cap(q.live) != 10 {
+		t.Errorf("slot space not extended to exactly 10: table %d routes %d failovers %d liveness %d",
+			q.table.N(), cap(q.routes), cap(q.failovers), cap(q.live))
 	}
 
 	// The silence table is the new grid's common sets less this node. A
@@ -203,27 +202,23 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 	retired := map[int]bool{2: true, 3: true}
 	kept, fresh := 0, 0
 	for dst := 0; dst < 10; dst++ {
-		var want []rendezvous
+		var want []pairing
 		for _, k := range q.g.Common(0, dst) {
 			if k == 0 || dst == 2 {
 				continue
 			}
 			heard := installed
-			if dst < 9 && !retired[dst] && !retired[k] {
-				for i := wasOff[dst]; i < wasOff[dst+1]; i++ {
-					if int(was[i].slot) == k {
-						heard = was[i].heard
-					}
-				}
+			if old, ok := was[[2]int{dst, k}]; ok && !retired[dst] && !retired[k] {
+				heard = old
 			}
 			if heard == installed {
 				fresh++
 			} else {
 				kept++
 			}
-			want = append(want, rendezvous{slot: int32(k), heard: heard})
+			want = append(want, pairing{slot: k, heard: heard})
 		}
-		if got := q.rv[q.rvOff[dst]:q.rvOff[dst+1]]; !reflect.DeepEqual(append([]rendezvous(nil), got...), want) {
+		if got := pairingsToward(q, dst); !reflect.DeepEqual(got, want) {
 			t.Errorf("pairings toward slot %d = %v, want %v", dst, got, want)
 		}
 	}
@@ -241,18 +236,18 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 		{3, 6, false, "the destination's slot was reused"},
 		{9, 1, false, "the destination is new"},
 	} {
-		p := q.pairing(tc.dst, tc.k)
+		p := q.rv.clock(tc.k, tc.dst)
 		if p == nil {
 			t.Fatalf("no pairing (%d, %d)", tc.dst, tc.k)
 		}
-		if (p.heard != installed) != tc.keeps {
-			t.Errorf("pairing (%d, %d) heard %d, install at %d: %s", tc.dst, tc.k, p.heard, installed, tc.why)
+		if (*p != installed) != tc.keeps {
+			t.Errorf("pairing (%d, %d) heard %d, install at %d: %s", tc.dst, tc.k, *p, installed, tc.why)
 		}
 	}
 	// Slot 5 stands in for the tombstone as column 2's deputy: a pairing the
 	// old view did not have.
-	if p := q.pairing(4, 5); hadDeputy || p == nil || p.heard != installed {
-		t.Errorf("deputy pairing (4, 5) = %+v (held before: %v), want a new one started at the install", p, hadDeputy)
+	if p := q.rv.clock(5, 4); hadDeputy || p == nil || *p != installed {
+		t.Errorf("deputy pairing (4, 5) = %v (held before: %v), want a new one started at the install", p, hadDeputy)
 	}
 
 	// Failover episodes: the one toward the reused slot is gone, the other

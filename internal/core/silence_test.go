@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -86,14 +87,14 @@ func TestSilenceClockSurvivesStableInstall(t *testing.T) {
 func TestStrangerRecommendationMovesNoClock(t *testing.T) {
 	q, run := cornerQuorum(t, QuorumConfig{}, nil)
 	run(10 * time.Second)
-	before := append([]rendezvous(nil), q.rv...)
+	before := slices.Clone(q.rv.heard)
 
 	recommend(q, 8, 4, 5) // slot 8 serves neither slot 0 nor the pair (0, 4)
 	if e := q.routes[4].entry(); e.Source != SourceRendezvous || e.From != 8 || e.Hop != 5 {
 		t.Errorf("stranger's route not installed: %+v", e)
 	}
-	if !reflect.DeepEqual(q.rv, before) {
-		t.Errorf("a stranger's recommendation changed the silence table:\n got %v\nwant %v", q.rv, before)
+	if !slices.Equal(q.rv.heard, before) {
+		t.Errorf("a stranger's recommendation moved a silence clock:\n got %v\nwant %v", q.rv.heard, before)
 	}
 	for dst, fo := range q.failovers {
 		if fo != nil {
@@ -128,9 +129,9 @@ func TestStrangerRecommendationMovesNoClock(t *testing.T) {
 	recommend(q, 1, 4, 5)
 	now := q.env.Now().UnixNano()
 	for dst := 0; dst < 9; dst++ {
-		for _, rv := range q.rv[q.rvOff[dst]:q.rvOff[dst+1]] {
-			if want := dst == 4 && rv.slot == 1; (rv.heard == now) != want {
-				t.Errorf("pairing (%d, %d) heard at %d, now %d", dst, rv.slot, rv.heard, now)
+		for _, p := range pairingsToward(q, dst) {
+			if want := dst == 4 && p.slot == 1; (p.heard == now) != want {
+				t.Errorf("pairing (%d, %d) heard at %d, now %d", dst, p.slot, p.heard, now)
 			}
 		}
 	}
@@ -147,7 +148,7 @@ func TestSelfHopRecommendationDropped(t *testing.T) {
 	if e := q.routes[4].entry(); e.Source != SourceNone {
 		t.Errorf("route through the receiver installed: %+v", e)
 	}
-	if p := q.pairing(4, 1); p.heard != q.env.Now().UnixNano() {
+	if *q.rv.clock(1, 4) != q.env.Now().UnixNano() {
 		t.Error("the dropped entry's sender was not heard from")
 	}
 
@@ -264,17 +265,28 @@ func TestUnresolvedLinkIsUnknownNotDead(t *testing.T) {
 }
 
 // CheckSilenceState holds a router's §4.1 state to the bound no run can
-// exceed: the silence table is the common sets the grid defines — at most
-// Slots()·(len(Servers(self))+2) pairings — and failover episodes exist, one
-// each, only toward occupied destinations. Exported for the fleet-driving
-// tests, which live in package core_test because package emul imports this one.
+// exceed: one run of clocks per server of this node, each listing slots in
+// ascending order, and at most Slots()·(len(Servers(self))+2) pairings — and
+// failover episodes exist, one each, only toward occupied destinations.
+// Exported for the fleet-driving tests, which live in package core_test
+// because package emul imports this one.
 func CheckSilenceState(q *Quorum) error {
-	n := q.view.Slots()
-	if len(q.rvOff) != n+1 || len(q.failovers) != n || int(q.rvOff[n]) != len(q.rv) {
-		return fmt.Errorf("%d slots: %d offsets, %d failover slots, table %d of %d", n, len(q.rvOff), len(q.failovers), q.rvOff[n], len(q.rv))
+	n, rv := q.view.Slots(), &q.rv
+	if !slices.Equal(rv.servers, q.servers) || len(rv.run) != len(q.servers)+1 || rv.run[0] != 0 ||
+		int(rv.run[len(q.servers)]) != len(rv.slot) || len(rv.heard) != len(rv.slot) || len(q.failovers) != n {
+		return fmt.Errorf("%d slots: %d runs for %d servers, %d slots and %d clocks, %d failover slots",
+			n, len(rv.run)-1, len(q.servers), len(rv.slot), len(rv.heard), len(q.failovers))
 	}
-	if bound := n * (len(q.g.Servers(q.self)) + 2); len(q.rv) > bound {
-		return fmt.Errorf("%d pairings exceed Slots·(servers+2) = %d", len(q.rv), bound)
+	for i, k := range q.servers {
+		run := rv.slot[rv.run[i]:rv.run[i+1]]
+		for j, dst := range run {
+			if int(dst) >= n || int(dst) == q.self || (j > 0 && dst <= run[j-1]) {
+				return fmt.Errorf("server %d's run %v is no ascending list of other slots", k, run)
+			}
+		}
+	}
+	if bound := n * (len(q.g.Servers(q.self)) + 2); len(rv.slot) > bound {
+		return fmt.Errorf("%d pairings exceed Slots·(servers+2) = %d", len(rv.slot), bound)
 	}
 	for dst, fo := range q.failovers {
 		if fo != nil && (dst == q.self || !q.view.Occupied(dst)) {
@@ -282,6 +294,34 @@ func CheckSilenceState(q *Quorum) error {
 		}
 	}
 	return nil
+}
+
+// pairing is one default rendezvous of a destination and its clock.
+type pairing struct {
+	slot  int
+	heard int64
+}
+
+// pairingsToward reads dst's pairings out of the clock runs, in slot order.
+func pairingsToward(q *Quorum, dst int) []pairing {
+	var out []pairing
+	for _, k := range q.rv.servers {
+		if c := q.rv.clock(k, dst); c != nil {
+			out = append(out, pairing{slot: k, heard: *c})
+		}
+	}
+	return out
+}
+
+// clocks snapshots every pairing's clock, keyed by (destination, rendezvous).
+func clocks(q *Quorum) map[[2]int]int64 {
+	out := map[[2]int]int64{}
+	for dst := 0; dst < q.view.Slots(); dst++ {
+		for _, p := range pairingsToward(q, dst) {
+			out[[2]int{dst, p.slot}] = p.heard
+		}
+	}
+	return out
 }
 
 // TestSilenceStateBound sizes the silence table on every node of dense views
@@ -314,7 +354,7 @@ func TestSilenceStateBound(t *testing.T) {
 				if err := CheckSilenceState(q); err != nil {
 					t.Fatalf("n=%d dead=%d%% self=%d: %v", n, deadPct, self, err)
 				}
-				worst = max(worst, len(q.rv))
+				worst = max(worst, len(q.rv.slot))
 			}
 			if deadPct == 0 && worst > dense {
 				t.Errorf("n=%d dense: worst node holds %d pairings, bound %d", n, worst, dense)
@@ -332,16 +372,16 @@ func TestSilenceStateBound(t *testing.T) {
 func checkSilenceSlots(t *testing.T, q *Quorum) {
 	t.Helper()
 	for dst := 0; dst < q.view.Slots(); dst++ {
-		var want []int32
+		var want []int
 		if q.view.Occupied(dst) {
 			for _, k := range q.g.Common(q.self, dst) {
 				if k != q.self {
-					want = append(want, int32(k))
+					want = append(want, k)
 				}
 			}
 		}
-		var got []int32
-		for _, p := range q.rv[q.rvOff[dst]:q.rvOff[dst+1]] {
+		var got []int
+		for _, p := range pairingsToward(q, dst) {
 			got = append(got, p.slot)
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -438,5 +478,82 @@ func TestQuorumStableInstallAllocs(t *testing.T) {
 	}
 	if allocs > 300 {
 		t.Errorf("%.0f allocations per join+leave at n=%d, want at most 300", allocs, n)
+	}
+}
+
+// TestRecommendationWalkMatchesLookup: HandleRecommendation moves a clock by
+// walking the message against its sender's run, so it must move exactly the
+// clocks a per-entry lookup names — whatever the entries' order, duplicates,
+// strangers and unknown IDs included, from servers and non-servers alike.
+func TestRecommendationWalkMatchesLookup(t *testing.T) {
+	const n = 49
+	ids := make([]wire.NodeID, n)
+	for s := range ids {
+		ids[s] = wire.NodeID(s)
+	}
+	ids[12], ids[30] = wire.NilNode, wire.NilNode
+	env, nw := soloEnv()
+	q, err := NewQuorum(env, QuorumConfig{}, slotView(t, 1, ids...), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 300; round++ {
+		nw.RunFor(time.Second)
+		from := rng.Intn(n)
+		if ids[from] == wire.NilNode || from == q.self {
+			continue
+		}
+		var dsts []int
+		for dst := 0; dst < n+3; dst++ { // n, n+1 and n+2 are nobody's IDs
+			if rng.Intn(3) == 0 {
+				dsts = append(dsts, dst)
+			}
+		}
+		switch rng.Intn(3) {
+		case 0: // what a rendezvous sends: its clients ascending, then itself
+			dsts = append(slices.DeleteFunc(dsts, func(d int) bool { return d == from }), from)
+		case 1:
+			rng.Shuffle(len(dsts), func(i, j int) { dsts[i], dsts[j] = dsts[j], dsts[i] })
+		default:
+			dsts = append(dsts, dsts...)
+		}
+		want := clocks(q)
+		now := env.Now().UnixNano()
+		rec := wire.Recommendation{ViewVersion: 1}
+		for _, dst := range dsts {
+			rec.Entries = append(rec.Entries, wire.RecEntry{Dst: wire.NodeID(dst), Hop: wire.NodeID(dst), Cost: 10})
+			if _, ok := want[[2]int{dst, from}]; ok {
+				want[[2]int{dst, from}] = now
+			}
+		}
+		h, body, _ := wire.ParseHeader(wire.AppendRecommendation(nil, wire.NodeID(from), rec))
+		q.HandleRecommendation(h, body)
+		if got := clocks(q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: %d's entries %v moved the clocks wrongly", round, from, dsts)
+		}
+	}
+}
+
+// TestAckOutsideReliableModeIgnored: a router not in reliable mode keeps no
+// pending-ack table, and an ack that reaches it anyway is dropped without a
+// panic or an allocation.
+func TestAckOutsideReliableModeIgnored(t *testing.T) {
+	q, _ := cornerQuorum(t, QuorumConfig{}, nil)
+	if q.pendingAcks != nil {
+		t.Fatalf("a best-effort router keeps %d pending-ack slots", len(q.pendingAcks))
+	}
+	h, body, _ := wire.ParseHeader(wire.AppendLinkStateAck(nil, 3, 1))
+	if allocs := testing.AllocsPerRun(100, func() { q.HandleLinkStateAck(h, body) }); allocs != 0 {
+		t.Errorf("dropping an ack allocates %.0f times, want 0", allocs)
+	}
+	reliable, _ := cornerQuorum(t, QuorumConfig{ReliableLinkState: true}, nil)
+	reliable.sendLinkState()
+	if reliable.pendingAcks[3] != reliable.seq {
+		t.Fatalf("reliable router awaits seq %d from slot 3, want %d", reliable.pendingAcks[3], reliable.seq)
+	}
+	reliable.HandleLinkStateAck(h, body)
+	if reliable.pendingAcks[3] != 0 {
+		t.Error("reliable router did not clear the acknowledged row")
 	}
 }

@@ -210,23 +210,16 @@ func (t *Table) FreshSlots(dst []int, now time.Time, maxAge time.Duration) []int
 // rule it holds them for good and §3's 2√n rows per node drift toward n.
 func (t *Table) Expire(now time.Time, maxAge time.Duration) {
 	ns := now.UnixNano()
-	for s, held := range t.out.rows {
-		if held != nil && time.Duration(ns-t.meta[s].when) > maxAge {
-			t.out.rows[s], t.in.rows[s] = nil, nil
+	for s, m := range t.meta {
+		if m.have && time.Duration(ns-m.when) > maxAge {
+			t.out.release(s)
+			t.in.release(s)
 		}
 	}
 }
 
 // Stored returns the number of rows holding cost storage.
-func (t *Table) Stored() int {
-	c := 0
-	for _, held := range t.out.rows {
-		if held != nil {
-			c++
-		}
-	}
-	return c
-}
+func (t *Table) Stored() int { return len(t.out.held) }
 
 // Grow extends the table to newN slots in place, for stable view extensions
 // that append slots. Every stored row keeps its costs and metadata, and the
@@ -237,14 +230,15 @@ func (t *Table) Grow(newN int) {
 	if newN <= t.n {
 		return
 	}
-	pad := newN - t.n
 	t.out.grow(newN)
 	if t.Directional() {
 		t.in.grow(newN)
 	}
-	t.meta = append(t.meta, make([]slotMeta, pad)...)
-	t.best = append(t.best, make([]wire.Cost, pad)...)
-	t.hop = append(t.hop, make([]uint16, pad)...)
+	// Per-slot tables live as long as the view: each is sized exactly, where
+	// appending would leave spare capacity behind every stable extension.
+	t.meta = append(make([]slotMeta, 0, newN), t.meta...)[:newN]
+	t.best = make([]wire.Cost, newN) // scratch: nothing to keep
+	t.hop = make([]uint16, newN)
 	t.n = newN
 }
 

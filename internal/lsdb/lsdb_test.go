@@ -3,6 +3,7 @@ package lsdb
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -274,6 +275,74 @@ func TestCostMatrixLazyRows(t *testing.T) {
 	}
 }
 
+// TestRowIndexTracksStores: under a random mix of stores, expiries,
+// retirements and grows, each slot's index names its own row and nothing else,
+// every row it holds reads as the model says, and a released row leaves the
+// list, so its storage goes back to the collector.
+func TestRowIndexTracksStores(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tb := NewTable(12)
+	model := map[int][]wire.Cost{} // slot → costs the table must read
+	when := map[int]time.Time{}
+	now := t0
+	for step := 0; step < 2000; step++ {
+		now = now.Add(time.Second)
+		switch s := rng.Intn(tb.N()); rng.Intn(10) {
+		case 0:
+			tb.Expire(now, 20*time.Second)
+			for slot, w := range when {
+				if now.Sub(w) > 20*time.Second {
+					delete(model, slot)
+				}
+			}
+		case 1:
+			tb.RetireSlot(s)
+			delete(model, s)
+			delete(when, s)
+			for _, row := range model {
+				row[s] = wire.InfCost
+			}
+		case 2:
+			if tb.N() < 40 {
+				n := tb.N() + 1 + rng.Intn(3)
+				for slot, row := range model {
+					model[slot] = append(row, slices.Repeat([]wire.Cost{wire.InfCost}, n-len(row))...)
+				}
+				tb.Grow(n)
+			}
+		default:
+			entries := make([]wire.LinkEntry, tb.N())
+			costs := make([]wire.Cost, tb.N())
+			for i := range entries {
+				entries[i] = entry(rng.Intn(500), rng.Intn(8) > 0)
+				costs[i] = entries[i].Cost()
+			}
+			if !tb.Put(s, Row{Seq: uint32(step), When: now, Entries: entries}) {
+				t.Fatalf("step %d: Put refused", step)
+			}
+			model[s], when[s] = costs, now
+		}
+		m := tb.Matrix()
+		if len(m.held) != len(model) || tb.Stored() != len(model) {
+			t.Fatalf("step %d: %d rows held, model holds %d", step, len(m.held), len(model))
+		}
+		for i := range m.held {
+			if int(m.idx[m.slot[i]]) != i+1 {
+				t.Fatalf("step %d: held row %d belongs to slot %d, whose index reads %d", step, i, m.slot[i], m.idx[m.slot[i]])
+			}
+		}
+		for slot := 0; slot < tb.N(); slot++ {
+			want, ok := model[slot]
+			if !ok {
+				want = slices.Repeat([]wire.Cost{wire.InfCost}, tb.N())
+			}
+			if got := m.Row(slot); !slices.Equal(got, want) {
+				t.Fatalf("step %d: slot %d reads %v, want %v", step, slot, got, want)
+			}
+		}
+	}
+}
+
 func TestTableGrowPreservesRowsAndGenerations(t *testing.T) {
 	tb := NewTable(3)
 	tb.Put(0, Row{Seq: 1, When: t0, Entries: aliveRow(0, 10, 20)})
@@ -316,7 +385,8 @@ func TestTableGrowPreservesRowsAndGenerations(t *testing.T) {
 // TestTableGrowLeavesNoSpareCapacity: a held row lives until its slot
 // expires, so a grow sizes it at exactly the new slot count, in both
 // directions — appending to it would leave about 2.3× its length allocated
-// (a 196-entry row grown by one slot ends at capacity 448).
+// (a 196-entry row grown by one slot ends at capacity 448). The per-slot
+// tables live as long as the view and are sized exactly too.
 func TestTableGrowLeavesNoSpareCapacity(t *testing.T) {
 	for _, tb := range []*Table{NewTable(196), NewDirectionalTable(196)} {
 		for _, s := range []int{0, 7, 195} {
@@ -328,12 +398,21 @@ func TestTableGrowLeavesNoSpareCapacity(t *testing.T) {
 		}
 		for _, n := range []int{197, 198, 250} {
 			tb.Grow(n)
-			for s := 0; s < n; s++ {
-				for _, m := range []*CostMatrix{tb.out, tb.in} {
-					if row := m.rows[s]; row != nil && (len(row) != n || cap(row) != n) {
-						t.Errorf("directional=%v: after Grow(%d) row %d has len %d, cap %d", tb.Directional(), n, s, len(row), cap(row))
+			for _, m := range []*CostMatrix{tb.out, tb.in} {
+				if len(m.held) != 3 {
+					t.Fatalf("directional=%v: after Grow(%d) %d rows held, want 3", tb.Directional(), n, len(m.held))
+				}
+				for i, row := range m.held {
+					if len(row) != n || cap(row) != n {
+						t.Errorf("directional=%v: after Grow(%d) row %d has len %d, cap %d", tb.Directional(), n, m.slot[i], len(row), cap(row))
 					}
 				}
+				if cap(m.idx) != n {
+					t.Errorf("directional=%v: after Grow(%d) the row index has cap %d", tb.Directional(), n, cap(m.idx))
+				}
+			}
+			if cap(tb.meta) != n || cap(tb.best) != n || cap(tb.hop) != n {
+				t.Errorf("directional=%v: after Grow(%d) per-slot caps %d/%d/%d", tb.Directional(), n, cap(tb.meta), cap(tb.best), cap(tb.hop))
 			}
 		}
 	}

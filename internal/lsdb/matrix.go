@@ -26,12 +26,16 @@ type HopCost struct {
 // Row storage is allocated lazily on first store: a quorum node's table only
 // ever holds ~2√n of the n possible rows, so lazy rows cut per-node table
 // memory from O(n²) to O(n√n) — the difference between a 1000-node churn
-// fleet fitting in memory or not. Slots with no stored announcement read as
-// a shared all-InfCost row, so they can never win a minimization; freshness
-// must still be checked via Table.FreshAt by staleness-sensitive consumers.
+// fleet fitting in memory or not. The held rows are one dense list, and a slot
+// costs four bytes: its index into that list. Slots with no stored
+// announcement read as a shared all-InfCost row, so they can never win a
+// minimization; freshness must still be checked via Table.FreshAt by
+// staleness-sensitive consumers.
 type CostMatrix struct {
 	n    int
-	rows [][]wire.Cost // per-slot unpacked rows; nil until first stored
+	idx  []int32       // per slot: 1 + the index of its row in held, 0 while it has none
+	held [][]wire.Cost // the stored rows, in no particular order
+	slot []int32       // slot[i] is the slot whose row held[i] is
 	inf  []wire.Cost   // shared all-InfCost row for absent slots (never written)
 
 	// srcBuf holds the masked source row of the kernel that takes no caller
@@ -45,7 +49,7 @@ type CostMatrix struct {
 func newCostMatrix(n int) *CostMatrix {
 	return &CostMatrix{
 		n:      n,
-		rows:   make([][]wire.Cost, n),
+		idx:    make([]int32, n),
 		inf:    slices.Repeat([]wire.Cost{wire.InfCost}, n),
 		srcBuf: make([]wire.Cost, n),
 	}
@@ -58,20 +62,37 @@ func (m *CostMatrix) N() int { return m.n }
 // no stored announcement). The slice aliases the matrix and must not be
 // modified.
 func (m *CostMatrix) Row(slot int) []wire.Cost {
-	if r := m.rows[slot]; r != nil {
-		return r
+	if i := m.idx[slot]; i > 0 {
+		return m.held[i-1]
 	}
 	return m.inf
 }
 
 // rowFor returns slot's writable row, allocating it on first store.
 func (m *CostMatrix) rowFor(slot int) []wire.Cost {
-	row := m.rows[slot]
-	if row == nil {
-		row = make([]wire.Cost, m.n)
-		m.rows[slot] = row
+	if i := m.idx[slot]; i > 0 {
+		return m.held[i-1]
 	}
+	row := make([]wire.Cost, m.n)
+	m.held = append(m.held, row)
+	m.slot = append(m.slot, int32(slot))
+	m.idx[slot] = int32(len(m.held))
 	return row
+}
+
+// release drops slot's row, if it holds one, and hands its storage back to
+// the collector: the last held row moves into its place in the list.
+func (m *CostMatrix) release(slot int) {
+	i := m.idx[slot] - 1
+	if i < 0 {
+		return
+	}
+	last := len(m.held) - 1
+	m.held[i], m.slot[i] = m.held[last], m.slot[last]
+	m.idx[m.slot[i]] = i + 1
+	m.held[last] = nil
+	m.held, m.slot = m.held[:last], m.slot[:last]
+	m.idx[slot] = 0
 }
 
 // grow extends the matrix to newN slots. Held rows are padded with InfCost —
@@ -81,15 +102,13 @@ func (m *CostMatrix) rowFor(slot int) []wire.Cost {
 // since a held row lives until its slot expires. New slots start empty.
 func (m *CostMatrix) grow(newN int) {
 	inf := slices.Repeat([]wire.Cost{wire.InfCost}, newN)
-	for s, row := range m.rows {
-		if row != nil {
-			grown := make([]wire.Cost, newN)
-			copy(grown, row)
-			copy(grown[m.n:], inf[m.n:])
-			m.rows[s] = grown
-		}
+	for i, row := range m.held {
+		grown := make([]wire.Cost, newN)
+		copy(grown, row)
+		copy(grown[m.n:], inf[m.n:])
+		m.held[i] = grown
 	}
-	m.rows = append(m.rows, make([][]wire.Cost, newN-m.n)...)
+	m.idx = append(make([]int32, 0, newN), m.idx...)[:newN]
 	m.inf = inf
 	if cap(m.srcBuf) < newN {
 		m.srcBuf = make([]wire.Cost, newN)
@@ -100,11 +119,9 @@ func (m *CostMatrix) grow(newN int) {
 // retire drops slot's row storage and marks the slot unreachable in every
 // other held row (column slot reads InfCost everywhere).
 func (m *CostMatrix) retire(slot int) {
-	m.rows[slot] = nil
-	for _, row := range m.rows {
-		if row != nil {
-			row[slot] = wire.InfCost
-		}
+	m.release(slot)
+	for _, row := range m.held {
+		row[slot] = wire.InfCost
 	}
 }
 

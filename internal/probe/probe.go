@@ -167,14 +167,22 @@ func (p *Prober) SetView(view *membership.ViewInfo, self int) {
 		p.Start()
 		return
 	}
-	n := view.Slots()
+	n, old := view.Slots(), len(p.links)
 	p.view = view
-	for len(p.links) < n {
-		p.links = append(p.links, linkState{})
-		p.row = append(p.row, wire.LinkEntry{Latency: 0, Status: wire.StatusDead})
+	if n > old {
+		// Per-slot tables live as long as the view: each is resized once, to
+		// exactly n, where appending would leave spare capacity behind.
+		p.links = append(make([]linkState, 0, n), p.links...)[:n]
+		p.row = append(make([]wire.LinkEntry, 0, n), p.row...)[:n]
+		for s := old; s < n; s++ {
+			p.row[s] = wire.LinkEntry{Latency: 0, Status: wire.StatusDead}
+		}
 		if p.asymRow != nil {
-			p.oneWays = append(p.oneWays, oneWay{})
-			p.asymRow = append(p.asymRow, wire.AsymEntry{Status: wire.StatusDead})
+			p.oneWays = append(make([]oneWay, 0, n), p.oneWays...)[:n]
+			p.asymRow = append(make([]wire.AsymEntry, 0, n), p.asymRow...)[:n]
+			for s := old; s < n; s++ {
+				p.asymRow[s] = wire.AsymEntry{Status: wire.StatusDead}
+			}
 		}
 	}
 	p.sched.grow(n)

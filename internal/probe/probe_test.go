@@ -399,9 +399,16 @@ func TestSetViewCarriesMeasurements(t *testing.T) {
 	if !wire.StatusAlive(row[1].Status) || row[1].Latency == 0 {
 		t.Errorf("carried row entry = %+v", row[1])
 	}
-	// The newcomer starts cold.
-	if p.Alive(3) {
+	// The newcomer starts cold, in per-slot tables sized exactly: they live as
+	// long as the view, so churn must leave no spare capacity behind.
+	if p.Alive(3) || wire.StatusAlive(row[3].Status) {
 		t.Error("new member alive before any probe")
+	}
+	for name, c := range map[string]int{"links": cap(p.links), "row": cap(p.row),
+		"due": cap(p.sched.due), "heap": cap(p.sched.heap), "pos": cap(p.sched.pos)} {
+		if c != 4 {
+			t.Errorf("%s has capacity %d after growing to 4 slots", name, c)
+		}
 	}
 	if !wire.StatusAlive(row[0].Status) || row[0].Latency != 0 {
 		t.Errorf("self entry = %+v", row[0])

@@ -20,12 +20,20 @@ type schedule struct {
 	pos  []int32         // pos[slot] is slot's index in heap
 }
 
-// grow extends the schedule to n slots; the new ones have no deadline.
+// grow extends the schedule to n slots; the new ones have no deadline. Each
+// table is resized once, to exactly n: it lives as long as the view.
 func (s *schedule) grow(n int) {
-	for slot := len(s.due); slot < n; slot++ {
-		s.due = append(s.due, never)
-		s.heap = append(s.heap, int32(slot)) // the largest key, appended as a leaf
-		s.pos = append(s.pos, int32(slot))
+	old := len(s.due)
+	if n <= old {
+		return
+	}
+	s.due = append(make([]time.Duration, 0, n), s.due...)[:n]
+	s.heap = append(make([]int32, 0, n), s.heap...)[:n]
+	s.pos = append(make([]int32, 0, n), s.pos...)[:n]
+	for slot := old; slot < n; slot++ {
+		s.due[slot] = never
+		s.heap[slot] = int32(slot) // the largest key, placed as a leaf
+		s.pos[slot] = int32(slot)
 	}
 }
 

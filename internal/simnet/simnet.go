@@ -31,17 +31,20 @@ import (
 // Handler receives a packet delivered to an endpoint.
 type Handler func(from int, payload []byte)
 
-// link holds the directed-link configuration between two endpoints.
-// Latency is one-way; Loss is the per-packet drop probability; Down marks an
-// injected hard failure. Dup is the per-packet duplication probability and
-// jitter the upper bound of the uniformly random extra latency added to each
-// delivery — the adversarial fault plane the gossip scenarios run on.
+// link is the directed-link configuration every packet reads: one-way
+// latency and per-packet drop probability, 16 bytes, so the n² matrix is the
+// simulator's largest table at no more than it needs.
 type link struct {
 	latency time.Duration
 	loss    float64
-	dup     float64
-	jitter  time.Duration
-	down    bool
+}
+
+// fault is a directed link's adversarial fault plane, which the gossip
+// scenarios set: dup is the per-packet duplication probability and jitter the
+// upper bound of the uniformly random extra latency added to each delivery.
+type fault struct {
+	dup    float64
+	jitter time.Duration
 }
 
 // burstWindow is one scheduled burst-loss interval on a directed link:
@@ -100,9 +103,15 @@ type Network struct {
 	rng      *rand.Rand
 	queue    []entry   // 4-ary min-heap on (at, seq): children of i are 4i+1..4i+4
 	free     []*packet // delivered packet records awaiting reuse
-	links    [][]link
+	n        int
+	links    []link // n×n, row-major by sender
+	down     []bool // n×n: injected hard link failures
 	nodeDown []bool
 	handlers []Handler
+
+	// faults is the n×n duplication and jitter matrix, nil until some link
+	// sets either, so a network without that fault plane pays nothing for it.
+	faults []fault
 
 	// group partitions the endpoints: cross-group packets are dropped at
 	// send time. nil means no partition is active. Group 0 is the implicit
@@ -131,21 +140,22 @@ type Network struct {
 // zero loss, using the given deterministic seed. Virtual time starts at the
 // Unix epoch.
 func New(n int, seed int64) *Network {
-	nw := &Network{
+	return &Network{
 		epoch:    time.Unix(0, 0).UTC(),
 		rng:      rand.New(rand.NewSource(seed)),
-		links:    make([][]link, n),
+		n:        n,
+		links:    make([]link, n*n),
+		down:     make([]bool, n*n),
 		nodeDown: make([]bool, n),
 		handlers: make([]Handler, n),
 	}
-	for i := range nw.links {
-		nw.links[i] = make([]link, n)
-	}
-	return nw
 }
 
 // Size returns the number of endpoints.
-func (nw *Network) Size() int { return len(nw.links) }
+func (nw *Network) Size() int { return nw.n }
+
+// at returns the index of the directed a→b link in the n×n matrices.
+func (nw *Network) at(a, b int) int { return a*nw.n + b }
 
 // Now returns the current virtual time.
 func (nw *Network) Now() time.Time { return nw.epoch.Add(nw.now) }
@@ -180,38 +190,49 @@ func (nw *Network) SetHandler(i int, h Handler) {
 
 // SetLatency sets the symmetric one-way latency between a and b.
 func (nw *Network) SetLatency(a, b int, d time.Duration) {
-	nw.links[a][b].latency = d
-	nw.links[b][a].latency = d
+	nw.links[nw.at(a, b)].latency = d
+	nw.links[nw.at(b, a)].latency = d
 }
 
 // SetLatencyOneWay sets the directed one-way latency from a to b only.
 func (nw *Network) SetLatencyOneWay(a, b int, d time.Duration) {
-	nw.links[a][b].latency = d
+	nw.links[nw.at(a, b)].latency = d
 }
 
 // Latency returns the configured one-way latency from a to b.
-func (nw *Network) Latency(a, b int) time.Duration { return nw.links[a][b].latency }
+func (nw *Network) Latency(a, b int) time.Duration { return nw.links[nw.at(a, b)].latency }
 
 // SetLoss sets the symmetric per-packet loss probability between a and b.
 func (nw *Network) SetLoss(a, b int, p float64) {
-	nw.links[a][b].loss = p
-	nw.links[b][a].loss = p
+	nw.links[nw.at(a, b)].loss = p
+	nw.links[nw.at(b, a)].loss = p
 }
 
 // SetDuplication sets the symmetric per-packet duplication probability
 // between a and b: a duplicated packet is delivered twice, each copy drawing
 // its own jitter, so the copies may arrive out of order.
 func (nw *Network) SetDuplication(a, b int, p float64) {
-	nw.links[a][b].dup = p
-	nw.links[b][a].dup = p
+	if p != 0 || nw.faults != nil {
+		nw.fault(a, b).dup, nw.fault(b, a).dup = p, p
+	}
 }
 
 // SetJitter sets the symmetric delivery jitter bound between a and b: every
 // delivered packet adds a uniformly random extra latency in [0, d), which is
 // what reorders packets relative to their send order.
 func (nw *Network) SetJitter(a, b int, d time.Duration) {
-	nw.links[a][b].jitter = d
-	nw.links[b][a].jitter = d
+	if d != 0 || nw.faults != nil {
+		nw.fault(a, b).jitter, nw.fault(b, a).jitter = d, d
+	}
+}
+
+// fault returns the directed a→b link's fault plane, allocating the matrix on
+// first use.
+func (nw *Network) fault(a, b int) *fault {
+	if nw.faults == nil {
+		nw.faults = make([]fault, nw.n*nw.n)
+	}
+	return &nw.faults[nw.at(a, b)]
 }
 
 // AddBurstLoss schedules a symmetric burst-loss window on the a–b link:
@@ -266,12 +287,12 @@ func (nw *Network) inBurst(a, b int) bool {
 // SetLinkDown marks the link between a and b as failed (or restores it).
 // Both directions are affected, matching the paper's bidirectional links.
 func (nw *Network) SetLinkDown(a, b int, down bool) {
-	nw.links[a][b].down = down
-	nw.links[b][a].down = down
+	nw.down[nw.at(a, b)] = down
+	nw.down[nw.at(b, a)] = down
 }
 
 // LinkDown reports whether the a–b link is failed in the a→b direction.
-func (nw *Network) LinkDown(a, b int) bool { return nw.links[a][b].down }
+func (nw *Network) LinkDown(a, b int) bool { return nw.down[nw.at(a, b)] }
 
 // SetNodeDown fails (or revives) a node: all its packets, in and out, are
 // dropped while it is down.
@@ -287,11 +308,11 @@ func (nw *Network) NodeDown(a int) bool { return nw.nodeDown[a] }
 // a side is untouched. Calling SetPartition again replaces the previous
 // partition. An endpoint named in two groups ends up in the last one listed.
 func (nw *Network) SetPartition(groups ...[]int) {
-	nw.group = make([]int, len(nw.links))
+	nw.group = make([]int, nw.n)
 	for gi, g := range groups {
 		for _, ep := range g {
-			if ep < 0 || ep >= len(nw.links) {
-				panic(fmt.Sprintf("simnet: partition endpoint %d out of range [0,%d)", ep, len(nw.links)))
+			if ep < 0 || ep >= nw.n {
+				panic(fmt.Sprintf("simnet: partition endpoint %d out of range [0,%d)", ep, nw.n))
 			}
 			// +1 keeps 0 as the implicit "everyone else" side.
 			nw.group[ep] = gi + 1
@@ -312,7 +333,7 @@ func (nw *Network) Partitioned(a, b int) bool {
 // delivered, ignoring probabilistic loss. This is the ground-truth
 // reachability used by the experiment harness.
 func (nw *Network) Reachable(a, b int) bool {
-	return !nw.nodeDown[a] && !nw.nodeDown[b] && !nw.links[a][b].down && !nw.Partitioned(a, b)
+	return !nw.nodeDown[a] && !nw.nodeDown[b] && !nw.down[nw.at(a, b)] && !nw.Partitioned(a, b)
 }
 
 // push queues e.
@@ -395,28 +416,33 @@ func (nw *Network) After(d time.Duration, fn func()) *Timer {
 // order, so the random stream — and with it the whole simulation — stays a
 // pure function of the seed. Sending to self delivers after zero latency.
 func (nw *Network) Send(from, to int, payload []byte) {
-	if from < 0 || from >= len(nw.links) || to < 0 || to >= len(nw.links) {
-		panic(fmt.Sprintf("simnet: send %d->%d out of range [0,%d)", from, to, len(nw.links)))
+	if from < 0 || from >= nw.n || to < 0 || to >= nw.n {
+		panic(fmt.Sprintf("simnet: send %d->%d out of range [0,%d)", from, to, nw.n))
 	}
 	if nw.OnSend != nil {
 		nw.OnSend(from, to, payload)
 	}
-	l := &nw.links[from][to]
-	if nw.nodeDown[from] || nw.nodeDown[to] || l.down || nw.Partitioned(from, to) ||
+	i := nw.at(from, to)
+	l := nw.links[i]
+	if nw.nodeDown[from] || nw.nodeDown[to] || nw.down[i] || nw.Partitioned(from, to) ||
 		nw.inBurst(from, to) ||
 		(l.loss > 0 && nw.rng.Float64() < l.loss) {
 		nw.dropped++
 		return
 	}
+	var f fault
+	if nw.faults != nil {
+		f = nw.faults[i]
+	}
 	copies := 1
-	if l.dup > 0 && nw.rng.Float64() < l.dup {
+	if f.dup > 0 && nw.rng.Float64() < f.dup {
 		copies = 2
 		nw.duplicated++
 	}
 	for c := 0; c < copies; c++ {
 		d := l.latency
-		if l.jitter > 0 {
-			if extra := time.Duration(nw.rng.Int63n(int64(l.jitter))); extra > 0 {
+		if f.jitter > 0 {
+			if extra := time.Duration(nw.rng.Int63n(int64(f.jitter))); extra > 0 {
 				d += extra
 				nw.reordered++
 			}
