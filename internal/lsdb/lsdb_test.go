@@ -331,6 +331,11 @@ func TestRowIndexTracksStores(t *testing.T) {
 				t.Fatalf("step %d: held row %d belongs to slot %d, whose index reads %d", step, i, m.slot[i], m.idx[m.slot[i]])
 			}
 		}
+		for _, row := range m.held[len(m.held):cap(m.held)] {
+			if row != nil {
+				t.Fatalf("step %d: a released row is still reachable past the held list", step)
+			}
+		}
 		for slot := 0; slot < tb.N(); slot++ {
 			want, ok := model[slot]
 			if !ok {

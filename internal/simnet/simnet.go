@@ -154,8 +154,14 @@ func New(n int, seed int64) *Network {
 // Size returns the number of endpoints.
 func (nw *Network) Size() int { return nw.n }
 
-// at returns the index of the directed a→b link in the n×n matrices.
-func (nw *Network) at(a, b int) int { return a*nw.n + b }
+// at returns the index of the directed a→b link in the n×n matrices, and
+// panics on an endpoint out of range, which always indicates a bug.
+func (nw *Network) at(a, b int) int {
+	if a < 0 || a >= nw.n || b < 0 || b >= nw.n {
+		panic(fmt.Sprintf("simnet: link %d->%d out of range [0,%d)", a, b, nw.n))
+	}
+	return a*nw.n + b
+}
 
 // Now returns the current virtual time.
 func (nw *Network) Now() time.Time { return nw.epoch.Add(nw.now) }
@@ -416,13 +422,10 @@ func (nw *Network) After(d time.Duration, fn func()) *Timer {
 // order, so the random stream — and with it the whole simulation — stays a
 // pure function of the seed. Sending to self delivers after zero latency.
 func (nw *Network) Send(from, to int, payload []byte) {
-	if from < 0 || from >= nw.n || to < 0 || to >= nw.n {
-		panic(fmt.Sprintf("simnet: send %d->%d out of range [0,%d)", from, to, nw.n))
-	}
+	i := nw.at(from, to)
 	if nw.OnSend != nil {
 		nw.OnSend(from, to, payload)
 	}
-	i := nw.at(from, to)
 	l := nw.links[i]
 	if nw.nodeDown[from] || nw.nodeDown[to] || nw.down[i] || nw.Partitioned(from, to) ||
 		nw.inBurst(from, to) ||

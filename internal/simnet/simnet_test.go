@@ -240,14 +240,25 @@ func TestSelfSend(t *testing.T) {
 	}
 }
 
+// TestSendPanicsOutOfRange: an endpoint out of range is a bug wherever it is
+// named — links are one flat n×n matrix, so an unchecked (0, n) would quietly
+// configure link (1, 0).
 func TestSendPanicsOutOfRange(t *testing.T) {
 	nw := New(2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic for out-of-range endpoint")
-		}
-	}()
-	nw.Send(0, 5, nil)
+	for name, call := range map[string]func(){
+		"Send":       func() { nw.Send(0, 5, nil) },
+		"SetLatency": func() { nw.SetLatency(0, 2, time.Millisecond) },
+		"LinkDown":   func() { nw.LinkDown(1, -1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: want panic for out-of-range endpoint", name)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 func TestDeterminism(t *testing.T) {
