@@ -108,11 +108,12 @@ type QuorumStats struct {
 
 // silence holds §4.1's clocks by rendezvous and position: for the i-th server
 // k of this node, slot[run[i]:run[i+1]] are the destinations whose rows k
-// holds — k's clients less this node, and k itself — ascending, which is the
-// order k's recommendations list them in, and heard[run[i]:run[i+1]] is, per
-// destination, when (Unix ns) k last recommended a route to it, or when the
-// pairing began: the view install that made k a default rendezvous of the
-// destination. Every array is pointer-free, ten bytes a pairing.
+// holds — k's clients less this node, and k itself — ascending, the order k's
+// recommendations list its clients in (k itself comes last there), and
+// heard[run[i]:run[i+1]] is, per destination, when (Unix ns) k last
+// recommended a route to it, or when the pairing began: the view install that
+// made k a default rendezvous of the destination. Every array is pointer-free,
+// ten bytes a pairing.
 type silence struct {
 	servers []int // this node's servers, ascending
 	run     []int32
@@ -120,18 +121,10 @@ type silence struct {
 	heard   []int64
 }
 
-// clock returns rendezvous k's clock for dst, or nil when k is no server of
-// this node or holds no row of dst.
-func (t *silence) clock(k, dst int) *int64 {
-	i, ok := slices.BinarySearch(t.servers, k)
-	if !ok {
-		return nil
-	}
-	lo := int(t.run[i])
-	if j, ok := slices.BinarySearch(t.slot[lo:t.run[i+1]], uint16(dst)); ok {
-		return &t.heard[lo+j]
-	}
-	return nil
+// server returns the destinations the i-th server holds and their clocks.
+func (t *silence) server(i int) (slots []uint16, heard []int64) {
+	lo, hi := t.run[i], t.run[i+1]
+	return t.slot[lo:hi], t.heard[lo:hi]
 }
 
 // failoverState tracks §4.1 recovery for one destination.
@@ -284,20 +277,36 @@ func extend[T any](s []T, n int) []T {
 func (q *Quorum) pairRendezvous(retired []int) {
 	now := q.env.Now().UnixNano()
 	next := silence{servers: q.servers, run: make([]int32, len(q.servers)+1)}
-	held := make([][]int, len(q.servers)) // per server, whose rows it holds
+	held := make([][]int, len(q.servers)) // per server, whose rows it holds, ascending
 	for i, k := range q.servers {
-		held[i] = slices.DeleteFunc(append(q.g.Clients(k), k), func(dst int) bool { return dst == q.self })
-		slices.Sort(held[i])
-		next.run[i+1] = next.run[i] + int32(len(held[i]))
+		h := q.g.Clients(k) // ascending, without k
+		at, _ := slices.BinarySearch(h, k)
+		h = slices.Insert(h, at, k)
+		if at, ok := slices.BinarySearch(h, q.self); ok {
+			h = slices.Delete(h, at, at+1)
+		}
+		held[i] = h
+		next.run[i+1] = next.run[i] + int32(len(h))
 	}
 	next.slot = make([]uint16, next.run[len(held)])
 	next.heard = make([]int64, len(next.slot))
 	for i, k := range q.servers {
+		// k's previous run ascends like its new one: one merge pass carries
+		// the clocks over.
+		var oldSlots []uint16
+		var oldHeard []int64
+		if j, ok := slices.BinarySearch(q.rv.servers, k); ok && !slices.Contains(retired, k) {
+			oldSlots, oldHeard = q.rv.server(j)
+		}
+		slots, heard := next.server(i)
+		at := 0
 		for j, dst := range held[i] {
-			p := int(next.run[i]) + j
-			next.slot[p], next.heard[p] = uint16(dst), now
-			if c := q.rv.clock(k, dst); c != nil && !slices.Contains(retired, dst) && !slices.Contains(retired, k) {
-				next.heard[p] = *c
+			slots[j], heard[j] = uint16(dst), now
+			for at < len(oldSlots) && int(oldSlots[at]) < dst {
+				at++
+			}
+			if at < len(oldSlots) && int(oldSlots[at]) == dst && !slices.Contains(retired, dst) {
+				heard[j] = oldHeard[at]
 			}
 		}
 	}
@@ -636,8 +645,7 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 	var slots []uint16
 	var heard []int64
 	if r, isServer := slices.BinarySearch(q.servers, from); isServer {
-		lo, hi := q.rv.run[r], q.rv.run[r+1]
-		slots, heard = q.rv.slot[lo:hi], q.rv.heard[lo:hi]
+		slots, heard = q.rv.server(r)
 	}
 	at := 0
 	for i := 0; i < k; i++ {
@@ -738,9 +746,9 @@ func (q *Quorum) detectFailures() {
 		if !q.usable(k) {
 			continue
 		}
-		lo := q.rv.run[i]
-		for j, dst := range q.rv.slot[lo:q.rv.run[i+1]] {
-			if int(dst) == k || time.Duration(nowNs-q.rv.heard[int(lo)+j]) <= q.cfg.remoteSilence() {
+		slots, heard := q.rv.server(i)
+		for j, dst := range slots {
+			if int(dst) == k || time.Duration(nowNs-heard[j]) <= q.cfg.remoteSilence() {
 				q.live[dst] = true
 			}
 		}

@@ -296,6 +296,20 @@ func CheckSilenceState(q *Quorum) error {
 	return nil
 }
 
+// clock returns rendezvous k's clock for dst, or nil when k is no server of
+// this node or holds no row of dst.
+func (t *silence) clock(k, dst int) *int64 {
+	i, ok := slices.BinarySearch(t.servers, k)
+	if !ok {
+		return nil
+	}
+	slots, heard := t.server(i)
+	if j, ok := slices.BinarySearch(slots, uint16(dst)); ok {
+		return &heard[j]
+	}
+	return nil
+}
+
 // pairing is one default rendezvous of a destination and its clock.
 type pairing struct {
 	slot  int
