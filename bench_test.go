@@ -15,7 +15,6 @@ import (
 	"allpairs/internal/core"
 	"allpairs/internal/emul"
 	"allpairs/internal/grid"
-	"allpairs/internal/lowerbound"
 	"allpairs/internal/lsdb"
 	"allpairs/internal/membership"
 	"allpairs/internal/overlay"
@@ -226,25 +225,6 @@ func BenchmarkMultiHop(b *testing.B) {
 	b.ReportMetric(core.TheoreticalMultiHopBytes(64, 4), "theory_bytes/node")
 }
 
-// BenchmarkDiamondCounting times the Appendix A diamond counter on K_40 and
-// reports the Lemma 2 identity.
-func BenchmarkDiamondCounting(b *testing.B) {
-	var edges []lowerbound.Edge
-	for x := 0; x < 40; x++ {
-		for y := x + 1; y < 40; y++ {
-			edges = append(edges, lowerbound.Edge{A: x, B: y})
-		}
-	}
-	var got int64
-	for i := 0; i < b.N; i++ {
-		got = lowerbound.CountDiamonds(40, edges)
-	}
-	if got != lowerbound.DiamondsInComplete(40) {
-		b.Fatalf("Lemma 2 violated: %d", got)
-	}
-	b.ReportMetric(float64(got), "diamonds_K40")
-}
-
 // ---------------------------------------------------------------------------
 // Ablations (README.md, last row of the experiment index).
 // ---------------------------------------------------------------------------
@@ -283,38 +263,6 @@ func BenchmarkAblationEncoding(b *testing.B) {
 	}
 	b.ReportMetric(compact, "compact_Kbps")
 	b.ReportMetric(verbose, "verbose_Kbps")
-}
-
-// BenchmarkAblationRedundancy reports the expected fraction of pairs with no
-// usable rendezvous under the grid's two-server intersection vs a
-// hypothetical single-server assignment (§4's motivation).
-func BenchmarkAblationRedundancy(b *testing.B) {
-	env := traces.PlanetLab(100, 5)
-	var double, single float64
-	for i := 0; i < b.N; i++ {
-		double, single = emul.RedundancyAblation(env)
-	}
-	b.ReportMetric(double*100, "double_fail_pct")
-	b.ReportMetric(single*100, "single_fail_pct")
-}
-
-// BenchmarkAblationStaleness compares the 3r row-staleness window (§6.2.2)
-// against a tight 1r window under 30% packet loss, reporting each pair's
-// worst observed route age (mean and 97th percentile across pairs). The
-// wider window keeps recommendations flowing when round-1 rows are lost.
-func BenchmarkAblationStaleness(b *testing.B) {
-	for _, mult := range []int{1, 3} {
-		b.Run(fmt.Sprintf("staleness=%dr", mult), func(b *testing.B) {
-			var mean, p97 float64
-			for i := 0; i < b.N; i++ {
-				const r = 15 * time.Second
-				qc := core.QuorumConfig{Interval: r, Staleness: time.Duration(mult) * r}
-				mean, p97, _ = emul.LossyAblation(qc, 0.30, 6)
-			}
-			b.ReportMetric(mean, "mean_worst_age_s")
-			b.ReportMetric(p97, "p97_worst_age_s")
-		})
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -690,7 +638,12 @@ func BenchmarkShardedFullPass(b *testing.B) {
 		q.SelfAsymRow = func() []wire.AsymEntry { return self }
 		q.LinkAlive = func(int) bool { return true }
 		for _, c := range q.Grid().Clients(0) {
-			q.Table().PutAsym(c, lsdb.AsymRow{Seq: 1, When: env.Now(), Entries: directional(benchRow(n, c, 0))})
+			// Seed through the ingest path a received directional row takes.
+			msg := wire.AppendLinkStateAsym(nil, 0, wire.LinkStateAsym{Seq: 1, Entries: directional(benchRow(n, c, 0))})
+			_, seq, entries, err := wire.LinkStateBody(wire.TLinkStateAsym, msg[wire.HeaderLen:])
+			if err != nil || !q.Table().PutWire(c, seq, env.Now(), entries) {
+				b.Fatalf("client %d's directional row refused: %v", c, err)
+			}
 		}
 		return q
 	}
@@ -797,28 +750,6 @@ func BenchmarkChurnScale(b *testing.B) {
 			b.ReportMetric(res.MeanAvailability*100, "mean_avail_pct")
 			b.ReportMetric(res.MeanStretch, "mean_stretch")
 			b.ReportMetric(float64(res.CoordMsgs), "coord_msgs")
-		})
-	}
-}
-
-// BenchmarkAblationReliability compares §6.2.2's reliable link-state option
-// against plain best-effort rows under 25% loss: worst-case route age
-// improves, routing bandwidth pays for the acks and retransmissions.
-func BenchmarkAblationReliability(b *testing.B) {
-	for _, reliable := range []bool{false, true} {
-		name := "best-effort"
-		if reliable {
-			name = "reliable"
-		}
-		b.Run(name, func(b *testing.B) {
-			var mean, p97, kbps float64
-			for i := 0; i < b.N; i++ {
-				qc := core.QuorumConfig{Interval: 15 * time.Second, ReliableLinkState: reliable}
-				mean, p97, kbps = emul.LossyAblation(qc, 0.25, 8)
-			}
-			b.ReportMetric(mean, "mean_worst_age_s")
-			b.ReportMetric(p97, "p97_worst_age_s")
-			b.ReportMetric(kbps, "routing_Kbps")
 		})
 	}
 }

@@ -1,8 +1,10 @@
 // Command lint is the repo's determinism and concurrency multichecker. It
-// runs the custom passes from internal/lint (mapiter, wallclock, allocfree)
-// over the packages named on the command line (default ./...) and exits
-// nonzero on any finding. `make lint` and the CI lint job gate
-// every change on a clean run.
+// runs the custom passes from internal/lint (mapiter, wallclock, allocfree,
+// testonly) over the packages named on the command line (default ./...) and
+// exits nonzero on any finding. testonly reads references from the whole
+// module whatever the patterns; a declaration another package's tests need
+// is waived with //lint:testonly <reason>. `make lint` and the CI lint job
+// gate every change on a clean run.
 package main
 
 import (

@@ -65,8 +65,6 @@ func PaperTotal(n int, quorum bool) float64 {
 // Params parameterizes the first-principles model with this implementation's
 // actual message sizes, for comparison against emulation measurements.
 type Params struct {
-	// ProbeInterval is p (default 30 s).
-	ProbeInterval time.Duration
 	// MeshInterval is the full-mesh routing interval (default 30 s).
 	MeshInterval time.Duration
 	// QuorumInterval is the quorum routing interval (default 15 s).
@@ -77,9 +75,6 @@ type Params struct {
 }
 
 func (p *Params) fill() {
-	if p.ProbeInterval <= 0 {
-		p.ProbeInterval = 30 * time.Second
-	}
 	if p.MeshInterval <= 0 {
 		p.MeshInterval = 30 * time.Second
 	}
@@ -89,29 +84,6 @@ func (p *Params) fill() {
 	if p.Overhead <= 0 {
 		p.Overhead = wire.PerPacketOverhead
 	}
-}
-
-// Probing predicts this implementation's probing traffic (in + out, bps per
-// node): per destination per interval, a probe out (15-byte payload), its
-// reply in (23 bytes — the reply carries the receive timestamp enabling the
-// asymmetric extension), plus the mirror-image pair, each with per-packet
-// overhead.
-func (p Params) Probing(n int) float64 {
-	p.fill()
-	probePkt := float64(wire.HeaderLen + 12 + p.Overhead)
-	replyPkt := float64(wire.HeaderLen + 20 + p.Overhead)
-	return 2 * float64(n-1) * (probePkt + replyPkt) * bitsPerByte / p.ProbeInterval.Seconds()
-}
-
-// QuorumRoutingAsym predicts routing traffic in the asymmetric (footnote 2)
-// variant, whose rows carry 5 bytes per entry instead of 3.
-func (p Params) QuorumRoutingAsym(n int) float64 {
-	p.fill()
-	k := QuorumDegree(n)
-	row := float64(wire.AsymLinkStateSize(n) + p.Overhead)
-	rec := float64(wire.RecommendationSize(k) + p.Overhead)
-	perInterval := 2*float64(k)*row + 2*float64(k)*rec
-	return perInterval * bitsPerByte / p.QuorumInterval.Seconds()
 }
 
 // FullMeshRouting predicts the baseline's routing traffic (in + out, bps per
@@ -134,14 +106,6 @@ func (p Params) QuorumRouting(n int) float64 {
 	rec := float64(wire.RecommendationSize(k) + p.Overhead)
 	perInterval := 2*float64(k)*row + 2*float64(k)*rec
 	return perInterval * bitsPerByte / p.QuorumInterval.Seconds()
-}
-
-// Total predicts probing plus routing for one algorithm.
-func (p Params) Total(n int, quorum bool) float64 {
-	if quorum {
-		return p.Probing(n) + p.QuorumRouting(n)
-	}
-	return p.Probing(n) + p.FullMeshRouting(n)
 }
 
 // QuorumDegree returns the idealized rendezvous set size 2(⌈√n⌉−1) used by

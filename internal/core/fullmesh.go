@@ -122,9 +122,6 @@ func (f *FullMesh) ViewChangeStats() (extends, remaps uint64) {
 // Interval implements Router.
 func (f *FullMesh) Interval() time.Duration { return f.cfg.Interval }
 
-// LinkStatesSent returns the number of link-state broadcasts sent.
-func (f *FullMesh) LinkStatesSent() uint64 { return f.stats.linkStatesSent }
-
 // RecomputeStats reports the number of recomputes as full; incremental and
 // dstsRecomputed are always 0. The three-value shape is a vestige kept because
 // benchmark/harness.go reads it (ROADMAP item 1).

@@ -831,6 +831,8 @@ func (q *Quorum) recruitFailover(dst int, fo *failoverState) {
 }
 
 // FailoverServer returns the active failover rendezvous for dst, or -1.
+//
+//lint:testonly TestDeadFromStartRendezvousFailsOver (emul) waits on the recruit for one destination
 func (q *Quorum) FailoverServer(dst int) int {
 	if dst >= 0 && dst < len(q.failovers) && q.failovers[dst] != nil {
 		return q.failovers[dst].server

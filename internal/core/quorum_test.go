@@ -672,7 +672,7 @@ func TestQuorumRound2WorkersByteIdentical(t *testing.T) {
 			}
 			for _, c := range clients {
 				if directional {
-					q.Table().PutAsym(c, lsdb.AsymRow{Seq: 1, When: env.Now(), Entries: rows[c]})
+					putAsym(t, q.Table(), c, env.Now(), rows[c])
 				} else {
 					q.Table().Put(c, lsdb.Row{Seq: 1, When: env.Now(), Entries: symmetric(c)})
 				}

@@ -190,9 +190,9 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 	if r := q.table.OutRow(6); r[4] != 50 || r[3] != wire.InfCost || r[9] != wire.InfCost {
 		t.Errorf("survivor's costs to 4/3/9 = %d/%d/%d, want 50/Inf/Inf", r[4], r[3], r[9])
 	}
-	if q.table.N() != 10 || cap(q.routes) != 10 || cap(q.failovers) != 10 || cap(q.live) != 10 {
+	if len(q.table.OutRow(0)) != 10 || cap(q.routes) != 10 || cap(q.failovers) != 10 || cap(q.live) != 10 {
 		t.Errorf("slot space not extended to exactly 10: table %d routes %d failovers %d liveness %d",
-			q.table.N(), cap(q.routes), cap(q.failovers), cap(q.live))
+			len(q.table.OutRow(0)), cap(q.routes), cap(q.failovers), cap(q.live))
 	}
 
 	// The silence table is the new grid's common sets less this node. A
@@ -281,7 +281,10 @@ func TestFullMeshSetViewStableKeepsState(t *testing.T) {
 	if !f.table.Have(2) || f.table.Seq(2) != 2 || f.table.OutRow(2)[1] != wire.InfCost {
 		t.Errorf("survivor's row: have %v seq %d costs %v", f.table.Have(2), f.table.Seq(2), f.table.OutRow(2))
 	}
-	if f.table.N() != 4 || len(f.routes) != 4 {
-		t.Errorf("slot space not extended: table %d routes %d", f.table.N(), len(f.routes))
+	if len(f.table.OutRow(0)) != 4 || len(f.routes) != 4 {
+		t.Errorf("slot space not extended: table %d routes %d", len(f.table.OutRow(0)), len(f.routes))
 	}
 }
+
+// LinkStatesSent returns the number of link-state broadcasts sent.
+func (f *FullMesh) LinkStatesSent() uint64 { return f.stats.linkStatesSent }

@@ -155,7 +155,7 @@ func TestRecommendationsWrittenInPlaceMatchStagedEncoding(t *testing.T) {
 				q.LinkAlive = func(int) bool { return true }
 				for _, c := range clients {
 					if directional {
-						q.table.PutAsym(c, lsdb.AsymRow{Seq: 1, When: env.Now(), Entries: rows[c]})
+						putAsym(t, q.table, c, env.Now(), rows[c])
 					} else {
 						q.table.Put(c, lsdb.Row{Seq: 1, When: env.Now(), Entries: symmetric(c)})
 					}
@@ -207,5 +207,16 @@ func TestRecommendationsWrittenInPlaceMatchStagedEncoding(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// putAsym stores a directional row with sequence number 1 in table through
+// the ingest path a received TLinkStateAsym takes.
+func putAsym(tb testing.TB, table *lsdb.Table, slot int, when time.Time, row []wire.AsymEntry) {
+	tb.Helper()
+	msg := wire.AppendLinkStateAsym(nil, 0, wire.LinkStateAsym{Seq: 1, Entries: row})
+	_, seq, entries, err := wire.LinkStateBody(wire.TLinkStateAsym, msg[wire.HeaderLen:])
+	if err != nil || !table.PutWire(slot, seq, when, entries) {
+		tb.Fatalf("slot %d's directional row refused: %v", slot, err)
 	}
 }

@@ -565,104 +565,3 @@ func routeUsable(nw *simnet.Network, a, hop, b int) bool {
 	}
 	return hop >= 0 && nw.Reachable(a, hop) && nw.Reachable(hop, b)
 }
-
-// ---------------------------------------------------------------------------
-// Ablation: rendezvous redundancy (BenchmarkAblationRedundancy).
-// ---------------------------------------------------------------------------
-
-// LossyAblation runs a 25-node quorum fleet for ten minutes on clean links
-// that drop the given share of packets, with the given router configuration,
-// and returns the mean and 97th-percentile per-pair worst route age (seconds
-// since the last recommendation) plus the measured routing bandwidth in Kbps.
-// It backs two ablations: a 3r row-staleness window keeps recommendations
-// flowing when round-1 rows are lost and a 1r window does not (§6.2.2), and
-// reliable link-state announcements improve route age "at the cost of ...
-// some bandwidth".
-func LossyAblation(qc core.QuorumConfig, loss float64, seed int64) (meanAge, p97Age, kbps float64) {
-	const n = 25
-	const dur = 10 * time.Minute
-	env := traces.Generate(n, seed, traces.Config{BadNodeFrac: 0.0001})
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a != b {
-				env.Loss[a][b] = loss
-			}
-			env.DownFrac[a][b] = 0
-		}
-	}
-	f := NewFleet(FleetOptions{N: n, Algorithm: overlay.AlgQuorum, Seed: seed, Env: env, Quorum: qc})
-	before := f.Col.Snapshot(wire.CatRouting)
-	// Sample pair ages every 30 s, then summarize the per-pair worst case.
-	ages := newRouteAges(n)
-	end := f.Elapsed() + dur
-	for f.Elapsed() < end {
-		f.Run(30 * time.Second)
-		ages.sample(f, f.Start())
-	}
-	after := f.Col.Snapshot(wire.CatRouting)
-	var sum float64
-	for _, v := range RoutingKbpsPerNode(before, after, dur) {
-		sum += v
-	}
-	worst := make([]float64, 0, n*(n-1))
-	for _, p := range ages.stats() {
-		worst = append(worst, p.Max)
-	}
-	st := stats.Summarize(worst)
-	return st.Mean, st.P97, sum / n
-}
-
-// RedundancyAblation computes, under an environment's stationary failure
-// model, the expected fraction of (src, dst) pairs with no usable rendezvous
-// when each pair has (a) the grid's two default rendezvous vs (b) only one.
-// It quantifies why the construction's double intersection matters (§4).
-func RedundancyAblation(env *traces.Env) (double, single float64) {
-	n := env.N
-	g, err := grid.New(n)
-	if err != nil {
-		return 0, 0
-	}
-	// The grid derives a server set per call and the sweep reads each 2n
-	// times: derive them once.
-	servers := make([][]int, n)
-	for i := range servers {
-		servers[i] = g.Servers(i)
-	}
-	pairs := 0
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			var probs []float64
-			for _, k := range servers[a] {
-				// a's rendezvous for b: b itself, or a server the two share.
-				if _, shared := slices.BinarySearch(servers[b], k); k != b && !shared {
-					continue
-				}
-				var pFail float64
-				if k == b {
-					pFail = env.DownFrac[a][b]
-				} else {
-					// rendezvous usable iff both a–k and k–b are up
-					pFail = 1 - (1-env.DownFrac[a][k])*(1-env.DownFrac[k][b])
-				}
-				probs = append(probs, pFail)
-			}
-			if len(probs) == 0 {
-				continue
-			}
-			pairs++
-			all := 1.0
-			for _, p := range probs {
-				all *= p
-			}
-			double += all
-			single += probs[0]
-		}
-	}
-	if pairs == 0 {
-		return 0, 0
-	}
-	return double / float64(pairs), single / float64(pairs)
-}

@@ -10,7 +10,7 @@ func TestFig1TwoHostsNoPanic(t *testing.T) {
 	env := traces.Generate(2, 1, traces.Config{})
 	env.LatencyMS[0][1], env.LatencyMS[1][0] = 900, 900
 	r := Fig1(env, 400)
-	if r.HighPairs != 0 || r.Best.N() != 0 {
-		t.Errorf("n=2 should yield no comparable pairs, got high=%d best=%d", r.HighPairs, r.Best.N())
+	if r.HighPairs != 0 || len(r.Best.Values()) != 0 {
+		t.Errorf("n=2 should yield no comparable pairs, got high=%d best=%d", r.HighPairs, len(r.Best.Values()))
 	}
 }

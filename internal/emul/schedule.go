@@ -283,13 +283,6 @@ func (s ChurnScenario) row() int {
 // String names the scenario.
 func (s ChurnScenario) String() string { return churnScenarios[s.row()].name }
 
-// Schedule returns the scenario's fault schedule under o (defaults applied as
-// RunChurn applies them), in time since the churn phase began.
-func (s ChurnScenario) Schedule(o ChurnOptions) []Step {
-	o.Scenario = s
-	return o.fill()
-}
-
 // ParseChurnScenario maps a scenario's printed name or CLI alias to it.
 func ParseChurnScenario(name string) (ChurnScenario, error) {
 	for s, row := range churnScenarios {

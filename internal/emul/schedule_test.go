@@ -205,3 +205,10 @@ func TestScheduleDerivations(t *testing.T) {
 		t.Errorf("straggler at a 20 s interval opens %v, want %v", ops, want)
 	}
 }
+
+// Schedule returns the scenario's fault schedule under o (defaults applied as
+// RunChurn applies them), in time since the churn phase began.
+func (s ChurnScenario) Schedule(o ChurnOptions) []Step {
+	o.Scenario = s
+	return o.fill()
+}

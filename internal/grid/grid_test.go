@@ -1,9 +1,11 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -644,4 +646,92 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// LastRowLen returns the number of occupied slots in the final row.
+func (g *Grid) LastRowLen() int { return g.lastRow }
+
+// IsComplete reports whether the grid has no blank slots.
+func (g *Grid) IsComplete() bool { return g.lastRow == g.cols }
+
+// IsServerOf reports whether server ∈ Servers(client).
+func (g *Grid) IsServerOf(server, client int) bool {
+	_, found := slices.BinarySearch(g.Servers(client), server)
+	return found
+}
+
+// MaxLoad returns the maximum rendezvous set size over all slots. The paper
+// shows this is at most 2√n even with blank compensation.
+func (g *Grid) MaxLoad() int {
+	m := 0
+	for s := 0; s < g.n; s++ {
+		m = max(m, len(g.Servers(s)))
+	}
+	return m
+}
+
+// VerifyInvariants exhaustively checks the construction's guarantees and
+// returns a descriptive error on the first violation. Intended for tests and
+// the experiments harness; cost is O(n²·√n).
+//
+// For a masked grid the checks cover the occupied slots: the rendezvous
+// relation must stay symmetric, never name a tombstone, and every occupied
+// pair must share at least one rendezvous (deputy substitution cannot
+// promise two); the load bound is relaxed in proportion to the tombstone
+// count, since a deputy inherits the pairs of the slots it stands in for.
+func (g *Grid) VerifyInvariants() error {
+	// Every check below reads every set many times over: derive each once.
+	sets := make([][]int, g.n)
+	dead, load := 0, 0
+	for i := range sets {
+		sets[i] = g.Servers(i)
+		load = max(load, len(sets[i]))
+		if !g.live(i) {
+			dead++
+		}
+	}
+	// Symmetry: j ∈ Servers(i) ⟺ i ∈ Servers(j); tombstones serve no one.
+	for i, set := range sets {
+		if !g.live(i) {
+			if len(set) != 0 {
+				return fmt.Errorf("grid: tombstoned slot %d has %d servers", i, len(set))
+			}
+			continue
+		}
+		for _, j := range set {
+			if !g.live(j) {
+				return fmt.Errorf("grid: slot %d names tombstoned server %d", i, j)
+			}
+			if _, found := slices.BinarySearch(sets[j], i); !found {
+				return fmt.Errorf("grid: asymmetric rendezvous relation %d->%d", i, j)
+			}
+		}
+	}
+	// Pair coverage: every occupied pair shares a rendezvous; a dense grid
+	// with n ≥ 4 shares two.
+	for i := 0; i < g.n; i++ {
+		if !g.live(i) {
+			continue
+		}
+		for j := i + 1; j < g.n; j++ {
+			if !g.live(j) {
+				continue
+			}
+			c := common(i, j, sets[i], sets[j])
+			if len(c) == 0 {
+				return fmt.Errorf("grid: pair (%d,%d) has no common rendezvous", i, j)
+			}
+			if dead == 0 && g.n >= 4 && len(c) < 2 {
+				return fmt.Errorf("grid: pair (%d,%d) has only %d common rendezvous", i, j, len(c))
+			}
+		}
+	}
+	// Load bound: |R_i| ≤ 2·⌈√n⌉ (paper: at most 2√n clients and servers).
+	// Each tombstone can push its row's and column's pairs onto a deputy, so
+	// the masked bound grows by one line per tombstone.
+	bound := (2 + dead) * int(math.Ceil(math.Sqrt(float64(g.n))))
+	if load > bound {
+		return fmt.Errorf("grid: max rendezvous load %d exceeds (2+dead)·⌈√n⌉ = %d", load, bound)
+	}
+	return nil
 }

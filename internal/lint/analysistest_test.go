@@ -16,14 +16,19 @@ import (
 
 // RunFixture type-checks the fixture directory as a single package with the
 // given import path (so package-scoped analyzers can be pointed in or out of
-// scope), runs the analyzer, and compares its diagnostics against the
-// fixture's `// want "regexp"` comments, analysistest-style: every
-// diagnostic must match a want on its line, and every want must be matched
-// by exactly one diagnostic.
+// scope), and each subdirectory as the package importPath/<name>, runs the
+// analyzer over all of them through the driver, and compares its
+// diagnostics against the fixtures' `// want "regexp"` comments,
+// analysistest-style: every diagnostic must match a want on its line, and
+// every want must be matched by exactly one diagnostic.
 func RunFixture(t *testing.T, a *Analyzer, dir, importPath string) {
 	t.Helper()
-	fset, files, got := runFixture(t, a, dir, importPath)
-	matchExpectations(t, fset, files, got)
+	pkgs := loadFixture(t, dir, importPath)
+	var files []*ast.File
+	for _, p := range pkgs {
+		files = append(files, p.Files...)
+	}
+	matchExpectations(t, pkgs[0].Fset, files, runFixture(t, a, pkgs, pkgs))
 }
 
 // RunFixtureNoDiagnostics runs the analyzer over the fixture under an
@@ -31,15 +36,67 @@ func RunFixture(t *testing.T, a *Analyzer, dir, importPath string) {
 // comments notwithstanding — the negative half of package-scope checks.
 func RunFixtureNoDiagnostics(t *testing.T, a *Analyzer, dir, importPath string) {
 	t.Helper()
-	fset, _, got := runFixture(t, a, dir, importPath)
-	for _, d := range got {
-		t.Errorf("%s: unexpected diagnostic under out-of-scope path %s: %s", fset.Position(d.Pos), importPath, d.Message)
+	pkgs := loadFixture(t, dir, importPath)
+	for _, d := range runFixture(t, a, pkgs, pkgs) {
+		t.Errorf("%s: unexpected diagnostic under out-of-scope path %s: %s", pkgs[0].Fset.Position(d.Pos), importPath, d.Message)
 	}
 }
 
-func runFixture(t *testing.T, a *Analyzer, dir, importPath string) (*token.FileSet, []*ast.File, []Diagnostic) {
+// runFixture runs the analyzer over pkgs, with module as the rest of the
+// fixture's world, and returns its diagnostics.
+func runFixture(t *testing.T, a *Analyzer, pkgs, module []*Package) []Diagnostic {
+	t.Helper()
+	findings, err := Run([]*Analyzer{a}, pkgs, module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Diagnostic
+	for _, f := range findings {
+		got = append(got, f.Diagnostic)
+	}
+	return got
+}
+
+// loadFixture parses and type-checks the fixture package in dir and then
+// one package per subdirectory, which may import it by its path.
+func loadFixture(t *testing.T, dir, importPath string) []*Package {
 	t.Helper()
 	fset := token.NewFileSet()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("reading fixture dir: %v", err)
+	}
+	pkgs := []*Package{checkFixture(t, fset, dir, importPath, nil)}
+	for _, e := range entries {
+		if e.IsDir() {
+			pkgs = append(pkgs, checkFixture(t, fset, filepath.Join(dir, e.Name()), importPath+"/"+e.Name(), pkgs))
+		}
+	}
+	return pkgs
+}
+
+// fixtureImporter resolves the fixture's own packages from source and every
+// other import from export data.
+type fixtureImporter struct {
+	local []*Package
+	types.Importer
+}
+
+func (imp fixtureImporter) Import(path string) (*types.Package, error) {
+	for _, p := range imp.local {
+		if p.Path == path {
+			return p.Pkg, nil
+		}
+	}
+	return imp.Importer.Import(path)
+}
+
+// checkFixture parses the .go files of dir and type-checks them as package
+// importPath, resolving imports of the local packages from source and the
+// rest through export data listed by the go tool (standard library and
+// module packages alike).
+func checkFixture(t *testing.T, fset *token.FileSet, dir, importPath string, local []*Package) *Package {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("reading fixture dir: %v", err)
@@ -59,33 +116,15 @@ func runFixture(t *testing.T, a *Analyzer, dir, importPath string) (*token.FileS
 		t.Fatalf("no fixture files in %s", dir)
 	}
 
-	pkg, info := checkFixture(t, fset, files, importPath)
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
+	seen := map[string]bool{"unsafe": true}
+	for _, p := range local {
+		seen[p.Path] = true
 	}
-	var got []Diagnostic
-	pass.Report = func(d Diagnostic) { got = append(got, d) }
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-	return fset, files, got
-}
-
-// checkFixture type-checks the fixture files, resolving imports through
-// export data listed by the go tool (standard library and module packages
-// alike).
-func checkFixture(t *testing.T, fset *token.FileSet, files []*ast.File, importPath string) (*types.Package, *types.Info) {
-	t.Helper()
-	seen := map[string]bool{}
 	var imports []string
 	for _, f := range files {
 		for _, imp := range f.Imports {
 			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil || p == "unsafe" || seen[p] {
+			if err != nil || seen[p] {
 				continue
 			}
 			seen[p] = true
@@ -105,12 +144,12 @@ func checkFixture(t *testing.T, fset *token.FileSet, files []*ast.File, importPa
 		}
 	}
 	info := newTypesInfo()
-	conf := types.Config{Importer: exportImporter(fset, exports)}
+	conf := types.Config{Importer: fixtureImporter{local, exportImporter(fset, exports)}}
 	pkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
 		t.Fatalf("type-checking fixture: %v", err)
 	}
-	return pkg, info
+	return &Package{Path: importPath, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
 }
 
 // wantRe matches the payload of a // want comment.

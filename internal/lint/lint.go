@@ -1,16 +1,19 @@
 // Package lint implements the repo's determinism and concurrency lint suite:
-// a small go/analysis-style framework plus three custom passes, compiled into
+// a small go/analysis-style framework plus four custom passes, compiled into
 // the cmd/lint multichecker that gates every PR.
 //
 // The load-bearing invariant of this codebase is byte-identical routes and
 // scenario output across identical seeds — that is what lets the golden-hash
 // tests pin the paper's Figure 1 and availability numbers. The passes turn
-// that contract (and the alloc-free kernel contract from PERF.md) from tribal
-// knowledge into a build failure:
+// that contract (and the alloc-free kernel contract from PERF.md, and the rule
+// that product code is what the system runs) from tribal knowledge into a
+// build failure:
 //
 //   - mapiter: no map iteration in deterministic packages
 //   - wallclock: no wall-clock time or global math/rand in node logic
 //   - allocfree: no heap allocation inside //lint:allocfree hot paths
+//   - testonly: no exported declaration in internal/ that only tests reach,
+//     unless waived by //lint:testonly <reason>
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic, analysistest-style fixtures) but is built on
@@ -48,6 +51,9 @@ type Pass struct {
 
 	// Report delivers a diagnostic. The driver fills it in.
 	Report func(Diagnostic)
+	// Reached reports whether non-test code anywhere in the module reaches
+	// a declaration (see Testonly). The driver computes it once per run.
+	Reached func(types.Object) bool
 
 	directives map[*ast.File]map[int]directive
 }
@@ -66,12 +72,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // ---------------------------------------------------------------------------
 // Lint directives.
 //
-// The suite understands two comment annotations, documented in
+// The suite understands three comment annotations, documented in
 // CONTRIBUTING.md:
 //
 //	//lint:allocfree            on a function declaration
 //	//lint:allowalloc <reason>  on (or just above) a line inside an
 //	                            allocfree function
+//	//lint:testonly <reason>    on (or just above) an exported declaration
+//	                            that another package's tests need
 // ---------------------------------------------------------------------------
 
 // directive is one parsed //lint: comment.

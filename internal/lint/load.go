@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -149,9 +150,12 @@ type Finding struct {
 	Fset     *token.FileSet
 }
 
-// Run applies every analyzer to every package and returns the findings
-// sorted by file position (then analyzer name, for a stable report).
-func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
+// Run applies every analyzer to every package in pkgs and returns the
+// findings sorted by file position (then analyzer name, for a stable
+// report). module is every package of the module, pkgs among them: what
+// non-test code reaches is read from all of it.
+func Run(analyzers []*Analyzer, pkgs, module []*Package) ([]Finding, error) {
+	reached := reachedFrom(module)
 	var all []Finding
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
@@ -161,6 +165,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Pkg,
 				TypesInfo: pkg.TypesInfo,
+				Reached:   reached,
 			}
 			pass.Report = func(d Diagnostic) {
 				all = append(all, Finding{Diagnostic: d, Analyzer: a, Fset: pkg.Fset})
@@ -185,7 +190,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
 
 // DefaultAnalyzers is the pass set cmd/lint runs.
 func DefaultAnalyzers() []*Analyzer {
-	return []*Analyzer{Mapiter, Wallclock, Allocfree}
+	return []*Analyzer{Mapiter, Wallclock, Allocfree, Testonly}
 }
 
 // Main is the cmd/lint entry point: load patterns (default ./...), run the
@@ -194,12 +199,16 @@ func Main(dir string, patterns []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := Load(dir, patterns)
+	module, err := Load(dir, []string{"./..."})
+	pkgs := module
+	if err == nil && !slices.Equal(patterns, []string{"./..."}) {
+		pkgs, err = Load(dir, patterns)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	findings, err := Run(DefaultAnalyzers(), pkgs)
+	findings, err := Run(DefaultAnalyzers(), pkgs, module)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

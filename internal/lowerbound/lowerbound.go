@@ -31,48 +31,6 @@ func DiamondsInComplete(n int) int64 {
 	return 3 * Choose4(n)
 }
 
-// Edge is an undirected edge between two vertices.
-type Edge struct {
-	A, B int
-}
-
-// CountDiamonds counts the diamonds (4-cycles) formed by an edge set over
-// vertices 0..n-1. Duplicate and self-loop edges are ignored. The count uses
-// the codegree identity: each 4-cycle is counted once per opposite-vertex
-// pair, i.e. exactly twice, so the total is Σ_{u<v} C(codeg(u,v), 2) / 2.
-func CountDiamonds(n int, edges []Edge) int64 {
-	adj := make([][]bool, n)
-	for i := range adj {
-		adj[i] = make([]bool, n)
-	}
-	for _, e := range edges {
-		if e.A == e.B || e.A < 0 || e.B < 0 || e.A >= n || e.B >= n {
-			continue
-		}
-		adj[e.A][e.B] = true
-		adj[e.B][e.A] = true
-	}
-	var total int64
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			var codeg int64
-			for w := 0; w < n; w++ {
-				if w != u && w != v && adj[u][w] && adj[v][w] {
-					codeg++
-				}
-			}
-			total += codeg * (codeg - 1) / 2
-		}
-	}
-	return total / 2
-}
-
-// Lemma3Bound returns the Appendix A upper bound on diamonds formed by e
-// edges: e².
-func Lemma3Bound(e int) int64 {
-	return int64(e) * int64(e)
-}
-
 // MinEdgesPerNode returns the Appendix A lower bound on the number of edge
 // weights each node must receive: with n nodes each receiving e edges, at
 // most n·e² diamonds are compared, so covering all 3·C(n,4) of them requires
@@ -105,35 +63,4 @@ func OptimalityRatio(n int) float64 {
 		return 0
 	}
 	return QuorumEdgesPerNode(n) / lb
-}
-
-// CoverageCheck verifies Theorem 1's premise combinatorially for a grid
-// quorum: given each node's received rows (as sets of row-origin vertices),
-// every diamond a−h−b (pair (a,b) compared through any h) must be evaluable
-// at some node that holds both a's and b's rows. rowsAt[k] lists the
-// vertices whose full link-state row node k holds (including k itself).
-// It returns the number of (a,b) pairs not covered by any node.
-func CoverageCheck(n int, rowsAt [][]int) int {
-	holds := make([][]bool, n)
-	for k := range holds {
-		holds[k] = make([]bool, n)
-		for _, v := range rowsAt[k] {
-			if v >= 0 && v < n {
-				holds[k][v] = true
-			}
-		}
-	}
-	uncovered := 0
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			ok := false
-			for k := 0; k < n && !ok; k++ {
-				ok = holds[k][a] && holds[k][b]
-			}
-			if !ok {
-				uncovered++
-			}
-		}
-	}
-	return uncovered
 }

@@ -174,3 +174,95 @@ func TestQuorumEdgesPerNode(t *testing.T) {
 		t.Error("n=1 should be 0")
 	}
 }
+
+// BenchmarkDiamondCounting times the Appendix A diamond counter on K_40 and
+// reports the Lemma 2 identity.
+func BenchmarkDiamondCounting(b *testing.B) {
+	var edges []Edge
+	for x := 0; x < 40; x++ {
+		for y := x + 1; y < 40; y++ {
+			edges = append(edges, Edge{A: x, B: y})
+		}
+	}
+	var got int64
+	for i := 0; i < b.N; i++ {
+		got = CountDiamonds(40, edges)
+	}
+	if got != DiamondsInComplete(40) {
+		b.Fatalf("Lemma 2 violated: %d", got)
+	}
+	b.ReportMetric(float64(got), "diamonds_K40")
+}
+
+// Edge is an undirected edge between two vertices.
+type Edge struct {
+	A, B int
+}
+
+// CountDiamonds counts the diamonds (4-cycles) formed by an edge set over
+// vertices 0..n-1. Duplicate and self-loop edges are ignored. The count uses
+// the codegree identity: each 4-cycle is counted once per opposite-vertex
+// pair, i.e. exactly twice, so the total is Σ_{u<v} C(codeg(u,v), 2) / 2.
+func CountDiamonds(n int, edges []Edge) int64 {
+	adj := make([][]bool, n)
+	for i := range adj {
+		adj[i] = make([]bool, n)
+	}
+	for _, e := range edges {
+		if e.A == e.B || e.A < 0 || e.B < 0 || e.A >= n || e.B >= n {
+			continue
+		}
+		adj[e.A][e.B] = true
+		adj[e.B][e.A] = true
+	}
+	var total int64
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			var codeg int64
+			for w := 0; w < n; w++ {
+				if w != u && w != v && adj[u][w] && adj[v][w] {
+					codeg++
+				}
+			}
+			total += codeg * (codeg - 1) / 2
+		}
+	}
+	return total / 2
+}
+
+// Lemma3Bound returns the Appendix A upper bound on diamonds formed by e
+// edges: e².
+func Lemma3Bound(e int) int64 {
+	return int64(e) * int64(e)
+}
+
+// CoverageCheck verifies Theorem 1's premise combinatorially for a grid
+// quorum: given each node's received rows (as sets of row-origin vertices),
+// every diamond a−h−b (pair (a,b) compared through any h) must be evaluable
+// at some node that holds both a's and b's rows. rowsAt[k] lists the
+// vertices whose full link-state row node k holds (including k itself).
+// It returns the number of (a,b) pairs not covered by any node.
+func CoverageCheck(n int, rowsAt [][]int) int {
+	holds := make([][]bool, n)
+	for k := range holds {
+		holds[k] = make([]bool, n)
+		for _, v := range rowsAt[k] {
+			if v >= 0 && v < n {
+				holds[k][v] = true
+			}
+		}
+	}
+	uncovered := 0
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			ok := false
+			for k := 0; k < n && !ok; k++ {
+				ok = holds[k][a] && holds[k][b]
+			}
+			if !ok {
+				uncovered++
+			}
+		}
+	}
+	return uncovered
+}

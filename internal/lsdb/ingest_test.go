@@ -168,3 +168,24 @@ func keepMembers[E any](tombs []int, row []E) []E {
 func sameSlot(a, b slotState) bool {
 	return a.have == b.have && a.seq == b.seq && a.when.Equal(b.when) && slices.Equal(a.out, b.out) && slices.Equal(a.in, b.in)
 }
+
+// AsymRow is one node's announced directional link-state vector (footnote 2
+// mode): for every slot, the one-way cost toward it and the one-way cost back.
+type AsymRow struct {
+	Seq     uint32
+	When    time.Time
+	Entries []wire.AsymEntry
+}
+
+// PutAsym is Put for a directional row, under the same acceptance rule; each
+// direction is unpacked into its own matrix. A symmetric table rejects it.
+func (t *Table) PutAsym(slot int, row AsymRow) bool {
+	if !t.Directional() || !t.accept(slot, len(row.Entries), row.Seq, row.When) {
+		return false
+	}
+	out, in := t.out.rowFor(slot), t.in.rowFor(slot)
+	for i, e := range row.Entries {
+		out[i], in[i] = e.OutCost(), e.InCost()
+	}
+	return true
+}

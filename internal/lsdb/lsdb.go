@@ -80,9 +80,6 @@ func newTable(n int, out, in *CostMatrix) *Table {
 	}
 }
 
-// N returns the number of slots in the view.
-func (t *Table) N() int { return t.n }
-
 // Directional reports whether rows carry a cost per direction.
 func (t *Table) Directional() bool { return t.in != t.out }
 
@@ -99,12 +96,18 @@ func (t *Table) OutRow(slot int) []wire.Cost { return t.out.Row(slot) }
 func (t *Table) InRow(slot int) []wire.Cost { return t.in.Row(slot) }
 
 // Have reports whether slot has announced a row (Expire may have dropped its costs).
+//
+//lint:testonly TestStrangerLinkStateTouchesNothing (core) and TestJoinAtScaleIsStableExtension (emul) read row metadata
 func (t *Table) Have(slot int) bool { return slot >= 0 && slot < t.n && t.meta[slot].have }
 
 // Seq returns the sequence number of slot's stored row (0 if none).
+//
+//lint:testonly TestStrangerLinkStateTouchesNothing (core) and TestJoinAtScaleIsStableExtension (emul) read row metadata
 func (t *Table) Seq(slot int) uint32 { return t.meta[slot].seq }
 
 // When returns the receive time of slot's stored row (zero if none).
+//
+//lint:testonly TestStrangerLinkStateTouchesNothing (core) and TestJoinAtScaleIsStableExtension (emul) read row metadata
 func (t *Table) When(slot int) time.Time {
 	if m := t.meta[slot]; m.have {
 		return time.Unix(0, m.when).UTC()
@@ -172,7 +175,7 @@ func (t *Table) RowBytes() int {
 	return (t.n - len(t.tombstones)) * wire.LinkEntryLen
 }
 
-// PutWire is Put — PutAsym on a directional table — for a member-packed row
+// PutWire is Put, on a directional table as well, for a member-packed row
 // still in wire form: entries are the entry bytes wire.LinkStateBody returned,
 // RowBytes of them, and are scattered straight into the slot-indexed stored
 // row, tombstones reading InfCost, so refreshing a row allocates nothing.
@@ -219,6 +222,8 @@ func (t *Table) Expire(now time.Time, maxAge time.Duration) {
 }
 
 // Stored returns the number of rows holding cost storage.
+//
+//lint:testonly TestQuorumHoldsOnlyReadableRows (emul) counts held rows
 func (t *Table) Stored() int { return len(t.out.held) }
 
 // Grow extends the table to newN slots in place, for stable view extensions

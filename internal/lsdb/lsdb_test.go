@@ -598,3 +598,9 @@ func TestExpireKeepsSequenceGuard(t *testing.T) {
 		}
 	}
 }
+
+// N returns the number of slots in the view.
+func (t *Table) N() int { return t.n }
+
+// N returns the number of slots in the view.
+func (m *CostMatrix) N() int { return m.n }

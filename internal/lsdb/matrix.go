@@ -55,9 +55,6 @@ func newCostMatrix(n int) *CostMatrix {
 	}
 }
 
-// N returns the number of slots in the view.
-func (m *CostMatrix) N() int { return m.n }
-
 // Row returns slot's unpacked cost row (length n, all InfCost if the slot has
 // no stored announcement). The slice aliases the matrix and must not be
 // modified.

@@ -199,12 +199,6 @@ func (c *Client) Stop() {
 	}
 }
 
-// Joined reports whether the node has been admitted and holds a view.
-func (c *Client) Joined() bool { return c.joined && c.view != nil }
-
-// View returns the current view, or nil before the first one arrives.
-func (c *Client) View() *ViewInfo { return c.view }
-
 // coordinator returns the replica currently believed primary.
 func (c *Client) coordinator() wire.NodeID { return c.cfg.Coordinators[c.cur] }
 

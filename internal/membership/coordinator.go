@@ -280,9 +280,6 @@ func (c *Coordinator) MemberCount() int {
 	return c.lastView.N()
 }
 
-// Version returns the current view version. Call from within env.Do.
-func (c *Coordinator) Version() uint32 { return c.version }
-
 // Stamp returns the current view stamp. Call from within env.Do.
 func (c *Coordinator) Stamp() wire.ViewStamp {
 	return wire.ViewStamp{Epoch: c.epoch, Version: c.version}

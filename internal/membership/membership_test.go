@@ -639,3 +639,12 @@ func TestEvictedClientRejoins(t *testing.T) {
 		}
 	}
 }
+
+// Joined reports whether the node has been admitted and holds a view.
+func (c *Client) Joined() bool { return c.joined && c.view != nil }
+
+// View returns the current view, or nil before the first one arrives.
+func (c *Client) View() *ViewInfo { return c.view }
+
+// Version returns the current view version. Call from within env.Do.
+func (c *Coordinator) Version() uint32 { return c.version }

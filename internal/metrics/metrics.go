@@ -143,6 +143,3 @@ func (c *Collector) MaxWindowKbps(node int, cat wire.Category, fromWindow, toWin
 	}
 	return Kbps(maxBytes, c.window)
 }
-
-// WindowCount returns the number of windows a node has touched.
-func (c *Collector) WindowCount(node int) int { return len(c.nodes[node].windows) }

@@ -105,3 +105,6 @@ func TestDefaultWindow(t *testing.T) {
 		t.Errorf("default window = %v", c.Window())
 	}
 }
+
+// WindowCount returns the number of windows a node has touched.
+func (c *Collector) WindowCount(node int) int { return len(c.nodes[node].windows) }

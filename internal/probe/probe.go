@@ -313,15 +313,6 @@ func (p *Prober) Row() []wire.LinkEntry { return p.row }
 // configured with Asymmetric). Same ownership rules as Row.
 func (p *Prober) AsymRow() []wire.AsymEntry { return p.asymRow }
 
-// OneWay returns the current one-way latency estimates to and from a slot in
-// milliseconds (asymmetric mode only).
-func (p *Prober) OneWay(slot int) (out, in float64, ok bool) {
-	if !p.cfg.Asymmetric || slot < 0 || slot >= len(p.links) || !p.links[slot].everAlive {
-		return 0, 0, false
-	}
-	return p.oneWays[slot].out, p.oneWays[slot].in, true
-}
-
 // Alive reports the prober's liveness belief for a slot. The self slot is
 // always alive.
 func (p *Prober) Alive(slot int) bool {
@@ -339,15 +330,6 @@ func (p *Prober) Alive(slot int) bool {
 // The self slot, and a slot outside the view, read resolved.
 func (p *Prober) Resolved(slot int) bool {
 	return slot == p.self || slot < 0 || slot >= len(p.links) || p.links[slot].lossSeen
-}
-
-// Latency returns the current EWMA latency estimate for a slot in
-// milliseconds, or ok=false if the link has never been measured.
-func (p *Prober) Latency(slot int) (ms float64, ok bool) {
-	if slot < 0 || slot >= len(p.links) || !p.links[slot].everAlive {
-		return 0, false
-	}
-	return p.links[slot].latency, true
 }
 
 // ConcurrentFailures returns the number of destinations currently marked

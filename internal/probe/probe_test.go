@@ -507,3 +507,21 @@ func TestSetViewNonStableGoesCold(t *testing.T) {
 		})
 	}
 }
+
+// OneWay returns the current one-way latency estimates to and from a slot in
+// milliseconds (asymmetric mode only).
+func (p *Prober) OneWay(slot int) (out, in float64, ok bool) {
+	if !p.cfg.Asymmetric || slot < 0 || slot >= len(p.links) || !p.links[slot].everAlive {
+		return 0, 0, false
+	}
+	return p.oneWays[slot].out, p.oneWays[slot].in, true
+}
+
+// Latency returns the current EWMA latency estimate for a slot in
+// milliseconds, or ok=false if the link has never been measured.
+func (p *Prober) Latency(slot int) (ms float64, ok bool) {
+	if slot < 0 || slot >= len(p.links) || !p.links[slot].everAlive {
+		return 0, false
+	}
+	return p.links[slot].latency, true
+}

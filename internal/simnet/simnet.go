@@ -169,9 +169,6 @@ func (nw *Network) Now() time.Time { return nw.epoch.Add(nw.now) }
 // Elapsed returns the virtual time since the start of the simulation.
 func (nw *Network) Elapsed() time.Duration { return nw.now }
 
-// Rand returns the simulation's deterministic random source.
-func (nw *Network) Rand() *rand.Rand { return nw.rng }
-
 // Delivered returns the count of successfully delivered packets.
 func (nw *Network) Delivered() uint64 { return nw.delivered }
 
@@ -297,15 +294,9 @@ func (nw *Network) SetLinkDown(a, b int, down bool) {
 	nw.down[nw.at(b, a)] = down
 }
 
-// LinkDown reports whether the a–b link is failed in the a→b direction.
-func (nw *Network) LinkDown(a, b int) bool { return nw.down[nw.at(a, b)] }
-
 // SetNodeDown fails (or revives) a node: all its packets, in and out, are
 // dropped while it is down.
 func (nw *Network) SetNodeDown(a int, down bool) { nw.nodeDown[a] = down }
-
-// NodeDown reports whether node a is failed.
-func (nw *Network) NodeDown(a int) bool { return nw.nodeDown[a] }
 
 // SetPartition splits the network: each groups[i] lists the endpoints of
 // one side, and every endpoint not named falls into an implicit extra side

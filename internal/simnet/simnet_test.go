@@ -335,3 +335,9 @@ func TestNegativeAfterClamps(t *testing.T) {
 		t.Errorf("ran=%v elapsed=%v", ran, nw.Elapsed())
 	}
 }
+
+// LinkDown reports whether the a–b link is failed in the a→b direction.
+func (nw *Network) LinkDown(a, b int) bool { return nw.down[nw.at(a, b)] }
+
+// NodeDown reports whether node a is failed.
+func (nw *Network) NodeDown(a int) bool { return nw.nodeDown[a] }

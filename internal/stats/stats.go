@@ -1,12 +1,11 @@
 // Package stats provides the small statistics toolkit shared by the
-// experiment harness: empirical CDFs, percentile summaries, and exponentially
+// experiment harness: empirical CDFs with their quantiles, and exponentially
 // weighted moving averages. Every figure in the paper's evaluation is either
 // a CDF or a per-key percentile summary, so these types are the common
 // currency of internal/emul and cmd/experiments.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -37,9 +36,6 @@ func (c *CDF) sort() {
 		c.sorted = true
 	}
 }
-
-// N returns the number of samples.
-func (c *CDF) N() int { return len(c.vals) }
 
 // FractionLE returns the fraction of samples ≤ x, i.e. F(x).
 func (c *CDF) FractionLE(x float64) float64 {
@@ -93,18 +89,6 @@ func (c *CDF) Max() float64 { return c.Quantile(1) }
 // Median returns the 50th percentile.
 func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
-// Mean returns the arithmetic mean (NaN if empty).
-func (c *CDF) Mean() float64 {
-	if len(c.vals) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, v := range c.vals {
-		s += v
-	}
-	return s / float64(len(c.vals))
-}
-
 // Values returns the sorted samples. The returned slice is owned by the CDF
 // and must not be modified.
 func (c *CDF) Values() []float64 {
@@ -151,70 +135,6 @@ func SelectKth(vals []float64, k int) float64 {
 		}
 	}
 	return vals[k]
-}
-
-// Point is one (x, y) sample of a rendered curve.
-type Point struct {
-	X, Y float64
-}
-
-// Curve renders the CDF as points suitable for plotting: for each sample v
-// (deduplicated), the point (v, F(v)). This matches the "fraction of … with
-// value ≤ x" axes used throughout the paper's figures.
-func (c *CDF) Curve() []Point {
-	c.sort()
-	pts := make([]Point, 0, len(c.vals))
-	n := float64(len(c.vals))
-	for i, v := range c.vals {
-		if i+1 < len(c.vals) && c.vals[i+1] == v {
-			continue // keep only the last (highest-F) point per x
-		}
-		pts = append(pts, Point{X: v, Y: float64(i+1) / n})
-	}
-	return pts
-}
-
-// CountCurve renders the CDF with absolute counts on the y axis, matching
-// figures whose y axis is "number of nodes with ≤ x" (Figures 8, 10, 11).
-func (c *CDF) CountCurve() []Point {
-	c.sort()
-	pts := make([]Point, 0, len(c.vals))
-	for i, v := range c.vals {
-		if i+1 < len(c.vals) && c.vals[i+1] == v {
-			continue
-		}
-		pts = append(pts, Point{X: v, Y: float64(i + 1)})
-	}
-	return pts
-}
-
-// Summary holds the per-key percentile statistics reported in the freshness
-// figures (median / average / 97 % / max).
-type Summary struct {
-	Median float64
-	Mean   float64
-	P97    float64
-	Max    float64
-}
-
-// Summarize computes a Summary from samples. It returns a zero Summary if
-// samples is empty.
-func Summarize(samples []float64) Summary {
-	if len(samples) == 0 {
-		return Summary{}
-	}
-	c := NewCDF(samples)
-	return Summary{
-		Median: c.Median(),
-		Mean:   c.Mean(),
-		P97:    c.Quantile(0.97),
-		Max:    c.Max(),
-	}
-}
-
-// String renders the summary for logs.
-func (s Summary) String() string {
-	return fmt.Sprintf("median=%.2f mean=%.2f p97=%.2f max=%.2f", s.Median, s.Mean, s.P97, s.Max)
 }
 
 // EWMA folds observation x into the exponentially weighted moving average avg

@@ -365,16 +365,3 @@ func (e *Env) PoorlyConnected() int {
 	}
 	return worst
 }
-
-// ExpectedConcurrentFailures returns the expected number of concurrently
-// failed links for node i under the stationary failure model — the
-// analytical counterpart of Figure 8's per-node mean.
-func (e *Env) ExpectedConcurrentFailures(i int) float64 {
-	var s float64
-	for j := 0; j < e.N; j++ {
-		if j != i {
-			s += e.DownFrac[i][j]
-		}
-	}
-	return s
-}

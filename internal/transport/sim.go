@@ -130,6 +130,8 @@ func (e *SimEnv) Send(to wire.NodeID, payload []byte) {
 }
 
 // SendErrors returns how many payloads Send refused as oversize.
+//
+//lint:testonly fault counter; membership tests (TestPullReplyFitsADatagram, TestGossipDeltaFitsADatagram) assert no oversize send
 func (e *SimEnv) SendErrors() uint64 { return e.sendErr }
 
 // After implements Env.

@@ -152,6 +152,8 @@ func (e *UDPEnv) SendTo(addr netip.AddrPort, payload []byte) {
 }
 
 // SendErrors returns how many datagrams the socket refused to send.
+//
+//lint:testonly fault counter, the socket twin of SimEnv.SendErrors; TestUDPEnvDatagramCeiling reads it
 func (e *UDPEnv) SendErrors() uint64 { return e.sendErr.Load() }
 
 // udpTimer wraps time.Timer to satisfy the Timer interface.

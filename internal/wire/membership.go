@@ -136,9 +136,6 @@ type View struct {
 	Members []Member
 }
 
-// Stamp returns the view's (epoch, version) stamp.
-func (v View) Stamp() ViewStamp { return ViewStamp{Epoch: v.Epoch, Version: v.Version} }
-
 // AppendView encodes v with its header as one TView datagram. No node sends
 // that form; AppendView and ParseView stay because benchmark/ times them.
 func AppendView(b []byte, src NodeID, v View) []byte {

@@ -403,21 +403,10 @@ func AsymLinkCosts(out, in []Cost, entries []byte, tombstones []int) {
 	openTombstones(in, tombstones)
 }
 
-// ParseLinkStateAsym decodes a LinkStateAsym body into a message of its own.
-func ParseLinkStateAsym(body []byte) (LinkStateAsym, error) {
-	viewVersion, seq, entries, err := LinkStateBody(TLinkStateAsym, body)
-	if err != nil {
-		return LinkStateAsym{}, err
-	}
-	ls := LinkStateAsym{ViewVersion: viewVersion, Seq: seq, Entries: make([]AsymEntry, len(entries)/AsymEntryLen)}
-	for i := range ls.Entries {
-		ls.Entries[i] = asymEntryAt(entries, i)
-	}
-	return ls, nil
-}
-
 // AsymLinkStateSize returns the encoded payload size of an asymmetric row
 // over n nodes, excluding per-packet overhead.
+//
+//lint:testonly TestLinkStateRowsCarryMembers (emul) sizes directional rows
 func AsymLinkStateSize(n int) int { return HeaderLen + linkStateFixed + AsymEntryLen*n }
 
 // AppendLinkStateAck encodes an acknowledgment of the link-state row with

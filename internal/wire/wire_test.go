@@ -787,3 +787,16 @@ func TestAppendViewPullReplyPanicsOverLimit(t *testing.T) {
 	}()
 	AppendViewPullReply(nil, 1, ViewPullReply{Deltas: make([]ViewDelta, MaxPullDeltas+1)})
 }
+
+// ParseLinkStateAsym decodes a LinkStateAsym body into a message of its own.
+func ParseLinkStateAsym(body []byte) (LinkStateAsym, error) {
+	viewVersion, seq, entries, err := LinkStateBody(TLinkStateAsym, body)
+	if err != nil {
+		return LinkStateAsym{}, err
+	}
+	ls := LinkStateAsym{ViewVersion: viewVersion, Seq: seq, Entries: make([]AsymEntry, len(entries)/AsymEntryLen)}
+	for i := range ls.Entries {
+		ls.Entries[i] = asymEntryAt(entries, i)
+	}
+	return ls, nil
+}
