@@ -9,7 +9,9 @@
 // (all incoming plus outgoing, per node), a first-principles model
 // parameterized by the actual wire sizes of this implementation, and a
 // capacity solver reproducing the paper's "165 → 300 nodes at 56 Kbps" and
-// "416 sites: 307 vs 86 Kbps" claims.
+// "416 sites: 307 vs 86 Kbps" claims. The published coefficients correspond
+// to 46 bytes of per-packet overhead, 3-byte link-state entries, and 4-byte
+// recommendation entries, with p = 30 s, full-mesh r = 30 s, quorum r = 15 s.
 package bwmodel
 
 import (
@@ -19,18 +21,7 @@ import (
 	"allpairs/internal/wire"
 )
 
-// Paper-published per-packet constant: the coefficients above correspond to
-// 46 bytes of per-packet overhead, 3-byte link-state entries, and 4-byte
-// recommendation entries, with p = 30 s, full-mesh r = 30 s, quorum r = 15 s.
-const (
-	paperOverhead  = 46
-	paperLinkEntry = 3
-	paperRecEntry  = 4
-	paperProbeSec  = 30.0
-	paperMeshSec   = 30.0
-	paperQuorumSec = 15.0
-	bitsPerByte    = 8
-)
+const bitsPerByte = 8
 
 // PaperProbing returns the published probing traffic model: 49.1·n bps in
 // and out per node (each node exchanges probe/reply pairs with every other

@@ -75,14 +75,26 @@ type RouteEntry struct {
 	Source RouteSource
 }
 
-// route is the stored form of a RouteEntry: 24 pointer-free bytes, so a table
+// route is the stored form of a RouteEntry: 16 pointer-free bytes, so a table
 // is one flat span the collector never scans. RouteEntry is the view built where
 // a route leaves the router: BestHop's answer, Routes, the update hook.
 type route struct {
-	when      int64 // Unix ns
-	hop, from int32
+	when      int64  // Unix ns
+	hop, from uint16 // slots, noSlot for none
 	cost      wire.Cost
 	source    RouteSource
+}
+
+// noSlot is a stored slot's "none", RouteEntry's -1: converting -1 to uint16
+// yields it, and wire.MaxSlots keeps every slot below it.
+const noSlot = 0xFFFF
+
+// unpackSlot reads a stored slot, noSlot as -1.
+func unpackSlot(s uint16) int {
+	if s == noSlot {
+		return -1
+	}
+	return int(s)
 }
 
 // entry is the exported view of r. An empty record is the zero RouteEntry
@@ -92,7 +104,7 @@ func (r route) entry() RouteEntry {
 	if r.source == SourceNone {
 		return RouteEntry{}
 	}
-	return RouteEntry{Hop: int(r.hop), Cost: r.cost, When: time.Unix(0, r.when).UTC(), From: int(r.from), Source: r.source}
+	return RouteEntry{Hop: unpackSlot(r.hop), Cost: r.cost, When: time.Unix(0, r.when).UTC(), From: unpackSlot(r.from), Source: r.source}
 }
 
 // routeTable is both routers' route table.

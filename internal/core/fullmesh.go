@@ -181,7 +181,7 @@ func (f *FullMesh) recompute() {
 		if dst == f.self || hc.Hop < 0 {
 			continue // no usable hop: keep the stale entry; BestHop ages it out
 		}
-		f.install(dst, route{when: nowNs, hop: int32(hc.Hop), from: -1, cost: hc.Cost, source: SourceSelf})
+		f.install(dst, route{when: nowNs, hop: uint16(hc.Hop), from: noSlot, cost: hc.Cost, source: SourceSelf})
 	}
 }
 
@@ -220,7 +220,7 @@ func (f *FullMesh) BestHop(dst int) (RouteEntry, bool) {
 	}
 	now := f.env.Now()
 	r := f.routes[dst]
-	if r.source != SourceNone && r.hop >= 0 && time.Duration(now.UnixNano()-r.when) <= f.cfg.Staleness {
+	if r.source != SourceNone && r.hop != noSlot && time.Duration(now.UnixNano()-r.when) <= f.cfg.Staleness {
 		return r.entry(), true
 	}
 	costs := f.selfCosts()

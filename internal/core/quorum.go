@@ -127,8 +127,9 @@ func (t *silence) server(i int) (slots []uint16, heard []int64) {
 	return t.slot[lo:hi], t.heard[lo:hi]
 }
 
-// failoverState tracks §4.1 recovery for one destination.
+// failoverState tracks §4.1 recovery for one destination: an episode.
 type failoverState struct {
+	dst            int          // the destination
 	server         int          // recruited failover rendezvous (-1 when none)
 	heard          int64        // as silence's clocks, for server
 	tried          map[int]bool // candidates used this episode
@@ -154,8 +155,8 @@ type Quorum struct {
 	// (self, dst) less this node, which always holds its own row. Only a view
 	// install can reshape them.
 	rv          silence
-	failovers   []*failoverState // per destination slot; nil outside a failover episode
-	pendingAcks []uint32         // per server slot: the row seq awaiting its ack, 0 when none; nil unless reliable
+	failovers   []failoverState // the open episodes, by ascending destination
+	pendingAcks []uint32        // per server slot: the row seq awaiting its ack, 0 when none; nil unless reliable
 	stats       QuorumStats
 
 	// SelfRow returns the node's current measured link-state row (owned by
@@ -216,17 +217,14 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	if stable {
 		q.table.Grow(n)
 		q.routes = extend(q.routes, n)
-		q.failovers = extend(q.failovers, n)
 		for _, s := range retired {
 			q.table.RetireSlot(s)
-			q.failovers[s] = nil
 		}
+		q.failovers = slices.DeleteFunc(q.failovers, func(fo failoverState) bool { return slices.Contains(retired, fo.dst) })
 		// A retired slot is no episode's server and no longer "tried": whoever
 		// is admitted into it is a candidate like any other.
-		for _, fo := range q.failovers {
-			if fo == nil {
-				continue
-			}
+		for i := range q.failovers {
+			fo := &q.failovers[i]
 			for _, s := range retired {
 				if fo.server == s {
 					fo.server = -1
@@ -242,7 +240,7 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 			q.table = lsdb.NewTable(n)
 		}
 		q.routes = make([]route, n)
-		q.failovers = make([]*failoverState, n)
+		q.failovers = nil
 		q.rv = silence{}
 	}
 	q.table.SetTombstones(view.Tombstones())
@@ -328,7 +326,7 @@ func retireRoutes(routes []route, retired []int) {
 		case slices.Contains(retired, dst) || slices.Contains(retired, int(r.hop)):
 			*r = route{}
 		case slices.Contains(retired, int(r.from)):
-			r.from = -1
+			r.from = noSlot
 		}
 	}
 }
@@ -371,7 +369,7 @@ func (q *Quorum) activeServers(dst []int) []int {
 		}
 	}
 	for _, fo := range q.failovers {
-		if fo != nil && fo.server >= 0 && q.LinkAlive(fo.server) && !slices.Contains(dst, fo.server) {
+		if fo.server >= 0 && q.LinkAlive(fo.server) && !slices.Contains(dst, fo.server) {
 			dst = append(dst, fo.server)
 		}
 	}
@@ -505,7 +503,7 @@ func (q *Quorum) sendRecommendations() {
 	fwd, rev := q.sweep(clients)
 	nowNs := now.UnixNano()
 	for i, c := range clients {
-		q.install(c, route{when: nowNs, hop: int32(fwd[i].Hop), from: int32(q.self), cost: fwd[i].Cost, source: SourceSelf})
+		q.install(c, route{when: nowNs, hop: uint16(fwd[i].Hop), from: uint16(q.self), cost: fwd[i].Cost, source: SourceSelf})
 		back := turned(rev[i], q.self, c)
 		wire.PutRecEntry(msgs[i], k-1, wire.RecEntry{Dst: src, Hop: q.hopID(back.Hop), Cost: back.Cost})
 		q.env.Send(q.view.IDAt(c), msgs[i])
@@ -667,8 +665,8 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 			heard[at] = now
 			at++
 		}
-		if fo := q.failovers[dst]; fo != nil && fo.server == from {
-			fo.heard = now
+		if i, ok := q.episode(dst); ok && q.failovers[i].server == from {
+			q.failovers[i].heard = now
 		}
 		hop, ok := q.view.SlotOf(e.Hop)
 		if !ok { // wire.NilNode, "no usable path", is nobody's ID either
@@ -677,7 +675,7 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 		if hop == q.self || (hop < 0 && e.Cost != wire.InfCost) {
 			continue // malformed entry: a route through its own source, or a usable cost but no hop
 		}
-		q.install(dst, route{when: now, hop: int32(hop), from: int32(from), cost: e.Cost, source: SourceRendezvous})
+		q.install(dst, route{when: now, hop: uint16(hop), from: uint16(from), cost: e.Cost, source: SourceRendezvous})
 	}
 }
 
@@ -690,7 +688,7 @@ func (q *Quorum) BestHop(dst int) (RouteEntry, bool) {
 	}
 	now := q.env.Now()
 	r := q.routes[dst]
-	if r.source != SourceNone && r.hop >= 0 && time.Duration(now.UnixNano()-r.when) <= q.cfg.Staleness {
+	if r.source != SourceNone && r.hop != noSlot && time.Duration(now.UnixNano()-r.when) <= q.cfg.Staleness {
 		return r.entry(), true
 	}
 	selfOut, _ := q.selfCosts()
@@ -755,23 +753,29 @@ func (q *Quorum) detectFailures() {
 	}
 	doubles := 0
 	dead := 0
+	at := 0 // the episodes are walked along with dst
 	for dst := 0; dst < q.view.Slots(); dst++ {
 		if dst == q.self || !q.view.Occupied(dst) {
 			continue
 		}
+		for at < len(q.failovers) && q.failovers[at].dst < dst {
+			at++
+		}
+		open := at < len(q.failovers) && q.failovers[at].dst == dst
 		if q.live[dst] {
-			q.failovers[dst] = nil // revert to the default rendezvous
+			if open {
+				q.failovers = slices.Delete(q.failovers, at, at+1) // revert to the default rendezvous
+			}
 			continue
 		}
 		doubles++
 		if q.cfg.DisableFailover {
 			continue
 		}
-		fo := q.failovers[dst]
-		if fo == nil {
-			fo = &failoverState{server: -1, tried: make(map[int]bool)}
-			q.failovers[dst] = fo
+		if !open {
+			q.failovers = slices.Insert(q.failovers, at, failoverState{dst: dst, server: -1, tried: make(map[int]bool)})
 		}
+		fo := &q.failovers[at]
 		if now.Before(fo.suspendedUntil) {
 			dead++
 			continue
@@ -830,12 +834,27 @@ func (q *Quorum) recruitFailover(dst int, fo *failoverState) {
 	q.stats.LinkStatesSent++
 }
 
+// episode returns the index of dst's failover episode in failovers, or where
+// one would go, and whether dst has one. It is a plain binary search: every
+// recommendation entry asks, almost always of an empty list.
+func (q *Quorum) episode(dst int) (int, bool) {
+	i, j := 0, len(q.failovers)
+	for i < j {
+		if h := (i + j) / 2; q.failovers[h].dst < dst {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(q.failovers) && q.failovers[i].dst == dst
+}
+
 // FailoverServer returns the active failover rendezvous for dst, or -1.
 //
 //lint:testonly TestDeadFromStartRendezvousFailsOver (emul) waits on the recruit for one destination
 func (q *Quorum) FailoverServer(dst int) int {
-	if dst >= 0 && dst < len(q.failovers) && q.failovers[dst] != nil {
-		return q.failovers[dst].server
+	if i, ok := q.episode(dst); ok {
+		return q.failovers[i].server
 	}
 	return -1
 }

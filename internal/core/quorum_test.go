@@ -599,8 +599,8 @@ func TestRetransmitSurvivesFailoverRecruitment(t *testing.T) {
 	}
 
 	// A failover recruitment lands mid-interval.
-	fo := &failoverState{server: -1, tried: make(map[int]bool)}
-	q.failovers[5] = fo
+	q.failovers = []failoverState{{dst: 5, server: -1, tried: make(map[int]bool)}}
+	fo := &q.failovers[0]
 	q.recruitFailover(5, fo)
 	if fo.server < 0 {
 		t.Fatal("no failover recruited")

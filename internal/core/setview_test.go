@@ -56,7 +56,7 @@ func TestQuorumSetViewNonStableGoesCold(t *testing.T) {
 			if before.LinkStatesSent == 0 || before.PairsComputed == 0 {
 				t.Fatalf("router holds no state to lose: %+v", before)
 			}
-			q.failovers[4] = &failoverState{server: 7, tried: map[int]bool{7: true}}
+			q.failovers = []failoverState{{dst: 4, server: 7, tried: map[int]bool{7: true}}}
 			next := slotView(t, 2, tc.ids...)
 			if err := q.SetView(next, tc.self); err != nil {
 				t.Fatal(err)
@@ -156,8 +156,10 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 		q.rv.heard[i] = env.Now().UnixNano() + int64(i)
 	}
 	was, hadDeputy := clocks(q), q.rv.clock(5, 4) != nil
-	q.failovers[8] = &failoverState{server: 5, heard: 77, tried: map[int]bool{2: true, 5: true}}
-	q.failovers[3] = &failoverState{server: 4, tried: map[int]bool{4: true}}
+	q.failovers = []failoverState{
+		{dst: 3, server: 4, tried: map[int]bool{4: true}},
+		{dst: 8, server: 5, heard: 77, tried: map[int]bool{2: true, 5: true}},
+	}
 
 	// ID 2 leaves behind a tombstone, ID 3 is replaced in its slot by ID 20,
 	// ID 9 joins at a new slot: nobody moves.
@@ -190,9 +192,9 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 	if r := q.table.OutRow(6); r[4] != 50 || r[3] != wire.InfCost || r[9] != wire.InfCost {
 		t.Errorf("survivor's costs to 4/3/9 = %d/%d/%d, want 50/Inf/Inf", r[4], r[3], r[9])
 	}
-	if len(q.table.OutRow(0)) != 10 || cap(q.routes) != 10 || cap(q.failovers) != 10 || cap(q.live) != 10 {
-		t.Errorf("slot space not extended to exactly 10: table %d routes %d failovers %d liveness %d",
-			len(q.table.OutRow(0)), cap(q.routes), cap(q.failovers), cap(q.live))
+	if len(q.table.OutRow(0)) != 10 || cap(q.routes) != 10 || cap(q.live) != 10 {
+		t.Errorf("slot space not extended to exactly 10: table %d routes %d liveness %d",
+			len(q.table.OutRow(0)), cap(q.routes), cap(q.live))
 	}
 
 	// The silence table is the new grid's common sets less this node. A
@@ -252,11 +254,11 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 
 	// Failover episodes: the one toward the reused slot is gone, the other
 	// keeps its server and clock and forgets only the retired slot it tried.
-	if q.failovers[3] != nil || q.failovers[2] != nil {
-		t.Error("an episode toward a retired slot survived")
+	if len(q.failovers) != 1 {
+		t.Errorf("episodes %+v, want only the one toward slot 8", q.failovers)
 	}
-	if fo := q.failovers[8]; fo == nil || fo.server != 5 || fo.heard != 77 || !reflect.DeepEqual(fo.tried, map[int]bool{5: true}) {
-		t.Errorf("surviving episode = %+v, want server 5 heard 77 tried {5}", fo)
+	if i, ok := q.episode(8); !ok || q.failovers[i].server != 5 || q.failovers[i].heard != 77 || !reflect.DeepEqual(q.failovers[i].tried, map[int]bool{5: true}) {
+		t.Errorf("surviving episodes = %+v, want toward 8: server 5 heard 77 tried {5}", q.failovers)
 	}
 }
 
@@ -264,8 +266,8 @@ func TestFullMeshSetViewStableKeepsState(t *testing.T) {
 	env, _ := soloEnv()
 	f := NewFullMesh(env, FullMeshConfig{}, slotView(t, 1, 0, 1, 2), 0)
 	now := env.Now()
-	f.routes[1] = route{hop: 1, cost: 10, when: now.UnixNano(), from: -1, source: SourceSelf}
-	f.routes[2] = route{hop: 2, cost: 25, when: now.UnixNano(), from: -1, source: SourceSelf}
+	f.routes[1] = route{hop: 1, cost: 10, when: now.UnixNano(), from: noSlot, source: SourceSelf}
+	f.routes[2] = route{hop: 2, cost: 25, when: now.UnixNano(), from: noSlot, source: SourceSelf}
 	f.table.Put(2, lsdb.Row{Seq: 2, When: now, Entries: aliveRow(3, 2)})
 
 	f.SetView(slotView(t, 2, 0, wire.NilNode, 2, 7), 0)

@@ -96,10 +96,8 @@ func TestStrangerRecommendationMovesNoClock(t *testing.T) {
 	if !slices.Equal(q.rv.heard, before) {
 		t.Errorf("a stranger's recommendation moved a silence clock:\n got %v\nwant %v", q.rv.heard, before)
 	}
-	for dst, fo := range q.failovers {
-		if fo != nil {
-			t.Errorf("a stranger's recommendation opened an episode toward slot %d", dst)
-		}
+	for _, fo := range q.failovers {
+		t.Errorf("a stranger's recommendation opened an episode toward slot %d", fo.dst)
 	}
 
 	msg := wire.AppendRecommendation(nil, 8, wire.Recommendation{ViewVersion: 1,
@@ -177,14 +175,15 @@ func TestSelfHopRecommendationDropped(t *testing.T) {
 func TestReusedSlotIsNotTried(t *testing.T) {
 	up := map[int]bool{4: true, 5: true} // of slot 8's candidates {2, 5, 6, 7}, only 5 is reachable
 	q, _ := cornerQuorum(t, QuorumConfig{}, func(slot int) bool { return up[slot] })
-	fo := &failoverState{server: 5, tried: map[int]bool{5: true}}
-	q.failovers[8] = fo
+	q.failovers = []failoverState{{dst: 8, server: 5, tried: map[int]bool{5: true}}}
 	if err := q.SetView(slotView(t, 2, 0, 1, 2, 3, 4, 20, 6, 7, 8), 0); err != nil {
 		t.Fatal(err)
 	}
-	if q.failovers[8] != fo || fo.server != -1 || len(fo.tried) != 0 {
-		t.Fatalf("episode after its server's slot was reused = %+v, want no server and nothing tried", fo)
+	i, ok := q.episode(8)
+	if !ok || len(q.failovers) != 1 || q.failovers[i].server != -1 || len(q.failovers[i].tried) != 0 {
+		t.Fatalf("episodes after the server's slot was reused = %+v, want one toward 8 with no server and nothing tried", q.failovers)
 	}
+	fo := &q.failovers[i]
 	q.recruitFailover(8, fo)
 	if fo.server != 5 || q.Stats().FailoverAttempts != 1 {
 		t.Errorf("the new occupant of slot 5 was not recruited: %+v", fo)
@@ -273,9 +272,9 @@ func TestUnresolvedLinkIsUnknownNotDead(t *testing.T) {
 func CheckSilenceState(q *Quorum) error {
 	n, rv := q.view.Slots(), &q.rv
 	if !slices.Equal(rv.servers, q.servers) || len(rv.run) != len(q.servers)+1 || rv.run[0] != 0 ||
-		int(rv.run[len(q.servers)]) != len(rv.slot) || len(rv.heard) != len(rv.slot) || len(q.failovers) != n {
-		return fmt.Errorf("%d slots: %d runs for %d servers, %d slots and %d clocks, %d failover slots",
-			n, len(rv.run)-1, len(q.servers), len(rv.slot), len(rv.heard), len(q.failovers))
+		int(rv.run[len(q.servers)]) != len(rv.slot) || len(rv.heard) != len(rv.slot) {
+		return fmt.Errorf("%d slots: %d runs for %d servers, %d slots and %d clocks",
+			n, len(rv.run)-1, len(q.servers), len(rv.slot), len(rv.heard))
 	}
 	for i, k := range q.servers {
 		run := rv.slot[rv.run[i]:rv.run[i+1]]
@@ -288,9 +287,12 @@ func CheckSilenceState(q *Quorum) error {
 	if bound := n * (len(q.g.Servers(q.self)) + 2); len(rv.slot) > bound {
 		return fmt.Errorf("%d pairings exceed Slots·(servers+2) = %d", len(rv.slot), bound)
 	}
-	for dst, fo := range q.failovers {
-		if fo != nil && (dst == q.self || !q.view.Occupied(dst)) {
-			return fmt.Errorf("failover episode toward slot %d, which holds no destination", dst)
+	for i, fo := range q.failovers {
+		if fo.dst < 0 || fo.dst >= n || fo.dst == q.self || !q.view.Occupied(fo.dst) {
+			return fmt.Errorf("failover episode toward slot %d, which holds no destination", fo.dst)
+		}
+		if i > 0 && fo.dst <= q.failovers[i-1].dst {
+			return fmt.Errorf("failover episodes toward %d then %d: not one each, ascending", q.failovers[i-1].dst, fo.dst)
 		}
 	}
 	return nil

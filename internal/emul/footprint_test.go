@@ -69,17 +69,17 @@ func TestQuorumHoldsOnlyReadableRows(t *testing.T) {
 
 // TestFleetFootprintPerNode bounds the live heap of the same fleet, per node,
 // by what the paper says a node holds — 2√n client rows of n two-byte costs
-// (§3) — plus this tree's per-destination tables — a 24-byte route, a 32-byte
-// probe link and its 16-byte deadline, a 4-byte row index, and its share of
+// (§3) — plus this tree's per-destination tables — a 16-byte route, a 24-byte
+// probe link and its 12-byte deadline, a 2-byte row index, and its share of
 // the simulator's links, 16 bytes and a down byte each — with 2× head-room, so
 // that the next table that forgets to shrink fails here and not in a ledger
 // run. The rest of a simulated node is budgeted as measured when the bound was
-// last set, plus a margin (9.7 KB of 11 at n = 64): its share of the trace's
+// first cut, plus a margin (9.7 KB of 11 at n = 64): its share of the trace's
 // n² link matrices, a 4.9 KB math/rand source per endpoint, the silence clocks,
-// per-row metadata and datagrams in flight. The fleet reads 25.1 KB a node run
-// alone and 25.7 KB after the rest of the package, against this 26.6 KB; before
-// the per-slot tables were cut to the width of their contents it read 29.0 and
-// 29.6 KB, and the bound was 37 KB.
+// per-row metadata and datagrams in flight. The fleet reads 23.3 KB a node run
+// alone and 23.8 KB after the rest of the package, against this 23.9 KB; with
+// each of those tables wider, and a failover pointer per destination, it read
+// 25.1 and 25.7 KB.
 func TestFleetFootprintPerNode(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -92,7 +92,7 @@ func TestFleetFootprintPerNode(t *testing.T) {
 
 	n := float64(len(f.Nodes))
 	rows := 2 * math.Sqrt(n) * n * 2
-	tables := n * (24 + 32 + 16 + 4 + 17)
+	tables := n * (16 + 24 + 12 + 2 + 17)
 	const rest = 11 << 10
 	bound := 2*(rows+tables) + rest
 	perNode := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n

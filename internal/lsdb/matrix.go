@@ -27,15 +27,16 @@ type HopCost struct {
 // ever holds ~2√n of the n possible rows, so lazy rows cut per-node table
 // memory from O(n²) to O(n√n) — the difference between a 1000-node churn
 // fleet fitting in memory or not. The held rows are one dense list, and a slot
-// costs four bytes: its index into that list. Slots with no stored
+// costs two bytes: its index into that list (a view has at most wire.MaxSlots
+// slots, so 1 + an index fits 16 bits). Slots with no stored
 // announcement read as a shared all-InfCost row, so they can never win a
 // minimization; freshness must still be checked via Table.FreshAt by
 // staleness-sensitive consumers.
 type CostMatrix struct {
 	n    int
-	idx  []int32       // per slot: 1 + the index of its row in held, 0 while it has none
+	idx  []uint16      // per slot: 1 + the index of its row in held, 0 while it has none
 	held [][]wire.Cost // the stored rows, in no particular order
-	slot []int32       // slot[i] is the slot whose row held[i] is
+	slot []uint16      // slot[i] is the slot whose row held[i] is
 	inf  []wire.Cost   // shared all-InfCost row for absent slots (never written)
 
 	// srcBuf holds the masked source row of the kernel that takes no caller
@@ -49,7 +50,7 @@ type CostMatrix struct {
 func newCostMatrix(n int) *CostMatrix {
 	return &CostMatrix{
 		n:      n,
-		idx:    make([]int32, n),
+		idx:    make([]uint16, n),
 		inf:    slices.Repeat([]wire.Cost{wire.InfCost}, n),
 		srcBuf: make([]wire.Cost, n),
 	}
@@ -72,21 +73,21 @@ func (m *CostMatrix) rowFor(slot int) []wire.Cost {
 	}
 	row := make([]wire.Cost, m.n)
 	m.held = append(m.held, row)
-	m.slot = append(m.slot, int32(slot))
-	m.idx[slot] = int32(len(m.held))
+	m.slot = append(m.slot, uint16(slot))
+	m.idx[slot] = uint16(len(m.held))
 	return row
 }
 
 // release drops slot's row, if it holds one, and hands its storage back to
 // the collector: the last held row moves into its place in the list.
 func (m *CostMatrix) release(slot int) {
-	i := m.idx[slot] - 1
+	i := int(m.idx[slot]) - 1
 	if i < 0 {
 		return
 	}
 	last := len(m.held) - 1
 	m.held[i], m.slot[i] = m.held[last], m.slot[last]
-	m.idx[m.slot[i]] = i + 1
+	m.idx[m.slot[i]] = uint16(i + 1)
 	m.held[last] = nil
 	m.held, m.slot = m.held[:last], m.slot[:last]
 	m.idx[slot] = 0
@@ -105,7 +106,7 @@ func (m *CostMatrix) grow(newN int) {
 		copy(grown[m.n:], inf[m.n:])
 		m.held[i] = grown
 	}
-	m.idx = append(make([]int32, 0, newN), m.idx...)[:newN]
+	m.idx = append(make([]uint16, 0, newN), m.idx...)[:newN]
 	m.inf = inf
 	if cap(m.srcBuf) < newN {
 		m.srcBuf = make([]wire.Cost, newN)

@@ -38,8 +38,8 @@ const (
 	// maxPullTries is how many peers the ladder asks before it asks the
 	// coordinator.
 	maxPullTries = 3
-	// dedupCache bounds the per-ViewStamp duplicate-suppression cache (FIFO
-	// eviction).
+	// dedupCache is the length of the ring of delta stamps kept for duplicate
+	// suppression (FIFO eviction).
 	dedupCache = 128
 	// deltaLogLen bounds the log of applied deltas served to pulling peers.
 	deltaLogLen = 32
@@ -107,14 +107,15 @@ type Client struct {
 	// earlier join can never hand a re-joining client an obsolete ID.
 	joinNonce uint32
 
-	// Gossip dissemination state. dedup/dedupQ are the bounded FIFO of
-	// delta stamps already seen (duplicate suppression); deltaLog holds the
-	// consecutive run of applied deltas ending at the current version,
-	// served to pulling peers; want is the newest stamp heard of (gossip,
-	// heartbeat acks, snapshot pieces, pull and routing traffic) — while it
-	// is ahead of the installed view, a repair pull is owed.
-	dedup    map[wire.ViewStamp]struct{}
-	dedupQ   []wire.ViewStamp
+	// Gossip dissemination state. dedup is a ring of the last dedupCache
+	// delta stamps seen (duplicate suppression) and dedupN counts the stamps
+	// ever entered, so dedup[dedupN%dedupCache] is the next to go; deltaLog
+	// holds the consecutive run of applied deltas ending at the current
+	// version, served to pulling peers; want is the newest stamp heard of
+	// (gossip, heartbeat acks, snapshot pieces, pull and routing traffic) —
+	// while it is ahead of the installed view, a repair pull is owed.
+	dedup    [dedupCache]wire.ViewStamp
+	dedupN   int
 	deltaLog []wire.ViewDelta
 	want     wire.ViewStamp
 
@@ -533,18 +534,11 @@ func (c *Client) pickPeer() wire.NodeID {
 // and forwarded. Eviction is FIFO, so the cache always covers the most
 // recent dedupCache versions — far more than can be in flight.
 func (c *Client) seenGossip(s wire.ViewStamp) bool {
-	if c.dedup == nil {
-		c.dedup = make(map[wire.ViewStamp]struct{}, dedupCache)
-	}
-	if _, ok := c.dedup[s]; ok {
+	if slices.Contains(c.dedup[:min(c.dedupN, dedupCache)], s) {
 		return true
 	}
-	c.dedup[s] = struct{}{}
-	c.dedupQ = append(c.dedupQ, s)
-	if len(c.dedupQ) > dedupCache {
-		delete(c.dedup, c.dedupQ[0])
-		c.dedupQ = c.dedupQ[1:]
-	}
+	c.dedup[c.dedupN%dedupCache] = s
+	c.dedupN++
 	return false
 }
 

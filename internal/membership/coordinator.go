@@ -293,7 +293,7 @@ func (c *Coordinator) IsPrimary() bool { return c.role == rolePrimary && !c.stop
 // of each entry is its view slot, and tombstoned slots hold wire.NilNode.
 // Call from within env.Do.
 func (c *Coordinator) Members() []wire.Member {
-	return append([]wire.Member(nil), c.lastView.slots...)
+	return c.lastView.slotMembers(c.lastView.Slots())
 }
 
 // Rank returns the replica's configured rank.
@@ -619,7 +619,7 @@ func (c *Coordinator) promote() {
 	c.version += versionSkip * uint32(c.cfg.Rank+1)
 	c.nextID += idSkip
 	c.seats = make([]seat, c.lastView.Slots())
-	for s, m := range c.lastView.slots {
+	for s, m := range c.lastView.slotMembers(c.lastView.Slots()) {
 		if m.ID == wire.NilNode {
 			c.seats[s] = seat{Member: m, at: now}
 			continue
@@ -827,7 +827,7 @@ func (c *Coordinator) flush() {
 		return
 	}
 	slots := c.view()
-	adds, removes := diffSlots(c.lastView.slots, slots)
+	adds, removes := diffSlots(c.lastView.ids, slots)
 	if len(adds) == 0 && len(removes) == 0 {
 		return // churn cancelled out within the window; no new version
 	}
@@ -896,16 +896,17 @@ func (c *Coordinator) seedGossip(cur *ViewInfo, d wire.ViewDelta, added map[wire
 
 // diffSlots returns the members occupying slots of cur that prev did not
 // have, and the IDs of prev occupants gone from cur. Both inputs are
-// slot-indexed; cur is never shorter than prev because the slot space only
-// grows within a reign. A slot whose occupant changed outright (tombstoned
-// and reused across the same coalesce window cannot happen — quarantine is
-// far longer — but a healed replica diff can see it) yields a remove plus an
-// add, which delta application handles because removes apply first.
-func diffSlots(prev, cur []wire.Member) (adds []wire.Member, removes []wire.NodeID) {
+// slot-indexed, prev holding IDs; cur is never shorter than prev because the
+// slot space only grows within a reign. A slot whose occupant changed outright
+// (tombstoned and reused across the same coalesce window cannot happen —
+// quarantine is far longer — but a healed replica diff can see it) yields a
+// remove plus an add, which delta application handles because removes apply
+// first.
+func diffSlots(prev []wire.NodeID, cur []wire.Member) (adds []wire.Member, removes []wire.NodeID) {
 	for s := range cur {
 		p := wire.NilNode
 		if s < len(prev) {
-			p = prev[s].ID
+			p = prev[s]
 		}
 		q := cur[s].ID
 		switch {

@@ -57,17 +57,18 @@ const (
 )
 
 // ViewInfo is the client-side digest of a membership view: the slot-indexed
-// member assignment used to populate the routing grid, plus the occupied
-// member list and the ID → slot index. Each member holds the slot the
-// coordinator assigned it for its lifetime; departed slots are tombstones
-// (ID == wire.NilNode) that stay in place until the coordinator's quarantine
-// reuses them, so one join or leave moves O(1) assignments.
+// ID assignment used to populate the routing grid, plus the occupied member
+// list and the ID → slot index. Each member holds the slot the coordinator
+// assigned it for its lifetime; departed slots are tombstones (wire.NilNode)
+// that stay in place until the coordinator's quarantine reuses them, so one
+// join or leave moves O(1) assignments. A slot costs two bytes and a member
+// its wire.Member once, each table exactly as long as its contents.
 type ViewInfo struct {
 	epoch   uint32
 	version uint32
-	slots   []wire.Member // slot-indexed; tombstones hold ID == wire.NilNode
+	ids     []wire.NodeID // slot-indexed; tombstones hold wire.NilNode
 	members []wire.Member // occupied members, slot order
-	tombs   []int         // unoccupied slots, ascending
+	tombs   []int         // unoccupied slots, ascending; nil when there are none
 	// slotOf is the dense ID → slot index: slotOf[id] is the member's slot
 	// plus one, zero for an ID the view does not hold. It is sized to the
 	// largest held ID + 1 (at most 4 bytes × 65 535), so every received
@@ -80,10 +81,7 @@ type ViewInfo struct {
 // view's Slots-sized space (any member at all when Slots is zero) are
 // rejected.
 func NewViewInfo(v wire.View) (*ViewInfo, error) {
-	slots := make([]wire.Member, v.Slots)
-	for i := range slots {
-		slots[i].ID = wire.NilNode
-	}
+	slots := (&ViewInfo{}).slotMembers(int(v.Slots))
 	for _, m := range v.Members {
 		if m.ID == wire.NilNode {
 			return nil, fmt.Errorf("membership: nil member ID in view %d", v.Version)
@@ -181,29 +179,47 @@ func answerPull(src wire.NodeID, stamp wire.ViewStamp, vi *ViewInfo, log []wire.
 }
 
 // newViewInfo builds a ViewInfo from a slot-indexed member array (tombstones
-// hold wire.NilNode). Duplicate member IDs are rejected.
+// hold wire.NilNode), which it does not keep: each table it builds is exactly
+// as long as its contents. Duplicate member IDs are rejected.
 func newViewInfo(epoch, version uint32, slots []wire.Member) (*ViewInfo, error) {
-	maxID := -1
+	maxID, n := -1, 0
 	for _, m := range slots {
 		if m.ID != wire.NilNode {
-			maxID = max(maxID, int(m.ID))
+			maxID, n = max(maxID, int(m.ID)), n+1
 		}
 	}
-	slotOf := make([]int32, maxID+1)
-	members := make([]wire.Member, 0, len(slots))
-	var tombs []int
+	v := &ViewInfo{epoch: epoch, version: version, ids: make([]wire.NodeID, len(slots)),
+		members: make([]wire.Member, 0, n), slotOf: make([]int32, maxID+1)}
+	if n < len(slots) {
+		v.tombs = make([]int, 0, len(slots)-n)
+	}
 	for s, m := range slots {
+		v.ids[s] = m.ID
 		if m.ID == wire.NilNode {
-			tombs = append(tombs, s)
+			v.tombs = append(v.tombs, s)
 			continue
 		}
-		if slotOf[m.ID] != 0 {
+		if v.slotOf[m.ID] != 0 {
 			return nil, fmt.Errorf("membership: duplicate ID %d in view %d", m.ID, version)
 		}
-		slotOf[m.ID] = int32(s) + 1
-		members = append(members, m)
+		v.slotOf[m.ID] = int32(s) + 1
+		v.members = append(v.members, m)
 	}
-	return &ViewInfo{epoch: epoch, version: version, slots: slots, members: members, tombs: tombs, slotOf: slotOf}, nil
+	return v, nil
+}
+
+// slotMembers returns a slot-indexed copy of the view's members, n ≥ Slots()
+// slots wide: entry s is slot s's occupant, or a tombstone holding
+// wire.NilNode.
+func (v *ViewInfo) slotMembers(n int) []wire.Member {
+	out := make([]wire.Member, n)
+	for s := range out {
+		out[s].ID = wire.NilNode
+	}
+	for _, m := range v.members {
+		out[m.Slot] = m
+	}
+	return out
 }
 
 // NewStaticView builds a fully occupied ViewInfo directly from node IDs, for
@@ -239,11 +255,11 @@ func (v *ViewInfo) N() int { return len(v.members) }
 
 // Slots returns the size of the slot space, tombstones included — the bound
 // every slot-indexed loop and table must use.
-func (v *ViewInfo) Slots() int { return len(v.slots) }
+func (v *ViewInfo) Slots() int { return len(v.ids) }
 
 // Occupied reports whether a slot holds a live member (false for
 // tombstones).
-func (v *ViewInfo) Occupied(slot int) bool { return v.slots[slot].ID != wire.NilNode }
+func (v *ViewInfo) Occupied(slot int) bool { return v.ids[slot] != wire.NilNode }
 
 // Members returns the occupied members in slot order. Callers must not
 // modify the returned slice.
@@ -255,7 +271,7 @@ func (v *ViewInfo) Tombstones() []int { return v.tombs }
 
 // IDAt returns the member ID occupying a grid slot, or wire.NilNode for a
 // tombstone.
-func (v *ViewInfo) IDAt(slot int) wire.NodeID { return v.slots[slot].ID }
+func (v *ViewInfo) IDAt(slot int) wire.NodeID { return v.ids[slot] }
 
 // SlotOf returns the grid slot of a member ID; ok is false for an ID the view
 // does not hold (wire.NilNode included: it lies past every index).
@@ -272,12 +288,12 @@ func (v *ViewInfo) SlotOf(id wire.NodeID) (slot int, ok bool) {
 // OccupiedMask returns the per-slot occupancy of the view, or nil when every
 // slot is occupied (the form grid.NewMasked treats as the unmasked grid).
 func (v *ViewInfo) OccupiedMask() []bool {
-	if len(v.members) == len(v.slots) {
+	if len(v.members) == len(v.ids) {
 		return nil
 	}
-	mask := make([]bool, len(v.slots))
-	for s, m := range v.slots {
-		mask[s] = m.ID != wire.NilNode
+	mask := make([]bool, len(v.ids))
+	for s, id := range v.ids {
+		mask[s] = id != wire.NilNode
 	}
 	return mask
 }
@@ -300,17 +316,17 @@ func StableExtension(old *ViewInfo, oldSelf int, next *ViewInfo, self int) (reti
 		old.IDAt(self) != next.IDAt(self) || next.Slots() < old.Slots() {
 		return nil, nil, false
 	}
-	for s, m := range old.slots {
-		if m.ID == wire.NilNode || next.slots[s].ID == m.ID {
+	for s, id := range old.ids {
+		if id == wire.NilNode || next.ids[s] == id {
 			continue
 		}
-		if _, moved := next.SlotOf(m.ID); moved {
+		if _, moved := next.SlotOf(id); moved {
 			return nil, nil, false
 		}
 		retired = append(retired, s)
 	}
-	for s, m := range next.slots {
-		if m.ID != wire.NilNode && (s >= len(old.slots) || old.slots[s].ID != m.ID) {
+	for s, id := range next.ids {
+		if id != wire.NilNode && (s >= len(old.ids) || old.ids[s] != id) {
 			started = append(started, s)
 		}
 	}
@@ -322,13 +338,21 @@ func StableExtension(old *ViewInfo, oldSelf int, next *ViewInfo, self int) (reti
 // land at the slot the coordinator assigned, extending the slot space when it
 // lies past the end. It fails if the delta's base version does not match v's
 // version (the caller must then request a full view), if a removed ID is
-// unknown, or if an addition targets an occupied slot or repeats a held ID.
+// unknown, or if an addition targets an occupied slot, a slot at or past
+// wire.MaxSlots, or repeats a held ID.
 func (v *ViewInfo) ApplyDelta(d wire.ViewDelta) (*ViewInfo, error) {
 	if v.epoch != d.Epoch || v.version != d.BaseVersion {
 		return nil, fmt.Errorf("membership: delta base %d/%d does not match view %d/%d",
 			d.Epoch, d.BaseVersion, v.epoch, v.version)
 	}
-	slots := append([]wire.Member(nil), v.slots...)
+	n := v.Slots()
+	for _, m := range d.Adds {
+		if int(m.Slot) >= wire.MaxSlots {
+			return nil, fmt.Errorf("membership: delta adds %d at slot %d, past the %d-slot ceiling", m.ID, m.Slot, wire.MaxSlots)
+		}
+		n = max(n, int(m.Slot)+1)
+	}
+	slots := v.slotMembers(n)
 	for _, id := range d.Removes {
 		s, ok := v.SlotOf(id)
 		if !ok {
@@ -337,14 +361,10 @@ func (v *ViewInfo) ApplyDelta(d wire.ViewDelta) (*ViewInfo, error) {
 		slots[s] = wire.Member{ID: wire.NilNode}
 	}
 	for _, m := range d.Adds {
-		s := int(m.Slot)
-		for len(slots) <= s {
-			slots = append(slots, wire.Member{ID: wire.NilNode})
+		if slots[m.Slot].ID != wire.NilNode {
+			return nil, fmt.Errorf("membership: delta adds %d to occupied slot %d", m.ID, m.Slot)
 		}
-		if slots[s].ID != wire.NilNode {
-			return nil, fmt.Errorf("membership: delta adds %d to occupied slot %d", m.ID, s)
-		}
-		slots[s] = m
+		slots[m.Slot] = m
 	}
 	return newViewInfo(d.Epoch, d.Version, slots)
 }

@@ -410,6 +410,72 @@ func TestApplyDelta(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaSlotCeiling: a delta may add at most up to slot
+// wire.MaxSlots−1, the ceiling the coordinator's allocator keeps; an add at
+// wire.MaxSlots would build a view one slot past it, and that slot number is
+// also what per-slot tables store as "none".
+func TestApplyDeltaSlotCeiling(t *testing.T) {
+	base := NewStaticView([]wire.NodeID{1, 2, 3})
+	delta := func(slot uint16) wire.ViewDelta {
+		return wire.ViewDelta{Epoch: 1, BaseVersion: 1, Version: 2, Adds: []wire.Member{{ID: 9, Slot: slot}}}
+	}
+	if vi, err := base.ApplyDelta(delta(wire.MaxSlots)); err == nil {
+		t.Errorf("an add at slot %d accepted: a %d-slot view", wire.MaxSlots, vi.Slots())
+	}
+	vi, err := base.ApplyDelta(delta(wire.MaxSlots - 1))
+	if err != nil || vi.Slots() != wire.MaxSlots || vi.IDAt(wire.MaxSlots-1) != 9 {
+		t.Fatalf("an add at the last slot: %v", err)
+	}
+}
+
+// TestViewTablesAtExactWidth: a view keeps one ID per slot and one member per
+// occupant, each table exactly as long as its contents, however it was built;
+// Members lists the occupants in slot order with their endpoints, and the
+// coordinator's slot-indexed copy puts each at its slot.
+func TestViewTablesAtExactWidth(t *testing.T) {
+	addr := func(i byte) netip.AddrPort { return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 0, i}), 7) }
+	check := func(name string, vi *ViewInfo, addrs bool) {
+		t.Helper()
+		if cap(vi.ids) != vi.Slots() || cap(vi.members) != vi.N() || (vi.tombs != nil && cap(vi.tombs) != len(vi.tombs)) {
+			t.Errorf("%s: capacities %d/%d/%d for %d slots, %d members, %d tombstones",
+				name, cap(vi.ids), cap(vi.members), cap(vi.tombs), vi.Slots(), vi.N(), len(vi.tombs))
+		}
+		slotted := vi.slotMembers(vi.Slots())
+		for i, m := range vi.Members() {
+			if i > 0 && m.Slot <= vi.Members()[i-1].Slot {
+				t.Errorf("%s: members out of slot order: %v", name, vi.Members())
+			}
+			if vi.IDAt(int(m.Slot)) != m.ID || slotted[m.Slot] != m || (addrs && m.Addr != addr(byte(m.ID))) {
+				t.Errorf("%s: member %+v, slot holds %d, slot-indexed copy %+v", name, m, vi.IDAt(int(m.Slot)), slotted[m.Slot])
+			}
+		}
+		for _, s := range vi.Tombstones() {
+			if slotted[s] != (wire.Member{ID: wire.NilNode}) {
+				t.Errorf("%s: tombstone %d copies as %+v", name, s, slotted[s])
+			}
+		}
+	}
+	base, err := NewViewInfo(wire.View{Epoch: 1, Version: 1, Slots: 6, Members: []wire.Member{
+		{ID: 5, Slot: 4, Addr: addr(5)}, {ID: 1, Slot: 0, Addr: addr(1)}, {ID: 3, Slot: 2, Addr: addr(3)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("wire view", base, true)
+	next, err := base.ApplyDelta(wire.ViewDelta{Epoch: 1, BaseVersion: 1, Version: 2, Removes: []wire.NodeID{3},
+		Adds: []wire.Member{{ID: 9, Slot: 9, Addr: addr(9)}, {ID: 4, Slot: 2, Addr: addr(4)}, {ID: 7, Slot: 1, Addr: addr(7)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after a delta", next, true)
+	if got := next.Members(); len(got) != 5 || got[1].ID != 7 || got[2].ID != 4 || got[4].ID != 9 {
+		t.Errorf("members after the delta: %+v", got)
+	}
+	check("static", NewStaticView([]wire.NodeID{4, 0, 2}), false)
+	if n := testing.AllocsPerRun(100, func() { _ = next.Members() }); n != 0 {
+		t.Errorf("Members allocates %v times", n)
+	}
+}
+
 // TestStableExtension pins the one predicate every view consumer installs
 // by: which old → next changes may be patched in place, and which slots they
 // retire and start.

@@ -10,12 +10,13 @@
 // timer through the node's transport.Env wakes the prober for the earliest —
 // and exposes the measured link-state row that the routing layer announces.
 //
-// A link is its estimates: 32 pointer-free bytes per destination. The one-way
+// A link is its estimates: 24 pointer-free bytes per destination. The one-way
 // estimates exist only in asymmetric mode, and the two smoothing factors are
 // constants, not per-link state.
 package probe
 
 import (
+	"math"
 	"time"
 
 	"allpairs/internal/grid"
@@ -34,7 +35,8 @@ type Config struct {
 	// the probe lost (default 3 s; Internet RTTs fit comfortably).
 	ReplyTimeout time.Duration
 	// FailThreshold is the number of consecutive losses that mark a link
-	// dead (default 5, as in RON).
+	// dead (default 5, as in RON; at most 65 535, the range of a link's
+	// saturating loss counter).
 	FailThreshold int
 	// Asymmetric additionally estimates one-way latencies from the probe
 	// reply's receive timestamp (footnote 2's "both costs"). Requires
@@ -65,6 +67,7 @@ func (c *Config) fill() {
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 5
 	}
+	c.FailThreshold = min(c.FailThreshold, math.MaxUint16)
 }
 
 // EWMA smoothing factors for a link's latency and loss-rate estimates, and
@@ -80,15 +83,22 @@ const (
 // deadline while a probe is awaited, the next send otherwise — lives in the
 // prober's schedule.
 type linkState struct {
-	seq       uint32 // of the last probe sent: the awaited one while awaiting
-	consec    uint32 // consecutive losses
-	awaiting  bool
-	alive     bool
-	everAlive bool    // a reply has been folded in, so latency (and the link's oneWay) is seeded
-	lossSeen  bool    // a probe has been resolved either way, so loss is seeded
-	latency   float64 // EWMA round trip, ms
-	loss      float64 // EWMA loss rate
+	seq     uint32 // of the last probe sent: the awaited one while awaiting
+	consec  uint16 // consecutive losses, saturating
+	flags   linkFlags
+	latency float64 // EWMA round trip, ms
+	loss    float64 // EWMA loss rate
 }
+
+// linkFlags are a link's four yes-or-no facts, one bit each.
+type linkFlags uint8
+
+const (
+	awaiting  linkFlags = 1 << iota // a probe is in flight; seq is the one awaited
+	alive                           // the prober's liveness belief
+	everAlive                       // a reply has been folded in, so latency (and the link's oneWay) is seeded
+	lossSeen                        // a probe has been resolved either way, so loss is seeded
+)
 
 // oneWay is a link's one-way latency estimates (EWMA, ms), seeded with latency.
 type oneWay struct{ out, in float64 }
@@ -232,7 +242,7 @@ func (p *Prober) wake() {
 	p.armed = never // the timer has fired
 	now := p.now()
 	for slot := p.sched.first(); p.sched.due[slot] <= now; slot = p.sched.first() {
-		if p.links[slot].awaiting {
+		if p.links[slot].flags&awaiting != 0 {
 			p.onTimeout(slot, now)
 		} else {
 			p.sendProbe(slot, now)
@@ -282,7 +292,7 @@ func (p *Prober) rampSlots() []bool {
 	ramp := make([]bool, p.view.Slots())
 	any := false
 	for slot := range ramp {
-		if slot != p.self && !rendezvous[slot] && !p.links[slot].everAlive {
+		if slot != p.self && !rendezvous[slot] && p.links[slot].flags&everAlive == 0 {
 			ramp[slot] = true
 			any = true
 		}
@@ -299,7 +309,7 @@ func (p *Prober) rampSlots() []bool {
 func (p *Prober) Stop() {
 	p.disarm()
 	for slot := range p.links {
-		p.links[slot].awaiting = false
+		p.links[slot].flags &^= awaiting
 		p.sched.set(slot, never)
 	}
 }
@@ -322,14 +332,14 @@ func (p *Prober) Alive(slot int) bool {
 	if slot < 0 || slot >= len(p.links) {
 		return false
 	}
-	return p.links[slot].alive
+	return p.links[slot].flags&alive != 0
 }
 
 // Resolved reports whether any probe on the link to slot has resolved, answered
 // or lost. Until one has, Alive's false means "not yet measured", not "dead".
 // The self slot, and a slot outside the view, read resolved.
 func (p *Prober) Resolved(slot int) bool {
-	return slot == p.self || slot < 0 || slot >= len(p.links) || p.links[slot].lossSeen
+	return slot == p.self || slot < 0 || slot >= len(p.links) || p.links[slot].flags&lossSeen != 0
 }
 
 // ConcurrentFailures returns the number of destinations currently marked
@@ -341,7 +351,7 @@ func (p *Prober) ConcurrentFailures() int {
 		if i == p.self {
 			continue
 		}
-		if p.links[i].everAlive && !p.links[i].alive {
+		if p.links[i].flags&(everAlive|alive) == everAlive {
 			c++
 		}
 	}
@@ -353,7 +363,7 @@ func (p *Prober) ConcurrentFailures() int {
 func (p *Prober) sendProbe(slot int, now time.Duration) {
 	ls := &p.links[slot]
 	ls.seq++
-	ls.awaiting = true
+	ls.flags |= awaiting
 	p.env.Send(p.view.IDAt(slot), wire.AppendProbe(nil, p.env.LocalID(), wire.Probe{
 		Seq:  ls.seq,
 		Echo: p.env.Now().UnixNano(),
@@ -364,11 +374,13 @@ func (p *Prober) sendProbe(slot int, now time.Duration) {
 // onTimeout counts the awaited probe lost: slot's reply window has closed.
 func (p *Prober) onTimeout(slot int, now time.Duration) {
 	ls := &p.links[slot]
-	ls.awaiting = false
-	ls.consec++
+	ls.flags &^= awaiting
+	if ls.consec < math.MaxUint16 {
+		ls.consec++
+	}
 	ls.resolved(1)
-	if ls.alive && int(ls.consec) >= p.cfg.FailThreshold {
-		ls.alive = false
+	if ls.flags&alive != 0 && int(ls.consec) >= p.cfg.FailThreshold {
+		ls.flags &^= alive
 		p.row[slot].Status = wire.StatusDead
 	}
 	p.updateStatus(slot)
@@ -409,10 +421,10 @@ func (p *Prober) HandleReply(h wire.Header, body []byte) {
 		return
 	}
 	ls := &p.links[slot]
-	if !ls.awaiting || r.Seq != ls.seq {
+	if ls.flags&awaiting == 0 || r.Seq != ls.seq {
 		return // duplicate or late reply
 	}
-	ls.awaiting = false
+	ls.flags &^= awaiting
 	now := p.env.Now()
 	rtt := now.Sub(time.Unix(0, r.Echo))
 	if rtt < 0 {
@@ -420,8 +432,8 @@ func (p *Prober) HandleReply(h wire.Header, body []byte) {
 	}
 	ls.consec = 0
 	ls.resolved(0)
-	// everAlive, set below, still says whether this is the link's first reply.
-	ls.latency = stats.EWMA(ls.latency, float64(rtt)/float64(time.Millisecond), latencyAlpha, ls.everAlive)
+	seeded := ls.flags&everAlive != 0 // false for the link's first reply: everAlive is set below
+	ls.latency = stats.EWMA(ls.latency, float64(rtt)/float64(time.Millisecond), latencyAlpha, seeded)
 	if p.cfg.Asymmetric {
 		fwd := time.Duration(r.RecvAt - r.Echo)
 		rev := now.Sub(time.Unix(0, r.RecvAt))
@@ -432,11 +444,10 @@ func (p *Prober) HandleReply(h wire.Header, body []byte) {
 			rev = 0
 		}
 		ow := &p.oneWays[slot]
-		ow.out = stats.EWMA(ow.out, float64(fwd)/float64(time.Millisecond), latencyAlpha, ls.everAlive)
-		ow.in = stats.EWMA(ow.in, float64(rev)/float64(time.Millisecond), latencyAlpha, ls.everAlive)
+		ow.out = stats.EWMA(ow.out, float64(fwd)/float64(time.Millisecond), latencyAlpha, seeded)
+		ow.in = stats.EWMA(ow.in, float64(rev)/float64(time.Millisecond), latencyAlpha, seeded)
 	}
-	ls.everAlive = true
-	ls.alive = true
+	ls.flags |= everAlive | alive
 	p.updateStatus(slot)
 	if p.OnMeasure != nil {
 		p.OnMeasure(slot, rtt)
@@ -447,14 +458,14 @@ func (p *Prober) HandleReply(h wire.Header, body []byte) {
 // resolved folds the outcome of one probe — 1 lost, 0 answered — into the
 // link's loss rate.
 func (ls *linkState) resolved(lost float64) {
-	ls.loss = stats.EWMA(ls.loss, lost, lossAlpha, ls.lossSeen)
-	ls.lossSeen = true
+	ls.loss = stats.EWMA(ls.loss, lost, lossAlpha, ls.flags&lossSeen != 0)
+	ls.flags |= lossSeen
 }
 
 // updateStatus refreshes the row entry for slot from the link estimators.
 func (p *Prober) updateStatus(slot int) {
 	ls := &p.links[slot]
-	if !ls.alive {
+	if ls.flags&alive == 0 {
 		p.row[slot].Status = wire.StatusDead
 		if p.asymRow != nil {
 			p.asymRow[slot].Status = wire.StatusDead

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -160,6 +161,46 @@ func TestDetectsFailureWithinOnePeriod(t *testing.T) {
 	}
 	if f.probers[0].Row()[1].Status != wire.StatusDead {
 		t.Error("row entry not marked dead")
+	}
+}
+
+// TestLossCounterSaturates: a link counts consecutive losses in 16 bits, so
+// FailThreshold is capped at the counter's range and the counter stops there
+// instead of wrapping. Under a threshold asked for past the cap, a link down
+// for more than 65 535 timeouts is still alive after a thousand of them, dead
+// once the cap is reached, and then keeps the normal cadence — one probe per
+// interval and reply window — where a wrapped counter would restart rapid
+// re-probing.
+func TestLossCounterSaturates(t *testing.T) {
+	cfg := Config{Interval: 10 * time.Second, ReplyTimeout: time.Second, FailThreshold: 1 << 20}
+	f := newFixture(t, 2, cfg, 5*time.Millisecond)
+	p := f.probers[0]
+	if p.cfg.FailThreshold != math.MaxUint16 {
+		t.Fatalf("FailThreshold %d, want it capped at %d", p.cfg.FailThreshold, math.MaxUint16)
+	}
+	f.startAll()
+	f.nw.RunFor(time.Minute)
+	if !p.Alive(1) {
+		t.Fatal("link not alive after settling")
+	}
+	f.nw.SetLinkDown(0, 1, true)
+	rapid := cfg.Interval / rapidFactor // a lost probe's reply window plus the gap to the next
+	f.nw.RunFor(1000 * rapid)
+	if !p.Alive(1) {
+		t.Fatalf("declared dead after %d losses, threshold %d", p.links[1].consec, p.cfg.FailThreshold)
+	}
+	f.nw.RunFor(math.MaxUint16*rapid + cfg.Interval)
+	if p.Alive(1) || p.Row()[1].Status != wire.StatusDead || p.links[1].consec != math.MaxUint16 {
+		t.Fatalf("after the cap: alive %v, status %#x, %d losses", p.Alive(1), p.Row()[1].Status, p.links[1].consec)
+	}
+	const cycles = 10
+	seq := p.links[1].seq
+	f.nw.RunFor(cycles * (cfg.Interval + cfg.ReplyTimeout))
+	if sent := p.links[1].seq - seq; sent < cycles-1 || sent > cycles+1 {
+		t.Errorf("%d probes in %d normal cycles past the cap, want %d", sent, cycles, cycles)
+	}
+	if p.Alive(1) || p.links[1].consec != math.MaxUint16 {
+		t.Errorf("past the cap: alive %v, %d losses", p.Alive(1), p.links[1].consec)
 	}
 }
 
@@ -370,7 +411,7 @@ func TestSetViewCarriesMeasurements(t *testing.T) {
 	if !ok || !p.Alive(1) {
 		t.Fatal("link 0->1 not measured before the view change")
 	}
-	for !p.links[1].awaiting { // change the view with a probe in flight
+	for p.links[1].flags&awaiting == 0 { // change the view with a probe in flight
 		f.nw.Step()
 	}
 	links := [2]linkState{p.links[1], p.links[2]}
@@ -416,7 +457,7 @@ func TestSetViewCarriesMeasurements(t *testing.T) {
 	// The probe in flight at the change is answered and folded in.
 	seq := p.links[1].seq
 	f.nw.RunFor(cfg.ReplyTimeout)
-	if ls := p.links[1]; ls.awaiting || ls.seq != seq || ls.consec != 0 {
+	if ls := p.links[1]; ls.flags&awaiting != 0 || ls.seq != seq || ls.consec != 0 {
 		t.Errorf("in-flight probe not folded in after SetView: %+v", ls)
 	}
 }
@@ -511,7 +552,7 @@ func TestSetViewNonStableGoesCold(t *testing.T) {
 // OneWay returns the current one-way latency estimates to and from a slot in
 // milliseconds (asymmetric mode only).
 func (p *Prober) OneWay(slot int) (out, in float64, ok bool) {
-	if !p.cfg.Asymmetric || slot < 0 || slot >= len(p.links) || !p.links[slot].everAlive {
+	if !p.cfg.Asymmetric || slot < 0 || slot >= len(p.links) || p.links[slot].flags&everAlive == 0 {
 		return 0, 0, false
 	}
 	return p.oneWays[slot].out, p.oneWays[slot].in, true
@@ -520,7 +561,7 @@ func (p *Prober) OneWay(slot int) (out, in float64, ok bool) {
 // Latency returns the current EWMA latency estimate for a slot in
 // milliseconds, or ok=false if the link has never been measured.
 func (p *Prober) Latency(slot int) (ms float64, ok bool) {
-	if slot < 0 || slot >= len(p.links) || !p.links[slot].everAlive {
+	if slot < 0 || slot >= len(p.links) || p.links[slot].flags&everAlive == 0 {
 		return 0, false
 	}
 	return p.links[slot].latency, true

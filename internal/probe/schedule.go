@@ -13,11 +13,13 @@ const never = time.Duration(math.MaxInt64)
 // schedule holds one deadline per slot — when that link next needs attention —
 // in a 4-ary min-heap of slots ordered by (due, slot): a strict total order, so
 // the heap's shape never shows in the order links are served. pos is the
-// back-index that lets set move a slot's entry in place.
+// back-index that lets set move a slot's entry in place. A slot and a heap
+// index both fit 16 bits (a view has at most wire.MaxSlots slots), so a slot
+// costs 12 bytes.
 type schedule struct {
 	due  []time.Duration // by slot, measured from the prober's epoch
-	heap []int32         // slots; children of i are 4i+1..4i+4
-	pos  []int32         // pos[slot] is slot's index in heap
+	heap []uint16        // slots; children of i are 4i+1..4i+4
+	pos  []uint16        // pos[slot] is slot's index in heap
 }
 
 // grow extends the schedule to n slots; the new ones have no deadline. Each
@@ -28,12 +30,12 @@ func (s *schedule) grow(n int) {
 		return
 	}
 	s.due = append(make([]time.Duration, 0, n), s.due...)[:n]
-	s.heap = append(make([]int32, 0, n), s.heap...)[:n]
-	s.pos = append(make([]int32, 0, n), s.pos...)[:n]
+	s.heap = append(make([]uint16, 0, n), s.heap...)[:n]
+	s.pos = append(make([]uint16, 0, n), s.pos...)[:n]
 	for slot := old; slot < n; slot++ {
 		s.due[slot] = never
-		s.heap[slot] = int32(slot) // the largest key, placed as a leaf
-		s.pos[slot] = int32(slot)
+		s.heap[slot] = uint16(slot) // the largest key, placed as a leaf
+		s.pos[slot] = uint16(slot)
 	}
 }
 
@@ -41,7 +43,7 @@ func (s *schedule) grow(n int) {
 func (s *schedule) first() int { return int(s.heap[0]) }
 
 // before reports whether slot a is served before slot b.
-func (s *schedule) before(a, b int32) bool {
+func (s *schedule) before(a, b uint16) bool {
 	return s.due[a] < s.due[b] || (s.due[a] == s.due[b] && a < b)
 }
 
@@ -69,11 +71,11 @@ func (s *schedule) up(i int) {
 			break
 		}
 		h[i] = h[parent]
-		s.pos[h[i]] = int32(i)
+		s.pos[h[i]] = uint16(i)
 		i = parent
 	}
 	h[i] = slot
-	s.pos[slot] = int32(i)
+	s.pos[slot] = uint16(i)
 }
 
 // down sifts the entry at heap index i toward the leaves.
@@ -96,9 +98,9 @@ func (s *schedule) down(i int) {
 			break
 		}
 		h[i] = h[least]
-		s.pos[h[i]] = int32(i)
+		s.pos[h[i]] = uint16(i)
 		i = least
 	}
 	h[i] = slot
-	s.pos[slot] = int32(i)
+	s.pos[slot] = uint16(i)
 }

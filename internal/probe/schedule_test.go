@@ -51,7 +51,7 @@ func checkSchedule(t *testing.T, s *schedule) {
 	want := make([]int, n)
 	for slot := range want {
 		want[slot] = slot
-		if s.heap[s.pos[slot]] != int32(slot) {
+		if s.heap[s.pos[slot]] != uint16(slot) {
 			t.Errorf("pos[%d] = %d, but heap holds slot %d there", slot, s.pos[slot], s.heap[s.pos[slot]])
 		}
 	}
@@ -61,8 +61,8 @@ func checkSchedule(t *testing.T, s *schedule) {
 	})
 	c := schedule{
 		due:  append([]time.Duration(nil), s.due...),
-		heap: append([]int32(nil), s.heap...),
-		pos:  append([]int32(nil), s.pos...),
+		heap: append([]uint16(nil), s.heap...),
+		pos:  append([]uint16(nil), s.pos...),
 	}
 	for i, slot := range want {
 		if s.due[slot] == never {

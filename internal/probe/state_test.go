@@ -30,12 +30,13 @@ func pointerFree(t reflect.Type) bool {
 }
 
 // TestLinkStateIsSmallAndPointerFree pins what probing costs a node: n links
-// of at most 40 bytes (it was 120: four estimators, each with its own copy of
-// a constant), scanned by no collector, and nothing for the one-way estimates
-// unless they are asked for.
+// of 24 bytes (it was 120: four estimators, each with its own copy of a
+// constant), scanned by no collector, and nothing for the one-way estimates
+// unless they are asked for. A field added later fails here before it grows
+// every fleet's heap.
 func TestLinkStateIsSmallAndPointerFree(t *testing.T) {
-	if size := unsafe.Sizeof(linkState{}); size > 40 {
-		t.Errorf("linkState is %d bytes, want at most 40", size)
+	if size := unsafe.Sizeof(linkState{}); size != 24 {
+		t.Errorf("linkState is %d bytes, want 24", size)
 	}
 	for _, v := range []any{linkState{}, oneWay{}} {
 		if !pointerFree(reflect.TypeOf(v)) {
@@ -84,8 +85,8 @@ func TestEstimatesMatchParentEWMA(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		ms := rng.ExpFloat64() * 80
 		lost := float64(rng.Intn(2))
-		ls.latency = stats.EWMA(ls.latency, ms, latencyAlpha, ls.everAlive)
-		ls.everAlive = true
+		ls.latency = stats.EWMA(ls.latency, ms, latencyAlpha, ls.flags&everAlive != 0)
+		ls.flags |= everAlive
 		ls.resolved(lost)
 		if want := lat.Update(ms); math.Float64bits(ls.latency) != math.Float64bits(want) {
 			t.Fatalf("sample %d: latency %v, the parent's %v", i, ls.latency, want)
@@ -93,5 +94,20 @@ func TestEstimatesMatchParentEWMA(t *testing.T) {
 		if want := loss.Update(lost); math.Float64bits(ls.loss) != math.Float64bits(want) {
 			t.Fatalf("sample %d: loss %v, the parent's %v", i, ls.loss, want)
 		}
+	}
+}
+
+// TestScheduleIsTwelveBytesASlot pins the deadline heap's cost: an 8-byte
+// deadline and two 2-byte indexes per slot, each table exactly as long as the
+// slot space.
+func TestScheduleIsTwelveBytesASlot(t *testing.T) {
+	const n = 100
+	var s schedule
+	s.grow(n)
+	bytes := uintptr(cap(s.due))*unsafe.Sizeof(s.due[0]) +
+		uintptr(cap(s.heap))*unsafe.Sizeof(s.heap[0]) +
+		uintptr(cap(s.pos))*unsafe.Sizeof(s.pos[0])
+	if bytes != 12*n {
+		t.Errorf("a %d-slot schedule holds %d bytes, want 12 a slot", n, bytes)
 	}
 }
