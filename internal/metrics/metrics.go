@@ -28,7 +28,7 @@ const (
 
 // Collector accumulates per-node traffic statistics for a fleet of n nodes.
 type Collector struct {
-	start  time.Time
+	start  int64 // Unix nanoseconds: Record runs twice per packet
 	window time.Duration
 	nodes  []nodeCounters
 }
@@ -46,7 +46,7 @@ func New(n int, start time.Time, window time.Duration) *Collector {
 	if window <= 0 {
 		window = time.Minute
 	}
-	return &Collector{start: start, window: window, nodes: make([]nodeCounters, n)}
+	return &Collector{start: start.UnixNano(), window: window, nodes: make([]nodeCounters, n)}
 }
 
 // N returns the number of tracked nodes.
@@ -67,8 +67,8 @@ func (c *Collector) Record(node int, dir Direction, cat wire.Category, payloadBy
 	nc.packets[cat][dir]++
 
 	w := 0
-	if d := now.Sub(c.start); d > 0 {
-		w = int(d / c.window)
+	if d := now.UnixNano() - c.start; d > 0 {
+		w = int(time.Duration(d) / c.window)
 	}
 	for len(nc.windows) <= w {
 		nc.windows = append(nc.windows, [wire.NumCategories]uint64{})

@@ -249,12 +249,41 @@ func (m *modelNet) runUntil(t time.Duration) {
 	m.log = append(m.log, fmt.Sprintf("ran until %v, now %v", t, m.now))
 }
 
+// The wheel's geometry as durations: one tick, and the span of its buckets.
+const (
+	tick = time.Duration(1) << tickShift
+	span = tick * wheelSize
+)
+
+// draws is the randomness randomOp consumes: a *rand.Rand in the model test,
+// the fuzzer's bytes in the fuzz target.
+type draws interface{ Intn(n int) int }
+
+// byteDraws decodes a fuzz input: each draw takes as many bytes as n needs,
+// and an exhausted input reads as zeros.
+type byteDraws struct{ b []byte }
+
+func (d *byteDraws) Intn(n int) int {
+	v := 0
+	for m := 1; m < n; m <<= 8 {
+		v <<= 8
+		if len(d.b) > 0 {
+			v |= int(d.b[0])
+			d.b = d.b[1:]
+		}
+	}
+	return v % n
+}
+
 // randomOp draws one operation. Delays repeat a few values so that equal
-// timestamps — where only scheduling order decides — are the common case;
-// callbacks schedule, stop and send in turn, down to depth levels.
-func randomOp(rng *rand.Rand, depth int, timers *int, horizon time.Duration) op {
+// timestamps — where only scheduling order decides — are the common case, and
+// sit on the wheel's edges: one short of, on and one past a tick, the span
+// and several spans. Callbacks schedule, stop and send in turn, down to depth
+// levels.
+func randomOp(rng draws, depth int, timers *int, horizon time.Duration) op {
 	delays := []time.Duration{0, 0, -time.Millisecond, time.Millisecond, time.Millisecond,
-		3 * time.Millisecond, 7 * time.Millisecond, time.Hour}
+		3 * time.Millisecond, 7 * time.Millisecond, time.Hour,
+		tick - 1, tick, tick + 1, span - tick, span, span + 1, 3 * span, 7*span + tick/2}
 	nested := func() []op {
 		if depth == 0 {
 			return nil
@@ -285,69 +314,146 @@ func randomOp(rng *rand.Rand, depth int, timers *int, horizon time.Duration) op 
 	default:
 		// Marks land on the few-millisecond lattice the delays make, so a mark
 		// is often exactly an event's timestamp, or exactly one short of it.
-		return op{kind: opRunUntil, until: horizon + time.Duration(rng.Intn(8))*time.Millisecond - time.Duration(rng.Intn(2))}
+		// One in four jumps past the wheel's span: the cursor then skips
+		// empty buckets, or stays behind while later pushes go past its span,
+		// or stops at the mark's tick with that tick's events still to run.
+		until := horizon + time.Duration(rng.Intn(8))*time.Millisecond - time.Duration(rng.Intn(2))
+		if rng.Intn(4) == 0 {
+			until += time.Duration(1+rng.Intn(3))*span - tick
+		}
+		return op{kind: opRunUntil, until: until}
 	}
 }
 
-func TestQueueMatchesModel(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		real := newRealSide(seed)
-		model := &modelNet{rng: rand.New(rand.NewSource(seed))}
-		rng := rand.New(rand.NewSource(seed * 7919))
-		timers := 0
-		check := func(what string) {
-			t.Helper()
-			if got, want := real.nw.Pending(), len(model.queue); got != want {
-				t.Fatalf("seed %d, %s: Pending() = %d, model holds %d", seed, what, got, want)
-			}
-			if got, want := real.nw.Elapsed(), model.now; got != want {
-				t.Fatalf("seed %d, %s: clock %v, model %v", seed, what, got, want)
-			}
-			if !slices.Equal(real.log, model.log) {
-				for i := range real.log {
-					if i >= len(model.log) || real.log[i] != model.log[i] {
-						t.Fatalf("seed %d, %s: log diverges at entry %d: got %q, model %q",
-							seed, what, i, real.log[i], append(model.log, "<end>")[i])
-					}
-				}
-				t.Fatalf("seed %d, %s: log ends early: model continues with %q", seed, what, model.log[len(real.log)])
-			}
-		}
-		for i := 0; i < 400; i++ {
-			o := randomOp(rng, 2, &timers, model.now)
-			apply(real, o)
-			apply(model, o)
-			check(fmt.Sprintf("op %d (%+v)", i, o))
-		}
-		// Drain: the far timers and everything callbacks left behind.
-		for len(model.queue) > 0 {
-			apply(real, op{kind: opStep})
-			apply(model, op{kind: opStep})
-			check("drain")
-		}
-		if real.nw.Step() {
-			t.Fatalf("seed %d: network ran an event the model never held", seed)
-		}
-		// Every handle is stale now. None may report a prevented callback, and
-		// none may reach a recycled packet record: sends made after this must
-		// all arrive.
-		for h := range real.timers {
-			if real.timers[h].Stop() {
-				t.Fatalf("seed %d: Stop on drained timer %d returned true", seed, h)
-			}
-		}
-		delivered := real.nw.Delivered()
-		for i := 0; i < 8; i++ {
-			real.send(1, nil)
-		}
-		for h := range real.timers {
-			real.timers[h].Stop()
-		}
-		real.nw.RunFor(time.Second)
-		if got := real.nw.Delivered() - delivered; got != 8 {
-			t.Fatalf("seed %d: %d of 8 packets arrived after stale Stops", seed, got)
+// checkWheel checks the queue's layout against its invariant: heap ticks =
+// cursor < bucket ticks < cursor + span ≤ far ticks, each bucket entry in its
+// tick's bucket, the bitmap and count matching the lists, and a clock whose
+// tick is not below the cursor.
+func checkWheel(t *testing.T, what string, nw *Network) {
+	t.Helper()
+	q := &nw.queue
+	if c := tickOf(nw.now); c < q.cursor {
+		t.Fatalf("%s: clock tick %d behind cursor %d", what, c, q.cursor)
+	}
+	for _, e := range q.heap {
+		if tickOf(e.at) != q.cursor {
+			t.Fatalf("%s: heap holds tick %d, cursor %d", what, tickOf(e.at), q.cursor)
 		}
 	}
+	for _, e := range q.far {
+		if tickOf(e.at) < q.cursor+wheelSize {
+			t.Fatalf("%s: far heap holds tick %d inside the span of cursor %d", what, tickOf(e.at), q.cursor)
+		}
+	}
+	wheeled := 0
+	for b := range q.head {
+		for i := q.head[b]; i > 0; i = q.nodes[i-1].next {
+			wheeled++
+			tk := tickOf(q.nodes[i-1].e.at)
+			if tk <= q.cursor || tk >= q.cursor+wheelSize || int(tk&wheelMask) != b {
+				t.Fatalf("%s: bucket %d holds tick %d, cursor %d", what, b, tk, q.cursor)
+			}
+		}
+		if occupied := q.occupied[b>>6]&(1<<(b&63)) != 0; occupied != (q.head[b] != 0) {
+			t.Fatalf("%s: bucket %d occupancy bit %v, list empty %v", what, b, occupied, q.head[b] == 0)
+		}
+	}
+	if wheeled != q.wheeled {
+		t.Fatalf("%s: buckets hold %d entries, count says %d", what, wheeled, q.wheeled)
+	}
+}
+
+// matchModel drives a Network and the model through ops drawn from rng until
+// more reports false, checking what fires, the clock and Pending after every
+// op, then drains both and checks that no stale handle reaches a live record.
+func matchModel(t *testing.T, seed int64, rng draws, more func(i int) bool) {
+	t.Helper()
+	real := newRealSide(seed)
+	model := &modelNet{rng: rand.New(rand.NewSource(seed))}
+	timers := 0
+	check := func(what string) {
+		t.Helper()
+		if got, want := real.nw.Pending(), len(model.queue); got != want {
+			t.Fatalf("seed %d, %s: Pending() = %d, model holds %d", seed, what, got, want)
+		}
+		if got, want := real.nw.Elapsed(), model.now; got != want {
+			t.Fatalf("seed %d, %s: clock %v, model %v", seed, what, got, want)
+		}
+		checkWheel(t, fmt.Sprintf("seed %d, %s", seed, what), real.nw)
+		if !slices.Equal(real.log, model.log) {
+			for i := range real.log {
+				if i >= len(model.log) || real.log[i] != model.log[i] {
+					t.Fatalf("seed %d, %s: log diverges at entry %d: got %q, model %q",
+						seed, what, i, real.log[i], append(model.log, "<end>")[i])
+				}
+			}
+			t.Fatalf("seed %d, %s: log ends early: model continues with %q", seed, what, model.log[len(real.log)])
+		}
+	}
+	for i := 0; more(i); i++ {
+		o := randomOp(rng, 2, &timers, model.now)
+		apply(real, o)
+		apply(model, o)
+		check(fmt.Sprintf("op %d (%+v)", i, o))
+	}
+	// Drain: the far timers and everything callbacks left behind.
+	for len(model.queue) > 0 {
+		apply(real, op{kind: opStep})
+		apply(model, op{kind: opStep})
+		check("drain")
+	}
+	if real.nw.Step() {
+		t.Fatalf("seed %d: network ran an event the model never held", seed)
+	}
+	// Every handle is stale now. None may report a prevented callback, and
+	// none may reach a recycled packet record: sends made after this must
+	// all arrive.
+	for h := range real.timers {
+		if real.timers[h].Stop() {
+			t.Fatalf("seed %d: Stop on drained timer %d returned true", seed, h)
+		}
+	}
+	delivered := real.nw.Delivered()
+	for i := 0; i < 8; i++ {
+		real.send(1, nil)
+	}
+	for h := range real.timers {
+		real.timers[h].Stop()
+	}
+	real.nw.RunFor(time.Second)
+	if got := real.nw.Delivered() - delivered; got != 8 {
+		t.Fatalf("seed %d: %d of 8 packets arrived after stale Stops", seed, got)
+	}
+}
+
+// modelSeeds and modelOps size TestQueueMatchesModel; its seeds also seed the
+// fuzz corpus.
+const (
+	modelSeeds = 40
+	modelOps   = 400
+)
+
+func modelRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed * 7919)) }
+
+func TestQueueMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= modelSeeds; seed++ {
+		matchModel(t, seed, modelRand(seed), func(i int) bool { return i < modelOps })
+	}
+}
+
+// FuzzQueueMatchesModel is TestQueueMatchesModel with the op mix decoded from
+// the fuzzer's bytes. The corpus starts from the model test's seeds: the
+// bytes of each seed's generator.
+func FuzzQueueMatchesModel(f *testing.F) {
+	for seed := int64(1); seed <= modelSeeds; seed++ {
+		b := make([]byte, 1024)
+		modelRand(seed).Read(b)
+		f.Add(seed, b)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, b []byte) {
+		d := &byteDraws{b: b}
+		matchModel(t, seed, d, func(i int) bool { return len(d.b) > 0 && i < modelOps })
+	})
 }
 
 // TestSameInstantSchedulingOrder spells out the tie rule the random mix leans

@@ -3,19 +3,23 @@
 // the same spirit as the paper's own in-system emulation (§6.1, "the
 // emulation uses the same implementation as the one deployed").
 //
-// A Network owns a set of endpoints and one queue of timed events: a 4-ary
-// implicit heap of value keys (at, seq, record), compared without following
-// a pointer. Packets sent between endpoints are delivered after the
-// configured one-way link latency, subject to per-link loss probability, link
-// failures, and node failures. Timers and packet deliveries interleave in
-// strict (at, seq) order — timestamp, ties broken by scheduling order — so a
-// simulation is a pure function of its inputs and seed.
+// A Network owns a set of endpoints and one queue of timed events: a hashed
+// timing wheel of ≈ 1 ms ticks spanning ≈ 1 s, with 4-ary heaps of value keys
+// (at, seq, record), compared without following a pointer, for the current
+// tick and for events past the span (queue.go). An event inside the span
+// waits unsorted in its tick's bucket and is sorted only among its tick's
+// few others, so its cost does not grow with the number pending. Packets
+// sent between endpoints are delivered after the configured one-way link
+// latency, subject to per-link loss probability, link failures, and node
+// failures. Timers and packet deliveries interleave in strict (at, seq)
+// order — timestamp, ties broken by scheduling order — so a simulation is a
+// pure function of its inputs and seed.
 //
 // An event is one record. The *Timer that After returns is the record the
 // queue holds, and it is never reused: a handle stays valid for as long as
 // its owner keeps it. A packet in flight is a packet record that no handle
-// can reach, taken from and returned to a free list, so a steady stream of
-// sends allocates nothing.
+// can reach, taken from and returned to a free list, and a bucket entry is a
+// node of one recycled pool, so a steady stream of sends allocates nothing.
 //
 // The event loop is single-threaded by design: protocol handlers run
 // synchronously inside Run, which keeps node logic free of locks and makes
@@ -77,23 +81,6 @@ type packet struct {
 	payload  []byte
 }
 
-// entry is one queued event: the (at, seq) key inline, so ordering never
-// follows a pointer, plus the record to run — a timer or a packet, never both.
-// A stopped timer keeps its entry until it is popped.
-type entry struct {
-	at  time.Duration
-	seq uint64
-	t   *Timer
-	pkt *packet
-}
-
-// before reports whether e runs before o: earlier timestamp, then earlier
-// scheduling order. seq is unique, so this is a strict total order and the
-// heap's shape never shows in the order events run.
-func (e *entry) before(o *entry) bool {
-	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
-}
-
 // Network is a simulated datagram network. Create one with New; methods are
 // not safe for concurrent use (the simulation is single-threaded).
 type Network struct {
@@ -101,7 +88,7 @@ type Network struct {
 	now      time.Duration
 	seq      uint64
 	rng      *rand.Rand
-	queue    []entry   // 4-ary min-heap on (at, seq): children of i are 4i+1..4i+4
+	queue    queue
 	free     []*packet // delivered packet records awaiting reuse
 	n        int
 	links    []link // n×n, row-major by sender
@@ -157,10 +144,18 @@ func (nw *Network) Size() int { return nw.n }
 // at returns the index of the directed a→b link in the n×n matrices, and
 // panics on an endpoint out of range, which always indicates a bug.
 func (nw *Network) at(a, b int) int {
-	if a < 0 || a >= nw.n || b < 0 || b >= nw.n {
-		panic(fmt.Sprintf("simnet: link %d->%d out of range [0,%d)", a, b, nw.n))
+	if max(uint(a), uint(b)) >= uint(nw.n) {
+		nw.linkOutOfRange(a, b)
 	}
 	return a*nw.n + b
+}
+
+// linkOutOfRange panics for at. It stays out of line so that at, which runs
+// on every packet, is cheap enough to inline.
+//
+//go:noinline
+func (nw *Network) linkOutOfRange(a, b int) {
+	panic(fmt.Sprintf("simnet: link %d->%d out of range [0,%d)", a, b, nw.n))
 }
 
 // Now returns the current virtual time.
@@ -184,7 +179,7 @@ func (nw *Network) Reordered() uint64 { return nw.reordered }
 
 // Pending returns the number of scheduled events (including cancelled
 // timers not yet reaped).
-func (nw *Network) Pending() int { return len(nw.queue) }
+func (nw *Network) Pending() int { return nw.queue.Len() }
 
 // SetHandler installs the packet handler for endpoint i.
 func (nw *Network) SetHandler(i int, h Handler) {
@@ -333,61 +328,6 @@ func (nw *Network) Reachable(a, b int) bool {
 	return !nw.nodeDown[a] && !nw.nodeDown[b] && !nw.down[nw.at(a, b)] && !nw.Partitioned(a, b)
 }
 
-// push queues e.
-//
-//lint:allocfree
-func (nw *Network) push(e entry) {
-	//lint:allowalloc amortized growth of the queue's backing array
-	q := append(nw.queue, e)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.before(&q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = e
-	nw.queue = q
-}
-
-// pop removes and returns the earliest entry. The queue must not be empty.
-//
-//lint:allocfree
-func (nw *Network) pop() entry {
-	q := nw.queue
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = entry{} // drop the record references for the collector
-	q = q[:n]
-	nw.queue = q
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		child := 4*i + 1
-		if child >= n {
-			break
-		}
-		least := child
-		for c := child + 1; c < min(child+4, n); c++ {
-			if q[c].before(&q[least]) {
-				least = c
-			}
-		}
-		if !q[least].before(&last) {
-			break
-		}
-		q[i] = q[least]
-		i = least
-	}
-	q[i] = last
-	return top
-}
-
 // schedule queues a record to run d from now (a non-positive d means now,
 // after already-queued events).
 func (nw *Network) schedule(d time.Duration, t *Timer, pkt *packet) {
@@ -395,7 +335,7 @@ func (nw *Network) schedule(d time.Duration, t *Timer, pkt *packet) {
 		d = 0
 	}
 	nw.seq++
-	nw.push(entry{at: nw.now + d, seq: nw.seq, t: t, pkt: pkt})
+	nw.queue.push(entry{at: nw.now + d, seq: nw.seq, t: t, pkt: pkt})
 }
 
 // After schedules fn to run d from now. A non-positive d runs at the current
@@ -483,7 +423,7 @@ func (nw *Network) deliver(pkt *packet) {
 // (fn dropped) before the callback runs, so Stop on a fired timer reports
 // false and the handle no longer pins the closure.
 func (nw *Network) run() bool {
-	e := nw.pop()
+	e := nw.queue.pop()
 	if e.pkt != nil {
 		nw.now = e.at
 		nw.deliver(e.pkt)
@@ -501,7 +441,7 @@ func (nw *Network) run() bool {
 
 // Step executes the earliest pending event and reports whether one ran.
 func (nw *Network) Step() bool {
-	for len(nw.queue) > 0 {
+	for nw.queue.Len() > 0 {
 		if nw.run() {
 			return true
 		}
@@ -518,7 +458,7 @@ func (nw *Network) RunFor(d time.Duration) {
 // RunUntil executes all events scheduled at or before the elapsed-time mark
 // t and sets the clock to t.
 func (nw *Network) RunUntil(t time.Duration) {
-	for len(nw.queue) > 0 && nw.queue[0].at <= t {
+	for nw.queue.due(t) {
 		nw.run()
 	}
 	if t > nw.now {

@@ -85,8 +85,8 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
-// TestAllocationPins: a packet in flight is a recycled record, and a timer is
-// the one record its handle points at.
+// TestAllocationPins: a packet in flight is a recycled record, a timer is the
+// one record its handle points at, and a bucket entry is a recycled pool node.
 func TestAllocationPins(t *testing.T) {
 	nw := New(2, 1)
 	nw.SetLatency(0, 1, time.Millisecond)
@@ -110,6 +110,34 @@ func TestAllocationPins(t *testing.T) {
 		nw.Step()
 	}); n > 1 {
 		t.Errorf("After + Step allocates %v times, want at most 1 (the Timer)", n)
+	}
+	// Links slower than a tick and than the wheel's span: every run moves
+	// the clock, so 200 runs wrap the wheel dozens of times and send events
+	// through its buckets and its far heap.
+	wide := New(3, 1)
+	wide.SetLatency(0, 1, 300*time.Millisecond)
+	wide.SetLatency(0, 2, span+span/2)
+	wide.SetHandler(1, func(int, []byte) {})
+	wide.SetHandler(2, func(int, []byte) {})
+	wrap := func() {
+		wide.Send(0, 1, payload)
+		wide.Send(0, 2, payload)
+		wide.Step()
+		wide.Step()
+	}
+	for i := 0; i < 64; i++ {
+		wrap()
+	}
+	start, pool := wide.Elapsed(), len(wide.queue.nodes)
+	if n := testing.AllocsPerRun(200, wrap); n != 0 {
+		t.Errorf("Send + delivery across the wheel allocates %v times at steady state, want 0", n)
+	}
+	// AllocsPerRun rounds down, so amortized growth hides from it.
+	if got := len(wide.queue.nodes); got != pool {
+		t.Errorf("the bucket node pool grew from %d to %d nodes at steady state", pool, got)
+	}
+	if d := wide.Elapsed() - start; d < 5*span {
+		t.Fatalf("the loop ran %v of virtual time, want at least five spans (%v)", d, 5*span)
 	}
 }
 

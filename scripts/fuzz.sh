@@ -1,7 +1,8 @@
 #!/bin/sh
 # Smoke-run every fuzz target — the wire codecs' round trips, snapshot
-# reassembly over parser-accepted chunks, and the one-hop kernels against
-# their scalar twins — for FUZZTIME (default 30s) each.
+# reassembly over parser-accepted chunks, the one-hop kernels against their
+# scalar twins, and the simulator's event queue against its reference model —
+# for FUZZTIME (default 30s) each.
 # `go test -fuzz` accepts only one target per invocation, so the targets are
 # enumerated with -list and looped. Any crasher fails the run and leaves its
 # reproducer under the package's testdata/fuzz/ for `go test` to replay.
@@ -9,7 +10,7 @@ set -eu
 
 FUZZTIME="${FUZZTIME:-30s}"
 
-for pkg in ./internal/wire ./internal/membership ./internal/lsdb; do
+for pkg in ./internal/wire ./internal/membership ./internal/lsdb ./internal/simnet; do
     targets=$(go test "$pkg" -list '^Fuzz' | grep '^Fuzz' || true)
     if [ -z "$targets" ]; then
         echo "fuzz.sh: no fuzz targets found in $pkg" >&2
