@@ -189,3 +189,53 @@ func (t *Table) PutAsym(slot int, row AsymRow) bool {
 	}
 	return true
 }
+
+// TestUnpackPackedRows: a row packed by a set of tombstones unpacks, by
+// linkCosts and asymLinkCosts, to every slot's cost at its slot and InfCost at
+// the tombstones — for no tombstone, every slot but one, and random sets.
+func TestUnpackPackedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		var tombs []int
+		switch {
+		case trial == 1:
+			tombs = []int{}
+		case trial%7 == 2:
+			for s := range n - 1 {
+				tombs = append(tombs, s+trial%2)
+			}
+		case trial > 2:
+			for s := range n {
+				if rng.Intn(4) == 0 {
+					tombs = append(tombs, s)
+				}
+			}
+		}
+		sym, asym := make([]wire.LinkEntry, n), make([]wire.AsymEntry, n)
+		for s := range n {
+			sym[s] = wire.LinkEntry{Latency: uint16(rng.Intn(3000)), Status: byte(rng.Intn(101))}
+			asym[s] = wire.AsymEntry{Out: uint16(rng.Intn(3000)), In: uint16(rng.Intn(3000)), Status: byte(rng.Intn(101))}
+		}
+		msg := wire.PackLinkState(wire.AppendLinkState(nil, 3, wire.LinkState{ViewVersion: 9, Seq: 4, Entries: sym}), tombs)
+		msgAsym := wire.PackLinkState(wire.AppendLinkStateAsym(nil, 3, wire.LinkStateAsym{ViewVersion: 9, Seq: 4, Entries: asym}), tombs)
+		_, _, entries, err := wire.LinkStateBody(wire.TLinkState, msg[wire.HeaderLen:])
+		_, _, entriesAsym, errAsym := wire.LinkStateBody(wire.TLinkStateAsym, msgAsym[wire.HeaderLen:])
+		if err != nil || errAsym != nil {
+			t.Fatal(err, errAsym)
+		}
+		row, out, in := make([]wire.Cost, n), make([]wire.Cost, n), make([]wire.Cost, n)
+		linkCosts(row, entries, tombs)
+		asymLinkCosts(out, in, entriesAsym, tombs)
+		for s := range n {
+			want, wantOut, wantIn := sym[s].Cost(), asym[s].OutCost(), asym[s].InCost()
+			if slices.Contains(tombs, s) {
+				want, wantOut, wantIn = wire.InfCost, wire.InfCost, wire.InfCost
+			}
+			if row[s] != want || out[s] != wantOut || in[s] != wantIn {
+				t.Fatalf("n=%d tombstones %v slot %d: unpacked %d / %d,%d, want %d / %d,%d",
+					n, tombs, s, row[s], out[s], in[s], want, wantOut, wantIn)
+			}
+		}
+	}
+}

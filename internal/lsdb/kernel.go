@@ -2,13 +2,37 @@ package lsdb
 
 import "allpairs/internal/wire"
 
-// The three primitives the batched kernels are built from, over plain uint16
-// cost rows. Each has two implementations: eight lanes of SSE2 over the whole
-// blocks of eight entries a row holds (kernel_amd64.s — SSE2 is baseline
-// amd64, so nothing is probed or dispatched), and the Go loop here, which
-// finishes the last len mod 8 entries there and is the whole of it on every
+// The four primitives the batched kernels and the link-state ingest are built
+// from, over plain uint16 cost rows. Each has two implementations: eight lanes
+// of SSE2 over the whole blocks of eight entries a row holds (kernel_amd64.s —
+// SSE2 is baseline amd64, so nothing is probed or dispatched), and the Go loop
+// here, which finishes the last entries there and is the whole of it on every
 // other architecture. The …Blocks half reports how many leading entries it
-// consumed; the Go half takes the rest.
+// consumed; the Go half takes the rest. A fifth, prefetch, only warms the
+// cache and has no Go twin.
+
+// entryCosts unpacks the first len(row) entries of a TLinkState row's entry
+// bytes into row: each entry's LinkEntry.Cost, its latency or InfCost where
+// its status is dead. entries must hold at least 3·len(row) bytes.
+//
+//lint:allocfree
+func entryCosts(row []wire.Cost, entries []byte) {
+	// The block half's last load of each eight entries ends a byte past them,
+	// and it must read nothing past len(entries): it is handed only the
+	// blocks with a byte of entries behind them.
+	blocks := min(len(row)/8, max(len(entries)-1, 0)/(8*wire.LinkEntryLen))
+	done := entryCostsBlocks(row[:8*blocks], entries)
+	entryCostsGo(row[done:], entries[done*wire.LinkEntryLen:])
+}
+
+// entryCostsGo is entryCosts as defined, one entry at a time.
+//
+//lint:allocfree
+func entryCostsGo(row []wire.Cost, entries []byte) {
+	for i := range row {
+		row[i] = wire.LinkEntryAt(entries, i).Cost()
+	}
+}
 
 // minSum returns the minimum over h of a[h] + b[h] saturated at InfCost —
 // Cost.Add's rule — or InfCost for empty rows. len(b) must be at least len(a).

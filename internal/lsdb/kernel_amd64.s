@@ -1,10 +1,10 @@
 #include "textflag.h"
 
-// SSE2 halves of kernel.go's three primitives: eight uint16 costs per XMM
-// register, unaligned loads throughout (spans start at any element). SSE2 has
-// no unsigned word minimum or compare, so both come from saturating
-// subtraction: t = x -sat y is nonzero exactly where y < x, and x - t is
-// min(x, y).
+// SSE2 halves of kernel.go's four primitives, eight uint16 costs per XMM
+// register, and prefetch. Loads are unaligned throughout (spans start at any
+// element). SSE2 has no unsigned word minimum or compare, so both come from
+// saturating subtraction: t = x -sat y is nonzero exactly where y < x, and
+// x - t is min(x, y).
 
 // MINUW(y, x, t): x = min(x, y) per unsigned word; t is clobbered.
 #define MINUW(y, x, t) \
@@ -135,4 +135,84 @@ step:
 	JMP     step
 
 done:
+	RET
+
+// The link-state unpack's status byte: byte 2 of every dword lane.
+DATA statusBytes<>+0x00(SB)/8, $0x00ff000000ff0000
+DATA statusBytes<>+0x08(SB)/8, $0x00ff000000ff0000
+GLOBL statusBytes<>(SB), RODATA|NOPTR, $16
+
+// COSTS4(x, t, d): four entries, one per dword lane of x as bytes [latency
+// high, latency low, status, ·], become the lanes' costs sign-extended to
+// int32, so that PACKSSLW narrows them to uint16 bit for bit: each word
+// byte-swapped, and the lane all ones, InfCost, where the status is 0xFF
+// (X12). t and d are clobbered.
+#define COSTS4(x, t, d) \
+	MOVO    x, d      \
+	PAND    X12, d    \
+	PCMPEQL X12, d    \
+	MOVO    x, t      \
+	PSLLW   $8, x     \
+	PSRLW   $8, t     \
+	POR     t, x      \
+	POR     d, x      \
+	PSLLL   $16, x    \
+	PSRAL   $16, x
+
+// func entryCostsBlocks(row []wire.Cost, entries []byte) (done int)
+//
+// Entry k of a block starts at byte 3k, so the loads at bytes 0, 3, 6 and 9
+// each hold two entries at dword boundaries, k and k+4 in lanes 0 and 3; two
+// rounds of interleaving gather lanes 0 into entries 0–3 and lanes 3 into
+// entries 4–7. The load at byte 9 ends one byte past the block.
+TEXT ·entryCostsBlocks(SB), NOSPLIT, $0-56
+	MOVQ       row_base+0(FP), DI
+	MOVQ       row_len+8(FP), CX
+	MOVQ       entries_base+24(FP), SI
+	ANDQ       $~7, CX
+	MOVQ       CX, done+48(FP)
+	MOVOU      statusBytes<>(SB), X12
+	XORQ       AX, AX
+
+block:
+	CMPQ       AX, CX
+	JGE        unpacked
+	MOVOU      (SI), X0         // entries 0 and 4 in lanes 0 and 3
+	MOVOU      3(SI), X1        // 1 and 5
+	MOVOU      6(SI), X2        // 2 and 6
+	MOVOU      9(SI), X3        // 3 and 7
+	MOVO       X0, X4
+	PUNPCKLLQ  X1, X0           // 0 1 · ·
+	PUNPCKHLQ  X1, X4           // · · 4 5
+	MOVO       X2, X5
+	PUNPCKLLQ  X3, X2           // 2 3 · ·
+	PUNPCKHLQ  X3, X5           // · · 6 7
+	PUNPCKLQDQ X2, X0           // 0 1 2 3
+	PUNPCKHQDQ X5, X4           // 4 5 6 7
+	COSTS4(X0, X1, X2)
+	COSTS4(X4, X5, X6)
+	PACKSSLW   X4, X0
+	MOVOU      X0, (DI)(AX*2)
+	ADDQ       $24, SI
+	ADDQ       $8, AX
+	JMP        block
+
+unpacked:
+	RET
+
+// func prefetch(row []wire.Cost)
+TEXT ·prefetch(SB), NOSPLIT, $0-24
+	MOVQ       row_base+0(FP), SI
+	MOVQ       row_len+8(FP), CX
+	LEAQ       (SI)(CX*2), CX   // one past the last entry
+	ANDQ       $~63, SI         // from the start of the first entry's line
+
+line:
+	CMPQ       SI, CX
+	JAE        fetched
+	PREFETCHT0 (SI)
+	ADDQ       $64, SI
+	JMP        line
+
+fetched:
 	RET

@@ -47,6 +47,93 @@ func checkPrimitives(t *testing.T, a, b []wire.Cost, ca wire.Cost, h uint16, bes
 	}
 }
 
+// checkUnpack holds the link-state unpack (on amd64 its assembly half plus the
+// Go tail) to its Go twin run over the whole row, the twin to a per-entry
+// LinkEntry.Cost oracle that decodes the bytes itself, and linkCosts to that
+// oracle put back at the members' slots, tombstones (ascending slots) at
+// InfCost.
+func checkUnpack(t *testing.T, entries []byte, tombs []int) {
+	t.Helper()
+	m := len(entries) / wire.LinkEntryLen
+	got, want := make([]wire.Cost, m), make([]wire.Cost, m)
+	entryCosts(got, entries)
+	entryCostsGo(want, entries)
+	for i := range want {
+		b := entries[i*wire.LinkEntryLen:]
+		if c := (wire.LinkEntry{Latency: uint16(b[0])<<8 | uint16(b[1]), Status: b[2]}).Cost(); want[i] != c {
+			t.Fatalf("entryCostsGo: entry %d (% x) = %#x, LinkEntry.Cost %#x", i, b[:3], want[i], c)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("entryCosts over %d entries = %x\nGo twin                = %x\nentries % x", m, got, want, entries)
+	}
+	row := slices.Repeat([]wire.Cost{0x1234}, m+len(tombs))
+	linkCosts(row, entries, tombs)
+	k := 0
+	for s, c := range row {
+		w := wire.InfCost
+		if !slices.Contains(tombs, s) {
+			w, k = want[k], k+1
+		}
+		if c != w {
+			t.Fatalf("linkCosts over %d entries, tombstones %v: slot %d = %#x, want %#x", m, tombs, s, c, w)
+		}
+	}
+}
+
+// unpackTombstones returns the tombstones of pattern p for a row of m members:
+// none, the first slot, the last, an adjacent pair in the middle, or all of
+// those at once.
+func unpackTombstones(m, p int) []int {
+	switch p % 5 {
+	case 1:
+		return []int{0}
+	case 2:
+		return []int{m}
+	case 3:
+		return []int{m / 2, m/2 + 1}
+	case 4:
+		return []int{0, 1 + m/2, 2 + m/2, m + 3}
+	}
+	return nil
+}
+
+// edgeLatencies and edgeStatuses are the entry fields on either side of the
+// unpack's sign extension and of its dead-lane mask.
+var (
+	edgeLatencies = []uint16{0x0000, 0x7FFF, 0x8000, 0xFF00, 0xFFFF}
+	edgeStatuses  = []byte{0, 100, 0xFE, wire.StatusDead}
+)
+
+// kernelEntries draws m link-state entries into a datagram of random bytes at
+// byte offset off, with tail more random bytes after them, and returns the
+// entries' slice of it: edge latencies all alive, all dead, edge latencies
+// and statuses mixed, ordinary ones, or bytes as they come.
+func kernelEntries(rng *rand.Rand, m, flavour, off, tail int) []byte {
+	datagram := make([]byte, off+m*wire.LinkEntryLen+tail)
+	rng.Read(datagram)
+	entries := datagram[off : off+m*wire.LinkEntryLen]
+	for i := range m {
+		var e wire.LinkEntry
+		switch flavour {
+		case 0:
+			e = wire.LinkEntry{Latency: edgeLatencies[i%len(edgeLatencies)], Status: 0}
+		case 1:
+			e = wire.LinkEntry{Latency: uint16(rng.Intn(1 << 16)), Status: wire.StatusDead}
+		case 2:
+			e = wire.LinkEntry{Latency: edgeLatencies[rng.Intn(len(edgeLatencies))], Status: edgeStatuses[rng.Intn(len(edgeStatuses))]}
+		case 3:
+			e = wire.LinkEntry{Latency: uint16(rng.Intn(1000)), Status: byte(rng.Intn(101))}
+		default:
+			continue
+		}
+		b := entries[i*wire.LinkEntryLen:]
+		binary.BigEndian.PutUint16(b, e.Latency)
+		b[2] = e.Status
+	}
+	return entries
+}
+
 // kernelLengths are every row length from 0 to 70 and from 300 to 360: every
 // n mod 8, from no whole block to dozens, around the ledger's n = 324.
 func kernelLengths() []int {
@@ -93,7 +180,9 @@ func kernelRow(rng *rand.Rand, n, flavour int) []wire.Cost {
 // TestKernelPrimitivesMatchGoTwins is the differential test of the assembly:
 // every length, every flavour of row, and sub-slices starting 0–3 elements
 // into their backing arrays, so the unaligned loads are exercised at odd
-// element offsets.
+// element offsets; and the unpack over as many entries, starting at an odd
+// byte of a datagram and ending at its last byte or before, with tombstones
+// first, last and adjacent.
 func TestKernelPrimitivesMatchGoTwins(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, n := range kernelLengths() {
@@ -103,6 +192,30 @@ func TestKernelPrimitivesMatchGoTwins(t *testing.T) {
 			b := kernelRow(rng, n+off+rng.Intn(3), (flavour+rng.Intn(2))%8)[off:]
 			best := kernelRow(rng, n+1, 4+rng.Intn(4))[1:]
 			checkPrimitives(t, a, b, wire.Cost(rng.Intn(1200)), uint16(rng.Intn(1<<16)), best)
+			entries := kernelEntries(rng, n, flavour%5, 1+2*rng.Intn(8), rng.Intn(2)*rng.Intn(8))
+			checkUnpack(t, entries, unpackTombstones(n, flavour+rng.Intn(2)))
+		}
+	}
+}
+
+// TestPrefetchReadsOnly pins prefetch's edges: a nil row, the shared
+// all-InfCost row, and an empty span at every position of a held row, with
+// every row left as it was.
+func TestPrefetchReadsOnly(t *testing.T) {
+	m := newCostMatrix(37)
+	row := m.rowFor(5)
+	for i := range row {
+		row[i] = wire.Cost(i)
+	}
+	prefetch(nil)
+	prefetch(m.inf)
+	for lo := range len(row) + 1 {
+		prefetch(row[lo:lo])
+		prefetch(row[lo:])
+	}
+	for i, c := range row {
+		if m.inf[i] != wire.InfCost || c != wire.Cost(i) {
+			t.Fatalf("after prefetch, column %d reads %d in the row and %d in the shared InfCost row", i, c, m.inf[i])
 		}
 	}
 }
@@ -200,12 +313,25 @@ func TestKernelsMatchOracleAtLedgerSizes(t *testing.T) {
 // FuzzKernelsMatchScalar is checkPrimitives over rows the fuzzer writes: two
 // big-endian uint16 rows cut from one input, at an element offset it also
 // picks, with the columns a tombstone mask marks forced to InfCost in both, as
-// PutWire leaves a row packed against a view holding tombstones.
+// PutWire leaves a row packed against a view holding tombstones. The same
+// input, from the same offset in bytes, is a row of link-state entries for
+// checkUnpack, the mask's bits naming its tombstones.
 func FuzzKernelsMatchScalar(f *testing.F) {
 	f.Add([]byte{}, uint16(0), uint16(0), uint8(0), uint64(0))
 	f.Add(slices.Repeat([]byte{0xFF, 0xFF, 0, 0, 0x7F, 0xFF, 0x80, 0x00}, 9), uint16(3), uint16(65535), uint8(1), uint64(0))
 	f.Add(slices.Repeat([]byte{0, 100, 0, 200}, 40), uint16(100), uint16(8), uint8(3), uint64(0x8000_0000_0000_0421))
+	f.Add(slices.Repeat([]byte{0x80, 0, 0xFE, 0xFF, 0xFF, 0xFF, 0x7F, 0xFF, 0, 0xFF, 0, 0xFE}, 28), uint16(1), uint16(2), uint8(1), uint64(0x3))
 	f.Fuzz(func(t *testing.T, data []byte, ca, h uint16, off uint8, tombstones uint64) {
+		entries := data[min(int(off%4), len(data)):]
+		entries = entries[:len(entries)/wire.LinkEntryLen*wire.LinkEntryLen]
+		var tombs []int
+		for s := range min(64, len(entries)/wire.LinkEntryLen) {
+			if tombstones>>s&1 != 0 {
+				tombs = append(tombs, s)
+			}
+		}
+		checkUnpack(t, entries, tombs)
+
 		words := make([]wire.Cost, len(data)/2)
 		for i := range words {
 			words[i] = wire.Cost(binary.BigEndian.Uint16(data[2*i:]))

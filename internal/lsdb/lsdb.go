@@ -9,7 +9,9 @@
 // assumption), and a second matrix holds the in-direction when rows carry
 // directed costs (footnote 2). Every kernel reads source costs from the
 // out-direction and destination costs from the in-direction, so the two modes
-// are one algorithm.
+// are one algorithm. The ingest step is part of this package: PutWire unpacks
+// a row's wire entries straight into its cost row, eight 3-byte entries at a
+// time (kernel.go's unpack primitive).
 //
 // Rows are indexed by grid slot (the node's position in the membership
 // view), not by node ID. Slots are stable for a member's lifetime, so a table
@@ -186,11 +188,48 @@ func (t *Table) PutWire(slot int, seq uint32, when time.Time, entries []byte) bo
 		return false
 	}
 	if t.Directional() {
-		wire.AsymLinkCosts(t.out.rowFor(slot), t.in.rowFor(slot), entries, t.tombstones)
+		asymLinkCosts(t.out.rowFor(slot), t.in.rowFor(slot), entries, t.tombstones)
 	} else {
-		wire.LinkCosts(t.out.rowFor(slot), entries, t.tombstones)
+		linkCosts(t.out.rowFor(slot), entries, t.tombstones)
 	}
 	return true
+}
+
+// linkCosts unpacks the entry bytes wire.LinkStateBody returned into row, one
+// entry per slot in order but for the tombstones (ascending slots), which read
+// InfCost.
+//
+//lint:allocfree
+func linkCosts(row []wire.Cost, entries []byte, tombstones []int) {
+	entryCosts(row[:len(row)-len(tombstones)], entries)
+	openTombstones(row, tombstones)
+}
+
+// asymLinkCosts is linkCosts for TLinkStateAsym entries, unpacked into the two
+// directions' rows; len(in) == len(out).
+//
+//lint:allocfree
+func asymLinkCosts(out, in []wire.Cost, entries []byte, tombstones []int) {
+	in, members := in[:len(out)], out[:len(out)-len(tombstones)]
+	for i := range members {
+		e := wire.AsymEntryAt(entries, i)
+		members[i], in[i] = e.OutCost(), e.InCost()
+	}
+	openTombstones(out, tombstones)
+	openTombstones(in, tombstones)
+}
+
+// openTombstones moves the members' costs, unpacked to the front of row in
+// slot order, out to their slots, and sets each tombstone's to InfCost.
+//
+//lint:allocfree
+func openTombstones(row []wire.Cost, tombstones []int) {
+	end := len(row)
+	for k := len(tombstones) - 1; k >= 0; k-- {
+		t := tombstones[k]
+		copy(row[t+1:end], row[t-k:end-k-1])
+		row[t], end = wire.InfCost, t
+	}
 }
 
 // FreshSlots appends to dst the slots with rows fresher than maxAge and

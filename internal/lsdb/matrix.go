@@ -16,12 +16,14 @@ type HopCost struct {
 
 // CostMatrix is one direction of a Table's unpacked link state: one
 // contiguous n-entry []wire.Cost per stored row (row s holds the costs
-// announced by slot s). Table.Put maintains it incrementally, so wire cost
+// announced by slot s). Table.PutWire maintains it incrementally, so wire cost
 // bits are unpacked exactly once at ingest; the batch kernels then scan plain
-// uint16 rows with no per-element status branches, which is what lets
-// rendezvous recommendation passes and full-table recomputes run
-// cache-friendly at n ≥ 500. A row's arrival time and sequence number belong
-// to the row, not to a direction, and live on the Table.
+// uint16 rows with no per-element status branches. Each row is an allocation
+// of its own, so a pass over many rows finds each one cold and the hardware
+// prefetcher starts over at every row: the full-table pass
+// (Table.BestOneHopViaSpan) prefetches the next row while it relaxes the
+// current one. A row's arrival time and sequence number belong to the row,
+// not to a direction, and live on the Table.
 //
 // Row storage is allocated lazily on first store: a quorum node's table only
 // ever holds ~2√n of the n possible rows, so lazy rows cut per-node table
@@ -270,8 +272,9 @@ func (t *Table) BestOneHopToRow(srcBuf []wire.Cost, srcs []int, rowIn []wire.Cos
 // once: out[dst] is the best of the direct path rowOut[dst] and
 // rowOut[h] + out_h(dst) over intermediates h with a row fresher than maxAge.
 // Each intermediate's freshness is evaluated once and its row then streamed
-// across all destinations, so the whole table recompute is one
-// cache-friendly O(fresh·n) pass. out must have t.N() entries.
+// across all destinations, the next intermediate's row prefetched meanwhile,
+// so the whole table recompute is one O(fresh·n) pass at memory speed. out
+// must have t.N() entries.
 //
 //lint:allocfree
 func (t *Table) BestOneHopViaAll(rowOut []wire.Cost, now time.Time, maxAge time.Duration, out []HopCost) {
@@ -308,6 +311,11 @@ func (t *Table) BestOneHopViaSpan(rowOut []wire.Cost, now time.Time, maxAge time
 	}
 	ns := now.UnixNano()
 	for h := 0; h < lim; h++ {
+		// Held rows are separate allocations, so the hardware prefetcher
+		// starts cold on each: ask for the next one while this one streams.
+		if h+1 < lim {
+			prefetch(t.out.Row(h + 1)[lo:end])
+		}
 		ca := rowOut[h]
 		if ca == wire.InfCost || !t.freshAt(h, ns, maxAge) {
 			continue // a dead first leg can never improve any destination

@@ -142,7 +142,7 @@ const linkStateFixed = 4 + 4 + 2
 
 // LinkStateBody validates the body of a link-state row of type t — TLinkState,
 // 3 bytes an entry, or TLinkStateAsym, 5 — and returns its view version,
-// sequence number and entry bytes, for LinkCosts or AsymLinkCosts to unpack in
+// sequence number and entry bytes, for lsdb.Table.PutWire to unpack in
 // place. It is the one framing check of both row formats, and its errors are
 // bare so that a rejection allocates nothing.
 //
@@ -162,36 +162,11 @@ func LinkStateBody(t MsgType, body []byte) (viewVersion, seq uint32, entries []b
 	return binary.BigEndian.Uint32(body), binary.BigEndian.Uint32(body[4:]), entries, nil
 }
 
-// linkEntryAt decodes entry i of a TLinkState row's entry bytes: the one
+// LinkEntryAt decodes entry i of a TLinkState row's entry bytes: the one
 // decoder of the 3-byte form.
-func linkEntryAt(entries []byte, i int) LinkEntry {
+func LinkEntryAt(entries []byte, i int) LinkEntry {
 	b := entries[i*LinkEntryLen:][:LinkEntryLen]
 	return LinkEntry{Latency: binary.BigEndian.Uint16(b), Status: b[2]}
-}
-
-// LinkCosts unpacks the entry bytes LinkStateBody returned into row, one entry
-// per slot in order but for the tombstones (ascending slots), which read InfCost.
-//
-//lint:allocfree
-func LinkCosts(row []Cost, entries []byte, tombstones []int) {
-	members := row[:len(row)-len(tombstones)]
-	for i := range members {
-		members[i] = linkEntryAt(entries, i).Cost()
-	}
-	openTombstones(row, tombstones)
-}
-
-// openTombstones moves the members' costs, unpacked to the front of row in
-// slot order, out to their slots, and sets each tombstone's to InfCost.
-//
-//lint:allocfree
-func openTombstones(row []Cost, tombstones []int) {
-	end := len(row)
-	for k := len(tombstones) - 1; k >= 0; k-- {
-		t := tombstones[k]
-		copy(row[t+1:end], row[t-k:end-k-1])
-		row[t], end = InfCost, t
-	}
 }
 
 // PackLinkState drops in place from msg, a link-state message of either format
@@ -218,7 +193,7 @@ func ParseLinkState(body []byte) (LinkState, error) {
 	}
 	ls := LinkState{ViewVersion: viewVersion, Seq: seq, Entries: make([]LinkEntry, len(entries)/LinkEntryLen)}
 	for i := range ls.Entries {
-		ls.Entries[i] = linkEntryAt(entries, i)
+		ls.Entries[i] = LinkEntryAt(entries, i)
 	}
 	return ls, nil
 }
@@ -382,25 +357,11 @@ func AppendLinkStateAsym(b []byte, src NodeID, ls LinkStateAsym) []byte {
 	return b
 }
 
-// asymEntryAt decodes entry i of a TLinkStateAsym row's entry bytes: the one
+// AsymEntryAt decodes entry i of a TLinkStateAsym row's entry bytes: the one
 // decoder of the 5-byte form.
-func asymEntryAt(entries []byte, i int) AsymEntry {
+func AsymEntryAt(entries []byte, i int) AsymEntry {
 	b := entries[i*AsymEntryLen:][:AsymEntryLen]
 	return AsymEntry{Out: binary.BigEndian.Uint16(b), In: binary.BigEndian.Uint16(b[2:]), Status: b[4]}
-}
-
-// AsymLinkCosts is LinkCosts for TLinkStateAsym entries, unpacked into the two
-// directions' rows; len(in) == len(out).
-//
-//lint:allocfree
-func AsymLinkCosts(out, in []Cost, entries []byte, tombstones []int) {
-	in, members := in[:len(out)], out[:len(out)-len(tombstones)]
-	for i := range members {
-		e := asymEntryAt(entries, i)
-		members[i], in[i] = e.OutCost(), e.InCost()
-	}
-	openTombstones(out, tombstones)
-	openTombstones(in, tombstones)
 }
 
 // AsymLinkStateSize returns the encoded payload size of an asymmetric row

@@ -186,8 +186,9 @@ func TestLinkStateRoundTrip(t *testing.T) {
 
 // TestPackThenUnpackLinkState: a row packed by a set of tombstones carries the
 // other slots' entries in slot order, a member count and nothing else, and
-// LinkCosts / AsymLinkCosts put every entry back at its slot with InfCost at
-// the tombstones — for no tombstone, every slot but one, and random sets.
+// LinkEntryAt / AsymEntryAt read the k-th member's entry back as entry k — for
+// no tombstone, every slot but one, and random sets. Unpacking a packed row
+// into slot-indexed costs is lsdb's ingest step and is tested there.
 func TestPackThenUnpackLinkState(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 300; trial++ {
@@ -230,17 +231,10 @@ func TestPackThenUnpackLinkState(t *testing.T) {
 		if err != nil || errAsym != nil {
 			t.Fatal(err, errAsym)
 		}
-		row, out, in := make([]Cost, n), make([]Cost, n), make([]Cost, n)
-		LinkCosts(row, entries, tombs)
-		AsymLinkCosts(out, in, entriesAsym, tombs)
-		for s := range n {
-			want, wantOut, wantIn := sym[s].Cost(), asym[s].OutCost(), asym[s].InCost()
-			if slices.Contains(tombs, s) {
-				want, wantOut, wantIn = InfCost, InfCost, InfCost
-			}
-			if row[s] != want || out[s] != wantOut || in[s] != wantIn {
-				t.Fatalf("n=%d tombstones %v slot %d: unpacked %d / %d,%d, want %d / %d,%d",
-					n, tombs, s, row[s], out[s], in[s], want, wantOut, wantIn)
+		for k := range kept {
+			if got, gotAsym := LinkEntryAt(entries, k), AsymEntryAt(entriesAsym, k); got != kept[k] || gotAsym != keptAsym[k] {
+				t.Fatalf("n=%d tombstones %v member %d: unpacked %+v / %+v, want %+v / %+v",
+					n, tombs, k, got, gotAsym, kept[k], keptAsym[k])
 			}
 		}
 	}
@@ -796,7 +790,7 @@ func ParseLinkStateAsym(body []byte) (LinkStateAsym, error) {
 	}
 	ls := LinkStateAsym{ViewVersion: viewVersion, Seq: seq, Entries: make([]AsymEntry, len(entries)/AsymEntryLen)}
 	for i := range ls.Entries {
-		ls.Entries[i] = asymEntryAt(entries, i)
+		ls.Entries[i] = AsymEntryAt(entries, i)
 	}
 	return ls, nil
 }
