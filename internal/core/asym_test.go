@@ -179,7 +179,7 @@ func TestAsymmetricFallback(t *testing.T) {
 	// Kill every rendezvous for destination 8 plus the direct link, with
 	// failover disabled the fallback must still find a route from neighbor
 	// rows.
-	q.cfg.DisableFailover = true
+	q.cfg.disableFailover = true
 	for _, k := range q.Grid().Common(0, 8) {
 		if k != 0 {
 			c.dead[0][k], c.dead[k][0] = true, true
@@ -199,7 +199,8 @@ func TestAsymmetricFallback(t *testing.T) {
 }
 
 func TestAsymmetricMessageFormatRejected(t *testing.T) {
-	// A symmetric-mode router must ignore asymmetric rows and vice versa.
+	// A symmetric-mode router must ignore asymmetric rows and vice versa; the
+	// full-mesh baseline's table is symmetric.
 	c := newAsymCluster(t, 9, 9)
 	q := c.routers[0]
 	msg := wire.AppendLinkState(nil, 3, wire.LinkState{ViewVersion: 1, Seq: 1, Entries: make([]wire.LinkEntry, 9)})
@@ -214,5 +215,10 @@ func TestAsymmetricMessageFormatRejected(t *testing.T) {
 	sym.HandleLinkState(h, body) // directional row into symmetric router
 	if sym.Table().Have(3) {
 		t.Error("directional row stored by symmetric router")
+	}
+	mesh := newCluster(t, 9, 9, "fullmesh", QuorumConfig{}).routers[0].(*FullMesh)
+	mesh.HandleLinkState(h, body) // directional row into the baseline
+	if mesh.Table().Have(3) {
+		t.Error("directional row stored by the full mesh")
 	}
 }

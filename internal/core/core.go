@@ -8,7 +8,8 @@
 // Routers are sans-IO state machines: a host (internal/overlay) dispatches
 // incoming routing messages to them, calls Tick every routing interval, and
 // supplies the local measurements through callbacks. All slots are indices
-// into the current membership view.
+// into the current membership view. A router is the shared row core
+// (rowCore: rows, view install, §4.2's BestHop) plus its rounds.
 package core
 
 import (
@@ -128,7 +129,7 @@ func (t *routeTable) Routes() []RouteEntry {
 	return out
 }
 
-// staleHop is degraded-mode damping, shared by both routers' BestHop: an
+// staleHop is degraded-mode damping, rowCore.bestHop's last resort: an
 // entry that expired at most hold ago (ttl is the router's normal lifetime
 // for it) is served, while alive still vouches for its first hop, with its
 // cost inflated in proportion to how far past ttl it is. The inflation keeps

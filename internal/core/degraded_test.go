@@ -25,8 +25,22 @@ func degradedCluster(t *testing.T, algo string) *cluster {
 	return c
 }
 
-func TestQuorumStaleHopDamping(t *testing.T) {
-	c := degradedCluster(t, "quorum")
+// outage is how long node 0 of a degraded cluster must be cut off before its
+// route to node 5 can only be the damped last-known-good entry. A quorum
+// node's recommendation and the rendezvous rows the fallback needs both age
+// out at Staleness (45 s). A full-mesh node keeps recomputing from its stored
+// rows, re-stamping the entry each tick, until they age past Staleness; only
+// then does the entry itself start aging.
+var outage = map[string]time.Duration{"quorum": 60 * time.Second, "fullmesh": 120 * time.Second}
+
+// Degraded-mode damping is one test over both routers: rowCore.bestHop
+// resolves the route for each.
+func TestQuorumStaleHopDamping(t *testing.T) { testStaleHopDamping(t, "quorum") }
+
+func TestFullMeshStaleHopDamping(t *testing.T) { testStaleHopDamping(t, "fullmesh") }
+
+func testStaleHopDamping(t *testing.T, algo string) {
+	c := degradedCluster(t, algo)
 	dst := 5
 	fresh, ok := c.routers[0].BestHop(dst)
 	if !ok || fresh.Source == SourceStale {
@@ -35,11 +49,7 @@ func TestQuorumStaleHopDamping(t *testing.T) {
 
 	// Control-plane outage: node 0 stops hearing recommendations and rows.
 	c.nw.SetPartition([]int{0})
-
-	// Past Staleness (45 s), which bounds both a recommendation's life and
-	// the rendezvous rows the fallback needs, the only thing left is the
-	// damped last-known-good entry.
-	c.nw.RunFor(60 * time.Second)
+	c.nw.RunFor(outage[algo])
 	e1, ok := c.routers[0].BestHop(dst)
 	if !ok {
 		t.Fatal("degraded mode did not serve the stale entry")
@@ -90,14 +100,23 @@ func TestQuorumStaleHopRequiresLiveFirstHop(t *testing.T) {
 	}
 }
 
+// The second-order fallback is one test over both routers.
 func TestQuorumStaleHopSecondOrderFallback(t *testing.T) {
-	c := degradedCluster(t, "quorum")
+	testStaleHopSecondOrderFallback(t, "quorum")
+}
+
+func TestFullMeshStaleHopSecondOrderFallback(t *testing.T) {
+	testStaleHopSecondOrderFallback(t, "fullmesh")
+}
+
+func testStaleHopSecondOrderFallback(t *testing.T, algo string) {
+	c := degradedCluster(t, algo)
 	dst := 5
 	if _, ok := c.routers[0].BestHop(dst); !ok {
 		t.Fatal("no fresh route")
 	}
 	c.nw.SetPartition([]int{0})
-	c.nw.RunFor(60 * time.Second)
+	c.nw.RunFor(outage[algo])
 	e, ok := c.routers[0].BestHop(dst)
 	if !ok || e.Source != SourceStale {
 		t.Fatalf("expected stale entry, got %+v ok=%v", e, ok)
@@ -120,54 +139,6 @@ func TestQuorumStaleHopSecondOrderFallback(t *testing.T) {
 	}
 	if e2.Cost == wire.InfCost {
 		t.Error("fallback served at infinite cost")
-	}
-}
-
-func TestFullMeshStaleHopSecondOrderFallback(t *testing.T) {
-	c := degradedCluster(t, "fullmesh")
-	dst := 5
-	c.nw.SetPartition([]int{0})
-	c.nw.RunFor(120 * time.Second)
-	e, ok := c.routers[0].BestHop(dst)
-	if !ok || e.Source != SourceStale {
-		t.Fatalf("expected stale entry, got %+v ok=%v", e, ok)
-	}
-	hop := e.Hop
-	c.dead[0][hop], c.dead[hop][0] = true, true
-	e2, ok := c.routers[0].BestHop(dst)
-	if !ok {
-		t.Fatal("no second-order fallback served after the first hop died")
-	}
-	if e2.Source != SourceStale {
-		t.Fatalf("fallback source = %v, want stale", e2.Source)
-	}
-	if e2.Hop == hop || e2.Hop < 0 {
-		t.Fatalf("fallback hop = %d, want a live hop other than dead %d", e2.Hop, hop)
-	}
-}
-
-func TestFullMeshStaleHopDamping(t *testing.T) {
-	c := degradedCluster(t, "fullmesh")
-	dst := 5
-	fresh, ok := c.routers[0].BestHop(dst)
-	if !ok || fresh.Source == SourceStale {
-		t.Fatalf("no fresh route before outage: %+v ok=%v", fresh, ok)
-	}
-	c.nw.SetPartition([]int{0})
-	// FullMesh keeps recomputing from stored rows until they age past
-	// Staleness (45 s here), re-stamping the entry each tick; only after
-	// that does the entry itself start aging. Run long enough for both.
-	c.nw.RunFor(120 * time.Second)
-	e, ok := c.routers[0].BestHop(dst)
-	if !ok {
-		t.Fatal("degraded mode did not serve the stale entry")
-	}
-	if e.Source != SourceStale {
-		t.Fatalf("source = %v, want stale", e.Source)
-	}
-	c.nw.RunFor(150 * time.Second)
-	if e, ok := c.routers[0].BestHop(dst); ok {
-		t.Errorf("entry served past the degraded hold: %+v", e)
 	}
 }
 

@@ -10,13 +10,16 @@ import (
 	"allpairs/internal/wire"
 )
 
-// countingEnv counts what its router sends.
+// countingEnv counts what its router sends, and sends it.
 type countingEnv struct {
 	*transport.SimEnv
 	sent int
 }
 
-func (e *countingEnv) Send(wire.NodeID, []byte) { e.sent++ }
+func (e *countingEnv) Send(to wire.NodeID, payload []byte) {
+	e.sent++
+	e.SimEnv.Send(to, payload)
+}
 
 // rowMessage encodes a k-entry row from src at (version, seq), every entry
 // alive at cost: a TLinkStateAsym row when asym, else a TLinkState one.

@@ -32,9 +32,6 @@ type QuorumConfig struct {
 	// Zero (the default) disables degraded mode; negative values also
 	// disable it (the explicit off-switch for callers that fill defaults).
 	DegradedHold time.Duration
-	// DisableFailover turns off §4.1's rapid rendezvous failover, for the
-	// ablation study.
-	DisableFailover bool
 	// Asymmetric runs the footnote 2 variant: round-1 rows carry both
 	// directed costs (5 bytes per entry), the link-state table keeps an
 	// in-cost matrix beside the out-cost one, and the same round 2 evaluates
@@ -51,6 +48,8 @@ type QuorumConfig struct {
 	// fixed positions of the clients' messages, so the worker count never
 	// changes the bytes sent.
 	Workers int
+	// disableFailover turns off §4.1's failover, leaving §4.2's fallback alone.
+	disableFailover bool
 }
 
 func (c *QuorumConfig) fill() {
@@ -137,19 +136,14 @@ type failoverState struct {
 }
 
 // Quorum is the two-round grid-quorum router (§3) with the failure handling
-// of §4.
+// of §4: the row core (its table holds its rendezvous clients' rows,
+// directional in asymmetric mode) plus the grid, both rounds and §4.1.
 type Quorum struct {
-	env  transport.Env
-	cfg  QuorumConfig
-	view *membership.ViewInfo
-	g    *grid.Grid
-	self int
-	seq  uint32
+	rowCore
+	cfg QuorumConfig
+	g   *grid.Grid
 
 	servers []int // g.Servers(self): the grid derives a set per call, round 1 reads this one every tick
-
-	table *lsdb.Table // rows received from rendezvous clients (directional in asymmetric mode)
-	routeTable
 
 	// rv's clocks pair dst with its default rendezvous: the common set for
 	// (self, dst) less this node, which always holds its own row. Only a view
@@ -159,11 +153,6 @@ type Quorum struct {
 	pendingAcks []uint32        // per server slot: the row seq awaiting its ack, 0 when none; nil unless reliable
 	stats       QuorumStats
 
-	// SelfRow returns the node's current measured link-state row (owned by
-	// the prober; read synchronously). Required.
-	SelfRow func() []wire.LinkEntry
-	// SelfAsymRow returns the directional row; required in asymmetric mode.
-	SelfAsymRow func() []wire.AsymEntry
 	// LinkAlive reports the prober's liveness belief for a slot. Required.
 	LinkAlive func(slot int) bool
 	// LinkResolved, if non-nil, reports whether any probe on the link to a slot
@@ -175,7 +164,6 @@ type Quorum struct {
 	// scratch buffers reused across ticks.
 	live       []bool // per destination: some default rendezvous is live
 	clientsBuf []int
-	costsBuf   []wire.Cost // unpacked live self row (out-costs, then in-costs when directional)
 	hopBuf     []lsdb.HopCost
 	srcBuf     []wire.Cost // masked source row of the self-row kernel calls
 }
@@ -183,43 +171,31 @@ type Quorum struct {
 // NewQuorum creates a quorum router for the node at slot self of view.
 func NewQuorum(env transport.Env, cfg QuorumConfig, view *membership.ViewInfo, self int) (*Quorum, error) {
 	cfg.fill()
-	q := &Quorum{env: env, cfg: cfg}
+	q := &Quorum{rowCore: rowCore{env: env, staleness: cfg.Staleness, hold: cfg.DegradedHold}, cfg: cfg}
 	if err := q.SetView(view, self); err != nil {
 		return nil, err
 	}
 	return q, nil
 }
 
-// SetView installs a new membership view, with exactly two outcomes. The
-// grid spans the view's slot space (tombstones masked out), so a stable
-// extension (membership.StableExtension — the only kind of change a
-// coordinator reign produces) is applied in place: tables grow, slots whose
-// occupant departed are retired individually, and everything about
-// unaffected members (stored rows, route entries, silence clocks, failover
-// episodes) is left bit-for-bit untouched. Any other install goes cold, as
-// the first one does: empty tables and routes, no failover episode, every
-// silence clock started now. Pending reliable-mode acks reset either way; the
-// sequence number and cumulative stats survive both.
+// SetView installs a new membership view (rowCore.installView). The grid
+// spans the view's slot space, tombstones masked out, so a stable extension
+// leaves the silence clocks and failover episodes of unaffected members
+// bit-for-bit untouched; a cold install opens no episode and starts every
+// clock now. Pending acks reset either way. A view the grid cannot span is
+// refused before anything changes.
 func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	g, err := grid.NewMasked(view.Slots(), view.OccupiedMask())
 	if err != nil {
 		return err
 	}
-	retired, _, stable := membership.StableExtension(q.view, q.self, view, self)
-	switch {
-	case stable:
-		q.stats.ViewExtends++
-	case q.view != nil:
-		q.stats.ViewRemaps++
+	fresh := lsdb.NewTable
+	if q.cfg.Asymmetric {
+		fresh = lsdb.NewDirectionalTable
 	}
-	n := view.Slots()
-	q.view, q.g, q.self, q.servers = view, g, self, g.Servers(self)
+	retired, stable := q.installView(view, self, fresh)
+	q.g, q.servers = g, g.Servers(self)
 	if stable {
-		q.table.Grow(n)
-		q.routes = extend(q.routes, n)
-		for _, s := range retired {
-			q.table.RetireSlot(s)
-		}
 		q.failovers = slices.DeleteFunc(q.failovers, func(fo failoverState) bool { return slices.Contains(retired, fo.dst) })
 		// A retired slot is no episode's server and no longer "tried": whoever
 		// is admitted into it is a candidate like any other.
@@ -232,34 +208,16 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 				delete(fo.tried, s)
 			}
 		}
-		retireRoutes(q.routes, retired)
 	} else {
-		if q.cfg.Asymmetric {
-			q.table = lsdb.NewDirectionalTable(n)
-		} else {
-			q.table = lsdb.NewTable(n)
-		}
-		q.routes = make([]route, n)
 		q.failovers = nil
 		q.rv = silence{}
 	}
-	q.table.SetTombstones(view.Tombstones())
 	q.pairRendezvous(retired)
-	q.live = make([]bool, n)
+	q.live = make([]bool, view.Slots())
 	if q.cfg.ReliableLinkState {
-		q.pendingAcks = make([]uint32, n)
+		q.pendingAcks = make([]uint32, view.Slots())
 	}
 	return nil
-}
-
-// extend returns s lengthened to n entries, the new ones zero. A per-slot
-// table lives as long as the view, so the storage is exactly n long: append
-// would leave spare capacity behind every stable extension.
-func extend[T any](s []T, n int) []T {
-	if n <= len(s) {
-		return s
-	}
-	return append(make([]T, 0, n), s...)[:n]
 }
 
 // pairRendezvous rebuilds the silence clocks for the view just installed. A
@@ -311,43 +269,23 @@ func (q *Quorum) pairRendezvous(retired []int) {
 	q.rv = next
 }
 
-// retireRoutes scrubs a route table of the slots a stable view extension
-// retired: entries toward a retired destination or through a retired hop are
-// dropped (the path no longer exists); a retired recommending rendezvous only
-// clears the provenance.
-func retireRoutes(routes []route, retired []int) {
-	if len(retired) == 0 {
-		return
-	}
-	for dst := range routes {
-		r := &routes[dst]
-		switch {
-		case r.source == SourceNone:
-		case slices.Contains(retired, dst) || slices.Contains(retired, int(r.hop)):
-			*r = route{}
-		case slices.Contains(retired, int(r.from)):
-			r.from = noSlot
-		}
-	}
-}
-
 // Interval implements Router.
 func (q *Quorum) Interval() time.Duration { return q.cfg.Interval }
 
 // Stats returns a copy of the router's counters.
-func (q *Quorum) Stats() QuorumStats { return q.stats }
+func (q *Quorum) Stats() QuorumStats {
+	st := q.stats
+	st.ViewExtends, st.ViewRemaps = q.viewExtends, q.viewRemaps
+	return st
+}
 
 // Grid exposes the quorum layout (read-only).
 func (q *Quorum) Grid() *grid.Grid { return q.g }
 
-// Table exposes the received-rows database (read-only, for §4.2 consumers
-// and tests).
-func (q *Quorum) Table() *lsdb.Table { return q.table }
-
 // Tick implements Router: one routing interval of the two-round protocol
 // plus the failure-detection pass.
 func (q *Quorum) Tick() {
-	q.table.Expire(q.env.Now(), q.cfg.Staleness+max(q.cfg.DegradedHold, 0))
+	q.expire()
 	q.sendLinkState()
 	q.sendRecommendations()
 	q.detectFailures()
@@ -381,7 +319,7 @@ func (q *Quorum) activeServers(dst []int) []int {
 // unacknowledged after retransmitTimeout are resent once.
 func (q *Quorum) sendLinkState() {
 	q.seq++
-	msg := q.buildLinkState()
+	msg := q.announce()
 	q.clientsBuf = q.activeServers(q.clientsBuf[:0])
 	for _, s := range q.clientsBuf {
 		q.env.Send(q.view.IDAt(s), msg)
@@ -435,36 +373,6 @@ func (q *Quorum) HandleLinkStateAck(h wire.Header, body []byte) {
 	if q.pendingAcks[slot] == seq {
 		q.pendingAcks[slot] = 0
 	}
-}
-
-// buildLinkState encodes the current measurements at the current sequence
-// number, in the configured row format, packed by the view's occupancy.
-func (q *Quorum) buildLinkState() []byte {
-	if q.cfg.Asymmetric {
-		return wire.PackLinkState(wire.AppendLinkStateAsym(nil, q.env.LocalID(), wire.LinkStateAsym{
-			ViewVersion: q.view.VersionNum(),
-			Seq:         q.seq,
-			Entries:     q.SelfAsymRow(),
-		}), q.view.Tombstones())
-	}
-	return wire.PackLinkState(wire.AppendLinkState(nil, q.env.LocalID(), wire.LinkState{
-		ViewVersion: q.view.VersionNum(),
-		Seq:         q.seq,
-		Entries:     q.SelfRow(),
-	}), q.view.Tombstones())
-}
-
-// selfCosts unpacks the live self row, in the configured row format, into
-// costsBuf: the node's out-costs self→h and its in-costs h→self, which are
-// one slice when rows carry one cost per link.
-func (q *Quorum) selfCosts() (out, in []wire.Cost) {
-	if q.cfg.Asymmetric {
-		row := q.SelfAsymRow()
-		q.costsBuf = lsdb.UnpackInCosts(lsdb.UnpackOutCosts(q.costsBuf[:0], row), row)
-		return q.costsBuf[:len(row):len(row)], q.costsBuf[len(row):]
-	}
-	q.costsBuf = lsdb.UnpackCosts(q.costsBuf[:0], q.SelfRow())
-	return q.costsBuf, q.costsBuf
 }
 
 // shardMinClients is the smallest fresh-client count worth forking the
@@ -594,31 +502,15 @@ func (q *Quorum) sweep(clients []int) (fwd, rev []lsdb.HopCost) {
 	return fwd, rev
 }
 
-// HandleLinkState implements Router: stores a client's row (making the
-// sender a rendezvous client of this node, including failover clients who
-// recruited us), scattered from the wire straight into the table. Only the
-// configured row format is accepted: a symmetric row carries no directional
-// data, and a directional one has no place in a symmetric table. Nothing of
-// the body is read before the sender is known to be another member.
+// HandleLinkState implements Router: a client's row is ingested
+// (rowCore.ingest), which makes the sender a rendezvous client of this node,
+// failover clients who recruited us included. In reliable mode every
+// well-formed row is acknowledged, kept or not.
 //
 //lint:allocfree
 func (q *Quorum) HandleLinkState(h wire.Header, body []byte) {
-	slot, ok := q.view.SlotOf(h.Src)
-	if !ok || slot == q.self || (h.Type == wire.TLinkStateAsym) != q.cfg.Asymmetric {
-		return
-	}
-	version, seq, entries, err := wire.LinkStateBody(h.Type, body)
-	if err != nil || version != q.view.VersionNum() || len(entries) != q.table.RowBytes() {
-		return
-	}
-	q.table.PutWire(slot, seq, q.env.Now(), entries)
-	q.maybeAck(h.Src, seq)
-}
-
-// maybeAck acknowledges a received row in reliable mode.
-func (q *Quorum) maybeAck(src wire.NodeID, seq uint32) {
-	if q.cfg.ReliableLinkState {
-		q.env.Send(src, wire.AppendLinkStateAck(nil, q.env.LocalID(), seq))
+	if seq, ok := q.ingest(h, body); ok && q.cfg.ReliableLinkState {
+		q.env.Send(h.Src, wire.AppendLinkStateAck(nil, q.env.LocalID(), seq))
 	}
 }
 
@@ -679,30 +571,11 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 	}
 }
 
-// BestHop implements Router. Resolution order (§4.2): a fresh recommendation
-// if one exists; otherwise the best one-hop computable from the neighbors'
-// rows this node holds as a rendezvous server; otherwise failure.
+// BestHop implements Router (rowCore.bestHop): a fresh recommendation, else
+// the fallback over the rows this node holds as a rendezvous server, with the
+// prober's liveness belief vouching for a stale entry's first hop.
 func (q *Quorum) BestHop(dst int) (RouteEntry, bool) {
-	if dst == q.self || dst < 0 || dst >= len(q.routes) {
-		return RouteEntry{Hop: -1, Cost: wire.InfCost}, false
-	}
-	now := q.env.Now()
-	r := q.routes[dst]
-	if r.source != SourceNone && r.hop != noSlot && time.Duration(now.UnixNano()-r.when) <= q.cfg.Staleness {
-		return r.entry(), true
-	}
-	selfOut, _ := q.selfCosts()
-	hop, cost := q.table.BestOneHopVia(selfOut, dst, now, q.cfg.Staleness)
-	if hop >= 0 && cost != wire.InfCost {
-		return RouteEntry{Hop: hop, Cost: cost, When: now, From: -1, Source: SourceFallback}, true
-	}
-	via := func() (int, wire.Cost) {
-		return q.table.BestOneHopVia(selfOut, dst, now, q.cfg.Staleness+q.cfg.DegradedHold)
-	}
-	if se, ok := staleHop(r.entry(), now, q.cfg.Staleness, q.cfg.DegradedHold, q.LinkAlive, via); ok {
-		return se, true
-	}
-	return RouteEntry{Hop: -1, Cost: wire.InfCost}, false
+	return q.bestHop(dst, q.LinkAlive)
 }
 
 // rendezvousLive reports whether rendezvous k, last heard about dst at heard,
@@ -769,7 +642,7 @@ func (q *Quorum) detectFailures() {
 			continue
 		}
 		doubles++
-		if q.cfg.DisableFailover {
+		if q.cfg.disableFailover {
 			continue
 		}
 		if !open {
@@ -830,7 +703,7 @@ func (q *Quorum) recruitFailover(dst int, fo *failoverState) {
 	// silently cancel every outstanding round-1 retransmission in reliable
 	// mode. Receivers accept an equal-sequence row with a newer timestamp,
 	// so the fresher measurements still land.
-	q.env.Send(q.view.IDAt(f), q.buildLinkState())
+	q.env.Send(q.view.IDAt(f), q.announce())
 	q.stats.LinkStatesSent++
 }
 

@@ -75,22 +75,10 @@ func newCluster(t *testing.T, n int, seed int64, algo string, qcfg QuorumConfig)
 			}
 			return row
 		}
-		var r Router
-		switch algo {
-		case "quorum":
-			q, err := NewQuorum(env, qcfg, c.view, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q.SelfRow = selfRow
+		r := newRouter(t, algo, env, qcfg, c.view, i)
+		rowsOf(r).SelfRow = selfRow
+		if q, ok := r.(*Quorum); ok {
 			q.LinkAlive = func(slot int) bool { return slot == i || !c.dead[i][slot] }
-			r = q
-		case "fullmesh":
-			f := NewFullMesh(env, FullMeshConfig{Interval: qcfg.Interval, DegradedHold: qcfg.DegradedHold}, c.view, i)
-			f.SelfRow = selfRow
-			r = f
-		default:
-			t.Fatalf("unknown algo %q", algo)
 		}
 		env.Bind(func(from wire.NodeID, payload []byte) {
 			h, body, err := wire.ParseHeader(payload)
@@ -124,6 +112,25 @@ func newCluster(t *testing.T, n int, seed int64, algo string, qcfg QuorumConfig)
 		c.envs[i].After(offset, tick)
 	}
 	return c
+}
+
+// newRouter builds the router algo names ("quorum" or "fullmesh") for the
+// node at slot self of view; the full mesh takes qcfg's interval and degraded
+// hold.
+func newRouter(t *testing.T, algo string, env transport.Env, qcfg QuorumConfig, view *membership.ViewInfo, self int) Router {
+	t.Helper()
+	switch algo {
+	case "quorum":
+		q, err := NewQuorum(env, qcfg, view, self)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	case "fullmesh":
+		return NewFullMesh(env, FullMeshConfig{Interval: qcfg.Interval, DegradedHold: qcfg.DegradedHold}, view, self)
+	}
+	t.Fatalf("unknown algo %q", algo)
+	return nil
 }
 
 // setLink changes ground truth for the (symmetric) pair and mirrors the
@@ -406,7 +413,7 @@ func TestFallbackWithFailoverDisabled(t *testing.T) {
 	// still produce a usable (possibly suboptimal) route from neighbor rows.
 	n := 25
 	r := 15 * time.Second
-	c := newCluster(t, n, 23, "quorum", QuorumConfig{Interval: r, DisableFailover: true})
+	c := newCluster(t, n, 23, "quorum", QuorumConfig{Interval: r, disableFailover: true})
 	c.nw.RunFor(4 * r)
 
 	src, dst := 0, 18

@@ -1,0 +1,185 @@
+package core
+
+import (
+	"slices"
+	"time"
+
+	"allpairs/internal/lsdb"
+	"allpairs/internal/membership"
+	"allpairs/internal/transport"
+	"allpairs/internal/wire"
+)
+
+// rowCore is the link-state half Quorum and FullMesh embed, so that the
+// paper's comparison is like for like: both take, age out, announce and fall
+// back on rows (§4.2), and install views, by these rules. The row format is
+// the table's: a directional one (footnote 2) takes TLinkStateAsym rows and
+// announces SelfAsymRow, a symmetric one TLinkState rows and SelfRow.
+type rowCore struct {
+	env  transport.Env
+	view *membership.ViewInfo
+	self int
+	seq  uint32
+
+	// staleness bounds the age of a row read and of a route served; hold is
+	// degraded mode's grace past it (≤ 0 disables degraded mode).
+	staleness, hold time.Duration
+
+	table *lsdb.Table // rows received from peers
+	routeTable
+
+	costsBuf []wire.Cost // unpacked live self row (out-costs, then in-costs when directional)
+
+	viewExtends, viewRemaps uint64 // installs taken as stable extensions; re-installs gone cold
+
+	// SelfRow returns the node's current measured link-state row (owned by
+	// the prober; read synchronously). Required.
+	SelfRow func() []wire.LinkEntry
+	// SelfAsymRow returns the directional row; required when the table is
+	// directional.
+	SelfAsymRow func() []wire.AsymEntry
+}
+
+// installView installs a view, with two outcomes. A stable extension
+// (membership.StableExtension, the only change a coordinator reign makes)
+// grows the table and routes in place and retires exactly the departed slots;
+// any other install goes cold like the first: a fresh(n) table, no routes.
+// seq and the counters survive both. The router's own state follows retired.
+func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n int) *lsdb.Table) (retired []int, stable bool) {
+	retired, _, stable = membership.StableExtension(c.view, c.self, view, self)
+	switch {
+	case stable:
+		c.viewExtends++
+	case c.view != nil:
+		c.viewRemaps++
+	}
+	n := view.Slots()
+	c.view, c.self = view, self
+	if stable {
+		c.table.Grow(n)
+		c.routes = extend(c.routes, n)
+		for _, s := range retired {
+			c.table.RetireSlot(s)
+		}
+		retireRoutes(c.routes, retired)
+	} else {
+		c.table = fresh(n)
+		c.routes = make([]route, n)
+	}
+	c.table.SetTombstones(view.Tombstones())
+	return retired, stable
+}
+
+// extend returns s lengthened to n entries, the new ones zero. A per-slot
+// table lives as long as the view, so the storage is exactly n long: append
+// would leave spare capacity behind every stable extension.
+func extend[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(make([]T, 0, n), s...)[:n]
+}
+
+// retireRoutes scrubs a route table of the slots a stable view extension
+// retired: entries toward a retired destination or through a retired hop are
+// dropped (the path no longer exists); a retired recommending rendezvous only
+// clears the provenance.
+func retireRoutes(routes []route, retired []int) {
+	if len(retired) == 0 {
+		return
+	}
+	for dst := range routes {
+		r := &routes[dst]
+		switch {
+		case r.source == SourceNone:
+		case slices.Contains(retired, dst) || slices.Contains(retired, int(r.hop)):
+			*r = route{}
+		case slices.Contains(retired, int(r.from)):
+			r.from = noSlot
+		}
+	}
+}
+
+// expire drops every row too old to be read: past staleness, plus the
+// degraded hold while degraded mode may still fall back on it.
+func (c *rowCore) expire() {
+	c.table.Expire(c.env.Now(), c.staleness+max(c.hold, 0))
+}
+
+// announce encodes the node's measured row at the current sequence number, in
+// the table's row format, packed by the view's occupancy.
+func (c *rowCore) announce() []byte {
+	if c.table.Directional() {
+		return wire.PackLinkState(wire.AppendLinkStateAsym(nil, c.env.LocalID(), wire.LinkStateAsym{
+			ViewVersion: c.view.VersionNum(),
+			Seq:         c.seq,
+			Entries:     c.SelfAsymRow(),
+		}), c.view.Tombstones())
+	}
+	return wire.PackLinkState(wire.AppendLinkState(nil, c.env.LocalID(), wire.LinkState{
+		ViewVersion: c.view.VersionNum(),
+		Seq:         c.seq,
+		Entries:     c.SelfRow(),
+	}), c.view.Tombstones())
+}
+
+// selfCosts unpacks the live self row, in the table's row format, into
+// costsBuf: the node's out-costs self→h and its in-costs h→self, which are
+// one slice when rows carry one cost per link.
+func (c *rowCore) selfCosts() (out, in []wire.Cost) {
+	if c.table.Directional() {
+		row := c.SelfAsymRow()
+		c.costsBuf = lsdb.UnpackInCosts(lsdb.UnpackOutCosts(c.costsBuf[:0], row), row)
+		return c.costsBuf[:len(row):len(row)], c.costsBuf[len(row):]
+	}
+	c.costsBuf = lsdb.UnpackCosts(c.costsBuf[:0], c.SelfRow())
+	return c.costsBuf, c.costsBuf
+}
+
+// ingest scatters a well-formed row — another member's, in the table's
+// format, built against this view, an entry per member — from the wire into
+// the table, reading no body byte before the sender is known. It reports the
+// seq of every well-formed row, whether the table kept it or held a newer one.
+//
+//lint:allocfree
+func (c *rowCore) ingest(h wire.Header, body []byte) (seq uint32, ok bool) {
+	slot, ok := c.view.SlotOf(h.Src)
+	if !ok || slot == c.self || (h.Type == wire.TLinkStateAsym) != c.table.Directional() {
+		return 0, false
+	}
+	version, seq, entries, err := wire.LinkStateBody(h.Type, body)
+	if err != nil || version != c.view.VersionNum() || len(entries) != c.table.RowBytes() {
+		return 0, false
+	}
+	c.table.PutWire(slot, seq, c.env.Now(), entries)
+	return seq, true
+}
+
+// bestHop is both routers' BestHop (§4.2): the installed route while fresh,
+// else the best one-hop over the self row and the fresh rows held, else the
+// damped last-known-good entry (staleHop) whose first hop alive vouches for.
+func (c *rowCore) bestHop(dst int, alive func(slot int) bool) (RouteEntry, bool) {
+	if dst == c.self || dst < 0 || dst >= len(c.routes) {
+		return RouteEntry{Hop: -1, Cost: wire.InfCost}, false
+	}
+	now := c.env.Now()
+	r := c.routes[dst]
+	if r.source != SourceNone && r.hop != noSlot && time.Duration(now.UnixNano()-r.when) <= c.staleness {
+		return r.entry(), true
+	}
+	selfOut, _ := c.selfCosts()
+	hop, cost := c.table.BestOneHopVia(selfOut, dst, now, c.staleness)
+	if hop >= 0 && cost != wire.InfCost {
+		return RouteEntry{Hop: hop, Cost: cost, When: now, From: -1, Source: SourceFallback}, true
+	}
+	via := func() (int, wire.Cost) {
+		return c.table.BestOneHopVia(selfOut, dst, now, c.staleness+c.hold)
+	}
+	if se, ok := staleHop(r.entry(), now, c.staleness, c.hold, alive, via); ok {
+		return se, true
+	}
+	return RouteEntry{Hop: -1, Cost: wire.InfCost}, false
+}
+
+// Table exposes the received-rows database (read-only).
+func (c *rowCore) Table() *lsdb.Table { return c.table }

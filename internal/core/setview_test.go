@@ -42,75 +42,85 @@ var nonStableInstalls = []struct {
 	{"own slot changes", []wire.NodeID{wire.NilNode, 1, 2, 3, 4, 5, 6, 7, 8, 0}, 9},
 }
 
-func TestQuorumSetViewNonStableGoesCold(t *testing.T) {
-	viewState := func(q *Quorum) []any {
-		return []any{q.view, q.self, q.g, q.table, q.routes,
-			q.rv, q.failovers, q.pendingAcks, q.live}
+// rowsOf returns the row core a router embeds: the tests of its rules run
+// over both routers.
+func rowsOf(r Router) *rowCore {
+	switch r := r.(type) {
+	case *Quorum:
+		return &r.rowCore
+	case *FullMesh:
+		return &r.rowCore
 	}
-	for _, tc := range nonStableInstalls {
-		t.Run(tc.name, func(t *testing.T) {
-			c := newCluster(t, 9, 5, "quorum", QuorumConfig{})
-			c.nw.RunFor(2 * time.Minute)
-			q := c.routers[0].(*Quorum)
-			before, seq := q.Stats(), q.seq
-			if before.LinkStatesSent == 0 || before.PairsComputed == 0 {
-				t.Fatalf("router holds no state to lose: %+v", before)
-			}
-			q.failovers = []failoverState{{dst: 4, server: 7, tried: map[int]bool{7: true}}}
-			next := slotView(t, 2, tc.ids...)
-			if err := q.SetView(next, tc.self); err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := NewQuorum(q.env, q.cfg, next, tc.self)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := viewState(q), viewState(fresh); !reflect.DeepEqual(got, want) {
-				t.Errorf("state after a non-stable install differs from a fresh router's:\n got %+v\nwant %+v", got, want)
-			}
-			before.ViewRemaps++
-			if after := q.Stats(); after != before || q.seq != seq {
-				t.Errorf("counters = %+v seq %d, want %+v seq %d", after, q.seq, before, seq)
-			}
-		})
-	}
+	panic("unknown router")
 }
 
-func TestFullMeshSetViewNonStableGoesCold(t *testing.T) {
-	type counters struct{ sent, recomputes, extends, remaps, seq uint64 }
-	read := func(f *FullMesh) (c counters) {
-		c.sent, c.seq, c.recomputes = f.LinkStatesSent(), uint64(f.seq), f.stats.recomputes
-		c.extends, c.remaps = f.ViewChangeStats()
-		return c
-	}
+// The non-stable install is one test over both routers: the row core's cold
+// install is checked through each, and each router's own state beside it.
+func TestQuorumSetViewNonStableGoesCold(t *testing.T) { testSetViewNonStableGoesCold(t, "quorum") }
+
+func TestFullMeshSetViewNonStableGoesCold(t *testing.T) { testSetViewNonStableGoesCold(t, "fullmesh") }
+
+func testSetViewNonStableGoesCold(t *testing.T, algo string) {
 	for _, tc := range nonStableInstalls {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newCluster(t, 9, 5, "fullmesh", QuorumConfig{})
+			c := newCluster(t, 9, 5, algo, QuorumConfig{})
+			r, rows := c.routers[0], rowsOf(c.routers[0])
+			env := &countingEnv{SimEnv: c.envs[0]}
+			rows.env = env
 			c.nw.RunFor(3 * time.Minute)
-			f := c.routers[0].(*FullMesh)
-			before := read(f)
-			if before.sent == 0 || before.recomputes == 0 || !f.table.Have(1) {
-				t.Fatalf("router holds no state to lose: %+v", before)
+			seq, extends, remaps := rows.seq, rows.viewExtends, rows.viewRemaps
+			if env.sent == 0 || !rows.table.Have(1) {
+				t.Fatalf("router holds no state to lose: sent %d rows, holds slot 1's: %v", env.sent, rows.table.Have(1))
+			}
+			var stats QuorumStats
+			var recomputes uint64
+			switch r := r.(type) {
+			case *Quorum:
+				if stats = r.Stats(); stats.PairsComputed == 0 {
+					t.Fatalf("router computed no pairs: %+v", stats)
+				}
+				r.failovers = []failoverState{{dst: 4, server: 7, tried: map[int]bool{7: true}}}
+			case *FullMesh:
+				if recomputes = r.recomputes; recomputes == 0 {
+					t.Fatal("router never recomputed")
+				}
 			}
 			next := slotView(t, 2, tc.ids...)
-			f.SetView(next, tc.self)
-			fresh := NewFullMesh(f.env, f.cfg, next, tc.self)
-			for _, r := range []*FullMesh{f, fresh} {
-				r.SelfRow = func() []wire.LinkEntry { return make([]wire.LinkEntry, next.Slots()) }
+			if err := r.SetView(next, tc.self); err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(f.table, fresh.table) || !reflect.DeepEqual(f.routes, fresh.routes) {
-				t.Error("state after a non-stable install differs from a fresh router's")
+			fresh := newRouter(t, algo, env, QuorumConfig{}, next, tc.self)
+			freshRows := rowsOf(fresh)
+			if got, want := []any{rows.view, rows.self, rows.table, rows.routes}, []any{freshRows.view, freshRows.self, freshRows.table, freshRows.routes}; !reflect.DeepEqual(got, want) {
+				t.Errorf("rows after a non-stable install differ from a fresh router's:\n got %+v\nwant %+v", got, want)
 			}
-			before.remaps++
-			if after := read(f); after != before {
-				t.Errorf("counters = %+v, want %+v", after, before)
+			if rows.seq != seq || rows.viewExtends != extends || rows.viewRemaps != remaps+1 {
+				t.Errorf("seq %d extends %d remaps %d, want %d %d %d", rows.seq, rows.viewExtends, rows.viewRemaps, seq, extends, remaps+1)
 			}
-			// The scratch buffers are dead weight, not state: the next
-			// recompute has a fresh router's result.
-			f.recompute()
-			fresh.recompute()
-			if !reflect.DeepEqual(f.routes, fresh.routes) {
-				t.Errorf("first recompute after a cold install differs from a fresh router's:\n got %+v\nwant %+v", f.routes, fresh.routes)
+			switch r := r.(type) {
+			case *Quorum:
+				f := fresh.(*Quorum)
+				if got, want := []any{r.g, r.rv, r.failovers, r.pendingAcks, r.live}, []any{f.g, f.rv, f.failovers, f.pendingAcks, f.live}; !reflect.DeepEqual(got, want) {
+					t.Errorf("state after a non-stable install differs from a fresh router's:\n got %+v\nwant %+v", got, want)
+				}
+				stats.ViewRemaps++
+				if after := r.Stats(); after != stats {
+					t.Errorf("counters = %+v, want %+v", after, stats)
+				}
+			case *FullMesh:
+				if r.recomputes != recomputes {
+					t.Errorf("recomputes = %d, want %d", r.recomputes, recomputes)
+				}
+				// The scratch buffers are dead weight, not state: the next
+				// recompute has a fresh router's result.
+				for _, rows := range []*rowCore{rows, freshRows} {
+					rows.SelfRow = func() []wire.LinkEntry { return make([]wire.LinkEntry, next.Slots()) }
+				}
+				r.recompute()
+				fresh.(*FullMesh).recompute()
+				if !reflect.DeepEqual(rows.routes, freshRows.routes) {
+					t.Errorf("first recompute after a cold install differs from a fresh router's:\n got %+v\nwant %+v", rows.routes, freshRows.routes)
+				}
 			}
 		})
 	}
@@ -134,69 +144,87 @@ func aliveRow(n, self int) []wire.LinkEntry {
 	return lsdb.SelfRow(self, row)
 }
 
-func TestQuorumSetViewStableKeepsState(t *testing.T) {
+// The stable install is one test over both routers: the row core keeps every
+// row and route the change left alone and drops the rest, checked through
+// each; the quorum's silence clocks and failover episodes are its own extra
+// check.
+func TestQuorumSetViewStableKeepsState(t *testing.T) { testSetViewStableKeepsState(t, "quorum") }
+
+func TestFullMeshSetViewStableKeepsState(t *testing.T) { testSetViewStableKeepsState(t, "fullmesh") }
+
+func testSetViewStableKeepsState(t *testing.T, algo string) {
 	env, nw := soloEnv()
 	// A 3×3 grid seen from its corner: rows {0 1 2} {3 4 5} {6 7 8}.
-	q, err := NewQuorum(env, QuorumConfig{Interval: 15 * time.Second}, slotView(t, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stored client rows and live routes: to ID 2 via ID 3, to ID 6 direct.
+	r := newRouter(t, algo, env, QuorumConfig{Interval: 15 * time.Second}, slotView(t, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8), 0)
+	rows := rowsOf(r)
+	q, _ := r.(*Quorum) // nil for the full mesh
+	// Stored rows and live routes: to ID 2 via ID 3, to ID 6 direct.
 	began := env.Now()
-	if !q.table.Put(3, lsdb.Row{Seq: 3, When: began, Entries: aliveRow(9, 3)}) ||
-		!q.table.Put(6, lsdb.Row{Seq: 7, When: began, Entries: aliveRow(9, 6)}) {
+	if !rows.table.Put(3, lsdb.Row{Seq: 3, When: began, Entries: aliveRow(9, 3)}) ||
+		!rows.table.Put(6, lsdb.Row{Seq: 7, When: began, Entries: aliveRow(9, 6)}) {
 		t.Fatal("rows not stored")
 	}
-	q.routes[2] = route{hop: 3, cost: 30, when: began.UnixNano(), from: 3, source: SourceRendezvous}
-	q.routes[6] = route{hop: 6, cost: 40, when: began.UnixNano(), from: 3, source: SourceRendezvous}
-	// Every pairing has been heard from since the view began, each at its own
-	// moment, and an episode toward slot 8 has tried slots 2 and 5.
+	rows.routes[2] = route{hop: 3, cost: 30, when: began.UnixNano(), from: 3, source: SourceRendezvous}
+	rows.routes[6] = route{hop: 6, cost: 40, when: began.UnixNano(), from: 3, source: SourceRendezvous}
 	nw.RunFor(10 * time.Second)
-	for i := range q.rv.heard {
-		q.rv.heard[i] = env.Now().UnixNano() + int64(i)
-	}
-	was, hadDeputy := clocks(q), q.rv.clock(5, 4) != nil
-	q.failovers = []failoverState{
-		{dst: 3, server: 4, tried: map[int]bool{4: true}},
-		{dst: 8, server: 5, heard: 77, tried: map[int]bool{2: true, 5: true}},
+	var was map[[2]int]int64
+	var hadDeputy bool
+	if q != nil {
+		// Every pairing has been heard from since the view began, each at its
+		// own moment, and an episode toward slot 8 has tried slots 2 and 5.
+		for i := range q.rv.heard {
+			q.rv.heard[i] = env.Now().UnixNano() + int64(i)
+		}
+		was, hadDeputy = clocks(q), q.rv.clock(5, 4) != nil
+		q.failovers = []failoverState{
+			{dst: 3, server: 4, tried: map[int]bool{4: true}},
+			{dst: 8, server: 5, heard: 77, tried: map[int]bool{2: true, 5: true}},
+		}
 	}
 
 	// ID 2 leaves behind a tombstone, ID 3 is replaced in its slot by ID 20,
 	// ID 9 joins at a new slot: nobody moves.
 	nw.RunFor(10 * time.Second)
 	installed := env.Now().UnixNano()
-	if err := q.SetView(slotView(t, 2, 0, 1, wire.NilNode, 20, 4, 5, 6, 7, 8, 9), 0); err != nil {
+	if err := r.SetView(slotView(t, 2, 0, 1, wire.NilNode, 20, 4, 5, 6, 7, 8, 9), 0); err != nil {
 		t.Fatal(err)
 	}
-	if st := q.Stats(); st.ViewExtends != 1 || st.ViewRemaps != 0 {
-		t.Fatalf("extends=%d remaps=%d, want 1/0", st.ViewExtends, st.ViewRemaps)
+	if rows.viewExtends != 1 || rows.viewRemaps != 0 {
+		t.Fatalf("extends=%d remaps=%d, want 1/0", rows.viewExtends, rows.viewRemaps)
 	}
-	// The route via the departed hop is dropped; the one it merely
-	// recommended survives in place with its provenance cleared.
-	if q.routes[2].entry().Source != SourceNone {
-		t.Errorf("route through the departed hop survived: %+v", q.routes[2].entry())
+	// The route to the departed member, through the departed hop, is dropped;
+	// the one the departed member merely recommended survives in place with
+	// its provenance cleared.
+	if rows.routes[2].entry().Source != SourceNone {
+		t.Errorf("route through the departed hop survived: %+v", rows.routes[2].entry())
 	}
-	if e := q.routes[6].entry(); e.Source != SourceRendezvous || e.Hop != 6 || e.Cost != 40 || e.From != -1 {
+	if e := rows.routes[6].entry(); e.Source != SourceRendezvous || e.Hop != 6 || e.Cost != 40 || e.From != -1 {
 		t.Errorf("unaffected route = %+v, want hop 6 cost 40 from -1", e)
 	}
-	// The departed client's row is gone; the survivor's keeps its slot and
+	// The departed member's row is gone; the survivor's keeps its slot and
 	// sequence number, reads the departed member dead and the newcomer
 	// unknown, and everyone else as before.
-	if q.table.Have(3) {
+	if rows.table.Have(3) {
 		t.Error("departed member's row survived")
 	}
-	if !q.table.Have(6) || q.table.Seq(6) != 7 || !q.table.When(6).Equal(began) {
+	if !rows.table.Have(6) || rows.table.Seq(6) != 7 || !rows.table.When(6).Equal(began) {
 		t.Fatalf("survivor's row: have %v seq %d when %v, want seq 7 received at %v",
-			q.table.Have(6), q.table.Seq(6), q.table.When(6), began)
+			rows.table.Have(6), rows.table.Seq(6), rows.table.When(6), began)
 	}
-	if r := q.table.OutRow(6); r[4] != 50 || r[3] != wire.InfCost || r[9] != wire.InfCost {
+	if r := rows.table.OutRow(6); r[4] != 50 || r[3] != wire.InfCost || r[9] != wire.InfCost {
 		t.Errorf("survivor's costs to 4/3/9 = %d/%d/%d, want 50/Inf/Inf", r[4], r[3], r[9])
 	}
-	if len(q.table.OutRow(0)) != 10 || cap(q.routes) != 10 || cap(q.live) != 10 {
-		t.Errorf("slot space not extended to exactly 10: table %d routes %d liveness %d",
-			len(q.table.OutRow(0)), cap(q.routes), cap(q.live))
+	if len(rows.table.OutRow(0)) != 10 || len(rows.routes) != 10 || cap(rows.routes) != 10 {
+		t.Errorf("slot space not extended to exactly 10: table %d routes %d (cap %d)",
+			len(rows.table.OutRow(0)), len(rows.routes), cap(rows.routes))
+	}
+	if q == nil {
+		return
 	}
 
+	if st := q.Stats(); st.ViewExtends != 1 || st.ViewRemaps != 0 || cap(q.live) != 10 {
+		t.Errorf("stats extends=%d remaps=%d, want 1/0; liveness %d slots, want 10", st.ViewExtends, st.ViewRemaps, cap(q.live))
+	}
 	// The silence table is the new grid's common sets less this node. A
 	// pairing both views hold, neither end retired, keeps its clock; every
 	// other — toward or through the reused slot 3, toward the newcomer 9, a
@@ -261,32 +289,3 @@ func TestQuorumSetViewStableKeepsState(t *testing.T) {
 		t.Errorf("surviving episodes = %+v, want toward 8: server 5 heard 77 tried {5}", q.failovers)
 	}
 }
-
-func TestFullMeshSetViewStableKeepsState(t *testing.T) {
-	env, _ := soloEnv()
-	f := NewFullMesh(env, FullMeshConfig{}, slotView(t, 1, 0, 1, 2), 0)
-	now := env.Now()
-	f.routes[1] = route{hop: 1, cost: 10, when: now.UnixNano(), from: noSlot, source: SourceSelf}
-	f.routes[2] = route{hop: 2, cost: 25, when: now.UnixNano(), from: noSlot, source: SourceSelf}
-	f.table.Put(2, lsdb.Row{Seq: 2, When: now, Entries: aliveRow(3, 2)})
-
-	f.SetView(slotView(t, 2, 0, wire.NilNode, 2, 7), 0)
-	if extends, remaps := f.ViewChangeStats(); extends != 1 || remaps != 0 {
-		t.Fatalf("extends=%d remaps=%d, want 1/0", extends, remaps)
-	}
-	if f.routes[1].entry().Source != SourceNone {
-		t.Errorf("route to the departed member survived: %+v", f.routes[1].entry())
-	}
-	if e := f.routes[2].entry(); e.Source != SourceSelf || e.Hop != 2 || e.Cost != 25 {
-		t.Errorf("unaffected route = %+v", e)
-	}
-	if !f.table.Have(2) || f.table.Seq(2) != 2 || f.table.OutRow(2)[1] != wire.InfCost {
-		t.Errorf("survivor's row: have %v seq %d costs %v", f.table.Have(2), f.table.Seq(2), f.table.OutRow(2))
-	}
-	if len(f.table.OutRow(0)) != 4 || len(f.routes) != 4 {
-		t.Errorf("slot space not extended: table %d routes %d", len(f.table.OutRow(0)), len(f.routes))
-	}
-}
-
-// LinkStatesSent returns the number of link-state broadcasts sent.
-func (f *FullMesh) LinkStatesSent() uint64 { return f.stats.linkStatesSent }

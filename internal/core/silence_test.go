@@ -47,7 +47,7 @@ func recommend(q *Quorum, from, dst, hop wire.NodeID) {
 // clock that restarted at each install — what the start-of-view grace did —
 // would never expire under steady churn.
 func TestSilenceClockSurvivesStableInstall(t *testing.T) {
-	q, run := cornerQuorum(t, QuorumConfig{DisableFailover: true}, nil)
+	q, run := cornerQuorum(t, QuorumConfig{disableFailover: true}, nil)
 	doubles := func() int {
 		q.detectFailures()
 		return q.Stats().DoubleFailures

@@ -177,9 +177,6 @@ func (s *Simulation) ProbingKbps() float64 {
 	return metrics.Kbps(total, s.Elapsed()) / float64(s.N())
 }
 
-// node returns the underlying overlay node (for white-box tests).
-func (s *Simulation) node(i int) *overlay.Node { return s.fleet.Nodes[i] }
-
 // OnData installs a data-plane delivery handler on one node: fn receives
 // every application payload addressed to it, with the originating node's ID.
 func (s *Simulation) OnData(node NodeID, fn func(origin NodeID, payload []byte)) {
