@@ -210,15 +210,27 @@ func (f *DynamicFleet) CoordEndpointAt(rank int) int { return f.Opt.MaxN + rank 
 // Coordinator returns the rank-r replica.
 func (f *DynamicFleet) Coordinator(rank int) *membership.Coordinator { return f.coords[rank] }
 
-// Primary returns the lowest-rank replica that currently considers itself
-// primary, or nil when none does (mid-election).
+// Primary returns the replica that currently considers itself primary at the
+// highest view stamp, the lowest rank on a tie, or nil when none does
+// (mid-election). A replica restarted with no state can claim primary at its
+// stale stamp beside the real primary for a few seconds; the stamp tells the
+// two apart.
 func (f *DynamicFleet) Primary() *membership.Coordinator {
+	prim, _ := f.primary()
+	return prim
+}
+
+// primary returns Primary and how many replicas claim primary: one in a
+// settled replica set, more during a split brain.
+func (f *DynamicFleet) primary() (prim *membership.Coordinator, claims int) {
 	for _, c := range f.coords {
 		if c.IsPrimary() {
-			return c
+			if claims++; prim == nil || c.Stamp().After(prim.Stamp()) {
+				prim = c
+			}
 		}
 	}
-	return nil
+	return prim, claims
 }
 
 // CrashCoordinator fail-stops the rank-r replica: its timers die and its
@@ -245,16 +257,8 @@ func (f *DynamicFleet) RestartCoordinator(rank int) {
 // primary and every live, joined node holds that primary's view stamp — the
 // post-heal acceptance condition.
 func (f *DynamicFleet) ViewsConverged() bool {
-	var prim *membership.Coordinator
-	for _, c := range f.coords {
-		if c.IsPrimary() {
-			if prim != nil {
-				return false
-			}
-			prim = c
-		}
-	}
-	if prim == nil {
+	prim, claims := f.primary()
+	if claims != 1 {
 		return false
 	}
 	want := prim.Stamp()
@@ -662,7 +666,9 @@ type ChurnResult struct {
 	// Lifecycle totals. A nonzero SpawnsDropped means endpoint capacity ran
 	// out and the run measured fewer joins than the scenario demanded.
 	Joins, Leaves, Crashes, SpawnsDropped int
-	FinalMembers                          int
+	// FinalMembers is the member count of the primary at the end (Primary),
+	// and PrimaryClaims how many replicas claimed primary then.
+	FinalMembers, PrimaryClaims int
 
 	// Fault-injection summary. ConvergedAfter is how long after the
 	// schedule's OpWatch (the crash for ChurnCoordCrash, the heal for
@@ -737,11 +743,11 @@ func RunChurn(opt ChurnOptions) *ChurnResult {
 
 	res.Joins, res.Leaves, res.Crashes, res.SpawnsDropped = f.Joins, f.Leaves, f.Crashes, f.SpawnsDropped
 	res.CoordCrashes, res.CoordRestarts, res.PartitionSize = f.CoordCrashes, f.CoordRestarts, f.PartitionSize
-	final := f.Primary()
+	final, claims := f.primary()
 	if final == nil {
 		final = f.Coord
 	}
-	res.FinalMembers = final.MemberCount()
+	res.FinalMembers, res.PrimaryClaims = final.MemberCount(), claims
 	res.CoordMsgs = f.CoordMembershipPackets()
 	for r := 0; r < opt.Coordinators; r++ {
 		s := f.Coordinator(r).Stats()
@@ -875,6 +881,9 @@ func (r *ChurnResult) Format() string {
 	}
 	fmt.Fprintf(&b, "# joins=%d leaves=%d crashes=%d final_members=%d\n",
 		r.Joins, r.Leaves, r.Crashes, r.FinalMembers)
+	if r.PrimaryClaims > 1 {
+		fmt.Fprintf(&b, "# WARNING: %d replicas claim primary at the end; final_members reads the one at the highest view stamp\n", r.PrimaryClaims)
+	}
 	if r.SpawnsDropped > 0 {
 		fmt.Fprintf(&b, "# WARNING: %d joins dropped (endpoint capacity exhausted); results cover a smaller overlay than configured\n", r.SpawnsDropped)
 	}

@@ -20,7 +20,10 @@ import (
 // planes the datagrams no longer sent shift the network's random stream.
 // All ten moved once more when members stopped pulling on a timer: the
 // periodic round drew from every member's stream, and stragglers now catch up
-// from the view version on their peers' routing messages.
+// from the view version on their peers' routing messages. The partition row
+// moved alone when the harness began reading the primary at the highest view
+// stamp: during the split brain its prim column reads the rank-2 replica the
+// majority side elected, not the rank-1 standby cut off with the minority.
 // The last row is the shape that tells the order of a convergence poll and a
 // same-instant churn step apart (it reads after=16s; polling after the step
 // reads 15s). It has moved twice because a shape stopped telling them apart:
@@ -40,7 +43,7 @@ func TestChurnScenariosGolden(t *testing.T) {
 		{short(ChurnFlashCrowd), "4cf659854c1aa181"},
 		{short(ChurnMassDeparture), "d327d2ade61aa3db"},
 		{short(ChurnCoordCrash), "2cc0fb78d931ccd5"},
-		{short(ChurnPartition), "faa6a249e8a8d011"},
+		{short(ChurnPartition), "0ad155247bb238ec"},
 		{short(ChurnRegional), "983a1d475c8ab4e1"},
 		{short(ChurnLossyGossip), "2edcc64ff6f018c4"},
 		{short(ChurnGossipCrash), "8c1319dd6525c9b1"},

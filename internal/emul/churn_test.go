@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,6 +116,23 @@ func TestChurnCoordCrashFailover(t *testing.T) {
 	if res.MeanAvailability < 0.95 {
 		t.Errorf("mean availability = %.4f through a coordinator crash, want ≥ 0.95\n%s",
 			res.MeanAvailability, res.Format())
+	}
+}
+
+func TestChurnFinalMembersReadTheLatestPrimary(t *testing.T) {
+	// experiments churn -n 8 -scenario coord-crash -minutes 3 -seed 1
+	// -coords 3: the crashed ex-primary restarts, with no state, at the run's
+	// last instant and claims primary at its stale stamp beside the standby
+	// that leads at the newer one. The result reads the standby's members and
+	// flags the second claim.
+	res := RunChurn(ChurnOptions{N: 8, Scenario: ChurnCoordCrash, Duration: 3 * time.Minute, Seed: 1,
+		Coordinators: 3, PartitionFor: time.Minute, CoordRestartAfter: 2 * time.Minute})
+	out := res.Format()
+	if res.FinalMembers != 8 || !strings.Contains(out, "final_members=8") {
+		t.Errorf("final members = %d, want 8: the primary at the stale stamp was read\n%s", res.FinalMembers, out)
+	}
+	if res.PrimaryClaims != 2 || !strings.Contains(out, "# WARNING: 2 replicas claim primary") {
+		t.Errorf("%d primary claims at the end, want the restarted replica's beside the standby's, flagged\n%s", res.PrimaryClaims, out)
 	}
 }
 
