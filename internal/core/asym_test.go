@@ -200,25 +200,34 @@ func TestAsymmetricFallback(t *testing.T) {
 
 func TestAsymmetricMessageFormatRejected(t *testing.T) {
 	// A symmetric-mode router must ignore asymmetric rows and vice versa; the
-	// full-mesh baseline's table is symmetric.
-	c := newAsymCluster(t, 9, 9)
-	q := c.routers[0]
-	msg := wire.AppendLinkState(nil, 3, wire.LinkState{ViewVersion: 1, Seq: 1, Entries: make([]wire.LinkEntry, 9)})
-	h, body, _ := wire.ParseHeader(msg)
-	q.HandleLinkState(h, body) // symmetric row into asym router
-	if q.Table().Have(3) {
-		t.Error("symmetric row stored by asymmetric router")
-	}
-	sym := newCluster(t, 9, 9, "quorum", QuorumConfig{}).routers[0].(*Quorum)
-	msg = wire.AppendLinkStateAsym(nil, 3, wire.LinkStateAsym{ViewVersion: 1, Seq: 1, Entries: make([]wire.AsymEntry, 9)})
-	h, body, _ = wire.ParseHeader(msg)
-	sym.HandleLinkState(h, body) // directional row into symmetric router
-	if sym.Table().Have(3) {
-		t.Error("directional row stored by symmetric router")
-	}
-	mesh := newCluster(t, 9, 9, "fullmesh", QuorumConfig{}).routers[0].(*FullMesh)
-	mesh.HandleLinkState(h, body) // directional row into the baseline
-	if mesh.Table().Have(3) {
-		t.Error("directional row stored by the full mesh")
+	// full-mesh baseline's table is symmetric. Each wrong-format row carries
+	// exactly as many entry bytes as the router's own rows (15 symmetric
+	// entries are 9 directional ones), so only the format check refuses it,
+	// and the same bytes in the router's format are taken.
+	symRow := wire.AppendLinkState(nil, 3, wire.LinkState{ViewVersion: 1, Seq: 1, Entries: make([]wire.LinkEntry, 15)})
+	asymRow := wire.AppendLinkStateAsym(nil, 3, wire.LinkStateAsym{ViewVersion: 1, Seq: 1, Entries: make([]wire.AsymEntry, 9)})
+	for _, tc := range []struct {
+		name       string
+		router     Router
+		wrong, own []byte
+	}{
+		{"symmetric row into asymmetric router", newAsymCluster(t, 9, 9).routers[0], symRow, asymRow},
+		{"directional row into symmetric router", newCluster(t, 15, 9, "quorum", QuorumConfig{}).routers[0], asymRow, symRow},
+		{"directional row into the full mesh", newCluster(t, 15, 9, "fullmesh", QuorumConfig{}).routers[0], asymRow, symRow},
+	} {
+		deliver := func(msg []byte) (stored bool) {
+			h, body, err := wire.ParseHeader(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.router.HandleLinkState(h, body)
+			return rowsOf(tc.router).table.Have(3)
+		}
+		if deliver(tc.wrong) {
+			t.Errorf("%s: stored", tc.name)
+		}
+		if !deliver(tc.own) {
+			t.Errorf("%s: the same entry bytes in the router's own format were not stored", tc.name)
+		}
 	}
 }
