@@ -306,7 +306,7 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 			}
 		}
 	case wire.THeartbeatAck:
-		a, err := wire.ParseHeartbeatAck(body)
+		stamp, err := wire.ParseStamped(body)
 		if err != nil {
 			return
 		}
@@ -320,8 +320,8 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 			c.hbTimer.Stop()
 		}
 		c.hbTimer = c.env.After(c.cfg.Heartbeat, c.heartbeat)
-		if a.Stamp.After(c.stamp()) {
-			c.noteAhead(a.Stamp, wire.NilNode)
+		if stamp.After(c.stamp()) {
+			c.noteAhead(stamp, wire.NilNode)
 		}
 	case wire.TViewChunk:
 		vc, err := wire.ParseViewChunk(body)
@@ -360,14 +360,14 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		c.handleDelta(g.Delta)
 		c.forwardGossip(g)
 	case wire.TViewPull:
-		p, err := wire.ParseViewPull(body)
+		have, err := wire.ParseStamped(body)
 		if err != nil || !c.joined || c.view == nil {
 			return
 		}
 		if _, member := c.view.SlotOf(h.Src); !member {
 			return // a stranger gets nothing
 		}
-		if packets := answerPull(c.env.LocalID(), c.stamp(), c.view, c.deltaLog, p.Have); packets != nil {
+		if packets := answerPull(c.env.LocalID(), c.stamp(), c.view, c.deltaLog, have); packets != nil {
 			c.stats.PullsServed++
 			for _, b := range packets {
 				c.env.Send(h.Src, b)
@@ -375,8 +375,8 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		}
 		// Push-pull symmetry: a requester ahead of us is itself evidence of
 		// a gap on our own side.
-		if p.Have.After(c.stamp()) {
-			c.noteAhead(p.Have, h.Src)
+		if have.After(c.stamp()) {
+			c.noteAhead(have, h.Src)
 		}
 	case wire.TViewPullReply:
 		r, err := wire.ParseViewPullReply(body)
@@ -493,7 +493,7 @@ func (c *Client) pullFire() {
 
 // pull asks one node for what this client misses.
 func (c *Client) pull(to wire.NodeID) {
-	c.env.Send(to, wire.AppendViewPull(nil, c.env.LocalID(), wire.ViewPull{Have: c.stamp()}))
+	c.env.Send(to, wire.AppendStamped(nil, wire.TViewPull, c.env.LocalID(), c.stamp()))
 }
 
 // pickPeer returns the peer the next rung asks: the lead, once, while it is a

@@ -341,7 +341,7 @@ func (c *Coordinator) handle(from wire.NodeID, payload []byte) {
 		}
 		return
 	case wire.TPreVote:
-		if _, err := wire.ParsePreVote(body); err == nil && c.rankOf(h.Src) >= 0 {
+		if _, err := wire.ParseStamped(body); err == nil && c.rankOf(h.Src) >= 0 {
 			c.handlePreVote(h.Src)
 		}
 		return
@@ -367,7 +367,7 @@ func (c *Coordinator) handle(from wire.NodeID, payload []byte) {
 	case wire.THeartbeat:
 		if s, ok := c.slotOf[h.Src]; ok {
 			c.seats[s].at = c.env.Now()
-			c.env.Send(h.Src, wire.AppendHeartbeatAck(nil, c.selfID, wire.HeartbeatAck{Stamp: c.Stamp()}))
+			c.env.Send(h.Src, wire.AppendStamped(nil, wire.THeartbeatAck, c.selfID, c.Stamp()))
 			c.stats.HeartbeatAcks++
 		} else {
 			// An expired member still heartbeating does not know it was
@@ -377,13 +377,13 @@ func (c *Coordinator) handle(from wire.NodeID, payload []byte) {
 		}
 	case wire.TViewPull:
 		// Asked by a member or a standby replica; a stranger gets nothing.
-		p, err := wire.ParseViewPull(body)
+		have, err := wire.ParseStamped(body)
 		if _, member := c.slotOf[h.Src]; err != nil || (!member && c.rankOf(h.Src) < 0) {
 			return
 		}
 		// Pending coalesced changes are not leaked early: the asker gets the
 		// last broadcast view, the stamp everyone else holds.
-		if packets := answerPull(c.selfID, c.Stamp(), c.lastView, nil, p.Have); packets != nil {
+		if packets := answerPull(c.selfID, c.Stamp(), c.lastView, nil, have); packets != nil {
 			c.sendPackets(h.Src, packets)
 		}
 	case wire.TLeave:
@@ -458,7 +458,7 @@ func (c *Coordinator) handleBeacon(from wire.NodeID, b wire.CoordBeacon) {
 // pull asks a replica for what this standby's replica misses — the TViewPull
 // members send, answered by the same rule.
 func (c *Coordinator) pull(to wire.NodeID) {
-	c.env.Send(to, wire.AppendViewPull(nil, c.selfID, wire.ViewPull{Have: c.Stamp()}))
+	c.env.Send(to, wire.AppendStamped(nil, wire.TViewPull, c.selfID, c.Stamp()))
 }
 
 // adoptReplica installs a reassembled snapshot, newer than the replica, on a
@@ -535,7 +535,7 @@ func (c *Coordinator) lastEvidence() time.Time {
 func (c *Coordinator) startPreVote() {
 	c.preVoting = true
 	for _, id := range c.peers() {
-		c.env.Send(id, wire.AppendPreVote(nil, c.selfID, wire.PreVote{Stamp: c.Stamp()}))
+		c.env.Send(id, wire.AppendStamped(nil, wire.TPreVote, c.selfID, c.Stamp()))
 	}
 	c.preVoteTimer = c.env.After(c.cfg.preVoteWait(), c.preVoteDecide)
 }

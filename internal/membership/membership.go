@@ -154,12 +154,14 @@ func snapshotPackets(src wire.NodeID, stamp wire.ViewStamp, vi *ViewInfo) [][]by
 }
 
 // answerPull is the one rule for answering a TViewPull, used by members and
-// coordinators alike. The responder src holds view vi at stamp and log, its
-// applied deltas (a consecutive run ending at stamp; a coordinator keeps
-// none); the asker holds have. A responder with nothing newer sends nothing —
-// the asker would discard it. One whose log holds the run starting at have
-// sends as much of it as fits one datagram; any other, or one whose first
-// delta alone would not fit, sends its snapshot.
+// coordinators alike. A member that learned a newer view exists pulls from a
+// peer or from the coordinator, and a standby pulls from the primary. The
+// responder src holds view vi at stamp and log, its applied deltas (a
+// consecutive run ending at stamp; a coordinator keeps none); the asker holds
+// have, the pull's stamp. A responder with nothing newer sends nothing — the
+// asker would discard it. One whose log holds the run starting at have sends
+// as much of it as fits one datagram; any other, or one whose first delta
+// alone would not fit, sends its snapshot.
 func answerPull(src wire.NodeID, stamp wire.ViewStamp, vi *ViewInfo, log []wire.ViewDelta, have wire.ViewStamp) [][]byte {
 	if !stamp.After(have) {
 		return nil

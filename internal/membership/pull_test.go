@@ -269,7 +269,7 @@ func TestHostilePullsAdvanceNothing(t *testing.T) {
 		sc.nw.RunFor(5 * time.Second)
 	}
 	pull := func(src wire.NodeID, have wire.ViewStamp) []byte {
-		return wire.AppendViewPull(nil, src, wire.ViewPull{Have: have})
+		return wire.AppendStamped(nil, wire.TViewPull, src, have)
 	}
 	expect := func(stage string, want wire.ViewStamp, n int) {
 		t.Helper()

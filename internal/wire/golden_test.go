@@ -57,19 +57,19 @@ func TestEncodingsGolden(t *testing.T) {
 			"0c0102010203040506070800021011" + "000700090a0000071137" + "0a0b0c0d000000000000"},
 		{"view-delta", AppendViewDelta(nil, src, delta),
 			"0d010200000003000000290000002a00010002" + "000700090a0000071137" + "00050e0f"},
-		{"heartbeat-ack", AppendHeartbeatAck(nil, src, HeartbeatAck{Stamp: stamp}), "1001020102030405060708"},
+		{"heartbeat-ack", AppendStamped(nil, THeartbeatAck, src, stamp), "1001020102030405060708"},
 		{"coord-beacon", AppendCoordBeacon(nil, src, CoordBeacon{Stamp: stamp, NextID: 0x0A0B, Primary: true}),
 			"11010201020304050607080a0b01"},
 		{"coord-beacon-standby", AppendCoordBeacon(nil, src, CoordBeacon{Stamp: stamp, NextID: 0x0A0B}),
 			"11010201020304050607080a0b00"},
-		{"pre-vote", AppendPreVote(nil, src, PreVote{Stamp: stamp}), "1201020102030405060708"},
+		{"pre-vote", AppendStamped(nil, TPreVote, src, stamp), "1201020102030405060708"},
 		{"pre-vote-reply", AppendPreVoteReply(nil, src, PreVoteReply{Stamp: stamp, PrimaryAlive: true}),
 			"130102010203040506070801"},
 		{"pre-vote-reply-silent", AppendPreVoteReply(nil, src, PreVoteReply{Stamp: stamp}),
 			"130102010203040506070800"},
 		{"gossip-delta", AppendGossipDelta(nil, src, GossipDelta{Hops: 2, Delta: delta}),
 			"1401020200000003000000290000002a00010002" + "000700090a0000071137" + "00050e0f"},
-		{"view-pull", AppendViewPull(nil, src, ViewPull{Have: stamp}), "1501020102030405060708"},
+		{"view-pull", AppendStamped(nil, TViewPull, src, stamp), "1501020102030405060708"},
 		{"view-pull-reply", AppendViewPullReply(nil, src, ViewPullReply{Stamp: stamp, Deltas: []ViewDelta{delta}}),
 			"160102010203040506070801" + "001e" + "00000003000000290000002a00010002" + "000700090a0000071137" + "00050e0f"},
 		{"view-chunk", AppendViewChunk(nil, src, ViewChunk{Stamp: stamp, TotalSlots: 0x1011, TotalMembers: 2, Index: 0, Count: 1, Members: members}),

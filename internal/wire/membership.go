@@ -121,6 +121,53 @@ func (s ViewStamp) After(o ViewStamp) bool {
 	return s.Epoch > o.Epoch || (s.Epoch == o.Epoch && s.Version > o.Version)
 }
 
+// stampLen is the encoded size of a ViewStamp: epoch, then version.
+const stampLen = 4 + 4
+
+// appendStamp appends s: the one writer of the stamp layout.
+func appendStamp(b []byte, s ViewStamp) []byte {
+	b = binary.BigEndian.AppendUint32(b, s.Epoch)
+	return binary.BigEndian.AppendUint32(b, s.Version)
+}
+
+// stampAt decodes the stamp at the front of b: the one reader of the layout.
+func stampAt(b []byte) ViewStamp {
+	return ViewStamp{Epoch: binary.BigEndian.Uint32(b), Version: binary.BigEndian.Uint32(b[4:])}
+}
+
+// AppendStamped encodes a message whose body is one stamp — THeartbeatAck,
+// TPreVote or TViewPull, named by t (see their constants for what each
+// stamp is).
+func AppendStamped(b []byte, t MsgType, src NodeID, s ViewStamp) []byte {
+	return appendStamp(AppendHeader(b, t, src), s)
+}
+
+// ParseStamped decodes the body of a message AppendStamped encoded.
+func ParseStamped(body []byte) (ViewStamp, error) {
+	if len(body) != stampLen {
+		return ViewStamp{}, ErrBadLen
+	}
+	return stampAt(body), nil
+}
+
+// appendFlag appends v as one byte, 1 or 0.
+func appendFlag(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// flagAt decodes flag byte f, which must be exactly 0 or 1: accepting any
+// nonzero byte would make decode lossy (re-encoding could not reproduce the
+// input), as FuzzCoordBeaconRoundTrip found.
+func flagAt(f byte, name string) (bool, error) {
+	if f > 1 {
+		return false, fmt.Errorf("%w: %s flag byte %d", ErrBadLen, name, f)
+	}
+	return f == 1, nil
+}
+
 // View is the coordinator's authoritative membership snapshot. Nodes with
 // the same view version build identical grids (§5, "Membership Service").
 // Slots is the size of the grid's slot space: members occupy the slots named
@@ -139,9 +186,7 @@ type View struct {
 // AppendView encodes v with its header as one TView datagram. No node sends
 // that form; AppendView and ParseView stay because benchmark/ times them.
 func AppendView(b []byte, src NodeID, v View) []byte {
-	b = AppendHeader(b, TView, src)
-	b = binary.BigEndian.AppendUint32(b, v.Epoch)
-	b = binary.BigEndian.AppendUint32(b, v.Version)
+	b = appendStamp(AppendHeader(b, TView, src), ViewStamp{Epoch: v.Epoch, Version: v.Version})
 	b = binary.BigEndian.AppendUint16(b, uint16(len(v.Members)))
 	b = binary.BigEndian.AppendUint16(b, v.Slots)
 	for _, m := range v.Members {
@@ -152,15 +197,12 @@ func AppendView(b []byte, src NodeID, v View) []byte {
 
 // ParseView decodes a View body.
 func ParseView(body []byte) (View, error) {
-	const fixed = 4 + 4 + 2 + 2
+	const fixed = stampLen + 2 + 2
 	if len(body) < fixed {
 		return View{}, ErrShort
 	}
-	v := View{
-		Epoch:   binary.BigEndian.Uint32(body),
-		Version: binary.BigEndian.Uint32(body[4:]),
-		Slots:   binary.BigEndian.Uint16(body[10:]),
-	}
+	s := stampAt(body)
+	v := View{Epoch: s.Epoch, Version: s.Version, Slots: binary.BigEndian.Uint16(body[10:])}
 	n := int(binary.BigEndian.Uint16(body[8:]))
 	body = body[fixed:]
 	if len(body) != n*memberLen {
@@ -176,7 +218,7 @@ func ParseView(body []byte) (View, error) {
 // ViewDelta is an incremental membership update: the members added and the
 // IDs removed between BaseVersion and Version. A client holding exactly
 // BaseVersion applies the delta locally; any other client has missed an
-// update and asks for what it missed with a ViewPull. Deltas
+// update and asks for what it missed with a TViewPull. Deltas
 // keep per-change broadcast cost proportional to the churn, not to the
 // overlay size, which is what collapses a k-node join storm from O(n·k) to
 // O(n + k) coordinator messages.
@@ -275,7 +317,7 @@ func ViewChunkCount(n int) int { return max(1, (n+ViewChunkMembers-1)/ViewChunkM
 // ViewChunk is one piece of a full-view snapshot, the only form a full view
 // travels in. The receiver reassembles chunks sharing a stamp; Index/Count
 // frame the sequence and TotalSlots/TotalMembers say what the pieces add up
-// to. Loss of any chunk is repaired by the receiver's next ViewPull (the
+// to. Loss of any chunk is repaired by the receiver's next TViewPull (the
 // re-served pieces fill the gap, or a newer stamp replaces the set).
 type ViewChunk struct {
 	Stamp        ViewStamp
@@ -288,9 +330,7 @@ type ViewChunk struct {
 
 // AppendViewChunk encodes vc with its header.
 func AppendViewChunk(b []byte, src NodeID, vc ViewChunk) []byte {
-	b = AppendHeader(b, TViewChunk, src)
-	b = binary.BigEndian.AppendUint32(b, vc.Stamp.Epoch)
-	b = binary.BigEndian.AppendUint32(b, vc.Stamp.Version)
+	b = appendStamp(AppendHeader(b, TViewChunk, src), vc.Stamp)
 	b = binary.BigEndian.AppendUint16(b, vc.TotalSlots)
 	b = binary.BigEndian.AppendUint16(b, vc.TotalMembers)
 	b = binary.BigEndian.AppendUint16(b, vc.Index)
@@ -307,15 +347,12 @@ func AppendViewChunk(b []byte, src NodeID, vc ViewChunk) []byte {
 // every chunk but the last, which carries the remainder. A hostile chunk can
 // therefore claim no more pieces than a real snapshot of its size has.
 func ParseViewChunk(body []byte) (ViewChunk, error) {
-	const fixed = 4 + 4 + 2 + 2 + 2 + 2
+	const fixed = stampLen + 2 + 2 + 2 + 2
 	if len(body) < fixed {
 		return ViewChunk{}, ErrShort
 	}
 	vc := ViewChunk{
-		Stamp: ViewStamp{
-			Epoch:   binary.BigEndian.Uint32(body),
-			Version: binary.BigEndian.Uint32(body[4:]),
-		},
+		Stamp:        stampAt(body),
 		TotalSlots:   binary.BigEndian.Uint16(body[8:]),
 		TotalMembers: binary.BigEndian.Uint16(body[10:]),
 		Index:        binary.BigEndian.Uint16(body[12:]),
@@ -354,33 +391,6 @@ func AppendHeartbeat(b []byte, src NodeID) []byte {
 	return AppendHeader(b, THeartbeat, src)
 }
 
-// HeartbeatAck is the primary coordinator's answer to a member heartbeat. It
-// carries the primary's current view stamp: a client holding a different
-// stamp learns it missed an update (or is talking across a healed partition)
-// and pulls what it missed, while the arrival itself proves the coordinator
-// is alive and clears the client's failover deadline.
-type HeartbeatAck struct {
-	Stamp ViewStamp
-}
-
-// AppendHeartbeatAck encodes a with its header.
-func AppendHeartbeatAck(b []byte, src NodeID, a HeartbeatAck) []byte {
-	b = AppendHeader(b, THeartbeatAck, src)
-	b = binary.BigEndian.AppendUint32(b, a.Stamp.Epoch)
-	return binary.BigEndian.AppendUint32(b, a.Stamp.Version)
-}
-
-// ParseHeartbeatAck decodes a HeartbeatAck body.
-func ParseHeartbeatAck(body []byte) (HeartbeatAck, error) {
-	if len(body) != 8 {
-		return HeartbeatAck{}, ErrBadLen
-	}
-	return HeartbeatAck{Stamp: ViewStamp{
-		Epoch:   binary.BigEndian.Uint32(body),
-		Version: binary.BigEndian.Uint32(body[4:]),
-	}}, nil
-}
-
 // CoordBeacon is the liveness beacon a primary coordinator sends to its
 // standby replicas every beacon interval. Standbys elect a new primary after
 // beacon silence; a deposed primary hearing a beacon with a higher stamp
@@ -395,67 +405,24 @@ type CoordBeacon struct {
 
 // AppendCoordBeacon encodes cb with its header.
 func AppendCoordBeacon(b []byte, src NodeID, cb CoordBeacon) []byte {
-	b = AppendHeader(b, TCoordBeacon, src)
-	b = binary.BigEndian.AppendUint32(b, cb.Stamp.Epoch)
-	b = binary.BigEndian.AppendUint32(b, cb.Stamp.Version)
+	b = appendStamp(AppendHeader(b, TCoordBeacon, src), cb.Stamp)
 	b = binary.BigEndian.AppendUint16(b, uint16(cb.NextID))
-	flag := byte(0)
-	if cb.Primary {
-		flag = 1
-	}
-	return append(b, flag)
+	return appendFlag(b, cb.Primary)
 }
 
-// ParseCoordBeacon decodes a CoordBeacon body. The primary flag byte must be
-// exactly 0 or 1: accepting arbitrary nonzero bytes would make decode lossy
-// (re-encoding could not reproduce the input), found by FuzzCoordBeaconRoundTrip.
+// ParseCoordBeacon decodes a CoordBeacon body.
 func ParseCoordBeacon(body []byte) (CoordBeacon, error) {
-	if len(body) != 11 {
+	if len(body) != stampLen+2+1 {
 		return CoordBeacon{}, ErrBadLen
 	}
-	if body[10] > 1 {
-		return CoordBeacon{}, fmt.Errorf("%w: primary flag byte %d", ErrBadLen, body[10])
+	primary, err := flagAt(body[10], "primary")
+	if err != nil {
+		return CoordBeacon{}, err
 	}
-	return CoordBeacon{
-		Stamp: ViewStamp{
-			Epoch:   binary.BigEndian.Uint32(body),
-			Version: binary.BigEndian.Uint32(body[4:]),
-		},
-		NextID:  NodeID(binary.BigEndian.Uint16(body[8:])),
-		Primary: body[10] == 1,
-	}, nil
+	return CoordBeacon{Stamp: stampAt(body), NextID: NodeID(binary.BigEndian.Uint16(body[8:])), Primary: primary}, nil
 }
 
-// PreVote is a standby coordinator's question to its replica peers before it
-// promotes itself: "my election timeout fired — do you still observe the
-// primary?". The stamp is the sender's view stamp so peers across a healed
-// partition can tell which reign the question is about. A standby whose
-// beacon silence is merely a one-way delay (primary stalled toward it but
-// alive toward others) learns so from the replies and re-arms instead of
-// splitting the epoch.
-type PreVote struct {
-	Stamp ViewStamp
-}
-
-// AppendPreVote encodes pv with its header.
-func AppendPreVote(b []byte, src NodeID, pv PreVote) []byte {
-	b = AppendHeader(b, TPreVote, src)
-	b = binary.BigEndian.AppendUint32(b, pv.Stamp.Epoch)
-	return binary.BigEndian.AppendUint32(b, pv.Stamp.Version)
-}
-
-// ParsePreVote decodes a PreVote body.
-func ParsePreVote(body []byte) (PreVote, error) {
-	if len(body) != 8 {
-		return PreVote{}, ErrBadLen
-	}
-	return PreVote{Stamp: ViewStamp{
-		Epoch:   binary.BigEndian.Uint32(body),
-		Version: binary.BigEndian.Uint32(body[4:]),
-	}}, nil
-}
-
-// PreVoteReply answers a PreVote. PrimaryAlive is the responder's own
+// PreVoteReply answers a TPreVote. PrimaryAlive is the responder's own
 // evidence: a primary answers true for itself, a standby answers true iff it
 // heard a beacon within its base silence window. The stamp is the responder's
 // view stamp, letting the asker also detect that it fell behind a reign.
@@ -466,32 +433,19 @@ type PreVoteReply struct {
 
 // AppendPreVoteReply encodes pr with its header.
 func AppendPreVoteReply(b []byte, src NodeID, pr PreVoteReply) []byte {
-	b = AppendHeader(b, TPreVoteReply, src)
-	b = binary.BigEndian.AppendUint32(b, pr.Stamp.Epoch)
-	b = binary.BigEndian.AppendUint32(b, pr.Stamp.Version)
-	flag := byte(0)
-	if pr.PrimaryAlive {
-		flag = 1
-	}
-	return append(b, flag)
+	return appendFlag(appendStamp(AppendHeader(b, TPreVoteReply, src), pr.Stamp), pr.PrimaryAlive)
 }
 
-// ParsePreVoteReply decodes a PreVoteReply body. Like ParseCoordBeacon, the
-// flag byte must be exactly 0 or 1 so decode→encode reproduces the input.
+// ParsePreVoteReply decodes a PreVoteReply body.
 func ParsePreVoteReply(body []byte) (PreVoteReply, error) {
-	if len(body) != 9 {
+	if len(body) != stampLen+1 {
 		return PreVoteReply{}, ErrBadLen
 	}
-	if body[8] > 1 {
-		return PreVoteReply{}, fmt.Errorf("%w: alive flag byte %d", ErrBadLen, body[8])
+	alive, err := flagAt(body[8], "alive")
+	if err != nil {
+		return PreVoteReply{}, err
 	}
-	return PreVoteReply{
-		Stamp: ViewStamp{
-			Epoch:   binary.BigEndian.Uint32(body),
-			Version: binary.BigEndian.Uint32(body[4:]),
-		},
-		PrimaryAlive: body[8] == 1,
-	}, nil
+	return PreVoteReply{Stamp: stampAt(body), PrimaryAlive: alive}, nil
 }
 
 // GossipDelta is a ViewDelta travelling the epidemic dissemination tree:
@@ -527,42 +481,12 @@ func ParseGossipDelta(body []byte) (GossipDelta, error) {
 // the given change counts, excluding per-packet overhead.
 func GossipDeltaSize(adds, removes int) int { return ViewDeltaSize(adds, removes) + 1 }
 
-// ViewPull is the one way to ask for missed views: a member that learned a
-// newer view exists sends it to a peer or to the coordinator, and a standby
-// coordinator sends it to the primary. Have is the asker's current stamp
-// (zero if it holds no view). A responder whose stamp is not after Have
-// answers nothing; one whose delta log holds the run starting at Have answers
-// with a ViewPullReply; any other answers with its view as ViewChunk pieces.
-// A member asked by a member holding a newer stamp learns it is itself behind
-// and pulls in turn — the push-pull symmetry that spreads a repair.
-type ViewPull struct {
-	Have ViewStamp
-}
-
-// AppendViewPull encodes p with its header.
-func AppendViewPull(b []byte, src NodeID, p ViewPull) []byte {
-	b = AppendHeader(b, TViewPull, src)
-	b = binary.BigEndian.AppendUint32(b, p.Have.Epoch)
-	return binary.BigEndian.AppendUint32(b, p.Have.Version)
-}
-
-// ParseViewPull decodes a ViewPull body.
-func ParseViewPull(body []byte) (ViewPull, error) {
-	if len(body) != 8 {
-		return ViewPull{}, ErrBadLen
-	}
-	return ViewPull{Have: ViewStamp{
-		Epoch:   binary.BigEndian.Uint32(body),
-		Version: binary.BigEndian.Uint32(body[4:]),
-	}}, nil
-}
-
 // MaxPullDeltas caps the deltas one ViewPullReply carries; a responder also
 // stops short of MaxDatagram. A requester further behind than one reply
 // converges over successive pulls.
 const MaxPullDeltas = 16
 
-// ViewPullReply answers a ViewPull with deltas. Stamp is the responder's own
+// ViewPullReply answers a TViewPull with deltas. Stamp is the responder's own
 // view stamp; Deltas holds the consecutive increments starting right after
 // the requester's stamp, oldest first. No responder sends an empty one: one
 // whose log cannot bridge the gap sends its snapshot instead.
@@ -578,9 +502,7 @@ func AppendViewPullReply(b []byte, src NodeID, r ViewPullReply) []byte {
 	if len(r.Deltas) > MaxPullDeltas {
 		panic(fmt.Sprintf("wire: %d deltas in pull reply, max %d", len(r.Deltas), MaxPullDeltas))
 	}
-	b = AppendHeader(b, TViewPullReply, src)
-	b = binary.BigEndian.AppendUint32(b, r.Stamp.Epoch)
-	b = binary.BigEndian.AppendUint32(b, r.Stamp.Version)
+	b = appendStamp(AppendHeader(b, TViewPullReply, src), r.Stamp)
 	b = append(b, byte(len(r.Deltas)))
 	for _, d := range r.Deltas {
 		start := len(b)
@@ -594,7 +516,7 @@ func AppendViewPullReply(b []byte, src NodeID, r ViewPullReply) []byte {
 // ViewPullReplySize returns the encoded size of a ViewPullReply carrying
 // deltas, header included.
 func ViewPullReplySize(deltas []ViewDelta) int {
-	n := HeaderLen + 4 + 4 + 1
+	n := HeaderLen + stampLen + 1
 	for _, d := range deltas {
 		n += 2 + ViewDeltaSize(len(d.Adds), len(d.Removes)) - HeaderLen
 	}
@@ -603,14 +525,11 @@ func ViewPullReplySize(deltas []ViewDelta) int {
 
 // ParseViewPullReply decodes a ViewPullReply body.
 func ParseViewPullReply(body []byte) (ViewPullReply, error) {
-	const fixed = 4 + 4 + 1
+	const fixed = stampLen + 1
 	if len(body) < fixed {
 		return ViewPullReply{}, ErrShort
 	}
-	r := ViewPullReply{Stamp: ViewStamp{
-		Epoch:   binary.BigEndian.Uint32(body),
-		Version: binary.BigEndian.Uint32(body[4:]),
-	}}
+	r := ViewPullReply{Stamp: stampAt(body)}
 	n := int(body[8])
 	if n > MaxPullDeltas {
 		return ViewPullReply{}, fmt.Errorf("%w: %d deltas, max %d", ErrBadLen, n, MaxPullDeltas)

@@ -125,10 +125,7 @@ type LinkState struct {
 // AppendLinkState encodes ls with its header. The payload beyond the fixed
 // fields is exactly 3 bytes per entry.
 func AppendLinkState(b []byte, src NodeID, ls LinkState) []byte {
-	b = AppendHeader(b, TLinkState, src)
-	b = binary.BigEndian.AppendUint32(b, ls.ViewVersion)
-	b = binary.BigEndian.AppendUint32(b, ls.Seq)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(ls.Entries)))
+	b = appendLinkStateFixed(b, TLinkState, src, ls.ViewVersion, ls.Seq, len(ls.Entries))
 	for _, e := range ls.Entries {
 		b = binary.BigEndian.AppendUint16(b, e.Latency)
 		b = append(b, e.Status)
@@ -139,6 +136,15 @@ func AppendLinkState(b []byte, src NodeID, ls LinkState) []byte {
 // linkStateFixed is the encoded size of a link-state row's view version,
 // sequence number and entry count, in either row format.
 const linkStateFixed = 4 + 4 + 2
+
+// appendLinkStateFixed appends the header and fixed fields of an n-entry
+// link-state row of type t: the one writer of both row formats' framing.
+func appendLinkStateFixed(b []byte, t MsgType, src NodeID, viewVersion, seq uint32, n int) []byte {
+	b = AppendHeader(b, t, src)
+	b = binary.BigEndian.AppendUint32(b, viewVersion)
+	b = binary.BigEndian.AppendUint32(b, seq)
+	return binary.BigEndian.AppendUint16(b, uint16(n))
+}
 
 // LinkStateBody validates the body of a link-state row of type t — TLinkState,
 // 3 bytes an entry, or TLinkStateAsym, 5 — and returns its view version,
@@ -345,10 +351,7 @@ type LinkStateAsym struct {
 
 // AppendLinkStateAsym encodes ls with its header.
 func AppendLinkStateAsym(b []byte, src NodeID, ls LinkStateAsym) []byte {
-	b = AppendHeader(b, TLinkStateAsym, src)
-	b = binary.BigEndian.AppendUint32(b, ls.ViewVersion)
-	b = binary.BigEndian.AppendUint32(b, ls.Seq)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(ls.Entries)))
+	b = appendLinkStateFixed(b, TLinkStateAsym, src, ls.ViewVersion, ls.Seq, len(ls.Entries))
 	for _, e := range ls.Entries {
 		b = binary.BigEndian.AppendUint16(b, e.Out)
 		b = binary.BigEndian.AppendUint16(b, e.In)

@@ -83,14 +83,30 @@ const (
 	TData
 
 	// Membership plane, replicated-coordinator extension.
-	THeartbeatAck // primary's heartbeat acknowledgment carrying its view stamp
-	TCoordBeacon  // primary liveness/epoch beacon between coordinator replicas
-	TPreVote      // standby asks peers to confirm primary silence before promoting
+	//
+	// THeartbeatAck is the primary's answer to a member heartbeat, carrying
+	// its view stamp (AppendStamped): a member holding a different stamp
+	// learns it missed an update, or is talking across a healed partition,
+	// and pulls what it missed, while the arrival itself proves the primary
+	// alive and clears the member's failover deadline.
+	THeartbeatAck
+	TCoordBeacon // primary liveness/epoch beacon between coordinator replicas
+	// TPreVote is a standby's question to its replica peers before it
+	// promotes itself: "my election timeout fired — do you still observe the
+	// primary?". It carries the asker's stamp (AppendStamped), so peers
+	// across a healed partition can tell which reign it is about. A standby
+	// whose beacon silence is merely a one-way delay learns so from the
+	// replies and re-arms instead of splitting the epoch.
+	TPreVote
 	TPreVoteReply // peer's answer: whether it still observes the primary alive
 
 	// Membership plane, gossip dissemination extension.
-	TGossipDelta   // epidemically forwarded ViewDelta carrying a hop budget
-	TViewPull      // any node asks a peer or a coordinator for what it missed
+	TGossipDelta // epidemically forwarded ViewDelta carrying a hop budget
+	// TViewPull is the one way to ask for missed views, by a member of a
+	// peer or a coordinator and by a standby of the primary. It carries the
+	// asker's stamp (AppendStamped), zero if it holds no view; answerPull in
+	// internal/membership is the rule for answering it.
+	TViewPull
 	TViewPullReply // an answer that bridges the gap with consecutive deltas
 
 	// Membership plane, slot-addressed views extension.
@@ -99,58 +115,43 @@ const (
 	maxMsgType
 )
 
+// msgTypes names every message type and gives its traffic category, indexed
+// by type: the one table String and CategoryOf read, so a new type is one row.
+var msgTypes = [maxMsgType]struct {
+	name string
+	cat  Category
+}{
+	TProbe:          {"probe", CatProbing},
+	TProbeReply:     {"probe-reply", CatProbing},
+	TLinkState:      {"link-state", CatRouting},
+	TRecommendation: {"recommendation", CatRouting},
+	TLinkStateMH:    {"link-state-mh", CatRouting},
+	TLinkStateAsym:  {"link-state-asym", CatRouting},
+	TLinkStateAck:   {"link-state-ack", CatRouting},
+	TJoin:           {"join", CatMembership},
+	TJoinReply:      {"join-reply", CatMembership},
+	TLeave:          {"leave", CatMembership},
+	THeartbeat:      {"heartbeat", CatMembership},
+	TView:           {"view", CatMembership},
+	TViewDelta:      {"view-delta", CatMembership},
+	TViewRequest:    {"view-request", CatMembership},
+	TData:           {"data", CatData},
+	THeartbeatAck:   {"heartbeat-ack", CatMembership},
+	TCoordBeacon:    {"coord-beacon", CatMembership},
+	TPreVote:        {"pre-vote", CatMembership},
+	TPreVoteReply:   {"pre-vote-reply", CatMembership},
+	TGossipDelta:    {"gossip-delta", CatMembership},
+	TViewPull:       {"view-pull", CatMembership},
+	TViewPullReply:  {"view-pull-reply", CatMembership},
+	TViewChunk:      {"view-chunk", CatMembership},
+}
+
 // String returns the human-readable name of the message type.
 func (t MsgType) String() string {
-	switch t {
-	case TProbe:
-		return "probe"
-	case TProbeReply:
-		return "probe-reply"
-	case TLinkState:
-		return "link-state"
-	case TRecommendation:
-		return "recommendation"
-	case TLinkStateMH:
-		return "link-state-mh"
-	case TLinkStateAsym:
-		return "link-state-asym"
-	case TLinkStateAck:
-		return "link-state-ack"
-	case TJoin:
-		return "join"
-	case TJoinReply:
-		return "join-reply"
-	case TLeave:
-		return "leave"
-	case THeartbeat:
-		return "heartbeat"
-	case TView:
-		return "view"
-	case TViewDelta:
-		return "view-delta"
-	case TViewRequest:
-		return "view-request"
-	case TData:
-		return "data"
-	case THeartbeatAck:
-		return "heartbeat-ack"
-	case TCoordBeacon:
-		return "coord-beacon"
-	case TPreVote:
-		return "pre-vote"
-	case TPreVoteReply:
-		return "pre-vote-reply"
-	case TGossipDelta:
-		return "gossip-delta"
-	case TViewPull:
-		return "view-pull"
-	case TViewPullReply:
-		return "view-pull-reply"
-	case TViewChunk:
-		return "view-chunk"
-	default:
+	if !t.Valid() {
 		return fmt.Sprintf("msgtype(%d)", byte(t))
 	}
+	return msgTypes[t].name
 }
 
 // Valid reports whether t is a known message type.
@@ -185,18 +186,13 @@ func (c Category) String() string {
 	}
 }
 
-// CategoryOf maps a message type to its traffic category.
+// CategoryOf maps a message type to its traffic category; an unknown type
+// counts as membership traffic.
 func CategoryOf(t MsgType) Category {
-	switch t {
-	case TProbe, TProbeReply:
-		return CatProbing
-	case TLinkState, TRecommendation, TLinkStateMH, TLinkStateAsym, TLinkStateAck:
-		return CatRouting
-	case TData:
-		return CatData
-	default:
+	if !t.Valid() {
 		return CatMembership
 	}
+	return msgTypes[t].cat
 }
 
 // PerPacketOverhead is the per-datagram overhead in bytes charged by the

@@ -553,8 +553,8 @@ func TestParsersNeverPanic(t *testing.T) {
 			ParseViewChunk(body)
 		case TGossipDelta:
 			ParseGossipDelta(body)
-		case TViewPull:
-			ParseViewPull(body)
+		case THeartbeatAck, TPreVote, TViewPull:
+			ParseStamped(body)
 		case TViewPullReply:
 			ParseViewPullReply(body)
 		}
@@ -619,19 +619,26 @@ func TestViewDeltaParseErrors(t *testing.T) {
 	}
 }
 
-func TestHeartbeatAckRoundTrip(t *testing.T) {
-	a := HeartbeatAck{Stamp: ViewStamp{Epoch: 5, Version: 991}}
-	b := AppendHeartbeatAck(nil, 0xFFFE, a)
-	h, body, err := ParseHeader(b)
-	if err != nil || h.Type != THeartbeatAck || h.Src != 0xFFFE {
-		t.Fatalf("header = %+v err=%v", h, err)
-	}
-	got, err := ParseHeartbeatAck(body)
-	if err != nil || got != a {
-		t.Errorf("got %+v err=%v", got, err)
-	}
-	if _, err := ParseHeartbeatAck(body[:3]); err == nil {
-		t.Error("short body accepted")
+// TestStampedRoundTrip: the three stamp-only messages share one codec, and
+// the header's type says which message it is.
+func TestStampedRoundTrip(t *testing.T) {
+	s := ViewStamp{Epoch: 5, Version: 991}
+	for _, mt := range []MsgType{THeartbeatAck, TPreVote, TViewPull} {
+		b := AppendStamped(nil, mt, 0xFFFE, s)
+		h, body, err := ParseHeader(b)
+		if err != nil || h.Type != mt || h.Src != 0xFFFE {
+			t.Fatalf("%v: header = %+v err=%v", mt, h, err)
+		}
+		got, err := ParseStamped(body)
+		if err != nil || got != s {
+			t.Errorf("%v: got %+v err=%v", mt, got, err)
+		}
+		if _, err := ParseStamped(body[:7]); err == nil {
+			t.Errorf("%v: short body accepted", mt)
+		}
+		if _, err := ParseStamped(append(body, 0)); err == nil {
+			t.Errorf("%v: long body accepted", mt)
+		}
 	}
 }
 
@@ -699,22 +706,6 @@ func TestGossipDeltaRoundTrip(t *testing.T) {
 		t.Error("empty body accepted")
 	}
 	if _, err := ParseGossipDelta(body[:5]); err == nil {
-		t.Error("short body accepted")
-	}
-}
-
-func TestViewPullRoundTrip(t *testing.T) {
-	p := ViewPull{Have: ViewStamp{Epoch: 2, Version: 31}}
-	b := AppendViewPull(nil, 9, p)
-	h, body, err := ParseHeader(b)
-	if err != nil || h.Type != TViewPull || h.Src != 9 {
-		t.Fatalf("header = %+v err=%v", h, err)
-	}
-	got, err := ParseViewPull(body)
-	if err != nil || got != p {
-		t.Errorf("got %+v err=%v", got, err)
-	}
-	if _, err := ParseViewPull(body[:7]); err == nil {
 		t.Error("short body accepted")
 	}
 }
