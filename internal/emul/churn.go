@@ -439,10 +439,10 @@ const (
 	// standby (holding the delta via replication) must take over and every
 	// survivor converge onto its view, again with no request herd.
 	ChurnGossipCrash
-	// ChurnStraggler blacks out a few members with burst-loss windows while
-	// Poisson churn keeps producing deltas they cannot hear. When the
-	// windows close the stragglers are generations behind and must repair
-	// through peer pulls, not coordinator snapshots.
+	// ChurnStraggler blacks out a few members while Poisson churn keeps
+	// producing deltas they cannot hear. When the blackouts end the
+	// stragglers are generations behind and must repair through peer pulls,
+	// not coordinator snapshots.
 	ChurnStraggler
 )
 
@@ -514,8 +514,8 @@ const (
 	// churnCrashFrac is the fraction of churn departures that crash instead
 	// of leaving gracefully.
 	churnCrashFrac = 0.5
-	// churnBlackout is how long ChurnStraggler's burst-loss windows isolate
-	// their victims, and churnStragglers how many nodes are starved.
+	// churnBlackout is how long ChurnStraggler's blackouts isolate their
+	// victims, and churnStragglers how many nodes are starved.
 	churnBlackout   = 45 * time.Second
 	churnStragglers = 3
 )

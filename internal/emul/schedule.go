@@ -39,9 +39,9 @@ const (
 	// OpCrashRegion crashes the live endpoints in [From, From+N) in one
 	// instant: a correlated regional failure.
 	OpCrashRegion
-	// OpStarve opens burst-loss windows that black out the first N live
-	// endpoints for For: every link they have, peers and coordinators alike,
-	// drops everything, so the victims miss whole delta generations.
+	// OpStarve blacks out the first N live endpoints for For: every link
+	// they have, peers and coordinators alike, drops everything, so the
+	// victims miss whole delta generations.
 	OpStarve
 	// OpWatch opens the convergence watch: from this instant Play polls
 	// ViewsConverged once a second until it holds, and For is the bound the
@@ -106,11 +106,7 @@ func (f *DynamicFleet) Apply(s Step, rng *rand.Rand) {
 	case OpStarve:
 		eps := f.ActiveEndpoints()
 		for _, v := range eps[:min(s.N, len(eps))] {
-			for other := 0; other < f.Net.Size(); other++ {
-				if other != v {
-					f.Net.AddBurstLoss(v, other, 0, s.For)
-				}
-			}
+			f.Net.Blackout(v, s.For)
 		}
 	}
 }

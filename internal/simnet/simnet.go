@@ -51,12 +51,6 @@ type fault struct {
 	jitter time.Duration
 }
 
-// burstWindow is one scheduled burst-loss interval on a directed link:
-// every packet sent in [from, to) is dropped.
-type burstWindow struct {
-	from, to time.Duration
-}
-
 // Timer is a cancellable scheduled callback. It is also the record the queue
 // holds for the callback: fn is nil once the timer has fired or been stopped.
 type Timer struct {
@@ -105,10 +99,9 @@ type Network struct {
 	// "rest of the network" for endpoints not named in SetPartition.
 	group []int
 
-	// bursts holds the scheduled burst-loss windows per directed link. nil
-	// until the first AddBurstLoss, so the hot send path pays nothing when
-	// the fault plane is idle.
-	bursts map[[2]int][]burstWindow
+	// blackout is, per endpoint, the instant its blackout ends. nil until
+	// the first Blackout, so the send path pays one nil check without it.
+	blackout []time.Duration
 
 	// OnSend, if non-nil, observes every attempted transmission (including
 	// ones that will be dropped); used for outgoing bandwidth accounting.
@@ -137,9 +130,6 @@ func New(n int, seed int64) *Network {
 		handlers: make([]Handler, n),
 	}
 }
-
-// Size returns the number of endpoints.
-func (nw *Network) Size() int { return nw.n }
 
 // at returns the index of the directed a→b link in the n×n matrices, and
 // panics on an endpoint out of range, which always indicates a bug.
@@ -233,53 +223,20 @@ func (nw *Network) fault(a, b int) *fault {
 	return &nw.faults[nw.at(a, b)]
 }
 
-// AddBurstLoss schedules a symmetric burst-loss window on the a–b link:
-// every packet sent between `in` from now and `in+dur` from now is dropped,
-// modelling a congestion burst or a routing flap. Windows accumulate;
-// expired ones are pruned lazily. Scheduling is an explicit, caller-driven
-// act, so a fixed schedule is deterministic by construction and a randomized
-// one is exactly as deterministic as its caller's seed.
-func (nw *Network) AddBurstLoss(a, b int, in, dur time.Duration) {
-	if dur <= 0 {
-		return
+// Blackout cuts endpoint ep off from every other endpoint for d from now:
+// every packet it sends or is sent in that time is dropped, modelling a
+// congestion burst or a routing flap. A later blackout extends an earlier one.
+// Packets already in flight still arrive, and Reachable ignores blackouts.
+func (nw *Network) Blackout(ep int, d time.Duration) {
+	if nw.blackout == nil {
+		nw.blackout = make([]time.Duration, nw.n)
 	}
-	if in < 0 {
-		in = 0
-	}
-	if nw.bursts == nil {
-		nw.bursts = make(map[[2]int][]burstWindow)
-	}
-	w := burstWindow{from: nw.now + in, to: nw.now + in + dur}
-	nw.bursts[[2]int{a, b}] = append(nw.bursts[[2]int{a, b}], w)
-	nw.bursts[[2]int{b, a}] = append(nw.bursts[[2]int{b, a}], w)
+	nw.blackout[ep] = max(nw.blackout[ep], nw.now+d)
 }
 
-// inBurst reports whether the directed a→b link is inside an active
-// burst-loss window, pruning windows that have already closed.
-func (nw *Network) inBurst(a, b int) bool {
-	if nw.bursts == nil {
-		return false
-	}
-	key := [2]int{a, b}
-	ws := nw.bursts[key]
-	i := 0
-	for i < len(ws) && ws[i].to <= nw.now {
-		i++
-	}
-	if i > 0 {
-		ws = ws[i:]
-		if len(ws) == 0 {
-			delete(nw.bursts, key)
-		} else {
-			nw.bursts[key] = ws
-		}
-	}
-	for _, w := range ws {
-		if nw.now >= w.from && nw.now < w.to {
-			return true
-		}
-	}
-	return false
+// blackedOut reports whether a blackout drops a packet sent now from a to b.
+func (nw *Network) blackedOut(a, b int) bool {
+	return nw.blackout != nil && a != b && (nw.now < nw.blackout[a] || nw.now < nw.blackout[b])
 }
 
 // SetLinkDown marks the link between a and b as failed (or restores it).
@@ -348,7 +305,7 @@ func (nw *Network) After(d time.Duration, fn func()) *Timer {
 
 // Send transmits payload from endpoint `from` to endpoint `to`. Delivery
 // happens after the link's one-way latency unless the packet is dropped by
-// link loss, a burst-loss window, link failure, or node failure. Loss,
+// link loss, a blackout, link failure, or node failure. Loss,
 // failure, duplication, and jitter are evaluated at send time, in a fixed
 // order, so the random stream — and with it the whole simulation — stays a
 // pure function of the seed. Sending to self delivers after zero latency.
@@ -359,7 +316,7 @@ func (nw *Network) Send(from, to int, payload []byte) {
 	}
 	l := nw.links[i]
 	if nw.nodeDown[from] || nw.nodeDown[to] || nw.down[i] || nw.Partitioned(from, to) ||
-		nw.inBurst(from, to) ||
+		nw.blackedOut(from, to) ||
 		(l.loss > 0 && nw.rng.Float64() < l.loss) {
 		nw.dropped++
 		return
