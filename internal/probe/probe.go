@@ -16,7 +16,6 @@
 package probe
 
 import (
-	"math"
 	"time"
 
 	"allpairs/internal/grid"
@@ -34,10 +33,6 @@ type Config struct {
 	// ReplyTimeout is how long to wait for a probe reply before declaring
 	// the probe lost (default 3 s; Internet RTTs fit comfortably).
 	ReplyTimeout time.Duration
-	// FailThreshold is the number of consecutive losses that mark a link
-	// dead (default 5, as in RON; at most 65 535, the range of a link's
-	// saturating loss counter).
-	FailThreshold int
 	// Asymmetric additionally estimates one-way latencies from the probe
 	// reply's receive timestamp (footnote 2's "both costs"). Requires
 	// synchronized clocks across the overlay: exact under the simulator,
@@ -64,11 +59,10 @@ func (c *Config) fill() {
 	if c.ReplyTimeout > c.Interval {
 		c.ReplyTimeout = c.Interval / 2
 	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 5
-	}
-	c.FailThreshold = min(c.FailThreshold, math.MaxUint16)
 }
+
+// failThreshold is how many consecutive losses mark a link dead: 5, as in RON.
+const failThreshold = 5
 
 // EWMA smoothing factors for a link's latency and loss-rate estimates, and
 // the divisor of Interval for the accelerated probing that follows a first
@@ -84,7 +78,7 @@ const (
 // prober's schedule.
 type linkState struct {
 	seq     uint32 // of the last probe sent: the awaited one while awaiting
-	consec  uint16 // consecutive losses, saturating
+	consec  uint16 // consecutive losses, saturating at failThreshold
 	flags   linkFlags
 	latency float64 // EWMA round trip, ms
 	loss    float64 // EWMA loss rate
@@ -375,11 +369,11 @@ func (p *Prober) sendProbe(slot int, now time.Duration) {
 func (p *Prober) onTimeout(slot int, now time.Duration) {
 	ls := &p.links[slot]
 	ls.flags &^= awaiting
-	if ls.consec < math.MaxUint16 {
+	if ls.consec < failThreshold {
 		ls.consec++
 	}
 	ls.resolved(1)
-	if ls.flags&alive != 0 && int(ls.consec) >= p.cfg.FailThreshold {
+	if ls.flags&alive != 0 && ls.consec >= failThreshold {
 		ls.flags &^= alive
 		p.row[slot].Status = wire.StatusDead
 	}
@@ -387,7 +381,7 @@ func (p *Prober) onTimeout(slot int, now time.Duration) {
 	// Rapid re-probing until the link is declared dead; normal cadence
 	// afterwards so recovery is still noticed.
 	next := p.cfg.Interval
-	if ls.consec > 0 && int(ls.consec) < p.cfg.FailThreshold {
+	if ls.consec > 0 && ls.consec < failThreshold {
 		next = p.cfg.Interval / rapidFactor
 		if next > p.cfg.ReplyTimeout {
 			next -= p.cfg.ReplyTimeout
