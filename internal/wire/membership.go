@@ -415,11 +415,11 @@ func ParseCoordBeacon(body []byte) (CoordBeacon, error) {
 	if len(body) != stampLen+2+1 {
 		return CoordBeacon{}, ErrBadLen
 	}
-	primary, err := flagAt(body[10], "primary")
+	primary, err := flagAt(body[stampLen+2], "primary")
 	if err != nil {
 		return CoordBeacon{}, err
 	}
-	return CoordBeacon{Stamp: stampAt(body), NextID: NodeID(binary.BigEndian.Uint16(body[8:])), Primary: primary}, nil
+	return CoordBeacon{Stamp: stampAt(body), NextID: NodeID(binary.BigEndian.Uint16(body[stampLen:])), Primary: primary}, nil
 }
 
 // PreVoteReply answers a TPreVote. PrimaryAlive is the responder's own
@@ -441,7 +441,7 @@ func ParsePreVoteReply(body []byte) (PreVoteReply, error) {
 	if len(body) != stampLen+1 {
 		return PreVoteReply{}, ErrBadLen
 	}
-	alive, err := flagAt(body[8], "alive")
+	alive, err := flagAt(body[stampLen], "alive")
 	if err != nil {
 		return PreVoteReply{}, err
 	}
