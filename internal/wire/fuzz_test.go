@@ -247,16 +247,15 @@ func FuzzGossipDeltaRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzStampedRoundTrip takes whole messages, header included: the three
-// stamp-only types share one body codec, so the re-encoding takes its type
-// from the input's header.
-func FuzzStampedRoundTrip(f *testing.F) {
-	f.Add(wire.AppendStamped(nil, wire.THeartbeatAck, 4, wire.ViewStamp{Epoch: 1, Version: 8}))
-	f.Add(wire.AppendStamped(nil, wire.TPreVote, 2, wire.ViewStamp{Epoch: 3, Version: 21}))
-	f.Add(wire.AppendStamped(nil, wire.TViewPull, 3, wire.ViewStamp{Epoch: 2, Version: 17}))
+// fuzzStamped fuzzes one of the three stamp-only types. They share one body
+// codec, so each target takes whole messages, header included, and
+// re-encodes with the input header's type; a message of another type is
+// skipped.
+func fuzzStamped(f *testing.F, mt wire.MsgType, seed []byte) {
+	f.Add(seed)
 	f.Fuzz(func(t *testing.T, msg []byte) {
 		h, b, err := wire.ParseHeader(msg)
-		if err != nil || (h.Type != wire.THeartbeatAck && h.Type != wire.TPreVote && h.Type != wire.TViewPull) {
+		if err != nil || h.Type != mt {
 			return
 		}
 		s, err := wire.ParseStamped(b)
@@ -267,6 +266,18 @@ func FuzzStampedRoundTrip(f *testing.F) {
 			t.Fatalf("decode/encode asymmetry:\n in:  %x\n out: %x", msg, out)
 		}
 	})
+}
+
+func FuzzHeartbeatAckRoundTrip(f *testing.F) {
+	fuzzStamped(f, wire.THeartbeatAck, wire.AppendStamped(nil, wire.THeartbeatAck, 4, wire.ViewStamp{Epoch: 1, Version: 8}))
+}
+
+func FuzzPreVoteRoundTrip(f *testing.F) {
+	fuzzStamped(f, wire.TPreVote, wire.AppendStamped(nil, wire.TPreVote, 2, wire.ViewStamp{Epoch: 3, Version: 21}))
+}
+
+func FuzzViewPullRoundTrip(f *testing.F) {
+	fuzzStamped(f, wire.TViewPull, wire.AppendStamped(nil, wire.TViewPull, 3, wire.ViewStamp{Epoch: 2, Version: 17}))
 }
 
 func FuzzViewPullReplyRoundTrip(f *testing.F) {

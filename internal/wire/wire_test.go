@@ -619,27 +619,37 @@ func TestViewDeltaParseErrors(t *testing.T) {
 	}
 }
 
-// TestStampedRoundTrip: the three stamp-only messages share one codec, and
+// checkStampedRoundTrip: the three stamp-only messages share one codec, and
 // the header's type says which message it is.
-func TestStampedRoundTrip(t *testing.T) {
-	s := ViewStamp{Epoch: 5, Version: 991}
-	for _, mt := range []MsgType{THeartbeatAck, TPreVote, TViewPull} {
-		b := AppendStamped(nil, mt, 0xFFFE, s)
-		h, body, err := ParseHeader(b)
-		if err != nil || h.Type != mt || h.Src != 0xFFFE {
-			t.Fatalf("%v: header = %+v err=%v", mt, h, err)
-		}
-		got, err := ParseStamped(body)
-		if err != nil || got != s {
-			t.Errorf("%v: got %+v err=%v", mt, got, err)
-		}
-		if _, err := ParseStamped(body[:7]); err == nil {
-			t.Errorf("%v: short body accepted", mt)
-		}
-		if _, err := ParseStamped(append(body, 0)); err == nil {
-			t.Errorf("%v: long body accepted", mt)
-		}
+func checkStampedRoundTrip(t *testing.T, mt MsgType, src NodeID, s ViewStamp) {
+	t.Helper()
+	b := AppendStamped(nil, mt, src, s)
+	h, body, err := ParseHeader(b)
+	if err != nil || h.Type != mt || h.Src != src {
+		t.Fatalf("header = %+v err=%v", h, err)
 	}
+	got, err := ParseStamped(body)
+	if err != nil || got != s {
+		t.Errorf("got %+v err=%v", got, err)
+	}
+	if _, err := ParseStamped(body[:7]); err == nil {
+		t.Error("short body accepted")
+	}
+	if _, err := ParseStamped(append(body, 0)); err == nil {
+		t.Error("long body accepted")
+	}
+}
+
+func TestHeartbeatAckRoundTrip(t *testing.T) {
+	checkStampedRoundTrip(t, THeartbeatAck, 0xFFFE, ViewStamp{Epoch: 5, Version: 991})
+}
+
+func TestPreVoteRoundTrip(t *testing.T) {
+	checkStampedRoundTrip(t, TPreVote, 7, ViewStamp{Epoch: 3, Version: 21})
+}
+
+func TestViewPullRoundTrip(t *testing.T) {
+	checkStampedRoundTrip(t, TViewPull, 9, ViewStamp{Epoch: 2, Version: 31})
 }
 
 func TestCoordBeaconRoundTrip(t *testing.T) {
