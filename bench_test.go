@@ -618,7 +618,9 @@ func BenchmarkViewRemap(b *testing.B) {
 // core.TestQuorumRound2WorkersByteIdentical), and the full-mesh recompute,
 // verified byte-identical to the serial one before timing. On an m-core host
 // the pass should approach m× the serial throughput (the shards write
-// disjoint spans, so there is no coordination beyond the fork/join).
+// disjoint spans, so there is no coordination beyond the fork/join). The
+// full mesh's rows arrive as messages, so the first tick applies them before
+// it forks.
 func BenchmarkShardedFullPass(b *testing.B) {
 	const n = 2000
 	directional := func(row []wire.LinkEntry) []wire.AsymEntry {
@@ -658,18 +660,34 @@ func BenchmarkShardedFullPass(b *testing.B) {
 		})
 	}
 	build := func(workers int) *core.FullMesh {
-		env := benchEnv()
-		f := core.NewFullMesh(env, core.FullMeshConfig{Workers: workers}, benchView(n), 0)
+		view := benchView(n)
+		f := core.NewFullMesh(benchEnv(), core.FullMeshConfig{Workers: workers}, view, 0)
 		self := benchRow(n, 0, 0)
 		f.SelfRow = func() []wire.LinkEntry { return self }
+		// Seed through the path a received row takes: parked on arrival and
+		// applied by the tick, before its pass forks.
 		for s := 1; s < n; s++ {
-			f.Table().Put(s, lsdb.Row{Seq: 1, When: env.Now(), Entries: benchRow(n, s, 0)})
+			msg := wire.AppendLinkState(nil, wire.NodeID(s), wire.LinkState{ViewVersion: view.VersionNum(), Seq: 1, Entries: benchRow(n, s, 0)})
+			h, body, err := wire.ParseHeader(msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			f.HandleLinkState(h, body)
 		}
 		return f
 	}
 	serial := build(1)
 	serial.Tick()
 	want := serial.Routes()
+	relayed := 0
+	for d, r := range want {
+		if r.Source == core.SourceSelf && r.Hop != d {
+			relayed++
+		}
+	}
+	if relayed == 0 {
+		b.Fatal("the serial pass relays nothing: the tick applied no row")
+	}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("fullmesh/n=%d/workers=%d", n, w), func(b *testing.B) {
 			f := build(w)

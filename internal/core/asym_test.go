@@ -221,7 +221,7 @@ func TestAsymmetricMessageFormatRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.router.HandleLinkState(h, body)
-			return rowsOf(tc.router).table.Have(3)
+			return rowsOf(tc.router).Table().Have(3)
 		}
 		if deliver(tc.wrong) {
 			t.Errorf("%s: stored", tc.name)

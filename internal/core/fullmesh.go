@@ -48,7 +48,9 @@ func (c *FullMeshConfig) fill() {
 // routing interval and computes all best one-hop routes locally. It is the
 // paper's comparison baseline: the same row core as Quorum (rows, ingest,
 // expiry, view install, BestHop), with a broadcast and a full recompute for
-// rounds.
+// rounds. Its row core parks the n−1 rows an interval brings and applies
+// them at the tick that reads them (rowCore), so the recompute streams rows
+// just written rather than rows gone cold since they arrived.
 type FullMesh struct {
 	rowCore
 	cfg FullMeshConfig
@@ -60,7 +62,7 @@ type FullMesh struct {
 // NewFullMesh creates the baseline router for the node at slot self.
 func NewFullMesh(env transport.Env, cfg FullMeshConfig, view *membership.ViewInfo, self int) *FullMesh {
 	cfg.fill()
-	f := &FullMesh{rowCore: rowCore{env: env, staleness: cfg.Staleness, hold: cfg.DegradedHold}, cfg: cfg}
+	f := &FullMesh{rowCore: rowCore{env: env, staleness: cfg.Staleness, hold: cfg.DegradedHold, park: true}, cfg: cfg}
 	_ = f.SetView(view, self) // always nil
 	return f
 }
@@ -123,6 +125,7 @@ func (f *FullMesh) recompute() {
 	out := f.hopsBuf[:n]
 	if n >= shardMinDsts && f.cfg.Workers != 1 {
 		table, stale := f.table, f.cfg.Staleness
+		table.PrepareSpans()
 		par.Spans(n, f.cfg.Workers, func(lo, hi int) {
 			table.BestOneHopViaSpan(costs, now, stale, out, lo, hi)
 		})
@@ -137,8 +140,9 @@ func (f *FullMesh) recompute() {
 	}
 }
 
-// HandleLinkState implements Router: a member's row is ingested
-// (rowCore.ingest).
+// HandleLinkState implements Router: a member's row is checked and parked
+// (rowCore.ingest), its entry bytes kept until the next read of the table
+// applies it — the payload is the router's to keep (transport.Handler).
 //
 //lint:allocfree
 func (f *FullMesh) HandleLinkState(h wire.Header, body []byte) { f.ingest(h, body) }

@@ -62,16 +62,16 @@ func TestStrangerLinkStateTouchesNothing(t *testing.T) {
 			env := &countingEnv{SimEnv: sim}
 			view := slotView(t, version, 0, 1, 2, 3, wire.NilNode, 5, 6, 7, 8)
 			var router Router
-			var table *lsdb.Table
+			var table func() *lsdb.Table // the table, every row delivered so far applied
 			if tc.fullMesh {
 				f := NewFullMesh(env, FullMeshConfig{}, view, 0)
-				router, table = f, f.table
+				router, table = f, f.Table
 			} else {
 				q, err := NewQuorum(env, QuorumConfig{Asymmetric: tc.asym, ReliableLinkState: tc.reliable}, view, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				router, table = q, q.table
+				router, table = q, q.Table
 			}
 			deliver := func(msg []byte) {
 				h, body, err := wire.ParseHeader(msg)
@@ -89,13 +89,13 @@ func TestStrangerLinkStateTouchesNothing(t *testing.T) {
 			}
 			snapshot := func() (s state) {
 				for slot := 0; slot < n; slot++ {
-					s.have = append(s.have, table.Have(slot))
-					s.seq = append(s.seq, table.Seq(slot))
-					s.when = append(s.when, table.When(slot))
-					s.out = append(s.out, slices.Clone(table.OutRow(slot)))
-					s.in = append(s.in, slices.Clone(table.InRow(slot)))
+					s.have = append(s.have, table().Have(slot))
+					s.seq = append(s.seq, table().Seq(slot))
+					s.when = append(s.when, table().When(slot))
+					s.out = append(s.out, slices.Clone(table().OutRow(slot)))
+					s.in = append(s.in, slices.Clone(table().InRow(slot)))
 				}
-				s.stored, s.sent = table.Stored(), env.sent
+				s.stored, s.sent = table().Stored(), env.sent
 				return s
 			}
 			same := func(a, b state) bool {
@@ -109,8 +109,8 @@ func TestStrangerLinkStateTouchesNothing(t *testing.T) {
 			// Slot 3's row is held, so there are bytes to leave alone.
 			nw.RunFor(10 * time.Second)
 			deliver(rowMessage(tc.asym, 3, version, 2, m, 40))
-			if !table.Have(3) || table.Seq(3) != 2 || table.OutRow(3)[1] != 40 || table.OutRow(3)[5] != 40 || table.OutRow(3)[4] != wire.InfCost {
-				t.Fatalf("a member's well-formed row was not stored slot by slot: %v", table.OutRow(3))
+			if !table().Have(3) || table().Seq(3) != 2 || table().OutRow(3)[1] != 40 || table().OutRow(3)[5] != 40 || table().OutRow(3)[4] != wire.InfCost {
+				t.Fatalf("a member's well-formed row was not stored slot by slot: %v", table().OutRow(3))
 			}
 			if acks := env.sent; (acks == 1) != tc.reliable {
 				t.Fatalf("%d acks for an accepted row, reliable=%v", acks, tc.reliable)
@@ -155,8 +155,8 @@ func TestStrangerLinkStateTouchesNothing(t *testing.T) {
 			// The same row without a defect is taken, acknowledged when that is
 			// on, and — the ack aside — costs no allocation to take again.
 			deliver(good)
-			if table.Seq(3) != 9 || !table.When(3).Equal(env.Now()) || table.OutRow(3)[1] != 77 || table.Stored() != 1 {
-				t.Errorf("refresh not stored: seq=%d when=%v row=%v", table.Seq(3), table.When(3), table.OutRow(3))
+			if table().Seq(3) != 9 || !table().When(3).Equal(env.Now()) || table().OutRow(3)[1] != 77 || table().Stored() != 1 {
+				t.Errorf("refresh not stored: seq=%d when=%v row=%v", table().Seq(3), table().When(3), table().OutRow(3))
 			}
 			if acks := env.sent - before.sent; (acks == 1) != tc.reliable {
 				t.Errorf("%d acks for the refresh, reliable=%v", acks, tc.reliable)

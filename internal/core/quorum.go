@@ -484,19 +484,25 @@ func turned(hc lsdb.HopCost, a, b int) lsdb.HopCost {
 // sweep evaluates the routes between this node — whose live row no table
 // stores; it is unpacked once for the whole batch — and every client: fwd[i]
 // is self→clients[i], rev[i] is clients[i]→self. On a symmetric table rev is
-// fwd. The results alias hopBuf and are valid until the next sweep.
+// fwd. The results alias hopBuf, k entries long (2k on a directional table),
+// and are valid until the next sweep.
 func (q *Quorum) sweep(clients []int) (fwd, rev []lsdb.HopCost) {
 	rowOut, rowIn := q.selfCosts()
-	k := len(clients)
-	if cap(q.hopBuf) < 2*k {
-		q.hopBuf = make([]lsdb.HopCost, 2*k)
+	k, directional := len(clients), q.table.Directional()
+	size := k
+	if directional {
+		size = 2 * k
 	}
-	fwd, rev = q.hopBuf[:k], q.hopBuf[k:2*k]
+	if cap(q.hopBuf) < size {
+		q.hopBuf = make([]lsdb.HopCost, size)
+	}
+	fwd = q.hopBuf[:k]
 	q.srcBuf = q.table.BestOneHopAllRow(q.srcBuf, rowOut, q.self, clients, fwd)
 	q.stats.PairsComputed += uint64(k)
-	if !q.table.Directional() {
+	if !directional {
 		return fwd, fwd
 	}
+	rev = q.hopBuf[k : 2*k]
 	q.srcBuf = q.table.BestOneHopToRow(q.srcBuf, clients, rowIn, rev)
 	q.stats.PairsComputed += uint64(k)
 	return fwd, rev

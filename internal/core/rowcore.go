@@ -15,6 +15,14 @@ import (
 // back on rows (§4.2), and install views, by these rules. The row format is
 // the table's: a directional one (footnote 2) takes TLinkStateAsym rows and
 // announces SelfAsymRow, a symmetric one TLinkState rows and SelfRow.
+//
+// The quorum, whose rendezvous pass reads each client row many times a tick,
+// puts a row into the table as it arrives. The full mesh parks it (park): the
+// checked row waits in a list sized to the view's slots, and apply puts the
+// list into the table, in arrival order and with arrival times, before
+// anything reads the table (expire, bestHop, installView, Table) or when the
+// list is full. Every reader sees the table eager ingest would have built,
+// and the tick's full-table pass reads rows just written, not gone cold.
 type rowCore struct {
 	env  transport.Env
 	view *membership.ViewInfo
@@ -27,6 +35,9 @@ type rowCore struct {
 
 	table *lsdb.Table // rows received from peers
 	routeTable
+
+	park   bool        // hold rows until the table is read
+	parked []parkedRow // rows ingest took and apply has not, in arrival order
 
 	costsBuf []wire.Cost // unpacked live self row (out-costs, then in-costs when directional)
 
@@ -46,6 +57,7 @@ type rowCore struct {
 // any other install goes cold like the first: a fresh(n) table, no routes.
 // seq and the counters survive both. The router's own state follows retired.
 func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n int) *lsdb.Table) (retired []int, stable bool) {
+	c.apply() // the parked rows are the old view's: they unpack by its slots
 	retired, _, stable = membership.StableExtension(c.view, c.self, view, self)
 	switch {
 	case stable:
@@ -67,7 +79,31 @@ func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n 
 		c.routes = make([]route, n)
 	}
 	c.table.SetTombstones(view.Tombstones())
+	if c.park && cap(c.parked) != n {
+		c.parked = make([]parkedRow, 0, n)
+	}
 	return retired, stable
+}
+
+// parkedRow is a checked row waiting for apply. Its entry bytes alias the
+// delivered payload, which the Env never writes again (transport.Handler).
+type parkedRow struct {
+	entries []byte
+	when    int64 // arrival, Unix ns
+	seq     uint32
+	slot    uint16
+}
+
+// apply puts the parked rows into the table as ingest would have on arrival,
+// and empties the list, letting go of the payloads.
+//
+//lint:allocfree
+func (c *rowCore) apply() {
+	for _, p := range c.parked {
+		c.table.PutWire(int(p.slot), p.seq, time.Unix(0, p.when), p.entries)
+	}
+	clear(c.parked)
+	c.parked = c.parked[:0]
 }
 
 // extend returns s lengthened to n entries, the new ones zero. A per-slot
@@ -103,6 +139,7 @@ func retireRoutes(routes []route, retired []int) {
 // expire drops every row too old to be read: past staleness, plus the
 // degraded hold while degraded mode may still fall back on it.
 func (c *rowCore) expire() {
+	c.apply()
 	c.table.Expire(c.env.Now(), c.staleness+max(c.hold, 0))
 }
 
@@ -138,8 +175,9 @@ func (c *rowCore) selfCosts() (out, in []wire.Cost) {
 
 // ingest scatters a well-formed row — another member's, in the table's
 // format, built against this view, an entry per member — from the wire into
-// the table, reading no body byte before the sender is known. It reports the
-// seq of every well-formed row, whether the table kept it or held a newer one.
+// the table, or parks it, reading no body byte before the sender is known. It
+// reports the seq of every well-formed row, whether the table keeps it or
+// holds a newer one.
 //
 //lint:allocfree
 func (c *rowCore) ingest(h wire.Header, body []byte) (seq uint32, ok bool) {
@@ -151,7 +189,15 @@ func (c *rowCore) ingest(h wire.Header, body []byte) (seq uint32, ok bool) {
 	if err != nil || version != c.view.VersionNum() || len(entries) != c.table.RowBytes() {
 		return 0, false
 	}
-	c.table.PutWire(slot, seq, c.env.Now(), entries)
+	if !c.park {
+		c.table.PutWire(slot, seq, c.env.Now(), entries)
+		return seq, true
+	}
+	if len(c.parked) == cap(c.parked) {
+		c.apply()
+	}
+	c.parked = c.parked[:len(c.parked)+1]
+	c.parked[len(c.parked)-1] = parkedRow{entries: entries, when: c.env.Now().UnixNano(), seq: seq, slot: uint16(slot)}
 	return seq, true
 }
 
@@ -167,6 +213,7 @@ func (c *rowCore) bestHop(dst int, alive func(slot int) bool) (RouteEntry, bool)
 	if r.source != SourceNone && r.hop != noSlot && time.Duration(now.UnixNano()-r.when) <= c.staleness {
 		return r.entry(), true
 	}
+	c.apply()
 	selfOut, _ := c.selfCosts()
 	hop, cost := c.table.BestOneHopVia(selfOut, dst, now, c.staleness)
 	if hop >= 0 && cost != wire.InfCost {
@@ -181,5 +228,8 @@ func (c *rowCore) bestHop(dst int, alive func(slot int) bool) (RouteEntry, bool)
 	return RouteEntry{Hop: -1, Cost: wire.InfCost}, false
 }
 
-// Table exposes the received-rows database (read-only).
-func (c *rowCore) Table() *lsdb.Table { return c.table }
+// Table exposes the received-rows database (read-only), parked rows applied.
+func (c *rowCore) Table() *lsdb.Table {
+	c.apply()
+	return c.table
+}

@@ -293,6 +293,7 @@ func TestDirectionalEqualsSymmetricWhenCostsAgreeQuick(t *testing.T) {
 		lo := rng.Intn(n)
 		hi := lo + rng.Intn(n-lo+1)
 		span := func(tb *Table, out []HopCost) {
+			tb.PrepareSpans()
 			tb.BestOneHopViaSpan(costs, now, maxAge, out, 0, lo)
 			tb.BestOneHopViaSpan(costs, now, maxAge, out, hi, n)
 			tb.BestOneHopViaSpan(costs, now, maxAge, out, lo, hi)

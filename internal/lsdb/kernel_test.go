@@ -207,15 +207,16 @@ func TestPrefetchReadsOnly(t *testing.T) {
 	for i := range row {
 		row[i] = wire.Cost(i)
 	}
+	inf := m.Row(0)
 	prefetch(nil)
-	prefetch(m.inf)
+	prefetch(inf)
 	for lo := range len(row) + 1 {
 		prefetch(row[lo:lo])
 		prefetch(row[lo:])
 	}
 	for i, c := range row {
-		if m.inf[i] != wire.InfCost || c != wire.Cost(i) {
-			t.Fatalf("after prefetch, column %d reads %d in the row and %d in the shared InfCost row", i, c, m.inf[i])
+		if inf[i] != wire.InfCost || c != wire.Cost(i) {
+			t.Fatalf("after prefetch, column %d reads %d in the row and %d in the shared InfCost row", i, c, inf[i])
 		}
 	}
 }
@@ -297,6 +298,7 @@ func TestKernelsMatchOracleAtLedgerSizes(t *testing.T) {
 				out[i] = HopCost{Hop: -7, Cost: 7}
 			}
 			// Three disjoint spans, out of order, ends at odd offsets.
+			tb.PrepareSpans()
 			tb.BestOneHopViaSpan(costs, t0, maxAge, out, hi, n)
 			tb.BestOneHopViaSpan(costs, t0, maxAge, out, 0, lo)
 			tb.BestOneHopViaSpan(costs, t0, maxAge, out, lo, hi)

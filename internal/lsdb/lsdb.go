@@ -3,15 +3,16 @@
 // and the best-one-hop computation a rendezvous server runs over the rows of
 // its clients.
 //
-// There is one table type. A row's costs are unpacked into flat cost rows at
-// ingest and nothing else of the announcement is kept: one matrix serves both
-// directions when rows carry one cost per link (the paper's bidirectional
-// assumption), and a second matrix holds the in-direction when rows carry
-// directed costs (footnote 2). Every kernel reads source costs from the
-// out-direction and destination costs from the in-direction, so the two modes
-// are one algorithm. The ingest step is part of this package: PutWire unpacks
-// a row's wire entries straight into its cost row, eight 3-byte entries at a
-// time (kernel.go's unpack primitive).
+// There is one table type. A row's costs are unpacked into flat cost rows
+// when the owner puts the row (on arrival, or at the next read of the table
+// for an owner that parks rows until then) and nothing else of the
+// announcement is kept: one matrix serves both directions when rows carry one
+// cost per link (the paper's bidirectional assumption), and a second matrix
+// holds the in-direction when rows carry directed costs (footnote 2). Every
+// kernel reads source costs from the out-direction and destination costs from
+// the in-direction, so the two modes are one algorithm. The ingest step is
+// part of this package: PutWire unpacks a row's wire entries straight into its
+// cost row, eight 3-byte entries at a time (kernel.go's unpack primitive).
 //
 // Rows are indexed by grid slot (the node's position in the membership
 // view), not by node ID. Slots are stable for a member's lifetime, so a table
@@ -50,8 +51,9 @@ type Table struct {
 	tombstones []int // the view's unoccupied slots, ascending, which PutWire's rows skip
 
 	// best and hop are BestOneHopViaSpan's running minimum and intermediary per
-	// destination. A span writes only its own [lo, hi) of them, so disjoint
-	// spans may run concurrently.
+	// destination, allocated by PrepareSpans on the first full-table pass (a
+	// quorum table never runs one). A span writes only its own [lo, hi) of
+	// them, so disjoint spans may run concurrently.
 	best []wire.Cost
 	hop  []uint16
 }
@@ -77,8 +79,6 @@ func newTable(n int, out, in *CostMatrix) *Table {
 		out:  out,
 		in:   in,
 		meta: make([]slotMeta, n),
-		best: make([]wire.Cost, n),
-		hop:  make([]uint16, n),
 	}
 }
 
@@ -281,8 +281,7 @@ func (t *Table) Grow(newN int) {
 	// Per-slot tables live as long as the view: each is sized exactly, where
 	// appending would leave spare capacity behind every stable extension.
 	t.meta = append(make([]slotMeta, 0, newN), t.meta...)[:newN]
-	t.best = make([]wire.Cost, newN) // scratch: nothing to keep
-	t.hop = make([]uint16, newN)
+	t.best, t.hop = nil, nil // scratch: the next pass sizes it anew
 	t.n = newN
 }
 

@@ -416,8 +416,16 @@ func TestTableGrowLeavesNoSpareCapacity(t *testing.T) {
 					t.Errorf("directional=%v: after Grow(%d) the row index has cap %d", tb.Directional(), n, cap(m.idx))
 				}
 			}
-			if cap(tb.meta) != n || cap(tb.best) != n || cap(tb.hop) != n {
-				t.Errorf("directional=%v: after Grow(%d) per-slot caps %d/%d/%d", tb.Directional(), n, cap(tb.meta), cap(tb.best), cap(tb.hop))
+			if cap(tb.meta) != n {
+				t.Errorf("directional=%v: after Grow(%d) the slot metadata has cap %d", tb.Directional(), n, cap(tb.meta))
+			}
+			// The full-table pass's scratch is allocated by the pass, exactly
+			// n long, or not at all.
+			for range 2 {
+				if c := cap(tb.best); c != 0 && c != n || cap(tb.hop) != c {
+					t.Errorf("directional=%v: after Grow(%d) pass scratch caps %d/%d, want 0 or %d", tb.Directional(), n, cap(tb.best), cap(tb.hop), n)
+				}
+				tb.PrepareSpans()
 			}
 		}
 	}

@@ -17,45 +17,42 @@ type HopCost struct {
 // CostMatrix is one direction of a Table's unpacked link state: one
 // contiguous n-entry []wire.Cost per stored row (row s holds the costs
 // announced by slot s). Table.PutWire maintains it incrementally, so wire cost
-// bits are unpacked exactly once at ingest; the batch kernels then scan plain
-// uint16 rows with no per-element status branches. Each row is an allocation
-// of its own, so a pass over many rows finds each one cold and the hardware
-// prefetcher starts over at every row: the full-table pass
-// (Table.BestOneHopViaSpan) prefetches the next row while it relaxes the
-// current one. A row's arrival time and sequence number belong to the row,
-// not to a direction, and live on the Table.
+// bits are unpacked once per accepted row — on arrival at a quorum node, at
+// the next read of the table at a full-mesh node, which parks rows until
+// then; the batch kernels then scan plain uint16 rows with no per-element
+// status branches. Each row is an allocation of its own, so a pass over many
+// rows finds each one cold and the hardware prefetcher starts over at every
+// row: the full-table pass (Table.BestOneHopViaSpan) prefetches the next row
+// while it relaxes the current one. A row's arrival time and sequence number
+// belong to the row, not to a direction, and live on the Table.
 //
 // Row storage is allocated lazily on first store: a quorum node's table only
 // ever holds ~2√n of the n possible rows, so lazy rows cut per-node table
 // memory from O(n²) to O(n√n) — the difference between a 1000-node churn
 // fleet fitting in memory or not. The held rows are one dense list, and a slot
 // costs two bytes: its index into that list (a view has at most wire.MaxSlots
-// slots, so 1 + an index fits 16 bits). Slots with no stored
-// announcement read as a shared all-InfCost row, so they can never win a
-// minimization; freshness must still be checked via Table.FreshAt by
-// staleness-sensitive consumers.
+// slots, so 1 + an index fits 16 bits). Slots with no stored announcement
+// read as infRow, so they can never win a minimization; freshness must still
+// be checked via Table.FreshAt by staleness-sensitive consumers.
 type CostMatrix struct {
 	n    int
 	idx  []uint16      // per slot: 1 + the index of its row in held, 0 while it has none
 	held [][]wire.Cost // the stored rows, in no particular order
 	slot []uint16      // slot[i] is the slot whose row held[i] is
-	inf  []wire.Cost   // shared all-InfCost row for absent slots (never written)
 
 	// srcBuf holds the masked source row of the kernel that takes no caller
-	// buffer (BestOneHopPairs). newCostMatrix sizes it for n-entry rows up
-	// front so it stays allocation-free in the steady state. That kernel is
-	// not safe for concurrent calls on the same matrix; sharded passes hand
-	// each worker its own buffer instead.
+	// buffer (BestOneHopPairs), allocated on that kernel's first call; no
+	// router runs it. It is not safe for concurrent calls on the same
+	// matrix; sharded passes hand each worker its own buffer instead.
 	srcBuf []wire.Cost
 }
 
+// infRow is the all-InfCost row every matrix serves, cut to its n entries,
+// for a slot with no stored announcement. It is never written.
+var infRow = slices.Repeat([]wire.Cost{wire.InfCost}, wire.MaxSlots)
+
 func newCostMatrix(n int) *CostMatrix {
-	return &CostMatrix{
-		n:      n,
-		idx:    make([]uint16, n),
-		inf:    slices.Repeat([]wire.Cost{wire.InfCost}, n),
-		srcBuf: make([]wire.Cost, n),
-	}
+	return &CostMatrix{n: n, idx: make([]uint16, n)}
 }
 
 // Row returns slot's unpacked cost row (length n, all InfCost if the slot has
@@ -65,7 +62,7 @@ func (m *CostMatrix) Row(slot int) []wire.Cost {
 	if i := m.idx[slot]; i > 0 {
 		return m.held[i-1]
 	}
-	return m.inf
+	return infRow[:m.n:m.n]
 }
 
 // rowFor returns slot's writable row, allocating it on first store.
@@ -101,18 +98,13 @@ func (m *CostMatrix) release(slot int) {
 // grow; each grown row is allocated at exactly newN, as rowFor allocates one,
 // since a held row lives until its slot expires. New slots start empty.
 func (m *CostMatrix) grow(newN int) {
-	inf := slices.Repeat([]wire.Cost{wire.InfCost}, newN)
 	for i, row := range m.held {
 		grown := make([]wire.Cost, newN)
 		copy(grown, row)
-		copy(grown[m.n:], inf[m.n:])
+		copy(grown[m.n:], infRow[m.n:newN])
 		m.held[i] = grown
 	}
 	m.idx = append(make([]uint16, 0, newN), m.idx...)[:newN]
-	m.inf = inf
-	if cap(m.srcBuf) < newN {
-		m.srcBuf = make([]wire.Cost, newN)
-	}
 	m.n = newN
 }
 
@@ -278,7 +270,17 @@ func (t *Table) BestOneHopToRow(srcBuf []wire.Cost, srcs []int, rowIn []wire.Cos
 //
 //lint:allocfree
 func (t *Table) BestOneHopViaAll(rowOut []wire.Cost, now time.Time, maxAge time.Duration, out []HopCost) {
+	t.PrepareSpans()
 	t.BestOneHopViaSpan(rowOut, now, maxAge, out, 0, t.n)
+}
+
+// PrepareSpans allocates the scratch BestOneHopViaSpan keeps on the table, if
+// the table has none at its current size. Call it once, serially, before
+// forking spans across workers; BestOneHopViaAll calls it itself.
+func (t *Table) PrepareSpans() {
+	if len(t.best) != t.n {
+		t.best, t.hop = make([]wire.Cost, t.n), make([]uint16, t.n)
+	}
 }
 
 // BestOneHopViaSpan is BestOneHopViaAll restricted to destinations in
@@ -288,7 +290,8 @@ func (t *Table) BestOneHopViaAll(rowOut []wire.Cost, now time.Time, maxAge time.
 // disjoint spans — in any order, including concurrently across workers —
 // produces bit-identical results to one full pass. This is the multicore
 // shard unit: a span writes only its own range of out and of the table's
-// scratch, and otherwise reads the table.
+// scratch, and otherwise reads the table. PrepareSpans must have run since
+// the table last grew.
 //
 //lint:allocfree
 func (t *Table) BestOneHopViaSpan(rowOut []wire.Cost, now time.Time, maxAge time.Duration, out []HopCost, lo, hi int) {

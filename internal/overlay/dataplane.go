@@ -18,7 +18,9 @@ var (
 
 // OnData, if non-nil, receives application datagrams addressed to this node.
 // origin is the overlay node that first sent the packet. The payload aliases
-// the receive buffer and must be copied if retained. Set before Start.
+// the delivered datagram, which the Env never writes again
+// (transport.Handler): it may be kept without a copy, but not written. Set
+// before Start.
 //
 // Defined as a field on Node in overlay.go's struct; this file implements
 // the forwarding logic (the original RON's application interface, which §5

@@ -84,7 +84,8 @@ type Node struct {
 
 	// OnData, if non-nil, receives application datagrams addressed to this
 	// node (see SendData). origin is the overlay node that first sent the
-	// packet; the payload must be copied if retained.
+	// packet; the payload may be kept without a copy, but not written
+	// (transport.Handler).
 	OnData func(origin wire.NodeID, payload []byte)
 }
 

@@ -27,6 +27,11 @@ type Timer interface {
 // Handler consumes a received datagram. The payload includes the wire
 // header; from is the transport-level sender identity (for UDP this is
 // derived from the header's Src field after membership is established).
+//
+// The Env never writes a delivered payload again, so a handler may keep it
+// (or a slice of it) as long as it likes without copying: the simulator
+// delivers the slice the sender passed to Send, which no one writes after
+// Send, and UDPEnv copies each datagram out of its receive buffer.
 type Handler func(from wire.NodeID, payload []byte)
 
 // Env is the execution environment of a single overlay node.
@@ -61,7 +66,9 @@ type Env interface {
 	Now() time.Time
 
 	// Send transmits a datagram to the node with the given ID. Sends to
-	// unknown IDs are silently dropped, matching UDP semantics.
+	// unknown IDs are silently dropped, matching UDP semantics. The payload
+	// is handed over: the simulator delivers it as it is, so the caller must
+	// not write it after Send (see Handler).
 	Send(to wire.NodeID, payload []byte)
 
 	// After schedules fn to run after d, serialized with packet handlers.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 	"time"
@@ -61,6 +62,43 @@ func TestSimEnvMalformedPacketIgnored(t *testing.T) {
 func datagram(src wire.NodeID, size int) []byte {
 	b := wire.AppendHeartbeat(nil, src)
 	return append(b, make([]byte, size-len(b))...)
+}
+
+// filled returns a size-byte datagram from src whose bytes past the header
+// all read fill.
+func filled(src wire.NodeID, size int, fill byte) []byte {
+	b := datagram(src, size)
+	for i := wire.HeaderLen; i < len(b); i++ {
+		b[i] = fill
+	}
+	return b
+}
+
+// TestSimEnvKeptPayloadUnchanged: a handler keeps a delivered payload without
+// copying it, more traffic passes through the same endpoints, and the kept
+// bytes still read as sent (transport.Handler's contract).
+func TestSimEnvKeptPayloadUnchanged(t *testing.T) {
+	nw := simnet.New(2, 1)
+	nw.SetLatency(0, 1, 10*time.Millisecond)
+	reg := NewRegistry()
+	a := NewSimEnv(nw, reg, 0, 1)
+	b := NewSimEnv(nw, reg, 1, 2)
+	a.SetLocalID(1)
+	b.SetLocalID(2)
+	var kept [][]byte
+	b.Bind(func(_ wire.NodeID, p []byte) { kept = append(kept, p) })
+	a.Send(2, filled(1, 64, 0xAA))
+	nw.RunFor(time.Second)
+	for fill := range byte(8) {
+		a.Send(2, filled(1, 64, fill))
+	}
+	nw.RunFor(time.Second)
+	if len(kept) != 9 {
+		t.Fatalf("%d datagrams delivered, want 9", len(kept))
+	}
+	if want := filled(1, 64, 0xAA); !bytes.Equal(kept[0], want) {
+		t.Errorf("kept payload changed after more traffic:\n got %x\nwant %x", kept[0], want)
+	}
 }
 
 // TestSimEnvRefusesOversizeDatagram: the simulator carries a payload of
@@ -268,6 +306,51 @@ func TestUDPEnvDatagramCeiling(t *testing.T) {
 	}
 	if got := a.SendErrors(); got != 1 {
 		t.Errorf("SendErrors = %d after a MaxDatagram send, want still 1", got)
+	}
+}
+
+// TestUDPEnvKeptPayloadUnchanged: over loopback, a handler keeps a delivered
+// payload without copying it while more datagrams arrive through the same
+// socket, and the kept bytes still read as sent — UDPEnv copies each datagram
+// out of the one receive buffer it reads into.
+func TestUDPEnvKeptPayloadUnchanged(t *testing.T) {
+	a, err := NewUDPEnv("127.0.0.1:0", netip.AddrPort{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewUDPEnv("127.0.0.1:0", netip.AddrPort{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	got := make(chan []byte, 16)
+	b.Do(func() { b.Bind(func(_ wire.NodeID, p []byte) { got <- p }) })
+	a.Do(func() {
+		a.SetLocalID(1)
+		a.SetPeer(2, b.LocalAddr())
+		a.Send(2, filled(1, 64, 0xAA))
+	})
+	var kept []byte
+	select {
+	case kept = <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first datagram never arrived")
+	}
+	// Loopback may drop under load; wait for at least one more datagram to
+	// pass through the receive buffer.
+	a.Do(func() {
+		for fill := range byte(8) {
+			a.Send(2, filled(1, 64, fill))
+		}
+	})
+	select {
+	case <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no later datagram arrived")
+	}
+	if want := filled(1, 64, 0xAA); !bytes.Equal(kept, want) {
+		t.Errorf("kept payload changed after more traffic:\n got %x\nwant %x", kept, want)
 	}
 }
 
