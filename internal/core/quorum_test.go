@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"hash"
 	"math/rand"
@@ -629,6 +630,78 @@ type recordingEnv struct {
 func (e *recordingEnv) Send(to wire.NodeID, payload []byte) {
 	e.sent.Write([]byte{byte(to >> 8), byte(to)})
 	e.sent.Write(payload)
+}
+
+// round2Fixture builds a rendezvous at slot 0 of a 625-slot static view
+// (25×25 grid: 48 clients) holding a fresh row from every client, on a
+// symmetric or a directional table, whose env digests what it sends.
+func round2Fixture(tb testing.TB, directional bool) (*Quorum, *recordingEnv) {
+	tb.Helper()
+	const n = 625
+	ids := make([]wire.NodeID, n)
+	for i := range ids {
+		ids[i] = wire.NodeID(i)
+	}
+	view := membership.NewStaticView(ids)
+	rng := rand.New(rand.NewSource(7))
+	rows := make([][]wire.AsymEntry, n) // symmetric mode announces the Out half
+	for s := range rows {
+		rows[s] = make([]wire.AsymEntry, n)
+		for j := range rows[s] {
+			st := wire.MakeStatus(true, 0)
+			if rng.Intn(20) == 0 {
+				st = wire.StatusDead
+			}
+			rows[s][j] = wire.AsymEntry{Out: uint16(5 + rng.Intn(400)), In: uint16(5 + rng.Intn(400)), Status: st}
+		}
+		rows[s][s] = wire.AsymEntry{Status: wire.MakeStatus(true, 0)}
+	}
+	symmetric := func(s int) []wire.LinkEntry {
+		row := make([]wire.LinkEntry, n)
+		for j, e := range rows[s] {
+			row[j] = wire.LinkEntry{Latency: e.Out, Status: e.Status}
+		}
+		return row
+	}
+	env := &recordingEnv{SimEnv: transport.NewSimEnv(simnet.New(1, 1), transport.NewRegistry(), 0, 1), sent: sha256.New()}
+	env.SetLocalID(0)
+	q, err := NewQuorum(env, QuorumConfig{Asymmetric: directional, Workers: 1}, view, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q.SelfRow = func() []wire.LinkEntry { return symmetric(0) }
+	q.SelfAsymRow = func() []wire.AsymEntry { return rows[0] }
+	q.LinkAlive = func(int) bool { return true }
+	for _, c := range q.Grid().Clients(0) {
+		if directional {
+			putAsym(tb, q.Table(), c, env.Now(), rows[c])
+		} else {
+			q.Table().Put(c, lsdb.Row{Seq: 1, When: env.Now(), Entries: symmetric(c)})
+		}
+	}
+	return q, env
+}
+
+// TestQuorumRound2Golden pins the bytes round 2 sends: the SHA-256 of every
+// recommendation, addressee first, in send order, on round2Fixture's
+// symmetric and directional tables.
+func TestQuorumRound2Golden(t *testing.T) {
+	for _, tc := range []struct {
+		directional bool
+		want        string
+	}{
+		{false, "b2b48c757fe9d130f20913b17ca8680a73990a623f7026efa632e39acecc8fcf"},
+		{true, "155d453d4dad2d5238640251e495398bacd945409bd3692453ccfb55e2730a80"},
+	} {
+		q, env := round2Fixture(t, tc.directional)
+		q.sendRecommendations()
+		if st := q.Stats(); st.RecommendationsSent != uint64(len(q.Grid().Clients(0))) {
+			t.Fatalf("directional=%v: %d recommendations for %d clients", tc.directional, st.RecommendationsSent, len(q.Grid().Clients(0)))
+		}
+		if got := hex.EncodeToString(env.sent.Sum(nil)); got != tc.want {
+			t.Errorf("directional=%v: round 2 sent %s, want %s", tc.directional, got, tc.want)
+		}
+	}
 }
 
 // TestQuorumRound2WorkersByteIdentical pins the worker count out of the
