@@ -477,14 +477,18 @@ func benchFullMeshNode(b *testing.B, n int) *core.FullMesh {
 }
 
 // BenchmarkRecomputeTrajectory records the single-node recompute trajectory
-// at n ∈ {1000, 2000, 5000}. For the quorum it times one routing tick of a
-// rendezvous serving its full ~2√n client set (round 2 evaluates every pair
-// every interval); for the full-mesh baseline, one tick's pass over all n
-// destinations. The criterion is the n=5000 quorum tick finishing inside the
-// 30 s probing interval; with GOMAXPROCS=1 these numbers are the
-// parallelism-free floor, and the sharded pass only improves on them.
+// at n ∈ {1000, 2000, 5000, 10000}, the top of the paper's regime. For the
+// quorum it times one routing tick of a rendezvous serving its full ~2√n
+// client set (round 2 evaluates every pair every interval); for the full-mesh
+// baseline, one tick's pass over all n destinations. Each reports the tick as
+// a share of its router's interval: a tick runs on its node's one goroutine,
+// so that share is the core a node's routing keeps busy.
 func BenchmarkRecomputeTrajectory(b *testing.B) {
-	for _, n := range []int{1000, 2000, 5000} {
+	ns := []int{1000, 2000, 5000, 10000}
+	intervalShare := func(b *testing.B, interval time.Duration) {
+		b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(interval), "interval_share")
+	}
+	for _, n := range ns {
 		b.Run(fmt.Sprintf("quorum/n=%d/full", n), func(b *testing.B) {
 			q, clients := benchQuorumNode(b, n)
 			q.Tick()
@@ -497,9 +501,10 @@ func BenchmarkRecomputeTrajectory(b *testing.B) {
 			st := q.Stats()
 			b.ReportMetric(float64(len(clients)), "clients")
 			b.ReportMetric(float64(st.PairsComputed-base.PairsComputed)/float64(b.N), "pairs_computed/op")
+			intervalShare(b, q.Interval())
 		})
 	}
-	for _, n := range []int{1000, 2000, 5000} {
+	for _, n := range ns {
 		b.Run(fmt.Sprintf("fullmesh/n=%d/full", n), func(b *testing.B) {
 			f := benchFullMeshNode(b, n)
 			f.Tick()
@@ -509,6 +514,7 @@ func BenchmarkRecomputeTrajectory(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(n), "dsts/op")
+			intervalShare(b, f.Interval())
 		})
 	}
 }
@@ -607,103 +613,6 @@ func BenchmarkViewRemap(b *testing.B) {
 			b.StopTimer()
 			if extends, remaps := f.ViewChangeStats(); extends != uint64(2*b.N) || remaps != 0 {
 				b.Fatalf("stable bench: extends=%d remaps=%d, want %d/0", extends, remaps, 2*b.N)
-			}
-		})
-	}
-}
-
-// BenchmarkShardedFullPass times the from-scratch passes at n = 2000 across
-// worker counts: the quorum's round 2 in directional mode (both directions
-// of every client pair; byte-identity across worker counts is
-// core.TestQuorumRound2WorkersByteIdentical), and the full-mesh recompute,
-// verified byte-identical to the serial one before timing. On an m-core host
-// the pass should approach m× the serial throughput (the shards write
-// disjoint spans, so there is no coordination beyond the fork/join). The
-// full mesh's rows arrive as messages, so the first tick applies them before
-// it forks.
-func BenchmarkShardedFullPass(b *testing.B) {
-	const n = 2000
-	directional := func(row []wire.LinkEntry) []wire.AsymEntry {
-		out := make([]wire.AsymEntry, len(row))
-		for j, e := range row {
-			out[j] = wire.AsymEntry{Out: e.Latency, In: (e.Latency*7 + uint16(j)) % 500, Status: e.Status}
-		}
-		return out
-	}
-	buildQuorum := func(workers int) *core.Quorum {
-		env := benchEnv()
-		q, err := core.NewQuorum(env, core.QuorumConfig{Asymmetric: true, Workers: workers}, benchView(n), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		self := directional(benchRow(n, 0, 0))
-		q.SelfAsymRow = func() []wire.AsymEntry { return self }
-		q.LinkAlive = func(int) bool { return true }
-		for _, c := range q.Grid().Clients(0) {
-			// Seed through the ingest path a received directional row takes.
-			msg := wire.AppendLinkStateAsym(nil, 0, wire.LinkStateAsym{Seq: 1, Entries: directional(benchRow(n, c, 0))})
-			_, seq, entries, err := wire.LinkStateBody(wire.TLinkStateAsym, msg[wire.HeaderLen:])
-			if err != nil || !q.Table().PutWire(c, seq, env.Now(), entries) {
-				b.Fatalf("client %d's directional row refused: %v", c, err)
-			}
-		}
-		return q
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("quorum-directional/n=%d/workers=%d", n, w), func(b *testing.B) {
-			q := buildQuorum(w)
-			q.Tick() // sizes the message buffers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Tick()
-			}
-		})
-	}
-	build := func(workers int) *core.FullMesh {
-		view := benchView(n)
-		f := core.NewFullMesh(benchEnv(), core.FullMeshConfig{Workers: workers}, view, 0)
-		self := benchRow(n, 0, 0)
-		f.SelfRow = func() []wire.LinkEntry { return self }
-		// Seed through the path a received row takes: parked on arrival and
-		// applied by the tick, before its pass forks.
-		for s := 1; s < n; s++ {
-			msg := wire.AppendLinkState(nil, wire.NodeID(s), wire.LinkState{ViewVersion: view.VersionNum(), Seq: 1, Entries: benchRow(n, s, 0)})
-			h, body, err := wire.ParseHeader(msg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			f.HandleLinkState(h, body)
-		}
-		return f
-	}
-	serial := build(1)
-	serial.Tick()
-	want := serial.Routes()
-	relayed := 0
-	for d, r := range want {
-		if r.Source == core.SourceSelf && r.Hop != d {
-			relayed++
-		}
-	}
-	if relayed == 0 {
-		b.Fatal("the serial pass relays nothing: the tick applied no row")
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("fullmesh/n=%d/workers=%d", n, w), func(b *testing.B) {
-			f := build(w)
-			f.Tick()
-			got := f.Routes()
-			if len(got) != len(want) {
-				b.Fatalf("route table length %d, want %d", len(got), len(want))
-			}
-			for d := range want {
-				if got[d] != want[d] {
-					b.Fatalf("workers=%d diverged from serial at dst %d: %+v vs %+v", w, d, got[d], want[d])
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.Tick()
 			}
 		})
 	}

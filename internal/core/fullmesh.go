@@ -5,7 +5,6 @@ import (
 
 	"allpairs/internal/lsdb"
 	"allpairs/internal/membership"
-	"allpairs/internal/par"
 	"allpairs/internal/transport"
 	"allpairs/internal/wire"
 )
@@ -28,9 +27,9 @@ type FullMeshConfig struct {
 	// The field is a vestige kept because benchmark/direct.go sets it and
 	// only a [benchmark] PR may edit that directory (ROADMAP item 1).
 	DisableIncremental bool
-	// Workers caps the fork/join fan-out of the recompute pass
-	// (0 = GOMAXPROCS, 1 = serial). Shards write disjoint destination spans,
-	// so the worker count never changes the output bytes.
+	// Workers has no effect: the recompute runs on the router's own
+	// goroutine. The field is a vestige kept because benchmark/ sets it
+	// (ROADMAP item 1).
 	Workers int
 }
 
@@ -105,14 +104,11 @@ func (f *FullMesh) Tick() {
 	f.recompute()
 }
 
-// shardMinDsts is the smallest destination count worth forking the kernel
-// pass across workers; below it the fork/join overhead dominates.
-const shardMinDsts = 256
-
 // recompute rebuilds the route table from the link-state database: unpack
-// the live self row, run the §4.2 kernel over every destination (sharded
-// across workers by destination span when the table is large enough), and
-// install every destination that has a usable hop.
+// the live self row, run the §4.2 kernel over every destination, and install
+// every destination that has a usable hop.
+//
+//lint:allocfree
 func (f *FullMesh) recompute() {
 	f.recomputes++
 	now := f.env.Now()
@@ -120,18 +116,11 @@ func (f *FullMesh) recompute() {
 	n := f.view.Slots()
 	costs, _ := f.selfCosts()
 	if cap(f.hopsBuf) < n {
+		//lint:allowalloc grows with the view
 		f.hopsBuf = make([]lsdb.HopCost, n)
 	}
 	out := f.hopsBuf[:n]
-	if n >= shardMinDsts && f.cfg.Workers != 1 {
-		table, stale := f.table, f.cfg.Staleness
-		table.PrepareSpans()
-		par.Spans(n, f.cfg.Workers, func(lo, hi int) {
-			table.BestOneHopViaSpan(costs, now, stale, out, lo, hi)
-		})
-	} else {
-		f.table.BestOneHopViaAll(costs, now, f.cfg.Staleness, out)
-	}
+	f.table.BestOneHopViaAll(costs, now, f.cfg.Staleness, out)
 	for dst, hc := range out {
 		if dst == f.self || hc.Hop < 0 {
 			continue // no usable hop: keep the stale entry; BestHop ages it out

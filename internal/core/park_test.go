@@ -164,37 +164,3 @@ func TestParkedRowsAreUnobservable(t *testing.T) {
 		t.Errorf("no route goes through an intermediary, the rows decided nothing: %+v", out)
 	}
 }
-
-// TestParkedRowsShardedRecompute: a recompute sharded over two workers reads
-// rows the tick applied just before the fork, and its routes equal the serial
-// recompute's. Run it under -race: the fork must see every parked row applied.
-func TestParkedRowsShardedRecompute(t *testing.T) {
-	ids := make([]wire.NodeID, shardMinDsts+4)
-	for i := range ids {
-		ids[i] = wire.NodeID(i)
-	}
-	view := slotView(t, 1, ids...)
-	self := aliveRow(len(ids), 0)
-	var routes [2][]RouteEntry
-	for i, workers := range []int{1, 2} {
-		env, nw := soloEnv()
-		f := NewFullMesh(env, FullMeshConfig{Workers: workers}, view, 0)
-		f.SelfRow = func() []wire.LinkEntry { return self }
-		nw.RunFor(time.Second)
-		for _, m := range view.Members()[1:] {
-			h, body, err := wire.ParseHeader(parkRow(view, m.ID, 1, 0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.HandleLinkState(h, body)
-		}
-		if len(f.parked) != len(ids)-1 {
-			t.Fatalf("workers=%d: %d rows parked, want %d", workers, len(f.parked), len(ids)-1)
-		}
-		f.Tick()
-		routes[i] = f.Routes()
-	}
-	if !reflect.DeepEqual(routes[0], routes[1]) {
-		t.Errorf("the sharded recompute's routes differ from the serial one's")
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"allpairs/internal/grid"
 	"allpairs/internal/lsdb"
 	"allpairs/internal/membership"
-	"allpairs/internal/par"
 	"allpairs/internal/transport"
 	"allpairs/internal/wire"
 )
@@ -43,10 +42,8 @@ type QuorumConfig struct {
 	// once, trading a little bandwidth for loss tolerance. The option must
 	// be enabled overlay-wide.
 	ReliableLinkState bool
-	// Workers caps the fork/join fan-out of the round-2 pair pass
-	// (0 = GOMAXPROCS, 1 = serial). Each shard writes its pairs' entries at
-	// fixed positions of the clients' messages, so the worker count never
-	// changes the bytes sent.
+	// Workers has no effect: round 2 runs on the router's own goroutine. The
+	// field is a vestige kept because benchmark/ sets it (ROADMAP item 1).
 	Workers int
 	// disableFailover turns off §4.1's failover, leaving §4.2's fallback alone.
 	disableFailover bool
@@ -375,10 +372,6 @@ func (q *Quorum) HandleLinkStateAck(h wire.Header, body []byte) {
 	}
 }
 
-// shardMinClients is the smallest fresh-client count worth forking the
-// round-2 pair pass across workers; below it the fork/join overhead dominates.
-const shardMinClients = 32
-
 // sendRecommendations is round 2: acting as a rendezvous server, compute the
 // best one-hop route for every pair of clients with fresh rows and send each
 // client one message covering all its pairs. The node also serves itself:
@@ -429,40 +422,28 @@ func (q *Quorum) hopID(hop int) wire.NodeID {
 
 // clientPairs evaluates every pair of clients and writes the results into both
 // endpoints' pending messages: msgs[j] lists j's routes in client order, so
-// the route to clients[m] is entry m, or m-1 past j itself. Sources are
-// split into spans that only read the table, stage kernel output in
-// span-local buffers and write disjoint entries of msgs, so the bytes sent do
-// not depend on the worker count.
+// the route to clients[m] is entry m, or m-1 past j itself. The kernels'
+// output goes through the buffers sweep keeps.
+//
+//lint:allocfree
 func (q *Quorum) clientPairs(clients []int, msgs [][]byte) {
 	k := len(clients)
-	workers := q.cfg.Workers
-	if k < shardMinClients {
-		workers = 1
-	}
 	table, directional := q.table, q.table.Directional()
-	par.Spans(k-1, workers, func(lo, hi int) {
-		var srcBuf []wire.Cost
-		longest := k - 1 - lo // the span's first source has the most later clients
-		fwd := make([]lsdb.HopCost, longest)
-		rev := fwd
+	fwd, rev := q.hops(k)
+	for i := range k - 1 {
+		a, others := clients[i], clients[i+1:]
+		fwd, rev := fwd[:len(others)], rev[:len(others)]
+		q.srcBuf = table.BestOneHopAllRow(q.srcBuf, table.OutRow(a), a, others, fwd)
 		if directional {
-			rev = make([]lsdb.HopCost, longest)
+			q.srcBuf = table.BestOneHopToRow(q.srcBuf, others, table.InRow(a), rev)
 		}
-		for i := lo; i < hi; i++ {
-			a, others := clients[i], clients[i+1:]
-			fwd, rev := fwd[:len(others)], rev[:len(others)]
-			srcBuf = table.BestOneHopAllRow(srcBuf, table.OutRow(a), a, others, fwd)
-			if directional {
-				srcBuf = table.BestOneHopToRow(srcBuf, others, table.InRow(a), rev)
-			}
-			for z, b := range others {
-				j := i + 1 + z
-				back := turned(rev[z], a, b)
-				wire.PutRecEntry(msgs[i], j-1, wire.RecEntry{Dst: q.view.IDAt(b), Hop: q.hopID(fwd[z].Hop), Cost: fwd[z].Cost})
-				wire.PutRecEntry(msgs[j], i, wire.RecEntry{Dst: q.view.IDAt(a), Hop: q.hopID(back.Hop), Cost: back.Cost})
-			}
+		for z, b := range others {
+			j := i + 1 + z
+			back := turned(rev[z], a, b)
+			wire.PutRecEntry(msgs[i], j-1, wire.RecEntry{Dst: q.view.IDAt(b), Hop: q.hopID(fwd[z].Hop), Cost: fwd[z].Cost})
+			wire.PutRecEntry(msgs[j], i, wire.RecEntry{Dst: q.view.IDAt(a), Hop: q.hopID(back.Hop), Cost: back.Cost})
 		}
-	})
+	}
 	pairs := k * (k - 1)
 	if !directional {
 		pairs /= 2
@@ -484,28 +465,38 @@ func turned(hc lsdb.HopCost, a, b int) lsdb.HopCost {
 // sweep evaluates the routes between this node — whose live row no table
 // stores; it is unpacked once for the whole batch — and every client: fwd[i]
 // is self→clients[i], rev[i] is clients[i]→self. On a symmetric table rev is
-// fwd. The results alias hopBuf, k entries long (2k on a directional table),
-// and are valid until the next sweep.
+// fwd. The results alias hopBuf and are valid until the next kernel call.
 func (q *Quorum) sweep(clients []int) (fwd, rev []lsdb.HopCost) {
 	rowOut, rowIn := q.selfCosts()
-	k, directional := len(clients), q.table.Directional()
+	fwd, rev = q.hops(len(clients))
+	q.srcBuf = q.table.BestOneHopAllRow(q.srcBuf, rowOut, q.self, clients, fwd)
+	q.stats.PairsComputed += uint64(len(clients))
+	if !q.table.Directional() {
+		return fwd, fwd
+	}
+	q.srcBuf = q.table.BestOneHopToRow(q.srcBuf, clients, rowIn, rev)
+	q.stats.PairsComputed += uint64(len(clients))
+	return fwd, rev
+}
+
+// hops returns round 2's kernel output for k clients: hopBuf, k entries long
+// (2k on a directional table), split into the two directions; on a symmetric
+// table rev is fwd.
+//
+//lint:allocfree
+func (q *Quorum) hops(k int) (fwd, rev []lsdb.HopCost) {
 	size := k
-	if directional {
+	if q.table.Directional() {
 		size = 2 * k
 	}
 	if cap(q.hopBuf) < size {
+		//lint:allowalloc grows with the client count
 		q.hopBuf = make([]lsdb.HopCost, size)
 	}
-	fwd = q.hopBuf[:k]
-	q.srcBuf = q.table.BestOneHopAllRow(q.srcBuf, rowOut, q.self, clients, fwd)
-	q.stats.PairsComputed += uint64(k)
-	if !directional {
-		return fwd, fwd
+	if size == k {
+		return q.hopBuf[:k], q.hopBuf[:k]
 	}
-	rev = q.hopBuf[k : 2*k]
-	q.srcBuf = q.table.BestOneHopToRow(q.srcBuf, clients, rowIn, rev)
-	q.stats.PairsComputed += uint64(k)
-	return fwd, rev
+	return q.hopBuf[:k], q.hopBuf[k:size]
 }
 
 // HandleLinkState implements Router: a client's row is ingested

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -665,7 +664,7 @@ func round2Fixture(tb testing.TB, directional bool) (*Quorum, *recordingEnv) {
 	}
 	env := &recordingEnv{SimEnv: transport.NewSimEnv(simnet.New(1, 1), transport.NewRegistry(), 0, 1), sent: sha256.New()}
 	env.SetLocalID(0)
-	q, err := NewQuorum(env, QuorumConfig{Asymmetric: directional, Workers: 1}, view, 0)
+	q, err := NewQuorum(env, QuorumConfig{Asymmetric: directional}, view, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -704,70 +703,20 @@ func TestQuorumRound2Golden(t *testing.T) {
 	}
 }
 
-// TestQuorumRound2WorkersByteIdentical pins the worker count out of the
-// protocol: a rendezvous with enough fresh clients to fork its round-2 pair
-// pass must send the same messages, in the same order, at every Workers
-// setting, on a symmetric and on a directional table.
-func TestQuorumRound2WorkersByteIdentical(t *testing.T) {
-	const n = 625 // 25×25 grid: 48 rendezvous clients
-	ids := make([]wire.NodeID, n)
-	for i := range ids {
-		ids[i] = wire.NodeID(i)
-	}
-	view := membership.NewStaticView(ids)
-	rng := rand.New(rand.NewSource(7))
-	rows := make([][]wire.AsymEntry, n) // symmetric mode announces the Out half
-	for s := range rows {
-		rows[s] = make([]wire.AsymEntry, n)
-		for j := range rows[s] {
-			st := wire.MakeStatus(true, 0)
-			if rng.Intn(20) == 0 {
-				st = wire.StatusDead
-			}
-			rows[s][j] = wire.AsymEntry{Out: uint16(5 + rng.Intn(400)), In: uint16(5 + rng.Intn(400)), Status: st}
-		}
-		rows[s][s] = wire.AsymEntry{Status: wire.MakeStatus(true, 0)}
-	}
-	symmetric := func(s int) []wire.LinkEntry {
-		row := make([]wire.LinkEntry, n)
-		for j, e := range rows[s] {
-			row[j] = wire.LinkEntry{Latency: e.Out, Status: e.Status}
-		}
-		return row
-	}
+// TestQuorumPairPassAllocatesNothing: once a tick has sized round 2's
+// buffers, the pass over the client pairs allocates nothing — the kernels'
+// source row and output live on the router, the messages are the caller's.
+func TestQuorumPairPassAllocatesNothing(t *testing.T) {
 	for _, directional := range []bool{false, true} {
-		sent := func(workers int) []byte {
-			env := &recordingEnv{SimEnv: transport.NewSimEnv(simnet.New(1, 1), transport.NewRegistry(), 0, 1), sent: sha256.New()}
-			env.SetLocalID(0)
-			q, err := NewQuorum(env, QuorumConfig{Asymmetric: directional, Workers: workers}, view, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q.SelfRow = func() []wire.LinkEntry { return symmetric(0) }
-			q.SelfAsymRow = func() []wire.AsymEntry { return rows[0] }
-			q.LinkAlive = func(int) bool { return true }
-			clients := q.Grid().Clients(0)
-			if len(clients) < shardMinClients {
-				t.Fatalf("%d clients never fork the pair pass (shardMinClients = %d)", len(clients), shardMinClients)
-			}
-			for _, c := range clients {
-				if directional {
-					putAsym(t, q.Table(), c, env.Now(), rows[c])
-				} else {
-					q.Table().Put(c, lsdb.Row{Seq: 1, When: env.Now(), Entries: symmetric(c)})
-				}
-			}
-			q.Tick()
-			if st := q.Stats(); st.RecommendationsSent != uint64(len(clients)) {
-				t.Fatalf("workers=%d: %d recommendations for %d clients", workers, st.RecommendationsSent, len(clients))
-			}
-			return env.sent.Sum(nil)
+		q, env := round2Fixture(t, directional)
+		q.Tick()
+		clients := q.table.FreshSlots(nil, env.Now(), q.cfg.Staleness)
+		msgs := make([][]byte, len(clients))
+		for i := range msgs {
+			msgs[i] = wire.NewRecommendation(env.LocalID(), q.view.VersionNum(), len(clients))
 		}
-		want := sent(1)
-		for _, w := range []int{2, 4, 8} {
-			if got := sent(w); !bytes.Equal(got, want) {
-				t.Errorf("directional=%v workers=%d: messages differ from the serial pass's", directional, w)
-			}
+		if allocs := testing.AllocsPerRun(10, func() { q.clientPairs(clients, msgs) }); allocs != 0 {
+			t.Errorf("directional=%v: the pair pass over %d clients allocates %.0f times", directional, len(clients), allocs)
 		}
 	}
 }

@@ -105,8 +105,7 @@ func (e *capturingEnv) Send(to wire.NodeID, payload []byte) { e.sent[to] = paylo
 // entry straight into its client's datagram. The bytes must be what staging
 // every client's entries and encoding them with AppendRecommendation gives —
 // entries here from the scalar kernel, one pair at a time — for any number of
-// clients, on a symmetric and on a directional table, serial and forked (under
-// -race the forked pass also shows that workers write disjoint bytes).
+// clients, on a symmetric and on a directional table.
 func TestRecommendationsWrittenInPlaceMatchStagedEncoding(t *testing.T) {
 	const n = 144
 	ids := make([]wire.NodeID, n)
@@ -144,68 +143,66 @@ func TestRecommendationsWrittenInPlaceMatchStagedEncoding(t *testing.T) {
 			clients[i]++
 		}
 		for _, directional := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				env := &capturingEnv{SimEnv: transport.NewSimEnv(simnet.New(1, 1), transport.NewRegistry(), 0, 1), sent: map[wire.NodeID][]byte{}}
-				env.SetLocalID(ids[0])
-				q, err := NewQuorum(env, QuorumConfig{Asymmetric: directional, Workers: workers}, view, 0)
-				if err != nil {
-					t.Fatal(err)
+			env := &capturingEnv{SimEnv: transport.NewSimEnv(simnet.New(1, 1), transport.NewRegistry(), 0, 1), sent: map[wire.NodeID][]byte{}}
+			env.SetLocalID(ids[0])
+			q, err := NewQuorum(env, QuorumConfig{Asymmetric: directional}, view, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.SelfRow = func() []wire.LinkEntry { return symmetric(0) }
+			q.SelfAsymRow = func() []wire.AsymEntry { return rows[0] }
+			q.LinkAlive = func(int) bool { return true }
+			for _, c := range clients {
+				if directional {
+					putAsym(t, q.table, c, env.Now(), rows[c])
+				} else {
+					q.table.Put(c, lsdb.Row{Seq: 1, When: env.Now(), Entries: symmetric(c)})
 				}
-				q.SelfRow = func() []wire.LinkEntry { return symmetric(0) }
-				q.SelfAsymRow = func() []wire.AsymEntry { return rows[0] }
-				q.LinkAlive = func(int) bool { return true }
-				for _, c := range clients {
-					if directional {
-						putAsym(t, q.table, c, env.Now(), rows[c])
-					} else {
-						q.table.Put(c, lsdb.Row{Seq: 1, When: env.Now(), Entries: symmetric(c)})
-					}
-				}
-				q.sendRecommendations()
+			}
+			q.sendRecommendations()
 
-				fresh := q.table.FreshSlots(nil, env.Now(), q.cfg.Staleness) // client order: ascending slots
-				selfOut, selfIn := q.selfCosts()
-				out := func(s int) []wire.Cost {
-					if s == 0 {
-						return selfOut
-					}
-					return q.table.OutRow(s)
+			fresh := q.table.FreshSlots(nil, env.Now(), q.cfg.Staleness) // client order: ascending slots
+			selfOut, selfIn := q.selfCosts()
+			out := func(s int) []wire.Cost {
+				if s == 0 {
+					return selfOut
 				}
-				in := func(s int) []wire.Cost {
-					if s == 0 {
-						return selfIn
-					}
-					return q.table.InRow(s)
+				return q.table.OutRow(s)
+			}
+			in := func(s int) []wire.Cost {
+				if s == 0 {
+					return selfIn
 				}
-				// best is the entry for b in a's message: the route a→b. Slot 0
-				// is the rendezvous, whose row is live, not stored.
-				best := func(a, b int) wire.RecEntry {
-					var hc lsdb.HopCost
-					if directional || a < b {
-						hc.Hop, hc.Cost = lsdb.BestOneHopRows(a, out(a), in(b))
-					} else { // a symmetric pair is evaluated once, from its lower end
-						hc.Hop, hc.Cost = lsdb.BestOneHopRows(b, out(b), in(a))
-						hc = turned(hc, b, a)
-					}
-					return wire.RecEntry{Dst: view.IDAt(b), Hop: q.hopID(hc.Hop), Cost: hc.Cost}
+				return q.table.InRow(s)
+			}
+			// best is the entry for b in a's message: the route a→b. Slot 0
+			// is the rendezvous, whose row is live, not stored.
+			best := func(a, b int) wire.RecEntry {
+				var hc lsdb.HopCost
+				if directional || a < b {
+					hc.Hop, hc.Cost = lsdb.BestOneHopRows(a, out(a), in(b))
+				} else { // a symmetric pair is evaluated once, from its lower end
+					hc.Hop, hc.Cost = lsdb.BestOneHopRows(b, out(b), in(a))
+					hc = turned(hc, b, a)
 				}
-				for _, a := range fresh {
-					staged := wire.Recommendation{ViewVersion: view.VersionNum()}
-					for _, b := range fresh {
-						if b != a {
-							staged.Entries = append(staged.Entries, best(a, b))
-						}
-					}
-					staged.Entries = append(staged.Entries, best(a, 0))
-					want := wire.AppendRecommendation(nil, ids[0], staged)
-					if got := env.sent[view.IDAt(a)]; !bytes.Equal(got, want) {
-						t.Fatalf("k=%d directional=%v workers=%d: message to slot %d differs from the staged encoding\n got %x\nwant %x",
-							k, directional, workers, a, got, want)
+				return wire.RecEntry{Dst: view.IDAt(b), Hop: q.hopID(hc.Hop), Cost: hc.Cost}
+			}
+			for _, a := range fresh {
+				staged := wire.Recommendation{ViewVersion: view.VersionNum()}
+				for _, b := range fresh {
+					if b != a {
+						staged.Entries = append(staged.Entries, best(a, b))
 					}
 				}
-				if len(env.sent) != k {
-					t.Fatalf("k=%d: %d messages sent", k, len(env.sent))
+				staged.Entries = append(staged.Entries, best(a, 0))
+				want := wire.AppendRecommendation(nil, ids[0], staged)
+				if got := env.sent[view.IDAt(a)]; !bytes.Equal(got, want) {
+					t.Fatalf("k=%d directional=%v: message to slot %d differs from the staged encoding\n got %x\nwant %x",
+						k, directional, a, got, want)
 				}
+			}
+			if len(env.sent) != k {
+				t.Fatalf("k=%d: %d messages sent", k, len(env.sent))
 			}
 		}
 	}

@@ -54,7 +54,7 @@ type fig1Slot struct {
 func Fig1(env *traces.Env, thresholdMS float64) *Fig1Result {
 	n := env.N
 	slots := make([]fig1Slot, n)
-	par.For(n, 0, func(a int) {
+	par.For(n, func(a int) {
 		s := &slots[a]
 		rowA := env.LatencyMS[a]
 		alts := make([]float64, 0, n)
@@ -152,7 +152,7 @@ func Fig9Sweep(ns []int, algos []overlay.Algorithm, seed int64, warmup, measure 
 	for i := range out {
 		out[i] = make([]float64, len(algos))
 	}
-	par.For(len(ns)*len(algos), 0, func(k int) {
+	par.For(len(ns)*len(algos), func(k int) {
 		i, j := k/len(algos), k%len(algos)
 		out[i][j] = Fig9Point(ns[i], algos[j], seed, warmup, measure)
 	})

@@ -290,15 +290,7 @@ func TestDirectionalEqualsSymmetricWhenCostsAgreeQuick(t *testing.T) {
 		}
 		maxAge := time.Duration(rng.Intn(150)) * time.Second
 		via := func(dst int) (int, wire.Cost) { return raw.bestOneHopVia(live, dst, now, maxAge) }
-		lo := rng.Intn(n)
-		hi := lo + rng.Intn(n-lo+1)
-		span := func(tb *Table, out []HopCost) {
-			tb.PrepareSpans()
-			tb.BestOneHopViaSpan(costs, now, maxAge, out, 0, lo)
-			tb.BestOneHopViaSpan(costs, now, maxAge, out, hi, n)
-			tb.BestOneHopViaSpan(costs, now, maxAge, out, lo, hi)
-		}
-		if !same(span, n, via) {
+		if !same(func(tb *Table, out []HopCost) { tb.BestOneHopViaAll(costs, now, maxAge, out) }, n, via) {
 			return false
 		}
 		return same(func(tb *Table, out []HopCost) {

@@ -263,9 +263,8 @@ func TestKernelTieBreaks(t *testing.T) {
 
 // TestKernelsMatchOracleAtLedgerSizes runs the table kernels the way the two
 // routers do, at sizes with dozens of blocks and every tail length, against
-// the scalar oracles: the skip slot first, last and inside the tail, a live
-// row shorter than the table, spans whose ends are no multiple of eight, and
-// intermediaries inside and outside the span.
+// the scalar oracles: the skip slot first, last and inside the tail, and a
+// live row shorter than the table.
 func TestKernelsMatchOracleAtLedgerSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(324))
 	t0 := time.Unix(3_000_000, 0)
@@ -293,19 +292,14 @@ func TestKernelsMatchOracleAtLedgerSizes(t *testing.T) {
 			}
 
 			maxAge := time.Duration(30+rng.Intn(90)) * time.Second
-			lo, hi := 1+rng.Intn(n/2), n/2+1+rng.Intn(n/2-1)
 			for i := range out {
 				out[i] = HopCost{Hop: -7, Cost: 7}
 			}
-			// Three disjoint spans, out of order, ends at odd offsets.
-			tb.PrepareSpans()
-			tb.BestOneHopViaSpan(costs, t0, maxAge, out, hi, n)
-			tb.BestOneHopViaSpan(costs, t0, maxAge, out, 0, lo)
-			tb.BestOneHopViaSpan(costs, t0, maxAge, out, lo, hi)
+			tb.BestOneHopViaAll(costs, t0, maxAge, out)
 			for dst := 0; dst < n; dst++ {
 				if hop, cost := raw.bestOneHopVia(live, dst, t0, maxAge); out[dst].Hop != hop || out[dst].Cost != cost {
-					t.Fatalf("n=%d rowLen=%d spans [0,%d) [%d,%d) [%d,%d): Via(dst=%d) = (%d,%d), oracle (%d,%d)",
-						n, rowLen, lo, lo, hi, hi, n, dst, out[dst].Hop, out[dst].Cost, hop, cost)
+					t.Fatalf("n=%d rowLen=%d: ViaAll(dst=%d) = (%d,%d), oracle (%d,%d)",
+						n, rowLen, dst, out[dst].Hop, out[dst].Cost, hop, cost)
 				}
 			}
 		}

@@ -50,10 +50,9 @@ type Table struct {
 
 	tombstones []int // the view's unoccupied slots, ascending, which PutWire's rows skip
 
-	// best and hop are BestOneHopViaSpan's running minimum and intermediary per
-	// destination, allocated by PrepareSpans on the first full-table pass (a
-	// quorum table never runs one). A span writes only its own [lo, hi) of
-	// them, so disjoint spans may run concurrently.
+	// best and hop are BestOneHopViaAll's running minimum and intermediary per
+	// destination, allocated by its first pass at the table's size (a quorum
+	// table never runs one).
 	best []wire.Cost
 	hop  []uint16
 }

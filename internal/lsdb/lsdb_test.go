@@ -425,7 +425,7 @@ func TestTableGrowLeavesNoSpareCapacity(t *testing.T) {
 				if c := cap(tb.best); c != 0 && c != n || cap(tb.hop) != c {
 					t.Errorf("directional=%v: after Grow(%d) pass scratch caps %d/%d, want 0 or %d", tb.Directional(), n, cap(tb.best), cap(tb.hop), n)
 				}
-				tb.PrepareSpans()
+				tb.BestOneHopViaAll(nil, t0, time.Minute, make([]HopCost, n))
 			}
 		}
 	}

@@ -22,7 +22,7 @@ type HopCost struct {
 // then; the batch kernels then scan plain uint16 rows with no per-element
 // status branches. Each row is an allocation of its own, so a pass over many
 // rows finds each one cold and the hardware prefetcher starts over at every
-// row: the full-table pass (Table.BestOneHopViaSpan) prefetches the next row
+// row: the full-table pass (Table.BestOneHopViaAll) prefetches the next row
 // while it relaxes the current one. A row's arrival time and sequence number
 // belong to the row, not to a direction, and live on the Table.
 //
@@ -42,8 +42,7 @@ type CostMatrix struct {
 
 	// srcBuf holds the masked source row of the kernel that takes no caller
 	// buffer (BestOneHopPairs), allocated on that kernel's first call; no
-	// router runs it. It is not safe for concurrent calls on the same
-	// matrix; sharded passes hand each worker its own buffer instead.
+	// router runs it.
 	srcBuf []wire.Cost
 }
 
@@ -230,8 +229,7 @@ func (m *CostMatrix) BestOneHopPairs(pairs [][2]int, out []HopCost) {
 // measurement row, which is not in its table — and skip names the source's
 // slot. out must have len(dsts) entries. rowOut is copied into srcBuf once,
 // masked, and stays cache-resident across the whole pass; the grown buffer is
-// returned for reuse. With a buffer of its own a call only reads the table,
-// so sharded passes run it concurrently, one buffer per worker.
+// returned for reuse.
 //
 //lint:allocfree
 func (t *Table) BestOneHopAllRow(srcBuf []wire.Cost, rowOut []wire.Cost, skip int, dsts []int, out []HopCost) []wire.Cost {
@@ -266,78 +264,50 @@ func (t *Table) BestOneHopToRow(srcBuf []wire.Cost, srcs []int, rowIn []wire.Cos
 // Each intermediate's freshness is evaluated once and its row then streamed
 // across all destinations, the next intermediate's row prefetched meanwhile,
 // so the whole table recompute is one O(fresh·n) pass at memory speed. out
-// must have t.N() entries.
+// must have t.N() entries. The running minimum and intermediary per
+// destination are scratch the table keeps, sized on the first pass after the
+// table last grew.
 //
 //lint:allocfree
 func (t *Table) BestOneHopViaAll(rowOut []wire.Cost, now time.Time, maxAge time.Duration, out []HopCost) {
-	t.PrepareSpans()
-	t.BestOneHopViaSpan(rowOut, now, maxAge, out, 0, t.n)
-}
-
-// PrepareSpans allocates the scratch BestOneHopViaSpan keeps on the table, if
-// the table has none at its current size. Call it once, serially, before
-// forking spans across workers; BestOneHopViaAll calls it itself.
-func (t *Table) PrepareSpans() {
 	if len(t.best) != t.n {
+		//lint:allowalloc sized once per table size, on the first pass after a grow
 		t.best, t.hop = make([]wire.Cost, t.n), make([]uint16, t.n)
 	}
-}
-
-// BestOneHopViaSpan is BestOneHopViaAll restricted to destinations in
-// [lo, hi): out[dst] is written for exactly those slots (absolute indexing;
-// out must still have t.N() entries). The intermediate loop runs in the same
-// order with the same strict-< improvement rule, so covering [0, n) with
-// disjoint spans — in any order, including concurrently across workers —
-// produces bit-identical results to one full pass. This is the multicore
-// shard unit: a span writes only its own range of out and of the table's
-// scratch, and otherwise reads the table. PrepareSpans must have run since
-// the table last grew.
-//
-//lint:allocfree
-func (t *Table) BestOneHopViaSpan(rowOut []wire.Cost, now time.Time, maxAge time.Duration, out []HopCost, lo, hi int) {
-	lim := min(t.n, len(rowOut))
 	// Destinations ≥ lim have no path — the row has no first leg toward them
-	// — so intermediates only stream over [lo, end).
-	end := min(hi, lim)
-	for dst := max(lo, end); dst < hi; dst++ {
+	// — so intermediates only stream over [0, lim).
+	lim := min(t.n, len(rowOut))
+	for dst := lim; dst < t.n; dst++ {
 		out[dst] = noHop
-	}
-	if lo >= end {
-		return
 	}
 	// Every destination starts from its direct path, a dead one at InfCost,
 	// where the hop is not read.
-	best, hop := t.best[lo:end], t.hop[lo:end]
-	copy(best, rowOut[lo:end])
+	best, hop := t.best[:lim], t.hop[:lim]
+	copy(best, rowOut)
 	for i := range hop {
-		hop[i] = uint16(lo + i)
+		hop[i] = uint16(i)
 	}
 	ns := now.UnixNano()
-	for h := 0; h < lim; h++ {
+	for h := range lim {
 		// Held rows are separate allocations, so the hardware prefetcher
 		// starts cold on each: ask for the next one while this one streams.
 		if h+1 < lim {
-			prefetch(t.out.Row(h + 1)[lo:end])
+			prefetch(t.out.Row(h + 1)[:lim])
 		}
 		ca := rowOut[h]
 		if ca == wire.InfCost || !t.freshAt(h, ns, maxAge) {
 			continue // a dead first leg can never improve any destination
 		}
-		row := t.out.Row(h)[lo:end]
-		if h < lo || h >= end {
-			relax(ca, row, best, hop, uint16(h))
-			continue
-		}
 		// h is no intermediary on the way to itself: put its own lane back.
-		keepBest, keepHop := best[h-lo], hop[h-lo]
-		relax(ca, row, best, hop, uint16(h))
-		best[h-lo], hop[h-lo] = keepBest, keepHop
+		keepBest, keepHop := best[h], hop[h]
+		relax(ca, t.out.Row(h)[:lim], best, hop, uint16(h))
+		best[h], hop[h] = keepBest, keepHop
 	}
-	for i, c := range best {
+	for dst, c := range best {
 		if c == wire.InfCost {
-			out[lo+i] = noHop
+			out[dst] = noHop
 		} else {
-			out[lo+i] = HopCost{Hop: int(hop[i]), Cost: c}
+			out[dst] = HopCost{Hop: int(hop[dst]), Cost: c}
 		}
 	}
 }
