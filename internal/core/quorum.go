@@ -162,7 +162,7 @@ type Quorum struct {
 	live       []bool // per destination: some default rendezvous is live
 	clientsBuf []int
 	hopBuf     []lsdb.HopCost
-	srcBuf     []wire.Cost // masked source row of the self-row kernel calls
+	srcBuf     []wire.Cost // masked source row of round 2's kernel calls
 }
 
 // NewQuorum creates a quorum router for the node at slot self of view.
@@ -471,11 +471,10 @@ func (q *Quorum) sweep(clients []int) (fwd, rev []lsdb.HopCost) {
 	fwd, rev = q.hops(len(clients))
 	q.srcBuf = q.table.BestOneHopAllRow(q.srcBuf, rowOut, q.self, clients, fwd)
 	q.stats.PairsComputed += uint64(len(clients))
-	if !q.table.Directional() {
-		return fwd, fwd
+	if q.table.Directional() {
+		q.srcBuf = q.table.BestOneHopToRow(q.srcBuf, clients, rowIn, rev)
+		q.stats.PairsComputed += uint64(len(clients))
 	}
-	q.srcBuf = q.table.BestOneHopToRow(q.srcBuf, clients, rowIn, rev)
-	q.stats.PairsComputed += uint64(len(clients))
 	return fwd, rev
 }
 
@@ -493,10 +492,7 @@ func (q *Quorum) hops(k int) (fwd, rev []lsdb.HopCost) {
 		//lint:allowalloc grows with the client count
 		q.hopBuf = make([]lsdb.HopCost, size)
 	}
-	if size == k {
-		return q.hopBuf[:k], q.hopBuf[:k]
-	}
-	return q.hopBuf[:k], q.hopBuf[k:size]
+	return q.hopBuf[:k], q.hopBuf[size-k : size]
 }
 
 // HandleLinkState implements Router: a client's row is ingested
