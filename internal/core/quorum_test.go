@@ -619,8 +619,8 @@ func TestRetransmitSurvivesFailoverRecruitment(t *testing.T) {
 	}
 }
 
-// recordingEnv digests what its router sends instead of delivering it, so
-// two routers' output can be compared byte for byte.
+// recordingEnv digests what its router sends instead of delivering it, so a
+// router's output can be pinned byte for byte.
 type recordingEnv struct {
 	*transport.SimEnv
 	sent hash.Hash
