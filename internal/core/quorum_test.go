@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"hash"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -620,15 +622,18 @@ func TestRetransmitSurvivesFailoverRecruitment(t *testing.T) {
 }
 
 // recordingEnv digests what its router sends instead of delivering it, so a
-// router's output can be pinned byte for byte.
+// router's output can be pinned byte for byte, and keeps the last payload
+// sent to each addressee.
 type recordingEnv struct {
 	*transport.SimEnv
 	sent hash.Hash
+	last map[wire.NodeID][]byte
 }
 
 func (e *recordingEnv) Send(to wire.NodeID, payload []byte) {
 	e.sent.Write([]byte{byte(to >> 8), byte(to)})
 	e.sent.Write(payload)
+	e.last[to] = payload
 }
 
 // round2Fixture builds a rendezvous at slot 0 of a 625-slot static view
@@ -662,7 +667,7 @@ func round2Fixture(tb testing.TB, directional bool) (*Quorum, *recordingEnv) {
 		}
 		return row
 	}
-	env := &recordingEnv{SimEnv: transport.NewSimEnv(simnet.New(1, 1), transport.NewRegistry(), 0, 1), sent: sha256.New()}
+	env := &recordingEnv{SimEnv: transport.NewSimEnv(simnet.New(1, 1), transport.NewRegistry(), 0, 1), sent: sha256.New(), last: map[wire.NodeID][]byte{}}
 	env.SetLocalID(0)
 	q, err := NewQuorum(env, QuorumConfig{Asymmetric: directional}, view, 0)
 	if err != nil {
@@ -701,6 +706,49 @@ func TestQuorumRound2Golden(t *testing.T) {
 			t.Errorf("directional=%v: round 2 sent %s, want %s", tc.directional, got, tc.want)
 		}
 	}
+}
+
+// TestQuorumRound2SaysTheSame pins what round 2 says, whatever its encoding:
+// per addressee in slot order, the (dst, hop, cost) set its recommendation
+// decodes to, sorted, on round2Fixture's symmetric and directional tables.
+func TestQuorumRound2SaysTheSame(t *testing.T) {
+	for _, tc := range []struct {
+		directional bool
+		want        string
+	}{
+		{false, "dfadb8b60060983c03f9c8d0ccabc800eab221e123b65c2f27f68be5d4ec0322"},
+		{true, "aa319d038bf04cff9403ccd1023436986cd398a88f890cb7020abb7ea5554c30"},
+	} {
+		q, env := round2Fixture(t, tc.directional)
+		q.sendRecommendations()
+		sum := sha256.New()
+		for _, c := range q.Grid().Clients(0) {
+			entries := decodeRound2(t, q, c, env.last[q.view.IDAt(c)])
+			slices.SortFunc(entries, func(a, b wire.RecEntry) int { return cmp.Compare(a.Dst, b.Dst) })
+			fmt.Fprintf(sum, "%d:", c)
+			for _, e := range entries {
+				fmt.Fprintf(sum, " %d/%d/%d", e.Dst, e.Hop, e.Cost)
+			}
+			fmt.Fprintln(sum)
+		}
+		if got := hex.EncodeToString(sum.Sum(nil)); got != tc.want {
+			t.Errorf("directional=%v: round 2 says %s, want %s", tc.directional, got, tc.want)
+		}
+	}
+}
+
+// decodeRound2 decodes what rendezvous q sent the client at slot c.
+func decodeRound2(tb testing.TB, q *Quorum, c int, msg []byte) []wire.RecEntry {
+	tb.Helper()
+	h, body, err := wire.ParseHeader(msg)
+	if err != nil || h.Type != wire.TRecommendation || h.Src != q.env.LocalID() {
+		tb.Fatalf("slot %d was sent no recommendation from %d: %+v %v", c, q.env.LocalID(), h, err)
+	}
+	rec, err := wire.ParseRecommendation(body)
+	if err != nil {
+		tb.Fatalf("slot %d's recommendation: %v", c, err)
+	}
+	return rec.Entries
 }
 
 // TestQuorumPairPassAllocatesNothing: once a tick has sized round 2's
