@@ -89,12 +89,14 @@ func (p Params) FullMeshRouting(n int) float64 {
 // QuorumRouting predicts the quorum algorithm's routing traffic (in + out,
 // bps per node) for the grid's true rendezvous set size k ≈ 2(√n−1): per
 // interval the node exchanges k rows (round 1, both directions) and k
-// recommendation messages of k entries each (round 2, both directions).
+// recommendation messages of k entries each (round 2, both directions). A
+// rendezvous sends each grid client the run form, whose run — its other
+// clients and itself — is k long and whose every entry is named by it.
 func (p Params) QuorumRouting(n int) float64 {
 	p.fill()
 	k := QuorumDegree(n)
 	row := float64(wire.LinkStateSize(n) + p.Overhead)
-	rec := float64(wire.RecommendationSize(k) + p.Overhead)
+	rec := float64(wire.RecommendationRunSize(k, k, 0) + p.Overhead)
 	perInterval := 2*float64(k)*row + 2*float64(k)*rec
 	return perInterval * bitsPerByte / p.QuorumInterval.Seconds()
 }

@@ -60,8 +60,8 @@ func TestPaperProbingLinear(t *testing.T) {
 func TestImplementationModelTracksPaperShape(t *testing.T) {
 	// The first-principles model with our wire sizes should stay within a
 	// modest constant factor of the paper's published model across scales —
-	// same asymptotics, slightly different constants (6-byte rec entries,
-	// different fixed headers).
+	// same asymptotics, slightly different constants (the run form's 4-byte
+	// entries plus its bitmap, different fixed headers).
 	var p Params
 	for _, n := range []int{25, 64, 140, 256, 400} {
 		ratioQ := p.QuorumRouting(n) / PaperQuorumRouting(n)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 	"time"
 
@@ -163,6 +164,9 @@ type Quorum struct {
 	clientsBuf []int
 	hopBuf     []lsdb.HopCost
 	srcBuf     []wire.Cost // masked source row of round 2's kernel calls
+	order      []int32     // round 2's layout (messages): per client, its place
+	runPos     []int32     // per place in the first part, its run position
+	selfAt     int32       // this node's place
 }
 
 // NewQuorum creates a quorum router for the node at slot self of view.
@@ -388,28 +392,94 @@ func (q *Quorum) sendRecommendations() {
 	if len(clients) == 0 {
 		return
 	}
-	k := len(clients)
-
-	// One message per client, written in place: an entry per other client, then
-	// this node. The network keeps a payload until delivery: none is reused.
-	src, version := q.env.LocalID(), q.view.VersionNum()
-	msgs := make([][]byte, k)
-	for i := range msgs {
-		msgs[i] = wire.NewRecommendation(src, version, k)
-	}
+	msgs := q.messages(clients)
 	q.clientPairs(clients, msgs)
 
 	// Pairs (self, client): install the route to the client locally and tell
 	// the client its route to us, which completes its message.
 	fwd, rev := q.sweep(clients)
-	nowNs := now.UnixNano()
+	src, nowNs := q.env.LocalID(), now.UnixNano()
 	for i, c := range clients {
 		q.install(c, route{when: nowNs, hop: uint16(fwd[i].Hop), from: uint16(q.self), cost: fwd[i].Cost, source: SourceSelf})
 		back := turned(rev[i], q.self, c)
-		wire.PutRecEntry(msgs[i], k-1, wire.RecEntry{Dst: src, Hop: q.hopID(back.Hop), Cost: back.Cost})
+		wire.PutRecEntry(msgs[i], place(q.order[i], q.selfAt), wire.RecEntry{Dst: src, Hop: q.hopID(back.Hop), Cost: back.Cost})
 		q.env.Send(q.view.IDAt(c), msgs[i])
 		q.stats.RecommendationsSent++
 	}
+}
+
+// messages lays out round 2's messages to clients and allocates each once, at
+// its final size; the network keeps a payload until delivery, so none is
+// reused. Every message lists this node and the clients but its addressee in
+// one order: this node and the default clients ascending, then the failover
+// clients ascending. clients[i] has place order[i] in it, this node selfAt.
+//
+// The first part, less the addressee, is a default client's run for this node
+// — this node's grid clients and itself, ascending, less the client — or as
+// much of it as has fresh rows here. runPos[p] is the p-th member's position
+// in the run less nobody, and the default client is sent the run form, whose
+// bitmap names those positions (wire.NewRecommendationRun). A failover client
+// holds no run for this node and is sent the explicit form.
+func (q *Quorum) messages(clients []int) [][]byte {
+	k := len(clients)
+	q.order = slices.Grow(q.order[:0], k)[:k]
+	q.runPos = q.runPos[:0]
+	defaults := 0
+	for _, c := range clients {
+		if _, ok := slices.BinarySearch(q.servers, c); ok {
+			defaults++
+		}
+	}
+	below, _ := slices.BinarySearch(q.servers, q.self) // this node's run position
+	q.selfAt = -1
+	failover := int32(defaults + 1)
+	for i, c := range clients {
+		s, ok := slices.BinarySearch(q.servers, c)
+		switch {
+		case !ok:
+			q.order[i] = failover
+			failover++
+			continue
+		case q.self < c:
+			s++ // this node comes first in the run
+			if q.selfAt < 0 {
+				q.selfAt = int32(len(q.runPos))
+				q.runPos = append(q.runPos, int32(below))
+			}
+		}
+		q.order[i] = int32(len(q.runPos))
+		q.runPos = append(q.runPos, int32(s))
+	}
+	if q.selfAt < 0 {
+		q.selfAt = int32(len(q.runPos))
+		q.runPos = append(q.runPos, int32(below))
+	}
+
+	src, version := q.env.LocalID(), q.view.VersionNum()
+	msgs := make([][]byte, k)
+	for i, o := range q.order[:k] {
+		if int(o) > defaults {
+			msgs[i] = wire.NewRecommendation(src, version, k)
+			continue
+		}
+		msgs[i] = wire.NewRecommendationRun(src, version, len(q.servers), defaults, k-defaults)
+		for p, at := range q.runPos {
+			if p != int(o) {
+				wire.MarkRecRun(msgs[i], place(q.runPos[o], at))
+			}
+		}
+	}
+	return msgs
+}
+
+// place returns where the member at place of in round 2's common order sits in
+// the message to the member at place to, which leaves its addressee out. The
+// same holds of positions in a run.
+func place(to, of int32) int {
+	if to < of {
+		return int(of) - 1
+	}
+	return int(of)
 }
 
 // hopID renders a kernel's hop slot as the node ID a recommendation carries.
@@ -421,15 +491,15 @@ func (q *Quorum) hopID(hop int) wire.NodeID {
 }
 
 // clientPairs evaluates every pair of clients and writes the results into both
-// endpoints' pending messages: msgs[j] lists j's routes in client order, so
-// the route to clients[m] is entry m, or m-1 past j itself. The kernels'
-// output goes through the buffers sweep keeps.
+// endpoints' pending messages, each at the entry messages laid out for it.
+// The kernels' output goes through the buffers sweep keeps.
 //
 //lint:allocfree
 func (q *Quorum) clientPairs(clients []int, msgs [][]byte) {
 	k := len(clients)
 	table, directional := q.table, q.table.Directional()
 	fwd, rev := q.hops(k)
+	order := q.order[:k]
 	for i := range k - 1 {
 		a, others := clients[i], clients[i+1:]
 		fwd, rev := fwd[:len(others)], rev[:len(others)]
@@ -440,8 +510,8 @@ func (q *Quorum) clientPairs(clients []int, msgs [][]byte) {
 		for z, b := range others {
 			j := i + 1 + z
 			back := turned(rev[z], a, b)
-			wire.PutRecEntry(msgs[i], j-1, wire.RecEntry{Dst: q.view.IDAt(b), Hop: q.hopID(fwd[z].Hop), Cost: fwd[z].Cost})
-			wire.PutRecEntry(msgs[j], i, wire.RecEntry{Dst: q.view.IDAt(a), Hop: q.hopID(back.Hop), Cost: back.Cost})
+			wire.PutRecEntry(msgs[i], place(order[i], order[j]), wire.RecEntry{Dst: q.view.IDAt(b), Hop: q.hopID(fwd[z].Hop), Cost: fwd[z].Cost})
+			wire.PutRecEntry(msgs[j], place(order[j], order[i]), wire.RecEntry{Dst: q.view.IDAt(a), Hop: q.hopID(back.Hop), Cost: back.Cost})
 		}
 	}
 	pairs := k * (k - 1)
@@ -509,59 +579,95 @@ func (q *Quorum) HandleLinkState(h wire.Header, body []byte) {
 
 // HandleRecommendation implements Router: installs round-2 best-hop
 // recommendations. The latest recommendation for a destination wins, per the
-// paper's footnote 11, whoever sent it. The body is walked in place.
+// paper's footnote 11, whoever sent it. The body is read in place.
+//
+// A run-form message is walked bit by bit against the run of clocks this node
+// shares with its sender, which must be a default rendezvous: the bitmap must
+// span that run and its explicit entries name members outside it, ascending.
+// Anything else refuses the whole message. An explicit entry moves the clock
+// it names, if any, found by search.
 //
 //lint:allocfree
 func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
-	version, k, err := wire.RecommendationHeader(body)
-	if err != nil || version != q.view.VersionNum() {
+	rec, err := wire.RecommendationBody(body)
+	if err != nil || rec.ViewVersion != q.view.VersionNum() {
 		return
 	}
 	from, ok := q.view.SlotOf(h.Src)
 	if !ok || from == q.self {
 		return
 	}
-	now := q.env.Now().UnixNano()
-	// A default rendezvous's entries list its clients in slot order, then
-	// itself: they are walked against the run of clocks it shares with this
-	// node, one merge pass, seeking afresh only where the order turns back.
+	// Only a rendezvous this node relies on for a destination — a default, the
+	// recruited failover, or (a silent default recruited again) both — was
+	// heard from; anyone else's word moves no clock.
 	var slots []uint16
 	var heard []int64
-	if r, isServer := slices.BinarySearch(q.servers, from); isServer {
+	r, isServer := slices.BinarySearch(q.servers, from)
+	if isServer {
 		slots, heard = q.rv.server(r)
 	}
-	at := 0
-	for i := 0; i < k; i++ {
-		e := wire.RecommendationEntry(body, i)
-		dst, ok := q.view.SlotOf(e.Dst)
+	if rec.ByRun && (!isServer || rec.Run != len(slots) || !q.outsideRun(&rec, slots)) {
+		return
+	}
+	now := q.env.Now().UnixNano()
+	e := 0
+	for at, w := range rec.Bitmap {
+		for ; w != 0; w &= w - 1 {
+			p := at*8 + bits.TrailingZeros8(w)
+			heard[p] = now
+			q.take(from, int(slots[p]), rec.Entry(e), now)
+			e++
+		}
+	}
+	for ; e < rec.Entries; e++ {
+		entry := rec.Entry(e)
+		dst, ok := q.view.SlotOf(entry.Dst)
 		if !ok || dst == q.self {
 			continue
 		}
-		// Only a rendezvous this node relies on for dst — a default, the
-		// recruited failover, or (a silent default recruited again) both —
-		// was heard from; anyone else's word moves no clock.
-		if at > 0 && int(slots[at-1]) >= dst {
-			at, _ = slices.BinarySearch(slots, uint16(dst))
+		if p, ok := slices.BinarySearch(slots, uint16(dst)); ok {
+			heard[p] = now
 		}
-		for at < len(slots) && int(slots[at]) < dst {
-			at++
-		}
-		if at < len(slots) && int(slots[at]) == dst {
-			heard[at] = now
-			at++
-		}
-		if i, ok := q.episode(dst); ok && q.failovers[i].server == from {
-			q.failovers[i].heard = now
-		}
-		hop, ok := q.view.SlotOf(e.Hop)
-		if !ok { // wire.NilNode, "no usable path", is nobody's ID either
-			hop = -1
-		}
-		if hop == q.self || (hop < 0 && e.Cost != wire.InfCost) {
-			continue // malformed entry: a route through its own source, or a usable cost but no hop
-		}
-		q.install(dst, route{when: now, hop: uint16(hop), from: uint16(from), cost: e.Cost, source: SourceRendezvous})
+		q.take(from, dst, entry, now)
 	}
+}
+
+// outsideRun reports whether a run-form message's explicit entries name
+// members other than this node, outside run, in ascending slot order — so no
+// destination twice: they are the sender's failover clients.
+//
+//lint:allocfree
+func (q *Quorum) outsideRun(rec *wire.RecBody, run []uint16) bool {
+	last := -1
+	for e := rec.Named; e < rec.Entries; e++ {
+		dst, ok := q.view.SlotOf(rec.Entry(e).Dst)
+		if !ok || dst == q.self || dst <= last {
+			return false
+		}
+		if _, in := slices.BinarySearch(run, uint16(dst)); in {
+			return false
+		}
+		last = dst
+	}
+	return true
+}
+
+// take installs rendezvous from's recommended route to dst, after hearing
+// from from if it is dst's recruited failover.
+//
+//lint:allocfree
+func (q *Quorum) take(from, dst int, e wire.RecEntry, now int64) {
+	if i, ok := q.episode(dst); ok && q.failovers[i].server == from {
+		q.failovers[i].heard = now
+	}
+	hop, ok := q.view.SlotOf(e.Hop)
+	if !ok { // wire.NilNode, "no usable path", is nobody's ID either
+		hop = -1
+	}
+	if hop == q.self || (hop < 0 && e.Cost != wire.InfCost) {
+		return // malformed entry: a route through its own source, or a usable cost but no hop
+	}
+	q.install(dst, route{when: now, hop: uint16(hop), from: uint16(from), cost: e.Cost, source: SourceRendezvous})
 }
 
 // BestHop implements Router (rowCore.bestHop): a fresh recommendation, else

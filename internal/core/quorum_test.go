@@ -737,18 +737,36 @@ func TestQuorumRound2SaysTheSame(t *testing.T) {
 	}
 }
 
-// decodeRound2 decodes what rendezvous q sent the client at slot c.
+// decodeRound2 decodes what rendezvous q sent the client at slot c. A run
+// form names its destinations by the run c holds for q, rebuilt here from the
+// grid: q's clients and q, ascending, less c.
 func decodeRound2(tb testing.TB, q *Quorum, c int, msg []byte) []wire.RecEntry {
 	tb.Helper()
 	h, body, err := wire.ParseHeader(msg)
 	if err != nil || h.Type != wire.TRecommendation || h.Src != q.env.LocalID() {
 		tb.Fatalf("slot %d was sent no recommendation from %d: %+v %v", c, q.env.LocalID(), h, err)
 	}
-	rec, err := wire.ParseRecommendation(body)
+	rec, err := wire.RecommendationBody(body)
 	if err != nil {
 		tb.Fatalf("slot %d's recommendation: %v", c, err)
 	}
-	return rec.Entries
+	run := slices.DeleteFunc(append(q.Grid().Clients(q.self), q.self), func(s int) bool { return s == c })
+	slices.Sort(run)
+	if rec.ByRun && rec.Run != len(run) {
+		tb.Fatalf("slot %d's recommendation spans a run of %d, it holds %d", c, rec.Run, len(run))
+	}
+	var out []wire.RecEntry
+	for p := range rec.Run {
+		if rec.Bitmap[p/8]&(1<<(p%8)) != 0 {
+			e := rec.Entry(len(out))
+			e.Dst = q.view.IDAt(run[p])
+			out = append(out, e)
+		}
+	}
+	for i := len(out); i < rec.Entries; i++ {
+		out = append(out, rec.Entry(i))
+	}
+	return out
 }
 
 // TestQuorumPairPassAllocatesNothing: once a tick has sized round 2's
@@ -759,10 +777,7 @@ func TestQuorumPairPassAllocatesNothing(t *testing.T) {
 		q, env := round2Fixture(t, directional)
 		q.Tick()
 		clients := q.table.FreshSlots(nil, env.Now(), q.cfg.Staleness)
-		msgs := make([][]byte, len(clients))
-		for i := range msgs {
-			msgs[i] = wire.NewRecommendation(env.LocalID(), q.view.VersionNum(), len(clients))
-		}
+		msgs := q.messages(clients)
 		if allocs := testing.AllocsPerRun(10, func() { q.clientPairs(clients, msgs) }); allocs != 0 {
 			t.Errorf("directional=%v: the pair pass over %d clients allocates %.0f times", directional, len(clients), allocs)
 		}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -103,9 +105,10 @@ func (e *capturingEnv) Send(to wire.NodeID, payload []byte) { e.sent[to] = paylo
 
 // TestRecommendationsWrittenInPlaceMatchStagedEncoding: round 2 writes each
 // entry straight into its client's datagram. The bytes must be what staging
-// every client's entries and encoding them with AppendRecommendation gives —
-// entries here from the scalar kernel, one pair at a time — for any number of
-// clients, on a symmetric and on a directional table.
+// every client's entries and encoding them gives — entries here from the
+// scalar kernel, one pair at a time; a failover client's message by
+// AppendRecommendation, a default client's run form by stagedRunForm — for
+// any number of clients, on a symmetric and on a directional table.
 func TestRecommendationsWrittenInPlaceMatchStagedEncoding(t *testing.T) {
 	const n = 144
 	ids := make([]wire.NodeID, n)
@@ -187,15 +190,38 @@ func TestRecommendationsWrittenInPlaceMatchStagedEncoding(t *testing.T) {
 				}
 				return wire.RecEntry{Dst: view.IDAt(b), Hop: q.hopID(hc.Hop), Cost: hc.Cost}
 			}
+			// Slot 0 heads the common order: this node and its default clients
+			// ascending, then the failover clients.
+			defaults, failovers := []int{0}, []int(nil)
+			for _, c := range fresh {
+				if slices.Contains(q.servers, c) {
+					defaults = append(defaults, c)
+				} else {
+					failovers = append(failovers, c)
+				}
+			}
 			for _, a := range fresh {
-				staged := wire.Recommendation{ViewVersion: view.VersionNum()}
-				for _, b := range fresh {
-					if b != a {
+				without := func(s []int) []int { return slices.DeleteFunc(slices.Clone(s), func(b int) bool { return b == a }) }
+				var want []byte
+				if slices.Contains(q.servers, a) {
+					run := without(append([]int{0}, q.servers...))
+					var named, extra []wire.RecEntry
+					var at []int
+					for _, b := range without(defaults) {
+						named = append(named, best(a, b))
+						at = append(at, slices.Index(run, b))
+					}
+					for _, b := range failovers {
+						extra = append(extra, best(a, b))
+					}
+					want = stagedRunForm(ids[0], view.VersionNum(), len(run), at, named, extra)
+				} else {
+					staged := wire.Recommendation{ViewVersion: view.VersionNum()}
+					for _, b := range without(append(slices.Clone(defaults), failovers...)) {
 						staged.Entries = append(staged.Entries, best(a, b))
 					}
+					want = wire.AppendRecommendation(nil, ids[0], staged)
 				}
-				staged.Entries = append(staged.Entries, best(a, 0))
-				want := wire.AppendRecommendation(nil, ids[0], staged)
 				if got := env.sent[view.IDAt(a)]; !bytes.Equal(got, want) {
 					t.Fatalf("k=%d directional=%v: message to slot %d differs from the staged encoding\n got %x\nwant %x",
 						k, directional, a, got, want)
@@ -206,6 +232,31 @@ func TestRecommendationsWrittenInPlaceMatchStagedEncoding(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stagedRunForm encodes a run-form recommendation from its parts, field by
+// field as the wire package documents it: named[i] at run position at[i],
+// then the explicit extra entries.
+func stagedRunForm(src wire.NodeID, version uint32, run int, at []int, named, extra []wire.RecEntry) []byte {
+	b := wire.AppendHeader(nil, wire.TRecommendation, src)
+	b = binary.BigEndian.AppendUint32(b, version)
+	b = binary.BigEndian.AppendUint16(b, 0x8000|uint16(run))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(extra)))
+	bitmap := make([]byte, (run+7)/8)
+	for _, p := range at {
+		bitmap[p/8] |= 1 << (p % 8)
+	}
+	b = append(b, bitmap...)
+	for _, e := range named {
+		b = binary.BigEndian.AppendUint16(b, uint16(e.Hop))
+		b = binary.BigEndian.AppendUint16(b, uint16(e.Cost))
+	}
+	for _, e := range extra {
+		b = binary.BigEndian.AppendUint16(b, uint16(e.Dst))
+		b = binary.BigEndian.AppendUint16(b, uint16(e.Hop))
+		b = binary.BigEndian.AppendUint16(b, uint16(e.Cost))
+	}
+	return b
 }
 
 // putAsym stores a directional row with sequence number 1 in table through

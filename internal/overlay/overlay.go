@@ -237,8 +237,8 @@ func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 			n.router.HandleRecommendation(h, body)
 		}
 		if n.mc != nil {
-			if version, _, err := wire.RecommendationHeader(body); err == nil {
-				n.mc.HeardVersion(h.Src, version)
+			if rec, err := wire.RecommendationBody(body); err == nil {
+				n.mc.HeardVersion(h.Src, rec.ViewVersion)
 			}
 		}
 	case wire.TLinkStateAck:

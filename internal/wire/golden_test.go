@@ -24,6 +24,12 @@ func TestEncodingsGolden(t *testing.T) {
 	rec := NewRecommendation(src, 77, 2)
 	PutRecEntry(rec, 0, RecEntry{Dst: 3, Hop: 4, Cost: 90})
 	PutRecEntry(rec, 1, RecEntry{Dst: 5, Hop: NilNode, Cost: InfCost})
+	run := NewRecommendationRun(src, 77, 10, 2, 1) // bits 1 and 9 of a 10-long run, one extra
+	MarkRecRun(run, 1)
+	MarkRecRun(run, 9)
+	PutRecEntry(run, 0, RecEntry{Dst: 3, Hop: 4, Cost: 90})
+	PutRecEntry(run, 1, RecEntry{Dst: 5, Hop: NilNode, Cost: InfCost})
+	PutRecEntry(run, 2, RecEntry{Dst: 6, Hop: 7, Cost: 8})
 	packed := PackLinkState(AppendLinkState(nil, src, LinkState{ViewVersion: 8, Seq: 9, Entries: []LinkEntry{
 		{Latency: 1, Status: 2}, {Latency: 3, Status: 4}, {Latency: 5, Status: 6},
 	}}), []int{1})
@@ -45,6 +51,7 @@ func TestEncodingsGolden(t *testing.T) {
 			{Dst: 3, Hop: 4, Cost: 90}, {Dst: 5, Hop: NilNode, Cost: InfCost},
 		}}), "0401020000004d000200030004005a0005ffffffff"},
 		{"new-recommendation", rec, "0401020000004d000200030004005a0005ffffffff"},
+		{"recommendation-run", run, "0401020000004d800a0001" + "0202" + "0004005a" + "ffffffff" + "000600070008"},
 		{"link-state-asym", AppendLinkStateAsym(nil, src, LinkStateAsym{ViewVersion: 8, Seq: 9, Entries: []AsymEntry{
 			{Out: 20, In: 35, Status: 4},
 		}}), "0601020000000800000009000100140023" + "04"},

@@ -2,7 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
-	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -218,22 +218,53 @@ type RecEntry struct {
 	Cost Cost
 }
 
-// recEntryLen is the encoded size of a RecEntry. The paper's accounting uses
-// 4 bytes (destination + hop); we also carry the 2-byte cost, which clients
-// need to arbitrate between redundant rendezvous and to report path gains.
-const recEntryLen = 6
+// A recommendation body takes one of two forms, both TRecommendation. Each
+// opens with the view version (4 bytes) and a 16-bit word whose top bit tells
+// them apart.
+//
+// The explicit form names every entry's destination: the word is the entry
+// count k, below 0x8000, and k entries of destination, hop and cost follow,
+// recEntryLen bytes each. Anyone may send it.
+//
+// The run form is what a default rendezvous k sends one of its grid clients
+// c, which keeps a clock for each destination k holds a row of: k's grid
+// clients and k, ascending, less c — the run c holds for k. The word is
+// recRunFlag | r, r that run's length; then come the count of explicit
+// entries, a bitmap of ⌈r/8⌉ bytes whose bit i (least significant first)
+// names the run's i-th destination and whose bits past r are zero, one named
+// entry of hop and cost per set bit, in run order, and the explicit entries,
+// ascending by slot, for destinations outside the run: k's failover clients.
+// The header and bitmap fix the length, so no cut goes unseen.
+//
+// The paper's bandwidth accounting charges an entry 4 bytes, destination and
+// hop. A named entry spends the same 4 on hop and cost, the cost being what a
+// client needs to arbitrate between redundant rendezvous and to report path
+// gains; an explicit entry adds the destination.
+const (
+	recEntryLen   = 6            // an explicit entry: destination, hop, cost
+	namedEntryLen = 4            // a named entry: hop, cost
+	recFixed      = 4 + 2        // view version and count word
+	recRunFixed   = recFixed + 2 // and the run form's explicit count
+	recRunFlag    = 0x8000       // the count word's run-form bit
+)
 
-// Recommendation is a round-2 message from a rendezvous server to one of its
-// clients: the best one-hop routes from that client to each of the server's
-// other rendezvous clients.
+// Recommendation is a round-2 message in the explicit form, from a rendezvous
+// server to one of its clients: the best one-hop routes from that client to
+// each of the server's other rendezvous clients.
 type Recommendation struct {
 	ViewVersion uint32
 	Entries     []RecEntry
 }
 
-const recFixed = 4 + 2 // encoded size of a Recommendation's view version and count
+// NewRecommendation returns a whole k-entry explicit-form message from src,
+// allocated once at its final size, for PutRecEntry to fill in place: a
+// rendezvous knows every entry's position, so round 2 never stages entries.
+func NewRecommendation(src NodeID, viewVersion uint32, k int) []byte {
+	return appendRecommendation(make([]byte, 0, RecommendationSize(k)), src, viewVersion, k)
+}
 
-// appendRecommendation appends a k-entry recommendation, its entries still zero.
+// appendRecommendation appends a k-entry explicit-form message, its entries
+// still zero.
 func appendRecommendation(b []byte, src NodeID, viewVersion uint32, k int) []byte {
 	b = AppendHeader(b, TRecommendation, src)
 	b = binary.BigEndian.AppendUint32(b, viewVersion)
@@ -241,25 +272,57 @@ func appendRecommendation(b []byte, src NodeID, viewVersion uint32, k int) []byt
 	return append(b, make([]byte, recEntryLen*k)...)
 }
 
-// NewRecommendation returns a whole k-entry recommendation message from src,
-// allocated once at its final size, for PutRecEntry to fill in place: a
-// rendezvous knows every entry's position, so round 2 never stages entries.
-func NewRecommendation(src NodeID, viewVersion uint32, k int) []byte {
-	return appendRecommendation(make([]byte, 0, RecommendationSize(k)), src, viewVersion, k)
+// NewRecommendationRun returns a whole run-form message from src, over a run
+// of run destinations, with named entries the bitmap names and extra explicit
+// ones, at its final size: MarkRecRun fills the bitmap, PutRecEntry the
+// entries.
+func NewRecommendationRun(src NodeID, viewVersion uint32, run, named, extra int) []byte {
+	b := AppendHeader(make([]byte, 0, RecommendationRunSize(run, named, extra)), TRecommendation, src)
+	b = binary.BigEndian.AppendUint32(b, viewVersion)
+	b = binary.BigEndian.AppendUint16(b, recRunFlag|uint16(run))
+	b = binary.BigEndian.AppendUint16(b, uint16(extra))
+	return b[:cap(b)]
 }
 
-// PutRecEntry encodes e as entry i of msg, a whole recommendation message. It
-// is the one entry encoder; different entries may be written concurrently.
+// MarkRecRun sets bit i of a run-form message's bitmap: the run's i-th
+// destination is named.
+//
+//lint:allocfree
+func MarkRecRun(msg []byte, i int) {
+	msg[HeaderLen+recRunFixed+i/8] |= 1 << (i % 8)
+}
+
+// PutRecEntry encodes e as entry i of msg, a whole recommendation message of
+// either form; in the run form the first named entries carry e's hop and cost
+// only. It is the one entry encoder; different entries may be written
+// concurrently.
 //
 //lint:allocfree
 func PutRecEntry(msg []byte, i int, e RecEntry) {
-	b := msg[HeaderLen+recFixed+i*recEntryLen:][:recEntryLen]
+	body := msg[HeaderLen:]
+	word := binary.BigEndian.Uint16(body[4:])
+	at := recFixed
+	if word&recRunFlag != 0 {
+		at = recRunFixed + bitmapLen(int(word&^recRunFlag))
+		named := (len(body) - at - int(binary.BigEndian.Uint16(body[recFixed:]))*recEntryLen) / namedEntryLen
+		if i < named {
+			b := body[at+i*namedEntryLen:][:namedEntryLen]
+			binary.BigEndian.PutUint16(b, uint16(e.Hop))
+			binary.BigEndian.PutUint16(b[2:], uint16(e.Cost))
+			return
+		}
+		at, i = at+named*namedEntryLen, i-named
+	}
+	b := body[at+i*recEntryLen:][:recEntryLen]
 	binary.BigEndian.PutUint16(b, uint16(e.Dst))
 	binary.BigEndian.PutUint16(b[2:], uint16(e.Hop))
 	binary.BigEndian.PutUint16(b[4:], uint16(e.Cost))
 }
 
-// AppendRecommendation encodes r with its header.
+// bitmapLen is the byte length of a bitmap over run destinations.
+func bitmapLen(run int) int { return (run + 7) / 8 }
+
+// AppendRecommendation encodes r, in the explicit form, with its header.
 func AppendRecommendation(b []byte, src NodeID, r Recommendation) []byte {
 	at := len(b)
 	b = appendRecommendation(b, src, r.ViewVersion, len(r.Entries))
@@ -270,25 +333,74 @@ func AppendRecommendation(b []byte, src NodeID, r Recommendation) []byte {
 	return b
 }
 
-// RecommendationHeader validates a Recommendation body and returns its view
-// version and entry count, for RecommendationEntry to read entries in place.
-func RecommendationHeader(body []byte) (viewVersion uint32, k int, err error) {
-	if len(body) < recFixed {
-		return 0, 0, ErrShort
-	}
-	k = int(binary.BigEndian.Uint16(body[4:]))
-	if have := len(body) - recFixed; have != k*recEntryLen {
-		return 0, 0, fmt.Errorf("%w: want %d entry bytes, have %d", ErrBadLen, k*recEntryLen, have)
-	}
-	return binary.BigEndian.Uint32(body), k, nil
+// RecBody is a recommendation body of either form that RecommendationBody
+// accepted, read in place.
+type RecBody struct {
+	ViewVersion uint32
+	// ByRun marks the run form; Run is then its run's length, Bitmap the
+	// bitmap over it and Named the count of its set bits.
+	ByRun  bool
+	Run    int
+	Bitmap []byte
+	Named  int
+	// Entries counts every entry: the Named first, then the explicit ones.
+	Entries int
+
+	entries []byte
 }
 
-// RecommendationEntry decodes entry i of a body RecommendationHeader accepted:
-// the one entry decoder, and it allocates nothing.
+// RecommendationBody checks the framing of a recommendation body of either
+// form — its length, and in the run form a bitmap with no bit past the run —
+// and returns it for Entry to read in place. Its errors
+// are bare, so that a refusal allocates nothing.
 //
 //lint:allocfree
-func RecommendationEntry(body []byte, i int) RecEntry {
-	b := body[recFixed+i*recEntryLen:][:recEntryLen]
+func RecommendationBody(body []byte) (RecBody, error) {
+	if len(body) < recFixed {
+		return RecBody{}, ErrShort
+	}
+	r := RecBody{ViewVersion: binary.BigEndian.Uint32(body)}
+	word := int(binary.BigEndian.Uint16(body[4:]))
+	if word&recRunFlag == 0 {
+		r.Entries, r.entries = word, body[recFixed:]
+		if len(r.entries) != word*recEntryLen {
+			return RecBody{}, ErrBadLen
+		}
+		return r, nil
+	}
+	if len(body) < recRunFixed {
+		return RecBody{}, ErrShort
+	}
+	r.ByRun, r.Run = true, word&^recRunFlag
+	extra := int(binary.BigEndian.Uint16(body[recFixed:]))
+	rest := body[recRunFixed:]
+	if len(rest) < bitmapLen(r.Run) {
+		return RecBody{}, ErrShort
+	}
+	r.Bitmap, r.entries = rest[:bitmapLen(r.Run)], rest[bitmapLen(r.Run):]
+	for _, w := range r.Bitmap {
+		r.Named += bits.OnesCount8(w)
+	}
+	if r.Run%8 != 0 && r.Bitmap[len(r.Bitmap)-1]>>(r.Run%8) != 0 {
+		return RecBody{}, ErrBadLen // a bit past the run
+	}
+	if len(r.entries) != r.Named*namedEntryLen+extra*recEntryLen {
+		return RecBody{}, ErrBadLen
+	}
+	r.Entries = r.Named + extra
+	return r, nil
+}
+
+// Entry decodes entry i: the one entry decoder, and it allocates nothing. A
+// named entry's Dst is NilNode — the receiver's run names it.
+//
+//lint:allocfree
+func (r *RecBody) Entry(i int) RecEntry {
+	if i < r.Named {
+		b := r.entries[i*namedEntryLen:][:namedEntryLen]
+		return RecEntry{Dst: NilNode, Hop: NodeID(binary.BigEndian.Uint16(b)), Cost: Cost(binary.BigEndian.Uint16(b[2:]))}
+	}
+	b := r.entries[r.Named*namedEntryLen+(i-r.Named)*recEntryLen:][:recEntryLen]
 	return RecEntry{
 		Dst:  NodeID(binary.BigEndian.Uint16(b)),
 		Hop:  NodeID(binary.BigEndian.Uint16(b[2:])),
@@ -296,22 +408,33 @@ func RecommendationEntry(body []byte, i int) RecEntry {
 	}
 }
 
-// ParseRecommendation decodes a Recommendation body into a message of its own.
+// ParseRecommendation decodes an explicit-form body into a message of its
+// own; a run-form body is ErrRunForm.
 func ParseRecommendation(body []byte) (Recommendation, error) {
-	viewVersion, k, err := RecommendationHeader(body)
+	rb, err := RecommendationBody(body)
 	if err != nil {
 		return Recommendation{}, err
 	}
-	r := Recommendation{ViewVersion: viewVersion, Entries: make([]RecEntry, k)}
+	if rb.ByRun {
+		return Recommendation{}, ErrRunForm
+	}
+	r := Recommendation{ViewVersion: rb.ViewVersion, Entries: make([]RecEntry, rb.Entries)}
 	for i := range r.Entries {
-		r.Entries[i] = RecommendationEntry(body, i)
+		r.Entries[i] = rb.Entry(i)
 	}
 	return r, nil
 }
 
-// RecommendationSize returns the encoded payload size of a recommendation
+// RecommendationSize returns the encoded payload size of an explicit-form
 // message with k entries, excluding per-packet overhead.
 func RecommendationSize(k int) int { return HeaderLen + recFixed + recEntryLen*k }
+
+// RecommendationRunSize returns the encoded payload size of a run-form
+// message over a run of run destinations, with named entries the bitmap
+// names and extra explicit ones, excluding per-packet overhead.
+func RecommendationRunSize(run, named, extra int) int {
+	return HeaderLen + recRunFixed + bitmapLen(run) + namedEntryLen*named + recEntryLen*extra
+}
 
 // AsymEntry is one destination's entry in an asymmetric link-state row
 // (footnote 2: "the link state transmitted in round one would include both

@@ -218,6 +218,9 @@ var (
 	ErrShort   = errors.New("wire: message too short")
 	ErrBadType = errors.New("wire: unknown message type")
 	ErrBadLen  = errors.New("wire: inconsistent message length")
+	// ErrRunForm refuses a run-form recommendation where the receiver's run
+	// is unknown: its named entries carry no destination.
+	ErrRunForm = errors.New("wire: recommendation names destinations by the receiver's run")
 )
 
 // Header is the common prefix of every message.

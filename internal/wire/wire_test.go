@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -334,6 +337,83 @@ func TestRecommendationParseErrors(t *testing.T) {
 	_, body, _ := ParseHeader(b)
 	if _, err := ParseRecommendation(body[:len(body)-1]); err == nil {
 		t.Error("want error for truncated entries")
+	}
+}
+
+// TestRecommendationRunForm: a run-form message is the size
+// RecommendationRunSize gives, reads back by RecommendationBody — the named
+// entries without a destination, then the explicit ones — and is no
+// Recommendation ParseRecommendation could return.
+func TestRecommendationRunForm(t *testing.T) {
+	named := []RecEntry{{Hop: 4, Cost: 90}, {Hop: NilNode, Cost: InfCost}, {Hop: 11, Cost: 7}}
+	extra := []RecEntry{{Dst: 40, Hop: 40, Cost: 3}}
+	msg := NewRecommendationRun(8, 5, 17, len(named), len(extra))
+	for _, bit := range []int{0, 9, 16} {
+		MarkRecRun(msg, bit)
+	}
+	for i, e := range append(slices.Clone(named), extra...) {
+		PutRecEntry(msg, i, e)
+	}
+	if want := RecommendationRunSize(17, 3, 1); len(msg) != want || want != HeaderLen+8+3+3*4+6 {
+		t.Fatalf("encoded size %d, RecommendationRunSize says %d", len(msg), want)
+	}
+	h, body, _ := ParseHeader(msg)
+	r, err := RecommendationBody(body)
+	if err != nil || h.Type != TRecommendation || !r.ByRun || r.ViewVersion != 5 || r.Run != 17 || r.Named != 3 || r.Entries != 4 {
+		t.Fatalf("read back %+v, %v", r, err)
+	}
+	if !bytes.Equal(r.Bitmap, []byte{0x01, 0x02, 0x01}) {
+		t.Errorf("bitmap %x, want bits 0, 9 and 16", r.Bitmap)
+	}
+	for i, want := range append(slices.Clone(named), extra...) {
+		if i < len(named) {
+			want.Dst = NilNode
+		}
+		if got := r.Entry(i); got != want {
+			t.Errorf("entry %d = %+v, want %+v", i, got, want)
+		}
+	}
+	if _, err := ParseRecommendation(body); !errors.Is(err, ErrRunForm) {
+		t.Errorf("ParseRecommendation on the run form: %v, want ErrRunForm", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r, err = RecommendationBody(body) }); allocs != 0 {
+		t.Errorf("reading a run-form body allocates %.0f times", allocs)
+	}
+}
+
+// TestRecommendationBodyRefusals: a run-form body is refused, without an
+// allocation, when it is cut anywhere, when its bitmap has a bit past the run
+// or a bit too few or too many for its named entries, and when anything
+// follows its last entry.
+func TestRecommendationBodyRefusals(t *testing.T) {
+	msg := NewRecommendationRun(8, 5, 10, 2, 1)
+	MarkRecRun(msg, 3)
+	MarkRecRun(msg, 9)
+	_, good, _ := ParseHeader(msg)
+	if _, err := RecommendationBody(good); err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string][]byte{}
+	for cut := 0; cut < len(good); cut++ {
+		bad[fmt.Sprintf("cut to %d", cut)] = good[:cut]
+	}
+	past := slices.Clone(good)
+	past[recRunFixed+1] |= 0x04 // bit 10 of a 10-long run
+	bad["bit past the run"] = past
+	fewer := slices.Clone(good)
+	fewer[recRunFixed] &^= 0x08 // bit 3 cleared
+	bad["a bit too few"] = fewer
+	more := slices.Clone(good)
+	more[recRunFixed] |= 0x01
+	bad["a bit too many"] = more
+	bad["a trailing byte"] = append(slices.Clone(good), 1)
+	for name, body := range bad {
+		if _, err := RecommendationBody(body); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = RecommendationBody(body) }); allocs != 0 {
+			t.Errorf("%s: refusing allocates %.0f times", name, allocs)
+		}
 	}
 }
 

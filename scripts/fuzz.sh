@@ -1,8 +1,9 @@
 #!/bin/sh
 # Smoke-run every fuzz target — the wire codecs' round trips, snapshot
 # reassembly over parser-accepted chunks, the one-hop kernels against their
-# scalar twins, and the simulator's event queue against its reference model —
-# for FUZZTIME (default 30s) each.
+# scalar twins, the simulator's event queue against its reference model, and
+# a quorum router's recommendation decode against one from the grid — for
+# FUZZTIME (default 30s) each.
 # `go test -fuzz` accepts only one target per invocation, so the targets are
 # enumerated with -list and looped. Any crasher fails the run and leaves its
 # reproducer under the package's testdata/fuzz/ for `go test` to replay.
@@ -10,7 +11,7 @@ set -eu
 
 FUZZTIME="${FUZZTIME:-30s}"
 
-for pkg in ./internal/wire ./internal/membership ./internal/lsdb ./internal/simnet; do
+for pkg in ./internal/wire ./internal/membership ./internal/lsdb ./internal/simnet ./internal/core; do
     targets=$(go test "$pkg" -list '^Fuzz' | grep '^Fuzz' || true)
     if [ -z "$targets" ]; then
         echo "fuzz.sh: no fuzz targets found in $pkg" >&2
