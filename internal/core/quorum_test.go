@@ -694,8 +694,8 @@ func TestQuorumRound2Golden(t *testing.T) {
 		directional bool
 		want        string
 	}{
-		{false, "b2b48c757fe9d130f20913b17ca8680a73990a623f7026efa632e39acecc8fcf"},
-		{true, "155d453d4dad2d5238640251e495398bacd945409bd3692453ccfb55e2730a80"},
+		{false, "7d4fdde387f5fc9c79f3d0b7578bb385c695c9da3f80a372f7f2ce0351ca58ae"},
+		{true, "0c78ce27581923a6a56517733add9b1b714063cb7ada7fc1d118b2d4a26345d5"},
 	} {
 		q, env := round2Fixture(t, tc.directional)
 		q.sendRecommendations()
