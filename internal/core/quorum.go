@@ -164,9 +164,9 @@ type Quorum struct {
 	clientsBuf []int
 	hopBuf     []lsdb.HopCost
 	srcBuf     []wire.Cost // masked source row of round 2's kernel calls
-	order      []int32     // round 2's layout (messages): per client, its place
-	runPos     []int32     // per place in the first part, its run position
-	selfAt     int32       // this node's place
+	order      []uint16    // round 2's layout (messages): per client, its place
+	runPos     []uint16    // per place in the first part, its run position
+	selfAt     uint16      // this node's place
 }
 
 // NewQuorum creates a quorum router for the node at slot self of view.
@@ -423,7 +423,7 @@ func (q *Quorum) sendRecommendations() {
 func (q *Quorum) messages(clients []int) [][]byte {
 	k := len(clients)
 	q.order = slices.Grow(q.order[:0], k)[:k]
-	q.runPos = q.runPos[:0]
+	q.runPos = slices.Grow(q.runPos[:0], len(q.servers)+1)
 	defaults := 0
 	for _, c := range clients {
 		if _, ok := slices.BinarySearch(q.servers, c); ok {
@@ -431,8 +431,8 @@ func (q *Quorum) messages(clients []int) [][]byte {
 		}
 	}
 	below, _ := slices.BinarySearch(q.servers, q.self) // this node's run position
-	q.selfAt = -1
-	failover := int32(defaults + 1)
+	placed := false
+	failover := uint16(defaults + 1)
 	for i, c := range clients {
 		s, ok := slices.BinarySearch(q.servers, c)
 		switch {
@@ -442,17 +442,17 @@ func (q *Quorum) messages(clients []int) [][]byte {
 			continue
 		case q.self < c:
 			s++ // this node comes first in the run
-			if q.selfAt < 0 {
-				q.selfAt = int32(len(q.runPos))
-				q.runPos = append(q.runPos, int32(below))
+			if !placed {
+				q.selfAt, placed = uint16(len(q.runPos)), true
+				q.runPos = append(q.runPos, uint16(below))
 			}
 		}
-		q.order[i] = int32(len(q.runPos))
-		q.runPos = append(q.runPos, int32(s))
+		q.order[i] = uint16(len(q.runPos))
+		q.runPos = append(q.runPos, uint16(s))
 	}
-	if q.selfAt < 0 {
-		q.selfAt = int32(len(q.runPos))
-		q.runPos = append(q.runPos, int32(below))
+	if !placed {
+		q.selfAt = uint16(len(q.runPos))
+		q.runPos = append(q.runPos, uint16(below))
 	}
 
 	src, version := q.env.LocalID(), q.view.VersionNum()
@@ -475,7 +475,7 @@ func (q *Quorum) messages(clients []int) [][]byte {
 // place returns where the member at place of in round 2's common order sits in
 // the message to the member at place to, which leaves its addressee out. The
 // same holds of positions in a run.
-func place(to, of int32) int {
+func place(to, of uint16) int {
 	if to < of {
 		return int(of) - 1
 	}

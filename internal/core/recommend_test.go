@@ -210,6 +210,7 @@ func TestRunFormRecommendationRefusals(t *testing.T) {
 		{"a run one short", func() (wire.Header, []byte) { return runForm(q, k, len(run)-1, all[:len(all)-1], nil) }},
 		{"a run one long", func() (wire.Header, []byte) { return runForm(q, k, len(run)+1, all, nil) }},
 		{"a non-default sender", func() (wire.Header, []byte) { return runForm(q, stranger, len(run), all, nil) }},
+		{"a non-default sender's empty run", func() (wire.Header, []byte) { return runForm(q, stranger, 0, nil, outside[:1]) }},
 		{"an extra naming the receiver", extra(q.view.IDAt(q.self))},
 		{"an extra naming a tombstone", extra(12)},
 		{"an extra naming an unknown ID", extra(999)},

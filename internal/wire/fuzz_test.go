@@ -124,6 +124,41 @@ func FuzzRecommendationRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzRecommendationRunRoundTrip: the run form, rebuilt from what
+// RecommendationBody reads of it — its bitmap bit by bit, its entries one by
+// one — is the body it read. The explicit form is the target above's.
+func FuzzRecommendationRunRoundTrip(f *testing.F) {
+	msg := wire.NewRecommendationRun(7, 4, 10, 2, 1)
+	wire.MarkRecRun(msg, 0)
+	wire.MarkRecRun(msg, 9)
+	wire.PutRecEntry(msg, 0, wire.RecEntry{Hop: 2, Cost: 30})
+	wire.PutRecEntry(msg, 1, wire.RecEntry{Hop: wire.NilNode, Cost: wire.InfCost})
+	wire.PutRecEntry(msg, 2, wire.RecEntry{Dst: 12, Hop: 3, Cost: 40})
+	f.Add(uint16(7), body(msg))
+	parse := func(b []byte) (wire.RecBody, error) {
+		r, err := wire.RecommendationBody(b)
+		if err == nil && !r.ByRun {
+			err = wire.ErrBadType
+		}
+		return r, err
+	}
+	rebuild := func(b []byte, src wire.NodeID, r wire.RecBody) []byte {
+		msg := wire.NewRecommendationRun(src, r.ViewVersion, r.Run, r.Named, r.Entries-r.Named)
+		for i := range r.Run {
+			if r.Bitmap[i/8]&(1<<(i%8)) != 0 {
+				wire.MarkRecRun(msg, i)
+			}
+		}
+		for i := range r.Entries {
+			wire.PutRecEntry(msg, i, r.Entry(i))
+		}
+		return append(b, msg...)
+	}
+	f.Fuzz(func(t *testing.T, src uint16, b []byte) {
+		roundTrip(t, src, b, parse, rebuild)
+	})
+}
+
 func FuzzJoinRoundTrip(f *testing.F) {
 	f.Add(body(wire.AppendJoin(nil, wire.Join{
 		Addr:  netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 0, 1}), 4400),

@@ -351,8 +351,8 @@ type RecBody struct {
 
 // RecommendationBody checks the framing of a recommendation body of either
 // form — its length, and in the run form a bitmap with no bit past the run —
-// and returns it for Entry to read in place. Its errors
-// are bare, so that a refusal allocates nothing.
+// and returns it for Entry to read in place. Its errors are bare, so that a
+// refusal allocates nothing.
 //
 //lint:allocfree
 func RecommendationBody(body []byte) (RecBody, error) {
@@ -361,33 +361,24 @@ func RecommendationBody(body []byte) (RecBody, error) {
 	}
 	r := RecBody{ViewVersion: binary.BigEndian.Uint32(body)}
 	word := int(binary.BigEndian.Uint16(body[4:]))
-	if word&recRunFlag == 0 {
-		r.Entries, r.entries = word, body[recFixed:]
-		if len(r.entries) != word*recEntryLen {
-			return RecBody{}, ErrBadLen
+	extra, rest := word, body[recFixed:]
+	if word&recRunFlag != 0 {
+		r.ByRun, r.Run = true, word&^recRunFlag
+		if len(rest) < 2+bitmapLen(r.Run) {
+			return RecBody{}, ErrShort
 		}
-		return r, nil
+		extra, r.Bitmap, rest = int(binary.BigEndian.Uint16(rest)), rest[2:2+bitmapLen(r.Run)], rest[2+bitmapLen(r.Run):]
+		for _, w := range r.Bitmap {
+			r.Named += bits.OnesCount8(w)
+		}
+		if r.Run%8 != 0 && r.Bitmap[len(r.Bitmap)-1]>>(r.Run%8) != 0 {
+			return RecBody{}, ErrBadLen // a bit past the run
+		}
 	}
-	if len(body) < recRunFixed {
-		return RecBody{}, ErrShort
-	}
-	r.ByRun, r.Run = true, word&^recRunFlag
-	extra := int(binary.BigEndian.Uint16(body[recFixed:]))
-	rest := body[recRunFixed:]
-	if len(rest) < bitmapLen(r.Run) {
-		return RecBody{}, ErrShort
-	}
-	r.Bitmap, r.entries = rest[:bitmapLen(r.Run)], rest[bitmapLen(r.Run):]
-	for _, w := range r.Bitmap {
-		r.Named += bits.OnesCount8(w)
-	}
-	if r.Run%8 != 0 && r.Bitmap[len(r.Bitmap)-1]>>(r.Run%8) != 0 {
-		return RecBody{}, ErrBadLen // a bit past the run
-	}
-	if len(r.entries) != r.Named*namedEntryLen+extra*recEntryLen {
+	if len(rest) != r.Named*namedEntryLen+extra*recEntryLen {
 		return RecBody{}, ErrBadLen
 	}
-	r.Entries = r.Named + extra
+	r.Entries, r.entries = r.Named+extra, rest
 	return r, nil
 }
 
