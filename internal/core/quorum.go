@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"slices"
 	"time"
 
@@ -611,13 +610,10 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 	}
 	now := q.env.Now().UnixNano()
 	e := 0
-	for at, w := range rec.Bitmap {
-		for ; w != 0; w &= w - 1 {
-			p := at*8 + bits.TrailingZeros8(w)
-			heard[p] = now
-			q.take(from, int(slots[p]), rec.Entry(e), now)
-			e++
-		}
+	for p := rec.NextRun(0); p < rec.Run; p = rec.NextRun(p + 1) {
+		heard[p] = now
+		q.take(from, int(slots[p]), rec.Entry(e), now)
+		e++
 	}
 	for ; e < rec.Entries; e++ {
 		entry := rec.Entry(e)

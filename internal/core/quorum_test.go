@@ -756,12 +756,10 @@ func decodeRound2(tb testing.TB, q *Quorum, c int, msg []byte) []wire.RecEntry {
 		tb.Fatalf("slot %d's recommendation spans a run of %d, it holds %d", c, rec.Run, len(run))
 	}
 	var out []wire.RecEntry
-	for p := range rec.Run {
-		if rec.Bitmap[p/8]&(1<<(p%8)) != 0 {
-			e := rec.Entry(len(out))
-			e.Dst = q.view.IDAt(run[p])
-			out = append(out, e)
-		}
+	for p := rec.NextRun(0); p < rec.Run; p = rec.NextRun(p + 1) {
+		e := rec.Entry(len(out))
+		e.Dst = q.view.IDAt(run[p])
+		out = append(out, e)
 	}
 	for i := len(out); i < rec.Entries; i++ {
 		out = append(out, rec.Entry(i))

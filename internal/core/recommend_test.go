@@ -85,7 +85,7 @@ func expectRecommendation(q *Quorum, h wire.Header, body []byte) ([]route, map[[
 			return routes, heard
 		}
 		for p := range run {
-			if rec.Bitmap[p/8]&(1<<(p%8)) != 0 {
+			if b := body[8+p/8]; b&(1<<(p%8)) != 0 { // the bitmap, as the wire package documents it
 				words = append(words, word{run[p], rec.Entry(len(words))})
 			}
 		}

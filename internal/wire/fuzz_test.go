@@ -144,10 +144,8 @@ func FuzzRecommendationRunRoundTrip(f *testing.F) {
 	}
 	rebuild := func(b []byte, src wire.NodeID, r wire.RecBody) []byte {
 		msg := wire.NewRecommendationRun(src, r.ViewVersion, r.Run, r.Named, r.Entries-r.Named)
-		for i := range r.Run {
-			if r.Bitmap[i/8]&(1<<(i%8)) != 0 {
-				wire.MarkRecRun(msg, i)
-			}
+		for p := r.NextRun(0); p < r.Run; p = r.NextRun(p + 1) {
+			wire.MarkRecRun(msg, p)
 		}
 		for i := range r.Entries {
 			wire.PutRecEntry(msg, i, r.Entry(i))

@@ -337,16 +337,29 @@ func AppendRecommendation(b []byte, src NodeID, r Recommendation) []byte {
 // accepted, read in place.
 type RecBody struct {
 	ViewVersion uint32
-	// ByRun marks the run form; Run is then its run's length, Bitmap the
-	// bitmap over it and Named the count of its set bits.
-	ByRun  bool
-	Run    int
-	Bitmap []byte
-	Named  int
+	// ByRun marks the run form; Run is then its run's length and Named the
+	// count of run positions its bitmap names (NextRun).
+	ByRun bool
+	Run   int
+	Named int
 	// Entries counts every entry: the Named first, then the explicit ones.
 	Entries int
 
-	entries []byte
+	bitmap, entries []byte
+}
+
+// NextRun returns the first run position at or past p that the bitmap
+// names, or Run when none is: named entry i is for the i-th position named.
+//
+//lint:allocfree
+func (r *RecBody) NextRun(p int) int {
+	for p < r.Run {
+		if w := r.bitmap[p/8] >> (p % 8); w != 0 {
+			return p + bits.TrailingZeros8(w)
+		}
+		p = p/8*8 + 8
+	}
+	return r.Run
 }
 
 // RecommendationBody checks the framing of a recommendation body of either
@@ -367,11 +380,11 @@ func RecommendationBody(body []byte) (RecBody, error) {
 		if len(rest) < 2+bitmapLen(r.Run) {
 			return RecBody{}, ErrShort
 		}
-		extra, r.Bitmap, rest = int(binary.BigEndian.Uint16(rest)), rest[2:2+bitmapLen(r.Run)], rest[2+bitmapLen(r.Run):]
-		for _, w := range r.Bitmap {
+		extra, r.bitmap, rest = int(binary.BigEndian.Uint16(rest)), rest[2:2+bitmapLen(r.Run)], rest[2+bitmapLen(r.Run):]
+		for _, w := range r.bitmap {
 			r.Named += bits.OnesCount8(w)
 		}
-		if r.Run%8 != 0 && r.Bitmap[len(r.Bitmap)-1]>>(r.Run%8) != 0 {
+		if r.Run%8 != 0 && r.bitmap[len(r.bitmap)-1]>>(r.Run%8) != 0 {
 			return RecBody{}, ErrBadLen // a bit past the run
 		}
 	}

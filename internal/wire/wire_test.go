@@ -362,8 +362,12 @@ func TestRecommendationRunForm(t *testing.T) {
 	if err != nil || h.Type != TRecommendation || !r.ByRun || r.ViewVersion != 5 || r.Run != 17 || r.Named != 3 || r.Entries != 4 {
 		t.Fatalf("read back %+v, %v", r, err)
 	}
-	if !bytes.Equal(r.Bitmap, []byte{0x01, 0x02, 0x01}) {
-		t.Errorf("bitmap %x, want bits 0, 9 and 16", r.Bitmap)
+	var at []int
+	for p := r.NextRun(0); p < r.Run; p = r.NextRun(p + 1) {
+		at = append(at, p)
+	}
+	if !slices.Equal(at, []int{0, 9, 16}) || !bytes.Equal(body[8:11], []byte{0x01, 0x02, 0x01}) {
+		t.Errorf("bitmap %x names %v, want 0, 9 and 16", body[8:11], at)
 	}
 	for i, want := range append(slices.Clone(named), extra...) {
 		if i < len(named) {
