@@ -104,12 +104,12 @@ type QuorumStats struct {
 
 // silence holds §4.1's clocks by rendezvous and position: for the i-th server
 // k of this node, slot[run[i]:run[i+1]] are the destinations whose rows k
-// holds — k's clients less this node, and k itself — ascending, the order k's
-// recommendations list its clients in (k itself comes last there), and
-// heard[run[i]:run[i+1]] is, per destination, when (Unix ns) k last
-// recommended a route to it, or when the pairing began: the view install that
-// made k a default rendezvous of the destination. Every array is pointer-free,
-// ten bytes a pairing.
+// holds — k's clients less this node, and k itself — ascending: the run whose
+// positions k's run-form recommendations name (messages). heard[run[i]:
+// run[i+1]] is, per destination, when (Unix ns) k last recommended a route to
+// it, or when the pairing began: the view install that made k a default
+// rendezvous of the destination. Every array is pointer-free, ten bytes a
+// pairing.
 type silence struct {
 	servers []int // this node's servers, ascending
 	run     []int32

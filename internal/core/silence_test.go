@@ -527,7 +527,7 @@ func TestRecommendationWalkMatchesLookup(t *testing.T) {
 			}
 		}
 		switch rng.Intn(3) {
-		case 0: // what a rendezvous sends: its clients ascending, then itself
+		case 0: // ascending, then the sender itself
 			dsts = append(slices.DeleteFunc(dsts, func(d int) bool { return d == from }), from)
 		case 1:
 			rng.Shuffle(len(dsts), func(i, j int) { dsts[i], dsts[j] = dsts[j], dsts[i] })
