@@ -750,8 +750,7 @@ func decodeRound2(tb testing.TB, q *Quorum, c int, msg []byte) []wire.RecEntry {
 	if err != nil {
 		tb.Fatalf("slot %d's recommendation: %v", c, err)
 	}
-	run := slices.DeleteFunc(append(q.Grid().Clients(q.self), q.self), func(s int) bool { return s == c })
-	slices.Sort(run)
+	run := gridRun(q.Grid(), q.self, c)
 	if rec.ByRun && rec.Run != len(run) {
 		tb.Fatalf("slot %d's recommendation spans a run of %d, it holds %d", c, rec.Run, len(run))
 	}

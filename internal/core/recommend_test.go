@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"allpairs/internal/grid"
 	"allpairs/internal/membership"
 	"allpairs/internal/wire"
 )
@@ -37,13 +38,16 @@ func runFormFixture(tb testing.TB) (q *Quorum, run func(time.Duration)) {
 	return q, nw.RunFor
 }
 
-// heldRun is the run q holds for its server k, rebuilt from the grid: k's
-// clients and k, ascending, less q.
-func heldRun(q *Quorum, k int) []int {
-	run := slices.DeleteFunc(append(q.Grid().Clients(k), k), func(s int) bool { return s == q.self })
+// gridRun is the run slot c holds for its server k, rebuilt from the grid:
+// k's clients and k, ascending, less c.
+func gridRun(g *grid.Grid, k, c int) []int {
+	run := slices.DeleteFunc(append(g.Clients(k), k), func(s int) bool { return s == c })
 	slices.Sort(run)
 	return run
 }
+
+// heldRun is the run q holds for its server k.
+func heldRun(q *Quorum, k int) []int { return gridRun(q.Grid(), k, q.self) }
 
 // runForm builds a run-form recommendation from slot k to q naming the run
 // positions named, with the explicit extras after them; entry i routes via
