@@ -174,12 +174,13 @@ func (m *modelNet) popEarliest() *modelEvent {
 	return ev
 }
 
-// run executes one popped event, reporting false for a stopped timer.
+// run executes one popped event, reporting false for a stopped timer. The
+// clock reaches the event's time either way.
 func (m *modelNet) run(ev *modelEvent) bool {
+	m.now = ev.at
 	if ev.stopped {
 		return false
 	}
-	m.now = ev.at
 	ev.fired = true
 	if ev.packet >= 0 {
 		m.log = append(m.log, fmt.Sprintf("packet %d at %d @%v", ev.packet, ev.to, m.now))
@@ -454,6 +455,22 @@ func FuzzQueueMatchesModel(f *testing.F) {
 		d := &byteDraws{b: b}
 		matchModel(t, seed, d, func(i int) bool { return len(d.b) > 0 && i < modelOps })
 	})
+}
+
+// TestStepOverStoppedTimersMovesTheClock is the fuzzer's reproducer (its
+// corpus entry step-over-stopped-timer): a Step that pops only a stopped
+// timer moves the wheel's cursor to the timer's tick, so it must move the
+// clock there too, or the next After lands in the heap behind the cursor.
+func TestStepOverStoppedTimersMovesTheClock(t *testing.T) {
+	nw := New(1, 1)
+	nw.After(time.Hour, func() {}).Stop()
+	if nw.Step() {
+		t.Fatal("Step ran a stopped timer")
+	}
+	checkWheel(t, "after a Step over a stopped timer", nw)
+	if nw.Elapsed() != time.Hour {
+		t.Errorf("clock %v after stepping over a timer due at 1h", nw.Elapsed())
+	}
 }
 
 // TestSameInstantSchedulingOrder spells out the tie rule the random mix leans

@@ -381,8 +381,8 @@ func (nw *Network) deliver(pkt *packet) {
 // false and the handle no longer pins the closure.
 func (nw *Network) run() bool {
 	e := nw.queue.pop()
+	nw.now = e.at // even for a stopped timer: the pop moved the cursor to its tick
 	if e.pkt != nil {
-		nw.now = e.at
 		nw.deliver(e.pkt)
 		return true
 	}
@@ -391,7 +391,6 @@ func (nw *Network) run() bool {
 		return false // stopped timer
 	}
 	e.t.fn = nil
-	nw.now = e.at
 	fn()
 	return true
 }
