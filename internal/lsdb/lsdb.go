@@ -287,7 +287,7 @@ func (t *Table) Grow(newN int) {
 // RetireSlot erases a departed member from the table without disturbing
 // anyone else: the slot's stored row is dropped and every other stored row's
 // cost toward it is forced to InfCost. The slot itself becomes an ordinary
-// empty slot, ready for a quarantine-expired reuse to announce into.
+// empty slot, ready for its next occupant to announce into.
 func (t *Table) RetireSlot(slot int) {
 	if slot < 0 || slot >= t.n {
 		return

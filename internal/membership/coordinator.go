@@ -98,9 +98,12 @@ func (c *CoordinatorConfig) preVoteWait() time.Duration { return 2 * c.BeaconInt
 
 // seat is one slot of the primary's lease table. A member's seat holds its
 // view entry and at, when it was last heard from. A tombstone's seat holds
-// wire.NilNode and at, when its last occupant was removed: it becomes
-// reusable only after a full membership Timeout, so no stale row, probe, or
-// recommendation referring to the old occupant can outlive the quarantine.
+// wire.NilNode, and its slot is reusable once a broadcast view shows it free
+// (allocSlot). Nothing then needs to wait for the old occupant's traffic to
+// die out: rows and recommendations are refused unless built on the
+// receiver's view version, a probe reply must come from the slot's current
+// ID with the awaited seq, and a view install that changes a slot's occupant
+// retires the slot (StableExtension).
 type seat struct {
 	wire.Member
 	at time.Time
@@ -118,12 +121,12 @@ type seat struct {
 //
 // The primary's lease table is seats, indexed by view slot exactly like the
 // view it broadcasts: a flush copies it out, a sweep walks it in slot order,
-// and a join takes the lowest tombstone past quarantine or extends it (the
-// slot space never shrinks within a reign). slotOf and byAddr map a member's
-// ID and address to its seat; they are lookups only, never walked. A
-// promotion rebuilds the table from the view replica with every lease and
-// every quarantine restarted (the new primary cannot know how long ago a
-// tombstone was freed, so it assumes the worst); a demotion clears it.
+// and a join takes the lowest slot the last broadcast view shows free or
+// extends the space (it never shrinks within a reign). slotOf and byAddr map
+// a member's ID and address to its seat; they are lookups only, never walked.
+// A promotion rebuilds the table from the view replica with every lease
+// restarted and every tombstone free at once (the old reign broadcast it); a
+// demotion clears it.
 type Coordinator struct {
 	env     transport.Env
 	cfg     CoordinatorConfig
@@ -607,11 +610,10 @@ func (c *Coordinator) handlePreVoteReply(from wire.NodeID, pr wire.PreVoteReply)
 // promote turns a standby into the primary: a new epoch, a version far past
 // anything the dead reign can have broadcast, an allocator bumped past its
 // replicated high-water mark, and the lease table rebuilt from the view
-// replica with every seat stamped now. A member gets a fresh lease (it is not
-// to blame for the election, so it may not expire before getting a full
-// timeout to re-heartbeat); a tombstone's quarantine restarts, because the
-// replica log does not say when it was freed and stranding a slot for one
-// extra timeout beats reusing it early.
+// replica with every lease starting now: a member is not to blame for the
+// election, so it may not expire before getting a full timeout to
+// re-heartbeat. The replica's tombstones are free at once, because the old
+// reign broadcast them.
 func (c *Coordinator) promote() {
 	now := c.env.Now()
 	c.role = rolePrimary
@@ -621,7 +623,7 @@ func (c *Coordinator) promote() {
 	c.seats = make([]seat, c.lastView.Slots())
 	for s, m := range c.lastView.slotMembers(c.lastView.Slots()) {
 		if m.ID == wire.NilNode {
-			c.seats[s] = seat{Member: m, at: now}
+			c.seats[s] = seat{Member: m}
 			continue
 		}
 		c.occupy(m, now)
@@ -720,7 +722,7 @@ func (c *Coordinator) handleJoin(j wire.Join) {
 		c.logf("membership: refused %v, no free node ID", j.Addr)
 		return
 	}
-	slot, ok := c.allocSlot(now)
+	slot, ok := c.allocSlot()
 	if !ok {
 		c.nextID = id // not consumed: a retrying joiner must not walk the ID space
 		c.logf("membership: refused %v, no free slot", j.Addr)
@@ -748,14 +750,17 @@ func (c *Coordinator) allocID() (id wire.NodeID, ok bool) {
 	return wire.NilNode, false
 }
 
-// allocSlot returns the lowest quarantine-expired tombstone, or extends the
-// slot space when none is reusable yet. Only the primary calls this — slot
-// assignment is a lease decision exactly like ID assignment. ok is false when
-// no tombstone is reusable and the space already holds wire.MaxSlots slots:
-// one more would encode as a 0-slot view that every client rejects.
-func (c *Coordinator) allocSlot(now time.Time) (slot int, ok bool) {
-	for s, st := range c.seats {
-		if st.ID == wire.NilNode && now.Sub(st.at) >= c.cfg.Timeout {
+// allocSlot returns the lowest slot that is a tombstone in the last broadcast
+// view and still free in the table, or extends the slot space when there is
+// none. A slot freed since the last flush waits for the flush that shows it
+// free, so no delta moves a slot from one member to another (diffSlots).
+// Only the primary calls this — slot assignment is a lease decision exactly
+// like ID assignment. ok is false when no slot is free and the space already
+// holds wire.MaxSlots slots: one more would encode as a 0-slot view that
+// every client rejects.
+func (c *Coordinator) allocSlot() (slot int, ok bool) {
+	for _, s := range c.lastView.Tombstones() {
+		if c.seats[s].ID == wire.NilNode {
 			return s, true
 		}
 	}
@@ -782,13 +787,13 @@ func (c *Coordinator) reply(id wire.NodeID, nonce uint32) {
 	c.env.Send(id, wire.AppendJoinReply(nil, c.selfID, wire.JoinReply{Assigned: id, Nonce: nonce}))
 }
 
-// remove tombstones a member's seat, starting its quarantine now.
+// remove tombstones a member's seat; the next flush shows the slot free.
 func (c *Coordinator) remove(id wire.NodeID, why string) {
 	s := c.slotOf[id]
 	delete(c.slotOf, id)
 	delete(c.byAddr, c.seats[s].Addr)
-	c.seats[s] = seat{Member: wire.Member{ID: wire.NilNode}, at: c.env.Now()}
-	c.logf("membership: removed node %d (%s), slot %d quarantined", id, why, s)
+	c.seats[s] = seat{Member: wire.Member{ID: wire.NilNode}}
+	c.logf("membership: removed node %d (%s), slot %d free from the next view", id, why, s)
 }
 
 // view returns the lease table's view entries, slot-indexed (tombstones hold
@@ -898,10 +903,10 @@ func (c *Coordinator) seedGossip(cur *ViewInfo, d wire.ViewDelta, added map[wire
 // have, and the IDs of prev occupants gone from cur. Both inputs are
 // slot-indexed, prev holding IDs; cur is never shorter than prev because the
 // slot space only grows within a reign. A slot whose occupant changed outright
-// (tombstoned and reused across the same coalesce window cannot happen —
-// quarantine is far longer — but a healed replica diff can see it) yields a
-// remove plus an add, which delta application handles because removes apply
-// first.
+// (a primary never does that within one delta — allocSlot reuses only slots
+// the last broadcast view shows free — but a healed replica diff can see it)
+// yields a remove plus an add, which delta application handles because
+// removes apply first.
 func diffSlots(prev []wire.NodeID, cur []wire.Member) (adds []wire.Member, removes []wire.NodeID) {
 	for s := range cur {
 		p := wire.NilNode

@@ -785,52 +785,47 @@ func TestNodeIDAllocatorSkipsReservedAndHeld(t *testing.T) {
 
 // TestSlotAllocatorRefusesPastWireCeiling fills the slot space to the wire's
 // 16-bit ceiling (View.Slots is a uint16): the join that would need slot
-// 65 535 must be refused like an ID-exhausted one — no reply, no version bump
-// — instead of broadcasting a view whose slot count encodes as 0, and the
-// same joiner must get in once a tombstone's quarantine has expired.
+// 65 535 must be refused like an ID-exhausted one — no reply, no slot —
+// instead of broadcasting a view whose slot count encodes as 0. A tombstone
+// is free only once a flush has shown it free: the same joiner is refused
+// before that flush and admitted into the lowest such slot at its first
+// retry after it.
 func TestSlotAllocatorRefusesPastWireCeiling(t *testing.T) {
 	ccfg := fastCoordCfg(t)
-	ccfg.Timeout = 10 * time.Second
-	rc := newRepCluster(t, 3, 1, churnClientCfg(), ccfg)
+	cfg := churnClientCfg()
+	rc := newRepCluster(t, 3, 1, cfg, ccfg)
 	primary := rc.coords[0]
-	// Room for exactly two joins: every other slot is a tombstone whose
-	// quarantine never expires.
-	never := seat{Member: wire.Member{ID: wire.NilNode}, at: time.Unix(1<<40, 0)}
+	// Room for exactly two joins before the first flush: every other slot
+	// is a tombstone no broadcast view has shown free yet.
 	for range math.MaxUint16 - 2 {
-		primary.seats = append(primary.seats, never)
+		primary.seats = append(primary.seats, seat{Member: wire.Member{ID: wire.NilNode}})
 	}
-	rc.clients[0].Start()
-	rc.clients[1].Start()
-	rc.nw.RunFor(3 * time.Second)
-	if primary.MemberCount() != 2 || len(primary.seats) != math.MaxUint16 {
-		t.Fatalf("setup: %d members over %d slots, want 2 over %d", primary.MemberCount(), len(primary.seats), math.MaxUint16)
+	for _, cl := range rc.clients {
+		cl.Start()
 	}
-	full := primary.Stamp()
-
-	rc.clients[2].Start()
-	rc.nw.RunFor(3 * time.Second)
-	if rc.clients[2].Joined() || primary.MemberCount() != 2 || len(primary.seats) != math.MaxUint16 || primary.Stamp() != full {
-		t.Fatalf("join past the ceiling: joined=%v, %d members over %d slots at %v (was %v)",
-			rc.clients[2].Joined(), primary.MemberCount(), len(primary.seats), primary.Stamp(), full)
+	rc.nw.RunFor(ccfg.Coalesce / 2)
+	if !primary.flushPending || primary.MemberCount() != 2 || len(primary.seats) != math.MaxUint16 {
+		t.Fatalf("setup: %d members over %d slots before the first flush, want 2 over %d", primary.MemberCount(), len(primary.seats), math.MaxUint16)
+	}
+	if rc.clients[2].Joined() || rc.envs[2].LocalID() != wire.NilNode {
+		t.Fatalf("join past the ceiling: joined=%v as node %d", rc.clients[2].Joined(), rc.envs[2].LocalID())
 	}
 
-	// Client 0 leaves. Its slot stays quarantined for a full Timeout, then
-	// one of client 2's join retries reuses it.
-	freed := primary.slotOf[rc.envs[0].LocalID()]
-	rc.clients[0].Leave()
-	rc.clients[0].Stop()
-	rc.nw.RunFor(ccfg.Timeout / 2)
-	if rc.clients[2].Joined() {
-		t.Fatal("joiner admitted into a slot still in quarantine")
+	// The flush shows the tombstones free; until client 2 retries, nothing
+	// takes them.
+	rc.nw.RunFor(ccfg.Coalesce)
+	if primary.lastView.Slots() != math.MaxUint16 || primary.lastView.IDAt(0) != wire.NilNode || primary.seats[0].ID != wire.NilNode {
+		t.Fatalf("after the first flush: %d broadcast slots, slot 0 shows %d, seat 0 holds %d", primary.lastView.Slots(), primary.lastView.IDAt(0), primary.seats[0].ID)
 	}
-	rc.nw.RunFor(ccfg.Timeout)
+	rc.nw.RunFor(cfg.JoinRetry)
 	slot, ok := primary.slotOf[rc.envs[2].LocalID()]
-	if !rc.clients[2].Joined() || !ok || slot != freed || len(primary.seats) != math.MaxUint16 {
-		t.Fatalf("after quarantine: joined=%v slot=%d,%v, want slot %d of %d", rc.clients[2].Joined(), slot, ok, freed, math.MaxUint16)
+	if !rc.clients[2].Joined() || !ok || slot != 0 || len(primary.seats) != math.MaxUint16 {
+		t.Fatalf("the first retry after the flush: joined=%v slot=%d,%v, want slot 0 of %d", rc.clients[2].Joined(), slot, ok, math.MaxUint16)
 	}
-	for _, i := range []int{1, 2} {
-		if v := rc.views[i]; v == nil || v.Stamp() != primary.Stamp() || v.N() != 2 || v.Slots() != math.MaxUint16 {
-			t.Errorf("client %d did not converge on the primary's 2-member, %d-slot view", i, math.MaxUint16)
+	rc.nw.RunFor(3 * time.Second)
+	for i, v := range rc.views {
+		if v == nil || v.Stamp() != primary.Stamp() || v.N() != 3 || v.Slots() != math.MaxUint16 {
+			t.Errorf("client %d did not converge on the primary's 3-member, %d-slot view", i, math.MaxUint16)
 		}
 	}
 }
@@ -840,7 +835,11 @@ func TestSlotAllocatorRefusesPastWireCeiling(t *testing.T) {
 // virtual time checks the current primary's lease table: no ID or address
 // holds two seats, the ID and address lookups agree with the seats, the table
 // equals the last broadcast view whenever no flush is pending, and no slot is
-// re-occupied within Timeout of being freed, in either reign.
+// re-occupied in the view that freed it, in either reign — the table never
+// seats a member where the last broadcast view shows another, and no two
+// successive broadcast views show two different members in one slot. Flushes
+// are at least one coalesce window (200 ms) apart, so the checks see every
+// broadcast view.
 func TestLeaseTableInvariants(t *testing.T) {
 	const every = 100 * time.Millisecond
 	ccfg := fastCoordCfg(t)
@@ -862,26 +861,26 @@ func TestLeaseTableInvariants(t *testing.T) {
 		}},
 		{3 * time.Second, func() { leave(0) }},
 		{4 * time.Second, func() { rc.clients[1].Stop() }},  // expires at 11 s
-		{9 * time.Second, func() { rc.clients[6].Start() }}, // slot 0 is quarantined until 13 s
-		{14 * time.Second, func() { rc.clients[7].Start() }},
+		{9 * time.Second, func() { rc.clients[6].Start() }}, // takes slot 0, shown free since the flush after 3 s
+		// No slot is free now, and a join in the coalesce window that frees
+		// slot 5 must not take it: it extends the slot space.
+		{10 * time.Second, func() { leave(5); rc.clients[10].Start() }},
+		{14 * time.Second, func() { rc.clients[7].Start() }},                      // slot 1
 		{16 * time.Second, func() { rc.clients[2].Stop(); rc.clients[3].Stop() }}, // both expire at 26 s
-		{22 * time.Second, func() { rc.clients[8].Start() }},
+		{22 * time.Second, func() { rc.clients[8].Start() }},                      // slot 5
 		{27 * time.Second, func() { rc.coords[0].Stop() }},
-		{34 * time.Second, func() { rc.clients[9].Start() }}, // slots 2 and 3 freed 8 s ago
+		{34 * time.Second, func() { rc.clients[9].Start() }}, // slots 2 and 3 were freed before the crash
 		{40 * time.Second, func() { leave(6) }},
-		{48 * time.Second, func() { rc.clients[10].Start() }},
 	}
 
-	// hist follows each slot across reigns as the checks see it: its last
-	// occupant, and when a check first saw it freed. A check sees a change at
-	// most one period late, so a slot re-occupied a full Timeout after it was
-	// freed is seen more than Timeout − every after it was seen freed.
+	// hist follows each slot's seat across reigns as the checks see it: its
+	// last occupant, and whether a check has seen it freed since.
 	type slotHist struct {
 		id    wire.NodeID
 		freed bool
-		at    time.Duration
 	}
 	var hist []slotHist
+	var shown *ViewInfo // the last broadcast view a check saw
 	lastRank, reused := -1, make([]int, len(rc.coords))
 	for step := time.Duration(0); step <= 60*time.Second; step += every {
 		for len(events) > 0 && events[0].at <= step {
@@ -895,6 +894,15 @@ func TestLeaseTableInvariants(t *testing.T) {
 				continue
 			}
 			lastRank = r
+			last := p.lastView
+			if shown != nil && last.Stamp().Epoch == shown.Stamp().Epoch && last.VersionNum() == shown.VersionNum()+1 {
+				for s := range min(last.Slots(), shown.Slots()) {
+					if a, b := shown.IDAt(s), last.IDAt(s); a != wire.NilNode && b != wire.NilNode && a != b {
+						t.Fatalf("%v rank %d: view %v moved slot %d from node %d to %d", now, r, last.Stamp(), s, a, b)
+					}
+				}
+			}
+			shown = last
 			members := 0
 			for s, st := range p.seats {
 				if st.ID != wire.NilNode {
@@ -903,26 +911,24 @@ func TestLeaseTableInvariants(t *testing.T) {
 						t.Fatalf("%v rank %d: seat %d holds %+v, lookups say slot %d / %d",
 							now, r, s, st.Member, p.slotOf[st.ID], p.byAddr[st.Addr])
 					}
+					if s < last.Slots() && last.IDAt(s) != wire.NilNode && last.IDAt(s) != st.ID {
+						t.Fatalf("%v rank %d: seat %d holds node %d where the last broadcast view shows node %d", now, r, s, st.ID, last.IDAt(s))
+					}
 				}
 				if s == len(hist) {
-					hist = append(hist, slotHist{id: st.ID, freed: st.ID == wire.NilNode, at: now})
+					hist = append(hist, slotHist{id: st.ID, freed: st.ID == wire.NilNode})
 					continue
 				}
 				h := &hist[s]
 				switch {
 				case st.ID == wire.NilNode:
-					if !h.freed {
-						h.freed, h.at = true, now
-					}
+					h.freed = true
 					continue
 				case !h.freed && st.ID != h.id:
 					t.Fatalf("%v rank %d: slot %d went from node %d to %d between two checks", now, r, s, h.id, st.ID)
 				case h.freed && st.ID != h.id:
 					// (The same ID back is a promotion that restored a member
 					// whose removal never reached the new primary's replica.)
-					if gap := now - h.at; gap <= ccfg.Timeout-every {
-						t.Fatalf("%v rank %d: slot %d re-occupied %v after it was freed", now, r, s, gap)
-					}
 					reused[r]++
 				}
 				h.id, h.freed = st.ID, false
@@ -931,7 +937,7 @@ func TestLeaseTableInvariants(t *testing.T) {
 				t.Fatalf("%v rank %d: %d seated members, %d IDs and %d addresses looked up",
 					now, r, members, len(p.slotOf), len(p.byAddr))
 			}
-			if !p.flushPending && !slices.Equal(p.view(), p.lastView.slotMembers(p.lastView.Slots())) {
+			if !p.flushPending && !slices.Equal(p.view(), last.slotMembers(last.Slots())) {
 				t.Fatalf("%v rank %d: table differs from the last broadcast view with no flush pending", now, r)
 			}
 		}
@@ -939,7 +945,7 @@ func TestLeaseTableInvariants(t *testing.T) {
 	if rc.coords[1].Stats().Promotions != 1 || lastRank != 1 {
 		t.Fatalf("rank 1 promotions = %d, last primary rank %d; want 1 and 1", rc.coords[1].Stats().Promotions, lastRank)
 	}
-	if reused[0] != 2 || reused[1] == 0 {
-		t.Errorf("quarantined slots reused %v times per rank, want 2 before the crash and some after", reused)
+	if reused[0] != 3 || reused[1] == 0 {
+		t.Errorf("freed slots reused %v times per rank, want 3 before the crash and some after", reused)
 	}
 }

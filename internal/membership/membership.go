@@ -60,7 +60,7 @@ const (
 // ID assignment used to populate the routing grid, plus the occupied member
 // list and the ID → slot index. Each member holds the slot the coordinator
 // assigned it for its lifetime; departed slots are tombstones (wire.NilNode)
-// that stay in place until the coordinator's quarantine reuses them, so one
+// that stay in place until the coordinator reuses them for a joiner, so one
 // join or leave moves O(1) assignments. A slot costs two bytes and a member
 // its wire.Member once, each table exactly as long as its contents.
 type ViewInfo struct {

@@ -172,8 +172,7 @@ func flagAt(f byte, name string) (bool, error) {
 // the same view version build identical grids (§5, "Membership Service").
 // Slots is the size of the grid's slot space: members occupy the slots named
 // by their Slot field (each below Slots, or the receiver rejects the view)
-// and every other slot is a tombstone (departed, quarantined, or never
-// assigned). Trailing tombstones make the slot count unrepresentable from
+// and every other slot is a tombstone (departed, or never assigned). Trailing tombstones make the slot count unrepresentable from
 // the member list alone, so it must travel on the wire. A View travels as
 // ViewChunk pieces; it is also what NewViewInfo builds from.
 type View struct {
