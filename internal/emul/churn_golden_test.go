@@ -39,7 +39,7 @@ func TestChurnScenariosGolden(t *testing.T) {
 		opt  ChurnOptions
 		want string
 	}{
-		{short(ChurnPoisson), "cd94795cb5b422d9"},
+		{short(ChurnPoisson), "39d688d907174a3b"},
 		{short(ChurnFlashCrowd), "4cf659854c1aa181"},
 		{short(ChurnMassDeparture), "d327d2ade61aa3db"},
 		{short(ChurnCoordCrash), "2cc0fb78d931ccd5"},
@@ -47,8 +47,8 @@ func TestChurnScenariosGolden(t *testing.T) {
 		{short(ChurnRegional), "983a1d475c8ab4e1"},
 		{short(ChurnLossyGossip), "2edcc64ff6f018c4"},
 		{short(ChurnGossipCrash), "8c1319dd6525c9b1"},
-		{short(ChurnStraggler), "f966193a961253ad"},
-		{ChurnOptions{N: 30, Seed: 8, Scenario: ChurnStraggler, Rate: 0.4, Duration: 6 * time.Minute}, "58946850580b59a4"},
+		{short(ChurnStraggler), "bdb1726b747aeede"},
+		{ChurnOptions{N: 30, Seed: 8, Scenario: ChurnStraggler, Rate: 0.4, Duration: 6 * time.Minute}, "e3e254954ab206e4"},
 	}
 	for _, c := range cases {
 		out := RunChurn(c.opt).Format()
