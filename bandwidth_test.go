@@ -82,9 +82,9 @@ func TestBandwidthLaw(t *testing.T) {
 	// Under churn the grid spans slots, members and the tombstones of
 	// departed ones, while the model counts members: the churned ratio reads
 	// how many tombstones the grid still spans. It is an exact count of one
-	// seeded run, so any drift is a change of behaviour. 1.229 while a freed
-	// slot stayed quarantined for a full lease (59 slots at the end); the
-	// rest is crashed members holding their seats until their lease runs out.
+	// seeded run, so any drift is a change of behaviour. Most of what is left
+	// above 1 is crashed members, who hold their seats until their lease runs
+	// out.
 	const want = 1.095
 	if r := churnedRoutingVsModel(t); math.Abs(r-want) > 0.002 {
 		t.Errorf("churned quorum: routing is %.4f× the model at the mean member count, want %.3f", r, want)

@@ -98,12 +98,7 @@ func (c *CoordinatorConfig) preVoteWait() time.Duration { return 2 * c.BeaconInt
 
 // seat is one slot of the primary's lease table. A member's seat holds its
 // view entry and at, when it was last heard from. A tombstone's seat holds
-// wire.NilNode, and its slot is reusable once a broadcast view shows it free
-// (allocSlot). Nothing then needs to wait for the old occupant's traffic to
-// die out: rows and recommendations are refused unless built on the
-// receiver's view version, a probe reply must come from the slot's current
-// ID with the awaited seq, and a view install that changes a slot's occupant
-// retires the slot (StableExtension).
+// wire.NilNode; allocSlot reuses it once a broadcast view shows it free.
 type seat struct {
 	wire.Member
 	at time.Time
@@ -623,10 +618,10 @@ func (c *Coordinator) promote() {
 	c.seats = make([]seat, c.lastView.Slots())
 	for s, m := range c.lastView.slotMembers(c.lastView.Slots()) {
 		if m.ID == wire.NilNode {
-			c.seats[s] = seat{Member: m}
-			continue
+			c.seats[s].Member = m
+		} else {
+			c.occupy(m, now)
 		}
-		c.occupy(m, now)
 	}
 	c.stats.Promotions++
 	c.stats.Broadcasts++
@@ -750,14 +745,13 @@ func (c *Coordinator) allocID() (id wire.NodeID, ok bool) {
 	return wire.NilNode, false
 }
 
-// allocSlot returns the lowest slot that is a tombstone in the last broadcast
-// view and still free in the table, or extends the slot space when there is
-// none. A slot freed since the last flush waits for the flush that shows it
-// free, so no delta moves a slot from one member to another (diffSlots).
-// Only the primary calls this — slot assignment is a lease decision exactly
-// like ID assignment. ok is false when no slot is free and the space already
-// holds wire.MaxSlots slots: one more would encode as a 0-slot view that
-// every client rejects.
+// allocSlot returns the lowest slot the last broadcast view shows free and
+// the table still holds free, or extends the slot space. No join takes a slot
+// before the flush that frees it, so no delta moves a slot between members,
+// and the old occupant's late traffic is refused by view-version and ID
+// checks (TestReusedSlotInheritsNothing). Only the primary calls this. ok is
+// false when no slot is free and the space already holds wire.MaxSlots
+// slots: one more would encode as a 0-slot view that every client rejects.
 func (c *Coordinator) allocSlot() (slot int, ok bool) {
 	for _, s := range c.lastView.Tombstones() {
 		if c.seats[s].ID == wire.NilNode {
