@@ -98,14 +98,8 @@ type Client struct {
 	// hbGen invalidates in-flight ack deadlines: each armed deadline
 	// captures the generation and is a no-op once an ack (or a newer
 	// deadline) has bumped it.
-	hbGen     uint64
-	hbFails   int // consecutive ack deadline expiries, for backoff
-	hbStarted bool
-
-	// joinNonce identifies the outstanding join attempt; only a JoinReply
-	// echoing it is accepted, so a duplicated or delayed reply to an
-	// earlier join can never hand a re-joining client an obsolete ID.
-	joinNonce uint32
+	hbGen   uint64
+	hbFails int // consecutive ack deadline expiries, for backoff
 
 	// Gossip dissemination state. dedup is a ring of the last dedupCache
 	// delta stamps seen (duplicate suppression) and dedupN counts the stamps
@@ -175,7 +169,8 @@ func (s *ClientStats) Add(o ClientStats) {
 }
 
 // NewClient creates a membership client. onView is invoked (inside the Env's
-// serialized context) whenever a new view is installed, including the first.
+// serialized context) whenever a view that lists this node is installed,
+// including the first, with env.LocalID already set to the ID it lists.
 // The caller must have bound every configured coordinator ID to its address
 // via env.SetPeer before Start.
 func NewClient(env transport.Env, cfg ClientConfig, onView func(*ViewInfo)) *Client {
@@ -183,10 +178,12 @@ func NewClient(env transport.Env, cfg ClientConfig, onView func(*ViewInfo)) *Cli
 	return &Client{env: env, cfg: cfg, onView: onView, lead: wire.NilNode}
 }
 
-// Start begins the join loop.
+// Start begins the join loop and the heartbeat cycle, which idles until a
+// view lists this node.
 func (c *Client) Start() {
 	c.sendJoin()
 	c.joinTimer = c.env.After(c.cfg.JoinRetry, c.joinRetry)
+	c.hbTimer = c.env.After(c.cfg.Heartbeat, c.heartbeat)
 }
 
 // Stop cancels the client's timers. It does not announce departure; use
@@ -214,18 +211,14 @@ func (c *Client) Leave() {
 }
 
 func (c *Client) sendJoin() {
-	// A fresh nonce per attempt: only the reply to *this* join is accepted,
-	// so a duplicated or jitter-delayed reply to a previous attempt (worst
-	// case: a pre-eviction join, whose stale ID would corrupt the peer
-	// table) is rejected by the nonce check rather than trusted.
-	c.joinNonce = uint32(c.env.Rand().Int63())
-	c.env.Send(c.coordinator(), wire.AppendJoin(nil, wire.Join{Addr: c.env.LocalAddr(), Nonce: c.joinNonce}))
+	c.env.Send(c.coordinator(), wire.AppendJoin(nil, wire.Join{Addr: c.env.LocalAddr()}))
 }
 
 func (c *Client) joinRetry() {
 	if !c.joined && !c.stopped {
-		// The current pick never answered; a standby silently drops joins,
-		// so try the next replica.
+		// No view lists us yet: the current pick never answered (a standby
+		// silently drops joins), or its snapshot was lost. Try the next
+		// replica; a primary that admitted us sends its view again.
 		c.rotate()
 		c.sendJoin()
 		c.joinTimer = c.env.After(c.cfg.JoinRetry, c.joinRetry)
@@ -239,14 +232,13 @@ func (c *Client) heartbeat() {
 	if c.stopped {
 		return
 	}
-	id := c.env.LocalID()
-	if !c.joined || id == wire.NilNode {
-		// The join loop owns the traffic while we are evicted; keep the
+	if !c.joined {
+		// The join loop owns the traffic until a view lists us; keep the
 		// heartbeat cycle alive but idle.
 		c.hbTimer = c.env.After(c.cfg.Heartbeat, c.heartbeat)
 		return
 	}
-	c.env.Send(c.coordinator(), wire.AppendHeartbeat(nil, id))
+	c.env.Send(c.coordinator(), wire.AppendHeartbeat(nil, c.env.LocalID()))
 	gen, to := c.hbGen, c.cur
 	c.hbTimer = c.env.After(c.cfg.AckTimeout, func() { c.ackDeadline(gen, to) })
 }
@@ -280,31 +272,10 @@ func (c *Client) stamp() wire.ViewStamp {
 }
 
 // HandlePacket processes one membership-plane message. The overlay node
-// routes the six types a member receives here — TJoinReply, THeartbeatAck,
-// TViewChunk, TGossipDelta, TViewPull and TViewPullReply; other types are
-// ignored.
+// routes the five types a member receives here — THeartbeatAck, TViewChunk,
+// TGossipDelta, TViewPull and TViewPullReply; other types are ignored.
 func (c *Client) HandlePacket(h wire.Header, body []byte) {
 	switch h.Type {
-	case wire.TJoinReply:
-		r, err := wire.ParseJoinReply(body)
-		if err != nil || r.Nonce != c.joinNonce {
-			// A reply to some earlier join attempt, duplicated or delayed
-			// by the network: accepting it would adopt an obsolete ID.
-			return
-		}
-		// Record which replica answered: it is the live primary.
-		c.noteCoordinator(h.Src)
-		if !c.joined {
-			c.joined = true
-			c.env.SetLocalID(r.Assigned)
-			// The heartbeat loop perpetuates itself; arm it only on the
-			// first admission so an eviction/rejoin cycle cannot stack a
-			// second loop.
-			if !c.hbStarted {
-				c.hbStarted = true
-				c.hbTimer = c.env.After(c.cfg.Heartbeat, c.heartbeat)
-			}
-		}
 	case wire.THeartbeatAck:
 		stamp, err := wire.ParseStamped(body)
 		if err != nil {
@@ -599,11 +570,12 @@ func (c *Client) bridged(src wire.NodeID, wasBehind bool) {
 	}
 }
 
-// install makes vi the current view. A newer view that omits our own ID
-// means the coordinator silently expired us (heartbeats from an unknown ID
-// are ignored as membership, but answered with the current view): reset the
-// join state and re-enter the join loop instead of orbiting the overlay
-// forever with an ID nobody routes to.
+// install makes vi the current view and states this node's standing from
+// it: the member listed at our address is us, and its ID is ours. Only such a
+// view reaches onView. A view that stops listing us means the coordinator
+// expired us (a heartbeat from an unknown ID is answered with the current
+// view): re-enter the join loop instead of orbiting the overlay forever with
+// an ID nobody routes to.
 func (c *Client) install(vi *ViewInfo) {
 	c.view = vi
 	if !c.behind() {
@@ -611,21 +583,27 @@ func (c *Client) install(vi *ViewInfo) {
 		// of their own.
 		c.pullTries, c.lead = 0, wire.NilNode
 	}
-	if id := c.env.LocalID(); c.joined && id != wire.NilNode {
-		if _, ok := vi.SlotOf(id); !ok {
+	// A primary lists an address once; should a view list ours twice, the
+	// entry under the ID we hold wins.
+	self, held, local := wire.NilNode, c.env.LocalID(), c.env.LocalAddr()
+	for _, m := range vi.members {
+		c.env.SetPeer(m.ID, m.Addr)
+		if m.Addr == local && (self == wire.NilNode || m.ID == held) {
+			self = m.ID
+		}
+	}
+	if self == wire.NilNode {
+		if c.joined {
 			c.joined = false
 			if !c.stopped {
 				c.sendJoin()
 				c.joinTimer = c.env.After(c.cfg.JoinRetry, c.joinRetry)
 			}
-			return
 		}
+		return
 	}
-	for _, m := range vi.members {
-		if m.ID != c.env.LocalID() {
-			c.env.SetPeer(m.ID, m.Addr)
-		}
-	}
+	c.joined = true
+	c.env.SetLocalID(self)
 	if c.onView != nil {
 		c.onView(vi)
 	}

@@ -117,7 +117,8 @@ type seat struct {
 // The primary's lease table is seats, indexed by view slot exactly like the
 // view it broadcasts: a flush copies it out, a sweep walks it in slot order,
 // and a join takes the lowest slot the last broadcast view shows free or
-// extends the space (it never shrinks within a reign). slotOf and byAddr map
+// extends the space (a broadcast slot never goes within a reign; a free seat
+// no view showed does, at the flush). slotOf and byAddr map
 // a member's ID and address to its seat; they are lookups only, never walked.
 // A promotion rebuilds the table from the view replica with every lease
 // restarted and every tombstone free at once (the old reign broadcast it); a
@@ -705,11 +706,15 @@ func (c *Coordinator) sendPackets(id wire.NodeID, packets [][]byte) {
 
 func (c *Coordinator) handleJoin(j wire.Join) {
 	now := c.env.Now()
-	// Idempotent re-join: the same address keeps its ID, and no new view is
-	// produced. This makes client join retries harmless.
+	// Idempotent re-join: the same address keeps its ID and its lease is
+	// renewed, but no new view is produced. A joiner retries until a view
+	// lists its address: if the last broadcast view holds it, that snapshot
+	// was lost, so send it again; if not, the open window's flush will.
 	if s, ok := c.byAddr[j.Addr]; ok {
 		c.seats[s].at = now
-		c.reply(c.seats[s].ID, j.Nonce)
+		if id := c.seats[s].ID; s < c.lastView.Slots() && c.lastView.IDAt(s) == id {
+			c.sendPackets(id, snapshotPackets(c.selfID, c.Stamp(), c.lastView))
+		}
 		return
 	}
 	id, ok := c.allocID()
@@ -725,7 +730,6 @@ func (c *Coordinator) handleJoin(j wire.Join) {
 	}
 	c.occupy(wire.Member{ID: id, Slot: uint16(slot), Addr: j.Addr}, now)
 	c.logf("membership: admitted %v as node %d (slot %d)", j.Addr, id, slot)
-	c.reply(id, j.Nonce)
 	c.scheduleFlush()
 }
 
@@ -774,13 +778,6 @@ func (c *Coordinator) occupy(m wire.Member, now time.Time) {
 	c.env.SetPeer(m.ID, m.Addr)
 }
 
-// reply answers a join, echoing the request nonce so the client can discard
-// replies to joins it no longer cares about (a duplicated or delayed reply
-// to an earlier join attempt must not hand a re-joining client a stale ID).
-func (c *Coordinator) reply(id wire.NodeID, nonce uint32) {
-	c.env.Send(id, wire.AppendJoinReply(nil, c.selfID, wire.JoinReply{Assigned: id, Nonce: nonce}))
-}
-
 // remove tombstones a member's seat; the next flush shows the slot free.
 func (c *Coordinator) remove(id wire.NodeID, why string) {
 	s := c.slotOf[id]
@@ -824,6 +821,12 @@ func (c *Coordinator) flush() {
 	c.flushPending = false
 	if c.stopped || c.role != rolePrimary {
 		return
+	}
+	// A seat past the last view that is free again (its joiner left within
+	// the window) was never shown: trimmed, the snapshot's slot count is the
+	// one the delta extends to.
+	for len(c.seats) > c.lastView.Slots() && c.seats[len(c.seats)-1].ID == wire.NilNode {
+		c.seats = c.seats[:len(c.seats)-1]
 	}
 	slots := c.view()
 	adds, removes := diffSlots(c.lastView.ids, slots)

@@ -223,23 +223,39 @@ func TestGossipDisseminationUnderLossConverges(t *testing.T) {
 	}
 }
 
+// TestStaleJoinReplyNonceRejected: a node's standing is the view that lists
+// its address, so a snapshot from before its eviction, delayed until after it
+// rejoined under a fresh ID, cannot hand it its old ID back: the snapshot's
+// stamp is older than the view the node holds. (The name is the retired join
+// reply's, whose nonce guarded the same hazard.)
 func TestStaleJoinReplyNonceRejected(t *testing.T) {
-	// A duplicated or delayed JoinReply from an earlier join attempt must
-	// not hand the client an obsolete ID: replies echo the join nonce and
-	// anything else is dropped.
-	sc := newSimCluster(t, 1, ClientConfig{}, CoordinatorConfig{})
-	sc.nw.SetNodeDown(1, true) // the coordinator endpoint; joins go dark
-	sc.clients[0].Start()
-	sc.nw.RunFor(3 * time.Second)
-	pkt := wire.AppendJoinReply(nil, CoordinatorID, wire.JoinReply{Assigned: 42, Nonce: 0xDEADBEEF})
-	h, body, _ := wire.ParseHeader(pkt)
-	sc.clients[0].HandlePacket(h, body)
-	if sc.clients[0].Joined() || sc.envs[0].LocalID() != wire.NilNode {
-		t.Fatalf("stale join reply with a foreign nonce was accepted (id=%d)", sc.envs[0].LocalID())
+	ccfg := CoordinatorConfig{Timeout: 30 * time.Second, Sweep: 5 * time.Second, Coalesce: 500 * time.Millisecond}
+	sc := newSimCluster(t, 2, ClientConfig{Heartbeat: 10 * time.Second, JoinRetry: 2 * time.Second}, ccfg)
+	for _, cl := range sc.clients {
+		cl.Start()
 	}
-	sc.nw.SetNodeDown(1, false)
-	sc.nw.RunFor(15 * time.Second) // next join retry reaches the coordinator
-	if !sc.clients[0].Joined() {
-		t.Fatal("client never joined once the coordinator came back")
+	sc.nw.RunFor(5 * time.Second)
+	oldID := sc.envs[0].LocalID()
+	if !sc.clients[0].Joined() || oldID == wire.NilNode {
+		t.Fatal("client 0 not admitted")
+	}
+	stale := snapshotPackets(CoordinatorID, sc.coord.Stamp(), sc.coord.lastView)
+
+	sc.nw.SetNodeDown(0, true) // long enough to be expired
+	sc.nw.RunFor(time.Minute)
+	sc.nw.SetNodeDown(0, false)
+	sc.nw.RunFor(30 * time.Second) // evicted by the view its heartbeat draws; rejoins
+	newID, held := sc.envs[0].LocalID(), sc.clients[0].View().Stamp()
+	if !sc.clients[0].Joined() || newID == oldID || held != sc.coord.Stamp() {
+		t.Fatalf("client 0 joined=%v as %d at %v, want a fresh ID (was %d) at %v",
+			sc.clients[0].Joined(), newID, held, oldID, sc.coord.Stamp())
+	}
+
+	for _, p := range stale {
+		h, body, _ := wire.ParseHeader(p)
+		sc.clients[0].HandlePacket(h, body)
+	}
+	if id := sc.envs[0].LocalID(); id != newID || sc.clients[0].View().Stamp() != held || sc.views[0].Stamp() != held {
+		t.Fatalf("a pre-eviction snapshot moved client 0 to ID %d at %v (want %d at %v)", id, sc.clients[0].View().Stamp(), newID, held)
 	}
 }

@@ -714,3 +714,43 @@ func (c *Client) View() *ViewInfo { return c.view }
 
 // Version returns the current view version. Call from within env.Do.
 func (c *Coordinator) Version() uint32 { return c.version }
+
+// TestSlotSpaceAgreesWhenAJoinerLeavesInItsWindow: a joiner extends the slot
+// space and leaves within one coalesce window while another joins. The flush
+// must not broadcast the slot no view ever showed: a member fed the delta
+// (which grows only to the highest added slot), a member fed the snapshot and
+// the primary end with one slot count, so they derive one grid.
+func TestSlotSpaceAgreesWhenAJoinerLeavesInItsWindow(t *testing.T) {
+	sc := newSimCluster(t, 4, ClientConfig{}, CoordinatorConfig{})
+	sc.clients[0].Start()
+	sc.clients[1].Start()
+	sc.nw.RunFor(3 * time.Second)
+	if sc.coord.MemberCount() != 2 {
+		t.Fatalf("member count = %d", sc.coord.MemberCount())
+	}
+	seeds := sc.coord.Stats().SeedsSent
+
+	sc.clients[2].Start() // fed the snapshot, as an added member
+	x := sc.envs[3]       // a joiner with no client: it joins, then leaves
+	x.Send(CoordinatorID, wire.AppendJoin(nil, wire.Join{Addr: x.LocalAddr()}))
+	sc.nw.RunFor(100 * time.Millisecond)
+	s, ok := sc.coord.byAddr[x.LocalAddr()]
+	if !ok {
+		t.Fatal("the raw join was not admitted")
+	}
+	x.Send(CoordinatorID, wire.AppendLeave(nil, sc.coord.seats[s].ID))
+	sc.nw.RunFor(3 * time.Second)
+
+	if sc.coord.Stats().SeedsSent == seeds || sc.views[2] == nil {
+		t.Fatalf("the window's flush was not a delta plus a snapshot (seeds %d → %d, snapshot %v)",
+			seeds, sc.coord.Stats().SeedsSent, sc.views[2] != nil)
+	}
+	primary := len(sc.coord.Members())
+	delta, snap := sc.views[0], sc.views[2]
+	if delta.Stamp() != sc.coord.Stamp() || snap.Stamp() != sc.coord.Stamp() {
+		t.Fatalf("views at %v and %v, primary at %v", delta.Stamp(), snap.Stamp(), sc.coord.Stamp())
+	}
+	if delta.Slots() != primary || snap.Slots() != primary || primary != 3 {
+		t.Errorf("slots: delta-fed %d, snapshot-fed %d, primary %d; want 3 each", delta.Slots(), snap.Slots(), primary)
+	}
+}

@@ -108,12 +108,7 @@ func (n *Node) Start() error {
 		n.env.SetLocalID(n.cfg.StaticID)
 		return n.installView(n.cfg.StaticView)
 	}
-	n.mc = membership.NewClient(n.env, n.cfg.Membership, func(v *membership.ViewInfo) {
-		// A view that does not include us yet (join race) is ignored.
-		if _, ok := v.SlotOf(n.env.LocalID()); ok {
-			_ = n.installView(v)
-		}
-	})
+	n.mc = membership.NewClient(n.env, n.cfg.Membership, func(v *membership.ViewInfo) { _ = n.installView(v) })
 	n.mc.Start()
 	return nil
 }
@@ -245,8 +240,8 @@ func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 		if q, ok := n.router.(*core.Quorum); ok {
 			q.HandleLinkStateAck(h, body)
 		}
-	case wire.TJoinReply, wire.THeartbeatAck, wire.TViewChunk,
-		wire.TGossipDelta, wire.TViewPull, wire.TViewPullReply:
+	case wire.THeartbeatAck, wire.TViewChunk, wire.TGossipDelta,
+		wire.TViewPull, wire.TViewPullReply:
 		if n.mc != nil {
 			n.mc.HandlePacket(h, body)
 		}

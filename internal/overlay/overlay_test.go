@@ -117,8 +117,10 @@ func TestQuorumAndFullMeshAgreeOnCosts(t *testing.T) {
 	}
 }
 
-func TestDynamicJoinThroughCoordinator(t *testing.T) {
-	const n = 9
+// dynamicFleet builds n nodes with cfg on a simulated network whose endpoint
+// n is a solo coordinator, and starts the first started of them.
+func dynamicFleet(t *testing.T, n, started int, cfg Config) (*simnet.Network, *membership.Coordinator, []*Node) {
+	t.Helper()
 	nw := simnet.New(n+1, 7)
 	reg := transport.NewRegistry()
 	for a := 0; a <= n; a++ {
@@ -131,21 +133,33 @@ func TestDynamicJoinThroughCoordinator(t *testing.T) {
 	cenv := transport.NewSimEnv(nw, reg, n, 99)
 	coord := membership.NewCoordinator(cenv, membership.CoordinatorConfig{})
 	coord.Start()
-
 	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
+	for i := range nodes {
 		env := transport.NewSimEnv(nw, reg, i, int64(i+1))
 		env.SetPeer(membership.CoordinatorID, cenv.LocalAddr())
-		nodes[i] = New(env, Config{
-			Algorithm:  AlgQuorum,
-			Probe:      probe.Config{Interval: 10 * time.Second, ReplyTimeout: time.Second},
-			Quorum:     core.QuorumConfig{Interval: 5 * time.Second},
-			Membership: membership.ClientConfig{JoinRetry: 2 * time.Second},
-		})
+		nodes[i] = New(env, cfg)
+		if i >= started {
+			continue
+		}
 		if err := nodes[i].Start(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return nw, coord, nodes
+}
+
+// fastDynamic is the dynamic fleets' config: short probing and routing
+// intervals, and a join retry short enough for a test.
+var fastDynamic = Config{
+	Algorithm:  AlgQuorum,
+	Probe:      probe.Config{Interval: 10 * time.Second, ReplyTimeout: time.Second},
+	Quorum:     core.QuorumConfig{Interval: 5 * time.Second},
+	Membership: membership.ClientConfig{JoinRetry: 2 * time.Second},
+}
+
+func TestDynamicJoinThroughCoordinator(t *testing.T) {
+	const n = 9
+	nw, coord, nodes := dynamicFleet(t, n, n, fastDynamic)
 	nw.RunFor(3 * time.Minute)
 
 	if coord.MemberCount() != n {
@@ -181,27 +195,7 @@ func TestDynamicJoinThroughCoordinator(t *testing.T) {
 // allocate nothing on the way in.
 func TestMissedDeltaClosesFromRoutingVersion(t *testing.T) {
 	const n = 9
-	nw := simnet.New(n+1, 7)
-	reg := transport.NewRegistry()
-	for a := 0; a <= n; a++ {
-		for b := 0; b <= n; b++ {
-			if a != b {
-				nw.SetLatency(a, b, 10*time.Millisecond)
-			}
-		}
-	}
-	cenv := transport.NewSimEnv(nw, reg, n, 99)
-	coord := membership.NewCoordinator(cenv, membership.CoordinatorConfig{})
-	coord.Start()
-	nodes := make([]*Node, n)
-	for i := range nodes {
-		env := transport.NewSimEnv(nw, reg, i, int64(i+1))
-		env.SetPeer(membership.CoordinatorID, cenv.LocalAddr())
-		nodes[i] = New(env, Config{Membership: membership.ClientConfig{JoinRetry: 2 * time.Second}})
-		if err := nodes[i].Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	nw, coord, nodes := dynamicFleet(t, n, n, Config{Membership: membership.ClientConfig{JoinRetry: 2 * time.Second}})
 	nw.RunFor(3*time.Minute + 10*time.Second)
 	if coord.MemberCount() != n || nodes[0].View().Stamp() != coord.Stamp() {
 		t.Fatalf("warm-up: %d members, node 0 at %v, coordinator at %v", coord.MemberCount(), nodes[0].View().Stamp(), coord.Stamp())
@@ -253,6 +247,48 @@ func TestMissedDeltaClosesFromRoutingVersion(t *testing.T) {
 	}
 	if pulls == 0 {
 		t.Error("node 0 sent no pull")
+	}
+}
+
+// TestLostAdmissionSnapshotRecovers: the view that lists a joiner is its
+// admission, and its join retry repairs the loss of that view: the primary
+// answers a re-join from a member its last view holds with that view again.
+// A joiner whose admission snapshot is dropped holds a view that lists it,
+// and routes, within one JoinRetry plus Coalesce plus a second of its join.
+func TestLostAdmissionSnapshotRecovers(t *testing.T) {
+	const n = 9
+	const joiner, coordEP = n - 1, n
+	nw, coord, nodes := dynamicFleet(t, n, n-1, fastDynamic)
+	nw.RunFor(3 * time.Minute)
+
+	dropped := 0
+	nw.OnSend = func(from, to int, p []byte) {
+		if from == coordEP && to == joiner && wire.PeekType(p) == wire.TViewChunk && !nw.Reachable(from, to) {
+			dropped++
+		}
+	}
+	if err := nodes[joiner].Start(); err != nil {
+		t.Fatal(err)
+	}
+	nw.RunFor(500 * time.Millisecond) // the join is admitted
+	nw.SetLinkDown(coordEP, joiner, true)
+	nw.RunFor(time.Second) // the flush's snapshot to the joiner is lost
+	nw.SetLinkDown(coordEP, joiner, false)
+	if dropped == 0 || nodes[joiner].Ready() {
+		t.Fatalf("the admission snapshot was not lost (%d chunks dropped, ready=%v)", dropped, nodes[joiner].Ready())
+	}
+
+	nw.RunFor(fastDynamic.Membership.JoinRetry + membership.DefaultCoalesce + time.Second - 1500*time.Millisecond)
+	v := nodes[joiner].View()
+	if v == nil || v.Stamp() != coord.Stamp() {
+		t.Fatalf("joiner holds view %v, primary at %v", v, coord.Stamp())
+	}
+	if _, ok := v.SlotOf(nodes[joiner].Env().LocalID()); !ok || !nodes[joiner].Ready() {
+		t.Fatalf("joiner's view does not list it as %d", nodes[joiner].Env().LocalID())
+	}
+	nw.RunFor(time.Minute)
+	if got := len(nodes[joiner].RouteTable()); got != n-1 {
+		t.Errorf("joiner has %d routes a minute after its admission, want %d", got, n-1)
 	}
 }
 

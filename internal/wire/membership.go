@@ -48,14 +48,11 @@ func parseMember(b []byte) Member {
 }
 
 // Join asks the membership coordinator to admit the sender. Addr is the
-// joiner's UDP endpoint as it wishes to be advertised to other members.
-// Nonce is a caller-chosen attempt identifier echoed back in the JoinReply:
-// it lets a re-joining client reject a stale reply to an *earlier* join that
-// a lossy network duplicated or delayed, which would otherwise hand it an
-// obsolete identity.
+// joiner's UDP endpoint as it wishes to be advertised to other members. No
+// reply answers it: the joiner learns it was admitted, and its ID, from the
+// first view that lists Addr.
 type Join struct {
-	Addr  netip.AddrPort
-	Nonce uint32
+	Addr netip.AddrPort
 }
 
 // AppendJoin encodes j with its header. Join messages use NilNode as the
@@ -64,46 +61,17 @@ func AppendJoin(b []byte, j Join) []byte {
 	b = AppendHeader(b, TJoin, NilNode)
 	a4 := as4(j.Addr.Addr())
 	b = append(b, a4[:]...)
-	b = binary.BigEndian.AppendUint16(b, j.Addr.Port())
-	return binary.BigEndian.AppendUint32(b, j.Nonce)
+	return binary.BigEndian.AppendUint16(b, j.Addr.Port())
 }
 
 // ParseJoin decodes a Join body.
 func ParseJoin(body []byte) (Join, error) {
-	if len(body) != 10 {
+	if len(body) != 6 {
 		return Join{}, ErrBadLen
 	}
 	var a4 [4]byte
 	copy(a4[:], body[:4])
-	return Join{
-		Addr:  netip.AddrPortFrom(netip.AddrFrom4(a4), binary.BigEndian.Uint16(body[4:6])),
-		Nonce: binary.BigEndian.Uint32(body[6:10]),
-	}, nil
-}
-
-// JoinReply tells a joiner its assigned node ID, echoing the join's nonce.
-// The full view follows as a separate snapshot (ViewChunk pieces).
-type JoinReply struct {
-	Assigned NodeID
-	Nonce    uint32
-}
-
-// AppendJoinReply encodes r with its header.
-func AppendJoinReply(b []byte, src NodeID, r JoinReply) []byte {
-	b = AppendHeader(b, TJoinReply, src)
-	b = binary.BigEndian.AppendUint16(b, uint16(r.Assigned))
-	return binary.BigEndian.AppendUint32(b, r.Nonce)
-}
-
-// ParseJoinReply decodes a JoinReply body.
-func ParseJoinReply(body []byte) (JoinReply, error) {
-	if len(body) != 6 {
-		return JoinReply{}, ErrBadLen
-	}
-	return JoinReply{
-		Assigned: NodeID(binary.BigEndian.Uint16(body)),
-		Nonce:    binary.BigEndian.Uint32(body[2:6]),
-	}, nil
+	return Join{Addr: netip.AddrPortFrom(netip.AddrFrom4(a4), binary.BigEndian.Uint16(body[4:6]))}, nil
 }
 
 // ViewStamp orders membership views across coordinator reigns: Epoch counts

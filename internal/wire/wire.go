@@ -72,7 +72,7 @@ const (
 
 	// Membership plane.
 	TJoin
-	TJoinReply
+	TJoinReply // reserved: nothing sends it; the first view that lists a joiner's address admits it
 	TLeave
 	THeartbeat
 	TView        // reserved: no node sends it; full views travel as TViewChunk

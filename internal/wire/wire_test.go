@@ -422,7 +422,7 @@ func TestRecommendationBodyRefusals(t *testing.T) {
 }
 
 func TestJoinRoundTrip(t *testing.T) {
-	j := Join{Addr: netip.MustParseAddrPort("10.1.2.3:9000"), Nonce: 0xDEADBEEF}
+	j := Join{Addr: netip.MustParseAddrPort("10.1.2.3:9000")}
 	b := AppendJoin(nil, j)
 	h, body, err := ParseHeader(b)
 	if err != nil || h.Type != TJoin || h.Src != NilNode {
@@ -437,18 +437,20 @@ func TestJoinRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJoinReplyRoundTrip: the join reply is retired, its type byte reserved
+// under its name and category (the ledger's traffic table still names it). A
+// join is answered by the view that lists the joiner, so its body is the
+// 6-byte address alone.
 func TestJoinReplyRoundTrip(t *testing.T) {
-	b := AppendJoinReply(nil, 0, JoinReply{Assigned: 77, Nonce: 41})
-	_, body, err := ParseHeader(b)
-	if err != nil {
-		t.Fatal(err)
+	if !TJoinReply.Valid() || TJoinReply.String() != "join-reply" || CategoryOf(TJoinReply) != CatMembership {
+		t.Errorf("reserved type %d: valid=%v name=%v category=%v", TJoinReply, TJoinReply.Valid(), TJoinReply, CategoryOf(TJoinReply))
 	}
-	got, err := ParseJoinReply(body)
-	if err != nil || got.Assigned != 77 || got.Nonce != 41 {
-		t.Errorf("got %+v err %v", got, err)
+	_, body, err := ParseHeader(AppendJoin(nil, Join{Addr: netip.MustParseAddrPort("10.1.2.3:9000")}))
+	if err != nil || len(body) != 6 {
+		t.Fatalf("join body %x err %v, want 6 bytes", body, err)
 	}
-	if _, err := ParseJoinReply(body[:1]); err == nil {
-		t.Error("want error for short reply")
+	if _, err := ParseJoin(append(body, 0, 0, 0, 0)); err == nil {
+		t.Error("a join with a trailing nonce was accepted")
 	}
 }
 
@@ -629,8 +631,6 @@ func TestParsersNeverPanic(t *testing.T) {
 			ParseRecommendation(body)
 		case TJoin:
 			ParseJoin(body)
-		case TJoinReply:
-			ParseJoinReply(body)
 		case TView:
 			ParseView(body)
 		case TViewChunk:
