@@ -526,7 +526,7 @@ func TestDynamicFleetJoinStormIsLinear(t *testing.T) {
 		t.Fatalf("members = %d after storm", f.Coord.MemberCount())
 	}
 	sent := f.CoordMembershipPackets() - before
-	// k replies + k full views + n deltas, plus heartbeat-window slack;
+	// k full views + n deltas, plus heartbeat-window slack;
 	// the quadratic regime would be ≥ n·k = 480.
 	if sent > uint64(2*(n+2*k)) {
 		t.Errorf("join storm cost %d coordinator messages (n=%d k=%d), want O(n+k)", sent, n, k)
@@ -535,9 +535,10 @@ func TestDynamicFleetJoinStormIsLinear(t *testing.T) {
 
 // TestNoNodeSendsRetiredViewForms: full views travel only as chunks, deltas
 // only as gossip envelopes or pull replies, and every request for missed
-// views is a TViewPull, for members and replicas alike — through a primary
-// crash and restart, and through a split brain and its heal, no node sends a
-// TView, a TViewDelta or a TViewRequest.
+// views is a TViewPull, for members and replicas alike, and a joiner learns
+// its ID from the view that lists it — through a primary crash and restart,
+// and through a split brain and its heal, no node sends a TView, a
+// TViewDelta, a TViewRequest or a TJoinReply.
 func TestNoNodeSendsRetiredViewForms(t *testing.T) {
 	for _, sc := range []ChurnScenario{ChurnCoordCrash, ChurnPartition} {
 		o := ChurnOptions{N: 40, Seed: 3, Scenario: sc, Coordinators: 3, Duration: 5 * time.Minute}
@@ -549,7 +550,7 @@ func TestNoNodeSendsRetiredViewForms(t *testing.T) {
 		f.Net.OnSend = func(from, to int, p []byte) {
 			account(from, to, p)
 			switch wire.PeekType(p) {
-			case wire.TView, wire.TViewDelta, wire.TViewRequest:
+			case wire.TView, wire.TViewDelta, wire.TViewRequest, wire.TJoinReply:
 				retired++
 			case wire.TViewChunk:
 				if to >= f.CoordEndpointAt(0) {

@@ -619,8 +619,8 @@ func TestVersionGapTriggersFullView(t *testing.T) {
 
 func TestJoinStormMessageComplexity(t *testing.T) {
 	// n members settled, then k join inside one coalesce window: the
-	// coordinator must send O(n + k) membership messages (k replies, k full
-	// views, n deltas), not O(n·k).
+	// coordinator must send O(n + k) membership messages (k full views, n
+	// deltas), not O(n·k).
 	const n, k = 30, 10
 	sc := newSimCluster(t, n+k, ClientConfig{}, CoordinatorConfig{Coalesce: time.Second})
 	for i := 0; i < n; i++ {
