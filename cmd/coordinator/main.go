@@ -6,8 +6,8 @@
 // The service can run replicated: start one process per replica with the
 // same -peers list (every replica's address in rank order) and a distinct
 // -rank. Rank 0 boots as primary and beacons the others; a standby promotes
-// in rank order when the primary's beacons go silent, and overlay nodes fail
-// over to it on their next heartbeat.
+// in rank order when the primary's beacons go silent. Overlay nodes send
+// every heartbeat to all replicas, so it hears each one's next heartbeat.
 //
 // Usage:
 //

@@ -24,8 +24,8 @@ type NodeOptions struct {
 	// Coordinator is the membership coordinator address, e.g.
 	// "198.51.100.7:4400". A replicated coordinator set is given as a
 	// comma-separated list in rank order ("a:4400,b:4400,c:4400"); the node
-	// heartbeats the current primary and fails over down the list when acks
-	// stop. Required.
+	// sends its joins and heartbeats to every replica, and the primary
+	// answers. Required.
 	Coordinator string
 	// Algorithm selects Quorum (default) or FullMesh routing.
 	Algorithm Algorithm

@@ -706,6 +706,12 @@ type ChurnResult struct {
 // pure function of ChurnOptions: identical options give byte-identical
 // Format output, which the determinism regression test asserts.
 func RunChurn(opt ChurnOptions) *ChurnResult {
+	res, _ := runChurn(opt)
+	return res
+}
+
+// runChurn is RunChurn, also returning the fleet as the run left it.
+func runChurn(opt ChurnOptions) (*ChurnResult, *DynamicFleet) {
 	steps := opt.fill()
 	maxN := opt.capacity(steps)
 	env := opt.Env
@@ -785,7 +791,7 @@ func RunChurn(opt ChurnOptions) *ChurnResult {
 	if stretchN > 0 {
 		res.MeanStretch = stretchSum / float64(stretchN)
 	}
-	return res
+	return res, f
 }
 
 // sampleChurn measures route availability and stretch over the settled

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -315,6 +316,44 @@ func TestChurnGossipCrashMidDissemination(t *testing.T) {
 	}
 	if last.Views != 1 {
 		t.Errorf("final distinct views = %d, want 1\n%s", last.Views, res.Format())
+	}
+}
+
+// TestReplicatedChurnKeepsLiveMembers holds three runs under three replicas
+// on a lossy plane, each of which once evicted a live member: its heartbeats
+// went to replicas that never answered until its lease ran out. Each row must
+// converge within its bound and end with every live node in the primary's
+// table.
+func TestReplicatedChurnKeepsLiveMembers(t *testing.T) {
+	rows := []struct {
+		scenario ChurnScenario
+		seed     int64
+	}{
+		{ChurnGossipCrash, 10},
+		{ChurnLossyGossip, 4},
+		{ChurnStraggler, 10},
+	}
+	for _, r := range rows {
+		res, f := runChurn(ChurnOptions{N: 60, Seed: r.seed, Scenario: r.scenario, Duration: 10 * time.Minute, Coordinators: 3})
+		listed := map[netip.AddrPort]bool{}
+		for _, m := range f.Primary().Members() {
+			listed[m.Addr] = true
+		}
+		// A node spawned in the run's last minute may still be joining.
+		cutoff := f.Net.Now().Add(-time.Minute)
+		live, missing := 0, 0
+		for _, ep := range f.ActiveEndpoints() {
+			if !f.spawnedAt[ep].After(cutoff) {
+				live++
+				if !listed[f.envs[ep].LocalAddr()] {
+					missing++
+				}
+			}
+		}
+		if !res.Converged || res.ConvergedAfter > res.ConvergeBound || missing > 0 {
+			t.Errorf("experiments churn -n 60 -scenario %s -minutes 10 -seed %d -coords 3: converged=%v after=%s bound=%s, %d of %d live nodes missing from the primary's view\n%s",
+				r.scenario, r.seed, res.Converged, res.ConvergedAfter, res.ConvergeBound, missing, live, res.Format())
+		}
 	}
 }
 

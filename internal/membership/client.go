@@ -14,22 +14,15 @@ type ClientConfig struct {
 	Heartbeat time.Duration
 	// JoinRetry is the re-join interval until admitted (default 5 s).
 	JoinRetry time.Duration
-	// Coordinators lists the coordinator replica IDs to fail over across, in
-	// rank order (default: just CoordinatorID). The caller must bind each ID
-	// to its address via env.SetPeer before Start.
+	// Coordinators lists the coordinator replica IDs (default: just
+	// CoordinatorID). Every join, heartbeat, leave and coordinator pull goes
+	// to each of them; the primary answers and standbys drop it. The caller
+	// must bind each ID to its address via env.SetPeer before Start.
 	Coordinators []wire.NodeID
-	// AckTimeout is how long to wait for the primary's heartbeat ack before
-	// declaring it unreachable and rotating to the next coordinator
-	// (default 3 s; must be well under Heartbeat).
-	AckTimeout time.Duration
 }
 
 // Fixed client parameters.
 const (
-	// failoverBackoff is the base delay before re-heartbeating after an ack
-	// deadline expires; it doubles per consecutive failure (with jitter) up
-	// to Heartbeat.
-	failoverBackoff = time.Second
 	// pullBackoff is the base of the jittered exponential backoff between
 	// the repair ladder's rungs after a detected gap. Rung i waits in
 	// [w/2, w] with w = pullBackoff << min(i, 6), so a loss burst that opens
@@ -68,22 +61,16 @@ func (c *ClientConfig) fill() {
 	if len(c.Coordinators) == 0 {
 		c.Coordinators = []wire.NodeID{CoordinatorID}
 	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 3 * time.Second
-	}
-	if c.AckTimeout >= c.Heartbeat {
-		c.AckTimeout = c.Heartbeat / 2
-	}
 }
 
 // Client joins the overlay through the coordinator set and tracks view
 // updates, applying incremental deltas and pulling what it missed — from
 // peers first, then the coordinator — only when some message shows it missed
 // one, and answering its peers' pulls by the rule the coordinator answers by.
-// Heartbeats expect an ack from the primary within AckTimeout; silence
-// rotates the client to the next replica with exponential backoff, so a
-// coordinator crash costs about one heartbeat interval rather than stranding
-// the node. It does not own the Env's packet handler — the overlay node
+// It never guesses which replica is primary: everything it sends the
+// coordinator goes to every replica and whichever one leads answers, so a
+// lost heartbeat or ack costs one heartbeat interval whatever the replica
+// count. It does not own the Env's packet handler — the overlay node
 // dispatches membership messages to HandlePacket — so it composes with the
 // routing and probing components on one socket.
 type Client struct {
@@ -92,14 +79,6 @@ type Client struct {
 	onView func(*ViewInfo)
 	view   *ViewInfo
 	joined bool
-
-	// cur indexes cfg.Coordinators: the replica currently believed primary.
-	cur int
-	// hbGen invalidates in-flight ack deadlines: each armed deadline
-	// captures the generation and is a no-op once an ack (or a newer
-	// deadline) has bumped it.
-	hbGen   uint64
-	hbFails int // consecutive ack deadline expiries, for backoff
 
 	// Gossip dissemination state. dedup is a ring of the last dedupCache
 	// delta stamps seen (duplicate suppression) and dedupN counts the stamps
@@ -197,70 +176,45 @@ func (c *Client) Stop() {
 	}
 }
 
-// coordinator returns the replica currently believed primary.
-func (c *Client) coordinator() wire.NodeID { return c.cfg.Coordinators[c.cur] }
-
-// rotate advances to the next coordinator replica (a no-op on a solo set).
-func (c *Client) rotate() { c.cur = (c.cur + 1) % len(c.cfg.Coordinators) }
+// toCoordinators sends b to every coordinator replica: the primary answers,
+// standbys drop it, so the client never needs to know which one leads.
+func (c *Client) toCoordinators(b []byte) {
+	for _, id := range c.cfg.Coordinators {
+		c.env.Send(id, b)
+	}
+}
 
 // Leave announces departure to the coordinator.
 func (c *Client) Leave() {
 	if id := c.env.LocalID(); id != wire.NilNode {
-		c.env.Send(c.coordinator(), wire.AppendLeave(nil, id))
+		c.toCoordinators(wire.AppendLeave(nil, id))
 	}
 }
 
 func (c *Client) sendJoin() {
-	c.env.Send(c.coordinator(), wire.AppendJoin(nil, wire.Join{Addr: c.env.LocalAddr()}))
+	c.toCoordinators(wire.AppendJoin(nil, wire.Join{Addr: c.env.LocalAddr()}))
 }
 
+// joinRetry re-sends the join until a view lists us: the join or the
+// admitting snapshot was lost, and a primary that admitted us sends its view
+// again.
 func (c *Client) joinRetry() {
 	if !c.joined && !c.stopped {
-		// No view lists us yet: the current pick never answered (a standby
-		// silently drops joins), or its snapshot was lost. Try the next
-		// replica; a primary that admitted us sends its view again.
-		c.rotate()
 		c.sendJoin()
 		c.joinTimer = c.env.After(c.cfg.JoinRetry, c.joinRetry)
 	}
 }
 
-// heartbeat sends a keep-alive and arms its ack deadline. Exactly one of
-// three continuations re-arms the cycle: the ack (next beat in Heartbeat),
-// the deadline (failover retry under backoff), or the not-joined idle path.
+// heartbeat renews the lease every Heartbeat while a view lists us; before
+// that, the join loop owns the traffic.
 func (c *Client) heartbeat() {
 	if c.stopped {
 		return
 	}
-	if !c.joined {
-		// The join loop owns the traffic until a view lists us; keep the
-		// heartbeat cycle alive but idle.
-		c.hbTimer = c.env.After(c.cfg.Heartbeat, c.heartbeat)
-		return
+	if c.joined {
+		c.toCoordinators(wire.AppendHeartbeat(nil, c.env.LocalID()))
 	}
-	c.env.Send(c.coordinator(), wire.AppendHeartbeat(nil, c.env.LocalID()))
-	gen, to := c.hbGen, c.cur
-	c.hbTimer = c.env.After(c.cfg.AckTimeout, func() { c.ackDeadline(gen, to) })
-}
-
-// ackDeadline fires when a heartbeat to replica index to went unacknowledged:
-// that coordinator is dead, partitioned away, or a standby. Rotate and retry
-// under exponential backoff so a replica set that is entirely unreachable is
-// not hammered at AckTimeout frequency. Rotate only off the replica that
-// stayed silent: if a newly promoted primary's message moved cur meanwhile,
-// leaving it would send the client to a silent standby or the dead primary.
-func (c *Client) ackDeadline(gen uint64, to int) {
-	if c.stopped || gen != c.hbGen {
-		return // an ack (or newer cycle) superseded this deadline
-	}
-	c.hbGen++
-	d := min(failoverBackoff<<min(c.hbFails, 6), c.cfg.Heartbeat)
-	c.hbFails++
-	if c.cur == to {
-		c.rotate()
-	}
-	d += time.Duration(c.env.Rand().Int63n(int64(d/2 + 1)))
-	c.hbTimer = c.env.After(d, c.heartbeat)
+	c.hbTimer = c.env.After(c.cfg.Heartbeat, c.heartbeat)
 }
 
 // stamp returns the current view's stamp, or the zero stamp before any view.
@@ -281,16 +235,9 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		if err != nil {
 			return
 		}
-		c.noteCoordinator(h.Src)
-		// The ack both proves the primary live and carries its view stamp: a
-		// stamp ahead of ours (a missed delta, or a post-failover reign we
-		// missed the broadcast of) is chased through the repair path.
-		c.hbGen++
-		c.hbFails = 0
-		if c.hbTimer != nil {
-			c.hbTimer.Stop()
-		}
-		c.hbTimer = c.env.After(c.cfg.Heartbeat, c.heartbeat)
+		// The ack carries the primary's view stamp: a stamp ahead of ours (a
+		// missed delta, or a post-failover reign we missed the broadcast of)
+		// is chased through the repair path.
 		if stamp.After(c.stamp()) {
 			c.noteAhead(stamp, wire.NilNode)
 		}
@@ -310,7 +257,6 @@ func (c *Client) HandlePacket(h wire.Header, body []byte) {
 		if err != nil {
 			return
 		}
-		c.noteCoordinator(h.Src)
 		// The delta log serves consecutive runs only; a full view breaks
 		// the chain.
 		c.deltaLog = c.deltaLog[:0]
@@ -438,7 +384,7 @@ func (c *Client) schedulePull() {
 // rungs ask peers — the lead, if a member proved it holds the newer view,
 // else a random one — re-arming the backoff as the reply deadline, so an
 // answer that closes the gap makes the next firing a no-op. The next rung —
-// or the first, when there is no peer to ask — asks the coordinator, and then
+// or the first, when there is no peer to ask — asks every replica, and then
 // the ladder stops until new evidence re-arms it.
 func (c *Client) pullFire() {
 	c.pullPending = false
@@ -450,21 +396,17 @@ func (c *Client) pullFire() {
 	if c.pullTries < maxPullTries {
 		peer = c.pickPeer()
 	}
+	pull := wire.AppendStamped(nil, wire.TViewPull, c.env.LocalID(), c.stamp())
 	if peer == wire.NilNode {
 		c.pullTries = 0
 		c.stats.FullViewRequests++
-		c.pull(c.coordinator())
+		c.toCoordinators(pull)
 		return
 	}
 	c.pullTries++
 	c.stats.PullsSent++
-	c.pull(peer)
+	c.env.Send(peer, pull)
 	c.schedulePull()
-}
-
-// pull asks one node for what this client misses.
-func (c *Client) pull(to wire.NodeID) {
-	c.env.Send(to, wire.AppendStamped(nil, wire.TViewPull, c.env.LocalID(), c.stamp()))
 }
 
 // pickPeer returns the peer the next rung asks: the lead, once, while it is a
@@ -552,14 +494,6 @@ func (c *Client) logDelta(d wire.ViewDelta) {
 	c.deltaLog = append(c.deltaLog, d)
 	if len(c.deltaLog) > deltaLogLen {
 		c.deltaLog = c.deltaLog[len(c.deltaLog)-deltaLogLen:]
-	}
-}
-
-// noteCoordinator points the client at the replica that just proved itself
-// primary (it answered, and standbys never do).
-func (c *Client) noteCoordinator(id wire.NodeID) {
-	if i := slices.Index(c.cfg.Coordinators, id); i >= 0 {
-		c.cur = i
 	}
 }
 

@@ -110,7 +110,8 @@ type seat struct {
 // coordinator, while sending the standbys the very datagrams members get
 // (chunked snapshots and gossip envelopes) and beaconing its liveness.
 // On beacon silence the lowest-rank live standby promotes itself under a new
-// epoch; clients discover the new primary through heartbeat-ack failover.
+// epoch. Clients send every join, heartbeat, leave and pull to all replicas,
+// so the new primary hears each member's next heartbeat without being found.
 // Bind it to an Env with Start; all state transitions then happen inside the
 // Env's serialized callbacks.
 //
@@ -350,9 +351,9 @@ func (c *Coordinator) handle(from wire.NodeID, payload []byte) {
 		}
 		return
 	}
-	// Client-plane traffic is served only by the primary; standbys stay
-	// silent so clients fail over to the replica actually holding the lease
-	// table.
+	// Client-plane traffic reaches every replica and is served only by the
+	// primary, which holds the lease table; standbys drop it, so each client
+	// datagram draws one answer.
 	if c.role != rolePrimary {
 		return
 	}

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"fmt"
 	"math"
 	"net/netip"
 	"slices"
@@ -88,9 +89,22 @@ func (rc *repCluster) restartCoordinator(r int, ccfg CoordinatorConfig) *Coordin
 	return c
 }
 
-// churnClientCfg keeps the failover clock fast enough for short test runs.
+// churnClientCfg keeps the heartbeat and join clocks fast enough for short
+// test runs.
 func churnClientCfg() ClientConfig {
-	return ClientConfig{Heartbeat: 5 * time.Second, JoinRetry: time.Second, AckTimeout: time.Second}
+	return ClientConfig{Heartbeat: 5 * time.Second, JoinRetry: time.Second}
+}
+
+// acksTo counts, per client, the heartbeat acks delivered to it from
+// endpoint from from the moment it is called (any replica when from < 0).
+func (rc *repCluster) acksTo(from int) []int {
+	acks := make([]int, len(rc.clients))
+	rc.nw.OnDeliver = func(src, dst int, p []byte) {
+		if dst < len(acks) && (from < 0 || src == from) && wire.PeekType(p) == wire.THeartbeatAck {
+			acks[dst]++
+		}
+	}
+	return acks
 }
 
 func fastCoordCfg(t *testing.T) CoordinatorConfig {
@@ -103,6 +117,7 @@ func fastCoordCfg(t *testing.T) CoordinatorConfig {
 
 func TestHeartbeatsAcked(t *testing.T) {
 	rc := newRepCluster(t, 2, 1, churnClientCfg(), fastCoordCfg(t))
+	acks := rc.acksTo(-1)
 	for _, cl := range rc.clients {
 		cl.Start()
 	}
@@ -111,14 +126,22 @@ func TestHeartbeatsAcked(t *testing.T) {
 		t.Errorf("heartbeat acks = %d, want several", got)
 	}
 	for i, cl := range rc.clients {
-		if !cl.Joined() || cl.hbFails != 0 {
-			t.Errorf("client %d joined=%v hbFails=%d", i, cl.Joined(), cl.hbFails)
+		if !cl.Joined() || acks[i] < 4 {
+			t.Errorf("client %d joined=%v acks=%d, want joined with one ack a heartbeat", i, cl.Joined(), acks[i])
 		}
 	}
 }
 
 func TestStandbyReplicatesView(t *testing.T) {
 	rc := newRepCluster(t, 3, 2, churnClientCfg(), fastCoordCfg(t))
+	// The clients send everything to both replicas, but never hear from the
+	// standby.
+	standbySent, standby := 0, len(rc.clients)+1
+	rc.nw.OnSend = func(from, to int, _ []byte) {
+		if from == standby && to < standby-1 {
+			standbySent++
+		}
+	}
 	for _, cl := range rc.clients {
 		cl.Start()
 	}
@@ -132,11 +155,8 @@ func TestStandbyReplicatesView(t *testing.T) {
 	if rc.coords[1].Stamp() != rc.coords[0].Stamp() {
 		t.Errorf("standby stamp %+v != primary stamp %+v", rc.coords[1].Stamp(), rc.coords[0].Stamp())
 	}
-	// The clients never hear from the standby.
-	for i, cl := range rc.clients {
-		if cl.cur != 0 {
-			t.Errorf("client %d tracks coordinator %d, want 0", i, cl.cur)
-		}
+	if standbySent != 0 {
+		t.Errorf("standby sent %d datagrams to clients, want none", standbySent)
 	}
 }
 
@@ -155,10 +175,12 @@ func TestFailoverOnPrimaryCrash(t *testing.T) {
 	oldNext := rc.coords[0].nextID
 
 	rc.coords[0].Stop() // crash the primary
+	acks := rc.acksTo(len(rc.clients) + 1)
 	// Rank 1's election timeout is 3·beacon + 1·beacon = 4 s, plus the 2 s
 	// pre-vote wait (rank 0 is dead and rank 2 shares the silence, so nobody
-	// vetoes); allow the promotion broadcast plus a client heartbeat rotation
-	// for every client to re-attach.
+	// vetoes); allow the promotion broadcast plus the heartbeat intervals in
+	// which every client's heartbeat, sent to all three replicas, renews its
+	// lease at rank 1 (endpoint k+1, whose acks are counted).
 	rc.nw.RunFor(20 * time.Second)
 
 	if !rc.coords[1].IsPrimary() {
@@ -180,7 +202,7 @@ func TestFailoverOnPrimaryCrash(t *testing.T) {
 	if got := rc.coords[1].MemberCount(); got != 4 {
 		t.Errorf("new primary holds %d members, want 4", got)
 	}
-	// Every client converged to the new reign and re-attached its heartbeat.
+	// Every client converged to the new reign and rank 1 renewed its lease.
 	for i, cl := range rc.clients {
 		if !cl.Joined() {
 			t.Errorf("client %d lost membership across failover", i)
@@ -189,8 +211,8 @@ func TestFailoverOnPrimaryCrash(t *testing.T) {
 		if got := cl.View().Stamp(); got != st {
 			t.Errorf("client %d view stamp %+v, want %+v", i, got, st)
 		}
-		if cl.coordinator() != CoordinatorIDAt(1) {
-			t.Errorf("client %d still heartbeats coordinator %d", i, cl.cur)
+		if acks[i] == 0 {
+			t.Errorf("client %d got no heartbeat ack from rank 1 after it promoted", i)
 		}
 	}
 	// IDs assigned by the new reign cannot collide with the old one's.
@@ -200,12 +222,55 @@ func TestFailoverOnPrimaryCrash(t *testing.T) {
 	_ = env
 }
 
-// TestStaleAckDeadlineKeepsTheNewPrimary: a client whose heartbeat went
-// unanswered has an ack deadline pending when the newly promoted primary's
-// snapshot points it at that primary. The deadline must not then rotate it
-// off the replica that just proved itself, onto a silent standby or the dead
-// ex-primary: once a client has installed the new reign from rank 1, it stays
-// on rank 1.
+// TestLostAckCostsOneHeartbeat: a member's heartbeats reach the primary at
+// most one Heartbeat apart even when an ack is lost, whatever the replica
+// count. The member never waits on an ack or guesses which replica leads, so
+// a lost ack sends it to no standby that stays silent.
+func TestLostAckCostsOneHeartbeat(t *testing.T) {
+	for _, k := range []int{1, 3, 5} {
+		t.Run(fmt.Sprintf("replicas=%d", k), func(t *testing.T) {
+			cfg := churnClientCfg()
+			rc := newRepCluster(t, 1, k, cfg, fastCoordCfg(t))
+			const member, primary = 0, 1 // endpoints: the client, then rank 0
+			var beats []time.Duration
+			dropped := false
+			rc.nw.OnDeliver = func(from, to int, p []byte) {
+				if from != member || to != primary || wire.PeekType(p) != wire.THeartbeat {
+					return
+				}
+				now := rc.nw.Elapsed()
+				beats = append(beats, now)
+				if !dropped && now > 20*time.Second {
+					// The link fails while the primary handles this
+					// heartbeat, so its ack is lost.
+					dropped = true
+					rc.nw.SetLinkDown(member, primary, true)
+					rc.nw.After(200*time.Millisecond, func() { rc.nw.SetLinkDown(member, primary, false) })
+				}
+			}
+			rc.clients[0].Start()
+			rc.nw.RunFor(60 * time.Second)
+			if !dropped || !rc.clients[0].Joined() {
+				t.Fatalf("dropped=%v joined=%v: no ack was lost", dropped, rc.clients[0].Joined())
+			}
+			// The run's end closes the last gap, so a member that stops
+			// heartbeating fails too.
+			beats = append(beats, rc.nw.Elapsed())
+			var worst time.Duration
+			for i := 1; i < len(beats); i++ {
+				worst = max(worst, beats[i]-beats[i-1])
+			}
+			if worst > cfg.Heartbeat {
+				t.Errorf("widest gap between heartbeats at the primary = %v, want ≤ %v", worst, cfg.Heartbeat)
+			}
+		})
+	}
+}
+
+// TestStaleAckDeadlineKeepsTheNewPrimary: after the primary crashes and rank 1
+// promotes, every client installs the new reign, and once it has, it never
+// leaves it — no heartbeat that the dead ex-primary or a standby leaves
+// unanswered costs it the membership the new primary holds.
 func TestStaleAckDeadlineKeepsTheNewPrimary(t *testing.T) {
 	const k = 16
 	rc := newRepCluster(t, k, 3, churnClientCfg(), fastCoordCfg(t))
@@ -215,17 +280,17 @@ func TestStaleAckDeadlineKeepsTheNewPrimary(t *testing.T) {
 	rc.nw.RunFor(10 * time.Second)
 	epoch := rc.coords[0].Stamp().Epoch
 	rc.coords[0].Stop()
-	attached := make([]time.Duration, k) // when each client first sat on the new reign at rank 1
+	attached := make([]time.Duration, k) // when each client first installed the new reign
 	for step := 0; step < 400; step++ {
 		rc.nw.RunFor(50 * time.Millisecond)
 		now := rc.nw.Elapsed()
 		for i, cl := range rc.clients {
-			onReign := cl.View().Stamp().Epoch > epoch && cl.cur == 1
+			onReign := cl.Joined() && cl.View().Stamp().Epoch > epoch
 			switch {
 			case attached[i] == 0 && onReign:
 				attached[i] = now
 			case attached[i] > 0 && !onReign:
-				t.Errorf("client %d left rank 1 for replica %d at %v, %v after it installed the new reign", i, cl.cur, now, now-attached[i])
+				t.Errorf("client %d left the new reign at %v, %v after it installed it", i, now, now-attached[i])
 				attached[i] = -1
 			}
 		}
@@ -687,8 +752,9 @@ func TestStaleVouchDoesNotStallPromotion(t *testing.T) {
 }
 
 func TestClientJoinFailsOverToStandbyLessPrimary(t *testing.T) {
-	// All joins initially target a dead rank 0; the retry loop must rotate
-	// to the live rank 1 once it promotes.
+	// Rank 0 is dead, so no join is answered until rank 1 promotes; the
+	// retry loop, which sends each join to both replicas, must then join
+	// every client through it.
 	rc := newRepCluster(t, 2, 2, churnClientCfg(), fastCoordCfg(t))
 	rc.coords[0].Stop()
 	for _, cl := range rc.clients {
