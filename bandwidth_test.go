@@ -85,7 +85,7 @@ func TestBandwidthLaw(t *testing.T) {
 	// seeded run, so any drift is a change of behaviour. Most of what is left
 	// above 1 is crashed members, who hold their seats until their lease runs
 	// out.
-	const want = 1.095
+	const want = 1.092
 	if r := churnedRoutingVsModel(t); math.Abs(r-want) > 0.002 {
 		t.Errorf("churned quorum: routing is %.4f× the model at the mean member count, want %.3f", r, want)
 	}

@@ -24,14 +24,19 @@ import (
 // moved alone when the harness began reading the primary at the highest view
 // stamp: during the split brain its prim column reads the rank-2 replica the
 // majority side elected, not the rank-1 standby cut off with the minority.
+// Every row but flash-crowd moved when members began sending their
+// heartbeats to every replica instead of rotating through them on a missed
+// ack: the rotation's backoff drew from each member's stream. The
+// gossip-crash row now keeps all 24 live members.
 // The last row is the shape that tells the order of a convergence poll and a
 // same-instant churn step apart (it reads after=16s; polling after the step
-// reads 15s). It has moved twice because a shape stopped telling them apart:
+// reads 15s). It has moved whenever a shape stopped telling them apart:
 // from n=60, seed 99 to n=30, seed 15, and then, once stragglers caught up
 // well inside the 15 s before the churn step that departs the last of them,
-// to seed 8 at a Poisson rate of 0.4, and, once a joiner's standing came from
-// the view that lists it, to seed 7 at 0.6. A change that means to alter a
-// scenario re-captures its row in the open.
+// to seed 8 at a Poisson rate of 0.4; once a joiner's standing came from
+// the view that lists it, to seed 7 at 0.6; and with heartbeats to every
+// replica, to seed 8 at 0.6. A change that means to alter a scenario
+// re-captures its row in the open.
 func TestChurnScenariosGolden(t *testing.T) {
 	short := func(sc ChurnScenario) ChurnOptions {
 		return ChurnOptions{N: 30, Seed: 42, Scenario: sc, Warmup: 2 * time.Minute, Duration: 5 * time.Minute}
@@ -40,16 +45,16 @@ func TestChurnScenariosGolden(t *testing.T) {
 		opt  ChurnOptions
 		want string
 	}{
-		{short(ChurnPoisson), "06e1a28e0f4b5036"},
+		{short(ChurnPoisson), "8cc3c8e00fc1f542"},
 		{short(ChurnFlashCrowd), "c70799f3ac8f57a5"},
-		{short(ChurnMassDeparture), "d2236b24f6989b9d"},
-		{short(ChurnCoordCrash), "7656dc1b06a6c77c"},
-		{short(ChurnPartition), "f5a8e54206581fa5"},
-		{short(ChurnRegional), "5945b0b07d05d768"},
-		{short(ChurnLossyGossip), "8c2b5eecc4ed9be7"},
-		{short(ChurnGossipCrash), "abff6fa37c38e91c"},
-		{short(ChurnStraggler), "979bec63b7a8a3f7"},
-		{ChurnOptions{N: 30, Seed: 7, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "452c1c23c37f3778"},
+		{short(ChurnMassDeparture), "a8b79c4a0e84894f"},
+		{short(ChurnCoordCrash), "eaa941b2d3a31d12"},
+		{short(ChurnPartition), "e97bb2816c569c03"},
+		{short(ChurnRegional), "908b3a9c63bd1743"},
+		{short(ChurnLossyGossip), "fd003ec5bb277ff3"},
+		{short(ChurnGossipCrash), "dc6dc18c2968c6d3"},
+		{short(ChurnStraggler), "6120962ba4a717ad"},
+		{ChurnOptions{N: 30, Seed: 8, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "c86c6eb053b4b366"},
 	}
 	for _, c := range cases {
 		out := RunChurn(c.opt).Format()
