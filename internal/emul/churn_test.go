@@ -320,10 +320,9 @@ func TestChurnGossipCrashMidDissemination(t *testing.T) {
 }
 
 // TestReplicatedChurnKeepsLiveMembers holds three runs under three replicas
-// on a lossy plane, each of which once evicted a live member: its heartbeats
-// went to replicas that never answered until its lease ran out. Each row must
-// converge within its bound and end with every live node in the primary's
-// table.
+// on a lossy plane where a live member whose heartbeat or ack is lost must
+// still renew its lease at whichever replica leads. Each row must converge
+// within its bound and end with every live node in the primary's view.
 func TestReplicatedChurnKeepsLiveMembers(t *testing.T) {
 	rows := []struct {
 		scenario ChurnScenario
