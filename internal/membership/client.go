@@ -67,12 +67,11 @@ func (c *ClientConfig) fill() {
 // updates, applying incremental deltas and pulling what it missed — from
 // peers first, then the coordinator — only when some message shows it missed
 // one, and answering its peers' pulls by the rule the coordinator answers by.
-// It never guesses which replica is primary: everything it sends the
-// coordinator goes to every replica and whichever one leads answers, so a
-// lost heartbeat or ack costs one heartbeat interval whatever the replica
-// count. It does not own the Env's packet handler — the overlay node
-// dispatches membership messages to HandlePacket — so it composes with the
-// routing and probing components on one socket.
+// Everything it sends the coordinator goes to every replica, and whichever
+// one leads answers, so a lost heartbeat or ack costs one heartbeat interval
+// whatever the replica count. It does not own the Env's packet handler — the
+// overlay node dispatches membership messages to HandlePacket — so it
+// composes with the routing and probing components on one socket.
 type Client struct {
 	env    transport.Env
 	cfg    ClientConfig
