@@ -32,12 +32,15 @@ func TestBandwidthLaw(t *testing.T) {
 			}
 			sim.Run(measured)
 			kbps[i] = sim.RoutingKbps()
-			model := bwmodel.Params{}.QuorumRouting(n)
+			at := bwmodel.Params{Changed: sim.RowChangeShare()}
+			model := at.QuorumRouting(n)
 			if alg == FullMesh {
-				model = bwmodel.Params{}.FullMeshRouting(n)
+				model = at.FullMeshRouting(n)
 			}
-			if r := kbps[i] * 1000 / model; math.Abs(r-1) > 0.03 {
-				t.Errorf("n=%d %v: routing %.3f kbps is %.3f× the model's %.3f", n, alg, kbps[i], r, model/1000)
+			r := kbps[i] * 1000 / model
+			t.Logf("n=%d %v: routing %.3f kbps, %.4f× the model at change share %.4f", n, alg, kbps[i], r, at.Changed)
+			if math.Abs(r-1) > 0.03 {
+				t.Errorf("n=%d %v: routing %.3f kbps is %.3f× the model's %.3f at change share %.4f", n, alg, kbps[i], r, model/1000, at.Changed)
 			}
 			if alg == Quorum {
 				// The paper's 49.1·n is four 46-byte packets per peer per
@@ -49,9 +52,10 @@ func TestBandwidthLaw(t *testing.T) {
 				}
 			}
 		}
-		// The measured crossover lies between 16 and 36 members.
-		if quorumAbove := kbps[0] > kbps[1]; quorumAbove != (n == 16) {
-			t.Errorf("n=%d: quorum %.3f kbps, full mesh %.3f kbps: quorum should cost more only at 16", n, kbps[0], kbps[1])
+		// The measured crossover lies between 36 and 64 members: rows travel
+		// as deltas on both routers, and the quorum's recommendations do not.
+		if quorumAbove := kbps[0] > kbps[1]; quorumAbove != (n <= 36) {
+			t.Errorf("n=%d: quorum %.3f kbps, full mesh %.3f kbps: quorum should cost more only at 16 and 36", n, kbps[0], kbps[1])
 		}
 	}
 
@@ -80,12 +84,11 @@ func TestBandwidthLaw(t *testing.T) {
 	}
 
 	// Under churn the grid spans slots, members and the tombstones of
-	// departed ones, while the model counts members: the churned ratio reads
-	// how many tombstones the grid still spans. It is an exact count of one
-	// seeded run, so any drift is a change of behaviour. Most of what is left
-	// above 1 is crashed members, who hold their seats until their lease runs
-	// out.
-	const want = 1.092
+	// departed ones, while the model counts members: the churned ratio, at the
+	// run's change share, reads how many tombstones the grid still spans and
+	// what view changes cost, each of whose first rows goes in full. It is an
+	// exact count of one seeded run, so any drift is a change of behaviour.
+	const want = 1.084
 	if r := churnedRoutingVsModel(t); math.Abs(r-want) > 0.002 {
 		t.Errorf("churned quorum: routing is %.4f× the model at the mean member count, want %.3f", r, want)
 	}
@@ -95,7 +98,7 @@ func TestBandwidthLaw(t *testing.T) {
 // Poisson churn — every minute a tenth of the members leave or crash and as
 // many join, on the two-minute lease of the churn workloads — and returns its
 // routing bytes per member over bwmodel.Params' prediction at the mean member
-// count.
+// count and at the change share of the rows it sent meanwhile.
 func churnedRoutingVsModel(t *testing.T) float64 {
 	t.Helper()
 	const (
@@ -120,6 +123,15 @@ func churnedRoutingVsModel(t *testing.T) float64 {
 		Coordinator: membership.CoordinatorConfig{Timeout: 2 * time.Minute, Sweep: 15 * time.Second, Coalesce: time.Second},
 	})
 	f.Run(3 * time.Minute)
+	var entries, carried int
+	account := f.Net.OnSend
+	f.Net.OnSend = func(from, to int, p []byte) {
+		account(from, to, p)
+		if typ := wire.PeekType(p); typ == wire.TLinkState || typ == wire.TLinkStateDelta {
+			members, c := wire.RowCarries(p)
+			entries, carried = entries+members, carried+c
+		}
+	}
 	routing := func() (sum uint64) {
 		for ep := range f.Col.N() {
 			sum += f.Col.TotalBytes(ep, wire.CatRouting)
@@ -145,6 +157,7 @@ func churnedRoutingVsModel(t *testing.T) float64 {
 	}
 	mean := float64(members) / (2 * minutes)
 	perMember := metrics.Kbps(routing()-before, minutes*time.Minute) / mean
-	t.Logf("churned: %.3f kbps per member, %.1f members on average, %d slots at the end", perMember, mean, len(f.Primary().Members()))
-	return perMember * 1000 / bwmodel.Params{}.QuorumRouting(int(mean+0.5))
+	share := float64(carried) / float64(entries)
+	t.Logf("churned: %.3f kbps per member, %.1f members on average, %d slots at the end, change share %.4f", perMember, mean, len(f.Primary().Members()), share)
+	return perMember * 1000 / bwmodel.Params{Changed: share}.QuorumRouting(int(mean+0.5))
 }

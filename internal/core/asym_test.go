@@ -81,10 +81,12 @@ func newAsymCluster(t *testing.T, n int, seed int64) *asymCluster {
 				return
 			}
 			switch h.Type {
-			case wire.TLinkState, wire.TLinkStateAsym:
+			case wire.TLinkState, wire.TLinkStateAsym, wire.TLinkStateDelta:
 				q.HandleLinkState(h, body)
 			case wire.TRecommendation:
 				q.HandleRecommendation(h, body)
+			case wire.TLinkStateAck:
+				q.HandleLinkStateAck(h, body)
 			}
 		})
 		c.routers = append(c.routers, q)

@@ -318,11 +318,10 @@ func (q *Quorum) activeServers(dst []int) []int {
 // rendezvous server. In reliable mode each server owes an ack; rows still
 // unacknowledged after retransmitTimeout are resent once.
 func (q *Quorum) sendLinkState() {
-	q.seq++
 	msg := q.announce()
 	q.clientsBuf = q.activeServers(q.clientsBuf[:0])
 	for _, s := range q.clientsBuf {
-		q.env.Send(q.view.IDAt(s), msg)
+		q.sendRow(q.view.IDAt(s), msg)
 		q.stats.LinkStatesSent++
 		if q.cfg.ReliableLinkState {
 			q.pendingAcks[s] = q.seq
@@ -347,32 +346,38 @@ func (q *Quorum) retransmit(seq uint32, viewVersion uint32, msg []byte) {
 		}
 		q.pendingAcks[s] = 0 // single retransmission
 		if q.LinkAlive(s) {
-			q.env.Send(q.view.IDAt(s), msg)
+			q.sendRow(q.view.IDAt(s), msg)
 			q.stats.LinkStatesSent++
 			q.stats.Retransmits++
 		}
 	}
 }
 
-// HandleLinkStateAck clears a pending reliable-delivery ack. Outside reliable
-// mode nothing is pending and the ack is dropped unread.
-//
-//lint:allocfree
+// HandleLinkStateAck implements Router: a refusal (seq 0) is answered with
+// the current row (rowCore.answer) when the refuser is one of the rendezvous
+// servers round 1 sends rows to; any other ack clears a pending
+// reliable-delivery ack. Outside reliable mode nothing is pending.
 func (q *Quorum) HandleLinkStateAck(h wire.Header, body []byte) {
-	if !q.cfg.ReliableLinkState {
-		return
-	}
 	seq, err := wire.ParseLinkStateAck(body)
-	if err != nil {
-		return
+	switch {
+	case err != nil:
+	case seq == 0:
+		q.answer(h, q.sendsRowsTo)
+	case q.cfg.ReliableLinkState:
+		if slot, ok := q.view.SlotOf(h.Src); ok && q.pendingAcks[slot] == seq {
+			q.pendingAcks[slot] = 0
+		}
 	}
-	slot, ok := q.view.SlotOf(h.Src)
-	if !ok {
-		return
+}
+
+// sendsRowsTo reports whether round 1 sends its rows to slot: a default
+// server over a usable link or a recruited failover over a live one
+// (activeServers).
+func (q *Quorum) sendsRowsTo(slot int) bool {
+	if _, ok := slices.BinarySearch(q.servers, slot); ok && q.usable(slot) {
+		return true
 	}
-	if q.pendingAcks[slot] == seq {
-		q.pendingAcks[slot] = 0
-	}
+	return slices.ContainsFunc(q.failovers, func(fo failoverState) bool { return fo.server == slot }) && q.LinkAlive(slot)
 }
 
 // sendRecommendations is round 2: acting as a rendezvous server, compute the
@@ -791,15 +796,17 @@ func (q *Quorum) recruitFailover(dst int, fo *failoverState) {
 	fo.tried[f] = true
 	q.stats.FailoverAttempts++
 
-	// Push our row to the new rendezvous right away; it will answer with
-	// recommendations covering dst at its next tick. The push reuses the
-	// current sequence number rather than bumping it: advancing q.seq here
-	// would trip the pending retransmit closure's seq != q.seq guard and
-	// silently cancel every outstanding round-1 retransmission in reliable
-	// mode. Receivers accept an equal-sequence row with a newer timestamp,
-	// so the fresher measurements still land.
-	q.env.Send(q.view.IDAt(f), q.announce())
-	q.stats.LinkStatesSent++
+	// Push our row to the new rendezvous right away, in full, for it holds
+	// none of the window; it will answer with recommendations covering dst at
+	// its next tick. The push is the row round 1 announced this tick, at its
+	// sequence number: advancing q.seq here would trip the pending retransmit
+	// closure's seq != q.seq guard and silently cancel every outstanding
+	// round-1 retransmission in reliable mode, and a sequence number names
+	// one row, which the window's deltas rely on.
+	if msg := q.current(); msg != nil {
+		q.sendRow(q.view.IDAt(f), msg)
+		q.stats.LinkStatesSent++
+	}
 }
 
 // episode returns the index of dst's failover episode in failovers, or where

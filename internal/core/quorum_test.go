@@ -88,14 +88,12 @@ func newCluster(t *testing.T, n int, seed int64, algo string, qcfg QuorumConfig)
 				return
 			}
 			switch h.Type {
-			case wire.TLinkState:
+			case wire.TLinkState, wire.TLinkStateDelta:
 				r.HandleLinkState(h, body)
 			case wire.TRecommendation:
 				r.HandleRecommendation(h, body)
 			case wire.TLinkStateAck:
-				if q, ok := r.(*Quorum); ok {
-					q.HandleLinkStateAck(h, body)
-				}
+				r.HandleLinkStateAck(h, body)
 			}
 		})
 		c.envs = append(c.envs, env)

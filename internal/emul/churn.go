@@ -667,8 +667,12 @@ type ChurnResult struct {
 	// out and the run measured fewer joins than the scenario demanded.
 	Joins, Leaves, Crashes, SpawnsDropped int
 	// FinalMembers is the member count of the primary at the end (Primary),
-	// and PrimaryClaims how many replicas claimed primary then.
-	FinalMembers, PrimaryClaims int
+	// and PrimaryClaims how many replicas claimed primary then. FinalMembers
+	// counts crashed members still inside their lease, so it can read above
+	// the live node count while live nodes are missing: LiveMissing counts
+	// the live nodes, spawned a minute or more before the end, that the
+	// primary's view does not list.
+	FinalMembers, PrimaryClaims, LiveMissing int
 
 	// Fault-injection summary. ConvergedAfter is how long after the
 	// schedule's OpWatch (the crash for ChurnCoordCrash, the heal for
@@ -754,6 +758,16 @@ func runChurn(opt ChurnOptions) (*ChurnResult, *DynamicFleet) {
 		final = f.Coord
 	}
 	res.FinalMembers, res.PrimaryClaims = final.MemberCount(), claims
+	listed := map[netip.AddrPort]bool{}
+	for _, m := range final.Members() {
+		listed[m.Addr] = true
+	}
+	cutoff := f.Net.Now().Add(-time.Minute) // a node spawned since may still be joining
+	for _, ep := range f.ActiveEndpoints() {
+		if !f.spawnedAt[ep].After(cutoff) && !listed[f.envs[ep].LocalAddr()] {
+			res.LiveMissing++
+		}
+	}
 	res.CoordMsgs = f.CoordMembershipPackets()
 	for r := 0; r < opt.Coordinators; r++ {
 		s := f.Coordinator(r).Stats()
@@ -885,8 +899,8 @@ func (r *ChurnResult) Format() string {
 			s.T.Seconds(), s.Members, s.Settled, s.Views, s.Primary, s.Pairs, s.Routed, s.Excluded,
 			s.Availability, s.MeanStretch, s.CoordMsgs)
 	}
-	fmt.Fprintf(&b, "# joins=%d leaves=%d crashes=%d final_members=%d\n",
-		r.Joins, r.Leaves, r.Crashes, r.FinalMembers)
+	fmt.Fprintf(&b, "# joins=%d leaves=%d crashes=%d final_members=%d live_missing=%d\n",
+		r.Joins, r.Leaves, r.Crashes, r.FinalMembers, r.LiveMissing)
 	if r.PrimaryClaims > 1 {
 		fmt.Fprintf(&b, "# WARNING: %d replicas claim primary at the end; final_members reads the one at the highest view stamp\n", r.PrimaryClaims)
 	}

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
-	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -333,25 +332,10 @@ func TestReplicatedChurnKeepsLiveMembers(t *testing.T) {
 		{ChurnStraggler, 10},
 	}
 	for _, r := range rows {
-		res, f := runChurn(ChurnOptions{N: 60, Seed: r.seed, Scenario: r.scenario, Duration: 10 * time.Minute, Coordinators: 3})
-		listed := map[netip.AddrPort]bool{}
-		for _, m := range f.Primary().Members() {
-			listed[m.Addr] = true
-		}
-		// A node spawned in the run's last minute may still be joining.
-		cutoff := f.Net.Now().Add(-time.Minute)
-		live, missing := 0, 0
-		for _, ep := range f.ActiveEndpoints() {
-			if !f.spawnedAt[ep].After(cutoff) {
-				live++
-				if !listed[f.envs[ep].LocalAddr()] {
-					missing++
-				}
-			}
-		}
-		if !res.Converged || res.ConvergedAfter > res.ConvergeBound || missing > 0 {
-			t.Errorf("experiments churn -n 60 -scenario %s -minutes 10 -seed %d -coords 3: converged=%v after=%s bound=%s, %d of %d live nodes missing from the primary's view\n%s",
-				r.scenario, r.seed, res.Converged, res.ConvergedAfter, res.ConvergeBound, missing, live, res.Format())
+		res := RunChurn(ChurnOptions{N: 60, Seed: r.seed, Scenario: r.scenario, Duration: 10 * time.Minute, Coordinators: 3})
+		if !res.Converged || res.ConvergedAfter > res.ConvergeBound || res.LiveMissing > 0 {
+			t.Errorf("experiments churn -n 60 -scenario %s -minutes 10 -seed %d -coords 3: converged=%v after=%s bound=%s, %d live nodes missing from the primary's view\n%s",
+				r.scenario, r.seed, res.Converged, res.ConvergedAfter, res.ConvergeBound, res.LiveMissing, res.Format())
 		}
 	}
 }

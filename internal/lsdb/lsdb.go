@@ -25,6 +25,7 @@
 package lsdb
 
 import (
+	"math/bits"
 	"time"
 
 	"allpairs/internal/wire"
@@ -63,7 +64,8 @@ type Table struct {
 type slotMeta struct {
 	when int64 // Unix ns the row was received or refreshed
 	seq  uint32
-	have bool
+	have bool // the slot has announced a row
+	held bool // its costs are stored, or will be once the owner writes them (Admit)
 }
 
 // NewTable returns an empty symmetric table for an n-slot view.
@@ -129,23 +131,46 @@ func (t *Table) freshAt(slot int, now int64, maxAge time.Duration) bool {
 	return m.have && time.Duration(now-m.when) <= maxAge
 }
 
-// accept decides whether a rowLen-entry announcement (seq, when) for slot may
-// replace what the table holds, and if so records it as the slot's stored row,
-// for the caller to unpack the costs: lower sequence numbers are rejected, as
-// are equal-sequence rows whose When is older than the stored one, so a
-// delayed duplicate can never roll back a refreshed timestamp.
+// accept is Admit for a full row of rowLen entries.
 //
 //lint:allocfree
 func (t *Table) accept(slot, rowLen int, seq uint32, when time.Time) bool {
-	if slot < 0 || slot >= t.n || rowLen != t.n {
-		return false
-	}
+	return slot >= 0 && slot < t.n && rowLen == t.n && t.Admit(slot, seq, when, nil) == Taken
+}
+
+// Take is what Admit made of an announcement.
+type Take uint8
+
+// Take outcomes.
+const (
+	// Taken: recorded as the slot's stored row, whose costs the owner writes
+	// (WriteWire, WriteDelta) before anything reads them.
+	Taken Take = iota
+	// Stale: not newer than the stored row, and dropped.
+	Stale
+	// Refused: a delta with no row of its window held to rebuild from — none,
+	// one released by Expire, or one older than its Base.
+	Refused
+)
+
+// Admit decides whether slot's announcement at seq, received at when — a full
+// row, or the delta d — may replace what the table holds, and if so records
+// it as the slot's stored row. A full row below the stored sequence number is
+// stale, as is one at it received earlier, so a delayed duplicate can never
+// roll back a refreshed timestamp; a delta at or below it is stale. A delta
+// is refused unless the stored row is one of its window, held.
+//
+//lint:allocfree
+func (t *Table) Admit(slot int, seq uint32, when time.Time, d *wire.DeltaBody) Take {
 	m, ns := &t.meta[slot], when.UnixNano()
-	if m.have && (seq < m.seq || (seq == m.seq && ns < m.when)) {
-		return false
+	switch {
+	case m.have && (seq < m.seq || (seq == m.seq && (d != nil || ns < m.when))):
+		return Stale
+	case d != nil && (!m.held || m.seq < d.Base):
+		return Refused
 	}
-	*m = slotMeta{when: ns, seq: seq, have: true}
-	return true
+	*m = slotMeta{when: ns, seq: seq, have: true, held: true}
+	return Taken
 }
 
 // Put stores a symmetric row for slot if it is not older than what the table
@@ -178,20 +203,57 @@ func (t *Table) RowBytes() int {
 
 // PutWire is Put, on a directional table as well, for a member-packed row
 // still in wire form: entries are the entry bytes wire.LinkStateBody returned,
-// RowBytes of them, and are scattered straight into the slot-indexed stored
-// row, tombstones reading InfCost, so refreshing a row allocates nothing.
+// RowBytes of them, written by WriteWire, so refreshing a row allocates
+// nothing. The routers admit and write in two steps; this is the one-step
+// reference their tests build tables with.
 //
 //lint:allocfree
+//lint:testonly TestParkedRowsAreUnobservable and TestDeltasAreLossless (core) build reference tables
 func (t *Table) PutWire(slot int, seq uint32, when time.Time, entries []byte) bool {
 	if len(entries) != t.RowBytes() || !t.accept(slot, t.n, seq, when) {
 		return false
 	}
+	t.WriteWire(slot, entries)
+	return true
+}
+
+// WriteWire writes the costs of slot's admitted full row: its entries,
+// RowBytes of them, are scattered straight into the slot-indexed stored row,
+// tombstones reading InfCost.
+//
+//lint:allocfree
+func (t *Table) WriteWire(slot int, entries []byte) {
 	if t.Directional() {
 		asymLinkCosts(t.out.rowFor(slot), t.in.rowFor(slot), entries, t.tombstones)
 	} else {
 		linkCosts(t.out.rowFor(slot), entries, t.tombstones)
 	}
-	return true
+}
+
+// WriteDelta writes slot's admitted delta, whose form and member count the
+// owner has checked against the table's: the changed entries are scattered
+// over the held costs, which then read as row d.Seq exactly.
+//
+//lint:allocfree
+func (t *Table) WriteDelta(slot int, d *wire.DeltaBody) {
+	out, in, entries := t.out.rowFor(slot), t.in.rowFor(slot), d.Entries()
+	prefetch(out) // the changed entries are spread over the row: fetch its lines at once
+	k, e := 0, 0  // tombstones below the member's slot; changed entries read
+	for i, w := range d.Bitmap() {
+		for ; w != 0; w &= w - 1 {
+			p := i*8 + bits.TrailingZeros8(w)
+			for k < len(t.tombstones) && t.tombstones[k] <= p+k {
+				k++
+			}
+			if t.Directional() {
+				a := wire.AsymEntryAt(entries, e)
+				out[p+k], in[p+k] = a.OutCost(), a.InCost()
+			} else {
+				out[p+k] = wire.LinkEntryAt(entries, e).Cost()
+			}
+			e++
+		}
+	}
 }
 
 // linkCosts unpacks the entry bytes wire.LinkStateBody returned into row, one
@@ -252,9 +314,10 @@ func (t *Table) FreshSlots(dst []int, now time.Time, maxAge time.Duration) []int
 func (t *Table) Expire(now time.Time, maxAge time.Duration) {
 	ns := now.UnixNano()
 	for s, m := range t.meta {
-		if m.have && time.Duration(ns-m.when) > maxAge {
+		if m.held && time.Duration(ns-m.when) > maxAge {
 			t.out.release(s)
 			t.in.release(s)
+			t.meta[s].held = false
 		}
 	}
 }

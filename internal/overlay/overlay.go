@@ -227,6 +227,15 @@ func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 				n.mc.HeardVersion(h.Src, version)
 			}
 		}
+	case wire.TLinkStateDelta:
+		if n.router != nil {
+			n.router.HandleLinkState(h, body)
+		}
+		if n.mc != nil {
+			if d, err := wire.LinkStateDeltaBody(body); err == nil {
+				n.mc.HeardVersion(h.Src, d.ViewVersion)
+			}
+		}
 	case wire.TRecommendation:
 		if n.router != nil {
 			n.router.HandleRecommendation(h, body)
@@ -237,8 +246,8 @@ func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 			}
 		}
 	case wire.TLinkStateAck:
-		if q, ok := n.router.(*core.Quorum); ok {
-			q.HandleLinkStateAck(h, body)
+		if n.router != nil {
+			n.router.HandleLinkStateAck(h, body)
 		}
 	case wire.THeartbeatAck, wire.TViewChunk, wire.TGossipDelta,
 		wire.TViewPull, wire.TViewPullReply:

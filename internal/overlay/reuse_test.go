@@ -22,7 +22,8 @@ import (
 // attribute anything of A's to B (inheritsNothing).
 //
 // Four gates keep it so, and removing any one of them fails this test: the
-// view-version checks on rows (rowCore.ingest) and on recommendations
+// view-version checks on rows (rowCore.ingest; a delta of A's finds no row of
+// its window once the slot is retired) and on recommendations
 // (Quorum.HandleRecommendation), the probe reply's match against the slot's
 // current ID and awaited seq (Prober.HandleReply), and
 // membership.StableExtension retiring a slot whose occupant changed.
@@ -86,6 +87,7 @@ func TestReusedSlotInheritsNothing(t *testing.T) {
 				held[r] = append(held[r], wire.AppendProbeReply(nil, b, reply))
 			}
 		}
+		fromA[wire.TLinkState] += fromA[wire.TLinkStateDelta] // a row after the view's first is a delta
 		for _, typ := range []wire.MsgType{wire.TLinkState, wire.TRecommendation, wire.TProbeReply} {
 			if fromA[typ] == 0 {
 				t.Fatalf("receiver %d: A sent it no %v in its last 20 s", r, typ)

@@ -14,6 +14,7 @@ package wire_test
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"net/netip"
 	"testing"
 
@@ -109,6 +110,41 @@ func FuzzLinkStateAckRoundTrip(f *testing.F) {
 	f.Add(uint16(6), body(wire.AppendLinkStateAck(nil, 6, 77)))
 	f.Fuzz(func(t *testing.T, src uint16, b []byte) {
 		roundTrip(t, src, b, wire.ParseLinkStateAck, wire.AppendLinkStateAck)
+	})
+}
+
+// FuzzLinkStateDeltaDecode: a delta body LinkStateDeltaBody accepts — any
+// bytes at all, hostile ones included — marks exactly its changed count of
+// members, all below its member count, carries an entry for each, rebuilds
+// from a window below its seq, and re-encodes byte for byte.
+func FuzzLinkStateDeltaDecode(f *testing.F) {
+	f.Add(uint16(4), body(wire.AppendLinkStateDelta(nil, 4, wire.LinkStateDelta{
+		ViewVersion: 3, Seq: 9, Base: 7, Form: wire.TLinkState, Members: 12,
+		Changed: []int{0, 5, 11}, Entries: []byte{0, 30, 0, 1, 2, 3, 0xFF, 0xFF, 0xFF},
+	})))
+	f.Add(uint16(5), body(wire.AppendLinkStateDelta(nil, 5, wire.LinkStateDelta{
+		ViewVersion: 3, Seq: 2, Base: 1, Form: wire.TLinkStateAsym, Members: 8,
+		Changed: []int{7}, Entries: []byte{0, 20, 0, 35, 4},
+	})))
+	f.Add(uint16(6), []byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 3, 0, 9, 0, 1, 0x80, 0x01, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, src uint16, b []byte) {
+		if d, err := wire.LinkStateDeltaBody(b); err == nil {
+			marked, past := 0, false
+			for i, w := range d.Bitmap() {
+				for ; w != 0; w &= w - 1 {
+					marked++
+					past = past || i*8+bits.TrailingZeros8(w) >= d.Members
+				}
+			}
+			if marked != d.Changed || past || d.Base >= d.Seq || len(d.Entries()) != d.Changed*d.EntryLen() {
+				t.Fatalf("accepted %+v: %d marked, %d entry bytes", d, marked, len(d.Entries()))
+			}
+			msg := append(wire.AppendHeader(nil, wire.TLinkStateDelta, wire.NodeID(src)), b...)
+			if members, carried := wire.RowCarries(msg); members != d.Members || carried != d.Changed {
+				t.Fatalf("RowCarries reads %d of %d, the body %d of %d", carried, members, d.Changed, d.Members)
+			}
+		}
+		roundTrip(t, src, b, wire.ParseLinkStateDelta, wire.AppendLinkStateDelta)
 	})
 }
 

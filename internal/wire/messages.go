@@ -154,15 +154,11 @@ func appendLinkStateFixed(b []byte, t MsgType, src NodeID, viewVersion, seq uint
 //
 //lint:allocfree
 func LinkStateBody(t MsgType, body []byte) (viewVersion, seq uint32, entries []byte, err error) {
-	entryLen := LinkEntryLen
-	if t == TLinkStateAsym {
-		entryLen = AsymEntryLen
-	}
 	if len(body) < linkStateFixed {
 		return 0, 0, nil, ErrShort
 	}
 	entries = body[linkStateFixed:]
-	if len(entries) != int(binary.BigEndian.Uint16(body[8:]))*entryLen {
+	if len(entries) != int(binary.BigEndian.Uint16(body[8:]))*entryLen(t) {
 		return 0, 0, nil, ErrBadLen
 	}
 	return binary.BigEndian.Uint32(body), binary.BigEndian.Uint32(body[4:]), entries, nil
@@ -208,6 +204,137 @@ func ParseLinkState(body []byte) (LinkState, error) {
 // row over n nodes, excluding per-packet overhead. Used by the bandwidth
 // model and tested against the codec.
 func LinkStateSize(n int) int { return HeaderLen + linkStateFixed + LinkEntryLen*n }
+
+// A link-state delta (TLinkStateDelta) is a link-state row sent as the
+// entries that changed: row Seq of its form, a TLinkState or a TLinkStateAsym
+// row of a view's members, member-packed, rebuilt from any row Base…Seq−1 of
+// the sender's in the same view by writing its entries over the changed
+// members' of that row. Every other entry equals the one in each of those
+// rows, so the delta is lossless against whichever the receiver holds.
+//
+// The body is the view version, Seq and Base (4 bytes each), the form's type
+// byte, the member count and the changed count (2 bytes each), a bitmap of
+// ⌈members/8⌉ bytes whose bit i (least significant first) marks member i
+// changed and whose bits past the members are zero, and the changed entries
+// in the form's encoding, in member order. The header and bitmap fix the
+// length, so no cut goes unseen.
+
+// deltaFixed is the encoded size of a delta's fields before its bitmap.
+const deltaFixed = 4 + 4 + 4 + 1 + 2 + 2
+
+// NewLinkStateDelta returns a whole delta message from src, of changed
+// entries over a row of members, allocated once at its final size for
+// PutDeltaEntry to fill.
+func NewLinkStateDelta(src NodeID, viewVersion, seq, base uint32, form MsgType, members, changed int) []byte {
+	b := AppendHeader(make([]byte, 0, LinkStateDeltaSize(members, changed, entryLen(form))), TLinkStateDelta, src)
+	b = binary.BigEndian.AppendUint32(b, viewVersion)
+	b = binary.BigEndian.AppendUint32(b, seq)
+	b = binary.BigEndian.AppendUint32(b, base)
+	b = append(b, byte(form))
+	b = binary.BigEndian.AppendUint16(b, uint16(members))
+	b = binary.BigEndian.AppendUint16(b, uint16(changed))
+	return b[:cap(b)]
+}
+
+// PutDeltaEntry marks member i changed in msg, a whole delta message, and
+// writes entry, in the form's encoding, as its k-th changed entry: k counts
+// the members below i marked before.
+//
+//lint:allocfree
+func PutDeltaEntry(msg []byte, i, k int, entry []byte) {
+	body := msg[HeaderLen:]
+	members := int(binary.BigEndian.Uint16(body[13:]))
+	body[deltaFixed+i/8] |= 1 << (i % 8)
+	copy(body[deltaFixed+bitmapLen(members)+k*len(entry):], entry)
+}
+
+// DeltaBody is a delta body LinkStateDeltaBody accepted, read in place.
+type DeltaBody struct {
+	ViewVersion uint32
+	Seq, Base   uint32
+	Form        MsgType
+	// Members is the row's entry count, Changed how many the bitmap marks.
+	Members, Changed int
+
+	bitmap, entries []byte
+}
+
+// EntryLen is the encoded size of one of the delta's entries.
+func (d *DeltaBody) EntryLen() int { return entryLen(d.Form) }
+
+// entryLen is the encoded size of an entry of row type t.
+func entryLen(t MsgType) int {
+	if t == TLinkStateAsym {
+		return AsymEntryLen
+	}
+	return LinkEntryLen
+}
+
+// Bitmap returns the changed-member bitmap: bit i%8 (least significant
+// first) of byte i/8 marks member i changed, and changed entry k is for the
+// k-th member marked.
+func (d *DeltaBody) Bitmap() []byte { return d.bitmap }
+
+// Entries returns the changed entries, in the form's encoding, in bitmap order.
+func (d *DeltaBody) Entries() []byte { return d.entries }
+
+// LinkStateDeltaBody checks the framing of a delta body — a row type for
+// form, a window below Seq, a bitmap with no bit past Members that marks as
+// many entries as the count says and the body carries — and returns it for
+// reading in place. Its errors are bare, so that a refusal allocates nothing.
+//
+//lint:allocfree
+func LinkStateDeltaBody(body []byte) (DeltaBody, error) {
+	if len(body) < deltaFixed {
+		return DeltaBody{}, ErrShort
+	}
+	d := DeltaBody{
+		ViewVersion: binary.BigEndian.Uint32(body),
+		Seq:         binary.BigEndian.Uint32(body[4:]),
+		Base:        binary.BigEndian.Uint32(body[8:]),
+		Form:        MsgType(body[12]),
+		Members:     int(binary.BigEndian.Uint16(body[13:])),
+		Changed:     int(binary.BigEndian.Uint16(body[15:])),
+	}
+	if (d.Form != TLinkState && d.Form != TLinkStateAsym) || d.Base >= d.Seq {
+		return DeltaBody{}, ErrBadDelta
+	}
+	rest := body[deltaFixed:]
+	if len(rest) < bitmapLen(d.Members) {
+		return DeltaBody{}, ErrShort
+	}
+	d.bitmap, d.entries = rest[:bitmapLen(d.Members)], rest[bitmapLen(d.Members):]
+	marked := 0
+	for _, w := range d.bitmap {
+		marked += bits.OnesCount8(w)
+	}
+	if d.Members%8 != 0 && d.bitmap[len(d.bitmap)-1]>>(d.Members%8) != 0 {
+		return DeltaBody{}, ErrBadLen // a bit past the row
+	}
+	if marked != d.Changed || len(d.entries) != d.Changed*d.EntryLen() {
+		return DeltaBody{}, ErrBadLen
+	}
+	return d, nil
+}
+
+// LinkStateDeltaSize returns the encoded payload size of a delta over a row of
+// members entries, changed of them entryLen bytes each, excluding per-packet
+// overhead.
+func LinkStateDeltaSize(members, changed, entryLen int) int {
+	return HeaderLen + deltaFixed + bitmapLen(members) + changed*entryLen
+}
+
+// RowCarries reads a row message of any of the three row types: the entries
+// it stands for, one per member, and those it carries — all of a full row's,
+// the changed ones of a delta's.
+func RowCarries(msg []byte) (members, carried int) {
+	body := msg[HeaderLen:]
+	if PeekType(msg) == TLinkStateDelta {
+		return int(binary.BigEndian.Uint16(body[13:])), int(binary.BigEndian.Uint16(body[15:]))
+	}
+	n := int(binary.BigEndian.Uint16(body[8:]))
+	return n, n
+}
 
 // RecEntry is one best-hop recommendation: for destination Dst, forward via
 // Hop at total path cost Cost. Hop == Dst means the direct path is best;
@@ -496,8 +623,6 @@ func AsymEntryAt(entries []byte, i int) AsymEntry {
 
 // AsymLinkStateSize returns the encoded payload size of an asymmetric row
 // over n nodes, excluding per-packet overhead.
-//
-//lint:testonly TestLinkStateRowsCarryMembers (emul) sizes directional rows
 func AsymLinkStateSize(n int) int { return HeaderLen + linkStateFixed + AsymEntryLen*n }
 
 // AppendLinkStateAck encodes an acknowledgment of the link-state row with

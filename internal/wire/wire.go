@@ -66,7 +66,7 @@ const (
 	// Routing plane.
 	TLinkState      // round-1 link-state row (also the full-mesh broadcast)
 	TRecommendation // round-2 best-hop recommendations
-	TLinkStateMH    // reserved: no codec, nothing sends it; renumbering the rest would be a wire change
+	TLinkStateDelta // a link-state row as the entries that changed since the sender's recent rows
 	TLinkStateAsym  // round-1 row with both directed costs (footnote 2)
 	TLinkStateAck   // acknowledgment for reliable row delivery (§6.2.2 option)
 
@@ -115,6 +115,10 @@ const (
 	maxMsgType
 )
 
+// TLinkStateMH is the name the delta's type byte had while it was reserved,
+// kept while benchmark/trace.go's plane table spells it (ROADMAP item 1).
+const TLinkStateMH = TLinkStateDelta
+
 // msgTypes names every message type and gives its traffic category, indexed
 // by type: the one table String and CategoryOf read, so a new type is one row.
 var msgTypes = [maxMsgType]struct {
@@ -125,7 +129,7 @@ var msgTypes = [maxMsgType]struct {
 	TProbeReply:     {"probe-reply", CatProbing},
 	TLinkState:      {"link-state", CatRouting},
 	TRecommendation: {"recommendation", CatRouting},
-	TLinkStateMH:    {"link-state-mh", CatRouting},
+	TLinkStateDelta: {"link-state-delta", CatRouting},
 	TLinkStateAsym:  {"link-state-asym", CatRouting},
 	TLinkStateAck:   {"link-state-ack", CatRouting},
 	TJoin:           {"join", CatMembership},
@@ -221,6 +225,9 @@ var (
 	// ErrRunForm refuses a run-form recommendation where the receiver's run
 	// is unknown: its named entries carry no destination.
 	ErrRunForm = errors.New("wire: recommendation names destinations by the receiver's run")
+	// ErrBadDelta refuses a link-state delta whose form is no row type or
+	// whose window is empty (Base not below Seq).
+	ErrBadDelta = errors.New("wire: link-state delta patches no row")
 )
 
 // Header is the common prefix of every message.

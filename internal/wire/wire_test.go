@@ -67,7 +67,7 @@ func TestCategoryOf(t *testing.T) {
 		TProbeReply:     CatProbing,
 		TLinkState:      CatRouting,
 		TRecommendation: CatRouting,
-		TLinkStateMH:    CatRouting,
+		TLinkStateDelta: CatRouting,
 		TJoin:           CatMembership,
 		TJoinReply:      CatMembership,
 		TLeave:          CatMembership,
