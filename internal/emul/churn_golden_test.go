@@ -34,9 +34,12 @@ import (
 // from n=60, seed 99 to n=30, seed 15, and then, once stragglers caught up
 // well inside the 15 s before the churn step that departs the last of them,
 // to seed 8 at a Poisson rate of 0.4; once a joiner's standing came from
-// the view that lists it, to seed 7 at 0.6; and with heartbeats to every
-// replica, to seed 8 at 0.6. A change that means to alter a scenario
-// re-captures its row in the open.
+// the view that lists it, to seed 7 at 0.6; with heartbeats to every
+// replica, to seed 8 at 0.6; and with link-state deltas, to seed 10 at 0.6.
+// All ten moved with the deltas: every output gained the live_missing
+// column, and on the lossy planes a lost row now costs a refusal and an
+// answer. A change that means to alter a scenario re-captures its row in
+// the open.
 func TestChurnScenariosGolden(t *testing.T) {
 	short := func(sc ChurnScenario) ChurnOptions {
 		return ChurnOptions{N: 30, Seed: 42, Scenario: sc, Warmup: 2 * time.Minute, Duration: 5 * time.Minute}
@@ -45,16 +48,16 @@ func TestChurnScenariosGolden(t *testing.T) {
 		opt  ChurnOptions
 		want string
 	}{
-		{short(ChurnPoisson), "8cc3c8e00fc1f542"},
-		{short(ChurnFlashCrowd), "c70799f3ac8f57a5"},
-		{short(ChurnMassDeparture), "a8b79c4a0e84894f"},
-		{short(ChurnCoordCrash), "eaa941b2d3a31d12"},
-		{short(ChurnPartition), "e97bb2816c569c03"},
-		{short(ChurnRegional), "908b3a9c63bd1743"},
-		{short(ChurnLossyGossip), "fd003ec5bb277ff3"},
-		{short(ChurnGossipCrash), "dc6dc18c2968c6d3"},
-		{short(ChurnStraggler), "6120962ba4a717ad"},
-		{ChurnOptions{N: 30, Seed: 8, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "c86c6eb053b4b366"},
+		{short(ChurnPoisson), "e79d06865ec45e17"},
+		{short(ChurnFlashCrowd), "50ccea6dcae9458f"},
+		{short(ChurnMassDeparture), "c9207c3941723456"},
+		{short(ChurnCoordCrash), "0d47bb9e6f451d43"},
+		{short(ChurnPartition), "a2fd849a52703c99"},
+		{short(ChurnRegional), "ae897ff48f95a8d8"},
+		{short(ChurnLossyGossip), "a5ab89a4e518b824"},
+		{short(ChurnGossipCrash), "ed000e30cfe01d64"},
+		{short(ChurnStraggler), "e665362bf64b879a"},
+		{ChurnOptions{N: 30, Seed: 10, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "67379ec1273ad2dc"},
 	}
 	for _, c := range cases {
 		out := RunChurn(c.opt).Format()

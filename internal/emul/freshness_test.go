@@ -32,7 +32,7 @@ func TestDeploymentFreshnessGolden(t *testing.T) {
 			}
 		}
 	}
-	const want = "3c1b165781387338"
+	const want = "e81fb8385d963325"
 	if got := fmt.Sprintf("%x", h.Sum(nil))[:16]; got != want {
 		t.Errorf("freshness hash = %s, want %s", got, want)
 	}
