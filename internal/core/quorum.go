@@ -355,29 +355,19 @@ func (q *Quorum) retransmit(seq uint32, viewVersion uint32, msg []byte) {
 
 // HandleLinkStateAck implements Router: a refusal (seq 0) is answered with
 // the current row (rowCore.answer) when the refuser is one of the rendezvous
-// servers round 1 sends rows to; any other ack clears a pending
-// reliable-delivery ack. Outside reliable mode nothing is pending.
+// servers round 1 sends rows to (activeServers); any other ack clears a
+// pending reliable-delivery ack. Outside reliable mode nothing is pending.
 func (q *Quorum) HandleLinkStateAck(h wire.Header, body []byte) {
 	seq, err := wire.ParseLinkStateAck(body)
 	switch {
 	case err != nil:
 	case seq == 0:
-		q.answer(h, q.sendsRowsTo)
+		q.answer(h, func(slot int) bool { return slices.Contains(q.activeServers(nil), slot) })
 	case q.cfg.ReliableLinkState:
 		if slot, ok := q.view.SlotOf(h.Src); ok && q.pendingAcks[slot] == seq {
 			q.pendingAcks[slot] = 0
 		}
 	}
-}
-
-// sendsRowsTo reports whether round 1 sends its rows to slot: a default
-// server over a usable link or a recruited failover over a live one
-// (activeServers).
-func (q *Quorum) sendsRowsTo(slot int) bool {
-	if _, ok := slices.BinarySearch(q.servers, slot); ok && q.usable(slot) {
-		return true
-	}
-	return slices.ContainsFunc(q.failovers, func(fo failoverState) bool { return fo.server == slot }) && q.LinkAlive(slot)
 }
 
 // sendRecommendations is round 2: acting as a rendezvous server, compute the
