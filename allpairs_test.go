@@ -93,7 +93,7 @@ func TestSimulationSurvivesLinkFailure(t *testing.T) {
 
 func TestSimulationBandwidthShape(t *testing.T) {
 	run := func(algo Algorithm) float64 {
-		sim, err := NewSimulation(SimOptions{N: 64, Algorithm: algo, Seed: 4})
+		sim, err := NewSimulation(SimOptions{N: 49, Algorithm: algo, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

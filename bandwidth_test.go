@@ -12,6 +12,7 @@ import (
 	"allpairs/internal/membership"
 	"allpairs/internal/metrics"
 	"allpairs/internal/probe"
+	"allpairs/internal/simnet"
 	"allpairs/internal/traces"
 	"allpairs/internal/wire"
 )
@@ -30,9 +31,10 @@ func TestBandwidthLaw(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			share := changeShare(sim.fleet.Net)
 			sim.Run(measured)
 			kbps[i] = sim.RoutingKbps()
-			at := bwmodel.Params{Changed: sim.RowChangeShare()}
+			at := bwmodel.Params{Changed: share()}
 			model := at.QuorumRouting(n)
 			if alg == FullMesh {
 				model = at.FullMeshRouting(n)
@@ -52,10 +54,9 @@ func TestBandwidthLaw(t *testing.T) {
 				}
 			}
 		}
-		// The measured crossover lies between 36 and 64 members: rows travel
-		// as deltas on both routers, and the quorum's recommendations do not.
-		if quorumAbove := kbps[0] > kbps[1]; quorumAbove != (n <= 36) {
-			t.Errorf("n=%d: quorum %.3f kbps, full mesh %.3f kbps: quorum should cost more only at 16 and 36", n, kbps[0], kbps[1])
+		// The measured crossover lies between 16 and 36 members.
+		if quorumAbove := kbps[0] > kbps[1]; quorumAbove != (n == 16) {
+			t.Errorf("n=%d: quorum %.3f kbps, full mesh %.3f kbps: quorum should cost more only at 16", n, kbps[0], kbps[1])
 		}
 	}
 
@@ -85,10 +86,11 @@ func TestBandwidthLaw(t *testing.T) {
 
 	// Under churn the grid spans slots, members and the tombstones of
 	// departed ones, while the model counts members: the churned ratio, at the
-	// run's change share, reads how many tombstones the grid still spans and
-	// what view changes cost, each of whose first rows goes in full. It is an
-	// exact count of one seeded run, so any drift is a change of behaviour.
-	const want = 1.084
+	// run's change share, reads how many tombstones the grid still spans. It
+	// is an exact count of one seeded run, so any drift is a change of
+	// behaviour. Most of what is left above 1 is crashed members, who hold
+	// their seats until their lease runs out.
+	const want = 1.092
 	if r := churnedRoutingVsModel(t); math.Abs(r-want) > 0.002 {
 		t.Errorf("churned quorum: routing is %.4f× the model at the mean member count, want %.3f", r, want)
 	}
@@ -123,15 +125,7 @@ func churnedRoutingVsModel(t *testing.T) float64 {
 		Coordinator: membership.CoordinatorConfig{Timeout: 2 * time.Minute, Sweep: 15 * time.Second, Coalesce: time.Second},
 	})
 	f.Run(3 * time.Minute)
-	var entries, carried int
-	account := f.Net.OnSend
-	f.Net.OnSend = func(from, to int, p []byte) {
-		account(from, to, p)
-		if typ := wire.PeekType(p); typ == wire.TLinkState || typ == wire.TLinkStateDelta {
-			members, c := wire.RowCarries(p)
-			entries, carried = entries+members, carried+c
-		}
-	}
+	changed := changeShare(f.Net)
 	routing := func() (sum uint64) {
 		for ep := range f.Col.N() {
 			sum += f.Col.TotalBytes(ep, wire.CatRouting)
@@ -157,7 +151,30 @@ func churnedRoutingVsModel(t *testing.T) float64 {
 	}
 	mean := float64(members) / (2 * minutes)
 	perMember := metrics.Kbps(routing()-before, minutes*time.Minute) / mean
-	share := float64(carried) / float64(entries)
+	share := changed()
 	t.Logf("churned: %.3f kbps per member, %.1f members on average, %d slots at the end, change share %.4f", perMember, mean, len(f.Primary().Members()), share)
 	return perMember * 1000 / bwmodel.Params{Changed: share}.QuorumRouting(int(mean+0.5))
+}
+
+// changeShare hooks the link-state rows net sends from now on and returns
+// the share of their entries they carry, one entry per member a row: all of
+// a full row's, the changed ones of a delta's. It is the change share
+// bwmodel.Params reads.
+func changeShare(net *simnet.Network) func() float64 {
+	var entries, carried int
+	account := net.OnSend
+	net.OnSend = func(from, to int, p []byte) {
+		account(from, to, p)
+		h, body, err := wire.ParseHeader(p)
+		switch {
+		case err != nil:
+		case h.Type == wire.TLinkStateDelta:
+			d, _ := wire.LinkStateDeltaBody(body)
+			entries, carried = entries+d.Members, carried+d.Changed
+		case h.Type == wire.TLinkState:
+			_, _, row, _ := wire.LinkStateBody(h.Type, body)
+			entries, carried = entries+len(row)/wire.LinkEntryLen, carried+len(row)/wire.LinkEntryLen
+		}
+	}
+	return func() float64 { return float64(carried) / float64(max(entries, 1)) }
 }

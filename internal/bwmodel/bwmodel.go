@@ -63,11 +63,11 @@ type Params struct {
 	// Overhead is the per-packet overhead in bytes (default
 	// wire.PerPacketOverhead).
 	Overhead int
-	// Changed, when positive, is the share of their entries the rows carry
-	// (core.RowStats' Carried over Entries): a row travels as a link-state
-	// delta of that share of its entries and a bitmap over all of them, or in
-	// full when that is no smaller. Zero models every row in full, the
-	// paper's law.
+	// Changed, when positive, is the share of their entries the quorum's
+	// rows carry — all of a full row's, the changed ones of a delta's: a row
+	// travels as a link-state delta of that share of its entries and a bitmap
+	// over all of them, or in full when that is no smaller. Zero models every
+	// row in full, the paper's law. The full mesh sends every row in full.
 	Changed float64
 }
 
@@ -88,17 +88,8 @@ func (p *Params) fill() {
 // rows.
 func (p Params) FullMeshRouting(n int) float64 {
 	p.fill()
-	return 2 * float64(n-1) * p.row(n) * bitsPerByte / p.MeshInterval.Seconds()
-}
-
-// row is the size of one row over n members on the wire, overhead included:
-// in full, or as a delta carrying the Changed share of its entries.
-func (p Params) row(n int) float64 {
-	size := float64(wire.LinkStateSize(n))
-	if p.Changed > 0 {
-		size = min(size, float64(wire.LinkStateDeltaSize(n, 0, wire.LinkEntryLen))+p.Changed*float64(n*wire.LinkEntryLen))
-	}
-	return size + float64(p.Overhead)
+	row := float64(wire.LinkStateSize(n) + p.Overhead)
+	return 2 * float64(n-1) * row * bitsPerByte / p.MeshInterval.Seconds()
 }
 
 // QuorumRouting predicts the quorum algorithm's routing traffic (in + out,
@@ -111,7 +102,12 @@ func (p Params) QuorumRouting(n int) float64 {
 	p.fill()
 	k := QuorumDegree(n)
 	rec := float64(wire.RecommendationRunSize(k, k, 0) + p.Overhead)
-	perInterval := 2*float64(k)*p.row(n) + 2*float64(k)*rec
+	row := float64(wire.LinkStateSize(n))
+	if p.Changed > 0 {
+		row = min(row, float64(wire.LinkStateDeltaSize(n, 0, wire.LinkEntryLen))+p.Changed*float64(n*wire.LinkEntryLen))
+	}
+	row += float64(p.Overhead)
+	perInterval := 2*float64(k)*row + 2*float64(k)*rec
 	return perInterval * bitsPerByte / p.QuorumInterval.Seconds()
 }
 

@@ -172,9 +172,6 @@ type Router interface {
 	Tick()
 	// HandleLinkState processes a received link-state row or delta.
 	HandleLinkState(h wire.Header, body []byte)
-	// HandleLinkStateAck processes a received link-state ack: a refusal of a
-	// delta (seq 0), or in the quorum's reliable mode the ack of a row.
-	HandleLinkStateAck(h wire.Header, body []byte)
 	// HandleRecommendation processes a received recommendation message.
 	HandleRecommendation(h wire.Header, body []byte)
 	// BestHop returns the current best route to the destination slot.
@@ -186,6 +183,4 @@ type Router interface {
 	// SetView installs a new membership view, in which the node holds slot
 	// self: in place when it stably extends the current one, cold otherwise.
 	SetView(view *membership.ViewInfo, self int) error
-	// RowStats returns the router's link-state row counters.
-	RowStats() RowStats
 }

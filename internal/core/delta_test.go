@@ -71,7 +71,8 @@ func costsOf(t *testing.T, view *membership.ViewInfo, slot int, msg []byte) (out
 // that drops, duplicates, delays and reorders datagrams — rows, deltas,
 // refusals and their answers alike — while the rows drift: a few entries an
 // interval, now and then most of them, so that some rows go full because a
-// delta would be no smaller. Now and then the receiver expires the rows it
+// delta would be no smaller. The senders' links to the receiver read no loss,
+// so that the change share alone picks the encoding. Now and then the receiver expires the rows it
 // has not heard from within the last interval, and midway a member joins in
 // the tombstone, a stable extension every core installs. After every
 // delivery each row the receiver holds has exactly the costs of the row its
@@ -108,10 +109,11 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64) {
 	recv, ref := cores[0], fresh(view.Slots())
 	ref.SetTombstones(view.Tombstones())
 	// A sender's own entry is alive at 0, so a row the receiver holds
-	// never reads all InfCost, as one Expire released does.
+	// never reads all InfCost, as one Expire released does; so is its entry
+	// for the receiver, whose loss delta weighs.
 	drift := func(s int, share float64) {
 		for h := range rows[s] {
-			if rng.Float64() < share && h != s {
+			if rng.Float64() < share && h != s && h != 0 {
 				rows[s][h] = wire.LinkEntry{Latency: uint16(10 + rng.Intn(200)), Status: wire.MakeStatus(rng.Intn(8) != 0, rng.Intn(3))}
 				asymRows[s][h] = wire.AsymEntry{Out: uint16(10 + rng.Intn(200)), In: uint16(10 + rng.Intn(200)), Status: rows[s][h].Status}
 			}
@@ -134,13 +136,14 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64) {
 			drift(s, share)
 			c := cores[wire.NodeID(s)]
 			msg := c.announce()
-			announced[[2]uint32{uint32(s), c.seq}] = row{c.current(), view}
-			if wire.PeekType(msg) == wire.TLinkStateDelta {
+			announced[[2]uint32{uint32(s), c.seq}] = row{msg, view}
+			if d := c.delta([]int{0}); d != nil {
+				msg = d
 				deltas++
 			} else {
 				full++
 			}
-			c.sendRow(0, msg)
+			c.env.Send(0, msg)
 		}
 		return deltas, full
 	}
@@ -159,16 +162,22 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64) {
 			}
 		}
 	}
+	refusals := 0
 	deliver := func(m mail) {
 		h, body, err := wire.ParseHeader(m.msg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m.to != 0 {
-			cores[m.to].answer(h, func(int) bool { return true })
+			refusals++
+			cores[m.to].answer(m.from, 0)
 			return
 		}
-		recv.ingest(h, body)
+		if h.Type == wire.TLinkStateDelta {
+			recv.patch(h, body)
+		} else {
+			recv.ingest(h, body)
+		}
 		version, seq, _, err := wire.LinkStateBody(h.Type, body)
 		if h.Type == wire.TLinkStateDelta {
 			d, _ := wire.LinkStateDeltaBody(body)
@@ -227,15 +236,15 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64) {
 	// Clean intervals: everything arrives, in order.
 	for round := range 3 {
 		nw.RunFor(time.Second)
-		refused := recv.rowStats.Refusals
+		refused := refusals
 		deltas, full := tick(true)
 		for len(box) > 0 {
 			m := box[0]
 			box = box[1:]
 			deliver(m)
 		}
-		if round > 0 && (full != 0 || recv.rowStats.Refusals != refused) {
-			t.Fatalf("asym=%v seed %d: clean interval %d sent %d deltas and %d full rows, %d refused", asym, seed, round, deltas, full, recv.rowStats.Refusals-refused)
+		if round > 0 && (full != 0 || refusals != refused) {
+			t.Fatalf("asym=%v seed %d: clean interval %d sent %d deltas and %d full rows, %d refused", asym, seed, round, deltas, full, refusals-refused)
 		}
 	}
 	for _, s := range senders {
@@ -247,60 +256,43 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64) {
 	}
 }
 
-// TestHostileDeltasTouchNothing hands both routers deltas that are
-// well-formed datagrams but must not be taken: from a stranger, from a member
-// gone from the view (its slot a tombstone now), built on another view, with
-// a window that ends after its own seq, with a bitmap bit past the member
-// count, with a changed count the bitmap or the body disagrees with, of the
-// other row form, or over another member count. Each is refused whole: no
-// table field or row byte moves, nothing is allocated, and nothing is sent. A
-// refusal from a stranger draws no datagram either, nor one from a member
-// the router sends no rows to, nor a second from a member answered since the
-// last announce. The same delta without a defect is taken, allocating
-// nothing.
+// TestHostileDeltasTouchNothing hands the quorum deltas that are well-formed
+// datagrams but must not be taken: from a stranger, from a member gone from
+// the view (its slot a tombstone now), built on another view, at seq 0, with
+// a bitmap bit past the member count, with a changed count the bitmap or the
+// body disagrees with, of the other row form, or over another member count.
+// Each is refused whole: no table field or row byte moves, nothing is
+// allocated, and nothing is sent. A refusal from a stranger draws no datagram
+// either, nor one from a member the router sends no rows to, nor a second
+// from a member answered since the last announce. The same delta without a
+// defect is taken, allocating nothing. Both row forms.
 func TestHostileDeltasTouchNothing(t *testing.T) {
 	const version = 5
-	for _, tc := range []struct {
-		name     string
-		asym     bool
-		fullMesh bool
-	}{
-		{name: "quorum"},
-		{name: "quorum-asym", asym: true},
-		{name: "fullmesh", fullMesh: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, asym := range []bool{false, true} {
+		t.Run(map[bool]string{false: "symmetric", true: "directional"}[asym], func(t *testing.T) {
 			sim, nw := soloEnv()
 			env := &countingEnv{SimEnv: sim}
 			// Slot 4 was member 4's in view 4; in view 5 it is a tombstone.
 			view := slotView(t, version, 0, 1, 2, 3, wire.NilNode, 5, 6, 7, 8, 9)
 			row := aliveRow(view.Slots(), 0)
-			var router Router
-			var core *rowCore
-			if tc.fullMesh {
-				f := NewFullMesh(env, FullMeshConfig{}, view, 0)
-				router, core = f, &f.rowCore
-			} else {
-				q, err := NewQuorum(env, QuorumConfig{Asymmetric: tc.asym}, view, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				q.LinkAlive = func(int) bool { return true }
-				router, core = q, &q.rowCore
+			q, err := NewQuorum(env, QuorumConfig{Asymmetric: asym}, view, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			core.SelfRow = func() []wire.LinkEntry { return row }
-			core.SelfAsymRow = func() []wire.AsymEntry { return make([]wire.AsymEntry, view.Slots()) }
+			q.LinkAlive = func(int) bool { return true }
+			q.SelfRow = func() []wire.LinkEntry { return row }
+			q.SelfAsymRow = func() []wire.AsymEntry { return make([]wire.AsymEntry, view.Slots()) }
 			form, size := wire.TLinkState, wire.LinkEntryLen
-			if tc.asym {
+			if asym {
 				form, size = wire.TLinkStateAsym, wire.AsymEntryLen
 			}
 			m := len(view.Members())
-			delta := func(src wire.NodeID, version, seq, base uint32, form wire.MsgType, members int, changed ...int) []byte {
+			delta := func(src wire.NodeID, version, seq uint32, form wire.MsgType, members int, changed ...int) []byte {
 				size := wire.LinkEntryLen
 				if form == wire.TLinkStateAsym {
 					size = wire.AsymEntryLen
 				}
-				msg := wire.NewLinkStateDelta(src, version, seq, base, form, members, len(changed))
+				msg := wire.NewLinkStateDelta(src, version, seq, form, members, len(changed))
 				for k, i := range changed {
 					wire.PutDeltaEntry(msg, i, k, slices.Repeat([]byte{byte(0x11 * (k + 1))}, size))
 				}
@@ -312,16 +304,16 @@ func TestHostileDeltasTouchNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 				if h.Type == wire.TLinkStateAck {
-					router.HandleLinkStateAck(h, body)
+					q.HandleLinkStateAck(h, body)
 				} else {
-					router.HandleLinkState(h, body)
+					q.HandleLinkState(h, body)
 				}
 			}
 
-			// Slot 3's row 2 is held: a delta at 3 with a window from 2 is good.
+			// Slot 3's row 2 is held: a delta at 3 is good.
 			nw.RunFor(10 * time.Second)
-			handle(rowMessage(tc.asym, 3, version, 2, m, 40))
-			good := delta(3, version, 3, 2, form, m, 1, 6)
+			handle(rowMessage(asym, 3, version, 2, m, 40))
+			good := delta(3, version, 3, form, m, 1, 6)
 			type state struct {
 				seq     uint32
 				when    time.Time
@@ -329,7 +321,7 @@ func TestHostileDeltasTouchNothing(t *testing.T) {
 				sent    int
 			}
 			snapshot := func() state {
-				tb := core.Table()
+				tb := q.Table()
 				return state{tb.Seq(3), tb.When(3), slices.Clone(tb.OutRow(3)), slices.Clone(tb.InRow(3)), env.sent}
 			}
 			before := snapshot()
@@ -338,26 +330,25 @@ func TestHostileDeltasTouchNothing(t *testing.T) {
 				msg[at] = b
 				return msg
 			}
-			bitmap := wire.HeaderLen + 17
+			bitmap := wire.HeaderLen + 13
 			for _, hostile := range []struct {
 				defect string
 				msg    []byte
 			}{
-				{"a stranger", delta(77, version, 3, 2, form, m, 1, 6)},
-				{"a member gone from the view", delta(4, version, 3, 2, form, m, 1, 6)},
-				{"itself", delta(0, version, 3, 2, form, m, 1, 6)},
-				{"a stale view version", delta(3, version-1, 3, 2, form, m, 1, 6)},
-				{"a future view version", delta(3, version+1, 3, 2, form, m, 1, 6)},
-				{"a base ahead of its seq", delta(3, version, 3, 4, form, m, 1, 6)},
-				{"a base at its seq", delta(3, version, 3, 3, form, m, 1, 6)},
-				{"a bitmap bit past the members", delta(3, version, 3, 2, form, m, 1, m)},
+				{"a stranger", delta(77, version, 3, form, m, 1, 6)},
+				{"a member gone from the view", delta(4, version, 3, form, m, 1, 6)},
+				{"itself", delta(0, version, 3, form, m, 1, 6)},
+				{"a stale view version", delta(3, version-1, 3, form, m, 1, 6)},
+				{"a future view version", delta(3, version+1, 3, form, m, 1, 6)},
+				{"seq 0, with no row before it", delta(3, version, 0, form, m, 1, 6)},
+				{"a bitmap bit past the members", delta(3, version, 3, form, m, 1, m)},
 				{"a changed count above the bitmap's", corrupt(bitmap-1, 3)},
 				{"a changed count below the bitmap's", corrupt(bitmap-1, 1)},
 				{"an entry short", good[:len(good)-1]},
 				{"an entry long", append(slices.Clone(good), make([]byte, size)...)},
-				{"the other row form", delta(3, version, 3, 2, map[bool]wire.MsgType{false: wire.TLinkStateAsym, true: wire.TLinkState}[tc.asym], m, 1, 6)},
-				{"an entry per slot", delta(3, version, 3, 2, form, view.Slots(), 1, 6)},
-				{"no row type as its form", corrupt(wire.HeaderLen+12, byte(wire.TRecommendation))},
+				{"the other row form", delta(3, version, 3, map[bool]wire.MsgType{false: wire.TLinkStateAsym, true: wire.TLinkState}[asym], m, 1, 6)},
+				{"an entry per slot", delta(3, version, 3, form, view.Slots(), 1, 6)},
+				{"no row type as its form", corrupt(wire.HeaderLen+8, byte(wire.TRecommendation))},
 				{"a refusal from a stranger", wire.AppendLinkStateAck(nil, 77, 0)},
 				{"a refusal from a member gone from the view", wire.AppendLinkStateAck(nil, 4, 0)},
 			} {
@@ -367,9 +358,9 @@ func TestHostileDeltasTouchNothing(t *testing.T) {
 				}
 				allocs := testing.AllocsPerRun(100, func() {
 					if h.Type == wire.TLinkStateAck {
-						router.HandleLinkStateAck(h, body)
+						q.HandleLinkStateAck(h, body)
 					} else {
-						router.HandleLinkState(h, body)
+						q.HandleLinkState(h, body)
 					}
 				})
 				if after := snapshot(); after.seq != before.seq || !after.when.Equal(before.when) ||
@@ -383,26 +374,23 @@ func TestHostileDeltasTouchNothing(t *testing.T) {
 			}
 
 			// Refusals: a member the router sends rows to is answered once
-			// between announces; the quorum sends none to a member outside its
-			// grid lines, the full mesh to everyone.
-			router.Tick()
+			// between announces, and one outside its grid lines not at all.
+			q.Tick()
 			sent, far := env.sent, 9
-			if q, ok := router.(*Quorum); ok {
-				for slices.Contains(q.servers, far) {
-					far--
-				}
+			for slices.Contains(q.servers, far) {
+				far--
 			}
 			handle(wire.AppendLinkStateAck(nil, wire.NodeID(far), 0))
 			handle(wire.AppendLinkStateAck(nil, 1, 0))
 			handle(wire.AppendLinkStateAck(nil, 1, 0))
-			if want := map[bool]int{false: 1, true: 2}[tc.fullMesh]; env.sent-sent != want {
-				t.Errorf("three refusals, one of them a repeat, drew %d rows, want %d", env.sent-sent, want)
+			if env.sent-sent != 1 {
+				t.Errorf("three refusals, one of them a repeat, drew %d rows, want 1", env.sent-sent)
 			}
 
 			// The good delta is taken, and allocates nothing.
 			before = snapshot()
 			h, body, _ := wire.ParseHeader(good)
-			if allocs := testing.AllocsPerRun(100, func() { router.HandleLinkState(h, body) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(100, func() { q.HandleLinkState(h, body) }); allocs != 0 {
 				t.Errorf("taking a delta allocates %.0f times, want 0", allocs)
 			}
 			if after := snapshot(); after.seq != 3 || slices.Equal(after.out, before.out) || after.sent != before.sent {

@@ -45,9 +45,12 @@ func (c *FullMeshConfig) fill() {
 // FullMesh is the conventional full-mesh link-state router used by RON
 // (§5): every node broadcasts its link-state row to every other node each
 // routing interval and computes all best one-hop routes locally. It is the
-// paper's comparison baseline: the same row core as Quorum (rows and their
-// deltas, ingest, expiry, view install, BestHop), with a broadcast — one
-// message for every member — and a full recompute for rounds.
+// paper's comparison baseline: the same row core as Quorum (rows, ingest,
+// expiry, view install, BestHop), with a broadcast and a full recompute for
+// rounds. Its row core parks the n−1 rows an interval brings and applies
+// them at the tick that reads them (rowCore), so the recompute streams rows
+// just written rather than rows gone cold since they arrived. As RON does,
+// it sends every row in full: deltas are the quorum's.
 type FullMesh struct {
 	rowCore
 	cfg FullMeshConfig
@@ -95,7 +98,7 @@ func (f *FullMesh) Tick() {
 	msg := f.announce()
 	for _, m := range f.view.Members() {
 		if int(m.Slot) != f.self {
-			f.sendRow(m.ID, msg)
+			f.env.Send(m.ID, msg)
 		}
 	}
 	f.recompute()
@@ -126,20 +129,13 @@ func (f *FullMesh) recompute() {
 	}
 }
 
-// HandleLinkState implements Router: a member's row or delta is checked and
-// put into the table (rowCore.ingest).
+// HandleLinkState implements Router: a member's row is checked and parked
+// (rowCore.ingest), its entry bytes kept until the next read of the table
+// applies it — the payload is the router's to keep (transport.Handler). A
+// delta, which no full mesh sends, is dropped.
 //
 //lint:allocfree
 func (f *FullMesh) HandleLinkState(h wire.Header, body []byte) { f.ingest(h, body) }
-
-// HandleLinkStateAck implements Router: the baseline sends no reliable rows,
-// so the one ack it reads is a refusal, answered with its current row
-// (rowCore.answer) since it sends rows to every member.
-func (f *FullMesh) HandleLinkStateAck(h wire.Header, body []byte) {
-	if seq, err := wire.ParseLinkStateAck(body); err == nil && seq == 0 {
-		f.answer(h, func(int) bool { return true })
-	}
-}
 
 // HandleRecommendation implements Router. The baseline never receives
 // recommendations; the message is ignored.

@@ -320,8 +320,11 @@ func (q *Quorum) activeServers(dst []int) []int {
 func (q *Quorum) sendLinkState() {
 	msg := q.announce()
 	q.clientsBuf = q.activeServers(q.clientsBuf[:0])
+	if d := q.delta(q.clientsBuf); d != nil {
+		msg = d
+	}
 	for _, s := range q.clientsBuf {
-		q.sendRow(q.view.IDAt(s), msg)
+		q.env.Send(q.view.IDAt(s), msg)
 		q.stats.LinkStatesSent++
 		if q.cfg.ReliableLinkState {
 			q.pendingAcks[s] = q.seq
@@ -346,28 +349,49 @@ func (q *Quorum) retransmit(seq uint32, viewVersion uint32, msg []byte) {
 		}
 		q.pendingAcks[s] = 0 // single retransmission
 		if q.LinkAlive(s) {
-			q.sendRow(q.view.IDAt(s), msg)
+			q.env.Send(q.view.IDAt(s), msg)
 			q.stats.LinkStatesSent++
 			q.stats.Retransmits++
 		}
 	}
 }
 
-// HandleLinkStateAck implements Router: a refusal (seq 0) is answered with
-// the current row (rowCore.answer) when the refuser is one of the rendezvous
-// servers round 1 sends rows to (activeServers); any other ack clears a
-// pending reliable-delivery ack. Outside reliable mode nothing is pending.
+// HandleLinkStateAck answers a refusal (seq 0) with the current row in full
+// (rowCore.answer) when the refuser is one of the rendezvous servers round 1
+// sends rows to (sendsRowsTo); any other ack clears a pending
+// reliable-delivery ack. Outside reliable mode nothing is pending.
+//
+//lint:allocfree
 func (q *Quorum) HandleLinkStateAck(h wire.Header, body []byte) {
 	seq, err := wire.ParseLinkStateAck(body)
+	if err != nil {
+		return
+	}
+	slot, ok := q.view.SlotOf(h.Src)
 	switch {
-	case err != nil:
+	case !ok || slot == q.self:
 	case seq == 0:
-		q.answer(h, func(slot int) bool { return slices.Contains(q.activeServers(nil), slot) })
-	case q.cfg.ReliableLinkState:
-		if slot, ok := q.view.SlotOf(h.Src); ok && q.pendingAcks[slot] == seq {
-			q.pendingAcks[slot] = 0
+		if q.sendsRowsTo(slot) {
+			q.answer(h.Src, slot)
+		}
+	case q.cfg.ReliableLinkState && q.pendingAcks[slot] == seq:
+		q.pendingAcks[slot] = 0
+	}
+}
+
+// sendsRowsTo reports whether slot is one of activeServers.
+//
+//lint:allocfree
+func (q *Quorum) sendsRowsTo(slot int) bool {
+	if slices.Contains(q.servers, slot) {
+		return q.usable(slot)
+	}
+	for _, fo := range q.failovers {
+		if fo.server == slot {
+			return q.LinkAlive(slot)
 		}
 	}
+	return false
 }
 
 // sendRecommendations is round 2: acting as a rendezvous server, compute the
@@ -560,13 +584,21 @@ func (q *Quorum) hops(k int) (fwd, rev []lsdb.HopCost) {
 }
 
 // HandleLinkState implements Router: a client's row is ingested
-// (rowCore.ingest), which makes the sender a rendezvous client of this node,
-// failover clients who recruited us included. In reliable mode every
-// well-formed row is acknowledged, kept or not.
+// (rowCore.ingest), or its delta patched in (rowCore.patch), which makes the
+// sender a rendezvous client of this node, failover clients who recruited us
+// included. In reliable mode every well-formed row or delta is acknowledged,
+// kept or not, but for a refused delta.
 //
 //lint:allocfree
 func (q *Quorum) HandleLinkState(h wire.Header, body []byte) {
-	if seq, ok := q.ingest(h, body); ok && q.cfg.ReliableLinkState {
+	var seq uint32
+	var ok bool
+	if h.Type == wire.TLinkStateDelta {
+		seq, ok = q.patch(h, body)
+	} else {
+		seq, ok = q.ingest(h, body)
+	}
+	if ok && q.cfg.ReliableLinkState {
 		q.env.Send(h.Src, wire.AppendLinkStateAck(nil, q.env.LocalID(), seq))
 	}
 }
@@ -787,14 +819,14 @@ func (q *Quorum) recruitFailover(dst int, fo *failoverState) {
 	q.stats.FailoverAttempts++
 
 	// Push our row to the new rendezvous right away, in full, for it holds
-	// none of the window; it will answer with recommendations covering dst at
-	// its next tick. The push is the row round 1 announced this tick, at its
+	// none to patch; it will answer with recommendations covering dst at its
+	// next tick. The push is the row round 1 announced this tick, at its
 	// sequence number: advancing q.seq here would trip the pending retransmit
 	// closure's seq != q.seq guard and silently cancel every outstanding
 	// round-1 retransmission in reliable mode, and a sequence number names
-	// one row, which the window's deltas rely on.
-	if msg := q.current(); msg != nil {
-		q.sendRow(q.view.IDAt(f), msg)
+	// one row, which the next delta relies on.
+	if q.row != nil {
+		q.env.Send(q.view.IDAt(f), q.row)
 		q.stats.LinkStatesSent++
 	}
 }

@@ -93,7 +93,9 @@ func newCluster(t *testing.T, n int, seed int64, algo string, qcfg QuorumConfig)
 			case wire.TRecommendation:
 				r.HandleRecommendation(h, body)
 			case wire.TLinkStateAck:
-				r.HandleLinkStateAck(h, body)
+				if q, ok := r.(*Quorum); ok {
+					q.HandleLinkStateAck(h, body)
+				}
 			}
 		})
 		c.envs = append(c.envs, env)

@@ -17,21 +17,21 @@ import (
 // the table's: a directional one (footnote 2) takes TLinkStateAsym rows and
 // announces SelfAsymRow, a symmetric one TLinkState rows and SelfRow.
 //
-// After the first row of a view a node announces deltas (wire.TLinkStateDelta):
-// the entries of its row that differ from any of the last rowWindow rows it
-// announced, the window. A receiver holding any row of the window rebuilds the
-// new row exactly; one holding none refuses the delta with a link-state ack of
-// seq 0, which no row carries, and the sender answers it at once with its
-// current row in full. One encoding per interval serves every recipient, with
-// no per-receiver state and no periodic full row.
+// The quorum sends a row after the view's first as a delta
+// (wire.TLinkStateDelta) against the row before it: the entries that changed.
+// A receiver holding that row rebuilds the new one exactly; one that does not
+// refuses the delta with a link-state ack of seq 0, which no row carries, and
+// the sender answers at once with its row in full. One encoding an interval
+// serves every recipient, with no per-receiver state and no periodic full
+// row. The full mesh, the paper's RON baseline, sends every row in full.
 //
 // The quorum, whose rendezvous pass reads each client row many times a tick,
-// writes a row or delta into the table as it arrives. The full mesh parks it
-// (park): the table admits it on arrival — so a refusal goes out at once — and
-// the costs wait in a list sized to the view's slots, written in arrival
-// order before anything reads the table (expire, bestHop, installView, Table)
-// or when the list is full. The tick's full-table pass then reads rows just
-// written, not gone cold since they arrived.
+// puts a row into the table as it arrives. The full mesh parks it (park): the
+// checked row waits in a list sized to the view's slots, and apply puts the
+// list into the table, in arrival order and with arrival times, before
+// anything reads the table (expire, bestHop, installView, Table) or when the
+// list is full. Every reader sees the table eager ingest would have built,
+// and the tick's full-table pass reads rows just written, not gone cold.
 type rowCore struct {
 	env  transport.Env
 	view *membership.ViewInfo
@@ -45,20 +45,17 @@ type rowCore struct {
 	table *lsdb.Table // rows received from peers
 	routeTable
 
-	// window holds the rows announced in this view, full and member-packed
-	// as they go on the wire, oldest first: row seq, the newest, and at most
-	// rowWindow before it. rows counts them.
-	window   []byte
-	rows     int
-	answered []uint16 // slots whose refusal was answered since the last announce
+	// row is the full row announced at seq, as it went or would go on the
+	// wire, and prev the one at seq−1; nil while the view has none.
+	row, prev []byte
+	answered  []uint16 // slots whose refusal was answered since the last announce
 
-	park   bool        // write the costs of admitted rows at the next read of the table
-	parked []parkedRow // admitted and not yet written, in arrival order
+	park   bool        // hold rows until the table is read
+	parked []parkedRow // rows ingest took and apply has not, in arrival order
 
 	costsBuf []wire.Cost // unpacked live self row (out-costs, then in-costs when directional)
 
 	viewExtends, viewRemaps uint64 // installs taken as stable extensions; re-installs gone cold
-	rowStats                RowStats
 
 	// SelfRow returns the node's current measured link-state row (owned by
 	// the prober; read synchronously). Required.
@@ -67,28 +64,6 @@ type rowCore struct {
 	// directional.
 	SelfAsymRow func() []wire.AsymEntry
 }
-
-// rowWindow is how many of its last rows a sender's delta rebuilds from: the
-// fewest routing bytes of 1, 2 and 3 on the ledger's workloads (PERF.md).
-const rowWindow = 1
-
-// RowStats counts a router's link-state rows: those it sent, and the
-// refusals it made and answered.
-type RowStats struct {
-	// Deltas counts the row datagrams sent as deltas.
-	Deltas uint64
-	// Entries counts the entries the row datagrams sent stand for, one per
-	// member a row; Carried those they carried: all of a full row's, the
-	// changed ones of a delta's. Carried/Entries is the change share
-	// bwmodel.Params reads.
-	Entries, Carried uint64
-	// Refusals counts deltas refused for want of a row in their window, and
-	// Answers refusals answered with a full row.
-	Refusals, Answers uint64
-}
-
-// RowStats returns the router's row counters.
-func (c *rowCore) RowStats() RowStats { return c.rowStats }
 
 // installView installs a view, with two outcomes. A stable extension
 // (membership.StableExtension, the only change a coordinator reign makes)
@@ -118,52 +93,29 @@ func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n 
 		c.routes = make([]route, n)
 	}
 	c.table.SetTombstones(view.Tombstones())
-	c.window, c.rows, c.answered = c.window[:0], 0, c.answered[:0]
+	c.row, c.prev, c.answered = nil, nil, c.answered[:0]
 	if c.park && cap(c.parked) != n {
 		c.parked = make([]parkedRow, 0, n)
 	}
 	return retired, stable
 }
 
-// parkedRow is an admitted row or delta waiting for apply: the entry bytes of
-// a full row or a delta's body, aliasing the delivered payload, which the Env
-// never writes again (transport.Handler).
+// parkedRow is a checked row waiting for apply. Its entry bytes alias the
+// delivered payload, which the Env never writes again (transport.Handler).
 type parkedRow struct {
-	body  []byte
-	slot  uint16
-	delta bool
+	entries []byte
+	when    int64 // arrival, Unix ns
+	seq     uint32
+	slot    uint16
 }
 
-// write writes an admitted row's costs, or parks them.
-//
-//lint:allocfree
-func (c *rowCore) write(p parkedRow, d *wire.DeltaBody) {
-	switch {
-	case c.park:
-		if len(c.parked) == cap(c.parked) {
-			c.apply()
-		}
-		c.parked = c.parked[:len(c.parked)+1]
-		c.parked[len(c.parked)-1] = p
-	case p.delta:
-		c.table.WriteDelta(int(p.slot), d)
-	default:
-		c.table.WriteWire(int(p.slot), p.body)
-	}
-}
-
-// apply writes the parked rows' costs, as write would have on arrival, and
-// empties the list, letting go of the payloads.
+// apply puts the parked rows into the table as ingest would have on arrival,
+// and empties the list, letting go of the payloads.
 //
 //lint:allocfree
 func (c *rowCore) apply() {
 	for _, p := range c.parked {
-		if p.delta {
-			d, _ := wire.LinkStateDeltaBody(p.body) // checked on arrival
-			c.table.WriteDelta(int(p.slot), &d)
-		} else {
-			c.table.WriteWire(int(p.slot), p.body)
-		}
+		c.table.PutWire(int(p.slot), p.seq, time.Unix(0, p.when), p.entries)
 	}
 	clear(c.parked)
 	c.parked = c.parked[:0]
@@ -207,103 +159,102 @@ func (c *rowCore) expire() {
 }
 
 // announce starts row seq+1, the node's measured row in the table's format
-// packed by the view's occupancy, and returns what goes on the wire: the full
-// row when it is the view's first or a delta would be no smaller — so no row
-// outgrows wire.MaxDatagram — else a delta against the window, which then
-// moves on.
+// packed by the view's occupancy, and returns it in full.
 func (c *rowCore) announce() []byte {
 	c.seq++
 	c.answered = c.answered[:0]
-	version, id, form := c.view.VersionNum(), c.env.LocalID(), wire.TLinkState
-	rowLen, members := c.table.RowBytes(), len(c.view.Members())
-	size, full := wire.LinkEntryLen, wire.LinkStateSize(members)
+	var msg []byte
 	if c.table.Directional() {
-		form, size, full = wire.TLinkStateAsym, wire.AsymEntryLen, wire.AsymLinkStateSize(members)
-	}
-	if c.rows > rowWindow {
-		c.window = append(c.window[:0], c.window[full:]...)
-		c.rows--
-	}
-	at := len(c.window)
-	if c.table.Directional() {
-		c.window = wire.AppendLinkStateAsym(c.slack(full, size), id, wire.LinkStateAsym{ViewVersion: version, Seq: c.seq, Entries: c.SelfAsymRow()})
+		msg = wire.AppendLinkStateAsym(nil, c.env.LocalID(), wire.LinkStateAsym{
+			ViewVersion: c.view.VersionNum(),
+			Seq:         c.seq,
+			Entries:     c.SelfAsymRow(),
+		})
 	} else {
-		c.window = wire.AppendLinkState(c.slack(full, size), id, wire.LinkState{ViewVersion: version, Seq: c.seq, Entries: c.SelfRow()})
+		msg = wire.AppendLinkState(nil, c.env.LocalID(), wire.LinkState{
+			ViewVersion: c.view.VersionNum(),
+			Seq:         c.seq,
+			Entries:     c.SelfRow(),
+		})
 	}
-	c.window = c.window[:at+len(wire.PackLinkState(c.window[at:], c.view.Tombstones()))]
-	c.rows++
-	entries := c.window[at+full-rowLen:]
-	changed := func(i int) bool { // entry i differs from the one in an older row
-		for r := range c.rows - 1 {
-			if !bytes.Equal(entries[i:i+size], c.window[r*full+full-rowLen+i:][:size]) {
-				return true
-			}
-		}
-		return false
+	c.prev, c.row = c.row, wire.PackLinkState(msg, c.view.Tombstones())
+	return c.row
+}
+
+// delta returns row seq, which announce built, as a delta against row seq−1
+// for the members at slots to, or nil when the view has no row before it or
+// the delta is expected to cost more bytes than the row in full. Each
+// recipient saves the row's size less the delta's; one lacks row seq−1 and
+// refuses the delta, drawing the ack and the row in full, about as often as
+// the sender's probes to it go unanswered, the loss its self-row entry reads.
+func (c *rowCore) delta(to []int) []byte {
+	if c.prev == nil {
+		return nil
 	}
+	form, size := c.form()
+	rowLen := c.table.RowBytes()
+	was, now := c.prev[len(c.prev)-rowLen:], c.row[len(c.row)-rowLen:]
 	k := 0
 	for i := 0; i < rowLen; i += size {
-		if changed(i) {
+		if !bytes.Equal(was[i:i+size], now[i:i+size]) {
 			k++
 		}
 	}
-	if c.rows == 1 || wire.LinkStateDeltaSize(members, k, size) >= full {
-		return c.current()
+	members := rowLen / size
+	saved := 100 * len(to) * (len(c.row) - wire.LinkStateDeltaSize(members, k, size))
+	if c.lossPct(to)*(wire.LinkStateAckSize+len(c.row)+2*wire.PerPacketOverhead) >= saved {
+		return nil
 	}
-	msg := wire.NewLinkStateDelta(id, version, c.seq, c.seq-uint32(c.rows-1), form, members, k)
+	msg := wire.NewLinkStateDelta(c.env.LocalID(), c.view.VersionNum(), c.seq, form, members, k)
 	k = 0
 	for i := 0; i < rowLen; i += size {
-		if changed(i) {
-			wire.PutDeltaEntry(msg, i/size, k, entries[i:i+size])
+		if !bytes.Equal(was[i:i+size], now[i:i+size]) {
+			wire.PutDeltaEntry(msg, i/size, k, now[i:i+size])
 			k++
 		}
 	}
 	return msg
 }
 
-// slack returns the window with room for one more row as encoded before
-// packing, full bytes plus an entry of size per tombstone: a view's first
-// announce sizes it for that and the rowWindow rows before it, so that it
-// never grows again in the view.
-func (c *rowCore) slack(full, size int) []byte {
-	unpacked := full + len(c.view.Tombstones())*size
-	if cap(c.window)-len(c.window) < unpacked {
-		c.window = append(make([]byte, 0, rowWindow*full+unpacked), c.window...)
+// lossPct sums the loss in percent the self row reads toward the slots to, a
+// dead link's as 100.
+func (c *rowCore) lossPct(to []int) (sum int) {
+	pct := func(status byte) int {
+		if status == wire.StatusDead {
+			return 100
+		}
+		return int(status)
 	}
-	return c.window
+	if c.table.Directional() {
+		row := c.SelfAsymRow()
+		for _, s := range to {
+			sum += pct(row[s].Status)
+		}
+		return sum
+	}
+	row := c.SelfRow()
+	for _, s := range to {
+		sum += pct(row[s].Status)
+	}
+	return sum
 }
 
-// current returns the full row at the current sequence number, the newest of
-// the window, or nil before the view's first announce.
-func (c *rowCore) current() []byte {
-	if c.rows == 0 {
-		return nil
+// form returns the table's row type and the size of its entries.
+func (c *rowCore) form() (wire.MsgType, int) {
+	if c.table.Directional() {
+		return wire.TLinkStateAsym, wire.AsymEntryLen
 	}
-	return slices.Clone(c.window[len(c.window)/c.rows*(c.rows-1):])
+	return wire.TLinkState, wire.LinkEntryLen
 }
 
-// sendRow sends a row message of any of the three row types, and counts it.
-func (c *rowCore) sendRow(to wire.NodeID, msg []byte) {
-	c.env.Send(to, msg)
-	members, carried := wire.RowCarries(msg)
-	c.rowStats.Entries += uint64(members)
-	c.rowStats.Carried += uint64(carried)
-	if wire.PeekType(msg) == wire.TLinkStateDelta {
-		c.rowStats.Deltas++
-	}
-}
-
-// answer answers a refusal — a link-state ack of seq 0 — with the current row
-// in full: once between announces, and only to a member the router sends
-// rows to (sendsTo), so that nobody draws rows it is not owed.
-func (c *rowCore) answer(h wire.Header, sendsTo func(slot int) bool) {
-	slot, ok := c.view.SlotOf(h.Src)
-	if !ok || slot == c.self || c.rows == 0 || slices.Contains(c.answered, uint16(slot)) || !sendsTo(slot) {
+// answer answers a refusal from the member src at slot with row seq in full,
+// once between announces.
+func (c *rowCore) answer(src wire.NodeID, slot int) {
+	if c.row == nil || slices.Contains(c.answered, uint16(slot)) {
 		return
 	}
 	c.answered = append(c.answered, uint16(slot))
-	c.rowStats.Answers++
-	c.sendRow(h.Src, c.current())
+	c.env.Send(src, c.row)
 }
 
 // selfCosts unpacks the live self row, in the table's row format, into
@@ -319,52 +270,53 @@ func (c *rowCore) selfCosts() (out, in []wire.Cost) {
 	return c.costsBuf, c.costsBuf
 }
 
-// ingest takes a well-formed row — another member's, in the table's format,
-// built against this view, an entry per member — or a delta of one into the
-// table (lsdb.Table.Admit), reading no body byte before the sender is known,
-// and writes or parks its costs (write). It reports the seq of every
-// well-formed row or delta the table takes or holds a newer one of. A delta
-// with no row of its window held is refused, with a link-state ack of seq 0
-// to its sender.
+// ingest scatters a well-formed row — another member's, in the table's
+// format, built against this view, an entry per member — from the wire into
+// the table, or parks it, reading no body byte before the sender is known. It
+// reports the seq of every well-formed row, whether the table keeps it or
+// holds a newer one.
 //
 //lint:allocfree
 func (c *rowCore) ingest(h wire.Header, body []byte) (seq uint32, ok bool) {
 	slot, ok := c.view.SlotOf(h.Src)
-	if !ok || slot == c.self {
-		return 0, false
-	}
-	if h.Type == wire.TLinkStateDelta {
-		return c.patch(h.Src, slot, body)
-	}
-	if (h.Type == wire.TLinkStateAsym) != c.table.Directional() {
+	if form, _ := c.form(); !ok || slot == c.self || h.Type != form {
 		return 0, false
 	}
 	version, seq, entries, err := wire.LinkStateBody(h.Type, body)
 	if err != nil || version != c.view.VersionNum() || len(entries) != c.table.RowBytes() {
 		return 0, false
 	}
-	if c.table.Admit(slot, seq, c.env.Now(), nil) == lsdb.Taken {
-		c.write(parkedRow{body: entries, slot: uint16(slot)}, nil)
+	if !c.park {
+		c.table.PutWire(slot, seq, c.env.Now(), entries)
+		return seq, true
 	}
+	if len(c.parked) == cap(c.parked) {
+		c.apply()
+	}
+	c.parked = c.parked[:len(c.parked)+1]
+	c.parked[len(c.parked)-1] = parkedRow{entries: entries, when: c.env.Now().UnixNano(), seq: seq, slot: uint16(slot)}
 	return seq, true
 }
 
-// patch is ingest for a delta from the member src at slot.
+// patch is ingest for a delta, which only the quorum sends: the table takes
+// it (lsdb.Table.PutDelta) when it holds the row before it, and refuses it,
+// with a link-state ack of seq 0 to the sender, when it does not. It reports
+// the seq of every well-formed delta the table takes or holds a newer row
+// than.
 //
 //lint:allocfree
-func (c *rowCore) patch(src wire.NodeID, slot int, body []byte) (seq uint32, ok bool) {
-	d, err := wire.LinkStateDeltaBody(body)
-	if err != nil || d.ViewVersion != c.view.VersionNum() || (d.Form == wire.TLinkStateAsym) != c.table.Directional() ||
-		d.Members*d.EntryLen() != c.table.RowBytes() {
+func (c *rowCore) patch(h wire.Header, body []byte) (seq uint32, ok bool) {
+	slot, ok := c.view.SlotOf(h.Src)
+	if !ok || slot == c.self {
 		return 0, false
 	}
-	switch c.table.Admit(slot, d.Seq, c.env.Now(), &d) {
-	case lsdb.Refused:
-		c.rowStats.Refusals++
-		c.env.Send(src, wire.AppendLinkStateAck(nil, c.env.LocalID(), 0))
+	d, err := wire.LinkStateDeltaBody(body)
+	if form, _ := c.form(); err != nil || d.ViewVersion != c.view.VersionNum() || d.Form != form || d.Members*d.EntryLen() != c.table.RowBytes() {
 		return 0, false
-	case lsdb.Taken:
-		c.write(parkedRow{body: body, slot: uint16(slot), delta: true}, &d)
+	}
+	if c.table.PutDelta(slot, c.env.Now(), &d) == lsdb.Refused {
+		c.env.Send(h.Src, wire.AppendLinkStateAck(nil, c.env.LocalID(), 0))
+		return 0, false
 	}
 	return d.Seq, true
 }
@@ -396,7 +348,7 @@ func (c *rowCore) bestHop(dst int, alive func(slot int) bool) (RouteEntry, bool)
 	return RouteEntry{Hop: -1, Cost: wire.InfCost}, false
 }
 
-// Table exposes the received-rows database (read-only), parked rows written.
+// Table exposes the received-rows database (read-only), parked rows applied.
 func (c *rowCore) Table() *lsdb.Table {
 	c.apply()
 	return c.table

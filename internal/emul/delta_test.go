@@ -49,10 +49,7 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 			}
 			announced := map[[2]int]costs{}
 			latest := make([]costs, n) // the costs of each node's last SelfRow call
-			routers := make([]interface {
-				Table() *lsdb.Table
-				RowStats() core.RowStats
-			}, n)
+			routers := make([]interface{ Table() *lsdb.Table }, n)
 			for i, node := range f.Nodes {
 				switch r := node.Router().(type) {
 				case *core.Quorum:
@@ -80,6 +77,11 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 			}
 			account := f.Net.OnSend
 			mismatched := 0
+			// deltas, refused and answers count the deltas sent, the refusals
+			// (link-state acks of seq 0) and the full rows sent at a seq sent
+			// as a delta: refusals answered, and failover pushes.
+			deltas, refused, answers := 0, 0, 0
+			sentDelta := map[[2]int]bool{}
 			f.Net.OnSend = func(from, to int, p []byte) {
 				account(from, to, p)
 				h, body, err := wire.ParseHeader(p)
@@ -89,12 +91,19 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 				var seq uint32
 				var got costs
 				switch h.Type {
+				case wire.TLinkStateAck:
+					if seq, err := wire.ParseLinkStateAck(body); err == nil && seq == 0 {
+						refused++
+					}
+					return
 				case wire.TLinkStateDelta:
 					d, err := wire.LinkStateDeltaBody(body)
 					if err != nil {
 						t.Fatalf("node %d sent a malformed delta: %v", from, err)
 					}
 					seq, got = d.Seq, latest[from]
+					deltas++
+					sentDelta[[2]int{from, int(seq)}] = true
 				case wire.TLinkState, wire.TLinkStateAsym:
 					var entries []byte
 					_, seq, entries, err = wire.LinkStateBody(h.Type, body)
@@ -102,6 +111,9 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 						t.Fatalf("node %d sent a malformed row: %v", from, err)
 					}
 					got = wireCosts(h.Type, entries)
+					if sentDelta[[2]int{from, int(seq)}] {
+						answers++
+					}
 				default:
 					return
 				}
@@ -133,14 +145,9 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 					}
 				}
 			}
-			var st core.RowStats
-			for _, r := range routers {
-				s := r.RowStats()
-				st.Deltas, st.Refusals, st.Answers = st.Deltas+s.Deltas, st.Refusals+s.Refusals, st.Answers+s.Answers
-			}
-			t.Logf("%d held rows checked; %d deltas sent, %d refused, %d refusals answered", checks, st.Deltas, st.Refusals, st.Answers)
-			if checks == 0 || st.Deltas == 0 || st.Refusals == 0 || st.Answers == 0 {
-				t.Errorf("%d rows checked, %d deltas, %d refusals, %d answers: the run exercised too little", checks, st.Deltas, st.Refusals, st.Answers)
+			t.Logf("%d held rows checked; %d deltas sent, %d refused, %d full rows sent at a delta's seq", checks, deltas, refused, answers)
+			if checks == 0 || (tc.algo == overlay.AlgQuorum && (deltas == 0 || refused == 0 || answers == 0)) {
+				t.Errorf("%d rows checked, %d deltas, %d refusals, %d answers: the run exercised too little", checks, deltas, refused, answers)
 			}
 		})
 	}
@@ -163,4 +170,47 @@ func wireCosts(t wire.MsgType, entries []byte) costs {
 		row[i] = wire.LinkEntryAt(entries, i)
 	}
 	return costs{lsdb.UnpackCosts(nil, row), lsdb.UnpackCosts(nil, row)}
+}
+
+// TestLossyLinksTakeFullRows runs 25-node quorum fleets for ten minutes on
+// links that drop a given share of datagrams, as BenchmarkAblationStaleness
+// does, and counts the row encodings sent in the last five. A delta is
+// refused whenever the row before it was lost, and its refusal and answer
+// are lost as often, so on links as lossy as the ablations' (25 and 30 %)
+// the senders' measured loss must turn nearly every row into a full one; on
+// nearly clean links most rows go as deltas.
+func TestLossyLinksTakeFullRows(t *testing.T) {
+	for _, tc := range []struct {
+		loss     float64
+		min, max float64 // bounds on the share of rows sent as deltas
+	}{
+		{0.01, 0.9, 1},
+		{0.25, 0, 0.01},
+		{0.30, 0, 0.01},
+	} {
+		const n = 25
+		env := traces.Generate(n, 6, traces.Config{BadNodeFrac: 0.0001})
+		for a := range n {
+			for b := range n {
+				if a != b {
+					env.Loss[a][b] = tc.loss
+				}
+				env.DownFrac[a][b] = 0
+			}
+		}
+		f := NewFleet(FleetOptions{N: n, Algorithm: overlay.AlgQuorum, Seed: 6, Env: env, Quorum: core.QuorumConfig{Interval: 15 * time.Second}})
+		f.Run(5 * time.Minute)
+		rows := map[wire.MsgType]int{}
+		account := f.Net.OnSend
+		f.Net.OnSend = func(from, to int, p []byte) {
+			account(from, to, p)
+			rows[wire.PeekType(p)]++
+		}
+		f.Run(5 * time.Minute)
+		share := float64(rows[wire.TLinkStateDelta]) / float64(rows[wire.TLinkStateDelta]+rows[wire.TLinkState])
+		t.Logf("loss %.2f: %d deltas, %d full rows, %d acks", tc.loss, rows[wire.TLinkStateDelta], rows[wire.TLinkState], rows[wire.TLinkStateAck])
+		if share < tc.min || share > tc.max {
+			t.Errorf("links at %.0f %% loss: %.3f of the rows went as deltas, want %.2f–%.2f", 100*tc.loss, share, tc.min, tc.max)
+		}
+	}
 }

@@ -63,12 +63,9 @@ func TestFig1ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig9QuorumBeatsFullMesh(t *testing.T) {
-	// At 169 nodes and beyond, the quorum algorithm must use noticeably less
-	// routing bandwidth; shapes per Figure 9. Both routers send rows as
-	// deltas, which on this failure-free plane carry almost no entries, so
-	// the quorum's recommendations keep it above the full mesh up to 81
-	// nodes (TestBandwidthLaw's crossover, on lossy links, is at 36–64).
-	n := 169
+	// At 49 nodes and beyond, the quorum algorithm must use noticeably less
+	// routing bandwidth; shapes per Figure 9.
+	n := 49
 	warm, meas := 90*time.Second, 3*time.Minute
 	mesh := Fig9Point(n, overlay.AlgFullMesh, 2, warm, meas)
 	quorum := Fig9Point(n, overlay.AlgQuorum, 2, warm, meas)

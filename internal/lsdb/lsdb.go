@@ -65,7 +65,7 @@ type slotMeta struct {
 	when int64 // Unix ns the row was received or refreshed
 	seq  uint32
 	have bool // the slot has announced a row
-	held bool // its costs are stored, or will be once the owner writes them (Admit)
+	held bool // its costs are stored: a delta can patch them (PutDelta)
 }
 
 // NewTable returns an empty symmetric table for an n-slot view.
@@ -131,46 +131,23 @@ func (t *Table) freshAt(slot int, now int64, maxAge time.Duration) bool {
 	return m.have && time.Duration(now-m.when) <= maxAge
 }
 
-// accept is Admit for a full row of rowLen entries.
+// accept decides whether a rowLen-entry announcement (seq, when) for slot may
+// replace what the table holds, and if so records it as the slot's stored row,
+// for the caller to unpack the costs: lower sequence numbers are rejected, as
+// are equal-sequence rows whose When is older than the stored one, so a
+// delayed duplicate can never roll back a refreshed timestamp.
 //
 //lint:allocfree
 func (t *Table) accept(slot, rowLen int, seq uint32, when time.Time) bool {
-	return slot >= 0 && slot < t.n && rowLen == t.n && t.Admit(slot, seq, when, nil) == Taken
-}
-
-// Take is what Admit made of an announcement.
-type Take uint8
-
-// Take outcomes.
-const (
-	// Taken: recorded as the slot's stored row, whose costs the owner writes
-	// (WriteWire, WriteDelta) before anything reads them.
-	Taken Take = iota
-	// Stale: not newer than the stored row, and dropped.
-	Stale
-	// Refused: a delta with no row of its window held to rebuild from — none,
-	// one released by Expire, or one older than its Base.
-	Refused
-)
-
-// Admit decides whether slot's announcement at seq, received at when — a full
-// row, or the delta d — may replace what the table holds, and if so records
-// it as the slot's stored row. A full row below the stored sequence number is
-// stale, as is one at it received earlier, so a delayed duplicate can never
-// roll back a refreshed timestamp; a delta at or below it is stale. A delta
-// is refused unless the stored row is one of its window, held.
-//
-//lint:allocfree
-func (t *Table) Admit(slot int, seq uint32, when time.Time, d *wire.DeltaBody) Take {
+	if slot < 0 || slot >= t.n || rowLen != t.n {
+		return false
+	}
 	m, ns := &t.meta[slot], when.UnixNano()
-	switch {
-	case m.have && (seq < m.seq || (seq == m.seq && (d != nil || ns < m.when))):
-		return Stale
-	case d != nil && (!m.held || m.seq < d.Base):
-		return Refused
+	if m.have && (seq < m.seq || (seq == m.seq && ns < m.when)) {
+		return false
 	}
 	*m = slotMeta{when: ns, seq: seq, have: true, held: true}
-	return Taken
+	return true
 }
 
 // Put stores a symmetric row for slot if it is not older than what the table
@@ -203,39 +180,51 @@ func (t *Table) RowBytes() int {
 
 // PutWire is Put, on a directional table as well, for a member-packed row
 // still in wire form: entries are the entry bytes wire.LinkStateBody returned,
-// RowBytes of them, written by WriteWire, so refreshing a row allocates
-// nothing. The routers admit and write in two steps; this is the one-step
-// reference their tests build tables with.
+// RowBytes of them, and are scattered straight into the slot-indexed stored
+// row, tombstones reading InfCost, so refreshing a row allocates nothing.
 //
 //lint:allocfree
-//lint:testonly TestParkedRowsAreUnobservable and TestDeltasAreLossless (core) build reference tables
 func (t *Table) PutWire(slot int, seq uint32, when time.Time, entries []byte) bool {
 	if len(entries) != t.RowBytes() || !t.accept(slot, t.n, seq, when) {
 		return false
 	}
-	t.WriteWire(slot, entries)
-	return true
-}
-
-// WriteWire writes the costs of slot's admitted full row: its entries,
-// RowBytes of them, are scattered straight into the slot-indexed stored row,
-// tombstones reading InfCost.
-//
-//lint:allocfree
-func (t *Table) WriteWire(slot int, entries []byte) {
 	if t.Directional() {
 		asymLinkCosts(t.out.rowFor(slot), t.in.rowFor(slot), entries, t.tombstones)
 	} else {
 		linkCosts(t.out.rowFor(slot), entries, t.tombstones)
 	}
+	return true
 }
 
-// WriteDelta writes slot's admitted delta, whose form and member count the
-// owner has checked against the table's: the changed entries are scattered
-// over the held costs, which then read as row d.Seq exactly.
+// Take is what PutDelta made of a delta.
+type Take uint8
+
+// Take outcomes.
+const (
+	// Taken: stored, the slot's row now d.Seq.
+	Taken Take = iota
+	// Stale: at or below the stored sequence number, a duplicate, and dropped.
+	Stale
+	// Refused: the row before it, d.Seq−1, is not held — never received,
+	// released by Expire, or overtaken by a lost row — so it cannot be rebuilt.
+	Refused
+)
+
+// PutDelta stores slot's delta d, received at when, whose form and member
+// count the caller has checked against the table's: when the stored row is
+// d.Seq−1 and held, the changed entries are scattered over its costs, which
+// then read as row d.Seq exactly, tombstones skipped.
 //
 //lint:allocfree
-func (t *Table) WriteDelta(slot int, d *wire.DeltaBody) {
+func (t *Table) PutDelta(slot int, when time.Time, d *wire.DeltaBody) Take {
+	m := &t.meta[slot]
+	switch {
+	case m.have && d.Seq <= m.seq:
+		return Stale
+	case !m.held || m.seq != d.Seq-1:
+		return Refused
+	}
+	*m = slotMeta{when: when.UnixNano(), seq: d.Seq, have: true, held: true}
 	out, in, entries := t.out.rowFor(slot), t.in.rowFor(slot), d.Entries()
 	prefetch(out) // the changed entries are spread over the row: fetch its lines at once
 	k, e := 0, 0  // tombstones below the member's slot; changed entries read
@@ -254,6 +243,7 @@ func (t *Table) WriteDelta(slot int, d *wire.DeltaBody) {
 			e++
 		}
 	}
+	return Taken
 }
 
 // linkCosts unpacks the entry bytes wire.LinkStateBody returned into row, one
@@ -308,7 +298,8 @@ func (t *Table) FreshSlots(dst []int, now time.Time, maxAge time.Duration) []int
 // be at least the largest age any reader passes to FreshAt or a kernel: such a
 // row reads as absent and is fresh for nobody, so nothing can tell. Its have,
 // seq and when stay — they refuse a delayed lower-sequence duplicate, which
-// would otherwise be stored as new and stamped fresh. Everyone who ever
+// would otherwise be stored as new and stamped fresh — but a delta finds no
+// row to patch (PutDelta). Everyone who ever
 // recruited a node as a failover rendezvous (§4.1) sent it a row; without this
 // rule it holds them for good and §3's 2√n rows per node drift toward n.
 func (t *Table) Expire(now time.Time, maxAge time.Duration) {

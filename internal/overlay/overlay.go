@@ -246,8 +246,8 @@ func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 			}
 		}
 	case wire.TLinkStateAck:
-		if n.router != nil {
-			n.router.HandleLinkStateAck(h, body)
+		if q, ok := n.router.(*core.Quorum); ok {
+			q.HandleLinkStateAck(h, body)
 		}
 	case wire.THeartbeatAck, wire.TViewChunk, wire.TGossipDelta,
 		wire.TViewPull, wire.TViewPullReply:

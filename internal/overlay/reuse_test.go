@@ -22,8 +22,8 @@ import (
 // attribute anything of A's to B (inheritsNothing).
 //
 // Four gates keep it so, and removing any one of them fails this test: the
-// view-version checks on rows (rowCore.ingest; a delta of A's finds no row of
-// its window once the slot is retired) and on recommendations
+// view-version checks on rows (rowCore.ingest; a delta of A's finds no row
+// before it held once the slot is retired) and on recommendations
 // (Quorum.HandleRecommendation), the probe reply's match against the slot's
 // current ID and awaited seq (Prober.HandleReply), and
 // membership.StableExtension retiring a slot whose occupant changed.

@@ -10,7 +10,7 @@ import (
 // ascending.
 type LinkStateDelta struct {
 	ViewVersion uint32
-	Seq, Base   uint32
+	Seq         uint32
 	Form        MsgType
 	Members     int
 	Changed     []int
@@ -20,7 +20,7 @@ type LinkStateDelta struct {
 // AppendLinkStateDelta encodes d with its header.
 func AppendLinkStateDelta(b []byte, src NodeID, d LinkStateDelta) []byte {
 	at := len(b)
-	b = append(b, NewLinkStateDelta(src, d.ViewVersion, d.Seq, d.Base, d.Form, d.Members, len(d.Changed))...)
+	b = append(b, NewLinkStateDelta(src, d.ViewVersion, d.Seq, d.Form, d.Members, len(d.Changed))...)
 	size := entryLen(d.Form)
 	for k, i := range d.Changed {
 		PutDeltaEntry(b[at:], i, k, d.Entries[k*size:][:size])
@@ -34,7 +34,7 @@ func ParseLinkStateDelta(body []byte) (LinkStateDelta, error) {
 	if err != nil {
 		return LinkStateDelta{}, err
 	}
-	ld := LinkStateDelta{ViewVersion: d.ViewVersion, Seq: d.Seq, Base: d.Base, Form: d.Form, Members: d.Members,
+	ld := LinkStateDelta{ViewVersion: d.ViewVersion, Seq: d.Seq, Form: d.Form, Members: d.Members,
 		Changed: make([]int, 0, d.Changed), Entries: slices.Clone(d.entries)}
 	for i, w := range d.Bitmap() {
 		for ; w != 0; w &= w - 1 {

@@ -207,29 +207,27 @@ func LinkStateSize(n int) int { return HeaderLen + linkStateFixed + LinkEntryLen
 
 // A link-state delta (TLinkStateDelta) is a link-state row sent as the
 // entries that changed: row Seq of its form, a TLinkState or a TLinkStateAsym
-// row of a view's members, member-packed, rebuilt from any row Base…Seq−1 of
-// the sender's in the same view by writing its entries over the changed
-// members' of that row. Every other entry equals the one in each of those
-// rows, so the delta is lossless against whichever the receiver holds.
+// row of a view's members, member-packed, rebuilt from the sender's row Seq−1
+// in the same view by writing its entries over the changed members' of that
+// row.
 //
-// The body is the view version, Seq and Base (4 bytes each), the form's type
-// byte, the member count and the changed count (2 bytes each), a bitmap of
+// The body is the view version and Seq (4 bytes each), the form's type byte,
+// the member count and the changed count (2 bytes each), a bitmap of
 // ⌈members/8⌉ bytes whose bit i (least significant first) marks member i
 // changed and whose bits past the members are zero, and the changed entries
 // in the form's encoding, in member order. The header and bitmap fix the
 // length, so no cut goes unseen.
 
 // deltaFixed is the encoded size of a delta's fields before its bitmap.
-const deltaFixed = 4 + 4 + 4 + 1 + 2 + 2
+const deltaFixed = 4 + 4 + 1 + 2 + 2
 
 // NewLinkStateDelta returns a whole delta message from src, of changed
 // entries over a row of members, allocated once at its final size for
 // PutDeltaEntry to fill.
-func NewLinkStateDelta(src NodeID, viewVersion, seq, base uint32, form MsgType, members, changed int) []byte {
+func NewLinkStateDelta(src NodeID, viewVersion, seq uint32, form MsgType, members, changed int) []byte {
 	b := AppendHeader(make([]byte, 0, LinkStateDeltaSize(members, changed, entryLen(form))), TLinkStateDelta, src)
 	b = binary.BigEndian.AppendUint32(b, viewVersion)
 	b = binary.BigEndian.AppendUint32(b, seq)
-	b = binary.BigEndian.AppendUint32(b, base)
 	b = append(b, byte(form))
 	b = binary.BigEndian.AppendUint16(b, uint16(members))
 	b = binary.BigEndian.AppendUint16(b, uint16(changed))
@@ -243,16 +241,15 @@ func NewLinkStateDelta(src NodeID, viewVersion, seq, base uint32, form MsgType, 
 //lint:allocfree
 func PutDeltaEntry(msg []byte, i, k int, entry []byte) {
 	body := msg[HeaderLen:]
-	members := int(binary.BigEndian.Uint16(body[13:]))
+	members := int(binary.BigEndian.Uint16(body[9:]))
 	body[deltaFixed+i/8] |= 1 << (i % 8)
 	copy(body[deltaFixed+bitmapLen(members)+k*len(entry):], entry)
 }
 
 // DeltaBody is a delta body LinkStateDeltaBody accepted, read in place.
 type DeltaBody struct {
-	ViewVersion uint32
-	Seq, Base   uint32
-	Form        MsgType
+	ViewVersion, Seq uint32
+	Form             MsgType
 	// Members is the row's entry count, Changed how many the bitmap marks.
 	Members, Changed int
 
@@ -279,7 +276,7 @@ func (d *DeltaBody) Bitmap() []byte { return d.bitmap }
 func (d *DeltaBody) Entries() []byte { return d.entries }
 
 // LinkStateDeltaBody checks the framing of a delta body — a row type for
-// form, a window below Seq, a bitmap with no bit past Members that marks as
+// form, a row before Seq, a bitmap with no bit past Members that marks as
 // many entries as the count says and the body carries — and returns it for
 // reading in place. Its errors are bare, so that a refusal allocates nothing.
 //
@@ -291,12 +288,11 @@ func LinkStateDeltaBody(body []byte) (DeltaBody, error) {
 	d := DeltaBody{
 		ViewVersion: binary.BigEndian.Uint32(body),
 		Seq:         binary.BigEndian.Uint32(body[4:]),
-		Base:        binary.BigEndian.Uint32(body[8:]),
-		Form:        MsgType(body[12]),
-		Members:     int(binary.BigEndian.Uint16(body[13:])),
-		Changed:     int(binary.BigEndian.Uint16(body[15:])),
+		Form:        MsgType(body[8]),
+		Members:     int(binary.BigEndian.Uint16(body[9:])),
+		Changed:     int(binary.BigEndian.Uint16(body[11:])),
 	}
-	if (d.Form != TLinkState && d.Form != TLinkStateAsym) || d.Base >= d.Seq {
+	if (d.Form != TLinkState && d.Form != TLinkStateAsym) || d.Seq == 0 {
 		return DeltaBody{}, ErrBadDelta
 	}
 	rest := body[deltaFixed:]
@@ -322,18 +318,6 @@ func LinkStateDeltaBody(body []byte) (DeltaBody, error) {
 // overhead.
 func LinkStateDeltaSize(members, changed, entryLen int) int {
 	return HeaderLen + deltaFixed + bitmapLen(members) + changed*entryLen
-}
-
-// RowCarries reads a row message of any of the three row types: the entries
-// it stands for, one per member, and those it carries — all of a full row's,
-// the changed ones of a delta's.
-func RowCarries(msg []byte) (members, carried int) {
-	body := msg[HeaderLen:]
-	if PeekType(msg) == TLinkStateDelta {
-		return int(binary.BigEndian.Uint16(body[13:])), int(binary.BigEndian.Uint16(body[15:]))
-	}
-	n := int(binary.BigEndian.Uint16(body[8:]))
-	return n, n
 }
 
 // RecEntry is one best-hop recommendation: for destination Dst, forward via
@@ -623,7 +607,13 @@ func AsymEntryAt(entries []byte, i int) AsymEntry {
 
 // AsymLinkStateSize returns the encoded payload size of an asymmetric row
 // over n nodes, excluding per-packet overhead.
+//
+//lint:testonly TestLinkStateRowsCarryMembers (emul) sizes directional rows
 func AsymLinkStateSize(n int) int { return HeaderLen + linkStateFixed + AsymEntryLen*n }
+
+// LinkStateAckSize is the encoded payload size of a link-state ack, excluding
+// per-packet overhead.
+const LinkStateAckSize = HeaderLen + 4
 
 // AppendLinkStateAck encodes an acknowledgment of the link-state row with
 // the given sequence number (the §6.2.2 reliability option: "making

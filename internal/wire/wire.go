@@ -66,7 +66,7 @@ const (
 	// Routing plane.
 	TLinkState      // round-1 link-state row (also the full-mesh broadcast)
 	TRecommendation // round-2 best-hop recommendations
-	TLinkStateDelta // a link-state row as the entries that changed since the sender's recent rows
+	TLinkStateDelta // a link-state row as the entries that changed since the sender's previous row
 	TLinkStateAsym  // round-1 row with both directed costs (footnote 2)
 	TLinkStateAck   // acknowledgment for reliable row delivery (§6.2.2 option)
 
@@ -226,7 +226,7 @@ var (
 	// is unknown: its named entries carry no destination.
 	ErrRunForm = errors.New("wire: recommendation names destinations by the receiver's run")
 	// ErrBadDelta refuses a link-state delta whose form is no row type or
-	// whose window is empty (Base not below Seq).
+	// whose Seq is 0, which has no row before it.
 	ErrBadDelta = errors.New("wire: link-state delta patches no row")
 )
 

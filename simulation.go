@@ -167,19 +167,6 @@ func (s *Simulation) RoutingKbps() float64 {
 	return metrics.Kbps(total, s.Elapsed()) / float64(s.N())
 }
 
-// RowChangeShare returns the share of their entries the link-state rows sent
-// since the simulation started carried: all of a full row's, the changed ones
-// of a delta's. It is the change share of the bandwidth model
-// (bwmodel.Params.Changed).
-func (s *Simulation) RowChangeShare() float64 {
-	var entries, carried uint64
-	for _, n := range s.fleet.Nodes {
-		st := n.Router().RowStats()
-		entries, carried = entries+st.Entries, carried+st.Carried
-	}
-	return float64(carried) / float64(max(entries, 1))
-}
-
 // ProbingKbps returns the average per-node probing-plane bandwidth (in +
 // out) in Kbps since the simulation started.
 func (s *Simulation) ProbingKbps() float64 {
