@@ -32,7 +32,7 @@ func TestDeploymentFreshnessGolden(t *testing.T) {
 			}
 		}
 	}
-	const want = "e81fb8385d963325"
+	const want = "af96ac33e04a9101"
 	if got := fmt.Sprintf("%x", h.Sum(nil))[:16]; got != want {
 		t.Errorf("freshness hash = %s, want %s", got, want)
 	}

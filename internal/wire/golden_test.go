@@ -55,9 +55,9 @@ func TestEncodingsGolden(t *testing.T) {
 		{"link-state-asym", AppendLinkStateAsym(nil, src, LinkStateAsym{ViewVersion: 8, Seq: 9, Entries: []AsymEntry{
 			{Out: 20, In: 35, Status: 4},
 		}}), "0601020000000800000009000100140023" + "04"},
-		{"link-state-delta", AppendLinkStateDelta(nil, src, LinkStateDelta{ViewVersion: 8, Seq: 9, Base: 7, Form: TLinkState, Members: 10,
+		{"link-state-delta", AppendLinkStateDelta(nil, src, LinkStateDelta{ViewVersion: 8, Seq: 9, Form: TLinkState, Members: 10,
 			Changed: []int{1, 9}, Entries: []byte{0x01, 0xc2, 0x0c, 0xff, 0xff, 0xff}}),
-			"050102000000080000000900000007" + "03000a0002" + "0202" + "01c20c" + "ffffff"},
+			"0501020000000800000009" + "03000a0002" + "0202" + "01c20c" + "ffffff"},
 		{"link-state-ack", AppendLinkStateAck(nil, src, 0x01020304), "07010201020304"},
 		{"join", AppendJoin(nil, Join{Addr: members[0].Addr}), "08ffff0a0000071137"},
 		{"leave", AppendLeave(nil, src), "0a0102"},
