@@ -31,18 +31,18 @@ func TestBandwidthLaw(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			share := changeShare(sim.fleet.Net)
+			shares := rowShares(sim.fleet.Net)
 			sim.Run(measured)
 			kbps[i] = sim.RoutingKbps()
-			at := bwmodel.Params{Changed: share()}
+			at := shares()
 			model := at.QuorumRouting(n)
 			if alg == FullMesh {
 				model = at.FullMeshRouting(n)
 			}
 			r := kbps[i] * 1000 / model
-			t.Logf("n=%d %v: routing %.3f kbps, %.4f× the model at change share %.4f", n, alg, kbps[i], r, at.Changed)
+			t.Logf("n=%d %v: routing %.3f kbps, %.4f× the model at %.4f of the rows as deltas, %.4f of them quiet, change share %.4f", n, alg, kbps[i], r, at.Deltas, at.Quiet, at.Changed)
 			if math.Abs(r-1) > 0.03 {
-				t.Errorf("n=%d %v: routing %.3f kbps is %.3f× the model's %.3f at change share %.4f", n, alg, kbps[i], r, model/1000, at.Changed)
+				t.Errorf("n=%d %v: routing %.3f kbps is %.3f× the model's %.3f at %.4f of the rows as deltas, %.4f of them quiet, change share %.4f", n, alg, kbps[i], r, model/1000, at.Deltas, at.Quiet, at.Changed)
 			}
 			if alg == Quorum {
 				// The paper's 49.1·n is four 46-byte packets per peer per
@@ -86,11 +86,11 @@ func TestBandwidthLaw(t *testing.T) {
 
 	// Under churn the grid spans slots, members and the tombstones of
 	// departed ones, while the model counts members: the churned ratio, at the
-	// run's change share, reads how many tombstones the grid still spans. It
+	// run's row shares, reads how many tombstones the grid still spans. It
 	// is an exact count of one seeded run, so any drift is a change of
 	// behaviour. Most of what is left above 1 is crashed members, who hold
 	// their seats until their lease runs out.
-	const want = 1.092
+	const want = 1.113
 	if r := churnedRoutingVsModel(t); math.Abs(r-want) > 0.002 {
 		t.Errorf("churned quorum: routing is %.4f× the model at the mean member count, want %.3f", r, want)
 	}
@@ -100,7 +100,7 @@ func TestBandwidthLaw(t *testing.T) {
 // Poisson churn — every minute a tenth of the members leave or crash and as
 // many join, on the two-minute lease of the churn workloads — and returns its
 // routing bytes per member over bwmodel.Params' prediction at the mean member
-// count and at the change share of the rows it sent meanwhile.
+// count and at the shares of the rows it sent meanwhile (rowShares).
 func churnedRoutingVsModel(t *testing.T) float64 {
 	t.Helper()
 	const (
@@ -125,7 +125,7 @@ func churnedRoutingVsModel(t *testing.T) float64 {
 		Coordinator: membership.CoordinatorConfig{Timeout: 2 * time.Minute, Sweep: 15 * time.Second, Coalesce: time.Second},
 	})
 	f.Run(3 * time.Minute)
-	changed := changeShare(f.Net)
+	shares := rowShares(f.Net)
 	routing := func() (sum uint64) {
 		for ep := range f.Col.N() {
 			sum += f.Col.TotalBytes(ep, wire.CatRouting)
@@ -151,17 +151,18 @@ func churnedRoutingVsModel(t *testing.T) float64 {
 	}
 	mean := float64(members) / (2 * minutes)
 	perMember := metrics.Kbps(routing()-before, minutes*time.Minute) / mean
-	share := changed()
-	t.Logf("churned: %.3f kbps per member, %.1f members on average, %d slots at the end, change share %.4f", perMember, mean, len(f.Primary().Members()), share)
-	return perMember * 1000 / bwmodel.Params{Changed: share}.QuorumRouting(int(mean+0.5))
+	at := shares()
+	t.Logf("churned: %.3f kbps per member, %.1f members on average, %d slots at the end, %.4f of the rows as deltas, %.4f of them quiet, change share %.4f",
+		perMember, mean, len(f.Primary().Members()), at.Deltas, at.Quiet, at.Changed)
+	return perMember * 1000 / at.QuorumRouting(int(mean+0.5))
 }
 
-// changeShare hooks the link-state rows net sends from now on and returns
-// the share of their entries they carry, one entry per member a row: all of
-// a full row's, the changed ones of a delta's. It is the change share
-// bwmodel.Params reads.
-func changeShare(net *simnet.Network) func() float64 {
-	var entries, carried int
+// rowShares hooks the link-state rows net sends from now on and returns the
+// model's parameters for them: the share of the rows that went as deltas, the
+// share of those that carried no entry, and the share of a delta's entries
+// that changed, one entry per member a row.
+func rowShares(net *simnet.Network) func() bwmodel.Params {
+	var rows, deltas, quiet, entries, changed int
 	account := net.OnSend
 	net.OnSend = func(from, to int, p []byte) {
 		account(from, to, p)
@@ -170,11 +171,19 @@ func changeShare(net *simnet.Network) func() float64 {
 		case err != nil:
 		case h.Type == wire.TLinkStateDelta:
 			d, _ := wire.LinkStateDeltaBody(body)
-			entries, carried = entries+d.Members, carried+d.Changed
+			rows, deltas, entries, changed = rows+1, deltas+1, entries+d.Members, changed+d.Changed
+			if d.Changed == 0 {
+				quiet++
+			}
 		case h.Type == wire.TLinkState:
-			_, _, row, _ := wire.LinkStateBody(h.Type, body)
-			entries, carried = entries+len(row)/wire.LinkEntryLen, carried+len(row)/wire.LinkEntryLen
+			rows++
 		}
 	}
-	return func() float64 { return float64(carried) / float64(max(entries, 1)) }
+	return func() bwmodel.Params {
+		return bwmodel.Params{
+			Deltas:  float64(deltas) / float64(max(rows, 1)),
+			Quiet:   float64(quiet) / float64(max(deltas, 1)),
+			Changed: float64(changed) / float64(max(entries, 1)),
+		}
+	}
 }

@@ -63,12 +63,15 @@ type Params struct {
 	// Overhead is the per-packet overhead in bytes (default
 	// wire.PerPacketOverhead).
 	Overhead int
-	// Changed, when positive, is the share of their entries the quorum's
-	// rows carry — all of a full row's, the changed ones of a delta's: a row
-	// travels as a link-state delta of that share of its entries and a bitmap
-	// over all of them, or in full when that is no smaller. Zero models every
-	// row in full, the paper's law. The full mesh sends every row in full.
-	Changed float64
+	// Deltas, when positive, is the share of the quorum's rows that travel as
+	// link-state deltas, Quiet the share of those deltas that carry no entry,
+	// and Changed the share of a delta's entries that changed, over all the
+	// deltas. A delta carries its changed entries and their marks in the
+	// shorter of its two forms (wire.LinkStateDeltaSize); the changes fall
+	// evenly on the deltas that are not quiet. Every other row goes in full.
+	// Zero Deltas models every row in full, the paper's law. The full mesh
+	// sends every row in full.
+	Deltas, Quiet, Changed float64
 }
 
 func (p *Params) fill() {
@@ -103,8 +106,19 @@ func (p Params) QuorumRouting(n int) float64 {
 	k := QuorumDegree(n)
 	rec := float64(wire.RecommendationRunSize(k, k, 0) + p.Overhead)
 	row := float64(wire.LinkStateSize(n))
-	if p.Changed > 0 {
-		row = min(row, float64(wire.LinkStateDeltaSize(n, 0, wire.LinkEntryLen))+p.Changed*float64(n*wire.LinkEntryLen))
+	if p.Deltas > 0 {
+		// A fractional count of changed entries is priced between the sizes
+		// of the deltas carrying the whole counts on either side of it.
+		size := func(c float64) float64 {
+			at := func(c int) float64 { return float64(wire.LinkStateDeltaSize(n, c, wire.LinkEntryLen)) }
+			lo := int(c)
+			return at(lo) + (c-float64(lo))*(at(lo+1)-at(lo))
+		}
+		delta := size(0) // a quiet one
+		if p.Quiet < 1 {
+			delta += (1 - p.Quiet) * (size(p.Changed*float64(n)/(1-p.Quiet)) - delta)
+		}
+		row += p.Deltas * (delta - row)
 	}
 	row += float64(p.Overhead)
 	perInterval := 2*float64(k)*row + 2*float64(k)*rec

@@ -32,9 +32,17 @@ func (e *mailEnv) Send(to wire.NodeID, msg []byte) {
 	*e.box = append(*e.box, mail{from: e.id, to: to, msg: msg})
 }
 
-// deltaView is the delta tests' view: ten slots, slot 4 a tombstone.
-func deltaView(t *testing.T) *membership.ViewInfo {
-	return slotView(t, 5, 0, 1, 2, 3, wire.NilNode, 5, 6, 7, 8, 9)
+// deltaView is the delta tests' view at version: IDs 0 to slots−1 at their
+// own slots, slot 4 a tombstone unless full.
+func deltaView(t *testing.T, version uint32, slots int, full bool) *membership.ViewInfo {
+	ids := make([]wire.NodeID, slots)
+	for i := range ids {
+		ids[i] = wire.NodeID(i)
+	}
+	if !full {
+		ids[4] = wire.NilNode
+	}
+	return slotView(t, version, ids...)
 }
 
 // rowCoreAt returns a row core of slot self of view, directional when asym,
@@ -79,18 +87,24 @@ func costsOf(t *testing.T, view *membership.ViewInfo, slot int, msg []byte) (out
 // sender announced at the held seq; after a final clean interval the
 // receiver's table is bit for bit the one ingesting every delivered row in
 // full builds, and from then on every row is a delta and none is refused.
-// Both row forms, symmetric and directional, over many seeds.
+// Both row forms, symmetric and directional, over many seeds. Each run sends
+// deltas whose marks go by index and deltas whose marks go by bitmap: over
+// ten slots only a delta with no changed entry is short enough for indices,
+// over forty one or two changed entries are.
 func TestDeltasAreLossless(t *testing.T) {
 	for _, asym := range []bool{false, true} {
 		for seed := int64(1); seed <= 25; seed++ {
-			testDeltasAreLossless(t, asym, seed)
+			testDeltasAreLossless(t, asym, seed, 10)
+		}
+		for seed := int64(1); seed <= 10; seed++ {
+			testDeltasAreLossless(t, asym, seed, 40)
 		}
 	}
 }
 
-func testDeltasAreLossless(t *testing.T, asym bool, seed int64) {
+func testDeltasAreLossless(t *testing.T, asym bool, seed int64, slots int) {
 	sim, nw := soloEnv()
-	view := deltaView(t)
+	view := deltaView(t, 5, slots, false)
 	rng := rand.New(rand.NewSource(seed))
 	var box []mail
 	senders := []int{1, 3, 5, 9} // slots, which are IDs here
@@ -127,6 +141,7 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64) {
 		view *membership.ViewInfo
 	}
 	announced := map[[2]uint32]row{} // (sender, seq) → its full row, and the view it was built on
+	sent, indexed := 0, 0            // deltas sent, and those whose marks went by index
 	tick := func(clean bool) (deltas, full int) {
 		for _, s := range senders {
 			share := 0.05
@@ -138,8 +153,12 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64) {
 			msg := c.announce()
 			announced[[2]uint32{uint32(s), c.seq}] = row{msg, view}
 			if d := c.delta([]int{0}); d != nil {
+				if b, _ := wire.LinkStateDeltaBody(d[wire.HeaderLen:]); len(d) < wire.HeaderLen+13+(b.Members+7)/8+b.Changed*b.EntryLen() {
+					indexed++
+				}
 				msg = d
 				deltas++
+				sent++
 			} else {
 				full++
 			}
@@ -157,8 +176,8 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64) {
 			a := announced[[2]uint32{uint32(s), seq}]
 			out, in := costsOf(t, a.view, s, a.msg)
 			if !slices.Equal(recv.table.OutRow(s), out) || !slices.Equal(recv.table.InRow(s), in) {
-				t.Fatalf("asym=%v seed %d: slot %d's held row is not row %d:\n got %v %v\nwant %v %v",
-					asym, seed, s, seq, recv.table.OutRow(s), recv.table.InRow(s), out, in)
+				t.Fatalf("asym=%v seed %d slots %d: slot %d's held row is not row %d:\n got %v %v\nwant %v %v",
+					asym, seed, slots, s, seq, recv.table.OutRow(s), recv.table.InRow(s), out, in)
 			}
 		}
 	}
@@ -198,7 +217,7 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64) {
 	for i := range 40 {
 		nw.RunFor(time.Second)
 		if i == 20 { // member 4 joins in the tombstone
-			view = slotView(t, 6, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+			view = deltaView(t, 6, slots, true)
 			for id, c := range cores {
 				c.installView(view, int(id), fresh)
 			}
@@ -244,158 +263,193 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64) {
 			deliver(m)
 		}
 		if round > 0 && (full != 0 || refusals != refused) {
-			t.Fatalf("asym=%v seed %d: clean interval %d sent %d deltas and %d full rows, %d refused", asym, seed, round, deltas, full, refusals-refused)
+			t.Fatalf("asym=%v seed %d slots %d: clean interval %d sent %d deltas and %d full rows, %d refused", asym, seed, slots, round, deltas, full, refusals-refused)
 		}
 	}
 	for _, s := range senders {
 		if recv.table.Seq(s) != ref.Seq(s) || recv.table.Seq(s) != cores[wire.NodeID(s)].seq ||
 			!slices.Equal(recv.table.OutRow(s), ref.OutRow(s)) || !slices.Equal(recv.table.InRow(s), ref.InRow(s)) {
-			t.Fatalf("asym=%v seed %d: slot %d holds row %d, full-row ingest row %d, the sender is at %d:\n got %v\nwant %v",
-				asym, seed, s, recv.table.Seq(s), ref.Seq(s), cores[wire.NodeID(s)].seq, recv.table.OutRow(s), ref.OutRow(s))
+			t.Fatalf("asym=%v seed %d slots %d: slot %d holds row %d, full-row ingest row %d, the sender is at %d:\n got %v\nwant %v",
+				asym, seed, slots, s, recv.table.Seq(s), ref.Seq(s), cores[wire.NodeID(s)].seq, recv.table.OutRow(s), ref.OutRow(s))
 		}
+	}
+	if indexed == 0 || indexed == sent {
+		t.Fatalf("asym=%v seed %d slots %d: %d of %d deltas went by index, want some and not all", asym, seed, slots, indexed, sent)
 	}
 }
 
 // TestHostileDeltasTouchNothing hands the quorum deltas that are well-formed
 // datagrams but must not be taken: from a stranger, from a member gone from
 // the view (its slot a tombstone now), built on another view, at seq 0, with
-// a bitmap bit past the member count, with a changed count the bitmap or the
-// body disagrees with, of the other row form, or over another member count.
-// Each is refused whole: no table field or row byte moves, nothing is
-// allocated, and nothing is sent. A refusal from a stranger draws no datagram
-// either, nor one from a member the router sends no rows to, nor a second
-// from a member answered since the last announce. The same delta without a
-// defect is taken, allocating nothing. Both row forms.
+// a changed member past the member count, with a changed count the marks or
+// the body disagree with, a byte short or long, of the other row form, or
+// over another member count. Each is refused whole: no table field or row
+// byte moves, nothing is allocated, and nothing is sent. A refusal from a
+// stranger draws no datagram either, nor one from a member the router sends
+// no rows to, nor a second from a member answered since the last announce.
+// The same delta without a defect is taken, allocating nothing. Both row
+// forms, and both forms of the marks: over the 9 members of a 10-slot view
+// two changed entries go by bitmap, over the 39 of a 40-slot view by index,
+// where a repeated or a descending index is refused too.
 func TestHostileDeltasTouchNothing(t *testing.T) {
 	const version = 5
 	for _, asym := range []bool{false, true} {
 		t.Run(map[bool]string{false: "symmetric", true: "directional"}[asym], func(t *testing.T) {
-			sim, nw := soloEnv()
-			env := &countingEnv{SimEnv: sim}
-			// Slot 4 was member 4's in view 4; in view 5 it is a tombstone.
-			view := slotView(t, version, 0, 1, 2, 3, wire.NilNode, 5, 6, 7, 8, 9)
-			row := aliveRow(view.Slots(), 0)
-			q, err := NewQuorum(env, QuorumConfig{Asymmetric: asym}, view, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q.LinkAlive = func(int) bool { return true }
-			q.SelfRow = func() []wire.LinkEntry { return row }
-			q.SelfAsymRow = func() []wire.AsymEntry { return make([]wire.AsymEntry, view.Slots()) }
-			form, size := wire.TLinkState, wire.LinkEntryLen
-			if asym {
-				form, size = wire.TLinkStateAsym, wire.AsymEntryLen
-			}
-			m := len(view.Members())
-			delta := func(src wire.NodeID, version, seq uint32, form wire.MsgType, members int, changed ...int) []byte {
-				size := wire.LinkEntryLen
-				if form == wire.TLinkStateAsym {
-					size = wire.AsymEntryLen
-				}
-				msg := wire.NewLinkStateDelta(src, version, seq, form, members, len(changed))
-				for k, i := range changed {
-					wire.PutDeltaEntry(msg, i, k, slices.Repeat([]byte{byte(0x11 * (k + 1))}, size))
-				}
-				return msg
-			}
-			handle := func(msg []byte) {
-				h, body, err := wire.ParseHeader(msg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if h.Type == wire.TLinkStateAck {
-					q.HandleLinkStateAck(h, body)
-				} else {
-					q.HandleLinkState(h, body)
-				}
-			}
-
-			// Slot 3's row 2 is held: a delta at 3 is good.
-			nw.RunFor(10 * time.Second)
-			handle(rowMessage(asym, 3, version, 2, m, 40))
-			good := delta(3, version, 3, form, m, 1, 6)
-			type state struct {
-				seq     uint32
-				when    time.Time
-				out, in []wire.Cost
-				sent    int
-			}
-			snapshot := func() state {
-				tb := q.Table()
-				return state{tb.Seq(3), tb.When(3), slices.Clone(tb.OutRow(3)), slices.Clone(tb.InRow(3)), env.sent}
-			}
-			before := snapshot()
-			corrupt := func(at int, b byte) []byte {
-				msg := slices.Clone(good)
-				msg[at] = b
-				return msg
-			}
-			bitmap := wire.HeaderLen + 13
-			for _, hostile := range []struct {
-				defect string
-				msg    []byte
-			}{
-				{"a stranger", delta(77, version, 3, form, m, 1, 6)},
-				{"a member gone from the view", delta(4, version, 3, form, m, 1, 6)},
-				{"itself", delta(0, version, 3, form, m, 1, 6)},
-				{"a stale view version", delta(3, version-1, 3, form, m, 1, 6)},
-				{"a future view version", delta(3, version+1, 3, form, m, 1, 6)},
-				{"seq 0, with no row before it", delta(3, version, 0, form, m, 1, 6)},
-				{"a bitmap bit past the members", delta(3, version, 3, form, m, 1, m)},
-				{"a changed count above the bitmap's", corrupt(bitmap-1, 3)},
-				{"a changed count below the bitmap's", corrupt(bitmap-1, 1)},
-				{"an entry short", good[:len(good)-1]},
-				{"an entry long", append(slices.Clone(good), make([]byte, size)...)},
-				{"the other row form", delta(3, version, 3, map[bool]wire.MsgType{false: wire.TLinkStateAsym, true: wire.TLinkState}[asym], m, 1, 6)},
-				{"an entry per slot", delta(3, version, 3, form, view.Slots(), 1, 6)},
-				{"no row type as its form", corrupt(wire.HeaderLen+8, byte(wire.TRecommendation))},
-				{"a refusal from a stranger", wire.AppendLinkStateAck(nil, 77, 0)},
-				{"a refusal from a member gone from the view", wire.AppendLinkStateAck(nil, 4, 0)},
-			} {
-				h, body, err := wire.ParseHeader(hostile.msg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				allocs := testing.AllocsPerRun(100, func() {
-					if h.Type == wire.TLinkStateAck {
-						q.HandleLinkStateAck(h, body)
-					} else {
-						q.HandleLinkState(h, body)
-					}
+			for _, slots := range []int{10, 40} {
+				t.Run(map[int]string{10: "bitmap", 40: "index"}[slots], func(t *testing.T) {
+					testHostileDeltasTouchNothing(t, version, asym, slots)
 				})
-				if after := snapshot(); after.seq != before.seq || !after.when.Equal(before.when) ||
-					!slices.Equal(after.out, before.out) || !slices.Equal(after.in, before.in) || after.sent != before.sent {
-					t.Errorf("%s: the table or the send count changed:\n got %+v\nwant %+v", hostile.defect, after, before)
-					before = after
-				}
-				if allocs != 0 {
-					t.Errorf("%s: handling it allocates %.0f times, want 0", hostile.defect, allocs)
-				}
-			}
-
-			// Refusals: a member the router sends rows to is answered once
-			// between announces, and one outside its grid lines not at all.
-			q.Tick()
-			sent, far := env.sent, 9
-			for slices.Contains(q.servers, far) {
-				far--
-			}
-			handle(wire.AppendLinkStateAck(nil, wire.NodeID(far), 0))
-			handle(wire.AppendLinkStateAck(nil, 1, 0))
-			handle(wire.AppendLinkStateAck(nil, 1, 0))
-			if env.sent-sent != 1 {
-				t.Errorf("three refusals, one of them a repeat, drew %d rows, want 1", env.sent-sent)
-			}
-
-			// The good delta is taken, and allocates nothing.
-			before = snapshot()
-			h, body, _ := wire.ParseHeader(good)
-			if allocs := testing.AllocsPerRun(100, func() { q.HandleLinkState(h, body) }); allocs != 0 {
-				t.Errorf("taking a delta allocates %.0f times, want 0", allocs)
-			}
-			if after := snapshot(); after.seq != 3 || slices.Equal(after.out, before.out) || after.sent != before.sent {
-				t.Errorf("the good delta was not taken: %+v, before %+v", after, before)
 			}
 		})
+	}
+}
+
+func testHostileDeltasTouchNothing(t *testing.T, version uint32, asym bool, slots int) {
+	sim, nw := soloEnv()
+	env := &countingEnv{SimEnv: sim}
+	// Slot 4 was member 4's in view 4; in view 5 it is a tombstone.
+	ids := make([]wire.NodeID, slots)
+	for i := range ids {
+		ids[i] = wire.NodeID(i)
+	}
+	ids[4] = wire.NilNode
+	view := slotView(t, version, ids...)
+	row := aliveRow(view.Slots(), 0)
+	q, err := NewQuorum(env, QuorumConfig{Asymmetric: asym}, view, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.LinkAlive = func(int) bool { return true }
+	q.SelfRow = func() []wire.LinkEntry { return row }
+	q.SelfAsymRow = func() []wire.AsymEntry { return make([]wire.AsymEntry, view.Slots()) }
+	form, size := wire.TLinkState, wire.LinkEntryLen
+	if asym {
+		form, size = wire.TLinkStateAsym, wire.AsymEntryLen
+	}
+	m := len(view.Members())
+	delta := func(src wire.NodeID, version, seq uint32, form wire.MsgType, members int, changed ...int) []byte {
+		size := wire.LinkEntryLen
+		if form == wire.TLinkStateAsym {
+			size = wire.AsymEntryLen
+		}
+		msg := wire.NewLinkStateDelta(src, version, seq, form, members, len(changed))
+		for k, i := range changed {
+			wire.PutDeltaEntry(msg, i, k, slices.Repeat([]byte{byte(0x11 * (k + 1))}, size))
+		}
+		return msg
+	}
+	handle := func(msg []byte) {
+		h, body, err := wire.ParseHeader(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Type == wire.TLinkStateAck {
+			q.HandleLinkStateAck(h, body)
+		} else {
+			q.HandleLinkState(h, body)
+		}
+	}
+
+	// Slot 3's row 2 is held: a delta at 3 is good.
+	nw.RunFor(10 * time.Second)
+	handle(rowMessage(asym, 3, version, 2, m, 40))
+	good := delta(3, version, 3, form, m, 1, 6)
+	marks := map[int]int{10: 2, 40: 4}[slots] // a 2-byte bitmap, or two 2-byte indices
+	if len(good) != wire.HeaderLen+13+marks+2*size {
+		t.Fatalf("%d members: a delta of two entries is %d bytes, want %d marks", m, len(good), marks)
+	}
+	type state struct {
+		seq     uint32
+		when    time.Time
+		out, in []wire.Cost
+		sent    int
+	}
+	snapshot := func() state {
+		tb := q.Table()
+		return state{tb.Seq(3), tb.When(3), slices.Clone(tb.OutRow(3)), slices.Clone(tb.InRow(3)), env.sent}
+	}
+	before := snapshot()
+	corrupt := func(at int, b byte) []byte {
+		msg := slices.Clone(good)
+		msg[at] = b
+		return msg
+	}
+	count := wire.HeaderLen + 12 // the changed count's low byte
+	hostiles := []struct {
+		defect string
+		msg    []byte
+	}{
+		{"a stranger", delta(77, version, 3, form, m, 1, 6)},
+		{"a member gone from the view", delta(4, version, 3, form, m, 1, 6)},
+		{"itself", delta(0, version, 3, form, m, 1, 6)},
+		{"a stale view version", delta(3, version-1, 3, form, m, 1, 6)},
+		{"a future view version", delta(3, version+1, 3, form, m, 1, 6)},
+		{"seq 0, with no row before it", delta(3, version, 0, form, m, 1, 6)},
+		{"a changed member past the members", delta(3, version, 3, form, m, 1, m)},
+		{"a changed count above the marks'", corrupt(count, 3)},
+		{"a changed count below the marks'", corrupt(count, 1)},
+		{"an entry short", good[:len(good)-1]},
+		{"an entry long", append(slices.Clone(good), make([]byte, size)...)},
+		{"a byte long", append(slices.Clone(good), 0)},
+		{"the other row form", delta(3, version, 3, map[bool]wire.MsgType{false: wire.TLinkStateAsym, true: wire.TLinkState}[asym], m, 1, 6)},
+		{"an entry per slot", delta(3, version, 3, form, view.Slots(), 1, 6)},
+		{"no row type as its form", corrupt(wire.HeaderLen+8, byte(wire.TRecommendation))},
+		{"a refusal from a stranger", wire.AppendLinkStateAck(nil, 77, 0)},
+		{"a refusal from a member gone from the view", wire.AppendLinkStateAck(nil, 4, 0)},
+	}
+	if slots == 40 {
+		hostiles = append(hostiles, []struct {
+			defect string
+			msg    []byte
+		}{
+			{"a repeated index", delta(3, version, 3, form, m, 6, 6)},
+			{"descending indices", delta(3, version, 3, form, m, 6, 1)},
+			{"an index far past the members", delta(3, version, 3, form, m, 1, 0xFFFF)},
+		}...)
+	}
+	for _, hostile := range hostiles {
+		h, body, err := wire.ParseHeader(hostile.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if h.Type == wire.TLinkStateAck {
+				q.HandleLinkStateAck(h, body)
+			} else {
+				q.HandleLinkState(h, body)
+			}
+		})
+		if after := snapshot(); after.seq != before.seq || !after.when.Equal(before.when) ||
+			!slices.Equal(after.out, before.out) || !slices.Equal(after.in, before.in) || after.sent != before.sent {
+			t.Errorf("%s: the table or the send count changed:\n got %+v\nwant %+v", hostile.defect, after, before)
+			before = after
+		}
+		if allocs != 0 {
+			t.Errorf("%s: handling it allocates %.0f times, want 0", hostile.defect, allocs)
+		}
+	}
+
+	// Refusals: a member the router sends rows to is answered once between
+	// announces, and one outside its grid lines not at all.
+	q.Tick()
+	sent, far := env.sent, view.Slots()-1
+	for slices.Contains(q.servers, far) {
+		far--
+	}
+	handle(wire.AppendLinkStateAck(nil, wire.NodeID(far), 0))
+	handle(wire.AppendLinkStateAck(nil, 1, 0))
+	handle(wire.AppendLinkStateAck(nil, 1, 0))
+	if env.sent-sent != 1 {
+		t.Errorf("three refusals, one of them a repeat, drew %d rows, want 1", env.sent-sent)
+	}
+
+	// The good delta is taken, and allocates nothing.
+	before = snapshot()
+	h, body, _ := wire.ParseHeader(good)
+	if allocs := testing.AllocsPerRun(100, func() { q.HandleLinkState(h, body) }); allocs != 0 {
+		t.Errorf("taking a delta allocates %.0f times, want 0", allocs)
+	}
+	if after := snapshot(); after.seq != 3 || slices.Equal(after.out, before.out) || after.sent != before.sent {
+		t.Errorf("the good delta was not taken: %+v, before %+v", after, before)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"slices"
 	"time"
 
@@ -18,7 +17,8 @@ import (
 // announces SelfAsymRow, a symmetric one TLinkState rows and SelfRow.
 //
 // The quorum sends a row after the view's first as a delta
-// (wire.TLinkStateDelta) against the row before it: the entries that changed.
+// (wire.TLinkStateDelta) against the row before it: the entries whose cost
+// changed.
 // A receiver holding that row rebuilds the new one exactly; one that does not
 // refuses the delta with a link-state ack of seq 0, which no row carries, and
 // the sender answers at once with its row in full. One encoding an interval
@@ -184,9 +184,13 @@ func (c *rowCore) announce() []byte {
 // delta returns row seq, which announce built, as a delta against row seq−1
 // for the members at slots to, or nil when the view has no row before it or
 // the delta is expected to cost more bytes than the row in full. Each
-// recipient saves the row's size less the delta's; one lacks row seq−1 and
-// refuses the delta, drawing the ack and the row in full, about as often as
-// the sender's probes to it go unanswered, the loss its self-row entry reads.
+// recipient saves the row's size less the delta's, and one that lacks row
+// seq−1 refuses the delta, drawing the ack and the row in full (refusals).
+//
+// An entry changed when its cost did (costChanged): the loss byte of a link
+// alive at the same latency goes only in full rows and with an entry whose
+// cost changed, since no receiver reads it — lsdb keeps costs. If a receiver
+// ever reads loss (a loss-aware metric), this rule must compare it too.
 func (c *rowCore) delta(to []int) []byte {
 	if c.prev == nil {
 		return nil
@@ -194,47 +198,62 @@ func (c *rowCore) delta(to []int) []byte {
 	form, size := c.form()
 	rowLen := c.table.RowBytes()
 	was, now := c.prev[len(c.prev)-rowLen:], c.row[len(c.row)-rowLen:]
-	k := 0
-	for i := 0; i < rowLen; i += size {
-		if !bytes.Equal(was[i:i+size], now[i:i+size]) {
+	members, k := rowLen/size, 0
+	for i := range members {
+		if costChanged(form, was, now, i) {
 			k++
 		}
 	}
-	members := rowLen / size
-	saved := 100 * len(to) * (len(c.row) - wire.LinkStateDeltaSize(members, k, size))
-	if c.lossPct(to)*(wire.LinkStateAckSize+len(c.row)+2*wire.PerPacketOverhead) >= saved {
+	saved := len(to) * (len(c.row) - wire.LinkStateDeltaSize(members, k, size))
+	if c.refusals(to)*float64(wire.LinkStateAckSize+len(c.row)+2*wire.PerPacketOverhead) >= float64(saved) {
 		return nil
 	}
 	msg := wire.NewLinkStateDelta(c.env.LocalID(), c.view.VersionNum(), c.seq, form, members, k)
 	k = 0
-	for i := 0; i < rowLen; i += size {
-		if !bytes.Equal(was[i:i+size], now[i:i+size]) {
-			wire.PutDeltaEntry(msg, i/size, k, now[i:i+size])
+	for i := range members {
+		if costChanged(form, was, now, i) {
+			wire.PutDeltaEntry(msg, i, k, now[i*size:][:size])
 			k++
 		}
 	}
 	return msg
 }
 
-// lossPct sums the loss in percent the self row reads toward the slots to, a
-// dead link's as 100.
-func (c *rowCore) lossPct(to []int) (sum int) {
-	pct := func(status byte) int {
-		if status == wire.StatusDead {
-			return 100
+// costChanged reports whether entry i of two rows of row type form carries
+// a different cost: dead against alive, or another latency (either
+// direction's, in the directional form).
+func costChanged(form wire.MsgType, was, now []byte, i int) bool {
+	if form == wire.TLinkStateAsym {
+		a, b := wire.AsymEntryAt(was, i), wire.AsymEntryAt(now, i)
+		return a.OutCost() != b.OutCost() || a.InCost() != b.InCost()
+	}
+	return wire.LinkEntryAt(was, i).Cost() != wire.LinkEntryAt(now, i).Cost()
+}
+
+// refusals returns how many of the members at slots to are expected to lack
+// row seq−1 and refuse a delta, from the loss p the self row reads toward
+// each, a dead link's as 1. In the steady state a recipient lacks it when its
+// delta was lost, or was refused and the refusal or the answer was lost:
+// q = p + (1−p)·q·(1 − (1−p)²), so q = p / (1 − (1−p)(1 − (1−p)²)).
+func (c *rowCore) refusals(to []int) (sum float64) {
+	odds := func(status byte) float64 {
+		p := 1.0
+		if wire.StatusAlive(status) {
+			p = float64(status) / 100
 		}
-		return int(status)
+		a := 1 - p
+		return p / (1 - a*(1-a*a))
 	}
 	if c.table.Directional() {
 		row := c.SelfAsymRow()
 		for _, s := range to {
-			sum += pct(row[s].Status)
+			sum += odds(row[s].Status)
 		}
 		return sum
 	}
 	row := c.SelfRow()
 	for _, s := range to {
-		sum += pct(row[s].Status)
+		sum += odds(row[s].Status)
 	}
 	return sum
 }

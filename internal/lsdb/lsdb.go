@@ -25,7 +25,6 @@
 package lsdb
 
 import (
-	"math/bits"
 	"time"
 
 	"allpairs/internal/wire"
@@ -227,20 +226,17 @@ func (t *Table) PutDelta(slot int, when time.Time, d *wire.DeltaBody) Take {
 	*m = slotMeta{when: when.UnixNano(), seq: d.Seq, have: true, held: true}
 	out, in, entries := t.out.rowFor(slot), t.in.rowFor(slot), d.Entries()
 	prefetch(out) // the changed entries are spread over the row: fetch its lines at once
-	k, e := 0, 0  // tombstones below the member's slot; changed entries read
-	for i, w := range d.Bitmap() {
-		for ; w != 0; w &= w - 1 {
-			p := i*8 + bits.TrailingZeros8(w)
-			for k < len(t.tombstones) && t.tombstones[k] <= p+k {
-				k++
-			}
-			if t.Directional() {
-				a := wire.AsymEntryAt(entries, e)
-				out[p+k], in[p+k] = a.OutCost(), a.InCost()
-			} else {
-				out[p+k] = wire.LinkEntryAt(entries, e).Cost()
-			}
-			e++
+	k, p := 0, -1 // tombstones below the member's slot; the member
+	for e := range d.Changed {
+		p = d.Member(e, p)
+		for k < len(t.tombstones) && t.tombstones[k] <= p+k {
+			k++
+		}
+		if t.Directional() {
+			a := wire.AsymEntryAt(entries, e)
+			out[p+k], in[p+k] = a.OutCost(), a.InCost()
+		} else {
+			out[p+k] = wire.LinkEntryAt(entries, e).Cost()
 		}
 	}
 	return Taken

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // LinkStateDelta is a link-state delta by value (see NewLinkStateDelta):
 // Entries are the Form-encoded entries at the member indices Changed,
@@ -36,10 +33,9 @@ func ParseLinkStateDelta(body []byte) (LinkStateDelta, error) {
 	}
 	ld := LinkStateDelta{ViewVersion: d.ViewVersion, Seq: d.Seq, Form: d.Form, Members: d.Members,
 		Changed: make([]int, 0, d.Changed), Entries: slices.Clone(d.entries)}
-	for i, w := range d.Bitmap() {
-		for ; w != 0; w &= w - 1 {
-			ld.Changed = append(ld.Changed, i*8+bits.TrailingZeros8(w))
-		}
+	for k, i := 0, -1; k < d.Changed; k++ {
+		i = d.Member(k, i)
+		ld.Changed = append(ld.Changed, i)
 	}
 	return ld, nil
 }

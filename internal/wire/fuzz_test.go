@@ -14,7 +14,6 @@ package wire_test
 import (
 	"bytes"
 	"encoding/binary"
-	"math/bits"
 	"net/netip"
 	"testing"
 
@@ -114,9 +113,10 @@ func FuzzLinkStateAckRoundTrip(f *testing.F) {
 }
 
 // FuzzLinkStateDeltaDecode: a delta body LinkStateDeltaBody accepts — any
-// bytes at all, hostile ones included — marks exactly its changed count of
-// members, all below its member count, carries an entry for each, has a row
-// before its seq, and re-encodes byte for byte.
+// bytes at all, hostile ones included — names exactly its changed count of
+// members, strictly ascending and all below its member count, carries an
+// entry for each, has a row before its seq, and re-encodes byte for byte.
+// The seeds cover both forms of the marks: bitmap and index.
 func FuzzLinkStateDeltaDecode(f *testing.F) {
 	f.Add(uint16(4), body(wire.AppendLinkStateDelta(nil, 4, wire.LinkStateDelta{
 		ViewVersion: 3, Seq: 9, Form: wire.TLinkState, Members: 12,
@@ -127,17 +127,27 @@ func FuzzLinkStateDeltaDecode(f *testing.F) {
 		Changed: []int{7}, Entries: []byte{0, 20, 0, 35, 4},
 	})))
 	f.Add(uint16(6), []byte{0, 0, 0, 1, 0, 0, 0, 2, 3, 0, 9, 0, 1, 0x80, 0x01, 0, 1, 2})
+	// Index form: two of 40 members, one of 324, none of 17.
+	f.Add(uint16(7), body(wire.AppendLinkStateDelta(nil, 7, wire.LinkStateDelta{
+		ViewVersion: 3, Seq: 4, Form: wire.TLinkState, Members: 40,
+		Changed: []int{3, 39}, Entries: []byte{0, 30, 0, 0xFF, 0xFF, 0xFF},
+	})))
+	f.Add(uint16(8), body(wire.AppendLinkStateDelta(nil, 8, wire.LinkStateDelta{
+		ViewVersion: 3, Seq: 5, Form: wire.TLinkStateAsym, Members: 324,
+		Changed: []int{300}, Entries: []byte{0, 20, 0, 35, 4},
+	})))
+	f.Add(uint16(9), []byte{0, 0, 0, 1, 0, 0, 0, 2, 3, 0, 17, 0, 0})
 	f.Fuzz(func(t *testing.T, src uint16, b []byte) {
 		if d, err := wire.LinkStateDeltaBody(b); err == nil {
-			marked, past := 0, false
-			for i, w := range d.Bitmap() {
-				for ; w != 0; w &= w - 1 {
-					marked++
-					past = past || i*8+bits.TrailingZeros8(w) >= d.Members
-				}
+			if d.Seq == 0 || len(d.Entries()) != d.Changed*d.EntryLen() {
+				t.Fatalf("accepted %+v with %d entry bytes", d, len(d.Entries()))
 			}
-			if marked != d.Changed || past || d.Seq == 0 || len(d.Entries()) != d.Changed*d.EntryLen() {
-				t.Fatalf("accepted %+v: %d marked, %d entry bytes", d, marked, len(d.Entries()))
+			for k, i := 0, -1; k < d.Changed; k++ {
+				next := d.Member(k, i)
+				if next <= i || next >= d.Members {
+					t.Fatalf("accepted %+v: changed entry %d is member %d, after %d", d, k, next, i)
+				}
+				i = next
 			}
 		}
 		roundTrip(t, src, b, wire.ParseLinkStateDelta, wire.AppendLinkStateDelta)

@@ -206,20 +206,38 @@ func ParseLinkState(body []byte) (LinkState, error) {
 func LinkStateSize(n int) int { return HeaderLen + linkStateFixed + LinkEntryLen*n }
 
 // A link-state delta (TLinkStateDelta) is a link-state row sent as the
-// entries that changed: row Seq of its form, a TLinkState or a TLinkStateAsym
-// row of a view's members, member-packed, rebuilt from the sender's row Seq−1
-// in the same view by writing its entries over the changed members' of that
-// row.
+// entries whose cost changed: row Seq of its form, a TLinkState or a
+// TLinkStateAsym row of a view's members, member-packed, rebuilt from the
+// sender's row Seq−1 in the same view by writing its entries over the changed
+// members' of that row.
 //
 // The body is the view version and Seq (4 bytes each), the form's type byte,
-// the member count and the changed count (2 bytes each), a bitmap of
-// ⌈members/8⌉ bytes whose bit i (least significant first) marks member i
-// changed and whose bits past the members are zero, and the changed entries
-// in the form's encoding, in member order. The header and bitmap fix the
-// length, so no cut goes unseen.
+// the member count and the changed count (2 bytes each), the changed members'
+// marks, and the changed entries in the form's encoding, in member order. The
+// marks take the shorter of two forms, which the two counts choose, so no
+// flag says which:
+//   - index form, when 2·changed < ⌈members/8⌉: the changed members' 2-byte
+//     indices, strictly ascending, each below members;
+//   - bitmap form, otherwise: ⌈members/8⌉ bytes whose bit i (least
+//     significant first) marks member i changed and whose bits past the
+//     members are zero.
+//
+// The header and the marks fix the length, so no cut goes unseen.
 
-// deltaFixed is the encoded size of a delta's fields before its bitmap.
+// deltaFixed is the encoded size of a delta's fields before its marks.
 const deltaFixed = 4 + 4 + 1 + 2 + 2
+
+// deltaIndexed reports whether a delta of changed entries over a row of
+// members marks them by index, the shorter form, rather than by bitmap.
+func deltaIndexed(members, changed int) bool { return 2*changed < bitmapLen(members) }
+
+// deltaMarksLen is the encoded size of a delta's marks.
+func deltaMarksLen(members, changed int) int {
+	if deltaIndexed(members, changed) {
+		return 2 * changed
+	}
+	return bitmapLen(members)
+}
 
 // NewLinkStateDelta returns a whole delta message from src, of changed
 // entries over a row of members, allocated once at its final size for
@@ -241,19 +259,23 @@ func NewLinkStateDelta(src NodeID, viewVersion, seq uint32, form MsgType, member
 //lint:allocfree
 func PutDeltaEntry(msg []byte, i, k int, entry []byte) {
 	body := msg[HeaderLen:]
-	members := int(binary.BigEndian.Uint16(body[9:]))
-	body[deltaFixed+i/8] |= 1 << (i % 8)
-	copy(body[deltaFixed+bitmapLen(members)+k*len(entry):], entry)
+	members, changed := int(binary.BigEndian.Uint16(body[9:])), int(binary.BigEndian.Uint16(body[11:]))
+	if deltaIndexed(members, changed) {
+		binary.BigEndian.PutUint16(body[deltaFixed+2*k:], uint16(i))
+	} else {
+		body[deltaFixed+i/8] |= 1 << (i % 8)
+	}
+	copy(body[deltaFixed+deltaMarksLen(members, changed)+k*len(entry):], entry)
 }
 
 // DeltaBody is a delta body LinkStateDeltaBody accepted, read in place.
 type DeltaBody struct {
 	ViewVersion, Seq uint32
 	Form             MsgType
-	// Members is the row's entry count, Changed how many the bitmap marks.
+	// Members is the row's entry count, Changed how many the marks name.
 	Members, Changed int
 
-	bitmap, entries []byte
+	marks, entries []byte
 }
 
 // EntryLen is the encoded size of one of the delta's entries.
@@ -267,18 +289,30 @@ func entryLen(t MsgType) int {
 	return LinkEntryLen
 }
 
-// Bitmap returns the changed-member bitmap: bit i%8 (least significant
-// first) of byte i/8 marks member i changed, and changed entry k is for the
-// k-th member marked.
-func (d *DeltaBody) Bitmap() []byte { return d.bitmap }
+// Member returns the member whose entry is changed entry k, given prev, the
+// member of entry k−1 (−1 for k = 0): in both forms the members come
+// ascending, one call an entry.
+//
+//lint:allocfree
+func (d *DeltaBody) Member(k, prev int) int {
+	if deltaIndexed(d.Members, d.Changed) {
+		return int(binary.BigEndian.Uint16(d.marks[2*k:]))
+	}
+	for i := prev + 1; ; i = (i | 7) + 1 {
+		if w := d.marks[i/8] >> (i % 8); w != 0 {
+			return i + bits.TrailingZeros8(w)
+		}
+	}
+}
 
-// Entries returns the changed entries, in the form's encoding, in bitmap order.
+// Entries returns the changed entries, in the form's encoding, in member order.
 func (d *DeltaBody) Entries() []byte { return d.entries }
 
 // LinkStateDeltaBody checks the framing of a delta body — a row type for
-// form, a row before Seq, a bitmap with no bit past Members that marks as
-// many entries as the count says and the body carries — and returns it for
-// reading in place. Its errors are bare, so that a refusal allocates nothing.
+// form, a row before Seq, marks in the form the counts choose that name as
+// many members as the changed count says, ascending and below Members, and
+// an entry for each — and returns it for reading in place. Its errors are
+// bare, so that a refusal allocates nothing.
 //
 //lint:allocfree
 func LinkStateDeltaBody(body []byte) (DeltaBody, error) {
@@ -295,29 +329,40 @@ func LinkStateDeltaBody(body []byte) (DeltaBody, error) {
 	if (d.Form != TLinkState && d.Form != TLinkStateAsym) || d.Seq == 0 {
 		return DeltaBody{}, ErrBadDelta
 	}
-	rest := body[deltaFixed:]
-	if len(rest) < bitmapLen(d.Members) {
-		return DeltaBody{}, ErrShort
+	rest, marksLen := body[deltaFixed:], deltaMarksLen(d.Members, d.Changed)
+	if len(rest) != marksLen+d.Changed*d.EntryLen() {
+		return DeltaBody{}, ErrBadLen
 	}
-	d.bitmap, d.entries = rest[:bitmapLen(d.Members)], rest[bitmapLen(d.Members):]
+	d.marks, d.entries = rest[:marksLen], rest[marksLen:]
+	if deltaIndexed(d.Members, d.Changed) {
+		prev := -1
+		for k := 0; k < marksLen; k += 2 {
+			i := int(binary.BigEndian.Uint16(d.marks[k:]))
+			if i <= prev || i >= d.Members {
+				return DeltaBody{}, ErrBadLen // out of order, repeated or past the row
+			}
+			prev = i
+		}
+		return d, nil
+	}
 	marked := 0
-	for _, w := range d.bitmap {
+	for _, w := range d.marks {
 		marked += bits.OnesCount8(w)
 	}
-	if d.Members%8 != 0 && d.bitmap[len(d.bitmap)-1]>>(d.Members%8) != 0 {
+	if d.Members%8 != 0 && d.marks[len(d.marks)-1]>>(d.Members%8) != 0 {
 		return DeltaBody{}, ErrBadLen // a bit past the row
 	}
-	if marked != d.Changed || len(d.entries) != d.Changed*d.EntryLen() {
+	if marked != d.Changed {
 		return DeltaBody{}, ErrBadLen
 	}
 	return d, nil
 }
 
 // LinkStateDeltaSize returns the encoded payload size of a delta over a row of
-// members entries, changed of them entryLen bytes each, excluding per-packet
-// overhead.
+// members entries, changed of them entryLen bytes each, in the shorter of its
+// two forms, excluding per-packet overhead.
 func LinkStateDeltaSize(members, changed, entryLen int) int {
-	return HeaderLen + deltaFixed + bitmapLen(members) + changed*entryLen
+	return HeaderLen + deltaFixed + deltaMarksLen(members, changed) + changed*entryLen
 }
 
 // RecEntry is one best-hop recommendation: for destination Dst, forward via
