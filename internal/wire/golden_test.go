@@ -58,6 +58,9 @@ func TestEncodingsGolden(t *testing.T) {
 		{"link-state-delta", AppendLinkStateDelta(nil, src, LinkStateDelta{ViewVersion: 8, Seq: 9, Form: TLinkState, Members: 10,
 			Changed: []int{1, 9}, Entries: []byte{0x01, 0xc2, 0x0c, 0xff, 0xff, 0xff}}),
 			"0501020000000800000009" + "03000a0002" + "0202" + "01c20c" + "ffffff"},
+		{"link-state-delta-indexed", AppendLinkStateDelta(nil, src, LinkStateDelta{ViewVersion: 8, Seq: 9, Form: TLinkState, Members: 40,
+			Changed: []int{1, 39}, Entries: []byte{0x01, 0xc2, 0x0c, 0xff, 0xff, 0xff}}),
+			"0501020000000800000009" + "0300280002" + "00010027" + "01c20c" + "ffffff"},
 		{"link-state-ack", AppendLinkStateAck(nil, src, 0x01020304), "07010201020304"},
 		{"join", AppendJoin(nil, Join{Addr: members[0].Addr}), "08ffff0a0000071137"},
 		{"leave", AppendLeave(nil, src), "0a0102"},
