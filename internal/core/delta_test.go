@@ -402,8 +402,8 @@ func testHostileDeltasTouchNothing(t *testing.T, version uint32, asym bool, slot
 			defect string
 			msg    []byte
 		}{
-			{"a repeated index", delta(3, version, 3, form, m, 6, 6)},
 			{"descending indices", delta(3, version, 3, form, m, 6, 1)},
+			{"a repeated index", delta(3, version, 3, form, m, 6, 6)},
 			{"an index far past the members", delta(3, version, 3, form, m, 1, 0xFFFF)},
 		}...)
 	}

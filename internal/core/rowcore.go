@@ -18,12 +18,12 @@ import (
 //
 // The quorum sends a row after the view's first as a delta
 // (wire.TLinkStateDelta) against the row before it: the entries whose cost
-// changed.
-// A receiver holding that row rebuilds the new one exactly; one that does not
-// refuses the delta with a link-state ack of seq 0, which no row carries, and
-// the sender answers at once with its row in full. One encoding an interval
-// serves every recipient, with no per-receiver state and no periodic full
-// row. The full mesh, the paper's RON baseline, sends every row in full.
+// changed. A receiver holding that row rebuilds the new one's costs exactly;
+// one that does not refuses the delta with a link-state ack of seq 0, which
+// no row carries, and the sender answers at once with its row in full. One
+// encoding an interval serves every recipient, with no per-receiver state and
+// no periodic full row. The full mesh, the paper's RON baseline, sends every
+// row in full.
 //
 // The quorum, whose rendezvous pass reads each client row many times a tick,
 // puts a row into the table as it arrives. The full mesh parks it (park): the
@@ -234,7 +234,9 @@ func costChanged(form wire.MsgType, was, now []byte, i int) bool {
 // row seq−1 and refuse a delta, from the loss p the self row reads toward
 // each, a dead link's as 1. In the steady state a recipient lacks it when its
 // delta was lost, or was refused and the refusal or the answer was lost:
-// q = p + (1−p)·q·(1 − (1−p)²), so q = p / (1 − (1−p)(1 − (1−p)²)).
+// q = p + (1−p)·q·(1 − (1−p)²), so q = p / (1 − (1−p)(1 − (1−p)²)). The loss
+// byte is a probe's round trip, more than a datagram's: read as p it errs
+// toward full rows, which keeps route ages on heavily lossy links.
 func (c *rowCore) refusals(to []int) (sum float64) {
 	odds := func(status byte) float64 {
 		p := 1.0
