@@ -32,19 +32,6 @@ func (e *mailEnv) Send(to wire.NodeID, msg []byte) {
 	*e.box = append(*e.box, mail{from: e.id, to: to, msg: msg})
 }
 
-// deltaView is the delta tests' view at version: IDs 0 to slots−1 at their
-// own slots, slot 4 a tombstone unless full.
-func deltaView(t *testing.T, version uint32, slots int, full bool) *membership.ViewInfo {
-	ids := make([]wire.NodeID, slots)
-	for i := range ids {
-		ids[i] = wire.NodeID(i)
-	}
-	if !full {
-		ids[4] = wire.NilNode
-	}
-	return slotView(t, version, ids...)
-}
-
 // rowCoreAt returns a row core of slot self of view, directional when asym,
 // whose measured row is *row (or *asymRow).
 func rowCoreAt(env transport.Env, view *membership.ViewInfo, self int, asym bool, row *[]wire.LinkEntry, asymRow *[]wire.AsymEntry) *rowCore {
@@ -80,13 +67,17 @@ func costsOf(t *testing.T, view *membership.ViewInfo, slot int, msg []byte) (out
 // refusals and their answers alike — while the rows drift: a few entries an
 // interval, now and then most of them, so that some rows go full because a
 // delta would be no smaller. The senders' links to the receiver read no loss,
-// so that the change share alone picks the encoding. Now and then the receiver expires the rows it
-// has not heard from within the last interval, and midway a member joins in
-// the tombstone, a stable extension every core installs. After every
-// delivery each row the receiver holds has exactly the costs of the row its
-// sender announced at the held seq; after a final clean interval the
-// receiver's table is bit for bit the one ingesting every delivered row in
-// full builds, and from then on every row is a delta and none is refused.
+// so that the change share alone picks the encoding. Now and then the
+// receiver expires the rows it has not heard from within the last interval.
+// Three stable extensions, which every core installs, change the view: a
+// member leaves; one joins in a tombstone and one in an appended slot; one
+// joins in the slot the first left, and one replaces a member in its slot.
+// The first row after each goes as a delta. After every delivery each row
+// the receiver holds has, toward each member at the same slot of the view it
+// was built on, the cost its sender announced at the held seq, and InfCost
+// toward every other slot; after a final clean interval the receiver's table
+// is bit for bit the one ingesting every delivered row in full builds, and
+// from then on every row is a delta and none is refused.
 // Both row forms, symmetric and directional, over many seeds. Each run sends
 // deltas whose marks go by index and deltas whose marks go by bitmap: over
 // ten slots only a delta with no changed entry is short enough for indices,
@@ -104,7 +95,18 @@ func TestDeltasAreLossless(t *testing.T) {
 
 func testDeltasAreLossless(t *testing.T, asym bool, seed int64, slots int) {
 	sim, nw := soloEnv()
-	view := deltaView(t, 5, slots, false)
+	ids := make([]wire.NodeID, slots) // by slot: IDs 0 to slots−1 at their own slots, slot 4 a tombstone
+	for i := range ids {
+		ids[i] = wire.NodeID(i)
+	}
+	ids[4] = wire.NilNode
+	view := slotView(t, 5, ids...)
+	// The stable extensions, by interval.
+	installs := map[int]func(){
+		10: func() { ids[7] = wire.NilNode },
+		20: func() { ids[4], ids = 4, append(ids, wire.NodeID(slots)) },
+		30: func() { ids[7], ids[8] = 100, 101 },
+	}
 	rng := rand.New(rand.NewSource(seed))
 	var box []mail
 	senders := []int{1, 3, 5, 9} // slots, which are IDs here
@@ -116,8 +118,10 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64, slots int) {
 		fresh = lsdb.NewDirectionalTable
 	}
 	for _, s := range append([]int{0}, senders...) {
-		rows[s] = make([]wire.LinkEntry, view.Slots())
-		asymRows[s] = make([]wire.AsymEntry, view.Slots())
+		// The entries toward the appended slot read alive at 0 until it is
+		// appended.
+		rows[s] = make([]wire.LinkEntry, view.Slots()+1)[:view.Slots()]
+		asymRows[s] = make([]wire.AsymEntry, view.Slots()+1)[:view.Slots()]
 		cores[wire.NodeID(s)] = rowCoreAt(&mailEnv{SimEnv: sim, id: wire.NodeID(s), box: &box}, view, s, asym, &rows[s], &asymRows[s])
 	}
 	recv, ref := cores[0], fresh(view.Slots())
@@ -175,9 +179,15 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64, slots int) {
 			seq := recv.table.Seq(s)
 			a := announced[[2]uint32{uint32(s), seq}]
 			out, in := costsOf(t, a.view, s, a.msg)
-			if !slices.Equal(recv.table.OutRow(s), out) || !slices.Equal(recv.table.InRow(s), in) {
-				t.Fatalf("asym=%v seed %d slots %d: slot %d's held row is not row %d:\n got %v %v\nwant %v %v",
-					asym, seed, slots, s, seq, recv.table.OutRow(s), recv.table.InRow(s), out, in)
+			want := [2][]wire.Cost{slices.Repeat([]wire.Cost{wire.InfCost}, view.Slots()), slices.Repeat([]wire.Cost{wire.InfCost}, view.Slots())}
+			for j := range a.view.Slots() {
+				if a.view.Occupied(j) && a.view.IDAt(j) == view.IDAt(j) {
+					want[0][j], want[1][j] = out[j], in[j]
+				}
+			}
+			if !slices.Equal(recv.table.OutRow(s), want[0]) || !slices.Equal(recv.table.InRow(s), want[1]) {
+				t.Fatalf("asym=%v seed %d slots %d: slot %d's held row is not row %d, built on view %d:\n got %v %v\nwant %v %v",
+					asym, seed, slots, s, seq, a.view.VersionNum(), recv.table.OutRow(s), recv.table.InRow(s), want[0], want[1])
 			}
 		}
 	}
@@ -216,19 +226,33 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64, slots int) {
 	// back an interval at random, and the rest go in random order.
 	for i := range 40 {
 		nw.RunFor(time.Second)
-		if i == 20 { // member 4 joins in the tombstone
-			view = deltaView(t, 6, slots, true)
+		change, install := installs[i]
+		if install {
+			change()
+			next := slotView(t, view.VersionNum()+1, ids...)
+			retired, _, _ := membership.StableExtension(view, 0, next, 0)
 			for id, c := range cores {
-				c.installView(view, int(id), fresh)
+				if _, _, stable := c.installView(next, int(id), fresh); !stable {
+					t.Fatalf("view %d is no stable extension of view %d", next.VersionNum(), view.VersionNum())
+				}
+				rows[id], asymRows[id] = rows[id][:next.Slots()], asymRows[id][:next.Slots()]
 			}
-			ref.SetTombstones(view.Tombstones())
+			ref.Grow(next.Slots())
+			for _, s := range retired {
+				ref.RetireSlot(s)
+			}
+			ref.SetTombstones(next.Tombstones())
+			view = next
+			check()
 		}
 		if rng.Intn(5) == 0 {
 			recv.table.Expire(sim.Now(), 1500*time.Millisecond)
 			ref.Expire(sim.Now(), 1500*time.Millisecond)
 			check()
 		}
-		tick(false)
+		if _, full := tick(install); install && full != 0 {
+			t.Fatalf("asym=%v seed %d slots %d: %d of %d rows after the install of view %d went in full", asym, seed, slots, full, len(senders), view.VersionNum())
+		}
 		for len(box) > 0 {
 			var later []mail
 			for len(box) > 0 {

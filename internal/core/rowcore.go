@@ -16,11 +16,13 @@ import (
 // the table's: a directional one (footnote 2) takes TLinkStateAsym rows and
 // announces SelfAsymRow, a symmetric one TLinkState rows and SelfRow.
 //
-// The quorum sends a row after the view's first as a delta
-// (wire.TLinkStateDelta) against the row before it: the entries whose cost
-// changed. A receiver holding that row rebuilds the new one's costs exactly;
-// one that does not refuses the delta with a link-state ack of seq 0, which
-// no row carries, and the sender answers at once with its row in full. One
+// The quorum sends a row after its first as a delta (wire.TLinkStateDelta)
+// against the row before it: the entries whose cost changed. A stable view
+// install keeps the row before it, rebased into the new view's packing; a
+// cold one drops it, and the next row goes in full. A receiver holding that
+// row rebuilds the new one's costs exactly; one that does not refuses the
+// delta with a link-state ack of seq 0, which no row carries, and the sender
+// answers at once with its row in full. One
 // encoding an interval serves every recipient, with no per-receiver state and
 // no periodic full row. The full mesh, the paper's RON baseline, sends every
 // row in full.
@@ -46,7 +48,8 @@ type rowCore struct {
 	routeTable
 
 	// row is the full row announced at seq, as it went or would go on the
-	// wire, and prev the one at seq−1; nil while the view has none.
+	// wire, nil while the view has none; prev is the one at seq−1, or the
+	// entries of the row a stable install rebased, nil when there is neither.
 	row, prev []byte
 	answered  []uint16 // slots whose refusal was answered since the last announce
 
@@ -67,12 +70,24 @@ type rowCore struct {
 
 // installView installs a view, with two outcomes. A stable extension
 // (membership.StableExtension, the only change a coordinator reign makes)
-// grows the table and routes in place and retires exactly the departed slots;
-// any other install goes cold like the first: a fresh(n) table, no routes.
-// seq and the counters survive both. The router's own state follows retired.
-func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n int) *lsdb.Table) (retired []int, stable bool) {
+// grows the table and routes in place and retires exactly the departed slots,
+// and the row last announced, rebased into the new view's packing, stays the
+// next delta's base; any other install goes cold like the first: a fresh(n)
+// table, no routes, no base. seq and the counters survive both. The router's
+// own state follows retired and started.
+func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n int) *lsdb.Table) (retired, started []int, stable bool) {
 	c.apply() // the parked rows are the old view's: they unpack by its slots
-	retired, _, stable = membership.StableExtension(c.view, c.self, view, self)
+	retired, started, stable = membership.StableExtension(c.view, c.self, view, self)
+	base := c.row
+	if base == nil { // nothing announced since the last install: the base it kept, if any
+		base = c.prev
+	}
+	if stable && base != nil {
+		_, size := c.form()
+		base = rebase(base[len(base)-c.table.RowBytes():], size, c.view, view, started)
+	} else {
+		base = nil
+	}
 	switch {
 	case stable:
 		c.viewExtends++
@@ -93,11 +108,36 @@ func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n 
 		c.routes = make([]route, n)
 	}
 	c.table.SetTombstones(view.Tombstones())
-	c.row, c.prev, c.answered = nil, nil, c.answered[:0]
+	c.row, c.prev, c.answered = nil, base, c.answered[:0]
 	if c.park && cap(c.parked) != n {
 		c.parked = make([]parkedRow, 0, n)
 	}
-	return retired, stable
+	return retired, started, stable
+}
+
+// rebase translates entries, a row packed by the view old, into the packing
+// of next, a stable extension of old that started the members at started
+// (ascending): a member of both views keeps its entry, one the extension
+// started, in an appended or a reused slot, reads dead, and a tombstone drops
+// out. A receiver holding the row rebuilds the same costs, for its held row
+// reads InfCost toward every started slot (lsdb.Table.Grow, RetireSlot).
+func rebase(entries []byte, size int, old, next *membership.ViewInfo, started []int) []byte {
+	out := make([]byte, 0, next.N()*size)
+	i := 0 // entries' index of slot s, while s is in old's slot space
+	for s := range next.Slots() {
+		switch {
+		case len(started) > 0 && started[0] == s:
+			started = started[1:]
+			out = append(out, make([]byte, size)...)
+			out[len(out)-1] = wire.StatusDead // the status byte ends both entry forms
+		case next.Occupied(s):
+			out = append(out, entries[i*size:][:size]...)
+		}
+		if s < old.Slots() && old.Occupied(s) {
+			i++
+		}
+	}
+	return out
 }
 
 // parkedRow is a checked row waiting for apply. Its entry bytes alias the
@@ -177,12 +217,15 @@ func (c *rowCore) announce() []byte {
 			Entries:     c.SelfRow(),
 		})
 	}
-	c.prev, c.row = c.row, wire.PackLinkState(msg, c.view.Tombstones())
+	if c.row != nil { // else prev is the base installView kept, or nil
+		c.prev = c.row
+	}
+	c.row = wire.PackLinkState(msg, c.view.Tombstones())
 	return c.row
 }
 
 // delta returns row seq, which announce built, as a delta against row seq−1
-// for the members at slots to, or nil when the view has no row before it or
+// for the members at slots to, or nil when there is no row before it or
 // the delta is expected to cost more bytes than the row in full. Each
 // recipient saves the row's size less the delta's, and one that lacks row
 // seq−1 refuses the delta, drawing the ack and the row in full (refusals).

@@ -1,12 +1,14 @@
 package emul
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
 	"allpairs/internal/core"
 	"allpairs/internal/lsdb"
+	"allpairs/internal/membership"
 	"allpairs/internal/overlay"
 	"allpairs/internal/probe"
 	"allpairs/internal/traces"
@@ -212,5 +214,202 @@ func TestLossyLinksTakeFullRows(t *testing.T) {
 		if share < tc.min || share > tc.max {
 			t.Errorf("links at %.0f %% loss: %.3f of the rows went as deltas, want %.2f–%.2f", 100*tc.loss, share, tc.min, tc.max)
 		}
+	}
+}
+
+// TestHeldRowsAreAnnouncedRowsUnderChurn is TestHeldRowsAreAnnouncedRows on
+// a dynamic quorum fleet whose members join, leave and crash, so that views
+// change every few seconds by stable extensions that append slots, retire
+// them and reuse them, on links that drop 5 % of datagrams, duplicate 2 % and
+// jitter them by up to 20 ms. A row's costs are read by slot of the view it
+// was built on, for the packing changes across views: every row any node
+// holds has, toward each member its sender's view listed at the same slot,
+// the cost its sender announced at the held seq, and InfCost toward every
+// other slot. And a stable install keeps the delta's base: most first rows
+// after one go as deltas to the servers that held the row before it.
+func TestHeldRowsAreAnnouncedRowsUnderChurn(t *testing.T) {
+	for _, asym := range []bool{false, true} {
+		t.Run(map[bool]string{false: "symmetric", true: "directional"}[asym], func(t *testing.T) {
+			testHeldRowsUnderChurn(t, asym)
+		})
+	}
+}
+
+// slotRow is an announced row by slot of the view it was built on.
+type slotRow struct {
+	view    *membership.ViewInfo
+	out, in []wire.Cost
+}
+
+func testHeldRowsUnderChurn(t *testing.T, asym bool) {
+	const n = 24
+	f := NewDynamicFleet(n, DynamicFleetOptions{MaxN: 48, Seed: 11, Algorithm: overlay.AlgQuorum,
+		Loss: 0.05, Dup: 0.02, Jitter: 20 * time.Millisecond,
+		Probe: probe.Config{Asymmetric: asym}, Quorum: core.QuorumConfig{Asymmetric: asym}})
+	quorum := func(ep int) *core.Quorum {
+		if node := f.Node(ep); node != nil && node.Ready() {
+			return node.Router().(*core.Quorum)
+		}
+		return nil
+	}
+	type key struct {
+		id  wire.NodeID
+		seq uint32
+	}
+	announced := map[key]slotRow{}
+	// Per sender, the install counts at its last row; per row announced
+	// after a stable install, whether it went as a delta to any server.
+	installs := map[wire.NodeID][2]uint64{}
+	afterStable := map[key]bool{}
+	deltas, refused := 0, 0
+	account := f.Net.OnSend
+	f.Net.OnSend = func(from, to int, p []byte) {
+		account(from, to, p)
+		h, body, err := wire.ParseHeader(p)
+		if err != nil || from >= f.Opt.MaxN { // a coordinator's
+			return
+		}
+		node := f.Node(from)
+		var version, seq uint32
+		var row slotRow
+		switch h.Type {
+		case wire.TLinkStateAck:
+			if seq, err := wire.ParseLinkStateAck(body); err == nil && seq == 0 {
+				refused++
+			}
+			return
+		case wire.TLinkStateDelta:
+			d, err := wire.LinkStateDeltaBody(body)
+			if err != nil {
+				t.Fatalf("node %d sent a malformed delta: %v", h.Src, err)
+			}
+			version, seq = d.ViewVersion, d.Seq
+			// A delta goes in the tick that announced its row, and the
+			// prober's row does not move within an instant.
+			if asym {
+				e := node.Prober().AsymRow()
+				row = slotRow{node.View(), lsdb.UnpackOutCosts(nil, e), lsdb.UnpackInCosts(nil, e)}
+			} else {
+				e := lsdb.UnpackCosts(nil, node.Prober().Row())
+				row = slotRow{node.View(), e, e}
+			}
+			deltas++
+		case wire.TLinkState, wire.TLinkStateAsym:
+			var entries []byte
+			version, seq, entries, err = wire.LinkStateBody(h.Type, body)
+			if err != nil {
+				t.Fatalf("node %d sent a malformed row: %v", h.Src, err)
+			}
+			row = slotRow{node.View(), nil, nil}
+			packed := wireCosts(h.Type, entries)
+			for s, i := 0, 0; s < row.view.Slots(); s++ {
+				out, in := wire.InfCost, wire.InfCost
+				if row.view.Occupied(s) && i < len(packed.out) {
+					out, in = packed.out[i], packed.in[i]
+					i++
+				}
+				row.out, row.in = append(row.out, out), append(row.in, in)
+			}
+		default:
+			return
+		}
+		if version != node.View().VersionNum() {
+			t.Fatalf("node %d sent a row of view %d while it holds view %d", h.Src, version, node.View().VersionNum())
+		}
+		k := key{h.Src, seq}
+		if _, ok := announced[k]; !ok {
+			announced[k] = row
+			st := quorum(from).Stats()
+			now := [2]uint64{st.ViewExtends, st.ViewRemaps}
+			if was, ok := installs[h.Src]; ok && now[0] != was[0] && now[1] == was[1] {
+				afterStable[k] = false
+			}
+			installs[h.Src] = now
+		}
+		if h.Type == wire.TLinkStateDelta {
+			if _, ok := afterStable[k]; ok {
+				afterStable[k] = true
+			}
+		}
+	}
+	occupants := map[int]map[wire.NodeID]bool{} // per slot, the members seen in it
+	checks, across := 0, 0
+	check := func() {
+		for _, ep := range f.ActiveEndpoints() {
+			q := quorum(ep)
+			if q == nil {
+				continue
+			}
+			view, self, table := f.Node(ep).View(), f.Node(ep).Slot(), q.Table()
+			for s := range view.Slots() {
+				if id := view.IDAt(s); id != wire.NilNode {
+					if occupants[s] == nil {
+						occupants[s] = map[wire.NodeID]bool{}
+					}
+					occupants[s][id] = true
+				}
+				out := table.OutRow(s)
+				if s == self || !view.Occupied(s) || !table.Have(s) || out[s] != 0 {
+					continue
+				}
+				seq := table.Seq(s)
+				want, ok := announced[key{view.IDAt(s), seq}]
+				if !ok {
+					t.Fatalf("at %v node %d holds node %d's row %d, which was never announced", f.Elapsed(), f.Node(ep).Env().LocalID(), view.IDAt(s), seq)
+				}
+				for j := range view.Slots() {
+					wantOut, wantIn := wire.InfCost, wire.InfCost
+					if j < want.view.Slots() && want.view.Occupied(j) && want.view.IDAt(j) == view.IDAt(j) {
+						wantOut, wantIn = want.out[j], want.in[j]
+					}
+					if out[j] != wantOut || table.InRow(s)[j] != wantIn {
+						t.Fatalf("at %v node %d holds node %d's row %d, built on view %d, with costs %d/%d toward slot %d of view %d; the row announced there reads %d/%d",
+							f.Elapsed(), f.Node(ep).Env().LocalID(), view.IDAt(s), seq, want.view.VersionNum(), out[j], table.InRow(s)[j], j, view.VersionNum(), wantOut, wantIn)
+					}
+				}
+				checks++
+				if want.view.VersionNum() != view.VersionNum() {
+					across++
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	f.Run(90 * time.Second)
+	for step := range 48 {
+		switch eps := f.ActiveEndpoints(); step % 4 {
+		case 0:
+			f.Spawn()
+		case 1:
+			f.Depart(eps[rng.Intn(len(eps))], true)
+		case 2:
+			f.Spawn()
+		case 3:
+			f.Depart(eps[rng.Intn(len(eps))], false)
+		}
+		f.Run(5 * time.Second)
+		check()
+	}
+	reused := 0
+	for _, ids := range occupants {
+		if len(ids) > 1 {
+			reused++
+		}
+	}
+	kept := 0
+	for _, delta := range afterStable {
+		if delta {
+			kept++
+		}
+	}
+	t.Logf("%d held rows checked, %d built on an earlier view; %d deltas sent, %d refused; %d slots reused; %d of %d rows after a stable install went as deltas",
+		checks, across, deltas, refused, reused, kept, len(afterStable))
+	if checks == 0 || across == 0 || deltas == 0 || refused == 0 || reused == 0 || len(afterStable) == 0 {
+		t.Errorf("the run exercised too little")
+	}
+	// The rest go in full by the row rules: a delta as large as the row, or
+	// recipients whose links read lossy, dead or not yet probed.
+	if 2*kept < len(afterStable) {
+		t.Errorf("%d of %d rows after a stable install went as deltas: the install dropped the delta's base", kept, len(afterStable))
 	}
 }
