@@ -3,6 +3,7 @@ package emul
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -76,14 +77,22 @@ func TestQuorumHoldsOnlyReadableRows(t *testing.T) {
 // run. The rest of a simulated node is budgeted as measured when the bound was
 // first cut, plus a margin (9.7 KB of 11 at n = 64): its share of the trace's
 // n² link matrices, a 4.9 KB math/rand source per endpoint, the silence clocks,
-// per-row metadata and datagrams in flight. The fleet reads 23.3 KB a node run
-// alone and 23.8 KB after the rest of the package, against this 23.9 KB; with
-// each of those tables wider, and a failover pointer per destination, it read
-// 25.1 and 25.7 KB.
+// per-row metadata and datagrams in flight. The fleet reads 24 397 B a node,
+// in any test order, against this 24 448; with each of those tables wider, and
+// a failover pointer per destination, it read 25.7 KB.
+//
+// Only the fleet's bytes are counted. A second collection drops what sync.Pool
+// caches hold at the start, such as the regexp state of the -run filter, 576 B
+// a node here, which the run would otherwise free and subtract. Collection is
+// off during the run: a collection's restart of the world can make the
+// scheduler start an OS thread, whose runtime structures, ≈ 87 B a node, stay
+// on the heap.
 func TestFleetFootprintPerNode(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&before)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f := footprintFleet()
 	f.Run(20 * time.Minute)
 	runtime.GC()
