@@ -148,7 +148,7 @@ func (f *DynamicFleet) partitionRow() []int {
 // one instant the loop observes before it acts: tick, then the convergence
 // poll, then that instant's steps in slice order, each after every node event
 // of its nanosecond. The order is observable: polling after the steps,
-// `straggler -n 30 -rate 0.6 -minutes 6 -seed 10` reads after=15s for 16s,
+// `straggler -n 30 -rate 0.6 -minutes 6 -seed 61` reads after=15s for 16s,
 // because a Poisson step departs the last straggler in the instant a poll
 // fires. (The loop this replaced ran crash, restart and heal steps before the
 // poll and churn steps after it; the orders differ only when an open watch
