@@ -72,9 +72,6 @@ type Params struct {
 	// Zero Deltas models every row in full, the paper's law. The full mesh
 	// sends every row in full.
 	Deltas, Quiet, Changed float64
-	// Refusals is the count of delta refusals per row sent: each is a
-	// link-state ack, answered with the row in full.
-	Refusals float64
 }
 
 func (p *Params) fill() {
@@ -123,7 +120,6 @@ func (p Params) QuorumRouting(n int) float64 {
 		}
 		row += p.Deltas * (delta - row)
 	}
-	row += p.Refusals * float64(wire.LinkStateAckSize+wire.LinkStateSize(n)+2*p.Overhead)
 	row += float64(p.Overhead)
 	perInterval := 2*float64(k)*row + 2*float64(k)*rec
 	return perInterval * bitsPerByte / p.QuorumInterval.Seconds()

@@ -18,14 +18,14 @@ import (
 //
 // The quorum sends a row after its first as a delta (wire.TLinkStateDelta)
 // against the row before it: the entries whose cost changed. A stable view
-// install keeps the row before it, rebased into the new view's packing; a
-// cold one drops it, and the next row goes in full. A receiver holding that
-// row rebuilds the new one's costs exactly; one that does not refuses the
-// delta with a link-state ack of seq 0, which no row carries, and the sender
-// answers at once with its row in full. One
-// encoding an interval serves every recipient, with no per-receiver state and
-// no periodic full row. The full mesh, the paper's RON baseline, sends every
-// row in full.
+// install onto the next version keeps the row before it, rebased into the new
+// view's packing; any other drops it, and the next row goes in full
+// (installView). A receiver holding that row rebuilds the new one's costs
+// exactly; one that does not refuses the delta with a link-state ack of seq
+// 0, which no row carries, and the sender answers at once with its row in
+// full. One encoding an interval serves every recipient, with no
+// per-receiver state and no periodic full row. The full mesh, the paper's
+// RON baseline, sends every row in full.
 //
 // The quorum, whose rendezvous pass reads each client row many times a tick,
 // puts a row into the table as it arrives. The full mesh parks it (park): the
@@ -70,19 +70,27 @@ type rowCore struct {
 
 // installView installs a view, with two outcomes. A stable extension
 // (membership.StableExtension, the only change a coordinator reign makes)
-// grows the table and routes in place and retires exactly the departed slots,
-// and the row last announced, rebased into the new view's packing, stays the
-// next delta's base; any other install goes cold like the first: a fresh(n)
-// table, no routes, no base. seq and the counters survive both. The router's
-// own state follows retired and started.
-func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n int) *lsdb.Table) (retired, started []int, stable bool) {
+// grows the table and routes in place and retires exactly the departed slots;
+// any other install goes cold like the first: a fresh(n) table, no routes.
+// seq and the counters survive both. The router's own state follows retired.
+//
+// A stable extension onto the next version keeps the row last announced,
+// rebased into the new view's packing, as the next delta's base. One that
+// skipped a version keeps no base, and the rows the table holds base no
+// delta (lsdb.Table.DropBases): in the views skipped a member may have left
+// and come back to its slot (a promotion restores one), which a node that
+// installed them reads as retired and started and one that did not as never
+// gone. Both ends of a delta thus reach its view by the same installs.
+func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n int) *lsdb.Table) (retired []int, stable bool) {
 	c.apply() // the parked rows are the old view's: they unpack by its slots
+	var started []int
 	retired, started, stable = membership.StableExtension(c.view, c.self, view, self)
+	next := stable && view.VersionNum() == c.view.VersionNum()+1
 	base := c.row
 	if base == nil { // nothing announced since the last install: the base it kept, if any
 		base = c.prev
 	}
-	if stable && base != nil {
+	if next && base != nil {
 		_, size := c.form()
 		base = rebase(base[len(base)-c.table.RowBytes():], size, c.view, view, started)
 	} else {
@@ -103,6 +111,9 @@ func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n 
 			c.table.RetireSlot(s)
 		}
 		retireRoutes(c.routes, retired)
+		if !next {
+			c.table.DropBases()
+		}
 	} else {
 		c.table = fresh(n)
 		c.routes = make([]route, n)
@@ -112,7 +123,7 @@ func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n 
 	if c.park && cap(c.parked) != n {
 		c.parked = make([]parkedRow, 0, n)
 	}
-	return retired, started, stable
+	return retired, stable
 }
 
 // rebase translates entries, a row packed by the view old, into the packing

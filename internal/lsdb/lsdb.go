@@ -61,10 +61,11 @@ type Table struct {
 // pointer-free bytes, so accepting a message touches one cache line of the
 // table and the collector scans none of it.
 type slotMeta struct {
-	when int64 // Unix ns the row was received or refreshed
-	seq  uint32
-	have bool // the slot has announced a row
-	held bool // its costs are stored: a delta can patch them (PutDelta)
+	when    int64 // Unix ns the row was received or refreshed
+	seq     uint32
+	have    bool // the slot has announced a row
+	held    bool // its costs are stored: a delta can patch them (PutDelta)
+	unbased bool // DropBases came after the row: no delta can patch it
 }
 
 // NewTable returns an empty symmetric table for an n-slot view.
@@ -205,7 +206,8 @@ const (
 	// Stale: at or below the stored sequence number, a duplicate, and dropped.
 	Stale
 	// Refused: the row before it, d.Seq−1, is not held — never received,
-	// released by Expire, or overtaken by a lost row — so it cannot be rebuilt.
+	// released by Expire, or overtaken by a lost row — or not a base
+	// (DropBases), so it cannot be rebuilt.
 	Refused
 )
 
@@ -220,7 +222,7 @@ func (t *Table) PutDelta(slot int, when time.Time, d *wire.DeltaBody) Take {
 	switch {
 	case m.have && d.Seq <= m.seq:
 		return Stale
-	case !m.held || m.seq != d.Seq-1:
+	case !m.held || m.unbased || m.seq != d.Seq-1:
 		return Refused
 	}
 	*m = slotMeta{when: when.UnixNano(), seq: d.Seq, have: true, held: true}
@@ -332,6 +334,15 @@ func (t *Table) Grow(newN int) {
 	t.meta = append(make([]slotMeta, 0, newN), t.meta...)[:newN]
 	t.best, t.hop = nil, nil // scratch: the next pass sizes it anew
 	t.n = newN
+}
+
+// DropBases makes every stored row no delta's base until its sender's next
+// full row, for a view install the senders may have reached by other
+// installs, which rebase a delta's base otherwise. The costs stay readable.
+func (t *Table) DropBases() {
+	for s := range t.meta {
+		t.meta[s].unbased = true
+	}
 }
 
 // RetireSlot erases a departed member from the table without disturbing
