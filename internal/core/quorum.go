@@ -141,10 +141,6 @@ type Quorum struct {
 	g   *grid.Grid
 
 	servers []int // g.Servers(self): the grid derives a set per call, round 1 reads this one every tick
-	// appointed are the servers a stable install since the last announce
-	// made: not servers before it, or members it started. They hold no row
-	// from this node, so round 1 sends them its row in full.
-	appointed []int
 
 	// rv's clocks pair dst with its default rendezvous: the common set for
 	// (self, dst) less this node, which always holds its own row. Only a view
@@ -197,15 +193,9 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	if q.cfg.Asymmetric {
 		fresh = lsdb.NewDirectionalTable
 	}
-	was := q.servers
-	retired, started, stable := q.installView(view, self, fresh)
+	retired, stable := q.installView(view, self, fresh)
 	q.g, q.servers = g, g.Servers(self)
 	if stable {
-		for _, k := range q.servers {
-			if _, ok := slices.BinarySearch(was, k); !ok || slices.Contains(started, k) {
-				q.appointed = append(q.appointed, k)
-			}
-		}
 		q.failovers = slices.DeleteFunc(q.failovers, func(fo failoverState) bool { return slices.Contains(retired, fo.dst) })
 		// A retired slot is no episode's server and no longer "tried": whoever
 		// is admitted into it is a candidate like any other.
@@ -219,7 +209,7 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 			}
 		}
 	} else {
-		q.failovers, q.appointed = nil, nil
+		q.failovers = nil
 		q.rv = silence{}
 	}
 	q.pairRendezvous(retired)
@@ -325,26 +315,16 @@ func (q *Quorum) activeServers(dst []int) []int {
 }
 
 // sendLinkState is round 1: the node's measured row goes to every active
-// rendezvous server, in full to those the last install appointed. In reliable
-// mode each server owes an ack; rows still unacknowledged after
-// retransmitTimeout are resent once.
+// rendezvous server. In reliable mode each server owes an ack; rows still
+// unacknowledged after retransmitTimeout are resent once.
 func (q *Quorum) sendLinkState() {
-	row := q.announce()
+	msg := q.announce()
 	q.clientsBuf = q.activeServers(q.clientsBuf[:0])
-	to := q.clientsBuf
-	if len(q.appointed) > 0 {
-		to = slices.DeleteFunc(slices.Clone(to), func(s int) bool { return slices.Contains(q.appointed, s) })
-	}
-	msg := row
-	if d := q.delta(to); d != nil {
+	if d := q.delta(q.clientsBuf); d != nil {
 		msg = d
 	}
 	for _, s := range q.clientsBuf {
-		if slices.Contains(q.appointed, s) {
-			q.env.Send(q.view.IDAt(s), row)
-		} else {
-			q.env.Send(q.view.IDAt(s), msg)
-		}
+		q.env.Send(q.view.IDAt(s), msg)
 		q.stats.LinkStatesSent++
 		if q.cfg.ReliableLinkState {
 			q.pendingAcks[s] = q.seq
@@ -355,7 +335,6 @@ func (q *Quorum) sendLinkState() {
 		view := q.view
 		q.env.After(retransmitTimeout, func() { q.retransmit(seq, view.VersionNum(), msg) })
 	}
-	q.appointed = nil
 }
 
 // retransmit resends the round-1 row to servers that never acknowledged it,

@@ -320,8 +320,8 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 			t.Fatalf("node %d sent a row of view %d while it holds view %d", h.Src, version, node.View().VersionNum())
 		}
 		k := key{h.Src, seq}
-		// A seq names one row: a full row sent at a seq already announced,
-		// an answer or a full row to an appointed server, is that row.
+		// A seq names one row: a full row sent at a seq already announced, an
+		// answer, is that row.
 		was, ok := announced[k]
 		if ok && (!slices.Equal(was.out, row.out) || !slices.Equal(was.in, row.in)) {
 			t.Fatalf("node %d sent two rows at seq %d", h.Src, seq)
