@@ -3,7 +3,6 @@ package emul
 import (
 	"math"
 	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
@@ -85,12 +84,11 @@ func TestQuorumHoldsOnlyReadableRows(t *testing.T) {
 // Only the fleet's bytes are counted. A second collection drops what sync.Pool
 // caches hold at the start, such as the regexp state of the -run filter, 576 B
 // a node here, which the run would otherwise free and subtract. The run has
-// one P and no collection, both set before the baseline: with an idle P or a
-// restart of the world the scheduler may start an OS thread mid-run, whose
-// runtime structures, ≈ 87 B a node, stay on the heap.
+// one P, set before the baseline: with an idle P the scheduler may start an
+// OS thread mid-run, whose runtime structures, ≈ 87 B a node, stay on the
+// heap.
 func TestFleetFootprintPerNode(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()
