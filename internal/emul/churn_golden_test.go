@@ -60,10 +60,10 @@ func TestChurnScenariosGolden(t *testing.T) {
 		{short(ChurnCoordCrash), "0d47bb9e6f451d43"},
 		{short(ChurnPartition), "a2fd849a52703c99"},
 		{short(ChurnRegional), "ae897ff48f95a8d8"},
-		{short(ChurnLossyGossip), "28efc64407dbbf0b"},
-		{short(ChurnGossipCrash), "373b5f98a9883ad7"},
-		{short(ChurnStraggler), "5d2b3a7c710f9817"},
-		{ChurnOptions{N: 30, Seed: 61, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "48c65ed508550dd8"},
+		{short(ChurnLossyGossip), "af1f1e7d9ca3515c"},
+		{short(ChurnGossipCrash), "6047878735804218"},
+		{short(ChurnStraggler), "0b461bb1e7e1cbc8"},
+		{ChurnOptions{N: 30, Seed: 61, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "f16f3f55ef33f555"},
 	}
 	for _, c := range cases {
 		out := RunChurn(c.opt).Format()
