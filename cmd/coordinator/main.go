@@ -8,6 +8,8 @@
 // -rank. Rank 0 boots as primary and beacons the others; a standby promotes
 // in rank order when the primary's beacons go silent. Overlay nodes send
 // every heartbeat to all replicas, so it hears each one's next heartbeat.
+// A heartbeat renews the node's lease and draws nothing; one from an ID the
+// primary seats no member under draws its view stamp, and the node rejoins.
 //
 // Usage:
 //

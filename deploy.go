@@ -24,8 +24,9 @@ type NodeOptions struct {
 	// Coordinator is the membership coordinator address, e.g.
 	// "198.51.100.7:4400". A replicated coordinator set is given as a
 	// comma-separated list in rank order ("a:4400,b:4400,c:4400"); the node
-	// sends its joins and heartbeats to every replica, and the primary
-	// answers. Required.
+	// sends its joins and heartbeats to every replica, and the primary serves
+	// them: a heartbeat renews the node's lease and draws no answer unless
+	// the primary seats no member under its ID. Required.
 	Coordinator string
 	// Algorithm selects Quorum (default) or FullMesh routing.
 	Algorithm Algorithm

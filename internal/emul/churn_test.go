@@ -136,6 +136,20 @@ func TestChurnFinalMembersReadTheLatestPrimary(t *testing.T) {
 	}
 }
 
+func TestRestartedReplicaAnswersHeartbeatsWithoutSnapshots(t *testing.T) {
+	// experiments churn -n 100 -scenario coord-crash -minutes 8 -seed 42:
+	// the ex-primary restarts with no state and claims primary over its
+	// empty table until rank 1's beacon demotes it. Each member heartbeat
+	// it hears meanwhile draws its stale stamp, which the member ignores,
+	// not a snapshot of its empty view.
+	res, f := runChurn(ChurnOptions{N: 100, Scenario: ChurnCoordCrash, Duration: 8 * time.Minute, Seed: 42})
+	restarted := f.Coordinator(0)
+	if got := restarted.Stats().FullViewsSent; res.CoordRestarts != 1 || got != 0 || res.LiveMissing != 0 {
+		t.Errorf("restarts=%d: the restarted rank 0 sent %d snapshots, %d live members missing; want 1, 0, 0\n%s",
+			res.CoordRestarts, got, res.LiveMissing, res.Format())
+	}
+}
+
 func TestChurnPartitionSplitBrainHeals(t *testing.T) {
 	// The acceptance fault: primary crash plus a 60 s grid-row partition.
 	// Both sides elect a primary; the heal must merge them back to one
@@ -465,9 +479,9 @@ func TestDeterministicTrafficWithFailoversActive(t *testing.T) {
 
 func TestEvictedNodeRejoinsAndRegainsRoutes(t *testing.T) {
 	// A node partitioned past the membership timeout is expired by the
-	// coordinator. On heal it must discover the eviction (heartbeat answered
-	// with a view omitting it), rejoin under a fresh ID, and regain working
-	// routes to the rest of the overlay.
+	// coordinator. On heal it must discover the eviction (its heartbeat
+	// answered with a stamp newer than its view), rejoin under a fresh ID,
+	// and regain working routes to the rest of the overlay.
 	const n = 9
 	f := NewDynamicFleet(n, DynamicFleetOptions{
 		MaxN: n,

@@ -16,7 +16,7 @@ type ClientConfig struct {
 	JoinRetry time.Duration
 	// Coordinators lists the coordinator replica IDs (default: just
 	// CoordinatorID). Every join, heartbeat, leave and coordinator pull goes
-	// to each of them; the primary answers and standbys drop it. The caller
+	// to each of them; the primary serves it and standbys drop it. The caller
 	// must bind each ID to its address via env.SetPeer before Start.
 	Coordinators []wire.NodeID
 }
@@ -68,7 +68,7 @@ func (c *ClientConfig) fill() {
 // peers first, then the coordinator — only when some message shows it missed
 // one, and answering its peers' pulls by the rule the coordinator answers by.
 // Everything it sends the coordinator goes to every replica, and whichever
-// one leads answers, so a lost heartbeat or ack costs one heartbeat interval
+// one leads serves it, so a lost heartbeat costs one heartbeat interval
 // whatever the replica count. It does not own the Env's packet handler — the
 // overlay node dispatches membership messages to HandlePacket — so it
 // composes with the routing and probing components on one socket.
@@ -84,8 +84,8 @@ type Client struct {
 	// ever entered, so dedup[dedupN%dedupCache] is the next to go; deltaLog
 	// holds the consecutive run of applied deltas ending at the current
 	// version, served to pulling peers; want is the newest stamp heard of
-	// (gossip, heartbeat acks, snapshot pieces, pull and routing traffic) —
-	// while it is ahead of the installed view, a repair pull is owed.
+	// (gossip, snapshot pieces, pull and routing traffic) — while it is ahead
+	// of the installed view, a repair pull is owed.
 	dedup    [dedupCache]wire.ViewStamp
 	dedupN   int
 	deltaLog []wire.ViewDelta
@@ -104,8 +104,9 @@ type Client struct {
 	// snapshot).
 	snap snapshot
 
-	hbTimer   transport.Timer
-	joinTimer transport.Timer
+	// timer is the keep-alive's: the join's retry until a view lists this
+	// node, the heartbeat's after.
+	timer     transport.Timer
 	pullTimer transport.Timer
 	stopped   bool
 
@@ -156,26 +157,22 @@ func NewClient(env transport.Env, cfg ClientConfig, onView func(*ViewInfo)) *Cli
 	return &Client{env: env, cfg: cfg, onView: onView, lead: wire.NilNode}
 }
 
-// Start begins the join loop and the heartbeat cycle, which idles until a
-// view lists this node.
-func (c *Client) Start() {
-	c.sendJoin()
-	c.joinTimer = c.env.After(c.cfg.JoinRetry, c.joinRetry)
-	c.hbTimer = c.env.After(c.cfg.Heartbeat, c.heartbeat)
-}
+// Start begins the keep-alive: the join now, and again every JoinRetry until
+// a view lists this node.
+func (c *Client) Start() { c.keepAlive() }
 
 // Stop cancels the client's timers. It does not announce departure; use
 // Leave for a graceful exit.
 func (c *Client) Stop() {
 	c.stopped = true
-	for _, t := range []transport.Timer{c.hbTimer, c.joinTimer, c.pullTimer} {
+	for _, t := range []transport.Timer{c.timer, c.pullTimer} {
 		if t != nil {
 			t.Stop()
 		}
 	}
 }
 
-// toCoordinators sends b to every coordinator replica: the primary answers,
+// toCoordinators sends b to every coordinator replica: the primary serves it,
 // standbys drop it, so the client never needs to know which one leads.
 func (c *Client) toCoordinators(b []byte) {
 	for _, id := range c.cfg.Coordinators {
@@ -190,30 +187,34 @@ func (c *Client) Leave() {
 	}
 }
 
-func (c *Client) sendJoin() {
-	c.toCoordinators(wire.AppendJoin(nil, wire.Join{Addr: c.env.LocalAddr()}))
-}
-
-// joinRetry re-sends the join until a view lists us: the join or the
-// admitting snapshot was lost, and a primary that admitted us sends its view
-// again.
-func (c *Client) joinRetry() {
-	if !c.joined && !c.stopped {
-		c.sendJoin()
-		c.joinTimer = c.env.After(c.cfg.JoinRetry, c.joinRetry)
-	}
-}
-
-// heartbeat renews the lease every Heartbeat while a view lists us; before
-// that, the join loop owns the traffic.
-func (c *Client) heartbeat() {
+// keepAlive is the client's one loop to the coordinator: the join every
+// JoinRetry until a view lists us (a lost join or admitting snapshot costs one
+// retry, since a primary that admitted us sends its view again), then the
+// heartbeat that renews the lease every Heartbeat.
+func (c *Client) keepAlive() {
 	if c.stopped {
 		return
 	}
 	if c.joined {
 		c.toCoordinators(wire.AppendHeartbeat(nil, c.env.LocalID()))
+		c.timer = c.env.After(c.cfg.Heartbeat, c.keepAlive)
+		return
 	}
-	c.hbTimer = c.env.After(c.cfg.Heartbeat, c.heartbeat)
+	c.toCoordinators(wire.AppendJoin(nil, wire.Join{Addr: c.env.LocalAddr()}))
+	c.timer = c.env.After(c.cfg.JoinRetry, c.keepAlive)
+}
+
+// rejoin drops the standing the primary no longer holds, if any, and sends
+// the join at once, rather than orbit the overlay with an ID nobody routes to.
+func (c *Client) rejoin() {
+	if !c.joined {
+		return
+	}
+	c.joined = false
+	if c.timer != nil {
+		c.timer.Stop()
+	}
+	c.keepAlive()
 }
 
 // stamp returns the current view's stamp, or the zero stamp before any view.
@@ -230,15 +231,12 @@ func (c *Client) stamp() wire.ViewStamp {
 func (c *Client) HandlePacket(h wire.Header, body []byte) {
 	switch h.Type {
 	case wire.THeartbeatAck:
-		stamp, err := wire.ParseStamped(body)
-		if err != nil {
-			return
-		}
-		// The ack carries the primary's view stamp: a stamp ahead of ours (a
-		// missed delta, or a post-failover reign we missed the broadcast of)
-		// is chased through the repair path.
-		if stamp.After(c.stamp()) {
-			c.noteAhead(stamp, wire.NilNode)
+		// The primary seats no member under our ID at this stamp. Past our
+		// view, it evicted us after the view we hold. Not past it, the answer
+		// is a replica's that lost its state (a restart answering at 1/0),
+		// and says nothing of our standing.
+		if stamp, err := wire.ParseStamped(body); err == nil && stamp.After(c.stamp()) {
+			c.rejoin()
 		}
 	case wire.TViewChunk:
 		vc, err := wire.ParseViewChunk(body)
@@ -351,7 +349,7 @@ func (c *Client) handleDelta(d wire.ViewDelta) {
 // the newer view answers with deltas or its snapshot. It is the ladder's only
 // trigger: a client pulls because it learned it is behind, never on a timer.
 // holder is the node whose message proved it holds s, or NilNode when the
-// evidence names no holder (a heartbeat ack, a gossiped gap).
+// evidence names no holder (a gossiped gap).
 func (c *Client) noteAhead(s wire.ViewStamp, holder wire.NodeID) {
 	if s.After(c.want) {
 		c.want = s
@@ -506,9 +504,7 @@ func (c *Client) bridged(src wire.NodeID, wasBehind bool) {
 // install makes vi the current view and states this node's standing from
 // it: the member listed at our address is us, and its ID is ours. Only such a
 // view reaches onView. A view that stops listing us means the coordinator
-// expired us (a heartbeat from an unknown ID is answered with the current
-// view): re-enter the join loop instead of orbiting the overlay forever with
-// an ID nobody routes to.
+// expired us: rejoin.
 func (c *Client) install(vi *ViewInfo) {
 	c.view = vi
 	if !c.behind() {
@@ -526,13 +522,7 @@ func (c *Client) install(vi *ViewInfo) {
 		}
 	}
 	if self == wire.NilNode {
-		if c.joined {
-			c.joined = false
-			if !c.stopped {
-				c.sendJoin()
-				c.joinTimer = c.env.After(c.cfg.JoinRetry, c.joinRetry)
-			}
-		}
+		c.rejoin()
 		return
 	}
 	c.joined = true

@@ -177,7 +177,7 @@ type CoordinatorStats struct {
 	// flush's seeded envelope, one per peer replica); FullViewsSent counts
 	// snapshots sent by flushes (to added members, standbys, or everyone
 	// when the delta would not do) plus those served on demand (pulls from
-	// members and standbys, evicted-node heartbeats).
+	// members and standbys, a listed joiner's retry).
 	DeltasSent    uint64
 	FullViewsSent uint64
 	// SeedsSent counts gossip-delta envelopes seeded into the dissemination
@@ -187,8 +187,6 @@ type CoordinatorStats struct {
 	// ViewChunksSent counts the chunk datagrams of snapshots too large for
 	// one chunk (each snapshot still counts once in FullViewsSent).
 	ViewChunksSent uint64
-	// HeartbeatAcks counts heartbeats acknowledged as primary.
-	HeartbeatAcks uint64
 	// Promotions and Demotions count this replica's role changes.
 	Promotions, Demotions uint64
 	// PreVotesVetoed counts elections abandoned because a peer still
@@ -365,15 +363,13 @@ func (c *Coordinator) handle(from wire.NodeID, payload []byte) {
 		}
 		c.handleJoin(j)
 	case wire.THeartbeat:
+		// A member's heartbeat renews its lease and draws nothing. One from
+		// an ID no seat holds draws this replica's stamp, whatever the view
+		// size: a member evicted by then rejoins (Client, THeartbeatAck).
 		if s, ok := c.slotOf[h.Src]; ok {
 			c.seats[s].at = c.env.Now()
-			c.env.Send(h.Src, wire.AppendStamped(nil, wire.THeartbeatAck, c.selfID, c.Stamp()))
-			c.stats.HeartbeatAcks++
 		} else {
-			// An expired member still heartbeating does not know it was
-			// evicted: answer with the current view, whose absence of its ID
-			// tells the client to rejoin.
-			c.sendPackets(h.Src, snapshotPackets(c.selfID, c.Stamp(), c.lastView))
+			c.env.Send(h.Src, wire.AppendStamped(nil, wire.THeartbeatAck, c.selfID, c.Stamp()))
 		}
 	case wire.TViewPull:
 		// Asked by a member or a standby replica; a stranger gets nothing.

@@ -186,11 +186,14 @@ func TestReorderedGossipBridgesThroughPull(t *testing.T) {
 func TestGossipDisseminationUnderLossConverges(t *testing.T) {
 	// The tentpole end-to-end: 5% loss, duplication, and jitter on every
 	// link; a late joiner's admission delta must still reach every member
-	// through the tree plus pull repair, inside the 90 s acceptance bound.
+	// through the tree plus pull repair, inside the 90 s acceptance bound. A
+	// member that lost its copy learns it is behind from its peers' routing
+	// versions.
 	k := 12
 	sc := newSimCluster(t, k,
 		ClientConfig{Heartbeat: 15 * time.Second},
 		CoordinatorConfig{Coalesce: 500 * time.Millisecond})
+	routeEvery(sc.nw, sc.clients, sc.envs, 5*time.Second)
 	for a := 0; a <= k; a++ {
 		for b := a + 1; b <= k; b++ {
 			sc.nw.SetLoss(a, b, 0.05)
@@ -244,7 +247,7 @@ func TestStaleJoinReplyNonceRejected(t *testing.T) {
 	sc.nw.SetNodeDown(0, true) // long enough to be expired
 	sc.nw.RunFor(time.Minute)
 	sc.nw.SetNodeDown(0, false)
-	sc.nw.RunFor(30 * time.Second) // evicted by the view its heartbeat draws; rejoins
+	sc.nw.RunFor(30 * time.Second) // evicted: its heartbeat draws a newer stamp; rejoins
 	newID, held := sc.envs[0].LocalID(), sc.clients[0].View().Stamp()
 	if !sc.clients[0].Joined() || newID == oldID || held != sc.coord.Stamp() {
 		t.Fatalf("client 0 joined=%v as %d at %v, want a fresh ID (was %d) at %v",

@@ -192,17 +192,51 @@ func newSimCluster(t testing.TB, k int, cfg ClientConfig, ccfg CoordinatorConfig
 		env := transport.NewSimEnv(nw, reg, i, int64(i+2))
 		env.SetPeer(CoordinatorID, coordAddr)
 		cl := NewClient(env, cfg, func(v *ViewInfo) { sc.views[i] = v })
-		env.Bind(func(from wire.NodeID, payload []byte) {
-			h, body, err := wire.ParseHeader(payload)
-			if err != nil {
-				return
-			}
-			cl.HandlePacket(h, body)
-		})
+		env.Bind(memberHandler(cl))
 		sc.clients = append(sc.clients, cl)
 		sc.envs = append(sc.envs, env)
 	}
 	return sc
+}
+
+// memberHandler dispatches a member's datagrams as the overlay node does:
+// membership messages to the client, and the view version a routing message
+// carries to HeardVersion (routeEvery sends the only ones).
+func memberHandler(cl *Client) func(wire.NodeID, []byte) {
+	return func(_ wire.NodeID, payload []byte) {
+		h, body, err := wire.ParseHeader(payload)
+		if err != nil {
+			return
+		}
+		if h.Type != wire.TRecommendation {
+			cl.HandlePacket(h, body)
+		} else if rec, err := wire.RecommendationBody(body); err == nil {
+			cl.HeardVersion(h.Src, rec.ViewVersion)
+		}
+	}
+}
+
+// routeEvery gives a harness the evidence a routing plane gives: every
+// interval, each joined member sends every other member of its view an empty
+// recommendation stamped with its view version.
+func routeEvery(nw *simnet.Network, clients []*Client, envs []*transport.SimEnv, every time.Duration) {
+	var tick func()
+	tick = func() {
+		for i, cl := range clients {
+			if !cl.Joined() || cl.stopped {
+				continue
+			}
+			self := envs[i].LocalID()
+			msg := wire.AppendRecommendation(nil, self, wire.Recommendation{ViewVersion: cl.View().VersionNum()})
+			for _, m := range cl.View().Members() {
+				if m.ID != self {
+					envs[i].Send(m.ID, msg)
+				}
+			}
+		}
+		nw.After(every, tick)
+	}
+	nw.After(every, tick)
 }
 
 func TestJoinAssignsIDsAndConsistentViews(t *testing.T) {
@@ -639,7 +673,7 @@ func TestJoinStormMessageComplexity(t *testing.T) {
 	if sc.coord.MemberCount() != n+k {
 		t.Fatalf("member count = %d after storm", sc.coord.MemberCount())
 	}
-	// Linear bound with slack for stray heartbeat replies; the quadratic
+	// Linear bound with slack for a joiner's retried snapshot; the quadratic
 	// alternative would be ≥ n·k = 300.
 	if *sent > 2*(n+2*k) {
 		t.Errorf("coordinator sent %d membership messages for a %d-node storm on %d members (want O(n+k))", *sent, k, n)
@@ -681,8 +715,8 @@ func TestEvictedClientRejoins(t *testing.T) {
 		t.Fatalf("member count = %d during partition", sc.coord.MemberCount())
 	}
 	sc.nw.SetNodeDown(0, false)
-	// The next heartbeat from the evicted ID draws a view without it; the
-	// client detects self-absence and rejoins with a fresh ID.
+	// The next heartbeat from the evicted ID draws the primary's stamp, newer
+	// than the client's view; the client rejoins with a fresh ID.
 	sc.nw.RunFor(30 * time.Second)
 	if sc.coord.MemberCount() != 2 {
 		t.Fatalf("member count = %d after heal, want 2 (rejoined)", sc.coord.MemberCount())

@@ -78,12 +78,14 @@ func TestGapsCloseFromPeerSnapshots(t *testing.T) {
 	t.Run("across an epoch", func(t *testing.T) {
 		cfg := churnClientCfg()
 		rc := newRepCluster(t, 3, 2, cfg, fastCoordCfg(t))
+		routeEvery(rc.nw, rc.clients, rc.envs, 5*time.Second)
 		for _, cl := range rc.clients {
 			cl.Start()
 		}
 		rc.nw.RunFor(8 * time.Second)
 		// Client 0 is cut off while rank 1 promotes, so it misses the new
-		// reign's snapshot.
+		// reign's snapshot; its peers' routing versions tell it after the
+		// heal.
 		rc.nw.SetNodeDown(0, true)
 		rc.coords[0].Stop()
 		rc.nw.RunFor(15 * time.Second)

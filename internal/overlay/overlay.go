@@ -203,7 +203,7 @@ func (n *Node) Halt() {
 // handlePacket dispatches an incoming datagram to the owning component. It is
 // the one place that sees both planes, so it also hands the membership client
 // the view version every routing message is stamped with: how a member that
-// missed a view change learns it before its next heartbeat.
+// missed a view change learns it (a heartbeat draws no answer).
 func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 	h, body, err := wire.ParseHeader(payload)
 	if err != nil {

@@ -84,11 +84,10 @@ const (
 
 	// Membership plane, replicated-coordinator extension.
 	//
-	// THeartbeatAck is the primary's answer to a member heartbeat, carrying
-	// its view stamp (AppendStamped): a member holding a different stamp
-	// learns it missed an update, or is talking across a healed partition,
-	// and pulls what it missed, while the arrival itself proves the primary
-	// alive and clears the member's failover deadline.
+	// THeartbeatAck is a primary's answer to a heartbeat from an ID it seats
+	// no member under, carrying its view stamp (AppendStamped): "at this
+	// stamp, no member holds your ID". A member's own heartbeat draws
+	// nothing. The name is the retired acknowledgement's.
 	THeartbeatAck
 	TCoordBeacon // primary liveness/epoch beacon between coordinator replicas
 	// TPreVote is a standby's question to its replica peers before it
