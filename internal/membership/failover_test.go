@@ -240,8 +240,7 @@ func TestFailoverOnPrimaryCrash(t *testing.T) {
 
 // TestLostAckCostsOneHeartbeat: one lost heartbeat costs one Heartbeat of gap
 // at the primary, whatever the replica count: every heartbeat goes to every
-// replica and the next one is on time. (The name is the retired ack's, whose
-// loss once cost a rotation through the replicas.)
+// replica and the next one is on time. (The name is the retired ack's.)
 func TestLostAckCostsOneHeartbeat(t *testing.T) {
 	for _, k := range []int{1, 3, 5} {
 		t.Run(fmt.Sprintf("replicas=%d", k), func(t *testing.T) {
