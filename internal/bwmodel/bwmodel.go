@@ -72,6 +72,12 @@ type Params struct {
 	// Zero Deltas models every row in full, the paper's law. The full mesh
 	// sends every row in full.
 	Deltas, Quiet, Changed float64
+	// RecDeltas, when positive, is the share of the quorum's run-form
+	// recommendations that travel as deltas, and RecChanged the share of a
+	// delta's named entries that changed, over all the deltas
+	// (wire.RecommendationDeltaSize). Zero RecDeltas models every
+	// recommendation in full.
+	RecDeltas, RecChanged float64
 }
 
 func (p *Params) fill() {
@@ -100,19 +106,21 @@ func (p Params) FullMeshRouting(n int) float64 {
 // interval the node exchanges k rows (round 1, both directions) and k
 // recommendation messages of k entries each (round 2, both directions). A
 // rendezvous sends each grid client the run form, whose run — its other
-// clients and itself — is k long and whose every entry is named by it.
+// clients and itself — is k long and whose every entry is named by it, or
+// its delta.
 func (p Params) QuorumRouting(n int) float64 {
 	p.fill()
 	k := QuorumDegree(n)
-	rec := float64(wire.RecommendationRunSize(k, k, 0) + p.Overhead)
+	rec := float64(wire.RecommendationRunSize(k, k, 0))
+	if p.RecDeltas > 0 {
+		delta := between(p.RecChanged*float64(k), func(c int) int { return wire.RecommendationDeltaSize(k, c, 0) })
+		rec += p.RecDeltas * (delta - rec)
+	}
+	rec += float64(p.Overhead)
 	row := float64(wire.LinkStateSize(n))
 	if p.Deltas > 0 {
-		// A fractional count of changed entries is priced between the sizes
-		// of the deltas carrying the whole counts on either side of it.
 		size := func(c float64) float64 {
-			at := func(c int) float64 { return float64(wire.LinkStateDeltaSize(n, c, wire.LinkEntryLen)) }
-			lo := int(c)
-			return at(lo) + (c-float64(lo))*(at(lo+1)-at(lo))
+			return between(c, func(c int) int { return wire.LinkStateDeltaSize(n, c, wire.LinkEntryLen) })
 		}
 		delta := size(0) // a quiet one
 		if p.Quiet < 1 {
@@ -123,6 +131,13 @@ func (p Params) QuorumRouting(n int) float64 {
 	row += float64(p.Overhead)
 	perInterval := 2*float64(k)*row + 2*float64(k)*rec
 	return perInterval * bitsPerByte / p.QuorumInterval.Seconds()
+}
+
+// between prices a fractional count c of changed entries between the sizes
+// of the deltas carrying the whole counts on either side of it.
+func between(c float64, size func(changed int) int) float64 {
+	lo := int(c)
+	return float64(size(lo)) + (c-float64(lo))*float64(size(lo+1)-size(lo))
 }
 
 // QuorumDegree returns the idealized rendezvous set size 2(⌈√n⌉−1) used by

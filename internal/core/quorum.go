@@ -108,13 +108,23 @@ type QuorumStats struct {
 // positions k's run-form recommendations name (messages). heard[run[i]:
 // run[i+1]] is, per destination, when (Unix ns) k last recommended a route to
 // it, or when the pairing began: the view install that made k a default
-// rendezvous of the destination. Every array is pointer-free, ten bytes a
-// pairing.
+// rendezvous of the destination. said[run[i]:run[i+1]] is, per destination,
+// the hop and cost k's run-form message at seq[i] named it with, the base of
+// k's next delta; seq[i] is 0 while there is none since the install. Every
+// array is pointer-free, fourteen bytes a pairing.
 type silence struct {
 	servers []int // this node's servers, ascending
 	run     []int32
 	slot    []uint16
 	heard   []int64
+	said    []saidEntry
+	seq     []uint32
+}
+
+// saidEntry is a named entry of a run-form recommendation: hop and cost.
+type saidEntry struct {
+	hop  wire.NodeID
+	cost wire.Cost
 }
 
 // server returns the destinations the i-th server holds and their clocks.
@@ -148,6 +158,8 @@ type Quorum struct {
 	rv          silence
 	failovers   []failoverState // the open episodes, by ascending destination
 	pendingAcks []uint32        // per server slot: the row seq awaiting its ack, 0 when none; nil unless reliable
+	base        recBase         // what round 2 last sent its default clients
+	refusal     []byte          // this node's refusal of a recommendation delta, at the view's version
 	stats       QuorumStats
 
 	// LinkAlive reports the prober's liveness belief for a slot. Required.
@@ -182,8 +194,8 @@ func NewQuorum(env transport.Env, cfg QuorumConfig, view *membership.ViewInfo, s
 // spans the view's slot space, tombstones masked out, so a stable extension
 // leaves the silence clocks and failover episodes of unaffected members
 // bit-for-bit untouched; a cold install opens no episode and starts every
-// clock now. Pending acks reset either way. A view the grid cannot span is
-// refused before anything changes.
+// clock now. Pending acks and both ends' recommendation bases reset either
+// way. A view the grid cannot span is refused before anything changes.
 func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	g, err := grid.NewMasked(view.Slots(), view.OccupiedMask())
 	if err != nil {
@@ -213,6 +225,8 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		q.rv = silence{}
 	}
 	q.pairRendezvous(retired)
+	q.base.reset(len(q.servers)+1, q.cfg.Asymmetric)
+	q.refusal = wire.AppendRecommendation(nil, q.env.LocalID(), wire.Recommendation{ViewVersion: view.VersionNum()})
 	q.live = make([]bool, view.Slots())
 	if q.cfg.ReliableLinkState {
 		q.pendingAcks = make([]uint32, view.Slots())
@@ -246,6 +260,7 @@ func (q *Quorum) pairRendezvous(retired []int) {
 	}
 	next.slot = make([]uint16, next.run[len(held)])
 	next.heard = make([]int64, len(next.slot))
+	next.said, next.seq = cleared(q.rv.said, len(next.slot)), cleared(q.rv.seq, len(q.servers)) // bases reset
 	for i, k := range q.servers {
 		// k's previous run ascends like its new one: one merge pass carries
 		// the clocks over.
@@ -402,11 +417,13 @@ func (q *Quorum) sendsRowsTo(slot int) bool {
 // Every pair is evaluated every interval (§3), per direction — a→b from a's
 // out-costs and b's in-costs, b→a the other way round — except that on a
 // symmetric table the two are one computation and the reverse result is the
-// forward slice.
+// forward slice. A default client's message goes as a delta when it pays
+// (recDelta).
 func (q *Quorum) sendRecommendations() {
 	now := q.env.Now()
 	clients := q.table.FreshSlots(q.clientsBuf[:0], now, q.cfg.Staleness)
 	q.clientsBuf = clients
+	q.base.deltas, q.base.answered = q.base.deltas[:0], q.base.answered[:0]
 	if len(clients) == 0 {
 		return
 	}
@@ -417,12 +434,29 @@ func (q *Quorum) sendRecommendations() {
 	// the client its route to us, which completes its message.
 	fwd, rev := q.sweep(clients)
 	src, nowNs := q.env.LocalID(), now.UnixNano()
+	self := int(q.runPos[q.selfAt])
 	for i, c := range clients {
 		q.install(c, route{when: nowNs, hop: uint16(fwd[i].Hop), from: uint16(q.self), cost: fwd[i].Cost, source: SourceSelf})
 		back := turned(rev[i], q.self, c)
 		wire.PutRecEntry(msgs[i], place(q.order[i], q.selfAt), wire.RecEntry{Dst: src, Hop: q.hopID(back.Hop), Cost: back.Cost})
-		q.env.Send(q.view.IDAt(c), msgs[i])
+		if o := q.order[i]; int(o) < len(q.runPos) {
+			q.base.note(self, int(q.runPos[o]), fwd[i], rev[i], q.seq)
+		}
+	}
+	refused := q.refusals()
+	for i, c := range clients {
+		msg := msgs[i]
+		if o := q.order[i]; int(o) < len(q.runPos) {
+			if d := q.recDelta(refused(c), int(q.runPos[o]), msg); d != nil {
+				msg = d
+				q.base.deltas = append(q.base.deltas, uint16(c))
+			}
+		}
+		q.env.Send(q.view.IDAt(c), msg)
 		q.stats.RecommendationsSent++
+	}
+	for _, p := range q.runPos {
+		q.base.at[p] = q.seq
 	}
 }
 
@@ -435,9 +469,10 @@ func (q *Quorum) sendRecommendations() {
 // The first part, less the addressee, is a default client's run for this node
 // — this node's grid clients and itself, ascending, less the client — or as
 // much of it as has fresh rows here. runPos[p] is the p-th member's position
-// in the run less nobody, and the default client is sent the run form, whose
-// bitmap names those positions (wire.NewRecommendationRun). A failover client
-// holds no run for this node and is sent the explicit form.
+// in the run less nobody, the full run, and the default client is sent the
+// run form, whose bitmap names those positions (wire.NewRecommendationRun). A
+// failover client holds no run for this node and is sent the explicit form.
+// The tick's changed marks (recBase.note) start clear.
 func (q *Quorum) messages(clients []int) [][]byte {
 	k := len(clients)
 	q.order = slices.Grow(q.order[:0], k)[:k]
@@ -474,13 +509,14 @@ func (q *Quorum) messages(clients []int) [][]byte {
 	}
 
 	src, version := q.env.LocalID(), q.view.VersionNum()
+	clear(q.base.changed)
 	msgs := make([][]byte, k)
 	for i, o := range q.order[:k] {
 		if int(o) > defaults {
 			msgs[i] = wire.NewRecommendation(src, version, k)
 			continue
 		}
-		msgs[i] = wire.NewRecommendationRun(src, version, len(q.servers), defaults, k-defaults)
+		msgs[i] = wire.NewRecommendationRun(src, version, q.seq, len(q.servers), defaults, k-defaults)
 		for p, at := range q.runPos {
 			if p != int(o) {
 				wire.MarkRecRun(msgs[i], place(q.runPos[o], at))
@@ -509,8 +545,9 @@ func (q *Quorum) hopID(hop int) wire.NodeID {
 }
 
 // clientPairs evaluates every pair of clients and writes the results into both
-// endpoints' pending messages, each at the entry messages laid out for it.
-// The kernels' output goes through the buffers sweep keeps.
+// endpoints' pending messages, each at the entry messages laid out for it,
+// and into the base when both are default clients. The kernels' output goes
+// through the buffers sweep keeps.
 //
 //lint:allocfree
 func (q *Quorum) clientPairs(clients []int, msgs [][]byte) {
@@ -530,6 +567,9 @@ func (q *Quorum) clientPairs(clients []int, msgs [][]byte) {
 			back := turned(rev[z], a, b)
 			wire.PutRecEntry(msgs[i], place(order[i], order[j]), wire.RecEntry{Dst: q.view.IDAt(b), Hop: q.hopID(fwd[z].Hop), Cost: fwd[z].Cost})
 			wire.PutRecEntry(msgs[j], place(order[j], order[i]), wire.RecEntry{Dst: q.view.IDAt(a), Hop: q.hopID(back.Hop), Cost: back.Cost})
+			if int(order[i]) < len(q.runPos) && int(order[j]) < len(q.runPos) {
+				q.base.note(int(q.runPos[order[i]]), int(q.runPos[order[j]]), fwd[z], rev[z], q.seq)
+			}
 		}
 	}
 	pairs := k * (k - 1)
@@ -613,6 +653,13 @@ func (q *Quorum) HandleLinkState(h wire.Header, body []byte) {
 // Anything else refuses the whole message. An explicit entry moves the clock
 // it names, if any, found by search.
 //
+// A delta is rebuilt from what its sender said at its seq−1, which said holds
+// (or at its seq, for a duplicate), and is then taken as the message in full.
+// Without that base it still moves every clock its bitmap marks and installs
+// its changed and explicit entries, and draws a refusal; an older one than
+// said holds is ignored. A run-form message newer than said's replaces it. An
+// explicit-form message of no entries is a client's refusal (answerRefusal).
+//
 //lint:allocfree
 func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 	rec, err := wire.RecommendationBody(body)
@@ -621,6 +668,10 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 	}
 	from, ok := q.view.SlotOf(h.Src)
 	if !ok || from == q.self {
+		return
+	}
+	if !rec.ByRun && rec.Entries == 0 {
+		q.answerRefusal(h.Src, from)
 		return
 	}
 	// Only a rendezvous this node relies on for a destination — a default, the
@@ -635,12 +686,44 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 	if rec.ByRun && (!isServer || rec.Run != len(slots) || !q.outsideRun(&rec, slots)) {
 		return
 	}
+	keep := false // whether said takes this message, at rec.Seq
+	var said []saidEntry
+	if rec.ByRun {
+		said = q.rv.said[q.rv.run[r]:q.rv.run[r+1]]
+		switch held := q.rv.seq[r]; {
+		case !rec.Delta:
+			keep = rec.Seq >= held
+		case held == 0 || rec.Seq > held+1:
+			q.env.Send(h.Src, q.refusal)
+		case rec.Seq < held:
+			return
+		default:
+			keep = true
+		}
+		if keep {
+			q.rv.seq[r] = rec.Seq
+		}
+	}
 	now := q.env.Now().UnixNano()
-	e := 0
+	e, next := 0, rec.Position(0, -1)
 	for p := rec.NextRun(0); p < rec.Run; p = rec.NextRun(p + 1) {
 		heard[p] = now
-		q.take(from, int(slots[p]), rec.Entry(e), now)
-		e++
+		var entry wire.RecEntry
+		switch {
+		case !rec.Delta || p == next:
+			entry = rec.Entry(e)
+			if e++; rec.Delta {
+				next = rec.Position(e, p)
+			}
+			if keep {
+				said[p] = saidEntry{entry.Hop, entry.Cost}
+			}
+		case keep:
+			entry = wire.RecEntry{Hop: said[p].hop, Cost: said[p].cost}
+		default:
+			continue // refused: waits for the answer
+		}
+		q.take(from, int(slots[p]), entry, now)
 	}
 	for ; e < rec.Entries; e++ {
 		entry := rec.Entry(e)
@@ -662,7 +745,7 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 //lint:allocfree
 func (q *Quorum) outsideRun(rec *wire.RecBody, run []uint16) bool {
 	last := -1
-	for e := rec.Named; e < rec.Entries; e++ {
+	for e := rec.Carried; e < rec.Entries; e++ {
 		dst, ok := q.view.SlotOf(rec.Entry(e).Dst)
 		if !ok || dst == q.self || dst <= last {
 			return false
@@ -844,6 +927,25 @@ func (q *Quorum) episode(dst int) (int, bool) {
 		}
 	}
 	return i, i < len(q.failovers) && q.failovers[i].dst == dst
+}
+
+// HeldRecommendation returns the base this node holds for deltas from its
+// default rendezvous at slot k: the seq of k's run-form message it holds, 0
+// for none since the install, and per destination of k's run, ascending, its
+// slot and the hop and cost said of it. The entries of destinations that
+// message did not name are older.
+//
+//lint:testonly TestHeldRowsAreAnnouncedRows (emul) holds them to what k computed at the seq
+func (q *Quorum) HeldRecommendation(k int) (seq uint32, dsts []uint16, said []wire.RecEntry) {
+	r, ok := slices.BinarySearch(q.servers, k)
+	if !ok {
+		return 0, nil, nil
+	}
+	dsts, _ = q.rv.server(r)
+	for _, e := range q.rv.said[q.rv.run[r]:q.rv.run[r+1]] {
+		said = append(said, wire.RecEntry{Hop: e.hop, Cost: e.cost})
+	}
+	return q.rv.seq[r], dsts, said
 }
 
 // FailoverServer returns the active failover rendezvous for dst, or -1.

@@ -14,8 +14,8 @@ import (
 
 // runFormFixture is the router at slot 9 of a 49-slot view (7×7) whose slots
 // 12 and 30 are tombstones, every other slot's member carrying its slot as
-// its ID, one second after the install started every clock; run advances
-// its clock.
+// its ID, one second after the install started every clock, on an Env that
+// counts what it sends (countingEnv); run advances its clock.
 func runFormFixture(tb testing.TB) (q *Quorum, run func(time.Duration)) {
 	tb.Helper()
 	const n = 49
@@ -29,8 +29,8 @@ func runFormFixture(tb testing.TB) (q *Quorum, run func(time.Duration)) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	env, nw := soloEnv()
-	if q, err = NewQuorum(env, QuorumConfig{}, view, 9); err != nil {
+	sim, nw := soloEnv()
+	if q, err = NewQuorum(&countingEnv{SimEnv: sim}, QuorumConfig{}, view, 9); err != nil {
 		tb.Fatal(err)
 	}
 	q.LinkAlive = func(int) bool { return true }
@@ -53,7 +53,7 @@ func heldRun(q *Quorum, k int) []int { return gridRun(q.Grid(), k, q.self) }
 // positions named, with the explicit extras after them; entry i routes via
 // hop 20+i at cost 30+i.
 func runForm(q *Quorum, k, run int, named []int, extras []wire.NodeID) (wire.Header, []byte) {
-	msg := wire.NewRecommendationRun(wire.NodeID(k), q.view.VersionNum(), run, len(named), len(extras))
+	msg := wire.NewRecommendationRun(wire.NodeID(k), q.view.VersionNum(), 1, run, len(named), len(extras))
 	for i, p := range named {
 		wire.MarkRecRun(msg, p)
 		wire.PutRecEntry(msg, i, wire.RecEntry{Hop: wire.NodeID(20 + i), Cost: wire.Cost(30 + i)})
@@ -83,26 +83,66 @@ func expectRecommendation(q *Quorum, h wire.Header, body []byte) ([]route, map[[
 		e   wire.RecEntry
 	}
 	var words []word
+	var quiet []int // destinations whose clock alone moves: a refused delta's unchanged entries
 	if rec.ByRun {
+		servers := q.Grid().Servers(q.self)
 		run := heldRun(q, from)
-		if !slices.Contains(q.Grid().Servers(q.self), from) || rec.Run != len(run) {
+		if !slices.Contains(servers, from) || rec.Run != len(run) {
 			return routes, heard
 		}
-		for p := range run {
-			if b := body[8+p/8]; b&(1<<(p%8)) != 0 { // the bitmap, as the wire package documents it
-				words = append(words, word{run[p], rec.Entry(len(words))})
-			}
-		}
+		var explicit []word
 		last := -1
-		for i := rec.Named; i < rec.Entries; i++ {
+		for i := rec.Carried; i < rec.Entries; i++ {
 			e := rec.Entry(i)
 			dst, ok := q.view.SlotOf(e.Dst)
 			if !ok || dst == q.self || slices.Contains(run, dst) || dst <= last {
 				return routes, heard
 			}
-			words = append(words, word{dst, e})
+			explicit = append(explicit, word{dst, e})
 			last = dst
 		}
+		// The base: what q holds of from's message at its seq, by run position.
+		r := slices.Index(servers, from)
+		held, said := q.rv.seq[r], q.rv.said[q.rv.run[r]:q.rv.run[r+1]]
+		if rec.Delta && held != 0 && rec.Seq < held {
+			return routes, heard
+		}
+		based := !rec.Delta || (held != 0 && rec.Seq <= held+1)
+		// The bitmap and the changed marks, as the wire package documents
+		// them: a bitmap over the run, or 2-byte indices when those are
+		// shorter.
+		bits := (len(run) + 7) / 8
+		bit := func(b []byte, p int) bool { return b[p/8]&(1<<(p%8)) != 0 }
+		changed := func(p int) bool { return true }
+		if rec.Delta {
+			count := int(body[12+bits])<<8 | int(body[13+bits])
+			marks := body[14+bits:]
+			changed = func(p int) bool { return bit(marks, p) }
+			if 2*count < bits {
+				changed = func(p int) bool {
+					for k := range count {
+						if int(marks[2*k])<<8|int(marks[2*k+1]) == p {
+							return true
+						}
+					}
+					return false
+				}
+			}
+		}
+		carried := 0
+		for p := range run {
+			switch {
+			case !bit(body[12:], p):
+			case changed(p):
+				words = append(words, word{run[p], rec.Entry(carried)})
+				carried++
+			case based:
+				words = append(words, word{run[p], wire.RecEntry{Hop: said[p].hop, Cost: said[p].cost}})
+			default:
+				quiet = append(quiet, run[p])
+			}
+		}
+		words = append(words, explicit...)
 	} else {
 		for i := range rec.Entries {
 			e := rec.Entry(i)
@@ -110,6 +150,9 @@ func expectRecommendation(q *Quorum, h wire.Header, body []byte) ([]route, map[[
 				words = append(words, word{dst, e})
 			}
 		}
+	}
+	for _, dst := range quiet {
+		heard[[2]int{dst, from}] = now
 	}
 	for _, w := range words {
 		if _, ok := heard[[2]int{w.dst, from}]; ok {
@@ -251,9 +294,9 @@ func TestRunFormRecommendationRefusals(t *testing.T) {
 }
 
 // FuzzRecommendationDecode feeds HandleRecommendation arbitrary bodies, in
-// either form, from any slot of runFormFixture's view: it must never panic or
+// any form, from any slot of runFormFixture's view: it must never panic or
 // allocate, and must leave the routes and clocks expectRecommendation decodes
-// from the grid.
+// from the grid and, for a delta, the base the router holds.
 func FuzzRecommendationDecode(f *testing.F) {
 	q, _ := runFormFixture(f)
 	k := q.servers[2]
@@ -269,6 +312,14 @@ func FuzzRecommendationDecode(f *testing.F) {
 		{Dst: 2, Hop: 2, Cost: 30}, {Dst: 9, Hop: 3, Cost: 30}, {Dst: 12, Hop: 1, Cost: 4}, {Dst: 5, Hop: wire.NilNode, Cost: wire.InfCost},
 	}})
 	f.Add(uint8(k), msg[wire.HeaderLen:])
+	// The delta form: on a base and on none, from a server and not.
+	_, body = runForm(q, k, len(run), []int{0, 2, len(run) - 1}, nil)
+	f.Add(uint8(k), body)
+	delta := recDelta(q, k, 2, len(run), []int{0, 2, len(run) - 1}, []int{2})
+	f.Add(uint8(k), delta[wire.HeaderLen:])
+	f.Add(uint8(40), delta[wire.HeaderLen:])
+	delta = recDelta(q, k, 7, len(run), []int{1, len(run) - 1}, nil)
+	f.Add(uint8(k), delta[wire.HeaderLen:])
 	f.Fuzz(func(t *testing.T, from uint8, body []byte) {
 		h := wire.Header{Type: wire.TRecommendation, Src: wire.NodeID(from)}
 		checkRecommendation(t, q, "fuzzed", h, body)

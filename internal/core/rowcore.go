@@ -51,7 +51,7 @@ type rowCore struct {
 	// wire, nil while the view has none; prev is the one at seq−1, or the
 	// entries of the row a stable install rebased, nil when there is neither.
 	row, prev []byte
-	answered  []uint16 // slots whose refusal was answered since the last announce
+	answered  answers // slots whose refusal was answered since the last announce
 
 	park   bool        // hold rows until the table is read
 	parked []parkedRow // rows ingest took and apply has not, in arrival order
@@ -239,7 +239,7 @@ func (c *rowCore) announce() []byte {
 // for the members at slots to, or nil when there is no row before it or
 // the delta is expected to cost more bytes than the row in full. Each
 // recipient saves the row's size less the delta's, and one that lacks row
-// seq−1 refuses the delta, drawing the ack and the row in full (refusals).
+// seq−1 refuses the delta, drawing the ack and the row in full (pays).
 //
 // An entry changed when its cost did (costChanged): the loss byte of a link
 // alive at the same latency goes only in full rows and with an entry whose
@@ -258,8 +258,11 @@ func (c *rowCore) delta(to []int) []byte {
 			k++
 		}
 	}
-	saved := len(to) * (len(c.row) - wire.LinkStateDeltaSize(members, k, size))
-	if c.refusals(to)*float64(wire.LinkStateAckSize+len(c.row)+2*wire.PerPacketOverhead) >= float64(saved) {
+	refused, odds := 0.0, c.refusals()
+	for _, s := range to {
+		refused += odds(s)
+	}
+	if !pays(refused, len(to)*(len(c.row)-wire.LinkStateDeltaSize(members, k, size)), wire.LinkStateAckSize, len(c.row)) {
 		return nil
 	}
 	msg := wire.NewLinkStateDelta(c.env.LocalID(), c.view.VersionNum(), c.seq, form, members, k)
@@ -284,14 +287,15 @@ func costChanged(form wire.MsgType, was, now []byte, i int) bool {
 	return wire.LinkEntryAt(was, i).Cost() != wire.LinkEntryAt(now, i).Cost()
 }
 
-// refusals returns how many of the members at slots to are expected to lack
-// row seq−1 and refuse a delta, from the loss p the self row reads toward
-// each, a dead link's as 1. In the steady state a recipient lacks it when its
-// delta was lost, or was refused and the refusal or the answer was lost:
-// q = p + (1−p)·q·(1 − (1−p)²), so q = p / (1 − (1−p)(1 − (1−p)²)). The loss
-// byte is a probe's round trip, more than a datagram's: read as p it errs
-// toward full rows, which keeps route ages on heavily lossy links.
-func (c *rowCore) refusals(to []int) (sum float64) {
+// refusals returns, for the member at a slot, the odds that it lacks a
+// delta's base and refuses it, from the loss p the self row, read once here,
+// reads toward it, a dead link's as 1. In the steady state a recipient lacks
+// the base when its delta was lost, or was refused and the refusal or the
+// answer was lost: q = p + (1−p)·q·(1 − (1−p)²), so
+// q = p / (1 − (1−p)(1 − (1−p)²)). The loss byte is a probe's round trip,
+// more than a datagram's: read as p it errs toward full messages, which
+// keeps route ages on heavily lossy links.
+func (c *rowCore) refusals() func(slot int) float64 {
 	odds := func(status byte) float64 {
 		p := 1.0
 		if wire.StatusAlive(status) {
@@ -302,16 +306,18 @@ func (c *rowCore) refusals(to []int) (sum float64) {
 	}
 	if c.table.Directional() {
 		row := c.SelfAsymRow()
-		for _, s := range to {
-			sum += odds(row[s].Status)
-		}
-		return sum
+		return func(s int) float64 { return odds(row[s].Status) }
 	}
 	row := c.SelfRow()
-	for _, s := range to {
-		sum += odds(row[s].Status)
-	}
-	return sum
+	return func(s int) float64 { return odds(row[s].Status) }
+}
+
+// pays reports whether a delta that saves saved bytes against sending in
+// full is expected to save more than the refusals it draws cost, at refused
+// of them expected (refusals), each a refusal of refusal bytes and an answer
+// of answer bytes.
+func pays(refused float64, saved, refusal, answer int) bool {
+	return refused*float64(refusal+answer+2*wire.PerPacketOverhead) < float64(saved)
 }
 
 // form returns the table's row type and the size of its entries.
@@ -325,11 +331,9 @@ func (c *rowCore) form() (wire.MsgType, int) {
 // answer answers a refusal from the member src at slot with row seq in full,
 // once between announces.
 func (c *rowCore) answer(src wire.NodeID, slot int) {
-	if c.row == nil || slices.Contains(c.answered, uint16(slot)) {
-		return
+	if c.row != nil && c.answered.first(slot) {
+		c.env.Send(src, c.row)
 	}
-	c.answered = append(c.answered, uint16(slot))
-	c.env.Send(src, c.row)
 }
 
 // selfCosts unpacks the live self row, in the table's row format, into

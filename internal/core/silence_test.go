@@ -264,17 +264,19 @@ func TestUnresolvedLinkIsUnknownNotDead(t *testing.T) {
 }
 
 // CheckSilenceState holds a router's §4.1 state to the bound no run can
-// exceed: one run of clocks per server of this node, each listing slots in
-// ascending order, and at most Slots()·(len(Servers(self))+2) pairings — and
-// failover episodes exist, one each, only toward occupied destinations.
+// exceed: one run of clocks, and of held recommendation entries, per server
+// of this node, each listing slots in ascending order, and at most
+// Slots()·(len(Servers(self))+2) pairings — and failover episodes exist, one
+// each, only toward occupied destinations.
 // Exported for the fleet-driving tests, which live in package core_test
 // because package emul imports this one.
 func CheckSilenceState(q *Quorum) error {
 	n, rv := q.view.Slots(), &q.rv
 	if !slices.Equal(rv.servers, q.servers) || len(rv.run) != len(q.servers)+1 || rv.run[0] != 0 ||
-		int(rv.run[len(q.servers)]) != len(rv.slot) || len(rv.heard) != len(rv.slot) {
-		return fmt.Errorf("%d slots: %d runs for %d servers, %d slots and %d clocks",
-			n, len(rv.run)-1, len(q.servers), len(rv.slot), len(rv.heard))
+		int(rv.run[len(q.servers)]) != len(rv.slot) || len(rv.heard) != len(rv.slot) ||
+		len(rv.said) != len(rv.slot) || len(rv.seq) != len(q.servers) {
+		return fmt.Errorf("%d slots: %d runs for %d servers, %d slots, %d clocks, %d held entries and %d held seqs",
+			n, len(rv.run)-1, len(q.servers), len(rv.slot), len(rv.heard), len(rv.said), len(rv.seq))
 	}
 	for i, k := range q.servers {
 		run := rv.slot[rv.run[i]:rv.run[i+1]]

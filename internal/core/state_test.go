@@ -214,7 +214,7 @@ func TestRecommendationsWrittenInPlaceMatchStagedEncoding(t *testing.T) {
 					for _, b := range failovers {
 						extra = append(extra, best(a, b))
 					}
-					want = stagedRunForm(ids[0], view.VersionNum(), len(run), at, named, extra)
+					want = stagedRunForm(ids[0], view.VersionNum(), q.seq, len(run), at, named, extra)
 				} else {
 					staged := wire.Recommendation{ViewVersion: view.VersionNum()}
 					for _, b := range without(append(slices.Clone(defaults), failovers...)) {
@@ -237,10 +237,11 @@ func TestRecommendationsWrittenInPlaceMatchStagedEncoding(t *testing.T) {
 // stagedRunForm encodes a run-form recommendation from its parts, field by
 // field as the wire package documents it: named[i] at run position at[i],
 // then the explicit extra entries.
-func stagedRunForm(src wire.NodeID, version uint32, run int, at []int, named, extra []wire.RecEntry) []byte {
+func stagedRunForm(src wire.NodeID, version, seq uint32, run int, at []int, named, extra []wire.RecEntry) []byte {
 	b := wire.AppendHeader(nil, wire.TRecommendation, src)
 	b = binary.BigEndian.AppendUint32(b, version)
 	b = binary.BigEndian.AppendUint16(b, 0x8000|uint16(run))
+	b = binary.BigEndian.AppendUint32(b, seq)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(extra)))
 	bitmap := make([]byte, (run+7)/8)
 	for _, p := range at {

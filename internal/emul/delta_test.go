@@ -24,6 +24,10 @@ import (
 // there — and every few seconds throughout the run every row any node holds
 // has exactly the costs of the row its sender announced at the held seq. The
 // quorum runs with directional rows and with reliable delivery on and off.
+//
+// The quorum's recommendations are held to the same rule (recLedger): every
+// entry a node holds of its rendezvous's message at a seq is the one that
+// rendezvous computed at that seq, delta or not.
 func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -77,6 +81,7 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 					routers[i] = r
 				}
 			}
+			recs := newRecLedger(t)
 			account := f.Net.OnSend
 			mismatched := 0
 			// deltas, refused and answers count the deltas sent, the refusals
@@ -93,6 +98,9 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 				var seq uint32
 				var got costs
 				switch h.Type {
+				case wire.TRecommendation:
+					recs.sent(f.Nodes[from], f.Nodes[to].Env().LocalID(), body)
+					return
 				case wire.TLinkStateAck:
 					if seq, err := wire.ParseLinkStateAck(body); err == nil && seq == 0 {
 						refused++
@@ -145,11 +153,17 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 						}
 						checks++
 					}
+					if tc.algo == overlay.AlgQuorum {
+						recs.check(f.Nodes[i])
+					}
 				}
 			}
 			t.Logf("%d held rows checked; %d deltas sent, %d refused, %d full rows sent at a delta's seq", checks, deltas, refused, answers)
 			if checks == 0 || (tc.algo == overlay.AlgQuorum && (deltas == 0 || refused == 0 || answers == 0)) {
 				t.Errorf("%d rows checked, %d deltas, %d refusals, %d answers: the run exercised too little", checks, deltas, refused, answers)
+			}
+			if tc.algo == overlay.AlgQuorum {
+				recs.done()
 			}
 		})
 	}
@@ -262,6 +276,7 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 	installs := map[wire.NodeID][2]uint64{}
 	afterStable := map[key]bool{}
 	deltas, refused := 0, 0
+	recs := newRecLedger(t)
 	account := f.Net.OnSend
 	f.Net.OnSend = func(from, to int, p []byte) {
 		account(from, to, p)
@@ -273,6 +288,11 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 		var version, seq uint32
 		var row slotRow
 		switch h.Type {
+		case wire.TRecommendation:
+			if to < f.Opt.MaxN && f.Node(to) != nil {
+				recs.sent(node, f.Node(to).Env().LocalID(), body)
+			}
+			return
 		case wire.TLinkStateAck:
 			if seq, err := wire.ParseLinkStateAck(body); err == nil && seq == 0 {
 				refused++
@@ -381,6 +401,7 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 					across++
 				}
 			}
+			recs.check(f.Node(ep))
 		}
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -416,9 +437,156 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 	if checks == 0 || across == 0 || deltas == 0 || refused == 0 || reused == 0 || len(afterStable) == 0 {
 		t.Errorf("the run exercised too little")
 	}
+	recs.done()
 	// The rest go in full by the row rules: a delta as large as the row, or
 	// recipients whose links read lossy, dead or not yet probed.
 	if 2*kept < len(afterStable) {
 		t.Errorf("%d of %d rows after a stable install went as deltas: the install dropped the delta's base", kept, len(afterStable))
 	}
+}
+
+// recLedger holds a fleet's recommendations to what their rendezvous
+// computed. Every run-form message sent, in full or as a delta, is checked
+// entry by entry against a scalar oracle over its sender's table and self
+// row at the send (oracleEntry), which is recorded by (rendezvous, client,
+// seq) for each run position the message names; a message sent again at a
+// seq, an answer to a refusal, names as many positions with the same
+// entries. And every entry a node holds of a rendezvous's message
+// (core.Quorum.HeldRecommendation) is the one recorded at the held seq.
+type recLedger struct {
+	t        *testing.T
+	computed map[recKey]map[wire.NodeID]wire.RecEntry // per destination
+	checks   int
+	// deltas, refusals and answers count the deltas sent, the refusals and
+	// the run-form messages sent at a seq already sent.
+	deltas, refusals, answers int
+}
+
+type recKey struct {
+	from, to wire.NodeID
+	seq      uint32
+}
+
+func newRecLedger(t *testing.T) *recLedger {
+	return &recLedger{t: t, computed: map[recKey]map[wire.NodeID]wire.RecEntry{}}
+}
+
+// sent checks the recommendation body node sends the member to.
+func (l *recLedger) sent(node *overlay.Node, to wire.NodeID, body []byte) {
+	rec, err := wire.RecommendationBody(body)
+	if err != nil {
+		l.t.Fatalf("node %d sent a malformed recommendation: %v", node.Env().LocalID(), err)
+	}
+	if !rec.ByRun {
+		if rec.Entries == 0 {
+			l.refusals++
+		}
+		return
+	}
+	view, self := node.View(), node.Slot()
+	client, _ := view.SlotOf(to)
+	q := node.Router().(*core.Quorum)
+	run := slices.DeleteFunc(append(q.Grid().Clients(self), self), func(s int) bool { return s == client })
+	slices.Sort(run)
+	key := recKey{view.IDAt(self), to, rec.Seq}
+	want, again := l.computed[key]
+	if !again {
+		want = map[wire.NodeID]wire.RecEntry{}
+		for p := rec.NextRun(0); p < rec.Run; p = rec.NextRun(p + 1) {
+			want[view.IDAt(run[p])] = oracleEntry(q, view, self, client, run[p])
+		}
+		l.computed[key] = want
+	} else if l.answers++; rec.Named != len(want) {
+		l.t.Fatalf("node %d sent %d a message at seq %d again, naming %d destinations, not %d", key.from, to, rec.Seq, rec.Named, len(want))
+	}
+	if rec.Delta {
+		l.deltas++
+	}
+	for e, p := 0, -1; e < rec.Carried; e++ {
+		p = rec.Position(e, p)
+		got, w := rec.Entry(e), want[view.IDAt(run[p])]
+		if got.Hop != w.Hop || got.Cost != w.Cost {
+			l.t.Fatalf("node %d sent %d, at seq %d, hop %d cost %d toward %d; it computed hop %d cost %d",
+				key.from, to, rec.Seq, got.Hop, got.Cost, view.IDAt(run[p]), w.Hop, w.Cost)
+		}
+	}
+}
+
+// check holds what node holds of each of its rendezvous's messages to the
+// entries recorded at the held seq.
+func (l *recLedger) check(node *overlay.Node) {
+	q, ok := node.Router().(*core.Quorum)
+	if !ok {
+		return
+	}
+	view, self := node.View(), node.Slot()
+	for _, k := range q.Grid().Servers(self) {
+		seq, dsts, said := q.HeldRecommendation(k)
+		if seq == 0 {
+			continue
+		}
+		want, ok := l.computed[recKey{view.IDAt(k), view.IDAt(self), seq}]
+		if !ok {
+			l.t.Fatalf("node %d holds node %d's recommendation %d, which was never sent", view.IDAt(self), view.IDAt(k), seq)
+		}
+		for i, d := range dsts {
+			if w, ok := want[view.IDAt(int(d))]; ok {
+				if said[i].Hop != w.Hop || said[i].Cost != w.Cost {
+					l.t.Fatalf("node %d holds node %d's recommendation %d with hop %d cost %d toward %d; %d computed hop %d cost %d",
+						view.IDAt(self), view.IDAt(k), seq, said[i].Hop, said[i].Cost, view.IDAt(int(d)), view.IDAt(k), w.Hop, w.Cost)
+				}
+				l.checks++
+			}
+		}
+	}
+}
+
+// done requires the run to have exercised deltas, refusals and answers.
+func (l *recLedger) done() {
+	l.t.Logf("%d held recommendation entries checked; %d deltas sent, %d refused, %d sent again at a seq", l.checks, l.deltas, l.refusals, l.answers)
+	if l.checks == 0 || l.deltas == 0 || l.refusals == 0 || l.answers == 0 {
+		l.t.Errorf("the run exercised too little of the recommendation deltas")
+	}
+}
+
+// oracleEntry is the entry rendezvous q, at slot self of view, computes for
+// client a about destination b, by the scalar kernel over its table and its
+// live self row: a pair is computed from this node, when it is an end, else
+// from its lower slot on a symmetric table, and read from the other end
+// turned; a directional table computes each direction from its source.
+func oracleEntry(q *core.Quorum, view *membership.ViewInfo, self, a, b int) wire.RecEntry {
+	table := q.Table()
+	var selfOut, selfIn []wire.Cost
+	if table.Directional() {
+		e := q.SelfAsymRow()
+		selfOut, selfIn = lsdb.UnpackOutCosts(nil, e), lsdb.UnpackInCosts(nil, e)
+	} else {
+		selfOut = lsdb.UnpackCosts(nil, q.SelfRow())
+		selfIn = selfOut
+	}
+	out := func(s int) []wire.Cost {
+		if s == self {
+			return selfOut
+		}
+		return table.OutRow(s)
+	}
+	in := func(s int) []wire.Cost {
+		if s == self {
+			return selfIn
+		}
+		return table.InRow(s)
+	}
+	x, y := a, b
+	if !table.Directional() && (b == self || (a != self && b < a)) {
+		x, y = b, a
+	}
+	hop, cost := lsdb.BestOneHopRows(x, out(x), in(y))
+	if x != a && hop == y {
+		hop = x
+	}
+	e := wire.RecEntry{Hop: wire.NilNode, Cost: cost}
+	if hop >= 0 {
+		e.Hop = view.IDAt(hop)
+	}
+	return e
 }

@@ -24,7 +24,7 @@ func TestEncodingsGolden(t *testing.T) {
 	rec := NewRecommendation(src, 77, 2)
 	PutRecEntry(rec, 0, RecEntry{Dst: 3, Hop: 4, Cost: 90})
 	PutRecEntry(rec, 1, RecEntry{Dst: 5, Hop: NilNode, Cost: InfCost})
-	run := NewRecommendationRun(src, 77, 10, 2, 1) // bits 1 and 9 of a 10-long run, one extra
+	run := NewRecommendationRun(src, 77, 78, 10, 2, 1) // bits 1 and 9 of a 10-long run, one extra
 	MarkRecRun(run, 1)
 	MarkRecRun(run, 9)
 	PutRecEntry(run, 0, RecEntry{Dst: 3, Hop: 4, Cost: 90})

@@ -260,12 +260,20 @@ func NewLinkStateDelta(src NodeID, viewVersion, seq uint32, form MsgType, member
 func PutDeltaEntry(msg []byte, i, k int, entry []byte) {
 	body := msg[HeaderLen:]
 	members, changed := int(binary.BigEndian.Uint16(body[9:])), int(binary.BigEndian.Uint16(body[11:]))
-	if deltaIndexed(members, changed) {
-		binary.BigEndian.PutUint16(body[deltaFixed+2*k:], uint16(i))
-	} else {
-		body[deltaFixed+i/8] |= 1 << (i % 8)
-	}
+	putMark(body[deltaFixed:], members, changed, k, i)
 	copy(body[deltaFixed+deltaMarksLen(members, changed)+k*len(entry):], entry)
+}
+
+// putMark marks member i as the k-th of changed of members in marks, in the
+// form the counts choose.
+//
+//lint:allocfree
+func putMark(marks []byte, members, changed, k, i int) {
+	if deltaIndexed(members, changed) {
+		binary.BigEndian.PutUint16(marks[2*k:], uint16(i))
+	} else {
+		marks[i/8] |= 1 << (i % 8)
+	}
 }
 
 // DeltaBody is a delta body LinkStateDeltaBody accepted, read in place.
@@ -294,15 +302,50 @@ func entryLen(t MsgType) int {
 // ascending, one call an entry.
 //
 //lint:allocfree
-func (d *DeltaBody) Member(k, prev int) int {
-	if deltaIndexed(d.Members, d.Changed) {
-		return int(binary.BigEndian.Uint16(d.marks[2*k:]))
+func (d *DeltaBody) Member(k, prev int) int { return markAt(d.marks, d.Members, d.Changed, k, prev) }
+
+// markAt returns the member that the marks of changed of members name k-th,
+// given prev, the one they name (k−1)-th (−1 for k = 0).
+//
+//lint:allocfree
+func markAt(marks []byte, members, changed, k, prev int) int {
+	if deltaIndexed(members, changed) {
+		return int(binary.BigEndian.Uint16(marks[2*k:]))
 	}
 	for i := prev + 1; ; i = (i | 7) + 1 {
-		if w := d.marks[i/8] >> (i % 8); w != 0 {
+		if w := marks[i/8] >> (i % 8); w != 0 {
 			return i + bits.TrailingZeros8(w)
 		}
 	}
+}
+
+// checkMarks checks marks, in the form the counts choose, against changed of
+// members: they name exactly changed members, ascending and below members.
+//
+//lint:allocfree
+func checkMarks(marks []byte, members, changed int) error {
+	if deltaIndexed(members, changed) {
+		prev := -1
+		for k := 0; k < len(marks); k += 2 {
+			i := int(binary.BigEndian.Uint16(marks[k:]))
+			if i <= prev || i >= members {
+				return ErrBadLen // out of order, repeated or past the row
+			}
+			prev = i
+		}
+		return nil
+	}
+	marked := 0
+	for _, w := range marks {
+		marked += bits.OnesCount8(w)
+	}
+	if members%8 != 0 && marks[len(marks)-1]>>(members%8) != 0 {
+		return ErrBadLen // a bit past the row
+	}
+	if marked != changed {
+		return ErrBadLen
+	}
+	return nil
 }
 
 // Entries returns the changed entries, in the form's encoding, in member order.
@@ -334,26 +377,8 @@ func LinkStateDeltaBody(body []byte) (DeltaBody, error) {
 		return DeltaBody{}, ErrBadLen
 	}
 	d.marks, d.entries = rest[:marksLen], rest[marksLen:]
-	if deltaIndexed(d.Members, d.Changed) {
-		prev := -1
-		for k := 0; k < marksLen; k += 2 {
-			i := int(binary.BigEndian.Uint16(d.marks[k:]))
-			if i <= prev || i >= d.Members {
-				return DeltaBody{}, ErrBadLen // out of order, repeated or past the row
-			}
-			prev = i
-		}
-		return d, nil
-	}
-	marked := 0
-	for _, w := range d.marks {
-		marked += bits.OnesCount8(w)
-	}
-	if d.Members%8 != 0 && d.marks[len(d.marks)-1]>>(d.Members%8) != 0 {
-		return DeltaBody{}, ErrBadLen // a bit past the row
-	}
-	if marked != d.Changed {
-		return DeltaBody{}, ErrBadLen
+	if err := checkMarks(d.marks, d.Members, d.Changed); err != nil {
+		return DeltaBody{}, err
 	}
 	return d, nil
 }
@@ -374,34 +399,50 @@ type RecEntry struct {
 	Cost Cost
 }
 
-// A recommendation body takes one of two forms, both TRecommendation. Each
-// opens with the view version (4 bytes) and a 16-bit word whose top bit tells
-// them apart.
+// A recommendation body takes one of three forms, all TRecommendation. Each
+// opens with the view version (4 bytes) and a 16-bit word whose top two bits
+// tell them apart.
 //
 // The explicit form names every entry's destination: the word is the entry
 // count k, below 0x8000, and k entries of destination, hop and cost follow,
-// recEntryLen bytes each. Anyone may send it.
+// recEntryLen bytes each. Anyone may send it. One with no entries, from a
+// client to its default rendezvous, is a refusal: the client holds no base
+// for the delta it was sent, and asks for the message in full.
 //
 // The run form is what a default rendezvous k sends one of its grid clients
-// c, which keeps a clock for each destination k holds a row of: k's grid
-// clients and k, ascending, less c — the run c holds for k. The word is
-// recRunFlag | r, r that run's length; then come the count of explicit
-// entries, a bitmap of ⌈r/8⌉ bytes whose bit i (least significant first)
-// names the run's i-th destination and whose bits past r are zero, one named
-// entry of hop and cost per set bit, in run order, and the explicit entries,
-// ascending by slot, for destinations outside the run: k's failover clients.
-// The header and bitmap fix the length, so no cut goes unseen.
+// c at its routing interval Seq. c keeps a clock for each destination k holds
+// a row of: k's grid clients and k, ascending, less c — the run c holds for
+// k. The word is recRunFlag | r, r that run's length, below 0x4000; then come
+// Seq (4 bytes), the count of explicit entries, a bitmap of ⌈r/8⌉ bytes whose
+// bit i (least significant first) names the run's i-th destination and whose
+// bits past r are zero, one named entry of hop and cost per set bit, in run
+// order, and the explicit entries, ascending by slot, for destinations
+// outside the run: k's failover clients.
+//
+// The delta form is the run-form message at Seq sent as what changed since
+// the one k sent c at Seq−1, so Seq is above 0. The word is recRunFlag |
+// recDeltaFlag | r; Seq, the explicit count and the bitmap are the run
+// form's. Then come the changed count (2 bytes); the changed positions'
+// marks, each a position the bitmap names, in the shorter of a link-state
+// delta's two forms over the run, which r and the changed count choose; one
+// named entry per changed position, in run order; and every explicit entry. A
+// position is changed when its entry differs from the message at Seq−1 or
+// that message did not name it, so a client holding that message rebuilds
+// every other named entry from it.
+//
+// The header and the counts fix each form's length, so no cut goes unseen.
 //
 // The paper's bandwidth accounting charges an entry 4 bytes, destination and
 // hop. A named entry spends the same 4 on hop and cost, the cost being what a
 // client needs to arbitrate between redundant rendezvous and to report path
 // gains; an explicit entry adds the destination.
 const (
-	recEntryLen   = 6            // an explicit entry: destination, hop, cost
-	namedEntryLen = 4            // a named entry: hop, cost
-	recFixed      = 4 + 2        // view version and count word
-	recRunFixed   = recFixed + 2 // and the run form's explicit count
-	recRunFlag    = 0x8000       // the count word's run-form bit
+	recEntryLen   = 6                // an explicit entry: destination, hop, cost
+	namedEntryLen = 4                // a named entry: hop, cost
+	recFixed      = 4 + 2            // view version and count word
+	recRunFixed   = recFixed + 4 + 2 // and the run forms' Seq and explicit count
+	recRunFlag    = 0x8000           // the count word's run-form bit
+	recDeltaFlag  = 0x4000           // and, beside it, the delta form's
 )
 
 // Recommendation is a round-2 message in the explicit form, from a rendezvous
@@ -428,28 +469,60 @@ func appendRecommendation(b []byte, src NodeID, viewVersion uint32, k int) []byt
 	return append(b, make([]byte, recEntryLen*k)...)
 }
 
-// NewRecommendationRun returns a whole run-form message from src, over a run
-// of run destinations, with named entries the bitmap names and extra explicit
-// ones, at its final size: MarkRecRun fills the bitmap, PutRecEntry the
-// entries.
-func NewRecommendationRun(src NodeID, viewVersion uint32, run, named, extra int) []byte {
-	b := AppendHeader(make([]byte, 0, RecommendationRunSize(run, named, extra)), TRecommendation, src)
+// NewRecommendationRun returns a whole run-form message from src at seq, over
+// a run of run destinations, with named entries the bitmap names and extra
+// explicit ones, at its final size: MarkRecRun fills the bitmap, PutRecEntry
+// the entries.
+func NewRecommendationRun(src NodeID, viewVersion, seq uint32, run, named, extra int) []byte {
+	return newRun(RecommendationRunSize(run, named, extra), src, viewVersion, seq, recRunFlag|uint16(run), extra)
+}
+
+// NewRecommendationDelta returns a whole delta-form message from src at seq,
+// over a run of run destinations, with changed named entries and extra
+// explicit ones, at its final size: MarkRecRun fills the bitmap,
+// MarkRecChanged the marks, PutRecEntry the entries.
+func NewRecommendationDelta(src NodeID, viewVersion, seq uint32, run, changed, extra int) []byte {
+	b := newRun(RecommendationDeltaSize(run, changed, extra), src, viewVersion, seq, recRunFlag|recDeltaFlag|uint16(run), extra)
+	binary.BigEndian.PutUint16(b[HeaderLen+recRunFixed+bitmapLen(run):], uint16(changed))
+	return b
+}
+
+// newRun returns a whole message of size bytes that opens as both run forms
+// do.
+func newRun(size int, src NodeID, viewVersion, seq uint32, word uint16, extra int) []byte {
+	b := AppendHeader(make([]byte, 0, size), TRecommendation, src)
 	b = binary.BigEndian.AppendUint32(b, viewVersion)
-	b = binary.BigEndian.AppendUint16(b, recRunFlag|uint16(run))
+	b = binary.BigEndian.AppendUint16(b, word)
+	b = binary.BigEndian.AppendUint32(b, seq)
 	b = binary.BigEndian.AppendUint16(b, uint16(extra))
 	return b[:cap(b)]
 }
 
-// MarkRecRun sets bit i of a run-form message's bitmap: the run's i-th
-// destination is named.
+// MarkRecRun sets bit i of a run-form or delta-form message's bitmap: the
+// run's i-th destination is named.
 //
 //lint:allocfree
 func MarkRecRun(msg []byte, i int) {
 	msg[HeaderLen+recRunFixed+i/8] |= 1 << (i % 8)
 }
 
+// MarkRecChanged marks run position i as the k-th changed one of msg, a whole
+// delta-form message: k counts the positions below i marked before.
+//
+//lint:allocfree
+func MarkRecChanged(msg []byte, k, i int) {
+	body := msg[HeaderLen:]
+	at := recRunFixed + bitmapLen(runLen(body))
+	putMark(body[at+2:], runLen(body), int(binary.BigEndian.Uint16(body[at:])), k, i)
+}
+
+// runLen reads a run form's run length from its count word.
+func runLen(body []byte) int {
+	return int(binary.BigEndian.Uint16(body[4:]) &^ (recRunFlag | recDeltaFlag))
+}
+
 // PutRecEntry encodes e as entry i of msg, a whole recommendation message of
-// either form; in the run form the first named entries carry e's hop and cost
+// any form; in the run forms the first named entries carry e's hop and cost
 // only. It is the one entry encoder; different entries may be written
 // concurrently.
 //
@@ -459,8 +532,13 @@ func PutRecEntry(msg []byte, i int, e RecEntry) {
 	word := binary.BigEndian.Uint16(body[4:])
 	at := recFixed
 	if word&recRunFlag != 0 {
-		at = recRunFixed + bitmapLen(int(word&^recRunFlag))
-		named := (len(body) - at - int(binary.BigEndian.Uint16(body[recFixed:]))*recEntryLen) / namedEntryLen
+		run := runLen(body)
+		at = recRunFixed + bitmapLen(run)
+		named := (len(body) - at - int(binary.BigEndian.Uint16(body[recFixed+4:]))*recEntryLen) / namedEntryLen
+		if word&recDeltaFlag != 0 {
+			named = int(binary.BigEndian.Uint16(body[at:]))
+			at += 2 + deltaMarksLen(run, named)
+		}
 		if i < named {
 			b := body[at+i*namedEntryLen:][:namedEntryLen]
 			binary.BigEndian.PutUint16(b, uint16(e.Hop))
@@ -489,23 +567,55 @@ func AppendRecommendation(b []byte, src NodeID, r Recommendation) []byte {
 	return b
 }
 
-// RecBody is a recommendation body of either form that RecommendationBody
+// RecommendationDelta returns full, a whole run-form message, in the delta
+// form: changed is a bitmap over its run whose set bits name the positions
+// changed since the message at Seq−1. A set bit at a position full does not
+// name is no change.
+func RecommendationDelta(full, changed []byte) []byte {
+	r, _ := RecommendationBody(full[HeaderLen:])
+	k := 0
+	for i, w := range r.bitmap {
+		k += bits.OnesCount8(w & changed[i])
+	}
+	extra := r.Entries - r.Carried
+	msg := NewRecommendationDelta(NodeID(binary.BigEndian.Uint16(full[1:])), r.ViewVersion, r.Seq, r.Run, k, extra)
+	at := HeaderLen + recRunFixed + copy(msg[HeaderLen+recRunFixed:], r.bitmap) + 2
+	entries := msg[at+deltaMarksLen(r.Run, k):]
+	j := 0
+	for e, p := 0, r.NextRun(0); p < r.Run; e, p = e+1, r.NextRun(p+1) {
+		if changed[p/8]>>(p%8)&1 != 0 {
+			MarkRecChanged(msg, j, p)
+			copy(entries[j*namedEntryLen:], r.entries[e*namedEntryLen:][:namedEntryLen])
+			j++
+		}
+	}
+	copy(entries[k*namedEntryLen:], full[len(full)-extra*recEntryLen:])
+	return msg
+}
+
+// RecBody is a recommendation body of any form that RecommendationBody
 // accepted, read in place.
 type RecBody struct {
 	ViewVersion uint32
-	// ByRun marks the run form; Run is then its run's length and Named the
-	// count of run positions its bitmap names (NextRun).
-	ByRun bool
-	Run   int
-	Named int
-	// Entries counts every entry: the Named first, then the explicit ones.
+	// ByRun marks the run forms and Delta the delta form. Seq is then the
+	// sender's routing interval, Run its run's length, and Named the count of
+	// run positions its bitmap names (NextRun).
+	ByRun, Delta bool
+	Seq          uint32
+	Run          int
+	Named        int
+	// Carried counts the named entries the body carries: in the run form one
+	// per position named, in the delta form one per position changed
+	// (Position). Entries counts every entry: the Carried first, then the
+	// explicit ones.
+	Carried int
 	Entries int
 
-	bitmap, entries []byte
+	bitmap, marks, entries []byte
 }
 
 // NextRun returns the first run position at or past p that the bitmap
-// names, or Run when none is: named entry i is for the i-th position named.
+// names, or Run when none is.
 //
 //lint:allocfree
 func (r *RecBody) NextRun(p int) int {
@@ -518,10 +628,27 @@ func (r *RecBody) NextRun(p int) int {
 	return r.Run
 }
 
-// RecommendationBody checks the framing of a recommendation body of either
-// form — its length, and in the run form a bitmap with no bit past the run —
-// and returns it for Entry to read in place. Its errors are bare, so that a
-// refusal allocates nothing.
+// Position returns the run position of named entry k, given prev, that of
+// entry k−1 (−1 for k = 0), or Run when k is past the named entries: in the
+// run form the k-th position named, in the delta form the k-th changed.
+//
+//lint:allocfree
+func (r *RecBody) Position(k, prev int) int {
+	switch {
+	case k >= r.Carried:
+		return r.Run
+	case r.Delta:
+		return markAt(r.marks, r.Run, r.Carried, k, prev)
+	}
+	return r.NextRun(prev + 1)
+}
+
+// RecommendationBody checks the framing of a recommendation body of any form
+// — its length; in the run forms a bitmap with no bit past the run; in the
+// delta form a Seq above 0 and marks that name as many positions as its
+// changed count says, ascending and each named by the bitmap — and returns
+// it for Entry to read in place. It is the one framing check of all three
+// forms, and its errors are bare, so that a refusal allocates nothing.
 //
 //lint:allocfree
 func RecommendationBody(body []byte) (RecBody, error) {
@@ -532,22 +659,47 @@ func RecommendationBody(body []byte) (RecBody, error) {
 	word := int(binary.BigEndian.Uint16(body[4:]))
 	extra, rest := word, body[recFixed:]
 	if word&recRunFlag != 0 {
-		r.ByRun, r.Run = true, word&^recRunFlag
-		if len(rest) < 2+bitmapLen(r.Run) {
+		r.ByRun, r.Delta, r.Run = true, word&recDeltaFlag != 0, runLen(body)
+		bl := bitmapLen(r.Run)
+		if len(rest) < 6+bl {
 			return RecBody{}, ErrShort
 		}
-		extra, r.bitmap, rest = int(binary.BigEndian.Uint16(rest)), rest[2:2+bitmapLen(r.Run)], rest[2+bitmapLen(r.Run):]
+		r.Seq, extra = binary.BigEndian.Uint32(rest), int(binary.BigEndian.Uint16(rest[4:]))
+		r.bitmap, rest = rest[6:6+bl], rest[6+bl:]
 		for _, w := range r.bitmap {
 			r.Named += bits.OnesCount8(w)
 		}
-		if r.Run%8 != 0 && r.bitmap[len(r.bitmap)-1]>>(r.Run%8) != 0 {
+		if r.Run%8 != 0 && r.bitmap[bl-1]>>(r.Run%8) != 0 {
 			return RecBody{}, ErrBadLen // a bit past the run
 		}
+		r.Carried = r.Named
 	}
-	if len(rest) != r.Named*namedEntryLen+extra*recEntryLen {
+	if r.Delta {
+		if r.Seq == 0 {
+			return RecBody{}, ErrBadDelta
+		}
+		if len(rest) < 2 {
+			return RecBody{}, ErrShort
+		}
+		r.Carried = int(binary.BigEndian.Uint16(rest))
+		ml := deltaMarksLen(r.Run, r.Carried)
+		if len(rest) < 2+ml {
+			return RecBody{}, ErrShort
+		}
+		r.marks, rest = rest[2:2+ml], rest[2+ml:]
+		if err := checkMarks(r.marks, r.Run, r.Carried); err != nil {
+			return RecBody{}, err
+		}
+		for k, p := 0, -1; k < r.Carried; k++ {
+			if p = markAt(r.marks, r.Run, r.Carried, k, p); r.bitmap[p/8]>>(p%8)&1 == 0 {
+				return RecBody{}, ErrBadLen // a change at a position not named
+			}
+		}
+	}
+	if len(rest) != r.Carried*namedEntryLen+extra*recEntryLen {
 		return RecBody{}, ErrBadLen
 	}
-	r.Entries, r.entries = r.Named+extra, rest
+	r.Entries, r.entries = r.Carried+extra, rest
 	return r, nil
 }
 
@@ -556,11 +708,11 @@ func RecommendationBody(body []byte) (RecBody, error) {
 //
 //lint:allocfree
 func (r *RecBody) Entry(i int) RecEntry {
-	if i < r.Named {
+	if i < r.Carried {
 		b := r.entries[i*namedEntryLen:][:namedEntryLen]
 		return RecEntry{Dst: NilNode, Hop: NodeID(binary.BigEndian.Uint16(b)), Cost: Cost(binary.BigEndian.Uint16(b[2:]))}
 	}
-	b := r.entries[r.Named*namedEntryLen+(i-r.Named)*recEntryLen:][:recEntryLen]
+	b := r.entries[r.Carried*namedEntryLen+(i-r.Carried)*recEntryLen:][:recEntryLen]
 	return RecEntry{
 		Dst:  NodeID(binary.BigEndian.Uint16(b)),
 		Hop:  NodeID(binary.BigEndian.Uint16(b[2:])),
@@ -569,7 +721,7 @@ func (r *RecBody) Entry(i int) RecEntry {
 }
 
 // ParseRecommendation decodes an explicit-form body into a message of its
-// own; a run-form body is ErrRunForm.
+// own; a body of either run form is ErrRunForm.
 func ParseRecommendation(body []byte) (Recommendation, error) {
 	rb, err := RecommendationBody(body)
 	if err != nil {
@@ -594,6 +746,14 @@ func RecommendationSize(k int) int { return HeaderLen + recFixed + recEntryLen*k
 // names and extra explicit ones, excluding per-packet overhead.
 func RecommendationRunSize(run, named, extra int) int {
 	return HeaderLen + recRunFixed + bitmapLen(run) + namedEntryLen*named + recEntryLen*extra
+}
+
+// RecommendationDeltaSize returns the encoded payload size of a delta-form
+// message over a run of run destinations, with changed named entries, their
+// marks in the shorter form, and extra explicit ones, excluding per-packet
+// overhead.
+func RecommendationDeltaSize(run, changed, extra int) int {
+	return RecommendationRunSize(run, changed, extra) + 2 + deltaMarksLen(run, changed)
 }
 
 // AsymEntry is one destination's entry in an asymmetric link-state row

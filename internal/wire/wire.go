@@ -224,9 +224,9 @@ var (
 	// ErrRunForm refuses a run-form recommendation where the receiver's run
 	// is unknown: its named entries carry no destination.
 	ErrRunForm = errors.New("wire: recommendation names destinations by the receiver's run")
-	// ErrBadDelta refuses a link-state delta whose form is no row type or
-	// whose Seq is 0, which has no row before it.
-	ErrBadDelta = errors.New("wire: link-state delta patches no row")
+	// ErrBadDelta refuses a link-state delta whose form is no row type, and a
+	// delta of either kind at Seq 0, which has nothing before it.
+	ErrBadDelta = errors.New("wire: delta patches nothing")
 )
 
 // Header is the common prefix of every message.

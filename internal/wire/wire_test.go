@@ -347,27 +347,27 @@ func TestRecommendationParseErrors(t *testing.T) {
 func TestRecommendationRunForm(t *testing.T) {
 	named := []RecEntry{{Hop: 4, Cost: 90}, {Hop: NilNode, Cost: InfCost}, {Hop: 11, Cost: 7}}
 	extra := []RecEntry{{Dst: 40, Hop: 40, Cost: 3}}
-	msg := NewRecommendationRun(8, 5, 17, len(named), len(extra))
+	msg := NewRecommendationRun(8, 5, 6, 17, len(named), len(extra))
 	for _, bit := range []int{0, 9, 16} {
 		MarkRecRun(msg, bit)
 	}
 	for i, e := range append(slices.Clone(named), extra...) {
 		PutRecEntry(msg, i, e)
 	}
-	if want := RecommendationRunSize(17, 3, 1); len(msg) != want || want != HeaderLen+8+3+3*4+6 {
+	if want := RecommendationRunSize(17, 3, 1); len(msg) != want || want != HeaderLen+12+3+3*4+6 {
 		t.Fatalf("encoded size %d, RecommendationRunSize says %d", len(msg), want)
 	}
 	h, body, _ := ParseHeader(msg)
 	r, err := RecommendationBody(body)
-	if err != nil || h.Type != TRecommendation || !r.ByRun || r.ViewVersion != 5 || r.Run != 17 || r.Named != 3 || r.Entries != 4 {
+	if err != nil || h.Type != TRecommendation || !r.ByRun || r.Delta || r.ViewVersion != 5 || r.Seq != 6 || r.Run != 17 || r.Named != 3 || r.Carried != 3 || r.Entries != 4 {
 		t.Fatalf("read back %+v, %v", r, err)
 	}
 	var at []int
 	for p := r.NextRun(0); p < r.Run; p = r.NextRun(p + 1) {
 		at = append(at, p)
 	}
-	if !slices.Equal(at, []int{0, 9, 16}) || !bytes.Equal(body[8:11], []byte{0x01, 0x02, 0x01}) {
-		t.Errorf("bitmap %x names %v, want 0, 9 and 16", body[8:11], at)
+	if !slices.Equal(at, []int{0, 9, 16}) || !bytes.Equal(body[12:15], []byte{0x01, 0x02, 0x01}) {
+		t.Errorf("bitmap %x names %v, want 0, 9 and 16", body[12:15], at)
 	}
 	for i, want := range append(slices.Clone(named), extra...) {
 		if i < len(named) {
@@ -390,7 +390,7 @@ func TestRecommendationRunForm(t *testing.T) {
 // or a bit too few or too many for its named entries, and when anything
 // follows its last entry.
 func TestRecommendationBodyRefusals(t *testing.T) {
-	msg := NewRecommendationRun(8, 5, 10, 2, 1)
+	msg := NewRecommendationRun(8, 5, 6, 10, 2, 1)
 	MarkRecRun(msg, 3)
 	MarkRecRun(msg, 9)
 	_, good, _ := ParseHeader(msg)
@@ -411,6 +411,130 @@ func TestRecommendationBodyRefusals(t *testing.T) {
 	more[recRunFixed] |= 0x01
 	bad["a bit too many"] = more
 	bad["a trailing byte"] = append(slices.Clone(good), 1)
+	for name, body := range bad {
+		if _, err := RecommendationBody(body); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = RecommendationBody(body) }); allocs != 0 {
+			t.Errorf("%s: refusing allocates %.0f times", name, allocs)
+		}
+	}
+}
+
+// TestRecommendationDeltaForm: a delta is the size RecommendationDeltaSize
+// gives, in both forms of its marks, and reads back by RecommendationBody:
+// the full message's bitmap, the changed positions (Position) with their
+// entries, then every explicit entry. A set bit at a position the full
+// message does not name marks nothing. ParseRecommendation refuses it.
+func TestRecommendationDeltaForm(t *testing.T) {
+	for _, tc := range []struct {
+		run             int
+		named, changed  []int
+		indexed         bool
+		changedBitmapAt []int // changed, plus bits at positions not named
+	}{
+		{run: 17, named: []int{0, 3, 9, 16}, changed: []int{3, 16}, changedBitmapAt: []int{3, 5, 16}},
+		{run: 40, named: []int{1, 8, 39}, changed: []int{39}, indexed: true, changedBitmapAt: []int{0, 39}},
+		{run: 40, named: []int{1, 8, 39}, changed: nil, indexed: true, changedBitmapAt: nil},
+	} {
+		extra := []RecEntry{{Dst: 50, Hop: 50, Cost: 3}, {Dst: 60, Hop: 2, Cost: 9}}
+		full := NewRecommendationRun(8, 5, 6, tc.run, len(tc.named), len(extra))
+		var want []RecEntry
+		for i, p := range tc.named {
+			MarkRecRun(full, p)
+			e := RecEntry{Hop: NodeID(20 + i), Cost: Cost(30 + i)}
+			PutRecEntry(full, i, e)
+			if slices.Contains(tc.changed, p) {
+				e.Dst = NilNode
+				want = append(want, e)
+			}
+		}
+		for i, e := range extra {
+			PutRecEntry(full, len(tc.named)+i, e)
+		}
+		want = append(want, extra...)
+		changed := make([]byte, (tc.run+7)/8)
+		for _, p := range tc.changedBitmapAt {
+			changed[p/8] |= 1 << (p % 8)
+		}
+		msg := RecommendationDelta(full, changed)
+		if size := RecommendationDeltaSize(tc.run, len(tc.changed), len(extra)); len(msg) != size {
+			t.Fatalf("run %d: %d bytes, RecommendationDeltaSize says %d", tc.run, len(msg), size)
+		}
+		if deltaIndexed(tc.run, len(tc.changed)) != tc.indexed {
+			t.Fatalf("run %d, %d changed: indexed %v", tc.run, len(tc.changed), !tc.indexed)
+		}
+		_, body, _ := ParseHeader(msg)
+		r, err := RecommendationBody(body)
+		if err != nil || !r.ByRun || !r.Delta || r.Seq != 6 || r.Run != tc.run || r.Named != len(tc.named) || r.Carried != len(tc.changed) || r.Entries != len(want) {
+			t.Fatalf("run %d: read back %+v, %v", tc.run, r, err)
+		}
+		var named, at []int
+		for p := r.NextRun(0); p < r.Run; p = r.NextRun(p + 1) {
+			named = append(named, p)
+		}
+		for k, p := 0, -1; k < r.Carried; k++ {
+			p = r.Position(k, p)
+			at = append(at, p)
+		}
+		if !slices.Equal(named, tc.named) || !slices.Equal(at, tc.changed) || r.Position(r.Carried, -1) != r.Run {
+			t.Errorf("run %d: names %v and marks %v changed, want %v and %v", tc.run, named, at, tc.named, tc.changed)
+		}
+		for i, w := range want {
+			if got := r.Entry(i); got != w {
+				t.Errorf("run %d: entry %d = %+v, want %+v", tc.run, i, got, w)
+			}
+		}
+		if _, err := ParseRecommendation(body); !errors.Is(err, ErrRunForm) {
+			t.Errorf("ParseRecommendation on the delta form: %v, want ErrRunForm", err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { r, err = RecommendationBody(body) }); allocs != 0 {
+			t.Errorf("reading a delta body allocates %.0f times", allocs)
+		}
+	}
+}
+
+// TestRecommendationDeltaRefusals: a delta body is refused, without an
+// allocation, when it is cut anywhere, at Seq 0, when a mark is past the run,
+// out of order, repeated or at a position the bitmap does not name, when its
+// changed count disagrees with its marks, and when anything follows its
+// last entry.
+func TestRecommendationDeltaRefusals(t *testing.T) {
+	build := func(run int, named []int, changed ...int) []byte {
+		msg := NewRecommendationDelta(8, 5, 6, run, len(changed), 1)
+		for _, p := range named {
+			MarkRecRun(msg, p)
+		}
+		for k, p := range changed {
+			MarkRecChanged(msg, k, p)
+		}
+		_, body, _ := ParseHeader(msg)
+		return body
+	}
+	bad := map[string][]byte{}
+	for _, good := range [][]byte{build(10, []int{3, 9}, 3, 9), build(40, []int{3, 9}, 9)} {
+		if _, err := RecommendationBody(good); err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(good); cut++ {
+			bad[fmt.Sprintf("run %d cut to %d", runLen(good), cut)] = good[:cut]
+		}
+		bad[fmt.Sprintf("run %d trailing byte", runLen(good))] = append(slices.Clone(good), 1)
+		seq0 := slices.Clone(good)
+		copy(seq0[recFixed:], []byte{0, 0, 0, 0})
+		bad[fmt.Sprintf("run %d at seq 0", runLen(good))] = seq0
+	}
+	bad["bitmap mark at an unnamed position"] = build(10, []int{3, 9}, 3, 5)
+	bad["index mark at an unnamed position"] = build(40, []int{3, 9}, 5)
+	bad["index mark past the run"] = build(40, []int{3, 9}, 40)
+	bad["indices descending"] = build(60, []int{3, 9}, 9, 3)
+	bad["an index repeated"] = build(60, []int{3, 9}, 9, 9)
+	more := build(10, []int{3, 9}, 3, 9)
+	more[recRunFixed+2+1]++ // the changed count's low byte: 3, against 2 marks
+	bad["a changed count above the marks'"] = more
+	fewer := build(10, []int{3, 9}, 3, 9)
+	fewer[recRunFixed+2+1]--
+	bad["a changed count below the marks'"] = fewer
 	for name, body := range bad {
 		if _, err := RecommendationBody(body); err == nil {
 			t.Errorf("%s: accepted", name)
