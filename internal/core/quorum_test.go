@@ -694,8 +694,8 @@ func TestQuorumRound2Golden(t *testing.T) {
 		directional bool
 		want        string
 	}{
-		{false, "7d4fdde387f5fc9c79f3d0b7578bb385c695c9da3f80a372f7f2ce0351ca58ae"},
-		{true, "0c78ce27581923a6a56517733add9b1b714063cb7ada7fc1d118b2d4a26345d5"},
+		{false, "1d393f43aa1e29433327b1cdd987d37d2c9d737858ea8625f9877feb7591b912"},
+		{true, "cc396acb361c899392b87697d2b3d837b553574ce415b717ddd0efbb44ed1e4d"},
 	} {
 		q, env := round2Fixture(t, tc.directional)
 		q.sendRecommendations()

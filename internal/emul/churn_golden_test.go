@@ -49,8 +49,12 @@ import (
 // the one keep-alive timer heartbeats at another phase. The coord-crash row's
 // full_views fell 63 → 33, the restarted replica's snapshots gone; the last
 // row still reads after=16s, and 15s with Play's poll and step blocks
-// swapped. A change that means to alter a scenario re-captures its row in the
-// open.
+// swapped. The lossy-gossip, gossip-crash and both straggler rows moved when
+// recommendations began travelling as deltas: on their lossy planes a
+// refused delta draws a refusal and an answer, and the datagrams saved and
+// drawn shift the network's random stream; the last row still reads
+// after=16s, and 15s swapped. A change that means to alter a scenario
+// re-captures its row in the open.
 func TestChurnScenariosGolden(t *testing.T) {
 	short := func(sc ChurnScenario) ChurnOptions {
 		return ChurnOptions{N: 30, Seed: 42, Scenario: sc, Warmup: 2 * time.Minute, Duration: 5 * time.Minute}
@@ -65,10 +69,10 @@ func TestChurnScenariosGolden(t *testing.T) {
 		{short(ChurnCoordCrash), "91de9d3e5c865d08"},
 		{short(ChurnPartition), "b6e7f216f25896a0"},
 		{short(ChurnRegional), "8034db14f600e44f"},
-		{short(ChurnLossyGossip), "5bc7c5612f0a7e4d"},
-		{short(ChurnGossipCrash), "5002fec89d5a1e54"},
-		{short(ChurnStraggler), "858e07f54c1df944"},
-		{ChurnOptions{N: 30, Seed: 61, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "cee6246046586b67"},
+		{short(ChurnLossyGossip), "d5465ee25b5e96ca"},
+		{short(ChurnGossipCrash), "ac4062991fd03a46"},
+		{short(ChurnStraggler), "f95f50cbbdb0612d"},
+		{ChurnOptions{N: 30, Seed: 61, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "2b711e8b1a9e243f"},
 	}
 	for _, c := range cases {
 		out := RunChurn(c.opt).Format()

@@ -26,7 +26,12 @@ import (
 // link stopped counting as a dead rendezvous: every entry's hop and cost are
 // unchanged, and only which rendezvous spoke last (from, source) moved,
 // because cold nodes no longer recruit failovers (68 and 240 of them in these
-// fixtures' first minute).
+// fixtures' first minute). The planetlab one was re-captured a third time
+// when recommendations began travelling as deltas, and again every entry's
+// hop and cost are unchanged and only the provenance moved: on its lossy
+// links a client that refuses a delta waits a round trip for the answer to
+// re-install the unchanged entries, and its other rendezvous may speak last
+// in between.
 func routeTableHash(algo overlay.Algorithm, n int, seed int64, env *traces.Env, d time.Duration) string {
 	f := NewFleet(FleetOptions{N: n, Algorithm: algo, Seed: seed, Env: env})
 	f.Run(d)
@@ -62,7 +67,7 @@ func TestRouteTablesMatchScalarGolden(t *testing.T) {
 		{"fullmesh/homogeneous", overlay.AlgFullMesh, 16, 1, nil, "701d961db4d1b605"},
 		{"quorum/homogeneous", overlay.AlgQuorum, 16, 1, nil, "2af5477473282f71"},
 		{"fullmesh/planetlab", overlay.AlgFullMesh, 25, 77, traces.PlanetLab(25, 77), "23a7b9dcf6c06547"},
-		{"quorum/planetlab", overlay.AlgQuorum, 25, 77, traces.PlanetLab(25, 77), "c4dff568dda7ddc9"},
+		{"quorum/planetlab", overlay.AlgQuorum, 25, 77, traces.PlanetLab(25, 77), "5110d49dd30e7d4c"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

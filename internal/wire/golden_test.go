@@ -30,6 +30,11 @@ func TestEncodingsGolden(t *testing.T) {
 	PutRecEntry(run, 0, RecEntry{Dst: 3, Hop: 4, Cost: 90})
 	PutRecEntry(run, 1, RecEntry{Dst: 5, Hop: NilNode, Cost: InfCost})
 	PutRecEntry(run, 2, RecEntry{Dst: 6, Hop: 7, Cost: 8})
+	long := NewRecommendationRun(src, 77, 78, 40, 2, 0) // bits 1 and 39 of a 40-long run
+	MarkRecRun(long, 1)
+	MarkRecRun(long, 39)
+	PutRecEntry(long, 0, RecEntry{Hop: 4, Cost: 90})
+	PutRecEntry(long, 1, RecEntry{Hop: NilNode, Cost: InfCost})
 	packed := PackLinkState(AppendLinkState(nil, src, LinkState{ViewVersion: 8, Seq: 9, Entries: []LinkEntry{
 		{Latency: 1, Status: 2}, {Latency: 3, Status: 4}, {Latency: 5, Status: 6},
 	}}), []int{1})
@@ -51,7 +56,12 @@ func TestEncodingsGolden(t *testing.T) {
 			{Dst: 3, Hop: 4, Cost: 90}, {Dst: 5, Hop: NilNode, Cost: InfCost},
 		}}), "0401020000004d000200030004005a0005ffffffff"},
 		{"new-recommendation", rec, "0401020000004d000200030004005a0005ffffffff"},
-		{"recommendation-run", run, "0401020000004d800a0001" + "0202" + "0004005a" + "ffffffff" + "000600070008"},
+		{"recommendation-run", run, "0401020000004d800a0000004e0001" + "0202" + "0004005a" + "ffffffff" + "000600070008"},
+		{"recommendation-delta", RecommendationDelta(run, []byte{0, 0x02}), // bit 9 changed
+			"0401020000004dc00a0000004e0001" + "0202" + "0001" + "0002" + "ffffffff" + "000600070008"},
+		{"recommendation-delta-indexed", RecommendationDelta(long, []byte{0, 0, 0, 0, 0x80}), // bit 39 changed
+			"0401020000004dc0280000004e0000" + "0200000080" + "0001" + "0027" + "ffffffff"},
+		{"recommendation-refusal", AppendRecommendation(nil, src, Recommendation{ViewVersion: 77}), "0401020000004d0000"},
 		{"link-state-asym", AppendLinkStateAsym(nil, src, LinkStateAsym{ViewVersion: 8, Seq: 9, Entries: []AsymEntry{
 			{Out: 20, In: 35, Status: 4},
 		}}), "0601020000000800000009000100140023" + "04"},
