@@ -178,6 +178,7 @@ type Quorum struct {
 	order      []uint16    // round 2's layout (messages): per client, its place
 	runPos     []uint16    // per place in the first part, its run position
 	selfAt     uint16      // this node's place
+	deltaLen   []uint16    // per client, the size of its delta, 0 when it goes in full
 }
 
 // NewQuorum creates a quorum router for the node at slot self of view.
@@ -443,14 +444,22 @@ func (q *Quorum) sendRecommendations() {
 			q.base.note(self, int(q.runPos[o]), fwd[i], rev[i], q.seq)
 		}
 	}
-	refused := q.refusals()
+	// The deltas are allocated together too, once their sizes are known.
+	refused, total := q.refusals(), 0
+	q.deltaLen = slices.Grow(q.deltaLen[:0], len(clients))[:len(clients)]
+	for i, c := range clients {
+		q.deltaLen[i] = 0
+		if o := q.order[i]; int(o) < len(q.runPos) {
+			q.deltaLen[i] = uint16(q.recDelta(refused(c), int(q.runPos[o]), msgs[i]))
+			total += int(q.deltaLen[i])
+		}
+	}
+	mem := make([]byte, total)
 	for i, c := range clients {
 		msg := msgs[i]
-		if o := q.order[i]; int(o) < len(q.runPos) {
-			if d := q.recDelta(refused(c), int(q.runPos[o]), msg); d != nil {
-				msg = d
-				q.base.deltas = append(q.base.deltas, uint16(c))
-			}
+		if n := int(q.deltaLen[i]); n > 0 {
+			msg, mem = wire.RecommendationDelta(mem[:n], msg, q.base.marks(int(q.runPos[q.order[i]]))), mem[n:]
+			q.base.deltas = append(q.base.deltas, uint16(c))
 		}
 		q.env.Send(q.view.IDAt(c), msg)
 		q.stats.RecommendationsSent++
@@ -460,9 +469,9 @@ func (q *Quorum) sendRecommendations() {
 	}
 }
 
-// messages lays out round 2's messages to clients and allocates each once, at
-// its final size; the network keeps a payload until delivery, so none is
-// reused. Every message lists this node and the clients but its addressee in
+// messages lays out round 2's messages to clients and allocates them once,
+// together, each at its final size; the network keeps a payload until
+// delivery, so none is reused. Every message lists this node and the clients but its addressee in
 // one order: this node and the default clients ascending, then the failover
 // clients ascending. clients[i] has place order[i] in it, this node selfAt.
 //
@@ -511,12 +520,14 @@ func (q *Quorum) messages(clients []int) [][]byte {
 	src, version := q.env.LocalID(), q.view.VersionNum()
 	clear(q.base.changed)
 	msgs := make([][]byte, k)
+	explicit, run := wire.RecommendationSize(k), wire.RecommendationRunSize(len(q.servers), defaults, k-defaults)
+	mem := make([]byte, (k-defaults)*explicit+defaults*run) // the tick's messages, allocated together
 	for i, o := range q.order[:k] {
 		if int(o) > defaults {
-			msgs[i] = wire.NewRecommendation(src, version, k)
+			msgs[i], mem = wire.NewRecommendation(mem[:explicit], src, version, k), mem[explicit:]
 			continue
 		}
-		msgs[i] = wire.NewRecommendationRun(src, version, q.seq, len(q.servers), defaults, k-defaults)
+		msgs[i], mem = wire.NewRecommendationRun(mem[:run], src, version, q.seq, len(q.servers), defaults, k-defaults), mem[run:]
 		for p, at := range q.runPos {
 			if p != int(o) {
 				wire.MarkRecRun(msgs[i], place(q.runPos[o], at))

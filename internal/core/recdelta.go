@@ -130,13 +130,14 @@ func (q *Quorum) selfPos() int {
 	return p
 }
 
-// recDelta returns full, the message round 2 built at seq for the client at
-// position p, as a delta against the one it sent it at seq−1; or nil when it
-// sent it none then, or the delta is not expected to pay for the refusals it
-// draws at refused of them (rowCore.refusals).
-func (q *Quorum) recDelta(refused float64, p int, full []byte) []byte {
+// recDelta returns the size of full, the message round 2 built at seq for
+// the client at position p, as a delta against the one it sent it at seq−1
+// (wire.RecommendationDelta over the position's marks); or 0 when it sent it
+// none then, or the delta is not expected to pay for the refusals it draws
+// at refused of them (rowCore.refusals).
+func (q *Quorum) recDelta(refused float64, p int, full []byte) int {
 	if q.seq <= 1 || q.base.at[p] != q.seq-1 {
-		return nil
+		return 0
 	}
 	marks := q.base.marks(p)
 	changed := 0
@@ -145,11 +146,11 @@ func (q *Quorum) recDelta(refused float64, p int, full []byte) []byte {
 	}
 	rec, _ := wire.RecommendationBody(full[wire.HeaderLen:])
 	extra := rec.Entries - rec.Carried
-	saved := len(full) - wire.RecommendationDeltaSize(rec.Run, changed, extra)
-	if !pays(refused, saved, wire.RecommendationSize(0), wire.RecommendationRunSize(rec.Run, rec.Named, 0)) {
-		return nil
+	size := wire.RecommendationDeltaSize(rec.Run, changed, extra)
+	if !pays(refused, len(full)-size, wire.RecommendationSize(0), wire.RecommendationRunSize(rec.Run, rec.Named, 0)) {
+		return 0
 	}
-	return wire.RecommendationDelta(full, marks)
+	return size
 }
 
 // answerRefusal answers a refusal from the member src at slot with the
@@ -169,7 +170,7 @@ func (q *Quorum) answerRefusal(src wire.NodeID, slot int) {
 			named++
 		}
 	}
-	msg := wire.NewRecommendationRun(q.env.LocalID(), q.view.VersionNum(), q.seq, len(q.servers), named, 0)
+	msg := wire.NewRecommendationRun(nil, q.env.LocalID(), q.view.VersionNum(), q.seq, len(q.servers), named, 0)
 	e := 0
 	for p, at := range q.base.at {
 		if p != to && at == q.seq {

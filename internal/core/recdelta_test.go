@@ -14,7 +14,7 @@ import (
 // positions, naming the positions named, of which changed changed: entry i
 // routes via hop 40+i at cost 50+i.
 func recDelta(q *Quorum, k int, seq uint32, run int, named, changed []int) []byte {
-	msg := wire.NewRecommendationDelta(wire.NodeID(k), q.view.VersionNum(), seq, run, len(changed), 0)
+	msg := wire.NewRecommendationDelta(nil, wire.NodeID(k), q.view.VersionNum(), seq, run, len(changed), 0)
 	for _, p := range named {
 		wire.MarkRecRun(msg, p)
 	}

@@ -53,7 +53,7 @@ func heldRun(q *Quorum, k int) []int { return gridRun(q.Grid(), k, q.self) }
 // positions named, with the explicit extras after them; entry i routes via
 // hop 20+i at cost 30+i.
 func runForm(q *Quorum, k, run int, named []int, extras []wire.NodeID) (wire.Header, []byte) {
-	msg := wire.NewRecommendationRun(wire.NodeID(k), q.view.VersionNum(), 1, run, len(named), len(extras))
+	msg := wire.NewRecommendationRun(nil, wire.NodeID(k), q.view.VersionNum(), 1, run, len(named), len(extras))
 	for i, p := range named {
 		wire.MarkRecRun(msg, p)
 		wire.PutRecEntry(msg, i, wire.RecEntry{Hop: wire.NodeID(20 + i), Cost: wire.Cost(30 + i)})

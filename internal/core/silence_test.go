@@ -111,7 +111,7 @@ func TestStrangerRecommendationMovesNoClock(t *testing.T) {
 	// Nor does a full-size message — 36 entries, what a rendezvous of an 18×18
 	// grid sends — from anybody: the body is walked in place, and with no
 	// update hook set no RouteEntry is built.
-	full := wire.NewRecommendation(8, 1, 36)
+	full := wire.NewRecommendation(nil, 8, 1, 36)
 	for i := 0; i < 36; i++ {
 		wire.PutRecEntry(full, i, wire.RecEntry{Dst: wire.NodeID(1 + i%7), Hop: wire.NodeID(1 + (i+3)%7), Cost: wire.Cost(10 + i)})
 	}

@@ -171,7 +171,7 @@ func FuzzRecommendationRoundTrip(f *testing.F) {
 // RecommendationBody reads of it — its bitmap bit by bit, its entries one by
 // one — is the body it read. The explicit form is the target above's.
 func FuzzRecommendationRunRoundTrip(f *testing.F) {
-	msg := wire.NewRecommendationRun(7, 4, 5, 10, 2, 1)
+	msg := wire.NewRecommendationRun(nil, 7, 4, 5, 10, 2, 1)
 	wire.MarkRecRun(msg, 0)
 	wire.MarkRecRun(msg, 9)
 	wire.PutRecEntry(msg, 0, wire.RecEntry{Hop: 2, Cost: 30})
@@ -186,7 +186,7 @@ func FuzzRecommendationRunRoundTrip(f *testing.F) {
 		return r, err
 	}
 	rebuild := func(b []byte, src wire.NodeID, r wire.RecBody) []byte {
-		msg := wire.NewRecommendationRun(src, r.ViewVersion, r.Seq, r.Run, r.Named, r.Entries-r.Named)
+		msg := wire.NewRecommendationRun(nil, src, r.ViewVersion, r.Seq, r.Run, r.Named, r.Entries-r.Named)
 		for p := r.NextRun(0); p < r.Run; p = r.NextRun(p + 1) {
 			wire.MarkRecRun(msg, p)
 		}
@@ -207,20 +207,20 @@ func FuzzRecommendationRunRoundTrip(f *testing.F) {
 // read of it: bitmap, marks and entries one by one. The seeds cover both
 // forms of the marks.
 func FuzzRecommendationDeltaRoundTrip(f *testing.F) {
-	full := wire.NewRecommendationRun(7, 4, 5, 10, 2, 1)
+	full := wire.NewRecommendationRun(nil, 7, 4, 5, 10, 2, 1)
 	wire.MarkRecRun(full, 0)
 	wire.MarkRecRun(full, 9)
 	wire.PutRecEntry(full, 0, wire.RecEntry{Hop: 2, Cost: 30})
 	wire.PutRecEntry(full, 1, wire.RecEntry{Hop: wire.NilNode, Cost: wire.InfCost})
 	wire.PutRecEntry(full, 2, wire.RecEntry{Dst: 12, Hop: 3, Cost: 40})
-	f.Add(uint16(7), body(wire.RecommendationDelta(full, []byte{0x01, 0x02})))
-	f.Add(uint16(7), body(wire.RecommendationDelta(full, []byte{0, 0})))
-	long := wire.NewRecommendationRun(8, 4, 9, 40, 3, 0)
+	f.Add(uint16(7), body(wire.RecommendationDelta(nil, full, []byte{0x01, 0x02})))
+	f.Add(uint16(7), body(wire.RecommendationDelta(nil, full, []byte{0, 0})))
+	long := wire.NewRecommendationRun(nil, 8, 4, 9, 40, 3, 0)
 	for i, p := range []int{1, 17, 39} {
 		wire.MarkRecRun(long, p)
 		wire.PutRecEntry(long, i, wire.RecEntry{Hop: wire.NodeID(p), Cost: wire.Cost(i)})
 	}
-	f.Add(uint16(8), body(wire.RecommendationDelta(long, []byte{0, 0, 0x02, 0, 0x80})))
+	f.Add(uint16(8), body(wire.RecommendationDelta(nil, long, []byte{0, 0, 0x02, 0, 0x80})))
 	parse := func(b []byte) (wire.RecBody, error) {
 		r, err := wire.RecommendationBody(b)
 		if err == nil && !r.Delta {
@@ -229,7 +229,7 @@ func FuzzRecommendationDeltaRoundTrip(f *testing.F) {
 		return r, err
 	}
 	rebuild := func(b []byte, src wire.NodeID, r wire.RecBody) []byte {
-		msg := wire.NewRecommendationDelta(src, r.ViewVersion, r.Seq, r.Run, r.Carried, r.Entries-r.Carried)
+		msg := wire.NewRecommendationDelta(nil, src, r.ViewVersion, r.Seq, r.Run, r.Carried, r.Entries-r.Carried)
 		for p := r.NextRun(0); p < r.Run; p = r.NextRun(p + 1) {
 			wire.MarkRecRun(msg, p)
 		}

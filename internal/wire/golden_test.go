@@ -21,16 +21,16 @@ func TestEncodingsGolden(t *testing.T) {
 		{ID: 0x0A0B, Slot: 0x0C0D},
 	}
 	delta := ViewDelta{Epoch: 3, BaseVersion: 41, Version: 42, Adds: members[:1], Removes: []NodeID{5, 0x0E0F}}
-	rec := NewRecommendation(src, 77, 2)
+	rec := NewRecommendation(nil, src, 77, 2)
 	PutRecEntry(rec, 0, RecEntry{Dst: 3, Hop: 4, Cost: 90})
 	PutRecEntry(rec, 1, RecEntry{Dst: 5, Hop: NilNode, Cost: InfCost})
-	run := NewRecommendationRun(src, 77, 78, 10, 2, 1) // bits 1 and 9 of a 10-long run, one extra
+	run := NewRecommendationRun(nil, src, 77, 78, 10, 2, 1) // bits 1 and 9 of a 10-long run, one extra
 	MarkRecRun(run, 1)
 	MarkRecRun(run, 9)
 	PutRecEntry(run, 0, RecEntry{Dst: 3, Hop: 4, Cost: 90})
 	PutRecEntry(run, 1, RecEntry{Dst: 5, Hop: NilNode, Cost: InfCost})
 	PutRecEntry(run, 2, RecEntry{Dst: 6, Hop: 7, Cost: 8})
-	long := NewRecommendationRun(src, 77, 78, 40, 2, 0) // bits 1 and 39 of a 40-long run
+	long := NewRecommendationRun(nil, src, 77, 78, 40, 2, 0) // bits 1 and 39 of a 40-long run
 	MarkRecRun(long, 1)
 	MarkRecRun(long, 39)
 	PutRecEntry(long, 0, RecEntry{Hop: 4, Cost: 90})
@@ -57,9 +57,9 @@ func TestEncodingsGolden(t *testing.T) {
 		}}), "0401020000004d000200030004005a0005ffffffff"},
 		{"new-recommendation", rec, "0401020000004d000200030004005a0005ffffffff"},
 		{"recommendation-run", run, "0401020000004d800a0000004e0001" + "0202" + "0004005a" + "ffffffff" + "000600070008"},
-		{"recommendation-delta", RecommendationDelta(run, []byte{0, 0x02}), // bit 9 changed
+		{"recommendation-delta", RecommendationDelta(nil, run, []byte{0, 0x02}), // bit 9 changed
 			"0401020000004dc00a0000004e0001" + "0202" + "0001" + "0002" + "ffffffff" + "000600070008"},
-		{"recommendation-delta-indexed", RecommendationDelta(long, []byte{0, 0, 0, 0, 0x80}), // bit 39 changed
+		{"recommendation-delta-indexed", RecommendationDelta(nil, long, []byte{0, 0, 0, 0, 0x80}), // bit 39 changed
 			"0401020000004dc0280000004e0000" + "0200000080" + "0001" + "0027" + "ffffffff"},
 		{"recommendation-refusal", AppendRecommendation(nil, src, Recommendation{ViewVersion: 77}), "0401020000004d0000"},
 		{"link-state-asym", AppendLinkStateAsym(nil, src, LinkStateAsym{ViewVersion: 8, Seq: 9, Entries: []AsymEntry{

@@ -454,10 +454,25 @@ type Recommendation struct {
 }
 
 // NewRecommendation returns a whole k-entry explicit-form message from src,
-// allocated once at its final size, for PutRecEntry to fill in place: a
-// rendezvous knows every entry's position, so round 2 never stages entries.
-func NewRecommendation(src NodeID, viewVersion uint32, k int) []byte {
-	return appendRecommendation(make([]byte, 0, RecommendationSize(k)), src, viewVersion, k)
+// at its final size, for PutRecEntry to fill in place: a rendezvous knows
+// every entry's position, so round 2 never stages entries. The message is
+// built in mem (Carve).
+func NewRecommendation(mem []byte, src NodeID, viewVersion uint32, k int) []byte {
+	msg := Carve(mem, RecommendationSize(k))
+	b := AppendHeader(msg[:0], TRecommendation, src)
+	binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint32(b, viewVersion), uint16(k))
+	return msg
+}
+
+// Carve returns mem as size zero bytes when it holds exactly that many, and
+// else a new allocation of size bytes: a sender that knows its messages'
+// sizes before it builds them allocates them together and carves each out.
+func Carve(mem []byte, size int) []byte {
+	if len(mem) != size {
+		return make([]byte, size)
+	}
+	clear(mem)
+	return mem[:size:size]
 }
 
 // appendRecommendation appends a k-entry explicit-form message, its entries
@@ -471,31 +486,31 @@ func appendRecommendation(b []byte, src NodeID, viewVersion uint32, k int) []byt
 
 // NewRecommendationRun returns a whole run-form message from src at seq, over
 // a run of run destinations, with named entries the bitmap names and extra
-// explicit ones, at its final size: MarkRecRun fills the bitmap, PutRecEntry
-// the entries.
-func NewRecommendationRun(src NodeID, viewVersion, seq uint32, run, named, extra int) []byte {
-	return newRun(RecommendationRunSize(run, named, extra), src, viewVersion, seq, recRunFlag|uint16(run), extra)
+// explicit ones, at its final size, built in mem (Carve): MarkRecRun fills
+// the bitmap, PutRecEntry the entries.
+func NewRecommendationRun(mem []byte, src NodeID, viewVersion, seq uint32, run, named, extra int) []byte {
+	return newRun(Carve(mem, RecommendationRunSize(run, named, extra)), src, viewVersion, seq, recRunFlag|uint16(run), extra)
 }
 
 // NewRecommendationDelta returns a whole delta-form message from src at seq,
 // over a run of run destinations, with changed named entries and extra
-// explicit ones, at its final size: MarkRecRun fills the bitmap,
-// MarkRecChanged the marks, PutRecEntry the entries.
-func NewRecommendationDelta(src NodeID, viewVersion, seq uint32, run, changed, extra int) []byte {
-	b := newRun(RecommendationDeltaSize(run, changed, extra), src, viewVersion, seq, recRunFlag|recDeltaFlag|uint16(run), extra)
+// explicit ones, at its final size, built in mem (Carve): MarkRecRun fills
+// the bitmap, MarkRecChanged the marks, PutRecEntry the entries.
+func NewRecommendationDelta(mem []byte, src NodeID, viewVersion, seq uint32, run, changed, extra int) []byte {
+	b := newRun(Carve(mem, RecommendationDeltaSize(run, changed, extra)), src, viewVersion, seq, recRunFlag|recDeltaFlag|uint16(run), extra)
 	binary.BigEndian.PutUint16(b[HeaderLen+recRunFixed+bitmapLen(run):], uint16(changed))
 	return b
 }
 
-// newRun returns a whole message of size bytes that opens as both run forms
-// do.
-func newRun(size int, src NodeID, viewVersion, seq uint32, word uint16, extra int) []byte {
-	b := AppendHeader(make([]byte, 0, size), TRecommendation, src)
+// newRun writes over msg, a whole message of zero bytes, the opening both run
+// forms share.
+func newRun(msg []byte, src NodeID, viewVersion, seq uint32, word uint16, extra int) []byte {
+	b := AppendHeader(msg[:0], TRecommendation, src)
 	b = binary.BigEndian.AppendUint32(b, viewVersion)
 	b = binary.BigEndian.AppendUint16(b, word)
 	b = binary.BigEndian.AppendUint32(b, seq)
-	b = binary.BigEndian.AppendUint16(b, uint16(extra))
-	return b[:cap(b)]
+	binary.BigEndian.AppendUint16(b, uint16(extra))
+	return msg
 }
 
 // MarkRecRun sets bit i of a run-form or delta-form message's bitmap: the
@@ -568,26 +583,29 @@ func AppendRecommendation(b []byte, src NodeID, r Recommendation) []byte {
 }
 
 // RecommendationDelta returns full, a whole run-form message, in the delta
-// form: changed is a bitmap over its run whose set bits name the positions
-// changed since the message at Seq−1. A set bit at a position full does not
-// name is no change.
-func RecommendationDelta(full, changed []byte) []byte {
+// form, built in mem (Carve): changed is a bitmap over its run whose set bits
+// name the positions changed since the message at Seq−1. A set bit at a
+// position full does not name is no change.
+func RecommendationDelta(mem, full, changed []byte) []byte {
 	r, _ := RecommendationBody(full[HeaderLen:])
 	k := 0
 	for i, w := range r.bitmap {
 		k += bits.OnesCount8(w & changed[i])
 	}
 	extra := r.Entries - r.Carried
-	msg := NewRecommendationDelta(NodeID(binary.BigEndian.Uint16(full[1:])), r.ViewVersion, r.Seq, r.Run, k, extra)
+	msg := NewRecommendationDelta(mem, NodeID(binary.BigEndian.Uint16(full[1:])), r.ViewVersion, r.Seq, r.Run, k, extra)
 	at := HeaderLen + recRunFixed + copy(msg[HeaderLen+recRunFixed:], r.bitmap) + 2
 	entries := msg[at+deltaMarksLen(r.Run, k):]
-	j := 0
-	for e, p := 0, r.NextRun(0); p < r.Run; e, p = e+1, r.NextRun(p+1) {
-		if changed[p/8]>>(p%8)&1 != 0 {
-			MarkRecChanged(msg, j, p)
+	j, named := 0, 0 // named counts the positions the bitmap names below byte i
+	for i, w := range r.bitmap {
+		for c := w & changed[i]; c != 0; c &= c - 1 {
+			b := bits.TrailingZeros8(c)
+			e := named + bits.OnesCount8(w&(1<<b-1)) // the full message's named entry for i*8+b
+			MarkRecChanged(msg, j, i*8+b)
 			copy(entries[j*namedEntryLen:], r.entries[e*namedEntryLen:][:namedEntryLen])
 			j++
 		}
+		named += bits.OnesCount8(w)
 	}
 	copy(entries[k*namedEntryLen:], full[len(full)-extra*recEntryLen:])
 	return msg

@@ -347,7 +347,7 @@ func TestRecommendationParseErrors(t *testing.T) {
 func TestRecommendationRunForm(t *testing.T) {
 	named := []RecEntry{{Hop: 4, Cost: 90}, {Hop: NilNode, Cost: InfCost}, {Hop: 11, Cost: 7}}
 	extra := []RecEntry{{Dst: 40, Hop: 40, Cost: 3}}
-	msg := NewRecommendationRun(8, 5, 6, 17, len(named), len(extra))
+	msg := NewRecommendationRun(nil, 8, 5, 6, 17, len(named), len(extra))
 	for _, bit := range []int{0, 9, 16} {
 		MarkRecRun(msg, bit)
 	}
@@ -390,7 +390,7 @@ func TestRecommendationRunForm(t *testing.T) {
 // or a bit too few or too many for its named entries, and when anything
 // follows its last entry.
 func TestRecommendationBodyRefusals(t *testing.T) {
-	msg := NewRecommendationRun(8, 5, 6, 10, 2, 1)
+	msg := NewRecommendationRun(nil, 8, 5, 6, 10, 2, 1)
 	MarkRecRun(msg, 3)
 	MarkRecRun(msg, 9)
 	_, good, _ := ParseHeader(msg)
@@ -438,7 +438,7 @@ func TestRecommendationDeltaForm(t *testing.T) {
 		{run: 40, named: []int{1, 8, 39}, changed: nil, indexed: true, changedBitmapAt: nil},
 	} {
 		extra := []RecEntry{{Dst: 50, Hop: 50, Cost: 3}, {Dst: 60, Hop: 2, Cost: 9}}
-		full := NewRecommendationRun(8, 5, 6, tc.run, len(tc.named), len(extra))
+		full := NewRecommendationRun(nil, 8, 5, 6, tc.run, len(tc.named), len(extra))
 		var want []RecEntry
 		for i, p := range tc.named {
 			MarkRecRun(full, p)
@@ -457,7 +457,7 @@ func TestRecommendationDeltaForm(t *testing.T) {
 		for _, p := range tc.changedBitmapAt {
 			changed[p/8] |= 1 << (p % 8)
 		}
-		msg := RecommendationDelta(full, changed)
+		msg := RecommendationDelta(nil, full, changed)
 		if size := RecommendationDeltaSize(tc.run, len(tc.changed), len(extra)); len(msg) != size {
 			t.Fatalf("run %d: %d bytes, RecommendationDeltaSize says %d", tc.run, len(msg), size)
 		}
@@ -501,7 +501,7 @@ func TestRecommendationDeltaForm(t *testing.T) {
 // last entry.
 func TestRecommendationDeltaRefusals(t *testing.T) {
 	build := func(run int, named []int, changed ...int) []byte {
-		msg := NewRecommendationDelta(8, 5, 6, run, len(changed), 1)
+		msg := NewRecommendationDelta(nil, 8, 5, 6, run, len(changed), 1)
 		for _, p := range named {
 			MarkRecRun(msg, p)
 		}
