@@ -268,7 +268,7 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64, slots int) {
 					continue
 				}
 				was := c.view
-				if _, stable := c.installView(next, int(id), fresh); !stable {
+				if _, stable, _ := c.installView(next, int(id), fresh); !stable {
 					t.Fatalf("view %d is no stable extension of view %d", next.VersionNum(), was.VersionNum())
 				}
 				rows[id], asymRows[id] = rows[id][:next.Slots()], asymRows[id][:next.Slots()]

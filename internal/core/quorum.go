@@ -109,8 +109,11 @@ type QuorumStats struct {
 // run[i+1]] is, per destination, when (Unix ns) k last recommended a route to
 // it, or when the pairing began: the view install that made k a default
 // rendezvous of the destination. said[run[i]:run[i+1]] is, per destination,
-// the hop and cost k's run-form message at seq[i] named it with, the base of
-// k's next delta; seq[i] is 0 while there is none since the install. Every
+// the hop and cost k's last run-form message to name it named it with, or
+// unsaid for a pairing none has named. Those its message at seq[i] named are
+// the base of k's next delta; seq[i] is 0 while there is none. A stable
+// install carries the clocks and said entries of every pairing it keeps
+// (pairRendezvous), and seq when onto the next version (SetView). Every
 // array is pointer-free, fourteen bytes a pairing.
 type silence struct {
 	servers []int // this node's servers, ascending
@@ -126,6 +129,12 @@ type saidEntry struct {
 	hop  wire.NodeID
 	cost wire.Cost
 }
+
+// unsaid is the said entry of a pairing no message has named: no hop at a
+// finite cost, which no rendezvous recommends and take refuses. A seq carried
+// across an install is older than the pairings the install began, and their
+// sender, whose base has no such pair, sends those entries whatever it holds.
+var unsaid = saidEntry{hop: wire.NilNode}
 
 // server returns the destinations the i-th server holds and their clocks.
 func (t *silence) server(i int) (slots []uint16, heard []int64) {
@@ -195,8 +204,10 @@ func NewQuorum(env transport.Env, cfg QuorumConfig, view *membership.ViewInfo, s
 // spans the view's slot space, tombstones masked out, so a stable extension
 // leaves the silence clocks and failover episodes of unaffected members
 // bit-for-bit untouched; a cold install opens no episode and starts every
-// clock now. Pending acks and both ends' recommendation bases reset either
-// way. A view the grid cannot span is refused before anything changes.
+// clock now. Pending acks reset either way. Both ends' recommendation bases
+// carry across a stable extension onto the next version (recBase.carry,
+// pairRendezvous) and reset on any other install. A view the grid cannot
+// span is refused before anything changes.
 func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	g, err := grid.NewMasked(view.Slots(), view.OccupiedMask())
 	if err != nil {
@@ -206,7 +217,8 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	if q.cfg.Asymmetric {
 		fresh = lsdb.NewDirectionalTable
 	}
-	retired, stable := q.installView(view, self, fresh)
+	retired, stable, next := q.installView(view, self, fresh)
+	old := q.servers
 	q.g, q.servers = g, g.Servers(self)
 	if stable {
 		q.failovers = slices.DeleteFunc(q.failovers, func(fo failoverState) bool { return slices.Contains(retired, fo.dst) })
@@ -226,7 +238,12 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		q.rv = silence{}
 	}
 	q.pairRendezvous(retired)
-	q.base.reset(len(q.servers)+1, q.cfg.Asymmetric)
+	if next {
+		q.base.carry(old, q.servers, self, retired)
+	} else {
+		clear(q.rv.seq)
+		q.base.reset(len(q.servers)+1, q.cfg.Asymmetric)
+	}
 	q.refusal = wire.AppendRecommendation(nil, q.env.LocalID(), wire.Recommendation{ViewVersion: view.VersionNum()})
 	q.live = make([]bool, view.Slots())
 	if q.cfg.ReliableLinkState {
@@ -239,7 +256,8 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 // pairing the previous table held keeps its clock unless the install retired
 // either end of it; every other — a new or reused slot, a newly appointed
 // deputy, everything after a cold install — starts now: grace runs from when
-// a duty began, never from the last view change.
+// a duty began, never from the last view change. The same merge carries the
+// deltas' base: a kept pairing's said entry and a kept server's seq.
 //
 // k is a rendezvous of (self, dst) exactly when k is one of this node's servers
 // and holds dst's row — dst is k or one of k's clients (the relation is
@@ -261,24 +279,27 @@ func (q *Quorum) pairRendezvous(retired []int) {
 	}
 	next.slot = make([]uint16, next.run[len(held)])
 	next.heard = make([]int64, len(next.slot))
-	next.said, next.seq = cleared(q.rv.said, len(next.slot)), cleared(q.rv.seq, len(q.servers)) // bases reset
+	next.said, next.seq = make([]saidEntry, len(next.slot)), make([]uint32, len(q.servers))
 	for i, k := range q.servers {
 		// k's previous run ascends like its new one: one merge pass carries
-		// the clocks over.
+		// the clocks over, and the base.
 		var oldSlots []uint16
 		var oldHeard []int64
+		var oldSaid []saidEntry
 		if j, ok := slices.BinarySearch(q.rv.servers, k); ok && !slices.Contains(retired, k) {
 			oldSlots, oldHeard = q.rv.server(j)
+			oldSaid, next.seq[i] = q.rv.said[q.rv.run[j]:q.rv.run[j+1]], q.rv.seq[j]
 		}
 		slots, heard := next.server(i)
+		said := next.said[next.run[i]:next.run[i+1]]
 		at := 0
 		for j, dst := range held[i] {
-			slots[j], heard[j] = uint16(dst), now
+			slots[j], heard[j], said[j] = uint16(dst), now, unsaid
 			for at < len(oldSlots) && int(oldSlots[at]) < dst {
 				at++
 			}
 			if at < len(oldSlots) && int(oldSlots[at]) == dst && !slices.Contains(retired, dst) {
-				heard[j] = oldHeard[at]
+				heard[j], said[j] = oldHeard[at], oldSaid[at]
 			}
 		}
 	}
@@ -942,7 +963,7 @@ func (q *Quorum) episode(dst int) (int, bool) {
 
 // HeldRecommendation returns the base this node holds for deltas from its
 // default rendezvous at slot k: the seq of k's run-form message it holds, 0
-// for none since the install, and per destination of k's run, ascending, its
+// for none, and per destination of k's run some message named, ascending, its
 // slot and the hop and cost said of it. The entries of destinations that
 // message did not name are older.
 //
@@ -952,9 +973,11 @@ func (q *Quorum) HeldRecommendation(k int) (seq uint32, dsts []uint16, said []wi
 	if !ok {
 		return 0, nil, nil
 	}
-	dsts, _ = q.rv.server(r)
-	for _, e := range q.rv.said[q.rv.run[r]:q.rv.run[r+1]] {
-		said = append(said, wire.RecEntry{Hop: e.hop, Cost: e.cost})
+	slots, _ := q.rv.server(r)
+	for i, e := range q.rv.said[q.rv.run[r]:q.rv.run[r+1]] {
+		if e != unsaid {
+			dsts, said = append(dsts, slots[i]), append(said, wire.RecEntry{Hop: e.hop, Cost: e.cost})
+		}
 	}
 	return q.rv.seq[r], dsts, said
 }

@@ -11,8 +11,10 @@ import (
 // Round 2 sends a default client's run-form message, after its first, as a
 // delta (wire.RecommendationDelta) against the message it sent the same
 // client at seq−1: the run bitmap, which moves the client's silence clocks,
-// the entries that changed, and the explicit entries in full. A view install
-// resets the base, and the first message after one goes in full.
+// the entries that changed, and the explicit entries in full. A stable view
+// install onto the next version carries the base at both ends (carry,
+// Quorum.pairRendezvous), as rows keep theirs (rowCore.installView); any
+// other install resets it, and the first message after it goes in full.
 //
 // The base is kept by position in the full run — this node's servers and
 // itself, ascending, the positions every default client's run is cut from —
@@ -28,11 +30,14 @@ import (
 // delta. Whether a delta is worth sending a client is the row rule (pays).
 type recBase struct {
 	directional bool
-	at          []uint32  // per position, the last seq whose messages named it; 0 for none since the install
+	at          []uint32  // per position, the last seq whose messages named it; 0 for none the base kept
 	pairs       []pairHop // per pair of positions (pairIndex), the kernel's result at the pair's last seq; on a directional table the way back follows
-	changed     []byte    // this tick's marks: per position, a bitmap over its run of the positions whose entry changed
-	deltas      []uint16  // the slots sent a delta at seq
-	answered    answers   // those of them whose refusal was answered
+	wasAt       []uint32  // carry's other storage for at and pairs: it remaps into them and swaps
+	wasPairs    []pairHop
+	from        []int    // carry's scratch: per position, the one it had before the install, −1 for none
+	changed     []byte   // this tick's marks: per position, a bitmap over its run of the positions whose entry changed
+	deltas      []uint16 // the slots sent a delta at seq
+	answered    answers  // those of them whose refusal was answered
 }
 
 // pairHop is one kernel result as a base keeps it.
@@ -40,6 +45,10 @@ type pairHop struct {
 	hop  uint16 // a slot, noSlot for none
 	cost wire.Cost
 }
+
+// unknownHop is a kept pair's result that no kernel returns — no hop at a
+// finite cost — so that the next note marks the pair changed.
+var unknownHop = pairHop{hop: noSlot}
 
 // reset empties the base for a full run of m positions.
 func (b *recBase) reset(m int, directional bool) {
@@ -50,6 +59,51 @@ func (b *recBase) reset(m int, directional bool) {
 	b.directional = directional
 	b.at, b.pairs, b.changed = cleared(b.at, m), cleared(b.pairs, pairs), cleared(b.changed, m*marksLen(m))
 	b.deltas, b.answered = b.deltas[:0], b.answered[:0]
+}
+
+// carry keeps the base across a stable install onto the next version, which
+// retired the slots retired and made servers, not old, this node's servers
+// (self among them in the full run). Both full runs ascend and this node keeps
+// its slot, so a pair's lower end stays its lower end: a position keeps its
+// seq, and a pair of kept positions its result, remapped by slot. A position
+// has none when the install retired its slot (reused, it is started too; a
+// slot only started was no position before) or newly appointed its member a
+// server. A kept pair whose hop the install retired holds unknownHop: the hop
+// names another member now, or none.
+func (b *recBase) carry(old, servers []int, self int, retired []int) {
+	at, pairs := b.at, b.pairs
+	b.at, b.pairs, b.wasAt, b.wasPairs = b.wasAt, b.wasPairs, at, pairs
+	m := len(servers) + 1
+	b.reset(m, b.directional)
+	b.from = b.from[:0]
+	for p := range m {
+		s := runMember(servers, self, p)
+		f, ok := runPosition(old, self, s)
+		if !ok || slices.Contains(retired, s) {
+			f = -1
+		} else {
+			b.at[p] = at[f]
+		}
+		b.from = append(b.from, f)
+	}
+	kept := func(ph pairHop) pairHop {
+		if ph.hop != noSlot && slices.Contains(retired, int(ph.hop)) {
+			return unknownHop
+		}
+		return ph
+	}
+	for y, fy := range b.from {
+		for x, fx := range b.from[:y] {
+			if fx < 0 || fy < 0 {
+				continue
+			}
+			i, j := pairIndex(x, y), pairIndex(fx, fy)
+			b.pairs[i] = kept(pairs[j])
+			if b.directional {
+				b.pairs[len(b.pairs)/2+i] = kept(pairs[len(pairs)/2+j])
+			}
+		}
+	}
 }
 
 // cleared returns s as n zero values, in its own storage when that is large
@@ -160,10 +214,7 @@ func (q *Quorum) answerRefusal(src wire.NodeID, slot int) {
 	if !slices.Contains(q.base.deltas, uint16(slot)) || !q.base.answered.first(slot) {
 		return
 	}
-	to, ok := slices.BinarySearch(q.servers, slot)
-	if self := q.selfPos(); ok && to >= self {
-		to++
-	}
+	to, _ := runPosition(q.servers, q.self, slot)
 	named := 0
 	for p, at := range q.base.at {
 		if p != to && at == q.seq {
@@ -207,12 +258,26 @@ func (q *Quorum) baseEntry(to, of int) wire.RecEntry {
 }
 
 // member returns the slot at position p of the full run.
-func (q *Quorum) member(p int) int {
-	switch self := q.selfPos(); {
-	case p < self:
-		return q.servers[p]
-	case p == self:
-		return q.self
+func (q *Quorum) member(p int) int { return runMember(q.servers, q.self, p) }
+
+// runPosition returns the position of slot in the full run of the node at
+// slot self whose servers are servers, and whether it has one.
+func runPosition(servers []int, self, slot int) (int, bool) {
+	p, ok := slices.BinarySearch(servers, slot)
+	if slot > self {
+		p++
 	}
-	return q.servers[p-1]
+	return p, ok || slot == self
+}
+
+// runMember returns the slot at position p of the full run of the node at
+// slot self whose servers are servers.
+func runMember(servers []int, self, p int) int {
+	switch below, _ := slices.BinarySearch(servers, self); {
+	case p < below:
+		return servers[p]
+	case p == below:
+		return self
+	}
+	return servers[p-1]
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -257,4 +258,197 @@ func maps(m map[wire.NodeID][]byte) map[wire.NodeID][]byte {
 		out[k] = v
 	}
 	return out
+}
+
+// TestRecommendationBasesSurviveStableInstalls drives a rendezvous, slot 5 of
+// a 5×5 grid, and a quorum at every other slot through stable installs onto
+// the next version, over a clean channel, on symmetric and directional
+// tables. The installs append slot 25, which the grid makes the rendezvous's
+// client; replace the member at slot 12, through which the pair of clients 6
+// and 15 routes before and after; and empty slot 7, which appoints slot 2,
+// column 2's deputy, a server of 5. Then an install skips a version. Each
+// interval a few costs drift. After every interval each client holds, at the
+// rendezvous's seq, exactly the entries a rendezvous without a base sends it
+// in full; no message is refused; and the first message after an install
+// goes as a delta to every client it kept, in full to every other, and in
+// full to all after the skip.
+func TestRecommendationBasesSurviveStableInstalls(t *testing.T) {
+	for _, directional := range []bool{false, true} {
+		testBasesSurviveInstalls(t, directional)
+	}
+}
+
+func testBasesSurviveInstalls(t *testing.T, directional bool) {
+	const rv, hub, slots = 5, 12, 27
+	rng := rand.New(rand.NewSource(5))
+	cost := make([][]wire.Cost, slots) // by slot: from, to
+	for s := range cost {
+		cost[s] = make([]wire.Cost, slots)
+		for d := range cost[s] {
+			if d != s {
+				cost[s][d] = wire.Cost(30 + rng.Intn(370))
+			}
+		}
+	}
+	for _, c := range []int{6, 15} { // 6 and 15 meet at the hub at cost 2
+		cost[c][hub], cost[hub][c] = 1, 1
+	}
+	ids := make([]wire.NodeID, 25)
+	for s := range ids {
+		ids[s] = wire.NodeID(s)
+	}
+	view := slotView(t, 1, ids...)
+	// links returns slot s's row in view, in both forms.
+	links := func(s int) ([]wire.LinkEntry, []wire.AsymEntry) {
+		sym, asym := make([]wire.LinkEntry, view.Slots()), make([]wire.AsymEntry, view.Slots())
+		for d := range sym {
+			st := wire.MakeStatus(view.Occupied(d), 0)
+			sym[d] = wire.LinkEntry{Latency: uint16(cost[min(s, d)][max(s, d)]), Status: st}
+			asym[d] = wire.AsymEntry{Out: uint16(cost[s][d]), In: uint16(cost[d][s]), Status: st}
+		}
+		return sym, asym
+	}
+	sim, nw := soloEnv()
+	var box []mail
+	cfg := QuorumConfig{Asymmetric: directional}
+	newQuorum := func(s int, box *[]mail) *Quorum {
+		q, err := NewQuorum(&mailEnv{SimEnv: sim, id: view.IDAt(s), box: box}, cfg, view, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.LinkAlive = func(int) bool { return true }
+		q.SelfRow = func() []wire.LinkEntry { sym, _ := links(s); return sym }
+		q.SelfAsymRow = func() []wire.AsymEntry { _, asym := links(s); return asym }
+		return q
+	}
+	slot := func(id wire.NodeID) int {
+		s, _ := view.SlotOf(id)
+		return s
+	}
+	sender := newQuorum(rv, &box)
+	nodes := map[wire.NodeID]*Quorum{}
+	for s := range view.Slots() {
+		if s != rv {
+			nodes[view.IDAt(s)] = newQuorum(s, &box)
+		}
+	}
+	// load puts every client's row into q's table at seq.
+	load := func(q *Quorum, seq uint32) {
+		for _, c := range q.Grid().Clients(rv) {
+			sym, asym := links(c)
+			msg := wire.AppendLinkState(nil, 0, wire.LinkState{Entries: sym})
+			if directional {
+				msg = wire.AppendLinkStateAsym(nil, 0, wire.LinkStateAsym{Entries: asym})
+			}
+			msg = wire.PackLinkState(msg, view.Tombstones())
+			_, _, entries, err := wire.LinkStateBody(wire.PeekType(msg), msg[wire.HeaderLen:])
+			if err != nil || !q.table.PutWire(c, seq, sim.Now(), entries) {
+				t.Fatalf("slot %d's row refused: %v", c, err)
+			}
+		}
+	}
+	// interval runs one round 2 and delivers everything it sends, and
+	// reports which clients were sent a delta.
+	interval := func(what string) (delta map[int]bool) {
+		nw.RunFor(15 * time.Second)
+		for range 3 { // drift
+			a, b := rng.Intn(slots), rng.Intn(slots)
+			if a != b && a != hub && b != hub {
+				cost[a][b] = wire.Cost(30 + rng.Intn(370))
+			}
+		}
+		sender.seq++
+		load(sender, sender.seq)
+		sender.sendRecommendations()
+		delta = map[int]bool{}
+		for len(box) > 0 {
+			m := box[0]
+			box = box[1:]
+			h, body, err := wire.ParseHeader(m.msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.to == view.IDAt(rv) {
+				t.Fatalf("directional=%v %s: %d refused a message", directional, what, m.from)
+			}
+			rec, _ := wire.RecommendationBody(body)
+			delta[slot(m.to)] = rec.Delta
+			nodes[m.to].HandleRecommendation(h, body)
+		}
+		// What a rendezvous without a base sends in full.
+		var full []mail
+		ref := newQuorum(rv, &full)
+		ref.seq = sender.seq
+		load(ref, sender.seq)
+		ref.sendRecommendations()
+		for _, m := range full {
+			c := slot(m.to)
+			held, dsts, said := nodes[m.to].HeldRecommendation(rv)
+			if held != sender.seq {
+				t.Fatalf("directional=%v %s: slot %d holds seq %d, want %d", directional, what, c, held, sender.seq)
+			}
+			for _, want := range decodeRound2(t, ref, c, m.msg) {
+				i := slices.IndexFunc(dsts, func(d uint16) bool { return view.IDAt(int(d)) == want.Dst })
+				if i < 0 || said[i].Hop != want.Hop || said[i].Cost != want.Cost {
+					t.Fatalf("directional=%v %s: slot %d holds %+v toward %d, the full message says %+v", directional, what, c, said[max(i, 0)], want.Dst, want)
+				}
+			}
+		}
+		return delta
+	}
+	// install installs the view of ids at version on every member, a
+	// quorum for each new one.
+	install := func(version uint32) {
+		view = slotView(t, version, ids...)
+		if err := sender.SetView(view, rv); err != nil {
+			t.Fatal(err)
+		}
+		kept := map[wire.NodeID]*Quorum{}
+		for s := range view.Slots() {
+			id := view.IDAt(s)
+			switch q, ok := nodes[id]; {
+			case s == rv || id == wire.NilNode:
+			case ok:
+				if err := q.SetView(view, s); err != nil {
+					t.Fatal(err)
+				}
+				kept[id] = q
+			default:
+				kept[id] = newQuorum(s, &box)
+			}
+		}
+		nodes = kept
+	}
+	interval("the first interval")
+	interval("the second interval")
+	steps := []struct {
+		what    string
+		change  func()
+		version uint32
+		full    []int // the clients the install newly paired
+	}{
+		{"after slot 25 was appended", func() { ids = append(ids, 100) }, 2, []int{25}},
+		{"after slot 12 was reused", func() { ids[hub] = 101 }, 3, nil},
+		{"after slot 7 was emptied", func() { ids[7] = wire.NilNode }, 4, []int{2}},
+		{"after a skipped version", func() { ids = append(ids, 102) }, 6, nil},
+	}
+	for _, step := range steps {
+		before := sender.Grid().Clients(rv)
+		step.change()
+		install(step.version)
+		delta := interval(step.what)
+		for _, c := range sender.Grid().Clients(rv) {
+			want := slices.Contains(before, c) && !slices.Contains(step.full, c) && step.version != 6
+			if delta[c] != want {
+				t.Errorf("directional=%v %s: slot %d was sent a delta %v, want %v", directional, step.what, c, delta[c], want)
+			}
+		}
+		if step.version == 3 { // the pair the reused slot routes keeps its hop
+			_, dsts, said := nodes[view.IDAt(6)].HeldRecommendation(rv)
+			if i := slices.Index(dsts, 15); i < 0 || said[i].Hop != 101 {
+				t.Fatalf("directional=%v: slot 6 reaches slot 15 by %+v, not by the hub's new member", directional, said)
+			}
+		}
+		interval(step.what + ", one interval on")
+	}
 }

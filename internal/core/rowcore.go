@@ -72,7 +72,8 @@ type rowCore struct {
 // (membership.StableExtension, the only change a coordinator reign makes)
 // grows the table and routes in place and retires exactly the departed slots;
 // any other install goes cold like the first: a fresh(n) table, no routes.
-// seq and the counters survive both. The router's own state follows retired.
+// seq and the counters survive both. The router's own state follows retired,
+// and next reports a stable extension onto the next version.
 //
 // A stable extension onto the next version keeps the row last announced,
 // rebased into the new view's packing, as the next delta's base. One that
@@ -81,11 +82,11 @@ type rowCore struct {
 // and come back to its slot (a promotion restores one), which a node that
 // installed them reads as retired and started and one that did not as never
 // gone. Both ends of a delta thus reach its view by the same installs.
-func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n int) *lsdb.Table) (retired []int, stable bool) {
+func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n int) *lsdb.Table) (retired []int, stable, next bool) {
 	c.apply() // the parked rows are the old view's: they unpack by its slots
 	var started []int
 	retired, started, stable = membership.StableExtension(c.view, c.self, view, self)
-	next := stable && view.VersionNum() == c.view.VersionNum()+1
+	next = stable && view.VersionNum() == c.view.VersionNum()+1
 	base := c.row
 	if base == nil { // nothing announced since the last install: the base it kept, if any
 		base = c.prev
@@ -123,7 +124,7 @@ func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n 
 	if c.park && cap(c.parked) != n {
 		c.parked = make([]parkedRow, 0, n)
 	}
-	return retired, stable
+	return retired, stable, next
 }
 
 // rebase translates entries, a row packed by the view old, into the packing

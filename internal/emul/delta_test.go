@@ -240,7 +240,8 @@ func TestLossyLinksTakeFullRows(t *testing.T) {
 // holds has, toward each member its sender's view listed at the same slot,
 // the cost its sender announced at the held seq, and InfCost toward every
 // other slot. And a stable install keeps the delta's base: most first rows
-// after one go as deltas to the servers that held the row before it.
+// after one go as deltas to the servers that held the row before it, and
+// most rendezvous send deltas in their first round 2 after one.
 func TestHeldRowsAreAnnouncedRowsUnderChurn(t *testing.T) {
 	for _, asym := range []bool{false, true} {
 		t.Run(map[bool]string{false: "symmetric", true: "directional"}[asym], func(t *testing.T) {
@@ -275,6 +276,15 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 	// after a stable install, whether it went as a delta to any server.
 	installs := map[wire.NodeID][2]uint64{}
 	afterStable := map[key]bool{}
+	// Per rendezvous, the seq of its last run-form recommendation and its
+	// install counts then; per seq a stable install came before, whether a
+	// run-form message at it went as a delta.
+	type recSender struct {
+		seq      uint32
+		installs [2]uint64
+	}
+	recSenders := map[wire.NodeID]recSender{}
+	recAfterStable := map[key]bool{}
 	deltas, refused := 0, 0
 	recs := newRecLedger(t)
 	account := f.Net.OnSend
@@ -289,8 +299,23 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 		var row slotRow
 		switch h.Type {
 		case wire.TRecommendation:
-			if to < f.Opt.MaxN && f.Node(to) != nil {
-				recs.sent(node, f.Node(to).Env().LocalID(), body)
+			if to >= f.Opt.MaxN || f.Node(to) == nil {
+				return
+			}
+			recs.sent(node, f.Node(to).Env().LocalID(), body)
+			if rec, err := wire.RecommendationBody(body); err == nil && rec.ByRun {
+				st := quorum(from).Stats()
+				now := [2]uint64{st.ViewExtends, st.ViewRemaps}
+				k := key{h.Src, rec.Seq}
+				if was, ok := recSenders[h.Src]; !ok || rec.Seq > was.seq {
+					if ok && now[0] != was.installs[0] && now[1] == was.installs[1] {
+						recAfterStable[k] = false
+					}
+					recSenders[h.Src] = recSender{rec.Seq, now}
+				}
+				if _, ok := recAfterStable[k]; ok && rec.Delta {
+					recAfterStable[k] = true
+				}
 			}
 			return
 		case wire.TLinkStateAck:
@@ -426,15 +451,20 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 			reused++
 		}
 	}
-	kept := 0
+	kept, recKept := 0, 0
 	for _, delta := range afterStable {
 		if delta {
 			kept++
 		}
 	}
-	t.Logf("%d held rows checked, %d built on an earlier view; %d deltas sent, %d refused; %d slots reused; %d of %d rows after a stable install went as deltas",
-		checks, across, deltas, refused, reused, kept, len(afterStable))
-	if checks == 0 || across == 0 || deltas == 0 || refused == 0 || reused == 0 || len(afterStable) == 0 {
+	for _, delta := range recAfterStable {
+		if delta {
+			recKept++
+		}
+	}
+	t.Logf("%d held rows checked, %d built on an earlier view; %d deltas sent, %d refused; %d slots reused; %d of %d rows and %d of %d rounds 2 after a stable install sent deltas",
+		checks, across, deltas, refused, reused, kept, len(afterStable), recKept, len(recAfterStable))
+	if checks == 0 || across == 0 || deltas == 0 || refused == 0 || reused == 0 || len(afterStable) == 0 || len(recAfterStable) == 0 {
 		t.Errorf("the run exercised too little")
 	}
 	recs.done()
@@ -442,6 +472,10 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 	// recipients whose links read lossy, dead or not yet probed.
 	if 2*kept < len(afterStable) {
 		t.Errorf("%d of %d rows after a stable install went as deltas: the install dropped the delta's base", kept, len(afterStable))
+	}
+	// Likewise a recommendation's.
+	if 2*recKept < len(recAfterStable) {
+		t.Errorf("%d of %d rounds 2 after a stable install sent deltas: the install dropped the delta's base", recKept, len(recAfterStable))
 	}
 }
 
