@@ -53,8 +53,11 @@ import (
 // recommendations began travelling as deltas: on their lossy planes a
 // refused delta draws a refusal and an answer, and the datagrams saved and
 // drawn shift the network's random stream; the last row still reads
-// after=16s, and 15s swapped. A change that means to alter a scenario
-// re-captures its row in the open.
+// after=16s, and 15s swapped. The same four rows moved when a stable view
+// install onto the next version began keeping the recommendations' base:
+// more of their messages go as deltas, for the same shift; the last row
+// still reads after=16s, and 15s swapped. A change that means to alter a
+// scenario re-captures its row in the open.
 func TestChurnScenariosGolden(t *testing.T) {
 	short := func(sc ChurnScenario) ChurnOptions {
 		return ChurnOptions{N: 30, Seed: 42, Scenario: sc, Warmup: 2 * time.Minute, Duration: 5 * time.Minute}
@@ -69,10 +72,10 @@ func TestChurnScenariosGolden(t *testing.T) {
 		{short(ChurnCoordCrash), "91de9d3e5c865d08"},
 		{short(ChurnPartition), "b6e7f216f25896a0"},
 		{short(ChurnRegional), "8034db14f600e44f"},
-		{short(ChurnLossyGossip), "d5465ee25b5e96ca"},
-		{short(ChurnGossipCrash), "ac4062991fd03a46"},
-		{short(ChurnStraggler), "f95f50cbbdb0612d"},
-		{ChurnOptions{N: 30, Seed: 61, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "2b711e8b1a9e243f"},
+		{short(ChurnLossyGossip), "17c470d6207a38a6"},
+		{short(ChurnGossipCrash), "1554f90d14fb7d1c"},
+		{short(ChurnStraggler), "92d266fbc5890574"},
+		{ChurnOptions{N: 30, Seed: 61, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "674de179aca26f40"},
 	}
 	for _, c := range cases {
 		out := RunChurn(c.opt).Format()
