@@ -252,13 +252,10 @@ func (q *Quorum) baseEntry(to, of int) wire.RecEntry {
 		hc.Hop = -1
 	}
 	if to != x {
-		hc = turned(hc, q.member(x), q.member(y))
+		hc = turned(hc, runMember(q.servers, q.self, x), runMember(q.servers, q.self, y))
 	}
 	return wire.RecEntry{Hop: q.hopID(hc.Hop), Cost: hc.Cost}
 }
-
-// member returns the slot at position p of the full run.
-func (q *Quorum) member(p int) int { return runMember(q.servers, q.self, p) }
 
 // runPosition returns the position of slot in the full run of the node at
 // slot self whose servers are servers, and whether it has one.
