@@ -708,6 +708,92 @@ func TestQuorumRound2Golden(t *testing.T) {
 	}
 }
 
+// TestQuorumRound2GoldenTicks pins the bytes of three round-2 intervals and a
+// refusal's answer: the SHA-256 of every datagram, addressee first, in send
+// order, on round2Fixture's symmetric and directional tables. Interval 1 goes
+// in full. Then five client rows change, the link to one client turns lossy
+// enough that its delta does not pay, and slot 601, no grid client of slot
+// 0, sends it a row as to a failover rendezvous: interval 2 goes in deltas
+// but to that client and the dead links' clients, with explicit entries about
+// slot 601 in both run forms and an explicit-form message to it. Interval 3
+// follows, and a delta recipient refuses its message, which is answered.
+func TestQuorumRound2GoldenTicks(t *testing.T) {
+	for _, tc := range []struct {
+		directional bool
+		want        string
+	}{
+		{false, "01c6ead576ade07b5d87ccfbed40d02436e56c6be2ddb196329c4a11291fc086"},
+		{true, "0e4fac65d903b50a491686c79ed7bb3812c277503447fe4805aaaa1eff2940f0"},
+	} {
+		q, env := round2Fixture(t, tc.directional)
+		n, clients := q.view.Slots(), q.Grid().Clients(0)
+		rng := rand.New(rand.NewSource(11))
+		put := func(s int) {
+			row := make([]wire.AsymEntry, n)
+			for j := range row {
+				row[j] = wire.AsymEntry{Out: uint16(5 + rng.Intn(400)), In: uint16(5 + rng.Intn(400)), Status: wire.MakeStatus(rng.Intn(20) != 0, 0)}
+			}
+			row[s] = wire.AsymEntry{Status: wire.MakeStatus(true, 0)}
+			if tc.directional {
+				putAsym(t, q.Table(), s, env.Now(), row)
+				return
+			}
+			sym := make([]wire.LinkEntry, n)
+			for j, e := range row {
+				sym[j] = wire.LinkEntry{Latency: e.Out, Status: e.Status}
+			}
+			q.Table().Put(s, lsdb.Row{Seq: 2, When: env.Now(), Entries: sym})
+		}
+		interval := func(seq uint32) {
+			q.seq = seq
+			q.sendRecommendations()
+		}
+		interval(1)
+
+		for _, i := range []int{3, 11, 20, 29, 40} {
+			put(clients[i])
+		}
+		const failover = 601
+		put(failover)
+		sym, asym := q.SelfRow(), q.SelfAsymRow()
+		lossy := clients[slices.IndexFunc(clients, func(c int) bool { return wire.StatusAlive(sym[c].Status) && wire.StatusAlive(asym[c].Status) })]
+		sym[lossy].Status, asym[lossy].Status = wire.MakeStatus(true, 60), wire.MakeStatus(true, 60)
+		q.SelfRow = func() []wire.LinkEntry { return sym }
+		q.SelfAsymRow = func() []wire.AsymEntry { return asym }
+		interval(2)
+		var deltas []int
+		changed := 0
+		for _, c := range append(slices.Clone(clients), failover) {
+			rec, err := wire.RecommendationBody(env.last[q.view.IDAt(c)][wire.HeaderLen:])
+			switch {
+			case err != nil:
+				t.Fatalf("directional=%v: slot %d's recommendation: %v", tc.directional, c, err)
+			case c == failover && rec.ByRun, c != failover && rec.Entries == rec.Carried:
+				t.Fatalf("directional=%v: slot %d was sent %+v", tc.directional, c, rec)
+			case c == lossy && rec.Delta:
+				t.Fatalf("directional=%v: the lossy link's client was sent a delta", tc.directional)
+			case rec.Delta:
+				deltas, changed = append(deltas, c), changed+rec.Carried
+			}
+		}
+		if 2*len(deltas) < len(clients) || changed == 0 {
+			t.Fatalf("directional=%v: %d of %d clients were sent a delta, %d entries changed", tc.directional, len(deltas), len(clients), changed)
+		}
+		interval(3)
+
+		refuser := q.view.IDAt(deltas[len(deltas)/2])
+		delete(env.last, refuser)
+		h, body, _ := wire.ParseHeader(wire.AppendRecommendation(nil, refuser, wire.Recommendation{ViewVersion: q.view.VersionNum()}))
+		q.HandleRecommendation(h, body)
+		if _, answered := env.last[refuser]; !answered {
+			t.Fatalf("directional=%v: the refusal was not answered", tc.directional)
+		}
+		if got := hex.EncodeToString(env.sent.Sum(nil)); got != tc.want {
+			t.Errorf("directional=%v: round 2 sent %s, want %s", tc.directional, got, tc.want)
+		}
+	}
+}
+
 // TestQuorumRound2SaysTheSame pins what round 2 says, whatever its encoding:
 // per addressee in slot order, the (dst, hop, cost) set its recommendation
 // decodes to, sorted, on round2Fixture's symmetric and directional tables.
@@ -777,6 +863,33 @@ func TestQuorumPairPassAllocatesNothing(t *testing.T) {
 		msgs := q.messages(clients)
 		if allocs := testing.AllocsPerRun(10, func() { q.clientPairs(clients, msgs) }); allocs != 0 {
 			t.Errorf("directional=%v: the pair pass over %d clients allocates %.0f times", directional, len(clients), allocs)
+		}
+	}
+}
+
+// quietEnv drops what its router sends, allocating nothing.
+type quietEnv struct{ *transport.SimEnv }
+
+func (quietEnv) Send(wire.NodeID, []byte) {}
+
+// TestQuorumRound2Allocs pins round 2's allocations a tick on round2Fixture,
+// its sends dropped and its self row a fixed slice: an interval in full and
+// one in deltas. Each allocates the message table, the tick's messages
+// together and the refusal odds' closure (rowCore.refusals); the deltas'
+// memory is a fourth.
+func TestQuorumRound2Allocs(t *testing.T) {
+	for _, directional := range []bool{false, true} {
+		q, env := round2Fixture(t, directional)
+		q.env = quietEnv{env.SimEnv}
+		sym, asym := q.SelfRow(), q.SelfAsymRow()
+		q.SelfRow = func() []wire.LinkEntry { return sym }
+		q.SelfAsymRow = func() []wire.AsymEntry { return asym }
+		q.seq = 1
+		q.sendRecommendations() // sizes the router's buffers
+		full := testing.AllocsPerRun(10, func() { q.seq = 1; q.sendRecommendations() })
+		delta := testing.AllocsPerRun(10, func() { q.seq++; q.sendRecommendations() })
+		if full > 3 || delta > 4 {
+			t.Errorf("directional=%v: round 2 allocates %.0f times in full and %.0f in deltas, want at most 3 and 4", directional, full, delta)
 		}
 	}
 }
