@@ -183,11 +183,12 @@ type Quorum struct {
 	live       []bool // per destination: some default rendezvous is live
 	clientsBuf []int
 	hopBuf     []lsdb.HopCost
-	srcBuf     []wire.Cost // masked source row of round 2's kernel calls
-	order      []uint16    // round 2's layout (messages): per client, its place
-	runPos     []uint16    // per place in the first part, its run position
-	selfAt     uint16      // this node's place
-	deltaLen   []uint16    // per client, the size of its delta, 0 when it goes in full
+	srcBuf     []wire.Cost     // masked source row of round 2's kernel calls
+	order      []uint16        // round 2's layout (layout): per client, its place
+	runPos     []uint16        // per place in the run, its position in the full run
+	runSlot    []uint16        // per place in the run, its slot
+	selfAt     uint16          // this node's place
+	stage      []wire.RecEntry // the tick's entries about failover clients and theirs (staged), none past it
 }
 
 // NewQuorum creates a quorum router for the node at slot self of view.
@@ -439,8 +440,9 @@ func (q *Quorum) sendsRowsTo(slot int) bool {
 // Every pair is evaluated every interval (§3), per direction — a→b from a's
 // out-costs and b's in-costs, b→a the other way round — except that on a
 // symmetric table the two are one computation and the reverse result is the
-// forward slice. A default client's message goes as a delta when it pays
-// (recDelta).
+// forward slice. The kernel passes leave every pair of the run in the base
+// and stage the rest; then each message is written once (recommendation), a
+// default client's as a delta when it pays (recForm).
 func (q *Quorum) sendRecommendations() {
 	now := q.env.Now()
 	clients := q.table.FreshSlots(q.clientsBuf[:0], now, q.cfg.Staleness)
@@ -449,37 +451,36 @@ func (q *Quorum) sendRecommendations() {
 	if len(clients) == 0 {
 		return
 	}
-	msgs := q.messages(clients)
-	q.clientPairs(clients, msgs)
+	q.layout(clients)
+	q.clientPairs(clients)
 
-	// Pairs (self, client): install the route to the client locally and tell
-	// the client its route to us, which completes its message.
+	// Pairs (self, client): install the route to the client locally; the
+	// client's route to us completes its message.
 	fwd, rev := q.sweep(clients)
 	src, nowNs := q.env.LocalID(), now.UnixNano()
 	self := int(q.runPos[q.selfAt])
 	for i, c := range clients {
 		q.install(c, route{when: nowNs, hop: uint16(fwd[i].Hop), from: uint16(q.self), cost: fwd[i].Cost, source: SourceSelf})
-		back := turned(rev[i], q.self, c)
-		wire.PutRecEntry(msgs[i], place(q.order[i], q.selfAt), wire.RecEntry{Dst: src, Hop: q.hopID(back.Hop), Cost: back.Cost})
 		if o := q.order[i]; int(o) < len(q.runPos) {
 			q.base.note(self, int(q.runPos[o]), fwd[i], rev[i], q.seq)
+		} else {
+			back := turned(rev[i], q.self, c)
+			*q.staged(o, q.selfAt) = wire.RecEntry{Dst: src, Hop: q.hopID(back.Hop), Cost: back.Cost}
 		}
 	}
-	// The deltas are allocated together too, once their sizes are known.
+	// Every size is known now: the messages are allocated together, afresh,
+	// for the network keeps a payload until delivery.
 	refused, total := q.refusals(), 0
-	q.deltaLen = slices.Grow(q.deltaLen[:0], len(clients))[:len(clients)]
 	for i, c := range clients {
-		q.deltaLen[i] = 0
-		if o := q.order[i]; int(o) < len(q.runPos) {
-			q.deltaLen[i] = uint16(q.recDelta(refused(c), int(q.runPos[o]), msgs[i]))
-			total += int(q.deltaLen[i])
-		}
+		total += q.recSize(q.order[i], q.recForm(refused(c), q.order[i]))
 	}
 	mem := make([]byte, total)
 	for i, c := range clients {
-		msg := msgs[i]
-		if n := int(q.deltaLen[i]); n > 0 {
-			msg, mem = wire.RecommendationDelta(mem[:n], msg, q.base.marks(int(q.runPos[q.order[i]]))), mem[n:]
+		form := q.recForm(refused(c), q.order[i])
+		n := q.recSize(q.order[i], form)
+		msg := q.recommendation(mem[:n:n], q.order[i], form)
+		mem = mem[n:]
+		if form == formDelta {
 			q.base.deltas = append(q.base.deltas, uint16(c))
 		}
 		q.env.Send(q.view.IDAt(c), msg)
@@ -488,74 +489,71 @@ func (q *Quorum) sendRecommendations() {
 	for _, p := range q.runPos {
 		q.base.at[p] = q.seq
 	}
+	q.stage = nil
 }
 
-// messages lays out round 2's messages to clients and allocates them once,
-// together, each at its final size; the network keeps a payload until
-// delivery, so none is reused. Every message lists this node and the clients but its addressee in
-// one order: this node and the default clients ascending, then the failover
-// clients ascending. clients[i] has place order[i] in it, this node selfAt.
+// layout lays out round 2's messages to clients. Every message lists this
+// node and the clients but its addressee in one order: this node and the
+// default clients ascending, the run, then the failover clients ascending.
+// clients[i] has place order[i] in it, this node selfAt.
 //
-// The first part, less the addressee, is a default client's run for this node
-// — this node's grid clients and itself, ascending, less the client — or as
-// much of it as has fresh rows here. runPos[p] is the p-th member's position
-// in the run less nobody, the full run, and the default client is sent the
+// The run, less the addressee, is a default client's run for this node —
+// this node's grid clients and itself, ascending, less the client — or as
+// much of it as has fresh rows here. runPos[o] is the o-th member's position
+// in the full run, the run less nobody, and the default client is sent the
 // run form, whose bitmap names those positions (wire.NewRecommendationRun). A
 // failover client holds no run for this node and is sent the explicit form.
-// The tick's changed marks (recBase.note) start clear.
-func (q *Quorum) messages(clients []int) [][]byte {
+// The tick's changed marks (recBase.note) start clear, and the stage is
+// allocated for its failover clients, if any: it lives for the tick, for a
+// node that once served many failover clients should not keep room for them.
+func (q *Quorum) layout(clients []int) {
 	k := len(clients)
 	q.order = slices.Grow(q.order[:0], k)[:k]
-	q.runPos = slices.Grow(q.runPos[:0], len(q.servers)+1)
-	defaults := 0
-	for _, c := range clients {
-		if _, ok := slices.BinarySearch(q.servers, c); ok {
-			defaults++
-		}
+	q.runPos, q.runSlot = q.runPos[:0], q.runSlot[:0]
+	add := func(slot, pos int) uint16 {
+		q.runPos, q.runSlot = append(q.runPos, uint16(pos)), append(q.runSlot, uint16(slot))
+		return uint16(len(q.runPos) - 1)
 	}
 	below, _ := slices.BinarySearch(q.servers, q.self) // this node's run position
 	placed := false
-	failover := uint16(defaults + 1)
 	for i, c := range clients {
 		s, ok := slices.BinarySearch(q.servers, c)
 		switch {
 		case !ok:
-			q.order[i] = failover
-			failover++
+			q.order[i] = noSlot // placed after the run
 			continue
 		case q.self < c:
 			s++ // this node comes first in the run
 			if !placed {
-				q.selfAt, placed = uint16(len(q.runPos)), true
-				q.runPos = append(q.runPos, uint16(below))
+				q.selfAt, placed = add(q.self, below), true
 			}
 		}
-		q.order[i] = uint16(len(q.runPos))
-		q.runPos = append(q.runPos, uint16(s))
+		q.order[i] = add(c, s)
 	}
 	if !placed {
-		q.selfAt = uint16(len(q.runPos))
-		q.runPos = append(q.runPos, uint16(below))
+		q.selfAt = add(q.self, below)
 	}
-
-	src, version := q.env.LocalID(), q.view.VersionNum()
+	failover := uint16(len(q.runPos))
+	for i, o := range q.order {
+		if o == noSlot {
+			q.order[i], failover = failover, failover+1
+		}
+	}
 	clear(q.base.changed)
-	msgs := make([][]byte, k)
-	explicit, run := wire.RecommendationSize(k), wire.RecommendationRunSize(len(q.servers), defaults, k-defaults)
-	mem := make([]byte, (k-defaults)*explicit+defaults*run) // the tick's messages, allocated together
-	for i, o := range q.order[:k] {
-		if int(o) > defaults {
-			msgs[i], mem = wire.NewRecommendation(mem[:explicit], src, version, k), mem[explicit:]
-			continue
-		}
-		msgs[i], mem = wire.NewRecommendationRun(mem[:run], src, version, q.seq, len(q.servers), defaults, k-defaults), mem[run:]
-		for p, at := range q.runPos {
-			if p != int(o) {
-				wire.MarkRecRun(msgs[i], place(q.runPos[o], at))
-			}
-		}
+	q.stage = make([]wire.RecEntry, (k+1-len(q.runPos))*(k+1+len(q.runPos)))
+}
+
+// staged returns where round 2 stages the entry of the member at place to
+// about the one at place of, one of them a failover client: per failover
+// client, every place's entry about it, then its entries about the run.
+//
+//lint:allocfree
+func (q *Quorum) staged(to, of uint16) *wire.RecEntry {
+	run, block := len(q.runPos), len(q.order)+1+len(q.runPos)
+	if f := int(of) - run; f >= 0 {
+		return &q.stage[f*block+int(to)]
 	}
-	return msgs
+	return &q.stage[(int(to)-run)*block+len(q.order)+1+int(of)]
 }
 
 // place returns where the member at place of in round 2's common order sits in
@@ -576,17 +574,16 @@ func (q *Quorum) hopID(hop int) wire.NodeID {
 	return q.view.IDAt(hop)
 }
 
-// clientPairs evaluates every pair of clients and writes the results into both
-// endpoints' pending messages, each at the entry messages laid out for it,
-// and into the base when both are default clients. The kernels' output goes
-// through the buffers sweep keeps.
+// clientPairs evaluates every pair of clients: a pair in the run goes into
+// the base, any other into the stage, both ends' entries. The kernels' output
+// goes through the buffers sweep keeps.
 //
 //lint:allocfree
-func (q *Quorum) clientPairs(clients []int, msgs [][]byte) {
+func (q *Quorum) clientPairs(clients []int) {
 	k := len(clients)
 	table, directional := q.table, q.table.Directional()
 	fwd, rev := q.hops(k)
-	order := q.order[:k]
+	order, run := q.order[:k], uint16(len(q.runPos))
 	for i := range k - 1 {
 		a, others := clients[i], clients[i+1:]
 		fwd, rev := fwd[:len(others)], rev[:len(others)]
@@ -596,12 +593,13 @@ func (q *Quorum) clientPairs(clients []int, msgs [][]byte) {
 		}
 		for z, b := range others {
 			j := i + 1 + z
-			back := turned(rev[z], a, b)
-			wire.PutRecEntry(msgs[i], place(order[i], order[j]), wire.RecEntry{Dst: q.view.IDAt(b), Hop: q.hopID(fwd[z].Hop), Cost: fwd[z].Cost})
-			wire.PutRecEntry(msgs[j], place(order[j], order[i]), wire.RecEntry{Dst: q.view.IDAt(a), Hop: q.hopID(back.Hop), Cost: back.Cost})
-			if int(order[i]) < len(q.runPos) && int(order[j]) < len(q.runPos) {
+			if order[i] < run && order[j] < run {
 				q.base.note(int(q.runPos[order[i]]), int(q.runPos[order[j]]), fwd[z], rev[z], q.seq)
+				continue
 			}
+			back := turned(rev[z], a, b)
+			*q.staged(order[i], order[j]) = wire.RecEntry{Dst: q.view.IDAt(b), Hop: q.hopID(fwd[z].Hop), Cost: fwd[z].Cost}
+			*q.staged(order[j], order[i]) = wire.RecEntry{Dst: q.view.IDAt(a), Hop: q.hopID(back.Hop), Cost: back.Cost}
 		}
 	}
 	pairs := k * (k - 1)

@@ -854,14 +854,14 @@ func decodeRound2(tb testing.TB, q *Quorum, c int, msg []byte) []wire.RecEntry {
 
 // TestQuorumPairPassAllocatesNothing: once a tick has sized round 2's
 // buffers, the pass over the client pairs allocates nothing — the kernels'
-// source row and output live on the router, the messages are the caller's.
+// source row and output, the base and the stage live on the router.
 func TestQuorumPairPassAllocatesNothing(t *testing.T) {
 	for _, directional := range []bool{false, true} {
 		q, env := round2Fixture(t, directional)
 		q.Tick()
 		clients := q.table.FreshSlots(nil, env.Now(), q.cfg.Staleness)
-		msgs := q.messages(clients)
-		if allocs := testing.AllocsPerRun(10, func() { q.clientPairs(clients, msgs) }); allocs != 0 {
+		q.layout(clients)
+		if allocs := testing.AllocsPerRun(10, func() { q.clientPairs(clients) }); allocs != 0 {
 			t.Errorf("directional=%v: the pair pass over %d clients allocates %.0f times", directional, len(clients), allocs)
 		}
 	}
@@ -874,9 +874,9 @@ func (quietEnv) Send(wire.NodeID, []byte) {}
 
 // TestQuorumRound2Allocs pins round 2's allocations a tick on round2Fixture,
 // its sends dropped and its self row a fixed slice: an interval in full and
-// one in deltas. Each allocates the message table, the tick's messages
-// together and the refusal odds' closure (rowCore.refusals); the deltas'
-// memory is a fourth.
+// one in deltas. Each allocates the tick's messages together and the refusal
+// odds' closure (rowCore.refusals), nothing else: no message is built to be
+// cut down into another.
 func TestQuorumRound2Allocs(t *testing.T) {
 	for _, directional := range []bool{false, true} {
 		q, env := round2Fixture(t, directional)
@@ -888,8 +888,8 @@ func TestQuorumRound2Allocs(t *testing.T) {
 		q.sendRecommendations() // sizes the router's buffers
 		full := testing.AllocsPerRun(10, func() { q.seq = 1; q.sendRecommendations() })
 		delta := testing.AllocsPerRun(10, func() { q.seq++; q.sendRecommendations() })
-		if full > 3 || delta > 4 {
-			t.Errorf("directional=%v: round 2 allocates %.0f times in full and %.0f in deltas, want at most 3 and 4", directional, full, delta)
+		if full > 2 || delta > 2 {
+			t.Errorf("directional=%v: round 2 allocates %.0f times in full and %.0f in deltas, want at most 2 each", directional, full, delta)
 		}
 	}
 }

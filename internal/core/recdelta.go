@@ -9,9 +9,9 @@ import (
 )
 
 // Round 2 sends a default client's run-form message, after its first, as a
-// delta (wire.RecommendationDelta) against the message it sent the same
-// client at seq−1: the run bitmap, which moves the client's silence clocks,
-// the entries that changed, and the explicit entries in full. A stable view
+// delta against the message it sent the same client at seq−1 (formDelta):
+// the run bitmap, which moves the client's silence clocks, the entries that
+// changed, and the explicit entries in full. A stable view
 // install onto the next version carries the base at both ends (carry,
 // Quorum.pairRendezvous), as rows keep theirs (rowCore.installView); any
 // other install resets it, and the first message after it goes in full.
@@ -25,9 +25,11 @@ import (
 // A client holding the message at seq−1 (silence.said) rebuilds this one. One
 // that does not still moves the clocks the bitmap marks and installs the
 // changed entries, and refuses the rest with an explicit-form message of no
-// entries (Quorum.refusal). The rendezvous answers it with the message in
-// full (answerRefusal), once an interval and only to a client it sent a
+// entries (Quorum.refusal). The rendezvous answers it with the message's run
+// form (answerRefusal), once an interval and only to a client it sent a
 // delta. Whether a delta is worth sending a client is the row rule (pays).
+// Each message, whatever its form, is written once, from the base
+// (recommendation).
 type recBase struct {
 	directional bool
 	at          []uint32  // per position, the last seq whose messages named it; 0 for none the base kept
@@ -76,10 +78,20 @@ func (b *recBase) carry(old, servers []int, self int, retired []int) {
 	m := len(servers) + 1
 	b.reset(m, b.directional)
 	b.from = b.from[:0]
+	below, _ := slices.BinarySearch(servers, self) // self's position
 	for p := range m {
-		s := runMember(servers, self, p)
-		f, ok := runPosition(old, self, s)
-		if !ok || slices.Contains(retired, s) {
+		s := self
+		switch {
+		case p < below:
+			s = servers[p]
+		case p > below:
+			s = servers[p-1]
+		}
+		f, ok := slices.BinarySearch(old, s)
+		if s > self {
+			f++
+		}
+		if !ok && s != self || slices.Contains(retired, s) {
 			f = -1
 		} else {
 			b.at[p] = at[f]
@@ -178,103 +190,129 @@ func (a *answers) first(slot int) bool {
 	return true
 }
 
-// selfPos returns this node's position in the full run.
-func (q *Quorum) selfPos() int {
-	p, _ := slices.BinarySearch(q.servers, q.self)
-	return p
+// recForm is the form of a round-2 message (recommendation).
+type recForm uint8
+
+const (
+	formFull   recForm = iota // the run form; to a failover client, the explicit form
+	formDelta                 // the run form's delta against the message at seq−1
+	formAnswer                // the run form without explicit entries: a refusal's answer
+)
+
+// changes counts position p's changed marks this tick.
+func (b *recBase) changes(p int) int {
+	n := 0
+	for _, w := range b.marks(p) {
+		n += bits.OnesCount8(w)
+	}
+	return n
 }
 
-// recDelta returns the size of full, the message round 2 built at seq for
-// the client at position p, as a delta against the one it sent it at seq−1
-// (wire.RecommendationDelta over the position's marks); or 0 when it sent it
-// none then, or the delta is not expected to pay for the refusals it draws
-// at refused of them (rowCore.refusals).
-func (q *Quorum) recDelta(refused float64, p int, full []byte) int {
-	if q.seq <= 1 || q.base.at[p] != q.seq-1 {
-		return 0
+// recForm returns the form of the message to the member at place to: a delta
+// when it is a default client round 2 sent one at seq−1 and the delta is
+// expected to pay for the refusals it draws at refused of them
+// (rowCore.refusals).
+func (q *Quorum) recForm(refused float64, to uint16) recForm {
+	if int(to) >= len(q.runPos) || q.seq <= 1 || q.base.at[q.runPos[to]] != q.seq-1 {
+		return formFull
 	}
-	marks := q.base.marks(p)
-	changed := 0
-	for _, w := range marks {
-		changed += bits.OnesCount8(w)
+	if !pays(refused, q.recSize(to, formFull)-q.recSize(to, formDelta), wire.RecommendationSize(0), q.recSize(to, formAnswer)) {
+		return formFull
 	}
-	rec, _ := wire.RecommendationBody(full[wire.HeaderLen:])
-	extra := rec.Entries - rec.Carried
-	size := wire.RecommendationDeltaSize(rec.Run, changed, extra)
-	if !pays(refused, len(full)-size, wire.RecommendationSize(0), wire.RecommendationRunSize(rec.Run, rec.Named, 0)) {
-		return 0
-	}
-	return size
+	return formDelta
 }
 
-// answerRefusal answers a refusal from the member src at slot with the
-// named entries of the message round 2 built for it at seq, in the run form:
-// its explicit entries went in the delta. The base holds them.
+// recSize returns the size of the message to the member at place to in form.
+func (q *Quorum) recSize(to uint16, form recForm) int {
+	k, run := len(q.order), len(q.runPos)
+	if int(to) >= run {
+		return wire.RecommendationSize(k)
+	}
+	extra := k + 1 - run
+	switch form {
+	case formDelta:
+		return wire.RecommendationDeltaSize(len(q.servers), q.base.changes(int(q.runPos[to])), extra)
+	case formAnswer:
+		extra = 0
+	}
+	return wire.RecommendationRunSize(len(q.servers), run-1, extra)
+}
+
+// recommendation writes the message to the member at place to in form, built
+// in mem (wire.Carve): round 2's one writer. A failover client's goes in the
+// explicit form. A default client's names the rest of the run, in full, as a
+// delta over its position's marks, or as a refusal's answer, whose explicit
+// entries went in the delta.
+func (q *Quorum) recommendation(mem []byte, to uint16, form recForm) []byte {
+	src, version, k, run := q.env.LocalID(), q.view.VersionNum(), len(q.order), uint16(len(q.runPos))
+	var msg, marks []byte
+	switch extra := k + 1 - int(run); {
+	case to >= run:
+		msg = wire.NewRecommendation(mem, src, version, k)
+	case form == formDelta:
+		marks = q.base.marks(int(q.runPos[to]))
+		msg = wire.NewRecommendationDelta(mem, src, version, q.seq, len(q.servers), q.base.changes(int(q.runPos[to])), extra)
+	case form == formAnswer:
+		extra = 0
+		fallthrough
+	default:
+		msg = wire.NewRecommendationRun(mem, src, version, q.seq, len(q.servers), int(run)-1, extra)
+	}
+	e := 0
+	for of := range uint16(k + 1) {
+		switch {
+		case of == to, form == formAnswer && of >= run:
+			continue
+		case to < run && of < run:
+			i := place(q.runPos[to], q.runPos[of])
+			wire.MarkRecRun(msg, i)
+			if form == formDelta {
+				if marks[i/8]>>(i%8)&1 == 0 {
+					continue
+				}
+				wire.MarkRecChanged(msg, e, i)
+			}
+		}
+		wire.PutRecEntry(msg, e, q.entry(to, of))
+		e++
+	}
+	return msg
+}
+
+// answerRefusal answers a refusal from the member src at slot with the run
+// form of the message round 2 wrote it at seq, once an interval and only when
+// that was a delta.
 func (q *Quorum) answerRefusal(src wire.NodeID, slot int) {
 	if !slices.Contains(q.base.deltas, uint16(slot)) || !q.base.answered.first(slot) {
 		return
 	}
-	to, _ := runPosition(q.servers, q.self, slot)
-	named := 0
-	for p, at := range q.base.at {
-		if p != to && at == q.seq {
-			named++
-		}
-	}
-	msg := wire.NewRecommendationRun(nil, q.env.LocalID(), q.view.VersionNum(), q.seq, len(q.servers), named, 0)
-	e := 0
-	for p, at := range q.base.at {
-		if p != to && at == q.seq {
-			wire.MarkRecRun(msg, place(uint16(to), uint16(p)))
-			wire.PutRecEntry(msg, e, q.baseEntry(to, p))
-			e++
-		}
-	}
-	q.env.Send(src, msg)
+	to, _ := slices.BinarySearch(q.runSlot, uint16(slot))
+	q.env.Send(src, q.recommendation(nil, uint16(to), formAnswer))
 }
 
-// baseEntry returns the entry the base holds for the client at position to
-// about position of. A pair's result runs from this node, when it is an end,
-// else from the lower position (note's x): read from the other end it is the
-// way back, turned.
-func (q *Quorum) baseEntry(to, of int) wire.RecEntry {
-	self := q.selfPos()
+// entry returns the entry of the member at place to about the one at place
+// of: the stage's when either is a failover client, else the base's. A pair's
+// result runs from this node, when it is an end, else from the lower position
+// (note's x): read from the other end it is the way back, turned.
+func (q *Quorum) entry(to, of uint16) wire.RecEntry {
+	if run := uint16(len(q.runPos)); to >= run || of >= run {
+		return *q.staged(to, of)
+	}
 	x, y := min(to, of), max(to, of)
-	if y == self {
+	if y == q.selfAt {
 		x, y = y, x
 	}
-	i := pairIndex(x, y)
+	i := pairIndex(int(q.runPos[x]), int(q.runPos[y]))
 	if to != x && q.base.directional {
 		i += len(q.base.pairs) / 2
 	}
-	hc := lsdb.HopCost{Hop: int(q.base.pairs[i].hop), Cost: q.base.pairs[i].cost}
-	if q.base.pairs[i].hop == noSlot {
+	ph := q.base.pairs[i]
+	hc := lsdb.HopCost{Hop: int(ph.hop), Cost: ph.cost}
+	if ph.hop == noSlot {
 		hc.Hop = -1
 	}
 	if to != x {
-		hc = turned(hc, runMember(q.servers, q.self, x), runMember(q.servers, q.self, y))
+		hc = turned(hc, int(q.runSlot[x]), int(q.runSlot[y]))
 	}
 	return wire.RecEntry{Hop: q.hopID(hc.Hop), Cost: hc.Cost}
-}
-
-// runPosition returns the position of slot in the full run of the node at
-// slot self whose servers are servers, and whether it has one.
-func runPosition(servers []int, self, slot int) (int, bool) {
-	p, ok := slices.BinarySearch(servers, slot)
-	if slot > self {
-		p++
-	}
-	return p, ok || slot == self
-}
-
-// runMember returns the slot at position p of the full run of the node at
-// slot self whose servers are servers.
-func runMember(servers []int, self, p int) int {
-	switch below, _ := slices.BinarySearch(servers, self); {
-	case p < below:
-		return servers[p]
-	case p == below:
-		return self
-	}
-	return servers[p-1]
 }

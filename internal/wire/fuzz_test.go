@@ -207,20 +207,23 @@ func FuzzRecommendationRunRoundTrip(f *testing.F) {
 // read of it: bitmap, marks and entries one by one. The seeds cover both
 // forms of the marks.
 func FuzzRecommendationDeltaRoundTrip(f *testing.F) {
-	full := wire.NewRecommendationRun(nil, 7, 4, 5, 10, 2, 1)
-	wire.MarkRecRun(full, 0)
-	wire.MarkRecRun(full, 9)
-	wire.PutRecEntry(full, 0, wire.RecEntry{Hop: 2, Cost: 30})
-	wire.PutRecEntry(full, 1, wire.RecEntry{Hop: wire.NilNode, Cost: wire.InfCost})
-	wire.PutRecEntry(full, 2, wire.RecEntry{Dst: 12, Hop: 3, Cost: 40})
-	f.Add(uint16(7), body(wire.RecommendationDelta(nil, full, []byte{0x01, 0x02})))
-	f.Add(uint16(7), body(wire.RecommendationDelta(nil, full, []byte{0, 0})))
-	long := wire.NewRecommendationRun(nil, 8, 4, 9, 40, 3, 0)
-	for i, p := range []int{1, 17, 39} {
-		wire.MarkRecRun(long, p)
-		wire.PutRecEntry(long, i, wire.RecEntry{Hop: wire.NodeID(p), Cost: wire.Cost(i)})
+	delta := func(src wire.NodeID, seq uint32, run int, named, changed []int, entries ...wire.RecEntry) []byte {
+		msg := wire.NewRecommendationDelta(nil, src, 4, seq, run, len(changed), len(entries)-len(changed))
+		for _, p := range named {
+			wire.MarkRecRun(msg, p)
+		}
+		for k, p := range changed {
+			wire.MarkRecChanged(msg, k, p)
+		}
+		for i, e := range entries {
+			wire.PutRecEntry(msg, i, e)
+		}
+		return msg
 	}
-	f.Add(uint16(8), body(wire.RecommendationDelta(nil, long, []byte{0, 0, 0x02, 0, 0x80})))
+	explicit := wire.RecEntry{Dst: 12, Hop: 3, Cost: 40}
+	f.Add(uint16(7), body(delta(7, 5, 10, []int{0, 9}, []int{0, 9}, wire.RecEntry{Hop: 2, Cost: 30}, wire.RecEntry{Hop: wire.NilNode, Cost: wire.InfCost}, explicit)))
+	f.Add(uint16(7), body(delta(7, 5, 10, []int{0, 9}, nil, explicit)))
+	f.Add(uint16(8), body(delta(8, 9, 40, []int{1, 17, 39}, []int{17, 39}, wire.RecEntry{Hop: 17, Cost: 1}, wire.RecEntry{Hop: 39, Cost: 2})))
 	parse := func(b []byte) (wire.RecBody, error) {
 		r, err := wire.RecommendationBody(b)
 		if err == nil && !r.Delta {

@@ -35,6 +35,8 @@ func TestEncodingsGolden(t *testing.T) {
 	MarkRecRun(long, 39)
 	PutRecEntry(long, 0, RecEntry{Hop: 4, Cost: 90})
 	PutRecEntry(long, 1, RecEntry{Hop: NilNode, Cost: InfCost})
+	runDelta := deltaOf(src, 77, 78, 10, []int{1, 9}, []int{9}, RecEntry{Hop: NilNode, Cost: InfCost}, RecEntry{Dst: 6, Hop: 7, Cost: 8})
+	longDelta := deltaOf(src, 77, 78, 40, []int{1, 39}, []int{39}, RecEntry{Hop: NilNode, Cost: InfCost})
 	packed := PackLinkState(AppendLinkState(nil, src, LinkState{ViewVersion: 8, Seq: 9, Entries: []LinkEntry{
 		{Latency: 1, Status: 2}, {Latency: 3, Status: 4}, {Latency: 5, Status: 6},
 	}}), []int{1})
@@ -57,9 +59,9 @@ func TestEncodingsGolden(t *testing.T) {
 		}}), "0401020000004d000200030004005a0005ffffffff"},
 		{"new-recommendation", rec, "0401020000004d000200030004005a0005ffffffff"},
 		{"recommendation-run", run, "0401020000004d800a0000004e0001" + "0202" + "0004005a" + "ffffffff" + "000600070008"},
-		{"recommendation-delta", RecommendationDelta(nil, run, []byte{0, 0x02}), // bit 9 changed
+		{"recommendation-delta", runDelta, // run's, bit 9 changed
 			"0401020000004dc00a0000004e0001" + "0202" + "0001" + "0002" + "ffffffff" + "000600070008"},
-		{"recommendation-delta-indexed", RecommendationDelta(nil, long, []byte{0, 0, 0, 0, 0x80}), // bit 39 changed
+		{"recommendation-delta-indexed", longDelta, // long's, bit 39 changed
 			"0401020000004dc0280000004e0000" + "0200000080" + "0001" + "0027" + "ffffffff"},
 		{"recommendation-refusal", AppendRecommendation(nil, src, Recommendation{ViewVersion: 77}), "0401020000004d0000"},
 		{"link-state-asym", AppendLinkStateAsym(nil, src, LinkStateAsym{ViewVersion: 8, Seq: 9, Entries: []AsymEntry{

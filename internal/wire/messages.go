@@ -455,7 +455,7 @@ type Recommendation struct {
 
 // NewRecommendation returns a whole k-entry explicit-form message from src,
 // at its final size, for PutRecEntry to fill in place: a rendezvous knows
-// every entry's position, so round 2 never stages entries. The message is
+// every entry's position, so round 2 writes each entry once. The message is
 // built in mem (Carve).
 func NewRecommendation(mem []byte, src NodeID, viewVersion uint32, k int) []byte {
 	msg := Carve(mem, RecommendationSize(k))
@@ -473,15 +473,6 @@ func Carve(mem []byte, size int) []byte {
 	}
 	clear(mem)
 	return mem[:size:size]
-}
-
-// appendRecommendation appends a k-entry explicit-form message, its entries
-// still zero.
-func appendRecommendation(b []byte, src NodeID, viewVersion uint32, k int) []byte {
-	b = AppendHeader(b, TRecommendation, src)
-	b = binary.BigEndian.AppendUint32(b, viewVersion)
-	b = binary.BigEndian.AppendUint16(b, uint16(k))
-	return append(b, make([]byte, recEntryLen*k)...)
 }
 
 // NewRecommendationRun returns a whole run-form message from src at seq, over
@@ -573,42 +564,13 @@ func bitmapLen(run int) int { return (run + 7) / 8 }
 
 // AppendRecommendation encodes r, in the explicit form, with its header.
 func AppendRecommendation(b []byte, src NodeID, r Recommendation) []byte {
-	at := len(b)
-	b = appendRecommendation(b, src, r.ViewVersion, len(r.Entries))
-	msg := b[at:]
+	at, size := len(b), RecommendationSize(len(r.Entries))
+	b = slices.Grow(b, size)[:at+size]
+	msg := NewRecommendation(b[at:], src, r.ViewVersion, len(r.Entries))
 	for i, e := range r.Entries {
 		PutRecEntry(msg, i, e)
 	}
 	return b
-}
-
-// RecommendationDelta returns full, a whole run-form message, in the delta
-// form, built in mem (Carve): changed is a bitmap over its run whose set bits
-// name the positions changed since the message at Seq−1. A set bit at a
-// position full does not name is no change.
-func RecommendationDelta(mem, full, changed []byte) []byte {
-	r, _ := RecommendationBody(full[HeaderLen:])
-	k := 0
-	for i, w := range r.bitmap {
-		k += bits.OnesCount8(w & changed[i])
-	}
-	extra := r.Entries - r.Carried
-	msg := NewRecommendationDelta(mem, NodeID(binary.BigEndian.Uint16(full[1:])), r.ViewVersion, r.Seq, r.Run, k, extra)
-	at := HeaderLen + recRunFixed + copy(msg[HeaderLen+recRunFixed:], r.bitmap) + 2
-	entries := msg[at+deltaMarksLen(r.Run, k):]
-	j, named := 0, 0 // named counts the positions the bitmap names below byte i
-	for i, w := range r.bitmap {
-		for c := w & changed[i]; c != 0; c &= c - 1 {
-			b := bits.TrailingZeros8(c)
-			e := named + bits.OnesCount8(w&(1<<b-1)) // the full message's named entry for i*8+b
-			MarkRecChanged(msg, j, i*8+b)
-			copy(entries[j*namedEntryLen:], r.entries[e*namedEntryLen:][:namedEntryLen])
-			j++
-		}
-		named += bits.OnesCount8(w)
-	}
-	copy(entries[k*namedEntryLen:], full[len(full)-extra*recEntryLen:])
-	return msg
 }
 
 // RecBody is a recommendation body of any form that RecommendationBody

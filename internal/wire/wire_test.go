@@ -423,41 +423,27 @@ func TestRecommendationBodyRefusals(t *testing.T) {
 
 // TestRecommendationDeltaForm: a delta is the size RecommendationDeltaSize
 // gives, in both forms of its marks, and reads back by RecommendationBody:
-// the full message's bitmap, the changed positions (Position) with their
-// entries, then every explicit entry. A set bit at a position the full
-// message does not name marks nothing. ParseRecommendation refuses it.
+// the bitmap, the changed positions (Position) with their entries, then every
+// explicit entry. ParseRecommendation refuses it.
 func TestRecommendationDeltaForm(t *testing.T) {
 	for _, tc := range []struct {
-		run             int
-		named, changed  []int
-		indexed         bool
-		changedBitmapAt []int // changed, plus bits at positions not named
+		run            int
+		named, changed []int
+		indexed        bool
 	}{
-		{run: 17, named: []int{0, 3, 9, 16}, changed: []int{3, 16}, changedBitmapAt: []int{3, 5, 16}},
-		{run: 40, named: []int{1, 8, 39}, changed: []int{39}, indexed: true, changedBitmapAt: []int{0, 39}},
-		{run: 40, named: []int{1, 8, 39}, changed: nil, indexed: true, changedBitmapAt: nil},
+		{run: 17, named: []int{0, 3, 9, 16}, changed: []int{3, 16}},
+		{run: 40, named: []int{1, 8, 39}, changed: []int{39}, indexed: true},
+		{run: 40, named: []int{1, 8, 39}, changed: nil, indexed: true},
 	} {
 		extra := []RecEntry{{Dst: 50, Hop: 50, Cost: 3}, {Dst: 60, Hop: 2, Cost: 9}}
-		full := NewRecommendationRun(nil, 8, 5, 6, tc.run, len(tc.named), len(extra))
 		var want []RecEntry
 		for i, p := range tc.named {
-			MarkRecRun(full, p)
-			e := RecEntry{Hop: NodeID(20 + i), Cost: Cost(30 + i)}
-			PutRecEntry(full, i, e)
 			if slices.Contains(tc.changed, p) {
-				e.Dst = NilNode
-				want = append(want, e)
+				want = append(want, RecEntry{Dst: NilNode, Hop: NodeID(20 + i), Cost: Cost(30 + i)})
 			}
 		}
-		for i, e := range extra {
-			PutRecEntry(full, len(tc.named)+i, e)
-		}
 		want = append(want, extra...)
-		changed := make([]byte, (tc.run+7)/8)
-		for _, p := range tc.changedBitmapAt {
-			changed[p/8] |= 1 << (p % 8)
-		}
-		msg := RecommendationDelta(nil, full, changed)
+		msg := deltaOf(8, 5, 6, tc.run, tc.named, tc.changed, want...)
 		if size := RecommendationDeltaSize(tc.run, len(tc.changed), len(extra)); len(msg) != size {
 			t.Fatalf("run %d: %d bytes, RecommendationDeltaSize says %d", tc.run, len(msg), size)
 		}
@@ -492,6 +478,23 @@ func TestRecommendationDeltaForm(t *testing.T) {
 			t.Errorf("reading a delta body allocates %.0f times", allocs)
 		}
 	}
+}
+
+// deltaOf builds a delta-form message from src at seq over a run of run
+// positions that names named and marks changed of them, its entries the
+// changed ones' and then the explicit ones.
+func deltaOf(src NodeID, viewVersion, seq uint32, run int, named, changed []int, entries ...RecEntry) []byte {
+	msg := NewRecommendationDelta(nil, src, viewVersion, seq, run, len(changed), len(entries)-len(changed))
+	for _, p := range named {
+		MarkRecRun(msg, p)
+	}
+	for k, p := range changed {
+		MarkRecChanged(msg, k, p)
+	}
+	for i, e := range entries {
+		PutRecEntry(msg, i, e)
+	}
+	return msg
 }
 
 // TestRecommendationDeltaRefusals: a delta body is refused, without an
