@@ -667,10 +667,10 @@ func BenchmarkChurnScale(b *testing.B) {
 			var res *emul.ChurnResult
 			for i := 0; i < b.N; i++ {
 				res = emul.RunChurn(emul.ChurnOptions{
-					N:        n,
-					Seed:     42,
-					Warmup:   2 * time.Minute,
-					Duration: 4 * time.Minute,
+					DynamicFleetOptions: emul.DynamicFleetOptions{Seed: 42},
+					N:                   n,
+					Warmup:              2 * time.Minute,
+					Duration:            4 * time.Minute,
 				})
 			}
 			b.ReportMetric(res.MinAvailability*100, "min_avail_pct")

@@ -71,7 +71,7 @@ func main() {
 
 	switch cmd {
 	case "fig1":
-		if *n == 140 {
+		if !explicit["n"] {
 			*n = 359 // the figure's dataset had 359 hosts
 		}
 		fig1(*n, *seed)
@@ -101,11 +101,14 @@ func main() {
 			os.Exit(2)
 		}
 		if !churn(emul.ChurnOptions{
-			N: *n, Seed: *seed, Scenario: sc, Duration: time.Duration(*minutes) * time.Minute,
-			Rate: *rate, Burst: *burst, Coordinators: *coords,
+			DynamicFleetOptions: emul.DynamicFleetOptions{
+				Seed: *seed, Coordinators: *coords,
+				Loss: *loss, Dup: *dup, Jitter: time.Duration(*jitterMS) * time.Millisecond,
+			},
+			N: *n, Scenario: sc, Duration: time.Duration(*minutes) * time.Minute,
+			Rate: *rate, Burst: *burst,
 			PartitionFor:      time.Duration(*partitionSecs) * time.Second,
 			CoordRestartAfter: time.Duration(*restartSecs) * time.Second,
-			Loss:              *loss, Dup: *dup, Jitter: time.Duration(*jitterMS) * time.Millisecond,
 		}) {
 			os.Exit(1)
 		}
@@ -122,7 +125,7 @@ func main() {
 			os.Exit(1)
 		}
 	case "multihop":
-		if *n == 140 {
+		if !explicit["n"] {
 			*n = 64
 		}
 		multihop(*n, *hops, *seed)
@@ -218,7 +221,15 @@ func soak(n int, seed int64, dur time.Duration, maxHeapMB int) {
 		n, dur, maxHeapMB)
 	fmt.Println("# soak lossy-gossip poisson churn")
 	fmt.Println("# t_min  members  joins  departs  heap_mib")
-	rng := rand.New(rand.NewSource(seed*131 + 17))
+	// 5% Poisson churn per virtual minute, half crashes. Then quiesce: stop
+	// churning, let the coordinator expire every crashed member (up to the
+	// 2 min membership timeout plus a sweep), and give the last view change
+	// the scenarios' 90 s convergence bound.
+	var steps []emul.Step
+	for at := time.Minute; at <= dur; at += time.Minute {
+		steps = append(steps, emul.Step{At: at, Op: emul.OpReplace, P: 0.05, Crash: 0.5})
+	}
+	watch := emul.Step{At: dur + 2*time.Minute + 30*time.Second, Op: emul.OpWatch, For: 90 * time.Second}
 	ceiling := uint64(maxHeapMB) << 20
 	var peak uint64
 	ok := true
@@ -240,26 +251,8 @@ func soak(n int, seed int64, dur time.Duration, maxHeapMB int) {
 			ok = false
 		}
 	}
-	start := f.Elapsed()
-	nextReport := start + 10*time.Minute
-	for f.Elapsed()-start < dur {
-		f.Run(time.Minute)
-		// 5% Poisson churn per virtual minute, half crashes.
-		f.Apply(emul.Step{Op: emul.OpReplace, P: 0.05, Crash: 0.5}, rng)
-		if f.Elapsed() >= nextReport {
-			report()
-			nextReport += 10 * time.Minute
-		}
-	}
-	// Quiesce: stop churning, let the coordinator expire every crashed
-	// member (up to the 2 min membership timeout plus a sweep), then give
-	// the last view change the scenarios' 90 s convergence bound.
-	f.Run(2*time.Minute + 30*time.Second)
-	convWait := time.Duration(0)
-	for convWait < 90*time.Second && !f.ViewsConverged() {
-		f.Run(5 * time.Second)
-		convWait += 5 * time.Second
-	}
+	converged, convWait := f.Play(append(steps, watch), watch.At+watch.For,
+		rand.New(rand.NewSource(seed*131+17)), 10*time.Minute, report)
 	report()
 	var agg membership.ClientStats
 	for _, ep := range f.ActiveEndpoints() {
@@ -269,12 +262,12 @@ func soak(n int, seed int64, dur time.Duration, maxHeapMB int) {
 		agg.GossipSeen, agg.GossipDups, agg.GossipForwards,
 		agg.PullsSent, agg.PullsServed, agg.GapsBridged, agg.FullViewRequests)
 	fmt.Printf("# peak_heap=%.1f MiB ceiling=%d MiB converged=%v conv_wait=%s spawns_dropped=%d\n",
-		float64(peak)/(1<<20), maxHeapMB, f.ViewsConverged(), convWait, f.SpawnsDropped)
+		float64(peak)/(1<<20), maxHeapMB, converged, convWait, f.SpawnsDropped)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "soak FAILED: live heap exceeded %d MiB\n", maxHeapMB)
 		os.Exit(1)
 	}
-	if !f.ViewsConverged() {
+	if !converged {
 		fmt.Fprintln(os.Stderr, "soak FAILED: fleet did not converge after quiesce")
 		os.Exit(1)
 	}
@@ -296,12 +289,7 @@ func printDeploymentFigure(cmd string, dep *emul.DeploymentResult) {
 		fmt.Println("# kbps  nodes_mean_le  nodes_max_le")
 		printCountCDFs(dep.MeanKbps, dep.MaxKbps)
 		mean, _ := avg(dep.MeanKbps)
-		mx := 0.0
-		for _, v := range dep.MaxKbps {
-			if v > mx {
-				mx = v
-			}
-		}
+		_, mx := avg(dep.MaxKbps)
 		fmt.Printf("# fleet average %.1f Kbps, worst 1-min window %.1f Kbps (paper: avg <13, max <17)\n", mean, mx)
 	case "fig11":
 		fmt.Println("# Figure 11: CDF of destinations with double rendezvous failure per node (mean, max)")

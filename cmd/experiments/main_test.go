@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestSubcommandsEndToEnd builds the experiments binary and runs three of its
+// TestSubcommandsEndToEnd builds the experiments binary and runs five of its
 // subcommands at small sizes: each must exit 0 and print its summary lines.
 func TestSubcommandsEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -36,6 +36,11 @@ func TestSubcommandsEndToEnd(t *testing.T) {
 		{[]string{"churn", "-n", "30", "-scenario", "poisson", "-minutes", "3"}, []string{
 			"# churn scenario=poisson n=30", "final_members=", "# availability min=", "# coordinator msgs=",
 		}},
+		{[]string{"soak", "-n", "20", "-minutes", "10", "-max-heap-mb", "64", "-seed", "1"}, []string{
+			"# soak lossy-gossip poisson churn", "# t_min  members  joins  departs  heap_mib", "converged=true",
+		}},
+		// -n equal to the flag's default still overrides the figure's 359.
+		{[]string{"fig1", "-n", "140"}, []string{"(n=140 hosts)"}},
 	} {
 		t.Run(tc.args[0], func(t *testing.T) {
 			out, err := exec.Command(bin, tc.args...).Output()

@@ -87,7 +87,7 @@ func StartNode(opt NodeOptions) (*Node, error) {
 		}
 		node = overlay.New(env, overlay.Config{
 			Algorithm: opt.Algorithm,
-			Probe:     probe.Config{Interval: opt.ProbeInterval, Asymmetric: opt.Asymmetric},
+			Probe:     probe.Config{Interval: opt.ProbeInterval},
 			Quorum: core.QuorumConfig{
 				Interval:          opt.RoutingInterval,
 				Asymmetric:        opt.Asymmetric,

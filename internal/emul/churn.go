@@ -74,7 +74,6 @@ type DynamicFleet struct {
 	spawnedAt []time.Time
 	active    []bool
 	next      int
-	start     time.Time
 
 	// freeEps is a FIFO of departed endpoints awaiting the reuseAfter
 	// quarantine: a departed endpoint becomes eligible for a fresh joiner
@@ -120,7 +119,7 @@ func NewDynamicFleet(n int, opt DynamicFleetOptions) *DynamicFleet {
 		sw = membership.DefaultSweep
 	}
 	nc := opt.Coordinators
-	nw := simnet.New(opt.MaxN+nc, opt.Seed)
+	nw, col := newNetwork(opt.MaxN+nc, opt.MaxN, opt.Seed, opt.Env)
 	fault := func(a, b int) {
 		if opt.Loss > 0 {
 			nw.SetLoss(a, b, opt.Loss)
@@ -138,11 +137,6 @@ func NewDynamicFleet(n int, opt DynamicFleetOptions) *DynamicFleet {
 			fault(a, opt.MaxN+r)
 		}
 		for b := a + 1; b < opt.MaxN; b++ {
-			if opt.Env != nil {
-				nw.SetLatency(a, b, time.Duration(opt.Env.LatencyMS[a][b]/2*float64(time.Millisecond)))
-			} else {
-				nw.SetLatency(a, b, 20*time.Millisecond)
-			}
 			fault(a, b)
 		}
 	}
@@ -155,7 +149,7 @@ func NewDynamicFleet(n int, opt DynamicFleetOptions) *DynamicFleet {
 		Opt:        opt,
 		Net:        nw,
 		Reg:        transport.NewRegistry(),
-		Col:        metrics.New(opt.MaxN+nc, nw.Now(), time.Minute),
+		Col:        col,
 		coords:     make([]*membership.Coordinator, nc),
 		cenvs:      make([]*transport.SimEnv, nc),
 		coordAddrs: make([]netip.AddrPort, nc),
@@ -165,14 +159,7 @@ func NewDynamicFleet(n int, opt DynamicFleetOptions) *DynamicFleet {
 		envs:       make([]*transport.SimEnv, opt.MaxN),
 		spawnedAt:  make([]time.Time, opt.MaxN),
 		active:     make([]bool, opt.MaxN),
-		start:      nw.Now(),
 		reuseAfter: to + 2*sw,
-	}
-	nw.OnSend = func(from, to int, payload []byte) {
-		f.Col.Record(from, metrics.Out, wire.CategoryOf(wire.PeekType(payload)), len(payload), nw.Now())
-	}
-	nw.OnDeliver = func(from, to int, payload []byte) {
-		f.Col.Record(to, metrics.In, wire.CategoryOf(wire.PeekType(payload)), len(payload), nw.Now())
 	}
 	if f.Opt.Membership.Coordinators == nil {
 		f.Opt.Membership.Coordinators = f.coordIDs
@@ -446,12 +433,23 @@ const (
 	ChurnStraggler
 )
 
-// ChurnOptions configures a churn experiment run.
+// ChurnOptions configures a churn experiment run: the fleet's options, and
+// the scenario whose schedule plays on it.
 type ChurnOptions struct {
+	// DynamicFleetOptions configures the fleet, with churn defaults. MaxN zero
+	// takes the endpoint head-room the schedule needs, Coordinators zero one
+	// replica (three when the schedule crashes one), and a nil Env a lossless
+	// PlanetLab-like environment generated from Seed at MaxN. Loss, Dup, and
+	// Jitter zero take the scenario default: the adversarial gossip scenarios
+	// (lossy-gossip, gossip-crash, straggler) run at 5% loss, 2% duplication,
+	// and 20 ms jitter; every other scenario runs clean. Negative values force
+	// a knob off. Zero component configurations take churn-appropriate
+	// defaults (30 s heartbeats, 2 min membership timeout, 15 s sweeps, 1 s
+	// coalescing) rather than the paper's 30-minute lease. Algorithm defaults
+	// to quorum.
+	DynamicFleetOptions
 	// N is the initial overlay size.
 	N int
-	// Seed drives everything; identical seeds give byte-identical output.
-	Seed int64
 	// Scenario selects the workload (default ChurnPoisson).
 	Scenario ChurnScenario
 	// Warmup lets the initial fleet join and converge (default 3 min).
@@ -465,35 +463,12 @@ type ChurnOptions struct {
 	Rate float64
 	// Burst is the flash-crowd/mass-departure size (default N/5).
 	Burst int
-	// Coordinators is the coordinator replica count (default 1; the
-	// coordinator fault scenarios default to 3).
-	Coordinators int
 	// CoordRestartAfter is how long after the crash the ex-primary restarts
 	// in ChurnCoordCrash (default 2 min).
 	CoordRestartAfter time.Duration
 	// PartitionFor is the partition duration in ChurnPartition (default
 	// 60 s, the acceptance scenario).
 	PartitionFor time.Duration
-	// Loss, Dup, and Jitter configure the member-plane fault plane (see
-	// DynamicFleetOptions). Zero takes the scenario default: the
-	// adversarial gossip scenarios (lossy-gossip, gossip-crash, straggler)
-	// run at 5% loss, 2% duplication, and 20 ms jitter; every other
-	// scenario runs clean. Negative values force a knob off.
-	Loss, Dup float64
-	Jitter    time.Duration
-	// Algorithm selects the router (default quorum).
-	Algorithm overlay.Algorithm
-	// Env supplies latencies sized ≥ the computed endpoint capacity; nil
-	// generates a lossless PlanetLab-like environment from Seed.
-	Env *traces.Env
-	// Component overrides. Zero values take churn-appropriate defaults
-	// (30 s heartbeats, 2 min membership timeout, 15 s sweeps, 1 s
-	// coalescing) rather than the paper's 30-minute lease.
-	Probe       probe.Config
-	Quorum      core.QuorumConfig
-	FullMesh    core.FullMeshConfig
-	Membership  membership.ClientConfig
-	Coordinator membership.CoordinatorConfig
 
 	// settleAge is how long a node must have been a member before its pairs
 	// count toward availability: the probe ramp plus 2 routing intervals,
@@ -717,27 +692,14 @@ func RunChurn(opt ChurnOptions) *ChurnResult {
 // runChurn is RunChurn, also returning the fleet as the run left it.
 func runChurn(opt ChurnOptions) (*ChurnResult, *DynamicFleet) {
 	steps := opt.fill()
-	maxN := opt.capacity(steps)
-	env := opt.Env
-	if env == nil {
-		// A dynamic fleet reads only the latencies; loss comes from opt.
-		env = traces.Generate(maxN, opt.Seed, traces.Config{BadNodeFrac: 0.0001})
+	if opt.MaxN == 0 {
+		opt.MaxN = opt.capacity(steps)
 	}
-	f := NewDynamicFleet(opt.N, DynamicFleetOptions{
-		MaxN:         maxN,
-		Seed:         opt.Seed,
-		Coordinators: opt.Coordinators,
-		Algorithm:    opt.Algorithm,
-		Env:          env,
-		Loss:         opt.Loss,
-		Dup:          opt.Dup,
-		Jitter:       opt.Jitter,
-		Probe:        opt.Probe,
-		Quorum:       opt.Quorum,
-		FullMesh:     opt.FullMesh,
-		Membership:   opt.Membership,
-		Coordinator:  opt.Coordinator,
-	})
+	if opt.Env == nil {
+		// A dynamic fleet reads only the latencies; loss comes from opt.
+		opt.Env = traces.Generate(opt.MaxN, opt.Seed, traces.Config{BadNodeFrac: 0.0001})
+	}
+	f := NewDynamicFleet(opt.N, opt.DynamicFleetOptions)
 	res := &ChurnResult{Opt: opt, Schedule: steps}
 	for _, s := range steps {
 		if s.Op == OpWatch {
@@ -748,7 +710,7 @@ func runChurn(opt ChurnOptions) (*ChurnResult, *DynamicFleet) {
 	f.Run(opt.Warmup)
 	res.Converged, res.ConvergedAfter = f.Play(steps, opt.Duration,
 		rand.New(rand.NewSource(opt.Seed*31+7)), churnSampleEvery, func() {
-			res.Samples = append(res.Samples, sampleChurn(f, env, opt.settleAge))
+			res.Samples = append(res.Samples, sampleChurn(f, opt.Env, opt.settleAge))
 		})
 
 	res.Joins, res.Leaves, res.Crashes, res.SpawnsDropped = f.Joins, f.Leaves, f.Crashes, f.SpawnsDropped

@@ -60,7 +60,7 @@ import (
 // scenario re-captures its row in the open.
 func TestChurnScenariosGolden(t *testing.T) {
 	short := func(sc ChurnScenario) ChurnOptions {
-		return ChurnOptions{N: 30, Seed: 42, Scenario: sc, Warmup: 2 * time.Minute, Duration: 5 * time.Minute}
+		return ChurnOptions{DynamicFleetOptions: DynamicFleetOptions{Seed: 42}, N: 30, Scenario: sc, Warmup: 2 * time.Minute, Duration: 5 * time.Minute}
 	}
 	cases := []struct {
 		opt  ChurnOptions
@@ -75,7 +75,7 @@ func TestChurnScenariosGolden(t *testing.T) {
 		{short(ChurnLossyGossip), "17c470d6207a38a6"},
 		{short(ChurnGossipCrash), "1554f90d14fb7d1c"},
 		{short(ChurnStraggler), "92d266fbc5890574"},
-		{ChurnOptions{N: 30, Seed: 61, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "674de179aca26f40"},
+		{ChurnOptions{DynamicFleetOptions: DynamicFleetOptions{Seed: 61}, N: 30, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "674de179aca26f40"},
 	}
 	for _, c := range cases {
 		out := RunChurn(c.opt).Format()

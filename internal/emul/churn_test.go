@@ -18,11 +18,11 @@ import (
 
 func shortChurnOpts(scenario ChurnScenario) ChurnOptions {
 	return ChurnOptions{
-		N:        20,
-		Seed:     7,
-		Scenario: scenario,
-		Warmup:   2 * time.Minute,
-		Duration: 4 * time.Minute,
+		DynamicFleetOptions: DynamicFleetOptions{Seed: 7},
+		N:                   20,
+		Scenario:            scenario,
+		Warmup:              2 * time.Minute,
+		Duration:            4 * time.Minute,
 	}
 }
 
@@ -125,8 +125,8 @@ func TestChurnFinalMembersReadTheLatestPrimary(t *testing.T) {
 	// last instant and claims primary at its stale stamp beside the standby
 	// that leads at the newer one. The result reads the standby's members and
 	// flags the second claim.
-	res := RunChurn(ChurnOptions{N: 8, Scenario: ChurnCoordCrash, Duration: 3 * time.Minute, Seed: 1,
-		Coordinators: 3, PartitionFor: time.Minute, CoordRestartAfter: 2 * time.Minute})
+	res := RunChurn(ChurnOptions{DynamicFleetOptions: DynamicFleetOptions{Seed: 1, Coordinators: 3},
+		N: 8, Scenario: ChurnCoordCrash, Duration: 3 * time.Minute, PartitionFor: time.Minute, CoordRestartAfter: 2 * time.Minute})
 	out := res.Format()
 	if res.FinalMembers != 8 || !strings.Contains(out, "final_members=8") {
 		t.Errorf("final members = %d, want 8: the primary at the stale stamp was read\n%s", res.FinalMembers, out)
@@ -142,7 +142,7 @@ func TestRestartedReplicaAnswersHeartbeatsWithoutSnapshots(t *testing.T) {
 	// empty table until rank 1's beacon demotes it. Each member heartbeat
 	// it hears meanwhile draws its stale stamp, which the member ignores,
 	// not a snapshot of its empty view.
-	res, f := runChurn(ChurnOptions{N: 100, Scenario: ChurnCoordCrash, Duration: 8 * time.Minute, Seed: 42})
+	res, f := runChurn(ChurnOptions{DynamicFleetOptions: DynamicFleetOptions{Seed: 42}, N: 100, Scenario: ChurnCoordCrash, Duration: 8 * time.Minute})
 	restarted := f.Coordinator(0)
 	if got := restarted.Stats().FullViewsSent; res.CoordRestarts != 1 || got != 0 || res.LiveMissing != 0 {
 		t.Errorf("restarts=%d: the restarted rank 0 sent %d snapshots, %d live members missing; want 1, 0, 0\n%s",
@@ -346,7 +346,7 @@ func TestReplicatedChurnKeepsLiveMembers(t *testing.T) {
 		{ChurnStraggler, 10},
 	}
 	for _, r := range rows {
-		res := RunChurn(ChurnOptions{N: 60, Seed: r.seed, Scenario: r.scenario, Duration: 10 * time.Minute, Coordinators: 3})
+		res := RunChurn(ChurnOptions{DynamicFleetOptions: DynamicFleetOptions{Seed: r.seed, Coordinators: 3}, N: 60, Scenario: r.scenario, Duration: 10 * time.Minute})
 		if !res.Converged || res.ConvergedAfter > res.ConvergeBound || res.LiveMissing > 0 {
 			t.Errorf("experiments churn -n 60 -scenario %s -minutes 10 -seed %d -coords 3: converged=%v after=%s bound=%s, %d live nodes missing from the primary's view\n%s",
 				r.scenario, r.seed, res.Converged, res.ConvergedAfter, res.ConvergeBound, res.LiveMissing, res.Format())
@@ -577,7 +577,7 @@ func TestDynamicFleetJoinStormIsLinear(t *testing.T) {
 // TViewDelta, a TViewRequest or a TJoinReply.
 func TestNoNodeSendsRetiredViewForms(t *testing.T) {
 	for _, sc := range []ChurnScenario{ChurnCoordCrash, ChurnPartition} {
-		o := ChurnOptions{N: 40, Seed: 3, Scenario: sc, Coordinators: 3, Duration: 5 * time.Minute}
+		o := ChurnOptions{DynamicFleetOptions: DynamicFleetOptions{Seed: 3, Coordinators: 3}, N: 40, Scenario: sc, Duration: 5 * time.Minute}
 		steps := o.fill()
 		f := NewDynamicFleet(o.N, DynamicFleetOptions{Seed: o.Seed, Coordinators: o.Coordinators,
 			Membership: o.Membership, Coordinator: o.Coordinator})

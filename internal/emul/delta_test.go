@@ -10,7 +10,6 @@ import (
 	"allpairs/internal/lsdb"
 	"allpairs/internal/membership"
 	"allpairs/internal/overlay"
-	"allpairs/internal/probe"
 	"allpairs/internal/traces"
 	"allpairs/internal/wire"
 )
@@ -43,7 +42,7 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 25
 			f := NewFleet(FleetOptions{N: n, Algorithm: tc.algo, Seed: 3, Env: traces.Generate(n, 3, traces.Config{}),
-				Probe: probe.Config{Asymmetric: tc.cfg.Asymmetric}, Quorum: tc.cfg})
+				Quorum: tc.cfg})
 			for a := range n {
 				for b := range n {
 					if a != b {
@@ -260,7 +259,7 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 	const n = 24
 	f := NewDynamicFleet(n, DynamicFleetOptions{MaxN: 48, Seed: 11, Algorithm: overlay.AlgQuorum,
 		Loss: 0.05, Dup: 0.02, Jitter: 20 * time.Millisecond,
-		Probe: probe.Config{Asymmetric: asym}, Quorum: core.QuorumConfig{Asymmetric: asym}})
+		Quorum: core.QuorumConfig{Asymmetric: asym}})
 	quorum := func(ep int) *core.Quorum {
 		if node := f.Node(ep); node != nil && node.Ready() {
 			return node.Router().(*core.Quorum)

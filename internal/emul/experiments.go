@@ -117,18 +117,21 @@ func excludeIndex(k int, frac float64) int {
 // Figure 9 — steady-state routing bandwidth vs overlay size.
 // ---------------------------------------------------------------------------
 
+// failureFree clears every link's loss and down-fraction in env, leaving its
+// latencies, and returns it.
+func failureFree(env *traces.Env) *traces.Env {
+	for a := range env.Loss {
+		clear(env.Loss[a])
+		clear(env.DownFrac[a])
+	}
+	return env
+}
+
 // Fig9Point runs a failure-free emulation of n nodes under the given
 // algorithm and returns the average per-node routing traffic (in + out) in
 // Kbps, measured after a warmup as in the paper's 5-minute runs.
 func Fig9Point(n int, algo overlay.Algorithm, seed int64, warmup, measure time.Duration) float64 {
-	env := traces.Generate(n, seed, traces.Config{BadNodeFrac: 0.0001, InflateFrac: 0.05})
-	// Failure-free: clear loss and down fractions.
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			env.Loss[a][b] = 0
-			env.DownFrac[a][b] = 0
-		}
-	}
+	env := failureFree(traces.Generate(n, seed, traces.Config{BadNodeFrac: 0.0001, InflateFrac: 0.05}))
 	f := NewFleet(FleetOptions{N: n, Algorithm: algo, Seed: seed, Env: env})
 	f.Run(warmup)
 	before := f.Col.Snapshot(wire.CatRouting)
@@ -389,13 +392,7 @@ func RunFailoverScenario(scenario int, seed int64) (*ScenarioResult, error) {
 	const n = 25
 	probeCfg := probe.Config{Interval: 30 * time.Second, ReplyTimeout: 3 * time.Second}
 	quorumCfg := core.QuorumConfig{Interval: 15 * time.Second}
-	env := traces.Generate(n, seed, traces.Config{BadNodeFrac: 0.0001})
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			env.Loss[a][b] = 0
-			env.DownFrac[a][b] = 0
-		}
-	}
+	env := failureFree(traces.Generate(n, seed, traces.Config{BadNodeFrac: 0.0001}))
 	f := NewFleet(FleetOptions{
 		N: n, Algorithm: overlay.AlgQuorum, Seed: seed, Env: env,
 		Probe: probeCfg, Quorum: quorumCfg,

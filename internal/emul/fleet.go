@@ -4,9 +4,12 @@
 // index in README.md maps each figure to the functions in this package.
 //
 // Beyond the paper, a DynamicFleet takes its faults as data: a fault schedule
-// is a []Step over ten primitives (Op), Apply interprets one step, Play runs a
-// schedule under a sampler, and the nine churn scenarios are the rows of one
-// table of []Step constructors (schedule.go) that RunChurn plays.
+// is a []Step over ten primitives (Op), Apply interprets one step, and Play is
+// the one loop that runs a schedule under a sampler. Every dynamic-fleet run
+// is a DynamicFleetOptions plus a []Step that Play runs: the nine churn
+// scenarios are the rows of one table of []Step constructors (schedule.go)
+// that RunChurn plays, and the experiments soak plays minutes of Poisson
+// churn the same way, reading its heap on Play's tick.
 package emul
 
 import (
@@ -56,31 +59,14 @@ type Fleet struct {
 // has ID i), mirroring the paper's emulation methodology: admission is not
 // under test, steady-state routing is.
 func NewFleet(opt FleetOptions) *Fleet {
-	nw := simnet.New(opt.N, opt.Seed)
-	f := &Fleet{Opt: opt, Net: nw, start: nw.Now()}
-
-	// Latency/loss from the environment; one-way latency is RTT/2.
-	for a := 0; a < opt.N; a++ {
-		for b := a + 1; b < opt.N; b++ {
-			if opt.Env != nil {
-				oneWay := time.Duration(opt.Env.LatencyMS[a][b] / 2 * float64(time.Millisecond))
-				nw.SetLatency(a, b, oneWay)
+	nw, col := newNetwork(opt.N, opt.N, opt.Seed, opt.Env)
+	f := &Fleet{Opt: opt, Net: nw, Col: col, start: nw.Now()}
+	if opt.Env != nil { // a static fleet also takes the environment's loss
+		for a := 0; a < opt.N; a++ {
+			for b := a + 1; b < opt.N; b++ {
 				nw.SetLoss(a, b, opt.Env.Loss[a][b])
-			} else {
-				nw.SetLatency(a, b, 20*time.Millisecond)
 			}
 		}
-	}
-
-	// Bandwidth accounting: charge senders on transmission (lost packets
-	// still cost their sender) and receivers on delivery, as in the paper's
-	// measurements.
-	f.Col = metrics.New(opt.N, nw.Now(), time.Minute)
-	nw.OnSend = func(from, to int, payload []byte) {
-		f.Col.Record(from, metrics.Out, wire.CategoryOf(wire.PeekType(payload)), len(payload), nw.Now())
-	}
-	nw.OnDeliver = func(from, to int, payload []byte) {
-		f.Col.Record(to, metrics.In, wire.CategoryOf(wire.PeekType(payload)), len(payload), nw.Now())
 	}
 
 	ids := make([]wire.NodeID, opt.N)
@@ -108,6 +94,32 @@ func NewFleet(opt FleetOptions) *Fleet {
 		f.Nodes[i] = node
 	}
 	return f
+}
+
+// newNetwork builds the simulator both fleets share: endpoints members and up
+// belong to the caller; every pair below members gets a one-way latency of
+// RTT/2 from env, or the homogeneous 20 ms when env is nil; and the collector
+// charges senders on transmission (lost packets still cost their sender) and
+// receivers on delivery, as in the paper's measurements.
+func newNetwork(endpoints, members int, seed int64, env *traces.Env) (*simnet.Network, *metrics.Collector) {
+	nw := simnet.New(endpoints, seed)
+	for a := 0; a < members; a++ {
+		for b := a + 1; b < members; b++ {
+			oneWay := 20 * time.Millisecond
+			if env != nil {
+				oneWay = time.Duration(env.LatencyMS[a][b] / 2 * float64(time.Millisecond))
+			}
+			nw.SetLatency(a, b, oneWay)
+		}
+	}
+	col := metrics.New(endpoints, nw.Now(), time.Minute)
+	nw.OnSend = func(from, to int, payload []byte) {
+		col.Record(from, metrics.Out, wire.CategoryOf(wire.PeekType(payload)), len(payload), nw.Now())
+	}
+	nw.OnDeliver = func(from, to int, payload []byte) {
+		col.Record(to, metrics.In, wire.CategoryOf(wire.PeekType(payload)), len(payload), nw.Now())
+	}
+	return nw, col
 }
 
 // Run advances the emulation by d of virtual time.

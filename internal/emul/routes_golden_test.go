@@ -82,7 +82,6 @@ func TestRouteTablesMatchScalarGolden(t *testing.T) {
 // churnFleet builds the 16-member dynamic fleet the churn tests drive.
 func churnFleet(algo overlay.Algorithm, asym bool) *DynamicFleet {
 	opt := DynamicFleetOptions{MaxN: 20, Seed: 42, Algorithm: algo}
-	opt.Probe.Asymmetric = asym
 	opt.Quorum.Asymmetric = asym
 	return NewDynamicFleet(16, opt)
 }

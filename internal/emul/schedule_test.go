@@ -19,10 +19,10 @@ func TestCoordFaultSweep(t *testing.T) {
 	var runs []ChurnOptions
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, secs := range []int{1, 5, 10, 30, 120} {
-			runs = append(runs, ChurnOptions{Seed: seed, Scenario: ChurnCoordCrash, CoordRestartAfter: time.Duration(secs) * time.Second})
+			runs = append(runs, ChurnOptions{DynamicFleetOptions: DynamicFleetOptions{Seed: seed}, Scenario: ChurnCoordCrash, CoordRestartAfter: time.Duration(secs) * time.Second})
 		}
 		for _, secs := range []int{5, 20, 60, 240} {
-			runs = append(runs, ChurnOptions{Seed: seed, Scenario: ChurnPartition, PartitionFor: time.Duration(secs) * time.Second})
+			runs = append(runs, ChurnOptions{DynamicFleetOptions: DynamicFleetOptions{Seed: seed}, Scenario: ChurnPartition, PartitionFor: time.Duration(secs) * time.Second})
 		}
 	}
 	for _, o := range runs {

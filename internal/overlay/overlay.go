@@ -41,7 +41,8 @@ func (a Algorithm) String() string {
 type Config struct {
 	// Algorithm selects quorum or full-mesh routing.
 	Algorithm Algorithm
-	// Probe tunes the link monitor.
+	// Probe tunes the link monitor. Its Asymmetric is not read: the node
+	// sets it exactly when a quorum router runs with Quorum.Asymmetric.
 	Probe probe.Config
 	// Quorum tunes the quorum router (used when Algorithm == AlgQuorum).
 	Quorum core.QuorumConfig
@@ -123,7 +124,11 @@ func (n *Node) installView(v *membership.ViewInfo) error {
 	n.self = self
 
 	if n.prober == nil {
-		n.prober = probe.New(n.env, n.cfg.Probe, v, self)
+		// One switch for footnote 2: the prober measures one-way latencies
+		// exactly when the quorum router announces them.
+		pc := n.cfg.Probe
+		pc.Asymmetric = n.cfg.Algorithm == AlgQuorum && n.cfg.Quorum.Asymmetric
+		n.prober = probe.New(n.env, pc, v, self)
 		n.prober.Start()
 	} else {
 		n.prober.SetView(v, self)

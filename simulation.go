@@ -85,7 +85,7 @@ func NewSimulation(opt SimOptions) (*Simulation, error) {
 		Algorithm: opt.Algorithm,
 		Seed:      opt.Seed,
 		Env:       env,
-		Probe:     probe.Config{Interval: opt.ProbeInterval, Asymmetric: asym},
+		Probe:     probe.Config{Interval: opt.ProbeInterval},
 		Quorum:    core.QuorumConfig{Interval: opt.RoutingInterval, Asymmetric: asym},
 		FullMesh:  core.FullMeshConfig{Interval: opt.RoutingInterval},
 	}
