@@ -436,10 +436,11 @@ const (
 // ChurnOptions configures a churn experiment run: the fleet's options, and
 // the scenario whose schedule plays on it.
 type ChurnOptions struct {
-	// DynamicFleetOptions configures the fleet, with churn defaults. MaxN zero
-	// takes the endpoint head-room the schedule needs, Coordinators zero one
-	// replica (three when the schedule crashes one), and a nil Env a lossless
-	// PlanetLab-like environment generated from Seed at MaxN. Loss, Dup, and
+	// DynamicFleetOptions configures the fleet, with churn defaults. MaxN is
+	// ignored: the run takes the endpoint head-room the schedule needs, so it
+	// stays a function of the scenario. Coordinators zero takes one replica
+	// (three when the schedule crashes one), and a nil Env a lossless
+	// PlanetLab-like environment generated from Seed at that size. Loss, Dup, and
 	// Jitter zero take the scenario default: the adversarial gossip scenarios
 	// (lossy-gossip, gossip-crash, straggler) run at 5% loss, 2% duplication,
 	// and 20 ms jitter; every other scenario runs clean. Negative values force
@@ -692,14 +693,13 @@ func RunChurn(opt ChurnOptions) *ChurnResult {
 // runChurn is RunChurn, also returning the fleet as the run left it.
 func runChurn(opt ChurnOptions) (*ChurnResult, *DynamicFleet) {
 	steps := opt.fill()
-	if opt.MaxN == 0 {
-		opt.MaxN = opt.capacity(steps)
-	}
-	if opt.Env == nil {
+	fo := opt.DynamicFleetOptions
+	fo.MaxN = opt.capacity(steps)
+	if fo.Env == nil {
 		// A dynamic fleet reads only the latencies; loss comes from opt.
-		opt.Env = traces.Generate(opt.MaxN, opt.Seed, traces.Config{BadNodeFrac: 0.0001})
+		fo.Env = traces.Generate(fo.MaxN, opt.Seed, traces.Config{BadNodeFrac: 0.0001})
 	}
-	f := NewDynamicFleet(opt.N, opt.DynamicFleetOptions)
+	f := NewDynamicFleet(opt.N, fo)
 	res := &ChurnResult{Opt: opt, Schedule: steps}
 	for _, s := range steps {
 		if s.Op == OpWatch {
@@ -710,7 +710,7 @@ func runChurn(opt ChurnOptions) (*ChurnResult, *DynamicFleet) {
 	f.Run(opt.Warmup)
 	res.Converged, res.ConvergedAfter = f.Play(steps, opt.Duration,
 		rand.New(rand.NewSource(opt.Seed*31+7)), churnSampleEvery, func() {
-			res.Samples = append(res.Samples, sampleChurn(f, opt.Env, opt.settleAge))
+			res.Samples = append(res.Samples, sampleChurn(f, fo.Env, opt.settleAge))
 		})
 
 	res.Joins, res.Leaves, res.Crashes, res.SpawnsDropped = f.Joins, f.Leaves, f.Crashes, f.SpawnsDropped

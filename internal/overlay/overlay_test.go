@@ -16,12 +16,6 @@ import (
 // network, the configuration the emulation harness uses.
 func staticFleet(t *testing.T, n int, algo Algorithm, seed int64) (*simnet.Network, []*Node) {
 	t.Helper()
-	return staticFleetWith(t, n, seed, Config{Algorithm: algo, Quorum: core.QuorumConfig{Interval: 5 * time.Second}})
-}
-
-// staticFleetWith is staticFleet under cfg's algorithm and router settings.
-func staticFleetWith(t *testing.T, n int, seed int64, cfg Config) (*simnet.Network, []*Node) {
-	t.Helper()
 	nw := simnet.New(n, seed)
 	reg := transport.NewRegistry()
 	ids := make([]wire.NodeID, n)
@@ -40,33 +34,20 @@ func staticFleetWith(t *testing.T, n int, seed int64, cfg Config) (*simnet.Netwo
 	for i := 0; i < n; i++ {
 		env := transport.NewSimEnv(nw, reg, i, seed+int64(i))
 		env.SetLocalID(wire.NodeID(i)) // registers the endpoint mapping
-		c := cfg
-		c.Probe = probe.Config{Interval: 10 * time.Second, ReplyTimeout: time.Second}
-		c.FullMesh = core.FullMeshConfig{Interval: 10 * time.Second}
-		c.StaticView, c.StaticID = view, wire.NodeID(i)
-		node := New(env, c)
+		node := New(env, Config{
+			Algorithm:  algo,
+			Probe:      probe.Config{Interval: 10 * time.Second, ReplyTimeout: time.Second},
+			Quorum:     core.QuorumConfig{Interval: 5 * time.Second},
+			FullMesh:   core.FullMeshConfig{Interval: 10 * time.Second},
+			StaticView: view,
+			StaticID:   wire.NodeID(i),
+		})
 		if err := node.Start(); err != nil {
 			t.Fatal(err)
 		}
 		nodes[i] = node
 	}
 	return nw, nodes
-}
-
-func TestQuorumAsymmetricAloneRoutesPerDirection(t *testing.T) {
-	// Footnote 2 has one switch, Quorum.Asymmetric: the prober follows it.
-	// Left to a second switch, the router announced a directed row the
-	// prober never built and panicked on its second tick.
-	nw, nodes := staticFleetWith(t, 9, 4, Config{Algorithm: AlgQuorum,
-		Quorum: core.QuorumConfig{Interval: 5 * time.Second, Asymmetric: true}})
-	nw.SetLatencyOneWay(1, 0, 200*time.Millisecond) // 0→1 stays 6 ms
-	nw.RunFor(time.Minute)
-	if r, ok := nodes[0].BestHop(1); !ok || r.Hop != 1 || r.Cost > 10 {
-		t.Errorf("0→1 = %+v ok=%v, want direct at ≈6 ms", r, ok)
-	}
-	if r, ok := nodes[1].BestHop(0); !ok || r.Hop == 0 || r.Cost > 50 {
-		t.Errorf("1→0 = %+v ok=%v, want a detour well under the 200 ms direct link", r, ok)
-	}
 }
 
 func TestStaticFleetConvergesQuorum(t *testing.T) {
