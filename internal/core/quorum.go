@@ -68,10 +68,6 @@ const retransmitTimeout = 2 * time.Second
 // routing interval plus propagation).
 func (c *QuorumConfig) remoteSilence() time.Duration { return c.Interval*5/2 + time.Second }
 
-// deadRecheck is how long a destination declared dead is left alone before
-// failover may be attempted again: 2r.
-func (c *QuorumConfig) deadRecheck() time.Duration { return 2 * c.Interval }
-
 // QuorumStats exposes the router's failure-handling counters.
 type QuorumStats struct {
 	// FailoverAttempts counts failover rendezvous recruitments.
@@ -79,8 +75,9 @@ type QuorumStats struct {
 	// DoubleFailures is the number of destinations whose two default
 	// rendezvous were both unusable at the last tick (Figure 11's metric).
 	DoubleFailures int
-	// DeadDestinations is the number of destinations currently presumed
-	// dead (no client row shows them alive).
+	// DeadDestinations is the number of destinations whose guard failed at
+	// the last tick: double failures that neither this node's probe nor any
+	// fresh client row shows alive, so no failover was recruited for them.
 	DeadDestinations int
 	// RecommendationsSent counts round-2 messages sent.
 	RecommendationsSent uint64
@@ -144,11 +141,10 @@ func (t *silence) server(i int) (slots []uint16, heard []int64) {
 
 // failoverState tracks §4.1 recovery for one destination: an episode.
 type failoverState struct {
-	dst            int          // the destination
-	server         int          // recruited failover rendezvous (-1 when none)
-	heard          int64        // as silence's clocks, for server
-	tried          map[int]bool // candidates used this episode
-	suspendedUntil time.Time    // dead-destination backoff
+	dst    int          // the destination
+	server int          // recruited failover rendezvous (-1 when none)
+	heard  int64        // as silence's clocks, for server
+	tried  map[int]bool // candidates used this episode
 }
 
 // Quorum is the two-round grid-quorum router (§3) with the failure handling
@@ -884,20 +880,18 @@ func (q *Quorum) detectFailures() {
 			q.failovers = slices.Insert(q.failovers, at, failoverState{dst: dst, server: -1, tried: make(map[int]bool)})
 		}
 		fo := &q.failovers[at]
-		if now.Before(fo.suspendedUntil) {
-			dead++
-			continue
-		}
 		// Keep the current failover while it remains usable: its clock started
 		// at recruitment, so a fresh recruit has one remoteSilence to produce
 		// its first recommendation.
 		if fo.server >= 0 && q.rendezvousLive(fo.server, dst, fo.heard, nowNs) {
 			continue
 		}
-		// Dead-destination check after the initial failover attempt.
-		if len(fo.tried) > 0 && !q.destinationSeemsAlive(dst, now) {
+		// The dead-destination guard runs before every recruitment, the
+		// episode's first included: a member that crashed keeps its seat
+		// until its lease ends, and chasing it would push a row and draw
+		// recommendations about a node nobody can reach.
+		if !q.destinationSeemsAlive(dst, now) {
 			fo.server = -1
-			fo.suspendedUntil = now.Add(q.cfg.deadRecheck())
 			dead++
 			continue
 		}

@@ -229,6 +229,38 @@ func TestFailoverGraceOneClock(t *testing.T) {
 	}
 }
 
+// TestNoFailoverTowardTheDead: §4.1's guard against failing over toward a dead
+// node runs before every recruitment, an episode's first included. Slot 4 and
+// both its default rendezvous (slots 1 and 3) are unreachable, and slots 5
+// and 7 of its row and column are not. While neither the node's probe nor any
+// fresh client row shows slot 4 alive, its double failure draws no
+// recruitment, tick after tick; once a client row does, it draws one.
+func TestNoFailoverTowardTheDead(t *testing.T) {
+	q, run := cornerQuorum(t, QuorumConfig{}, func(slot int) bool { return slot != 1 && slot != 3 && slot != 4 })
+	deliver := func(row []wire.LinkEntry, seq uint32) {
+		h, body, _ := wire.ParseHeader(wire.AppendLinkState(nil, 2, wire.LinkState{ViewVersion: q.view.VersionNum(), Seq: seq, Entries: row}))
+		q.HandleLinkState(h, body)
+	}
+	row := aliveRow(9, 2)
+	row[4] = wire.LinkEntry{Status: wire.MakeStatus(false, 0)}
+	for seq := uint32(1); seq <= 3; seq++ {
+		if seq == 2 {
+			deliver(row, seq) // slot 2's row, showing slot 4 dead
+		}
+		q.detectFailures()
+		if st := q.Stats(); st.FailoverAttempts != 0 || q.FailoverServer(4) != -1 || st.DoubleFailures != 1 || st.DeadDestinations != 1 {
+			t.Fatalf("tick %d: failover server %d, stats %+v; want no recruitment and one dead destination", seq, q.FailoverServer(4), st)
+		}
+		run(10 * time.Second) // every other pairing stays inside remoteSilence
+	}
+
+	deliver(aliveRow(9, 2), 4) // slot 2's row, showing slot 4 alive
+	q.detectFailures()
+	if got, st := q.FailoverServer(4), q.Stats(); (got != 5 && got != 7) || st.FailoverAttempts != 1 || st.DeadDestinations != 0 {
+		t.Errorf("failover server %d, stats %+v; want slot 5 or 7 recruited once a held row shows slot 4 alive", got, st)
+	}
+}
+
 // TestUnresolvedLinkIsUnknownNotDead: slot 4's default rendezvous, slots 1 and
 // 3, are not alive. While no probe on those links has resolved, they still get
 // round 1's row and are no proximal failure; once resolved dead, slot 4 is a

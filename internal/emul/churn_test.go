@@ -656,3 +656,66 @@ func TestRestartedStandbyResyncsPastChunkThreshold(t *testing.T) {
 		t.Errorf("joins=%d (want %d) converged=%v under the promoted standby", f.Joins, n, f.ViewsConverged())
 	}
 }
+
+// TestChurnedFleetFailsOverTowardTheLiving: a crashed member keeps its seat
+// until its lease runs out, and every node that still sees it in the view
+// finds both its default rendezvous silent about it. §4.1's guard, run before
+// an episode's first recruitment, sends no node after a member that neither
+// its probe nor a fresh client row shows alive. The fleet is the seeded
+// 45-member one of TestBandwidthLaw's churned row, on clean links, with half
+// of each minute's leavers crashing. Every node ever spawned is counted, the
+// departed ones at their departure: 88 recruitments, against 317 while the
+// guard ran only once an episode had tried a server. What is left chases
+// members whose crash no probe has yet confirmed.
+func TestChurnedFleetFailsOverTowardTheLiving(t *testing.T) {
+	const (
+		n       = 45
+		rate    = 0.1
+		minutes = 6
+		bound   = 150 // 88 today; 317 with the guard after the first recruitment
+	)
+	maxN := n + 2*int(rate*n+0.5)*minutes + 8
+	env := traces.Generate(maxN, 1, traces.Config{BadNodeFrac: 0.0001})
+	for a := range env.Loss {
+		for b := range env.Loss[a] {
+			env.Loss[a][b], env.DownFrac[a][b] = 0, 0
+		}
+	}
+	f := NewDynamicFleet(n, DynamicFleetOptions{
+		MaxN:        maxN,
+		Seed:        1,
+		Env:         env,
+		Probe:       probe.Config{RampIntervals: 3},
+		Quorum:      core.QuorumConfig{DegradedHold: 10 * 15 * time.Second},
+		Membership:  membership.ClientConfig{Heartbeat: 30 * time.Second, JoinRetry: 2 * time.Second},
+		Coordinator: membership.CoordinatorConfig{Timeout: 2 * time.Minute, Sweep: 15 * time.Second, Coalesce: time.Second},
+	})
+	var attempts uint64
+	count := func(ep int) {
+		if q, ok := f.Node(ep).Router().(*core.Quorum); ok {
+			attempts += q.Stats().FailoverAttempts
+		}
+	}
+	f.Run(3 * time.Minute)
+	rng := rand.New(rand.NewSource(1))
+	for range minutes {
+		live := f.ActiveEndpoints()
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		leavers := live[:int(rate*float64(len(live))+0.5)]
+		for i, ep := range leavers {
+			count(ep)
+			f.Depart(ep, i%2 == 0)
+		}
+		for range leavers {
+			f.Spawn()
+		}
+		f.Run(time.Minute)
+	}
+	for _, ep := range f.ActiveEndpoints() {
+		count(ep)
+	}
+	t.Logf("%d failover recruitments across the fleet, %d crashes", attempts, f.Crashes)
+	if attempts > bound {
+		t.Errorf("%d failover recruitments across the churned fleet, want at most %d", attempts, bound)
+	}
+}
