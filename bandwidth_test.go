@@ -101,7 +101,14 @@ func TestBandwidthLaw(t *testing.T) {
 	// the full messages after an install change more entries than the mean
 	// delta the model prices — the install marks every newly paired position
 	// and every pair through a retired hop — and draw 82 refusals, not 21.
-	const want = 1.200
+	// At 1.200, 0.060 of the excess was the chase after crashed members: a
+	// node recruited a failover server for each, pushed it a full row and
+	// drew recommendations about the member back, explicit-form messages and
+	// explicit entries that the model does not price. Since §4.1's guard runs
+	// before an episode's first recruitment, the run sends 1 234 explicit-form
+	// messages, not 1 665, and 1 482 full rows, not 1 710: 5.9 % fewer bytes,
+	// 42 % of the cut in explicit-form messages and 28 % in full rows.
+	const want = 1.140
 	r, recDeltas := churnedRoutingVsModel(t)
 	t.Logf("churned quorum: %.4f× the model, %.3f of the recommendations as deltas", r, recDeltas)
 	if math.Abs(r-want) > 0.002 {
