@@ -59,11 +59,11 @@ import (
 // still reads after=16s, and 15s swapped. The poisson, partition, regional
 // and both straggler rows moved when §4.1's dead-destination guard began
 // running before an episode's first recruitment: a node no longer recruits a
-// failover server for a crashed member nobody sees alive, and the recruits
-// no longer drawn from the per-node stream, and the rows and recommendations
-// no longer sent, shift every later draw; the last row still reads
-// after=16s, and 15s swapped. A change that means to alter a scenario
-// re-captures its row in the open.
+// failover server for a crashed member nobody sees alive, and the candidate
+// draws no longer taken from the per-node stream, with the rows and
+// recommendations no longer sent, shift every later draw; the last row
+// still reads after=16s, and 15s swapped. A change that means to alter a
+// scenario re-captures its row in the open.
 func TestChurnScenariosGolden(t *testing.T) {
 	short := func(sc ChurnScenario) ChurnOptions {
 		return ChurnOptions{DynamicFleetOptions: DynamicFleetOptions{Seed: 42}, N: 30, Scenario: sc, Warmup: 2 * time.Minute, Duration: 5 * time.Minute}

@@ -665,8 +665,7 @@ func TestRestartedStandbyResyncsPastChunkThreshold(t *testing.T) {
 // 45-member one of TestBandwidthLaw's churned row, on clean links, with half
 // of each minute's leavers crashing. Every node ever spawned is counted, the
 // departed ones at their departure: 88 recruitments, against 317 while the
-// guard ran only once an episode had tried a server. What is left chases
-// members whose crash no probe has yet confirmed.
+// guard ran only once an episode had tried a server.
 func TestChurnedFleetFailsOverTowardTheLiving(t *testing.T) {
 	const (
 		n       = 45
