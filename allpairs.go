@@ -18,8 +18,10 @@
 //   - Simulation: run hundreds of protocol-faithful nodes in-process on a
 //     deterministic virtual-time network (NewSimulation). All experiments in
 //     EXPERIMENTS.md run this way.
-//   - Deployment: run a real node over UDP (StartNode) against a membership
-//     coordinator (StartCoordinator), as cmd/overlayd and cmd/coordinator do.
+//   - Deployment: run a real node over UDP (StartNode, from NodeOptions)
+//     against a membership coordinator, solo or one replica of a set
+//     (StartCoordinator, from CoordinatorOptions), as cmd/overlayd and
+//     cmd/coordinator do.
 //
 // The paper's evaluation — every figure and table — can be regenerated with
 // cmd/experiments; see README.md for the experiment index.

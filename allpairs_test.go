@@ -159,7 +159,7 @@ func TestUDPDeploymentEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	coord, err := StartCoordinator("127.0.0.1:0", nil)
+	coord, err := StartCoordinator(CoordinatorOptions{Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestUDPReplicaFailover(t *testing.T) {
 	}
 	coords := make([]*Coordinator, len(addrs))
 	for r, a := range addrs {
-		c, err := StartCoordinatorReplica(CoordinatorOptions{Listen: a, Rank: r, Peers: addrs})
+		c, err := StartCoordinator(CoordinatorOptions{Listen: a, Rank: r, Peers: addrs})
 		if err != nil {
 			t.Fatal(err)
 		}

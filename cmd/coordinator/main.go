@@ -39,7 +39,7 @@ func main() {
 	if *peers != "" {
 		peerList = strings.Split(*peers, ",")
 	}
-	c, err := allpairs.StartCoordinatorReplica(allpairs.CoordinatorOptions{
+	c, err := allpairs.StartCoordinator(allpairs.CoordinatorOptions{
 		Listen: *listen,
 		Rank:   *rank,
 		Peers:  peerList,

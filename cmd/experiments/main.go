@@ -225,10 +225,7 @@ func soak(n int, seed int64, dur time.Duration, maxHeapMB int) {
 	// churning, let the coordinator expire every crashed member (up to the
 	// 2 min membership timeout plus a sweep), and give the last view change
 	// the scenarios' 90 s convergence bound.
-	var steps []emul.Step
-	for at := time.Minute; at <= dur; at += time.Minute {
-		steps = append(steps, emul.Step{At: at, Op: emul.OpReplace, P: 0.05, Crash: 0.5})
-	}
+	steps := emul.Poisson(time.Minute, dur, 0.05)
 	watch := emul.Step{At: dur + 2*time.Minute + 30*time.Second, Op: emul.OpWatch, For: 90 * time.Second}
 	ceiling := uint64(maxHeapMB) << 20
 	var peak uint64
@@ -288,8 +285,8 @@ func printDeploymentFigure(cmd string, dep *emul.DeploymentResult) {
 		fmt.Println("# Figure 10: CDF of per-node routing traffic, Kbps (mean; max over any 1-min window)")
 		fmt.Println("# kbps  nodes_mean_le  nodes_max_le")
 		printCountCDFs(dep.MeanKbps, dep.MaxKbps)
-		mean, _ := avg(dep.MeanKbps)
-		_, mx := avg(dep.MaxKbps)
+		mean, _ := stats.MeanMax(dep.MeanKbps)
+		_, mx := stats.MeanMax(dep.MaxKbps)
 		fmt.Printf("# fleet average %.1f Kbps, worst 1-min window %.1f Kbps (paper: avg <13, max <17)\n", mean, mx)
 	case "fig11":
 		fmt.Println("# Figure 11: CDF of destinations with double rendezvous failure per node (mean, max)")
@@ -360,19 +357,6 @@ func unionXs(cdfs ...*stats.CDF) []float64 {
 		xs = append(out, xs[len(xs)-1])
 	}
 	return xs
-}
-
-func avg(v []float64) (mean, max float64) {
-	for _, x := range v {
-		mean += x
-		if x > max {
-			max = x
-		}
-	}
-	if len(v) > 0 {
-		mean /= float64(len(v))
-	}
-	return
 }
 
 // failover prints the three §4.1 scenarios and reports whether every one of

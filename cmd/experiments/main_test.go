@@ -25,8 +25,11 @@ func TestSubcommandsEndToEnd(t *testing.T) {
 		args []string
 		want []string
 	}{
-		{[]string{"failover", "-seed", "1"}, []string{
+		{[]string{"failover", "-seed", "11"}, []string{
 			"# scenario  recovered_s  bound_s  within  failovers_used",
+			"        1         40.0     70.0    true               1\n",
+			"        2         37.0     70.0    true               1\n",
+			"        3         51.0    122.5    true               0\n",
 			"# paper bounds:",
 		}},
 		{[]string{"deployment", "-n", "36", "-minutes", "5"}, []string{

@@ -177,16 +177,10 @@ type CoordinatorOptions struct {
 	Logf func(string, ...any)
 }
 
-// StartCoordinator opens a UDP socket and serves membership as a solo
-// (unreplicated) coordinator. logf, if non-nil, receives admission/expiry
-// events.
-func StartCoordinator(listen string, logf func(string, ...any)) (*Coordinator, error) {
-	return StartCoordinatorReplica(CoordinatorOptions{Listen: listen, Logf: logf})
-}
-
-// StartCoordinatorReplica opens a UDP socket and serves membership as one
-// replica of a coordinator set.
-func StartCoordinatorReplica(opt CoordinatorOptions) (*Coordinator, error) {
+// StartCoordinator opens a UDP socket and serves membership as one replica of
+// a coordinator set, or as a solo coordinator when opt.Peers lists at most
+// one replica.
+func StartCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 	n := len(opt.Peers)
 	if n < 1 {
 		n = 1

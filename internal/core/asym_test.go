@@ -81,12 +81,10 @@ func newAsymCluster(t *testing.T, n int, seed int64) *asymCluster {
 				return
 			}
 			switch h.Type {
-			case wire.TLinkState, wire.TLinkStateAsym, wire.TLinkStateDelta:
+			case wire.TLinkState, wire.TLinkStateAsym, wire.TLinkStateDelta, wire.TLinkStateAck:
 				q.HandleLinkState(h, body)
 			case wire.TRecommendation:
 				q.HandleRecommendation(h, body)
-			case wire.TLinkStateAck:
-				q.HandleLinkStateAck(h, body)
 			}
 		})
 		c.routers = append(c.routers, q)

@@ -170,7 +170,7 @@ type Router interface {
 	// round-2 rendezvous computation (for the baseline, a full broadcast and
 	// a local recompute).
 	Tick()
-	// HandleLinkState processes a received link-state row or delta.
+	// HandleLinkState processes a received link-state row, delta or ack.
 	HandleLinkState(h wire.Header, body []byte)
 	// HandleRecommendation processes a received recommendation message.
 	HandleRecommendation(h wire.Header, body []byte)

@@ -410,11 +410,7 @@ func testHostileDeltasTouchNothing(t *testing.T, version uint32, asym bool, slot
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Type == wire.TLinkStateAck {
-			q.HandleLinkStateAck(h, body)
-		} else {
-			q.HandleLinkState(h, body)
-		}
+		q.HandleLinkState(h, body)
 	}
 
 	// Slot 3's row 2 is held: a delta at 3 is good.
@@ -479,13 +475,7 @@ func testHostileDeltasTouchNothing(t *testing.T, version uint32, asym bool, slot
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if h.Type == wire.TLinkStateAck {
-				q.HandleLinkStateAck(h, body)
-			} else {
-				q.HandleLinkState(h, body)
-			}
-		})
+		allocs := testing.AllocsPerRun(100, func() { q.HandleLinkState(h, body) })
 		if after := snapshot(); after.seq != before.seq || !after.when.Equal(before.when) ||
 			!slices.Equal(after.out, before.out) || !slices.Equal(after.in, before.in) || after.sent != before.sent {
 			t.Errorf("%s: the table or the send count changed:\n got %+v\nwant %+v", hostile.defect, after, before)

@@ -132,7 +132,8 @@ func (f *FullMesh) recompute() {
 // HandleLinkState implements Router: a member's row is checked and parked
 // (rowCore.ingest), its entry bytes kept until the next read of the table
 // applies it — the payload is the router's to keep (transport.Handler). A
-// delta, which no full mesh sends, is dropped.
+// delta, which no full mesh sends, and an ack, which answers only a quorum
+// node's rows, are dropped.
 //
 //lint:allocfree
 func (f *FullMesh) HandleLinkState(h wire.Header, body []byte) { f.ingest(h, body) }

@@ -44,8 +44,9 @@ func rowMessage(asym bool, src wire.NodeID, version, seq uint32, k int, cost uin
 // field or row byte, no ack, no allocation — and the sender is judged before
 // anything of the body is. The view holds a tombstone, so a row with an entry
 // per slot is malformed, and a row of another view with as many members is
-// told apart by its version alone. A well-formed refresh of a row the table
-// holds allocates nothing either.
+// told apart by its version alone. A full mesh, which sends no deltas, drops
+// a member's link-state ack the same way. A well-formed refresh of a row the
+// table holds allocates nothing either.
 func TestStrangerLinkStateTouchesNothing(t *testing.T) {
 	const n, m, version = 9, 8, 5 // slots, members
 	for _, tc := range []struct {
@@ -122,7 +123,7 @@ func TestStrangerLinkStateTouchesNothing(t *testing.T) {
 			// costs it does not: only the named defect stands between it and
 			// the table.
 			good := rowMessage(tc.asym, 3, version, 9, m, 77)
-			for _, hostile := range []struct {
+			hostiles := []struct {
 				defect string
 				msg    []byte
 			}{
@@ -137,7 +138,16 @@ func TestStrangerLinkStateTouchesNothing(t *testing.T) {
 				{"truncated entries", good[:len(good)-1]},
 				{"truncated header", good[:wire.HeaderLen+7]},
 				{"wrong row format", rowMessage(!tc.asym, 3, version, 9, m, 77)},
-			} {
+			}
+			if tc.fullMesh {
+				// A full mesh sends no deltas, so a member's refusal is
+				// dropped with the other forms it does not take.
+				hostiles = append(hostiles, struct {
+					defect string
+					msg    []byte
+				}{"a link-state ack", wire.AppendLinkStateAck(nil, 3, 0)})
+			}
+			for _, hostile := range hostiles {
 				h, body, err := wire.ParseHeader(hostile.msg)
 				if err != nil {
 					t.Fatal(err)

@@ -332,16 +332,17 @@ func (q *Quorum) usable(k int) bool {
 	return q.LinkAlive(k) || (q.LinkResolved != nil && !q.LinkResolved(k))
 }
 
-// activeServers appends the default servers with usable links plus any
-// recruited failover servers with live ones, in destination order.
+// activeServers appends the servers round 1 sends rows to (sendsRowsTo), each
+// once: the default servers ascending, then the failover servers in their
+// destinations' order.
 func (q *Quorum) activeServers(dst []int) []int {
 	for _, s := range q.servers {
-		if q.usable(s) {
+		if q.sendsRowsTo(s) {
 			dst = append(dst, s)
 		}
 	}
 	for _, fo := range q.failovers {
-		if fo.server >= 0 && q.LinkAlive(fo.server) && !slices.Contains(dst, fo.server) {
+		if fo.server >= 0 && !slices.Contains(dst, fo.server) && q.sendsRowsTo(fo.server) {
 			dst = append(dst, fo.server)
 		}
 	}
@@ -390,13 +391,13 @@ func (q *Quorum) retransmit(seq uint32, viewVersion uint32, msg []byte) {
 	}
 }
 
-// HandleLinkStateAck answers a refusal (seq 0) with the current row in full
+// handleLinkStateAck answers a refusal (seq 0) with the current row in full
 // (rowCore.answer) when the refuser is one of the rendezvous servers round 1
 // sends rows to (sendsRowsTo); any other ack clears a pending
 // reliable-delivery ack. Outside reliable mode nothing is pending.
 //
 //lint:allocfree
-func (q *Quorum) HandleLinkStateAck(h wire.Header, body []byte) {
+func (q *Quorum) handleLinkStateAck(h wire.Header, body []byte) {
 	seq, err := wire.ParseLinkStateAck(body)
 	if err != nil {
 		return
@@ -413,7 +414,8 @@ func (q *Quorum) HandleLinkStateAck(h wire.Header, body []byte) {
 	}
 }
 
-// sendsRowsTo reports whether slot is one of activeServers.
+// sendsRowsTo reports whether round 1 sends rows to slot: a default server
+// behind a usable link, or a recruited failover server behind a live one.
 //
 //lint:allocfree
 func (q *Quorum) sendsRowsTo(slot int) bool {
@@ -653,15 +655,19 @@ func (q *Quorum) hops(k int) (fwd, rev []lsdb.HopCost) {
 // (rowCore.ingest), or its delta patched in (rowCore.patch), which makes the
 // sender a rendezvous client of this node, failover clients who recruited us
 // included. In reliable mode every well-formed row or delta is acknowledged,
-// kept or not, but for a refused delta.
+// kept or not, but for a refused delta. An ack goes to handleLinkStateAck.
 //
 //lint:allocfree
 func (q *Quorum) HandleLinkState(h wire.Header, body []byte) {
 	var seq uint32
 	var ok bool
-	if h.Type == wire.TLinkStateDelta {
+	switch h.Type {
+	case wire.TLinkStateAck:
+		q.handleLinkStateAck(h, body)
+		return
+	case wire.TLinkStateDelta:
 		seq, ok = q.patch(h, body)
-	} else {
+	default:
 		seq, ok = q.ingest(h, body)
 	}
 	if ok && q.cfg.ReliableLinkState {
@@ -809,14 +815,13 @@ func (q *Quorum) BestHop(dst int) (RouteEntry, bool) {
 	return q.bestHop(dst, q.LinkAlive)
 }
 
-// rendezvousLive reports whether rendezvous k, last heard about dst at heard,
-// is currently usable for reaching information about dst: the link to k is
-// usable (else a proximal rendezvous failure) and k has recommended a route to
-// dst recently enough (else a remote one). k == dst means the destination
-// itself serves as the rendezvous (same row or column), in which case the link
-// alone decides.
-func (q *Quorum) rendezvousLive(k, dst int, heard, now int64) bool {
-	return q.usable(k) && (k == dst || time.Duration(now-heard) <= q.cfg.remoteSilence())
+// silent reports a remote rendezvous failure: rendezvous k, last heard about
+// dst at heard, has gone remoteSilence without recommending a route to it.
+// k == dst means the destination itself serves as the rendezvous (same row or
+// column) and is never silent: the link alone decides. A rendezvous is live
+// when its link is usable (else a proximal failure) and it is not silent.
+func (q *Quorum) silent(k, dst int, heard, now int64) bool {
+	return k != dst && time.Duration(now-heard) > q.cfg.remoteSilence()
 }
 
 // destinationSeemsAlive scans the client rows for evidence that dst is up —
@@ -850,7 +855,7 @@ func (q *Quorum) detectFailures() {
 		}
 		slots, heard := q.rv.server(i)
 		for j, dst := range slots {
-			if int(dst) == k || time.Duration(nowNs-heard[j]) <= q.cfg.remoteSilence() {
+			if !q.silent(k, int(dst), heard[j], nowNs) {
 				q.live[dst] = true
 			}
 		}
@@ -883,7 +888,7 @@ func (q *Quorum) detectFailures() {
 		// Keep the current failover while it remains usable: its clock started
 		// at recruitment, so a fresh recruit has one remoteSilence to produce
 		// its first recommendation.
-		if fo.server >= 0 && q.rendezvousLive(fo.server, dst, fo.heard, nowNs) {
+		if fo.server >= 0 && q.usable(fo.server) && !q.silent(fo.server, dst, fo.heard, nowNs) {
 			continue
 		}
 		// The dead-destination guard runs before every recruitment, the
@@ -939,8 +944,9 @@ func (q *Quorum) recruitFailover(dst int, fo *failoverState) {
 }
 
 // episode returns the index of dst's failover episode in failovers, or where
-// one would go, and whether dst has one. It is a plain binary search: every
-// recommendation entry asks, almost always of an empty list.
+// one would go, and whether dst has one. It is a plain binary search, which
+// inlines, where slices.BinarySearchFunc does not: every recommendation entry
+// asks, almost always of an empty list.
 func (q *Quorum) episode(dst int) (int, bool) {
 	i, j := 0, len(q.failovers)
 	for i < j {

@@ -594,7 +594,7 @@ func TestAckOutsideReliableModeIgnored(t *testing.T) {
 		t.Fatalf("a best-effort router keeps %d pending-ack slots", len(q.pendingAcks))
 	}
 	h, body, _ := wire.ParseHeader(wire.AppendLinkStateAck(nil, 3, 1))
-	if allocs := testing.AllocsPerRun(100, func() { q.HandleLinkStateAck(h, body) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { q.HandleLinkState(h, body) }); allocs != 0 {
 		t.Errorf("dropping an ack allocates %.0f times, want 0", allocs)
 	}
 	reliable, _ := cornerQuorum(t, QuorumConfig{ReliableLinkState: true}, nil)
@@ -602,7 +602,7 @@ func TestAckOutsideReliableModeIgnored(t *testing.T) {
 	if reliable.pendingAcks[3] != reliable.seq {
 		t.Fatalf("reliable router awaits seq %d from slot 3, want %d", reliable.pendingAcks[3], reliable.seq)
 	}
-	reliable.HandleLinkStateAck(h, body)
+	reliable.HandleLinkState(h, body)
 	if reliable.pendingAcks[3] != 0 {
 		t.Error("reliable router did not clear the acknowledged row")
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"allpairs/internal/overlay"
+	"allpairs/internal/stats"
 	"allpairs/internal/traces"
 	"allpairs/internal/wire"
 )
@@ -178,7 +179,7 @@ func TestSmallDeploymentRun(t *testing.T) {
 	for _, p := range res.Pairs {
 		medians = append(medians, p.Median)
 	}
-	mean, _ := meanMax(medians)
+	mean, _ := stats.MeanMax(medians)
 	if mean > 60 {
 		t.Errorf("average median freshness %.1f s; routing updates not flowing", mean)
 	}
@@ -207,17 +208,6 @@ func TestExcludeIndex(t *testing.T) {
 	}
 	if excludeIndex(1, 0.99) != 0 {
 		t.Errorf("excludeIndex(1, .99) = %d", excludeIndex(1, 0.99))
-	}
-}
-
-func TestMeanMax(t *testing.T) {
-	m, mx := meanMax([]float64{1, 2, 3})
-	if m != 2 || mx != 3 {
-		t.Errorf("meanMax = %f, %f", m, mx)
-	}
-	m, mx = meanMax(nil)
-	if m != 0 || mx != 0 {
-		t.Error("empty meanMax nonzero")
 	}
 }
 

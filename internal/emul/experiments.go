@@ -265,30 +265,17 @@ func RunDeployment(opt DeploymentOptions) *DeploymentResult {
 	for i := 0; i < opt.N; i++ {
 		res.MeanKbps[i] = meanKbps[i]
 		res.MaxKbps[i] = f.Col.MaxWindowKbps(i, wire.CatRouting, startWindow, endWindow)
-		res.MeanFailures[i], res.MaxFailures[i] = meanMax(failSamples[i])
-		res.MeanDouble[i], res.MaxDouble[i] = meanMax(doubleSamples[i])
+		res.MeanFailures[i], res.MaxFailures[i] = stats.MeanMax(failSamples[i])
+		res.MeanDouble[i], res.MaxDouble[i] = stats.MeanMax(doubleSamples[i])
 	}
 	res.Pairs = ages.stats()
 	res.WellNode = env.WellConnected()
 	res.PoorNode = env.PoorlyConnected()
 	res.WellStats = pairsFrom(res.Pairs, res.WellNode)
 	res.PoorStats = pairsFrom(res.Pairs, res.PoorNode)
-	res.WellMeanFailures, _ = meanMax(failSamples[res.WellNode])
-	res.PoorMeanFailures, _ = meanMax(failSamples[res.PoorNode])
+	res.WellMeanFailures, _ = stats.MeanMax(failSamples[res.WellNode])
+	res.PoorMeanFailures, _ = stats.MeanMax(failSamples[res.PoorNode])
 	return res
-}
-
-func meanMax(vals []float64) (mean, max float64) {
-	if len(vals) == 0 {
-		return 0, 0
-	}
-	for _, v := range vals {
-		mean += v
-		if v > max {
-			max = v
-		}
-	}
-	return mean / float64(len(vals)), max
 }
 
 // PairStats describes one ordered pair's route age across all samples, in

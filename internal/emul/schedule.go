@@ -256,14 +256,23 @@ var churnScenarios = [...]struct {
 	}},
 }
 
-// replacing returns steps merged, ahead of any same-instant churn, into one
-// OpReplace per Interval at Interval, 2·Interval, … Duration. The last lands
-// on the end instant and runs (Play applies a step at end): `<` here would
-// drop it, and every pinned Poisson output with it.
-func (o *ChurnOptions) replacing(steps ...Step) []Step {
-	for at := o.Interval; at <= o.Duration; at += o.Interval {
-		steps = append(steps, Step{At: at, Op: OpReplace, P: o.Rate, Crash: churnCrashFrac})
+// Poisson is a Poisson churn schedule: an OpReplace at every, 2·every, …
+// until, in which each live node departs with probability p and half the
+// departures crash. The last may land on the end instant of a run and still
+// runs (Play applies a step at end): `<` here would drop it, and every pinned
+// Poisson output with it.
+func Poisson(every, until time.Duration, p float64) []Step {
+	var steps []Step
+	for at := every; at <= until; at += every {
+		steps = append(steps, Step{At: at, Op: OpReplace, P: p, Crash: churnCrashFrac})
 	}
+	return steps
+}
+
+// replacing returns steps merged, ahead of any same-instant churn, into the
+// scenario's Poisson churn: one OpReplace per Interval until Duration.
+func (o *ChurnOptions) replacing(steps ...Step) []Step {
+	steps = append(steps, Poisson(o.Interval, o.Duration, o.Rate)...)
 	slices.SortStableFunc(steps, func(a, b Step) int { return cmp.Compare(a.At, b.At) })
 	return steps
 }

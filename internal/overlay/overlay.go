@@ -251,8 +251,8 @@ func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 			}
 		}
 	case wire.TLinkStateAck:
-		if q, ok := n.router.(*core.Quorum); ok {
-			q.HandleLinkStateAck(h, body)
+		if n.router != nil {
+			n.router.HandleLinkState(h, body)
 		}
 	case wire.THeartbeatAck, wire.TViewChunk, wire.TGossipDelta,
 		wire.TViewPull, wire.TViewPullReply:

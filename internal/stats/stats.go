@@ -137,6 +137,21 @@ func SelectKth(vals []float64, k int) float64 {
 	return vals[k]
 }
 
+// MeanMax returns the mean and the maximum of vals, both 0 for none. The
+// maximum starts at 0: the harness averages only non-negative samples.
+func MeanMax(vals []float64) (mean, max float64) {
+	if len(vals) == 0 {
+		return 0, 0
+	}
+	for _, v := range vals {
+		mean += v
+		if v > max {
+			max = v
+		}
+	}
+	return mean / float64(len(vals)), max
+}
+
 // EWMA folds observation x into the exponentially weighted moving average avg
 // with smoothing factor alpha and returns alpha*x + (1-alpha)*avg. The first
 // sample (seeded false) seeds the average directly, as in RON's latency

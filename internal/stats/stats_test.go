@@ -177,5 +177,16 @@ func TestSelectKthMatchesSort(t *testing.T) {
 	}
 }
 
+func TestMeanMax(t *testing.T) {
+	m, mx := MeanMax([]float64{1, 2, 3})
+	if m != 2 || mx != 3 {
+		t.Errorf("MeanMax = %f, %f", m, mx)
+	}
+	m, mx = MeanMax(nil)
+	if m != 0 || mx != 0 {
+		t.Error("empty MeanMax nonzero")
+	}
+}
+
 // N returns the number of samples.
 func (c *CDF) N() int { return len(c.vals) }

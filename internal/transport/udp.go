@@ -21,8 +21,8 @@ import (
 // Locking: mu is held while any handler, timer function, or Do body runs, and
 // the read loop learns a sender's address under it too. Every other Env method
 // runs only inside one of those callbacks, so none takes a lock of its own;
-// setup code outside a callback calls them through Do. LocalAddr, SendTo,
-// SendErrors and Close are safe from any goroutine.
+// setup code outside a callback calls them through Do. LocalAddr, SendErrors
+// and Close are safe from any goroutine.
 type UDPEnv struct {
 	mu      sync.Mutex // serializes handler/timer/Do callbacks
 	conn    *net.UDPConn
@@ -129,7 +129,8 @@ func (e *UDPEnv) SetPeer(id wire.NodeID, addr netip.AddrPort) {
 func (e *UDPEnv) Now() time.Time { return time.Now() }
 
 // Send implements Env. Unknown destinations are dropped silently, like any
-// misaddressed datagram.
+// misaddressed datagram. A write the socket refuses (a payload over
+// wire.MaxDatagram among them) is counted in SendErrors.
 func (e *UDPEnv) Send(to wire.NodeID, payload []byte) {
 	if e.closed.Load() {
 		return
@@ -138,14 +139,6 @@ func (e *UDPEnv) Send(to wire.NodeID, payload []byte) {
 	if !ok {
 		return
 	}
-	e.SendTo(addr, payload)
-}
-
-// SendTo transmits a datagram to an explicit address, used by the
-// coordinator to answer Join messages from nodes that have no ID yet. A write
-// the socket refuses (a payload over wire.MaxDatagram among them) is counted
-// in SendErrors.
-func (e *UDPEnv) SendTo(addr netip.AddrPort, payload []byte) {
 	if _, err := e.conn.WriteToUDPAddrPort(payload, addr); err != nil {
 		e.sendErr.Add(1)
 	}
