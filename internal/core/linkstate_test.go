@@ -140,8 +140,6 @@ func TestStrangerLinkStateTouchesNothing(t *testing.T) {
 				{"wrong row format", rowMessage(!tc.asym, 3, version, 9, m, 77)},
 			}
 			if tc.fullMesh {
-				// A full mesh sends no deltas, so a member's refusal is
-				// dropped with the other forms it does not take.
 				hostiles = append(hostiles, struct {
 					defect string
 					msg    []byte
