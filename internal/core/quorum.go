@@ -183,6 +183,7 @@ type Quorum struct {
 	order      []uint16        // round 2's layout (layout): per client, its place
 	runPos     []uint16        // per place in the run, its position in the full run
 	runSlot    []uint16        // per place in the run, its slot
+	runBits    []byte          // a bitmap over the full run of the positions in the run
 	selfAt     uint16          // this node's place
 	stage      []wire.RecEntry // the tick's entries about failover clients and theirs (staged), none past it
 }
@@ -501,7 +502,9 @@ func (q *Quorum) sendRecommendations() {
 // in the full run, the run less nobody, and the default client is sent the
 // run form, whose bitmap names those positions (wire.NewRecommendationRun). A
 // failover client holds no run for this node and is sent the explicit form.
-// The tick's changed marks (recBase.note) start clear, and the stage is
+// runBits marks the run's positions in the full run: every default client's
+// bitmap is it less the client's own bit (wire.PutRecRun). The tick's changed
+// marks (recBase.note) start clear, and the stage is
 // allocated for its failover clients, if any: it lives for the tick, for a
 // node that once served many failover clients should not keep room for them.
 func (q *Quorum) layout(clients []int) {
@@ -536,6 +539,10 @@ func (q *Quorum) layout(clients []int) {
 		if o == noSlot {
 			q.order[i], failover = failover, failover+1
 		}
+	}
+	q.runBits = cleared(q.runBits, marksLen(len(q.servers)+2)) // a bit per position of the full run
+	for _, p := range q.runPos {
+		mark(q.runBits, int(p))
 	}
 	clear(q.base.changed)
 	q.stage = make([]wire.RecEntry, (k+1-len(q.runPos))*(k+1+len(q.runPos)))

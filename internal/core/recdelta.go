@@ -258,20 +258,20 @@ func (q *Quorum) recommendation(mem []byte, to uint16, form recForm) []byte {
 	default:
 		msg = wire.NewRecommendationRun(mem, src, version, q.seq, len(q.servers), int(run)-1, extra)
 	}
+	if to < run {
+		wire.PutRecRun(msg, q.runBits, int(q.runPos[to]))
+	}
 	e := 0
 	for of := range uint16(k + 1) {
 		switch {
 		case of == to, form == formAnswer && of >= run:
 			continue
-		case to < run && of < run:
+		case form == formDelta && of < run:
 			i := place(q.runPos[to], q.runPos[of])
-			wire.MarkRecRun(msg, i)
-			if form == formDelta {
-				if marks[i/8]>>(i%8)&1 == 0 {
-					continue
-				}
-				wire.MarkRecChanged(msg, e, i)
+			if marks[i/8]>>(i%8)&1 == 0 {
+				continue
 			}
+			wire.MarkRecChanged(msg, e, i)
 		}
 		wire.PutRecEntry(msg, e, q.entry(to, of))
 		e++

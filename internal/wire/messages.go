@@ -507,9 +507,33 @@ func newRun(msg []byte, src NodeID, viewVersion, seq uint32, word uint16, extra 
 // MarkRecRun sets bit i of a run-form or delta-form message's bitmap: the
 // run's i-th destination is named.
 //
-//lint:allocfree
+//lint:testonly TestRunFormRecommendationWalk and TestHostileRecommendationDeltasTouchNothing (core) name positions one by one
 func MarkRecRun(msg []byte, i int) {
 	msg[HeaderLen+recRunFixed+i/8] |= 1 << (i % 8)
+}
+
+// PutRecRun writes the bitmap of msg, a run-form or delta-form message, from
+// bits, a bitmap over the addressee's run and the addressee itself at
+// position cut: the addressee's bit drops out and every bit past it moves
+// down one place. A rendezvous builds bits once a tick for all its clients.
+//
+//lint:allocfree
+func PutRecRun(msg, bits []byte, cut int) {
+	dst := msg[HeaderLen+recRunFixed:][:bitmapLen(runLen(msg[HeaderLen:]))]
+	w := cut / 8
+	copy(dst[:w], bits[:w])
+	for b := w; b < len(dst); b++ {
+		var next byte
+		if b+1 < len(bits) {
+			next = bits[b+1]
+		}
+		v := bits[b]>>1 | next<<7
+		if b == w {
+			low := byte(1)<<(cut%8) - 1
+			v = bits[b]&low | v&^low
+		}
+		dst[b] = v
+	}
 }
 
 // MarkRecChanged marks run position i as the k-th changed one of msg, a whole

@@ -385,6 +385,37 @@ func TestRecommendationRunForm(t *testing.T) {
 	}
 }
 
+// TestPutRecRunCutsTheAddressee: PutRecRun writes the bitmap MarkRecRun
+// would, bit by bit, from a bitmap over the run and its addressee, at every
+// run length across byte edges and every addressee position.
+func TestPutRecRunCutsTheAddressee(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for m := 1; m <= 26; m++ {
+		bits := make([]byte, bitmapLen(m))
+		for p := range m {
+			if rng.Intn(3) != 0 {
+				bits[p/8] |= 1 << (p % 8)
+			}
+		}
+		for cut := range m {
+			want := NewRecommendationRun(nil, 1, 1, 1, m-1, 0, 0)
+			for p := range m {
+				if p != cut && bits[p/8]>>(p%8)&1 != 0 {
+					if p > cut {
+						p--
+					}
+					MarkRecRun(want, p)
+				}
+			}
+			got := NewRecommendationRun(nil, 1, 1, 1, m-1, 0, 0)
+			PutRecRun(got, bits, cut)
+			if !bytes.Equal(got, want) {
+				t.Errorf("run %d, cut %d of %08b: wrote %x, want %x", m-1, cut, bits, got, want)
+			}
+		}
+	}
+}
+
 // TestRecommendationBodyRefusals: a run-form body is refused, without an
 // allocation, when it is cut anywhere, when its bitmap has a bit past the run
 // or a bit too few or too many for its named entries, and when anything
