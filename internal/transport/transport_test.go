@@ -271,6 +271,60 @@ func TestUDPEnvRoundTrip(t *testing.T) {
 	})
 }
 
+// TestUDPEnvForgedSourceDoesNotRedirect: over loopback, a datagram whose
+// header forges the ID of a member the env has an address for does not
+// redirect the env's traffic to that member: the forger hears nothing, the
+// member what is sent to it.
+func TestUDPEnvForgedSourceDoesNotRedirect(t *testing.T) {
+	var envs [3]*UDPEnv // the member, the receiver, the forger
+	for i := range envs {
+		e, err := NewUDPEnv("127.0.0.1:0", netip.AddrPort{}, int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		envs[i] = e
+	}
+	member, receiver, forger := envs[0], envs[1], envs[2]
+	heard := make(chan struct{}, 8)
+	forged := make(chan struct{}, 8)
+	receiver.Do(func() {
+		receiver.SetLocalID(2)
+		receiver.SetPeer(1, member.LocalAddr())
+		receiver.SetPeer(3, forger.LocalAddr())
+		receiver.Bind(func(from wire.NodeID, _ []byte) {
+			if from == 1 {
+				forged <- struct{}{}
+			}
+		})
+	})
+	member.Do(func() { member.Bind(func(wire.NodeID, []byte) { heard <- struct{}{} }) })
+	misled := make(chan struct{}, 8)
+	forger.Do(func() {
+		forger.SetPeer(2, receiver.LocalAddr())
+		forger.Bind(func(wire.NodeID, []byte) { misled <- struct{}{} })
+		forger.Send(2, wire.AppendHeartbeat(nil, 1)) // claims to be member 1
+	})
+	select {
+	case <-forged:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timeout waiting for the forged datagram")
+	}
+	receiver.Do(func() { receiver.Send(1, wire.AppendHeartbeat(nil, 2)) })
+	select {
+	case <-heard:
+	case <-misled:
+		t.Fatal("a forged header redirected the member's traffic to the forger")
+	case <-time.After(5 * time.Second):
+		t.Fatal("timeout waiting for the member to hear the receiver")
+	}
+	select {
+	case <-misled:
+		t.Fatal("the forger heard what was sent to the member")
+	case <-time.After(100 * time.Millisecond):
+	}
+}
+
 // TestUDPEnvDatagramCeiling: over loopback a payload of exactly
 // wire.MaxDatagram arrives whole through the receive buffer sized to it, and
 // one byte more is refused by the socket and counted instead of discarded.

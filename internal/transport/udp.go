@@ -19,7 +19,7 @@ import (
 // the same single-threaded discipline it enjoys under simulation.
 //
 // Locking: mu is held while any handler, timer function, or Do body runs, and
-// the read loop learns a sender's address under it too. Every other Env method
+// the read loop learns an unknown sender's address under it too. Every other Env method
 // runs only inside one of those callbacks, so none takes a lock of its own;
 // setup code outside a callback calls them through Do. LocalAddr, SendErrors
 // and Close are safe from any goroutine.
@@ -95,9 +95,11 @@ func (e *UDPEnv) readLoop() {
 		}
 		e.mu.Lock()
 		if !e.closed.Load() {
-			// Learn/refresh the sender's address opportunistically so replies
-			// work even before a full view arrives.
-			if h.Src != wire.NilNode {
+			// A datagram's header is not authenticated, so it only names the
+			// address of an ID that has none (a joiner the view does not list
+			// yet): a view or a join (SetPeer) is the authority on any other,
+			// and a forged header redirects no member's traffic.
+			if _, known := e.peers[h.Src]; !known && h.Src != wire.NilNode {
 				e.peers[h.Src] = raddr
 			}
 			if e.handler != nil {
