@@ -78,6 +78,12 @@ type Params struct {
 	// (wire.RecommendationDeltaSize). Zero RecDeltas models every
 	// recommendation in full.
 	RecDeltas, RecChanged float64
+	// Shared, when positive, is the share of the quorum's rows that ride
+	// behind a recommendation to the same peer (wire.PutRide): such a row
+	// pays no packet overhead and no source ID. Zero Shared sends every row
+	// in a datagram of its own, the paper's law, whose implementation paid
+	// the overhead once per round.
+	Shared float64
 }
 
 func (p *Params) fill() {
@@ -107,7 +113,7 @@ func (p Params) FullMeshRouting(n int) float64 {
 // recommendation messages of k entries each (round 2, both directions). A
 // rendezvous sends each grid client the run form, whose run — its other
 // clients and itself — is k long and whose every entry is named by it, or
-// its delta.
+// its delta; the Shared rows ride behind them.
 func (p Params) QuorumRouting(n int) float64 {
 	p.fill()
 	k := QuorumDegree(n)
@@ -128,7 +134,7 @@ func (p Params) QuorumRouting(n int) float64 {
 		}
 		row += p.Deltas * (delta - row)
 	}
-	row += float64(p.Overhead)
+	row += float64(p.Overhead) - p.Shared*float64(p.Overhead+wire.HeaderLen-1) // a riding row's overhead and source ID
 	perInterval := 2*float64(k)*row + 2*float64(k)*rec
 	return perInterval * bitsPerByte / p.QuorumInterval.Seconds()
 }

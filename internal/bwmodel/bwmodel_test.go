@@ -135,3 +135,32 @@ func TestParamsIntervalScaling(t *testing.T) {
 		t.Errorf("interval scaling wrong: %v vs %v", ra, rb)
 	}
 }
+
+// TestSharedRowsHalveTheOverheadTerm: with every row riding behind a
+// recommendation (Shared 1) a pairing pays one packet overhead an interval
+// each way, not two, so the term the overhead buys, 4k·46 bytes an interval
+// in the paper's law (196.3·√n), halves to 2k·46 (≈ 98·√n), and each row
+// sheds its 2-byte source ID as well.
+func TestSharedRowsHalveTheOverheadTerm(t *testing.T) {
+	const perInterval = 8 / 15.0 // bits a byte, a byte an interval, in bps
+	for _, n := range []int{16, 144, 1024} {
+		k := float64(QuorumDegree(n))
+		perByte := func(p Params) float64 { // bps one more byte of overhead costs
+			q := p
+			q.Overhead++
+			return q.QuorumRouting(n) - p.QuorumRouting(n)
+		}
+		paper, shared := perByte(Params{Overhead: 46}), perByte(Params{Overhead: 46, Shared: 1})
+		if math.Abs(paper-4*k*perInterval) > 1e-9 || math.Abs(shared-2*k*perInterval) > 1e-9 {
+			t.Errorf("n=%d: a byte of overhead costs %.4f bps with rows alone and %.4f riding, want %.4f and %.4f", n, paper, shared, 4*k*perInterval, 2*k*perInterval)
+		}
+		saved := Params{}.QuorumRouting(n) - Params{Shared: 1}.QuorumRouting(n)
+		if want := 2 * k * (46 + 2) * perInterval; math.Abs(saved-want) > 1e-9 {
+			t.Errorf("n=%d: riding rows save %.3f bps, want %.3f", n, saved, want)
+		}
+	}
+	// 4k·46 bytes an interval at k = 2√n is the paper's √n coefficient.
+	if c := 4 * 2 * 46 * perInterval; math.Abs(c-196.3) > 0.05 {
+		t.Errorf("the overhead term reads %.2f·√n, the paper's is 196.3·√n", c)
+	}
+}

@@ -75,18 +75,7 @@ func newAsymCluster(t *testing.T, n int, seed int64) *asymCluster {
 			return row
 		}
 		q.LinkAlive = func(slot int) bool { return slot == i || !c.dead[i][slot] }
-		env.Bind(func(from wire.NodeID, payload []byte) {
-			h, body, err := wire.ParseHeader(payload)
-			if err != nil {
-				return
-			}
-			switch h.Type {
-			case wire.TLinkState, wire.TLinkStateAsym, wire.TLinkStateDelta, wire.TLinkStateAck:
-				q.HandleLinkState(h, body)
-			case wire.TRecommendation:
-				q.HandleRecommendation(h, body)
-			}
-		})
+		env.Bind(func(from wire.NodeID, payload []byte) { deliver(q, payload) })
 		c.routers = append(c.routers, q)
 		// Staggered ticks.
 		offset := time.Duration(i) * 15 * time.Second / time.Duration(n)
@@ -125,7 +114,11 @@ func (c *asymCluster) oracle(a, b int) wire.Cost {
 
 func TestAsymmetricQuorumFindsDirectionalOptima(t *testing.T) {
 	c := newAsymCluster(t, 25, 7)
+	rides := countRides(c.nw, wire.TLinkStateAsym) // directional rows ride too
 	c.nw.RunFor(4 * 15 * time.Second)
+	if *rides == 0 {
+		t.Error("no directional row rode behind a recommendation")
+	}
 
 	asymmetricPairs := 0
 	for a := 0; a < c.n; a++ {

@@ -177,7 +177,9 @@ type Quorum struct {
 
 	// scratch buffers reused across ticks.
 	live       []bool // per destination: some default rendezvous is live
-	clientsBuf []int
+	clientsBuf []int  // round 2's clients, the fresh ones, ascending
+	rowTo      []int  // the servers round 1 sends rows to (activeServers)
+	rode       []int  // those whose row rode behind a recommendation this tick
 	hopBuf     []lsdb.HopCost
 	srcBuf     []wire.Cost     // masked source row of round 2's kernel calls
 	order      []uint16        // round 2's layout (layout): per client, its place
@@ -321,8 +323,7 @@ func (q *Quorum) Grid() *grid.Grid { return q.g }
 // plus the failure-detection pass.
 func (q *Quorum) Tick() {
 	q.expire()
-	q.sendLinkState()
-	q.sendRecommendations()
+	q.sendRounds(q.linkState())
 	q.detectFailures()
 }
 
@@ -350,27 +351,25 @@ func (q *Quorum) activeServers(dst []int) []int {
 	return dst
 }
 
-// sendLinkState is round 1: the node's measured row goes to every active
-// rendezvous server. In reliable mode each server owes an ack; rows still
-// unacknowledged after retransmitTimeout are resent once.
-func (q *Quorum) sendLinkState() {
+// linkState is round 1: the node's measured row, in full or as a delta, for
+// every active rendezvous server (rowTo), which sendRounds sends it. In
+// reliable mode each server owes an ack; rows still unacknowledged after
+// retransmitTimeout are resent once, alone.
+func (q *Quorum) linkState() []byte {
 	msg := q.announce()
-	q.clientsBuf = q.activeServers(q.clientsBuf[:0])
-	if d := q.delta(q.clientsBuf); d != nil {
+	q.rowTo = q.activeServers(q.rowTo[:0])
+	if d := q.delta(q.rowTo); d != nil {
 		msg = d
 	}
-	for _, s := range q.clientsBuf {
-		q.env.Send(q.view.IDAt(s), msg)
-		q.stats.LinkStatesSent++
-		if q.cfg.ReliableLinkState {
+	if q.cfg.ReliableLinkState && len(q.rowTo) > 0 {
+		for _, s := range q.rowTo {
 			q.pendingAcks[s] = q.seq
 		}
-	}
-	if q.cfg.ReliableLinkState && len(q.clientsBuf) > 0 {
 		seq := q.seq
 		view := q.view
 		q.env.After(retransmitTimeout, func() { q.retransmit(seq, view.VersionNum(), msg) })
 	}
+	return msg
 }
 
 // retransmit resends the round-1 row to servers that never acknowledged it,
@@ -431,10 +430,39 @@ func (q *Quorum) sendsRowsTo(slot int) bool {
 	return false
 }
 
-// sendRecommendations is round 2: acting as a rendezvous server, compute the
-// best one-hop route for every pair of clients with fresh rows and send each
-// client one message covering all its pairs. The node also serves itself:
-// routes between it and each client are computed and installed locally.
+// sendRounds is both rounds' one send pass: round 2's message to each client
+// with a fresh row here (recommend), then round 1's row to every server in
+// rowTo.
+//
+// A server of this node is one of its default clients, and the other way
+// round (the grid relation is symmetric). When round 1 sends such a client
+// the row and round 2 the run form or its delta, the row rides behind the
+// recommendation in one datagram (wire.PutRide), but for a pair too large
+// for one. Every other row goes alone, after the recommendations: to a
+// failover server, or to a default server whose row this node holds none of
+// fresh.
+func (q *Quorum) sendRounds(row []byte) {
+	now := q.env.Now()
+	clients := q.table.FreshSlots(q.clientsBuf[:0], now, q.cfg.Staleness)
+	q.clientsBuf = clients
+	q.base.deltas, q.base.answered = q.base.deltas[:0], q.base.answered[:0]
+	q.rode = q.rode[:0]
+	if len(clients) > 0 {
+		q.recommend(clients, row)
+	}
+	for _, s := range q.rowTo {
+		if !slices.Contains(q.rode, s) {
+			q.env.Send(q.view.IDAt(s), row)
+			q.stats.LinkStatesSent++
+		}
+	}
+}
+
+// recommend is round 2: acting as a rendezvous server, compute the best
+// one-hop route for every pair of clients, the fresh ones, and send each
+// client one message covering all its pairs, round 1's row riding behind it
+// where it may (ride). The node also serves itself: routes between it and
+// each client are computed and installed locally.
 //
 // Every pair is evaluated every interval (§3), per direction — a→b from a's
 // out-costs and b's in-costs, b→a the other way round — except that on a
@@ -442,14 +470,8 @@ func (q *Quorum) sendsRowsTo(slot int) bool {
 // forward slice. The kernel passes leave every pair of the run in the base
 // and stage the rest; then each message is written once (recommendation), a
 // default client's as a delta when it pays (recForm).
-func (q *Quorum) sendRecommendations() {
+func (q *Quorum) recommend(clients []int, row []byte) {
 	now := q.env.Now()
-	clients := q.table.FreshSlots(q.clientsBuf[:0], now, q.cfg.Staleness)
-	q.clientsBuf = clients
-	q.base.deltas, q.base.answered = q.base.deltas[:0], q.base.answered[:0]
-	if len(clients) == 0 {
-		return
-	}
 	q.layout(clients)
 	q.clientPairs(clients)
 
@@ -467,18 +489,26 @@ func (q *Quorum) sendRecommendations() {
 			*q.staged(o, q.selfAt) = wire.RecEntry{Dst: src, Hop: q.hopID(back.Hop), Cost: back.Cost}
 		}
 	}
-	// Every size is known now: the messages are allocated together, afresh,
+	// Every size is known now: the datagrams are allocated together, afresh,
 	// for the network keeps a payload until delivery.
 	refused, total := q.refusals(), 0
 	for i, c := range clients {
-		total += q.recSize(q.order[i], q.recForm(refused(c), q.order[i]))
+		n := q.recSize(q.order[i], q.recForm(refused(c), q.order[i]))
+		total += n + q.ride(i, n, row)
 	}
 	mem := make([]byte, total)
 	for i, c := range clients {
 		form := q.recForm(refused(c), q.order[i])
 		n := q.recSize(q.order[i], form)
+		ride := q.ride(i, n, row)
 		msg := q.recommendation(mem[:n:n], q.order[i], form)
-		mem = mem[n:]
+		if ride > 0 {
+			wire.PutRide(mem[n:n+ride], row)
+			msg = mem[: n+ride : n+ride]
+			q.rode = append(q.rode, c)
+			q.stats.LinkStatesSent++
+		}
+		mem = mem[n+ride:]
 		if form == formDelta {
 			q.base.deltas = append(q.base.deltas, uint16(c))
 		}
@@ -489,6 +519,19 @@ func (q *Quorum) sendRecommendations() {
 		q.base.at[p] = q.seq
 	}
 	q.stage = nil
+}
+
+// ride returns how many bytes round 1's row adds riding behind the n-byte
+// message to clients[i]: wire.RideSize(row) when that is a default client,
+// sent the run form or its delta, that round 1 sends the row to (rowTo), and
+// the two fit one datagram, else 0.
+//
+//lint:allocfree
+func (q *Quorum) ride(i, n int, row []byte) int {
+	if int(q.order[i]) >= len(q.runPos) || !slices.Contains(q.rowTo, q.clientsBuf[i]) || n+wire.RideSize(row) > wire.MaxDatagram {
+		return 0
+	}
+	return wire.RideSize(row)
 }
 
 // layout lays out round 2's messages to clients. Every message lists this

@@ -82,18 +82,7 @@ func newCluster(t *testing.T, n int, seed int64, algo string, qcfg QuorumConfig)
 		if q, ok := r.(*Quorum); ok {
 			q.LinkAlive = func(slot int) bool { return slot == i || !c.dead[i][slot] }
 		}
-		env.Bind(func(from wire.NodeID, payload []byte) {
-			h, body, err := wire.ParseHeader(payload)
-			if err != nil {
-				return
-			}
-			switch h.Type {
-			case wire.TLinkState, wire.TLinkStateDelta, wire.TLinkStateAck:
-				r.HandleLinkState(h, body)
-			case wire.TRecommendation:
-				r.HandleRecommendation(h, body)
-			}
-		})
+		env.Bind(func(from wire.NodeID, payload []byte) { deliver(r, payload) })
 		c.envs = append(c.envs, env)
 		c.routers = append(c.routers, r)
 	}
@@ -110,6 +99,44 @@ func newCluster(t *testing.T, n int, seed int64, algo string, qcfg QuorumConfig)
 		c.envs[i].After(offset, tick)
 	}
 	return c
+}
+
+// deliver hands r a routing datagram as the overlay node does: a row riding
+// behind a recommendation first, then the recommendation, and nothing of a
+// datagram either part of which is malformed.
+func deliver(r Router, payload []byte) {
+	h, body, err := wire.ParseHeader(payload)
+	if err != nil {
+		return
+	}
+	switch h.Type {
+	case wire.TLinkState, wire.TLinkStateAsym, wire.TLinkStateDelta, wire.TLinkStateAck:
+		r.HandleLinkState(h, body)
+	case wire.TRecommendation:
+		form, _ := rowsOf(r).form()
+		rec, rowType, row, err := wire.SplitRecommendation(body, form)
+		if err != nil {
+			return
+		}
+		if row != nil {
+			r.HandleLinkState(wire.Header{Type: rowType, Src: h.Src}, row)
+		}
+		r.HandleRecommendation(h, rec)
+	}
+}
+
+// countRides counts, from now on, the datagrams nw carries with a row, or a
+// delta, of row type form riding behind a recommendation.
+func countRides(nw *simnet.Network, form wire.MsgType) *int {
+	rides := new(int)
+	nw.OnSend = func(from, to int, p []byte) {
+		if h, body, err := wire.ParseHeader(p); err == nil && h.Type == wire.TRecommendation {
+			if _, _, row, err := wire.SplitRecommendation(body, form); err == nil && row != nil {
+				*rides++
+			}
+		}
+	}
+	return rides
 }
 
 // newRouter builds the router algo names ("quorum" or "fullmesh") for the
@@ -550,9 +577,14 @@ func TestReliableLinkStateRetransmits(t *testing.T) {
 }
 
 func TestReliableModeAcksStopRetransmission(t *testing.T) {
-	// On a lossless network reliable mode must not retransmit at all.
+	// On a lossless network reliable mode must not retransmit at all: each
+	// row is acked at its seq, a row riding behind a recommendation too.
 	c := newCluster(t, 9, 43, "quorum", QuorumConfig{Interval: 15 * time.Second, ReliableLinkState: true})
+	rides := countRides(c.nw, wire.TLinkState)
 	c.nw.RunFor(2 * time.Minute)
+	if *rides == 0 {
+		t.Error("no row rode behind a recommendation")
+	}
 	for i, router := range c.routers {
 		if got := router.(*Quorum).Stats().Retransmits; got != 0 {
 			t.Errorf("node %d retransmitted %d times on a lossless network", i, got)
@@ -592,7 +624,7 @@ func TestRetransmitSurvivesFailoverRecruitment(t *testing.T) {
 	q.LinkAlive = func(slot int) bool { return true }
 
 	// Round 1: no other endpoints exist, so no acks ever arrive.
-	q.sendLinkState()
+	q.sendRounds(q.linkState())
 	pending := 0
 	for _, seq := range q.pendingAcks {
 		if seq != 0 {
@@ -618,18 +650,37 @@ func TestRetransmitSurvivesFailoverRecruitment(t *testing.T) {
 }
 
 // recordingEnv digests what its router sends instead of delivering it, so a
-// router's output can be pinned byte for byte, and keeps the last payload
-// sent to each addressee.
+// router's output can be pinned byte for byte: in sent each recommendation,
+// in rows each row, alone or riding behind a recommendation (its type byte
+// and body), both addressee first. It keeps the last recommendation sent to
+// each addressee, without the row behind it.
 type recordingEnv struct {
 	*transport.SimEnv
-	sent hash.Hash
-	last map[wire.NodeID][]byte
+	form       wire.MsgType // the row form of its router's table
+	sent, rows hash.Hash
+	last       map[wire.NodeID][]byte
 }
 
 func (e *recordingEnv) Send(to wire.NodeID, payload []byte) {
-	e.sent.Write([]byte{byte(to >> 8), byte(to)})
-	e.sent.Write(payload)
-	e.last[to] = payload
+	addressee := []byte{byte(to >> 8), byte(to)}
+	h, body, err := wire.ParseHeader(payload)
+	if err != nil || h.Type != wire.TRecommendation {
+		e.rows.Write(addressee)
+		e.rows.Write(payload)
+		return
+	}
+	rec, _, row, err := wire.SplitRecommendation(body, e.form)
+	if err != nil {
+		panic(err)
+	}
+	msg := payload[:wire.HeaderLen+len(rec)]
+	e.sent.Write(addressee)
+	e.sent.Write(msg)
+	e.last[to] = msg
+	if row != nil {
+		e.rows.Write(addressee)
+		e.rows.Write(payload[len(msg):])
+	}
 }
 
 // round2Fixture builds a rendezvous at slot 0 of a 625-slot static view
@@ -663,7 +714,10 @@ func round2Fixture(tb testing.TB, directional bool) (*Quorum, *recordingEnv) {
 		}
 		return row
 	}
-	env := &recordingEnv{SimEnv: transport.NewSimEnv(simnet.New(1, 1), transport.NewRegistry(), 0, 1), sent: sha256.New(), last: map[wire.NodeID][]byte{}}
+	env := &recordingEnv{SimEnv: transport.NewSimEnv(simnet.New(1, 1), transport.NewRegistry(), 0, 1), form: wire.TLinkState, sent: sha256.New(), rows: sha256.New(), last: map[wire.NodeID][]byte{}}
+	if directional {
+		env.form = wire.TLinkStateAsym
+	}
 	env.SetLocalID(0)
 	q, err := NewQuorum(env, QuorumConfig{Asymmetric: directional}, view, 0)
 	if err != nil {
@@ -682,44 +736,54 @@ func round2Fixture(tb testing.TB, directional bool) (*Quorum, *recordingEnv) {
 	return q, env
 }
 
-// TestQuorumRound2Golden pins the bytes round 2 sends: the SHA-256 of every
-// recommendation, addressee first, in send order, on round2Fixture's
-// symmetric and directional tables.
+// TestQuorumRound2Golden pins the bytes one interval sends on
+// round2Fixture's symmetric and directional tables: the SHA-256 of every
+// recommendation, and apart that of every row, each addressee first, in send
+// order (recordingEnv). Every client is a server sent the row, which rides
+// behind its recommendation. Round 2 runs at seq 0, as it did when its
+// recommendations were pinned alone, and the row is seq 1's.
 func TestQuorumRound2Golden(t *testing.T) {
 	for _, tc := range []struct {
 		directional bool
-		want        string
+		recs, rows  string
 	}{
-		{false, "1d393f43aa1e29433327b1cdd987d37d2c9d737858ea8625f9877feb7591b912"},
-		{true, "cc396acb361c899392b87697d2b3d837b553574ce415b717ddd0efbb44ed1e4d"},
+		{false, "1d393f43aa1e29433327b1cdd987d37d2c9d737858ea8625f9877feb7591b912", ""},
+		{true, "cc396acb361c899392b87697d2b3d837b553574ce415b717ddd0efbb44ed1e4d", ""},
 	} {
 		q, env := round2Fixture(t, tc.directional)
-		q.sendRecommendations()
-		if st := q.Stats(); st.RecommendationsSent != uint64(len(q.Grid().Clients(0))) {
-			t.Fatalf("directional=%v: %d recommendations for %d clients", tc.directional, st.RecommendationsSent, len(q.Grid().Clients(0)))
+		row := q.linkState()
+		q.seq = 0
+		q.sendRounds(row)
+		clients := uint64(len(q.Grid().Clients(0)))
+		if st := q.Stats(); st.RecommendationsSent != clients || st.LinkStatesSent != clients || len(q.rode) != len(q.rowTo) {
+			t.Fatalf("directional=%v: %d recommendations and %d rows, %d of them riding, for %d clients", tc.directional, st.RecommendationsSent, st.LinkStatesSent, len(q.rode), clients)
 		}
-		if got := hex.EncodeToString(env.sent.Sum(nil)); got != tc.want {
-			t.Errorf("directional=%v: round 2 sent %s, want %s", tc.directional, got, tc.want)
+		if got := hex.EncodeToString(env.sent.Sum(nil)); got != tc.recs {
+			t.Errorf("directional=%v: round 2 sent %s, want %s", tc.directional, got, tc.recs)
+		}
+		if got := hex.EncodeToString(env.rows.Sum(nil)); got != tc.rows {
+			t.Errorf("directional=%v: round 1 sent %s, want %s", tc.directional, got, tc.rows)
 		}
 	}
 }
 
-// TestQuorumRound2GoldenTicks pins the bytes of three round-2 intervals and a
-// refusal's answer: the SHA-256 of every datagram, addressee first, in send
-// order, on round2Fixture's symmetric and directional tables. Interval 1 goes
-// in full. Then five client rows change, the link to one client turns lossy
+// TestQuorumRound2GoldenTicks pins the bytes of three intervals and a
+// refusal's answer: the SHA-256 of every recommendation, and apart that of
+// every row, each addressee first, in send order (recordingEnv), on
+// round2Fixture's symmetric and directional tables. Interval 1 goes in full. Then five client rows change, the link to one client turns lossy
 // enough that its delta does not pay, and slot 601, no grid client of slot
 // 0, sends it a row as to a failover rendezvous: interval 2 goes in deltas
 // but to that client and the dead links' clients, with explicit entries about
 // slot 601 in both run forms and an explicit-form message to it. Interval 3
 // follows, and a delta recipient refuses its message, which is answered.
+// The rows ride behind the recommendations, as deltas from interval 2.
 func TestQuorumRound2GoldenTicks(t *testing.T) {
 	for _, tc := range []struct {
 		directional bool
-		want        string
+		recs, rows  string
 	}{
-		{false, "01c6ead576ade07b5d87ccfbed40d02436e56c6be2ddb196329c4a11291fc086"},
-		{true, "0e4fac65d903b50a491686c79ed7bb3812c277503447fe4805aaaa1eff2940f0"},
+		{false, "01c6ead576ade07b5d87ccfbed40d02436e56c6be2ddb196329c4a11291fc086", ""},
+		{true, "0e4fac65d903b50a491686c79ed7bb3812c277503447fe4805aaaa1eff2940f0", ""},
 	} {
 		q, env := round2Fixture(t, tc.directional)
 		n, clients := q.view.Slots(), q.Grid().Clients(0)
@@ -741,8 +805,8 @@ func TestQuorumRound2GoldenTicks(t *testing.T) {
 			q.Table().Put(s, lsdb.Row{Seq: 2, When: env.Now(), Entries: sym})
 		}
 		interval := func(seq uint32) {
-			q.seq = seq
-			q.sendRecommendations()
+			q.seq = seq - 1
+			q.sendRounds(q.linkState())
 		}
 		interval(1)
 
@@ -784,8 +848,11 @@ func TestQuorumRound2GoldenTicks(t *testing.T) {
 		if _, answered := env.last[refuser]; !answered {
 			t.Fatalf("directional=%v: the refusal was not answered", tc.directional)
 		}
-		if got := hex.EncodeToString(env.sent.Sum(nil)); got != tc.want {
-			t.Errorf("directional=%v: round 2 sent %s, want %s", tc.directional, got, tc.want)
+		if got := hex.EncodeToString(env.sent.Sum(nil)); got != tc.recs {
+			t.Errorf("directional=%v: round 2 sent %s, want %s", tc.directional, got, tc.recs)
+		}
+		if got := hex.EncodeToString(env.rows.Sum(nil)); got != tc.rows {
+			t.Errorf("directional=%v: round 1 sent %s, want %s", tc.directional, got, tc.rows)
 		}
 	}
 }
@@ -802,7 +869,7 @@ func TestQuorumRound2SaysTheSame(t *testing.T) {
 		{true, "aa319d038bf04cff9403ccd1023436986cd398a88f890cb7020abb7ea5554c30"},
 	} {
 		q, env := round2Fixture(t, tc.directional)
-		q.sendRecommendations()
+		q.sendRounds(nil)
 		sum := sha256.New()
 		for _, c := range q.Grid().Clients(0) {
 			entries := decodeRound2(t, q, c, env.last[q.view.IDAt(c)])
@@ -870,9 +937,10 @@ func (quietEnv) Send(wire.NodeID, []byte) {}
 
 // TestQuorumRound2Allocs pins round 2's allocations a tick on round2Fixture,
 // its sends dropped and its self row a fixed slice: an interval in full and
-// one in deltas. Each allocates the tick's messages together and the refusal
-// odds' closure (rowCore.refusals), nothing else: no message is built to be
-// cut down into another.
+// one in deltas, round 1's row riding behind every recommendation. Each
+// allocates the tick's datagrams together and the refusal odds' closure
+// (rowCore.refusals), nothing else: no message is built to be cut down into
+// another, and no row is copied but into its datagram.
 func TestQuorumRound2Allocs(t *testing.T) {
 	for _, directional := range []bool{false, true} {
 		q, env := round2Fixture(t, directional)
@@ -880,10 +948,13 @@ func TestQuorumRound2Allocs(t *testing.T) {
 		sym, asym := q.SelfRow(), q.SelfAsymRow()
 		q.SelfRow = func() []wire.LinkEntry { return sym }
 		q.SelfAsymRow = func() []wire.AsymEntry { return asym }
-		q.seq = 1
-		q.sendRecommendations() // sizes the router's buffers
-		full := testing.AllocsPerRun(10, func() { q.seq = 1; q.sendRecommendations() })
-		delta := testing.AllocsPerRun(10, func() { q.seq++; q.sendRecommendations() })
+		row := q.linkState()
+		q.sendRounds(row) // sizes the router's buffers
+		if len(q.rode) != len(q.rowTo) || len(q.rode) == 0 {
+			t.Fatalf("directional=%v: %d of %d rows rode", directional, len(q.rode), len(q.rowTo))
+		}
+		full := testing.AllocsPerRun(10, func() { q.seq = 1; q.sendRounds(row) })
+		delta := testing.AllocsPerRun(10, func() { q.seq++; q.sendRounds(row) })
 		if full > 2 || delta > 2 {
 			t.Errorf("directional=%v: round 2 allocates %.0f times in full and %.0f in deltas, want at most 2 each", directional, full, delta)
 		}

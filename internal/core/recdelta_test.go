@@ -131,6 +131,94 @@ func TestHostileRecommendationDeltasTouchNothing(t *testing.T) {
 	}
 }
 
+// riding returns msg, a whole recommendation, with the whole round-1
+// message row riding behind it (wire.PutRide).
+func riding(msg, row []byte) []byte {
+	b := make([]byte, len(msg)+wire.RideSize(row))
+	copy(b, msg)
+	wire.PutRide(b[len(msg):], row)
+	return b
+}
+
+// TestHostileTrailersTouchNothing hands the quorum, as the overlay node
+// dispatches a datagram (deliver), a good run-form recommendation from its
+// default rendezvous k with what may not ride behind it: a probe, a
+// heartbeat, data or a link-state ack; k's row cut short or one byte long; a
+// row or a delta of the other table form; a row at another view version than
+// the recommendation's; and k's row behind a refusal. Each datagram is
+// dropped whole: no table row, clock, route or base moves, nothing is
+// allocated and nothing is sent. The same recommendation with k's row behind
+// it is taken whole, allocating nothing: the row, then the recommendation.
+func TestHostileTrailersTouchNothing(t *testing.T) {
+	q, advance := runFormFixture(t)
+	env := q.env.(*countingEnv)
+	k := q.servers[1]
+	id, version, members := wire.NodeID(k), q.view.VersionNum(), q.view.N()
+	slots, _ := q.rv.server(1)
+	run := len(slots)
+	all := make([]int, run)
+	for p := range all {
+		all[p] = p
+	}
+	// k's row at seq 6 and its message at seq 4, in full, are what q holds.
+	deliver(q, rowMessage(false, id, version, 6, members, 20))
+	whole := func(h wire.Header, body []byte) []byte { return append(wire.AppendHeader(nil, h.Type, h.Src), body...) }
+	h, body := runForm(q, k, run, all, nil)
+	binaryPutSeq(body, 4)
+	deliver(q, whole(h, body))
+	advance(time.Second)
+	if seq, _, _ := q.HeldRecommendation(k); seq != 4 || q.table.Seq(k) != 6 {
+		t.Fatalf("q holds k's message at seq %d and its row at seq %d, want 4 and 6", seq, q.table.Seq(k))
+	}
+	binaryPutSeq(body, 5)
+	rec := whole(h, body)
+	row := rowMessage(false, id, version, 7, members, 33)
+	refusal := wire.AppendRecommendation(nil, id, wire.Recommendation{ViewVersion: version})
+	for _, hostile := range []struct {
+		defect string
+		msg    []byte
+	}{
+		{"a probe", riding(rec, wire.AppendProbe(nil, id, wire.Probe{Seq: 1}))},
+		{"a heartbeat", riding(rec, wire.AppendHeartbeat(nil, id))},
+		{"data", riding(rec, wire.AppendData(nil, id, wire.Data{Origin: id, Dst: wire.NodeID(q.self), TTL: 2}))},
+		{"a link-state ack", riding(rec, wire.AppendLinkStateAck(nil, id, 7))},
+		{"a row cut short", riding(rec, row)[:len(rec)+wire.RideSize(row)-1]},
+		{"a row one byte long", append(riding(rec, row), 0)},
+		{"a row of the other table form", riding(rec, rowMessage(true, id, version, 7, members, 33))},
+		{"a delta of the other table form", riding(rec, wire.NewLinkStateDelta(id, version, 7, wire.TLinkStateAsym, members, 0))},
+		{"a row at another view version", riding(rec, rowMessage(false, id, version+1, 7, members, 33))},
+		{"a row behind a refusal", riding(refusal, row)},
+	} {
+		routes, heard, sent := slices.Clone(q.routes), clocks(q), env.sent
+		said, out := slices.Clone(q.rv.said), slices.Clone(q.table.OutRow(k))
+		if allocs := testing.AllocsPerRun(10, func() { deliver(q, hostile.msg) }); allocs != 0 {
+			t.Errorf("%s: dropping it allocates %.0f times", hostile.defect, allocs)
+		}
+		if !slices.Equal(q.routes, routes) || !reflect.DeepEqual(clocks(q), heard) || !slices.Equal(q.rv.said, said) || env.sent != sent {
+			t.Errorf("%s: the recommendation was taken", hostile.defect)
+		}
+		if q.table.Seq(k) != 6 || !slices.Equal(q.table.OutRow(k), out) {
+			t.Errorf("%s: the table holds k's row at seq %d", hostile.defect, q.table.Seq(k))
+		}
+		if seq, _, _ := q.HeldRecommendation(k); seq != 4 {
+			t.Errorf("%s: the base moved to seq %d", hostile.defect, seq)
+		}
+	}
+
+	// k's row behind its message is taken whole, allocating nothing.
+	good := riding(rec, row)
+	wantRoutes, wantHeard := expectRecommendation(q, h, body)
+	if allocs := testing.AllocsPerRun(1, func() { deliver(q, good) }); allocs != 0 {
+		t.Errorf("taking the row and the recommendation allocates %.0f times", allocs)
+	}
+	if !slices.Equal(q.routes, wantRoutes) || !reflect.DeepEqual(clocks(q), wantHeard) {
+		t.Error("the recommendation behind the row was not taken as it is alone")
+	}
+	if seq, _, _ := q.HeldRecommendation(k); seq != 5 || q.table.Seq(k) != 7 || q.table.OutRow(k)[q.self] != 33 {
+		t.Errorf("q holds k's message at seq %d and its row at seq %d, want 5 and 7", seq, q.table.Seq(k))
+	}
+}
+
 // binaryPutSeq writes seq into a run-form body.
 func binaryPutSeq(body []byte, seq uint32) {
 	body[6], body[7], body[8], body[9] = byte(seq>>24), byte(seq>>16), byte(seq>>8), byte(seq)
@@ -190,10 +278,10 @@ func TestRecommendationRefusalAnswered(t *testing.T) {
 	for _, directional := range []bool{false, true} {
 		q, env := round2Fixture(t, directional)
 		q.seq = 1
-		q.sendRecommendations()
+		q.sendRounds(nil)
 		first := maps(env.last)
 		q.seq = 2
-		q.sendRecommendations()
+		q.sendRounds(nil)
 		clients := q.Grid().Clients(0)
 		var deltas []int
 		for _, c := range clients {
@@ -359,7 +447,7 @@ func testBasesSurviveInstalls(t *testing.T, directional bool) {
 		}
 		sender.seq++
 		load(sender, sender.seq)
-		sender.sendRecommendations()
+		sender.sendRounds(nil)
 		delta = map[int]bool{}
 		for len(box) > 0 {
 			m := box[0]
@@ -380,7 +468,7 @@ func testBasesSurviveInstalls(t *testing.T, directional bool) {
 		ref := newQuorum(rv, &full)
 		ref.seq = sender.seq
 		load(ref, sender.seq)
-		ref.sendRecommendations()
+		ref.sendRounds(nil)
 		for _, m := range full {
 			c := slot(m.to)
 			held, dsts, said := nodes[m.to].HeldRecommendation(rv)

@@ -296,7 +296,10 @@ func TestRunFormRecommendationRefusals(t *testing.T) {
 // FuzzRecommendationDecode feeds HandleRecommendation arbitrary bodies, in
 // any form, from any slot of runFormFixture's view: it must never panic or
 // allocate, and must leave the routes and clocks expectRecommendation decodes
-// from the grid and, for a delta, the base the router holds.
+// from the grid and, for a delta, the base the router holds. A body a row
+// rides behind is split first, as the overlay node splits it
+// (wire.SplitRecommendation), and the recommendation part is what is checked;
+// the seeds put a row behind each of the three forms.
 func FuzzRecommendationDecode(f *testing.F) {
 	q, _ := runFormFixture(f)
 	k := q.servers[2]
@@ -320,8 +323,15 @@ func FuzzRecommendationDecode(f *testing.F) {
 	f.Add(uint8(40), delta[wire.HeaderLen:])
 	delta = recDelta(q, k, 7, len(run), []int{1, len(run) - 1}, nil)
 	f.Add(uint8(k), delta[wire.HeaderLen:])
+	row := rowMessage(false, wire.NodeID(k), 1, 3, q.view.N(), 20)
+	for _, msg := range [][]byte{msg, delta, append(wire.AppendHeader(nil, wire.TRecommendation, wire.NodeID(k)), body...)} {
+		f.Add(uint8(k), riding(msg, row)[wire.HeaderLen:])
+	}
 	f.Fuzz(func(t *testing.T, from uint8, body []byte) {
 		h := wire.Header{Type: wire.TRecommendation, Src: wire.NodeID(from)}
+		if rec, _, _, err := wire.SplitRecommendation(body, wire.TLinkState); err == nil {
+			body = rec
+		}
 		checkRecommendation(t, q, "fuzzed", h, body)
 	})
 }

@@ -280,7 +280,7 @@ func TestUnresolvedLinkIsUnknownNotDead(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			q, _ := cornerQuorum(t, QuorumConfig{}, func(slot int) bool { return slot != 1 && slot != 3 })
 			q.LinkResolved = tc.resolved
-			q.sendLinkState()
+			q.sendRounds(q.linkState())
 			if rows := q.Stats().LinkStatesSent; rows != tc.rows {
 				t.Errorf("round 1 sent %d rows, want %d", rows, tc.rows)
 			}
@@ -598,7 +598,7 @@ func TestAckOutsideReliableModeIgnored(t *testing.T) {
 		t.Errorf("dropping an ack allocates %.0f times, want 0", allocs)
 	}
 	reliable, _ := cornerQuorum(t, QuorumConfig{ReliableLinkState: true}, nil)
-	reliable.sendLinkState()
+	reliable.sendRounds(reliable.linkState())
 	if reliable.pendingAcks[3] != reliable.seq {
 		t.Fatalf("reliable router awaits seq %d from slot 3, want %d", reliable.pendingAcks[3], reliable.seq)
 	}

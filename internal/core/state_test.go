@@ -162,7 +162,7 @@ func TestRecommendationsWrittenInPlaceMatchStagedEncoding(t *testing.T) {
 					q.table.Put(c, lsdb.Row{Seq: 1, When: env.Now(), Entries: symmetric(c)})
 				}
 			}
-			q.sendRecommendations()
+			q.sendRounds(nil)
 
 			fresh := q.table.FreshSlots(nil, env.Now(), q.cfg.Staleness) // client order: ascending slots
 			selfOut, selfIn := q.selfCosts()

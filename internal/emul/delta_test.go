@@ -88,12 +88,7 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 			// as a delta: refusals answered, and failover pushes.
 			deltas, refused, answers := 0, 0, 0
 			sentDelta := map[[2]int]bool{}
-			f.Net.OnSend = func(from, to int, p []byte) {
-				account(from, to, p)
-				h, body, err := wire.ParseHeader(p)
-				if err != nil {
-					return
-				}
+			sent := func(from, to int, h wire.Header, body []byte) {
 				var seq uint32
 				var got costs
 				switch h.Type {
@@ -114,8 +109,8 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 					deltas++
 					sentDelta[[2]int{from, int(seq)}] = true
 				case wire.TLinkState, wire.TLinkStateAsym:
-					var entries []byte
-					_, seq, entries, err = wire.LinkStateBody(h.Type, body)
+					_, rowSeq, entries, err := wire.LinkStateBody(h.Type, body)
+					seq = rowSeq
 					if err != nil {
 						t.Fatalf("node %d sent a malformed row: %v", from, err)
 					}
@@ -133,6 +128,12 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 					if mismatched++; mismatched == 1 {
 						t.Errorf("node %d sent two rows at seq %d", from, seq)
 					}
+				}
+			}
+			f.Net.OnSend = func(from, to int, p []byte) {
+				account(from, to, p)
+				for _, m := range messages(p) {
+					sent(from, to, m.h, m.body)
 				}
 			}
 			checks := 0
@@ -166,6 +167,31 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 			}
 		})
 	}
+}
+
+// message is one message of a datagram.
+type message struct {
+	h    wire.Header
+	body []byte
+}
+
+// messages splits datagram p into its messages as the overlay node
+// dispatches them: a row riding behind a recommendation
+// (wire.SplitRecommendation), then the recommendation. Any other datagram,
+// or one that splits in neither row form, is one message.
+func messages(p []byte) []message {
+	h, body, err := wire.ParseHeader(p)
+	if err != nil {
+		return nil
+	}
+	if h.Type == wire.TRecommendation {
+		for _, form := range []wire.MsgType{wire.TLinkState, wire.TLinkStateAsym} {
+			if rec, rowType, row, err := wire.SplitRecommendation(body, form); err == nil && row != nil {
+				return []message{{wire.Header{Type: rowType, Src: h.Src}, row}, {h, rec}}
+			}
+		}
+	}
+	return []message{{h, body}}
 }
 
 // costs is a row's out- and in-costs, one slice when rows carry one cost.
@@ -219,7 +245,9 @@ func TestLossyLinksTakeFullRows(t *testing.T) {
 		account := f.Net.OnSend
 		f.Net.OnSend = func(from, to int, p []byte) {
 			account(from, to, p)
-			rows[wire.PeekType(p)]++
+			for _, m := range messages(p) {
+				rows[m.h.Type]++
+			}
 		}
 		f.Run(5 * time.Minute)
 		share := float64(rows[wire.TLinkStateDelta]) / float64(rows[wire.TLinkStateDelta]+rows[wire.TLinkState])
@@ -287,12 +315,7 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 	deltas, refused := 0, 0
 	recs := newRecLedger(t)
 	account := f.Net.OnSend
-	f.Net.OnSend = func(from, to int, p []byte) {
-		account(from, to, p)
-		h, body, err := wire.ParseHeader(p)
-		if err != nil || from >= f.Opt.MaxN { // a coordinator's
-			return
-		}
+	sent := func(from, to int, h wire.Header, body []byte) {
 		node := f.Node(from)
 		var version, seq uint32
 		var row slotRow
@@ -343,6 +366,7 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 			deltas++
 		case wire.TLinkState, wire.TLinkStateAsym:
 			var entries []byte
+			var err error
 			version, seq, entries, err = wire.LinkStateBody(h.Type, body)
 			if err != nil {
 				t.Fatalf("node %d sent a malformed row: %v", h.Src, err)
@@ -383,6 +407,15 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 			if _, ok := afterStable[k]; ok {
 				afterStable[k] = true
 			}
+		}
+	}
+	f.Net.OnSend = func(from, to int, p []byte) {
+		account(from, to, p)
+		if from >= f.Opt.MaxN { // a coordinator's
+			return
+		}
+		for _, m := range messages(p) {
+			sent(from, to, m.h, m.body)
 		}
 	}
 	occupants := map[int]map[wire.NodeID]bool{} // per slot, the members seen in it

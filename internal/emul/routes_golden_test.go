@@ -192,24 +192,26 @@ func TestLinkStateRowsCarryMembers(t *testing.T) {
 			account := f.Net.OnSend
 			f.Net.OnSend = func(from, to int, p []byte) {
 				account(from, to, p)
-				typ := wire.PeekType(p)
-				if typ != wire.TLinkState && typ != wire.TLinkStateAsym {
-					return
-				}
-				view := f.Node(from).View()
-				want := wire.LinkStateSize(view.N())
-				if typ == wire.TLinkStateAsym {
-					want = wire.AsymLinkStateSize(view.N())
-				}
-				if rows++; view.N() < view.Slots() {
-					tombstoned++
-				}
-				if len(p) != want {
-					if wrong == 0 {
-						t.Errorf("endpoint %d sent a %d-byte row on a view of %d members in %d slots, want %d",
-							from, len(p), view.N(), view.Slots(), want)
+				for _, m := range messages(p) { // a row riding behind a recommendation too
+					typ := m.h.Type
+					if typ != wire.TLinkState && typ != wire.TLinkStateAsym {
+						continue
 					}
-					wrong++
+					view := f.Node(from).View()
+					want := wire.LinkStateSize(view.N())
+					if typ == wire.TLinkStateAsym {
+						want = wire.AsymLinkStateSize(view.N())
+					}
+					if rows++; view.N() < view.Slots() {
+						tombstoned++
+					}
+					if size := wire.HeaderLen + len(m.body); size != want {
+						if wrong == 0 {
+							t.Errorf("endpoint %d sent a %d-byte row on a view of %d members in %d slots, want %d",
+								from, size, view.N(), view.Slots(), want)
+						}
+						wrong++
+					}
 				}
 			}
 			driveChurn(f, func(string) {})

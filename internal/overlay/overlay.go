@@ -124,10 +124,8 @@ func (n *Node) installView(v *membership.ViewInfo) error {
 	n.self = self
 
 	if n.prober == nil {
-		// One switch for footnote 2: the prober measures one-way latencies
-		// exactly when the quorum router announces them.
 		pc := n.cfg.Probe
-		pc.Asymmetric = n.cfg.Algorithm == AlgQuorum && n.cfg.Quorum.Asymmetric
+		pc.Asymmetric = n.asymmetric()
 		n.prober = probe.New(n.env, pc, v, self)
 		n.prober.Start()
 	} else {
@@ -205,15 +203,30 @@ func (n *Node) Halt() {
 	}
 }
 
-// handlePacket dispatches an incoming datagram to the owning component. It is
-// the one place that sees both planes, so it also hands the membership client
-// the view version every routing message is stamped with: how a member that
-// missed a view change learns it (a heartbeat draws no answer).
+// asymmetric is footnote 2's one switch: the prober measures one-way
+// latencies, and rows carry both directed costs (TLinkStateAsym), exactly
+// when a quorum router runs in asymmetric mode.
+func (n *Node) asymmetric() bool {
+	return n.cfg.Algorithm == AlgQuorum && n.cfg.Quorum.Asymmetric
+}
+
+// handlePacket dispatches an incoming datagram to the owning component.
 func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 	h, body, err := wire.ParseHeader(payload)
 	if err != nil {
 		return
 	}
+	n.dispatch(h, body)
+}
+
+// dispatch hands a message to the owning component. It is the one place
+// that sees both planes, so it also hands the membership client the view
+// version every routing message is stamped with: how a member that missed a
+// view change learns it (a heartbeat draws no answer). A recommendation may
+// carry its sender's row behind it (wire.SplitRecommendation): the row goes
+// first, as a row datagram would, then the recommendation; a datagram either
+// part of which is malformed is dropped whole.
+func (n *Node) dispatch(h wire.Header, body []byte) {
 	switch h.Type {
 	case wire.TProbe:
 		if n.prober != nil {
@@ -242,12 +255,23 @@ func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 			}
 		}
 	case wire.TRecommendation:
+		form := wire.TLinkState
+		if n.asymmetric() {
+			form = wire.TLinkStateAsym
+		}
+		rec, rowType, row, err := wire.SplitRecommendation(body, form)
+		if err != nil {
+			return
+		}
+		if row != nil {
+			n.dispatch(wire.Header{Type: rowType, Src: h.Src}, row)
+		}
 		if n.router != nil {
-			n.router.HandleRecommendation(h, body)
+			n.router.HandleRecommendation(h, rec)
 		}
 		if n.mc != nil {
-			if rec, err := wire.RecommendationBody(body); err == nil {
-				n.mc.HeardVersion(h.Src, rec.ViewVersion)
+			if r, err := wire.RecommendationBody(rec); err == nil {
+				n.mc.HeardVersion(h.Src, r.ViewVersion)
 			}
 		}
 	case wire.TLinkStateAck:

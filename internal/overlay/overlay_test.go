@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -353,5 +354,55 @@ func TestRoutesStampLearnTime(t *testing.T) {
 	}
 	if first.Env() == nil {
 		t.Error("Env returned nil")
+	}
+}
+
+// TestNodeDropsAHostileRideWhole holds back what a rendezvous k sends node r,
+// a row riding behind each recommendation, and hands r the first such
+// datagram by hand, whose row is a delta on the row r holds: with its row cut short, one byte long, or of no row type
+// (a probe's type byte), r's dispatch drops it whole, so neither r's table
+// nor its routes move; the datagram as sent is taken whole, the row and then
+// the recommendation.
+func TestNodeDropsAHostileRideWhole(t *testing.T) {
+	const r, k = 0, 1 // one grid row: each is the other's rendezvous
+	nw, nodes := staticFleet(t, 9, AlgQuorum, 5)
+	nw.RunFor(time.Minute)
+	nw.SetLatencyOneWay(k, r, time.Hour)
+	var first []byte
+	nw.OnSend = func(from, to int, p []byte) {
+		if h, body, err := wire.ParseHeader(p); from == k && to == r && err == nil && h.Type == wire.TRecommendation {
+			if _, _, row, err := wire.SplitRecommendation(body, wire.TLinkState); err == nil && row != nil && first == nil {
+				first = slices.Clone(p)
+			}
+		}
+	}
+	nw.RunFor(12 * time.Second)
+	nw.OnSend = nil
+	if first == nil {
+		t.Fatal("k sent r no row riding behind a recommendation")
+	}
+	_, body, _ := wire.ParseHeader(first)
+	rec, _, _, _ := wire.SplitRecommendation(body, wire.TLinkState)
+	at := wire.HeaderLen + len(rec) // the row's type byte
+	q := nodes[r].Router().(*core.Quorum)
+	seq, routes := q.Table().Seq(k), q.Routes()
+	probeType := slices.Clone(first)
+	probeType[at] = byte(wire.TProbe)
+	for _, hostile := range []struct {
+		defect string
+		msg    []byte
+	}{
+		{"a row cut short", first[:len(first)-1]},
+		{"a row one byte long", append(slices.Clone(first), 0)},
+		{"a probe's type byte", probeType},
+	} {
+		nodes[r].handlePacket(k, hostile.msg)
+		if q.Table().Seq(k) != seq || !slices.Equal(q.Routes(), routes) {
+			t.Errorf("%s: r took the datagram", hostile.defect)
+		}
+	}
+	nodes[r].handlePacket(k, first)
+	if q.Table().Seq(k) == seq || slices.Equal(q.Routes(), routes) {
+		t.Errorf("r did not take the datagram as sent: row seq %d, was %d", q.Table().Seq(k), seq)
 	}
 }

@@ -14,7 +14,8 @@ import (
 // member A to member B in one step, the way a receiver that skipped the view
 // in between (where the slot was a tombstone) sees it, and then delivers
 // everything the fleet sent two receivers during A's last 20 s: A's last
-// rows, recommendations and probe replies, the other members' rows and
+// rows, most of them riding behind its recommendations, recommendations and
+// probe replies, the other members' rows and
 // recommendations that speak of A, and a reply under B's ID to a probe sent
 // to A (what B's host answers if it took over A's address). One receiver is
 // already on B's view when the traffic arrives; the other is still on A's,
@@ -79,6 +80,9 @@ func TestReusedSlotInheritsNothing(t *testing.T) {
 				continue
 			}
 			fromA[h.Type]++
+			if _, rowType, row, err := wire.SplitRecommendation(body, wire.TLinkState); h.Type == wire.TRecommendation && err == nil && row != nil {
+				fromA[rowType]++ // the row riding behind it
+			}
 			if h.Type == wire.TProbeReply {
 				reply, err := wire.ParseProbeReply(body)
 				if err != nil {

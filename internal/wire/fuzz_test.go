@@ -154,14 +154,28 @@ func FuzzLinkStateDeltaDecode(f *testing.F) {
 	})
 }
 
+// withRow returns msg, a whole recommendation, with a 3-entry row from the
+// same sender riding behind it (wire.PutRide): a body no recommendation
+// target accepts, and SplitRecommendation only behind a run form.
+func withRow(msg []byte) []byte {
+	h, b, _ := wire.ParseHeader(msg)
+	row := wire.AppendLinkState(nil, h.Src, wire.LinkState{ViewVersion: binary.BigEndian.Uint32(b), Seq: 3, Entries: make([]wire.LinkEntry, 3)})
+	out := make([]byte, len(msg)+wire.RideSize(row))
+	copy(out, msg)
+	wire.PutRide(out[len(msg):], row)
+	return out
+}
+
 func FuzzRecommendationRoundTrip(f *testing.F) {
-	f.Add(uint16(7), body(wire.AppendRecommendation(nil, 7, wire.Recommendation{
+	msg := wire.AppendRecommendation(nil, 7, wire.Recommendation{
 		ViewVersion: 4,
 		Entries: []wire.RecEntry{
 			{Dst: 2, Hop: 2, Cost: 30},
 			{Dst: 5, Hop: wire.NilNode, Cost: wire.InfCost},
 		},
-	})))
+	})
+	f.Add(uint16(7), body(msg))
+	f.Add(uint16(7), body(withRow(msg)))
 	f.Fuzz(func(t *testing.T, src uint16, b []byte) {
 		roundTrip(t, src, b, wire.ParseRecommendation, wire.AppendRecommendation)
 	})
@@ -178,6 +192,7 @@ func FuzzRecommendationRunRoundTrip(f *testing.F) {
 	wire.PutRecEntry(msg, 1, wire.RecEntry{Hop: wire.NilNode, Cost: wire.InfCost})
 	wire.PutRecEntry(msg, 2, wire.RecEntry{Dst: 12, Hop: 3, Cost: 40})
 	f.Add(uint16(7), body(msg))
+	f.Add(uint16(7), body(withRow(msg)))
 	parse := func(b []byte) (wire.RecBody, error) {
 		r, err := wire.RecommendationBody(b)
 		if err == nil && (!r.ByRun || r.Delta) {
@@ -224,6 +239,7 @@ func FuzzRecommendationDeltaRoundTrip(f *testing.F) {
 	f.Add(uint16(7), body(delta(7, 5, 10, []int{0, 9}, []int{0, 9}, wire.RecEntry{Hop: 2, Cost: 30}, wire.RecEntry{Hop: wire.NilNode, Cost: wire.InfCost}, explicit)))
 	f.Add(uint16(7), body(delta(7, 5, 10, []int{0, 9}, nil, explicit)))
 	f.Add(uint16(8), body(delta(8, 9, 40, []int{1, 17, 39}, []int{17, 39}, wire.RecEntry{Hop: 17, Cost: 1}, wire.RecEntry{Hop: 39, Cost: 2})))
+	f.Add(uint16(7), body(withRow(delta(7, 5, 10, []int{0, 9}, nil, explicit))))
 	parse := func(b []byte) (wire.RecBody, error) {
 		r, err := wire.RecommendationBody(b)
 		if err == nil && !r.Delta {
@@ -259,6 +275,78 @@ func FuzzRecommendationDeltaRoundTrip(f *testing.F) {
 			}
 		}
 		roundTrip(t, src, b, parse, rebuild)
+	})
+}
+
+// FuzzSplitRecommendationRoundTrip: a body SplitRecommendation accepts, for
+// either row form, is a recommendation RecommendationBody accepts and, after
+// a run form, a row of that form or a delta of it, framed as LinkStateBody
+// or LinkStateDeltaBody checks, at the recommendation's view version; and the
+// recommendation with the row riding behind it (PutRide) is the body. The
+// seeds put a row and a delta behind each of the three forms.
+func FuzzSplitRecommendationRoundTrip(f *testing.F) {
+	explicit := wire.AppendRecommendation(nil, 7, wire.Recommendation{ViewVersion: 4, Entries: []wire.RecEntry{{Dst: 2, Hop: 2, Cost: 30}}})
+	run := wire.NewRecommendationRun(nil, 7, 4, 5, 10, 1, 0)
+	wire.MarkRecRun(run, 3)
+	wire.PutRecEntry(run, 0, wire.RecEntry{Hop: 2, Cost: 30})
+	delta := wire.NewRecommendationDelta(nil, 7, 4, 5, 10, 1, 0)
+	wire.MarkRecRun(delta, 3)
+	wire.MarkRecChanged(delta, 0, 3)
+	wire.PutRecEntry(delta, 0, wire.RecEntry{Hop: 2, Cost: 30})
+	rowDelta := wire.NewLinkStateDelta(7, 4, 3, wire.TLinkState, 3, 1)
+	wire.PutDeltaEntry(rowDelta, 1, 0, []byte{0, 9, 0})
+	for _, msg := range [][]byte{explicit, run, delta} {
+		f.Add(false, body(msg))
+		f.Add(false, body(withRow(msg)))
+		withDelta := make([]byte, len(msg)+wire.RideSize(rowDelta))
+		copy(withDelta, msg)
+		wire.PutRide(withDelta[len(msg):], rowDelta)
+		f.Add(false, body(withDelta))
+		f.Add(true, body(withDelta))
+	}
+	f.Fuzz(func(t *testing.T, asym bool, b []byte) {
+		form := wire.TLinkState
+		if asym {
+			form = wire.TLinkStateAsym
+		}
+		rec, rowType, row, err := wire.SplitRecommendation(b, form)
+		if err != nil {
+			return
+		}
+		r, err := wire.RecommendationBody(rec)
+		if err != nil {
+			t.Fatalf("split off a recommendation RecommendationBody refuses: %v", err)
+		}
+		if row == nil {
+			if !bytes.Equal(rec, b) {
+				t.Fatalf("split off nothing, but the recommendation is %d of %d bytes", len(rec), len(b))
+			}
+			return
+		}
+		version := uint32(0)
+		switch rowType {
+		case form:
+			version, _, _, err = wire.LinkStateBody(form, row)
+		case wire.TLinkStateDelta:
+			var d wire.DeltaBody
+			d, err = wire.LinkStateDeltaBody(row)
+			if err == nil && d.Form != form {
+				t.Fatalf("a delta of form %v rode for a %v table", d.Form, form)
+			}
+			version = d.ViewVersion
+		default:
+			t.Fatalf("a %v rode behind a recommendation", rowType)
+		}
+		if err != nil || !r.ByRun || version != r.ViewVersion {
+			t.Fatalf("a row (%v, version %d) rode behind %+v", err, version, r)
+		}
+		whole := append(wire.AppendHeader(nil, rowType, 7), row...)
+		out := make([]byte, len(rec)+wire.RideSize(whole))
+		copy(out, rec)
+		wire.PutRide(out[len(rec):], whole)
+		if !bytes.Equal(out, b) {
+			t.Fatalf("split/ride asymmetry:\n in:  %x\n out: %x", b, out)
+		}
 	})
 }
 

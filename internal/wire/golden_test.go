@@ -37,6 +37,11 @@ func TestEncodingsGolden(t *testing.T) {
 	PutRecEntry(long, 1, RecEntry{Hop: NilNode, Cost: InfCost})
 	runDelta := deltaOf(src, 77, 78, 10, []int{1, 9}, []int{9}, RecEntry{Hop: NilNode, Cost: InfCost}, RecEntry{Dst: 6, Hop: 7, Cost: 8})
 	longDelta := deltaOf(src, 77, 78, 40, []int{1, 39}, []int{39}, RecEntry{Hop: NilNode, Cost: InfCost})
+	rowDelta := AppendLinkStateDelta(nil, src, LinkStateDelta{ViewVersion: 77, Seq: 78, Form: TLinkState, Members: 10,
+		Changed: []int{1}, Entries: []byte{0x01, 0xc2, 0x0c}})
+	withRow := make([]byte, len(runDelta)+RideSize(rowDelta)) // the row rides behind the delta
+	copy(withRow, runDelta)
+	PutRide(withRow[len(runDelta):], rowDelta)
 	packed := PackLinkState(AppendLinkState(nil, src, LinkState{ViewVersion: 8, Seq: 9, Entries: []LinkEntry{
 		{Latency: 1, Status: 2}, {Latency: 3, Status: 4}, {Latency: 5, Status: 6},
 	}}), []int{1})
@@ -63,6 +68,9 @@ func TestEncodingsGolden(t *testing.T) {
 			"0401020000004dc00a0000004e0001" + "0202" + "0001" + "0002" + "ffffffff" + "000600070008"},
 		{"recommendation-delta-indexed", longDelta, // long's, bit 39 changed
 			"0401020000004dc0280000004e0000" + "0200000080" + "0001" + "0027" + "ffffffff"},
+		{"recommendation-delta-with-row", withRow, // runDelta's, then rowDelta's type byte and body
+			"0401020000004dc00a0000004e0001" + "0202" + "0001" + "0002" + "ffffffff" + "000600070008" +
+				"05" + "0000004d0000004e" + "03000a0001" + "0200" + "01c20c"},
 		{"recommendation-refusal", AppendRecommendation(nil, src, Recommendation{ViewVersion: 77}), "0401020000004d0000"},
 		{"link-state-asym", AppendLinkStateAsym(nil, src, LinkStateAsym{ViewVersion: 8, Seq: 9, Entries: []AsymEntry{
 			{Out: 20, In: 35, Status: 4},

@@ -432,6 +432,14 @@ type RecEntry struct {
 //
 // The header and the counts fix each form's length, so no cut goes unseen.
 //
+// A run-form or delta-form message may carry behind it the round-1 row its
+// sender sends the same client at the same instant, all of that message but
+// its 2-byte source ID, which is the recommendation's: the type byte
+// (TLinkState, TLinkStateAsym or TLinkStateDelta) and the body. The
+// recommendation's counts fix where it ends, so the row needs no length
+// field, and the pairing's two rounds pay one datagram's overhead
+// (PutRide, SplitRecommendation). No other message carries anything behind.
+//
 // The paper's bandwidth accounting charges an entry 4 bytes, destination and
 // hop. A named entry spends the same 4 on hop and cost, the cost being what a
 // client needs to arbitrate between redundant rendezvous and to report path
@@ -656,8 +664,21 @@ func (r *RecBody) Position(k, prev int) int {
 //
 //lint:allocfree
 func RecommendationBody(body []byte) (RecBody, error) {
+	r, n, err := recommendationPrefix(body)
+	if err == nil && n != len(body) {
+		err = ErrBadLen
+	}
+	return r, err
+}
+
+// recommendationPrefix is RecommendationBody for a body that may go on past
+// the recommendation: it returns the recommendation's length, which its
+// counts fix, and checks everything else.
+//
+//lint:allocfree
+func recommendationPrefix(body []byte) (RecBody, int, error) {
 	if len(body) < recFixed {
-		return RecBody{}, ErrShort
+		return RecBody{}, 0, ErrShort
 	}
 	r := RecBody{ViewVersion: binary.BigEndian.Uint32(body)}
 	word := int(binary.BigEndian.Uint16(body[4:]))
@@ -666,7 +687,7 @@ func RecommendationBody(body []byte) (RecBody, error) {
 		r.ByRun, r.Delta, r.Run = true, word&recDeltaFlag != 0, runLen(body)
 		bl := bitmapLen(r.Run)
 		if len(rest) < 6+bl {
-			return RecBody{}, ErrShort
+			return RecBody{}, 0, ErrShort
 		}
 		r.Seq, extra = binary.BigEndian.Uint32(rest), int(binary.BigEndian.Uint16(rest[4:]))
 		r.bitmap, rest = rest[6:6+bl], rest[6+bl:]
@@ -674,37 +695,95 @@ func RecommendationBody(body []byte) (RecBody, error) {
 			r.Named += bits.OnesCount8(w)
 		}
 		if r.Run%8 != 0 && r.bitmap[bl-1]>>(r.Run%8) != 0 {
-			return RecBody{}, ErrBadLen // a bit past the run
+			return RecBody{}, 0, ErrBadLen // a bit past the run
 		}
 		r.Carried = r.Named
 	}
 	if r.Delta {
 		if r.Seq == 0 {
-			return RecBody{}, ErrBadDelta
+			return RecBody{}, 0, ErrBadDelta
 		}
 		if len(rest) < 2 {
-			return RecBody{}, ErrShort
+			return RecBody{}, 0, ErrShort
 		}
 		r.Carried = int(binary.BigEndian.Uint16(rest))
 		ml := deltaMarksLen(r.Run, r.Carried)
 		if len(rest) < 2+ml {
-			return RecBody{}, ErrShort
+			return RecBody{}, 0, ErrShort
 		}
 		r.marks, rest = rest[2:2+ml], rest[2+ml:]
 		if err := checkMarks(r.marks, r.Run, r.Carried); err != nil {
-			return RecBody{}, err
+			return RecBody{}, 0, err
 		}
 		for k, p := 0, -1; k < r.Carried; k++ {
 			if p = markAt(r.marks, r.Run, r.Carried, k, p); r.bitmap[p/8]>>(p%8)&1 == 0 {
-				return RecBody{}, ErrBadLen // a change at a position not named
+				return RecBody{}, 0, ErrBadLen // a change at a position not named
 			}
 		}
 	}
-	if len(rest) != r.Carried*namedEntryLen+extra*recEntryLen {
-		return RecBody{}, ErrBadLen
+	n := r.Carried*namedEntryLen + extra*recEntryLen
+	if len(rest) < n {
+		return RecBody{}, 0, ErrShort
 	}
-	r.Entries, r.entries = r.Carried+extra, rest
-	return r, nil
+	r.Entries, r.entries = r.Carried+extra, rest[:n]
+	return r, len(body) - len(rest) + n, nil
+}
+
+// RideSize returns the size of row, a whole round-1 message, riding behind
+// a recommendation.
+func RideSize(row []byte) int { return len(row) - 2 }
+
+// PutRide writes row, a whole round-1 message, into b, RideSize(row) bytes
+// right behind a run-form or delta-form recommendation.
+//
+//lint:allocfree
+func PutRide(b, row []byte) {
+	b[0] = row[0]
+	copy(b[1:], row[HeaderLen:])
+}
+
+// SplitRecommendation splits a recommendation body into the recommendation
+// and the row riding behind it, if any: the row's type and body, the row in
+// the form (TLinkState or TLinkStateAsym) of the receiver's table. rowType
+// is 0 and row nil when nothing rides. It refuses the whole body when the
+// recommendation's framing fails (RecommendationBody), when anything follows
+// an explicit-form recommendation, a refusal included, and when what follows
+// is not a row or delta of that form, framed as LinkStateBody or
+// LinkStateDeltaBody checks, at the recommendation's view version. Its errors
+// are bare, so that a refusal allocates nothing.
+//
+//lint:allocfree
+func SplitRecommendation(body []byte, form MsgType) (rec []byte, rowType MsgType, row []byte, err error) {
+	r, n, err := recommendationPrefix(body)
+	switch {
+	case err != nil:
+		return nil, 0, nil, err
+	case n == len(body):
+		return body, 0, nil, nil
+	case !r.ByRun:
+		return nil, 0, nil, ErrBadLen
+	}
+	rowType, row = MsgType(body[n]), body[n+1:]
+	var version uint32
+	switch {
+	case rowType == form && (form == TLinkState || form == TLinkStateAsym):
+		version, _, _, err = LinkStateBody(form, row)
+	case rowType == TLinkStateDelta:
+		var d DeltaBody
+		if d, err = LinkStateDeltaBody(row); err == nil && d.Form != form {
+			err = ErrBadType
+		}
+		version = d.ViewVersion
+	default:
+		err = ErrBadType
+	}
+	if err == nil && version != r.ViewVersion {
+		err = ErrBadLen
+	}
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return body[:n], rowType, row, nil
 }
 
 // Entry decodes entry i: the one entry decoder, and it allocates nothing. A

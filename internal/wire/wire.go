@@ -7,6 +7,12 @@
 // best-hop, cost) triples. Every message starts with a 3-byte common header:
 // one type byte and the 2-byte ID of the sender.
 //
+// A datagram carries one message, with one exception: a rendezvous's round-1
+// row to a grid client rides behind its round-2 recommendation to the same
+// client, sent at the same instant, without the row's source ID (PutRide,
+// SplitRecommendation), so that the pairing's two rounds pay one datagram's
+// overhead.
+//
 // All multi-byte integers are big-endian. Codecs are allocation-conscious:
 // marshalling appends to a caller-supplied buffer, and unmarshalling
 // validates lengths before touching the payload.
@@ -204,7 +210,10 @@ func CategoryOf(t MsgType) Category {
 // coefficient implies. Together with the 3-byte common message header this
 // reproduces the paper's per-packet constant (a 0-payload probe costs
 // 46 + 3 = 49 bytes ≈ the 46-byte packets behind the published 49.1n bps
-// probing coefficient; see internal/bwmodel).
+// probing coefficient; see internal/bwmodel). The paper's quorum law pays it
+// once per round, a row and a recommendation each way per grid pairing and
+// interval (its 196.3·√n term); a row that rides behind a recommendation pays
+// none of its own, which takes that term to ≈ 98·√n (bwmodel.Params.Shared).
 const PerPacketOverhead = 46
 
 // HeaderLen is the length of the common message header: type (1 byte) plus

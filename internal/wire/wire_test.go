@@ -416,6 +416,71 @@ func TestPutRecRunCutsTheAddressee(t *testing.T) {
 	}
 }
 
+// TestSplitRecommendation: a row or a delta of the receiver's table form
+// rides behind a run-form or delta-form recommendation at its view version,
+// and splits off whole, allocating nothing; a body with nothing behind splits
+// into itself. Anything else behind is refused, the whole body with it,
+// allocating nothing: a row behind an explicit-form message, a message of no
+// row type, a row cut short or one byte long, a row or delta of the other
+// form, and a row at another view version.
+func TestSplitRecommendation(t *testing.T) {
+	run := NewRecommendationRun(nil, 8, 5, 6, 10, 1, 0)
+	MarkRecRun(run, 3)
+	delta := deltaOf(8, 5, 6, 10, []int{3}, []int{3}, RecEntry{Hop: 2, Cost: 30})
+	explicit := AppendRecommendation(nil, 8, Recommendation{ViewVersion: 5, Entries: []RecEntry{{Dst: 1, Hop: 1, Cost: 9}}})
+	row := AppendLinkState(nil, 8, LinkState{ViewVersion: 5, Seq: 6, Entries: make([]LinkEntry, 3)})
+	asym := AppendLinkStateAsym(nil, 8, LinkStateAsym{ViewVersion: 5, Seq: 6, Entries: make([]AsymEntry, 3)})
+	rowDelta := AppendLinkStateDelta(nil, 8, LinkStateDelta{ViewVersion: 5, Seq: 6, Form: TLinkState, Members: 3, Changed: []int{1}, Entries: []byte{0, 9, 0}})
+	ride := func(msg, row []byte) []byte {
+		b := make([]byte, len(msg)+RideSize(row))
+		copy(b, msg)
+		PutRide(b[len(msg):], row)
+		return b[HeaderLen:]
+	}
+	for _, tc := range []struct {
+		name      string
+		body      []byte
+		form      MsgType
+		rec, rows []byte // the parts, the row with its type byte
+	}{
+		{"a run form alone", run[HeaderLen:], TLinkState, run[HeaderLen:], nil},
+		{"a row behind a run form", ride(run, row), TLinkState, run[HeaderLen:], row},
+		{"a delta behind a delta", ride(delta, rowDelta), TLinkState, delta[HeaderLen:], rowDelta},
+		{"a directional row behind a delta", ride(delta, asym), TLinkStateAsym, delta[HeaderLen:], asym},
+	} {
+		rec, rowType, got, err := SplitRecommendation(tc.body, tc.form)
+		if err != nil || !bytes.Equal(rec, tc.rec) || (tc.rows == nil) != (got == nil) ||
+			tc.rows != nil && (rowType != MsgType(tc.rows[0]) || !bytes.Equal(got, tc.rows[HeaderLen:])) {
+			t.Errorf("%s: split into %x, %v %x, %v", tc.name, rec, rowType, got, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _, _, _ = SplitRecommendation(tc.body, tc.form) }); allocs != 0 {
+			t.Errorf("%s: splitting allocates %.0f times", tc.name, allocs)
+		}
+	}
+	other := AppendLinkState(nil, 8, LinkState{ViewVersion: 4, Seq: 6, Entries: make([]LinkEntry, 3)})
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"a row behind an explicit form", ride(explicit, row)},
+		{"a probe behind a run form", ride(run, AppendProbe(nil, 8, Probe{Seq: 1}))},
+		{"a link-state ack behind a run form", ride(run, AppendLinkStateAck(nil, 8, 6))},
+		{"a row cut short", ride(run, row)[:len(ride(run, row))-1]},
+		{"a row one byte long", append(ride(run, row), 0)},
+		{"a row of the other form", ride(run, asym)},
+		{"a delta of the other form", ride(delta, AppendLinkStateDelta(nil, 8, LinkStateDelta{ViewVersion: 5, Seq: 6, Form: TLinkStateAsym, Members: 3}))},
+		{"a row at another view version", ride(run, other)},
+		{"a type byte alone", append(slices.Clone(run[HeaderLen:]), byte(TLinkState))},
+	} {
+		if rec, _, row, err := SplitRecommendation(tc.body, TLinkState); err == nil {
+			t.Errorf("%s: split into %x and %x", tc.name, rec, row)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _, _, _ = SplitRecommendation(tc.body, TLinkState) }); allocs != 0 {
+			t.Errorf("%s: refusing allocates %.0f times", tc.name, allocs)
+		}
+	}
+}
+
 // TestRecommendationBodyRefusals: a run-form body is refused, without an
 // allocation, when it is cut anywhere, when its bitmap has a bit past the run
 // or a bit too few or too many for its named entries, and when anything
