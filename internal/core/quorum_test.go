@@ -747,8 +747,8 @@ func TestQuorumRound2Golden(t *testing.T) {
 		directional bool
 		recs, rows  string
 	}{
-		{false, "1d393f43aa1e29433327b1cdd987d37d2c9d737858ea8625f9877feb7591b912", ""},
-		{true, "cc396acb361c899392b87697d2b3d837b553574ce415b717ddd0efbb44ed1e4d", ""},
+		{false, "1d393f43aa1e29433327b1cdd987d37d2c9d737858ea8625f9877feb7591b912", "9bc4226b996c8ffbacaffd33b11854524458d823f7d4db3393e01db41a2c9e39"},
+		{true, "cc396acb361c899392b87697d2b3d837b553574ce415b717ddd0efbb44ed1e4d", "2432ace191f260c6f05c1ee2b6546d1f8bcd0a3101f728ecfcf660a22b08ec25"},
 	} {
 		q, env := round2Fixture(t, tc.directional)
 		row := q.linkState()
@@ -782,8 +782,8 @@ func TestQuorumRound2GoldenTicks(t *testing.T) {
 		directional bool
 		recs, rows  string
 	}{
-		{false, "01c6ead576ade07b5d87ccfbed40d02436e56c6be2ddb196329c4a11291fc086", ""},
-		{true, "0e4fac65d903b50a491686c79ed7bb3812c277503447fe4805aaaa1eff2940f0", ""},
+		{false, "01c6ead576ade07b5d87ccfbed40d02436e56c6be2ddb196329c4a11291fc086", "8bd30b7627dff498c1e7882ad0527c90a6c4709a44e2ed375810c2ec2d3a2b00"},
+		{true, "0e4fac65d903b50a491686c79ed7bb3812c277503447fe4805aaaa1eff2940f0", "c30ffcff1fd3be1bf6da7e12865798b56a2579c84f45bc74ef56816493af75ac"},
 	} {
 		q, env := round2Fixture(t, tc.directional)
 		n, clients := q.view.Slots(), q.Grid().Clients(0)

@@ -36,8 +36,9 @@ import (
 // to seed 8 at a Poisson rate of 0.4; once a joiner's standing came from
 // the view that lists it, to seed 7 at 0.6; with heartbeats to every
 // replica, to seed 8 at 0.6; with link-state deltas, to seed 14 at 0.6;
-// once deltas carried cost changes only, to seed 10 at 0.6; and once a
-// stable view install kept the delta's base, to seed 61 at 0.6.
+// once deltas carried cost changes only, to seed 10 at 0.6; once a stable
+// view install kept the delta's base, to seed 61 at 0.6; and once a row
+// rode behind a recommendation, to seed 14 at 0.6.
 // All ten moved with the deltas: every output gained the live_missing
 // column, and on the lossy planes a lost row now costs a refusal and an
 // answer. The lossy-gossip, gossip-crash and straggler rows moved again when
@@ -62,8 +63,13 @@ import (
 // failover server for a crashed member nobody sees alive, and the candidate
 // draws no longer taken from the per-node stream, with the rows and
 // recommendations no longer sent, shift every later draw; the last row
-// still reads after=16s, and 15s swapped. A change that means to alter a
-// scenario re-captures its row in the open.
+// still reads after=16s, and 15s swapped. The lossy-gossip, gossip-crash
+// and both straggler rows moved when a pairing's row began riding behind its
+// recommendation: on their lossy planes one datagram now carries both, so
+// fewer draws shift the network's random stream; seed 61 then read after=4s
+// either way, and the last row moved to seed 14, which reads after=16s, and
+// 15s swapped. A change that means to alter a scenario re-captures its row
+// in the open.
 func TestChurnScenariosGolden(t *testing.T) {
 	short := func(sc ChurnScenario) ChurnOptions {
 		return ChurnOptions{DynamicFleetOptions: DynamicFleetOptions{Seed: 42}, N: 30, Scenario: sc, Warmup: 2 * time.Minute, Duration: 5 * time.Minute}
@@ -78,10 +84,10 @@ func TestChurnScenariosGolden(t *testing.T) {
 		{short(ChurnCoordCrash), "91de9d3e5c865d08"},
 		{short(ChurnPartition), "192565161f41cd62"},
 		{short(ChurnRegional), "00111fb63c8263cb"},
-		{short(ChurnLossyGossip), "17c470d6207a38a6"},
-		{short(ChurnGossipCrash), "1554f90d14fb7d1c"},
-		{short(ChurnStraggler), "bb266d29c3682278"},
-		{ChurnOptions{DynamicFleetOptions: DynamicFleetOptions{Seed: 61}, N: 30, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "c012d2e1e812cc2c"},
+		{short(ChurnLossyGossip), "ee5851dc58a97af1"},
+		{short(ChurnGossipCrash), "1f54566a0436aa4e"},
+		{short(ChurnStraggler), "84397b1446c98581"},
+		{ChurnOptions{DynamicFleetOptions: DynamicFleetOptions{Seed: 14}, N: 30, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "b207d50b6849c061"},
 	}
 	for _, c := range cases {
 		out := RunChurn(c.opt).Format()

@@ -17,7 +17,10 @@ import (
 // separate n×n clock; reading the route table's own stamps reproduces it. It
 // was re-captured when recommendations began travelling as deltas: on the
 // deployment's lossy links a refused delta's unchanged entries are
-// re-installed a round trip later, by the answer.
+// re-installed a round trip later, by the answer. It was re-captured again
+// when a pairing's row began riding behind its recommendation: a lost
+// datagram now takes both, and the network's loss draws fall on other
+// datagrams.
 func TestDeploymentFreshnessGolden(t *testing.T) {
 	res := RunDeployment(DeploymentOptions{N: 36, Seed: 1, Duration: 10 * time.Minute})
 	h := sha256.New()
@@ -35,7 +38,7 @@ func TestDeploymentFreshnessGolden(t *testing.T) {
 			}
 		}
 	}
-	const want = "0f5397635d5f52b2"
+	const want = "71a62a93606106b4"
 	if got := fmt.Sprintf("%x", h.Sum(nil))[:16]; got != want {
 		t.Errorf("freshness hash = %s, want %s", got, want)
 	}

@@ -31,7 +31,10 @@ import (
 // hop and cost are unchanged and only the provenance moved: on its lossy
 // links a client that refuses a delta waits a round trip for the answer to
 // re-install the unchanged entries, and its other rendezvous may speak last
-// in between.
+// in between. It was re-captured a fourth time when a pairing's row began
+// riding behind its recommendation, once more with every hop and cost
+// unchanged: on its lossy links one datagram now carries what two did, so
+// other datagrams are lost, and other rendezvous speak last.
 func routeTableHash(algo overlay.Algorithm, n int, seed int64, env *traces.Env, d time.Duration) string {
 	f := NewFleet(FleetOptions{N: n, Algorithm: algo, Seed: seed, Env: env})
 	f.Run(d)
@@ -67,7 +70,7 @@ func TestRouteTablesMatchScalarGolden(t *testing.T) {
 		{"fullmesh/homogeneous", overlay.AlgFullMesh, 16, 1, nil, "701d961db4d1b605"},
 		{"quorum/homogeneous", overlay.AlgQuorum, 16, 1, nil, "2af5477473282f71"},
 		{"fullmesh/planetlab", overlay.AlgFullMesh, 25, 77, traces.PlanetLab(25, 77), "23a7b9dcf6c06547"},
-		{"quorum/planetlab", overlay.AlgQuorum, 25, 77, traces.PlanetLab(25, 77), "5110d49dd30e7d4c"},
+		{"quorum/planetlab", overlay.AlgQuorum, 25, 77, traces.PlanetLab(25, 77), "82e18d55ffba64c3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
