@@ -109,7 +109,8 @@ func TestBandwidthLaw(t *testing.T) {
 	// recommendation deltas after an install change more entries than the
 	// mean delta it prices. It is an exact count of one seeded run, so any
 	// drift is a change of behaviour, and a re-pin names M and R:
-	//   - 1.140: M 2.106, R 0.296 kbps (PR 58's failover guard, 1.200 before).
+	//   - 1.140: M 2.106, R 0.296 kbps, once §4.1's guard ran before an
+	//     episode's first recruitment (1.200 before).
 	//   - 1.166: rows ride behind recommendations. The run repeats every other
 	//     counted share, and Shared is 0.879: M falls 2.106 → 1.566 and the
 	//     run's bytes 2.402 → 1.826, so R falls 0.296 → 0.260, for rows to

@@ -731,7 +731,7 @@ func recommendationPrefix(body []byte) (RecBody, int, error) {
 
 // RideSize returns the size of row, a whole round-1 message, riding behind
 // a recommendation.
-func RideSize(row []byte) int { return len(row) - 2 }
+func RideSize(row []byte) int { return len(row) - (HeaderLen - 1) }
 
 // PutRide writes row, a whole round-1 message, into b, RideSize(row) bytes
 // right behind a run-form or delta-form recommendation.
