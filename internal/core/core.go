@@ -170,10 +170,11 @@ type Router interface {
 	// round-2 rendezvous computation (for the baseline, a full broadcast and
 	// a local recompute).
 	Tick()
-	// HandleLinkState processes a received link-state row, delta or ack.
-	HandleLinkState(h wire.Header, body []byte)
-	// HandleRecommendation processes a received recommendation message.
-	HandleRecommendation(h wire.Header, body []byte)
+	// HandleLinkState processes a received link-state row, delta or ack, and
+	// returns the view version of a row or delta that parsed, kept or not.
+	HandleLinkState(h wire.Header, body []byte) (version uint32, ok bool)
+	// HandleRecommendation is HandleLinkState for a recommendation message.
+	HandleRecommendation(h wire.Header, body []byte) (version uint32, ok bool)
 	// BestHop returns the current best route to the destination slot.
 	BestHop(dst int) (RouteEntry, bool)
 	// Routes returns a snapshot of the route table, indexed by slot.

@@ -132,15 +132,30 @@ func (f *FullMesh) recompute() {
 // HandleLinkState implements Router: a member's row is checked and parked
 // (rowCore.ingest), its entry bytes kept until the next read of the table
 // applies it — the payload is the router's to keep (transport.Handler). A
-// delta, which no full mesh sends, and an ack, which answers only a quorum
-// node's rows, are dropped.
+// delta, which no full mesh sends, is dropped once parsed, and an ack, which
+// answers only a quorum node's rows, unread.
 //
 //lint:allocfree
-func (f *FullMesh) HandleLinkState(h wire.Header, body []byte) { f.ingest(h, body) }
+func (f *FullMesh) HandleLinkState(h wire.Header, body []byte) (uint32, bool) {
+	switch h.Type {
+	case wire.TLinkStateAck:
+		return 0, false
+	case wire.TLinkStateDelta:
+		d, err := wire.LinkStateDeltaBody(body)
+		return d.ViewVersion, err == nil
+	}
+	version, ok, _, _ := f.ingest(h, body)
+	return version, ok
+}
 
 // HandleRecommendation implements Router. The baseline never receives
-// recommendations; the message is ignored.
-func (f *FullMesh) HandleRecommendation(wire.Header, []byte) {}
+// recommendations; the message is parsed for its version and ignored.
+//
+//lint:allocfree
+func (f *FullMesh) HandleRecommendation(_ wire.Header, body []byte) (uint32, bool) {
+	rec, err := wire.RecommendationBody(body)
+	return rec.ViewVersion, err == nil
+}
 
 // BestHop implements Router (rowCore.bestHop). The baseline has no prober
 // callback; its liveness belief is the status byte of the live self row.

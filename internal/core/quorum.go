@@ -705,24 +705,26 @@ func (q *Quorum) hops(k int) (fwd, rev []lsdb.HopCost) {
 // (rowCore.ingest), or its delta patched in (rowCore.patch), which makes the
 // sender a rendezvous client of this node, failover clients who recruited us
 // included. In reliable mode every well-formed row or delta is acknowledged,
-// kept or not, but for a refused delta. An ack goes to handleLinkStateAck.
+// kept or not, but for a refused delta. An ack goes to handleLinkStateAck and
+// reports no version.
 //
 //lint:allocfree
-func (q *Quorum) HandleLinkState(h wire.Header, body []byte) {
+func (q *Quorum) HandleLinkState(h wire.Header, body []byte) (version uint32, ok bool) {
 	var seq uint32
-	var ok bool
+	var kept bool
 	switch h.Type {
 	case wire.TLinkStateAck:
 		q.handleLinkStateAck(h, body)
-		return
+		return 0, false
 	case wire.TLinkStateDelta:
-		seq, ok = q.patch(h, body)
+		version, ok, seq, kept = q.patch(h, body)
 	default:
-		seq, ok = q.ingest(h, body)
+		version, ok, seq, kept = q.ingest(h, body)
 	}
-	if ok && q.cfg.ReliableLinkState {
+	if kept && q.cfg.ReliableLinkState {
 		q.env.Send(h.Src, wire.AppendLinkStateAck(nil, q.env.LocalID(), seq))
 	}
+	return version, ok
 }
 
 // HandleRecommendation implements Router: installs round-2 best-hop
@@ -743,18 +745,18 @@ func (q *Quorum) HandleLinkState(h wire.Header, body []byte) {
 // explicit-form message of no entries is a client's refusal (answerRefusal).
 //
 //lint:allocfree
-func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
+func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) (uint32, bool) {
 	rec, err := wire.RecommendationBody(body)
 	if err != nil || rec.ViewVersion != q.view.VersionNum() {
-		return
+		return rec.ViewVersion, err == nil
 	}
 	from, ok := q.view.SlotOf(h.Src)
 	if !ok || from == q.self {
-		return
+		return rec.ViewVersion, true
 	}
 	if !rec.ByRun && rec.Entries == 0 {
 		q.answerRefusal(h.Src, from)
-		return
+		return rec.ViewVersion, true
 	}
 	// Only a rendezvous this node relies on for a destination — a default, the
 	// recruited failover, or (a silent default recruited again) both — was
@@ -766,7 +768,7 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 		slots, heard = q.rv.server(r)
 	}
 	if rec.ByRun && (!isServer || rec.Run != len(slots) || !q.outsideRun(&rec, slots)) {
-		return
+		return rec.ViewVersion, true
 	}
 	keep := false // whether said takes this message, at rec.Seq
 	var said []saidEntry
@@ -778,7 +780,7 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 		case held == 0 || rec.Seq > held+1:
 			q.env.Send(h.Src, q.refusal)
 		case rec.Seq < held:
-			return
+			return rec.ViewVersion, true
 		default:
 			keep = true
 		}
@@ -818,6 +820,7 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 		}
 		q.take(from, dst, entry, now)
 	}
+	return rec.ViewVersion, true
 }
 
 // outsideRun reports whether a run-form message's explicit entries name

@@ -352,53 +352,53 @@ func (c *rowCore) selfCosts() (out, in []wire.Cost) {
 
 // ingest scatters a well-formed row — another member's, in the table's
 // format, built against this view, an entry per member — from the wire into
-// the table, or parks it, reading no body byte before the sender is known. It
-// reports the seq of every well-formed row, whether the table keeps it or
-// holds a newer one.
+// the table, or parks it. It reports the view version of every row of type
+// h.Type that parses, whoever sent it (Router.HandleLinkState), and the seq of
+// every well-formed row, whether the table keeps it or holds a newer one.
 //
 //lint:allocfree
-func (c *rowCore) ingest(h wire.Header, body []byte) (seq uint32, ok bool) {
-	slot, ok := c.view.SlotOf(h.Src)
-	if form, _ := c.form(); !ok || slot == c.self || h.Type != form {
-		return 0, false
-	}
+func (c *rowCore) ingest(h wire.Header, body []byte) (version uint32, parsed bool, seq uint32, kept bool) {
 	version, seq, entries, err := wire.LinkStateBody(h.Type, body)
-	if err != nil || version != c.view.VersionNum() || len(entries) != c.table.RowBytes() {
-		return 0, false
+	if err != nil {
+		return 0, false, 0, false
+	}
+	slot, ok := c.view.SlotOf(h.Src)
+	if form, _ := c.form(); !ok || slot == c.self || h.Type != form || version != c.view.VersionNum() || len(entries) != c.table.RowBytes() {
+		return version, true, 0, false
 	}
 	if !c.park {
 		c.table.PutWire(slot, seq, c.env.Now(), entries)
-		return seq, true
+		return version, true, seq, true
 	}
 	if len(c.parked) == cap(c.parked) {
 		c.apply()
 	}
 	c.parked = c.parked[:len(c.parked)+1]
 	c.parked[len(c.parked)-1] = parkedRow{entries: entries, when: c.env.Now().UnixNano(), seq: seq, slot: uint16(slot)}
-	return seq, true
+	return version, true, seq, true
 }
 
 // patch is ingest for a delta, which only the quorum sends: the table takes
 // it (lsdb.Table.PutDelta) when it holds the row before it, and refuses it,
 // with a link-state ack of seq 0 to the sender, when it does not. It reports
-// the seq of every well-formed delta the table takes or holds a newer row
-// than.
+// what ingest does, for a delta: the seq of every well-formed delta the table
+// takes or holds a newer row than.
 //
 //lint:allocfree
-func (c *rowCore) patch(h wire.Header, body []byte) (seq uint32, ok bool) {
-	slot, ok := c.view.SlotOf(h.Src)
-	if !ok || slot == c.self {
-		return 0, false
-	}
+func (c *rowCore) patch(h wire.Header, body []byte) (version uint32, parsed bool, seq uint32, kept bool) {
 	d, err := wire.LinkStateDeltaBody(body)
-	if form, _ := c.form(); err != nil || d.ViewVersion != c.view.VersionNum() || d.Form != form || d.Members*d.EntryLen() != c.table.RowBytes() {
-		return 0, false
+	if err != nil {
+		return 0, false, 0, false
+	}
+	slot, ok := c.view.SlotOf(h.Src)
+	if form, _ := c.form(); !ok || slot == c.self || d.ViewVersion != c.view.VersionNum() || d.Form != form || d.Members*d.EntryLen() != c.table.RowBytes() {
+		return d.ViewVersion, true, 0, false
 	}
 	if c.table.PutDelta(slot, c.env.Now(), &d) == lsdb.Refused {
 		c.env.Send(h.Src, wire.AppendLinkStateAck(nil, c.env.LocalID(), 0))
-		return 0, false
+		return d.ViewVersion, true, 0, false
 	}
-	return d.Seq, true
+	return d.ViewVersion, true, d.Seq, true
 }
 
 // bestHop is both routers' BestHop (§4.2): the installed route while fresh,

@@ -222,10 +222,12 @@ func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 // dispatch hands a message to the owning component. It is the one place
 // that sees both planes, so it also hands the membership client the view
 // version every routing message is stamped with: how a member that missed a
-// view change learns it (a heartbeat draws no answer). A recommendation may
-// carry its sender's row behind it (wire.SplitRecommendation): the row goes
-// first, as a row datagram would, then the recommendation; a datagram either
-// part of which is malformed is dropped whole.
+// view change learns it (a heartbeat draws no answer). The router parses each
+// row, delta and recommendation once and returns that version, whether or not
+// it keeps the message. A recommendation may carry its sender's row behind it
+// (wire.SplitRecommendation): the row goes first, as a row datagram would,
+// then the recommendation; a datagram either part of which is malformed is
+// dropped whole.
 func (n *Node) dispatch(h wire.Header, body []byte) {
 	switch h.Type {
 	case wire.TProbe:
@@ -236,22 +238,10 @@ func (n *Node) dispatch(h wire.Header, body []byte) {
 		if n.prober != nil {
 			n.prober.HandleReply(h, body)
 		}
-	case wire.TLinkState, wire.TLinkStateAsym:
+	case wire.TLinkState, wire.TLinkStateAsym, wire.TLinkStateDelta, wire.TLinkStateAck:
 		if n.router != nil {
-			n.router.HandleLinkState(h, body)
-		}
-		if n.mc != nil {
-			if version, _, _, err := wire.LinkStateBody(h.Type, body); err == nil {
+			if version, ok := n.router.HandleLinkState(h, body); ok && n.mc != nil {
 				n.mc.HeardVersion(h.Src, version)
-			}
-		}
-	case wire.TLinkStateDelta:
-		if n.router != nil {
-			n.router.HandleLinkState(h, body)
-		}
-		if n.mc != nil {
-			if d, err := wire.LinkStateDeltaBody(body); err == nil {
-				n.mc.HeardVersion(h.Src, d.ViewVersion)
 			}
 		}
 	case wire.TRecommendation:
@@ -267,16 +257,9 @@ func (n *Node) dispatch(h wire.Header, body []byte) {
 			n.dispatch(wire.Header{Type: rowType, Src: h.Src}, row)
 		}
 		if n.router != nil {
-			n.router.HandleRecommendation(h, rec)
-		}
-		if n.mc != nil {
-			if r, err := wire.RecommendationBody(rec); err == nil {
-				n.mc.HeardVersion(h.Src, r.ViewVersion)
+			if version, ok := n.router.HandleRecommendation(h, rec); ok && n.mc != nil {
+				n.mc.HeardVersion(h.Src, version)
 			}
-		}
-	case wire.TLinkStateAck:
-		if n.router != nil {
-			n.router.HandleLinkState(h, body)
 		}
 	case wire.THeartbeatAck, wire.TViewChunk, wire.TGossipDelta,
 		wire.TViewPull, wire.TViewPullReply:

@@ -406,3 +406,145 @@ func TestNodeDropsAHostileRideWhole(t *testing.T) {
 		t.Errorf("r did not take the datagram as sent: row seq %d, was %d", q.Table().Seq(k), seq)
 	}
 }
+
+// heardBefore is the view version dispatch handed the membership client for
+// one part of a routing datagram before the routers returned it: its own
+// parse of the part, whoever sent it and whatever the router did with it.
+func heardBefore(t wire.MsgType, body []byte) (uint32, bool) {
+	switch t {
+	case wire.TLinkState, wire.TLinkStateAsym:
+		v, _, _, err := wire.LinkStateBody(t, body)
+		return v, err == nil
+	case wire.TLinkStateDelta:
+		d, err := wire.LinkStateDeltaBody(body)
+		return d.ViewVersion, err == nil
+	case wire.TRecommendation:
+		r, err := wire.RecommendationBody(body)
+		return r.ViewVersion, err == nil
+	}
+	return 0, false
+}
+
+// TestRoutersReportTheVersionsDispatchHeard pins which parts of a routing
+// datagram hand the membership client a view version, now that the router's
+// one parse supplies it: every row, delta and recommendation whose body
+// parses — a stranger's, one stamped with another version and a row of the
+// other form included, though the router keeps none of them — and no ack or
+// malformed body. Both routers are fed every part node 0 receives in a
+// quorum fleet's first minute, as sent and altered each of those ways; then,
+// in a dynamic fleet, a member's row that the router drops for its far-future
+// version draws a pull to that member, and a truncated copy and an ack draw
+// none.
+func TestRoutersReportTheVersionsDispatchHeard(t *testing.T) {
+	type part struct {
+		h    wire.Header
+		body []byte
+	}
+	var parts []part
+	split := func(p []byte) {
+		h, body, err := wire.ParseHeader(p)
+		if err != nil {
+			return
+		}
+		if h.Type == wire.TRecommendation {
+			rec, rowType, row, err := wire.SplitRecommendation(body, wire.TLinkState)
+			if err != nil {
+				return
+			}
+			if row != nil {
+				parts = append(parts, part{wire.Header{Type: rowType, Src: h.Src}, row})
+			}
+			body = rec
+		}
+		parts = append(parts, part{h, slices.Clone(body)})
+	}
+	nw, nodes := staticFleet(t, 9, AlgQuorum, 5)
+	nw.OnSend = func(from, to int, p []byte) {
+		if to == 0 {
+			split(p)
+		}
+	}
+	nw.RunFor(time.Minute)
+	nw.OnSend = nil
+	kinds := map[wire.MsgType]int{}
+	for _, p := range parts {
+		kinds[p.h.Type]++
+	}
+	if kinds[wire.TLinkState] == 0 || kinds[wire.TLinkStateDelta] == 0 || kinds[wire.TRecommendation] == 0 {
+		t.Fatalf("node 0 received %v: want rows, deltas and recommendations", kinds)
+	}
+
+	const stranger wire.NodeID = 500
+	var fed []part
+	for _, p := range parts {
+		far := slices.Clone(p.body)
+		far[0] ^= 0x40 // the version's high byte: another view
+		other := p.h
+		switch p.h.Type {
+		case wire.TLinkState:
+			other.Type = wire.TLinkStateAsym
+		case wire.TLinkStateAsym:
+			other.Type = wire.TLinkState
+		}
+		fed = append(fed, p,
+			part{wire.Header{Type: p.h.Type, Src: stranger}, p.body},
+			part{p.h, far},
+			part{p.h, p.body[:len(p.body)-1]},
+			part{other, p.body})
+	}
+	fed = append(fed, part{wire.Header{Type: wire.TLinkStateAck, Src: 1}, wire.AppendLinkStateAck(nil, 1, 0)[wire.HeaderLen:]})
+
+	_, mesh := staticFleet(t, 9, AlgFullMesh, 5)
+	for _, r := range []core.Router{nodes[0].Router(), mesh[0].Router()} {
+		for i, p := range fed {
+			var v uint32
+			var ok bool
+			if p.h.Type == wire.TRecommendation {
+				v, ok = r.HandleRecommendation(p.h, p.body)
+			} else {
+				v, ok = r.HandleLinkState(p.h, p.body)
+			}
+			if wv, wok := heardBefore(p.h.Type, p.body); ok != wok || (ok && v != wv) {
+				t.Errorf("%T, part %d (type %d from %d, %d B): reports (%d, %t), dispatch heard (%d, %t)", r, i, p.h.Type, p.h.Src, len(p.body), v, ok, wv, wok)
+			}
+		}
+	}
+
+	const n = 9
+	dnw, coord, dyn := dynamicFleet(t, n, n, fastDynamic)
+	dnw.RunFor(3 * time.Minute)
+	if coord.MemberCount() != n {
+		t.Fatalf("warm-up: %d members", coord.MemberCount())
+	}
+	var row []byte // the first row node 0 is sent, alone or riding
+	pulls := 0
+	dnw.OnSend = func(from, to int, p []byte) {
+		h, body, err := wire.ParseHeader(p)
+		switch {
+		case err != nil:
+		case from == 0 && h.Type == wire.TViewPull:
+			pulls++
+		case to == 0 && h.Type == wire.TRecommendation && row == nil:
+			if _, rowType, r, err := wire.SplitRecommendation(body, wire.TLinkState); err == nil && r != nil {
+				row = append(wire.AppendHeader(nil, rowType, h.Src), r...)
+			}
+		}
+	}
+	dnw.RunFor(dyn[0].Router().Interval() + time.Second)
+	if row == nil {
+		t.Fatal("node 0 was sent no row")
+	}
+	h, _, _ := wire.ParseHeader(row)
+	dyn[0].handlePacket(h.Src, row[:len(row)-1])
+	dyn[0].handlePacket(h.Src, wire.AppendLinkStateAck(nil, h.Src, 0))
+	dnw.RunFor(time.Second)
+	if pulls != 0 {
+		t.Fatalf("a truncated row and an ack drew %d pulls", pulls)
+	}
+	row[wire.HeaderLen] ^= 0x40
+	dyn[0].handlePacket(h.Src, row)
+	dnw.RunFor(time.Second)
+	if pulls == 0 {
+		t.Error("a member's row stamped with a far-future version drew no pull")
+	}
+}
