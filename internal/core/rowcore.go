@@ -60,7 +60,7 @@ type rowCore struct {
 
 	viewExtends, viewRemaps uint64 // installs taken as stable extensions; re-installs gone cold
 
-	// SelfRow returns the node's current measured link-state row (owned by
+	// SelfRow returns the node's current announced link-state row (owned by
 	// the prober; read synchronously). Required.
 	SelfRow func() []wire.LinkEntry
 	// SelfAsymRow returns the directional row; required when the table is

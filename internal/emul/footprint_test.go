@@ -80,11 +80,13 @@ func TestQuorumHoldsOnlyReadableRows(t *testing.T) {
 // budgeted as measured when the bound was first cut, plus a margin (9.7 KB of
 // 11 at n = 64): its share of the trace's n² link matrices, a 4.9 KB
 // math/rand source per endpoint, the silence clocks, per-row metadata and
-// datagrams in flight. The fleet reads 26 264–26 265 B a node, in any test
-// order, against this 26 856 (24 397 B against 24 448 before the bases, whose
-// terms read 1 204 B here); with each of the per-destination tables wider,
-// and a failover pointer per destination, it read 25.1 KB alone and 25.7 KB
-// after the rest of the package, without the bases.
+// datagrams in flight. The fleet reads 26 585 B a node, in any test order,
+// against this 26 856 (26 264–26 265 B before a row riding behind a
+// recommendation was copied into each datagram; 24 397 B against 24 448
+// before the bases, whose terms read 1 204 B here); with each of the
+// per-destination tables wider, and a failover pointer per destination, it
+// read 25.1 KB alone and 25.7 KB after the rest of the package, without the
+// bases.
 //
 // Only the fleet's bytes are counted. A second collection drops what sync.Pool
 // caches hold at the start, such as the regexp state of the -run filter, 576 B
