@@ -129,7 +129,7 @@ func (t *routeTable) Routes() []RouteEntry {
 	return out
 }
 
-// staleHop is degraded-mode damping, rowCore.bestHop's last resort: an
+// staleHop is degraded-mode damping, rowCore.BestHop's last resort: an
 // entry that expired at most hold ago (ttl is the router's normal lifetime
 // for it) is served, while alive still vouches for its first hop, with its
 // cost inflated in proportion to how far past ttl it is. The inflation keeps

@@ -156,12 +156,3 @@ func (f *FullMesh) HandleRecommendation(_ wire.Header, body []byte) (uint32, boo
 	rec, err := wire.RecommendationBody(body)
 	return rec.ViewVersion, err == nil
 }
-
-// BestHop implements Router (rowCore.bestHop). The baseline has no prober
-// callback; its liveness belief is the status byte of the live self row.
-func (f *FullMesh) BestHop(dst int) (RouteEntry, bool) {
-	return f.bestHop(dst, func(slot int) bool {
-		row := f.SelfRow()
-		return slot < len(row) && wire.StatusAlive(row[slot].Status)
-	})
-}

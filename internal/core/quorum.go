@@ -167,8 +167,6 @@ type Quorum struct {
 	refusal     []byte          // this node's refusal of a recommendation delta, at the view's version
 	stats       QuorumStats
 
-	// LinkAlive reports the prober's liveness belief for a slot. Required.
-	LinkAlive func(slot int) bool
 	// LinkResolved, if non-nil, reports whether any probe on the link to a slot
 	// has resolved. A default rendezvous behind an unresolved link is unknown,
 	// not dead: it still gets round 1's row and is no proximal failure (§4.1
@@ -859,13 +857,6 @@ func (q *Quorum) take(from, dst int, e wire.RecEntry, now int64) {
 		return // malformed entry: a route through its own source, or a usable cost but no hop
 	}
 	q.install(dst, route{when: now, hop: uint16(hop), from: uint16(from), cost: e.Cost, source: SourceRendezvous})
-}
-
-// BestHop implements Router (rowCore.bestHop): a fresh recommendation, else
-// the fallback over the rows this node holds as a rendezvous server, with the
-// prober's liveness belief vouching for a stale entry's first hop.
-func (q *Quorum) BestHop(dst int) (RouteEntry, bool) {
-	return q.bestHop(dst, q.LinkAlive)
 }
 
 // silent reports a remote rendezvous failure: rendezvous k, last heard about

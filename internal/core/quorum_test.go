@@ -79,9 +79,7 @@ func newCluster(t *testing.T, n int, seed int64, algo string, qcfg QuorumConfig)
 		}
 		r := newRouter(t, algo, env, qcfg, c.view, i)
 		rowsOf(r).SelfRow = selfRow
-		if q, ok := r.(*Quorum); ok {
-			q.LinkAlive = func(slot int) bool { return slot == i || !c.dead[i][slot] }
-		}
+		rowsOf(r).LinkAlive = func(slot int) bool { return slot == i || !c.dead[i][slot] }
 		env.Bind(func(from wire.NodeID, payload []byte) { deliver(r, payload) })
 		c.envs = append(c.envs, env)
 		c.routers = append(c.routers, r)

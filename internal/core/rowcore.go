@@ -31,7 +31,7 @@ import (
 // puts a row into the table as it arrives. The full mesh parks it (park): the
 // checked row waits in a list sized to the view's slots, and apply puts the
 // list into the table, in arrival order and with arrival times, before
-// anything reads the table (expire, bestHop, installView, Table) or when the
+// anything reads the table (expire, BestHop, installView, Table) or when the
 // list is full. Every reader sees the table eager ingest would have built,
 // and the tick's full-table pass reads rows just written, not gone cold.
 type rowCore struct {
@@ -66,6 +66,10 @@ type rowCore struct {
 	// SelfAsymRow returns the directional row; required when the table is
 	// directional.
 	SelfAsymRow func() []wire.AsymEntry
+	// LinkAlive reports the prober's liveness belief for a slot, the one
+	// both routers read (BestHop's staleHop, and the quorum's §4.1).
+	// Required.
+	LinkAlive func(slot int) bool
 }
 
 // installView installs a view, with two outcomes. A stable extension
@@ -401,10 +405,11 @@ func (c *rowCore) patch(h wire.Header, body []byte) (version uint32, parsed bool
 	return d.ViewVersion, true, d.Seq, true
 }
 
-// bestHop is both routers' BestHop (§4.2): the installed route while fresh,
-// else the best one-hop over the self row and the fresh rows held, else the
-// damped last-known-good entry (staleHop) whose first hop alive vouches for.
-func (c *rowCore) bestHop(dst int, alive func(slot int) bool) (RouteEntry, bool) {
+// BestHop implements Router for both routers (§4.2): the installed route
+// while fresh, else the best one-hop over the self row and the fresh rows
+// held, else the damped last-known-good entry (staleHop) whose first hop
+// LinkAlive vouches for.
+func (c *rowCore) BestHop(dst int) (RouteEntry, bool) {
 	if dst == c.self || dst < 0 || dst >= len(c.routes) {
 		return RouteEntry{Hop: -1, Cost: wire.InfCost}, false
 	}
@@ -422,7 +427,7 @@ func (c *rowCore) bestHop(dst int, alive func(slot int) bool) (RouteEntry, bool)
 	via := func() (int, wire.Cost) {
 		return c.table.BestOneHopVia(selfOut, dst, now, c.staleness+c.hold)
 	}
-	if se, ok := staleHop(r.entry(), now, c.staleness, c.hold, alive, via); ok {
+	if se, ok := staleHop(r.entry(), now, c.staleness, c.hold, c.LinkAlive, via); ok {
 		return se, true
 	}
 	return RouteEntry{Hop: -1, Cost: wire.InfCost}, false

@@ -337,22 +337,13 @@ func pairsFrom(pairs []PairStats, src int) []PairStats {
 // summarize computes a pair's median, mean, nearest-rank 97th percentile and
 // maximum.
 func summarize(src, dst int, vals []float64) PairStats {
-	cp := slices.Clone(vals)
-	slices.Sort(cp)
-	n := len(cp)
-	var mean float64
-	for _, v := range cp {
-		mean += v
-	}
-	mean /= float64(n)
-	median := cp[n/2]
-	if n%2 == 0 {
-		median = (cp[n/2-1] + cp[n/2]) / 2
-	}
+	cdf := stats.NewCDF(vals)
+	sorted := cdf.Values()
+	mean, _ := stats.MeanMax(sorted)
 	// Nearest-rank 97th percentile: the smallest sample with at least 97 % of
 	// the distribution at or below it.
-	rank := max((97*n+99)/100, 1) // ceil(0.97*n)
-	return PairStats{Src: src, Dst: dst, Median: median, Mean: mean, P97: cp[rank-1], Max: cp[n-1]}
+	rank := max((97*len(sorted)+99)/100, 1) // ceil(0.97*n)
+	return PairStats{Src: src, Dst: dst, Median: cdf.Median(), Mean: mean, P97: sorted[rank-1], Max: cdf.Max()}
 }
 
 // ---------------------------------------------------------------------------

@@ -45,25 +45,20 @@ func (n *Node) SendData(dst wire.NodeID, payload []byte) error {
 	})
 }
 
-// forward transmits d toward its destination using the route table,
-// falling back to the direct path when no better hop is known.
+// forward transmits d toward its destination along BestHop's route, which
+// falls back to the direct path when no better hop is known.
 func (n *Node) forward(d wire.Data) error {
 	if d.TTL == 0 {
 		return ErrNoRoute
 	}
 	d.TTL--
-	slot, ok := n.view.SlotOf(d.Dst)
-	if !ok {
+	if _, ok := n.view.SlotOf(d.Dst); !ok {
 		return ErrUnknownDst
 	}
 	next := d.Dst
-	if e, ok := n.router.BestHop(slot); ok && e.Hop >= 0 {
-		hopID := n.view.IDAt(e.Hop)
-		// Never bounce back to the origin or ourselves, and never hand the
-		// packet to a slot tombstoned since the route was computed.
-		if hopID != wire.NilNode && hopID != n.env.LocalID() && hopID != d.Origin {
-			next = hopID
-		}
+	// Never bounce back to the origin or ourselves.
+	if r, ok := n.BestHop(d.Dst); ok && r.Hop != n.env.LocalID() && r.Hop != d.Origin {
+		next = r.Hop
 	}
 	n.env.Send(next, wire.AppendData(nil, n.env.LocalID(), d))
 	return nil

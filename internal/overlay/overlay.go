@@ -142,6 +142,7 @@ func (n *Node) installView(v *membership.ViewInfo) error {
 	case n.cfg.Algorithm == AlgFullMesh:
 		fm := core.NewFullMesh(n.env, n.cfg.FullMesh, v, self)
 		fm.SelfRow = n.prober.Row
+		fm.LinkAlive = n.prober.Alive
 		n.router = fm
 	default:
 		q, err := core.NewQuorum(n.env, n.cfg.Quorum, v, self)

@@ -383,9 +383,8 @@ func (p *Prober) onTimeout(slot int, now time.Duration) {
 		ls.consec++
 	}
 	ls.resolved(1)
-	if ls.flags&alive != 0 && ls.consec >= failThreshold {
+	if ls.consec >= failThreshold {
 		ls.flags &^= alive
-		p.row[slot].Status = wire.StatusDead
 	}
 	p.updateStatus(slot)
 	// Rapid re-probing until the link is declared dead; normal cadence
