@@ -149,7 +149,8 @@ type failoverState struct {
 
 // Quorum is the two-round grid-quorum router (§3) with the failure handling
 // of §4: the row core (its table holds its rendezvous clients' rows,
-// directional in asymmetric mode) plus the grid, both rounds and §4.1.
+// directional in asymmetric mode; its LinkAlive is §4.1's liveness belief
+// too) plus the grid, both rounds and §4.1.
 type Quorum struct {
 	rowCore
 	cfg QuorumConfig
@@ -729,17 +730,18 @@ func (q *Quorum) HandleLinkState(h wire.Header, body []byte) (version uint32, ok
 // recommendations. The latest recommendation for a destination wins, per the
 // paper's footnote 11, whoever sent it. The body is read in place.
 //
-// A run-form message is walked bit by bit against the run of clocks this node
-// shares with its sender, which must be a default rendezvous: the bitmap must
-// span that run and its explicit entries name members outside it, ascending.
-// Anything else refuses the whole message. An explicit entry moves the clock
-// it names, if any, found by search.
+// Only the run form moves §4.1's clocks. It is walked bit by bit against the
+// run of clocks this node shares with its sender, which must be a default
+// rendezvous: the bitmap must span that run and its explicit entries name
+// members outside it, ascending. Anything else refuses the whole message. An
+// explicit entry, in either form, installs its route and moves no clock.
 //
-// A delta is rebuilt from what its sender said at its seq−1, which said holds
-// (or at its seq, for a duplicate), and is then taken as the message in full.
-// Without that base it still moves every clock its bitmap marks and installs
-// its changed and explicit entries, and draws a refusal; an older one than
-// said holds is ignored. A run-form message newer than said's replaces it. An
+// A run-form message older than the one said holds is ignored whole. A delta
+// is rebuilt from what its sender said at its seq−1, which said holds (or at
+// its seq, for a duplicate), and is then taken as the message in full.
+// Without that base — said holds none, or the delta skips a seq — it moves
+// the clocks its bitmap marks, installs its explicit entries and draws a
+// refusal; its run entries, changed or not, wait for the answer. An
 // explicit-form message of no entries is a client's refusal (answerRefusal).
 //
 //lint:allocfree
@@ -756,67 +758,44 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) (uint32, bool)
 		q.answerRefusal(h.Src, from)
 		return rec.ViewVersion, true
 	}
-	// Only a rendezvous this node relies on for a destination — a default, the
-	// recruited failover, or (a silent default recruited again) both — was
-	// heard from; anyone else's word moves no clock.
-	var slots []uint16
-	var heard []int64
-	r, isServer := slices.BinarySearch(q.servers, from)
-	if isServer {
-		slots, heard = q.rv.server(r)
-	}
-	if rec.ByRun && (!isServer || rec.Run != len(slots) || !q.outsideRun(&rec, slots)) {
-		return rec.ViewVersion, true
-	}
-	keep := false // whether said takes this message, at rec.Seq
-	var said []saidEntry
+	now := q.env.Now().UnixNano()
 	if rec.ByRun {
-		said = q.rv.said[q.rv.run[r]:q.rv.run[r+1]]
-		switch held := q.rv.seq[r]; {
-		case !rec.Delta:
-			keep = rec.Seq >= held
-		case held == 0 || rec.Seq > held+1:
-			q.env.Send(h.Src, q.refusal)
-		case rec.Seq < held:
+		r, isServer := slices.BinarySearch(q.servers, from)
+		if !isServer {
 			return rec.ViewVersion, true
-		default:
-			keep = true
 		}
-		if keep {
+		slots, heard := q.rv.server(r)
+		held := q.rv.seq[r]
+		if rec.Run != len(slots) || !q.outsideRun(&rec, slots) || rec.Seq < held {
+			return rec.ViewVersion, true
+		}
+		refused := rec.Delta && (held == 0 || rec.Seq > held+1)
+		if refused {
+			q.env.Send(h.Src, q.refusal)
+		} else {
 			q.rv.seq[r] = rec.Seq
 		}
-	}
-	now := q.env.Now().UnixNano()
-	e, next := 0, rec.Position(0, -1)
-	for p := rec.NextRun(0); p < rec.Run; p = rec.NextRun(p + 1) {
-		heard[p] = now
-		var entry wire.RecEntry
-		switch {
-		case !rec.Delta || p == next:
-			entry = rec.Entry(e)
-			if e++; rec.Delta {
+		said := q.rv.said[q.rv.run[r]:q.rv.run[r+1]]
+		e, next := 0, rec.Position(0, -1)
+		for p := rec.NextRun(0); p < rec.Run; p = rec.NextRun(p + 1) {
+			heard[p] = now
+			if refused {
+				continue // waits for the answer
+			}
+			if p == next { // named in the run form, changed in the delta form
+				entry := rec.Entry(e)
+				said[p] = saidEntry{entry.Hop, entry.Cost}
+				e++
 				next = rec.Position(e, p)
 			}
-			if keep {
-				said[p] = saidEntry{entry.Hop, entry.Cost}
-			}
-		case keep:
-			entry = wire.RecEntry{Hop: said[p].hop, Cost: said[p].cost}
-		default:
-			continue // refused: waits for the answer
+			q.take(from, int(slots[p]), wire.RecEntry{Hop: said[p].hop, Cost: said[p].cost}, now)
 		}
-		q.take(from, int(slots[p]), entry, now)
 	}
-	for ; e < rec.Entries; e++ {
+	for e := rec.Carried; e < rec.Entries; e++ {
 		entry := rec.Entry(e)
-		dst, ok := q.view.SlotOf(entry.Dst)
-		if !ok || dst == q.self {
-			continue
+		if dst, ok := q.view.SlotOf(entry.Dst); ok && dst != q.self {
+			q.take(from, dst, entry, now)
 		}
-		if p, ok := slices.BinarySearch(slots, uint16(dst)); ok {
-			heard[p] = now
-		}
-		q.take(from, dst, entry, now)
 	}
 	return rec.ViewVersion, true
 }

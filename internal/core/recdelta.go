@@ -24,10 +24,11 @@ import (
 //
 // A client holding the message at seq−1 (silence.said) rebuilds this one. One
 // that does not still moves the clocks the bitmap marks and installs the
-// changed entries, and refuses the rest with an explicit-form message of no
-// entries (Quorum.refusal). The rendezvous answers it with the message's run
-// form (answerRefusal), once an interval and only to a client it sent a
-// delta. Whether a delta is worth sending a client is the row rule (pays).
+// explicit entries, which the delta carries whole, and refuses the run
+// entries, changed or not, with an explicit-form message of no entries
+// (Quorum.refusal). The rendezvous answers it with the message's run form
+// less the explicit entries (answerRefusal), once an interval and only to a
+// client it sent a delta. Whether a delta is worth sending a client is the row rule (pays).
 // Each message, whatever its form, is written once, from the base
 // (recommendation).
 type recBase struct {

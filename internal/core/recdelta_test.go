@@ -226,8 +226,8 @@ func binaryPutSeq(body []byte, seq uint32) {
 
 // TestRecommendationDeltaWithoutBase: a delta whose base the receiver lacks —
 // none since the install, or a seq it skipped — moves every clock its bitmap
-// names and installs its changed entries, leaves the base and the other
-// routes alone, and draws one refusal (an explicit-form message of no
+// names, installs none of its run entries, changed or not, leaves the base
+// and the routes alone, and draws one refusal (an explicit-form message of no
 // entries) per delta — two per check here, which handles each message twice
 // (checkRecommendation) — one older than the base is ignored whole; a
 // duplicate of the base's is taken again.
@@ -264,6 +264,88 @@ func TestRecommendationDeltaWithoutBase(t *testing.T) {
 	refused("the next delta", recDelta(q, k, 6, run, all[:4], nil), 0)
 	if seq, _, _ := q.HeldRecommendation(k); seq != 6 {
 		t.Errorf("the base is at seq %d, want 6", seq)
+	}
+}
+
+// TestRefusedDeltaTakesOnlyItsExplicitEntries: a delta without its base
+// moves the clock of every position its bitmap names and draws one refusal.
+// It installs its explicit entries, which it carries whole, and none of its
+// run entries: the changed ones wait for the answer with the rest.
+func TestRefusedDeltaTakesOnlyItsExplicitEntries(t *testing.T) {
+	q, _ := runFormFixture(t)
+	env := q.env.(*countingEnv)
+	k := q.servers[0]
+	run := heldRun(q, k)
+	var extras []int // two of k's failover clients: members outside its run
+	for s := range q.view.Slots() {
+		if q.view.Occupied(s) && s != q.self && !slices.Contains(run, s) && len(extras) < 2 {
+			extras = append(extras, s)
+		}
+	}
+	msg := wire.NewRecommendationDelta(nil, wire.NodeID(k), q.view.VersionNum(), 3, len(run), 1, len(extras))
+	for p := range run {
+		wire.MarkRecRun(msg, p)
+	}
+	wire.MarkRecChanged(msg, 0, 2)
+	wire.PutRecEntry(msg, 0, wire.RecEntry{Hop: 40, Cost: 50})
+	for i, dst := range extras {
+		wire.PutRecEntry(msg, 1+i, wire.RecEntry{Dst: q.view.IDAt(dst), Hop: q.view.IDAt(dst), Cost: wire.Cost(60 + i)})
+	}
+	h, body, _ := wire.ParseHeader(msg)
+	q.HandleRecommendation(h, body)
+	now := q.env.Now().UnixNano()
+	if env.sent != 1 {
+		t.Errorf("%d datagrams sent, want the one refusal", env.sent)
+	}
+	for _, dst := range run {
+		if *q.rv.clock(k, dst) != now {
+			t.Errorf("the clock of %d's pairing with %d did not move", dst, k)
+		}
+		if e := q.routes[dst].entry(); e.Source != SourceNone {
+			t.Errorf("the run entry about %d was installed: %+v", dst, e)
+		}
+	}
+	for i, dst := range extras {
+		if e := q.routes[dst].entry(); e.Source != SourceRendezvous || e.From != k || e.Cost != wire.Cost(60+i) {
+			t.Errorf("the explicit entry about %d was not installed: %+v", dst, e)
+		}
+	}
+	if seq, dsts, _ := q.HeldRecommendation(k); seq != 0 || len(dsts) != 0 {
+		t.Errorf("the refused delta left a base at seq %d naming %v", seq, dsts)
+	}
+}
+
+// TestOlderRunFormIgnoredWhole: a run-form message older than the one held
+// from its sender is ignored whole, in full as in the delta form: it changes
+// no route, clock, said entry or held seq, and sends nothing.
+func TestOlderRunFormIgnoredWhole(t *testing.T) {
+	q, advance := runFormFixture(t)
+	env := q.env.(*countingEnv)
+	k := q.servers[0]
+	run := heldRun(q, k)
+	all := make([]int, len(run))
+	for p := range all {
+		all[p] = p
+	}
+	h, body := runForm(q, k, len(run), all, nil)
+	binaryPutSeq(body, 5)
+	q.HandleRecommendation(h, body)
+	advance(time.Second)
+	_, full := runForm(q, k, len(run), all[1:], nil) // other words about the same run
+	binaryPutSeq(full, 4)
+	delta := recDelta(q, k, 4, len(run), all, []int{2})[wire.HeaderLen:]
+	for _, older := range []struct {
+		form string
+		body []byte
+	}{{"full", full}, {"delta", delta}} {
+		routes, heard, said, sent := slices.Clone(q.routes), clocks(q), slices.Clone(q.rv.said), env.sent
+		q.HandleRecommendation(h, older.body)
+		if !slices.Equal(q.routes, routes) || !reflect.DeepEqual(clocks(q), heard) || !slices.Equal(q.rv.said, said) || env.sent != sent {
+			t.Errorf("the older %s message was taken", older.form)
+		}
+		if seq, _, _ := q.HeldRecommendation(k); seq != 5 {
+			t.Errorf("the older %s message moved the base to seq %d", older.form, seq)
+		}
 	}
 }
 

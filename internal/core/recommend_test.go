@@ -68,8 +68,9 @@ func runForm(q *Quorum, k, run int, named []int, extras []wire.NodeID) (wire.Hea
 
 // expectRecommendation is what HandleRecommendation must leave behind: q's
 // routes and clocks after the message from h.Src, decoded here from the grid
-// rather than from q's clocks, had its word. A refused message leaves both as
-// they are.
+// rather than from q's clocks, had its word. A refused or ignored message
+// leaves both as they are. Only the run positions a message's bitmap names
+// are heard from; an explicit entry moves no clock.
 func expectRecommendation(q *Quorum, h wire.Header, body []byte) ([]route, map[[2]int]int64) {
 	routes, heard := slices.Clone(q.routes), clocks(q)
 	rec, err := wire.RecommendationBody(body)
@@ -83,7 +84,7 @@ func expectRecommendation(q *Quorum, h wire.Header, body []byte) ([]route, map[[
 		e   wire.RecEntry
 	}
 	var words []word
-	var quiet []int // destinations whose clock alone moves: a refused delta's unchanged entries
+	var named []int // the destinations whose clock moves: the run positions named
 	if rec.ByRun {
 		servers := q.Grid().Servers(q.self)
 		run := heldRun(q, from)
@@ -104,10 +105,10 @@ func expectRecommendation(q *Quorum, h wire.Header, body []byte) ([]route, map[[
 		// The base: what q holds of from's message at its seq, by run position.
 		r := slices.Index(servers, from)
 		held, said := q.rv.seq[r], q.rv.said[q.rv.run[r]:q.rv.run[r+1]]
-		if rec.Delta && held != 0 && rec.Seq < held {
+		if rec.Seq < held {
 			return routes, heard
 		}
-		based := !rec.Delta || (held != 0 && rec.Seq <= held+1)
+		refused := rec.Delta && (held == 0 || rec.Seq > held+1)
 		// The bitmap and the changed marks, as the wire package documents
 		// them: a bitmap over the run, or 2-byte indices when those are
 		// shorter.
@@ -131,15 +132,17 @@ func expectRecommendation(q *Quorum, h wire.Header, body []byte) ([]route, map[[
 		}
 		carried := 0
 		for p := range run {
+			if !bit(body[12:], p) {
+				continue
+			}
+			named = append(named, run[p])
 			switch {
-			case !bit(body[12:], p):
+			case refused: // waits for the answer
 			case changed(p):
 				words = append(words, word{run[p], rec.Entry(carried)})
 				carried++
-			case based:
-				words = append(words, word{run[p], wire.RecEntry{Hop: said[p].hop, Cost: said[p].cost}})
 			default:
-				quiet = append(quiet, run[p])
+				words = append(words, word{run[p], wire.RecEntry{Hop: said[p].hop, Cost: said[p].cost}})
 			}
 		}
 		words = append(words, explicit...)
@@ -151,13 +154,10 @@ func expectRecommendation(q *Quorum, h wire.Header, body []byte) ([]route, map[[
 			}
 		}
 	}
-	for _, dst := range quiet {
+	for _, dst := range named {
 		heard[[2]int{dst, from}] = now
 	}
 	for _, w := range words {
-		if _, ok := heard[[2]int{w.dst, from}]; ok {
-			heard[[2]int{w.dst, from}] = now
-		}
 		hop, ok := q.view.SlotOf(w.e.Hop)
 		if !ok {
 			hop = -1

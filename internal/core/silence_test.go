@@ -41,6 +41,34 @@ func recommend(q *Quorum, from, dst, hop wire.NodeID) {
 	q.HandleRecommendation(h, body)
 }
 
+// recommendRun is recommend in the run form, the only form that moves a clock:
+// a message from the member with ID from, at the seq after the one q holds of
+// it, naming each of dsts that its run for q holds, a route through hop. A
+// member that is no default rendezvous of q's holds no run, and its message
+// is refused.
+func recommendRun(q *Quorum, from, hop wire.NodeID, dsts ...wire.NodeID) {
+	k, _ := q.view.SlotOf(from)
+	var slots []uint16
+	seq := uint32(1)
+	if r, ok := slices.BinarySearch(q.servers, k); ok {
+		slots, _ = q.rv.server(r)
+		seq += q.rv.seq[r]
+	}
+	var named []int
+	for p, s := range slots {
+		if slices.Contains(dsts, q.view.IDAt(int(s))) {
+			named = append(named, p)
+		}
+	}
+	msg := wire.NewRecommendationRun(nil, from, q.view.VersionNum(), seq, len(slots), len(named), 0)
+	for i, p := range named {
+		wire.MarkRecRun(msg, p)
+		wire.PutRecEntry(msg, i, wire.RecEntry{Hop: hop, Cost: 25})
+	}
+	h, body, _ := wire.ParseHeader(msg)
+	q.HandleRecommendation(h, body)
+}
+
 // TestSilenceClockSurvivesStableInstall: a default rendezvous with a live link
 // that never recommends a destination is declared failed one remoteSilence
 // after the pairing began, however many stable installs land in between. A
@@ -74,7 +102,7 @@ func TestSilenceClockSurvivesStableInstall(t *testing.T) {
 		t.Errorf("%d double failures 40 s after the pairings began, want 3 (slots 4, 5, 7)", got)
 	}
 	// One word from a default rendezvous revives exactly its destination.
-	recommend(q, 3, 4, 4)
+	recommendRun(q, 3, 4, 4)
 	if got := doubles(); got != 2 {
 		t.Errorf("%d double failures after slot 3 recommended slot 4, want 2", got)
 	}
@@ -123,8 +151,9 @@ func TestStrangerRecommendationMovesNoClock(t *testing.T) {
 		t.Errorf("the 36-entry message's last word on slot 7 not installed: %+v", e)
 	}
 
-	// The same words from a default rendezvous move that pairing's clock only.
-	recommend(q, 1, 4, 5)
+	// The same words in the run form from a default rendezvous move that
+	// pairing's clock only.
+	recommendRun(q, 1, 5, 4)
 	now := q.env.Now().UnixNano()
 	for dst := 0; dst < 9; dst++ {
 		for _, p := range pairingsToward(q, dst) {
@@ -135,6 +164,23 @@ func TestStrangerRecommendationMovesNoClock(t *testing.T) {
 	}
 }
 
+// TestExplicitFormMovesNoClock: an explicit-form entry from a default
+// rendezvous of its destination installs its route (latest wins, footnote 11)
+// but moves no clock. A default rendezvous writes its default clients the run
+// form, whose bitmap alone says whom it was heard about.
+func TestExplicitFormMovesNoClock(t *testing.T) {
+	q, run := cornerQuorum(t, QuorumConfig{}, nil)
+	run(10 * time.Second)
+	before := clocks(q)
+	recommend(q, 1, 4, 5) // slot 1 is a default rendezvous of the pair (0, 4)
+	if e := q.routes[4].entry(); e.Source != SourceRendezvous || e.From != 1 || e.Hop != 5 {
+		t.Errorf("the explicit entry was not installed: %+v", e)
+	}
+	if !reflect.DeepEqual(clocks(q), before) {
+		t.Error("an explicit-form entry from a default rendezvous moved a clock")
+	}
+}
+
 // TestSelfHopRecommendationDropped: a route through the receiver itself is no
 // route. Such an entry is dropped as malformed — though its sender was still
 // heard from — and a symmetric round 2, which evaluates each pair once, names
@@ -142,7 +188,7 @@ func TestStrangerRecommendationMovesNoClock(t *testing.T) {
 func TestSelfHopRecommendationDropped(t *testing.T) {
 	q, run := cornerQuorum(t, QuorumConfig{}, nil)
 	run(10 * time.Second)
-	recommend(q, 1, 4, 0)
+	recommendRun(q, 1, 0, 4)
 	if e := q.routes[4].entry(); e.Source != SourceNone {
 		t.Errorf("route through the receiver installed: %+v", e)
 	}
@@ -532,9 +578,10 @@ func TestQuorumStableInstallAllocs(t *testing.T) {
 }
 
 // TestRecommendationWalkMatchesLookup: HandleRecommendation moves a clock by
-// walking the message against its sender's run, so it must move exactly the
-// clocks a per-entry lookup names — whatever the entries' order, duplicates,
-// strangers and unknown IDs included, from servers and non-servers alike.
+// walking a run-form message against its sender's run, so it must move
+// exactly the clocks a per-destination lookup names — whatever destinations
+// are asked for, strangers and unknown IDs included, from servers and
+// non-servers alike.
 func TestRecommendationWalkMatchesLookup(t *testing.T) {
 	const n = 49
 	ids := make([]wire.NodeID, n)
@@ -554,31 +601,19 @@ func TestRecommendationWalkMatchesLookup(t *testing.T) {
 		if ids[from] == wire.NilNode || from == q.self {
 			continue
 		}
-		var dsts []int
-		for dst := 0; dst < n+3; dst++ { // n, n+1 and n+2 are nobody's IDs
-			if rng.Intn(3) == 0 {
-				dsts = append(dsts, dst)
-			}
-		}
-		switch rng.Intn(3) {
-		case 0: // ascending, then the sender itself
-			dsts = append(slices.DeleteFunc(dsts, func(d int) bool { return d == from }), from)
-		case 1:
-			rng.Shuffle(len(dsts), func(i, j int) { dsts[i], dsts[j] = dsts[j], dsts[i] })
-		default:
-			dsts = append(dsts, dsts...)
-		}
+		var dsts []wire.NodeID
 		want := clocks(q)
 		now := env.Now().UnixNano()
-		rec := wire.Recommendation{ViewVersion: 1}
-		for _, dst := range dsts {
-			rec.Entries = append(rec.Entries, wire.RecEntry{Dst: wire.NodeID(dst), Hop: wire.NodeID(dst), Cost: 10})
+		for dst := 0; dst < n+3; dst++ { // n, n+1 and n+2 are nobody's IDs
+			if rng.Intn(3) > 0 {
+				continue
+			}
+			dsts = append(dsts, wire.NodeID(dst))
 			if _, ok := want[[2]int{dst, from}]; ok {
 				want[[2]int{dst, from}] = now
 			}
 		}
-		h, body, _ := wire.ParseHeader(wire.AppendRecommendation(nil, wire.NodeID(from), rec))
-		q.HandleRecommendation(h, body)
+		recommendRun(q, wire.NodeID(from), wire.NodeID(from), dsts...)
 		if got := clocks(q); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: %d's entries %v moved the clocks wrongly", round, from, dsts)
 		}
