@@ -72,7 +72,10 @@ import (
 // link's announced latency inside a band around its EWMA: on their 20 ms of
 // jitter fewer entries change, and the datagrams and bytes saved shift the
 // network's random stream; the last row still reads after=16s, and 15s
-// swapped. A change that means to alter a scenario re-captures its row in the
+// swapped. The lossy-gossip row alone moved when a refused recommendation
+// delta stopped installing its changed run entries and an older run-form
+// message began to be ignored whole: one sample's stretch reads 1.8702, not
+// 1.8202. A change that means to alter a scenario re-captures its row in the
 // open.
 func TestChurnScenariosGolden(t *testing.T) {
 	short := func(sc ChurnScenario) ChurnOptions {
@@ -88,7 +91,7 @@ func TestChurnScenariosGolden(t *testing.T) {
 		{short(ChurnCoordCrash), "91de9d3e5c865d08"},
 		{short(ChurnPartition), "192565161f41cd62"},
 		{short(ChurnRegional), "00111fb63c8263cb"},
-		{short(ChurnLossyGossip), "67942abb3431f7bd"},
+		{short(ChurnLossyGossip), "d608a2c29ca153f5"},
 		{short(ChurnGossipCrash), "77551b0431edbf21"},
 		{short(ChurnStraggler), "29c5de47a0a1e2c0"},
 		{ChurnOptions{DynamicFleetOptions: DynamicFleetOptions{Seed: 14}, N: 30, Scenario: ChurnStraggler, Rate: 0.6, Duration: 6 * time.Minute}, "1df4c9718b9132ab"},
