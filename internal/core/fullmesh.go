@@ -47,10 +47,10 @@ func (c *FullMeshConfig) fill() {
 // routing interval and computes all best one-hop routes locally. It is the
 // paper's comparison baseline: the same row core as Quorum (rows, ingest,
 // expiry, view install, BestHop and its LinkAlive), with a broadcast and a
-// full recompute for rounds. Its row core parks the n−1 rows an interval brings and applies
-// them at the tick that reads them (rowCore), so the recompute streams rows
-// just written rather than rows gone cold since they arrived. As RON does,
-// it sends every row in full: deltas are the quorum's.
+// full recompute for rounds. Its row core parks the n−1 rows an interval
+// brings and applies them at the tick that reads them (rowCore), so the
+// recompute streams rows just written rather than rows gone cold since they
+// arrived. As RON does, it sends every row in full: deltas are the quorum's.
 type FullMesh struct {
 	rowCore
 	cfg FullMeshConfig
