@@ -181,7 +181,7 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64, slots int) {
 			c := cores[wire.NodeID(s)]
 			msg := c.announce()
 			announced[[2]uint32{uint32(s), c.seq}] = row{msg, c.view}
-			if d := c.delta([]int{0}); d != nil {
+			if d := c.deltaFor([]int{0}); d != nil {
 				if b, _ := wire.LinkStateDeltaBody(d[wire.HeaderLen:]); len(d) < wire.HeaderLen+13+(b.Members+7)/8+b.Changed*b.EntryLen() {
 					indexed++
 				}
@@ -230,8 +230,12 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64, slots int) {
 			t.Fatal(err)
 		}
 		if m.to != 0 {
+			held, refusal, err := wire.ParseLinkStateAck(body)
+			if err != nil || !refusal {
+				t.Fatalf("the receiver sent %x, no refusal", m.msg)
+			}
 			refusals++
-			cores[m.to].answer(m.from, 0)
+			cores[m.to].answer(m.from, 0, held)
 			return
 		}
 		if h.Type == wire.TLinkStateDelta {
@@ -399,7 +403,7 @@ func testHostileDeltasTouchNothing(t *testing.T, version uint32, asym bool, slot
 		if form == wire.TLinkStateAsym {
 			size = wire.AsymEntryLen
 		}
-		msg := wire.NewLinkStateDelta(src, version, seq, form, members, len(changed))
+		msg := wire.NewLinkStateDelta(src, version, seq, seq-1, form, members, len(changed))
 		for k, i := range changed {
 			wire.PutDeltaEntry(msg, i, k, slices.Repeat([]byte{byte(0x11 * (k + 1))}, size))
 		}
@@ -457,8 +461,8 @@ func testHostileDeltasTouchNothing(t *testing.T, version uint32, asym bool, slot
 		{"the other row form", delta(3, version, 3, map[bool]wire.MsgType{false: wire.TLinkStateAsym, true: wire.TLinkState}[asym], m, 1, 6)},
 		{"an entry per slot", delta(3, version, 3, form, view.Slots(), 1, 6)},
 		{"no row type as its form", corrupt(wire.HeaderLen+8, byte(wire.TRecommendation))},
-		{"a refusal from a stranger", wire.AppendLinkStateAck(nil, 77, 0)},
-		{"a refusal from a member gone from the view", wire.AppendLinkStateAck(nil, 4, 0)},
+		{"a refusal from a stranger", wire.AppendLinkStateRefusal(nil, 77, 0)},
+		{"a refusal from a member gone from the view", wire.AppendLinkStateRefusal(nil, 4, 0)},
 	}
 	if slots == 40 {
 		hostiles = append(hostiles, []struct {
@@ -493,9 +497,9 @@ func testHostileDeltasTouchNothing(t *testing.T, version uint32, asym bool, slot
 	for slices.Contains(q.servers, far) {
 		far--
 	}
-	handle(wire.AppendLinkStateAck(nil, wire.NodeID(far), 0))
-	handle(wire.AppendLinkStateAck(nil, 1, 0))
-	handle(wire.AppendLinkStateAck(nil, 1, 0))
+	handle(wire.AppendLinkStateRefusal(nil, wire.NodeID(far), 0))
+	handle(wire.AppendLinkStateRefusal(nil, 1, 0))
+	handle(wire.AppendLinkStateRefusal(nil, 1, 0))
 	if env.sent-sent != 1 {
 		t.Errorf("three refusals, one of them a repeat, drew %d rows, want 1", env.sent-sent)
 	}
@@ -508,5 +512,225 @@ func testHostileDeltasTouchNothing(t *testing.T, version uint32, asym bool, slot
 	}
 	if after := snapshot(); after.seq != 3 || slices.Equal(after.out, before.out) || after.sent != before.sent {
 		t.Errorf("the good delta was not taken: %+v, before %+v", after, before)
+	}
+}
+
+// TestRefusalNamesItsBase drives a sender's row core and a receiver's, on
+// both table forms, through the refusals lost rows and view installs draw. A
+// receiver whose delta at seq−1 was lost refuses the one at seq naming row
+// seq−2, the row it holds, and the answer is a delta from it, shorter than
+// the row, after which the receiver holds the sender's row exactly; so is
+// one 255 rows back. The answer goes in full when the refuser holds nothing,
+// when its rows are unbased after it skipped a view version, when the base
+// it names lies below the sender's floor after the sender skipped one, and
+// when that base lies 256 rows back, past what a change stamp tells apart.
+func TestRefusalNamesItsBase(t *testing.T) {
+	for _, asym := range []bool{false, true} {
+		t.Run(map[bool]string{false: "symmetric", true: "directional"}[asym], func(t *testing.T) {
+			testRefusalNamesItsBase(t, asym)
+		})
+	}
+}
+
+func testRefusalNamesItsBase(t *testing.T, asym bool) {
+	sim, _ := soloEnv()
+	const slots = 40
+	ids := make([]wire.NodeID, slots)
+	for i := range ids {
+		ids[i] = wire.NodeID(i)
+	}
+	view := slotView(t, 5, ids...)
+	var box []mail
+	rows, asymRows := make([][]wire.LinkEntry, 2), make([][]wire.AsymEntry, 2)
+	for s := range rows {
+		rows[s] = aliveRow(slots, s)
+		for _, e := range rows[s] {
+			asymRows[s] = append(asymRows[s], wire.AsymEntry{Out: e.Latency, In: e.Latency + 1, Status: e.Status})
+		}
+	}
+	core := func(s int) *rowCore {
+		return rowCoreAt(&mailEnv{SimEnv: sim, id: wire.NodeID(s), box: &box}, view, s, asym, &rows[s], &asymRows[s])
+	}
+	sender, recv := core(1), core(0)
+	fresh := lsdb.NewTable
+	if asym {
+		fresh = lsdb.NewDirectionalTable
+	}
+	install := func(c *rowCore, version uint32) {
+		t.Helper()
+		if _, stable, _ := c.installView(slotView(t, version, ids...), int(c.env.LocalID()), fresh); !stable {
+			t.Fatalf("view %d is no stable extension", version)
+		}
+	}
+	// tick announces the sender's next row, three entries changed, and
+	// returns what the interval sends the receiver: a delta, or the row.
+	tick := func() []byte {
+		for _, h := range []int{2 + int(sender.seq)%7, 10 + int(sender.seq)%5, 20 + int(sender.seq)%11} {
+			rows[1][h].Latency += 7
+			asymRows[1][h].Out, asymRows[1][h].In = asymRows[1][h].Out+7, asymRows[1][h].In+3
+		}
+		msg := sender.announce()
+		if d := sender.deltaFor([]int{0}); d != nil {
+			return d
+		}
+		return msg
+	}
+	deliver := func(c *rowCore, msg []byte) {
+		h, body, _ := wire.ParseHeader(msg)
+		if h.Type == wire.TLinkStateDelta {
+			c.patch(h, body)
+		} else {
+			c.ingest(h, body)
+		}
+	}
+	// take returns the one datagram in flight, from from.
+	take := func(from wire.NodeID) []byte {
+		t.Helper()
+		if len(box) != 1 || box[0].from != from {
+			t.Fatalf("%d datagrams in flight, want one from %d: %v", len(box), from, box)
+		}
+		msg := box[0].msg
+		box = box[:0]
+		return msg
+	}
+	// refused delivers msg, a delta, to c and returns the base its refusal names.
+	refused := func(c *rowCore, msg []byte) uint32 {
+		t.Helper()
+		if wire.PeekType(msg) != wire.TLinkStateDelta {
+			t.Fatalf("the interval sent type %d, not a delta", wire.PeekType(msg))
+		}
+		deliver(c, msg)
+		_, body, _ := wire.ParseHeader(take(c.env.LocalID()))
+		held, refusal, err := wire.ParseLinkStateAck(body)
+		if err != nil || !refusal {
+			t.Fatalf("the receiver sent no refusal: %v", err)
+		}
+		return held
+	}
+	// holds reports whether c holds the sender's row.
+	holds := func(c *rowCore) bool {
+		out, in := costsOf(t, sender.view, 1, sender.row)
+		return c.table.Seq(1) == sender.seq && slices.Equal(c.table.OutRow(1), out) && slices.Equal(c.table.InRow(1), in)
+	}
+	// answered has the sender answer a refusal from c naming held, delivers
+	// the answer, and requires c to hold the sender's row after it.
+	answered := func(c *rowCore, held uint32) []byte {
+		t.Helper()
+		sender.answer(c.env.LocalID(), 0, held)
+		answer := take(1)
+		deliver(c, answer)
+		if len(box) != 0 || !holds(c) {
+			t.Fatalf("after the answer to a refusal naming %d the receiver holds row %d, not the sender's %d (%d datagrams in flight)",
+				held, c.table.Seq(1), sender.seq, len(box))
+		}
+		return answer
+	}
+	full := func(answer []byte, why string) {
+		t.Helper()
+		if !slices.Equal(answer, sender.row) {
+			t.Errorf("%s: the answer is %d bytes of type %d, not the row in full", why, len(answer), wire.PeekType(answer))
+		}
+	}
+	based := func(answer []byte, base uint32) {
+		t.Helper()
+		d, err := wire.LinkStateDeltaBody(answer[wire.HeaderLen:])
+		if wire.PeekType(answer) != wire.TLinkStateDelta || err != nil || d.Base != base || d.Seq != sender.seq || len(answer) >= len(sender.row) {
+			t.Errorf("the answer to a refusal naming row %d is %d bytes of type %d (%+v), not a delta from it shorter than the row's %d",
+				base, len(answer), wire.PeekType(answer), d, len(sender.row))
+		}
+	}
+
+	// A lost delta.
+	deliver(recv, tick())
+	tick()
+	if held := refused(recv, tick()); held != sender.seq-2 {
+		t.Fatalf("the refusal names row %d, want %d", held, sender.seq-2)
+	}
+	based(answered(recv, sender.seq-2), sender.seq-2)
+
+	// A refuser holding nothing.
+	other := core(0)
+	full(answered(other, refused(other, tick())), "a refuser holding nothing")
+
+	// A refuser whose rows are unbased: it skipped a version the sender did not.
+	install(sender, 6)
+	install(sender, 7)
+	install(recv, 7)
+	if held := refused(recv, tick()); held != 0 {
+		t.Fatalf("an unbased row is named as a base: %d", held)
+	}
+	full(answered(recv, 0), "a refuser whose rows are unbased")
+
+	// A base below the sender's floor: the sender skipped a version, and its
+	// first row after, in full, is lost.
+	install(sender, 9)
+	install(recv, 8)
+	install(recv, 9)
+	held := recv.table.Seq(1)
+	if first := tick(); wire.PeekType(first) == wire.TLinkStateDelta {
+		t.Fatal("the first row after a skipped version went as a delta")
+	}
+	if got := refused(recv, tick()); got != held || held >= sender.floor {
+		t.Fatalf("the refusal names row %d, want %d, below the floor %d", got, held, sender.floor)
+	}
+	full(answered(recv, held), "a base below the floor")
+
+	// A base 255 rows back, then 256.
+	for back := uint32(255); back <= 256; back++ {
+		held := sender.seq
+		for range back - 1 {
+			tick()
+		}
+		if got := refused(recv, tick()); got != held {
+			t.Fatalf("the refusal names row %d, want %d", got, held)
+		}
+		if answer := answered(recv, held); back == 255 {
+			based(answer, held)
+		} else {
+			full(answer, "a base 256 rows back")
+		}
+	}
+}
+
+// TestReliableAcksDrawNoAnswer: in reliable mode a quorum node's rendezvous
+// servers ack its rows, and an ack, of the row's seq or of any other, draws
+// no answer; a refusal from the same server does. Both table forms.
+func TestReliableAcksDrawNoAnswer(t *testing.T) {
+	for _, asym := range []bool{false, true} {
+		sim, _ := soloEnv()
+		env := &countingEnv{SimEnv: sim}
+		ids := make([]wire.NodeID, 9)
+		for i := range ids {
+			ids[i] = wire.NodeID(i)
+		}
+		view := slotView(t, 1, ids...)
+		q, err := NewQuorum(env, QuorumConfig{Asymmetric: asym, ReliableLinkState: true}, view, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := aliveRow(view.Slots(), 0)
+		asymRow := make([]wire.AsymEntry, len(row))
+		for i, e := range row {
+			asymRow[i] = wire.AsymEntry{Out: e.Latency, In: e.Latency, Status: e.Status}
+		}
+		q.LinkAlive = func(int) bool { return true }
+		q.SelfRow = func() []wire.LinkEntry { return row }
+		q.SelfAsymRow = func() []wire.AsymEntry { return asymRow }
+		q.Tick()
+		server := wire.NodeID(q.servers[0])
+		handle := func(msg []byte) int {
+			sent := env.sent
+			h, body, _ := wire.ParseHeader(msg)
+			q.HandleLinkState(h, body)
+			return env.sent - sent
+		}
+		for _, seq := range []uint32{q.seq, 0, q.seq - 1} {
+			if n := handle(wire.AppendLinkStateAck(nil, server, seq)); n != 0 {
+				t.Errorf("asym=%v: an ack of row %d drew %d datagrams", asym, seq, n)
+			}
+		}
+		if n := handle(wire.AppendLinkStateRefusal(nil, server, 0)); n != 1 {
+			t.Errorf("asym=%v: a refusal drew %d datagrams, want the answer", asym, n)
+		}
 	}
 }

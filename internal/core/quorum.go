@@ -357,7 +357,7 @@ func (q *Quorum) activeServers(dst []int) []int {
 func (q *Quorum) linkState() []byte {
 	msg := q.announce()
 	q.rowTo = q.activeServers(q.rowTo[:0])
-	if d := q.delta(q.rowTo); d != nil {
+	if d := q.deltaFor(q.rowTo); d != nil {
 		msg = d
 	}
 	if q.cfg.ReliableLinkState && len(q.rowTo) > 0 {
@@ -390,23 +390,24 @@ func (q *Quorum) retransmit(seq uint32, viewVersion uint32, msg []byte) {
 	}
 }
 
-// handleLinkStateAck answers a refusal (seq 0) with the current row in full
-// (rowCore.answer) when the refuser is one of the rendezvous servers round 1
-// sends rows to (sendsRowsTo); any other ack clears a pending
-// reliable-delivery ack. Outside reliable mode nothing is pending.
+// handleLinkStateAck answers a refusal with the current row, as a delta from
+// the base the refuser names or in full (rowCore.answer), when the refuser is
+// one of the rendezvous servers round 1 sends rows to (sendsRowsTo); an ack
+// clears a pending reliable-delivery ack, and never draws an answer. Outside
+// reliable mode nothing is pending.
 //
 //lint:allocfree
 func (q *Quorum) handleLinkStateAck(h wire.Header, body []byte) {
-	seq, err := wire.ParseLinkStateAck(body)
+	seq, refusal, err := wire.ParseLinkStateAck(body)
 	if err != nil {
 		return
 	}
 	slot, ok := q.view.SlotOf(h.Src)
 	switch {
 	case !ok || slot == q.self:
-	case seq == 0:
+	case refusal:
 		if q.sendsRowsTo(slot) {
-			q.answer(h.Src, slot)
+			q.answer(h.Src, slot, seq)
 		}
 	case q.cfg.ReliableLinkState && q.pendingAcks[slot] == seq:
 		q.pendingAcks[slot] = 0
@@ -960,7 +961,7 @@ func (q *Quorum) recruitFailover(dst int, fo *failoverState) {
 	// closure's seq != q.seq guard and silently cancel every outstanding
 	// round-1 retransmission in reliable mode, and a sequence number names
 	// one row, which the next delta relies on.
-	if q.row != nil {
+	if q.announced {
 		q.env.Send(q.view.IDAt(f), q.row)
 		q.stats.LinkStatesSent++
 	}

@@ -185,7 +185,7 @@ func TestHostileTrailersTouchNothing(t *testing.T) {
 		{"a row cut short", riding(rec, row)[:len(rec)+wire.RideSize(row)-1]},
 		{"a row one byte long", append(riding(rec, row), 0)},
 		{"a row of the other table form", riding(rec, rowMessage(true, id, version, 7, members, 33))},
-		{"a delta of the other table form", riding(rec, wire.NewLinkStateDelta(id, version, 7, wire.TLinkStateAsym, members, 0))},
+		{"a delta of the other table form", riding(rec, wire.NewLinkStateDelta(id, version, 7, 6, wire.TLinkStateAsym, members, 0))},
 		{"a row at another view version", riding(rec, rowMessage(false, id, version+1, 7, members, 33))},
 		{"a row behind a refusal", riding(refusal, row)},
 	} {

@@ -16,16 +16,20 @@ import (
 // the table's: a directional one (footnote 2) takes TLinkStateAsym rows and
 // announces SelfAsymRow, a symmetric one TLinkState rows and SelfRow.
 //
-// The quorum sends a row after its first as a delta (wire.TLinkStateDelta)
-// against the row before it: the entries whose cost changed. A stable view
-// install onto the next version keeps the row before it, rebased into the new
-// view's packing; any other drops it, and the next row goes in full
-// (installView). A receiver holding that row rebuilds the new one's costs
-// exactly; one that does not refuses the delta with a link-state ack of seq
-// 0, which no row carries, and the sender answers at once with its row in
-// full. One encoding an interval serves every recipient, with no
-// per-receiver state and no periodic full row. The full mesh, the paper's
-// RON baseline, sends every row in full.
+// The quorum sends a row after its first as a delta (wire.TLinkStateDelta):
+// the entries whose cost changed since the delta's base. A delta names its
+// base; the receiver takes it iff it holds that base (lsdb.Table.PutDelta).
+// An interval's delta is against the row before it, and names no base. A
+// stable view install onto the next version keeps that row, rebased into the
+// new view's packing; any other drops it, and the next row goes in full
+// (installView). A receiver that lacks the base refuses the delta
+// (wire.AppendLinkStateRefusal), naming the sender's row it holds when that
+// row can base a delta, and the sender answers at once with its row as a
+// delta from that base, or in full when it can build none (answer). Each
+// member's change stamp, the seq at which its cost last changed, writes both
+// (delta). One encoding an interval serves every recipient, with no
+// per-receiver state and no periodic full row. The full mesh, the paper's RON
+// baseline, sends every row in full.
 //
 // The quorum, whose rendezvous pass reads each client row many times a tick,
 // puts a row into the table as it arrives. The full mesh parks it (park): the
@@ -48,9 +52,16 @@ type rowCore struct {
 	routeTable
 
 	// row is the full row announced at seq, as it went or would go on the
-	// wire, nil while the view has none; prev is the one at seq−1, or the
-	// entries of the row a stable install rebased, nil when there is neither.
-	row, prev []byte
+	// wire, while announced; after a stable install onto the next version it
+	// is that row's entries alone, rebased into the new view's packing, until
+	// the next announce; nil when there is neither. stamps holds, per member
+	// of row, the seq (mod 256) at which its cost last changed, and floor is
+	// the first seq since an install that kept no base: row seq is a delta
+	// against any row from floor on within 255 seqs (delta).
+	row       []byte
+	announced bool
+	stamps    []byte
+	floor     uint32
 	answered  answers // slots whose refusal was answered since the last announce
 
 	park   bool        // hold rows until the table is read
@@ -79,27 +90,29 @@ type rowCore struct {
 // seq and the counters survive both. The router's own state follows retired,
 // and next reports a stable extension onto the next version.
 //
-// A stable extension onto the next version keeps the row last announced,
-// rebased into the new view's packing, as the next delta's base. One that
-// skipped a version keeps no base, and the rows the table holds base no
-// delta (lsdb.Table.DropBases): in the views skipped a member may have left
-// and come back to its slot (a promotion restores one), which a node that
-// installed them reads as retired and started and one that did not as never
-// gone. Both ends of a delta thus reach its view by the same installs.
+// A stable extension onto the next version keeps the row last announced and
+// its stamps, rebased into the new view's packing, as the next delta's base.
+// One that skipped a version keeps no base, and the rows the table holds base
+// no delta (lsdb.Table.DropBases): in the views skipped a member may have
+// left and come back to its slot (a promotion restores one), which a node
+// that installed them reads as retired and started and one that did not as
+// never gone. Both ends of a delta thus reach its view by the same installs.
 func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n int) *lsdb.Table) (retired []int, stable, next bool) {
 	c.apply() // the parked rows are the old view's: they unpack by its slots
 	var started []int
 	retired, started, stable = membership.StableExtension(c.view, c.self, view, self)
 	next = stable && view.VersionNum() == c.view.VersionNum()+1
-	base := c.row
-	if base == nil { // nothing announced since the last install: the base it kept, if any
-		base = c.prev
-	}
-	if next && base != nil {
+	if next && c.row != nil {
+		// A started member's entry reads dead, as every held row of this
+		// sender reads InfCost toward it, whatever its seq: its stamp is the
+		// oldest, 255 seqs back.
 		_, size := c.form()
-		base = rebase(base[len(base)-c.table.RowBytes():], size, c.view, view, started)
+		dead := make([]byte, size)
+		dead[size-1] = wire.StatusDead // the status byte ends both entry forms
+		c.row = rebase(c.row[len(c.row)-c.table.RowBytes():], dead, c.view, view, started)
+		c.stamps = rebase(c.stamps, []byte{byte(c.seq + 1)}, c.view, view, started)
 	} else {
-		base = nil
+		c.row, c.stamps = nil, nil
 	}
 	switch {
 	case stable:
@@ -124,28 +137,30 @@ func (c *rowCore) installView(view *membership.ViewInfo, self int, fresh func(n 
 		c.routes = make([]route, n)
 	}
 	c.table.SetTombstones(view.Tombstones())
-	c.row, c.prev, c.answered = nil, base, c.answered[:0]
+	c.announced, c.answered = false, c.answered[:0]
 	if c.park && cap(c.parked) != n {
 		c.parked = make([]parkedRow, 0, n)
 	}
 	return retired, stable, next
 }
 
-// rebase translates entries, a row packed by the view old, into the packing
-// of next, a stable extension of old that started the members at started
-// (ascending): a member of both views keeps its entry, one the extension
-// started, in an appended or a reused slot, reads dead, and a tombstone drops
-// out. A receiver holding the row rebuilds the same costs, for its held row
-// reads InfCost toward every started slot (lsdb.Table.Grow, RetireSlot).
-func rebase(entries []byte, size int, old, next *membership.ViewInfo, started []int) []byte {
+// rebase translates entries, one of len(fill) bytes per member of the view
+// old — a row or its stamps — into the packing of next, a stable extension of
+// old that started the members at started (ascending): a member of both views
+// keeps its entry, one the extension started, in an appended or a reused
+// slot, gets fill, and a tombstone drops out. A receiver holding the row
+// rebuilds the same costs, for its held row reads InfCost toward every
+// started slot (lsdb.Table.Grow, RetireSlot), and a row's started entry
+// reads dead.
+func rebase(entries, fill []byte, old, next *membership.ViewInfo, started []int) []byte {
+	size := len(fill)
 	out := make([]byte, 0, next.N()*size)
 	i := 0 // entries' index of slot s, while s is in old's slot space
 	for s := range next.Slots() {
 		switch {
 		case len(started) > 0 && started[0] == s:
 			started = started[1:]
-			out = append(out, make([]byte, size)...)
-			out[len(out)-1] = wire.StatusDead // the status byte ends both entry forms
+			out = append(out, fill...)
 		case next.Occupied(s):
 			out = append(out, entries[i*size:][:size]...)
 		}
@@ -208,14 +223,17 @@ func retireRoutes(routes []route, retired []int) {
 }
 
 // expire drops every row too old to be read: past staleness, plus the
-// degraded hold while degraded mode may still fall back on it.
+// degraded hold while degraded mode may still fall back on it (readable).
 func (c *rowCore) expire() {
 	c.apply()
-	c.table.Expire(c.env.Now(), c.staleness+max(c.hold, 0))
+	c.table.Expire(c.env.Now(), c.readable())
 }
 
+// readable is the age past which no reader reads a row.
+func (c *rowCore) readable() time.Duration { return c.staleness + max(c.hold, 0) }
+
 // announce starts row seq+1, the node's measured row in the table's format
-// packed by the view's occupancy, and returns it in full.
+// packed by the view's occupancy, stamps it, and returns it in full.
 func (c *rowCore) announce() []byte {
 	c.seq++
 	c.answered = c.answered[:0]
@@ -233,52 +251,90 @@ func (c *rowCore) announce() []byte {
 			Entries:     c.SelfRow(),
 		})
 	}
-	if c.row != nil { // else prev is the base installView kept, or nil
-		c.prev = c.row
-	}
-	c.row = wire.PackLinkState(msg, c.view.Tombstones())
-	return c.row
+	msg = wire.PackLinkState(msg, c.view.Tombstones())
+	c.stamp(msg)
+	c.row, c.announced = msg, true
+	return msg
 }
 
-// delta returns row seq, which announce built, as a delta against row seq−1
-// for the members at slots to, or nil when there is no row before it or
-// the delta is expected to cost more bytes than the row in full. Each
-// recipient saves the row's size less the delta's, and one that lacks row
-// seq−1 refuses the delta, drawing the ack and the row in full (pays).
+// stamp records the members' change stamps for next, row seq, against row,
+// the one before it or the base an install kept. With no row before it, seq
+// is the floor and stamps every member. An entry changed when its cost did
+// (costChanged): the loss byte of a link alive at the same latency goes only
+// in full rows and with an entry whose cost changed, since no receiver reads
+// it — lsdb keeps costs. If a receiver ever reads loss (a loss-aware metric),
+// this rule must compare it too.
 //
-// An entry changed when its cost did (costChanged): the loss byte of a link
-// alive at the same latency goes only in full rows and with an entry whose
-// cost changed, since no receiver reads it — lsdb keeps costs. If a receiver
-// ever reads loss (a loss-aware metric), this rule must compare it too.
-func (c *rowCore) delta(to []int) []byte {
-	if c.prev == nil {
+// A stamp is a byte, so an entry unchanged for 255 seqs stays at that age,
+// its stamp stepping with seq: it never reads as changed since a base within
+// reach, and a base further back gets the full row.
+func (c *rowCore) stamp(next []byte) {
+	form, size := c.form()
+	rowLen := c.table.RowBytes()
+	now, at := next[len(next)-rowLen:], byte(c.seq)
+	if c.row == nil {
+		c.floor = c.seq
+		c.stamps = slices.Repeat([]byte{at}, rowLen/size)
+		return
+	}
+	was := c.row[len(c.row)-rowLen:]
+	for i := range c.stamps {
+		switch {
+		case costChanged(form, was, now, i):
+			c.stamps[i] = at
+		case c.stamps[i] == at: // 256 seqs unchanged
+			c.stamps[i] = at + 1
+		}
+	}
+}
+
+// delta returns row seq, which announce built, as a delta against row since:
+// the members whose stamp is after since. It returns nil when it can build
+// none: since is not below seq, is below the floor, or lies more than 255
+// seqs back, past what a stamp tells apart. It is the one writer of both the
+// interval's delta (deltaFor) and a refusal's answer (answer).
+func (c *rowCore) delta(since uint32) []byte {
+	if since < c.floor || since >= c.seq || c.seq-since > 255 {
 		return nil
 	}
 	form, size := c.form()
-	rowLen := c.table.RowBytes()
-	was, now := c.prev[len(c.prev)-rowLen:], c.row[len(c.row)-rowLen:]
-	members, k := rowLen/size, 0
-	for i := range members {
-		if costChanged(form, was, now, i) {
+	now := c.row[len(c.row)-c.table.RowBytes():]
+	at, back := byte(c.seq), byte(c.seq-since) // a member changed since when its stamp is less than back seqs old
+	k := 0
+	for _, st := range c.stamps {
+		if at-st < back {
 			k++
 		}
 	}
-	refused, odds := 0.0, c.refusals()
-	for _, s := range to {
-		refused += odds(s)
-	}
-	if !pays(refused, len(to)*(len(c.row)-wire.LinkStateDeltaSize(members, k, size)), wire.LinkStateAckSize, len(c.row)) {
-		return nil
-	}
-	msg := wire.NewLinkStateDelta(c.env.LocalID(), c.view.VersionNum(), c.seq, form, members, k)
+	msg := wire.NewLinkStateDelta(c.env.LocalID(), c.view.VersionNum(), c.seq, since, form, len(c.stamps), k)
 	k = 0
-	for i := range members {
-		if costChanged(form, was, now, i) {
+	for i, st := range c.stamps {
+		if at-st < back {
 			wire.PutDeltaEntry(msg, i, k, now[i*size:][:size])
 			k++
 		}
 	}
 	return msg
+}
+
+// deltaFor returns the interval's delta, row seq against row seq−1, for the
+// members at slots to, or nil when there is none or it is expected to cost
+// more bytes than the row in full. Each recipient saves the row's size less
+// the delta's, and one that lacks row seq−1 refuses the delta, drawing the
+// refusal and, priced at the row in full, the answer (pays).
+func (c *rowCore) deltaFor(to []int) []byte {
+	d := c.delta(c.seq - 1)
+	if d == nil {
+		return nil
+	}
+	refused, odds := 0.0, c.refusals()
+	for _, s := range to {
+		refused += odds(s)
+	}
+	if !pays(refused, len(to)*(len(c.row)-len(d)), wire.LinkStateAckSize, len(c.row)) {
+		return nil
+	}
+	return d
 }
 
 // costChanged reports whether entry i of two rows of row type form carries
@@ -333,12 +389,19 @@ func (c *rowCore) form() (wire.MsgType, int) {
 	return wire.TLinkState, wire.LinkEntryLen
 }
 
-// answer answers a refusal from the member src at slot with row seq in full,
-// once between announces.
-func (c *rowCore) answer(src wire.NodeID, slot int) {
-	if c.row != nil && c.answered.first(slot) {
-		c.env.Send(src, c.row)
+// answer answers a refusal from the member src at slot, which holds row held
+// as a base (0 for none), once between announces: with row seq as a delta
+// from held, or in full when no delta from held can be built or it would be
+// no shorter.
+func (c *rowCore) answer(src wire.NodeID, slot int, held uint32) {
+	if !c.announced || !c.answered.first(slot) {
+		return
 	}
+	if d := c.delta(held); d != nil && len(d) < len(c.row) {
+		c.env.Send(src, d)
+		return
+	}
+	c.env.Send(src, c.row)
 }
 
 // selfCosts unpacks the live self row, in the table's row format, into
@@ -383,10 +446,14 @@ func (c *rowCore) ingest(h wire.Header, body []byte) (version uint32, parsed boo
 }
 
 // patch is ingest for a delta, which only the quorum sends: the table takes
-// it (lsdb.Table.PutDelta) when it holds the row before it, and refuses it,
-// with a link-state ack of seq 0 to the sender, when it does not. It reports
-// what ingest does, for a delta: the seq of every well-formed delta the table
-// takes or holds a newer row than.
+// it (lsdb.Table.PutDelta) when it holds the delta's base, and refuses it
+// when it does not, naming to the sender the row of the sender's it holds as
+// a base, if any (lsdb.Table.Base). A row is named only while expire keeps it
+// a round trip longer, the reliable mode's ack wait (retransmitTimeout): an
+// answer from a base released meanwhile would draw a second refusal, answered
+// only after the sender's next announce. It reports what ingest does, for a
+// delta: the seq of every well-formed delta the table takes or holds a newer
+// row than.
 //
 //lint:allocfree
 func (c *rowCore) patch(h wire.Header, body []byte) (version uint32, parsed bool, seq uint32, kept bool) {
@@ -399,7 +466,8 @@ func (c *rowCore) patch(h wire.Header, body []byte) (version uint32, parsed bool
 		return d.ViewVersion, true, 0, false
 	}
 	if c.table.PutDelta(slot, c.env.Now(), &d) == lsdb.Refused {
-		c.env.Send(h.Src, wire.AppendLinkStateAck(nil, c.env.LocalID(), 0))
+		held := c.table.Base(slot, c.env.Now(), c.readable()-retransmitTimeout)
+		c.env.Send(h.Src, wire.AppendLinkStateRefusal(nil, c.env.LocalID(), held))
 		return d.ViewVersion, true, 0, false
 	}
 	return d.ViewVersion, true, d.Seq, true

@@ -18,11 +18,15 @@ import (
 // that drop 10 % of datagrams, duplicate 2 % and jitter them by up to 20 ms,
 // and records each node's announced rows by (node, seq): a full row as it
 // goes on the wire, a delta's row through the SelfRow (SelfAsymRow) call that
-// announced it. A sequence number names one row — a full row sent again at a
-// seq, as a refusal's answer or a failover push, is the row first announced
-// there — and every few seconds throughout the run every row any node holds
-// has exactly the costs of the row its sender announced at the held seq. The
-// quorum runs with directional rows and with reliable delivery on and off.
+// announced it, and a refusal's answer sent as a delta as the row it names as
+// its base with the delta's entries written over it. A sequence number names
+// one row — a full row or an answer sent again at a seq, or a failover push,
+// is the row first announced there — and every few seconds throughout the
+// run every row any node holds has exactly the costs of the row its sender
+// announced at the held seq. An answer delivered to a node holding its seq
+// or a newer row (delayed or duplicated) is stale, and moves neither the
+// held seq nor its receive time. The quorum runs with directional rows and
+// with reliable delivery on and off.
 //
 // The quorum's recommendations are held to the same rule (recLedger): every
 // entry a node holds of its rendezvous's message at a seq is the one that
@@ -40,133 +44,239 @@ func TestHeldRowsAreAnnouncedRows(t *testing.T) {
 		{"fullmesh", overlay.AlgFullMesh, core.QuorumConfig{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const n = 25
-			f := NewFleet(FleetOptions{N: n, Algorithm: tc.algo, Seed: 3, Env: traces.Generate(n, 3, traces.Config{}),
-				Quorum: tc.cfg})
-			for a := range n {
-				for b := range n {
-					if a != b {
-						f.Net.SetLoss(a, b, 0.1)
-						f.Net.SetDuplication(a, b, 0.02)
-						f.Net.SetJitter(a, b, 20*time.Millisecond)
-					}
-				}
-			}
-			announced := map[[2]int]costs{}
-			latest := make([]costs, n) // the costs of each node's last SelfRow call
-			routers := make([]interface{ Table() *lsdb.Table }, n)
-			for i, node := range f.Nodes {
-				switch r := node.Router().(type) {
-				case *core.Quorum:
-					row, asymRow := r.SelfRow, r.SelfAsymRow
-					r.SelfRow = func() []wire.LinkEntry {
-						e := row()
-						latest[i] = costs{lsdb.UnpackCosts(nil, e), lsdb.UnpackCosts(nil, e)}
-						return e
-					}
-					r.SelfAsymRow = func() []wire.AsymEntry {
-						e := asymRow()
-						latest[i] = costs{lsdb.UnpackOutCosts(nil, e), lsdb.UnpackInCosts(nil, e)}
-						return e
-					}
-					routers[i] = r
-				case *core.FullMesh:
-					row := r.SelfRow
-					r.SelfRow = func() []wire.LinkEntry {
-						e := row()
-						latest[i] = costs{lsdb.UnpackCosts(nil, e), lsdb.UnpackCosts(nil, e)}
-						return e
-					}
-					routers[i] = r
-				}
-			}
-			recs := newRecLedger(t)
-			account := f.Net.OnSend
-			mismatched := 0
-			// deltas, refused and answers count the deltas sent, the refusals
-			// (link-state acks of seq 0) and the full rows sent at a seq sent
-			// as a delta: refusals answered, and failover pushes.
-			deltas, refused, answers := 0, 0, 0
-			sentDelta := map[[2]int]bool{}
-			sent := func(from, to int, h wire.Header, body []byte) {
-				var seq uint32
-				var got costs
-				switch h.Type {
-				case wire.TRecommendation:
-					recs.sent(f.Nodes[from], f.Nodes[to].Env().LocalID(), body)
-					return
-				case wire.TLinkStateAck:
-					if seq, err := wire.ParseLinkStateAck(body); err == nil && seq == 0 {
-						refused++
-					}
-					return
-				case wire.TLinkStateDelta:
-					d, err := wire.LinkStateDeltaBody(body)
-					if err != nil {
-						t.Fatalf("node %d sent a malformed delta: %v", from, err)
-					}
-					seq, got = d.Seq, latest[from]
-					deltas++
-					sentDelta[[2]int{from, int(seq)}] = true
-				case wire.TLinkState, wire.TLinkStateAsym:
-					_, rowSeq, entries, err := wire.LinkStateBody(h.Type, body)
-					seq = rowSeq
-					if err != nil {
-						t.Fatalf("node %d sent a malformed row: %v", from, err)
-					}
-					got = wireCosts(h.Type, entries)
-					if sentDelta[[2]int{from, int(seq)}] {
-						answers++
-					}
-				default:
-					return
-				}
-				key := [2]int{from, int(seq)}
-				if was, ok := announced[key]; !ok {
-					announced[key] = costs{slices.Clone(got.out), slices.Clone(got.in)}
-				} else if (h.Type != wire.TLinkStateDelta) && (!slices.Equal(was.out, got.out) || !slices.Equal(was.in, got.in)) {
-					if mismatched++; mismatched == 1 {
-						t.Errorf("node %d sent two rows at seq %d", from, seq)
-					}
-				}
-			}
-			f.Net.OnSend = func(from, to int, p []byte) {
-				account(from, to, p)
-				for _, m := range messages(p) {
-					sent(from, to, m.h, m.body)
-				}
-			}
-			checks := 0
-			for range 48 {
-				f.Run(5 * time.Second)
-				for i, r := range routers {
-					table := r.Table()
-					for s := range n {
-						out := table.OutRow(s)
-						if s == i || !table.Have(s) || out[s] != 0 { // out[s], the sender's own entry, is 0 in every row held
-							continue
-						}
-						want, ok := announced[[2]int{s, int(table.Seq(s))}]
-						if !ok || !slices.Equal(out, want.out) || !slices.Equal(table.InRow(s), want.in) {
-							t.Fatalf("at %v node %d holds node %d's row %d, which is not the row announced at it:\n got %v\nwant %v",
-								f.Elapsed(), i, s, table.Seq(s), out, want.out)
-						}
-						checks++
-					}
-					if tc.algo == overlay.AlgQuorum {
-						recs.check(f.Nodes[i])
-					}
-				}
-			}
-			t.Logf("%d held rows checked; %d deltas sent, %d refused, %d full rows sent at a delta's seq", checks, deltas, refused, answers)
-			if checks == 0 || (tc.algo == overlay.AlgQuorum && (deltas == 0 || refused == 0 || answers == 0)) {
-				t.Errorf("%d rows checked, %d deltas, %d refusals, %d answers: the run exercised too little", checks, deltas, refused, answers)
-			}
-			if tc.algo == overlay.AlgQuorum {
-				recs.done()
+			c := heldRows(t, tc.algo, tc.cfg, 0.1, 48)
+			if c.checks == 0 || (tc.algo == overlay.AlgQuorum && (c.deltas == 0 || c.refused == 0 || c.answers == 0)) {
+				t.Errorf("%+v: the run exercised too little", c)
 			}
 		})
 	}
+}
+
+// TestHeldRowsAreAnnouncedRowsUnderLoss is TestHeldRowsAreAnnouncedRows for
+// the quorum, on both table forms, on the partition-heal workload's loss
+// plane: links that drop 5 % of datagrams, duplicate 2 % and jitter them by
+// up to 20 ms. Most refusals there name the row before the lost delta, and
+// are answered by a delta from it: the run must send such answers, and
+// deliver some of them stale, to a node already holding their seq.
+func TestHeldRowsAreAnnouncedRowsUnderLoss(t *testing.T) {
+	for _, asym := range []bool{false, true} {
+		t.Run(map[bool]string{false: "symmetric", true: "directional"}[asym], func(t *testing.T) {
+			c := heldRows(t, overlay.AlgQuorum, core.QuorumConfig{Asymmetric: asym}, 0.05, 96)
+			if c.checks == 0 || c.refused == 0 || c.based == 0 || c.stale == 0 {
+				t.Errorf("%+v: the run exercised too little", c)
+			}
+		})
+	}
+}
+
+// heldCounts is what a heldRows run counted.
+type heldCounts struct {
+	// checks counts the held rows checked; deltas the deltas sent, based
+	// those that name their base (answers), refused the refusals, answers the
+	// based deltas and the full rows sent at a seq sent as a delta (answers
+	// and failover pushes), and stale the answers delivered stale.
+	checks, deltas, based, refused, answers, stale int
+}
+
+// heldRows runs a static 25-node fleet of algo for rounds of 5 s on links
+// that drop loss of the datagrams, duplicate 2 % and jitter them by up to
+// 20 ms, and holds its rows to TestHeldRowsAreAnnouncedRows' rules.
+func heldRows(t *testing.T, algo overlay.Algorithm, cfg core.QuorumConfig, loss float64, rounds int) heldCounts {
+	const n = 25
+	f := NewFleet(FleetOptions{N: n, Algorithm: algo, Seed: 3, Env: traces.Generate(n, 3, traces.Config{}),
+		Quorum: cfg})
+	for a := range n {
+		for b := range n {
+			if a != b {
+				f.Net.SetLoss(a, b, loss)
+				f.Net.SetDuplication(a, b, 0.02)
+				f.Net.SetJitter(a, b, 20*time.Millisecond)
+			}
+		}
+	}
+	view := f.Nodes[0].View()
+	announced := map[[2]int]costs{}
+	latest := make([]costs, n) // the costs of each node's last SelfRow call
+	routers := make([]interface{ Table() *lsdb.Table }, n)
+	for i, node := range f.Nodes {
+		switch r := node.Router().(type) {
+		case *core.Quorum:
+			row, asymRow := r.SelfRow, r.SelfAsymRow
+			r.SelfRow = func() []wire.LinkEntry {
+				e := row()
+				latest[i] = costs{lsdb.UnpackCosts(nil, e), lsdb.UnpackCosts(nil, e)}
+				return e
+			}
+			r.SelfAsymRow = func() []wire.AsymEntry {
+				e := asymRow()
+				latest[i] = costs{lsdb.UnpackOutCosts(nil, e), lsdb.UnpackInCosts(nil, e)}
+				return e
+			}
+			routers[i] = r
+		case *core.FullMesh:
+			row := r.SelfRow
+			r.SelfRow = func() []wire.LinkEntry {
+				e := row()
+				latest[i] = costs{lsdb.UnpackCosts(nil, e), lsdb.UnpackCosts(nil, e)}
+				return e
+			}
+			routers[i] = r
+		}
+	}
+	recs := newRecLedger(t)
+	account := f.Net.OnSend
+	mismatched := 0
+	var c heldCounts
+	sentDelta := map[[2]int]bool{}
+	sent := func(from, to int, h wire.Header, body []byte) {
+		var seq uint32
+		var got costs
+		based := false
+		switch h.Type {
+		case wire.TRecommendation:
+			recs.sent(f.Nodes[from], f.Nodes[to].Env().LocalID(), body)
+			return
+		case wire.TLinkStateAck:
+			if _, refusal, err := wire.ParseLinkStateAck(body); err == nil && refusal {
+				c.refused++
+			}
+			return
+		case wire.TLinkStateDelta:
+			d, err := wire.LinkStateDeltaBody(body)
+			if err != nil {
+				t.Fatalf("node %d sent a malformed delta: %v", from, err)
+			}
+			seq, got = d.Seq, latest[from]
+			c.deltas++
+			if based = d.Base != d.Seq-1; based {
+				base, ok := announced[[2]int{from, int(d.Base)}]
+				if !ok {
+					t.Fatalf("node %d answered from row %d, which it never announced", from, d.Base)
+				}
+				row := patched(slotRow{view, base.out, base.in}, view, &d)
+				got = costs{row.out, row.in}
+				c.based++
+				c.answers++
+			} else {
+				sentDelta[[2]int{from, int(seq)}] = true
+			}
+		case wire.TLinkState, wire.TLinkStateAsym:
+			_, rowSeq, entries, err := wire.LinkStateBody(h.Type, body)
+			seq = rowSeq
+			if err != nil {
+				t.Fatalf("node %d sent a malformed row: %v", from, err)
+			}
+			got = wireCosts(h.Type, entries)
+			if sentDelta[[2]int{from, int(seq)}] {
+				c.answers++
+			}
+		default:
+			return
+		}
+		key := [2]int{from, int(seq)}
+		if was, ok := announced[key]; !ok {
+			announced[key] = costs{slices.Clone(got.out), slices.Clone(got.in)}
+		} else if (h.Type != wire.TLinkStateDelta || based) && (!slices.Equal(was.out, got.out) || !slices.Equal(was.in, got.in)) {
+			if mismatched++; mismatched == 1 {
+				t.Errorf("node %d sent two rows at seq %d", from, seq)
+			}
+		}
+	}
+	f.Net.OnSend = func(from, to int, p []byte) {
+		account(from, to, p)
+		for _, m := range messages(p) {
+			sent(from, to, m.h, m.body)
+		}
+	}
+	// A stale answer is checked at the next delivery, before its handler
+	// runs: nothing but that answer's handler ran since.
+	type held struct {
+		to, from int
+		seq      uint32
+		when     time.Time
+	}
+	var stale []held
+	deliver := f.Net.OnDeliver
+	f.Net.OnDeliver = func(from, to int, p []byte) {
+		for _, s := range stale {
+			if table := routers[s.to].Table(); table.Seq(s.from) != s.seq || !table.When(s.from).Equal(s.when) {
+				t.Fatalf("node %d took a stale answer from node %d: it held row %d from %v, now row %d from %v",
+					s.to, s.from, s.seq, s.when, table.Seq(s.from), table.When(s.from))
+			}
+		}
+		stale = stale[:0]
+		if h, body, err := wire.ParseHeader(p); err == nil && h.Type == wire.TLinkStateDelta && to < n {
+			if d, err := wire.LinkStateDeltaBody(body); err == nil && d.Base != d.Seq-1 {
+				if table := routers[to].Table(); table.Have(from) && table.Seq(from) >= d.Seq {
+					stale = append(stale, held{to, from, table.Seq(from), table.When(from)})
+					c.stale++
+				}
+			}
+		}
+		if deliver != nil {
+			deliver(from, to, p)
+		}
+	}
+	for range rounds {
+		f.Run(5 * time.Second)
+		for i, r := range routers {
+			table := r.Table()
+			for s := range n {
+				out := table.OutRow(s)
+				if s == i || !table.Have(s) || out[s] != 0 { // out[s], the sender's own entry, is 0 in every row held
+					continue
+				}
+				want, ok := announced[[2]int{s, int(table.Seq(s))}]
+				if !ok || !slices.Equal(out, want.out) || !slices.Equal(table.InRow(s), want.in) {
+					t.Fatalf("at %v node %d holds node %d's row %d, which is not the row announced at it:\n got %v\nwant %v",
+						f.Elapsed(), i, s, table.Seq(s), out, want.out)
+				}
+				c.checks++
+			}
+			if algo == overlay.AlgQuorum {
+				recs.check(f.Nodes[i])
+			}
+		}
+	}
+	t.Logf("%d held rows checked; %d deltas sent, %d of them answers, %d refused, %d answers in all, %d answers delivered stale",
+		c.checks, c.deltas, c.based, c.refused, c.answers, c.stale)
+	if algo == overlay.AlgQuorum {
+		recs.done()
+	}
+	return c
+}
+
+// patched returns base, a row by slot of the view it was built on, with
+// delta d's changed entries, a delta of view's members, written over it: the
+// row d.Seq by slot of view. A slot that base's view does not list with the
+// same member reads InfCost, as the delta's sender reads a started member
+// dead.
+func patched(base slotRow, view *membership.ViewInfo, d *wire.DeltaBody) slotRow {
+	row := slotRow{view, make([]wire.Cost, view.Slots()), make([]wire.Cost, view.Slots())}
+	for s := range view.Slots() {
+		row.out[s], row.in[s] = wire.InfCost, wire.InfCost
+		if s < base.view.Slots() && base.view.Occupied(s) && base.view.IDAt(s) == view.IDAt(s) {
+			row.out[s], row.in[s] = base.out[s], base.in[s]
+		}
+	}
+	slots := make([]int, 0, view.N()) // by member index
+	for s := range view.Slots() {
+		if view.Occupied(s) {
+			slots = append(slots, s)
+		}
+	}
+	for k, i := 0, -1; k < d.Changed; k++ {
+		i = d.Member(k, i)
+		s := slots[i]
+		if d.Form == wire.TLinkStateAsym {
+			e := wire.AsymEntryAt(d.Entries(), k)
+			row.out[s], row.in[s] = e.OutCost(), e.InCost()
+		} else {
+			row.out[s] = wire.LinkEntryAt(d.Entries(), k).Cost()
+			row.in[s] = row.out[s]
+		}
+	}
+	return row
 }
 
 // message is one message of a datagram.
@@ -312,7 +422,7 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 	}
 	recSenders := map[wire.NodeID]recSender{}
 	recAfterStable := map[key]bool{}
-	deltas, refused := 0, 0
+	deltas, refused, answers := 0, 0, 0
 	recs := newRecLedger(t)
 	account := f.Net.OnSend
 	sent := func(from, to int, h wire.Header, body []byte) {
@@ -341,7 +451,7 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 			}
 			return
 		case wire.TLinkStateAck:
-			if seq, err := wire.ParseLinkStateAck(body); err == nil && seq == 0 {
+			if _, refusal, err := wire.ParseLinkStateAck(body); err == nil && refusal {
 				refused++
 			}
 			return
@@ -351,6 +461,16 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 				t.Fatalf("node %d sent a malformed delta: %v", h.Src, err)
 			}
 			version, seq = d.ViewVersion, d.Seq
+			deltas++
+			if d.Base != d.Seq-1 { // an answer: its base row with its entries written over it
+				base, ok := announced[key{h.Src, d.Base}]
+				if !ok {
+					t.Fatalf("node %d answered from row %d, which it never announced", h.Src, d.Base)
+				}
+				row = patched(base, node.View(), &d)
+				answers++
+				break
+			}
 			// A delta goes in the tick that announced its row, and the
 			// prober's row does not move within an instant.
 			if asym {
@@ -363,7 +483,6 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 			for _, s := range row.view.Tombstones() { // no row carries them
 				row.out[s], row.in[s] = wire.InfCost, wire.InfCost
 			}
-			deltas++
 		case wire.TLinkState, wire.TLinkStateAsym:
 			var entries []byte
 			var err error
@@ -403,7 +522,7 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 			}
 			installs[h.Src] = now
 		}
-		if h.Type == wire.TLinkStateDelta {
+		if h.Type == wire.TLinkStateDelta && !ok {
 			if _, ok := afterStable[k]; ok {
 				afterStable[k] = true
 			}
@@ -494,8 +613,8 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 			recKept++
 		}
 	}
-	t.Logf("%d held rows checked, %d built on an earlier view; %d deltas sent, %d refused; %d slots reused; %d of %d rows and %d of %d rounds 2 after a stable install sent deltas",
-		checks, across, deltas, refused, reused, kept, len(afterStable), recKept, len(recAfterStable))
+	t.Logf("%d held rows checked, %d built on an earlier view; %d deltas sent, %d of them answers, %d refused; %d slots reused; %d of %d rows and %d of %d rounds 2 after a stable install sent deltas",
+		checks, across, deltas, answers, refused, reused, kept, len(afterStable), recKept, len(recAfterStable))
 	if checks == 0 || across == 0 || deltas == 0 || refused == 0 || reused == 0 || len(afterStable) == 0 || len(recAfterStable) == 0 {
 		t.Errorf("the run exercised too little")
 	}

@@ -205,16 +205,18 @@ const (
 	Taken Take = iota
 	// Stale: at or below the stored sequence number, a duplicate, and dropped.
 	Stale
-	// Refused: the row before it, d.Seq−1, is not held — never received,
-	// released by Expire, or overtaken by a lost row — or not a base
-	// (DropBases), so it cannot be rebuilt.
+	// Refused: the row it patches, d.Base, is not held — never received,
+	// released by Expire, or overtaken by a lost row or by another — or not a
+	// base (DropBases), so it cannot be rebuilt.
 	Refused
 )
 
 // PutDelta stores slot's delta d, received at when, whose form and member
-// count the caller has checked against the table's: when the stored row is
-// d.Seq−1 and held, the changed entries are scattered over its costs, which
-// then read as row d.Seq exactly, tombstones skipped.
+// count the caller has checked against the table's. A delta names its base;
+// the table takes it iff it holds that base: when the stored row is d.Base
+// (d.Seq−1 for a delta that names none) and can base a delta (Base), the
+// changed entries are scattered over its costs, which then read as row d.Seq
+// exactly, tombstones skipped.
 //
 //lint:allocfree
 func (t *Table) PutDelta(slot int, when time.Time, d *wire.DeltaBody) Take {
@@ -222,7 +224,7 @@ func (t *Table) PutDelta(slot int, when time.Time, d *wire.DeltaBody) Take {
 	switch {
 	case m.have && d.Seq <= m.seq:
 		return Stale
-	case !m.held || m.unbased || m.seq != d.Seq-1:
+	case !m.held || m.unbased || m.seq != d.Base:
 		return Refused
 	}
 	*m = slotMeta{when: when.UnixNano(), seq: d.Seq, have: true, held: true}
@@ -242,6 +244,18 @@ func (t *Table) PutDelta(slot int, when time.Time, d *wire.DeltaBody) Take {
 		}
 	}
 	return Taken
+}
+
+// Base returns the seq of slot's stored row when a delta can patch it —
+// held, not unbased, and received within maxAge of now — for a refusal to
+// name, and 0 when none can.
+//
+//lint:allocfree
+func (t *Table) Base(slot int, now time.Time, maxAge time.Duration) uint32 {
+	if m := t.meta[slot]; m.held && !m.unbased && t.freshAt(slot, now.UnixNano(), maxAge) {
+		return m.seq
+	}
+	return 0
 }
 
 // linkCosts unpacks the entry bytes wire.LinkStateBody returned into row, one

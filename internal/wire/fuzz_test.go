@@ -105,18 +105,39 @@ func FuzzLinkStateAsymRoundTrip(f *testing.F) {
 	})
 }
 
+// linkStateAck is a link-state ack by value: an ack of row seq, or a refusal
+// by a receiver holding row seq as a base.
+type linkStateAck struct {
+	seq     uint32
+	refusal bool
+}
+
 func FuzzLinkStateAckRoundTrip(f *testing.F) {
 	f.Add(uint16(6), body(wire.AppendLinkStateAck(nil, 6, 77)))
 	f.Fuzz(func(t *testing.T, src uint16, b []byte) {
-		roundTrip(t, src, b, wire.ParseLinkStateAck, wire.AppendLinkStateAck)
+		parse := func(b []byte) (linkStateAck, error) {
+			seq, refusal, err := wire.ParseLinkStateAck(b)
+			if err == nil && seq >= 1<<31 {
+				t.Fatalf("%x reads as seq %d, which no ack carries", b, seq)
+			}
+			return linkStateAck{seq, refusal}, err
+		}
+		appendAck := func(b []byte, src wire.NodeID, a linkStateAck) []byte {
+			if a.refusal {
+				return wire.AppendLinkStateRefusal(b, src, a.seq)
+			}
+			return wire.AppendLinkStateAck(b, src, a.seq)
+		}
+		roundTrip(t, src, b, parse, appendAck)
 	})
 }
 
 // FuzzLinkStateDeltaDecode: a delta body LinkStateDeltaBody accepts — any
 // bytes at all, hostile ones included — names exactly its changed count of
 // members, strictly ascending and all below its member count, carries an
-// entry for each, has a row before its seq, and re-encodes byte for byte.
-// The seeds cover both forms of the marks: bitmap and index.
+// entry for each, has a row before its seq, patches a row below its seq, and
+// re-encodes byte for byte. The seeds cover both forms of the marks: bitmap
+// and index.
 func FuzzLinkStateDeltaDecode(f *testing.F) {
 	f.Add(uint16(4), body(wire.AppendLinkStateDelta(nil, 4, wire.LinkStateDelta{
 		ViewVersion: 3, Seq: 9, Form: wire.TLinkState, Members: 12,
@@ -139,7 +160,7 @@ func FuzzLinkStateDeltaDecode(f *testing.F) {
 	f.Add(uint16(9), []byte{0, 0, 0, 1, 0, 0, 0, 2, 3, 0, 17, 0, 0})
 	f.Fuzz(func(t *testing.T, src uint16, b []byte) {
 		if d, err := wire.LinkStateDeltaBody(b); err == nil {
-			if d.Seq == 0 || len(d.Entries()) != d.Changed*d.EntryLen() {
+			if d.Seq == 0 || d.Base >= d.Seq || len(d.Entries()) != d.Changed*d.EntryLen() {
 				t.Fatalf("accepted %+v with %d entry bytes", d, len(d.Entries()))
 			}
 			for k, i := 0, -1; k < d.Changed; k++ {
@@ -293,7 +314,7 @@ func FuzzSplitRecommendationRoundTrip(f *testing.F) {
 	wire.MarkRecRun(delta, 3)
 	wire.MarkRecChanged(delta, 0, 3)
 	wire.PutRecEntry(delta, 0, wire.RecEntry{Hop: 2, Cost: 30})
-	rowDelta := wire.NewLinkStateDelta(7, 4, 3, wire.TLinkState, 3, 1)
+	rowDelta := wire.NewLinkStateDelta(7, 4, 3, 2, wire.TLinkState, 3, 1)
 	wire.PutDeltaEntry(rowDelta, 1, 0, []byte{0, 9, 0})
 	for _, msg := range [][]byte{explicit, run, delta} {
 		f.Add(false, body(msg))

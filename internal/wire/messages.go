@@ -208,13 +208,18 @@ func LinkStateSize(n int) int { return HeaderLen + linkStateFixed + LinkEntryLen
 // A link-state delta (TLinkStateDelta) is a link-state row sent as the
 // entries whose cost changed: row Seq of its form, a TLinkState or a
 // TLinkStateAsym row of a view's members, member-packed, rebuilt from the
-// sender's row Seq−1 in the same view by writing its entries over the changed
-// members' of that row.
+// sender's row Base in the same view by writing its entries over the changed
+// members' of that row. A delta names its base; the receiver takes it iff it
+// holds that base (lsdb.Table.PutDelta), and refuses it otherwise
+// (AppendLinkStateRefusal).
 //
 // The body is the view version and Seq (4 bytes each), the form's type byte,
-// the member count and the changed count (2 bytes each), the changed members'
-// marks, and the changed entries in the form's encoding, in member order. The
-// marks take the shorter of two forms, which the two counts choose, so no
+// the member count and the changed count (2 bytes each), Base (4 bytes) when
+// the form byte carries deltaBased, the changed members' marks, and the
+// changed entries in the form's encoding, in member order. A delta against
+// row Seq−1, the one a node sends each interval, names no Base; one against
+// an older row, a refusal's answer, names it, at least 1 and below Seq−1.
+// The marks take the shorter of two forms, which the two counts choose, so no
 // flag says which:
 //   - index form, when 2·changed < ⌈members/8⌉: the changed members' 2-byte
 //     indices, strictly ascending, each below members;
@@ -222,10 +227,23 @@ func LinkStateSize(n int) int { return HeaderLen + linkStateFixed + LinkEntryLen
 //     significant first) marks member i changed and whose bits past the
 //     members are zero.
 //
-// The header and the marks fix the length, so no cut goes unseen.
+// The header, the flag and the marks fix the length, so no cut goes unseen.
 
-// deltaFixed is the encoded size of a delta's fields before its marks.
+// deltaFixed is the encoded size of a delta's fields before its marks, but
+// a named base's.
 const deltaFixed = 4 + 4 + 1 + 2 + 2
+
+// deltaBased flags, in a delta's form byte, a delta that names its base.
+const deltaBased = 0x80
+
+// deltaHead returns the size of the fields before the marks of a delta body
+// whose form byte is form.
+func deltaHead(form byte) int {
+	if form&deltaBased != 0 {
+		return deltaFixed + 4 // the base
+	}
+	return deltaFixed
+}
 
 // deltaIndexed reports whether a delta of changed entries over a row of
 // members marks them by index, the shorter form, rather than by bitmap.
@@ -240,15 +258,24 @@ func deltaMarksLen(members, changed int) int {
 }
 
 // NewLinkStateDelta returns a whole delta message from src, of changed
-// entries over a row of members, allocated once at its final size for
-// PutDeltaEntry to fill.
-func NewLinkStateDelta(src NodeID, viewVersion, seq uint32, form MsgType, members, changed int) []byte {
-	b := AppendHeader(make([]byte, 0, LinkStateDeltaSize(members, changed, entryLen(form))), TLinkStateDelta, src)
+// entries over a row of members against row base, allocated once at its
+// final size for PutDeltaEntry to fill. A delta against row seq−1 names no
+// base.
+func NewLinkStateDelta(src NodeID, viewVersion, seq, base uint32, form MsgType, members, changed int) []byte {
+	size := LinkStateDeltaSize(members, changed, entryLen(form))
+	if base != seq-1 {
+		size += 4 // the base
+		form |= deltaBased
+	}
+	b := AppendHeader(make([]byte, 0, size), TLinkStateDelta, src)
 	b = binary.BigEndian.AppendUint32(b, viewVersion)
 	b = binary.BigEndian.AppendUint32(b, seq)
 	b = append(b, byte(form))
 	b = binary.BigEndian.AppendUint16(b, uint16(members))
 	b = binary.BigEndian.AppendUint16(b, uint16(changed))
+	if form&deltaBased != 0 {
+		b = binary.BigEndian.AppendUint32(b, base)
+	}
 	return b[:cap(b)]
 }
 
@@ -260,8 +287,9 @@ func NewLinkStateDelta(src NodeID, viewVersion, seq uint32, form MsgType, member
 func PutDeltaEntry(msg []byte, i, k int, entry []byte) {
 	body := msg[HeaderLen:]
 	members, changed := int(binary.BigEndian.Uint16(body[9:])), int(binary.BigEndian.Uint16(body[11:]))
-	putMark(body[deltaFixed:], members, changed, k, i)
-	copy(body[deltaFixed+deltaMarksLen(members, changed)+k*len(entry):], entry)
+	marks := body[deltaHead(body[8]):]
+	putMark(marks, members, changed, k, i)
+	copy(marks[deltaMarksLen(members, changed)+k*len(entry):], entry)
 }
 
 // putMark marks member i as the k-th of changed of members in marks, in the
@@ -278,8 +306,9 @@ func putMark(marks []byte, members, changed, k, i int) {
 
 // DeltaBody is a delta body LinkStateDeltaBody accepted, read in place.
 type DeltaBody struct {
-	ViewVersion, Seq uint32
-	Form             MsgType
+	// Base is the row the delta patches: Seq−1 unless the delta names it.
+	ViewVersion, Seq, Base uint32
+	Form                   MsgType
 	// Members is the row's entry count, Changed how many the marks name.
 	Members, Changed int
 
@@ -352,10 +381,11 @@ func checkMarks(marks []byte, members, changed int) error {
 func (d *DeltaBody) Entries() []byte { return d.entries }
 
 // LinkStateDeltaBody checks the framing of a delta body — a row type for
-// form, a row before Seq, marks in the form the counts choose that name as
-// many members as the changed count says, ascending and below Members, and
-// an entry for each — and returns it for reading in place. Its errors are
-// bare, so that a refusal allocates nothing.
+// form, a row before Seq, a named base only when it is neither 0 nor Seq−1
+// and below Seq, marks in the form the counts choose that name as many
+// members as the changed count says, ascending and below Members, and an
+// entry for each — and returns it for reading in place. Its errors are bare,
+// so that a refusal allocates nothing.
 //
 //lint:allocfree
 func LinkStateDeltaBody(body []byte) (DeltaBody, error) {
@@ -365,14 +395,24 @@ func LinkStateDeltaBody(body []byte) (DeltaBody, error) {
 	d := DeltaBody{
 		ViewVersion: binary.BigEndian.Uint32(body),
 		Seq:         binary.BigEndian.Uint32(body[4:]),
-		Form:        MsgType(body[8]),
+		Form:        MsgType(body[8] &^ deltaBased),
 		Members:     int(binary.BigEndian.Uint16(body[9:])),
 		Changed:     int(binary.BigEndian.Uint16(body[11:])),
 	}
 	if (d.Form != TLinkState && d.Form != TLinkStateAsym) || d.Seq == 0 {
 		return DeltaBody{}, ErrBadDelta
 	}
-	rest, marksLen := body[deltaFixed:], deltaMarksLen(d.Members, d.Changed)
+	d.Base = d.Seq - 1
+	head := deltaHead(body[8])
+	if len(body) < head {
+		return DeltaBody{}, ErrShort
+	}
+	if head != deltaFixed {
+		if d.Base = binary.BigEndian.Uint32(body[deltaFixed:]); d.Base == 0 || d.Base >= d.Seq-1 {
+			return DeltaBody{}, ErrBadDelta // names none, the row before, or no row before Seq
+		}
+	}
+	rest, marksLen := body[head:], deltaMarksLen(d.Members, d.Changed)
 	if len(rest) != marksLen+d.Changed*d.EntryLen() {
 		return DeltaBody{}, ErrBadLen
 	}
@@ -383,9 +423,9 @@ func LinkStateDeltaBody(body []byte) (DeltaBody, error) {
 	return d, nil
 }
 
-// LinkStateDeltaSize returns the encoded payload size of a delta over a row of
-// members entries, changed of them entryLen bytes each, in the shorter of its
-// two forms, excluding per-packet overhead.
+// LinkStateDeltaSize returns the encoded payload size of a delta against the
+// row before it over a row of members entries, changed of them entryLen bytes
+// each, in the shorter of its two forms, excluding per-packet overhead.
 func LinkStateDeltaSize(members, changed, entryLen int) int {
 	return HeaderLen + deltaFixed + deltaMarksLen(members, changed) + changed*entryLen
 }
@@ -903,20 +943,37 @@ func AsymLinkStateSize(n int) int { return HeaderLen + linkStateFixed + AsymEntr
 // per-packet overhead.
 const LinkStateAckSize = HeaderLen + 4
 
+// refusalFlag marks a link-state ack's seq field as a refusal's.
+const refusalFlag = 1 << 31
+
 // AppendLinkStateAck encodes an acknowledgment of the link-state row with
-// the given sequence number (the §6.2.2 reliability option: "making
-// link-state announcements reliable, at the cost of additional complexity
-// and some bandwidth").
+// the given sequence number, below 1<<31 (the §6.2.2 reliability option:
+// "making link-state announcements reliable, at the cost of additional
+// complexity and some bandwidth").
 func AppendLinkStateAck(b []byte, src NodeID, seq uint32) []byte {
 	b = AppendHeader(b, TLinkStateAck, src)
 	return binary.BigEndian.AppendUint32(b, seq)
 }
 
-// ParseLinkStateAck decodes a link-state ack body, returning the
-// acknowledged sequence number.
-func ParseLinkStateAck(body []byte) (uint32, error) {
-	if len(body) != 4 {
-		return 0, ErrBadLen
+// AppendLinkStateRefusal encodes a delta's refusal: a link-state ack whose
+// seq field carries refusalFlag and held, the seq of the sender's row the
+// refuser holds as a base, 0 when it holds none (a seq of 1<<31 or more names
+// none). The flag keeps an ack from ever reading as a refusal, or a refusal
+// as an ack.
+func AppendLinkStateRefusal(b []byte, src NodeID, held uint32) []byte {
+	if held >= refusalFlag {
+		held = 0
 	}
-	return binary.BigEndian.Uint32(body), nil
+	return AppendLinkStateAck(b, src, refusalFlag|held)
+}
+
+// ParseLinkStateAck decodes a link-state ack body: the acknowledged sequence
+// number, or, when refusal is set, the seq of the base the refuser holds (0
+// for none).
+func ParseLinkStateAck(body []byte) (seq uint32, refusal bool, err error) {
+	if len(body) != 4 {
+		return 0, false, ErrBadLen
+	}
+	seq = binary.BigEndian.Uint32(body)
+	return seq &^ refusalFlag, seq&refusalFlag != 0, nil
 }

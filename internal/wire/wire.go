@@ -233,8 +233,9 @@ var (
 	// ErrRunForm refuses a run-form recommendation where the receiver's run
 	// is unknown: its named entries carry no destination.
 	ErrRunForm = errors.New("wire: recommendation names destinations by the receiver's run")
-	// ErrBadDelta refuses a link-state delta whose form is no row type, and a
-	// delta of either kind at Seq 0, which has nothing before it.
+	// ErrBadDelta refuses a link-state delta whose form is no row type, a
+	// delta of either kind at Seq 0, which has nothing before it, and one
+	// naming a base that no row before Seq−1 is.
 	ErrBadDelta = errors.New("wire: delta patches nothing")
 )
 
