@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"allpairs/internal/wire"
@@ -114,6 +115,10 @@ type linkStateAck struct {
 
 func FuzzLinkStateAckRoundTrip(f *testing.F) {
 	f.Add(uint16(6), body(wire.AppendLinkStateAck(nil, 6, 77)))
+	f.Add(uint16(6), body(wire.AppendLinkStateAck(nil, 6, 0)))
+	f.Add(uint16(6), body(wire.AppendLinkStateRefusal(nil, 6, 75)))
+	f.Add(uint16(6), body(wire.AppendLinkStateRefusal(nil, 6, 0))) // the flag on a bare ack: holds nothing
+	f.Add(uint16(6), []byte{0x80, 0, 0})
 	f.Fuzz(func(t *testing.T, src uint16, b []byte) {
 		parse := func(b []byte) (linkStateAck, error) {
 			seq, refusal, err := wire.ParseLinkStateAck(b)
@@ -136,8 +141,9 @@ func FuzzLinkStateAckRoundTrip(f *testing.F) {
 // bytes at all, hostile ones included — names exactly its changed count of
 // members, strictly ascending and all below its member count, carries an
 // entry for each, has a row before its seq, patches a row below its seq, and
-// re-encodes byte for byte. The seeds cover both forms of the marks: bitmap
-// and index.
+// re-encodes byte for byte. The seeds cover both forms of the marks, bitmap
+// and index, and deltas that name their base: a good one, and ones naming
+// 0, the row before, the delta's own seq or one past it.
 func FuzzLinkStateDeltaDecode(f *testing.F) {
 	f.Add(uint16(4), body(wire.AppendLinkStateDelta(nil, 4, wire.LinkStateDelta{
 		ViewVersion: 3, Seq: 9, Form: wire.TLinkState, Members: 12,
@@ -158,6 +164,17 @@ func FuzzLinkStateDeltaDecode(f *testing.F) {
 		Changed: []int{300}, Entries: []byte{0, 20, 0, 35, 4},
 	})))
 	f.Add(uint16(9), []byte{0, 0, 0, 1, 0, 0, 0, 2, 3, 0, 17, 0, 0})
+	based := body(wire.AppendLinkStateDelta(nil, 4, wire.LinkStateDelta{
+		ViewVersion: 3, Seq: 9, Base: 7, Form: wire.TLinkStateAsym, Members: 12,
+		Changed: []int{2, 5}, Entries: []byte{0, 20, 0, 35, 4, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+	}))
+	f.Add(uint16(4), based)
+	for _, base := range []uint32{0, 8, 9, 10} {
+		b := slices.Clone(based)
+		binary.BigEndian.PutUint32(b[13:], base)
+		f.Add(uint16(4), b)
+	}
+	f.Add(uint16(4), based[:15]) // cut inside the base
 	f.Fuzz(func(t *testing.T, src uint16, b []byte) {
 		if d, err := wire.LinkStateDeltaBody(b); err == nil {
 			if d.Seq == 0 || d.Base >= d.Seq || len(d.Entries()) != d.Changed*d.EntryLen() {
