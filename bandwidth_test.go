@@ -115,6 +115,10 @@ func TestBandwidthLaw(t *testing.T) {
 	//     counted share, and Shared is 0.879: M falls 2.106 → 1.566 and the
 	//     run's bytes 2.402 → 1.826, so R falls 0.296 → 0.260, for rows to
 	//     the slots M does not count ride too.
+	//   - 1.166 still once a refusal's answer is a delta from the refuser's
+	//     base: answers that went in full now count as deltas, Deltas 0.900 →
+	//     0.907 and Changed 0.0509 → 0.0515, so M falls 1.566 → 1.556, and
+	//     the run's bytes 1.826 → 1.815, so R falls 0.260 → 0.259.
 	const want = 1.166
 	r, recDeltas := churnedRoutingVsModel(t)
 	t.Logf("churned quorum: %.4f× the model, %.3f of the recommendations as deltas", r, recDeltas)
