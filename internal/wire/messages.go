@@ -955,11 +955,11 @@ func AppendLinkStateAck(b []byte, src NodeID, seq uint32) []byte {
 	return binary.BigEndian.AppendUint32(b, seq)
 }
 
-// AppendLinkStateRefusal encodes a delta's refusal: a link-state ack whose
-// seq field carries refusalFlag and held, the seq of the sender's row the
-// refuser holds as a base, 0 when it holds none (a seq of 1<<31 or more names
-// none). The flag keeps an ack from ever reading as a refusal, or a refusal
-// as an ack.
+// AppendLinkStateRefusal encodes a delta's refusal. A delta names its base;
+// the receiver takes it iff it holds that base, else refuses it with a
+// link-state ack whose seq field carries refusalFlag and held, the seq of the
+// sender's row it holds as a base, 0 for none (a seq of 1<<31 or more names
+// none). The flag keeps an ack from ever reading as a refusal, or vice versa.
 func AppendLinkStateRefusal(b []byte, src NodeID, held uint32) []byte {
 	if held >= refusalFlag {
 		held = 0
