@@ -7,7 +7,7 @@ func Example() {
 	// Output:
 	// 25-node overlay after 2m0s of virtual time
 	//
-	// routing bandwidth: 0.89 Kbps per node (probing: 1.65 Kbps)
+	// routing bandwidth: 0.80 Kbps per node (probing: 1.65 Kbps)
 	//
 	// node 0 route table:
 	//   dst   via   cost(ms)  direct(ms)

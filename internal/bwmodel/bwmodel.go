@@ -80,9 +80,9 @@ type Params struct {
 	RecDeltas, RecChanged float64
 	// Shared, when positive, is the share of the quorum's rows that ride
 	// behind a recommendation to the same peer (wire.PutRide): such a row
-	// pays no packet overhead and no source ID. Zero Shared sends every row
-	// in a datagram of its own, the paper's law, whose implementation paid
-	// the overhead once per round.
+	// pays no packet overhead and sheds wire.RideCut bytes, Deltas of them
+	// deltas. Zero Shared sends every row in a datagram of its own, the
+	// paper's law, whose implementation paid the overhead once per round.
 	Shared float64
 }
 
@@ -134,7 +134,8 @@ func (p Params) QuorumRouting(n int) float64 {
 		}
 		row += p.Deltas * (delta - row)
 	}
-	row += float64(p.Overhead) - p.Shared*float64(p.Overhead+wire.HeaderLen-1) // a riding row's overhead and source ID
+	cut := float64(wire.RideCut(wire.TLinkState)) + p.Deltas*float64(wire.RideCut(wire.TLinkStateDelta)-wire.RideCut(wire.TLinkState))
+	row += float64(p.Overhead) - p.Shared*(float64(p.Overhead)+cut) // what a riding row sheds
 	perInterval := 2*float64(k)*row + 2*float64(k)*rec
 	return perInterval * bitsPerByte / p.QuorumInterval.Seconds()
 }

@@ -140,7 +140,9 @@ func TestParamsIntervalScaling(t *testing.T) {
 // recommendation (Shared 1) a pairing pays one packet overhead an interval
 // each way, not two, so the term the overhead buys, 4k·46 bytes an interval
 // in the paper's law (196.3·√n), halves to 2k·46 (≈ 98·√n), and each row
-// sheds its 2-byte source ID as well.
+// sheds as well its 2-byte source ID and the fixed fields the recommendation
+// and the receiver fix: a full row's view version, seq and entry count (10
+// bytes), a delta's and its form byte (11).
 func TestSharedRowsHalveTheOverheadTerm(t *testing.T) {
 	const perInterval = 8 / 15.0 // bits a byte, a byte an interval, in bps
 	for _, n := range []int{16, 144, 1024} {
@@ -155,8 +157,12 @@ func TestSharedRowsHalveTheOverheadTerm(t *testing.T) {
 			t.Errorf("n=%d: a byte of overhead costs %.4f bps with rows alone and %.4f riding, want %.4f and %.4f", n, paper, shared, 4*k*perInterval, 2*k*perInterval)
 		}
 		saved := Params{}.QuorumRouting(n) - Params{Shared: 1}.QuorumRouting(n)
-		if want := 2 * k * (46 + 2) * perInterval; math.Abs(saved-want) > 1e-9 {
+		if want := 2 * k * (46 + 2 + 10) * perInterval; math.Abs(saved-want) > 1e-9 {
 			t.Errorf("n=%d: riding rows save %.3f bps, want %.3f", n, saved, want)
+		}
+		saved = Params{Deltas: 1}.QuorumRouting(n) - Params{Deltas: 1, Shared: 1}.QuorumRouting(n)
+		if want := 2 * k * (46 + 2 + 11) * perInterval; math.Abs(saved-want) > 1e-9 {
+			t.Errorf("n=%d: riding deltas save %.3f bps, want %.3f", n, saved, want)
 		}
 	}
 	// 4k·46 bytes an interval at k = 2√n is the paper's √n coefficient.

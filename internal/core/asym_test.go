@@ -114,7 +114,7 @@ func (c *asymCluster) oracle(a, b int) wire.Cost {
 
 func TestAsymmetricQuorumFindsDirectionalOptima(t *testing.T) {
 	c := newAsymCluster(t, 25, 7)
-	rides := countRides(c.nw, wire.TLinkStateAsym) // directional rows ride too
+	rides := countRides(c.nw, func(to int) wire.RowShape { return c.routers[to].Shape() }) // directional rows ride too
 	c.nw.RunFor(4 * 15 * time.Second)
 	if *rides == 0 {
 		t.Error("no directional row rode behind a recommendation")

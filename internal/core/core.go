@@ -173,8 +173,11 @@ type Router interface {
 	// HandleLinkState processes a received link-state row, delta or ack, and
 	// returns the view version of a row or delta that parsed, kept or not.
 	HandleLinkState(h wire.Header, body []byte) (version uint32, ok bool)
-	// HandleRecommendation is HandleLinkState for a recommendation message.
-	HandleRecommendation(h wire.Header, body []byte) (version uint32, ok bool)
+	// HandleRide is HandleLinkState for a recommendation and the row riding
+	// behind it, as wire.SplitRecommendation read them against Shape.
+	HandleRide(h wire.Header, rec wire.RecBody, ride wire.Ride) (version uint32, ok bool)
+	// Shape returns what the router's table fixes of every row it takes.
+	Shape() wire.RowShape
 	// BestHop returns the current best route to the destination slot.
 	BestHop(dst int) (RouteEntry, bool)
 	// Routes returns a snapshot of the route table, indexed by slot.

@@ -238,11 +238,7 @@ func testDeltasAreLossless(t *testing.T, asym bool, seed int64, slots int) {
 			cores[m.to].answer(m.from, 0, held)
 			return
 		}
-		if h.Type == wire.TLinkStateDelta {
-			recv.patch(h, body)
-		} else {
-			recv.ingest(h, body)
-		}
+		receive(recv, h, body)
 		version, seq, _, err := wire.LinkStateBody(h.Type, body)
 		if h.Type == wire.TLinkStateDelta {
 			d, _ := wire.LinkStateDeltaBody(body)
@@ -577,11 +573,7 @@ func testRefusalNamesItsBase(t *testing.T, asym bool) {
 	}
 	deliver := func(c *rowCore, msg []byte) {
 		h, body, _ := wire.ParseHeader(msg)
-		if h.Type == wire.TLinkStateDelta {
-			c.patch(h, body)
-		} else {
-			c.ingest(h, body)
-		}
+		receive(c, h, body)
 	}
 	// take returns the one datagram in flight, from from.
 	take := func(from wire.NodeID) []byte {
@@ -732,5 +724,17 @@ func TestReliableAcksDrawNoAnswer(t *testing.T) {
 		if n := handle(wire.AppendLinkStateRefusal(nil, server, 0)); n != 1 {
 			t.Errorf("asym=%v: a refusal drew %d datagrams, want the answer", asym, n)
 		}
+	}
+}
+
+// receive hands c a lone row or delta as the routers do: parsed, then
+// ingested or patched in.
+func receive(c *rowCore, h wire.Header, body []byte) {
+	if h.Type == wire.TLinkStateDelta {
+		if d, err := wire.LinkStateDeltaBody(body); err == nil {
+			c.patch(h.Src, &d)
+		}
+	} else if version, seq, entries, err := wire.LinkStateBody(h.Type, body); err == nil {
+		c.ingest(h.Src, h.Type, version, seq, entries)
 	}
 }

@@ -144,15 +144,15 @@ func (f *FullMesh) HandleLinkState(h wire.Header, body []byte) (uint32, bool) {
 		d, err := wire.LinkStateDeltaBody(body)
 		return d.ViewVersion, err == nil
 	}
-	version, ok, _, _ := f.ingest(h, body)
-	return version, ok
+	version, seq, entries, err := wire.LinkStateBody(h.Type, body)
+	if err == nil {
+		f.ingest(h.Src, h.Type, version, seq, entries)
+	}
+	return version, err == nil
 }
 
-// HandleRecommendation implements Router. The baseline never receives
-// recommendations; the message is parsed for its version and ignored.
-//
-//lint:allocfree
-func (f *FullMesh) HandleRecommendation(_ wire.Header, body []byte) (uint32, bool) {
-	rec, err := wire.RecommendationBody(body)
-	return rec.ViewVersion, err == nil
+// HandleRide implements Router. The baseline never receives recommendations,
+// nor rows riding behind them; both are ignored.
+func (f *FullMesh) HandleRide(_ wire.Header, rec wire.RecBody, _ wire.Ride) (uint32, bool) {
+	return rec.ViewVersion, true
 }

@@ -704,32 +704,49 @@ func (q *Quorum) hops(k int) (fwd, rev []lsdb.HopCost) {
 // HandleLinkState implements Router: a client's row is ingested
 // (rowCore.ingest), or its delta patched in (rowCore.patch), which makes the
 // sender a rendezvous client of this node, failover clients who recruited us
-// included. In reliable mode every well-formed row or delta is acknowledged,
-// kept or not, but for a refused delta. An ack goes to handleLinkStateAck and
-// reports no version.
+// included (ack). An ack goes to handleLinkStateAck and reports no version.
 //
 //lint:allocfree
-func (q *Quorum) HandleLinkState(h wire.Header, body []byte) (version uint32, ok bool) {
-	var seq uint32
-	var kept bool
+func (q *Quorum) HandleLinkState(h wire.Header, body []byte) (uint32, bool) {
 	switch h.Type {
 	case wire.TLinkStateAck:
 		q.handleLinkStateAck(h, body)
 		return 0, false
 	case wire.TLinkStateDelta:
-		version, ok, seq, kept = q.patch(h, body)
-	default:
-		version, ok, seq, kept = q.ingest(h, body)
+		d, err := wire.LinkStateDeltaBody(body)
+		if err == nil {
+			q.ack(h.Src, d.Seq, q.patch(h.Src, &d))
+		}
+		return d.ViewVersion, err == nil
 	}
-	if kept && q.cfg.ReliableLinkState {
-		q.env.Send(h.Src, wire.AppendLinkStateAck(nil, q.env.LocalID(), seq))
+	version, seq, entries, err := wire.LinkStateBody(h.Type, body)
+	if err == nil {
+		q.ack(h.Src, seq, q.ingest(h.Src, h.Type, version, seq, entries))
 	}
-	return version, ok
+	return version, err == nil
 }
 
-// HandleRecommendation implements Router: installs round-2 best-hop
-// recommendations. The latest recommendation for a destination wins, per the
-// paper's footnote 11, whoever sent it. The body is read in place.
+// ack acknowledges in reliable mode src's row or delta at seq, if kept.
+func (q *Quorum) ack(src wire.NodeID, seq uint32, kept bool) {
+	if kept && q.cfg.ReliableLinkState {
+		q.env.Send(src, wire.AppendLinkStateAck(nil, q.env.LocalID(), seq))
+	}
+}
+
+// HandleRecommendation is HandleRide for a recommendation body alone.
+func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) (uint32, bool) {
+	rec, err := wire.RecommendationBody(body)
+	if err != nil {
+		return 0, false
+	}
+	return q.HandleRide(h, rec, wire.Ride{})
+}
+
+// HandleRide implements Router: the row that rode behind the recommendation,
+// if any, is taken first, as HandleLinkState takes a lone one; then the
+// recommendation installs its round-2 best-hop recommendations. The latest
+// recommendation for a destination wins, per the paper's footnote 11,
+// whoever sent it. The body is read in place.
 //
 // Only the run form moves §4.1's clocks. It is walked bit by bit against the
 // run of clocks this node shares with its sender, which must be a default
@@ -746,10 +763,14 @@ func (q *Quorum) HandleLinkState(h wire.Header, body []byte) (version uint32, ok
 // explicit-form message of no entries is a client's refusal (answerRefusal).
 //
 //lint:allocfree
-func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) (uint32, bool) {
-	rec, err := wire.RecommendationBody(body)
-	if err != nil || rec.ViewVersion != q.view.VersionNum() {
-		return rec.ViewVersion, err == nil
+func (q *Quorum) HandleRide(h wire.Header, rec wire.RecBody, ride wire.Ride) (uint32, bool) {
+	if r := &ride.Row; ride.Type == wire.TLinkStateDelta {
+		q.ack(h.Src, r.Seq, q.patch(h.Src, r))
+	} else if ride.Type != 0 {
+		q.ack(h.Src, r.Seq, q.ingest(h.Src, ride.Type, r.ViewVersion, r.Seq, r.Entries()))
+	}
+	if rec.ViewVersion != q.view.VersionNum() {
+		return rec.ViewVersion, true
 	}
 	from, ok := q.view.SlotOf(h.Src)
 	if !ok || from == q.self {

@@ -99,9 +99,9 @@ func newCluster(t *testing.T, n int, seed int64, algo string, qcfg QuorumConfig)
 	return c
 }
 
-// deliver hands r a routing datagram as the overlay node does: a row riding
-// behind a recommendation first, then the recommendation, and nothing of a
-// datagram either part of which is malformed.
+// deliver hands r a routing datagram as the overlay node does: a
+// recommendation split against r's table, the row riding behind it taken
+// first, and nothing of a datagram either part of which is malformed.
 func deliver(r Router, payload []byte) {
 	h, body, err := wire.ParseHeader(payload)
 	if err != nil {
@@ -111,25 +111,32 @@ func deliver(r Router, payload []byte) {
 	case wire.TLinkState, wire.TLinkStateAsym, wire.TLinkStateDelta, wire.TLinkStateAck:
 		r.HandleLinkState(h, body)
 	case wire.TRecommendation:
-		form, _ := rowsOf(r).form()
-		rec, rowType, row, err := wire.SplitRecommendation(body, form)
-		if err != nil {
-			return
+		if rec, ride, err := wire.SplitRecommendation(body, r.Shape()); err == nil {
+			r.HandleRide(h, rec, ride)
 		}
-		if row != nil {
-			r.HandleLinkState(wire.Header{Type: rowType, Src: h.Src}, row)
-		}
-		r.HandleRecommendation(h, rec)
 	}
 }
 
+// recLen returns the length of the recommendation that opens body, which its
+// counts fix: where a row riding behind it starts.
+func recLen(body []byte) int {
+	n := 0
+	for ; n < len(body); n++ {
+		if _, err := wire.RecommendationBody(body[:n]); err == nil {
+			break
+		}
+	}
+	return n
+}
+
 // countRides counts, from now on, the datagrams nw carries with a row, or a
-// delta, of row type form riding behind a recommendation.
-func countRides(nw *simnet.Network, form wire.MsgType) *int {
+// delta, riding behind a recommendation that the addressee, whose table
+// shape(to) returns, reads.
+func countRides(nw *simnet.Network, shape func(to int) wire.RowShape) *int {
 	rides := new(int)
 	nw.OnSend = func(from, to int, p []byte) {
 		if h, body, err := wire.ParseHeader(p); err == nil && h.Type == wire.TRecommendation {
-			if _, _, row, err := wire.SplitRecommendation(body, form); err == nil && row != nil {
+			if _, ride, err := wire.SplitRecommendation(body, shape(to)); err == nil && ride.Type != 0 {
 				*rides++
 			}
 		}
@@ -578,7 +585,7 @@ func TestReliableModeAcksStopRetransmission(t *testing.T) {
 	// On a lossless network reliable mode must not retransmit at all: each
 	// row is acked at its seq, a row riding behind a recommendation too.
 	c := newCluster(t, 9, 43, "quorum", QuorumConfig{Interval: 15 * time.Second, ReliableLinkState: true})
-	rides := countRides(c.nw, wire.TLinkState)
+	rides := countRides(c.nw, func(to int) wire.RowShape { return c.routers[to].Shape() })
 	c.nw.RunFor(2 * time.Minute)
 	if *rides == 0 {
 		t.Error("no row rode behind a recommendation")
@@ -654,7 +661,7 @@ func TestRetransmitSurvivesFailoverRecruitment(t *testing.T) {
 // each addressee, without the row behind it.
 type recordingEnv struct {
 	*transport.SimEnv
-	form       wire.MsgType // the row form of its router's table
+	shape      wire.RowShape // its router's table's, which every addressee's matches
 	sent, rows hash.Hash
 	last       map[wire.NodeID][]byte
 }
@@ -667,15 +674,15 @@ func (e *recordingEnv) Send(to wire.NodeID, payload []byte) {
 		e.rows.Write(payload)
 		return
 	}
-	rec, _, row, err := wire.SplitRecommendation(body, e.form)
+	_, ride, err := wire.SplitRecommendation(body, e.shape)
 	if err != nil {
 		panic(err)
 	}
-	msg := payload[:wire.HeaderLen+len(rec)]
+	msg := payload[:wire.HeaderLen+recLen(body)]
 	e.sent.Write(addressee)
 	e.sent.Write(msg)
 	e.last[to] = msg
-	if row != nil {
+	if ride.Type != 0 {
 		e.rows.Write(addressee)
 		e.rows.Write(payload[len(msg):])
 	}
@@ -712,15 +719,13 @@ func round2Fixture(tb testing.TB, directional bool) (*Quorum, *recordingEnv) {
 		}
 		return row
 	}
-	env := &recordingEnv{SimEnv: transport.NewSimEnv(simnet.New(1, 1), transport.NewRegistry(), 0, 1), form: wire.TLinkState, sent: sha256.New(), rows: sha256.New(), last: map[wire.NodeID][]byte{}}
-	if directional {
-		env.form = wire.TLinkStateAsym
-	}
+	env := &recordingEnv{SimEnv: transport.NewSimEnv(simnet.New(1, 1), transport.NewRegistry(), 0, 1), sent: sha256.New(), rows: sha256.New(), last: map[wire.NodeID][]byte{}}
 	env.SetLocalID(0)
 	q, err := NewQuorum(env, QuorumConfig{Asymmetric: directional}, view, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	env.shape = q.Shape()
 	q.SelfRow = func() []wire.LinkEntry { return symmetric(0) }
 	q.SelfAsymRow = func() []wire.AsymEntry { return rows[0] }
 	q.LinkAlive = func(int) bool { return true }

@@ -140,15 +140,22 @@ func riding(msg, row []byte) []byte {
 	return b
 }
 
+// trailing returns msg, a whole recommendation, with other, a message of no
+// row type, behind it as a row would ride: its type byte and body.
+func trailing(msg, other []byte) []byte {
+	return append(append(slices.Clone(msg), other[0]), other[wire.HeaderLen:]...)
+}
+
 // TestHostileTrailersTouchNothing hands the quorum, as the overlay node
 // dispatches a datagram (deliver), a good run-form recommendation from its
 // default rendezvous k with what may not ride behind it: a probe, a
-// heartbeat, data or a link-state ack; k's row cut short or one byte long; a
-// row or a delta of the other table form; a row at another view version than
-// the recommendation's; and k's row behind a refusal. Each datagram is
-// dropped whole: no table row, clock, route or base moves, nothing is
-// allocated and nothing is sent. The same recommendation with k's row behind
-// it is taken whole, allocating nothing: the row, then the recommendation.
+// heartbeat, data or a link-state ack; k's row cut short, one byte long, of
+// the other table form or of a member too many; k's delta cut inside its
+// marks or its entries, or one byte long; and k's row behind a refusal. Each
+// datagram is dropped whole: no table row, clock, route or base moves,
+// nothing is allocated and nothing is sent. The same recommendation with k's
+// row behind it is taken whole, allocating nothing: the row, at the
+// recommendation's seq, then the recommendation.
 func TestHostileTrailersTouchNothing(t *testing.T) {
 	q, advance := runFormFixture(t)
 	env := q.env.(*countingEnv)
@@ -160,33 +167,39 @@ func TestHostileTrailersTouchNothing(t *testing.T) {
 	for p := range all {
 		all[p] = p
 	}
-	// k's row at seq 6 and its message at seq 4, in full, are what q holds.
-	deliver(q, rowMessage(false, id, version, 6, members, 20))
+	// k's row and its message at seq 4, in full, are what q holds.
+	deliver(q, rowMessage(false, id, version, 4, members, 20))
 	whole := func(h wire.Header, body []byte) []byte { return append(wire.AppendHeader(nil, h.Type, h.Src), body...) }
 	h, body := runForm(q, k, run, all, nil)
 	binaryPutSeq(body, 4)
 	deliver(q, whole(h, body))
 	advance(time.Second)
-	if seq, _, _ := q.HeldRecommendation(k); seq != 4 || q.table.Seq(k) != 6 {
-		t.Fatalf("q holds k's message at seq %d and its row at seq %d, want 4 and 6", seq, q.table.Seq(k))
+	if seq, _, _ := q.HeldRecommendation(k); seq != 4 || q.table.Seq(k) != 4 {
+		t.Fatalf("q holds k's message at seq %d and its row at seq %d, want 4 and 4", seq, q.table.Seq(k))
 	}
 	binaryPutSeq(body, 5)
 	rec := whole(h, body)
-	row := rowMessage(false, id, version, 7, members, 33)
+	row := rowMessage(false, id, version, 5, members, 33)
+	delta := wire.NewLinkStateDelta(id, version, 5, 4, wire.TLinkState, members, 2) // two changed: marked by index
+	wire.PutDeltaEntry(delta, 1, 0, []byte{0, 40, 0})
+	wire.PutDeltaEntry(delta, 3, 1, []byte{0, 41, 0})
+	ridingDelta := riding(rec, delta)
 	refusal := wire.AppendRecommendation(nil, id, wire.Recommendation{ViewVersion: version})
 	for _, hostile := range []struct {
 		defect string
 		msg    []byte
 	}{
-		{"a probe", riding(rec, wire.AppendProbe(nil, id, wire.Probe{Seq: 1}))},
-		{"a heartbeat", riding(rec, wire.AppendHeartbeat(nil, id))},
-		{"data", riding(rec, wire.AppendData(nil, id, wire.Data{Origin: id, Dst: wire.NodeID(q.self), TTL: 2}))},
-		{"a link-state ack", riding(rec, wire.AppendLinkStateAck(nil, id, 7))},
+		{"a probe", trailing(rec, wire.AppendProbe(nil, id, wire.Probe{Seq: 1}))},
+		{"a heartbeat", trailing(rec, wire.AppendHeartbeat(nil, id))},
+		{"data", trailing(rec, wire.AppendData(nil, id, wire.Data{Origin: id, Dst: wire.NodeID(q.self), TTL: 2}))},
+		{"a link-state ack", trailing(rec, wire.AppendLinkStateAck(nil, id, 7))},
 		{"a row cut short", riding(rec, row)[:len(rec)+wire.RideSize(row)-1]},
 		{"a row one byte long", append(riding(rec, row), 0)},
-		{"a row of the other table form", riding(rec, rowMessage(true, id, version, 7, members, 33))},
-		{"a delta of the other table form", riding(rec, wire.NewLinkStateDelta(id, version, 7, 6, wire.TLinkStateAsym, members, 0))},
-		{"a row at another view version", riding(rec, rowMessage(false, id, version+1, 7, members, 33))},
+		{"a row of the other table form", riding(rec, rowMessage(true, id, version, 5, members, 33))},
+		{"a row of a member too many", riding(rec, rowMessage(false, id, version, 5, members+1, 33))},
+		{"a delta cut inside its marks", ridingDelta[:len(ridingDelta)-7]},
+		{"a delta cut inside its entries", ridingDelta[:len(ridingDelta)-1]},
+		{"a delta one byte long", append(slices.Clone(ridingDelta), 0)},
 		{"a row behind a refusal", riding(refusal, row)},
 	} {
 		routes, heard, sent := slices.Clone(q.routes), clocks(q), env.sent
@@ -197,7 +210,7 @@ func TestHostileTrailersTouchNothing(t *testing.T) {
 		if !slices.Equal(q.routes, routes) || !reflect.DeepEqual(clocks(q), heard) || !slices.Equal(q.rv.said, said) || env.sent != sent {
 			t.Errorf("%s: the recommendation was taken", hostile.defect)
 		}
-		if q.table.Seq(k) != 6 || !slices.Equal(q.table.OutRow(k), out) {
+		if q.table.Seq(k) != 4 || !slices.Equal(q.table.OutRow(k), out) {
 			t.Errorf("%s: the table holds k's row at seq %d", hostile.defect, q.table.Seq(k))
 		}
 		if seq, _, _ := q.HeldRecommendation(k); seq != 4 {
@@ -214,8 +227,8 @@ func TestHostileTrailersTouchNothing(t *testing.T) {
 	if !slices.Equal(q.routes, wantRoutes) || !reflect.DeepEqual(clocks(q), wantHeard) {
 		t.Error("the recommendation behind the row was not taken as it is alone")
 	}
-	if seq, _, _ := q.HeldRecommendation(k); seq != 5 || q.table.Seq(k) != 7 || q.table.OutRow(k)[q.self] != 33 {
-		t.Errorf("q holds k's message at seq %d and its row at seq %d, want 5 and 7", seq, q.table.Seq(k))
+	if seq, _, _ := q.HeldRecommendation(k); seq != 5 || q.table.Seq(k) != 5 || q.table.OutRow(k)[q.self] != 33 {
+		t.Errorf("q holds k's message at seq %d and its row at seq %d, want 5 and 5", seq, q.table.Seq(k))
 	}
 }
 

@@ -329,8 +329,8 @@ func FuzzRecommendationDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, from uint8, body []byte) {
 		h := wire.Header{Type: wire.TRecommendation, Src: wire.NodeID(from)}
-		if rec, _, _, err := wire.SplitRecommendation(body, wire.TLinkState); err == nil {
-			body = rec
+		if _, _, err := wire.SplitRecommendation(body, q.Shape()); err == nil {
+			body = body[:recLen(body)]
 		}
 		checkRecommendation(t, q, "fuzzed", h, body)
 	})

@@ -417,60 +417,55 @@ func (c *rowCore) selfCosts() (out, in []wire.Cost) {
 	return c.costsBuf, c.costsBuf
 }
 
-// ingest scatters a well-formed row — another member's, in the table's
-// format, built against this view, an entry per member — from the wire into
-// the table, or parks it. It reports the view version of every row of type
-// h.Type that parses, whoever sent it (Router.HandleLinkState), and the seq of
-// every well-formed row, whether the table keeps it or holds a newer one.
+// Shape implements Router: what the table fixes of every row it takes.
+func (c *rowCore) Shape() wire.RowShape {
+	form, size := c.form()
+	return wire.RowShape{Version: c.view.VersionNum(), Form: form, Members: c.table.RowBytes() / size}
+}
+
+// ingest scatters a well-formed row of type t from src — another member's,
+// in the table's format, built against this view, an entry per member —
+// into the table, or parks it, and reports whether it did.
 //
 //lint:allocfree
-func (c *rowCore) ingest(h wire.Header, body []byte) (version uint32, parsed bool, seq uint32, kept bool) {
-	version, seq, entries, err := wire.LinkStateBody(h.Type, body)
-	if err != nil {
-		return 0, false, 0, false
-	}
-	slot, ok := c.view.SlotOf(h.Src)
-	if form, _ := c.form(); !ok || slot == c.self || h.Type != form || version != c.view.VersionNum() || len(entries) != c.table.RowBytes() {
-		return version, true, 0, false
+func (c *rowCore) ingest(src wire.NodeID, t wire.MsgType, version, seq uint32, entries []byte) bool {
+	slot, ok := c.view.SlotOf(src)
+	if form, _ := c.form(); !ok || slot == c.self || t != form || version != c.view.VersionNum() || len(entries) != c.table.RowBytes() {
+		return false
 	}
 	if !c.park {
 		c.table.PutWire(slot, seq, c.env.Now(), entries)
-		return version, true, seq, true
+		return true
 	}
 	if len(c.parked) == cap(c.parked) {
 		c.apply()
 	}
 	c.parked = c.parked[:len(c.parked)+1]
 	c.parked[len(c.parked)-1] = parkedRow{entries: entries, when: c.env.Now().UnixNano(), seq: seq, slot: uint16(slot)}
-	return version, true, seq, true
+	return true
 }
 
-// patch is ingest for a delta, which only the quorum sends: the table takes
-// it (lsdb.Table.PutDelta) when it holds the delta's base, and refuses it
-// when it does not, naming to the sender the row of the sender's it holds as
-// a base, if any (lsdb.Table.Base). A row is named only while expire keeps it
-// a round trip longer, the reliable mode's ack wait (retransmitTimeout): an
-// answer from a base released meanwhile would draw a second refusal, answered
-// only after the sender's next announce. It reports what ingest does, for a
-// delta: the seq of every well-formed delta the table takes or holds a newer
-// row than.
+// patch is ingest for a well-formed delta, which only the quorum sends: the
+// table takes it (lsdb.Table.PutDelta) when it holds the delta's base, and
+// refuses it when it does not, naming to the sender the row of the sender's
+// it holds as a base, if any (lsdb.Table.Base). A row is named only while
+// expire keeps it a round trip longer, the reliable mode's ack wait
+// (retransmitTimeout): an answer from a base released meanwhile would draw a
+// second refusal, answered only after the sender's next announce. It reports
+// what ingest does.
 //
 //lint:allocfree
-func (c *rowCore) patch(h wire.Header, body []byte) (version uint32, parsed bool, seq uint32, kept bool) {
-	d, err := wire.LinkStateDeltaBody(body)
-	if err != nil {
-		return 0, false, 0, false
-	}
-	slot, ok := c.view.SlotOf(h.Src)
+func (c *rowCore) patch(src wire.NodeID, d *wire.DeltaBody) bool {
+	slot, ok := c.view.SlotOf(src)
 	if form, _ := c.form(); !ok || slot == c.self || d.ViewVersion != c.view.VersionNum() || d.Form != form || d.Members*d.EntryLen() != c.table.RowBytes() {
-		return d.ViewVersion, true, 0, false
+		return false
 	}
-	if c.table.PutDelta(slot, c.env.Now(), &d) == lsdb.Refused {
+	if c.table.PutDelta(slot, c.env.Now(), d) == lsdb.Refused {
 		held := c.table.Base(slot, c.env.Now(), c.readable()-retransmitTimeout)
-		c.env.Send(h.Src, wire.AppendLinkStateRefusal(nil, c.env.LocalID(), held))
-		return d.ViewVersion, true, 0, false
+		c.env.Send(src, wire.AppendLinkStateRefusal(nil, c.env.LocalID(), held))
+		return false
 	}
-	return d.ViewVersion, true, d.Seq, true
+	return true
 }
 
 // BestHop implements Router for both routers (§4.2): the installed route

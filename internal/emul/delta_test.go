@@ -1,6 +1,7 @@
 package emul
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -184,7 +185,7 @@ func heldRows(t *testing.T, algo overlay.Algorithm, cfg core.QuorumConfig, loss 
 	}
 	f.Net.OnSend = func(from, to int, p []byte) {
 		account(from, to, p)
-		for _, m := range messages(p) {
+		for _, m := range messages(p, func() wire.RowShape { return f.Nodes[from].Router().Shape() }) {
 			sent(from, to, m.h, m.body)
 		}
 	}
@@ -286,22 +287,37 @@ type message struct {
 }
 
 // messages splits datagram p into its messages as the overlay node
-// dispatches them: a row riding behind a recommendation
-// (wire.SplitRecommendation), then the recommendation. Any other datagram,
-// or one that splits in neither row form, is one message.
-func messages(p []byte) []message {
+// dispatches them: the row riding behind a recommendation, read against
+// shape(), the sender's table, and rebuilt as it would go alone (loneRow),
+// then the recommendation. Any other datagram is one message.
+func messages(p []byte, shape func() wire.RowShape) []message {
 	h, body, err := wire.ParseHeader(p)
 	if err != nil {
 		return nil
 	}
 	if h.Type == wire.TRecommendation {
-		for _, form := range []wire.MsgType{wire.TLinkState, wire.TLinkStateAsym} {
-			if rec, rowType, row, err := wire.SplitRecommendation(body, form); err == nil && row != nil {
-				return []message{{wire.Header{Type: rowType, Src: h.Src}, row}, {h, rec}}
-			}
+		if _, ride, err := wire.SplitRecommendation(body, shape()); err == nil && ride.Type != 0 {
+			row := loneRow(h.Src, ride)
+			return []message{{wire.Header{Type: ride.Type, Src: h.Src}, row[wire.HeaderLen:]}, {h, body[:len(body)-wire.RideSize(row)]}}
 		}
 	}
 	return []message{{h, body}}
+}
+
+// loneRow rebuilds, as a whole lone message from src, the row ride carries.
+func loneRow(src wire.NodeID, ride wire.Ride) []byte {
+	d := &ride.Row
+	if ride.Type == wire.TLinkStateDelta {
+		msg := wire.NewLinkStateDelta(src, d.ViewVersion, d.Seq, d.Base, d.Form, d.Members, d.Changed)
+		for k, i := 0, -1; k < d.Changed; k++ {
+			i = d.Member(k, i)
+			wire.PutDeltaEntry(msg, i, k, d.Entries()[k*d.EntryLen():][:d.EntryLen()])
+		}
+		return msg
+	}
+	msg := binary.BigEndian.AppendUint32(wire.AppendHeader(nil, ride.Type, src), d.ViewVersion)
+	msg = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint32(msg, d.Seq), uint16(d.Members))
+	return append(msg, d.Entries()...)
 }
 
 // costs is a row's out- and in-costs, one slice when rows carry one cost.
@@ -355,7 +371,7 @@ func TestLossyLinksTakeFullRows(t *testing.T) {
 		account := f.Net.OnSend
 		f.Net.OnSend = func(from, to int, p []byte) {
 			account(from, to, p)
-			for _, m := range messages(p) {
+			for _, m := range messages(p, func() wire.RowShape { return f.Nodes[from].Router().Shape() }) {
 				rows[m.h.Type]++
 			}
 		}
@@ -533,7 +549,7 @@ func testHeldRowsUnderChurn(t *testing.T, asym bool) {
 		if from >= f.Opt.MaxN { // a coordinator's
 			return
 		}
-		for _, m := range messages(p) {
+		for _, m := range messages(p, func() wire.RowShape { return f.Node(from).Router().Shape() }) {
 			sent(from, to, m.h, m.body)
 		}
 	}

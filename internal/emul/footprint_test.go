@@ -81,7 +81,8 @@ func TestQuorumHoldsOnlyReadableRows(t *testing.T) {
 // 11 at n = 64): its share of the trace's n² link matrices, a 4.9 KB
 // math/rand source per endpoint, the silence clocks, per-row metadata and
 // datagrams in flight. The fleet reads 26 392–26 393 B a node, in any test
-// order, against this 26 856 (26 585 B while each node kept the row before
+// order, against this 26 856, as before a riding row shed the fields the
+// recommendation and the receiver fix (26 585 B while each node kept the row before
 // its last as a delta's base, where a change stamp a member now serves;
 // 26 264–26 265 B before a row riding behind a recommendation was copied
 // into each datagram; 24 397 B against 24 448 before the bases, whose terms

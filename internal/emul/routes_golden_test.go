@@ -195,7 +195,8 @@ func TestLinkStateRowsCarryMembers(t *testing.T) {
 			account := f.Net.OnSend
 			f.Net.OnSend = func(from, to int, p []byte) {
 				account(from, to, p)
-				for _, m := range messages(p) { // a row riding behind a recommendation too
+				shape := func() wire.RowShape { return f.Node(from).Router().Shape() }
+				for _, m := range messages(p, shape) { // a row riding behind a recommendation too
 					typ := m.h.Type
 					if typ != wire.TLinkState && typ != wire.TLinkStateAsym {
 						continue

@@ -124,8 +124,8 @@ func (n *Node) installView(v *membership.ViewInfo) error {
 	n.self = self
 
 	if n.prober == nil {
-		pc := n.cfg.Probe
-		pc.Asymmetric = n.asymmetric()
+		pc := n.cfg.Probe // footnote 2: one-way latencies for a quorum router in asymmetric mode
+		pc.Asymmetric = n.cfg.Algorithm == AlgQuorum && n.cfg.Quorum.Asymmetric
 		n.prober = probe.New(n.env, pc, v, self)
 		n.prober.Start()
 	} else {
@@ -204,13 +204,6 @@ func (n *Node) Halt() {
 	}
 }
 
-// asymmetric is footnote 2's one switch: the prober measures one-way
-// latencies, and rows carry both directed costs (TLinkStateAsym), exactly
-// when a quorum router runs in asymmetric mode.
-func (n *Node) asymmetric() bool {
-	return n.cfg.Algorithm == AlgQuorum && n.cfg.Quorum.Asymmetric
-}
-
 // handlePacket dispatches an incoming datagram to the owning component.
 func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 	h, body, err := wire.ParseHeader(payload)
@@ -225,10 +218,10 @@ func (n *Node) handlePacket(from wire.NodeID, payload []byte) {
 // version every routing message is stamped with: how a member that missed a
 // view change learns it (a heartbeat draws no answer). The router parses each
 // row, delta and recommendation once and returns that version, whether or not
-// it keeps the message. A recommendation may carry its sender's row behind it
-// (wire.SplitRecommendation): the row goes first, as a row datagram would,
-// then the recommendation; a datagram either part of which is malformed is
-// dropped whole.
+// it keeps the message. A recommendation may carry its sender's row behind it,
+// which only the router's table can read (wire.SplitRecommendation against
+// Router.Shape): the router takes the two parts as the split read them, and
+// a datagram either part of which is malformed is dropped whole.
 func (n *Node) dispatch(h wire.Header, body []byte) {
 	switch h.Type {
 	case wire.TProbe:
@@ -246,21 +239,15 @@ func (n *Node) dispatch(h wire.Header, body []byte) {
 			}
 		}
 	case wire.TRecommendation:
-		form := wire.TLinkState
-		if n.asymmetric() {
-			form = wire.TLinkStateAsym
+		if n.router == nil {
+			return
 		}
-		rec, rowType, row, err := wire.SplitRecommendation(body, form)
+		rec, ride, err := wire.SplitRecommendation(body, n.router.Shape())
 		if err != nil {
 			return
 		}
-		if row != nil {
-			n.dispatch(wire.Header{Type: rowType, Src: h.Src}, row)
-		}
-		if n.router != nil {
-			if version, ok := n.router.HandleRecommendation(h, rec); ok && n.mc != nil {
-				n.mc.HeardVersion(h.Src, version)
-			}
+		if version, ok := n.router.HandleRide(h, rec, ride); ok && n.mc != nil {
+			n.mc.HeardVersion(h.Src, version)
 		}
 	case wire.THeartbeatAck, wire.TViewChunk, wire.TGossipDelta,
 		wire.TViewPull, wire.TViewPullReply:

@@ -358,20 +358,24 @@ func TestRoutesStampLearnTime(t *testing.T) {
 }
 
 // TestNodeDropsAHostileRideWhole holds back what a rendezvous k sends node r,
-// a row riding behind each recommendation, and hands r the first such
-// datagram by hand, whose row is a delta on the row r holds: with its row cut short, one byte long, or of no row type
-// (a probe's type byte), r's dispatch drops it whole, so neither r's table
-// nor its routes move; the datagram as sent is taken whole, the row and then
-// the recommendation.
+// a row riding behind each recommendation, and hands r by hand the first
+// such datagram, whose row is a delta on the row r holds: with a delta of a
+// changed entry cut inside its marks or its entries riding instead, with its
+// row one byte long, or of another type than a delta or r's row form (a
+// probe's, or the directional form's), r's dispatch drops it whole, so
+// neither r's table nor its routes move; the datagram as sent is taken
+// whole, the row and then the recommendation.
 func TestNodeDropsAHostileRideWhole(t *testing.T) {
 	const r, k = 0, 1 // one grid row: each is the other's rendezvous
 	nw, nodes := staticFleet(t, 9, AlgQuorum, 5)
 	nw.RunFor(time.Minute)
 	nw.SetLatencyOneWay(k, r, time.Hour)
+	q := nodes[r].Router().(*core.Quorum)
 	var first []byte
+	var ride wire.Ride
 	nw.OnSend = func(from, to int, p []byte) {
-		if h, body, err := wire.ParseHeader(p); from == k && to == r && err == nil && h.Type == wire.TRecommendation {
-			if _, _, row, err := wire.SplitRecommendation(body, wire.TLinkState); err == nil && row != nil && first == nil {
+		if h, body, err := wire.ParseHeader(p); from == k && to == r && err == nil && h.Type == wire.TRecommendation && first == nil {
+			if _, ride, err = wire.SplitRecommendation(body, q.Shape()); err == nil && ride.Type == wire.TLinkStateDelta {
 				first = slices.Clone(p)
 			}
 		}
@@ -379,22 +383,30 @@ func TestNodeDropsAHostileRideWhole(t *testing.T) {
 	nw.RunFor(12 * time.Second)
 	nw.OnSend = nil
 	if first == nil {
-		t.Fatal("k sent r no row riding behind a recommendation")
+		t.Fatal("k sent r no delta riding behind a recommendation")
 	}
 	_, body, _ := wire.ParseHeader(first)
-	rec, _, _, _ := wire.SplitRecommendation(body, wire.TLinkState)
-	at := wire.HeaderLen + len(rec) // the row's type byte
-	q := nodes[r].Router().(*core.Quorum)
+	at := wire.HeaderLen + recLen(body) // the row's type byte
+	delta := wire.NewLinkStateDelta(k, ride.Row.ViewVersion, ride.Row.Seq, ride.Row.Seq-1, wire.TLinkState, ride.Row.Members, 1)
+	wire.PutDeltaEntry(delta, 2, 0, []byte{0, 200, wire.StatusDead})
+	changed := make([]byte, at+wire.RideSize(delta)) // marked by a 2-byte bitmap
+	copy(changed, first[:at])
+	wire.PutRide(changed[at:], delta)
 	seq, routes := q.Table().Seq(k), q.Routes()
-	probeType := slices.Clone(first)
-	probeType[at] = byte(wire.TProbe)
+	typed := func(typ wire.MsgType) []byte {
+		msg := slices.Clone(first)
+		msg[at] = byte(typ)
+		return msg
+	}
 	for _, hostile := range []struct {
 		defect string
 		msg    []byte
 	}{
-		{"a row cut short", first[:len(first)-1]},
+		{"a row cut inside its marks", changed[:at+4]}, // the type, the changed count and the bitmap's first byte
+		{"a row cut inside its entries", changed[:len(changed)-1]},
 		{"a row one byte long", append(slices.Clone(first), 0)},
-		{"a probe's type byte", probeType},
+		{"a probe's type byte", typed(wire.TProbe)},
+		{"the directional form's type byte", typed(wire.TLinkStateAsym)},
 	} {
 		nodes[r].handlePacket(k, hostile.msg)
 		if q.Table().Seq(k) != seq || !slices.Equal(q.Routes(), routes) {
@@ -407,10 +419,23 @@ func TestNodeDropsAHostileRideWhole(t *testing.T) {
 	}
 }
 
+// recLen returns the length of the recommendation that opens body, which its
+// counts fix: where a row riding behind it starts.
+func recLen(body []byte) int {
+	n := 0
+	for ; n < len(body); n++ {
+		if _, err := wire.RecommendationBody(body[:n]); err == nil {
+			break
+		}
+	}
+	return n
+}
+
 // heardBefore is the view version dispatch handed the membership client for
-// one part of a routing datagram before the routers returned it: its own
-// parse of the part, whoever sent it and whatever the router did with it.
-func heardBefore(t wire.MsgType, body []byte) (uint32, bool) {
+// a routing datagram before the routers returned it: its own parse of the
+// datagram, a recommendation split against at, the addressee's table,
+// whoever sent it and whatever the router did with it.
+func heardBefore(t wire.MsgType, body []byte, at wire.RowShape) (uint32, bool) {
 	switch t {
 	case wire.TLinkState, wire.TLinkStateAsym:
 		v, _, _, err := wire.LinkStateBody(t, body)
@@ -419,57 +444,42 @@ func heardBefore(t wire.MsgType, body []byte) (uint32, bool) {
 		d, err := wire.LinkStateDeltaBody(body)
 		return d.ViewVersion, err == nil
 	case wire.TRecommendation:
-		r, err := wire.RecommendationBody(body)
+		r, _, err := wire.SplitRecommendation(body, at)
 		return r.ViewVersion, err == nil
 	}
 	return 0, false
 }
 
-// TestRoutersReportTheVersionsDispatchHeard pins which parts of a routing
-// datagram hand the membership client a view version, now that the router's
-// one parse supplies it: every row, delta and recommendation whose body
-// parses — a stranger's, one stamped with another version and a row of the
-// other form included, though the router keeps none of them — and no ack or
-// malformed body. Both routers are fed every part node 0 receives in a
+// TestRoutersReportTheVersionsDispatchHeard pins which routing datagrams hand
+// the membership client a view version, now that the router's one parse
+// supplies it: every row, delta and recommendation whose body parses — a
+// stranger's, one stamped with another version and a row of the other form
+// included, though the router keeps none of them — with a row riding behind
+// a recommendation heard at the recommendation's version, and no ack or
+// malformed body. Both routers are fed every datagram node 0 receives in a
 // quorum fleet's first minute, as sent and altered each of those ways; then,
-// in a dynamic fleet, a member's row that the router drops for its far-future
-// version draws a pull to that member, and a truncated copy and an ack draw
-// none.
+// in a dynamic fleet, a member's riding datagram that the router drops for
+// its recommendation's far-future version draws a pull to that member, and a
+// truncated copy and an ack draw none.
 func TestRoutersReportTheVersionsDispatchHeard(t *testing.T) {
 	type part struct {
 		h    wire.Header
 		body []byte
 	}
 	var parts []part
-	split := func(p []byte) {
-		h, body, err := wire.ParseHeader(p)
-		if err != nil {
-			return
-		}
-		if h.Type == wire.TRecommendation {
-			rec, rowType, row, err := wire.SplitRecommendation(body, wire.TLinkState)
-			if err != nil {
-				return
-			}
-			if row != nil {
-				parts = append(parts, part{wire.Header{Type: rowType, Src: h.Src}, row})
-			}
-			body = rec
-		}
-		parts = append(parts, part{h, slices.Clone(body)})
-	}
 	nw, nodes := staticFleet(t, 9, AlgQuorum, 5)
+	kinds := map[wire.MsgType]int{}
 	nw.OnSend = func(from, to int, p []byte) {
-		if to == 0 {
-			split(p)
+		if h, body, err := wire.ParseHeader(p); err == nil && to == 0 {
+			parts = append(parts, part{h, slices.Clone(body)})
+			kinds[h.Type]++
+			if _, ride, err := wire.SplitRecommendation(body, nodes[0].Router().Shape()); h.Type == wire.TRecommendation && err == nil {
+				kinds[ride.Type]++
+			}
 		}
 	}
 	nw.RunFor(time.Minute)
 	nw.OnSend = nil
-	kinds := map[wire.MsgType]int{}
-	for _, p := range parts {
-		kinds[p.h.Type]++
-	}
 	if kinds[wire.TLinkState] == 0 || kinds[wire.TLinkStateDelta] == 0 || kinds[wire.TRecommendation] == 0 {
 		t.Fatalf("node 0 received %v: want rows, deltas and recommendations", kinds)
 	}
@@ -500,11 +510,13 @@ func TestRoutersReportTheVersionsDispatchHeard(t *testing.T) {
 			var v uint32
 			var ok bool
 			if p.h.Type == wire.TRecommendation {
-				v, ok = r.HandleRecommendation(p.h, p.body)
+				if rec, ride, err := wire.SplitRecommendation(p.body, r.Shape()); err == nil {
+					v, ok = r.HandleRide(p.h, rec, ride)
+				}
 			} else {
 				v, ok = r.HandleLinkState(p.h, p.body)
 			}
-			if wv, wok := heardBefore(p.h.Type, p.body); ok != wok || (ok && v != wv) {
+			if wv, wok := heardBefore(p.h.Type, p.body, r.Shape()); ok != wok || (ok && v != wv) {
 				t.Errorf("%T, part %d (type %d from %d, %d B): reports (%d, %t), dispatch heard (%d, %t)", r, i, p.h.Type, p.h.Src, len(p.body), v, ok, wv, wok)
 			}
 		}
@@ -516,7 +528,7 @@ func TestRoutersReportTheVersionsDispatchHeard(t *testing.T) {
 	if coord.MemberCount() != n {
 		t.Fatalf("warm-up: %d members", coord.MemberCount())
 	}
-	var row []byte // the first row node 0 is sent, alone or riding
+	var riding []byte // the first datagram node 0 is sent with a row riding in it
 	pulls := 0
 	dnw.OnSend = func(from, to int, p []byte) {
 		h, body, err := wire.ParseHeader(p)
@@ -524,27 +536,27 @@ func TestRoutersReportTheVersionsDispatchHeard(t *testing.T) {
 		case err != nil:
 		case from == 0 && h.Type == wire.TViewPull:
 			pulls++
-		case to == 0 && h.Type == wire.TRecommendation && row == nil:
-			if _, rowType, r, err := wire.SplitRecommendation(body, wire.TLinkState); err == nil && r != nil {
-				row = append(wire.AppendHeader(nil, rowType, h.Src), r...)
+		case to == 0 && h.Type == wire.TRecommendation && riding == nil:
+			if _, ride, err := wire.SplitRecommendation(body, dyn[0].Router().Shape()); err == nil && ride.Type != 0 {
+				riding = slices.Clone(p)
 			}
 		}
 	}
 	dnw.RunFor(dyn[0].Router().Interval() + time.Second)
-	if row == nil {
-		t.Fatal("node 0 was sent no row")
+	if riding == nil {
+		t.Fatal("node 0 was sent no row riding behind a recommendation")
 	}
-	h, _, _ := wire.ParseHeader(row)
-	dyn[0].handlePacket(h.Src, row[:len(row)-1])
+	h, _, _ := wire.ParseHeader(riding)
+	dyn[0].handlePacket(h.Src, riding[:len(riding)-1])
 	dyn[0].handlePacket(h.Src, wire.AppendLinkStateAck(nil, h.Src, 0))
 	dnw.RunFor(time.Second)
 	if pulls != 0 {
-		t.Fatalf("a truncated row and an ack drew %d pulls", pulls)
+		t.Fatalf("a truncated riding datagram and an ack drew %d pulls", pulls)
 	}
-	row[wire.HeaderLen] ^= 0x40
-	dyn[0].handlePacket(h.Src, row)
+	riding[wire.HeaderLen] ^= 0x40 // the recommendation's version
+	dyn[0].handlePacket(h.Src, riding)
 	dnw.RunFor(time.Second)
 	if pulls == 0 {
-		t.Error("a member's row stamped with a far-future version drew no pull")
+		t.Error("a member's riding datagram stamped with a far-future version drew no pull")
 	}
 }

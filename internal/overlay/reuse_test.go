@@ -25,7 +25,7 @@ import (
 // Four gates keep it so, and removing any one of them fails this test: the
 // view-version checks on rows (rowCore.ingest; a delta of A's finds no row
 // before it held once the slot is retired) and on recommendations
-// (Quorum.HandleRecommendation), the probe reply's match against the slot's
+// (Quorum.HandleRide), the probe reply's match against the slot's
 // current ID and awaited seq (Prober.HandleReply), and
 // membership.StableExtension retiring a slot whose occupant changed.
 func TestReusedSlotInheritsNothing(t *testing.T) {
@@ -80,8 +80,8 @@ func TestReusedSlotInheritsNothing(t *testing.T) {
 				continue
 			}
 			fromA[h.Type]++
-			if _, rowType, row, err := wire.SplitRecommendation(body, wire.TLinkState); h.Type == wire.TRecommendation && err == nil && row != nil {
-				fromA[rowType]++ // the row riding behind it
+			if _, ride, err := wire.SplitRecommendation(body, nodes[r].Router().Shape()); h.Type == wire.TRecommendation && err == nil && ride.Type != 0 {
+				fromA[ride.Type]++ // the row riding behind it
 			}
 			if h.Type == wire.TProbeReply {
 				reply, err := wire.ParseProbeReply(body)

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net/netip"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -316,12 +317,15 @@ func FuzzRecommendationDeltaRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSplitRecommendationRoundTrip: a body SplitRecommendation accepts, for
-// either row form, is a recommendation RecommendationBody accepts and, after
-// a run form, a row of that form or a delta of it, framed as LinkStateBody
-// or LinkStateDeltaBody checks, at the recommendation's view version; and the
-// recommendation with the row riding behind it (PutRide) is the body. The
-// seeds put a row and a delta behind each of the three forms.
+// FuzzSplitRecommendationRoundTrip: a body SplitRecommendation accepts, read
+// against a table of either row form and any member count at view version 4,
+// opens with a recommendation RecommendationBody accepts. After a run form of
+// version 4 may come a row of that form or a delta, which the split reads at
+// the recommendation's version and seq and the table's member count, as the
+// lone row rebuilt from it parses; and the recommendation with that lone row
+// riding behind it (PutRide) is the body. After one of another version comes
+// nothing the split reads. The seeds put a row and a delta behind each of
+// the three forms.
 func FuzzSplitRecommendationRoundTrip(f *testing.F) {
 	explicit := wire.AppendRecommendation(nil, 7, wire.Recommendation{ViewVersion: 4, Entries: []wire.RecEntry{{Dst: 2, Hop: 2, Cost: 30}}})
 	run := wire.NewRecommendationRun(nil, 7, 4, 5, 10, 1, 0)
@@ -331,61 +335,78 @@ func FuzzSplitRecommendationRoundTrip(f *testing.F) {
 	wire.MarkRecRun(delta, 3)
 	wire.MarkRecChanged(delta, 0, 3)
 	wire.PutRecEntry(delta, 0, wire.RecEntry{Hop: 2, Cost: 30})
-	rowDelta := wire.NewLinkStateDelta(7, 4, 3, 2, wire.TLinkState, 3, 1)
+	rowDelta := wire.NewLinkStateDelta(7, 4, 5, 4, wire.TLinkState, 3, 1)
 	wire.PutDeltaEntry(rowDelta, 1, 0, []byte{0, 9, 0})
 	for _, msg := range [][]byte{explicit, run, delta} {
-		f.Add(false, body(msg))
-		f.Add(false, body(withRow(msg)))
+		f.Add(false, uint8(3), body(msg))
+		f.Add(false, uint8(3), body(withRow(msg)))
 		withDelta := make([]byte, len(msg)+wire.RideSize(rowDelta))
 		copy(withDelta, msg)
 		wire.PutRide(withDelta[len(msg):], rowDelta)
-		f.Add(false, body(withDelta))
-		f.Add(true, body(withDelta))
+		f.Add(false, uint8(3), body(withDelta))
+		f.Add(true, uint8(3), body(withDelta))
+		f.Add(false, uint8(40), body(withDelta))
 	}
-	f.Fuzz(func(t *testing.T, asym bool, b []byte) {
-		form := wire.TLinkState
+	f.Fuzz(func(t *testing.T, asym bool, members uint8, b []byte) {
+		at := wire.RowShape{Version: 4, Form: wire.TLinkState, Members: int(members)}
 		if asym {
-			form = wire.TLinkStateAsym
+			at.Form = wire.TLinkStateAsym
 		}
-		rec, rowType, row, err := wire.SplitRecommendation(b, form)
+		rec, ride, err := wire.SplitRecommendation(b, at)
 		if err != nil {
 			return
 		}
-		r, err := wire.RecommendationBody(rec)
-		if err != nil {
-			t.Fatalf("split off a recommendation RecommendationBody refuses: %v", err)
+		n := 0 // the recommendation's length: its counts fix it
+		for n <= len(b) {
+			if _, err := wire.RecommendationBody(b[:n]); err == nil {
+				break
+			}
+			n++
 		}
-		if row == nil {
-			if !bytes.Equal(rec, b) {
-				t.Fatalf("split off nothing, but the recommendation is %d of %d bytes", len(rec), len(b))
+		if want, err := wire.RecommendationBody(b[:min(n, len(b))]); err != nil || !reflect.DeepEqual(rec, want) {
+			t.Fatalf("split off %+v, not the recommendation RecommendationBody reads (%v)", rec, err)
+		}
+		if ride.Type == 0 {
+			if n != len(b) && (!rec.ByRun || rec.ViewVersion == at.Version) {
+				t.Fatalf("split off nothing, but the recommendation is %d of %d bytes", n, len(b))
 			}
 			return
 		}
-		version := uint32(0)
-		switch rowType {
-		case form:
-			version, _, _, err = wire.LinkStateBody(form, row)
-		case wire.TLinkStateDelta:
-			var d wire.DeltaBody
-			d, err = wire.LinkStateDeltaBody(row)
-			if err == nil && d.Form != form {
-				t.Fatalf("a delta of form %v rode for a %v table", d.Form, form)
+		d := &ride.Row
+		if !rec.ByRun || d.ViewVersion != rec.ViewVersion || d.Seq != rec.Seq || d.Form != at.Form || d.Members != at.Members {
+			t.Fatalf("a %v rode as %+v behind %+v", ride.Type, d, rec)
+		}
+		whole := loneRow(7, ride)
+		if ride.Type == wire.TLinkStateDelta {
+			if lone, err := wire.LinkStateDeltaBody(body(whole)); err != nil || !reflect.DeepEqual(lone, *d) {
+				t.Fatalf("a delta rode as %+v, alone it parses as %+v (%v)", *d, lone, err)
 			}
-			version = d.ViewVersion
-		default:
-			t.Fatalf("a %v rode behind a recommendation", rowType)
+		} else if v, seq, entries, err := wire.LinkStateBody(ride.Type, body(whole)); err != nil || v != d.ViewVersion || seq != d.Seq || !bytes.Equal(entries, d.Entries()) {
+			t.Fatalf("a row rode as %+v, alone it parses as %d, %d, %x (%v)", *d, v, seq, entries, err)
 		}
-		if err != nil || !r.ByRun || version != r.ViewVersion {
-			t.Fatalf("a row (%v, version %d) rode behind %+v", err, version, r)
-		}
-		whole := append(wire.AppendHeader(nil, rowType, 7), row...)
-		out := make([]byte, len(rec)+wire.RideSize(whole))
-		copy(out, rec)
-		wire.PutRide(out[len(rec):], whole)
+		out := make([]byte, n+wire.RideSize(whole))
+		copy(out, b[:n])
+		wire.PutRide(out[n:], whole)
 		if !bytes.Equal(out, b) {
 			t.Fatalf("split/ride asymmetry:\n in:  %x\n out: %x", b, out)
 		}
 	})
+}
+
+// loneRow rebuilds, as a whole lone message from src, the row ride carries.
+func loneRow(src wire.NodeID, ride wire.Ride) []byte {
+	d := &ride.Row
+	if ride.Type == wire.TLinkStateDelta {
+		msg := wire.NewLinkStateDelta(src, d.ViewVersion, d.Seq, d.Base, d.Form, d.Members, d.Changed)
+		for k, i := 0, -1; k < d.Changed; k++ {
+			i = d.Member(k, i)
+			wire.PutDeltaEntry(msg, i, k, d.Entries()[k*d.EntryLen():][:d.EntryLen()])
+		}
+		return msg
+	}
+	msg := binary.BigEndian.AppendUint32(wire.AppendHeader(nil, ride.Type, src), d.ViewVersion)
+	msg = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint32(msg, d.Seq), uint16(d.Members))
+	return append(msg, d.Entries()...)
 }
 
 func FuzzJoinRoundTrip(f *testing.F) {

@@ -157,11 +157,12 @@ func LinkStateBody(t MsgType, body []byte) (viewVersion, seq uint32, entries []b
 	if len(body) < linkStateFixed {
 		return 0, 0, nil, ErrShort
 	}
-	entries = body[linkStateFixed:]
-	if len(entries) != int(binary.BigEndian.Uint16(body[8:]))*entryLen(t) {
-		return 0, 0, nil, ErrBadLen
+	n := int(binary.BigEndian.Uint16(body[8:]))
+	row := DeltaBody{Form: t, Members: n, Changed: n}
+	if err := row.read(t, body[linkStateFixed:]); err != nil {
+		return 0, 0, nil, err
 	}
-	return binary.BigEndian.Uint32(body), binary.BigEndian.Uint32(body[4:]), entries, nil
+	return binary.BigEndian.Uint32(body), binary.BigEndian.Uint32(body[4:]), row.entries, nil
 }
 
 // LinkEntryAt decodes entry i of a TLinkState row's entry bytes: the one
@@ -304,7 +305,7 @@ func putMark(marks []byte, members, changed, k, i int) {
 	}
 }
 
-// DeltaBody is a delta body LinkStateDeltaBody accepted, read in place.
+// DeltaBody is a delta, or a full row riding (Ride), read in place.
 type DeltaBody struct {
 	// Base is the row the delta patches: Seq−1 unless the delta names it.
 	ViewVersion, Seq, Base uint32
@@ -412,15 +413,30 @@ func LinkStateDeltaBody(body []byte) (DeltaBody, error) {
 			return DeltaBody{}, ErrBadDelta // names none, the row before, or no row before Seq
 		}
 	}
-	rest, marksLen := body[head:], deltaMarksLen(d.Members, d.Changed)
-	if len(rest) != marksLen+d.Changed*d.EntryLen() {
-		return DeltaBody{}, ErrBadLen
-	}
-	d.marks, d.entries = rest[:marksLen], rest[marksLen:]
-	if err := checkMarks(d.marks, d.Members, d.Changed); err != nil {
+	if err := d.read(TLinkStateDelta, body[head:]); err != nil {
 		return DeltaBody{}, err
 	}
 	return d, nil
+}
+
+// read reads into d, its form and counts set, what follows a row's fixed
+// fields: a full row's entries (t its form) or a delta's marks and entries.
+// It is the one check of both, lone or riding (SplitRecommendation).
+//
+//lint:allocfree
+func (d *DeltaBody) read(t MsgType, rest []byte) error {
+	marksLen := 0
+	if t == TLinkStateDelta {
+		marksLen = deltaMarksLen(d.Members, d.Changed)
+	}
+	if len(rest) != marksLen+d.Changed*d.EntryLen() {
+		return ErrBadLen
+	}
+	d.marks, d.entries = rest[:marksLen], rest[marksLen:]
+	if t != TLinkStateDelta {
+		return nil
+	}
+	return checkMarks(d.marks, d.Members, d.Changed)
 }
 
 // LinkStateDeltaSize returns the encoded payload size of a delta against the
@@ -473,12 +489,13 @@ type RecEntry struct {
 // The header and the counts fix each form's length, so no cut goes unseen.
 //
 // A run-form or delta-form message may carry behind it the round-1 row its
-// sender sends the same client at the same instant, all of that message but
-// its 2-byte source ID, which is the recommendation's: the type byte
-// (TLinkState, TLinkStateAsym or TLinkStateDelta) and the body. The
-// recommendation's counts fix where it ends, so the row needs no length
-// field, and the pairing's two rounds pay one datagram's overhead
-// (PutRide, SplitRecommendation). No other message carries anything behind.
+// sender sends the same client at the same instant, in full or as a delta
+// on the row before: its type byte, then a full row's entries or a delta's
+// changed count, marks and entries. The source ID, view version and seq are
+// the recommendation's; the form and member count the receiver's table's,
+// which a row must match to be taken. The recommendation's counts fix where
+// it ends, and the pairing's two rounds pay one datagram's overhead (PutRide,
+// SplitRecommendation). No other message carries anything behind.
 //
 // The paper's bandwidth accounting charges an entry 4 bytes, destination and
 // hop. A named entry spends the same 4 on hop and cost, the cost being what a
@@ -769,61 +786,77 @@ func recommendationPrefix(body []byte) (RecBody, int, error) {
 	return r, len(body) - len(rest) + n, nil
 }
 
-// RideSize returns the size of row, a whole round-1 message, riding behind
-// a recommendation.
-func RideSize(row []byte) int { return len(row) - (HeaderLen - 1) }
+// RideCut is what a lone row of type t, full or a delta naming no base,
+// sheds riding (PutRide): its source ID and fixed fields but a delta's count.
+func RideCut(t MsgType) int {
+	if t == TLinkStateDelta {
+		return HeaderLen - 1 + deltaFixed - 2
+	}
+	return HeaderLen - 1 + linkStateFixed
+}
 
-// PutRide writes row, a whole round-1 message, into b, RideSize(row) bytes
-// right behind a run-form or delta-form recommendation.
+// RideSize returns the size of row, a whole lone row RideCut cuts, riding.
+func RideSize(row []byte) int { return len(row) - RideCut(MsgType(row[0])) }
+
+// PutRide writes row, a whole lone row RideCut cuts, into b, RideSize(row)
+// bytes behind a run-form or delta-form recommendation of its version and seq.
 //
 //lint:allocfree
 func PutRide(b, row []byte) {
 	b[0] = row[0]
-	copy(b[1:], row[HeaderLen:])
+	copy(b[1:], row[1+RideCut(MsgType(row[0])):])
+}
+
+// RowShape is what a receiver's table fixes of every row it takes.
+type RowShape struct {
+	Version uint32
+	Form    MsgType // TLinkState or TLinkStateAsym
+	Members int
+}
+
+// Ride is a row SplitRecommendation read at its recommendation's version and
+// seq, in the receiver's RowShape: Type is 0 for none, else the row's type.
+type Ride struct {
+	Type MsgType
+	Row  DeltaBody
 }
 
 // SplitRecommendation splits a recommendation body into the recommendation
-// and the row riding behind it, if any: the row's type and body, the row in
-// the form (TLinkState or TLinkStateAsym) of the receiver's table. rowType
-// is 0 and row nil when nothing rides. It refuses the whole body when the
-// recommendation's framing fails (RecommendationBody), when anything follows
-// an explicit-form recommendation, a refusal included, and when what follows
-// is not a row or delta of that form, framed as LinkStateBody or
-// LinkStateDeltaBody checks, at the recommendation's view version. Its errors
-// are bare, so that a refusal allocates nothing.
+// and the row riding behind it, read against at, the receiver's table. It
+// refuses the whole body when the recommendation's framing fails, when
+// anything follows an explicit form, and when what follows is not a row of
+// at's form or a delta, framed as a lone one is (read); a row behind another
+// view's is not read, for none is taken. Its errors are bare.
 //
 //lint:allocfree
-func SplitRecommendation(body []byte, form MsgType) (rec []byte, rowType MsgType, row []byte, err error) {
+func SplitRecommendation(body []byte, at RowShape) (RecBody, Ride, error) {
 	r, n, err := recommendationPrefix(body)
 	switch {
 	case err != nil:
-		return nil, 0, nil, err
+		return RecBody{}, Ride{}, err
 	case n == len(body):
-		return body, 0, nil, nil
+		return r, Ride{}, nil
 	case !r.ByRun:
-		return nil, 0, nil, ErrBadLen
+		return RecBody{}, Ride{}, ErrBadLen
 	}
-	rowType, row = MsgType(body[n]), body[n+1:]
-	var version uint32
+	ride, rest := Ride{Type: MsgType(body[n])}, body[n+1:]
 	switch {
-	case rowType == form && (form == TLinkState || form == TLinkStateAsym):
-		version, _, _, err = LinkStateBody(form, row)
-	case rowType == TLinkStateDelta:
-		var d DeltaBody
-		if d, err = LinkStateDeltaBody(row); err == nil && d.Form != form {
-			err = ErrBadType
+	case ride.Type != at.Form && ride.Type != TLinkStateDelta:
+		return RecBody{}, Ride{}, ErrBadType
+	case r.ViewVersion != at.Version:
+		return r, Ride{}, nil
+	}
+	ride.Row = DeltaBody{ViewVersion: r.ViewVersion, Seq: r.Seq, Base: r.Seq - 1, Form: at.Form, Members: at.Members, Changed: at.Members}
+	if ride.Type == TLinkStateDelta {
+		if r.Seq == 0 || len(rest) < 2 {
+			return RecBody{}, Ride{}, ErrBadDelta
 		}
-		version = d.ViewVersion
-	default:
-		err = ErrBadType
+		ride.Row.Changed, rest = int(binary.BigEndian.Uint16(rest)), rest[2:]
 	}
-	if err == nil && version != r.ViewVersion {
-		err = ErrBadLen
+	if err := ride.Row.read(ride.Type, rest); err != nil {
+		return RecBody{}, Ride{}, err
 	}
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return body[:n], rowType, row, nil
+	return r, ride, nil
 }
 
 // Entry decodes entry i: the one entry decoder, and it allocates nothing. A

@@ -9,9 +9,9 @@
 //
 // A datagram carries one message, with one exception: a rendezvous's round-1
 // row to a grid client rides behind its round-2 recommendation to the same
-// client, sent at the same instant, without the row's source ID (PutRide,
-// SplitRecommendation), so that the pairing's two rounds pay one datagram's
-// overhead.
+// client, sent at the same instant, without what that message and the
+// receiver already fix (PutRide, SplitRecommendation), so that the pairing's
+// two rounds pay one datagram's overhead.
 //
 // All multi-byte integers are big-endian. Codecs are allocation-conscious:
 // marshalling appends to a caller-supplied buffer, and unmarshalling

@@ -416,19 +416,23 @@ func TestPutRecRunCutsTheAddressee(t *testing.T) {
 	}
 }
 
-// TestSplitRecommendation: a row or a delta of the receiver's table form
-// rides behind a run-form or delta-form recommendation at its view version,
-// and splits off whole, allocating nothing; a body with nothing behind splits
-// into itself. Anything else behind is refused, the whole body with it,
-// allocating nothing: a row behind an explicit-form message, a message of no
-// row type, a row cut short or one byte long, a row or delta of the other
-// form, and a row at another view version.
+// TestSplitRecommendation: a row of the receiver's table form, or a delta,
+// rides behind a run-form or delta-form recommendation as its type byte and
+// what follows its fixed fields, and splits off whole as the lone row parses,
+// at the recommendation's view version and seq and the receiver's member
+// count, allocating nothing; a body with nothing behind splits into itself,
+// and so does one whose recommendation is of another view than the
+// receiver's, whatever row type rides. Anything else behind is refused, the
+// whole body with it, allocating nothing: a row behind an explicit-form
+// message, a message of no row type, a row or a delta cut short or one byte
+// long, a row of the other form or of another member count, a delta whose
+// changed count disagrees with its marks, and a delta behind seq 0.
 func TestSplitRecommendation(t *testing.T) {
 	run := NewRecommendationRun(nil, 8, 5, 6, 10, 1, 0)
 	MarkRecRun(run, 3)
 	delta := deltaOf(8, 5, 6, 10, []int{3}, []int{3}, RecEntry{Hop: 2, Cost: 30})
 	explicit := AppendRecommendation(nil, 8, Recommendation{ViewVersion: 5, Entries: []RecEntry{{Dst: 1, Hop: 1, Cost: 9}}})
-	row := AppendLinkState(nil, 8, LinkState{ViewVersion: 5, Seq: 6, Entries: make([]LinkEntry, 3)})
+	row := AppendLinkState(nil, 8, LinkState{ViewVersion: 5, Seq: 6, Entries: []LinkEntry{{1, 2}, {3, 4}, {5, 6}}})
 	asym := AppendLinkStateAsym(nil, 8, LinkStateAsym{ViewVersion: 5, Seq: 6, Entries: make([]AsymEntry, 3)})
 	rowDelta := AppendLinkStateDelta(nil, 8, LinkStateDelta{ViewVersion: 5, Seq: 6, Form: TLinkState, Members: 3, Changed: []int{1}, Entries: []byte{0, 9, 0}})
 	ride := func(msg, row []byte) []byte {
@@ -437,46 +441,81 @@ func TestSplitRecommendation(t *testing.T) {
 		PutRide(b[len(msg):], row)
 		return b[HeaderLen:]
 	}
+	behind := func(msg, other []byte) []byte { // a message of no row type, as it would ride
+		return append(append(slices.Clone(msg[HeaderLen:]), other[0]), other[HeaderLen:]...)
+	}
+	sym, dir := RowShape{Version: 5, Form: TLinkState, Members: 3}, RowShape{Version: 5, Form: TLinkStateAsym, Members: 3}
 	for _, tc := range []struct {
 		name      string
 		body      []byte
-		form      MsgType
-		rec, rows []byte // the parts, the row with its type byte
+		at        RowShape
+		rec, rows []byte // the parts, whole
 	}{
-		{"a run form alone", run[HeaderLen:], TLinkState, run[HeaderLen:], nil},
-		{"a row behind a run form", ride(run, row), TLinkState, run[HeaderLen:], row},
-		{"a delta behind a delta", ride(delta, rowDelta), TLinkState, delta[HeaderLen:], rowDelta},
-		{"a directional row behind a delta", ride(delta, asym), TLinkStateAsym, delta[HeaderLen:], asym},
+		{"a run form alone", run[HeaderLen:], sym, run, nil},
+		{"a row behind a run form", ride(run, row), sym, run, row},
+		{"a delta behind a delta", ride(delta, rowDelta), sym, delta, rowDelta},
+		{"a directional row behind a delta", ride(delta, asym), dir, delta, asym},
+		{"a row behind another view's run form", ride(run, row), RowShape{Version: 4, Form: TLinkState, Members: 7}, run, nil},
 	} {
-		rec, rowType, got, err := SplitRecommendation(tc.body, tc.form)
-		if err != nil || !bytes.Equal(rec, tc.rec) || (tc.rows == nil) != (got == nil) ||
-			tc.rows != nil && (rowType != MsgType(tc.rows[0]) || !bytes.Equal(got, tc.rows[HeaderLen:])) {
-			t.Errorf("%s: split into %x, %v %x, %v", tc.name, rec, rowType, got, err)
+		rec, got, err := SplitRecommendation(tc.body, tc.at)
+		want, _ := RecommendationBody(tc.rec[HeaderLen:])
+		if err != nil || !reflect.DeepEqual(rec, want) {
+			t.Errorf("%s: split off %+v, %v, want %+v", tc.name, rec, err, want)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { _, _, _, _ = SplitRecommendation(tc.body, tc.form) }); allocs != 0 {
+		switch {
+		case tc.rows == nil:
+			if got.Type != 0 {
+				t.Errorf("%s: %v rides", tc.name, got.Type)
+			}
+		case MsgType(tc.rows[0]) == TLinkStateDelta:
+			d, _ := LinkStateDeltaBody(tc.rows[HeaderLen:])
+			if got.Type != TLinkStateDelta || !reflect.DeepEqual(got.Row, d) {
+				t.Errorf("%s: %v rides as %+v, want %+v", tc.name, got.Type, got.Row, d)
+			}
+		default:
+			v, seq, entries, _ := LinkStateBody(MsgType(tc.rows[0]), tc.rows[HeaderLen:])
+			if r := got.Row; got.Type != MsgType(tc.rows[0]) || r.ViewVersion != v || r.Seq != seq || r.Form != tc.at.Form || r.Members != 3 || !bytes.Equal(r.Entries(), entries) {
+				t.Errorf("%s: %v rides as %+v", tc.name, got.Type, got.Row)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _, _ = SplitRecommendation(tc.body, tc.at) }); allocs != 0 {
 			t.Errorf("%s: splitting allocates %.0f times", tc.name, allocs)
 		}
 	}
-	other := AppendLinkState(nil, 8, LinkState{ViewVersion: 4, Seq: 6, Entries: make([]LinkEntry, 3)})
+	miscounted := ride(delta, rowDelta)
+	miscounted[len(miscounted)-5]++ // the changed count: 2, one mark
 	for _, tc := range []struct {
 		name string
 		body []byte
 	}{
 		{"a row behind an explicit form", ride(explicit, row)},
-		{"a probe behind a run form", ride(run, AppendProbe(nil, 8, Probe{Seq: 1}))},
-		{"a link-state ack behind a run form", ride(run, AppendLinkStateAck(nil, 8, 6))},
+		{"a probe behind a run form", behind(run, AppendProbe(nil, 8, Probe{Seq: 1}))},
+		{"a link-state ack behind a run form", behind(run, AppendLinkStateAck(nil, 8, 6))},
 		{"a row cut short", ride(run, row)[:len(ride(run, row))-1]},
 		{"a row one byte long", append(ride(run, row), 0)},
 		{"a row of the other form", ride(run, asym)},
-		{"a delta of the other form", ride(delta, AppendLinkStateDelta(nil, 8, LinkStateDelta{ViewVersion: 5, Seq: 6, Form: TLinkStateAsym, Members: 3}))},
-		{"a row at another view version", ride(run, other)},
+		{"a row of another member count", ride(run, AppendLinkState(nil, 8, LinkState{ViewVersion: 5, Seq: 6, Entries: make([]LinkEntry, 4)}))},
+		{"a delta cut short", ride(delta, rowDelta)[:len(ride(delta, rowDelta))-1]},
+		{"a delta cut at its marks", ride(delta, rowDelta)[:len(ride(delta, rowDelta))-4]},
+		{"a delta one byte long", append(ride(delta, rowDelta), 0)},
+		{"a delta whose count disagrees with its marks", miscounted},
+		{"a delta behind seq 0", ride(NewRecommendationRun(nil, 8, 5, 0, 10, 0, 0), rowDelta)},
 		{"a type byte alone", append(slices.Clone(run[HeaderLen:]), byte(TLinkState))},
+		{"a delta's type byte alone", append(slices.Clone(run[HeaderLen:]), byte(TLinkStateDelta))},
 	} {
-		if rec, _, row, err := SplitRecommendation(tc.body, TLinkState); err == nil {
-			t.Errorf("%s: split into %x and %x", tc.name, rec, row)
+		if rec, ride, err := SplitRecommendation(tc.body, sym); err == nil {
+			t.Errorf("%s: split into %+v and %+v", tc.name, rec, ride)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { _, _, _, _ = SplitRecommendation(tc.body, TLinkState) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { _, _, _ = SplitRecommendation(tc.body, sym) }); allocs != 0 {
 			t.Errorf("%s: refusing allocates %.0f times", tc.name, allocs)
+		}
+	}
+	if _, _, err := SplitRecommendation(behind(run, AppendProbe(nil, 8, Probe{Seq: 1})), RowShape{Version: 4, Form: TLinkState}); err == nil {
+		t.Error("a probe behind another view's run form splits")
+	}
+	for _, r := range [][]byte{row, asym, rowDelta} {
+		if cut := len(r) - RideSize(r); cut != RideCut(MsgType(r[0])) || cut != map[MsgType]int{TLinkState: 12, TLinkStateAsym: 12, TLinkStateDelta: 13}[MsgType(r[0])] {
+			t.Errorf("a %v sheds %d bytes riding", MsgType(r[0]), cut)
 		}
 	}
 }
