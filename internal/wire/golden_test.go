@@ -42,6 +42,10 @@ func TestEncodingsGolden(t *testing.T) {
 	withRow := make([]byte, len(runDelta)+RideSize(rowDelta)) // the row rides behind the delta
 	copy(withRow, runDelta)
 	PutRide(withRow[len(runDelta):], rowDelta)
+	fullRow := AppendLinkState(nil, src, LinkState{ViewVersion: 77, Seq: 78, Entries: []LinkEntry{{Latency: 450, Status: 12}, {Latency: 0xFFFF, Status: StatusDead}}})
+	runWithRow := make([]byte, len(run)+RideSize(fullRow)) // a full row rides behind the run form
+	copy(runWithRow, run)
+	PutRide(runWithRow[len(run):], fullRow)
 	packed := PackLinkState(AppendLinkState(nil, src, LinkState{ViewVersion: 8, Seq: 9, Entries: []LinkEntry{
 		{Latency: 1, Status: 2}, {Latency: 3, Status: 4}, {Latency: 5, Status: 6},
 	}}), []int{1})
@@ -68,9 +72,11 @@ func TestEncodingsGolden(t *testing.T) {
 			"0401020000004dc00a0000004e0001" + "0202" + "0001" + "0002" + "ffffffff" + "000600070008"},
 		{"recommendation-delta-indexed", longDelta, // long's, bit 39 changed
 			"0401020000004dc0280000004e0000" + "0200000080" + "0001" + "0027" + "ffffffff"},
-		{"recommendation-delta-with-row", withRow, // runDelta's, then rowDelta's type byte and body
+		{"recommendation-delta-with-row", withRow, // runDelta's, then rowDelta's type byte, changed count, marks and entries
 			"0401020000004dc00a0000004e0001" + "0202" + "0001" + "0002" + "ffffffff" + "000600070008" +
-				"05" + "0000004d0000004e" + "03000a0001" + "0200" + "01c20c"},
+				"05" + "0001" + "0200" + "01c20c"},
+		{"recommendation-run-with-row", runWithRow, // run's, then fullRow's type byte and entries
+			"0401020000004d800a0000004e0001" + "0202" + "0004005a" + "ffffffff" + "000600070008" + "03" + "01c20c" + "ffffff"},
 		{"recommendation-refusal", AppendRecommendation(nil, src, Recommendation{ViewVersion: 77}), "0401020000004d0000"},
 		{"link-state-asym", AppendLinkStateAsym(nil, src, LinkStateAsym{ViewVersion: 8, Seq: 9, Entries: []AsymEntry{
 			{Out: 20, In: 35, Status: 4},
