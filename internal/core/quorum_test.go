@@ -750,8 +750,8 @@ func TestQuorumRound2Golden(t *testing.T) {
 		directional bool
 		recs, rows  string
 	}{
-		{false, "1d393f43aa1e29433327b1cdd987d37d2c9d737858ea8625f9877feb7591b912", "9bc4226b996c8ffbacaffd33b11854524458d823f7d4db3393e01db41a2c9e39"},
-		{true, "cc396acb361c899392b87697d2b3d837b553574ce415b717ddd0efbb44ed1e4d", "2432ace191f260c6f05c1ee2b6546d1f8bcd0a3101f728ecfcf660a22b08ec25"},
+		{false, "1d393f43aa1e29433327b1cdd987d37d2c9d737858ea8625f9877feb7591b912", "21251791d0edc6cc0d9be6ab8afc3ac3f3a62e017b2fbf02fa3ada597cbcab2a"},
+		{true, "cc396acb361c899392b87697d2b3d837b553574ce415b717ddd0efbb44ed1e4d", "9211fa43da3574093607089458c8ae7fe2677abdc01b5ef9f1e6fe6408b188bf"},
 	} {
 		q, env := round2Fixture(t, tc.directional)
 		row := q.linkState()
@@ -785,8 +785,8 @@ func TestQuorumRound2GoldenTicks(t *testing.T) {
 		directional bool
 		recs, rows  string
 	}{
-		{false, "01c6ead576ade07b5d87ccfbed40d02436e56c6be2ddb196329c4a11291fc086", "8bd30b7627dff498c1e7882ad0527c90a6c4709a44e2ed375810c2ec2d3a2b00"},
-		{true, "0e4fac65d903b50a491686c79ed7bb3812c277503447fe4805aaaa1eff2940f0", "c30ffcff1fd3be1bf6da7e12865798b56a2579c84f45bc74ef56816493af75ac"},
+		{false, "01c6ead576ade07b5d87ccfbed40d02436e56c6be2ddb196329c4a11291fc086", "8d01d0e281e82a4f0dc1997a550d3cd6d6f86faa71e33b26a6a819c08779d184"},
+		{true, "0e4fac65d903b50a491686c79ed7bb3812c277503447fe4805aaaa1eff2940f0", "ebb6a6dc5402627e87e3c3cffec5f56b579f47606d30bc9aa2a7aed032429102"},
 	} {
 		q, env := round2Fixture(t, tc.directional)
 		n, clients := q.view.Slots(), q.Grid().Clients(0)
