@@ -416,3 +416,51 @@ func TestDataPlaneDeliversThroughDetour(t *testing.T) {
 		t.Error("send to unknown destination accepted")
 	}
 }
+
+// TestSimulationFailNodeLeavesTheRoutes: a node failed whole, the one most
+// routes go through, leaves every other node's route table, as a destination
+// and as a hop, and is back in every one of them once revived.
+func TestSimulationFailNodeLeavesTheRoutes(t *testing.T) {
+	const n = 16
+	sim, err := NewSimulation(SimOptions{N: n, Seed: 3, RoutingInterval: 10 * time.Second, ProbeInterval: 15 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// uses counts the other nodes' routes to node x and through it.
+	uses := func(x NodeID) (to, via int) {
+		for src := range NodeID(n) {
+			for _, r := range sim.RouteTable(src) {
+				if src != x && r.Dst == x {
+					to++
+				} else if src != x && r.Hop == x {
+					via++
+				}
+			}
+		}
+		return to, via
+	}
+	sim.Run(2 * time.Minute)
+	dead, most := NodeID(0), 0
+	for x := range NodeID(n) {
+		if _, via := uses(x); via > most {
+			dead, most = x, via
+		}
+	}
+	if to, via := uses(dead); to != n-1 || via == 0 {
+		t.Fatalf("node %d: before the failure %d nodes route to it and %d routes go through it", dead, to, via)
+	}
+	before := sim.RouteTable(dead)
+	sim.FailNode(dead, true)
+	sim.Run(2 * time.Minute)
+	if to, via := uses(dead); to != 0 || via != 0 {
+		t.Errorf("node %d failed for 2 min: %d routes to it, %d through it", dead, to, via)
+	}
+	sim.FailNode(dead, false)
+	sim.Run(time.Minute)
+	if to, via := uses(dead); to != n-1 || via == 0 {
+		t.Errorf("node %d revived for 1 min: %d nodes route to it, %d routes go through it", dead, to, via)
+	}
+	if after := sim.RouteTable(dead); len(after) != len(before) {
+		t.Errorf("node %d revived routes to %d nodes, to %d before", dead, len(after), len(before))
+	}
+}

@@ -81,6 +81,24 @@ func TestFig9QuorumBeatsFullMesh(t *testing.T) {
 	}
 }
 
+// TestFig9SweepMatchesItsPoints: a tiny sweep, two sizes by both routers on
+// the worker pool, equals Fig9Point cell by cell.
+func TestFig9SweepMatchesItsPoints(t *testing.T) {
+	ns, algos := []int{9, 16}, []overlay.Algorithm{overlay.AlgFullMesh, overlay.AlgQuorum}
+	const warm, meas = 30 * time.Second, time.Minute
+	sweep := Fig9Sweep(ns, algos, 2, warm, meas)
+	if len(sweep) != len(ns) {
+		t.Fatalf("%d rows for %d sizes", len(sweep), len(ns))
+	}
+	for i, n := range ns {
+		for j, algo := range algos {
+			if got, want := sweep[i][j], Fig9Point(n, algo, 2, warm, meas); got != want || got <= 0 {
+				t.Errorf("n=%d %v: the sweep reads %v Kbps, Fig9Point %v", n, algo, got, want)
+			}
+		}
+	}
+}
+
 func TestScenario2RecoversWithinBound(t *testing.T) {
 	res, err := RunFailoverScenario(2, 7)
 	if err != nil {
